@@ -16,6 +16,11 @@ import (
 // so a tight bound holds where absolute Mlookups/s would flake.
 const guardTolerance = 0.03
 
+// overheadBudget is the allowed cost of a plane that is in the path but off
+// (or sampling at its default stride): its interleaved A/B rate ratio must
+// stay ≥ 1 − 10%. These rows have no baseline file entry; their base is 1.
+const overheadBudget = 0.10
+
 // baselineSpeedups extracts {row key → speedup} for one experiment from a
 // BENCH_*.json file, accepting both the -compact shape (pipe-joined row
 // strings) and the full shape (string-slice rows). keyCols and speedupCol
@@ -76,6 +81,7 @@ type guardRow struct {
 	exp, key       string
 	base, measured float64
 	mismatches     int
+	tol            float64 // allowed relative shortfall against base
 }
 
 func (g guardRow) verdict() (string, bool) {
@@ -86,7 +92,7 @@ func (g guardRow) verdict() (string, bool) {
 		return "skip (no baseline row)", true
 	}
 	rel := g.measured/g.base - 1
-	if rel < -guardTolerance {
+	if rel < -g.tol {
 		return fmt.Sprintf("FAIL (%.1f%% regression)", -100*rel), false
 	}
 	return fmt.Sprintf("ok (%+.1f%%)", 100*rel), true
@@ -98,8 +104,9 @@ func (g guardRow) verdict() (string, bool) {
 // co-tenant — fails the guard. Oracle mismatches fail immediately.
 const guardAttempts = 3
 
-// guardMeasure runs E23 + E25 + E28 + E29 once and returns one guardRow per
-// table row. E28 contributes two ratio sets (fast-tier saving, p99 headroom)
+// guardMeasure runs E23 + E25 + E28 + E29 and the two overhead pairs once and
+// returns one guardRow per table row. E28 contributes two ratio sets
+// (fast-tier saving, p99 headroom)
 // from its deterministic rows only — the sketch row rides the 1:64 hotness
 // sampling phase and would flake any fixed tolerance. E29 contributes its
 // deterministic bytes-per-query ratio; the measured wire rows' oracle
@@ -114,7 +121,7 @@ func guardMeasure(sc experiments.Scale, compBase, cacheBase, tierFastBase, tierP
 	}
 	for _, c := range comp {
 		key := fmt.Sprintf("%s/%d", c.Path, c.BatchSize)
-		rows = append(rows, guardRow{"compiled", key, compBase[key], c.Speedup, c.Mismatches})
+		rows = append(rows, guardRow{"compiled", key, compBase[key], c.Speedup, c.Mismatches, guardTolerance})
 	}
 	cache, err := experiments.CacheHotKey(sc)
 	if err != nil {
@@ -122,7 +129,7 @@ func guardMeasure(sc experiments.Scale, compBase, cacheBase, tierFastBase, tierP
 	}
 	for _, c := range cache {
 		key := fmt.Sprintf("%s/%d", c.Workload, c.CacheKB)
-		rows = append(rows, guardRow{"cache", key, cacheBase[key], c.Speedup, c.Mismatches})
+		rows = append(rows, guardRow{"cache", key, cacheBase[key], c.Speedup, c.Mismatches, guardTolerance})
 	}
 	tiered, err := experiments.Tiered(sc)
 	if err != nil {
@@ -133,8 +140,8 @@ func guardMeasure(sc experiments.Scale, compBase, cacheBase, tierFastBase, tierP
 			continue
 		}
 		rows = append(rows,
-			guardRow{"tier-fast", c.Config, tierFastBase[c.Config], c.FastSavingX, c.Mismatches},
-			guardRow{"tier-p99", c.Config, tierP99Base[c.Config], c.HeadroomX, c.Mismatches})
+			guardRow{"tier-fast", c.Config, tierFastBase[c.Config], c.FastSavingX, c.Mismatches, guardTolerance},
+			guardRow{"tier-p99", c.Config, tierP99Base[c.Config], c.HeadroomX, c.Mismatches, guardTolerance})
 	}
 	wireCells, err := experiments.Wire(sc)
 	if err != nil {
@@ -148,7 +155,14 @@ func guardMeasure(sc experiments.Scale, compBase, cacheBase, tierFastBase, tierP
 		if !c.Deterministic {
 			continue
 		}
-		rows = append(rows, guardRow{"wire-bytes", c.Config, wireBytesBase[c.Config], c.VsHTTPX, wireBad})
+		rows = append(rows, guardRow{"wire-bytes", c.Config, wireBytesBase[c.Config], c.VsHTTPX, wireBad, guardTolerance})
+	}
+	overheads, err := experiments.Overheads(sc)
+	if err != nil {
+		return nil, fmt.Errorf("overheads: %w", err)
+	}
+	for _, c := range overheads {
+		rows = append(rows, guardRow{"overhead", c.Name, 1, c.Ratio, 0, overheadBudget})
 	}
 	return rows, nil
 }
@@ -222,9 +236,10 @@ func runGuard(sc experiments.Scale, path string) error {
 		fmt.Printf("%-9s %-28s baseline %5.2f  measured %5.2f  %s\n", g.exp, g.key, g.base, g.measured, verdict)
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d of %d speedup ratios regressed beyond %.0f%% in all %d attempts (or mismatched the oracle)",
-			failed, len(best), 100*guardTolerance, guardAttempts)
+		return fmt.Errorf("%d of %d ratios fell beyond their tolerance (%.0f%%; overhead rows %.0f%%) in all %d attempts (or mismatched the oracle)",
+			failed, len(best), 100*guardTolerance, 100*overheadBudget, guardAttempts)
 	}
-	fmt.Printf("guard: all %d speedup ratios within %.0f%% of baseline\n", len(best), 100*guardTolerance)
+	fmt.Printf("guard: all %d ratios within tolerance (%.0f%% of baseline; overhead rows %.0f%% of 1.00)\n",
+		len(best), 100*guardTolerance, 100*overheadBudget)
 	return nil
 }

@@ -14,8 +14,9 @@ import (
 	"neurolpm/internal/telemetry"
 )
 
-// Every simulated DRAM fetch passes through DRAMAddr, so counting there
-// makes the fetch total exact by construction. core divides this counter by
+// Every simulated DRAM fetch is booked through CountFetches — core calls it
+// once per lookup, or once per block from the batch tail, before it counts
+// the lookups themselves. core divides this counter by
 // its bucketized-lookup counter to expose the §7 "exactly one dependent
 // DRAM access per query" invariant as a live gauge.
 var (
@@ -108,8 +109,11 @@ func (d *Directory) BucketBytes() int {
 func (d *Directory) DRAMAddr(b int) (addr uint64, size int) {
 	eb := uint64(d.array.BytesPerEntry())
 	stride := uint64(d.K) * eb
-	size = d.BucketBytes()
-	metFetches.Inc()
-	metFetchBytes.Add(uint64(size))
-	return uint64(b)*stride + eb, size
+	return uint64(b)*stride + eb, d.BucketBytes()
+}
+
+// CountFetches books n bucket fetches and their bytes.
+func (d *Directory) CountFetches(n uint64) {
+	metFetches.Add(n)
+	metFetchBytes.Add(n * uint64(d.BucketBytes()))
 }

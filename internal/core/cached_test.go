@@ -237,60 +237,6 @@ func TestUpdatableMutationsBumpEpoch(t *testing.T) {
 	_ = width
 }
 
-// TestCacheOffBatchOverheadGuard is the CI bench-smoke guard (ISSUE 5
-// satellite): with the cache plane disabled (nil cache), the batch path must
-// run within 10% of the plain uncached compiled path — cache off must be
-// zero-overhead. Measured with testing.Benchmark so the comparison fails the
-// suite, not just a human reading numbers.
-func TestCacheOffBatchOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark comparison; skipped in -short")
-	}
-	rs := randomRuleSet(t, 32, 20000, 42)
-	e, err := Build(rs, quickBucketed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(77))
-	ks := make([]keys.Value, 1<<14)
-	for i := range ks {
-		ks[i] = randomKey(rng, 32)
-	}
-	out := make([]BatchResult, 256)
-	run := func(cached bool) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			epoch := e.CacheEpoch().Load()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += 256 {
-				lo := (i * 256) % (len(ks) - 256)
-				if cached {
-					out = e.LookupBatchCached(ks[lo:lo+256], out, nil, epoch)
-				} else {
-					out = e.LookupBatch(ks[lo:lo+256], out)
-				}
-			}
-		})
-		return float64(r.T.Nanoseconds()) / float64(r.N)
-	}
-	// Alternate the two paths and take each side's best, so thermal or
-	// scheduler drift hits both sides equally instead of whichever ran last.
-	uncached, cacheOff := run(false), run(true)
-	for i := 0; i < 2; i++ {
-		if v := run(false); v < uncached {
-			uncached = v
-		}
-		if v := run(true); v < cacheOff {
-			cacheOff = v
-		}
-	}
-	t.Logf("uncached %.1f ns/key-block, cache-off %.1f ns/key-block (%.2fx)",
-		uncached, cacheOff, cacheOff/uncached)
-	if cacheOff > uncached*1.10 {
-		t.Fatalf("cache-off batch path is %.1f%% slower than the uncached compiled path (budget 10%%)",
-			(cacheOff/uncached-1)*100)
-	}
-}
-
 // The cached-batch micro-bench family: CI's bench-smoke runs these; the
 // Zipf-vs-uncached ratio is the headline the E25 experiment quantifies.
 func benchBatchKeys(rng *rand.Rand, n int, hot []keys.Value, hotFrac float64) []keys.Value {

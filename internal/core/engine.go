@@ -70,12 +70,12 @@ type Engine struct {
 	cfg   Config
 	width int
 	rules *lpm.RuleSet
-	// live holds tombstones for deleted rules (parallel to rules.Rules).
-	// Delete flips entries while lock-free readers consult them in resolve,
-	// so access is atomic; everything else in the engine is immutable after
-	// build or rewritten only through the atomic ranges.Array accessors.
-	live  []atomic.Bool
+	// dead is the tombstone bitset (bit i: rules.Rules[i] was deleted). No
+	// read path consults it, but writers may overlap (a background commit's
+	// InsertBatch beside a Delete), so its words are atomic.
+	dead  []atomic.Uint64
 	ra    *ranges.Array
+	rec   *records          // what every lookup answers from; see record.go
 	dir   *bucket.Directory // nil in the SRAM-only design
 	model *rqrmi.Model
 	stats *rqrmi.Stats
@@ -96,14 +96,11 @@ type Engine struct {
 	// remains the reference arithmetic (LookupReference, Verify). quant is
 	// the int32 fixed-point re-encoding of the same model (DESIGN.md §15),
 	// carrying its own error bounds recomputed in the integer arithmetic —
-	// selected per lookup by plane.StackConfig.Inference. For bucketized
-	// engines of width ≤ 64, rangeLows64 additionally flattens the full
-	// range array's bounds — the DRAM bucket array — so the bucket scan
-	// compares bare uint64s. All are immutable after build: updates re-own
-	// ranges or rewrite actions but never move a boundary.
-	comp        *rqrmi.Compiled
-	quant       *rqrmi.Quantized
-	rangeLows64 []uint64
+	// selected per lookup by plane.StackConfig.Inference. Both are immutable
+	// after build: updates re-own ranges or rewrite actions but never move a
+	// boundary.
+	comp  *rqrmi.Compiled
+	quant *rqrmi.Quantized
 
 	// tiers is the two-tier bucket placement map (DESIGN.md §16), non-nil
 	// only when cfg.Tier enables it on a bucketized ≤ 64-bit engine. The
@@ -143,12 +140,9 @@ func Build(rs *lpm.RuleSet, cfg Config) (*Engine, error) {
 		cfg:   cfg,
 		width: rs.Width,
 		rules: rs.Clone(),
-		live:  make([]atomic.Bool, rs.Len()),
+		dead:  make([]atomic.Uint64, (rs.Len()+63)/64),
 		ra:    ra,
 		epoch: new(lcache.Epoch),
-	}
-	for i := range e.live {
-		e.live[i].Store(true)
 	}
 	var ix rqrmi.Index = ra
 	if cfg.BucketSize >= 2 {
@@ -189,30 +183,38 @@ func (e *Engine) attachObservers(ix rqrmi.Index) {
 }
 
 // compilePlane flattens the trained model and index into the compiled query
-// plane and its fixed-point re-encoding (plus the flat bucket-array bounds
-// for bucketized ≤ 64-bit engines).
+// plane and its fixed-point re-encoding, and lays the range array out as the
+// records every lookup answers from.
 func (e *Engine) compilePlane(ix rqrmi.Index) error {
 	c, err := rqrmi.Compile(e.model, ix)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	e.comp = c
-	q, err := rqrmi.CompileQuantized(e.model, ix)
+	q, err := c.Quantize(e.model, ix)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	e.quant = q
-	if e.dir != nil && e.width <= 64 {
-		e.rangeLows64 = make([]uint64, e.ra.Len())
-		for i := range e.rangeLows64 {
-			e.rangeLows64[i] = e.ra.Entries[i].Low.Lo
+	k := 1 // SRAM-only: every range is its own record
+	if e.dir != nil {
+		k = e.dir.K
+	}
+	e.rec = newRecords(e.ra, k)
+	if e.dir != nil && e.width <= 64 && e.cfg.Tier.Enabled {
+		// The tier store demotes by copying a bucket's bounds out of a flat
+		// array; only a tiered engine pays for one.
+		lows := make([]uint64, e.ra.Len())
+		for i := range lows {
+			lows[i] = e.ra.Entries[i].Low.Lo
 		}
-		if e.cfg.Tier.Enabled {
-			e.tiers = tier.New(e.rangeLows64, e.dir.K, e.ra.BytesPerEntry(), e.cfg.Tier)
-		}
+		e.tiers = tier.New(lows, k, e.ra.BytesPerEntry(), e.cfg.Tier)
 	}
 	return nil
 }
+
+// isLive reports whether rule i is installed (update paths only).
+func (e *Engine) isLive(i int) bool { return e.dead[i>>6].Load()>>(uint(i)&63)&1 == 0 }
 
 // BuildWithModel assembles an engine around a previously trained and
 // serialized model, skipping training — the deployment path where the
@@ -235,13 +237,10 @@ func BuildWithModel(rs *lpm.RuleSet, cfg Config, m *rqrmi.Model, verify bool) (*
 		cfg:   cfg,
 		width: rs.Width,
 		rules: rs.Clone(),
-		live:  make([]atomic.Bool, rs.Len()),
+		dead:  make([]atomic.Uint64, (rs.Len()+63)/64),
 		ra:    ra,
 		model: m,
 		epoch: new(lcache.Epoch),
-	}
-	for i := range e.live {
-		e.live[i].Store(true)
 	}
 	var ix rqrmi.Index = ra
 	if cfg.BucketSize >= 2 {
@@ -365,14 +364,7 @@ func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) Trace {
 // All three obey the oracle-equivalence contract; only the inference
 // arithmetic and cost differ.
 func (e *Engine) LookupMemInfer(inf plane.Inference, k keys.Value, mem cachesim.Mem) Trace {
-	switch inf {
-	case plane.Reference:
-		return e.lookupReference(k, mem, nil)
-	case plane.Quantized:
-		return e.lookupQuantized(k, mem, nil)
-	default:
-		return e.lookup(k, mem, nil)
-	}
+	return e.lookupInfer(inf, k, mem)
 }
 
 // LookupSpan executes the query while recording a fully-annotated span:
@@ -463,99 +455,100 @@ func (e *Engine) lookupQuantized(k keys.Value, mem cachesim.Mem, sp *telemetry.S
 	return tr
 }
 
-// bucketScan resolves k within bucket b over the flat bounds copy: the same
-// in-order hardware scan as bucket.Directory.Search (identical index and
-// comparison count), with one uint64 load per compared bound instead of a
-// 24-byte Entry.
-func (e *Engine) bucketScan(b int, k keys.Value) (idx, comparisons int) {
-	start, end := e.dir.Bounds(b)
-	kk := k.Lo
-	if k.Hi != 0 {
-		kk = ^uint64(0) // out-of-domain key: above every ≤ 64-bit bound
-	}
-	idx = start
-	for i := start + 1; i < end; i++ {
-		comparisons++
-		if kk < e.rangeLows64[i] {
-			break
-		}
-		idx = i
-	}
-	return idx, comparisons
-}
-
-// finish runs the post-inference pipeline — secondary search, bucket fetch,
-// action resolution, telemetry — shared by every inference arm, single-key
-// and batch. inf selects the bounded-search arithmetic matching the caller's
-// prediction: the search must consume the same plane's error bound it was
-// predicted under (quantized bounds cover quantized predictions, not float
-// ones), after which all three arms land on the identical true index — per
-// Verify — and share the rest of the pipeline. tr.Prediction must already be
-// populated; n is the caller's lookup-counter tick (metLookups.Inc()) and fr
-// the in-flight sample, nil for the other 63-in-64 queries.
+// finish runs the post-inference pipeline for one key — secondary search,
+// tail, counters — shared by every single-key inference arm. inf selects the
+// bounded-search arithmetic matching the caller's prediction: the search must
+// consume the same plane's error bound it was predicted under (quantized
+// bounds cover quantized predictions, not float ones), after which all three
+// arms land on the identical true index — per Verify. tr.Prediction must
+// already be populated; n is the caller's lookup-counter tick
+// (metLookups.Inc()) and fr the in-flight sample, nil for most queries.
 func (e *Engine) finish(k keys.Value, tr *Trace, mem cachesim.Mem, sp *telemetry.Span, inf plane.Inference, n uint64, fr *telemetry.FlightRecord) {
 	end := sp.Stage("secondary-search")
 	var b int
+	b, tr.SRAMProbes = e.search(inf, k, tr.Prediction)
+	end()
+	fr.Stamp(plane.StageSearch)
+	e.tail(k, tr, b, mem, sp, inf, n, fr)
+	var matched uint64
+	if tr.Matched {
+		matched = 1
+	}
+	e.count(1, matched)
+}
+
+// search is the bounded secondary search over the RQ Array in inf's
+// arithmetic: the bucket (or, SRAM-only, the range) containing k.
+func (e *Engine) search(inf plane.Inference, k keys.Value, p rqrmi.Prediction) (b, probes int) {
 	switch inf {
 	case plane.Reference:
 		var ix rqrmi.Index = e.ra
 		if e.dir != nil {
 			ix = e.dir
 		}
-		b, tr.SRAMProbes = e.model.Search(ix, k, tr.Prediction)
+		return e.model.Search(ix, k, p)
 	case plane.Quantized:
-		b, tr.SRAMProbes = e.quant.Search(k, tr.Prediction)
-	default:
-		b, tr.SRAMProbes = e.comp.Search(k, tr.Prediction)
+		return e.quant.Search(k, p)
 	}
-	end()
-	fr.Stamp(plane.StageSearch)
+	return e.comp.Search(k, p)
+}
+
+// count books n finished lookups, one key from finish or a block from
+// finishBatch. Fetches go before the bucketized lookups they served, so a
+// reader that loads bucketized first never sees it ahead.
+func (e *Engine) count(n, matched uint64) {
+	if e.dir != nil {
+		e.dir.CountFetches(n)
+		metBucketized.Add(n)
+	}
+	if matched != 0 {
+		metMatched.Add(matched)
+	}
+}
+
+// tail completes one key from b, the index its secondary search found:
+// bucketized engines fetch exactly one bucket and scan its record; the answer
+// comes out of the same record; then the sampled observations and the flight
+// commit. It books no counters (see count).
+func (e *Engine) tail(k keys.Value, tr *Trace, b int, mem cachesim.Mem, sp *telemetry.Span, inf plane.Inference, n uint64, fr *telemetry.FlightRecord) {
 	var cmp int
 	if e.dir == nil {
 		tr.RangeIndex = b
+		tr.Action, tr.Matched = e.rec.resolve(b, 0)
 	} else {
-		end = sp.Stage("bucket-fetch")
+		end := sp.Stage("bucket-fetch")
 		addr, size := e.dir.DRAMAddr(b)
 		mem.Read(addr, size)
 		tr.BucketRead = true
 		tr.DRAMBytes = size
 		// Tiered engines route the fetch through the placement map first: a
-		// cold bucket resolves against its slow-tier copy (same bounds, same
-		// scan, so the answer is identical — only the charged latency and the
-		// tier counters differ), still exactly one bucket fetch per query.
-		// All three inference arms share the routing; bounds are immutable,
-		// so a migration racing this lookup cannot change the result.
+		// cold bucket scans its slow-tier copy (same bounds, same answer —
+		// only the charged latency and the tier counters differ). The
+		// reference arm keeps the paper's scan over the range array, which
+		// Verify holds the record scan against.
 		if t := e.tiers; t != nil {
 			kk := k.Lo
 			if k.Hi != 0 {
 				kk = ^uint64(0) // out-of-domain key: above every ≤ 64-bit bound
 			}
-			if idx, c, cold := t.Fetch(b, kk); cold {
-				tr.RangeIndex, cmp = idx, c
-				tr.ColdRead = true
-			} else if inf != plane.Reference {
-				tr.RangeIndex, cmp = e.bucketScan(b, k)
-			} else {
-				tr.RangeIndex, cmp = e.dir.Search(b, k)
-			}
-		} else if inf != plane.Reference && e.rangeLows64 != nil {
-			tr.RangeIndex, cmp = e.bucketScan(b, k)
-		} else {
+			tr.RangeIndex, cmp, tr.ColdRead = t.Fetch(b, kk)
+		}
+		switch {
+		case tr.ColdRead:
+		case inf == plane.Reference:
 			tr.RangeIndex, cmp = e.dir.Search(b, k)
+		default:
+			tr.RangeIndex, cmp = e.rec.scan(b, k)
 		}
 		end()
 		fr.Stamp(plane.StageFetch)
-		metBucketized.Inc()
-	}
-	tr.Action, tr.Matched = e.resolve(tr.RangeIndex)
-	if tr.Matched {
-		metMatched.Inc()
+		tr.Action, tr.Matched = e.rec.resolve(b, tr.RangeIndex-b*e.dir.K)
 	}
 	// The per-query distributions are sampled 1:sampleEvery; an uncontended
 	// atomic RMW costs ~5ns on the reference machine, so observing three
 	// histograms on every query would alone blow the ≤2% overhead budget.
-	// Counters above stay exact — only distribution shape is sampled. The
-	// drift meter and hotness sketch ride the same sampled branch, so their
+	// Counters stay exact — only distribution shape is sampled. The drift
+	// meter and hotness sketch ride the same sampled branch, so their
 	// marginal hot-path cost is a fraction of a nanosecond per lookup.
 	if n&(sampleEvery-1) == 0 {
 		metProbes.ObserveInt(tr.SRAMProbes)
@@ -646,65 +639,93 @@ func (e *Engine) LookupBatchMem(ks []keys.Value, out []BatchResult, mem cachesim
 	return e.LookupBatchStack(plane.StackConfig{}, ks, out, mem, nil, 0)
 }
 
-// finishBatch runs the pipelined batch tail — blocked PredictBatch inference
-// plus the instrumented per-key finish — delivering ks[i]'s answer through
-// emit(i, result). It serves both pipelined inference planes of the batch
-// stack executor (stack.go) — inf selects the compiled or quantized
-// PredictBatch; the reference plane has no pipelined arm and loops the
-// single-key path instead. Uncached stacks emit positionally, cached stacks
-// scatter to the miss positions and fill the result cache.
+// finishBatch runs the pipelined batch tail for the compiled or quantized
+// plane (the reference plane loops the single-key path instead), delivering
+// ks[i]'s answer through emit(i, result): uncached stacks emit positionally,
+// cached stacks scatter to the miss positions and fill the result cache.
+//
+// Each block of batchBlock keys is staged — blocked inference, every key's
+// secondary search, a touch of every key's record, every key's tail — so the
+// block's record misses are outstanding together, and its counters are booked
+// once. A flight-sampled key runs search and tail back to back in the search
+// pass, so its record times that key alone.
 func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.Mem, emit func(i int, r BatchResult)) {
-	var preds [batchBlock]rqrmi.Prediction
+	var (
+		preds [batchBlock]rqrmi.Prediction
+		trs   [batchBlock]Trace
+		bkt   [batchBlock]int
+	)
+	const sampled = -1 // bkt[i]: key i was completed in the first stage
 	for start := 0; start < len(ks); start += batchBlock {
-		n := len(ks) - start
-		if n > batchBlock {
-			n = batchBlock
-		}
+		n := min(len(ks)-start, batchBlock)
 		blk := ks[start : start+n]
 		if inf == plane.Quantized {
 			e.quant.PredictBatch(blk, preds[:n])
 		} else {
 			e.comp.PredictBatch(blk, preds[:n])
 		}
-		for i := 0; i < n; i++ {
-			var tr Trace
-			tr.Prediction = preds[i]
-			nq := metLookups.Inc()
-			var fr *telemetry.FlightRecord
-			if telemetry.Flight.HitN(nq) {
-				var rec telemetry.FlightRecord
-				fr = &rec
-				fr.Begin(blk[i].Hi, blk[i].Lo)
+		tick := metLookups.Add(uint64(n)) - uint64(n) // key i's tick is tick+i+1
+		for i, k := range blk {
+			tr := &trs[i]
+			*tr = Trace{Prediction: preds[i]}
+			if nq := tick + uint64(i) + 1; telemetry.Flight.HitN(nq) {
+				var fr telemetry.FlightRecord
+				fr.Begin(k.Hi, k.Lo)
 				// Inference was pipelined across the block, so a batch
 				// record times only the per-key tail (search onward).
 				fr.Batch = true
+				bkt[i], tr.SRAMProbes = e.search(inf, k, tr.Prediction)
+				fr.Stamp(plane.StageSearch)
+				e.tail(k, tr, bkt[i], mem, nil, inf, nq, &fr)
+				bkt[i] = sampled
+				continue
 			}
-			e.finish(blk[i], &tr, mem, nil, inf, nq, fr)
+			bkt[i], tr.SRAMProbes = e.search(inf, k, tr.Prediction)
+		}
+		for _, b := range bkt[:n] {
+			if b != sampled {
+				e.rec.touch(b)
+			}
+		}
+		var matched uint64
+		for i, k := range blk {
+			tr := &trs[i]
+			if bkt[i] != sampled {
+				e.tail(k, tr, bkt[i], mem, nil, inf, tick+uint64(i)+1, nil)
+			}
+			if tr.Matched {
+				matched++
+			}
 			emit(start+i, BatchResult{Action: tr.Action, Matched: tr.Matched})
 		}
+		e.count(uint64(n), matched)
 	}
 }
 
-// resolve maps a range index to its action, honouring tombstones.
-func (e *Engine) resolve(rangeIdx int) (uint64, bool) {
-	r := e.ra.RuleOf(rangeIdx)
-	if r == ranges.NoRule || !e.live[r].Load() {
-		return 0, false
+// owned calls fn for every range rule idx owns. All rule bounds are range
+// boundaries, so those ranges lie inside the rule's covered span.
+func (e *Engine) owned(idx int, fn func(i int)) {
+	r := e.rules.Rules[idx]
+	last := e.ra.Find(r.High(e.width))
+	for i := e.ra.Find(r.Low(e.width)); i <= last; i++ {
+		if e.ra.RuleOf(i) == int32(idx) {
+			fn(i)
+		}
 	}
-	return e.ra.Action(rangeIdx)
 }
 
 // ModifyAction changes the action of an installed rule without retraining
 // (§6.5: action modification touches only the RQ-array metadata).
 func (e *Engine) ModifyAction(prefix keys.Value, length int, action uint64) error {
 	idx := e.rules.Find(prefix, length)
-	if idx == lpm.NoMatch || !e.live[idx].Load() {
+	if idx == lpm.NoMatch || !e.isLive(idx) {
 		return fmt.Errorf("core: rule %s/%d not installed", prefix, length)
 	}
 	e.rules.Rules[idx].Action = action
 	e.ra.SetAction(int32(idx), action)
-	// The action rewrite above is complete (atomic store) before the bump, so
-	// any cached-lookup probe that observes the new epoch recomputes from the
+	e.owned(idx, func(i int) { e.rec.setAction(i, action) })
+	// Every rewrite above is complete (atomic stores) before the bump, so any
+	// cached-lookup probe that observes the new epoch recomputes from the
 	// post-modify state (lcache's fill/invalidate ordering argument).
 	e.epoch.Bump()
 	return nil
@@ -718,37 +739,32 @@ func (e *Engine) ModifyAction(prefix keys.Value, length int, action uint64) erro
 // every deletion after that costs only the tombstone-aware re-own of the
 // doomed rule's ranges, which is how the paper keeps deletions off the
 // retraining path.
+//
+// Publication order (DESIGN.md §11): trie first, then per range the owner
+// table and the record, tombstone last — so a concurrent lookup under the
+// doomed rule answers its action or the covering rule's, never a stray miss.
 func (e *Engine) Delete(prefix keys.Value, length int) error {
 	idx := e.rules.Find(prefix, length)
-	if idx == lpm.NoMatch || !e.live[idx].Load() {
+	if idx == lpm.NoMatch || !e.isLive(idx) {
 		return fmt.Errorf("core: rule %s/%d not installed", prefix, length)
 	}
-	e.live[idx].Store(false)
 	if e.trie == nil {
 		e.trie = lpm.NewTrie(e.rules)
 	}
-	alive := func(r int32) bool { return e.live[r].Load() }
-
-	// Re-own every range that pointed at the deleted rule. Within one range
-	// no rule begins or ends (all rule bounds are range boundaries), so the
-	// new owner is uniform across the range: query its lower bound. The
-	// doomed rule's ranges are found by searching its covered span.
-	doomed := int32(idx)
-	r := lpm.Rule{Prefix: prefix, Len: length}
-	first := e.ra.Find(r.Low(e.width))
-	last := e.ra.Find(r.High(e.width))
-	for i := first; i <= last; i++ {
-		if e.ra.RuleOf(i) != doomed {
-			continue
-		}
-		o := e.trie.LookupWhere(e.ra.Entries[i].Low, alive)
-		if o == lpm.NoMatch {
+	alive := func(r int32) bool { return int(r) != idx && e.isLive(int(r)) }
+	// No rule begins or ends inside a range: its lower bound names the owner.
+	e.owned(idx, func(i int) {
+		if o := e.trie.LookupWhere(e.ra.Entries[i].Low, alive); o == lpm.NoMatch {
 			e.ra.SetRule(i, ranges.NoRule)
+			e.rec.clearMatched(i)
 		} else {
 			e.ra.SetRule(i, int32(o))
+			a, _ := e.ra.Action(i)
+			e.rec.setAction(i, a)
 		}
-	}
-	// Tombstone + re-own are fully visible before the bump: a cached action
+	})
+	e.dead[idx>>6].Or(1 << (uint(idx) & 63))
+	// Re-own + tombstone are fully visible before the bump: a cached action
 	// for a key the deleted rule covered dies on the next probe.
 	e.epoch.Bump()
 	return nil
@@ -760,7 +776,7 @@ func (e *Engine) Delete(prefix keys.Value, length int) error {
 func (e *Engine) InsertBatch(newRules []lpm.Rule) (*Engine, error) {
 	merged := make([]lpm.Rule, 0, e.rules.Len()+len(newRules))
 	for i, r := range e.rules.Rules {
-		if e.live[i].Load() {
+		if e.isLive(i) {
 			merged = append(merged, r)
 		}
 	}
@@ -840,7 +856,7 @@ func (e *Engine) Verify() error {
 	}
 	liveRules := make([]lpm.Rule, 0, e.rules.Len())
 	for i, r := range e.rules.Rules {
-		if e.live[i].Load() {
+		if e.isLive(i) {
 			liveRules = append(liveRules, r)
 		}
 	}

@@ -92,52 +92,3 @@ func TestSampledLookupZeroAllocs(t *testing.T) {
 		t.Fatalf("sampled lookup allocates %v objects per call, want 0", allocs)
 	}
 }
-
-// TestFlightOverheadGuard is the CI bench-smoke guard for E26: at the default
-// sampling stride the single-key lookup path must run within 10% of the
-// recorder-disabled path. E26 reports the honest number (~0-2% at 1:256); the
-// 10% budget here only absorbs scheduler noise on loaded CI machines.
-func TestFlightOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark comparison; skipped in -short")
-	}
-	rs := randomRuleSet(t, 32, 20000, 43)
-	e, err := Build(rs, quickBucketed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(78))
-	ks := make([]keys.Value, 1<<14)
-	for i := range ks {
-		ks[i] = randomKey(rng, 32)
-	}
-	prev := telemetry.Flight.SampleEvery()
-	defer telemetry.Flight.SetSampleEvery(prev)
-
-	run := func(every uint64) float64 {
-		telemetry.Flight.SetSampleEvery(every)
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Lookup(ks[i&(1<<14-1)])
-			}
-		})
-		return float64(r.T.Nanoseconds()) / float64(r.N)
-	}
-	// Alternate the two modes and take each side's best, so thermal or
-	// scheduler drift hits both sides equally instead of whichever ran last.
-	off, on := run(0), run(telemetry.DefaultSampleEvery)
-	for i := 0; i < 2; i++ {
-		if v := run(0); v < off {
-			off = v
-		}
-		if v := run(telemetry.DefaultSampleEvery); v < on {
-			on = v
-		}
-	}
-	t.Logf("flight off %.1f ns/lookup, 1:%d %.1f ns/lookup (%.2fx)",
-		off, telemetry.DefaultSampleEvery, on, on/off)
-	if on > off*1.10 {
-		t.Fatalf("default-stride flight sampling is %.1f%% slower than disabled (budget 10%%)",
-			(on/off-1)*100)
-	}
-}

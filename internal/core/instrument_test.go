@@ -133,6 +133,11 @@ func TestConcurrentLookups(t *testing.T) {
 	}
 }
 
+// resolve answers a range index from its record, for the baselines below.
+func (e *Engine) resolve(rangeIdx int) (uint64, bool) {
+	return e.rec.resolve(rangeIdx/e.rec.k, rangeIdx%e.rec.k)
+}
+
 // lookupBaseline is today's query path stripped of every telemetry update —
 // an idealized floor — so Instrumented−Baseline measures the raw cost of the
 // always-on counters. It must mirror lookup()'s arithmetic.

@@ -35,14 +35,17 @@ func init() {
 	// The §7 invariant as a live metric: a bucketized engine performs
 	// exactly one dependent DRAM bucket fetch per query, so this gauge must
 	// read exactly 1.0 whenever bucketized lookups have been served. The
-	// fetch counter is owned by internal/bucket (incremented at DRAMAddr,
-	// the single point every simulated fetch passes through); the
-	// get-or-create registry joins the two packages without an import cycle.
+	// fetch counter is owned by internal/bucket (booked by CountFetches, the
+	// single point every simulated fetch passes through); the get-or-create
+	// registry joins the two packages without an import cycle.
 	fetches := telemetry.Default.Counter("neurolpm_bucket_fetches_total",
 		"DRAM bucket fetches issued (paper §7)")
 	telemetry.Default.Gauge("neurolpm_bucket_fetches_per_query",
 		"Bucket fetches per bucketized lookup; must be exactly 1 (paper §7 invariant)",
 		func() float64 {
+			// Bucketized first: fetches are booked before the lookups they
+			// served (Engine.count), so this order reads ≥ 1 mid-flight and
+			// exactly 1 at rest, never a transient < 1.
 			b := metBucketized.Load()
 			if b == 0 {
 				return 0

@@ -126,10 +126,8 @@ func (u *Updatable) Insert(r lpm.Rule) error {
 	if u.delta.len() >= u.capacity {
 		return fmt.Errorf("%w (%d rules); commit first", ErrDeltaFull, u.capacity)
 	}
-	if e.rules.Find(r.Prefix, r.Len) != lpm.NoMatch {
-		if idx := e.rules.Find(r.Prefix, r.Len); e.live[idx].Load() {
-			return fmt.Errorf("core: rule %s/%d already installed", r.Prefix, r.Len)
-		}
+	if idx := e.rules.Find(r.Prefix, r.Len); idx != lpm.NoMatch && e.isLive(idx) {
+		return fmt.Errorf("core: rule %s/%d already installed", r.Prefix, r.Len)
 	}
 	if err := u.delta.insert(r); err != nil {
 		return err

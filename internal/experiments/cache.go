@@ -54,8 +54,7 @@ func lcacheDeltas() func() (hits, misses, stale uint64) {
 // and returns each one's best observed rate. Measuring the variants of one
 // workload back to back would let slow drift (thermal throttling,
 // background load) bias the speedup ratios; interleaving rounds and keeping
-// the max filters the drift out of the comparison — the same discipline
-// TestCacheOffBatchOverheadGuard uses.
+// the max filters the drift out of the comparison.
 func measureRatesInterleaved(trace []keys.Value, runs []func([]keys.Value)) []float64 {
 	const rounds = 3
 	best := make([]float64, len(runs))

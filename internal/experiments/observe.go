@@ -172,6 +172,60 @@ func Observe(sc Scale) (*ObserveResult, error) {
 	return res, nil
 }
 
+// OverheadCell is one "off must cost nothing" pair: Ratio is the rate with
+// the plane in the path over the rate without it, so 1.0 means free.
+type OverheadCell struct {
+	Name  string
+	Ratio float64
+}
+
+// Overheads measures the two wall-clock budgets `lpmbench -guard` holds at
+// ≥ 0.90: single-key lookups with the flight recorder at its default stride
+// against the recorder off, and the cached batch entry point with no cache
+// against the plain batch path. Both sides of a pair alternate in interleaved
+// rounds (measureRatesInterleaved), which a go-test assertion timing one side
+// after the other could not do — as tests they read 0.86×–1.20× run to run.
+func Overheads(sc Scale) ([]OverheadCell, error) {
+	rs, err := workload.Generate(workload.RIPE(), sc.Rules["ripe"], sc.Seed)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := core.Build(rs, sc.engineConfig())
+	if err != nil {
+		return nil, err
+	}
+	trace := workload.UniformTrace(rs.Width, sc.TraceLen, sc.Seed+5)
+	defer telemetry.Flight.SetSampleEvery(telemetry.Flight.SampleEvery())
+	single := func(every uint64) func([]keys.Value) {
+		return func(ks []keys.Value) {
+			telemetry.Flight.SetSampleEvery(every)
+			for _, k := range ks {
+				eng.Lookup(k)
+			}
+		}
+	}
+	var out []core.BatchResult
+	batch := func(cached bool) func([]keys.Value) {
+		return func(ks []keys.Value) {
+			epoch := eng.CacheEpoch().Load()
+			for lo := 0; lo < len(ks); lo += observeBatch {
+				blk := ks[lo:min(lo+observeBatch, len(ks))]
+				if cached {
+					out = eng.LookupBatchCached(blk, out, nil, epoch)
+				} else {
+					out = eng.LookupBatch(blk, out)
+				}
+			}
+		}
+	}
+	r := measureRatesInterleaved(trace, []func([]keys.Value){
+		single(0), single(telemetry.DefaultSampleEvery), batch(false), batch(true)})
+	return []OverheadCell{
+		{fmt.Sprintf("flight 1:%d / off", telemetry.DefaultSampleEvery), r[1] / r[0]},
+		{"batch cache-off / uncached", r[3] / r[2]},
+	}, nil
+}
+
 // ObserveTable renders E26.
 func ObserveTable(r *ObserveResult) *Table {
 	verdict := func(ok bool, yes, no string) string {

@@ -11,7 +11,7 @@
 // the exported per-combination entry points (Lookup, LookupBatch,
 // LookupCached, ...) are thin constant-config wrappers that compile down to
 // the same hot paths as before — zero-overhead is a hard requirement, guarded
-// by TestCacheOffBatchOverheadGuard and `lpmbench -guard`.
+// by `lpmbench -guard`'s cache-off overhead row.
 //
 // The full test matrix — {single, sharded} × {compiled, reference,
 // quantized} × {cached, uncached} — is enumerated by Combos; internal/planetest runs one

@@ -82,12 +82,58 @@ type Compiled struct {
 	bank []float32 // blockStride words per submodel: knots | A | B
 	errs []int32   // error bound per submodel (final stage only)
 
-	// Exactly one of lows64/lows is non-nil: the index's lower bounds,
-	// devirtualized. Range/bucket bounds never change after build (deletions
-	// re-own ranges, they do not move boundaries), so the copy cannot go
-	// stale.
+	flatLows
+}
+
+// flatLows is an index's lower bounds, devirtualized: exactly one of
+// lows64/lows is non-nil. Range/bucket bounds never change after build
+// (deletions re-own ranges, they do not move boundaries), so the copy cannot
+// go stale — and a Compiled and the Quantized made from it share one.
+type flatLows struct {
 	lows64 []uint64
 	lows   []keys.Value
+}
+
+func flattenLows(ix Index, width int) flatLows {
+	var f flatLows
+	if width <= 64 {
+		f.lows64 = make([]uint64, ix.Len())
+		for i := range f.lows64 {
+			f.lows64[i] = ix.Low(i).Lo
+		}
+	} else {
+		f.lows = make([]keys.Value, ix.Len())
+		for i := range f.lows {
+			f.lows[i] = ix.Low(i)
+		}
+	}
+	return f
+}
+
+func (f *flatLows) bytes() int { return 8*len(f.lows64) + 16*len(f.lows) }
+
+// searchWithin is the bounded secondary search over the flat bounds,
+// bit-identical to Model.Search on the source index (same clamping, same
+// canonical loop, same probe counts).
+func (f *flatLows) searchWithin(k keys.Value, p Prediction) (idx, probes int) {
+	n := len(f.lows64) + len(f.lows)
+	lo, hi := p.Index-p.Err, p.Index+p.Err
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > n-1 {
+		hi = n - 1
+	}
+	if f.lows64 != nil {
+		kk := k.Lo
+		if k.Hi != 0 {
+			// Out-of-domain key above every 64-bit bound: saturate so the
+			// one-limb compare agrees with the reference 128-bit Less.
+			kk = ^uint64(0)
+		}
+		return keys.SearchLows64(f.lows64, kk, lo, hi)
+	}
+	return keys.SearchLows(f.lows, k, lo, hi)
 }
 
 // Compile flattens a trained model and its learned index into the compiled
@@ -132,17 +178,7 @@ func Compile(m *Model, ix Index) (*Compiled, error) {
 			id++
 		}
 	}
-	if m.Width <= 64 {
-		c.lows64 = make([]uint64, ix.Len())
-		for i := range c.lows64 {
-			c.lows64[i] = ix.Low(i).Lo
-		}
-	} else {
-		c.lows = make([]keys.Value, ix.Len())
-		for i := range c.lows {
-			c.lows[i] = ix.Low(i)
-		}
-	}
+	c.flatLows = flattenLows(ix, m.Width)
 	return c, nil
 }
 
@@ -155,13 +191,7 @@ func (c *Compiled) Len() int { return c.n }
 // SizeBytes is the compiled plane's memory footprint: the padded coefficient
 // banks plus the flat bounds copy. (The bounds mirror SRAM the hardware
 // already holds once; software pays it twice for devirtualization.)
-func (c *Compiled) SizeBytes() int {
-	coeff := c.BankBytes()
-	if c.lows64 != nil {
-		return coeff + 8*len(c.lows64)
-	}
-	return coeff + 16*len(c.lows)
-}
+func (c *Compiled) SizeBytes() int { return c.BankBytes() + c.bytes() }
 
 // BankBytes is the coefficient-bank footprint alone (float32 banks + the
 // per-submodel error bounds) — the baseline E27's shrink ratio is stated
@@ -273,23 +303,7 @@ func (c *Compiled) PredictBatch(ks []keys.Value, out []Prediction) {
 // bit-identical to Model.Search on the source index (same clamping, same
 // canonical loop, same probe counts).
 func (c *Compiled) Search(k keys.Value, p Prediction) (idx, probes int) {
-	lo, hi := p.Index-p.Err, p.Index+p.Err
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > c.n-1 {
-		hi = c.n - 1
-	}
-	if c.lows64 != nil {
-		kk := k.Lo
-		if k.Hi != 0 {
-			// Out-of-domain key above every 64-bit bound: saturate so the
-			// one-limb compare agrees with the reference 128-bit Less.
-			kk = ^uint64(0)
-		}
-		return keys.SearchLows64(c.lows64, kk, lo, hi)
-	}
-	return keys.SearchLows(c.lows, k, lo, hi)
+	return c.searchWithin(k, p)
 }
 
 // Lookup is inference plus bounded search: the true index of the entry

@@ -93,10 +93,7 @@ type Quantized struct {
 	bank []int16 // blockStride int16 words per submodel: knots | A | B
 	errs []int32 // error bound per submodel, recomputed in this arithmetic
 
-	// Exactly one of lows64/lows is non-nil — the same devirtualized
-	// bounds copy the compiled plane holds (see Compiled).
-	lows64 []uint64
-	lows   []keys.Value
+	flatLows // the devirtualized bounds, shared with the Compiled it was made from
 }
 
 // qStage is one stage's submodel layout plus its fixed-point parameters,
@@ -125,19 +122,38 @@ func CompileQuantized(m *Model, ix Index) (*Quantized, error) {
 	if m.N != ix.Len() {
 		return nil, fmt.Errorf("rqrmi: compile quantized: model N=%d does not match index length %d", m.N, ix.Len())
 	}
+	return compileQuantized(m, ix, flattenLows(ix, m.Width)), nil
+}
+
+// Quantize is CompileQuantized for the model and index c was compiled from;
+// the result searches c's flat bounds instead of building a second copy.
+func (c *Compiled) Quantize(m *Model, ix Index) (*Quantized, error) {
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("rqrmi: quantize: %w", err)
+	}
+	if m.N != c.n || m.Width != c.width || ix.Len() != c.n {
+		return nil, fmt.Errorf("rqrmi: quantize: model (width %d, N %d) or index (N %d) is not the compiled plane's (width %d, N %d)",
+			m.Width, m.N, ix.Len(), c.width, c.n)
+	}
+	return compileQuantized(m, ix, c.flatLows), nil
+}
+
+// compileQuantized encodes a validated model over ix, whose flat bounds are
+// lows.
+func compileQuantized(m *Model, ix Index, lows flatLows) *Quantized {
 	total := 0
 	for _, stage := range m.Stages {
 		total += len(stage)
 	}
 	dom := keys.NewDomain(m.Width)
 	q := &Quantized{
-		width:      m.Width,
-		n:          m.N,
-		maxHi:      dom.Max().Hi,
-		maxLo:      dom.Max().Lo,
-		stages:     make([]qStage, len(m.Stages)),
-		bank:       make([]int16, total*blockStride),
-		errs:       make([]int32, total),
+		width:  m.Width,
+		n:      m.N,
+		maxHi:  dom.Max().Hi,
+		maxLo:  dom.Max().Lo,
+		stages: make([]qStage, len(m.Stages)),
+		bank:   make([]int16, total*blockStride),
+		errs:   make([]int32, total),
 	}
 	if m.Width <= unitBits {
 		q.shl = uint(unitBits - m.Width)
@@ -214,20 +230,9 @@ func CompileQuantized(m *Model, ix Index) (*Quantized, error) {
 		}
 	}
 
-	if m.Width <= 64 {
-		q.lows64 = make([]uint64, ix.Len())
-		for i := range q.lows64 {
-			q.lows64[i] = ix.Low(i).Lo
-		}
-	} else {
-		q.lows = make([]keys.Value, ix.Len())
-		for i := range q.lows {
-			q.lows[i] = ix.Low(i)
-		}
-	}
-
+	q.flatLows = lows
 	q.analyze(ix)
-	return q, nil
+	return q
 }
 
 // coeffExp returns the shared exponent for a stage's coefficient group:
@@ -289,13 +294,7 @@ func (q *Quantized) Len() int { return q.n }
 
 // SizeBytes is the quantized plane's memory footprint: the int16
 // coefficient banks, the per-submodel bounds, and the flat bounds copy.
-func (q *Quantized) SizeBytes() int {
-	coeff := q.BankBytes()
-	if q.lows64 != nil {
-		return coeff + 8*len(q.lows64)
-	}
-	return coeff + 16*len(q.lows)
-}
+func (q *Quantized) SizeBytes() int { return q.BankBytes() + q.bytes() }
 
 // BankBytes is the coefficient-bank footprint alone (banks + per-submodel
 // error bounds) — the quantity E27 compares against Compiled.BankBytes to
@@ -446,23 +445,7 @@ func (q *Quantized) PredictBatch(ks []keys.Value, out []Prediction) {
 // error bound carried in p. Because that bound covers the quantized
 // prediction for every key, the search lands on exactly the true index.
 func (q *Quantized) Search(k keys.Value, p Prediction) (idx, probes int) {
-	lo, hi := p.Index-p.Err, p.Index+p.Err
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > q.n-1 {
-		hi = q.n - 1
-	}
-	if q.lows64 != nil {
-		kk := k.Lo
-		if k.Hi != 0 {
-			// Out-of-domain key above every 64-bit bound: saturate so the
-			// one-limb compare agrees with the reference 128-bit Less.
-			kk = ^uint64(0)
-		}
-		return keys.SearchLows64(q.lows64, kk, lo, hi)
-	}
-	return keys.SearchLows(q.lows, k, lo, hi)
+	return q.searchWithin(k, p)
 }
 
 // Lookup is inference plus bounded search: the true index of the entry

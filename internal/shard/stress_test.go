@@ -57,14 +57,15 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	fetches := telemetry.Default.Counter("neurolpm_bucket_fetches_total", "")
 	bucketized := telemetry.Default.Counter("neurolpm_bucketized_lookups_total", "")
 	fetches0, bucketized0 := fetches.Load(), bucketized.Load()
-	// The fetch counter increments just before the bucketized-lookup counter
-	// inside one lookup, so with R in-flight readers the snapshots satisfy
-	// db ≤ df ≤ db+R; anything outside that band is a broken §7 invariant.
-	checkGauge := func() {
-		df := fetches.Load() - fetches0
+	// A lookup (or a batch block) books its fetches before its bucketized
+	// lookups, so a snapshot that loads bucketized first can only see fetches
+	// at or ahead of it, however many readers are in flight; once they have
+	// all returned the two are equal. Anything else is a broken §7 invariant.
+	checkGauge := func(quiescent bool) {
 		db := bucketized.Load() - bucketized0
-		if df < db || df > db+16 {
-			t.Errorf("§7 invariant broken: %d fetches for %d bucketized lookups", df, db)
+		df := fetches.Load() - fetches0
+		if df < db || (quiescent && df != db) {
+			t.Errorf("§7 invariant broken: %d fetches for %d bucketized lookups (quiescent %v)", df, db, quiescent)
 		}
 	}
 
@@ -93,7 +94,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 					}
 				}
 				if n%64 == 0 {
-					checkGauge()
+					checkGauge(false)
 				}
 			}
 		}(int64(r))
@@ -125,7 +126,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	if err := u.LastCommitErr(); err != nil {
 		t.Fatalf("background commit failed: %v", err)
 	}
-	checkGauge()
+	checkGauge(true)
 	if cycles < 10 {
 		t.Fatalf("writer made only %d cycles; stress run too short", cycles)
 	}
