@@ -55,8 +55,8 @@ faults:
 # Mirrors CI's race-and-fuzz job: race the concurrent packages, then give
 # each differential fuzz target a short budget. FuzzStackVsOracle is the
 # parameterized lookup-plane matrix target (DESIGN.md §14): one harness
-# covering {single,sharded} × {reference,compiled} × {cached,uncached} plus
-# update interleavings and injected commit failures.
+# covering {single engine, 1/2/4/8 shards} × {compiled,reference,quantized} ×
+# {cached,uncached} plus update interleavings and injected commit failures.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -race -cpu 1,2,4 $(CONCURRENT)
@@ -76,12 +76,16 @@ loadtest:
 	$(GO) test -run TestLoadSmoke -v -count=1 ./internal/load
 
 # E23 + E25 + E28 + E29 quick on the unified stack, compared against the
-# committed baseline: any ratio regressing by more than 3% fails. The two
+# committed baseline: any ratio regressing by more than 3% fails. The
 # wall-clock overhead budgets (flight recorder at its default stride,
-# cache-off batch path; ≤ 10% each) are rows of the same run, measured as
-# interleaved A/B pairs.
+# cache-off batch path, one shard against the bare engine single-key and
+# batch-64; ≤ 10% each) are rows of the same run, measured as interleaved
+# A/B pairs.
 bench-guard:
 	$(GO) run ./cmd/lpmbench -guard BENCH_PR10.json
 
+# benchmark/ is a module of its own that compiles against this one's API: an
+# API deletion that breaks it should fail here, not in the next benchmark run.
 ci: build vet race smoke bench-smoke bench-guard loadtest slo
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -run xxx -bench 'BenchmarkLookup(Instrumented|Seed)$$' -benchtime 1s ./internal/core/

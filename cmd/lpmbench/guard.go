@@ -104,7 +104,7 @@ func (g guardRow) verdict() (string, bool) {
 // co-tenant — fails the guard. Oracle mismatches fail immediately.
 const guardAttempts = 3
 
-// guardMeasure runs E23 + E25 + E28 + E29 and the two overhead pairs once and
+// guardMeasure runs E23 + E25 + E28 + E29 and the overhead pairs once and
 // returns one guardRow per table row. E28 contributes two ratio sets
 // (fast-tier saving, p99 headroom)
 // from its deterministic rows only — the sketch row rides the 1:64 hotness

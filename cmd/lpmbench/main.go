@@ -495,7 +495,7 @@ func lookupBench(sc experiments.Scale) (*jsonBench, error) {
 			out = eng.LookupBatch(trace[lo:lo+batchN], out)
 		}
 	})
-	sh, err := shard.Build(rs, core.Config{BucketSize: 8, Model: sc.Model}, 4)
+	sh, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: sc.Model}, 4, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,13 @@
-// Command lpmserve is the NeuroLPM serving daemon: it builds (or loads) an
-// engine for a rule-set and serves lookups over HTTP alongside the full
-// observability surface — Prometheus-format /metrics backed by the
-// telemetry registry, expvar at /debug/vars, /debug/pprof, and per-query
-// traces at /trace?key=.
+// Command lpmserve is the NeuroLPM serving daemon: it builds a sharded
+// updatable engine for a rule-set (one shard by default) and serves lookups
+// and rule updates over HTTP alongside the full observability surface —
+// Prometheus-format /metrics backed by the telemetry registry, expvar at
+// /debug/vars, /debug/pprof, and per-query traces at /trace?key=.
 //
 // Usage:
 //
-//	lpmserve -rules rules.txt -width 32 [-bucket 8] [-model model.bin]
-//	         [-addr :8080] [-sram MB] [-shards N] [-autocommit 100ms]
+//	lpmserve -rules rules.txt -width 32 [-bucket 8] [-addr :8080]
+//	         [-shards N] [-autocommit 100ms] [-stale-budget 30s]
 //	         [-cache-bytes N] [-flight-sample N] [-inference compiled]
 //	         [-cold-tier] [-tier-interval 1s]
 //	         [-wire-addr :9090] [-coalesce-window 20µs]
@@ -40,16 +40,18 @@
 // whole plane by bumping an epoch. /lookup and /trace report the per-query
 // outcome in a "cache" field; 0 disables the plane entirely.
 //
-// With -shards N the rule-set is partitioned by top key bits into N
-// independent sub-engines (the paper's §6 bank-parallel pipeline); /batch
-// fans a whole key batch out across them, and a background committer folds
-// inserts into the dirty shard's engine without blocking readers.
+// -shards N partitions the rule-set by top key bits into N independent
+// sub-engines (the paper's §6 bank-parallel pipeline); /batch fans a whole key
+// batch out across them. At every shard count, the default of one included,
+// POST /update and wire updates land in the covered shards' delta buffers and
+// a background committer folds them into retrained engines without blocking
+// readers.
 //
 // Endpoints:
 //
 //	GET /lookup?key=10.1.2.3     one query (JSON)
 //	GET /batch?keys=a,b,c        many queries, one round-trip (also POST JSON)
-//	POST /update                 one rule update (sharded mode; 429 = back off)
+//	POST /update                 one rule update (429 = back off)
 //	GET /trace?key=10.1.2.3      one fully-annotated query span (JSON)
 //	GET /metrics                 Prometheus text format
 //	GET /healthz                 engine summary + per-shard health; 503 once a
@@ -80,7 +82,6 @@ import (
 	"syscall"
 	"time"
 
-	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/plane"
@@ -95,12 +96,10 @@ func main() {
 	rulesPath := flag.String("rules", "", "rule-set file (required)")
 	width := flag.Int("width", 32, "key bit width")
 	bucket := flag.Int("bucket", 8, "ranges per bucket; 0 = SRAM-only")
-	modelPath := flag.String("model", "", "model file from lpmtrain (skips training; single-engine only)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	sramMB := flag.Int("sram", 0, "emulate a cache of this many MB in front of DRAM (0 = uncached accounting)")
-	verify := flag.Bool("verify", false, "verify the engine against the trie oracle before serving")
-	shards := flag.Int("shards", 0, "partition the rule-set into this many sub-engines (power of two; 0 = single engine)")
-	autocommit := flag.Duration("autocommit", 100*time.Millisecond, "background commit interval for dirty shards (requires -shards)")
+	verify := flag.Bool("verify", false, "verify every shard against the trie oracle before serving")
+	shards := flag.Int("shards", 1, "partition the rule-set into this many sub-engines (power of two)")
+	autocommit := flag.Duration("autocommit", 100*time.Millisecond, "background commit interval for dirty shards (0 = never: inserts stay in the delta buffers)")
 	staleBudget := flag.Duration("stale-budget", shard.DefaultStaleBudget, "how long a shard may keep failing commits before /healthz reports it stale (503)")
 	drain := flag.Duration("drain", serve.DefaultDrainTimeout, "how long to let in-flight requests finish on SIGINT/SIGTERM")
 	cacheBytes := flag.Int("cache-bytes", 0, "hot-key result cache size in bytes per worker (0 = off)")
@@ -131,13 +130,7 @@ func main() {
 		}
 		cfg.Tier = tier.Config{Enabled: true}
 	}
-	var srv *serve.Server
-	var sh *shard.ShardedUpdatable
-	if *shards > 0 {
-		srv, sh = buildSharded(rs, cfg, *shards, *autocommit, *staleBudget, *modelPath, *sramMB, *verify)
-	} else {
-		srv = buildSingle(rs, cfg, *modelPath, *sramMB, *verify)
-	}
+	srv, sh := buildSharded(rs, cfg, *shards, *autocommit, *staleBudget, *verify)
 	inf, err := plane.ParseInference(*inference)
 	if err != nil {
 		fatal("%v", err)
@@ -151,7 +144,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lpmserve: hot-key result cache enabled (%d bytes per worker)\n", *cacheBytes)
 	}
 	if *coldTier {
-		srv.StartTierRebalancer(*tierInterval)
+		sh.StartTierRebalancer(*tierInterval)
 		srv.SetInfo("cold_tier", "1")
 		fmt.Fprintf(os.Stderr, "lpmserve: cold tier enabled, rebalancing every %v\n", *tierInterval)
 	}
@@ -180,78 +173,16 @@ func main() {
 	if err := serve.ServeUnits(stop, *drain, units...); err != nil {
 		fatal("%v", err)
 	}
-	if sh != nil {
-		// A shard that never managed to commit its pending updates is an
-		// operator-visible failure, not a silent shutdown.
-		if err := sh.Close(); err != nil {
-			fatal("%v", err)
-		}
+	// A shard that never managed to commit its pending updates is an
+	// operator-visible failure, not a silent shutdown.
+	if err := sh.Close(); err != nil {
+		fatal("%v", err)
 	}
 	fmt.Fprintln(os.Stderr, "lpmserve: drained, shutting down")
 }
 
-// buildSingle trains (or loads) one engine over the whole rule-set.
-func buildSingle(rs *lpm.RuleSet, cfg core.Config, modelPath string, sramMB int, verify bool) *serve.Server {
-	var eng *core.Engine
-	var err error
-	if modelPath != "" {
-		f, err := os.Open(modelPath)
-		if err != nil {
-			fatal("%v", err)
-		}
-		model, err := rqrmi.ReadModel(f)
-		f.Close()
-		if err != nil {
-			fatal("%v", err)
-		}
-		eng, err = core.BuildWithModel(rs, cfg, model, false)
-		if err != nil {
-			fatal("%v", err)
-		}
-	} else {
-		start := time.Now()
-		eng, err = core.Build(rs, cfg)
-		if err != nil {
-			fatal("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "lpmserve: trained %d rules in %v (max err %d)\n",
-			rs.Len(), time.Since(start).Round(time.Millisecond), eng.Model().MaxErr())
-	}
-	if verify {
-		if err := eng.Verify(); err != nil {
-			fatal("verification failed: %v", err)
-		}
-		fmt.Fprintln(os.Stderr, "lpmserve: engine verified against the trie oracle")
-	}
-
-	srv := serve.New(eng, telemetry.Default)
-	if sramMB > 0 {
-		budget := sramMB*1024*1024 - eng.SRAMUsage().Total
-		if budget <= 0 {
-			fatal("SRAM budget of %dMB is below the engine's static footprint (%d bytes)",
-				sramMB, eng.SRAMUsage().Total)
-		}
-		cache, err := cachesim.New(cachesim.DefaultConfig(budget))
-		if err != nil {
-			fatal("%v", err)
-		}
-		srv.UseCache(cache)
-	}
-
-	u := eng.SRAMUsage()
-	fmt.Fprintf(os.Stderr, "lpmserve: serving %d-bit LPM (%d ranges, %dB SRAM, bucketized=%v)\n",
-		rs.Width, eng.Ranges().Len(), u.Total, eng.Bucketized())
-	return srv
-}
-
 // buildSharded partitions the rule-set and starts the background committer.
-func buildSharded(rs *lpm.RuleSet, cfg core.Config, nShards int, autocommit, staleBudget time.Duration, modelPath string, sramMB int, verify bool) (*serve.Server, *shard.ShardedUpdatable) {
-	if modelPath != "" {
-		fatal("-model is incompatible with -shards: each shard trains its own model")
-	}
-	if sramMB > 0 {
-		fmt.Fprintln(os.Stderr, "lpmserve: warning: -sram cache emulation is single-engine only; ignoring it in sharded mode")
-	}
+func buildSharded(rs *lpm.RuleSet, cfg core.Config, nShards int, autocommit, staleBudget time.Duration, verify bool) (*serve.Server, *shard.ShardedUpdatable) {
 	start := time.Now()
 	sh, err := shard.BuildUpdatable(rs, cfg, nShards, 0)
 	if err != nil {

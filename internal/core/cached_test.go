@@ -4,10 +4,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"neurolpm/internal/cachesim"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lcache"
 	"neurolpm/internal/lpm"
+	"neurolpm/internal/plane"
 )
+
+// cachedStack is the production cached configuration: compiled inference
+// behind the result-cache probe.
+var cachedStack = plane.StackConfig{Cached: true}
 
 // cachedEngine builds a quick engine plus a private cache for the test.
 func cachedEngine(t testing.TB, cfg Config) (*Engine, *lpm.RuleSet, *lcache.Cache) {
@@ -37,7 +43,7 @@ func TestLookupCachedMatchesUncached(t *testing.T) {
 					k = randomKey(rng, rs.Width)
 				}
 				wantA, wantOK := e.Lookup(k)
-				gotA, gotOK, _ := e.LookupCached(k, c)
+				gotA, gotOK, _ := e.LookupStack(cachedStack, k, c)
 				if gotOK != wantOK || (gotOK && gotA != wantA) {
 					t.Fatalf("key %v: cached (%d,%v), uncached (%d,%v)", k, gotA, gotOK, wantA, wantOK)
 				}
@@ -50,10 +56,10 @@ func TestLookupCachedSecondProbeHits(t *testing.T) {
 	e, rs, c := cachedEngine(t, quickBucketed())
 	rng := rand.New(rand.NewSource(5))
 	k := randomKey(rng, rs.Width)
-	if _, _, o := e.LookupCached(k, c); o != lcache.Miss {
+	if _, _, o := e.LookupStack(cachedStack, k, c); o != lcache.Miss {
 		t.Fatalf("first probe = %v, want miss", o)
 	}
-	if _, _, o := e.LookupCached(k, c); o != lcache.Hit {
+	if _, _, o := e.LookupStack(cachedStack, k, c); o != lcache.Hit {
 		t.Fatalf("second probe = %v, want hit", o)
 	}
 }
@@ -77,7 +83,7 @@ func TestLookupBatchCachedMatchesUncached(t *testing.T) {
 			}
 		}
 		plain = e.LookupBatch(batch, plain)
-		cached = e.LookupBatchCached(batch, cached, c, epoch)
+		cached = e.LookupBatchStack(cachedStack, batch, cached, cachesim.Null{}, c, epoch)
 		for i := range batch {
 			if cached[i] != plain[i] {
 				t.Fatalf("round %d key %v: cached %+v, uncached %+v", round, batch[i], cached[i], plain[i])
@@ -94,7 +100,7 @@ func TestLookupBatchCachedNilCacheEqualsUncached(t *testing.T) {
 		batch[i] = randomKey(rng, rs.Width)
 	}
 	plain := e.LookupBatch(batch, nil)
-	viaNil := e.LookupBatchCached(batch, nil, nil, e.CacheEpoch().Load())
+	viaNil := e.LookupBatchStack(cachedStack, batch, nil, cachesim.Null{}, nil, e.CacheEpoch().Load())
 	for i := range batch {
 		if viaNil[i] != plain[i] {
 			t.Fatalf("key %v: nil-cache path %+v, uncached %+v", batch[i], viaNil[i], plain[i])
@@ -126,7 +132,7 @@ func TestDeleteBumpsCacheEpoch(t *testing.T) {
 		t.Fatal("no directly-resolvable rule found")
 	}
 	before := e.CacheEpoch().Load()
-	if _, _, o := e.LookupCached(k, c); o != lcache.Miss {
+	if _, _, o := e.LookupStack(cachedStack, k, c); o != lcache.Miss {
 		t.Fatalf("priming probe = %v, want miss", o)
 	}
 	r := rs.Rules[ruleIdx]
@@ -137,7 +143,7 @@ func TestDeleteBumpsCacheEpoch(t *testing.T) {
 		t.Fatalf("Delete did not bump the cache epoch: %d → %d", before, after)
 	}
 	wantA, wantOK := e.Lookup(k)
-	gotA, gotOK, o := e.LookupCached(k, c)
+	gotA, gotOK, o := e.LookupStack(cachedStack, k, c)
 	if o == lcache.Hit {
 		t.Fatal("post-delete probe hit the cache (stale entry served)")
 	}
@@ -153,7 +159,7 @@ func TestModifyActionBumpsCacheEpoch(t *testing.T) {
 	r := rs.Rules[0]
 	k := r.Prefix
 	before := e.CacheEpoch().Load()
-	e.LookupCached(k, c) // prime
+	e.LookupStack(cachedStack, k, c) // prime
 	if err := e.ModifyAction(r.Prefix, r.Len, 999_999); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestModifyActionBumpsCacheEpoch(t *testing.T) {
 		t.Fatalf("ModifyAction did not bump the cache epoch: %d → %d", before, after)
 	}
 	wantA, wantOK := e.Lookup(k)
-	gotA, gotOK, o := e.LookupCached(k, c)
+	gotA, gotOK, o := e.LookupStack(cachedStack, k, c)
 	if o == lcache.Hit {
 		t.Fatal("post-modify probe hit the cache (stale action served)")
 	}
@@ -190,7 +196,7 @@ func TestUpdatableMutationsBumpEpoch(t *testing.T) {
 	}
 	// The inserted rule must be served correctly through the cached path
 	// even though its key may have been cached negative before.
-	if a, ok, _ := u.LookupCached(fresh.Prefix, c); !ok || a != 42 {
+	if a, ok, _ := u.LookupStack(cachedStack, fresh.Prefix, c); !ok || a != 42 {
 		t.Fatalf("cached lookup after delta insert = (%d,%v), want (42,true)", a, ok)
 	}
 
@@ -201,7 +207,7 @@ func TestUpdatableMutationsBumpEpoch(t *testing.T) {
 	if got := ep.Load(); got != before+1 {
 		t.Fatalf("delta ModifyAction: epoch %d → %d, want +1", before, got)
 	}
-	if a, ok, _ := u.LookupCached(fresh.Prefix, c); !ok || a != 43 {
+	if a, ok, _ := u.LookupStack(cachedStack, fresh.Prefix, c); !ok || a != 43 {
 		t.Fatalf("cached lookup after delta modify = (%d,%v), want (43,true)", a, ok)
 	}
 
@@ -231,7 +237,7 @@ func TestUpdatableMutationsBumpEpoch(t *testing.T) {
 	if got := ep.Load(); got != before+1 {
 		t.Fatalf("Commit: epoch %d → %d, want +1", before, got)
 	}
-	if a, ok, _ := u.LookupCached(keys.FromUint64(0x12340000), c); !ok || a != 7 {
+	if a, ok, _ := u.LookupStack(cachedStack, keys.FromUint64(0x12340000), c); !ok || a != 7 {
 		t.Fatalf("cached lookup after commit = (%d,%v), want (7,true)", a, ok)
 	}
 	_ = width
@@ -285,7 +291,7 @@ func BenchmarkBatchCachedZipfHot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 256 {
 		lo := (i * 256) % (len(ks) - 256)
-		out = e.LookupBatchCached(ks[lo:lo+256], out, c, epoch)
+		out = e.LookupBatchStack(cachedStack, ks[lo:lo+256], out, cachesim.Null{}, c, epoch)
 	}
 }
 
@@ -297,7 +303,7 @@ func BenchmarkBatchCachedUniform(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 256 {
 		lo := (i * 256) % (len(ks) - 256)
-		out = e.LookupBatchCached(ks[lo:lo+256], out, c, epoch)
+		out = e.LookupBatchStack(cachedStack, ks[lo:lo+256], out, cachesim.Null{}, c, epoch)
 	}
 }
 
@@ -309,6 +315,6 @@ func BenchmarkBatchCacheOff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 256 {
 		lo := (i * 256) % (len(ks) - 256)
-		out = e.LookupBatchCached(ks[lo:lo+256], out, nil, epoch)
+		out = e.LookupBatchStack(cachedStack, ks[lo:lo+256], out, cachesim.Null{}, nil, epoch)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -17,7 +16,7 @@ type Backoff struct {
 	Cap  time.Duration // upper bound on the exponential growth
 }
 
-// DefaultBackoff is the committers' retry schedule: 25ms doubling to a 2s
+// DefaultBackoff is the committer's retry schedule: 25ms doubling to a 2s
 // ceiling — a transient failure retries almost immediately, a persistent
 // one settles at one attempt every ~2s.
 var DefaultBackoff = Backoff{Base: 25 * time.Millisecond, Cap: 2 * time.Second}
@@ -40,93 +39,4 @@ func (b Backoff) Delay(consecutive int) time.Duration {
 	d = min(d, b.Cap)
 	jitter := time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
 	return d + jitter
-}
-
-// autoCommitter drives one Updatable's background commits with retry.
-type autoCommitter struct {
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	mu          sync.Mutex
-	lastErr     error
-	consecFails int
-}
-
-// StartAutoCommit launches a background committer: every interval it
-// commits the delta buffer if non-empty, retrying failures on the
-// DefaultBackoff schedule (the shard-level equivalent, with per-shard
-// health states, lives in shard.ShardedUpdatable). interval ≤ 0 selects
-// 100ms. Calling it twice without StopAutoCommit is a no-op.
-func (u *Updatable) StartAutoCommit(interval time.Duration) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	u.acMu.Lock()
-	defer u.acMu.Unlock()
-	if u.ac != nil {
-		return
-	}
-	ac := &autoCommitter{stop: make(chan struct{})}
-	u.ac = ac
-	ac.wg.Add(1)
-	go func() {
-		defer ac.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		var retryAt time.Time
-		for {
-			select {
-			case <-ac.stop:
-				return
-			case <-t.C:
-			}
-			if u.PendingInserts() == 0 || time.Now().Before(retryAt) {
-				continue
-			}
-			err := u.Commit()
-			ac.mu.Lock()
-			if err != nil {
-				ac.lastErr = err
-				ac.consecFails++
-				retryAt = time.Now().Add(DefaultBackoff.Delay(ac.consecFails))
-			} else {
-				ac.lastErr = nil
-				ac.consecFails = 0
-				retryAt = time.Time{}
-			}
-			ac.mu.Unlock()
-		}
-	}()
-}
-
-// StopAutoCommit stops the background committer (idempotent; safe when it
-// was never started) and returns the pending commit failure, if the last
-// attempt failed.
-func (u *Updatable) StopAutoCommit() error {
-	u.acMu.Lock()
-	ac := u.ac
-	u.ac = nil
-	u.acMu.Unlock()
-	if ac == nil {
-		return nil
-	}
-	close(ac.stop)
-	ac.wg.Wait()
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	return ac.lastErr
-}
-
-// LastCommitErr returns the background committer's pending failure: non-nil
-// after a failed commit until the next successful one.
-func (u *Updatable) LastCommitErr() error {
-	u.acMu.Lock()
-	ac := u.ac
-	u.acMu.Unlock()
-	if ac == nil {
-		return nil
-	}
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	return ac.lastErr
 }

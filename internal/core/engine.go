@@ -121,6 +121,10 @@ type Engine struct {
 // with the loaded value (see internal/lcache).
 func (e *Engine) CacheEpoch() *lcache.Epoch { return e.epoch }
 
+// CacheEpoch returns the lineage's invalidation counter (stable across
+// commits: InsertBatch propagates the pointer into every rebuilt engine).
+func (u *Updatable) CacheEpoch() *lcache.Epoch { return u.engine.Load().epoch }
+
 // Build runs the offline preparation stage on the rule-set.
 func Build(rs *lpm.RuleSet, cfg Config) (*Engine, error) {
 	if rs == nil {
@@ -326,9 +330,9 @@ func (e *Engine) Bucketized() bool { return e.dir != nil }
 // Lookup returns the action of the longest-prefix rule matching k.
 // ok is false when no live rule matches.
 //
-// Equivalence contract: every Lookup* variant — single-key or batch, Mem or
-// not, cached or not, reference or compiled, directly or through the sharded
-// router — must return exactly what the trie oracle returns for every key,
+// Equivalence contract: every Lookup* entry point — single-key or batch, Mem
+// or not, cached or not, on any inference plane, directly or through the
+// sharded router — must return exactly what the trie oracle returns for every key,
 // including misses. Lookup is the stack executor's compiled-uncached
 // configuration (LookupStack with the zero plane.StackConfig); the contract
 // across the full configuration matrix is enforced by the parameterized
@@ -359,38 +363,17 @@ func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) Trace {
 	return e.lookup(k, mem, nil)
 }
 
-// LookupMemInfer is LookupMem with an explicit inference plane: the compiled
-// float32 arm, the reference Model walk, or the quantized fixed-point arm.
-// All three obey the oracle-equivalence contract; only the inference
-// arithmetic and cost differ.
-func (e *Engine) LookupMemInfer(inf plane.Inference, k keys.Value, mem cachesim.Mem) Trace {
-	return e.lookupInfer(inf, k, mem)
-}
-
-// LookupSpan executes the query while recording a fully-annotated span:
-// per-stage timings (inference → secondary search → bucket fetch), the
-// inference error bound, probe counts and DRAM traffic. It is the /trace
-// endpoint's implementation; the span costs clock reads and allocation, so
-// the plain Lookup paths pass a nil span instead.
-func (e *Engine) LookupSpan(k keys.Value, mem cachesim.Mem) (Trace, *telemetry.Span) {
-	return e.LookupSpanInfer(plane.Compiled, k, mem)
-}
-
-// LookupSpanInfer is LookupSpan with an explicit inference plane; the span's
-// first stage is labeled after the arm that ran ("inference",
+// LookupSpan executes the query on the inf-selected inference plane while
+// recording a fully-annotated span: per-stage timings (inference → secondary
+// search → bucket fetch), the inference error bound, probe counts and DRAM
+// traffic. It is the /trace endpoint's implementation; the span costs clock
+// reads and allocation, so the plain Lookup paths pass a nil span instead. The
+// span's first stage is labeled after the arm that ran ("inference",
 // "reference-inference" or "quantized-inference"), so /trace output
 // identifies the arithmetic that produced the prediction.
-func (e *Engine) LookupSpanInfer(inf plane.Inference, k keys.Value, mem cachesim.Mem) (Trace, *telemetry.Span) {
+func (e *Engine) LookupSpan(inf plane.Inference, k keys.Value, mem cachesim.Mem) (Trace, *telemetry.Span) {
 	sp := telemetry.StartSpan("lookup")
-	var tr Trace
-	switch inf {
-	case plane.Reference:
-		tr = e.lookupReference(k, mem, sp)
-	case plane.Quantized:
-		tr = e.lookupQuantized(k, mem, sp)
-	default:
-		tr = e.lookup(k, mem, sp)
-	}
+	tr := e.lookupInfer(inf, k, mem, sp)
 	sp.Set("key", k.String())
 	sp.Set("predicted_index", tr.Prediction.Index)
 	sp.Set("error_bound", tr.Prediction.Err)
@@ -630,13 +613,6 @@ const batchBlock = 16
 // stack executor's compiled-uncached configuration; see internal/planetest).
 func (e *Engine) LookupBatch(ks []keys.Value, out []BatchResult) []BatchResult {
 	return e.LookupBatchStack(plane.StackConfig{}, ks, out, cachesim.Null{}, nil, 0)
-}
-
-// LookupBatchMem is LookupBatch with the batch's DRAM bucket fetches routed
-// through mem (which must tolerate concurrent Read calls if the caller
-// batches concurrently).
-func (e *Engine) LookupBatchMem(ks []keys.Value, out []BatchResult, mem cachesim.Mem) []BatchResult {
-	return e.LookupBatchStack(plane.StackConfig{}, ks, out, mem, nil, 0)
 }
 
 // finishBatch runs the pipelined batch tail for the compiled or quantized

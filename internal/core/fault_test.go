@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
@@ -126,38 +125,5 @@ func TestInjectedDeltaExhaustionIsErrDeltaFull(t *testing.T) {
 	}
 	if err := u2.Insert(freeRule24(t, rs2, 3)); err != nil {
 		t.Fatalf("insert after injector disarmed: %v", err)
-	}
-}
-
-// TestAutoCommitRetriesThroughFailures: the background committer must ride
-// out injected failures on the backoff schedule and eventually commit,
-// clearing LastCommitErr.
-func TestAutoCommitRetriesThroughFailures(t *testing.T) {
-	u, rs, in := buildFaulty(t, 100)
-	r := freeRule24(t, rs, 9001)
-	in.FailNext(fault.SiteRetrain, 2)
-	if err := u.Insert(r); err != nil {
-		t.Fatal(err)
-	}
-	u.StartAutoCommit(time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for u.PendingInserts() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if u.PendingInserts() != 0 {
-		t.Fatalf("auto-commit never recovered: pending = %d, lastErr = %v",
-			u.PendingInserts(), u.LastCommitErr())
-	}
-	if err := u.LastCommitErr(); err != nil {
-		t.Fatalf("LastCommitErr not cleared after successful commit: %v", err)
-	}
-	if err := u.StopAutoCommit(); err != nil {
-		t.Fatalf("StopAutoCommit after recovery: %v", err)
-	}
-	if fired, failed := in.Fired(fault.SiteRetrain); failed != 2 || fired < 3 {
-		t.Fatalf("retrain site fired=%d failed=%d, want ≥3 fires with exactly 2 failures", fired, failed)
-	}
-	if got, ok := u.Engine().Lookup(r.Prefix); !ok || got != r.Action {
-		t.Fatalf("rule not applied exactly once after retries: (%d,%v)", got, ok)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"neurolpm/internal/cachesim"
 	"neurolpm/internal/keys"
+	"neurolpm/internal/plane"
 	"neurolpm/internal/telemetry"
 )
 
@@ -79,7 +80,7 @@ func TestLookupPathsAgree(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			k := randomKey(rng, 32)
 			trMem := e.LookupMem(k, cachesim.Null{})
-			trSpan, sp := e.LookupSpan(k, cachesim.Null{})
+			trSpan, sp := e.LookupSpan(plane.Compiled, k, cachesim.Null{})
 			action, ok := e.Lookup(k)
 			if trMem != trSpan {
 				t.Fatalf("%s: LookupMem %+v != LookupSpan %+v", name, trMem, trSpan)

@@ -42,16 +42,17 @@ func (e *Engine) LookupStack(st plane.StackConfig, k keys.Value, c *lcache.Cache
 	return tr.Action, tr.Matched, lcache.None
 }
 
-// lookupInfer is the uncached single-key spine: run the st-selected inference
-// plane and the shared post-inference tail, returning the full trace.
-func (e *Engine) lookupInfer(inf plane.Inference, k keys.Value, mem cachesim.Mem) Trace {
+// lookupInfer is the uncached single-key spine: run the inf-selected inference
+// plane and the shared post-inference tail, returning the full trace. sp is
+// LookupSpan's span; every other caller passes nil.
+func (e *Engine) lookupInfer(inf plane.Inference, k keys.Value, mem cachesim.Mem, sp *telemetry.Span) Trace {
 	switch inf {
 	case plane.Reference:
-		return e.lookupReference(k, mem, nil)
+		return e.lookupReference(k, mem, sp)
 	case plane.Quantized:
-		return e.lookupQuantized(k, mem, nil)
+		return e.lookupQuantized(k, mem, sp)
 	}
-	return e.lookup(k, mem, nil)
+	return e.lookup(k, mem, sp)
 }
 
 // lookupCachedStack is the cached single-key arm: probe c at the epoch loaded
@@ -61,7 +62,7 @@ func (e *Engine) lookupInfer(inf plane.Inference, k keys.Value, mem cachesim.Mem
 // the uncached pipeline with outcome None.
 func (e *Engine) lookupCachedStack(inf plane.Inference, k keys.Value, c *lcache.Cache) (action uint64, ok bool, o lcache.Outcome) {
 	if c.Bypassed(1) {
-		tr := e.lookupInfer(inf, k, cachesim.Null{})
+		tr := e.lookupInfer(inf, k, cachesim.Null{}, nil)
 		return tr.Action, tr.Matched, lcache.None
 	}
 	// Flight sampling for the probe stage rides the cache's own plain tick
@@ -79,7 +80,7 @@ func (e *Engine) lookupCachedStack(inf plane.Inference, k keys.Value, c *lcache.
 	action, ok, o = c.Get(k, epoch)
 	fr.Stamp(plane.StageProbe)
 	if o != lcache.Hit {
-		tr := e.lookupInfer(inf, k, cachesim.Null{})
+		tr := e.lookupInfer(inf, k, cachesim.Null{}, nil)
 		action, ok = tr.Action, tr.Matched
 		c.Put(k, epoch, action, ok)
 	}
@@ -98,7 +99,9 @@ func (e *Engine) lookupCachedStack(inf plane.Inference, k keys.Value, c *lcache.
 // probe every key first, resolve only the misses through the inference plane,
 // and fill on the way out; epoch must then be the caller's
 // CacheEpoch().Load() taken BEFORE any staleness check on surrounding state
-// (see LookupBatchCached). DRAM bucket fetches route through mem.
+// — ShardedUpdatable loads it before consulting PendingInserts; loading it
+// later would let an update land in between, and the pre-update answers would
+// be cached under the post-update epoch. DRAM bucket fetches route through mem.
 func (e *Engine) LookupBatchStack(st plane.StackConfig, ks []keys.Value, out []BatchResult, mem cachesim.Mem, c *lcache.Cache, epoch uint64) []BatchResult {
 	if st.Cached && !c.Bypassed(len(ks)) {
 		return e.lookupBatchCachedStack(st.Inference, ks, out, mem, c, epoch)

@@ -44,7 +44,7 @@ func TestTieredOracleEquivalence(t *testing.T) {
 	}
 	// Reference and quantized arms route through the same tier map.
 	for _, inf := range []plane.Inference{plane.Reference, plane.Quantized} {
-		tr := e.LookupMemInfer(inf, randomKey(rand.New(rand.NewSource(8)), 32), cachesim.Null{})
+		tr, _ := e.LookupSpan(inf, randomKey(rand.New(rand.NewSource(8)), 32), cachesim.Null{})
 		if !tr.ColdRead {
 			t.Fatalf("%v arm bypassed the cold tier: %+v", inf, tr)
 		}

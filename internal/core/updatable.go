@@ -30,16 +30,14 @@ var ErrDeltaFull = errors.New("core: delta buffer full")
 //     concurrent-versions scheme of the paper's atomicity discussion.
 //
 // Lookups are wait-free with respect to Commit (they read an atomic engine
-// pointer); insertions and commits serialize among themselves.
+// pointer), and while the delta buffer is empty they never touch the mutex;
+// insertions and commits serialize among themselves.
 type Updatable struct {
 	engine atomic.Pointer[Engine]
 
-	mu       sync.Mutex // guards delta and commit
+	mu       sync.Mutex // guards delta's maps and commit's final section
 	capacity int
 	delta    *deltaBuffer
-
-	acMu sync.Mutex     // guards ac (StartAutoCommit/StopAutoCommit)
-	ac   *autoCommitter // background committer; nil until StartAutoCommit
 }
 
 // DefaultDeltaCapacity mirrors the 10K-entry TCAM the paper cites as the
@@ -60,12 +58,9 @@ func NewUpdatable(e *Engine, capacity int) *Updatable {
 // Engine returns the current live engine (for stats and verification).
 func (u *Updatable) Engine() *Engine { return u.engine.Load() }
 
-// PendingInserts returns the number of rules waiting in the delta buffer.
-func (u *Updatable) PendingInserts() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.delta.len()
-}
+// PendingInserts returns the number of rules waiting in the delta buffer (an
+// atomic load: readers poll it on every lookup).
+func (u *Updatable) PendingInserts() int { return u.delta.len() }
 
 // Lookup consults the delta buffer and the main engine and returns the
 // longer-prefix match, exactly as a TCAM stage in front of the engine
@@ -80,14 +75,23 @@ func (u *Updatable) Lookup(k keys.Value) (uint64, bool) {
 // half runs through the inf-selected inference plane, then the longer prefix
 // of {engine match, delta match} wins.
 func (u *Updatable) lookupOverlay(inf plane.Inference, k keys.Value) (uint64, bool) {
-	e := u.engine.Load()
-	// The delta read takes the mutex: the buffer is tiny, and insertion
-	// latency is the quantity being optimized, not query concurrency with
-	// inserts (hardware gives the TCAM its own port).
+	// Count first, engine second: Commit publishes the new engine before it
+	// drains the buffer, so a reader that sees the buffer empty also sees
+	// every engine the drained rules were committed into (DESIGN.md §11).
+	if u.delta.len() == 0 {
+		tr := u.engine.Load().lookupInfer(inf, k, nullMem{}, nil)
+		return tr.Action, tr.Matched
+	}
+	// A non-empty buffer is read under the mutex, and the engine pointer with
+	// it: Commit swaps and drains inside one critical section, so the pair is
+	// never the old engine beside the drained buffer. The buffer is tiny, and
+	// insertion latency is the quantity being optimized, not query concurrency
+	// with inserts (hardware gives the TCAM its own port).
 	u.mu.Lock()
+	e := u.engine.Load()
 	dAction, dLen, dOK := u.delta.lookup(k)
 	u.mu.Unlock()
-	tr := e.lookupInfer(inf, k, nullMem{})
+	tr := e.lookupInfer(inf, k, nullMem{}, nil)
 	if !tr.Matched {
 		if dOK {
 			return dAction, true
@@ -196,12 +200,14 @@ func (u *Updatable) Commit() error {
 
 	u.mu.Lock()
 	defer u.mu.Unlock()
+	// Engine before drain: a lock-free reader that finds the buffer empty
+	// must find the committed rules in the engine it loads next.
+	u.engine.Store(next)
 	// Remove exactly the committed rules from the buffer; rules inserted
 	// during retraining stay pending for the next commit.
 	for _, r := range pending {
 		u.delta.remove(r.Prefix, r.Len)
 	}
-	u.engine.Store(next)
 	// Bump strictly after the swap is visible (next shares old's epoch
 	// pointer via InsertBatch): a reader that loads the post-bump epoch is
 	// guaranteed — release on Bump, acquire on Load — to also see the new
@@ -212,18 +218,20 @@ func (u *Updatable) Commit() error {
 }
 
 // deltaBuffer is a small overlay rule store with longest-prefix lookup. At
-// TCAM-like sizes (≤10K rules) a per-length exact-match probe is plenty.
+// TCAM-like sizes (≤10K rules) a per-length exact-match probe is plenty. The
+// maps are guarded by Updatable.mu; total is atomic so readers can skip the
+// lock while it is zero.
 type deltaBuffer struct {
 	width int
 	byLen map[int]map[keys.Value]uint64
-	total int
+	total atomic.Int64
 }
 
 func newDeltaBuffer(width int) *deltaBuffer {
 	return &deltaBuffer{width: width, byLen: map[int]map[keys.Value]uint64{}}
 }
 
-func (d *deltaBuffer) len() int { return d.total }
+func (d *deltaBuffer) len() int { return int(d.total.Load()) }
 
 func (d *deltaBuffer) insert(r lpm.Rule) error {
 	t, ok := d.byLen[r.Len]
@@ -235,7 +243,7 @@ func (d *deltaBuffer) insert(r lpm.Rule) error {
 		return fmt.Errorf("core: rule %s/%d already pending", r.Prefix, r.Len)
 	}
 	t[r.Prefix] = r.Action
-	d.total++
+	d.total.Add(1)
 	return nil
 }
 
@@ -248,7 +256,7 @@ func (d *deltaBuffer) remove(prefix keys.Value, length int) bool {
 		return false
 	}
 	delete(t, prefix)
-	d.total--
+	d.total.Add(-1)
 	return true
 }
 
@@ -284,7 +292,7 @@ func (d *deltaBuffer) lookup(k keys.Value) (action uint64, length int, ok bool) 
 }
 
 func (d *deltaBuffer) rules() []lpm.Rule {
-	out := make([]lpm.Rule, 0, d.total)
+	out := make([]lpm.Rule, 0, d.len())
 	for l, t := range d.byLen {
 		for p, a := range t {
 			out = append(out, lpm.Rule{Prefix: p, Len: l, Action: a})

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"neurolpm/internal/keys"
@@ -207,4 +208,66 @@ func TestUpdatableConcurrentLookupsDuringCommit(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestOverlayNeverForgetsCommittedInsert: a rule whose Insert returned before
+// a read began must be in that read's answer, whichever side of a concurrent
+// Commit the read lands on. The writer cycles insert → commit → delete and
+// stamps a generation around the span in which the rule is installed (odd);
+// a reader whose Lookup began and ended inside one odd generation and missed
+// has seen the old engine beside the already-drained buffer. One core cannot
+// produce the interleaving — `make race` runs this at -cpu 1,2,4.
+func TestOverlayNeverForgetsCommittedInsert(t *testing.T) {
+	const cycles = 400
+	rs := randomRuleSet(t, 16, 24, 77)
+	probe := lpm.Rule{Prefix: keys.FromUint64(0xBEEF), Len: 16, Action: 4242}
+	if rs.Find(probe.Prefix, probe.Len) != lpm.NoMatch {
+		t.Fatal("probe rule collides with the base rule-set")
+	}
+	e, err := Build(rs, quickSRAMOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := NewUpdatable(e, 100)
+
+	var gen, forgot, reads atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				g := gen.Load()
+				a, ok := u.Lookup(probe.Prefix)
+				if g&1 == 1 && gen.Load() == g && (!ok || a != probe.Action) {
+					forgot.Add(1)
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	for c := 0; c < cycles; c++ {
+		if err := u.Insert(probe); err != nil {
+			t.Fatal(err)
+		}
+		gen.Add(1) // odd: installed from here on
+		if err := u.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		gen.Add(1) // even: the delete below may already be visible
+		if err := u.Delete(probe.Prefix, probe.Len); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if n := forgot.Load(); n != 0 {
+		t.Fatalf("%d of %d reads, over %d insert→commit→delete cycles, missed a rule inserted before they began", n, reads.Load(), cycles)
+	}
 }

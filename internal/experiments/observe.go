@@ -5,8 +5,11 @@ import (
 	"math/bits"
 	"time"
 
+	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
+	"neurolpm/internal/plane"
+	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
 	"neurolpm/internal/workload"
 )
@@ -179,12 +182,19 @@ type OverheadCell struct {
 	Ratio float64
 }
 
-// Overheads measures the two wall-clock budgets `lpmbench -guard` holds at
+// shardBatch is the batch size of the degenerate-topology pair: the wire
+// coalescer's typical dispatch, small enough that per-call routing shows.
+const shardBatch = 64
+
+// Overheads measures the wall-clock budgets `lpmbench -guard` holds at
 // ≥ 0.90: single-key lookups with the flight recorder at its default stride
-// against the recorder off, and the cached batch entry point with no cache
-// against the plain batch path. Both sides of a pair alternate in interleaved
-// rounds (measureRatesInterleaved), which a go-test assertion timing one side
-// after the other could not do — as tests they read 0.86×–1.20× run to run.
+// against the recorder off, the cached batch stack with no cache against the
+// plain batch path, and the one serving topology at its degenerate shard
+// count — a one-shard ShardedUpdatable with an empty delta buffer — against
+// the bare engine it wraps, single-key and in batches of shardBatch. Both
+// sides of a pair alternate in interleaved rounds (measureRatesInterleaved),
+// which a go-test assertion timing one side after the other could not do — as
+// tests they read 0.86×–1.20× run to run.
 func Overheads(sc Scale) ([]OverheadCell, error) {
 	rs, err := workload.Generate(workload.RIPE(), sc.Rules["ripe"], sc.Seed)
 	if err != nil {
@@ -194,6 +204,11 @@ func Overheads(sc Scale) ([]OverheadCell, error) {
 	if err != nil {
 		return nil, err
 	}
+	one, err := shard.BuildUpdatable(rs, sc.engineConfig(), 1, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer one.Close()
 	trace := workload.UniformTrace(rs.Width, sc.TraceLen, sc.Seed+5)
 	defer telemetry.Flight.SetSampleEvery(telemetry.Flight.SampleEvery())
 	single := func(every uint64) func([]keys.Value) {
@@ -205,24 +220,36 @@ func Overheads(sc Scale) ([]OverheadCell, error) {
 		}
 	}
 	var out []core.BatchResult
-	batch := func(cached bool) func([]keys.Value) {
+	batch := func(st plane.StackConfig, size int) func([]keys.Value) {
 		return func(ks []keys.Value) {
 			epoch := eng.CacheEpoch().Load()
-			for lo := 0; lo < len(ks); lo += observeBatch {
-				blk := ks[lo:min(lo+observeBatch, len(ks))]
-				if cached {
-					out = eng.LookupBatchCached(blk, out, nil, epoch)
-				} else {
-					out = eng.LookupBatch(blk, out)
-				}
+			for lo := 0; lo < len(ks); lo += size {
+				out = eng.LookupBatchStack(st, ks[lo:min(lo+size, len(ks))], out, cachesim.Null{}, nil, epoch)
 			}
 		}
 	}
+	// Every run after the second keeps the default stride that one set, so the
+	// degenerate-topology pairs compare like with like (r[4] against r[1]).
 	r := measureRatesInterleaved(trace, []func([]keys.Value){
-		single(0), single(telemetry.DefaultSampleEvery), batch(false), batch(true)})
+		single(0), single(telemetry.DefaultSampleEvery),
+		batch(plane.StackConfig{}, observeBatch), batch(plane.StackConfig{Cached: true}, observeBatch),
+		func(ks []keys.Value) {
+			for _, k := range ks {
+				one.Lookup(k)
+			}
+		},
+		batch(plane.StackConfig{}, shardBatch),
+		func(ks []keys.Value) {
+			for lo := 0; lo < len(ks); lo += shardBatch {
+				one.LookupBatch(ks[lo:min(lo+shardBatch, len(ks))])
+			}
+		},
+	})
 	return []OverheadCell{
 		{fmt.Sprintf("flight 1:%d / off", telemetry.DefaultSampleEvery), r[1] / r[0]},
 		{"batch cache-off / uncached", r[3] / r[2]},
+		{"shards=1 / engine", r[4] / r[1]},
+		{fmt.Sprintf("shards=1 / engine batch-%d", shardBatch), r[6] / r[5]},
 	}, nil
 }
 

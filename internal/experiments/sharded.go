@@ -37,8 +37,9 @@ const shardedMinMeasure = 500 * time.Millisecond
 
 // ShardedThroughput measures single-engine single-key lookups against
 // sharded LookupBatch on the ripe workload, verifying every traced answer
-// against the trie oracle. One build per shard count; the single engine is
-// the baseline row.
+// against the trie oracle. One build per shard count — the one sharded type,
+// shard.ShardedUpdatable, with nothing inserted and no committer started; the
+// single engine is the baseline row.
 func ShardedThroughput(sc Scale) ([]ShardedCell, error) {
 	rs, err := workload.Generate(workload.Profiles()["ripe"], sc.Rules["ripe"], sc.Seed)
 	if err != nil {
@@ -75,7 +76,7 @@ func ShardedThroughput(sc Scale) ([]ShardedCell, error) {
 	out := []ShardedCell{single}
 
 	for _, n := range ShardedShardCounts {
-		sh, err := shard.Build(rs, sc.engineConfig(), n)
+		sh, err := shard.BuildUpdatable(rs, sc.engineConfig(), n, 0)
 		if err != nil {
 			return nil, err
 		}

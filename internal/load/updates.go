@@ -18,7 +18,7 @@ import (
 // updateLoop replays cfg.Updates on its own connection at the stream's
 // Poisson schedule, looping until the send window closes. Between passes any
 // site the stream left populated is deleted first, so each pass's inserts
-// apply cleanly. A not-implemented answer (single-engine server) ends the
+// apply cleanly. A not-implemented answer (a server without an update plane) ends the
 // loop; backpressure (full delta buffer) counts as an update error and the
 // stream keeps its pace.
 func (r *runner) updateLoop(stop <-chan struct{}, sent, errs *atomic.Int64) {

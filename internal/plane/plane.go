@@ -9,7 +9,7 @@
 // collapses the combination space into a value, StackConfig, that the single
 // stack executor in internal/core branches on. The executors are written so
 // the exported per-combination entry points (Lookup, LookupBatch,
-// LookupCached, ...) are thin constant-config wrappers that compile down to
+// LookupReference, ...) are thin constant-config wrappers that compile down to
 // the same hot paths as before — zero-overhead is a hard requirement, guarded
 // by `lpmbench -guard`'s cache-off overhead row.
 //

@@ -13,13 +13,26 @@ import (
 	"neurolpm/internal/workload"
 )
 
-// TestLookupEntryPointsEquivalent drives EVERY exported lookup entry point —
-// single-key and batch, core and shard, reference and compiled, cached and
+// TestLookupEntryPointsEquivalent drives every exported lookup entry point —
+// single-key and batch, core and shard, on every inference plane, cached and
 // uncached — over one shared workload-calibrated corpus and asserts each
 // answers exactly what the trie oracle answers, misses included. This is the
 // table-driven face of the equivalence contract the fuzz target probes
-// adversarially: adding a lookup variant means adding a row here, not a new
-// harness.
+// adversarially: adding a lookup entry point means adding a row here, not a
+// new harness.
+//
+// Rows are named "<fixture>.<entry point>[/<stack>]":
+//
+//	Engine            core.Build, the library facade
+//	Updatable         core.NewUpdatable over it, the per-shard writer
+//	Sharded           shard.BuildUpdatable at one shard, the degenerate topology
+//	ShardedUpdatable  shard.BuildUpdatable at four shards
+//
+// Each of the 15 exported entry points has the row that bears its name. The
+// rows named after the constant-config wrappers that were folded into the
+// stack executors (…Cached, …BatchMem, …BatchCached, …BatchCachedMem) keep
+// their names and spell out the executor call the wrapper made, so every
+// argument combination that was pinned stays pinned.
 func TestLookupEntryPointsEquivalent(t *testing.T) {
 	profile := workload.RIPE()
 	width := profile.Width
@@ -53,90 +66,82 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	upd := core.NewUpdatable(eng, 0)
-	sh, err := shard.Build(rs, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
+	type shardedFixture struct {
+		name string
+		*shard.ShardedUpdatable
 	}
-	defer sh.Close()
-	sh.EnableCache(64 << 10)
-	su, err := shard.BuildUpdatable(rs, cfg, 4, 0)
-	if err != nil {
-		t.Fatal(err)
+	sharded := []shardedFixture{{name: "Sharded"}, {name: "ShardedUpdatable"}}
+	for i, n := range []int{1, 4} {
+		su, err := shard.BuildUpdatable(rs, cfg, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer su.Close()
+		su.EnableCache(64 << 10)
+		sharded[i].ShardedUpdatable = su
 	}
-	defer su.Close()
-	su.EnableCache(64 << 10)
 	cache := lcache.New(64 << 10)
+	cached := plane.StackConfig{Cached: true}
+	// cacheFor hands a stack its cache argument: the shared one, or none.
+	cacheFor := func(st plane.StackConfig) *lcache.Cache {
+		if st.Cached {
+			return cache
+		}
+		return nil
+	}
 
-	singles := []struct {
+	type single struct {
 		name string
 		look func(k keys.Value) (uint64, bool)
-	}{
+	}
+	// stacked adapts a three-result stack executor to a row.
+	stacked := func(look func(plane.StackConfig, keys.Value) (uint64, bool, lcache.Outcome), st plane.StackConfig) func(keys.Value) (uint64, bool) {
+		return func(k keys.Value) (uint64, bool) {
+			a, ok, _ := look(st, k)
+			return a, ok
+		}
+	}
+	engStack := func(st plane.StackConfig, k keys.Value) (uint64, bool, lcache.Outcome) {
+		return eng.LookupStack(st, k, cacheFor(st))
+	}
+	updStack := func(st plane.StackConfig, k keys.Value) (uint64, bool, lcache.Outcome) {
+		return upd.LookupStack(st, k, cacheFor(st))
+	}
+	singles := []single{
 		{"Engine.Lookup", eng.Lookup},
 		{"Engine.LookupReference", eng.LookupReference},
+		{"Engine.LookupQuantized", eng.LookupQuantized},
 		{"Engine.LookupMem", func(k keys.Value) (uint64, bool) {
 			tr := eng.LookupMem(k, cachesim.Null{})
 			return tr.Action, tr.Matched
 		}},
-		{"Engine.LookupSpan", func(k keys.Value) (uint64, bool) {
-			tr, _ := eng.LookupSpan(k, cachesim.Null{})
-			return tr.Action, tr.Matched
-		}},
-		{"Engine.LookupCached", func(k keys.Value) (uint64, bool) {
-			a, ok, _ := eng.LookupCached(k, cache)
-			return a, ok
-		}},
+		{"Engine.LookupCached", stacked(engStack, cached)},
 		{"Updatable.Lookup", upd.Lookup},
-		{"Updatable.LookupCached", func(k keys.Value) (uint64, bool) {
-			a, ok, _ := upd.LookupCached(k, cache)
-			return a, ok
-		}},
-		{"Sharded.Lookup", sh.Lookup},
-		{"Sharded.LookupCached", func(k keys.Value) (uint64, bool) {
-			a, ok, _ := sh.LookupCached(k)
-			return a, ok
-		}},
-		{"ShardedUpdatable.Lookup", su.Lookup},
-		{"ShardedUpdatable.LookupCached", func(k keys.Value) (uint64, bool) {
-			a, ok, _ := su.LookupCached(k)
-			return a, ok
-		}},
+		{"Updatable.LookupCached", stacked(updStack, cached)},
+	}
+	for inf := plane.Inference(0); inf < plane.NumInference; inf++ {
+		inf := inf
+		name := "Engine.LookupSpan"
+		if inf != plane.Compiled {
+			name += "/" + inf.String()
+		}
+		singles = append(singles, single{name, func(k keys.Value) (uint64, bool) {
+			tr, _ := eng.LookupSpan(inf, k, cachesim.Null{})
+			return tr.Action, tr.Matched
+		}})
+	}
+	for _, su := range sharded {
+		singles = append(singles,
+			single{su.name + ".Lookup", su.Lookup},
+			single{su.name + ".LookupCached", stacked(su.LookupStack, cached)})
 	}
 	for _, st := range plane.Matrix() {
-		st := st
-		c := cache
-		if !st.Cached {
-			c = nil
-		}
 		singles = append(singles,
-			struct {
-				name string
-				look func(k keys.Value) (uint64, bool)
-			}{"Engine.LookupStack/" + st.String(), func(k keys.Value) (uint64, bool) {
-				a, ok, _ := eng.LookupStack(st, k, c)
-				return a, ok
-			}},
-			struct {
-				name string
-				look func(k keys.Value) (uint64, bool)
-			}{"Updatable.LookupStack/" + st.String(), func(k keys.Value) (uint64, bool) {
-				a, ok, _ := upd.LookupStack(st, k, c)
-				return a, ok
-			}},
-			struct {
-				name string
-				look func(k keys.Value) (uint64, bool)
-			}{"Sharded.LookupStack/" + st.String(), func(k keys.Value) (uint64, bool) {
-				a, ok, _ := sh.LookupStack(st, k)
-				return a, ok
-			}},
-			struct {
-				name string
-				look func(k keys.Value) (uint64, bool)
-			}{"ShardedUpdatable.LookupStack/" + st.String(), func(k keys.Value) (uint64, bool) {
-				a, ok, _ := su.LookupStack(st, k)
-				return a, ok
-			}},
-		)
+			single{"Engine.LookupStack/" + st.String(), stacked(engStack, st)},
+			single{"Updatable.LookupStack/" + st.String(), stacked(updStack, st)})
+		for _, su := range sharded {
+			singles = append(singles, single{su.name + ".LookupStack/" + st.String(), stacked(su.LookupStack, st)})
+		}
 	}
 	for _, tc := range singles {
 		tc := tc
@@ -151,69 +156,45 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 		})
 	}
 
-	coreBatch := func(res []core.BatchResult) []Result {
-		out := make([]Result, len(res))
-		for i, r := range res {
-			out[i] = Result{r.Action, r.Matched}
-		}
-		return out
-	}
-	shardBatch := func(res []shard.Result) []Result {
-		out := make([]Result, len(res))
-		for i, r := range res {
-			out[i] = Result{r.Action, r.Matched}
-		}
-		return out
-	}
-	batches := []struct {
+	type batch struct {
 		name  string
 		batch func(ks []keys.Value) []Result
-	}{
-		{"Engine.LookupBatch", func(ks []keys.Value) []Result {
-			return coreBatch(eng.LookupBatch(ks, nil))
-		}},
-		{"Engine.LookupBatchMem", func(ks []keys.Value) []Result {
-			return coreBatch(eng.LookupBatchMem(ks, nil, cachesim.Null{}))
-		}},
-		{"Engine.LookupBatchCached", func(ks []keys.Value) []Result {
-			return coreBatch(eng.LookupBatchCached(ks, nil, cache, eng.CacheEpoch().Load()))
-		}},
-		{"Engine.LookupBatchCachedMem", func(ks []keys.Value) []Result {
-			return coreBatch(eng.LookupBatchCachedMem(ks, nil, cachesim.Null{}, cache, eng.CacheEpoch().Load()))
-		}},
-		{"Sharded.LookupBatch", func(ks []keys.Value) []Result {
-			return shardBatch(sh.LookupBatch(ks))
-		}},
-		{"ShardedUpdatable.LookupBatch", func(ks []keys.Value) []Result {
-			return shardBatch(su.LookupBatch(ks))
-		}},
+	}
+	// engBatch is a row on the engine's batch executor: st selects the stack,
+	// mem receives the bucket fetches.
+	results := func(res []core.BatchResult) []Result { // shard.Result is the same type
+		out := make([]Result, len(res))
+		for i, r := range res {
+			out[i] = Result{r.Action, r.Matched}
+		}
+		return out
+	}
+	engBatch := func(st plane.StackConfig, mem cachesim.Mem) func([]keys.Value) []Result {
+		return func(ks []keys.Value) []Result {
+			return results(eng.LookupBatchStack(st, ks, nil, mem, cacheFor(st), eng.CacheEpoch().Load()))
+		}
+	}
+	batches := []batch{
+		{"Engine.LookupBatch", func(ks []keys.Value) []Result { return results(eng.LookupBatch(ks, nil)) }},
+		{"Engine.LookupBatchMem", engBatch(plane.StackConfig{}, &cachesim.Uncached{})},
+		{"Engine.LookupBatchCached", engBatch(cached, cachesim.Null{})},
+		{"Engine.LookupBatchCachedMem", engBatch(cached, &cachesim.Uncached{})},
+	}
+	for _, su := range sharded {
+		su := su
+		batches = append(batches, batch{su.name + ".LookupBatch", func(ks []keys.Value) []Result {
+			return results(su.LookupBatch(ks))
+		}})
 	}
 	for _, st := range plane.Matrix() {
 		st := st
-		c := cache
-		if !st.Cached {
-			c = nil
+		batches = append(batches, batch{"Engine.LookupBatchStack/" + st.String(), engBatch(st, cachesim.Null{})})
+		for _, su := range sharded {
+			su := su
+			batches = append(batches, batch{su.name + ".LookupBatchStack/" + st.String(), func(ks []keys.Value) []Result {
+				return results(su.LookupBatchStack(st, ks))
+			}})
 		}
-		batches = append(batches,
-			struct {
-				name  string
-				batch func(ks []keys.Value) []Result
-			}{"Engine.LookupBatchStack/" + st.String(), func(ks []keys.Value) []Result {
-				return coreBatch(eng.LookupBatchStack(st, ks, nil, cachesim.Null{}, c, eng.CacheEpoch().Load()))
-			}},
-			struct {
-				name  string
-				batch func(ks []keys.Value) []Result
-			}{"Sharded.LookupBatchStack/" + st.String(), func(ks []keys.Value) []Result {
-				return shardBatch(sh.LookupBatchStack(st, ks))
-			}},
-			struct {
-				name  string
-				batch func(ks []keys.Value) []Result
-			}{"ShardedUpdatable.LookupBatchStack/" + st.String(), func(ks []keys.Value) []Result {
-				return shardBatch(su.LookupBatchStack(st, ks))
-			}},
-		)
 	}
 	for _, tc := range batches {
 		tc := tc

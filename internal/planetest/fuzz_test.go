@@ -26,25 +26,35 @@ import (
 //
 // The input splits in half: the first half derives the base rule-set, the
 // second half drives update ops on the sharded side (7 bytes per op, ≤12
-// ops) plus a no-retrain tombstone delete on the single engine. `sel` picks
-// the shard count and whether the single engine is bucketized.
+// ops) plus a no-retrain tombstone delete on the single engine. `sel` is three
+// fields: bit 0 bucketizes the single engine, bit 1 tiers both sides, bits 2–3
+// pick the shard count 1, 2, 4 or 8 — one shard being the degenerate case the
+// serving layer runs by default.
 //
 // It subsumes the retired per-combination targets — FuzzEngineVsOracle,
 // FuzzShardedVsOracle, FuzzShardedUpdateVsOracle and FuzzCachedVsOracle —
 // whose seed corpora are carried forward below.
 func FuzzStackVsOracle(f *testing.F) {
-	// Union of the retired targets' seeds (the core target's bool third
-	// argument maps to sel's low bit, which toggles bucketization).
-	f.Add([]byte{0, 0, 0, 0, 7, 1, 255, 255, 0, 0, 3, 2}, uint64(1), uint8(0))
-	f.Add([]byte{0, 0, 0, 0, 7, 1, 255, 255, 0, 0, 3, 2}, uint64(1), uint8(1))
-	f.Add([]byte{1, 2, 3, 4, 31, 9, 128, 0, 0, 0, 0, 5, 64, 0, 0, 0, 1, 6}, uint64(42), uint8(1))
-	f.Add([]byte{1, 2, 3, 4, 31, 9, 128, 0, 0, 0, 0, 5, 64, 0, 0, 0, 1, 6}, uint64(42), uint8(2))
-	f.Add([]byte{0, 0, 0, 0, 7, 1, 255, 255, 0, 0, 3, 2, 0, 1, 2, 3, 4, 5, 6, 3, 0, 0, 0, 0, 0, 0, 0}, uint64(1), uint8(1))
-	f.Add([]byte{1, 2, 3, 4, 31, 9, 128, 0, 0, 0, 0, 5, 3, 1, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}, uint64(42), uint8(2))
-	f.Add([]byte{}, uint64(0), uint8(0))
+	// Union of the retired targets' seeds, re-encoded for sel's shard-count
+	// field.
+	f.Add([]byte{0, 0, 0, 0, 7, 1, 255, 255, 0, 0, 3, 2}, uint64(1), uint8(0|1<<2))
+	f.Add([]byte{0, 0, 0, 0, 7, 1, 255, 255, 0, 0, 3, 2}, uint64(1), uint8(1|2<<2))
+	f.Add([]byte{1, 2, 3, 4, 31, 9, 128, 0, 0, 0, 0, 5, 64, 0, 0, 0, 1, 6}, uint64(42), uint8(1|2<<2))
+	f.Add([]byte{1, 2, 3, 4, 31, 9, 128, 0, 0, 0, 0, 5, 64, 0, 0, 0, 1, 6}, uint64(42), uint8(0|3<<2))
+	f.Add([]byte{0, 0, 0, 0, 7, 1, 255, 255, 0, 0, 3, 2, 0, 1, 2, 3, 4, 5, 6, 3, 0, 0, 0, 0, 0, 0, 0}, uint64(1), uint8(1|2<<2))
+	f.Add([]byte{1, 2, 3, 4, 31, 9, 128, 0, 0, 0, 0, 5, 3, 1, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}, uint64(42), uint8(0|3<<2))
+	f.Add([]byte{}, uint64(0), uint8(0|1<<2))
 	// Tiered-configuration seeds (sel&2): update storm over cold-start tiers.
-	f.Add([]byte{0, 0, 0, 0, 7, 1, 255, 255, 0, 0, 3, 2, 0, 1, 2, 3, 4, 5, 6, 3, 0, 0, 0, 0, 0, 0, 0}, uint64(1), uint8(3))
-	f.Add([]byte{1, 2, 3, 4, 31, 9, 128, 0, 0, 0, 0, 5, 3, 1, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}, uint64(42), uint8(7))
+	f.Add([]byte{0, 0, 0, 0, 7, 1, 255, 255, 0, 0, 3, 2, 0, 1, 2, 3, 4, 5, 6, 3, 0, 0, 0, 0, 0, 0, 0}, uint64(1), uint8(3|1<<2))
+	f.Add([]byte{1, 2, 3, 4, 31, 9, 128, 0, 0, 0, 0, 5, 3, 1, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}, uint64(42), uint8(3|2<<2))
+	// One shard: four base rules (28 bytes with padding), then insert →
+	// failed commit → commit → delete of a committed rule.
+	oneShard := []byte{
+		10, 0, 0, 0, 7, 1, 10, 1, 0, 0, 15, 2, 192, 168, 0, 0, 15, 3, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0,
+		0, 172, 16, 0, 0, 11, 9, 3, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0,
+	}
+	f.Add(oneShard, uint64(7), uint8(1))
+	f.Add(oneShard, uint64(7), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, keySeed uint64, sel uint8) {
 		const width = 32
 		split := len(data) / 2
@@ -76,7 +86,7 @@ func FuzzStackVsOracle(f *testing.F) {
 
 		// Sharded topology: fault-injected commits, tiny cache tables for
 		// maximal eviction pressure on the cached stacks.
-		nShards := []int{2, 4, 8}[int(sel)%3]
+		nShards := 1 << (sel >> 2 & 3)
 		in := fault.NewInjector(keySeed | 1)
 		ucfg := core.Config{BucketSize: 8, Model: FuzzModel(), Fault: in.Hook()}
 		if tiered {

@@ -1,18 +1,16 @@
 // Package planetest hosts the parameterized differential-test matrix for the
 // composable lookup-plane stack (DESIGN.md §14).
 //
-// Every exported lookup entry point in internal/core and internal/shard is a
-// thin wrapper over one stack executor selected by plane.StackConfig; the
+// Every exported lookup entry point in internal/core and internal/shard is
+// one stack executor selected by plane.StackConfig, or a thin wrapper over it; the
 // correctness contract — every variant answers exactly what the trie oracle
 // answers, for every key including misses — is therefore a property of the
 // (topology, stack) matrix, not of individual methods. This package checks
 // that property once, parameterized over plane.Combos():
 //
-//   - FuzzStackVsOracle — the single differential fuzz target replacing the
-//     retired per-combination targets (core.FuzzEngineVsOracle,
-//     shard.FuzzShardedVsOracle, shard.FuzzShardedUpdateVsOracle,
-//     shard.FuzzCachedVsOracle). It drives arbitrary rule-sets, key streams
-//     and update interleavings — with commit failures injected through
+//   - FuzzStackVsOracle — the single differential fuzz target. It drives
+//     arbitrary rule-sets, shard counts from one up, key streams and update
+//     interleavings — with commit failures injected through
 //     internal/fault — and checks every stack configuration against the
 //     oracle after every step.
 //   - TestStackMetamorphic — oracle-free cross-variant properties: all twelve

@@ -12,9 +12,7 @@ import (
 )
 
 // TestCachedBatchZeroAllocs pins the shared cached-batch executor
-// (core/stack.go lookupBatchCachedStack — the dedup of the old
-// LookupBatchCached / LookupBatchCachedMem copies) at zero steady-state
-// allocations, on both the all-hit path and the miss-fill path. The miss
+// (core/stack.go lookupBatchCachedStack) at zero steady-state allocations, on both the all-hit path and the miss-fill path. The miss
 // scratch rides a sync.Pool, so the pin runs with GC-triggered pool drops
 // tolerated via an amortized bound rather than a per-run assertion.
 func TestCachedBatchZeroAllocs(t *testing.T) {

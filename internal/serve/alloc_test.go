@@ -36,8 +36,7 @@ func TestHandlerAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are measured without -race instrumentation")
 	}
-	eng := buildTestEngine(t, true)
-	srv := New(eng, telemetry.NewRegistry())
+	srv, _ := buildTestServer(t, true, telemetry.NewRegistry())
 
 	lk := measureHandlerAllocs(t, srv, "/lookup?key=0x10203040")
 	t.Logf("/lookup: %.1f allocs/req", lk)

@@ -88,8 +88,7 @@ func TestBatchEndpointShardedMatchesOracle(t *testing.T) {
 }
 
 func TestBatchEndpointSingleEngine(t *testing.T) {
-	eng := buildTestEngine(t, false)
-	srv := New(eng, telemetry.NewRegistry())
+	srv, eng := buildTestServer(t, false, telemetry.NewRegistry())
 	var resp batchResponse
 	rec := getJSON(t, srv.Handler(), "/batch?keys=0x01020304,0xf0f0f0f0", &resp)
 	if rec.Code != http.StatusOK {

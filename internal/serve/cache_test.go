@@ -16,8 +16,7 @@ import (
 // per-query outcome in the "cache" field, and export the lcache counters.
 
 func TestResultCacheSingleEngine(t *testing.T) {
-	e := buildTestEngine(t, true)
-	srv := New(e, telemetry.Default)
+	srv, e := buildTestServer(t, true, telemetry.Default)
 	srv.UseResultCache(256 << 10)
 	h := srv.Handler()
 
@@ -96,8 +95,8 @@ func TestResultCacheSingleEngine(t *testing.T) {
 }
 
 func TestResultCacheOffOmitsField(t *testing.T) {
-	e := buildTestEngine(t, true)
-	h := New(e, telemetry.NewRegistry()).Handler()
+	srv, _ := buildTestServer(t, true, telemetry.NewRegistry())
+	h := srv.Handler()
 	rec := getJSON(t, h, "/lookup?key=10.1.2.3", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/lookup: %d %s", rec.Code, rec.Body)

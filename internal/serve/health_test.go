@@ -4,6 +4,7 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -208,13 +209,40 @@ func TestUpdateEndpointRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestUpdateEndpointSingleEngineIs501: the single-engine server has no
-// update plane.
-func TestUpdateEndpointSingleEngineIs501(t *testing.T) {
-	srv := New(buildTestEngine(t, false), telemetry.NewRegistry())
-	rec := postJSON(t, srv.Handler(), "/update", `{"op":"insert","prefix":"0x1","len":32,"action":1}`)
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("single-engine /update: %d, want 501", rec.Code)
+// TestUpdateThenLookupOneShard: the degenerate topology has the whole update
+// plane — an insert is visible to /lookup from the delta buffer, stays visible
+// across the commit that retrains it into the engine, and a delete of the
+// committed rule uncovers the old answer.
+func TestUpdateThenLookupOneShard(t *testing.T) {
+	sh := buildOneShard(t, true)
+	h := NewSharded(sh, telemetry.NewRegistry()).Handler()
+	k := freeKey32(t, buildTestRuleSet(t), 0)
+	target := "/lookup?key=" + k.String()
+	var before, got lookupResponse
+	getJSON(t, h, target, &before)
+
+	body := fmt.Sprintf(`{"op":"insert","prefix":"%s","len":32,"action":777}`, k)
+	if rec := postJSON(t, h, "/update", body); rec.Code != http.StatusOK {
+		t.Fatalf("/update insert on one shard: %d %s", rec.Code, rec.Body)
+	}
+	if getJSON(t, h, target, &got); !got.Matched || got.Action != 777 {
+		t.Fatalf("lookup after insert = %+v, want action 777 from the delta buffer", got)
+	}
+	if err := sh.Commit(0); err != nil {
+		t.Fatal(err)
+	}
+	if sh.PendingInserts() != 0 {
+		t.Fatalf("pending after commit = %d", sh.PendingInserts())
+	}
+	if getJSON(t, h, target, &got); !got.Matched || got.Action != 777 {
+		t.Fatalf("lookup after commit = %+v, want action 777 from the engine", got)
+	}
+	body = fmt.Sprintf(`{"op":"delete","prefix":"%s","len":32}`, k)
+	if rec := postJSON(t, h, "/update", body); rec.Code != http.StatusOK {
+		t.Fatalf("/update delete on one shard: %d %s", rec.Code, rec.Body)
+	}
+	if getJSON(t, h, target, &got); got.Matched != before.Matched || got.Action != before.Action {
+		t.Fatalf("lookup after delete = %+v, want the pre-insert answer %+v", got, before)
 	}
 }
 

@@ -24,8 +24,7 @@ import (
 // This is the cheap half of satellite (f): it runs on every `go test` and
 // fails the build the moment a new metric breaks the contract.
 func TestMetricNameLint(t *testing.T) {
-	e := buildTestEngine(t, true)
-	srv := New(e, telemetry.NewRegistry())
+	srv, _ := buildTestServer(t, true, telemetry.NewRegistry())
 	srv.SetInfo("lint", "1")
 	_ = srv.Handler()
 	telemetry.SetBuildInfo(nil)

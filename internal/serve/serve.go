@@ -1,7 +1,7 @@
-// Package serve is the HTTP surface of a NeuroLPM engine: lookups over
-// HTTP, Prometheus-format /metrics backed by the telemetry registry (also
-// published through expvar at /debug/vars), net/http/pprof, and a
-// /trace?key= endpoint returning one fully-annotated query span as JSON.
+// Package serve is the HTTP surface of a NeuroLPM engine: lookups and rule
+// updates over HTTP, Prometheus-format /metrics backed by the telemetry
+// registry (also published through expvar at /debug/vars), net/http/pprof,
+// and a /trace?key= endpoint returning one fully-annotated query span as JSON.
 // cmd/lpmserve wraps it into a daemon; lpmbench and lpmquery mount the
 // metrics-only subset behind their -metrics flag.
 package serve
@@ -19,37 +19,26 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
-	"neurolpm/internal/lcache"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/plane"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
 )
 
-// Server serves one engine — or, in sharded mode, a ShardedUpdatable whose
-// per-shard balance and rebuild telemetry ride the same /metrics surface.
-// Lookups run concurrently (engines are read-only at query time; sharded
-// commits swap snapshots atomically); the DRAM-path memory model is either
-// the thread-safe Uncached tally or a mutex-guarded cache.
+// Server serves a ShardedUpdatable — one shard is the degenerate case, not a
+// separate mode — whose per-shard balance and rebuild telemetry ride the same
+// /metrics surface. Lookups run concurrently with each other and with updates
+// (commits swap engine snapshots atomically).
 type Server struct {
-	eng *core.Engine            // single-engine mode; nil in sharded mode
-	sh  *shard.ShardedUpdatable // sharded mode; nil in single-engine mode
+	sh  *shard.ShardedUpdatable
 	reg *telemetry.Registry
 
-	mu    sync.Mutex // guards cache when non-nil
-	cache *cachesim.Cache
+	// plain tallies the DRAM traffic of /trace's spanned lookups.
 	plain *cachesim.Uncached
-
-	// rcache is the single-engine result-cache plane (DESIGN.md §12): each
-	// request checks a cache out of the pool, owns it for the request, and
-	// returns it — no locks on the probe path. In sharded mode the plane
-	// lives inside the shard router (EnableCache) and this stays nil.
-	rcache *lcache.Pool
 
 	// stack is the lookup-plane stack the endpoints serve (DESIGN.md §14):
 	// compiled-uncached by default, with the cache-probe plane prepended by
@@ -57,43 +46,45 @@ type Server struct {
 	// through the stack executors with this configuration, /trace reports it.
 	stack plane.StackConfig
 
-	// info accumulates the neurolpm_build_info labels (mode, shards,
-	// cache-bytes, ...); guarded by mu.
-	info map[string]string
+	mu   sync.Mutex        // guards info
+	info map[string]string // the neurolpm_build_info labels (shards, cache-bytes, ...)
 }
 
-// New wraps an engine. reg is the registry /metrics renders; pass
+// NewSharded wraps a sharded updatable engine: /lookup and /batch route
+// through the shard fan-out (and see pending delta-buffer rules), /update
+// feeds the delta buffers, /trace spans the key's sub-engine, /healthz
+// aggregates across shards. reg is the registry /metrics renders; pass
 // telemetry.Default to expose the engine's always-on instrumentation.
-func New(eng *core.Engine, reg *telemetry.Registry) *Server {
-	s := &Server{eng: eng, reg: reg, plain: &cachesim.Uncached{}}
+func NewSharded(sh *shard.ShardedUpdatable, reg *telemetry.Registry) *Server {
+	s := &Server{sh: sh, reg: reg, plain: &cachesim.Uncached{}}
 	s.plain.Stats() // initialize the tally before concurrent use
 	s.plain.Register(reg, "neurolpm_serve_dram")
 	telemetry.PublishExpvar()
 	telemetry.StartRotor()
-	s.SetInfo("mode", "single")
 	s.SetInfo("stack", s.stack.String())
-	s.registerSingleObserverGauges()
+	s.SetInfo("shards", strconv.Itoa(sh.Shards()))
+	bank := reg.GaugeVec("neurolpm_inference_bank_bytes",
+		"Coefficient-bank bytes of each inference plane, summed over shards (float32 compiled vs int16 quantized)", "plane")
+	bank.Set("compiled", func() float64 {
+		return s.sumShards(func(e *core.Engine) int { return e.Compiled().BankBytes() })
+	})
+	bank.Set("quantized", func() float64 {
+		return s.sumShards(func(e *core.Engine) int { return e.Quantized().BankBytes() })
+	})
 	return s
 }
 
-// NewSharded wraps a sharded updatable engine: /lookup and /batch route
-// through the shard fan-out (and see pending delta-buffer rules), /trace
-// spans the key's sub-engine, /healthz aggregates across shards. The
-// simulated-cache path is a single-engine feature and is not available.
-func NewSharded(sh *shard.ShardedUpdatable, reg *telemetry.Registry) *Server {
-	s := &Server{sh: sh, reg: reg, plain: &cachesim.Uncached{}}
-	s.plain.Stats()
-	s.plain.Register(reg, "neurolpm_serve_dram")
-	telemetry.PublishExpvar()
-	telemetry.StartRotor()
-	s.SetInfo("mode", "sharded")
-	s.SetInfo("stack", s.stack.String())
-	s.SetInfo("shards", strconv.Itoa(sh.Shards()))
-	return s
+// sumShards totals one per-engine size over every shard's live engine.
+func (s *Server) sumShards(size func(*core.Engine) int) float64 {
+	total := 0
+	for i := 0; i < s.sh.Shards(); i++ {
+		total += size(s.sh.Engine(i))
+	}
+	return float64(total)
 }
 
 // SetInfo adds (or replaces) one neurolpm_build_info label and republishes
-// the metric. The constructors seed mode/shards; cmd/lpmserve adds its
+// the metric. NewSharded seeds stack/shards; cmd/lpmserve adds its
 // configuration (rules, cache-bytes, flight-sample).
 func (s *Server) SetInfo(key, value string) {
 	s.mu.Lock()
@@ -107,59 +98,6 @@ func (s *Server) SetInfo(key, value string) {
 	}
 	s.mu.Unlock()
 	telemetry.SetBuildInfo(cp)
-}
-
-// registerSingleObserverGauges publishes the per-shard observability gauges
-// for single-engine mode under shard label "0" (the sharded builders
-// register the real per-shard families; the names and label must match).
-func (s *Server) registerSingleObserverGauges() {
-	s.reg.GaugeVec("neurolpm_model_drift",
-		"Observed p99 secondary-search probes over the last minute divided by the compiled probe ceiling (→1 = bound headroom consumed; retrain signal)", "shard").
-		Set("0", func() float64 { return s.eng.DriftMeter().Drift() })
-	s.reg.GaugeVec("neurolpm_model_probe_bound",
-		"Compiled worst-case secondary-search probes for the shard's live model", "shard").
-		Set("0", func() float64 { return float64(s.eng.DriftMeter().Bound()) })
-	s.reg.GaugeVec("neurolpm_bucket_hotness_skew",
-		"Fraction of sampled bucket accesses landing in the hottest 10% of buckets (decaying window)", "shard").
-		Set("0", func() float64 { return s.eng.HotSketch().Skew() })
-	s.reg.GaugeVec("neurolpm_tier_resident_buckets",
-		"Fast-tier-resident buckets in the shard's live engine (total buckets when untiered)", "shard").
-		Set("0", func() float64 {
-			if t := s.eng.TierStore(); t != nil {
-				return float64(t.Stats().FastResident)
-			}
-			if d := s.eng.Directory(); d != nil {
-				return float64((d.Array().Len() + d.K - 1) / d.K)
-			}
-			return 0
-		})
-	s.reg.GaugeVec("neurolpm_tier_fast_bytes",
-		"Fast-tier-resident bucket-array bytes in the shard's live engine", "shard").
-		Set("0", func() float64 {
-			if t := s.eng.TierStore(); t != nil {
-				return float64(t.Stats().FastBytes)
-			}
-			return float64(s.eng.DRAMFootprint())
-		})
-	bank := s.reg.GaugeVec("neurolpm_inference_bank_bytes",
-		"Coefficient-bank bytes of each inference plane (float32 compiled vs int16 quantized)", "plane")
-	bank.Set("compiled", func() float64 { return float64(s.eng.Compiled().BankBytes()) })
-	bank.Set("quantized", func() float64 { return float64(s.eng.Quantized().BankBytes()) })
-}
-
-// width returns the served key bit width in either mode.
-func (s *Server) width() int {
-	if s.sh != nil {
-		return s.sh.Width()
-	}
-	return s.eng.Width()
-}
-
-// UseCache routes DRAM accesses through a simulated SRAM cache (serialized
-// by a mutex — the LRU state is not lock-free) and registers its counters.
-func (s *Server) UseCache(c *cachesim.Cache) {
-	s.cache = c
-	c.Register(s.reg, "neurolpm_serve_cache")
 }
 
 // UseInference selects the inference plane every query endpoint routes
@@ -182,91 +120,8 @@ func (s *Server) UseResultCache(bytes int) {
 	}
 	s.stack.Cached = true
 	s.SetInfo("stack", s.stack.String())
-	defer s.SetInfo("cache_bytes", strconv.Itoa(bytes))
-	if s.sh != nil {
-		s.sh.EnableCache(bytes)
-		return
-	}
-	s.rcache = lcache.NewPool(bytes)
-}
-
-// StartTierRebalancer launches the background tier placement loop (the
-// -cold-tier flag): every interval the served engines run one rebalance
-// pass — sketch-driven demotions, burst-driven promotions, migrations
-// published through the cache epoch. In sharded mode the loop rides the
-// shard router's lifecycle (stopped by its Close); in single-engine mode the
-// returned stop function ends it. interval ≤ 0 selects 1s. No-op on
-// untiered engines beyond the timer tick.
-func (s *Server) StartTierRebalancer(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if s.sh != nil {
-		s.sh.StartTierRebalancer(interval)
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				s.eng.RebalanceTier()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// resultCacheEnabled reports whether the result-cache plane is live in the
-// current mode (/lookup and /trace include the "cache" field only then).
-func (s *Server) resultCacheEnabled() bool {
-	if s.sh != nil {
-		return s.sh.CacheEnabled()
-	}
-	return s.rcache != nil
-}
-
-// cachedLookup answers k through the single-engine result cache: the epoch
-// is loaded before the engine runs, hits skip the pipeline entirely, misses
-// and stale entries run the configured memory-model path and refill.
-func (s *Server) cachedLookup(k keys.Value) (core.Trace, lcache.Outcome) {
-	c := s.rcache.Get()
-	defer s.rcache.Put(c)
-	if c.Bypassed(1) {
-		tr, _ := s.lookup(k, false)
-		return tr, lcache.None
-	}
-	epoch := s.eng.CacheEpoch().Load()
-	a, m, o := c.Get(k, epoch)
-	if o == lcache.Hit {
-		return core.Trace{Action: a, Matched: m}, o
-	}
-	tr, _ := s.lookup(k, false)
-	c.Put(k, epoch, tr.Action, tr.Matched)
-	return tr, o
-}
-
-// read routes one query's DRAM traffic through the configured memory model
-// and its inference through the stack's selected plane.
-func (s *Server) lookup(k keys.Value, traced bool) (core.Trace, *telemetry.Span) {
-	if s.cache != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if traced {
-			tr, sp := s.eng.LookupSpanInfer(s.stack.Inference, k, s.cache)
-			return tr, sp
-		}
-		return s.eng.LookupMemInfer(s.stack.Inference, k, s.cache), nil
-	}
-	if traced {
-		return s.eng.LookupSpanInfer(s.stack.Inference, k, s.plain)
-	}
-	return s.eng.LookupMemInfer(s.stack.Inference, k, s.plain), nil
+	s.SetInfo("cache_bytes", strconv.Itoa(bytes))
+	s.sh.EnableCache(bytes)
 }
 
 // Handler returns the full mux: /lookup, /batch, /trace, /metrics, /slo,
@@ -326,113 +181,76 @@ func writeRuntimeMetrics(w http.ResponseWriter) {
 }
 
 // lookupResponse is the /lookup JSON shape. Cache reports the result-cache
-// outcome ("hit" | "miss" | "stale" | "off") when the plane is enabled; a
-// hit answers without the pipeline, so its paper-unit fields are zero.
+// outcome ("hit" | "miss" | "stale" | "off") when the plane is enabled.
 type lookupResponse struct {
-	Key        string `json:"key"`
-	Matched    bool   `json:"matched"`
-	Action     uint64 `json:"action"`
-	SRAMProbes int    `json:"sram_probes"`
-	ErrorBound int    `json:"error_bound"`
-	BucketRead bool   `json:"bucket_read"`
-	DRAMBytes  int    `json:"dram_bytes"`
-	Cache      string `json:"cache,omitempty"`
+	Key     string `json:"key"`
+	Matched bool   `json:"matched"`
+	Action  uint64 `json:"action"`
+	Cache   string `json:"cache,omitempty"`
+}
+
+// traceLookup is /trace's lookup section: the answer plus the paper-unit
+// fields of the spanned sub-engine query.
+type traceLookup struct {
+	lookupResponse
+	SRAMProbes int  `json:"sram_probes"`
+	ErrorBound int  `json:"error_bound"`
+	BucketRead bool `json:"bucket_read"`
+	DRAMBytes  int  `json:"dram_bytes"`
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	k, err := ParseKey(r.URL.Query().Get("key"), s.width())
+	k, err := ParseKey(r.URL.Query().Get("key"), s.sh.Width())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.sh != nil {
-		// One stack-executor call serves both the cached and uncached
-		// configurations; the cache-outcome field appears only when the
-		// plane is part of the served stack.
-		action, ok, o := s.sh.LookupStack(s.stack, k)
-		resp := lookupResponse{Key: k.String(), Matched: ok, Action: action}
-		if s.stack.Cached {
-			resp.Cache = o.String()
-		}
-		writeJSON(w, resp)
-		return
+	// One stack-executor call serves both the cached and uncached
+	// configurations; the cache-outcome field appears only when the plane is
+	// part of the served stack.
+	action, ok, o := s.sh.LookupStack(s.stack, k)
+	resp := lookupResponse{Key: k.String(), Matched: ok, Action: action}
+	if s.stack.Cached {
+		resp.Cache = o.String()
 	}
-	if s.rcache != nil {
-		tr, o := s.cachedLookup(k)
-		writeJSON(w, lookupResponse{
-			Key:        k.String(),
-			Matched:    tr.Matched,
-			Action:     tr.Action,
-			SRAMProbes: tr.SRAMProbes,
-			ErrorBound: tr.Prediction.Err,
-			BucketRead: tr.BucketRead,
-			DRAMBytes:  tr.DRAMBytes,
-			Cache:      o.String(),
-		})
-		return
-	}
-	tr, _ := s.lookup(k, false)
-	writeJSON(w, lookupResponse{
-		Key:        k.String(),
-		Matched:    tr.Matched,
-		Action:     tr.Action,
-		SRAMProbes: tr.SRAMProbes,
-		ErrorBound: tr.Prediction.Err,
-		BucketRead: tr.BucketRead,
-		DRAMBytes:  tr.DRAMBytes,
-	})
+	writeJSON(w, resp)
 }
 
 // traceResponse is the /trace JSON shape: the paper-units trace plus the
 // timed span. Stack names the lookup-plane stack the server routes queries
 // through (DESIGN.md §14); the span's stage names are the stack's stages.
 type traceResponse struct {
-	Lookup lookupResponse  `json:"lookup"`
+	Lookup traceLookup     `json:"lookup"`
 	Stack  string          `json:"stack"`
 	Span   *telemetry.Span `json:"span"`
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	k, err := ParseKey(r.URL.Query().Get("key"), s.width())
+	k, err := ParseKey(r.URL.Query().Get("key"), s.sh.Width())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	var (
-		tr      core.Trace
-		sp      *telemetry.Span
-		outcome string
-	)
 	// With the result cache enabled, classify the query first (serving and
 	// filling through the cache plane exactly as /lookup would) and then run
 	// the annotated span regardless — /trace exists to show the pipeline, so
 	// a hit still spans. The duplicated pipeline work on a miss is fine for a
 	// debug endpoint.
-	if s.sh != nil {
-		if s.stack.Cached {
-			_, _, o := s.sh.LookupStack(s.stack, k)
-			outcome = o.String()
-		}
-		// Span the key's sub-engine directly; the delta-buffer overlay is
-		// not part of the traced hardware path.
-		tr, sp = s.sh.Engine(s.sh.ShardOf(k)).LookupSpanInfer(s.stack.Inference, k, s.plain)
-	} else {
-		if s.rcache != nil {
-			_, o := s.cachedLookup(k)
-			outcome = o.String()
-		}
-		tr, sp = s.lookup(k, true)
+	var outcome string
+	if s.stack.Cached {
+		_, _, o := s.sh.LookupStack(s.stack, k)
+		outcome = o.String()
 	}
+	// Span the key's sub-engine directly; the delta-buffer overlay is not
+	// part of the traced hardware path.
+	tr, sp := s.sh.Engine(s.sh.ShardOf(k)).LookupSpan(s.stack.Inference, k, s.plain)
 	writeJSON(w, traceResponse{
-		Lookup: lookupResponse{
-			Key:        k.String(),
-			Matched:    tr.Matched,
-			Action:     tr.Action,
-			SRAMProbes: tr.SRAMProbes,
-			ErrorBound: tr.Prediction.Err,
-			BucketRead: tr.BucketRead,
-			DRAMBytes:  tr.DRAMBytes,
-			Cache:      outcome,
+		Lookup: traceLookup{
+			lookupResponse: lookupResponse{Key: k.String(), Matched: tr.Matched, Action: tr.Action, Cache: outcome},
+			SRAMProbes:     tr.SRAMProbes,
+			ErrorBound:     tr.Prediction.Err,
+			BucketRead:     tr.BucketRead,
+			DRAMBytes:      tr.DRAMBytes,
 		},
 		Stack: s.stack.String(),
 		Span:  sp,
@@ -456,9 +274,8 @@ type batchResult struct {
 }
 
 // handleBatch resolves many keys in one request: GET /batch?keys=a,b,c or
-// POST /batch with {"keys": ["10.0.0.1", ...]}. In sharded mode the batch
-// fans out across the shard worker pool; in single-engine mode it loops the
-// engine — either way one HTTP round-trip amortizes over the whole batch.
+// POST /batch with {"keys": ["10.0.0.1", ...]}. The batch fans out across the
+// shard worker pool; one HTTP round-trip amortizes over the whole batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var raw []string
 	switch r.Method {
@@ -496,7 +313,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ks := make([]keys.Value, len(raw))
 	for i, txt := range raw {
-		k, err := ParseKey(strings.TrimSpace(txt), s.width())
+		k, err := ParseKey(strings.TrimSpace(txt), s.sh.Width())
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("key %d: %w", i, err))
 			return
@@ -526,52 +343,15 @@ type batchScratch struct {
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 
 // batchStack resolves ks through the served lookup-plane stack, appending the
-// positional answers into dst. It is the one batch entry point shared by the
-// HTTP /batch handler and the wire server's coalescer (DESIGN.md §17), and is
-// safe for concurrent use in every mode.
+// positional answers into dst: the batch splits across the shard worker pool
+// and sees pending delta-buffer rules. It is the one batch entry point shared
+// by the HTTP /batch handler and the wire server's coalescer (DESIGN.md §17),
+// and is safe for concurrent use.
 func (s *Server) batchStack(ks []keys.Value, dst []shard.Result) []shard.Result {
-	switch {
-	case s.sh != nil:
-		// The sharded fan-out: the batch splits across the shard worker pool
-		// and sees pending delta-buffer rules.
-		return append(dst, s.sh.LookupBatchStack(s.stack, ks)...)
-	case s.cache == nil:
-		// The unified batch stack. With the cache-probe plane in the served
-		// stack, a cache is checked out of the pool for the whole batch
-		// (probe every key, resolve only the misses through the pipelined
-		// blocks, fill on the way out); otherwise the uncached pipeline runs
-		// with DRAM traffic still tallied by the uncached model.
-		var c *lcache.Cache
-		var epoch uint64
-		if s.stack.Cached && s.rcache != nil {
-			c = s.rcache.Get()
-			defer s.rcache.Put(c)
-			epoch = s.eng.CacheEpoch().Load()
-		}
-		bs := engineBatchPool.Get().(*engineBatch)
-		bs.res = s.eng.LookupBatchStack(s.stack, ks, bs.res[:0], s.plain, c, epoch)
-		for _, r := range bs.res {
-			dst = append(dst, shard.Result{Action: r.Action, Matched: r.Matched})
-		}
-		engineBatchPool.Put(bs)
-		return dst
-	default:
-		// The cache-sim path stays per-key: every bucket read must pass
-		// through the mutex-guarded LRU model.
-		for _, k := range ks {
-			tr, _ := s.lookup(k, false)
-			dst = append(dst, shard.Result{Action: tr.Action, Matched: tr.Matched})
-		}
-		return dst
-	}
+	return append(dst, s.sh.LookupBatchStack(s.stack, ks)...)
 }
 
-// engineBatch pools the single-engine batch executor's out-slice.
-type engineBatch struct{ res []core.BatchResult }
-
-var engineBatchPool = sync.Pool{New: func() any { return &engineBatch{} }}
-
-// shardHealth is the per-shard entry in the sharded /healthz response.
+// shardHealth is the per-shard entry in the /healthz response.
 type shardHealth struct {
 	Shard               int    `json:"shard"`
 	Health              string `json:"health"`
@@ -583,71 +363,57 @@ type shardHealth struct {
 	LastError           string `json:"last_error,omitempty"`
 }
 
-// handleHealthz reports liveness. In sharded mode it carries the update
-// plane's per-shard state (DESIGN.md §11): the aggregate status is the
+// handleHealthz reports liveness and carries the update plane's per-shard
+// state (DESIGN.md §11): the aggregate status is the
 // worst shard's health, and the endpoint answers 503 only once some
 // shard's staleness exceeds the configured budget — a merely degraded
 // engine still serves correct answers from the last good engines plus the
 // delta overlay, so load balancers should keep it in rotation.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.sh != nil {
-		sramBytes, dramBytes, ranges := 0, 0, 0
-		for i := 0; i < s.sh.Shards(); i++ {
-			e := s.sh.Engine(i)
-			sramBytes += e.SRAMUsage().Total
-			dramBytes += e.DRAMFootprint()
-			ranges += e.Ranges().Len()
-		}
-		worst := shard.Healthy
-		states := make([]shardHealth, 0, s.sh.Shards())
-		for _, st := range s.sh.Statuses() {
-			if st.Health > worst {
-				worst = st.Health
-			}
-			h := shardHealth{
-				Shard:               st.Shard,
-				Health:              st.Health.String(),
-				Pending:             st.Pending,
-				ConsecutiveFailures: st.ConsecutiveFailures,
-				StaleForMs:          st.StaleFor.Milliseconds(),
-				Commits:             st.Commits,
-				Failures:            st.Failures,
-			}
-			if st.LastErr != nil {
-				h.LastError = st.LastErr.Error()
-			}
-			states = append(states, h)
-		}
-		status, code := "ok", http.StatusOK
-		switch worst {
-		case shard.Degraded:
-			status = "degraded"
-		case shard.Stale:
-			status, code = "stale", http.StatusServiceUnavailable
-		}
-		writeJSONStatus(w, code, map[string]any{
-			"status":          status,
-			"width":           s.sh.Width(),
-			"shards":          s.sh.Shards(),
-			"shard_health":    states,
-			"stale_budget_ms": s.sh.StaleBudget().Milliseconds(),
-			"ranges":          ranges,
-			"sram_bytes":      sramBytes,
-			"dram_bytes":      dramBytes,
-			"pending_inserts": s.sh.PendingInserts(),
-		})
-		return
+	sramBytes, dramBytes, ranges := 0, 0, 0
+	for i := 0; i < s.sh.Shards(); i++ {
+		e := s.sh.Engine(i)
+		sramBytes += e.SRAMUsage().Total
+		dramBytes += e.DRAMFootprint()
+		ranges += e.Ranges().Len()
 	}
-	u := s.eng.SRAMUsage()
-	writeJSON(w, map[string]any{
-		"status":          "ok",
-		"width":           s.eng.Width(),
-		"bucketized":      s.eng.Bucketized(),
-		"ranges":          s.eng.Ranges().Len(),
-		"sram_bytes":      u.Total,
-		"dram_bytes":      s.eng.DRAMFootprint(),
-		"model_max_err":   s.eng.Model().MaxErr(),
-		"worst_case_dram": s.eng.WorstCaseDRAMAccesses(),
+	worst := shard.Healthy
+	states := make([]shardHealth, 0, s.sh.Shards())
+	for _, st := range s.sh.Statuses() {
+		if st.Health > worst {
+			worst = st.Health
+		}
+		h := shardHealth{
+			Shard:               st.Shard,
+			Health:              st.Health.String(),
+			Pending:             st.Pending,
+			ConsecutiveFailures: st.ConsecutiveFailures,
+			StaleForMs:          st.StaleFor.Milliseconds(),
+			Commits:             st.Commits,
+			Failures:            st.Failures,
+		}
+		if st.LastErr != nil {
+			h.LastError = st.LastErr.Error()
+		}
+		states = append(states, h)
+	}
+	status, code := "ok", http.StatusOK
+	switch worst {
+	case shard.Degraded:
+		status = "degraded"
+	case shard.Stale:
+		status, code = "stale", http.StatusServiceUnavailable
+	}
+	writeJSONStatus(w, code, map[string]any{
+		"status":          status,
+		"width":           s.sh.Width(),
+		"shards":          s.sh.Shards(),
+		"shard_health":    states,
+		"stale_budget_ms": s.sh.StaleBudget().Milliseconds(),
+		"ranges":          ranges,
+		"sram_bytes":      sramBytes,
+		"dram_bytes":      dramBytes,
+		"pending_inserts": s.sh.PendingInserts(),
 	})
 }
 
@@ -664,15 +430,10 @@ type updateRequest struct {
 // (§6.5): inserts and deletes are visible to queries immediately, the
 // retrain happens in the background committer. Backpressure is explicit —
 // a full delta buffer answers 429 so clients slow down instead of the
-// committer falling further behind. Single-engine mode has no update plane
-// and answers 501.
+// committer falling further behind.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	if s.sh == nil {
-		httpError(w, http.StatusNotImplemented, fmt.Errorf("updates require sharded mode (run with -shards)"))
 		return
 	}
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
@@ -686,7 +447,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("trailing data after JSON body"))
 		return
 	}
-	prefix, err := ParseKey(req.Prefix, s.width())
+	prefix, err := ParseKey(req.Prefix, s.sh.Width())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("prefix: %w", err))
 		return

@@ -15,6 +15,7 @@ import (
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/rqrmi"
+	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
 )
 
@@ -54,13 +55,24 @@ func buildTestRuleSet(t testing.TB) *lpm.RuleSet {
 	return rs
 }
 
-func buildTestEngine(t testing.TB, bucketized bool) *core.Engine {
+// buildOneShard builds the degenerate topology over the test rule-set — one
+// shard, nothing pending, no committer — and closes it with the test.
+func buildOneShard(t testing.TB, bucketized bool) *shard.ShardedUpdatable {
 	t.Helper()
-	e, err := core.Build(buildTestRuleSet(t), quickConfig(bucketized))
+	sh, err := shard.BuildUpdatable(buildTestRuleSet(t), quickConfig(bucketized), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	t.Cleanup(func() { sh.Close() })
+	return sh
+}
+
+// buildTestServer serves one shard through reg and returns the shard's engine
+// beside it, for tests that compare endpoint answers with direct lookups.
+func buildTestServer(t testing.TB, bucketized bool, reg *telemetry.Registry) (*Server, *core.Engine) {
+	t.Helper()
+	sh := buildOneShard(t, bucketized)
+	return NewSharded(sh, reg), sh.Engine(0)
 }
 
 func TestParseKey(t *testing.T) {
@@ -97,8 +109,8 @@ func TestParseKey(t *testing.T) {
 }
 
 func TestEndpoints(t *testing.T) {
-	e := buildTestEngine(t, true)
-	srv := httptest.NewServer(New(e, telemetry.Default).Handler())
+	s, e := buildTestServer(t, true, telemetry.Default)
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -134,9 +146,6 @@ func TestEndpoints(t *testing.T) {
 	if lr.Matched != ok || (ok && lr.Action != action) {
 		t.Fatalf("/lookup (%d,%v) disagrees with engine (%d,%v)", lr.Action, lr.Matched, action, ok)
 	}
-	if !lr.BucketRead || lr.DRAMBytes <= 0 {
-		t.Fatalf("/lookup on a bucketized engine reported no DRAM fetch: %+v", lr)
-	}
 
 	// Missing and malformed keys are client errors.
 	if code, _ = get("/lookup"); code != http.StatusBadRequest {
@@ -157,6 +166,9 @@ func TestEndpoints(t *testing.T) {
 	}
 	if tr.Span == nil || tr.Span.TotalNs <= 0 {
 		t.Fatalf("/trace span missing timing: %q", body)
+	}
+	if !tr.Lookup.BucketRead || tr.Lookup.DRAMBytes <= 0 {
+		t.Fatalf("/trace on a bucketized engine reported no DRAM fetch: %+v", tr.Lookup)
 	}
 	var stages []string
 	for _, st := range tr.Span.Stages {
@@ -200,8 +212,8 @@ func TestEndpoints(t *testing.T) {
 // another scrapes /metrics and /trace — the acceptance scenario, run under
 // -race in CI.
 func TestConcurrentLookupsAndScrapes(t *testing.T) {
-	e := buildTestEngine(t, true)
-	srv := httptest.NewServer(New(e, telemetry.Default).Handler())
+	s, _ := buildTestServer(t, true, telemetry.Default)
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	lookups := telemetry.Default.Counter("neurolpm_lookups_total", "")

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"time"
 
-	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lcache"
 	"neurolpm/internal/telemetry"
@@ -97,16 +96,11 @@ func sloCore(r *http.Request) (sloResponse, error) {
 	return resp, nil
 }
 
-// shardRows collects the per-shard drift/hotness section in either mode
-// (single-engine mode reports as shard 0).
+// shardRows collects the per-shard drift/hotness section.
 func (s *Server) shardRows() []sloShard {
-	n, at := 1, func(int) *core.Engine { return s.eng }
-	if s.sh != nil {
-		n, at = s.sh.Shards(), s.sh.Engine
-	}
-	rows := make([]sloShard, n)
-	for i := 0; i < n; i++ {
-		e := at(i)
+	rows := make([]sloShard, s.sh.Shards())
+	for i := range rows {
+		e := s.sh.Engine(i)
 		rows[i] = sloShard{
 			Shard:       i,
 			Drift:       e.DriftMeter().Drift(),
@@ -260,22 +254,11 @@ func (s *Server) handleHotness(w http.ResponseWriter, r *http.Request) {
 		}
 		shardIdx = i
 	}
-	var e *core.Engine
-	switch {
-	case s.sh != nil:
-		if shardIdx < 0 || shardIdx >= s.sh.Shards() {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("shard %d out of range [0,%d)", shardIdx, s.sh.Shards()))
-			return
-		}
-		e = s.sh.Engine(shardIdx)
-	default:
-		if shardIdx != 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("single-engine mode has only shard 0"))
-			return
-		}
-		e = s.eng
+	if shardIdx < 0 || shardIdx >= s.sh.Shards() {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("shard %d out of range [0,%d)", shardIdx, s.sh.Shards()))
+		return
 	}
-	hs := e.HotSketch()
+	hs := s.sh.Engine(shardIdx).HotSketch()
 	n, err := parseN(r, 20, hs.Slots())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)

@@ -31,8 +31,8 @@ func drive(t *testing.T, lookup func(keys.Value), n int) {
 
 func TestSLOEndpoint(t *testing.T) {
 	withFlightSampling(t)
-	e := buildTestEngine(t, true)
-	h := New(e, telemetry.NewRegistry()).Handler()
+	srv, e := buildTestServer(t, true, telemetry.NewRegistry())
+	h := srv.Handler()
 	drive(t, func(k keys.Value) { e.Lookup(k) }, 500)
 
 	var resp sloResponse
@@ -89,8 +89,8 @@ func TestSLOEndpoint(t *testing.T) {
 func TestFlightRecAndSlowEndpoints(t *testing.T) {
 	withFlightSampling(t)
 	telemetry.Flight.ResetSlow()
-	e := buildTestEngine(t, true)
-	h := New(e, telemetry.NewRegistry()).Handler()
+	srv, e := buildTestServer(t, true, telemetry.NewRegistry())
+	h := srv.Handler()
 	drive(t, func(k keys.Value) { e.Lookup(k) }, 300)
 
 	var fresp flightResponse
@@ -151,8 +151,8 @@ func TestFlightRecAndSlowEndpoints(t *testing.T) {
 }
 
 func TestHotnessEndpoint(t *testing.T) {
-	e := buildTestEngine(t, true)
-	h := New(e, telemetry.NewRegistry()).Handler()
+	srv, e := buildTestServer(t, true, telemetry.NewRegistry())
+	h := srv.Handler()
 	// The sketch samples 1:64, so a few thousand lookups guarantee touches.
 	drive(t, func(k keys.Value) { e.Lookup(k) }, 2048)
 
@@ -175,7 +175,7 @@ func TestHotnessEndpoint(t *testing.T) {
 		}
 	}
 
-	// Single-engine mode has only shard 0; bad parameters are 400s.
+	// One shard has only shard 0; bad parameters are 400s.
 	for _, bad := range []string{"?shard=1", "?shard=-1", "?shard=abc", "?n=0", "?n=-2", "?n=z"} {
 		if rec := getJSON(t, h, "/debug/hotness"+bad, nil); rec.Code != http.StatusBadRequest {
 			t.Errorf("/debug/hotness%s = %d, want 400", bad, rec.Code)
@@ -238,8 +238,8 @@ func itoa(i int) string {
 // windowed histograms, drift meter and hot sketch all being read mid-write.
 func TestConcurrentLookupsAndSLOReads(t *testing.T) {
 	withFlightSampling(t)
-	e := buildTestEngine(t, true)
-	h := New(e, telemetry.NewRegistry()).Handler()
+	srv, e := buildTestServer(t, true, telemetry.NewRegistry())
+	h := srv.Handler()
 
 	stop := make(chan struct{})
 	var writers, readers sync.WaitGroup

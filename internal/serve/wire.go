@@ -301,10 +301,6 @@ func (c *wireConn) handleUpdate(f wire.Frame) {
 		return
 	}
 	s := c.ws.s
-	if s.sh == nil {
-		c.sendErr(f.ID, wire.ErrNotImplemented, "updates require sharded mode (run with -shards)")
-		return
-	}
 	switch u.Op {
 	case wire.UpdateInsert:
 		err = s.sh.Insert(lpm.Rule{Prefix: u.Prefix, Len: u.Len, Action: u.Action})

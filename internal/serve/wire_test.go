@@ -107,11 +107,11 @@ func TestWireServerMatchesOracle(t *testing.T) {
 	_ = sh
 }
 
-// TestWireSingleEngineMode exercises the coalescer against a single-engine
-// server (no updates there — must answer ErrNotImplemented, not hang).
+// TestWireSingleEngineMode exercises the coalescer and the update frames
+// against one shard — the degenerate topology, a single engine behind the
+// router — which must serve both like any other shard count.
 func TestWireSingleEngineMode(t *testing.T) {
-	eng := buildTestEngine(t, true)
-	srv := New(eng, telemetry.NewRegistry())
+	srv, eng := buildTestServer(t, true, telemetry.NewRegistry())
 	addr, _, _ := startWire(t, srv, 0, true)
 
 	c, err := wire.Dial(addr, time.Second)
@@ -119,7 +119,7 @@ func TestWireSingleEngineMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	k := keys.FromUint64(0x10203040)
+	k := freeKey32(t, buildTestRuleSet(t), 0)
 	res, err := c.Lookup(k)
 	if err != nil {
 		t.Fatal(err)
@@ -128,10 +128,12 @@ func TestWireSingleEngineMode(t *testing.T) {
 	if res.Matched != ok || (ok && res.Action != action) {
 		t.Fatalf("wire (%d,%v) disagrees with engine (%d,%v)", res.Action, res.Matched, action, ok)
 	}
-	_, err = c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 1})
-	re, isRemote := err.(*wire.RemoteError)
-	if !isRemote || re.Code != wire.ErrNotImplemented {
-		t.Fatalf("update on single-engine mode: %v, want ErrNotImplemented", err)
+	pending, err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 4242})
+	if err != nil || pending != 1 {
+		t.Fatalf("update on one shard = (%d pending, %v), want (1, nil)", pending, err)
+	}
+	if res, err = c.Lookup(k); err != nil || !res.Matched || res.Action != 4242 {
+		t.Fatalf("lookup after insert = (%+v, %v), want action 4242", res, err)
 	}
 }
 

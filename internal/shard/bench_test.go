@@ -10,18 +10,18 @@ import (
 // Benchmarks decompose batch throughput: engine lookup vs routed lookup vs
 // the full LookupBatch machinery. Run with -bench=. -benchmem.
 
-func benchSetup(b *testing.B, nShards int) (*core.Engine, *Sharded, []keys.Value) {
+func benchSetup(b *testing.B, nShards int) (*core.Engine, *ShardedUpdatable, []keys.Value) {
 	b.Helper()
 	rs := randomRuleSet(b, 32, 4096, 7)
 	eng, err := core.Build(rs, quickBucketed())
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh, err := Build(rs, quickBucketed(), nShards)
+	sh, err := BuildUpdatable(rs, quickBucketed(), nShards, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(sh.Close)
+	b.Cleanup(func() { sh.Close() })
 	return eng, sh, randomKeys(32, 4096, 9)
 }
 
@@ -58,10 +58,10 @@ func BenchmarkShardedLookupBatch256Scalar(b *testing.B) {
 	for i := 0; i < b.N; i += 256 {
 		lo := i % (len(ks) - 256)
 		batch := ks[lo : lo+256]
-		sh.lookupBatch(batch, func(shard, _ int, group []int32, out []Result) {
-			e := sh.engines[shard]
-			for _, idx := range group {
-				out[idx].Action, out[idx].Matched = e.Lookup(batch[idx])
+		sh.lookupBatch(batch, func(shard, _ int, gk []keys.Value, res []Result) {
+			e := sh.Engine(shard)
+			for i, k := range gk {
+				res[i].Action, res[i].Matched = e.Lookup(k)
 			}
 		})
 	}
@@ -92,7 +92,7 @@ func BenchmarkShardedLookupBatch256NoPoolDirect(b *testing.B) {
 	for i := 0; i < b.N; {
 		for s, g := range groups {
 			for _, k := range g {
-				sh.engines[s].Lookup(k)
+				sh.Engine(s).Lookup(k)
 				i++
 			}
 		}

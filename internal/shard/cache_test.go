@@ -14,13 +14,17 @@ import (
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lcache"
 	"neurolpm/internal/lpm"
+	"neurolpm/internal/plane"
 	"neurolpm/internal/telemetry"
 )
+
+// cachedStack is the production cached configuration (what LookupBatch runs).
+var cachedStack = plane.StackConfig{Cached: true}
 
 func TestShardedCachedBatchMatchesOracle(t *testing.T) {
 	const width = 32
 	rs := randomRuleSet(t, width, 2000, 21)
-	s, err := Build(rs, quickBucketed(), 4)
+	s, err := BuildUpdatable(rs, quickBucketed(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +59,18 @@ func TestShardedCachedBatchMatchesOracle(t *testing.T) {
 func TestShardedLookupCachedOutcomes(t *testing.T) {
 	const width = 32
 	rs := randomRuleSet(t, width, 500, 31)
-	s, err := Build(rs, quickBucketed(), 2)
+	s, err := BuildUpdatable(rs, quickBucketed(), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
 	k := randomKeys(width, 1, 33)[0]
-	if _, _, o := s.LookupCached(k); o != lcache.None {
+	if _, _, o := s.LookupStack(cachedStack, k); o != lcache.None {
 		t.Fatalf("outcome with the plane disabled = %v, want none/off", o)
 	}
 	s.EnableCache(32 << 10)
-	if _, _, o := s.LookupCached(k); o != lcache.Miss {
+	if _, _, o := s.LookupStack(cachedStack, k); o != lcache.Miss {
 		t.Fatalf("first cached probe = %v, want miss", o)
 	}
 	// sync.Pool may drop the worker cache between probes (GC runs more often
@@ -74,7 +78,7 @@ func TestShardedLookupCachedOutcomes(t *testing.T) {
 	// rather than on exactly the second one.
 	hit := false
 	for i := 0; i < 32 && !hit; i++ {
-		_, _, o := s.LookupCached(k)
+		_, _, o := s.LookupStack(cachedStack, k)
 		hit = o == lcache.Hit
 	}
 	if !hit {
@@ -106,7 +110,7 @@ func TestShardedLookupCachedOutcomes(t *testing.T) {
 	// the entry was re-filled fresh, so bump the epoch and probe again.
 	stale := false
 	for i := 0; i < 64 && !stale; i++ {
-		_, _, o := s.LookupCached(k)
+		_, _, o := s.LookupStack(cachedStack, k)
 		switch o {
 		case lcache.Stale:
 			stale = true
@@ -162,7 +166,7 @@ func TestShardedUpdatableCachedSequentialStorm(t *testing.T) {
 			}
 		}
 		for _, k := range hot {
-			got, ok, _ := u.LookupCached(k)
+			got, ok, _ := u.LookupStack(cachedStack, k)
 			want, wantOK := oracle.Lookup(k)
 			if ok != wantOK || (wantOK && got != want) {
 				t.Fatalf("%s: cached key %v: (%d,%v), oracle (%d,%v)", stage, k, got, ok, want, wantOK)
@@ -301,7 +305,7 @@ func TestConcurrentCachedReadersWithUpdates(t *testing.T) {
 					}
 				}
 				// The single-key cached path races the same updates.
-				a, ok, _ := u.LookupCached(probe.Prefix)
+				a, ok, _ := u.LookupStack(cachedStack, probe.Prefix)
 				probeSeen := ok && a == probe.Action
 				baseSeen := ok == baseOK && (!baseOK || a == baseAction)
 				if !probeSeen && !baseSeen {

@@ -175,7 +175,7 @@ func TestShardedCommitEqualsFreshBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Build(mergedSet, quickSRAMOnly(), 4)
+	fresh, err := BuildUpdatable(mergedSet, quickSRAMOnly(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,12 @@
 //     global one (better cache residency, smaller error bounds, fewer
 //     secondary-search probes);
 //   - incremental updates: a rule insertion only retrains the shard it
-//     lands in (ShardedUpdatable), never the full model — the §6.5 rebuild
-//     cost divided by the shard count.
+//     lands in, never the full model — the §6.5 rebuild cost divided by the
+//     shard count.
+//
+// ShardedUpdatable is the one sharded type and the one serving topology: a
+// single shard (no routing bits, no pool, the global model) is its degenerate
+// case, and a caller that never inserts simply never starts the committer.
 //
 // Correctness is preserved by replication: a rule shorter than the shard
 // prefix is installed in every shard it covers (exactly like a route
@@ -28,73 +32,27 @@ import (
 	"strconv"
 	"sync"
 
-	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
-	"neurolpm/internal/lcache"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/telemetry"
 )
 
-// Result is one LookupBatch answer.
-type Result struct {
-	Action  uint64
-	Matched bool
-}
+// Result is one LookupBatch answer: the engine's own batch result, so a
+// shard's engine writes its group's answers with no conversion.
+type Result = core.BatchResult
 
 // MaxShardBits bounds the partition so replication of short rules cannot
 // explode: 2^10 sub-engines is far past any plausible core count.
 const MaxShardBits = 10
 
-// Sharded is an immutable sharded engine: 2^shardBits independent
-// sub-engines, each built over the rules covering its key slice. It is safe
-// for concurrent lookups. For an updatable variant see ShardedUpdatable.
-type Sharded struct {
-	router
-	engines []*core.Engine
-}
-
-// router holds the key→shard mapping and the batch fan-out machinery shared
-// by Sharded and ShardedUpdatable.
+// router holds the key→shard mapping and the batch fan-out machinery.
 type router struct {
 	width     int
 	shardBits int
 	pool      *pool
 	loads     []padUint64 // per-shard lookups served (balance telemetry)
 	cache     *cachePlane // result-cache plane; nil until EnableCache
-}
-
-// Build partitions the rule-set into nShards sub-engines (a power of two,
-// ≥ 1) and trains each independently. Empty shards get a valid empty engine,
-// so routing never needs a nil check.
-func Build(rs *lpm.RuleSet, cfg core.Config, nShards int) (*Sharded, error) {
-	r, parts, err := plan(rs, nShards)
-	if err != nil {
-		return nil, err
-	}
-	engines, err := buildEngines(rs.Width, cfg, parts)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sharded{router: r, engines: engines}
-	s.registerGauges(func(i int) int { return engines[i].Ranges().Len() })
-	s.registerObserverGauges(func(i int) *core.Engine { return s.engines[i] })
-	return s, nil
-}
-
-// RebalanceTiers runs one tier placement pass on every shard (no-op for
-// untiered configurations) and returns the totals. The immutable sharded
-// engine has no background loop of its own — callers (experiments, tests)
-// drive passes explicitly; the serving layers use ShardedUpdatable's
-// StartTierRebalancer.
-func (s *Sharded) RebalanceTiers() (promoted, demoted int) {
-	for _, e := range s.engines {
-		p, d := e.RebalanceTier()
-		promoted += p
-		demoted += d
-	}
-	return promoted, demoted
 }
 
 // plan validates the shard count and returns the router plus the per-shard
@@ -207,117 +165,20 @@ func (r *router) Shards() int { return 1 << r.shardBits }
 // Width returns the key bit width.
 func (r *router) Width() int { return r.width }
 
-// ShardOf returns the shard index serving key k.
+// ShardOf returns the shard index serving key k. A key wider than the domain
+// goes to the last shard, where the engine sorts it above every bound.
 func (r *router) ShardOf(k keys.Value) int {
-	return int(k.Shr(uint(r.width - r.shardBits)).Uint64())
-}
-
-// Engine returns shard i's sub-engine (read-only use: stats, tracing).
-func (s *Sharded) Engine(i int) *core.Engine { return s.engines[i] }
-
-// Lookup routes k to its shard and returns the longest-prefix action. Like
-// every Lookup* variant it must answer exactly what the trie oracle answers
-// (the contract planetest's parameterized harness enforces across the full
-// stack matrix).
-func (s *Sharded) Lookup(k keys.Value) (uint64, bool) {
-	a, ok, _ := s.LookupStack(plane.StackConfig{}, k)
-	return a, ok
-}
-
-// LookupCached is LookupStack with the compiled+lcache configuration,
-// reporting how the cache participated (lcache.None when the plane is
-// disabled or bypassed).
-func (s *Sharded) LookupCached(k keys.Value) (uint64, bool, lcache.Outcome) {
-	return s.LookupStack(plane.StackConfig{Cached: true}, k)
-}
-
-// LookupStack routes k to its shard and answers through the stack selected
-// by st. Cached stacks check a probing cache out of the spare pool for the
-// call (degrading to uncached while the plane is disabled), so every
-// configuration is safe for concurrent use.
-func (s *Sharded) LookupStack(st plane.StackConfig, k keys.Value) (uint64, bool, lcache.Outcome) {
-	i := s.ShardOf(k)
-	s.loads[i].n.Add(1)
-	if !st.Cached {
-		return s.engines[i].LookupStack(st, k, nil)
-	}
-	c, spare := s.cacheFor(-1)
-	a, m, o := s.engines[i].LookupStack(st, k, c)
-	s.releaseCache(c, spare)
-	return a, m, o
-}
-
-// LookupBatch resolves a batch of keys, grouping them by shard and fanning
-// the groups out over the worker pool. Results are positional: out[i]
-// answers ks[i]. It is safe for concurrent use, and it is LookupBatchStack
-// with the production configuration — compiled inference, probing the
-// result-cache plane when installed.
-func (s *Sharded) LookupBatch(ks []keys.Value) []Result {
-	return s.LookupBatchStack(plane.StackConfig{Cached: true}, ks)
-}
-
-// LookupBatchStack is the sharded batch executor: the shared shard-grouped
-// fan-out with each group answered through the engine-level batch stack for
-// st. Each shard's group runs through the pipelined (or reference) batch
-// path — for cached stacks on the executing worker's private cache: probe
-// all keys, infer only the misses.
-func (s *Sharded) LookupBatchStack(st plane.StackConfig, ks []keys.Value) []Result {
-	return s.lookupBatch(ks, func(shard, worker int, group []int32, out []Result) {
-		e := s.engines[shard]
-		var c *lcache.Cache
-		var spare bool
-		if st.Cached {
-			c, spare = s.cacheFor(worker)
-		}
-		batchGroup(st, e, ks, group, out, c, e.CacheEpoch().Load())
-		s.releaseCache(c, spare)
-	})
+	return int(min(k.Shr(uint(r.width-r.shardBits)).Uint64(), uint64(r.Shards()-1)))
 }
 
 // keyScratch holds one group's gather/scatter buffers; pooled so concurrent
 // shard groups each get their own without per-batch allocation.
 type keyScratch struct {
 	ks  []keys.Value
-	res []core.BatchResult
+	res []Result
 }
 
 var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
-
-// batchGroup gathers one shard's keys contiguously, answers them through the
-// engine's batch stack for st — cached stacks probe c at the epoch the
-// caller loaded before any staleness checks — and scatters the results back
-// to their positions.
-func batchGroup(st plane.StackConfig, e *core.Engine, ks []keys.Value, group []int32, out []Result, c *lcache.Cache, epoch uint64) {
-	sc := keyScratchPool.Get().(*keyScratch)
-	if cap(sc.ks) < len(group) {
-		sc.ks = make([]keys.Value, len(group))
-	}
-	gk := sc.ks[:len(group)]
-	for i, idx := range group {
-		gk[i] = ks[idx]
-	}
-	res := e.LookupBatchStack(st, gk, sc.res[:0], cachesim.Null{}, c, epoch)
-	for i, idx := range group {
-		out[idx] = Result{Action: res[i].Action, Matched: res[i].Matched}
-	}
-	sc.ks, sc.res = gk, res
-	keyScratchPool.Put(sc)
-}
-
-// Close releases the worker pool. The engine stays queryable through the
-// serial path afterwards.
-func (s *Sharded) Close() { s.router.close() }
-
-// Verify checks every shard against its own analytical bound and the trie
-// oracle (expensive; tests and offline validation).
-func (s *Sharded) Verify() error {
-	for i, e := range s.engines {
-		if err := e.Verify(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
 
 // batchScratch holds the grouping buffers for one lookupBatch call; pooling
 // them keeps the hot path allocation-free apart from the caller-visible
@@ -335,16 +196,18 @@ func grow(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// lookupBatch is the shared fan-out: bucket keys by shard (one pass to
-// count, one to place — no per-group append growth), then answer each
-// shard's group back-to-back so consecutive queries reuse that shard's
-// model and RQ-Array cache lines. lookGroup answers one shard's whole
-// group (out[idx] ← answer for ks[idx], idx ∈ group) so implementations
-// hoist the sub-engine out of the per-key loop; worker is the executing
-// pool worker's index (−1 on the serial path), the handle to per-worker
-// state like the result-cache plane. Groups run on the pool, or serially
-// when the pool is absent (single shard or GOMAXPROCS=1).
-func (r *router) lookupBatch(ks []keys.Value, lookGroup func(shard, worker int, group []int32, out []Result)) []Result {
+// lookupBatch is the fan-out: bucket keys by shard (one pass to count, one
+// to place — no per-group append growth), then answer each shard's group
+// back-to-back so consecutive queries reuse that shard's model and RQ-Array
+// cache lines. lookGroup answers one shard's whole group — res[i] ← answer
+// for gk[i], the group's keys gathered contiguously — so implementations
+// hoist the sub-engine out of the per-key loop and hand the slice straight to
+// the engine's batch stack; worker is the executing pool worker's index (−1
+// on the serial path), the handle to per-worker state like the result-cache
+// plane. Groups run on the pool, or serially when the pool is absent (single
+// shard or GOMAXPROCS=1). One shard is one group: the caller's keys and the
+// result slice themselves, nothing gathered or scattered.
+func (r *router) lookupBatch(ks []keys.Value, lookGroup func(shard, worker int, gk []keys.Value, res []Result)) []Result {
 	out := make([]Result, len(ks))
 	if len(ks) == 0 {
 		return out
@@ -354,14 +217,7 @@ func (r *router) lookupBatch(ks []keys.Value, lookGroup func(shard, worker int, 
 	metBatchSize.ObserveInt(len(ks))
 	n := r.Shards()
 	if n == 1 {
-		sc := scratchPool.Get().(*batchScratch)
-		whole := grow(sc.order, len(ks))
-		for i := range ks {
-			whole[i] = int32(i)
-		}
-		lookGroup(0, -1, whole, out)
-		sc.order = whole
-		scratchPool.Put(sc)
+		lookGroup(0, -1, ks, out)
 		r.loads[0].n.Add(uint64(len(ks)))
 		return out
 	}
@@ -389,7 +245,20 @@ func (r *router) lookupBatch(ks []keys.Value, lookGroup func(shard, worker int, 
 	}
 	run := func(s, worker int) {
 		group := order[starts[s]:starts[s+1]]
-		lookGroup(s, worker, group, out)
+		g := keyScratchPool.Get().(*keyScratch)
+		if cap(g.ks) < len(group) {
+			g.ks = make([]keys.Value, len(group))
+			g.res = make([]Result, len(group))
+		}
+		gk, res := g.ks[:len(group)], g.res[:len(group)]
+		for i, idx := range group {
+			gk[i] = ks[idx]
+		}
+		lookGroup(s, worker, gk, res)
+		for i, idx := range group {
+			out[idx] = res[i]
+		}
+		keyScratchPool.Put(g)
 		r.loads[s].n.Add(uint64(len(group)))
 	}
 	if r.pool == nil {

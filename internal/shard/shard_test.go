@@ -63,14 +63,14 @@ func randomKeys(width, n int, seed int64) []keys.Value {
 func TestBuildRejectsBadShardCounts(t *testing.T) {
 	rs := randomRuleSet(t, 16, 50, 1)
 	for _, n := range []int{0, -1, 3, 6, 1 << (MaxShardBits + 1)} {
-		if _, err := Build(rs, quickSRAMOnly(), n); err == nil {
-			t.Errorf("Build accepted shard count %d", n)
+		if _, err := BuildUpdatable(rs, quickSRAMOnly(), n, 0); err == nil {
+			t.Errorf("BuildUpdatable accepted shard count %d", n)
 		}
 	}
 	// More shard bits than key bits.
 	rs4 := randomRuleSet(t, 4, 5, 2)
-	if _, err := Build(rs4, quickSRAMOnly(), 16); err == nil {
-		t.Error("Build accepted 16 shards on a 4-bit domain")
+	if _, err := BuildUpdatable(rs4, quickSRAMOnly(), 16, 0); err == nil {
+		t.Error("BuildUpdatable accepted 16 shards on a 4-bit domain")
 	}
 }
 
@@ -108,9 +108,9 @@ func TestShardedVsOracle(t *testing.T) {
 	}
 	for _, cfg := range []core.Config{quickSRAMOnly(), quickBucketed()} {
 		for _, n := range []int{1, 4, 8} {
-			s, err := Build(rs, cfg, n)
+			s, err := BuildUpdatable(rs, cfg, n, 0)
 			if err != nil {
-				t.Fatalf("Build(%d shards): %v", n, err)
+				t.Fatalf("BuildUpdatable(%d shards): %v", n, err)
 			}
 			got := s.LookupBatch(ks)
 			for i, k := range ks {
@@ -139,7 +139,7 @@ func TestEmptyShardsAnswerNoMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(rs, quickSRAMOnly(), 4)
+	s, err := BuildUpdatable(rs, quickSRAMOnly(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestEmptyShardsAnswerNoMatch(t *testing.T) {
 
 func TestLookupBatchPositional(t *testing.T) {
 	rs := randomRuleSet(t, 32, 100, 3)
-	s, err := Build(rs, quickSRAMOnly(), 4)
+	s, err := BuildUpdatable(rs, quickSRAMOnly(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestLookupBatchPositional(t *testing.T) {
 
 func TestShardedVerify(t *testing.T) {
 	rs := randomRuleSet(t, 16, 120, 11)
-	s, err := Build(rs, quickBucketed(), 4)
+	s, err := BuildUpdatable(rs, quickBucketed(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestShardedVerify(t *testing.T) {
 
 func TestLoadBalanceTelemetry(t *testing.T) {
 	rs := randomRuleSet(t, 32, 100, 13)
-	s, err := Build(rs, quickSRAMOnly(), 4)
+	s, err := BuildUpdatable(rs, quickSRAMOnly(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,5 +206,30 @@ func TestLoadBalanceTelemetry(t *testing.T) {
 	}
 	if ib := imbalance(counts); ib < 1 {
 		t.Errorf("imbalance %f < 1", ib)
+	}
+}
+
+// TestOutOfDomainKeyRoutesToLastShard: a key wider than the domain arrives
+// from the wire unchecked; it must route like the engine sorts it — above
+// every bound — instead of indexing past the shard table.
+func TestOutOfDomainKeyRoutesToLastShard(t *testing.T) {
+	rs := randomRuleSet(t, 32, 100, 3)
+	k := keys.FromUint64(1<<40 | 5)
+	for _, n := range []int{1, 4} {
+		s, err := BuildUpdatable(rs, quickSRAMOnly(), n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.ShardOf(k); got != n-1 {
+			t.Errorf("%d shards: ShardOf(%v) = %d, want %d", n, k, got, n-1)
+		}
+		wantA, wantOK := s.Engine(n - 1).Lookup(k)
+		if a, ok := s.Lookup(k); ok != wantOK || a != wantA {
+			t.Errorf("%d shards: Lookup(%v) = (%d,%v), last shard's engine (%d,%v)", n, k, a, ok, wantA, wantOK)
+		}
+		if res := s.LookupBatch([]keys.Value{k}); res[0].Matched != wantOK || res[0].Action != wantA {
+			t.Errorf("%d shards: LookupBatch(%v) = %+v, last shard's engine (%d,%v)", n, k, res[0], wantA, wantOK)
+		}
+		s.Close()
 	}
 }

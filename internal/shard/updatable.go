@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lcache"
@@ -95,11 +96,6 @@ func (u *ShardedUpdatable) Lookup(k keys.Value) (uint64, bool) {
 	return a, ok
 }
 
-// LookupCached is LookupStack with the compiled+lcache configuration.
-func (u *ShardedUpdatable) LookupCached(k keys.Value) (uint64, bool, lcache.Outcome) {
-	return u.LookupStack(plane.StackConfig{Cached: true}, k)
-}
-
 // LookupStack routes k to its shard and answers it — delta overlay included
 // — through the stack selected by st. Cached stacks check a spare cache out
 // for the call. Safe for concurrent use, including with updates: the shard's
@@ -134,10 +130,11 @@ func (u *ShardedUpdatable) LookupBatch(ks []keys.Value) []Result {
 
 // LookupBatchStack is the updatable sharded batch executor: the shared
 // fan-out with each clean shard's group answered through the engine-level
-// batch stack for st, and dirty shards (pending insertions) falling back to
-// the per-key overlay lookup on the same inference plane.
+// batch stack for st — cached stacks probe the worker's cache at the epoch
+// loaded before the staleness check — and dirty shards (pending insertions)
+// falling back to the per-key overlay lookup on the same inference plane.
 func (u *ShardedUpdatable) LookupBatchStack(st plane.StackConfig, ks []keys.Value) []Result {
-	return u.lookupBatch(ks, func(shard, worker int, group []int32, out []Result) {
+	return u.lookupBatch(ks, func(shard, worker int, gk []keys.Value, res []Result) {
 		s := u.shards[shard]
 		var c *lcache.Cache
 		var spare bool
@@ -147,25 +144,24 @@ func (u *ShardedUpdatable) LookupBatchStack(st plane.StackConfig, ks []keys.Valu
 		}
 		epoch := s.CacheEpoch().Load()
 		if s.PendingInserts() == 0 {
-			batchGroup(st, s.Engine(), ks, group, out, c, epoch)
+			s.Engine().LookupBatchStack(st, gk, res[:0], cachesim.Null{}, c, epoch)
 			return
 		}
 		overlay := st
 		overlay.Cached = false
-		if !st.Cached || c.Bypassed(len(group)) {
-			for _, idx := range group {
-				out[idx].Action, out[idx].Matched, _ = s.LookupStack(overlay, ks[idx], nil)
+		if !st.Cached || c.Bypassed(len(gk)) {
+			for i, k := range gk {
+				res[i].Action, res[i].Matched, _ = s.LookupStack(overlay, k, nil)
 			}
 			return
 		}
-		for _, idx := range group {
-			k := ks[idx]
+		for i, k := range gk {
 			a, m, o := c.Get(k, epoch)
 			if o != lcache.Hit {
 				a, m, _ = s.LookupStack(overlay, k, nil)
 				c.Put(k, epoch, a, m)
 			}
-			out[idx] = Result{Action: a, Matched: m}
+			res[i] = Result{Action: a, Matched: m}
 		}
 	})
 }
