@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-smoke bench-json bench-guard slo smoke faults fuzz loadtest ci
+.PHONY: build vet test race bench bench-smoke bench-json bench-guard bench-serve-smoke slo smoke faults fuzz loadtest ci
 
 build:
 	$(GO) build ./...
@@ -84,8 +84,15 @@ loadtest:
 bench-guard:
 	$(GO) run ./cmd/lpmbench -guard BENCH_PR10.json
 
+# The repository benchmark's own smoke, non-short: builds cmd/lpmserve from
+# this checkout and drives all six workloads at 20 000 rules (~50 s), so a
+# deleted lpmserve flag or a renamed /metrics series that benchmark/ reads
+# fails here, not in the next benchmark run.
+bench-serve-smoke:
+	cd benchmark && $(GO) test -run TestSmoke -count=1 .
+
 # benchmark/ is a module of its own that compiles against this one's API: an
 # API deletion that breaks it should fail here, not in the next benchmark run.
-ci: build vet race smoke bench-smoke bench-guard loadtest slo
+ci: build vet race smoke bench-smoke bench-guard bench-serve-smoke loadtest slo
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -run xxx -bench 'BenchmarkLookup(Instrumented|Seed)$$' -benchtime 1s ./internal/core/

@@ -10,14 +10,13 @@
 //	         [-shards N] [-autocommit 100ms] [-stale-budget 30s]
 //	         [-cache-bytes N] [-flight-sample N] [-inference compiled]
 //	         [-cold-tier] [-tier-interval 1s]
-//	         [-wire-addr :9090] [-coalesce-window 20µs]
+//	         [-wire-addr :9090]
 //
 // -wire-addr additionally serves the binary wire protocol (DESIGN.md §17)
 // on a second listener: length-prefixed frames over persistent TCP, no JSON
-// on the hot path, with single-key lookups from different connections
-// coalesced into one batch-plane call within -coalesce-window (the window
-// adapts down to zero under light load, so a lone client keeps its p50).
-// Drive it with cmd/lpmload; one SIGINT/SIGTERM drains both listeners.
+// on the hot path, each connection answered on its own goroutine with the
+// lookups one read delivered batched into one batch-plane call. Drive it
+// with cmd/lpmload; one SIGINT/SIGTERM drains both listeners.
 //
 // -cold-tier enables the two-tier bucket store (DESIGN.md §16): a background
 // rebalancer demotes buckets the hotness sketch stopped seeing to a simulated
@@ -108,7 +107,6 @@ func main() {
 	coldTier := flag.Bool("cold-tier", false, "enable the two-tier bucket store: cold buckets demote to a simulated slow tier, a background rebalancer migrates on hotness (DESIGN.md §16)")
 	tierInterval := flag.Duration("tier-interval", time.Second, "tier rebalance interval (requires -cold-tier)")
 	wireAddr := flag.String("wire-addr", "", "also serve the binary wire protocol on this address (DESIGN.md §17; empty = HTTP only)")
-	coalesceWindow := flag.Duration("coalesce-window", serve.DefaultCoalesceWindow, "max time the wire coalescer gathers cross-connection lookups into one batch (requires -wire-addr; shrinks adaptively under light load)")
 	flag.Parse()
 
 	if *rulesPath == "" {
@@ -163,9 +161,9 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		units = append(units, serve.NewWireServer(srv, wl, *coalesceWindow))
+		units = append(units, serve.NewWireServer(srv, wl))
 		srv.SetInfo("wire", "1")
-		fmt.Fprintf(os.Stderr, "lpmserve: wire protocol on %s (coalesce window %v)\n", wl.Addr(), *coalesceWindow)
+		fmt.Fprintf(os.Stderr, "lpmserve: wire protocol on %s\n", wl.Addr())
 	}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)

@@ -625,9 +625,9 @@ func TestWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// http fan-in, wire window=0, wire coalesce, two 1-conn rows, bytes row.
-	if len(cells) != 6 {
-		t.Fatalf("%d rows, want 6", len(cells))
+	// http fan-in, wire fan-in, two 1-conn rows, bytes row.
+	if len(cells) != 5 {
+		t.Fatalf("%d rows, want 5", len(cells))
 	}
 	byConfig := map[string]WireCell{}
 	for _, c := range cells {
@@ -644,12 +644,12 @@ func TestWire(t *testing.T) {
 	}
 	// The binary planes must beat the HTTP/JSON baseline at the fan-in
 	// (the 2× headline is asserted at bench scale; shapes must hold here).
-	if w := byConfig["wire coalesce"]; w.VsHTTPX <= 1 {
-		t.Errorf("wire coalesce %.2fx vs http, want > 1", w.VsHTTPX)
+	if w := byConfig["wire"]; w.VsHTTPX <= 1 {
+		t.Errorf("wire %.2fx vs http, want > 1", w.VsHTTPX)
 	}
-	// Light-load parity: the lone wire client's p50 must not be taxed by the
-	// coalesce window (ISSUE: within 10% of HTTP parity; wire should win).
-	h1, w1 := byConfig["http/json 1-conn"], byConfig["wire coalesce 1-conn"]
+	// Light-load parity: the lone wire client's p50 must stay within 10% of
+	// HTTP parity (wire should win).
+	h1, w1 := byConfig["http/json 1-conn"], byConfig["wire 1-conn"]
 	if w1.P50us > 1.1*h1.P50us {
 		t.Errorf("1-conn wire p50 %.1fµs above 110%% of http p50 %.1fµs", w1.P50us, h1.P50us)
 	}

@@ -182,8 +182,8 @@ type OverheadCell struct {
 	Ratio float64
 }
 
-// shardBatch is the batch size of the degenerate-topology pair: the wire
-// coalescer's typical dispatch, small enough that per-call routing shows.
+// shardBatch is the batch size of the degenerate-topology pair: a pipelined
+// wire read's typical batch, small enough that per-call routing shows.
 const shardBatch = 64
 
 // Overheads measures the wall-clock budgets `lpmbench -guard` holds at

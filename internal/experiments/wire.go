@@ -20,10 +20,9 @@ import (
 
 // WireCell is one row of the wire-vs-HTTP serving experiment (E29,
 // DESIGN.md §17): closed-loop throughput and latency of the same sharded
-// engine behind the HTTP/JSON endpoint and the binary wire protocol, with
-// and without cross-connection coalescing. The bytes-per-query row is
-// computed from the canonical encodings — no timing — and is the
-// deterministic anchor the bench guard pins.
+// engine behind the HTTP/JSON endpoint and the binary wire protocol. The
+// bytes-per-query row is computed from the canonical encodings — no timing —
+// and is the deterministic anchor the bench guard pins.
 type WireCell struct {
 	Config        string
 	Conns         int
@@ -37,7 +36,8 @@ type WireCell struct {
 	Deterministic bool
 }
 
-// wireFanConns is the many-client fan-in the coalescer is built for.
+// wireFanConns is the many-client fan-in: one outstanding lookup on each of
+// many connections, so no connection's read ever delivers a batch.
 const wireFanConns = 32
 
 // wireMeasureWindow sizes each row's closed-loop measurement to the scale.
@@ -52,11 +52,10 @@ func wireMeasureWindow(sc Scale) time.Duration {
 	}
 }
 
-// Wire runs E29: the ripe workload served by one sharded engine through
-// three data planes — HTTP/JSON, wire without coalescing (window 0), wire
-// with the default adaptive coalesce window — at a 32-connection closed-loop
-// fan-in, plus single-connection rows for the light-load p50 parity story
-// and the deterministic bytes-per-query ratio.
+// Wire runs E29: the ripe workload served by one sharded engine through both
+// data planes — HTTP/JSON and wire — at a 32-connection closed-loop fan-in,
+// plus single-connection rows for the light-load p50 parity story and the
+// deterministic bytes-per-query ratio.
 func Wire(sc Scale) ([]WireCell, error) {
 	rs, err := workload.Generate(workload.Profiles()["ripe"], sc.Rules["ripe"], sc.Seed)
 	if err != nil {
@@ -88,20 +87,18 @@ func Wire(sc Scale) ([]WireCell, error) {
 	defer hs.Close()
 	httpAddr := hs.Listener.Addr().String()
 
-	startWire := func(window time.Duration) (*serve.WireServer, string, error) {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", err
-		}
-		ws := serve.NewWireServer(srv, l, window)
-		go ws.Serve()
-		return ws, l.Addr().String(), nil
+	wl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
 	}
-	shutdown := func(ws *serve.WireServer) {
+	ws := serve.NewWireServer(srv, wl)
+	go ws.Serve()
+	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		ws.Shutdown(ctx)
-	}
+	}()
+	wireAddr := wl.Addr().String()
 
 	window := wireMeasureWindow(sc)
 	run := func(config string, proto load.Proto, addr string, conns int) (WireCell, error) {
@@ -131,42 +128,23 @@ func Wire(sc Scale) ([]WireCell, error) {
 	httpFan.VsHTTPX = 1
 	cells = append(cells, httpFan)
 
-	ws0, addr0, err := startWire(0)
+	wireFan, err := run("wire", load.ProtoWire, wireAddr, wireFanConns)
 	if err != nil {
 		return nil, err
 	}
-	wire0, err := run("wire window=0", load.ProtoWire, addr0, wireFanConns)
-	shutdown(ws0)
-	if err != nil {
-		return nil, err
-	}
-	wire0.VsHTTPX = ratio(wire0.QPS, httpFan.QPS)
-	cells = append(cells, wire0)
+	wireFan.VsHTTPX = ratio(wireFan.QPS, httpFan.QPS)
+	cells = append(cells, wireFan)
 
-	wsC, addrC, err := startWire(serve.DefaultCoalesceWindow)
-	if err != nil {
-		return nil, err
-	}
-	wireC, err := run("wire coalesce", load.ProtoWire, addrC, wireFanConns)
-	if err != nil {
-		shutdown(wsC)
-		return nil, err
-	}
-	wireC.VsHTTPX = ratio(wireC.QPS, httpFan.QPS)
-	cells = append(cells, wireC)
-
-	// Light-load parity: one closed-loop connection against each plane. The
-	// adaptive window must collapse so the lone client's p50 is not taxed by
-	// a full coalesce wait.
+	// Light-load parity: one closed-loop connection against each plane. A
+	// lone request is a batch of one answered on arrival, so the wire p50
+	// must not sit above HTTP's.
 	http1, err := run("http/json 1-conn", load.ProtoHTTP, httpAddr, 1)
 	if err != nil {
-		shutdown(wsC)
 		return nil, err
 	}
 	http1.VsHTTPX = 1
 	cells = append(cells, http1)
-	wire1, err := run("wire coalesce 1-conn", load.ProtoWire, addrC, 1)
-	shutdown(wsC)
+	wire1, err := run("wire 1-conn", load.ProtoWire, wireAddr, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -177,11 +155,8 @@ func Wire(sc Scale) ([]WireCell, error) {
 	// one representative lookup — HTTP request + JSON response as actually
 	// serialized, vs the wire lookup + result frames.
 	hb, wb := wireBytesPerQuery(srv, trace[0])
-	cells[0].BytesPerQuery = hb
-	for i := 1; i < len(cells); i++ {
-		cells[i].BytesPerQuery = wb
-	}
-	cells[3].BytesPerQuery = hb
+	cells[0].BytesPerQuery, cells[2].BytesPerQuery = hb, hb
+	cells[1].BytesPerQuery, cells[3].BytesPerQuery = wb, wb
 	cells = append(cells, WireCell{
 		Config:        "bytes/query ratio",
 		BytesPerQuery: wb,
@@ -221,12 +196,11 @@ func ratio(a, b float64) float64 {
 // WireTable renders E29.
 func WireTable(cells []WireCell) *Table {
 	t := &Table{
-		Title:  "Wire data plane vs HTTP/JSON: closed-loop fan-in, coalescing, and per-query bytes (ripe workload)",
+		Title:  "Wire data plane vs HTTP/JSON: closed-loop fan-in, single connection, and per-query bytes (ripe workload)",
 		Header: []string{"config", "conns", "qps", "p50 µs", "p99 µs", "vs http x", "bytes/query", "errors", "mismatches"},
 		Notes: []string{
 			"DESIGN.md §17: same sharded engine and batchStack entry point behind every row; only the data plane differs",
-			"wire coalesce gathers lookups from different connections within the adaptive window into one batch",
-			"1-conn rows: the adaptive window collapses under light load, so the lone client's p50 stays at parity",
+			"wire rows: each connection is answered on its own reader goroutine; a closed loop keeps one lookup outstanding per connection, so every batch-plane call carries one key",
 			"bytes/query ratio row is deterministic (canonical encodings, no timing) — the bench guard pins it",
 			"mismatches are disagreements with the trie oracle and must be 0 in every row",
 		},

@@ -72,7 +72,7 @@ func buildSmokeFixture(t *testing.T) *smokeFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := serve.NewWireServer(srv, l, serve.DefaultCoalesceWindow)
+	ws := serve.NewWireServer(srv, l)
 	go ws.Serve()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -26,8 +26,8 @@ type wireConnState struct {
 
 // runWire drives the binary wire protocol. Open-loop mode pipelines: the
 // per-connection sender keeps writing frames on schedule regardless of how
-// many responses are still in flight, which is what lets the server's
-// cross-connection coalescer see concurrent work.
+// many responses are still in flight, which is what lets the server batch
+// the lookups that arrive in one read.
 func (r *runner) runWire(start time.Time) error {
 	conns := make([]*wireConnState, r.cfg.Conns)
 	for i := range conns {

@@ -345,7 +345,7 @@ var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 // batchStack resolves ks through the served lookup-plane stack, appending the
 // positional answers into dst: the batch splits across the shard worker pool
 // and sees pending delta-buffer rules. It is the one batch entry point shared
-// by the HTTP /batch handler and the wire server's coalescer (DESIGN.md §17),
+// by the HTTP /batch handler and the wire server's readers (DESIGN.md §17),
 // and is safe for concurrent use.
 func (s *Server) batchStack(ks []keys.Value, dst []shard.Result) []shard.Result {
 	return append(dst, s.sh.LookupBatchStack(s.stack, ks)...)

@@ -3,10 +3,12 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -18,26 +20,14 @@ import (
 	"neurolpm/internal/wire"
 )
 
-// Coalescer defaults (DESIGN.md §17). The window is the most a queued lookup
-// waits for company; the batch cap matches the point where the batch plane's
-// per-key amortization has flattened out.
 const (
-	DefaultCoalesceWindow = 20 * time.Microsecond
-	maxCoalesceBatch      = 256
+	// maxCoalesceBatch caps the lookups one batch-plane call answers: the
+	// point where the batch plane's per-key amortization has flattened out.
+	maxCoalesceBatch = 256
 
-	// The adaptive window interpolates between the IMMEDIATE and GATHER
-	// states on the EWMA of dispatched batch sizes: at or below
-	// coalesceLightLoad the window is 0 (a lone client never waits), at
-	// coalesceFullLoad and above the full configured window applies.
-	coalesceLightLoad = 1.25
-	coalesceFullLoad  = 8.0
-	// coalesceAlpha is the EWMA smoothing factor per dispatch.
-	coalesceAlpha = 0.2
-
-	// wireDrainGrace is how long readers keep decoding after a shutdown
+	// wireDrainGrace is how long connections keep serving after a shutdown
 	// signal: a frame the client already sent (in the kernel buffer, not yet
-	// decoded) is still read and answered instead of being reset. Readers
-	// exit at this deadline; the dispatcher then drains what they queued.
+	// decoded) is still read and answered instead of being reset.
 	wireDrainGrace = 100 * time.Millisecond
 )
 
@@ -46,27 +36,23 @@ const (
 // a serve.Unit: run it under ServeUnits next to the HTTP listener and one
 // SIGINT/SIGTERM drains both.
 //
-// Single-key lookups from all connections flow through one adaptive
-// coalescer: a dispatcher goroutine gathers requests that arrive within the
-// effective window into one batch-plane call (Server.batchStack) and
-// demultiplexes the answers back by request id. The effective window adapts
-// to load — see DESIGN.md §17 for the IMMEDIATE↔GATHER state machine.
-// OpBatch frames are already batched by the client and execute directly on
-// the connection's reader goroutine.
+// Every request executes on its connection's reader goroutine (DESIGN.md
+// §17): it decodes each complete frame one read delivered, answers consecutive
+// single-key lookups with one batch-plane call (Server.batchStack) and flushes
+// once per drained read. A client that pipelines gets batching; a lone request
+// is a batch of one with no hand-off. Connections share nothing but the
+// Server, so a client that stops reading stalls only itself.
 type WireServer struct {
 	s *Server
 	l net.Listener
-
-	co *coalescer
 
 	mu       sync.Mutex
 	conns    map[*wireConn]struct{}
 	draining bool
 
 	readerWg sync.WaitGroup
-	stopc    chan struct{} // closed by Shutdown: stop accepting, kick readers
+	stopc    chan struct{} // closed by Shutdown: stop accepting, bound the readers
 	drainc   chan struct{} // closed when all readers have exited
-	donec    chan struct{} // closed when the dispatcher has drained and exited
 	stopOnce sync.Once
 
 	cConns      *telemetry.Counter
@@ -79,24 +65,14 @@ type WireServer struct {
 	hBatchSize  *telemetry.Histogram
 }
 
-// NewWireServer wraps s on the listener. window ≤ 0 selects
-// DefaultCoalesceWindow; the dispatcher starts immediately so Shutdown is
-// safe even if it races Serve.
-func NewWireServer(s *Server, l net.Listener, window time.Duration) *WireServer {
-	if window <= 0 {
-		window = DefaultCoalesceWindow
-	}
+// NewWireServer wraps s on the listener.
+func NewWireServer(s *Server, l net.Listener) *WireServer {
 	ws := &WireServer{
 		s:      s,
 		l:      l,
 		conns:  make(map[*wireConn]struct{}),
 		stopc:  make(chan struct{}),
 		drainc: make(chan struct{}),
-		donec:  make(chan struct{}),
-		co: &coalescer{
-			window: window,
-			wake:   make(chan struct{}, 1),
-		},
 	}
 	reg := s.reg
 	ws.cConns = reg.Counter("neurolpm_wire_conns_total", "Wire connections accepted")
@@ -105,9 +81,8 @@ func NewWireServer(s *Server, l net.Listener, window time.Duration) *WireServer 
 	ws.cBatchKeys = reg.Counter("neurolpm_wire_batch_keys_total", "Keys answered through wire client-side batch frames")
 	ws.cUpdates = reg.Counter("neurolpm_wire_updates_total", "Wire rule updates applied")
 	ws.cErrors = reg.Counter("neurolpm_wire_errors_total", "Wire error frames sent")
-	ws.cDispatches = reg.Counter("neurolpm_wire_coalesce_dispatches_total", "Coalescer dispatches (one batch-plane call each)")
-	ws.hBatchSize = reg.Histogram("neurolpm_wire_coalesce_batch_size", "Lookups gathered per coalescer dispatch")
-	go ws.dispatcher()
+	ws.cDispatches = reg.Counter("neurolpm_wire_coalesce_dispatches_total", "Batch-plane calls answering single-key lookups gathered from one connection's read")
+	ws.hBatchSize = reg.Histogram("neurolpm_wire_coalesce_batch_size", "Single-key lookups answered per batch-plane call")
 	return ws
 }
 
@@ -126,7 +101,7 @@ func (ws *WireServer) Serve() error {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		c := &wireConn{ws: ws, conn: conn, bw: bufio.NewWriterSize(conn, 16<<10)}
+		c := &wireConn{ws: ws, conn: conn, br: bufio.NewReaderSize(conn, 64<<10), bw: bufio.NewWriterSize(conn, 16<<10)}
 		ws.mu.Lock()
 		if ws.draining {
 			ws.mu.Unlock()
@@ -134,17 +109,17 @@ func (ws *WireServer) Serve() error {
 			continue
 		}
 		ws.conns[c] = struct{}{}
+		ws.readerWg.Add(1) // under mu: ordered before Shutdown's Wait
 		ws.mu.Unlock()
 		ws.cConns.Inc()
-		ws.readerWg.Add(1)
 		go c.readLoop()
 	}
 }
 
-// Shutdown drains the wire plane: stop accepting, kick blocked readers (a
-// frame already received — including one parked in the coalescer's gather
-// window — is still answered), wait for the dispatcher to empty its queue,
-// then flush and close every connection. Bounded by ctx's deadline.
+// Shutdown drains the wire plane in one phase: stop accepting, bound every
+// connection with wireDrainGrace, and wait for the readers — each answers and
+// flushes everything it read before it exits and closes its connection.
+// Connections still open when ctx expires are closed here.
 func (ws *WireServer) Shutdown(ctx context.Context) error {
 	ws.stopOnce.Do(func() {
 		close(ws.stopc)
@@ -153,10 +128,9 @@ func (ws *WireServer) Shutdown(ctx context.Context) error {
 		ws.draining = true
 		deadline := time.Now().Add(wireDrainGrace)
 		for c := range ws.conns {
-			// Bound every reader: frames already in flight are decoded and
-			// answered within the grace window, then the deadline error
-			// ends the read loop.
-			c.conn.SetReadDeadline(deadline)
+			// Reads and writes: a reader parked in Read and one parked in
+			// Flush towards a client that stopped reading are both kicked.
+			c.conn.SetDeadline(deadline)
 		}
 		ws.mu.Unlock()
 		go func() {
@@ -164,104 +138,120 @@ func (ws *WireServer) Shutdown(ctx context.Context) error {
 			close(ws.drainc)
 		}()
 	})
-	var err error
 	select {
-	case <-ws.donec:
+	case <-ws.drainc:
+		return nil
 	case <-ctx.Done():
-		err = ctx.Err()
 	}
 	ws.mu.Lock()
 	for c := range ws.conns {
-		c.closeConn()
-		delete(ws.conns, c)
+		c.conn.Close()
 	}
 	ws.mu.Unlock()
-	return err
+	return ctx.Err()
 }
 
 // Addr returns the listener address (tests bind :0).
 func (ws *WireServer) Addr() net.Addr { return ws.l.Addr() }
 
-// wireConn is one accepted connection: a reader goroutine decoding frames
-// and a mutex-guarded write side shared with the coalescer's dispatcher.
+// wireConn is one accepted connection. Its reader goroutine is the only one
+// that touches it after Serve starts it (Shutdown only sets deadlines and
+// closes the socket), so nothing here is locked.
 type wireConn struct {
 	ws   *WireServer
 	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer // Write errors are sticky; readLoop acts on them at Flush
 
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	wbuf []byte // encode scratch, reused under wmu
+	rbuf []byte // frame scratch for wire.ReadFrame
+	wbuf []byte // encode scratch
 
-	// Reader-owned scratch (no locking: only readLoop touches these).
-	rbuf  []byte
-	kbuf  []keys.Value
+	// Single-key lookups gathered since the last answerLookups, in request
+	// order: ids[i] asked for lks[i].
+	ids []uint64
+	lks []keys.Value
+
+	bks   []keys.Value // OpBatch's own key scratch: a batch frame must never clobber gathered lookups
 	resb  []shard.Result
 	wresb []wire.Result
-
-	// dispatchSeq marks the last dispatcher round that wrote to this conn;
-	// dispatcher-owned, used to flush each touched conn exactly once.
-	dispatchSeq uint64
-}
-
-// send encodes one response frame under the write lock and flushes it.
-func (c *wireConn) send(enc func(b []byte) []byte) {
-	c.wmu.Lock()
-	c.wbuf = enc(c.wbuf[:0])
-	c.bw.Write(c.wbuf)
-	c.bw.Flush()
-	c.wmu.Unlock()
 }
 
 func (c *wireConn) sendErr(id uint64, code uint8, msg string) {
 	c.ws.cErrors.Inc()
-	c.send(func(b []byte) []byte { return wire.AppendError(b, id, code, msg) })
+	c.wbuf = wire.AppendError(c.wbuf[:0], id, code, msg)
+	c.bw.Write(c.wbuf)
 }
 
-// closeConn closes the underlying connection once (reader exit and Shutdown
-// can both reach it).
-func (c *wireConn) closeConn() { c.conn.Close() }
+// frameBuffered reports whether the next frame is complete in the read
+// buffer — length prefix and body — so that decoding it cannot block. An
+// out-of-range prefix needs no case of its own: whichever way this answers,
+// wire.ReadFrame rejects it straight after the prefix without reading a body.
+func (c *wireConn) frameBuffered() bool {
+	if c.br.Buffered() < 4 {
+		return false
+	}
+	p, _ := c.br.Peek(4)
+	return uint64(c.br.Buffered()-4) >= uint64(binary.LittleEndian.Uint32(p))
+}
 
-// readLoop decodes request frames until the connection errors or drain kicks
-// it. Protocol violations that survive framing (bad payloads) answer an
-// error frame and keep the connection; framing violations close it.
+// readLoop decodes and answers request frames until the connection errors or
+// drain kicks it. Protocol violations that survive framing (bad payloads)
+// answer an error frame and keep the connection; framing violations close it.
 func (c *wireConn) readLoop() {
 	defer func() {
-		// During drain the conn must outlive the reader: queued lookups are
-		// still being answered. Shutdown closes it after the dispatcher
-		// drains. On a normal client disconnect, close and unregister here.
 		c.ws.mu.Lock()
-		draining := c.ws.draining
-		if !draining {
-			delete(c.ws.conns, c)
-		}
+		delete(c.ws.conns, c)
 		c.ws.mu.Unlock()
-		if !draining {
-			c.closeConn()
-		}
+		c.conn.Close()
 		c.ws.readerWg.Done()
 	}()
 	for {
-		f, buf, err := wire.ReadFrame(c.conn, c.rbuf)
+		// Flush rule: the next ReadFrame may block only when nothing is owed.
+		// A partial frame in the buffer counts as nothing buffered — finished
+		// answers are never held behind bytes that have not arrived.
+		if !c.frameBuffered() {
+			c.answerLookups()
+			if c.bw.Flush() != nil {
+				return // the client is gone, or stalled past drain's deadline
+			}
+		}
+		f, buf, err := wire.ReadFrame(c.br, c.rbuf)
 		c.rbuf = buf
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
-				// Framing violation: tell the client once, then drop it —
-				// the stream cannot be resynchronized.
+			// What was gathered before a bad frame is still answered.
+			c.answerLookups()
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
+				// Not a close or drain's deadline but a framing violation: tell
+				// the client once, then drop it — the stream cannot be
+				// resynchronized.
 				c.sendErr(0, wire.ErrMalformed, err.Error())
 			}
+			c.bw.Flush()
 			return
 		}
 		c.ws.cFrames.Inc()
+		// Order rule: responses leave in request order, and an update sits
+		// between the lookups around it, so anything but a lookup first
+		// answers the lookups gathered before it.
+		if f.Op != wire.OpLookup {
+			c.answerLookups()
+		}
 		switch f.Op {
-		case wire.OpPing:
-			c.send(func(b []byte) []byte { return wire.AppendPong(b, f.ID) })
 		case wire.OpLookup:
 			k, err := f.Key()
 			if err != nil {
+				c.answerLookups()
 				c.sendErr(f.ID, wire.ErrMalformed, err.Error())
 				continue
 			}
-			c.ws.co.submit(pendingLookup{c: c, id: f.ID, k: k})
+			c.ids = append(c.ids, f.ID)
+			c.lks = append(c.lks, k)
+			if len(c.lks) == maxCoalesceBatch {
+				c.answerLookups()
+			}
+		case wire.OpPing:
+			c.wbuf = wire.AppendPong(c.wbuf[:0], f.ID)
+			c.bw.Write(c.wbuf)
 		case wire.OpBatch:
 			c.handleBatch(f)
 		case wire.OpUpdate:
@@ -272,26 +262,42 @@ func (c *wireConn) readLoop() {
 	}
 }
 
-// handleBatch answers a client-side batch on the reader goroutine — the
-// client already amortized its round-trip, so it skips the coalescer.
+// answerLookups answers the gathered single-key lookups with one batch-plane
+// call and encodes the results, in request order, into the write buffer.
+func (c *wireConn) answerLookups() {
+	if len(c.lks) == 0 {
+		return
+	}
+	ws := c.ws
+	ws.cDispatches.Inc()
+	ws.cLookups.Add(uint64(len(c.lks)))
+	ws.hBatchSize.ObserveInt(len(c.lks))
+	c.resb = ws.s.batchStack(c.lks, c.resb[:0])
+	c.wbuf = c.wbuf[:0]
+	for i, r := range c.resb {
+		c.wbuf = wire.AppendResult(c.wbuf, c.ids[i], r.Action, r.Matched)
+	}
+	c.bw.Write(c.wbuf)
+	c.ids, c.lks = c.ids[:0], c.lks[:0]
+}
+
+// handleBatch answers a client-side batch: the client already amortized its
+// round-trip, so the frame is one batch-plane call of its own.
 func (c *wireConn) handleBatch(f wire.Frame) {
 	var err error
-	c.kbuf, err = f.BatchKeys(c.kbuf[:0])
+	c.bks, err = f.BatchKeys(c.bks[:0])
 	if err != nil {
 		c.sendErr(f.ID, wire.ErrMalformed, err.Error())
 		return
 	}
-	c.resb = c.ws.s.batchStack(c.kbuf, c.resb[:0])
-	c.ws.cBatchKeys.Add(uint64(len(c.kbuf)))
+	c.resb = c.ws.s.batchStack(c.bks, c.resb[:0])
+	c.ws.cBatchKeys.Add(uint64(len(c.bks)))
 	c.wresb = c.wresb[:0]
 	for _, r := range c.resb {
 		c.wresb = append(c.wresb, wire.Result{Action: r.Action, Matched: r.Matched})
 	}
-	c.wmu.Lock()
 	c.wbuf = wire.AppendBatchResults(c.wbuf[:0], f.ID, c.wresb)
 	c.bw.Write(c.wbuf)
-	c.bw.Flush()
-	c.wmu.Unlock()
 }
 
 func (c *wireConn) handleUpdate(f wire.Frame) {
@@ -310,151 +316,14 @@ func (c *wireConn) handleUpdate(f wire.Frame) {
 		err = s.sh.ModifyAction(u.Prefix, u.Len, u.Action)
 	}
 	if err != nil {
+		code := wire.ErrBadRequest
 		if errors.Is(err, core.ErrDeltaFull) {
-			c.sendErr(f.ID, wire.ErrBackpressure, err.Error())
-			return
+			code = wire.ErrBackpressure
 		}
-		c.sendErr(f.ID, wire.ErrBadRequest, err.Error())
+		c.sendErr(f.ID, code, err.Error())
 		return
 	}
 	c.ws.cUpdates.Inc()
-	pending := uint32(s.sh.PendingInserts())
-	c.send(func(b []byte) []byte { return wire.AppendUpdateResult(b, f.ID, pending) })
-}
-
-// pendingLookup is one queued single-key request awaiting a dispatch.
-type pendingLookup struct {
-	c  *wireConn
-	id uint64
-	k  keys.Value
-}
-
-// coalescer gathers single-key lookups from all connections. Submitters
-// append under mu and nudge the dispatcher through wake; the dispatcher owns
-// the EWMA and the effective-window computation.
-type coalescer struct {
-	mu      sync.Mutex
-	pending []pendingLookup
-
-	wake   chan struct{}
-	window time.Duration // configured maximum gather window
-	ewma   float64       // dispatcher-owned load estimate (batch size)
-}
-
-func (co *coalescer) submit(p pendingLookup) {
-	co.mu.Lock()
-	co.pending = append(co.pending, p)
-	co.mu.Unlock()
-	select {
-	case co.wake <- struct{}{}:
-	default:
-	}
-}
-
-// take moves up to maxCoalesceBatch queued lookups into batch, re-arming the
-// wake channel if a backlog remains.
-func (co *coalescer) take(batch []pendingLookup) []pendingLookup {
-	co.mu.Lock()
-	n := len(co.pending)
-	if n > maxCoalesceBatch {
-		n = maxCoalesceBatch
-	}
-	batch = append(batch, co.pending[:n]...)
-	rest := copy(co.pending, co.pending[n:])
-	co.pending = co.pending[:rest]
-	backlog := rest > 0
-	co.mu.Unlock()
-	if backlog {
-		select {
-		case co.wake <- struct{}{}:
-		default:
-		}
-	}
-	return batch
-}
-
-// effectiveWindow maps the load estimate onto [0, window]: IMMEDIATE at or
-// below coalesceLightLoad, GATHER with the full window at coalesceFullLoad.
-func (co *coalescer) effectiveWindow() time.Duration {
-	frac := (co.ewma - coalesceLightLoad) / (coalesceFullLoad - coalesceLightLoad)
-	if frac <= 0 {
-		return 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return time.Duration(float64(co.window) * frac)
-}
-
-// dispatcher is the coalescer's single consumer: woken by the first queued
-// lookup, it optionally lingers for the adaptive window, takes the gathered
-// batch through one batch-plane call, and demultiplexes the answers back to
-// their connections by request id.
-func (ws *WireServer) dispatcher() {
-	co := ws.co
-	var (
-		batch []pendingLookup
-		ks    []keys.Value
-		res   []shard.Result
-		seq   uint64
-		conns []*wireConn // touched this round, flushed once each
-	)
-	drainMode := false
-	for {
-		if !drainMode {
-			select {
-			case <-co.wake:
-			case <-ws.drainc:
-				drainMode = true
-			}
-		}
-		if w := co.effectiveWindow(); w > 0 && !drainMode {
-			time.Sleep(w)
-		}
-		batch = co.take(batch[:0])
-		if len(batch) == 0 {
-			if drainMode {
-				close(ws.donec)
-				return
-			}
-			continue
-		}
-		co.ewma = (1-coalesceAlpha)*co.ewma + coalesceAlpha*float64(len(batch))
-		ws.cDispatches.Inc()
-		ws.cLookups.Add(uint64(len(batch)))
-		ws.hBatchSize.ObserveInt(len(batch))
-
-		ks = ks[:0]
-		for _, p := range batch {
-			ks = append(ks, p.k)
-		}
-		res = ws.s.batchStack(ks, res[:0])
-
-		// Demux: append each answer into its connection's buffered writer,
-		// flushing every touched connection exactly once per round.
-		seq++
-		conns = conns[:0]
-		for i, p := range batch {
-			c := p.c
-			c.wmu.Lock()
-			c.wbuf = wire.AppendResult(c.wbuf[:0], p.id, res[i].Action, res[i].Matched)
-			c.bw.Write(c.wbuf)
-			c.wmu.Unlock()
-			if c.dispatchSeq != seq {
-				c.dispatchSeq = seq
-				conns = append(conns, c)
-			}
-		}
-		for _, c := range conns {
-			c.wmu.Lock()
-			c.bw.Flush()
-			c.wmu.Unlock()
-		}
-	}
-}
-
-// isTimeout reports whether err is a deadline kick (the drain path).
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	c.wbuf = wire.AppendUpdateResult(c.wbuf[:0], f.ID, uint32(s.sh.PendingInserts()))
+	c.bw.Write(c.wbuf)
 }

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"net"
 	"os"
@@ -21,13 +24,13 @@ import (
 // (send SIGTERM on stop, read the result from errc); the cleanup calls the
 // idempotent stopFn, which is a no-op if the body already consumed errc
 // through it. Tests that read errc directly must not also call stopFn.
-func startWire(t *testing.T, srv *Server, window time.Duration, autoStop bool) (addr string, stop chan os.Signal, errc chan error) {
+func startWire(t *testing.T, srv *Server, autoStop bool) (addr string, stop chan os.Signal, errc chan error) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWireServer(srv, l, window)
+	ws := NewWireServer(srv, l)
 	stop = make(chan os.Signal, 1)
 	errc = make(chan error, 1)
 	go func() { errc <- ServeUnits(stop, 5*time.Second, ws) }()
@@ -48,7 +51,7 @@ func startWire(t *testing.T, srv *Server, window time.Duration, autoStop bool) (
 // against the sharded server and checks lookups against the trie oracle.
 func TestWireServerMatchesOracle(t *testing.T) {
 	srv, rs, sh := buildShardedServer(t)
-	addr, _, _ := startWire(t, srv, 0, true)
+	addr, _, _ := startWire(t, srv, true)
 	oracle := lpm.NewTrieMatcher(rs)
 
 	c, err := wire.Dial(addr, time.Second)
@@ -107,12 +110,166 @@ func TestWireServerMatchesOracle(t *testing.T) {
 	_ = sh
 }
 
-// TestWireSingleEngineMode exercises the coalescer and the update frames
-// against one shard — the degenerate topology, a single engine behind the
+// readFrames reads n response frames from br (payloads copied out of the
+// read buffer), failing the test if they do not all arrive within two seconds.
+func readFrames(t *testing.T, conn net.Conn, br *bufio.Reader, n int) []wire.Frame {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var buf []byte
+	out := make([]wire.Frame, 0, n)
+	for len(out) < n {
+		f, b, err := wire.ReadFrame(br, buf)
+		buf = b
+		if err != nil {
+			t.Fatalf("response %d of %d: %v", len(out)+1, n, err)
+		}
+		f.Payload = append([]byte(nil), f.Payload...)
+		out = append(out, f)
+	}
+	return out
+}
+
+// wantResult checks that f answers request id with (action, matched).
+func wantResult(t *testing.T, f wire.Frame, id uint64, action uint64, matched bool) {
+	t.Helper()
+	res, err := f.Result()
+	if f.Op != wire.OpResult || f.ID != id || err != nil {
+		t.Fatalf("frame %s id=%d (%v), want result id=%d", f.Op, f.ID, err, id)
+	}
+	if res.Matched != matched || (matched && res.Action != action) {
+		t.Fatalf("id %d = (%d,%v), want (%d,%v)", id, res.Action, res.Matched, action, matched)
+	}
+}
+
+// TestWireBatchingRules pins the reader's per-connection batching rules
+// (DESIGN.md §17) over raw connections: each case pipelines several frames in
+// one write and checks what comes back, and in what order, against the oracle.
+func TestWireBatchingRules(t *testing.T) {
+	srv, rs, _ := buildShardedServer(t)
+	addr, _, _ := startWire(t, srv, true)
+	oracle := lpm.NewTrieMatcher(rs)
+	dial := func(t *testing.T) (net.Conn, *bufio.Reader) {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn, bufio.NewReader(conn)
+	}
+	rng := rand.New(rand.NewSource(11))
+	randKey := func() keys.Value { return keys.FromUint64(rng.Uint64() & (1<<32 - 1)) }
+
+	// Answers are never held behind bytes that have not arrived: a partial
+	// frame at the end of a read flushes what is finished, then blocks.
+	t.Run("partial frame flushes finished answers", func(t *testing.T) {
+		conn, br := dial(t)
+		ks := []keys.Value{randKey(), randKey(), randKey(), randKey()}
+		var b []byte
+		for i, k := range ks {
+			b = wire.AppendLookup(b, uint64(i+1), k)
+		}
+		cut := len(b) - 32 + 10 // three frames and 10 bytes of the fourth
+		if _, err := conn.Write(b[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range readFrames(t, conn, br, 3) {
+			action, ok := oracle.Lookup(ks[i])
+			wantResult(t, f, uint64(i+1), action, ok)
+		}
+		if _, err := conn.Write(b[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		action, ok := oracle.Lookup(ks[3])
+		wantResult(t, readFrames(t, conn, br, 1)[0], 4, action, ok)
+	})
+
+	// An update pipelined between lookups is applied between them, and every
+	// response keeps its request's position.
+	t.Run("update lands between the lookups around it", func(t *testing.T) {
+		conn, br := dial(t)
+		k := keys.FromUint64(0x7f000001)
+		baseAction, baseOK := oracle.Lookup(k)
+		var b []byte
+		b = wire.AppendLookup(b, 1, k)
+		b = wire.AppendUpdate(b, 2, wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 4242})
+		b = wire.AppendLookup(b, 3, k)
+		b = wire.AppendUpdate(b, 4, wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: k, Len: 32})
+		b = wire.AppendLookup(b, 5, k)
+		b = wire.AppendPing(b, 6)
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		fs := readFrames(t, conn, br, 6)
+		wantResult(t, fs[0], 1, baseAction, baseOK)
+		wantResult(t, fs[2], 3, 4242, true)
+		wantResult(t, fs[4], 5, baseAction, baseOK)
+		for i, op := range map[int]wire.Op{1: wire.OpUpdateResult, 3: wire.OpUpdateResult, 5: wire.OpPong} {
+			if fs[i].Op != op || fs[i].ID != uint64(i+1) {
+				t.Errorf("response %d is %s id=%d, want %s id=%d", i+1, fs[i].Op, fs[i].ID, op, i+1)
+			}
+		}
+	})
+
+	// One read's lookups share batch-plane calls, at most maxCoalesceBatch each.
+	t.Run("300 lookups batch under the 256 cap", func(t *testing.T) {
+		conn, br := dial(t)
+		dispatches := srv.reg.Counter("neurolpm_wire_coalesce_dispatches_total", "")
+		before := dispatches.Load()
+		ks := make([]keys.Value, 300)
+		var b []byte
+		for i := range ks {
+			ks[i] = randKey()
+			b = wire.AppendLookup(b, uint64(i+1), ks[i])
+		}
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range readFrames(t, conn, br, len(ks)) {
+			action, ok := oracle.Lookup(ks[i])
+			wantResult(t, f, uint64(i+1), action, ok)
+		}
+		if n := dispatches.Load() - before; n < 2 || n >= 300 {
+			t.Errorf("300 pipelined lookups took %d batch-plane calls, want 2..299", n)
+		}
+	})
+
+	// A bad payload costs one error frame in its own position, not the
+	// lookups around it and not the connection.
+	t.Run("malformed payload between lookups", func(t *testing.T) {
+		conn, br := dial(t)
+		k1, k3 := randKey(), randKey()
+		short := wire.AppendLookup(nil, 2, randKey())
+		short = short[:len(short)-1] // a 15-byte key
+		binary.LittleEndian.PutUint32(short, uint32(len(short)-4))
+		b := wire.AppendLookup(nil, 1, k1)
+		b = append(b, short...)
+		b = wire.AppendLookup(b, 3, k3)
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		fs := readFrames(t, conn, br, 3)
+		action, ok := oracle.Lookup(k1)
+		wantResult(t, fs[0], 1, action, ok)
+		if fs[1].Op != wire.OpError || fs[1].ID != 2 || len(fs[1].Payload) == 0 || fs[1].Payload[0] != wire.ErrMalformed {
+			t.Fatalf("response 2 is %s id=%d payload %q, want a malformed-frame error for id 2", fs[1].Op, fs[1].ID, fs[1].Payload)
+		}
+		action, ok = oracle.Lookup(k3)
+		wantResult(t, fs[2], 3, action, ok)
+		if _, err := conn.Write(wire.AppendPing(nil, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if f := readFrames(t, conn, br, 1)[0]; f.Op != wire.OpPong || f.ID != 4 {
+			t.Fatalf("connection unusable after a malformed payload: got %s id=%d", f.Op, f.ID)
+		}
+	})
+}
+
+// TestWireSingleEngineMode exercises lookup and update frames against one
+// shard — the degenerate topology, a single engine behind the
 // router — which must serve both like any other shard count.
 func TestWireSingleEngineMode(t *testing.T) {
 	srv, eng := buildTestServer(t, true, telemetry.NewRegistry())
-	addr, _, _ := startWire(t, srv, 0, true)
+	addr, _, _ := startWire(t, srv, true)
 
 	c, err := wire.Dial(addr, time.Second)
 	if err != nil {
@@ -141,7 +298,7 @@ func TestWireSingleEngineMode(t *testing.T) {
 // error/disconnect while other connections keep serving.
 func TestWireMalformedFramesDoNotKillServer(t *testing.T) {
 	srv, _, _ := buildShardedServer(t)
-	addr, _, _ := startWire(t, srv, 0, true)
+	addr, _, _ := startWire(t, srv, true)
 
 	good, err := wire.Dial(addr, time.Second)
 	if err != nil {
@@ -168,14 +325,12 @@ func TestWireMalformedFramesDoNotKillServer(t *testing.T) {
 }
 
 // TestWireDrainsInFlightFrames is the PR 10 shutdown regression test: a
-// lookup parked in the coalescer's gather window when SIGTERM arrives must
-// still be answered before the connection closes.
+// lookup sent immediately before SIGTERM — still in the kernel buffer or
+// mid-decode when the signal lands — must be answered before the connection
+// closes.
 func TestWireDrainsInFlightFrames(t *testing.T) {
 	srv, rs, _ := buildShardedServer(t)
-	// A long window guarantees the request is sitting in the gather state
-	// when the signal lands; several warm-up lookups push the EWMA over the
-	// light-load threshold so the window actually applies.
-	addr, stop, errc := startWire(t, srv, 300*time.Millisecond, false)
+	addr, stop, errc := startWire(t, srv, false)
 	oracle := lpm.NewTrieMatcher(rs)
 
 	c, err := wire.Dial(addr, time.Second)
@@ -183,37 +338,16 @@ func TestWireDrainsInFlightFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	warm := make([]keys.Value, 64)
-	for i := range warm {
-		warm[i] = keys.FromUint64(uint64(i) * 997)
-	}
-	if _, err := c.Batch(warm); err != nil {
+	if err := c.Ping(); err != nil { // the connection is accepted and served
 		t.Fatal(err)
 	}
-	// Push the EWMA up: concurrent singles force multi-lookup dispatches.
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cc, err := wire.Dial(addr, time.Second)
-			if err != nil {
-				return
-			}
-			defer cc.Close()
-			for i := 0; i < 8; i++ {
-				cc.Lookup(keys.FromUint64(uint64(g*100 + i)))
-			}
-		}(g)
-	}
-	wg.Wait()
 
 	k := keys.FromUint64(0x0a010203)
 	id := c.ID()
 	if err := c.Send(func(b []byte) []byte { return wire.AppendLookup(b, id, k) }); err != nil {
 		t.Fatal(err)
 	}
-	stop <- syscall.SIGTERM // the lookup may still be parked in the window
+	stop <- syscall.SIGTERM
 
 	f, err := c.Recv()
 	if err != nil {
@@ -245,6 +379,85 @@ func TestWireDrainsInFlightFrames(t *testing.T) {
 	}
 }
 
+// stallClient attaches a client that pipelines lookups and never reads a
+// response, and returns once it is stalled: a write has blocked, so the
+// server's answers have filled both socket buffers and its reader of this
+// connection is parked in Flush. A server that keeps accepting the bytes
+// anyway gets stallCap of them — more than the buffers between the two ends
+// can hold — so the caller's checks always run against a stalled connection.
+func stallClient(t *testing.T, addr string) {
+	t.Helper()
+	const stallCap = 24 << 20
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	var chunk []byte
+	for i := 0; i < 1024; i++ {
+		chunk = wire.AppendLookup(chunk, uint64(i), keys.FromUint64(uint64(i)*2654435761))
+	}
+	for sent := 0; sent < stallCap; sent += len(chunk) {
+		conn.SetWriteDeadline(time.Now().Add(500 * time.Millisecond))
+		if _, err := conn.Write(chunk); err != nil {
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("stalling client: %v", err)
+			}
+			return
+		}
+	}
+}
+
+// TestWireStalledClientDoesNotStallOthers: a client that stops reading blocks
+// only its own connection. Behind a shared writer it would block every
+// connection and queue without bound, so the healthy client works against a
+// deadline.
+func TestWireStalledClientDoesNotStallOthers(t *testing.T) {
+	srv, rs, _ := buildShardedServer(t)
+	addr, _, _ := startWire(t, srv, true)
+	oracle := lpm.NewTrieMatcher(rs)
+	stallClient(t, addr)
+
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewClient(conn)
+	defer c.Close()
+	for i := 0; i < 100; i++ {
+		k := keys.FromUint64(uint64(i) * 40503)
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		res, err := c.Lookup(k)
+		if err != nil {
+			t.Fatalf("healthy client's lookup %d beside a stalled client: %v", i, err)
+		}
+		action, ok := oracle.Lookup(k)
+		if res.Matched != ok || (ok && res.Action != action) {
+			t.Fatalf("lookup %v = (%d,%v), oracle (%d,%v)", k, res.Action, res.Matched, action, ok)
+		}
+	}
+}
+
+// TestWireDrainWithStalledClient: drain bounds writers as well as readers, so
+// a goroutine parked flushing to a client that stopped reading is kicked at
+// wireDrainGrace instead of holding ServeUnits for the whole drain timeout.
+func TestWireDrainWithStalledClient(t *testing.T) {
+	srv, _, _ := buildShardedServer(t)
+	addr, stop, errc := startWire(t, srv, false)
+	stallClient(t, addr)
+
+	stop <- syscall.SIGTERM
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("ServeUnits returned %v, want nil: a stalled client must not fail the drain", err)
+		}
+	case <-time.After(2 * time.Second): // drain timeout is 5s, the grace 100ms
+		t.Fatal("ServeUnits still draining after 2s with a stalled client attached")
+	}
+}
+
 // TestUnitsDrainTogether: one SIGTERM drains HTTP and wire listeners run
 // under the same ServeUnits call (the unified-shutdown satellite).
 func TestUnitsDrainTogether(t *testing.T) {
@@ -257,7 +470,7 @@ func TestUnitsDrainTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWireServer(srv, wl, 0)
+	ws := NewWireServer(srv, wl)
 	stop := make(chan os.Signal, 1)
 	errc := make(chan error, 1)
 	go func() {
@@ -290,13 +503,13 @@ func TestUnitsDrainTogether(t *testing.T) {
 }
 
 // TestWireStressCoalescerVsCommits is the -race stress test: N client
-// connections hammer single lookups through the coalescer while a probe rule
+// connections hammer single lookups through their readers while a probe rule
 // flaps through the delta buffer and background commits run. Every answer
 // must equal the base oracle or the probe action — nothing else, ever.
 func TestWireStressCoalescerVsCommits(t *testing.T) {
 	srv, rs, sh := buildShardedServer(t)
 	sh.StartAutoCommit(2*time.Millisecond, 1)
-	addr, _, _ := startWire(t, srv, 5*time.Microsecond, true)
+	addr, _, _ := startWire(t, srv, true)
 	oracle := lpm.NewTrieMatcher(rs)
 
 	const (
@@ -380,6 +593,6 @@ func TestWireStressCoalescerVsCommits(t *testing.T) {
 	close(stopFlap)
 	flapWg.Wait()
 	if n := bad.Load(); n != 0 {
-		t.Fatalf("%d oracle mismatches under coalescer/commit stress", n)
+		t.Fatalf("%d oracle mismatches under lookup/commit stress", n)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // Client is one persistent wire connection. The synchronous methods
 // (Lookup, Batch, Update, Ping) keep one request in flight and are safe for
 // concurrent use; high-rate callers that want pipelining (cmd/lpmload) use
-// Send/Recv directly — ids are caller-assigned and responses arrive in
-// whatever order the server's coalescer produced them.
+// Send/Recv directly — ids are caller-assigned and responses are matched by
+// id; the protocol does not promise request order.
 type Client struct {
 	conn net.Conn
 

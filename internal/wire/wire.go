@@ -4,8 +4,8 @@
 // followed by a fixed 12-byte header (magic, version, opcode, request id)
 // and an opcode-specific payload of fixed-width fields — no text parsing, no
 // reflection, no per-request allocation. Request ids let a server answer out
-// of order, which is what makes cross-connection coalescing (serve.WireServer)
-// possible: responses are demultiplexed by id, not by arrival order.
+// of order: clients demultiplex responses by id, not by arrival order
+// (serve.WireServer happens to answer each connection in request order).
 //
 // Every encoder appends into a caller-owned buffer and every decoder returns
 // slices into the received frame, so a connection loop runs allocation-free
