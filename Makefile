@@ -1,9 +1,11 @@
-# NeuroLPM reproduction — stdlib-only Go. `make ci` mirrors the GitHub
-# Actions pipeline (.github/workflows/ci.yml).
+# NeuroLPM reproduction — stdlib-only Go. Every step of the GitHub Actions
+# pipeline (.github/workflows/ci.yml) is `make <target>` for a target below,
+# and `make ci` runs them all: the list of checks exists here and nowhere else.
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-smoke bench-json bench-guard bench-serve-smoke slo smoke faults fuzz loadtest ci
+.PHONY: build vet test race race-all race-cores fuzz bench bench-smoke bench-batch \
+	telemetry-overhead bench-module bench-serve-smoke smoke slo tiered faults loadtest canary ci
 
 build:
 	$(GO) build ./...
@@ -19,70 +21,49 @@ test:
 # show on every run (ROADMAP item 1), so one -cpu value is not a check.
 CONCURRENT = ./internal/core ./internal/shard ./internal/serve ./internal/planetest
 
-race:
+race: race-all race-cores
+
+race-all:
 	$(GO) test -race ./...
+
+race-cores:
 	$(GO) test -race -cpu 1,2,4 $(CONCURRENT)
 
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Every benchmark compiled and run exactly once: catches bit-rotted
-# benchmark code without paying for stable measurements.
-bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./...
-
-# The PR-over-PR perf record: quick-scale experiment tables plus the
-# reference/compiled/batched/sharded lookup microbenchmarks as JSON.
-# -compact keeps the committed file diffable (no timestamps, one line per
-# table row).
-bench-json:
-	$(GO) run ./cmd/lpmbench -json BENCH_PR10.json -compact
-
-# The flight-recorder & SLO plane experiment (E26): sampling overhead,
-# quantile fidelity, drift and hotness sanity (DESIGN.md §13).
-slo:
-	$(GO) run ./cmd/lpmbench -exp observe
-
-# One fast end-to-end experiment plus the machine-readable report.
-smoke:
-	$(GO) run ./cmd/lpmbench -exp headline -json bench.json
-
-# The E24 retrain-failure storm: lookup latency + correctness while every
-# background commit fails, then exactly-once recovery (DESIGN.md §11).
-faults:
-	$(GO) run ./cmd/lpmbench -exp faults
-
-# Mirrors CI's race-and-fuzz job: race the concurrent packages, then give
-# each differential fuzz target a short budget. FuzzStackVsOracle is the
+# Each differential fuzz target on a short budget. FuzzStackVsOracle is the
 # parameterized lookup-plane matrix target (DESIGN.md §14): one harness
 # covering {single engine, 1/2/4/8 shards} × {compiled,reference,quantized} ×
-# {cached,uncached} plus update interleavings and injected commit failures.
+# {cached,uncached} plus update interleavings and injected commit failures, so
+# it gets four times the others' budget.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -race -cpu 1,2,4 $(CONCURRENT)
-	$(GO) test -race ./internal/telemetry ./internal/wire ./internal/load
 	$(GO) test -run xxx -fuzz FuzzParseRule -fuzztime $(FUZZTIME) ./internal/lpm
 	$(GO) test -run xxx -fuzz FuzzPrefixCoverBounds -fuzztime $(FUZZTIME) ./internal/lpm
 	$(GO) test -run xxx -fuzz FuzzReadModel -fuzztime $(FUZZTIME) ./internal/rqrmi
 	$(GO) test -run xxx -fuzz FuzzCompiledVsModel -fuzztime $(FUZZTIME) ./internal/rqrmi
 	$(GO) test -run xxx -fuzz FuzzQuantizedVsModel -fuzztime $(FUZZTIME) ./internal/rqrmi
-	$(GO) test -run xxx -fuzz FuzzStackVsOracle -fuzztime $(FUZZTIME) ./internal/planetest
+	$(GO) test -run xxx -fuzz FuzzStackVsOracle -fuzztime 40s ./internal/planetest
 	$(GO) test -run xxx -fuzz FuzzWireCodec -fuzztime $(FUZZTIME) ./internal/wire
 
-# The lpmload CI smoke (DESIGN.md §17): a 2s open-loop wire run with a live
-# update stream against an in-process WireServer must complete ≥ 90% of the
-# offered rate with zero errors and zero oracle mismatches.
-loadtest:
-	$(GO) test -run TestLoadSmoke -v -count=1 ./internal/load
+bench:
+	$(GO) test -bench=. -benchmem ./...
 
-# E23 + E25 + E28 + E29 quick on the unified stack, compared against the
-# committed baseline: any ratio regressing by more than 3% fails. The
-# wall-clock overhead budgets (flight recorder at its default stride,
-# cache-off batch path, one shard against the bare engine single-key and
-# batch-64; ≤ 10% each) are rows of the same run, measured as interleaved
-# A/B pairs.
-bench-guard:
-	$(GO) run ./cmd/lpmbench -guard BENCH_PR10.json
+# Every package micro-benchmark compiled and run exactly once: catches
+# bit-rotted benchmark code without paying for stable measurements.
+bench-smoke:
+	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# The cached-batch arms of the stack executor, a second each (DESIGN.md §12).
+bench-batch:
+	$(GO) test -run xxx -bench 'BenchmarkBatch(UncachedCompiled|CachedZipfHot|CachedUniform|CacheOff)$$' -benchtime 1s ./internal/core/
+
+# Instrumented Lookup against the pre-telemetry arithmetic (DESIGN.md §8).
+telemetry-overhead:
+	$(GO) test -run xxx -bench 'BenchmarkLookup(Instrumented|Seed)$$' -benchtime 1s ./internal/core/
+
+# benchmark/ is a module of its own that compiles against this one's API: an
+# API deletion that breaks it should fail here, not in the next benchmark run.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # The repository benchmark's own smoke, non-short: builds cmd/lpmserve from
 # this checkout and drives all six workloads at 20 000 rules (~50 s), so a
@@ -91,8 +72,33 @@ bench-guard:
 bench-serve-smoke:
 	cd benchmark && $(GO) test -run TestSmoke -count=1 .
 
-# benchmark/ is a module of its own that compiles against this one's API: an
-# API deletion that breaks it should fail here, not in the next benchmark run.
-ci: build vet race smoke bench-smoke bench-guard bench-serve-smoke loadtest slo
-	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
-	$(GO) test -run xxx -bench 'BenchmarkLookup(Instrumented|Seed)$$' -benchtime 1s ./internal/core/
+# One fast end-to-end experiment through cmd/lpmbench.
+smoke:
+	$(GO) run ./cmd/lpmbench -exp headline
+
+# The flight-recorder & SLO plane experiment (E26): sampling overhead,
+# quantile fidelity, drift and hotness sanity (DESIGN.md §13).
+slo:
+	$(GO) run ./cmd/lpmbench -exp observe
+
+# The tiered-store experiment (E28, DESIGN.md §16).
+tiered:
+	$(GO) run ./cmd/lpmbench -exp tiered
+
+# The E24 retrain-failure storm: lookup latency + correctness while every
+# background commit fails, then exactly-once recovery (DESIGN.md §11).
+faults:
+	$(GO) run ./cmd/lpmbench -exp faults
+
+# The lpmload CI smoke (DESIGN.md §17): a 2s open-loop wire run with a live
+# update stream against an in-process WireServer must complete ≥ 90% of the
+# offered rate with zero errors and zero oracle mismatches.
+loadtest:
+	$(GO) test -run TestLoadSmoke -v -count=1 ./internal/load
+
+# The 10M-rule scale canary (non-race; wall-clock budgeted).
+canary:
+	$(GO) test -run TestScaleCanary10M -v ./internal/workload
+
+ci: build vet race bench-module smoke telemetry-overhead fuzz \
+	bench-smoke bench-batch slo tiered loadtest bench-serve-smoke canary

@@ -562,8 +562,7 @@ func (e *Engine) tail(k keys.Value, tr *Trace, b int, mem cachesim.Mem, sp *tele
 // same equivalence contract as Lookup: bit-identical to the compiled plane
 // and to the trie oracle on every key (enforced per-build by Verify and
 // across the matrix by internal/planetest's parameterized harness). Only the
-// cost differs, which is what the E23 reference-vs-compiled experiment
-// measures.
+// cost differs.
 func (e *Engine) LookupReference(k keys.Value) (action uint64, ok bool) {
 	tr := e.lookupReference(k, cachesim.Null{}, nil)
 	return tr.Action, tr.Matched
@@ -573,7 +572,7 @@ func (e *Engine) LookupReference(k keys.Value) (action uint64, ok bool) {
 // executor: int32 shift-add inference and a bounded search driven by the
 // plane's own integer-arithmetic error bounds. It is LookupStack with the
 // quantized-uncached configuration and obeys the same oracle-equivalence
-// contract as Lookup — the E27 experiment measures the cost difference.
+// contract as Lookup; only the cost differs.
 func (e *Engine) LookupQuantized(k keys.Value) (action uint64, ok bool) {
 	tr := e.lookupQuantized(k, cachesim.Null{}, nil)
 	return tr.Action, tr.Matched
@@ -587,7 +586,7 @@ func (e *Engine) lookupReference(k keys.Value, mem cachesim.Mem, sp *telemetry.S
 	end := sp.Stage("reference-inference")
 	tr.Prediction = e.model.Predict(k)
 	end()
-	// The reference path is for differential tests and E23 — it never feeds
+	// The reference path is for differential tests — it never feeds
 	// the flight recorder, whose records describe the production planes.
 	e.finish(k, &tr, mem, sp, plane.Reference, n, nil)
 	return tr

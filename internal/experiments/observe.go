@@ -5,11 +5,8 @@ import (
 	"math/bits"
 	"time"
 
-	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
-	"neurolpm/internal/plane"
-	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
 	"neurolpm/internal/workload"
 )
@@ -47,7 +44,7 @@ type ObserveResult struct {
 	Samples uint64 // flight records committed during the run
 }
 
-// observeBatch matches cacheBatchSize so the batch rows line up with E23/E25.
+// observeBatch matches cacheBatchSize so the batch rows line up with E25.
 const observeBatch = 256
 
 // onOff labels an overhead row with the live default stride.
@@ -64,8 +61,7 @@ func log2Bucket(ns float64) int {
 }
 
 // Observe runs E26 on a bucketized RIPE-profile engine with a locality
-// trace (the same workload as the headline lookup bench, so its overhead
-// numbers contextualize BENCH_*.json's ns/op directly).
+// trace.
 func Observe(sc Scale) (*ObserveResult, error) {
 	rs, err := workload.Generate(workload.RIPE(), sc.Rules["ripe"], sc.Seed)
 	if err != nil {
@@ -175,84 +171,6 @@ func Observe(sc Scale) (*ObserveResult, error) {
 	return res, nil
 }
 
-// OverheadCell is one "off must cost nothing" pair: Ratio is the rate with
-// the plane in the path over the rate without it, so 1.0 means free.
-type OverheadCell struct {
-	Name  string
-	Ratio float64
-}
-
-// shardBatch is the batch size of the degenerate-topology pair: a pipelined
-// wire read's typical batch, small enough that per-call routing shows.
-const shardBatch = 64
-
-// Overheads measures the wall-clock budgets `lpmbench -guard` holds at
-// ≥ 0.90: single-key lookups with the flight recorder at its default stride
-// against the recorder off, the cached batch stack with no cache against the
-// plain batch path, and the one serving topology at its degenerate shard
-// count — a one-shard ShardedUpdatable with an empty delta buffer — against
-// the bare engine it wraps, single-key and in batches of shardBatch. Both
-// sides of a pair alternate in interleaved rounds (measureRatesInterleaved),
-// which a go-test assertion timing one side after the other could not do — as
-// tests they read 0.86×–1.20× run to run.
-func Overheads(sc Scale) ([]OverheadCell, error) {
-	rs, err := workload.Generate(workload.RIPE(), sc.Rules["ripe"], sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.Build(rs, sc.engineConfig())
-	if err != nil {
-		return nil, err
-	}
-	one, err := shard.BuildUpdatable(rs, sc.engineConfig(), 1, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer one.Close()
-	trace := workload.UniformTrace(rs.Width, sc.TraceLen, sc.Seed+5)
-	defer telemetry.Flight.SetSampleEvery(telemetry.Flight.SampleEvery())
-	single := func(every uint64) func([]keys.Value) {
-		return func(ks []keys.Value) {
-			telemetry.Flight.SetSampleEvery(every)
-			for _, k := range ks {
-				eng.Lookup(k)
-			}
-		}
-	}
-	var out []core.BatchResult
-	batch := func(st plane.StackConfig, size int) func([]keys.Value) {
-		return func(ks []keys.Value) {
-			epoch := eng.CacheEpoch().Load()
-			for lo := 0; lo < len(ks); lo += size {
-				out = eng.LookupBatchStack(st, ks[lo:min(lo+size, len(ks))], out, cachesim.Null{}, nil, epoch)
-			}
-		}
-	}
-	// Every run after the second keeps the default stride that one set, so the
-	// degenerate-topology pairs compare like with like (r[4] against r[1]).
-	r := measureRatesInterleaved(trace, []func([]keys.Value){
-		single(0), single(telemetry.DefaultSampleEvery),
-		batch(plane.StackConfig{}, observeBatch), batch(plane.StackConfig{Cached: true}, observeBatch),
-		func(ks []keys.Value) {
-			for _, k := range ks {
-				one.Lookup(k)
-			}
-		},
-		batch(plane.StackConfig{}, shardBatch),
-		func(ks []keys.Value) {
-			for lo := 0; lo < len(ks); lo += shardBatch {
-				one.LookupBatch(ks[lo:min(lo+shardBatch, len(ks))])
-			}
-		},
-	})
-	return []OverheadCell{
-		{fmt.Sprintf("flight 1:%d / off", telemetry.DefaultSampleEvery), r[1] / r[0]},
-		{"batch cache-off / uncached", r[3] / r[2]},
-		{"shards=1 / engine", r[4] / r[1]},
-		{fmt.Sprintf("shards=1 / engine batch-%d", shardBatch), r[6] / r[5]},
-	}, nil
-}
-
 // ObserveTable renders E26.
 func ObserveTable(r *ObserveResult) *Table {
 	verdict := func(ok bool, yes, no string) string {
@@ -278,7 +196,7 @@ func ObserveTable(r *ObserveResult) *Table {
 		},
 		Notes: []string{
 			fmt.Sprintf("DESIGN.md §13: 1-in-%d sampled flight records through the real plane stack; off rows still pay the disabled tick-and-mask test", telemetry.DefaultSampleEvery),
-			"overhead is round-interleaved best-of-3 (drift-immune); the CI guard allows 10% to absorb scheduler noise, the honest number is this row",
+			"overhead is round-interleaved best-of-3 (drift-immune)",
 			fmt.Sprintf("quantiles are log2-bucketed (factor-of-two); %d flight records committed during the run", r.Samples),
 		},
 	}

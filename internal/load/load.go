@@ -1,6 +1,5 @@
-// Package load is the open-loop load driver behind cmd/lpmload and the E29
-// wire experiment: it replays a calibrated key trace (plus an optional
-// update stream) against a serving endpoint — HTTP/JSON or the binary wire
+// Package load is the open-loop load driver behind cmd/lpmload: it replays
+// a calibrated key trace (plus an optional update stream) against a serving endpoint — HTTP/JSON or the binary wire
 // protocol — at a Poisson-scheduled offered rate, and reports offered vs.
 // achieved qps and latency quantiles measured from each request's *scheduled*
 // send time. Measuring from the schedule (not from the moment the request

@@ -123,7 +123,10 @@ func checkReport(t *testing.T, rep *Report, openLoop bool) {
 	if rep.Errors != 0 {
 		t.Fatalf("%d request errors", rep.Errors)
 	}
-	if openLoop && rep.Achieved < 0.9*rep.Offered {
+	// Achieved against offered is a wall-clock claim, and under the race
+	// detector on a loaded box it fails for reasons that are not the driver's;
+	// the benchmark reports it as loadgen.achieved_share.
+	if openLoop && !raceEnabled && rep.Achieved < 0.9*rep.Offered {
 		t.Fatalf("achieved %.0f/s below 90%% of offered %.0f/s", rep.Achieved, rep.Offered)
 	}
 }

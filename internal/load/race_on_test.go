@@ -2,7 +2,8 @@
 
 package load
 
-// raceEnabled scales the smoke rates down: race instrumentation slows the
-// served side several-fold, and the open-loop achieved/offered check is about
-// driver correctness, not server throughput under the detector.
+// raceEnabled scales the smoke rates down and drops checkReport's
+// achieved/offered check: race instrumentation slows the served side
+// several-fold, so under it the smokes assert completion, zero errors and zero
+// oracle mismatches, not a share of wall-clock throughput.
 const raceEnabled = true

@@ -10,8 +10,9 @@
 // stack executor in internal/core branches on. The executors are written so
 // the exported per-combination entry points (Lookup, LookupBatch,
 // LookupReference, ...) are thin constant-config wrappers that compile down to
-// the same hot paths as before — zero-overhead is a hard requirement, guarded
-// by `lpmbench -guard`'s cache-off overhead row.
+// the same hot paths as before — zero-overhead is a hard requirement; the
+// benchmark's `core.batch_ns` (benchmark/, BENCHMARK.json) times the cache-off
+// batch path the serving plane calls.
 //
 // The full test matrix — {single, sharded} × {compiled, reference,
 // quantized} × {cached, uncached} — is enumerated by Combos; internal/planetest runs one

@@ -194,8 +194,8 @@ func (c *Compiled) Len() int { return c.n }
 func (c *Compiled) SizeBytes() int { return c.BankBytes() + c.bytes() }
 
 // BankBytes is the coefficient-bank footprint alone (float32 banks + the
-// per-submodel error bounds) — the baseline E27's shrink ratio is stated
-// against.
+// per-submodel error bounds) — the baseline the quantized plane's shrink
+// ratio is stated against (TestQuantizedBankShrink).
 func (c *Compiled) BankBytes() int {
 	return 4 * (len(c.bank) + len(c.errs))
 }

@@ -297,8 +297,8 @@ func (q *Quantized) Len() int { return q.n }
 func (q *Quantized) SizeBytes() int { return q.BankBytes() + q.bytes() }
 
 // BankBytes is the coefficient-bank footprint alone (banks + per-submodel
-// error bounds) — the quantity E27 compares against Compiled.BankBytes to
-// report the shrink ratio.
+// error bounds) — the quantity TestQuantizedBankShrink holds to at most 0.6×
+// Compiled.BankBytes.
 func (q *Quantized) BankBytes() int {
 	return 2*len(q.bank) + 4*len(q.errs)
 }

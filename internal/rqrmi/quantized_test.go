@@ -138,8 +138,8 @@ func TestQuantizedBatchMatchesSingle(t *testing.T) {
 }
 
 // TestQuantizedBankShrink pins the tentpole's storage claim: the int16
-// coefficient bank must be at most 0.6× the float32 bank (E27 reports the
-// measured ratio at engine scale; this is the unit-level floor).
+// coefficient bank must be at most 0.6× the float32 bank (0.52× measured at
+// engine scale on the ripe set, DESIGN.md §15).
 func TestQuantizedBankShrink(t *testing.T) {
 	for _, p := range quantPlanes(t, []int{32}) {
 		qb, cb := p.q.BankBytes(), p.c.BankBytes()

@@ -482,7 +482,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // jsonEnc pairs a staging buffer with a json.Encoder writing into it, pooled
 // so the hot endpoints (/lookup, /batch) reuse the encoder state and buffer
 // instead of allocating both per request. Staging also yields an exact
-// Content-Length, which keeps the HTTP baseline honest in E29.
+// Content-Length, which keeps HTTP honest as the baseline the wire plane is
+// compared against.
 type jsonEnc struct {
 	buf bytes.Buffer
 	enc *json.Encoder

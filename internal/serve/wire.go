@@ -117,8 +117,9 @@ func (ws *WireServer) Serve() error {
 }
 
 // Shutdown drains the wire plane in one phase: stop accepting, bound every
-// connection with wireDrainGrace, and wait for the readers — each answers and
-// flushes everything it read before it exits and closes its connection.
+// connection's reads with wireDrainGrace and its writes with twice that, and
+// wait for the readers — each answers and flushes everything it read before
+// it exits and closes its connection.
 // Connections still open when ctx expires are closed here.
 func (ws *WireServer) Shutdown(ctx context.Context) error {
 	ws.stopOnce.Do(func() {
@@ -126,11 +127,14 @@ func (ws *WireServer) Shutdown(ctx context.Context) error {
 		ws.l.Close()
 		ws.mu.Lock()
 		ws.draining = true
-		deadline := time.Now().Add(wireDrainGrace)
+		now := time.Now()
 		for c := range ws.conns {
-			// Reads and writes: a reader parked in Read and one parked in
-			// Flush towards a client that stopped reading are both kicked.
-			c.conn.SetDeadline(deadline)
+			// A reader parked in Read is kicked at the grace, one parked in
+			// Flush towards a client that stopped reading a grace later: a
+			// frame read in the grace's last instant is answered after it, and
+			// under one shared deadline that flush would already have expired.
+			c.conn.SetReadDeadline(now.Add(wireDrainGrace))
+			c.conn.SetWriteDeadline(now.Add(2 * wireDrainGrace))
 		}
 		ws.mu.Unlock()
 		go func() {

@@ -30,6 +30,12 @@ func startWire(t *testing.T, srv *Server, autoStop bool) (addr string, stop chan
 	if err != nil {
 		t.Fatal(err)
 	}
+	return startWireOn(t, srv, l, autoStop)
+}
+
+// startWireOn is startWire on a listener the test made (and may have wrapped).
+func startWireOn(t *testing.T, srv *Server, l net.Listener, autoStop bool) (addr string, stop chan os.Signal, errc chan error) {
+	t.Helper()
 	ws := NewWireServer(srv, l)
 	stop = make(chan os.Signal, 1)
 	errc = make(chan error, 1)
@@ -379,6 +385,117 @@ func TestWireDrainsInFlightFrames(t *testing.T) {
 	}
 }
 
+// graceEdgeListener hands the server connections whose reads, once drain has
+// set a read deadline, return their bytes only after that deadline has passed:
+// the frame was read inside the grace, everything after the read runs outside
+// it. That is a frame landing in the grace's last instant (or a reader
+// descheduled after its read), made to happen on every run.
+type graceEdgeListener struct {
+	net.Listener
+	draining chan struct{} // closed when drain has bounded the connection
+}
+
+func (l graceEdgeListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &graceEdgeConn{Conn: conn, draining: l.draining}, nil
+}
+
+type graceEdgeConn struct {
+	net.Conn
+	draining chan struct{}
+
+	mu       sync.Mutex
+	readDead time.Time
+}
+
+func (c *graceEdgeConn) SetDeadline(t time.Time) error {
+	c.noteReadDeadline(t)
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *graceEdgeConn) SetReadDeadline(t time.Time) error {
+	c.noteReadDeadline(t)
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *graceEdgeConn) noteReadDeadline(t time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.readDead.IsZero() {
+		close(c.draining)
+	}
+	c.readDead = t
+}
+
+func (c *graceEdgeConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	dead := c.readDead
+	c.mu.Unlock()
+	if n > 0 && !dead.IsZero() {
+		time.Sleep(time.Until(dead) + time.Millisecond)
+	}
+	return n, err
+}
+
+// TestWireDrainAnswersFrameAtGraceEdge: a frame read just inside
+// wireDrainGrace is answered just outside it, and that answer must still
+// reach the client. With one deadline for reads and writes the flush was
+// already expired when it ran, and the frame was read and then dropped.
+func TestWireDrainAnswersFrameAtGraceEdge(t *testing.T) {
+	srv, rs, _ := buildShardedServer(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	draining := make(chan struct{})
+	addr, stop, errc := startWireOn(t, srv, graceEdgeListener{l, draining}, false)
+	oracle := lpm.NewTrieMatcher(rs)
+
+	c, err := wire.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil { // the connection is accepted and served
+		t.Fatal(err)
+	}
+
+	stop <- syscall.SIGTERM
+	select {
+	case <-draining:
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain never bounded the connection")
+	}
+	k := keys.FromUint64(0x0a010203)
+	id := c.ID()
+	if err := c.Send(func(b []byte) []byte { return wire.AppendLookup(b, id, k) }); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Recv()
+	if err != nil {
+		t.Fatalf("frame read at the edge of the drain grace was not answered: %v", err)
+	}
+	res, err := f.Result()
+	if err != nil || f.ID != id {
+		t.Fatalf("response %s id=%d (%v), want result id=%d", f.Op, f.ID, err, id)
+	}
+	if action, ok := oracle.Lookup(k); res.Matched != ok || (ok && res.Action != action) {
+		t.Fatalf("answer (%d,%v), oracle (%d,%v)", res.Action, res.Matched, action, ok)
+	}
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("ServeUnits returned %v, want nil on clean drain", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeUnits did not return after drain")
+	}
+}
+
 // stallClient attaches a client that pipelines lookups and never reads a
 // response, and returns once it is stalled: a write has blocked, so the
 // server's answers have filled both socket buffers and its reader of this
@@ -441,7 +558,7 @@ func TestWireStalledClientDoesNotStallOthers(t *testing.T) {
 
 // TestWireDrainWithStalledClient: drain bounds writers as well as readers, so
 // a goroutine parked flushing to a client that stopped reading is kicked at
-// wireDrainGrace instead of holding ServeUnits for the whole drain timeout.
+// twice wireDrainGrace instead of holding ServeUnits for the whole drain timeout.
 func TestWireDrainWithStalledClient(t *testing.T) {
 	srv, _, _ := buildShardedServer(t)
 	addr, stop, errc := startWire(t, srv, false)
@@ -453,7 +570,7 @@ func TestWireDrainWithStalledClient(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ServeUnits returned %v, want nil: a stalled client must not fail the drain", err)
 		}
-	case <-time.After(2 * time.Second): // drain timeout is 5s, the grace 100ms
+	case <-time.After(2 * time.Second): // drain timeout is 5s, the write bound 200ms
 		t.Fatal("ServeUnits still draining after 2s with a stalled client attached")
 	}
 }

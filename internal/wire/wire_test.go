@@ -35,6 +35,35 @@ func TestLookupRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCanonicalFrameLengths holds the two frames of one lookup to the byte
+// counts DESIGN.md §17's format table gives — length prefix + header +
+// payload, for any id, key or answer — so a query costs 57 bytes on the wire.
+// That is the numerator the benchmark's wire.bytes_per_lookup reports.
+func TestCanonicalFrameLengths(t *testing.T) {
+	wide := keys.FromParts(^uint64(0), ^uint64(0))
+	frames := []struct {
+		name  string
+		frame []byte
+		want  int
+	}{
+		{"lookup", AppendLookup(nil, 1, keys.FromUint64(1)), 4 + 12 + 16},
+		{"lookup, 128-bit key, max id", AppendLookup(nil, ^uint64(0), wide), 4 + 12 + 16},
+		{"result", AppendResult(nil, 1, 42, true), 4 + 12 + 9},
+		{"result, no match, max action", AppendResult(nil, ^uint64(0), ^uint64(0), false), 4 + 12 + 9},
+	}
+	for _, f := range frames {
+		if len(f.frame) != f.want {
+			t.Errorf("%s frame is %d bytes, want %d", f.name, len(f.frame), f.want)
+		}
+		if got := int(binary.LittleEndian.Uint32(f.frame)); got != f.want-4 {
+			t.Errorf("%s length prefix says %d, want %d", f.name, got, f.want-4)
+		}
+	}
+	if perQuery := len(frames[0].frame) + len(frames[2].frame); perQuery != 57 {
+		t.Errorf("one lookup and its result are %d bytes, want 57", perQuery)
+	}
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	ks := []keys.Value{
 		keys.FromUint64(1),
