@@ -5,7 +5,7 @@
 GO ?= go
 
 .PHONY: build vet test race race-all race-cores fuzz bench bench-smoke bench-batch \
-	telemetry-overhead bench-module bench-serve-smoke smoke slo tiered faults loadtest canary ci
+	telemetry-overhead bench-module bench-serve-smoke churn smoke slo tiered faults loadtest canary ci
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,16 @@ bench-module:
 # fails here, not in the next benchmark run.
 bench-serve-smoke:
 	cd benchmark && $(GO) test -run TestSmoke -count=1 .
+
+# The check for any change to the update path: wire_churn on seed 1, once for
+# the end-to-end figures and once traced for the layers under them (~2 min).
+# p50_us in the tens of µs, shard.insert_us and shard.delete_us a few µs,
+# serve.within_limit_share near 1 and core.torn_reads 0 is healthy; p50_us
+# near 10 000 means something is retraining on the serving core again.
+# Not part of `make ci`: it reports, and BENCHMARK.json holds the bounds.
+churn:
+	bash benchmark/run.sh --workload wire_churn --seed 1 --seconds 6 --trace 0 | grep -E '^  (p50_us|cpu_us_per_lookup) '
+	bash benchmark/run.sh --workload wire_churn --seed 1 --seconds 6 --trace 1 | grep -E '^  (shard\.|serve\.update_ack_|serve\.within_limit_share|core\.torn_reads)'
 
 # One fast end-to-end experiment through cmd/lpmbench.
 smoke:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"neurolpm/internal/ranges"
 	"testing"
 
 	"neurolpm/internal/keys"
@@ -126,10 +127,9 @@ func TestVerifyCatchesCompiledDivergence(t *testing.T) {
 	if n < 2 {
 		t.Skip("degenerate array")
 	}
-	mut := *e.ra
-	mut.Entries = append(mut.Entries[:0:0], e.ra.Entries...)
+	mut := &ranges.Array{Width: e.ra.Width, Entries: append(e.ra.Entries[:0:0], e.ra.Entries...)}
 	mut.Entries[n/2].Low = mut.Entries[n/2].Low.Inc()
-	if err := e.compilePlane(&mut); err != nil {
+	if err := e.compilePlane(mut); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Verify(); err == nil {

@@ -63,9 +63,9 @@ func SRAMOnlyConfig() Config {
 	return Config{Model: rqrmi.DefaultConfig()}
 }
 
-// Engine is a built NeuroLPM engine. It is safe for concurrent lookups;
-// updates require external synchronization (the hardware analogue swaps
-// whole engine instances atomically, §6.5).
+// Engine is a built NeuroLPM engine. It is safe for concurrent lookups, also
+// beside one writer; the updates (Insert, Delete, ModifyAction) require
+// external synchronization among themselves (Updatable provides it).
 type Engine struct {
 	cfg   Config
 	width int
@@ -73,13 +73,18 @@ type Engine struct {
 	// dead is the tombstone bitset (bit i: rules.Rules[i] was deleted). No
 	// read path consults it, but writers may overlap (a background commit's
 	// InsertBatch beside a Delete), so its words are atomic.
-	dead  []atomic.Uint64
-	ra    *ranges.Array
-	rec   *records          // what every lookup answers from; see record.go
-	dir   *bucket.Directory // nil in the SRAM-only design
-	model *rqrmi.Model
-	stats *rqrmi.Stats
-	trie  *lpm.Trie // lazily built on first Delete; indexes e.rules.Rules
+	dead []atomic.Uint64
+	// absorbed are the rules Insert added to this engine after Build, rule
+	// index rules.Len()+i, found through absorbedAt; lens counts the rules,
+	// dead ones included, of each prefix length (insert.go).
+	absorbed   []*absorbedRule
+	absorbedAt map[ruleID]int
+	lens       []int
+	ra         *ranges.Array
+	rec        *records          // what every lookup answers from; see record.go
+	dir        *bucket.Directory // nil in the SRAM-only design
+	model      *rqrmi.Model
+	stats      *rqrmi.Stats
 
 	// Observability-plane attachments (DESIGN.md §13): drift watches the
 	// observed secondary search against the compiled probe ceiling, hot
@@ -97,8 +102,8 @@ type Engine struct {
 	// the int32 fixed-point re-encoding of the same model (DESIGN.md §15),
 	// carrying its own error bounds recomputed in the integer arithmetic —
 	// selected per lookup by plane.StackConfig.Inference. Both are immutable
-	// after build: updates re-own ranges or rewrite actions but never move a
-	// boundary.
+	// after build: updates re-own ranges, rewrite actions or split a range
+	// inside its bucket, but never move a directory boundary.
 	comp  *rqrmi.Compiled
 	quant *rqrmi.Quantized
 
@@ -145,6 +150,7 @@ func Build(rs *lpm.RuleSet, cfg Config) (*Engine, error) {
 		width: rs.Width,
 		rules: rs.Clone(),
 		dead:  make([]atomic.Uint64, (rs.Len()+63)/64),
+		lens:  rs.PrefixHistogram(),
 		ra:    ra,
 		epoch: new(lcache.Epoch),
 	}
@@ -217,9 +223,6 @@ func (e *Engine) compilePlane(ix rqrmi.Index) error {
 	return nil
 }
 
-// isLive reports whether rule i is installed (update paths only).
-func (e *Engine) isLive(i int) bool { return e.dead[i>>6].Load()>>(uint(i)&63)&1 == 0 }
-
 // BuildWithModel assembles an engine around a previously trained and
 // serialized model, skipping training — the deployment path where the
 // control plane trains once and ships the model to the data plane (§6.5).
@@ -242,6 +245,7 @@ func BuildWithModel(rs *lpm.RuleSet, cfg Config, m *rqrmi.Model, verify bool) (*
 		width: rs.Width,
 		rules: rs.Clone(),
 		dead:  make([]atomic.Uint64, (rs.Len()+63)/64),
+		lens:  rs.PrefixHistogram(),
 		ra:    ra,
 		model: m,
 		epoch: new(lcache.Epoch),
@@ -350,8 +354,14 @@ type Trace struct {
 	SRAMProbes int  // secondary-search probes into the RQ Array (SRAM)
 	BucketRead bool // whether a DRAM bucket fetch was needed
 	ColdRead   bool // the bucket fetch was served from the slow tier (§16)
-	DRAMBytes  int  // bytes requested from DRAM (before caching)
-	RangeIndex int  // resolved index in the full range array
+	// Spilled: the bucket answered from a spill record, one dependent line
+	// past the fetch (an absorbed insert split a range; reset by a commit).
+	Spilled   bool
+	DRAMBytes int // bytes requested from DRAM (before caching)
+	// RangeIndex is the resolved range: bucket·K + its position in the
+	// bucket's record — the index in the built range array, except that a
+	// spilled bucket's positions run on past K.
+	RangeIndex int
 	Action     uint64
 	Matched    bool
 }
@@ -381,6 +391,7 @@ func (e *Engine) LookupSpan(inf plane.Inference, k keys.Value, mem cachesim.Mem)
 	sp.Set("sram_probes", tr.SRAMProbes)
 	sp.Set("bucket_read", tr.BucketRead)
 	sp.Set("cold_read", tr.ColdRead)
+	sp.Set("spill_read", tr.Spilled)
 	sp.Set("dram_bytes", tr.DRAMBytes)
 	sp.Set("range_index", tr.RangeIndex)
 	sp.Set("matched", tr.Matched)
@@ -453,11 +464,14 @@ func (e *Engine) finish(k keys.Value, tr *Trace, mem cachesim.Mem, sp *telemetry
 	end()
 	fr.Stamp(plane.StageSearch)
 	e.tail(k, tr, b, mem, sp, inf, n, fr)
-	var matched uint64
+	var matched, spilled uint64
 	if tr.Matched {
 		matched = 1
 	}
-	e.count(1, matched)
+	if tr.Spilled {
+		spilled = 1
+	}
+	e.count(1, matched, spilled)
 }
 
 // search is the bounded secondary search over the RQ Array in inf's
@@ -478,8 +492,10 @@ func (e *Engine) search(inf plane.Inference, k keys.Value, p rqrmi.Prediction) (
 
 // count books n finished lookups, one key from finish or a block from
 // finishBatch. Fetches go before the bucketized lookups they served, so a
-// reader that loads bucketized first never sees it ahead.
-func (e *Engine) count(n, matched uint64) {
+// reader that loads bucketized first never sees it ahead. The dependent line
+// a spilled bucket costs past its fetch is booked apart, so the §7 pair stays
+// exact.
+func (e *Engine) count(n, matched, spilled uint64) {
 	if e.dir != nil {
 		e.dir.CountFetches(n)
 		metBucketized.Add(n)
@@ -487,17 +503,21 @@ func (e *Engine) count(n, matched uint64) {
 	if matched != 0 {
 		metMatched.Add(matched)
 	}
+	if spilled != 0 {
+		metSpillFetches.Add(spilled)
+	}
 }
 
 // tail completes one key from b, the index its secondary search found:
-// bucketized engines fetch exactly one bucket and scan its record; the answer
-// comes out of the same record; then the sampled observations and the flight
-// commit. It books no counters (see count).
+// bucketized engines fetch exactly one bucket and scan its record — the spill
+// record, when word 0 redirects there; the answer comes out of the same
+// record; then the sampled observations and the flight commit. It books no
+// counters (see count).
 func (e *Engine) tail(k keys.Value, tr *Trace, b int, mem cachesim.Mem, sp *telemetry.Span, inf plane.Inference, n uint64, fr *telemetry.FlightRecord) {
 	var cmp int
 	if e.dir == nil {
 		tr.RangeIndex = b
-		tr.Action, tr.Matched = e.rec.resolve(b, 0)
+		tr.Action, tr.Matched = e.rec.open(b).resolve(0)
 	} else {
 		end := sp.Stage("bucket-fetch")
 		addr, size := e.dir.DRAMAddr(b)
@@ -507,7 +527,8 @@ func (e *Engine) tail(k keys.Value, tr *Trace, b int, mem cachesim.Mem, sp *tele
 		// Tiered engines route the fetch through the placement map first: a
 		// cold bucket scans its slow-tier copy (same bounds, same answer —
 		// only the charged latency and the tier counters differ). The
-		// reference arm keeps the paper's scan over the range array, which
+		// reference arm keeps the paper's scan over the range array — over
+		// the spill record's own bounds table for a spilled bucket — which
 		// Verify holds the record scan against.
 		if t := e.tiers; t != nil {
 			kk := k.Lo
@@ -516,16 +537,26 @@ func (e *Engine) tail(k keys.Value, tr *Trace, b int, mem cachesim.Mem, sp *tele
 			}
 			tr.RangeIndex, cmp, tr.ColdRead = t.Fetch(b, kk)
 		}
-		switch {
-		case tr.ColdRead:
-		case inf == plane.Reference:
-			tr.RangeIndex, cmp = e.dir.Search(b, k)
-		default:
-			tr.RangeIndex, cmp = e.rec.scan(b, k)
+		var j int
+		if inf != plane.Reference && !tr.ColdRead {
+			j, cmp, tr.Action, tr.Matched, tr.Spilled = e.rec.answer(b, k)
+		} else {
+			v := e.rec.open(b)
+			switch {
+			case tr.ColdRead:
+				j = tr.RangeIndex - b*e.dir.K
+			case v.m != nil:
+				j, cmp = v.m.search(k)
+			default:
+				j, cmp = e.dir.Search(b, k)
+				j -= b * e.dir.K
+			}
+			tr.Action, tr.Matched = v.resolve(j)
+			tr.Spilled = v.m != nil
 		}
 		end()
 		fr.Stamp(plane.StageFetch)
-		tr.Action, tr.Matched = e.rec.resolve(b, tr.RangeIndex-b*e.dir.K)
+		tr.RangeIndex = b*e.dir.K + j
 	}
 	// The per-query distributions are sampled 1:sampleEvery; an uncontended
 	// atomic RMW costs ~5ns on the reference machine, so observing three
@@ -662,7 +693,7 @@ func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.
 				e.rec.touch(b)
 			}
 		}
-		var matched uint64
+		var matched, spilled uint64
 		for i, k := range blk {
 			tr := &trs[i]
 			if bkt[i] != sampled {
@@ -671,34 +702,25 @@ func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.
 			if tr.Matched {
 				matched++
 			}
+			if tr.Spilled {
+				spilled++
+			}
 			emit(start+i, BatchResult{Action: tr.Action, Matched: tr.Matched})
 		}
-		e.count(uint64(n), matched)
-	}
-}
-
-// owned calls fn for every range rule idx owns. All rule bounds are range
-// boundaries, so those ranges lie inside the rule's covered span.
-func (e *Engine) owned(idx int, fn func(i int)) {
-	r := e.rules.Rules[idx]
-	last := e.ra.Find(r.High(e.width))
-	for i := e.ra.Find(r.Low(e.width)); i <= last; i++ {
-		if e.ra.RuleOf(i) == int32(idx) {
-			fn(i)
-		}
+		e.count(uint64(n), matched, spilled)
 	}
 }
 
 // ModifyAction changes the action of an installed rule without retraining
 // (§6.5: action modification touches only the RQ-array metadata).
 func (e *Engine) ModifyAction(prefix keys.Value, length int, action uint64) error {
-	idx := e.rules.Find(prefix, length)
+	idx := e.findRule(prefix, length)
 	if idx == lpm.NoMatch || !e.isLive(idx) {
 		return fmt.Errorf("core: rule %s/%d not installed", prefix, length)
 	}
-	e.rules.Rules[idx].Action = action
+	e.rule(idx).Action = action
 	e.ra.SetAction(int32(idx), action)
-	e.owned(idx, func(i int) { e.rec.setAction(i, action) })
+	e.owned(idx, func(w wbucket, j int) { w.setOwner(j, action, true) })
 	// Every rewrite above is complete (atomic stores) before the bump, so any
 	// cached-lookup probe that observes the new epoch recomputes from the
 	// post-modify state (lcache's fill/invalidate ordering argument).
@@ -710,53 +732,37 @@ func (e *Engine) ModifyAction(prefix keys.Value, length int, action uint64) erro
 // entries are re-owned by the next-longest live rule. Range boundaries stay
 // as they were — they remain a valid (finer-than-necessary) partition.
 //
-// The first deletion builds a trie over the installed rules (O(rules));
-// every deletion after that costs only the tombstone-aware re-own of the
-// doomed rule's ranges, which is how the paper keeps deletions off the
-// retraining path.
+// A range the doomed rule owns can only fall to a shorter live rule covering
+// it, and a shorter prefix that covers one key of the rule covers all of it:
+// every range falls to the same rule, the longest live proper prefix of the
+// doomed one — at most one rule lookup per shorter length the rule-set
+// contains, then the re-own of the doomed rule's ranges. Nothing is built and
+// no deletion is slower than the next.
 //
-// Publication order (DESIGN.md §11): trie first, then per range the owner
-// table and the record, tombstone last — so a concurrent lookup under the
-// doomed rule answers its action or the covering rule's, never a stray miss.
+// Publication order (DESIGN.md §11): per range the owner table and the
+// record, tombstone last — so a concurrent lookup under the doomed rule
+// answers its action or the covering rule's, never a stray miss.
 func (e *Engine) Delete(prefix keys.Value, length int) error {
-	idx := e.rules.Find(prefix, length)
+	idx := e.findRule(prefix, length)
 	if idx == lpm.NoMatch || !e.isLive(idx) {
 		return fmt.Errorf("core: rule %s/%d not installed", prefix, length)
 	}
-	if e.trie == nil {
-		e.trie = lpm.NewTrie(e.rules)
-	}
-	alive := func(r int32) bool { return int(r) != idx && e.isLive(int(r)) }
-	// No rule begins or ends inside a range: its lower bound names the owner.
-	e.owned(idx, func(i int) {
-		if o := e.trie.LookupWhere(e.ra.Entries[i].Low, alive); o == lpm.NoMatch {
-			e.ra.SetRule(i, ranges.NoRule)
-			e.rec.clearMatched(i)
-		} else {
-			e.ra.SetRule(i, int32(o))
-			a, _ := e.ra.Action(i)
-			e.rec.setAction(i, a)
-		}
-	})
-	e.dead[idx>>6].Or(1 << (uint(idx) & 63))
+	cover := e.coverOf(prefix, length)
+	e.owned(idx, func(w wbucket, j int) { w.reown(j, cover) })
+	e.setLive(idx, false)
 	// Re-own + tombstone are fully visible before the bump: a cached action
 	// for a key the deleted rule covered dies on the next probe.
 	e.epoch.Bump()
 	return nil
 }
 
-// InsertBatch commits a batch of new rules by rebuilding the engine —
-// insertion requires full retraining (§6.5). Deleted rules are dropped; the
-// receiver is left untouched, so callers can swap engines atomically.
+// InsertBatch commits a batch of new rules by rebuilding the engine — the
+// path of an insertion Insert could not absorb (§6.5: full retraining).
+// Deleted rules are dropped, absorbed ones carried over, and with them every
+// spill record folds back into a dense one; the receiver is left untouched,
+// so callers can swap engines atomically.
 func (e *Engine) InsertBatch(newRules []lpm.Rule) (*Engine, error) {
-	merged := make([]lpm.Rule, 0, e.rules.Len()+len(newRules))
-	for i, r := range e.rules.Rules {
-		if e.isLive(i) {
-			merged = append(merged, r)
-		}
-	}
-	merged = append(merged, newRules...)
-	rs, err := lpm.NewRuleSet(e.width, merged)
+	rs, err := lpm.NewRuleSet(e.width, append(e.liveRules(len(newRules)), newRules...))
 	if err != nil {
 		return nil, err
 	}
@@ -829,40 +835,46 @@ func (e *Engine) Verify() error {
 	if err := e.verifyQuantized(ix); err != nil {
 		return err
 	}
-	liveRules := make([]lpm.Rule, 0, e.rules.Len())
-	for i, r := range e.rules.Rules {
-		if e.isLive(i) {
-			liveRules = append(liveRules, r)
-		}
-	}
-	liveSet, err := lpm.NewRuleSet(e.width, liveRules)
+	liveSet, err := lpm.NewRuleSet(e.width, e.liveRules(0))
 	if err != nil {
 		return err
 	}
 	oracle := lpm.NewTrieMatcher(liveSet)
-	for i := range e.ra.Entries {
-		k := e.ra.Entries[i].Low
-		got, gotOK := e.Lookup(k)
-		want, wantOK := oracle.Lookup(k)
-		if gotOK != wantOK || (gotOK && got != want) {
-			return fmt.Errorf("core: mismatch at %v: engine (%d,%v) oracle (%d,%v)",
-				k, got, gotOK, want, wantOK)
+	// Every range as it stands: a spilled bucket's own bounds, not the ones
+	// the range array was built with.
+	for b := 0; b*e.rec.k < e.rec.nr; b++ {
+		w := e.bucketW(b)
+		for j := 0; j < w.n; j++ {
+			if err := e.verifyKey(oracle, w.low(j)); err != nil {
+				return err
+			}
 		}
-		// The compiled and reference paths must resolve identically end to
-		// end (search, bucket scan, action) — not just against the oracle.
-		refGot, refOK := e.LookupReference(k)
-		if refOK != gotOK || refGot != got {
-			return fmt.Errorf("core: compiled/reference divergence at %v: compiled (%d,%v) reference (%d,%v)",
-				k, got, gotOK, refGot, refOK)
-		}
-		// The quantized arm carries different intermediate predictions but
-		// must land on the same end-to-end answer (bound-inclusion makes the
-		// bounded search exact; verifyQuantized checks the inclusion itself).
-		qTr := e.lookupQuantized(k, cachesim.Null{}, nil)
-		if qTr.Matched != gotOK || (gotOK && qTr.Action != got) {
-			return fmt.Errorf("core: compiled/quantized divergence at %v: compiled (%d,%v) quantized (%d,%v)",
-				k, got, gotOK, qTr.Action, qTr.Matched)
-		}
+	}
+	return nil
+}
+
+// verifyKey holds every inference arm's answer for k against the oracle's.
+func (e *Engine) verifyKey(oracle *lpm.TrieMatcher, k keys.Value) error {
+	got, gotOK := e.Lookup(k)
+	want, wantOK := oracle.Lookup(k)
+	if gotOK != wantOK || (gotOK && got != want) {
+		return fmt.Errorf("core: mismatch at %v: engine (%d,%v) oracle (%d,%v)",
+			k, got, gotOK, want, wantOK)
+	}
+	// The compiled and reference paths must resolve identically end to
+	// end (search, bucket scan, action) — not just against the oracle.
+	refGot, refOK := e.LookupReference(k)
+	if refOK != gotOK || refGot != got {
+		return fmt.Errorf("core: compiled/reference divergence at %v: compiled (%d,%v) reference (%d,%v)",
+			k, got, gotOK, refGot, refOK)
+	}
+	// The quantized arm carries different intermediate predictions but
+	// must land on the same end-to-end answer (bound-inclusion makes the
+	// bounded search exact; verifyQuantized checks the inclusion itself).
+	qTr := e.lookupQuantized(k, cachesim.Null{}, nil)
+	if qTr.Matched != gotOK || (gotOK && qTr.Action != got) {
+		return fmt.Errorf("core: compiled/quantized divergence at %v: compiled (%d,%v) quantized (%d,%v)",
+			k, got, gotOK, qTr.Action, qTr.Matched)
 	}
 	return nil
 }

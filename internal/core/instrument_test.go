@@ -136,7 +136,7 @@ func TestConcurrentLookups(t *testing.T) {
 
 // resolve answers a range index from its record, for the baselines below.
 func (e *Engine) resolve(rangeIdx int) (uint64, bool) {
-	return e.rec.resolve(rangeIdx/e.rec.k, rangeIdx%e.rec.k)
+	return e.rec.open(rangeIdx / e.rec.k).resolve(rangeIdx % e.rec.k)
 }
 
 // lookupBaseline is today's query path stripped of every telemetry update —

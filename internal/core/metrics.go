@@ -29,6 +29,29 @@ var (
 		"Lookups served by a bucketized (DRAM) engine")
 	metBucketCmp = telemetry.Default.Histogram("neurolpm_bucket_search_comparisons",
 		"Comparisons per bucket search over the fetched bounds (sampled 1:64)")
+	// metSpillFetches is the one cost of an absorbed insert on the read path:
+	// a spilled bucket answers from its spill record, a second dependent line
+	// after the fetch, until the next commit folds it back. Booked apart from
+	// neurolpm_bucket_fetches_total so the §7 gauge below stays exact.
+	metSpillFetches = telemetry.Default.Counter("neurolpm_bucket_spill_fetches_total",
+		"Lookups that followed a spilled bucket's redirect: one more dependent line than paper §7's single access")
+	// The two paths of an insertion (DESIGN.md §11): absorbed into the live
+	// engine, or buffered in front of it until a commit — with the refusal
+	// reason as a series of its own.
+	metAbsorbed = telemetry.Default.Counter("neurolpm_insert_absorbed_total",
+		"Insertions absorbed by the live engine in place (no retrain, no delta-buffer residency)")
+	metBuffered = telemetry.Default.Counter("neurolpm_insert_buffered_total",
+		"Insertions that took the delta buffer and wait for a commit")
+	metBufferedWhy = map[NotAbsorbed]*telemetry.Counter{
+		refusedEngineKind: telemetry.Default.Counter("neurolpm_insert_buffered_engine_kind_total",
+			"Buffered insertions: the engine cannot absorb (SRAM-only, tiered, or K > 32)"),
+		refusedBucketFull: telemetry.Default.Counter("neurolpm_insert_buffered_bucket_full_total",
+			"Buffered insertions: an edge bucket would exceed twice its built capacity"),
+		refusedSpillExhausted: telemetry.Default.Counter("neurolpm_insert_buffered_spill_exhausted_total",
+			"Buffered insertions: no spill slot left (or fault site absorb)"),
+		refusedCommitInFlight: telemetry.Default.Counter("neurolpm_insert_buffered_commit_in_flight_total",
+			"Buffered insertions: a commit was rebuilding the engine"),
+	}
 )
 
 func init() {

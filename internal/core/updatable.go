@@ -18,26 +18,34 @@ import (
 // HTTP 429. Matched with errors.Is through any wrapping.
 var ErrDeltaFull = errors.New("core: delta buffer full")
 
-// Updatable wraps an Engine with the two §6.5 mechanisms that make rule
-// insertion practical on a retraining-based engine:
+// Updatable wraps an Engine with the update path. An insertion that stays
+// inside its buckets is absorbed by the live engine (Engine.Insert) and is
+// committed the moment Insert returns. One that does not takes the two §6.5
+// mechanisms that make insertion practical on a retraining-based engine:
 //
 //   - a delta buffer — the software analogue of the small TCAM the paper
 //     proposes ("a small TCAM with 10K entries can support 33K–100K updates
-//     per second") — absorbs insertions immediately: queries consult the
-//     buffer alongside the engine and the longer prefix wins;
+//     per second") — holds the rule at once: queries consult the buffer
+//     alongside the engine and the longer prefix wins;
 //   - atomic commit — Commit retrains a fresh engine over the merged
 //     rule-set off the query path and swaps it in atomically, the
 //     concurrent-versions scheme of the paper's atomicity discussion.
 //
 // Lookups are wait-free with respect to Commit (they read an atomic engine
 // pointer), and while the delta buffer is empty they never touch the mutex;
-// insertions and commits serialize among themselves.
+// updates serialize among themselves, commits only at their two ends.
 type Updatable struct {
 	engine atomic.Pointer[Engine]
 
-	mu       sync.Mutex // guards delta's maps and commit's final section
+	// mu guards delta's maps, commits, commit's final section and every
+	// in-place update of the live engine.
+	mu       sync.Mutex
 	capacity int
 	delta    *deltaBuffer
+	// commits counts Commit calls between their snapshot and their swap.
+	// While it is not zero Insert does not absorb: a rule absorbed into the
+	// engine being replaced would be lost at the swap.
+	commits int
 }
 
 // DefaultDeltaCapacity mirrors the 10K-entry TCAM the paper cites as the
@@ -82,28 +90,20 @@ func (u *Updatable) lookupOverlay(inf plane.Inference, k keys.Value) (uint64, bo
 		tr := u.engine.Load().lookupInfer(inf, k, nullMem{}, nil)
 		return tr.Action, tr.Matched
 	}
-	// A non-empty buffer is read under the mutex, and the engine pointer with
-	// it: Commit swaps and drains inside one critical section, so the pair is
-	// never the old engine beside the drained buffer. The buffer is tiny, and
-	// insertion latency is the quantity being optimized, not query concurrency
-	// with inserts (hardware gives the TCAM its own port).
+	// A non-empty buffer is read under the mutex, and the engine with it:
+	// Commit swaps and drains inside one critical section, so the pair is
+	// never the old engine beside the drained buffer; and no update moves the
+	// engine between its answer and the prefix-length tie-break — an insert
+	// absorbed in between would lengthen the owner under an answer it did not
+	// give. Only the overflow path pays this: the buffer is empty unless an
+	// insert was refused, it is tiny, and hardware gives the TCAM its own port.
 	u.mu.Lock()
+	defer u.mu.Unlock()
 	e := u.engine.Load()
 	dAction, dLen, dOK := u.delta.lookup(k)
-	u.mu.Unlock()
 	tr := e.lookupInfer(inf, k, nullMem{}, nil)
-	if !tr.Matched {
-		if dOK {
-			return dAction, true
-		}
-		return 0, false
-	}
-	if dOK {
-		// Compare prefix lengths: the engine's match length is the rule's.
-		r := e.ra.RuleOf(tr.RangeIndex)
-		if r >= 0 && e.rules.Rules[r].Len < dLen {
-			return dAction, true
-		}
+	if dOK && (!tr.Matched || e.ownerLen(k) < dLen) {
+		return dAction, true
 	}
 	return tr.Action, tr.Matched
 }
@@ -113,93 +113,104 @@ type nullMem struct{}
 
 func (nullMem) Read(uint64, int) {}
 
-// Insert places a rule in the delta buffer. It fails when the buffer is
-// full — the caller should Commit — or when the rule already exists.
+// Insert installs a rule: in the live engine when the engine can absorb it,
+// else in the delta buffer, where it is queryable at once and waits for a
+// commit. It fails when the rule already exists, or when it needs the buffer
+// and the buffer is full — the caller should Commit.
 func (u *Updatable) Insert(r lpm.Rule) error {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	// The engine is loaded under the lock: a Commit's final section may have
+	// replaced the one loaded before it.
 	e := u.engine.Load()
 	if err := r.Validate(e.Width()); err != nil {
 		return err
+	}
+	if u.delta.has(r.Prefix, r.Len) {
+		return fmt.Errorf("core: rule %s/%d already pending", r.Prefix, r.Len)
+	}
+	why := refusedCommitInFlight
+	if u.commits == 0 {
+		err := e.Insert(r) // bumps the epoch on success
+		if err == nil {
+			metAbsorbed.Inc()
+			return nil
+		}
+		if !errors.As(err, &why) {
+			return err
+		}
+	} else if idx := e.findRule(r.Prefix, r.Len); idx != lpm.NoMatch && e.isLive(idx) {
+		return fmt.Errorf("core: rule %s/%d already installed", r.Prefix, r.Len)
 	}
 	if hook := e.cfg.Fault; hook != nil {
 		if err := hook(fault.SiteDeltaFull); err != nil {
 			return fmt.Errorf("%w (injected: %v)", ErrDeltaFull, err)
 		}
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	if u.delta.len() >= u.capacity {
 		return fmt.Errorf("%w (%d rules); commit first", ErrDeltaFull, u.capacity)
 	}
-	if idx := e.rules.Find(r.Prefix, r.Len); idx != lpm.NoMatch && e.isLive(idx) {
-		return fmt.Errorf("core: rule %s/%d already installed", r.Prefix, r.Len)
-	}
-	if err := u.delta.insert(r); err != nil {
-		return err
-	}
+	u.delta.insert(r)
+	metBuffered.Inc()
+	metBufferedWhy[why].Inc()
 	// The new rule is queryable through the overlay the moment the mutex
 	// drops; cached results that the rule now shadows must die.
 	e.epoch.Bump()
 	return nil
 }
 
-// ModifyAction and Delete pass through to the engine's no-retrain paths
-// (checking the delta buffer first for not-yet-committed rules).
+// ModifyAction and Delete reach a buffered rule in the buffer and any other
+// in the live engine, without retraining either way.
 func (u *Updatable) ModifyAction(prefix keys.Value, length int, action uint64) error {
 	u.mu.Lock()
+	defer u.mu.Unlock()
+	e := u.engine.Load()
 	if u.delta.modify(prefix, length, action) {
-		u.mu.Unlock()
-		u.engine.Load().epoch.Bump()
+		e.epoch.Bump()
 		return nil
 	}
-	u.mu.Unlock()
-	return u.engine.Load().ModifyAction(prefix, length, action) // bumps on success
+	return e.ModifyAction(prefix, length, action) // bumps on success
 }
 
 // Delete removes a rule from the delta buffer or, failing that, from the
 // live engine (no retraining either way).
 func (u *Updatable) Delete(prefix keys.Value, length int) error {
 	u.mu.Lock()
+	defer u.mu.Unlock()
+	e := u.engine.Load()
 	if u.delta.remove(prefix, length) {
-		u.mu.Unlock()
-		u.engine.Load().epoch.Bump()
+		e.epoch.Bump()
 		return nil
 	}
-	u.mu.Unlock()
-	return u.engine.Load().Delete(prefix, length) // bumps on success
+	return e.Delete(prefix, length) // bumps on success
 }
 
-// Commit retrains an engine over the merged rule-set and swaps it in
-// atomically, draining the delta buffer. Queries proceed against the old
-// engine for the whole duration (§6.5: both versions coexist; free SRAM
-// doubles as cache in hardware, so the transient costs bandwidth, not
-// downtime).
+// Commit retrains an engine over the merged rule-set — the live engine's
+// rules, absorbed ones included, plus the buffered ones — and swaps it in
+// atomically, draining the delta buffer and with it every spill record.
+// Queries proceed against the old engine for the whole duration (§6.5: both
+// versions coexist; free SRAM doubles as cache in hardware, so the transient
+// costs bandwidth, not downtime).
 func (u *Updatable) Commit() error {
 	u.mu.Lock()
 	pending := u.delta.rules()
+	old := u.engine.Load()
+	u.commits++
 	u.mu.Unlock()
 
-	// Retrain off the lock: lookups and even further inserts may proceed.
-	// A failure at any point before the swap leaves the delta buffer
-	// untouched, so the pending rules stay visible through the overlay and
-	// a later commit applies them exactly once.
-	old := u.engine.Load()
-	if hook := old.cfg.Fault; hook != nil {
-		if err := hook(fault.SiteRetrain); err != nil {
-			return err
-		}
-	}
-	next, err := old.InsertBatch(pending)
-	if err != nil {
-		return err
-	}
-	if hook := old.cfg.Fault; hook != nil {
-		if err := hook(fault.SiteSwap); err != nil {
-			return err
-		}
-	}
+	// Retrain off the lock: lookups and even further inserts (buffered, not
+	// absorbed, while commits says so) may proceed. A failure at any point
+	// before the swap leaves the delta buffer untouched, so the pending rules
+	// stay visible through the overlay and a later commit applies them
+	// exactly once.
+	next, err := u.retrain(old, pending)
 
 	u.mu.Lock()
 	defer u.mu.Unlock()
+	u.commits--
+	if err != nil {
+		return err
+	}
 	// Engine before drain: a lock-free reader that finds the buffer empty
 	// must find the committed rules in the engine it loads next.
 	u.engine.Store(next)
@@ -215,6 +226,27 @@ func (u *Updatable) Commit() error {
 	// state; a reader that loaded the pre-bump epoch fills dead entries.
 	next.epoch.Bump()
 	return nil
+}
+
+// retrain is Commit's unlocked middle: the rebuild between the two fault
+// sites.
+func (u *Updatable) retrain(old *Engine, pending []lpm.Rule) (*Engine, error) {
+	hook := old.cfg.Fault
+	if hook != nil {
+		if err := hook(fault.SiteRetrain); err != nil {
+			return nil, err
+		}
+	}
+	next, err := old.InsertBatch(pending)
+	if err != nil {
+		return nil, err
+	}
+	if hook != nil {
+		if err := hook(fault.SiteSwap); err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
 }
 
 // deltaBuffer is a small overlay rule store with longest-prefix lookup. At
@@ -233,42 +265,36 @@ func newDeltaBuffer(width int) *deltaBuffer {
 
 func (d *deltaBuffer) len() int { return int(d.total.Load()) }
 
-func (d *deltaBuffer) insert(r lpm.Rule) error {
+func (d *deltaBuffer) has(prefix keys.Value, length int) bool {
+	_, ok := d.byLen[length][prefix]
+	return ok
+}
+
+// insert adds a rule the buffer does not hold.
+func (d *deltaBuffer) insert(r lpm.Rule) {
 	t, ok := d.byLen[r.Len]
 	if !ok {
 		t = map[keys.Value]uint64{}
 		d.byLen[r.Len] = t
 	}
-	if _, dup := t[r.Prefix]; dup {
-		return fmt.Errorf("core: rule %s/%d already pending", r.Prefix, r.Len)
-	}
 	t[r.Prefix] = r.Action
 	d.total.Add(1)
-	return nil
 }
 
 func (d *deltaBuffer) remove(prefix keys.Value, length int) bool {
-	t, ok := d.byLen[length]
-	if !ok {
+	if !d.has(prefix, length) {
 		return false
 	}
-	if _, ok := t[prefix]; !ok {
-		return false
-	}
-	delete(t, prefix)
+	delete(d.byLen[length], prefix)
 	d.total.Add(-1)
 	return true
 }
 
 func (d *deltaBuffer) modify(prefix keys.Value, length int, action uint64) bool {
-	t, ok := d.byLen[length]
-	if !ok {
+	if !d.has(prefix, length) {
 		return false
 	}
-	if _, ok := t[prefix]; !ok {
-		return false
-	}
-	t[prefix] = action
+	d.byLen[length][prefix] = action
 	return true
 }
 

@@ -41,6 +41,12 @@ const (
 	// SiteDeltaFull fires on every delta-buffer insertion; an error
 	// models buffer exhaustion (the caller sees core.ErrDeltaFull).
 	SiteDeltaFull Site = "delta_full"
+	// SiteAbsorb fires on every insertion an engine could absorb in place
+	// (core.Engine.Insert); an error models an exhausted spill area: the
+	// engine refuses, nothing is stored, and the rule takes the delta
+	// buffer. It is how a test about the buffer, commit or backoff
+	// machinery reaches it on an engine that would otherwise absorb.
+	SiteAbsorb Site = "absorb"
 )
 
 // Hook is the decision function the engine consults at each site. A nil

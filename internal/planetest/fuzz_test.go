@@ -1,6 +1,7 @@
 package planetest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,20 +14,22 @@ import (
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/plane"
 	"neurolpm/internal/shard"
+	"neurolpm/internal/telemetry"
 	"neurolpm/internal/tier"
 )
 
 // FuzzStackVsOracle is THE differential fuzz target for the lookup-plane
 // matrix: for arbitrary rule-sets, shard counts, key streams and update
-// interleavings — {Insert, Delete, ModifyAction, failed Commit, successful
-// Commit}, with commit failures injected through internal/fault — every
+// interleavings — {Insert absorbed, Insert buffered, Delete, ModifyAction,
+// failed Commit, successful Commit}, with commit failures and absorb refusals
+// injected through internal/fault — every
 // (topology, stack) combo in plane.Combos() must answer exactly what a trie
 // oracle over the logical rule-set answers, after every step (the CLAUDE.md
 // correctness invariant).
 //
 // The input splits in half: the first half derives the base rule-set, the
 // second half drives update ops on the sharded side (7 bytes per op, ≤12
-// ops) plus a no-retrain tombstone delete on the single engine. `sel` is three
+// ops, op byte mod 6) plus a no-retrain tombstone delete on the single engine. `sel` is three
 // fields: bit 0 bucketizes the single engine, bit 1 tiers both sides, bits 2–3
 // pick the shard count 1, 2, 4 or 8 — one shard being the degenerate case the
 // serving layer runs by default.
@@ -55,6 +58,34 @@ func FuzzStackVsOracle(f *testing.F) {
 	}
 	f.Add(oneShard, uint64(7), uint8(1))
 	f.Add(oneShard, uint64(7), uint8(3))
+	// Both paths of an insert, one shard. One base rule (the first half is
+	// fourteen copies of it) leaves a single bucket of three ranges: six /32s
+	// are absorbed, two bounds each, the seventh and eighth find the bucket
+	// full and take the buffer; the commit folds all eight into dense records
+	// and the ninth is absorbed again; then a delete and a modify.
+	overflow := bytes.Repeat([]byte{10, 0, 0, 0, 7, 1}, 14)
+	for i := byte(1); i <= 8; i++ {
+		overflow = append(overflow, 0, 10, i, 0, i, 31, i)
+	}
+	overflow = append(overflow,
+		4, 0, 0, 0, 0, 0, 0,
+		0, 10, 9, 0, 9, 31, 9,
+		1, 3, 0, 0, 0, 0, 0,
+		2, 5, 77, 0, 0, 0, 0)
+	f.Add(overflow, uint64(9), uint8(1))
+	// An insert while a commit is pending: a /24 the engine is made to refuse
+	// waits in the buffer, its commit fails, and a /32 inside it and a /16
+	// around it are absorbed by the engine under the overlay; a modify and a
+	// delete reach one of each, then the commit succeeds.
+	pending := append(bytes.Repeat([]byte{10, 0, 0, 0, 7, 1}, 7),
+		5, 10, 1, 2, 0, 23, 50,
+		3, 0, 0, 0, 0, 0, 0,
+		0, 10, 1, 2, 3, 31, 51,
+		0, 10, 1, 0, 0, 15, 52,
+		2, 1, 90, 0, 0, 0, 0,
+		1, 2, 0, 0, 0, 0, 0)
+	f.Add(pending, uint64(11), uint8(1))
+	f.Add(pending, uint64(11), uint8(1|1<<2))
 	f.Fuzz(func(t *testing.T, data []byte, keySeed uint64, sel uint8) {
 		const width = 32
 		split := len(data) / 2
@@ -146,20 +177,35 @@ func FuzzStackVsOracle(f *testing.F) {
 
 		// Update ops on the sharded side; after each op one stack (rotating
 		// through the matrix) re-checks against a fresh oracle.
+		absorbed := telemetry.Default.Counter("neurolpm_insert_absorbed_total", "")
 		ops := data[split:]
 		for i, n := 0, 0; i+7 <= len(ops) && n < 12; i, n = i+7, n+1 {
-			switch ops[i] % 5 {
-			case 0: // insert a fresh rule
+			switch op := ops[i] % 6; op {
+			case 0, 5: // insert a fresh rule: the engine's choice, or refused and buffered
 				rr := DeriveRules(width, ops[i+1:i+7])
 				if len(rr) == 0 || installed[ruleKey{rr[0].Prefix, rr[0].Len}] {
 					continue
 				}
 				r := rr[0]
-				if err := u.Insert(r); err != nil {
+				if op == 5 {
+					in.FailProb(fault.SiteAbsorb, 1)
+				}
+				before := u.PendingInserts() + int(absorbed.Load())
+				err := u.Insert(r)
+				in.Clear(fault.SiteAbsorb)
+				if err != nil {
 					if errors.Is(err, core.ErrDeltaFull) {
 						continue // backpressure is a legal outcome
 					}
 					t.Fatalf("insert %v: %v", r, err)
+				}
+				// Every shard the rule covers took it down exactly one path.
+				covered := u.ShardOf(r.High(width)) - u.ShardOf(r.Low(width)) + 1
+				if got := u.PendingInserts() + int(absorbed.Load()) - before; got != covered {
+					t.Fatalf("insert %v over %d shards: pending + absorbed moved by %d", r, covered, got)
+				}
+				if op == 5 && u.PendingInserts() == 0 {
+					t.Fatalf("insert %v: refused by every engine, yet nothing is pending", r)
 				}
 				installed[ruleKey{r.Prefix, r.Len}] = true
 				live = append(live, r)
@@ -198,13 +244,13 @@ func FuzzStackVsOracle(f *testing.F) {
 				if u.LastCommitErr() == nil {
 					t.Fatal("failed commit not observable through LastCommitErr")
 				}
-			case 4: // successful commit of a dirty shard
+			case 4: // successful commit: buffered rules land, spill records fold back
 				s := int(ops[i+1]) % u.Shards()
-				if u.Statuses()[s].Pending == 0 {
-					continue
-				}
 				if err := u.Commit(s); err != nil {
 					t.Fatalf("commit shard %d: %v", s, err)
+				}
+				if st := u.Statuses()[s]; st.Pending != 0 || u.Engine(s).SpilledBuckets() != 0 {
+					t.Fatalf("shard %d after commit: %d pending, %d spilled buckets", s, st.Pending, u.Engine(s).SpilledBuckets())
 				}
 			}
 			if tiered {

@@ -35,6 +35,11 @@ type Array struct {
 	Width   int
 	Entries []Entry
 	actions []uint64 // actions[i] = action of source rule i
+	// added holds the actions of the rules AddRule appended, rule index
+	// len(actions)+i. It grows by publishing a new slice header, so a reader
+	// that met a new rule index in the owner table finds its slot in the
+	// table it loads next; the built table is never copied.
+	added atomic.Pointer[[]uint64]
 }
 
 // Convert transforms the rule-set into a range array. The result satisfies:
@@ -139,10 +144,12 @@ func (a *Array) FindWithin(k keys.Value, lo, hi int) (idx, probes int) {
 }
 
 // Rule ownership (Entry.Rule) and the actions table are the only words a
-// published array mutates — the no-retrain delete and action-modification
-// paths rewrite them while lock-free readers resolve lookups. Both are
-// accessed with atomic word operations so a reader sees either the old or
-// the new value, never a torn one. Low values never change after Convert.
+// published array mutates — the no-retrain insert, delete and
+// action-modification paths rewrite them while lock-free readers resolve
+// lookups. Both are accessed with atomic word operations so a reader sees
+// either the old or the new value, never a torn one. Low values never change
+// after Convert: a boundary an absorbed insert adds lives in its bucket's
+// spill record (internal/core), not here.
 
 // Rule returns the rule index owning range i, or NoRule.
 func (a *Array) RuleOf(i int) int32 { return atomic.LoadInt32(&a.Entries[i].Rule) }
@@ -156,13 +163,34 @@ func (a *Array) Action(i int) (uint64, bool) {
 	if r == NoRule {
 		return 0, false
 	}
-	return atomic.LoadUint64(&a.actions[r]), true
+	return atomic.LoadUint64(a.action(r)), true
+}
+
+// action returns rule r's slot in the actions tables.
+func (a *Array) action(r int32) *uint64 {
+	if n := int32(len(a.actions)); r >= n {
+		return &(*a.added.Load())[r-n]
+	}
+	return &a.actions[r]
 }
 
 // SetAction updates the stored action of source rule idx (used by the
 // no-retrain action-modification update path).
 func (a *Array) SetAction(idx int32, action uint64) {
-	atomic.StoreUint64(&a.actions[idx], action)
+	atomic.StoreUint64(a.action(idx), action)
+}
+
+// AddRule appends a rule's action and returns its index — the rule an
+// absorbed insert adds to a published array. Writers are serialized; the
+// index must not reach the owner table before AddRule returns.
+func (a *Array) AddRule(action uint64) int32 {
+	var old []uint64
+	if p := a.added.Load(); p != nil {
+		old = *p
+	}
+	grown := append(old, action) // shares old's words while capacity lasts
+	a.added.Store(&grown)
+	return int32(len(a.actions) + len(old))
 }
 
 // High returns the inclusive upper bound of range i.

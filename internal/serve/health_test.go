@@ -20,11 +20,15 @@ import (
 )
 
 // buildFaultyShardedServer is buildShardedServer with commits routed
-// through a fault injector and a configurable per-shard delta capacity.
+// through a fault injector and a configurable per-shard delta capacity. These
+// tests are about the delta buffer and what a failing commit does to it, so
+// the engines refuse to absorb (fault.SiteAbsorb) and every insert is
+// buffered.
 func buildFaultyShardedServer(t *testing.T, capacity int) (*Server, *lpm.RuleSet, *shard.ShardedUpdatable, *fault.Injector) {
 	t.Helper()
 	rs := buildTestRuleSet(t)
 	in := fault.NewInjector(7)
+	in.FailProb(fault.SiteAbsorb, 1)
 	cfg := quickConfig(true)
 	cfg.Fault = in.Hook()
 	sh, err := shard.BuildUpdatable(rs, cfg, 4, capacity)

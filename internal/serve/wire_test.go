@@ -291,9 +291,10 @@ func TestWireSingleEngineMode(t *testing.T) {
 	if res.Matched != ok || (ok && res.Action != action) {
 		t.Fatalf("wire (%d,%v) disagrees with engine (%d,%v)", res.Action, res.Matched, action, ok)
 	}
+	// The engine absorbs the /32: acknowledged means committed, nothing pends.
 	pending, err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 4242})
-	if err != nil || pending != 1 {
-		t.Fatalf("update on one shard = (%d pending, %v), want (1, nil)", pending, err)
+	if err != nil || pending != 0 {
+		t.Fatalf("update on one shard = (%d pending, %v), want (0, nil)", pending, err)
 	}
 	if res, err = c.Lookup(k); err != nil || !res.Matched || res.Action != 4242 {
 		t.Fatalf("lookup after insert = (%+v, %v), want action 4242", res, err)

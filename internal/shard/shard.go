@@ -314,8 +314,8 @@ func (r *router) registerGauges(rangesOf func(i int) int) {
 }
 
 // registerObserverGauges publishes the per-shard observability-plane gauges
-// (DESIGN.md §13): model drift, the compiled probe ceiling and bucket-hotness
-// skew. engineAt reads the shard's *current* live engine, so an updatable
+// (DESIGN.md §13): model drift, the compiled probe ceiling, bucket-hotness
+// skew, tier residency and spilled buckets. engineAt reads the shard's *current* live engine, so an updatable
 // shard's post-commit engine — with its fresh bound and sketch — is what a
 // scrape sees, without any re-registration on commit.
 func (r *router) registerObserverGauges(engineAt func(i int) *core.Engine) {
@@ -329,12 +329,15 @@ func (r *router) registerObserverGauges(engineAt func(i int) *core.Engine) {
 		"Fast-tier-resident buckets in the shard's live engine (total buckets when untiered)", "shard")
 	fastBytes := telemetry.Default.GaugeVec("neurolpm_tier_fast_bytes",
 		"Fast-tier-resident bucket-array bytes in the shard's live engine", "shard")
+	spilled := telemetry.Default.GaugeVec("neurolpm_spilled_buckets",
+		"Buckets of the shard's live engine answering from a spill record (absorbed inserts since its last commit; 0 right after one)", "shard")
 	for i := 0; i < r.Shards(); i++ {
 		i := i
 		lbl := strconv.Itoa(i)
 		drift.Set(lbl, func() float64 { return engineAt(i).DriftMeter().Drift() })
 		bound.Set(lbl, func() float64 { return float64(engineAt(i).DriftMeter().Bound()) })
 		skew.Set(lbl, func() float64 { return engineAt(i).HotSketch().Skew() })
+		spilled.Set(lbl, func() float64 { return float64(engineAt(i).SpilledBuckets()) })
 		resident.Set(lbl, func() float64 {
 			if t := engineAt(i).TierStore(); t != nil {
 				return float64(t.Stats().FastResident)

@@ -15,12 +15,13 @@ import (
 )
 
 // ShardedUpdatable is the updatable sharded engine: each shard is a
-// core.Updatable (delta buffer + atomic engine swap, §6.5), and a background
-// committer rebuilds dirty shards off the hot path. The payoff over a single
-// Updatable is that an insertion only ever retrains the shard it covers —
-// untouched shards keep their models — and readers never block: they load
-// each shard's engine through the existing atomic.Pointer snapshot, so a
-// commit is invisible except for the action change it carries.
+// core.Updatable (in-place insert, with delta buffer + atomic engine swap as
+// its overflow path, §6.5), and a background committer rebuilds dirty shards
+// off the hot path. The payoff over a single Updatable is that an insertion
+// the engine cannot absorb only ever retrains the shard it covers — untouched
+// shards keep their models — and readers never block: they load each shard's
+// engine through the existing atomic.Pointer snapshot, so a commit is
+// invisible except for the action change it carries.
 //
 // Updates (Insert/Delete/ModifyAction/Commit) may be called concurrently
 // with lookups, but serialize among themselves per shard; replicated rules
@@ -183,10 +184,11 @@ func (u *ShardedUpdatable) unlockSpan(lo, hi int) {
 	}
 }
 
-// Insert places r in the delta buffer of every shard it covers; queries see
-// it immediately (§6.5 TCAM-analogue), retraining happens at commit. On a
-// partial failure (e.g. one shard's buffer is full) the insertion is rolled
-// back from the shards that already accepted it.
+// Insert installs r in every shard it covers — absorbed by the shard's live
+// engine, or placed in its delta buffer (§6.5 TCAM-analogue) to be retrained
+// in at commit; queries see it immediately either way. On a partial failure
+// (e.g. one shard's buffer is full) the insertion is rolled back from the
+// shards that already accepted it.
 func (u *ShardedUpdatable) Insert(r lpm.Rule) error {
 	if err := r.Validate(u.width); err != nil {
 		return err
@@ -212,7 +214,7 @@ func (u *ShardedUpdatable) Insert(r lpm.Rule) error {
 }
 
 // Delete removes the rule from every covered shard (delta buffer first,
-// then the live engine's no-retrain tombstone path).
+// then the live engine's no-retrain path).
 func (u *ShardedUpdatable) Delete(prefix keys.Value, length int) error {
 	lo, hi := u.coveredShards(prefix, length)
 	u.lockSpan(lo, hi)
