@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-all race-cores fuzz bench bench-smoke bench-batch \
+.PHONY: build vet no-pool test race race-all race-cores fuzz bench bench-smoke bench-batch \
 	telemetry-overhead bench-module bench-serve-smoke churn smoke slo tiered faults loadtest canary ci
 
 build:
@@ -12,6 +12,15 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The serving path has one width (DESIGN.md §9, §15, §16): the names of the
+# shard worker pool, the per-worker cache plane, the in-daemon tier rebalancer
+# and the daemon's inference switch stay out of code and docs. Each alternative
+# carries a one-character class so this line does not find itself.
+no-pool:
+	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier|neurolpm_tier_(resident[_]buckets|fast[_]bytes)' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
 test:
 	$(GO) test ./...
@@ -110,5 +119,5 @@ loadtest:
 canary:
 	$(GO) test -run TestScaleCanary10M -v ./internal/workload
 
-ci: build vet race bench-module smoke telemetry-overhead fuzz \
+ci: build vet no-pool race bench-module smoke telemetry-overhead fuzz \
 	bench-smoke bench-batch slo tiered loadtest bench-serve-smoke canary

@@ -7,10 +7,8 @@
 // Usage:
 //
 //	lpmserve -rules rules.txt -width 32 [-bucket 8] [-addr :8080]
-//	         [-shards N] [-autocommit 100ms] [-stale-budget 30s]
-//	         [-cache-bytes N] [-flight-sample N] [-inference compiled]
-//	         [-cold-tier] [-tier-interval 1s]
-//	         [-wire-addr :9090]
+//	         [-shards N] [-autocommit 100ms] [-stale-budget 30s] [-drain 10s]
+//	         [-cache-bytes N] [-flight-sample N] [-wire-addr :9090] [-verify]
 //
 // -wire-addr additionally serves the binary wire protocol (DESIGN.md §17)
 // on a second listener: length-prefixed frames over persistent TCP, no JSON
@@ -18,20 +16,12 @@
 // lookups one read delivered batched into one batch-plane call. Drive it
 // with cmd/lpmload; one SIGINT/SIGTERM drains both listeners.
 //
-// -cold-tier enables the two-tier bucket store (DESIGN.md §16): a background
-// rebalancer demotes buckets the hotness sketch stopped seeing to a simulated
-// slow tier and promotes them back on access bursts, keeping the fast tier's
-// footprint proportional to the working set instead of the rule count.
-// /metrics reports residency (neurolpm_tier_resident_buckets,
-// neurolpm_tier_fast_bytes) and migration/cold-fetch counters
-// (neurolpm_tier_{promotions,demotions,cold_fetches}_total).
-//
-// -inference selects the arithmetic every query endpoint routes through:
-// "compiled" (default; the flat float32 plane), "quantized" (the int32
-// fixed-point shift-add plane, DESIGN.md §15 — same answers, smaller
-// coefficient bank), or "reference" (the Model's pointer-walking float path,
-// for differential debugging). /trace labels the inference stage after the
-// selected arm, so a span from a quantized server shows "quantized-inference".
+// Every query endpoint answers through the compiled float32 inference plane
+// — the arithmetic BENCHMARK.json measures. The reference and quantized
+// planes (DESIGN.md §15) and the two-tier bucket store (§16) are reached from
+// the library (Engine.LookupStack with a plane.StackConfig, core.Config.Tier),
+// the planetest matrix and lpmbench -exp tiered; the daemon has no switch for
+// them.
 //
 // -cache-bytes N puts an epoch-invalidated hot-key result cache (DESIGN.md
 // §12) in front of the lookup pipeline: repeated keys answer from a
@@ -40,11 +30,12 @@
 // outcome in a "cache" field; 0 disables the plane entirely.
 //
 // -shards N partitions the rule-set by top key bits into N independent
-// sub-engines (the paper's §6 bank-parallel pipeline); /batch fans a whole key
-// batch out across them. At every shard count, the default of one included,
-// POST /update and wire updates land in the covered shards' delta buffers and
-// a background committer folds them into retrained engines without blocking
-// readers.
+// sub-engines (the paper's §6 bank-parallel pipeline); /batch groups a whole
+// key batch by shard and answers it on the request's goroutine. At every shard
+// count, the default of one included, POST /update and wire updates land in
+// the covered shards — absorbed by the live engine, or buffered in its delta
+// buffer for the background committer to fold into a retrained engine —
+// without blocking readers.
 //
 // Endpoints:
 //
@@ -83,81 +74,82 @@ import (
 
 	"neurolpm/internal/core"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/rqrmi"
 	"neurolpm/internal/serve"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
-	"neurolpm/internal/tier"
 )
 
+// options is what the command line configures — one field per flag.
+type options struct {
+	rules        string
+	width        int
+	bucket       int
+	addr         string
+	verify       bool
+	shards       int
+	autocommit   time.Duration
+	staleBudget  time.Duration
+	drain        time.Duration
+	cacheBytes   int
+	flightSample uint64
+	wireAddr     string
+}
+
+// registerFlags declares lpmserve's whole command line on fs.
+// TestFlagsAreTheTwelveDocumented holds the usage block above and every
+// `lpmserve -x` spelled in the docs to this set.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.rules, "rules", "", "rule-set file (required)")
+	fs.IntVar(&o.width, "width", 32, "key bit width")
+	fs.IntVar(&o.bucket, "bucket", 8, "ranges per bucket; 0 = SRAM-only")
+	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
+	fs.BoolVar(&o.verify, "verify", false, "verify every shard against the trie oracle before serving")
+	fs.IntVar(&o.shards, "shards", 1, "partition the rule-set into this many sub-engines (power of two)")
+	fs.DurationVar(&o.autocommit, "autocommit", 100*time.Millisecond, "background commit interval for dirty shards (0 = never: inserts stay in the delta buffers)")
+	fs.DurationVar(&o.staleBudget, "stale-budget", shard.DefaultStaleBudget, "how long a shard may keep failing commits before /healthz reports it stale (503)")
+	fs.DurationVar(&o.drain, "drain", serve.DefaultDrainTimeout, "how long to let in-flight requests finish on SIGINT/SIGTERM")
+	fs.IntVar(&o.cacheBytes, "cache-bytes", 0, "hot-key result cache size in bytes per cache (0 = off)")
+	fs.Uint64Var(&o.flightSample, "flight-sample", telemetry.DefaultSampleEvery, "flight-recorder sampling rate: time 1 in N queries through the stage stack (rounded to a power of two; 0 = off)")
+	fs.StringVar(&o.wireAddr, "wire-addr", "", "also serve the binary wire protocol on this address (DESIGN.md §17; empty = HTTP only)")
+	return o
+}
+
 func main() {
-	rulesPath := flag.String("rules", "", "rule-set file (required)")
-	width := flag.Int("width", 32, "key bit width")
-	bucket := flag.Int("bucket", 8, "ranges per bucket; 0 = SRAM-only")
-	addr := flag.String("addr", ":8080", "HTTP listen address")
-	verify := flag.Bool("verify", false, "verify every shard against the trie oracle before serving")
-	shards := flag.Int("shards", 1, "partition the rule-set into this many sub-engines (power of two)")
-	autocommit := flag.Duration("autocommit", 100*time.Millisecond, "background commit interval for dirty shards (0 = never: inserts stay in the delta buffers)")
-	staleBudget := flag.Duration("stale-budget", shard.DefaultStaleBudget, "how long a shard may keep failing commits before /healthz reports it stale (503)")
-	drain := flag.Duration("drain", serve.DefaultDrainTimeout, "how long to let in-flight requests finish on SIGINT/SIGTERM")
-	cacheBytes := flag.Int("cache-bytes", 0, "hot-key result cache size in bytes per worker (0 = off)")
-	flightSample := flag.Uint64("flight-sample", telemetry.DefaultSampleEvery, "flight-recorder sampling rate: time 1 in N queries through the stage stack (rounded to a power of two; 0 = off)")
-	inference := flag.String("inference", "compiled", "inference plane: compiled, reference or quantized")
-	coldTier := flag.Bool("cold-tier", false, "enable the two-tier bucket store: cold buckets demote to a simulated slow tier, a background rebalancer migrates on hotness (DESIGN.md §16)")
-	tierInterval := flag.Duration("tier-interval", time.Second, "tier rebalance interval (requires -cold-tier)")
-	wireAddr := flag.String("wire-addr", "", "also serve the binary wire protocol on this address (DESIGN.md §17; empty = HTTP only)")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *rulesPath == "" {
+	if o.rules == "" {
 		fatal("-rules is required")
 	}
-	text, err := os.ReadFile(*rulesPath)
+	text, err := os.ReadFile(o.rules)
 	if err != nil {
 		fatal("%v", err)
 	}
-	rs, err := lpm.ParseRuleSet(*width, string(text))
+	rs, err := lpm.ParseRuleSet(o.width, string(text))
 	if err != nil {
 		fatal("%v", err)
 	}
 
-	cfg := core.Config{BucketSize: *bucket, Model: rqrmi.DefaultConfig()}
-	if *coldTier {
-		if *bucket < 2 || rs.Width > 64 {
-			fatal("-cold-tier needs a bucketized engine of width ≤ 64 (-bucket ≥ 2)")
-		}
-		cfg.Tier = tier.Config{Enabled: true}
+	cfg := core.Config{BucketSize: o.bucket, Model: rqrmi.DefaultConfig()}
+	srv, sh := buildSharded(rs, cfg, o.shards, o.autocommit, o.staleBudget, o.verify)
+	if o.cacheBytes > 0 {
+		srv.UseResultCache(o.cacheBytes)
+		fmt.Fprintf(os.Stderr, "lpmserve: hot-key result cache enabled (%d bytes per cache)\n", o.cacheBytes)
 	}
-	srv, sh := buildSharded(rs, cfg, *shards, *autocommit, *staleBudget, *verify)
-	inf, err := plane.ParseInference(*inference)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if inf != plane.Compiled {
-		srv.UseInference(inf)
-		fmt.Fprintf(os.Stderr, "lpmserve: serving through the %s inference plane\n", inf)
-	}
-	if *cacheBytes > 0 {
-		srv.UseResultCache(*cacheBytes)
-		fmt.Fprintf(os.Stderr, "lpmserve: hot-key result cache enabled (%d bytes per worker)\n", *cacheBytes)
-	}
-	if *coldTier {
-		sh.StartTierRebalancer(*tierInterval)
-		srv.SetInfo("cold_tier", "1")
-		fmt.Fprintf(os.Stderr, "lpmserve: cold tier enabled, rebalancing every %v\n", *tierInterval)
-	}
-	telemetry.Flight.SetSampleEvery(*flightSample)
+	telemetry.Flight.SetSampleEvery(o.flightSample)
 	srv.SetInfo("rules", fmt.Sprint(rs.Len()))
 	srv.SetInfo("width", fmt.Sprint(rs.Width))
 	srv.SetInfo("flight_sample", fmt.Sprint(telemetry.Flight.SampleEvery()))
 
-	l, err := net.Listen("tcp", *addr)
+	l, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fatal("%v", err)
 	}
 	units := []serve.Unit{&serve.HTTPUnit{Listener: l, Handler: srv.Handler()}}
-	if *wireAddr != "" {
-		wl, err := net.Listen("tcp", *wireAddr)
+	if o.wireAddr != "" {
+		wl, err := net.Listen("tcp", o.wireAddr)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -168,7 +160,7 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "lpmserve: listening on %s\n", l.Addr())
-	if err := serve.ServeUnits(stop, *drain, units...); err != nil {
+	if err := serve.ServeUnits(stop, o.drain, units...); err != nil {
 		fatal("%v", err)
 	}
 	// A shard that never managed to commit its pending updates is an

@@ -9,10 +9,10 @@
 //
 // Concurrency model — single owner, shared epochs:
 //
-//   - A Cache is owned by exactly one goroutine at a time (one cache per
-//     shard-pool worker, plus Pool-managed caches for paths without a stable
-//     worker identity). Probes and fills therefore take no locks and issue
-//     no atomic operations on the table itself.
+//   - A Cache is owned by exactly one goroutine at a time: a serving path
+//     checks one out of a Pool for the duration of a lookup or one batch
+//     group and puts it back. Probes and fills therefore take no locks and
+//     issue no atomic operations on the table itself.
 //   - Invalidation is carried entirely by Epoch, a shared padded atomic
 //     counter bumped by writers after every mutation (tombstone delete,
 //     action modify, delta insert, committed engine swap). Entries are
@@ -277,10 +277,10 @@ func (c *Cache) Put(k keys.Value, epoch uint64, action uint64, matched bool) {
 	metFills.Inc()
 }
 
-// Pool hands out equally-sized caches with exclusive ownership for serving
-// paths that have no stable worker identity (serial shard fan-out, per-
-// request HTTP lookups): Get before probing, Put when the request or batch
-// group is done. Backed by sync.Pool, so steady-state traffic reuses warm
+// Pool hands out equally-sized caches with exclusive ownership — the whole
+// of the sharded engine's cache plane (shard fan-out groups, per-request
+// HTTP lookups): Get before probing, Put when the request or batch group is
+// done. Backed by sync.Pool, so steady-state traffic reuses warm
 // tables without allocation; the GC may drop idle tables, which only costs
 // refills. A nil *Pool hands out nil caches (the disabled plane).
 type Pool struct {

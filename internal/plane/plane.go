@@ -66,18 +66,6 @@ func (i Inference) String() string {
 	return fmt.Sprintf("inference(%d)", uint8(i))
 }
 
-// ParseInference maps a stable spelling ("compiled", "reference",
-// "quantized") back to its variant — the inverse of String, used by
-// command-line flags.
-func ParseInference(s string) (Inference, error) {
-	for i := Inference(0); i < NumInference; i++ {
-		if inferenceNames[i] == s {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("plane: unknown inference plane %q (want one of %v)", s, inferenceNames)
-}
-
 // StackConfig selects one lookup-plane stack. The zero value is the
 // production default: compiled inference, no result-cache probe.
 type StackConfig struct {

@@ -7,9 +7,8 @@ import (
 
 // TestInferenceStringExhaustive fails the moment a new Inference variant is
 // added without a name: every value below NumInference must render a
-// non-empty, unique, lowercase spelling that round-trips through
-// ParseInference. Out-of-range values must fall back to the numbered form
-// instead of silently borrowing another plane's name.
+// non-empty, unique, lowercase spelling. Out-of-range values must fall back to
+// the numbered form instead of silently borrowing another plane's name.
 func TestInferenceStringExhaustive(t *testing.T) {
 	seen := map[string]Inference{}
 	for i := Inference(0); i < NumInference; i++ {
@@ -24,16 +23,9 @@ func TestInferenceStringExhaustive(t *testing.T) {
 			t.Errorf("Inference(%d) and Inference(%d) share the name %q", prev, i, s)
 		}
 		seen[s] = i
-		got, err := ParseInference(s)
-		if err != nil || got != i {
-			t.Errorf("ParseInference(%q) = (%v, %v), want (%v, nil)", s, got, err, i)
-		}
 	}
 	if got := NumInference.String(); got != "inference(3)" {
 		t.Errorf("out-of-range String() = %q, want numbered fallback", got)
-	}
-	if _, err := ParseInference("nonsense"); err == nil {
-		t.Error("ParseInference accepted an unknown spelling")
 	}
 }
 

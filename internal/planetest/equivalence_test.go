@@ -192,7 +192,7 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 		for _, su := range sharded {
 			su := su
 			batches = append(batches, batch{su.name + ".LookupBatchStack/" + st.String(), func(ks []keys.Value) []Result {
-				return results(su.LookupBatchStack(st, ks))
+				return results(su.LookupBatchStack(st, ks, nil))
 			}})
 		}
 	}

@@ -186,7 +186,7 @@ func (f *Fixture) Lookup(cb plane.Combo, k keys.Value) Result {
 func (f *Fixture) LookupBatch(cb plane.Combo, ks []keys.Value) []Result {
 	out := make([]Result, len(ks))
 	if cb.Topology == plane.Sharded {
-		for i, r := range f.Upd.LookupBatchStack(cb.Stack, ks) {
+		for i, r := range f.Upd.LookupBatchStack(cb.Stack, ks, nil) {
 			out[i] = Result{r.Action, r.Matched}
 		}
 		return out

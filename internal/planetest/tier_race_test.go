@@ -48,8 +48,8 @@ func TestTierMigrationRace(t *testing.T) {
 
 	// Readers: each sweeps the matrix with its own key corpus and its own
 	// Fixture over the shared engines — the fixture-private result cache is
-	// a per-worker structure (like serve's per-worker caches), so sharing
-	// one across readers would be a test bug, not an engine race.
+	// a single-owner structure (like the spares serve checks out per call),
+	// so sharing one across readers would be a test bug, not an engine race.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed int64) {

@@ -9,6 +9,7 @@ import (
 	"neurolpm/internal/lcache"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/plane"
+	"neurolpm/internal/shard"
 )
 
 // TestCachedBatchZeroAllocs pins the shared cached-batch executor
@@ -117,5 +118,39 @@ func TestQuantizedZeroAllocs(t *testing.T) {
 	missRun()
 	if avg := testing.AllocsPerRun(50, missRun); avg > 0 {
 		t.Errorf("quantized miss-fill cached batch allocates %.2f/op, want 0", avg)
+	}
+}
+
+// TestShardedBatchZeroAllocs pins the sharded uncached batch at zero
+// steady-state allocations when the caller supplies dst — the call the wire
+// readers and /batch make (serve.batchStack): at one shard the keys and dst go
+// straight to the engine, at four the gather/scatter scratch rides one
+// sync.Pool and every group is answered on the calling goroutine.
+func TestShardedBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; strict zero-alloc pin runs in the non-race suite")
+	}
+	const width = 32
+	rules := RandomRules(width, 400, 95)
+	rs, err := lpm.NewRuleSet(width, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := make([]keys.Value, 256)
+	for i := range ks {
+		ks[i] = rules[(i*7)%len(rules)].Low(width)
+	}
+	for _, n := range []int{1, 4} {
+		sh, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: QuickModel()}, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]shard.Result, len(ks))
+		batch := func() { dst = sh.LookupBatchStack(plane.StackConfig{}, ks, dst) }
+		batch()
+		if avg := testing.AllocsPerRun(50, batch); avg > 0 {
+			t.Errorf("%d shards: uncached batch into a caller's dst allocates %.2f/op, want 0", n, avg)
+		}
+		sh.Close()
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,8 +41,9 @@ type Server struct {
 	plain *cachesim.Uncached
 
 	// stack is the lookup-plane stack the endpoints serve (DESIGN.md §14):
-	// compiled-uncached by default, with the cache-probe plane prepended by
-	// UseResultCache. Set before serving traffic; /lookup and /batch route
+	// the compiled inference plane, always — the arithmetic the benchmark
+	// measures — with the cache-probe plane prepended by UseResultCache, the
+	// only way it varies. Set before serving traffic; /lookup and /batch route
 	// through the stack executors with this configuration, /trace reports it.
 	stack plane.StackConfig
 
@@ -98,16 +99,6 @@ func (s *Server) SetInfo(key, value string) {
 	}
 	s.mu.Unlock()
 	telemetry.SetBuildInfo(cp)
-}
-
-// UseInference selects the inference plane every query endpoint routes
-// through (the -inference flag): the compiled float32 plane (default), the
-// reference Model arithmetic, or the quantized int32 fixed-point plane
-// (DESIGN.md §15). Call before serving traffic; /trace labels the inference
-// stage after the selected arm and neurolpm_build_info carries the stack.
-func (s *Server) UseInference(inf plane.Inference) {
-	s.stack.Inference = inf
-	s.SetInfo("stack", s.stack.String())
 }
 
 // UseResultCache enables the hot-key result cache (the -cache-bytes flag):
@@ -168,16 +159,31 @@ func mountMetrics(mux *http.ServeMux, reg *telemetry.Registry) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// writeRuntimeMetrics appends Go runtime gauges to a Prometheus scrape.
+// runtimeSamples is the one reused runtime/metrics sample slice behind the Go
+// runtime series of a scrape; the mutex makes concurrent scrapes take turns.
+var runtimeSamples = struct {
+	sync.Mutex
+	s []metrics.Sample
+}{s: []metrics.Sample{
+	{Name: "/sched/goroutines:goroutines"},
+	{Name: "/memory/classes/heap/objects:bytes"},
+	{Name: "/gc/cycles/total:gc-cycles"},
+}}
+
+// writeRuntimeMetrics appends Go runtime gauges to a Prometheus scrape, read
+// through runtime/metrics: unlike runtime.ReadMemStats it does not stop the
+// world, so a scrape never pauses the lookups being served beside it.
 func writeRuntimeMetrics(w http.ResponseWriter) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(w, "# HELP go_goroutines Number of goroutines\n# TYPE go_goroutines gauge\ngo_goroutines %d\n",
-		runtime.NumGoroutine())
-	fmt.Fprintf(w, "# HELP go_heap_alloc_bytes Heap bytes in use\n# TYPE go_heap_alloc_bytes gauge\ngo_heap_alloc_bytes %d\n",
-		ms.HeapAlloc)
-	fmt.Fprintf(w, "# HELP go_gc_cycles_total Completed GC cycles\n# TYPE go_gc_cycles_total counter\ngo_gc_cycles_total %d\n",
-		ms.NumGC)
+	runtimeSamples.Lock()
+	metrics.Read(runtimeSamples.s)
+	var v [3]uint64
+	for i := range v {
+		v[i] = runtimeSamples.s[i].Value.Uint64()
+	}
+	runtimeSamples.Unlock()
+	fmt.Fprintf(w, "# HELP go_goroutines Number of goroutines\n# TYPE go_goroutines gauge\ngo_goroutines %d\n", v[0])
+	fmt.Fprintf(w, "# HELP go_heap_alloc_bytes Heap bytes in use\n# TYPE go_heap_alloc_bytes gauge\ngo_heap_alloc_bytes %d\n", v[1])
+	fmt.Fprintf(w, "# HELP go_gc_cycles_total Completed GC cycles\n# TYPE go_gc_cycles_total counter\ngo_gc_cycles_total %d\n", v[2])
 }
 
 // lookupResponse is the /lookup JSON shape. Cache reports the result-cache
@@ -274,8 +280,9 @@ type batchResult struct {
 }
 
 // handleBatch resolves many keys in one request: GET /batch?keys=a,b,c or
-// POST /batch with {"keys": ["10.0.0.1", ...]}. The batch fans out across the
-// shard worker pool; one HTTP round-trip amortizes over the whole batch.
+// POST /batch with {"keys": ["10.0.0.1", ...]}. The batch is grouped by shard
+// and answered on this request's goroutine; one HTTP round-trip amortizes
+// over the whole batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var raw []string
 	switch r.Method {
@@ -342,13 +349,13 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 
-// batchStack resolves ks through the served lookup-plane stack, appending the
-// positional answers into dst: the batch splits across the shard worker pool
-// and sees pending delta-buffer rules. It is the one batch entry point shared
-// by the HTTP /batch handler and the wire server's readers (DESIGN.md §17),
-// and is safe for concurrent use.
+// batchStack resolves ks through the served lookup-plane stack into dst
+// (reused when it has the capacity), positionally: the batch is grouped by
+// shard, answered on the calling goroutine, and sees pending delta-buffer
+// rules. It is the one batch entry point shared by the HTTP /batch handler and
+// the wire server's readers (DESIGN.md §17), and is safe for concurrent use.
 func (s *Server) batchStack(ks []keys.Value, dst []shard.Result) []shard.Result {
-	return append(dst, s.sh.LookupBatchStack(s.stack, ks)...)
+	return s.sh.LookupBatchStack(s.stack, ks, dst)
 }
 
 // shardHealth is the per-shard entry in the /healthz response.

@@ -58,7 +58,7 @@ func BenchmarkShardedLookupBatch256Scalar(b *testing.B) {
 	for i := 0; i < b.N; i += 256 {
 		lo := i % (len(ks) - 256)
 		batch := ks[lo : lo+256]
-		sh.lookupBatch(batch, func(shard, _ int, gk []keys.Value, res []Result) {
+		sh.lookupBatch(batch, nil, func(shard int, gk []keys.Value, res []Result) {
 			e := sh.Engine(shard)
 			for i, k := range gk {
 				res[i].Action, res[i].Matched = e.Lookup(k)
@@ -79,7 +79,7 @@ func BenchmarkSingleEngineLookupBatch256(b *testing.B) {
 	}
 }
 
-func BenchmarkShardedLookupBatch256NoPoolDirect(b *testing.B) {
+func BenchmarkShardedLookupBatch256Direct(b *testing.B) {
 	// Upper bound: direct per-shard engine calls in grouped order, no
 	// grouping machinery at all.
 	_, sh, ks := benchSetup(b, 4)

@@ -1,23 +1,14 @@
 package shard
 
-import (
-	"neurolpm/internal/lcache"
-)
+import "neurolpm/internal/lcache"
 
-// cachePlane is the sharded engine's result-cache layout (DESIGN.md §12):
-// one private cache per pool worker — a worker runs one shard group at a
-// time, so probes and fills need no locks and never share a cache line with
-// another worker — plus a pool of spare caches checked out, exclusively, by
-// paths without a stable worker identity (the serial fan-out when no pool
-// exists, and single-key lookups). Invalidation does not live here: each
-// shard's core engine carries its own epoch, and a cached entry is only ever
-// probed under its own shard's epoch because the shard index is a pure
-// function of the key.
-type cachePlane struct {
-	perWorker []*lcache.Cache
-	spares    *lcache.Pool
-	bytes     int
-}
+// The sharded engine's result-cache plane (DESIGN.md §12) is one lcache.Pool:
+// every cached call — a single-key lookup, one shard group of a batch —
+// checks a spare out for exactly as long as it probes and fills, so a cache
+// has one owner at a time and takes no locks. Invalidation does not live
+// here: each shard's core engine carries its own epoch, and a cached entry is
+// only ever probed under its own shard's epoch because the shard index is a
+// pure function of the key.
 
 // EnableCache installs the result-cache plane with per-cache tables of at
 // most bytes bytes (≤ 0 disables). Not safe to call concurrently with
@@ -27,45 +18,8 @@ func (r *router) EnableCache(bytes int) {
 		r.cache = nil
 		return
 	}
-	cp := &cachePlane{bytes: bytes, spares: lcache.NewPool(bytes)}
-	if r.pool != nil {
-		cp.perWorker = make([]*lcache.Cache, r.pool.workers)
-		for i := range cp.perWorker {
-			cp.perWorker[i] = lcache.New(bytes)
-		}
-	}
-	r.cache = cp
+	r.cache = lcache.NewPool(bytes)
 }
 
 // CacheEnabled reports whether the result-cache plane is installed.
 func (r *router) CacheEnabled() bool { return r.cache != nil }
-
-// CacheBytes returns the per-cache table budget (0 when disabled).
-func (r *router) CacheBytes() int {
-	if r.cache == nil {
-		return 0
-	}
-	return r.cache.bytes
-}
-
-// cacheFor hands the caller a cache it owns exclusively until releaseCache:
-// the executing pool worker's private cache (worker ≥ 0), or a spare checked
-// out of the pool (worker < 0 — serial fan-out, single-key paths). nil when
-// the plane is disabled; every lcache operation tolerates a nil cache.
-func (r *router) cacheFor(worker int) (c *lcache.Cache, spare bool) {
-	cp := r.cache
-	if cp == nil {
-		return nil, false
-	}
-	if worker >= 0 && worker < len(cp.perWorker) {
-		return cp.perWorker[worker], false
-	}
-	return cp.spares.Get(), true
-}
-
-// releaseCache returns a spare taken by cacheFor (no-op for worker caches).
-func (r *router) releaseCache(c *lcache.Cache, spare bool) {
-	if spare {
-		r.cache.spares.Put(c)
-	}
-}

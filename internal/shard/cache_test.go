@@ -73,7 +73,7 @@ func TestShardedLookupCachedOutcomes(t *testing.T) {
 	if _, _, o := s.LookupStack(cachedStack, k); o != lcache.Miss {
 		t.Fatalf("first cached probe = %v, want miss", o)
 	}
-	// sync.Pool may drop the worker cache between probes (GC runs more often
+	// sync.Pool may drop the spare cache between probes (GC runs more often
 	// under -race), losing the fill — so require a hit within a few probes
 	// rather than on exactly the second one.
 	hit := false

@@ -4,17 +4,19 @@
 // banked SRAM (Fig 6a) so many queries resolve concurrently. In software the
 // same move buys two things:
 //
-//   - throughput: LookupBatch groups a batch of keys by shard and fans the
-//     groups out over a worker pool, so per-call overhead is amortized and
-//     each worker walks one shard-local RQ Array that is a fraction of the
-//     global one (better cache residency, smaller error bounds, fewer
-//     secondary-search probes);
+//   - throughput: LookupBatch groups a batch of keys by shard and answers
+//     the groups back-to-back on the calling goroutine, so per-call overhead
+//     is amortized and each group walks one shard-local RQ Array that is a
+//     fraction of the global one (better cache residency, smaller error
+//     bounds, fewer secondary-search probes). Parallelism is across callers —
+//     every connection answers on its own goroutine (DESIGN.md §9, §17) —
+//     never inside one batch;
 //   - incremental updates: a rule insertion only retrains the shard it
 //     lands in, never the full model — the §6.5 rebuild cost divided by the
 //     shard count.
 //
 // ShardedUpdatable is the one sharded type and the one serving topology: a
-// single shard (no routing bits, no pool, the global model) is its degenerate
+// single shard (no routing bits, the global model) is its degenerate
 // case, and a caller that never inserts simply never starts the committer.
 //
 // Correctness is preserved by replication: a rule shorter than the shard
@@ -31,9 +33,11 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
+	"neurolpm/internal/lcache"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/telemetry"
 )
@@ -46,13 +50,19 @@ type Result = core.BatchResult
 // explode: 2^10 sub-engines is far past any plausible core count.
 const MaxShardBits = 10
 
+// padUint64 is a cache-line-padded counter, one per shard, so concurrent
+// callers tallying different shards never share a coherence granule.
+type padUint64 struct {
+	n atomic.Uint64
+	_ [56]byte
+}
+
 // router holds the key→shard mapping and the batch fan-out machinery.
 type router struct {
 	width     int
 	shardBits int
-	pool      *pool
-	loads     []padUint64 // per-shard lookups served (balance telemetry)
-	cache     *cachePlane // result-cache plane; nil until EnableCache
+	loads     []padUint64  // per-shard lookups served (balance telemetry)
+	cache     *lcache.Pool // result-cache plane; nil until EnableCache
 }
 
 // plan validates the shard count and returns the router plus the per-shard
@@ -78,9 +88,6 @@ func plan(rs *lpm.RuleSet, nShards int) (router, [][]lpm.Rule, error) {
 		width:     rs.Width,
 		shardBits: bits,
 		loads:     make([]padUint64, nShards),
-	}
-	if workers := min(nShards, runtime.GOMAXPROCS(0)); workers > 1 {
-		r.pool = newPool(workers)
 	}
 	return r, partition(rs, bits), nil
 }
@@ -171,125 +178,87 @@ func (r *router) ShardOf(k keys.Value) int {
 	return int(min(k.Shr(uint(r.width-r.shardBits)).Uint64(), uint64(r.Shards()-1)))
 }
 
-// keyScratch holds one group's gather/scatter buffers; pooled so concurrent
-// shard groups each get their own without per-batch allocation.
-type keyScratch struct {
-	ks  []keys.Value
-	res []Result
-}
-
-var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
-
-// batchScratch holds the grouping buffers for one lookupBatch call; pooling
-// them keeps the hot path allocation-free apart from the caller-visible
-// result slice.
+// batchScratch holds one lookupBatch call's grouping buffers: the batch
+// permuted into shard order (ks, with res its answers in the same order),
+// where each key came from (order), and the per-shard group cursor. Pooling
+// them keeps the hot path allocation-free when the caller supplies dst.
 type batchScratch struct {
-	counts, starts, fill, order, shardOf []int32
+	cursor, order, shardOf []int32
+	ks                     []keys.Value
+	res                    []Result
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-func grow(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// lookupBatch is the fan-out: bucket keys by shard (one pass to count, one
-// to place — no per-group append growth), then answer each shard's group
-// back-to-back so consecutive queries reuse that shard's model and RQ-Array
-// cache lines. lookGroup answers one shard's whole group — res[i] ← answer
-// for gk[i], the group's keys gathered contiguously — so implementations
-// hoist the sub-engine out of the per-key loop and hand the slice straight to
-// the engine's batch stack; worker is the executing pool worker's index (−1
-// on the serial path), the handle to per-worker state like the result-cache
-// plane. Groups run on the pool, or serially when the pool is absent (single
-// shard or GOMAXPROCS=1). One shard is one group: the caller's keys and the
-// result slice themselves, nothing gathered or scattered.
-func (r *router) lookupBatch(ks []keys.Value, lookGroup func(shard, worker int, gk []keys.Value, res []Result)) []Result {
-	out := make([]Result, len(ks))
+// lookupBatch is the fan-out, all of it on the calling goroutine: bucket keys
+// by shard (one pass to count, one to gather them into shard order — no
+// per-group append growth), answer each shard's group back-to-back so
+// consecutive queries reuse that shard's model and RQ-Array cache lines, then
+// scatter the answers to their request positions in dst (reused when it has
+// the capacity, like the engine's batch stack). lookGroup answers one shard's
+// whole group — res[i] ← answer for gk[i], the group's keys contiguous — so
+// implementations hoist the sub-engine out of the per-key loop and hand the
+// slice straight to the engine's batch stack. One shard is one group: the
+// caller's keys and dst themselves, nothing gathered or scattered.
+func (r *router) lookupBatch(ks []keys.Value, dst []Result, lookGroup func(shard int, gk []keys.Value, res []Result)) []Result {
+	dst = grow(dst, len(ks))
 	if len(ks) == 0 {
-		return out
+		return dst
 	}
 	metBatches.Inc()
 	metBatchKeys.Add(uint64(len(ks)))
 	metBatchSize.ObserveInt(len(ks))
 	n := r.Shards()
 	if n == 1 {
-		lookGroup(0, -1, ks, out)
+		lookGroup(0, ks, dst)
 		r.loads[0].n.Add(uint64(len(ks)))
-		return out
+		return dst
 	}
 	sc := scratchPool.Get().(*batchScratch)
-	counts := grow(sc.counts, n)
-	clear(counts)
+	// cursor[s] counts shard s's keys, then points at its first slot in shard
+	// order, and once the gather pass has placed every key rests one past its
+	// last — which is also where shard s+1's group begins.
+	cursor := grow(sc.cursor, n)
+	clear(cursor)
 	shardOf := grow(sc.shardOf, len(ks))
 	for i, k := range ks {
 		s := int32(r.ShardOf(k))
 		shardOf[i] = s
-		counts[s]++
+		cursor[s]++
 	}
-	starts := grow(sc.starts, n+1)
-	starts[0] = 0
-	for s := 0; s < n; s++ {
-		starts[s+1] = starts[s] + counts[s]
+	var at int32
+	for s := range cursor {
+		at, cursor[s] = at+cursor[s], at
 	}
 	order := grow(sc.order, len(ks))
-	fill := grow(sc.fill, n)
-	copy(fill, starts[:n])
-	for i := range ks {
-		s := shardOf[i]
-		order[fill[s]] = int32(i)
-		fill[s]++
+	gk := grow(sc.ks, len(ks))
+	for i, k := range ks {
+		p := cursor[shardOf[i]]
+		cursor[shardOf[i]]++
+		order[p], gk[p] = int32(i), k
 	}
-	run := func(s, worker int) {
-		group := order[starts[s]:starts[s+1]]
-		g := keyScratchPool.Get().(*keyScratch)
-		if cap(g.ks) < len(group) {
-			g.ks = make([]keys.Value, len(group))
-			g.res = make([]Result, len(group))
+	res := grow(sc.res, len(ks))
+	lo := int32(0)
+	for s, hi := range cursor {
+		if hi > lo {
+			lookGroup(s, gk[lo:hi], res[lo:hi])
+			r.loads[s].n.Add(uint64(hi - lo))
 		}
-		gk, res := g.ks[:len(group)], g.res[:len(group)]
-		for i, idx := range group {
-			gk[i] = ks[idx]
-		}
-		lookGroup(s, worker, gk, res)
-		for i, idx := range group {
-			out[idx] = res[i]
-		}
-		keyScratchPool.Put(g)
-		r.loads[s].n.Add(uint64(len(group)))
+		lo = hi
 	}
-	if r.pool == nil {
-		for s := 0; s < n; s++ {
-			if counts[s] > 0 {
-				run(s, -1)
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for s := 0; s < n; s++ {
-			if counts[s] == 0 {
-				continue
-			}
-			s := s
-			wg.Add(1)
-			r.pool.submit(func(w int) { defer wg.Done(); run(s, w) })
-		}
-		wg.Wait()
+	for p, i := range order {
+		dst[i] = res[p]
 	}
-	*sc = batchScratch{counts: counts, starts: starts, fill: fill, order: order, shardOf: shardOf}
+	*sc = batchScratch{cursor: cursor, order: order, shardOf: shardOf, ks: gk, res: res}
 	scratchPool.Put(sc)
-	return out
-}
-
-// close shuts the pool down (idempotent).
-func (r *router) close() {
-	if r.pool != nil {
-		r.pool.close()
-		r.pool = nil
-	}
+	return dst
 }
 
 // registerGauges publishes the balance telemetry for the most recently
@@ -315,9 +284,9 @@ func (r *router) registerGauges(rangesOf func(i int) int) {
 
 // registerObserverGauges publishes the per-shard observability-plane gauges
 // (DESIGN.md §13): model drift, the compiled probe ceiling, bucket-hotness
-// skew, tier residency and spilled buckets. engineAt reads the shard's *current* live engine, so an updatable
-// shard's post-commit engine — with its fresh bound and sketch — is what a
-// scrape sees, without any re-registration on commit.
+// skew and spilled buckets. engineAt reads the shard's *current* live engine,
+// so an updatable shard's post-commit engine — with its fresh bound and
+// sketch — is what a scrape sees, without any re-registration on commit.
 func (r *router) registerObserverGauges(engineAt func(i int) *core.Engine) {
 	drift := telemetry.Default.GaugeVec("neurolpm_model_drift",
 		"Observed p99 secondary-search probes over the last minute divided by the compiled probe ceiling (→1 = bound headroom consumed; retrain signal)", "shard")
@@ -325,10 +294,6 @@ func (r *router) registerObserverGauges(engineAt func(i int) *core.Engine) {
 		"Compiled worst-case secondary-search probes for the shard's live model", "shard")
 	skew := telemetry.Default.GaugeVec("neurolpm_bucket_hotness_skew",
 		"Fraction of sampled bucket accesses landing in the hottest 10% of buckets (decaying window)", "shard")
-	resident := telemetry.Default.GaugeVec("neurolpm_tier_resident_buckets",
-		"Fast-tier-resident buckets in the shard's live engine (total buckets when untiered)", "shard")
-	fastBytes := telemetry.Default.GaugeVec("neurolpm_tier_fast_bytes",
-		"Fast-tier-resident bucket-array bytes in the shard's live engine", "shard")
 	spilled := telemetry.Default.GaugeVec("neurolpm_spilled_buckets",
 		"Buckets of the shard's live engine answering from a spill record (absorbed inserts since its last commit; 0 right after one)", "shard")
 	for i := 0; i < r.Shards(); i++ {
@@ -338,21 +303,6 @@ func (r *router) registerObserverGauges(engineAt func(i int) *core.Engine) {
 		bound.Set(lbl, func() float64 { return float64(engineAt(i).DriftMeter().Bound()) })
 		skew.Set(lbl, func() float64 { return engineAt(i).HotSketch().Skew() })
 		spilled.Set(lbl, func() float64 { return float64(engineAt(i).SpilledBuckets()) })
-		resident.Set(lbl, func() float64 {
-			if t := engineAt(i).TierStore(); t != nil {
-				return float64(t.Stats().FastResident)
-			}
-			if d := engineAt(i).Directory(); d != nil {
-				return float64((d.Array().Len() + d.K - 1) / d.K)
-			}
-			return 0
-		})
-		fastBytes.Set(lbl, func() float64 {
-			if t := engineAt(i).TierStore(); t != nil {
-				return float64(t.Stats().FastBytes)
-			}
-			return float64(engineAt(i).DRAMFootprint())
-		})
 	}
 }
 

@@ -145,3 +145,66 @@ func freeProbeRule(t *testing.T, rs *lpm.RuleSet, width int) lpm.Rule {
 	t.Fatal("no free probe rule")
 	return lpm.Rule{}
 }
+
+// TestLookupBatchSurvivesClose pins Close's contract — it stops the
+// committer, and lookups stay valid — against batches in flight on other
+// goroutines: four readers loop LookupBatch across a Close and keep going
+// after it, and every answer must equal the trie oracle's. A batch is
+// answered on its caller's goroutine, so there is nothing for Close to take
+// away from a reader mid-call.
+func TestLookupBatchSurvivesClose(t *testing.T) {
+	const width, rounds, readers, batchesAfterClose = 16, 20, 4, 8
+	rs := randomRuleSet(t, width, 200, 43)
+	oracle := lpm.NewTrieMatcher(rs)
+	ks := randomKeys(width, 256, 44)
+	for round := 0; round < rounds; round++ {
+		u, err := BuildUpdatable(rs, quickBucketed(), 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u.StartAutoCommit(time.Millisecond, 0)
+		var (
+			closed  atomic.Bool
+			wg      sync.WaitGroup
+			running = make(chan struct{}, readers)
+			bad     = make(chan string, readers)
+		)
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n, after := 0, 0; after < batchesAfterClose; n++ {
+					if closed.Load() {
+						after++
+					}
+					for i, r := range u.LookupBatch(ks) {
+						if a, ok := oracle.Lookup(ks[i]); r.Matched != ok || (ok && r.Action != a) {
+							bad <- ks[i].String()
+							return
+						}
+					}
+					if n == 0 {
+						running <- struct{}{}
+					}
+				}
+			}()
+		}
+		for g := 0; g < readers; g++ {
+			select {
+			case <-running:
+			case k := <-bad:
+				t.Fatalf("round %d: key %s differs from the oracle before Close", round, k)
+			}
+		}
+		if err := u.Close(); err != nil {
+			t.Fatalf("round %d: Close: %v", round, err)
+		}
+		closed.Store(true)
+		wg.Wait()
+		select {
+		case k := <-bad:
+			t.Fatalf("round %d: key %s differs from the oracle across Close", round, k)
+		default:
+		}
+	}
+}

@@ -56,7 +56,7 @@ type ShardedUpdatable struct {
 // BuildUpdatable builds a sharded engine wrapped shard-by-shard in
 // core.Updatable. capacity is the per-shard delta-buffer size (≤ 0 selects
 // core.DefaultDeltaCapacity). Call Close when done (stops the background
-// committer and the batch pool).
+// committer).
 func BuildUpdatable(rs *lpm.RuleSet, cfg core.Config, nShards, capacity int) (*ShardedUpdatable, error) {
 	r, parts, err := plan(rs, nShards)
 	if err != nil {
@@ -108,40 +108,38 @@ func (u *ShardedUpdatable) LookupStack(st plane.StackConfig, k keys.Value) (uint
 	if !st.Cached {
 		return u.shards[i].LookupStack(st, k, nil)
 	}
-	c, spare := u.cacheFor(-1)
+	c := u.cache.Get()
 	a, m, o := u.shards[i].LookupStack(st, k, c)
-	u.releaseCache(c, spare)
+	u.cache.Put(c)
 	return a, m, o
 }
 
-// LookupBatch resolves a batch positionally, fanning shard groups out over
-// the worker pool. Each key's answer is individually consistent: it reflects
-// either the pre- or post-commit state of its shard, never a mix. A shard
-// whose delta buffer is empty answers its whole group through the engine's
-// pipelined batch path (delta empty ⇒ Updatable.Lookup ≡ engine lookup);
-// shards with pending insertions fall back to the per-key overlay lookup.
-// With the cache plane enabled both paths probe the worker's cache first.
-// The epoch is loaded BEFORE the PendingInserts check: an insert landing
-// after the load bumps the epoch, so results this group caches are already
-// dead — closing the window where an engine-only answer computed before the
-// insert could be cached under the post-insert epoch.
+// LookupBatch resolves a batch positionally into a fresh slice:
+// LookupBatchStack with the cache plane (when enabled) and no dst.
 func (u *ShardedUpdatable) LookupBatch(ks []keys.Value) []Result {
-	return u.LookupBatchStack(plane.StackConfig{Cached: true}, ks)
+	return u.LookupBatchStack(plane.StackConfig{Cached: true}, ks, nil)
 }
 
-// LookupBatchStack is the updatable sharded batch executor: the shared
-// fan-out with each clean shard's group answered through the engine-level
-// batch stack for st — cached stacks probe the worker's cache at the epoch
-// loaded before the staleness check — and dirty shards (pending insertions)
-// falling back to the per-key overlay lookup on the same inference plane.
-func (u *ShardedUpdatable) LookupBatchStack(st plane.StackConfig, ks []keys.Value) []Result {
-	return u.lookupBatch(ks, func(shard, worker int, gk []keys.Value, res []Result) {
+// LookupBatchStack is the updatable sharded batch executor: dst[i] answers
+// ks[i] (dst is reused when it has the capacity; nil allocates), every shard
+// group answered on the calling goroutine. Each key's answer is individually
+// consistent: it reflects either the pre- or post-commit state of its shard,
+// never a mix. A shard whose delta buffer is empty answers its whole group
+// through the engine-level batch stack for st (delta empty ⇒
+// Updatable.Lookup ≡ engine lookup); shards with pending insertions fall back
+// to the per-key overlay lookup on the same inference plane. Cached stacks
+// check a spare cache out per group and probe it first on both paths. The
+// epoch is loaded BEFORE the PendingInserts check: an insert landing after
+// the load bumps the epoch, so results this group caches are already dead —
+// closing the window where an engine-only answer computed before the insert
+// could be cached under the post-insert epoch.
+func (u *ShardedUpdatable) LookupBatchStack(st plane.StackConfig, ks []keys.Value, dst []Result) []Result {
+	return u.lookupBatch(ks, dst, func(shard int, gk []keys.Value, res []Result) {
 		s := u.shards[shard]
 		var c *lcache.Cache
-		var spare bool
 		if st.Cached {
-			c, spare = u.cacheFor(worker)
-			defer u.releaseCache(c, spare)
+			c = u.cache.Get()
+			defer u.cache.Put(c)
 		}
 		epoch := s.CacheEpoch().Load()
 		if s.PendingInserts() == 0 {
@@ -311,7 +309,9 @@ func (u *ShardedUpdatable) StartAutoCommit(interval time.Duration, threshold int
 }
 
 // RebalanceTiers runs one tier placement pass on every shard's current live
-// engine (no-op for untiered configs) and returns the totals. Each shard's
+// engine (no-op for untiered configs) and returns the totals — the one-pass
+// helper the tier experiment (E28) and planetest drive; nothing in the
+// serving path calls it (DESIGN.md §16). Each shard's
 // migrations publish through its own epoch inside RebalanceTier, so a cached
 // reader of shard i is invalidated exactly when shard i's placement moved.
 func (u *ShardedUpdatable) RebalanceTiers() (promoted, demoted int) {
@@ -321,32 +321,6 @@ func (u *ShardedUpdatable) RebalanceTiers() (promoted, demoted int) {
 		demoted += d
 	}
 	return promoted, demoted
-}
-
-// StartTierRebalancer launches the background tier rebalancer: every
-// interval it runs one placement pass per shard against whatever engine is
-// live at that moment — an engine swapped in by a commit starts all-fast and
-// is picked up on the next pass, so placement survives retrains without any
-// coordination with the committer. interval ≤ 0 selects 1s. The goroutine
-// stops with Close, alongside the committer.
-func (u *ShardedUpdatable) StartTierRebalancer(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	u.wg.Add(1)
-	go func() {
-		defer u.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-u.stop:
-				return
-			case <-t.C:
-				u.RebalanceTiers()
-			}
-		}
-	}()
 }
 
 // commitLoop wakes on the ticker, on a writer's kick, or when a backed-off
@@ -456,15 +430,17 @@ func (u *ShardedUpdatable) LastCommitErr() error {
 	return newest
 }
 
-// Close stops the background committer and the batch pool; lookups remain
-// valid afterwards (serially). It fails loudly when a commit failure is
-// still unresolved — pending rules exist that never made it into a trained
-// engine — so callers cannot silently discard a dirty shard.
+// Close stops the background committer — the only goroutine a
+// ShardedUpdatable owns — and nothing else: lookups and updates remain valid
+// afterwards, including batches in flight on other goroutines while it runs
+// (TestLookupBatchSurvivesClose); pending insertions simply stay in their
+// delta buffers until an explicit Commit. It fails loudly when a commit
+// failure is still unresolved — pending rules exist that never made it into
+// a trained engine — so callers cannot silently discard a dirty shard.
 func (u *ShardedUpdatable) Close() error {
 	u.closeOnce.Do(func() {
 		close(u.stop)
 		u.wg.Wait()
-		u.router.close()
 	})
 	if err := u.LastCommitErr(); err != nil {
 		return fmt.Errorf("shard: closed with unresolved commit failure (%d rules pending): %w",
