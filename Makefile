@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet no-pool test race race-all race-cores fuzz bench bench-smoke bench-batch \
+.PHONY: build vet deleted-names test race race-all race-cores fuzz bench bench-smoke bench-batch \
 	telemetry-overhead bench-module bench-serve-smoke churn smoke slo tiered faults loadtest canary ci
 
 build:
@@ -13,12 +13,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The serving path has one width (DESIGN.md §9, §15, §16): the names of the
-# shard worker pool, the per-worker cache plane, the in-daemon tier rebalancer
-# and the daemon's inference switch stay out of code and docs. Each alternative
-# carries a one-character class so this line does not find itself.
-no-pool:
+# What was deleted stays deleted, in code and docs. The serving path has one
+# width (DESIGN.md §9, §15, §16): no shard worker pool, per-worker cache plane,
+# in-daemon tier rebalancer or daemon inference switch. Training is one
+# deterministic fit (DESIGN.md §5): no SGD knobs, sampler, straggler rounds,
+# their counters or their lpmtrain flags. Each alternative carries a
+# one-character class so these lines do not find themselves.
+deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier|neurolpm_tier_(resident[_]buckets|fast[_]bytes)' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'Learning[R]ate|Max[R]ounds|draw[S]amples|train[P]arams|neurolpm_train_(loss[_]nano|retrain[_]rounds|stragglers)|(-|")(epoch[s]|sample[s]|target[e]rr)\b' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
@@ -119,5 +124,5 @@ loadtest:
 canary:
 	$(GO) test -run TestScaleCanary10M -v ./internal/workload
 
-ci: build vet no-pool race bench-module smoke telemetry-overhead fuzz \
+ci: build vet deleted-names race bench-module smoke telemetry-overhead fuzz \
 	bench-smoke bench-batch slo tiered loadtest bench-serve-smoke canary

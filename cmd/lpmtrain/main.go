@@ -4,7 +4,11 @@
 //
 // Usage:
 //
-//	lpmtrain -rules rules.txt -width 32 -bucket 8 -model model.bin
+//	lpmtrain -rules rules.txt -width 32 -bucket 8 -model model.bin [-workers N] [-verify]
+//
+// Training is a deterministic fit (internal/rqrmi/fit.go): there is nothing
+// to tune, and the same rules give the same model.bin byte for byte whatever
+// -workers says.
 package main
 
 import (
@@ -22,11 +26,7 @@ func main() {
 	width := flag.Int("width", 32, "key bit width")
 	bucket := flag.Int("bucket", 8, "ranges per bucket; 0 = SRAM-only design")
 	modelPath := flag.String("model", "", "serialized model output file")
-	samples := flag.Int("samples", 4096, "training samples per submodel")
-	epochs := flag.Int("epochs", 48, "SGD epochs per submodel")
-	targetErr := flag.Int("targeterr", 512, "per-submodel error-bound target")
-	workers := flag.Int("workers", 0, "training workers (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 1, "training seed")
+	workers := flag.Int("workers", 0, "training workers (0 = GOMAXPROCS); the model does not depend on it")
 	verify := flag.Bool("verify", false, "run the full analytical verification after training")
 	flag.Parse()
 
@@ -42,11 +42,7 @@ func main() {
 		fatal("%v", err)
 	}
 	mcfg := rqrmi.DefaultConfig()
-	mcfg.Samples = *samples
-	mcfg.Epochs = *epochs
-	mcfg.TargetErr = *targetErr
 	mcfg.Workers = *workers
-	mcfg.Seed = *seed
 
 	eng, err := core.Build(rs, core.Config{BucketSize: *bucket, Model: mcfg})
 	if err != nil {
@@ -56,7 +52,7 @@ func main() {
 	usage := eng.SRAMUsage()
 	fmt.Printf("rules:        %d (%d-bit)\n", rs.Len(), rs.Width)
 	fmt.Printf("ranges:       %d\n", eng.Ranges().Len())
-	fmt.Printf("train time:   %v (stragglers: %d, retrained: %d)\n", st.Duration.Round(1e6), st.Stragglers, st.Retrained)
+	fmt.Printf("train time:   %v\n", st.Duration.Round(1e6))
 	fmt.Printf("max err:      %d\n", st.MaxErr())
 	fmt.Printf("model size:   %d bytes\n", eng.Model().SizeBytes())
 	fmt.Printf("SRAM (model): %d bytes\n", usage.Model)

@@ -12,8 +12,6 @@ import (
 func smallModel() neurolpm.Config {
 	cfg := neurolpm.SRAMOnlyConfig()
 	cfg.Model.StageWidths = []int{1, 2, 8}
-	cfg.Model.Samples = 512
-	cfg.Model.Epochs = 20
 	return cfg
 }
 

@@ -8,14 +8,12 @@ import (
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/rqrmi"
+	"neurolpm/internal/workload"
 )
 
 func quickModel() rqrmi.Config {
 	cfg := rqrmi.DefaultConfig()
 	cfg.StageWidths = []int{1, 2, 8}
-	cfg.Samples = 512
-	cfg.Epochs = 20
-	cfg.MaxRounds = 2
 	return cfg
 }
 
@@ -98,6 +96,26 @@ func TestBuildBucketized(t *testing.T) {
 		t.Fatalf("worst-case accesses = %d, want 1 (§10.2)", e.WorstCaseDRAMAccesses())
 	}
 	assertMatchesOracle(t, e, rs, 4000, 4)
+}
+
+// TestFitReachesPaperTarget: at the default configuration (K = 8, 1/4/64)
+// every submodel of a RIPE-like 100K-rule engine is within the paper's
+// tightest target, log₂e = 6 (Fig 6b). The SGD trainer this replaced read 390.
+func TestFitReachesPaperTarget(t *testing.T) {
+	rs, err := workload.Generate(workload.RIPE(), 100000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Build(rs, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.TrainStats().MaxErr(); got > 64 {
+		t.Fatalf("max error bound %d, paper's target 64", got)
+	}
+	if err := e.Verify(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBuild128Bit(t *testing.T) {

@@ -279,7 +279,15 @@ func TestInsertDuringCommitIsNotLost(t *testing.T) {
 			runtime.Gosched()
 		}
 	}()
-	for cycle := 0; cycle < 200; cycle++ {
+	// 200 commits, and on more than one core as many more as it takes for 200
+	// inserts to have raced them: a commit of this rule-set is well under a
+	// millisecond, so on a loaded box the inserter can miss whole cycles.
+	raced := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(acked)
+	}
+	for cycle := 0; cycle < 200 || (runtime.GOMAXPROCS(0) > 1 && raced() < 200 && cycle < 20000); cycle++ {
 		budget.Store(perCycle)
 		if err := u.Commit(); err != nil {
 			t.Fatal(err)

@@ -80,8 +80,6 @@ type Scale struct {
 func QuickScale() Scale {
 	m := rqrmi.DefaultConfig()
 	m.StageWidths = []int{1, 4, 16}
-	m.Samples = 2048
-	m.Epochs = 30
 	return Scale{
 		Rules: map[string]int{
 			"ripe": 40000, "routeviews": 45000, "stanford": 15000,

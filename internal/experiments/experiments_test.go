@@ -12,9 +12,6 @@ import (
 func testScale() Scale {
 	m := rqrmi.DefaultConfig()
 	m.StageWidths = []int{1, 2, 8}
-	m.Samples = 512
-	m.Epochs = 20
-	m.MaxRounds = 2
 	return Scale{
 		Rules: map[string]int{
 			"ripe": 9000, "routeviews": 9000, "stanford": 5000,

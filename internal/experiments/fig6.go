@@ -48,8 +48,8 @@ func Fig6aTable(points []Fig6aPoint) *Table {
 	return t
 }
 
-// Fig6bRow is one row of Figure 6b: the training-time vs lookup-throughput
-// tradeoff at a given target error bound.
+// Fig6bRow is one row of Figure 6b: training time and lookup throughput
+// against one of the paper's target error bounds.
 type Fig6bRow struct {
 	TargetLog2E     int
 	AvgBankAccesses float64
@@ -57,12 +57,15 @@ type Fig6bRow struct {
 	TrainSequential time.Duration
 	TrainParallel   time.Duration
 	Workers         int
-	Stragglers      int
+	Stragglers      int // final-stage submodels whose bound exceeds the target
 }
 
-// Fig6b regenerates Figure 6b on the RIPE-like rule-set: training with
-// looser target error bounds (log₂e = 6, 7, 8) is faster but lengthens the
-// secondary search and lowers end-to-end lookup throughput.
+// Fig6b regenerates Figure 6b on the RIPE-like rule-set. The paper trades
+// training time against the target bound (log₂e = 6, 7, 8: looser is faster
+// to train and slower to search). The spline fit has no such trade to make —
+// it always returns the tightest bound eight units reach — so the model is
+// trained once per core count and each target is checked against the bounds
+// that one training produced.
 func Fig6b(sc Scale) ([]Fig6bRow, error) {
 	rs, err := workload.Generate(workload.RIPE(), sc.Rules["ripe"], sc.Seed)
 	if err != nil {
@@ -76,50 +79,36 @@ func Fig6b(sc Scale) ([]Fig6bRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg := sc.Model
+	cfg.Workers = 1
+	_, seq, err := rqrmi.Train(arr, rs.Width, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	model, par, err := rqrmi.Train(arr, rs.Width, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := hwsim.Simulate(model, arr, trace, hwsim.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig6bRow
 	for _, log2e := range []int{6, 7, 8} {
-		cfg := sc.Model
-		cfg.TargetErr = 1 << log2e
-		// Looser targets buy speed by cutting the per-round budget: fewer
-		// samples and epochs, fewer straggler retries (§6.5's 3× sample
-		// reduction and straggler tolerance).
-		switch log2e {
-		case 7:
-			cfg.Samples = cfg.Samples * 2 / 3
-			cfg.MaxRounds = 2
-		case 8:
-			cfg.Samples = cfg.Samples / 3
-			cfg.Epochs = cfg.Epochs * 2 / 3
-			cfg.MaxRounds = 1
+		row := Fig6bRow{
+			TargetLog2E:     log2e,
+			AvgBankAccesses: res.AvgBankAccesses(),
+			Throughput:      res.Throughput(),
+			TrainSequential: seq.Duration,
+			TrainParallel:   par.Duration,
+			Workers:         cfg.Workers,
 		}
-		row := Fig6bRow{TargetLog2E: log2e}
-
-		cfgSeq := cfg
-		cfgSeq.Workers = 1
-		start := time.Now()
-		if _, _, err := rqrmi.Train(arr, rs.Width, cfgSeq); err != nil {
-			return nil, err
+		for _, e := range par.SubmodelErrs {
+			if e > 1<<log2e {
+				row.Stragglers++
+			}
 		}
-		row.TrainSequential = time.Since(start)
-
-		cfgPar := cfg
-		cfgPar.Workers = runtime.GOMAXPROCS(0)
-		row.Workers = cfgPar.Workers
-		start = time.Now()
-		model, stats, err := rqrmi.Train(arr, rs.Width, cfgPar)
-		if err != nil {
-			return nil, err
-		}
-		row.TrainParallel = time.Since(start)
-		row.Stragglers = stats.Stragglers
-
-		hw := hwsim.DefaultConfig()
-		res, err := hwsim.Simulate(model, arr, trace, hw)
-		if err != nil {
-			return nil, err
-		}
-		row.AvgBankAccesses = res.AvgBankAccesses()
-		row.Throughput = res.Throughput()
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -131,9 +120,10 @@ func Fig6bTable(rows []Fig6bRow) *Table {
 		Title: "Figure 6b: training time and its effect on end-to-end lookup throughput",
 		Header: []string{
 			"target log2(e)", "avg bank accesses", "lookup tput [q/cyc]",
-			"train 1-core [ms]", "train parallel [ms]", "workers", "stragglers",
+			"train 1-core [ms]", "train parallel [ms]", "workers", "submodels over target",
 		},
 		Notes: []string{
+			"one deterministic fit serves all three rows: it has no time-vs-bound trade, so each target is checked against the bounds that fit reached",
 			"substitution: wall-clock on this machine instead of the paper's Intel x86 / BlueField-2 ARM hosts",
 		},
 	}

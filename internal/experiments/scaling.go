@@ -33,12 +33,10 @@ func Scaling(sc Scale) ([]ScalingRow, error) {
 		if err != nil {
 			return ScalingRow{}, err
 		}
-		start := time.Now()
 		eng, err := core.Build(rs, cfg)
 		if err != nil {
 			return ScalingRow{}, err
 		}
-		trainTime := time.Since(start)
 		trace, err := workload.GenerateTrace(rs, workload.DefaultTrace(sc.HWTraceLen, sc.Seed+10))
 		if err != nil {
 			return ScalingRow{}, err
@@ -58,7 +56,7 @@ func Scaling(sc Scale) ([]ScalingRow, error) {
 			Rules:      nRules,
 			BucketSize: cfg.BucketSize,
 			Submodels:  widths[len(widths)-1],
-			TrainTime:  trainTime,
+			TrainTime:  eng.TrainStats().Duration,
 			Throughput: res.Throughput(),
 		}, nil
 	}

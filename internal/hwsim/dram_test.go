@@ -26,8 +26,6 @@ func buildBucketized(t testing.TB, rules int, seed int64) (*rqrmi.Model, *bucket
 	}
 	cfg := rqrmi.DefaultConfig()
 	cfg.StageWidths = []int{1, 2, 16}
-	cfg.Samples = 1024
-	cfg.Epochs = 25
 	model, _, err := rqrmi.Train(dir, 32, cfg)
 	if err != nil {
 		t.Fatal(err)

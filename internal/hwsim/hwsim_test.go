@@ -24,8 +24,6 @@ func buildModel(t testing.TB, rules int, seed int64) (*rqrmi.Model, rqrmi.Index,
 	}
 	cfg := rqrmi.DefaultConfig()
 	cfg.StageWidths = []int{1, 2, 16}
-	cfg.Samples = 1024
-	cfg.Epochs = 25
 	model, _, err := rqrmi.Train(arr, 32, cfg)
 	if err != nil {
 		t.Fatal(err)

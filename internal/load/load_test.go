@@ -53,9 +53,6 @@ func buildSmokeFixture(t *testing.T) *smokeFixture {
 
 	mc := rqrmi.DefaultConfig()
 	mc.StageWidths = []int{1, 2, 8}
-	mc.Samples = 512
-	mc.Epochs = 20
-	mc.MaxRounds = 2
 	sh, err := shard.BuildUpdatable(rs, core.Config{Model: mc, BucketSize: 8}, 4, 0)
 	if err != nil {
 		t.Fatal(err)

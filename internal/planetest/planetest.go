@@ -48,21 +48,14 @@ import (
 func FuzzModel() rqrmi.Config {
 	cfg := rqrmi.DefaultConfig()
 	cfg.StageWidths = []int{1, 2, 4}
-	cfg.Samples = 128
-	cfg.Epochs = 10
-	cfg.MaxRounds = 1
 	return cfg
 }
 
-// QuickModel is the non-fuzz test configuration: big enough to keep error
-// bounds reasonable on ~1K-rule sets, small enough to train in well under a
-// second.
+// QuickModel is the non-fuzz test configuration: stages sized for ~1K-rule
+// sets, so most submodels have something to answer for.
 func QuickModel() rqrmi.Config {
 	cfg := rqrmi.DefaultConfig()
 	cfg.StageWidths = []int{1, 2, 8}
-	cfg.Samples = 512
-	cfg.Epochs = 20
-	cfg.MaxRounds = 2
 	return cfg
 }
 

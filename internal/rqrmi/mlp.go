@@ -1,184 +1,49 @@
 package rqrmi
 
-import (
-	"math"
-	"math/rand"
-)
+import "slices"
 
 // hiddenUnits is the hidden-layer width of every submodel: the paper uses
 // eight fully-connected perceptrons with ReLU activation (§2.2).
 const hiddenUnits = 8
 
-// mlp is a trainable 1→8→1 multi-layer perceptron over the unit input u.
-// The input is first normalized with the affine transform z = inA·u + inB
-// (determined by the submodel's responsibility interval at training time, as
-// in the paper: "normalized using an affine transformation determined at
-// training time"). Training runs in float64; the trained network is then
-// compiled into a LUT for float32 inference.
+// mlp is a 1→8→1 multi-layer perceptron over the unit input u. Its weights
+// are set in float64 by the spline fit (fit.go); the network is then compiled
+// into a LUT for float32 inference.
 type mlp struct {
 	w1, b1 [hiddenUnits]float64
 	w2     [hiddenUnits]float64
 	b2     float64
-	inA    float64 // input normalization: z = inA*u + inB
-	inB    float64
 }
 
-// newMLP creates a submodel normalized to the input interval [uMin, uMax]
-// and initialized close to the identity mapping z ↦ z, which both breaks
-// symmetry and starts near the CDF it will fit. For a degenerate interval
-// the normalization collapses to z = u.
-func newMLP(uMin, uMax float64, rng *rand.Rand) *mlp {
-	m := &mlp{}
-	if uMax > uMin {
-		m.inA = 1 / (uMax - uMin)
-		m.inB = -uMin * m.inA
-	} else {
-		m.inA, m.inB = 1, 0
-	}
-	for k := 0; k < hiddenUnits; k++ {
-		// Hinges spread across [0,1); small noise breaks ties.
-		m.w1[k] = 1 + 0.01*rng.NormFloat64()
-		m.b1[k] = -float64(k)/hiddenUnits + 0.01*rng.NormFloat64()
-		m.w2[k] = 0.05 * rng.NormFloat64()
-	}
-	// With w2[0] ≈ 1 and hinge 0 at z ≈ 0, the initial output is ≈ z.
-	m.w2[0] = 1
-	m.b2 = 0
-	return m
-}
-
-// forward computes the network output and, when grad is non-nil, the hidden
-// activations needed for backprop.
-func (m *mlp) forward(u float64, hidden *[hiddenUnits]float64) float64 {
-	z := m.inA*u + m.inB
+// forward computes the network output at u.
+func (m *mlp) forward(u float64) float64 {
 	y := m.b2
 	for k := 0; k < hiddenUnits; k++ {
-		h := m.w1[k]*z + m.b1[k]
-		if h < 0 {
-			h = 0
+		if h := m.w1[k]*u + m.b1[k]; h > 0 {
+			y += m.w2[k] * h
 		}
-		if hidden != nil {
-			hidden[k] = h
-		}
-		y += m.w2[k] * h
 	}
 	return y
 }
 
-// sample is one training example: unit input and target fraction in [0,1].
-type sample struct {
-	u, target float64
-}
-
-// trainParams configures SGD for one submodel.
-type trainParams struct {
-	epochs    int
-	batchSize int
-	lr        float64
-	momentum  float64
-}
-
-// train fits the network to the samples with minibatch SGD + momentum on
-// MSE loss, returning the final epoch's mean loss. The learning rate decays
-// geometrically to a tenth of its initial value across the epochs.
-func (m *mlp) train(samples []sample, p trainParams, rng *rand.Rand) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	if p.batchSize <= 0 {
-		p.batchSize = 32
-	}
-	if p.batchSize > len(samples) {
-		p.batchSize = len(samples)
-	}
-	decay := math.Pow(0.1, 1/math.Max(1, float64(p.epochs)))
-	lr := p.lr
-
-	var vw1, vb1, vw2 [hiddenUnits]float64
-	var vb2 float64
-	order := rng.Perm(len(samples))
-	var hidden [hiddenUnits]float64
-	lastLoss := 0.0
-
-	for epoch := 0; epoch < p.epochs; epoch++ {
-		// Fisher–Yates reshuffle per epoch.
-		for i := len(order) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			order[i], order[j] = order[j], order[i]
-		}
-		lossSum := 0.0
-		for start := 0; start < len(order); start += p.batchSize {
-			end := start + p.batchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			var gw1, gb1, gw2 [hiddenUnits]float64
-			gb2 := 0.0
-			for _, si := range order[start:end] {
-				s := samples[si]
-				y := m.forward(s.u, &hidden)
-				diff := y - s.target
-				lossSum += diff * diff
-				z := m.inA*s.u + m.inB
-				gb2 += diff
-				for k := 0; k < hiddenUnits; k++ {
-					gw2[k] += diff * hidden[k]
-					if hidden[k] > 0 {
-						gk := diff * m.w2[k]
-						gw1[k] += gk * z
-						gb1[k] += gk
-					}
-				}
-			}
-			scale := lr / float64(end-start)
-			for k := 0; k < hiddenUnits; k++ {
-				vw1[k] = p.momentum*vw1[k] - scale*gw1[k]
-				vb1[k] = p.momentum*vb1[k] - scale*gb1[k]
-				vw2[k] = p.momentum*vw2[k] - scale*gw2[k]
-				m.w1[k] += vw1[k]
-				m.b1[k] += vb1[k]
-				m.w2[k] += vw2[k]
-			}
-			vb2 = p.momentum*vb2 - scale*gb2
-			m.b2 += vb2
-		}
-		lastLoss = lossSum / float64(len(order))
-		lr *= decay
-	}
-	return lastLoss
-}
-
-// compile converts the trained network into its exact piecewise-linear LUT
-// (paper §5.2.2). Segment coefficients fold the input normalization, so the
-// LUT maps the raw unit input u directly: within segment s,
-// y = A[s]·u + B[s]. Coefficients are computed in float64 and stored as
-// float32; the error-bound analysis runs against the stored float32 values,
-// so the rounding here can never break query correctness.
+// compile converts the network into its exact piecewise-linear LUT (paper
+// §5.2.2): within segment s, y = A[s]·u + B[s]. Coefficients are computed in
+// float64 and stored as float32; the error-bound analysis runs against the
+// stored float32 values, so the rounding here can never break query
+// correctness.
 func (m *mlp) compile() LUT {
-	// Hinge locations in z-space: z_k = −b1/w1 where the ReLU flips.
-	type hinge struct{ z float64 }
+	// Hinge locations: u_k = −b1/w1 where the ReLU flips.
 	var hinges []float64
 	for k := 0; k < hiddenUnits; k++ {
 		if m.w1[k] != 0 {
 			hinges = append(hinges, -m.b1[k]/m.w1[k])
 		}
 	}
-	// Sort and deduplicate.
-	for i := 1; i < len(hinges); i++ {
-		for j := i; j > 0 && hinges[j] < hinges[j-1]; j-- {
-			hinges[j], hinges[j-1] = hinges[j-1], hinges[j]
-		}
-	}
-	uniq := hinges[:0]
-	for _, h := range hinges {
-		if len(uniq) == 0 || h > uniq[len(uniq)-1] {
-			uniq = append(uniq, h)
-		}
-	}
-	hinges = uniq
+	slices.Sort(hinges)
+	hinges = slices.Compact(hinges)
 
 	var lut LUT
-	// Segment s covers z ∈ (hinges[s−1], hinges[s]].
+	// Segment s covers u ∈ (hinges[s−1], hinges[s]].
 	for s := 0; s <= len(hinges); s++ {
 		// Pick a probe point inside the segment to determine the active set.
 		var probe float64
@@ -192,19 +57,17 @@ func (m *mlp) compile() LUT {
 		default:
 			probe = (hinges[s-1] + hinges[s]) / 2
 		}
-		az, bz := 0.0, m.b2
+		a, b := 0.0, m.b2
 		for k := 0; k < hiddenUnits; k++ {
 			if m.w1[k]*probe+m.b1[k] > 0 {
-				az += m.w2[k] * m.w1[k]
-				bz += m.w2[k] * m.b1[k]
+				a += m.w2[k] * m.w1[k]
+				b += m.w2[k] * m.b1[k]
 			}
 		}
-		// Fold the input normalization: z = inA·u + inB.
-		lut.A = append(lut.A, float32(az*m.inA))
-		lut.B = append(lut.B, float32(az*m.inB+bz))
+		lut.A = append(lut.A, float32(a))
+		lut.B = append(lut.B, float32(b))
 		if s < len(hinges) {
-			// Knots move to u-space; inA > 0 preserves order.
-			lut.Knots = append(lut.Knots, float32((hinges[s]-m.inB)/m.inA))
+			lut.Knots = append(lut.Knots, float32(hinges[s]))
 		}
 	}
 	return lut

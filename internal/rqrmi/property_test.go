@@ -35,9 +35,7 @@ func TestPropertyLookupExact(t *testing.T) {
 			}
 			ix = &sliceIndex{lows: dedupe(lows)}
 		}
-		cfg := quickConfig()
-		cfg.Seed = seed
-		m, _, err := Train(ix, width, cfg)
+		m, _, err := Train(ix, width, quickConfig())
 		if err != nil {
 			t.Logf("train: %v", err)
 			return false
@@ -73,9 +71,7 @@ func TestPropertySerializeRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ix := skewedIndex(rng, 20, 150)
-		cfg := quickConfig()
-		cfg.Seed = seed
-		m, _, err := Train(ix, 20, cfg)
+		m, _, err := Train(ix, 20, quickConfig())
 		if err != nil {
 			return false
 		}
@@ -101,24 +97,28 @@ func TestPropertySerializeRoundTrip(t *testing.T) {
 }
 
 // TestPropertyLUTMatchesMLP: compilation is semantics-preserving for
-// arbitrary weights, not just trained ones.
+// arbitrary weights and for fitted ones.
 func TestPropertyLUTMatchesMLP(t *testing.T) {
-	prop := func(seed int64) bool {
+	prop := func(seed int64, fitted bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := newMLP(0, 1, rng)
-		for k := 0; k < hiddenUnits; k++ {
-			m.w1[k] = rng.NormFloat64() * 5
-			m.b1[k] = rng.NormFloat64() * 2
-			m.w2[k] = rng.NormFloat64() * 2
+		m := newMLP(rng)
+		if fitted {
+			m = fittedMLP(skewedIndex(rng, 20, 50+rng.Intn(400)), 20)
+		} else {
+			for k := 0; k < hiddenUnits; k++ {
+				m.w1[k] = rng.NormFloat64() * 5
+				m.b1[k] = rng.NormFloat64() * 2
+				m.w2[k] = rng.NormFloat64() * 2
+			}
+			m.b2 = rng.NormFloat64()
 		}
-		m.b2 = rng.NormFloat64()
 		lut := m.compile()
 		if lut.Segments() > MaxSegments {
 			return false
 		}
 		for q := 0; q < 300; q++ {
 			u := rng.Float64()*1.4 - 0.2 // include out-of-range inputs
-			want := m.forward(u, nil)
+			want := m.forward(u)
 			got := float64(lut.Eval(float32(u)))
 			if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
 				return false
@@ -136,7 +136,7 @@ func TestPropertyLUTMatchesMLP(t *testing.T) {
 func TestPropertyEvalMonotonePerSegment(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := newMLP(0, 1, rng)
+		m := newMLP(rng)
 		for k := 0; k < hiddenUnits; k++ {
 			m.w1[k] = rng.NormFloat64() * 3
 			m.b1[k] = rng.NormFloat64()

@@ -69,11 +69,28 @@ func dedupe(v []keys.Value) []keys.Value {
 
 func quickConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Samples = 512
-	cfg.Epochs = 20
 	cfg.StageWidths = []int{1, 2, 8}
-	cfg.MaxRounds = 2
 	return cfg
+}
+
+// newMLP returns a network near the identity map on [0,1) — hinges spread
+// across the interval, small noise breaking ties — for tests to perturb.
+func newMLP(rng *rand.Rand) *mlp {
+	m := &mlp{}
+	for k := 0; k < hiddenUnits; k++ {
+		m.w1[k] = 1 + 0.01*rng.NormFloat64()
+		m.b1[k] = -float64(k)/hiddenUnits + 0.01*rng.NormFloat64()
+		m.w2[k] = 0.05 * rng.NormFloat64()
+	}
+	m.w2[0] = 1
+	return m
+}
+
+// fittedMLP is the network Train would give a single submodel answering for
+// the whole of ix.
+func fittedMLP(ix Index, width int) *mlp {
+	whole := []interval{{Lo: keys.Value{}, Hi: keys.NewDomain(width).Max()}}
+	return fitMLP(boundaryPoints(ix, width, whole), ix.Len())
 }
 
 func TestFind(t *testing.T) {
@@ -131,22 +148,27 @@ func TestScaleClamp(t *testing.T) {
 // reproduce the MLP output (up to float32 storage of the coefficients).
 func TestCompileMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		m := newMLP(0, 1, rng)
-		// Randomize beyond the near-identity init.
-		for k := 0; k < hiddenUnits; k++ {
-			m.w1[k] = rng.NormFloat64() * 3
-			m.b1[k] = rng.NormFloat64()
-			m.w2[k] = rng.NormFloat64()
+	for trial := 0; trial < 60; trial++ {
+		m := newMLP(rng)
+		if trial < 50 {
+			// Randomize beyond the near-identity init.
+			for k := 0; k < hiddenUnits; k++ {
+				m.w1[k] = rng.NormFloat64() * 3
+				m.b1[k] = rng.NormFloat64()
+				m.w2[k] = rng.NormFloat64()
+			}
+			m.b2 = rng.NormFloat64()
+		} else {
+			// The networks the trainer actually produces.
+			m = fittedMLP(skewedIndex(rng, 24, 300), 24)
 		}
-		m.b2 = rng.NormFloat64()
 		lut := m.compile()
 		if lut.Segments() > MaxSegments {
 			t.Fatalf("%d segments", lut.Segments())
 		}
 		for q := 0; q < 200; q++ {
 			u := rng.Float64()
-			want := m.forward(u, nil)
+			want := m.forward(u)
 			got := float64(lut.Eval(float32(u)))
 			// float32 coefficient storage bounds the discrepancy.
 			tol := 1e-5 * (1 + math.Abs(want))
@@ -159,7 +181,7 @@ func TestCompileMatchesForward(t *testing.T) {
 
 func TestCompileSegmentCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	m := newMLP(0, 1, rng)
+	m := newMLP(rng)
 	lut := m.compile()
 	if lut.Segments() < 1 || lut.Segments() > MaxSegments {
 		t.Fatalf("segments = %d", lut.Segments())
@@ -169,17 +191,32 @@ func TestCompileSegmentCount(t *testing.T) {
 	}
 }
 
+// TestMLPTrainsLinear: the fit recovers a line exactly, with one unit.
 func TestMLPTrainsLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m := newMLP(0, 1, rng)
-	var samples []sample
+	const n = 1000
+	var pts []point
 	for i := 0; i < 512; i++ {
-		u := rng.Float64()
-		samples = append(samples, sample{u: u, target: 0.2 + 0.6*u})
+		u := float64(i) / 512
+		pts = append(pts, point{x: u, y: n * (0.2 + 0.6*u)})
 	}
-	loss := m.train(samples, trainParams{epochs: 40, batchSize: 32, lr: 0.2, momentum: 0.9}, rng)
-	if loss > 1e-3 {
-		t.Fatalf("failed to fit a line: loss %g", loss)
+	m := fitMLP(pts, n)
+	for k := 1; k < hiddenUnits; k++ {
+		if m.w1[k] != 0 || m.w2[k] != 0 {
+			t.Fatalf("unit %d is in use: a line needs one", k)
+		}
+	}
+	for _, p := range pts {
+		if got, want := m.forward(p.x), 0.2+0.6*p.x; math.Abs(got-want) > 1e-12 {
+			t.Fatalf("u=%g: network %g, line %g", p.x, got, want)
+		}
+	}
+	// The same through Train: evenly spaced boundaries are a line.
+	_, stats, err := Train(uniformIndex(16, 256), 16, Config{StageWidths: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MaxErr() > 1 {
+		t.Fatalf("bound %d on a linear index", stats.MaxErr())
 	}
 }
 
@@ -188,7 +225,7 @@ func TestSplitAtKnotsCoversInterval(t *testing.T) {
 	width := 24
 	dom := keys.NewDomain(width)
 	for trial := 0; trial < 30; trial++ {
-		m := newMLP(0, 1, rng)
+		m := newMLP(rng)
 		for k := 0; k < hiddenUnits; k++ {
 			m.w1[k] = rng.NormFloat64() * 2
 			m.b1[k] = rng.NormFloat64() * 0.5
@@ -215,7 +252,7 @@ func TestPartitionAgreesWithRouting(t *testing.T) {
 	width := 20
 	dom := keys.NewDomain(width)
 	for trial := 0; trial < 20; trial++ {
-		m := newMLP(0, 1, rng)
+		m := newMLP(rng)
 		for k := 0; k < hiddenUnits; k++ {
 			m.w1[k] = rng.NormFloat64() * 2
 			m.w2[k] = rng.NormFloat64() * 0.5
@@ -260,17 +297,11 @@ func TestErrorBoundSound(t *testing.T) {
 	dom := keys.NewDomain(width)
 	for trial := 0; trial < 15; trial++ {
 		ix := skewedIndex(rng, width, 40)
-		m := newMLP(0, 1, rng)
-		// Train roughly so the bound is non-trivial.
-		var samples []sample
-		for i := 0; i < 400; i++ {
-			k := keys.FromUint64(uint64(rng.Intn(1 << width)))
-			samples = append(samples, sample{
-				u:      dom.ToUnit(k),
-				target: (float64(Find(ix, k)) + 0.5) / float64(ix.Len()),
-			})
+		// Fit, then knock the fit about so the bound is non-trivial.
+		m := fittedMLP(ix, width)
+		for k := 0; k < hiddenUnits; k++ {
+			m.w2[k] *= 1 + 0.2*rng.NormFloat64()
 		}
-		m.train(samples, trainParams{epochs: 15, batchSize: 32, lr: 0.2, momentum: 0.9}, rng)
 		lut := m.compile()
 		ivs := []interval{{Lo: keys.Value{}, Hi: dom.Max()}}
 		bound := int(errorBound(width, &lut, ix, ivs))
@@ -429,10 +460,9 @@ func TestTrainRejectsBadConfig(t *testing.T) {
 	ix := uniformIndex(16, 100)
 	bad := []Config{
 		{},
-		{StageWidths: []int{2, 4}, Samples: 512, Epochs: 10, LearningRate: 0.1},
-		{StageWidths: []int{1, 0}, Samples: 512, Epochs: 10, LearningRate: 0.1},
-		{StageWidths: []int{1, 4}, Samples: 1, Epochs: 10, LearningRate: 0.1},
-		{StageWidths: []int{1, 4}, Samples: 512, Epochs: 0, LearningRate: 0.1},
+		{StageWidths: []int{2, 4}},
+		{StageWidths: []int{1, 0}},
+		{StageWidths: []int{1, 4, -1}},
 	}
 	for i, cfg := range bad {
 		if _, _, err := Train(ix, 16, cfg); err == nil {
@@ -459,27 +489,84 @@ func TestTrainSingleEntry(t *testing.T) {
 	}
 }
 
+// TestTrainDegenerateInputs: the shapes a fit could trip on — nothing to fit,
+// a single point, empty responsibilities, boundaries inference cannot tell
+// apart — train, keep their bounds and answer every lookup.
+func TestTrainDegenerateInputs(t *testing.T) {
+	collapsed := []keys.Value{{}}
+	for i := uint64(0); i < 50; i++ {
+		// All fifty share one float32 coordinate, 2⁻²⁸.
+		collapsed = append(collapsed, keys.FromParts(1<<36, i))
+	}
+	collapsed = append(collapsed, keys.FromParts(1<<63, 0))
+	cases := []struct {
+		name  string
+		width int
+		lows  []keys.Value
+		cfg   Config
+	}{
+		{"one entry", 16, []keys.Value{{}}, quickConfig()},
+		{"two entries", 16, []keys.Value{{}, keys.FromUint64(1 << 15)}, quickConfig()},
+		{"empty responsibilities", 16, []keys.Value{{}, keys.FromUint64(3)}, DefaultConfig()},
+		{"collapsed 128-bit boundaries", 128, collapsed, quickConfig()},
+		{"collapsed, one submodel", 128, collapsed, Config{StageWidths: []int{1}}},
+	}
+	for _, c := range cases {
+		ix := &sliceIndex{lows: c.lows}
+		m, _, err := Train(ix, c.width, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ok, witness := m.Verify(ix); !ok {
+			t.Fatalf("%s: Verify failed at key %v", c.name, witness)
+		}
+		assertLookupsCorrect(t, m, ix, c.width, 200)
+	}
+
+	// A responsibility of several intervals, handed over out of order: the
+	// bound holds at every key of every interval.
+	ix := skewedIndex(rand.New(rand.NewSource(25)), 14, 200)
+	ivs := []interval{
+		{Lo: keys.FromUint64(9000), Hi: keys.FromUint64(12000)},
+		{Lo: keys.FromUint64(100), Hi: keys.FromUint64(1700)},
+		{Lo: keys.FromUint64(5000), Hi: keys.FromUint64(5000)},
+	}
+	lut := trainSubmodel(ix, 14, ivs, true)
+	for _, iv := range ivs {
+		for k := iv.Lo; !iv.Hi.Less(k); k = k.Inc() {
+			d := scaleClamp(lut.Eval(unitOf(14, k)), ix.Len()) - Find(ix, k)
+			if d < 0 {
+				d = -d
+			}
+			if d > int(lut.Err) {
+				t.Fatalf("multi-interval: key %v off by %d, bound %d", k, d, lut.Err)
+			}
+		}
+	}
+	if lut.Err > 8 {
+		t.Fatalf("multi-interval: bound %d over 200 entries", lut.Err)
+	}
+}
+
 func TestTrainDeterministic(t *testing.T) {
-	ix := uniformIndex(24, 300)
+	ix := skewedIndex(rand.New(rand.NewSource(24)), 24, 3000)
 	cfg := quickConfig()
-	cfg.Workers = 1
-	m1, _, err := Train(ix, 24, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := Train(ix, 24, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b1, b2 bytes.Buffer
-	if _, err := m1.WriteTo(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.WriteTo(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("training is not deterministic for a fixed seed")
+	var first []byte
+	for _, workers := range []int{1, 1, 4} {
+		cfg.Workers = workers
+		m, _, err := Train(ix, 24, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if _, err := m.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = b.Bytes()
+		} else if !bytes.Equal(first, b.Bytes()) {
+			t.Fatalf("training at %d workers is not byte-identical to the first run", workers)
+		}
 	}
 }
 
@@ -620,37 +707,35 @@ func BenchmarkTrain10K(b *testing.B) {
 	}
 }
 
+// fitSquare fits u ↦ u² on [0,1): a submodel with every unit in use.
+func fitSquare() *mlp {
+	var pts []point
+	for i := 0; i < 256; i++ {
+		u := float64(i) / 256
+		pts = append(pts, point{x: u, y: 1e6 * u * u})
+	}
+	return fitMLP(pts, 1e6)
+}
+
 // The §5.2.2 inference ablation: the compiled LUT replaces the 26-FP-op MLP
 // evaluation with a segment lookup plus one MAC. These two benchmarks
 // compare the software cost of both paths on the same trained submodel.
 func BenchmarkMLPForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	m := newMLP(0, 1, rng)
-	var samples []sample
-	for i := 0; i < 256; i++ {
-		u := rng.Float64()
-		samples = append(samples, sample{u: u, target: u * u})
-	}
-	m.train(samples, trainParams{epochs: 10, batchSize: 32, lr: 0.2, momentum: 0.9}, rng)
+	m := fitSquare()
 	us := make([]float64, 1024)
 	for i := range us {
 		us[i] = rng.Float64()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.forward(us[i&1023], nil)
+		m.forward(us[i&1023])
 	}
 }
 
 func BenchmarkLUTEval(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	m := newMLP(0, 1, rng)
-	var samples []sample
-	for i := 0; i < 256; i++ {
-		u := rng.Float64()
-		samples = append(samples, sample{u: u, target: u * u})
-	}
-	m.train(samples, trainParams{epochs: 10, batchSize: 32, lr: 0.2, momentum: 0.9}, rng)
+	m := fitSquare()
 	lut := m.compile()
 	us := make([]float32, 1024)
 	for i := range us {

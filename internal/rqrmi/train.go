@@ -2,8 +2,8 @@ package rqrmi
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,9 +12,7 @@ import (
 )
 
 // Training telemetry: the distributions the paper's training-time argument
-// rests on (§5.2.1 error bounds, §6.5 straggler trade-off) as live metrics.
-// Loss is observed in nano-units (loss × 1e9) so the log₂ histogram
-// resolves the 1e-3..1e-8 MSE range.
+// rests on (§5.2.1 error bounds, §5.2 responsibilities) as live metrics.
 var (
 	metTrainRuns = telemetry.Default.Counter("neurolpm_train_runs_total",
 		"RQRMI training runs")
@@ -22,59 +20,27 @@ var (
 		"Nanoseconds spent in RQRMI training")
 	metTrainSubmodelErr = telemetry.Default.Histogram("neurolpm_train_submodel_err",
 		"Final-stage submodel error bounds (paper §5.2.1)")
-	metTrainLossNano = telemetry.Default.Histogram("neurolpm_train_loss_nano",
-		"Final-epoch MSE loss per submodel, in units of 1e-9")
 	metTrainRespSize = telemetry.Default.Histogram("neurolpm_train_responsibility_entries",
 		"Index entries per final-stage submodel responsibility (paper §5.2)")
-	metTrainRetrained = telemetry.Default.Counter("neurolpm_train_retrain_rounds_total",
-		"Extra training rounds spent on straggler submodels (paper §6.5)")
-	metTrainStragglers = telemetry.Default.Counter("neurolpm_train_stragglers_total",
-		"Submodels still above TargetErr after MaxRounds (paper §6.5)")
 )
 
-// Config controls RQRMI training. The zero value is not usable; start from
-// DefaultConfig.
+// Config is the shape of an RQRMI model. Training has no knobs: every
+// submodel is fitted to all of its responsibility, deterministically, to the
+// tightest bound its eight units reach (fit.go). The zero value is not
+// usable; start from DefaultConfig.
 type Config struct {
 	// StageWidths is the number of submodels per stage. The paper's
 	// configuration — 1, 4, 64 — achieves good performance on all evaluated
 	// rule-sets (§8).
 	StageWidths []int
-	// Samples is the uniform-sample budget per submodel.
-	Samples int
-	// Epochs, BatchSize, LearningRate and Momentum drive per-submodel SGD.
-	Epochs       int
-	BatchSize    int
-	LearningRate float64
-	Momentum     float64
-	// TargetErr is the per-submodel error-bound goal: submodels above it are
-	// retrained with a fresh seed and more epochs, up to MaxRounds rounds.
-	// "Straggler" submodels still above the target after MaxRounds keep
-	// their best bound — the paper shows absorbing a few high-e submodels in
-	// the secondary search costs ~3.5% of lookup throughput but shortens
-	// training up to 4× (§6.5).
-	TargetErr int
-	MaxRounds int
-	// Workers bounds training parallelism (§6.5: submodels are independent).
-	// Zero means GOMAXPROCS.
+	// Workers bounds training parallelism (§6.5: submodels are independent);
+	// the trained model does not depend on it. Zero means GOMAXPROCS.
 	Workers int
-	// Seed makes training deterministic.
-	Seed int64
 }
 
-// DefaultConfig returns the paper's model configuration with training knobs
-// sized for sub-second training of ~1M-range indexes.
+// DefaultConfig returns the paper's model configuration.
 func DefaultConfig() Config {
-	return Config{
-		StageWidths:  []int{1, 4, 64},
-		Samples:      4096,
-		Epochs:       48,
-		BatchSize:    64,
-		LearningRate: 0.25,
-		Momentum:     0.9,
-		TargetErr:    512,
-		MaxRounds:    3,
-		Seed:         1,
-	}
+	return Config{StageWidths: []int{1, 4, 64}}
 }
 
 func (c *Config) validate() error {
@@ -89,12 +55,6 @@ func (c *Config) validate() error {
 			return fmt.Errorf("rqrmi: invalid stage width %d", w)
 		}
 	}
-	if c.Samples < 16 {
-		return fmt.Errorf("rqrmi: sample budget %d too small", c.Samples)
-	}
-	if c.Epochs < 1 || c.LearningRate <= 0 {
-		return fmt.Errorf("rqrmi: invalid SGD parameters")
-	}
 	return nil
 }
 
@@ -103,8 +63,6 @@ type Stats struct {
 	Duration      time.Duration
 	StageDuration []time.Duration
 	SubmodelErrs  []int // final-stage error bounds
-	Retrained     int   // submodels that needed extra rounds
-	Stragglers    int   // submodels still above TargetErr at the end
 }
 
 // MaxErr returns the largest final-stage error bound.
@@ -147,22 +105,13 @@ func Train(ix Index, width int, cfg Config) (*Model, *Stats, error) {
 
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, workers)
-		var mu sync.Mutex
 		for j := 0; j < stageWidth; j++ {
 			wg.Add(1)
 			sem <- struct{}{}
 			go func(j int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				lut, retrained, loss := trainSubmodel(ix, width, cfg, resp[j], final, int64(s)<<32|int64(j))
-				if final {
-					metTrainLossNano.Observe(uint64(loss * 1e9))
-					metTrainRespSize.ObserveInt(respEntries(ix, resp[j]))
-				}
-				mu.Lock()
-				m.Stages[s][j] = lut
-				stats.Retrained += retrained
-				mu.Unlock()
+				m.Stages[s][j] = trainSubmodel(ix, width, resp[j], final)
 			}(j)
 		}
 		wg.Wait()
@@ -186,9 +135,7 @@ func Train(ix Index, width int, cfg Config) (*Model, *Stats, error) {
 				e := int(m.Stages[s][j].Err)
 				stats.SubmodelErrs = append(stats.SubmodelErrs, e)
 				metTrainSubmodelErr.ObserveInt(e)
-				if e > cfg.TargetErr {
-					stats.Stragglers++
-				}
+				metTrainRespSize.ObserveInt(respEntries(ix, resp[j]))
 			}
 		}
 		stats.StageDuration[s] = time.Since(stageStart)
@@ -196,8 +143,6 @@ func Train(ix Index, width int, cfg Config) (*Model, *Stats, error) {
 	stats.Duration = time.Since(start)
 	metTrainRuns.Inc()
 	metTrainNs.Add(uint64(stats.Duration.Nanoseconds()))
-	metTrainRetrained.Add(uint64(stats.Retrained))
-	metTrainStragglers.Add(uint64(stats.Stragglers))
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -214,162 +159,47 @@ func respEntries(ix Index, ivs []interval) int {
 	return total
 }
 
-// trainSubmodel trains one submodel on its responsibility, compiles it, and
-// (for final-stage submodels) computes its error bound, retrying stragglers
-// per the config. It returns the LUT, how many retrain rounds ran, and the
-// final epoch's mean loss of the kept network.
-func trainSubmodel(ix Index, width int, cfg Config, ivs []interval, final bool, seed int64) (LUT, int, float64) {
-	if totalSpan(ivs) == 0 {
-		return constLUT(0), 0, 0
+// trainSubmodel fits one submodel to its responsibility, compiles it and,
+// for a final-stage submodel, computes its error bound. Internal stages need
+// none: routing is recomputed analytically from whatever the stage learned.
+func trainSubmodel(ix Index, width int, ivs []interval, final bool) LUT {
+	pts := boundaryPoints(ix, width, ivs)
+	if len(pts) == 0 {
+		return constLUT(0)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ seed))
-	samples := drawSamples(ix, width, ivs, cfg.Samples, rng)
-	if len(samples) == 0 {
-		return constLUT(0), 0, 0
-	}
-	uMin, uMax := sampleBounds(samples)
-
-	var best LUT
-	bestErr := int32(-1)
-	bestLoss := 0.0
-	rounds := 0
-	epochs := cfg.Epochs
-	for round := 0; round < maxInt(1, cfg.MaxRounds); round++ {
-		net := newMLP(uMin, uMax, rng)
-		loss := net.train(samples, trainParams{
-			epochs:    epochs,
-			batchSize: cfg.BatchSize,
-			lr:        cfg.LearningRate,
-			momentum:  cfg.Momentum,
-		}, rng)
-		lut := net.compile()
-		if !final {
-			// Internal stages need no error bound: routing is recomputed
-			// analytically from whatever the stage learned.
-			return lut, rounds, loss
-		}
+	lut := fitMLP(pts, ix.Len()).compile()
+	if final {
 		lut.Err = errorBound(width, &lut, ix, ivs)
-		if bestErr < 0 || lut.Err < bestErr {
-			best, bestErr, bestLoss = lut, lut.Err, loss
-		}
-		if bestErr <= int32(cfg.TargetErr) {
-			break
-		}
-		// Straggler: more epochs and a denser sample set for the retry.
-		rounds++
-		epochs += cfg.Epochs
-		extra := drawSamples(ix, width, ivs, cfg.Samples, rng)
-		samples = append(samples, extra...)
 	}
-	return best, rounds, bestLoss
+	return lut
 }
 
-// totalSpan returns the total key count covered by the intervals as a
-// float64 (precision loss is harmless: it only weights sampling).
-func totalSpan(ivs []interval) float64 {
-	total := 0.0
-	for _, iv := range ivs {
-		total += iv.Hi.Sub(iv.Lo).Float64() + 1
-	}
-	return total
-}
-
-// drawSamples draws ~budget training samples for a responsibility: uniform
-// keys across the intervals plus the entry boundaries that fall inside them
-// (boundaries are where the learned step function actually moves).
-func drawSamples(ix Index, width int, ivs []interval, budget int, rng *rand.Rand) []sample {
-	dom := keys.NewDomain(width)
-	n := ix.Len()
-	out := make([]sample, 0, budget+budget/2)
-	add := func(k keys.Value) {
-		idx := Find(ix, k)
-		out = append(out, sample{
-			u:      dom.ToUnit(k),
-			target: (float64(idx) + 0.5) / float64(n),
-		})
-	}
-	total := totalSpan(ivs)
-	if total <= 0 {
-		return nil
-	}
-	// Uniform samples, interval-weighted.
-	for i := 0; i < budget; i++ {
-		t := rng.Float64() * total
-		for _, iv := range ivs {
-			span := iv.Hi.Sub(iv.Lo).Float64() + 1
-			if t > span {
-				t -= span
-				continue
-			}
-			add(randKeyIn(rng, iv))
-			break
+// boundaryPoints returns what a submodel has to learn: (u(Low(r)), r) for
+// every index entry r that starts inside the responsibility, plus both ends
+// of each interval with the entries they fall in, in ascending order (ivs is
+// sorted in place to get there: routing hands intervals over in any order).
+// Boundaries that share a float32 coordinate — inference cannot tell them
+// apart — become one point midway through the entries they span.
+func boundaryPoints(ix Index, width int, ivs []interval) []point {
+	slices.SortFunc(ivs, func(a, b interval) int { return a.Lo.Cmp(b.Lo) })
+	pts := make([]point, 0, respEntries(ix, ivs)+len(ivs))
+	first := 0.0 // y of the first boundary at the last point's coordinate
+	add := func(k keys.Value, r int) {
+		x, y := float64(unitOf(width, k)), float64(r)
+		if n := len(pts); n > 0 && pts[n-1].x == x {
+			pts[n-1].y = (first + y) / 2
+			return
 		}
+		first = y
+		pts = append(pts, point{x, y})
 	}
-	// Boundary samples: every entry low inside the responsibility, capped at
-	// half the budget by striding.
-	boundaries := 0
 	for _, iv := range ivs {
-		lo := Find(ix, iv.Lo)
-		hi := Find(ix, iv.Hi)
-		boundaries += hi - lo
-	}
-	stride := 1
-	if limit := budget / 2; limit > 0 && boundaries > limit {
-		stride = (boundaries + limit - 1) / limit
-	}
-	cnt := 0
-	for _, iv := range ivs {
-		lo := Find(ix, iv.Lo)
-		hi := Find(ix, iv.Hi)
+		lo, hi := Find(ix, iv.Lo), Find(ix, iv.Hi)
+		add(iv.Lo, lo)
 		for r := lo + 1; r <= hi; r++ {
-			if cnt%stride == 0 {
-				add(ix.Low(r))
-			}
-			cnt++
+			add(ix.Low(r), r)
 		}
+		add(iv.Hi, hi)
 	}
-	return out
-}
-
-// randKeyIn draws a near-uniform key in the inclusive interval. Slight
-// modulo bias is harmless: samples only steer SGD, never correctness.
-func randKeyIn(rng *rand.Rand, iv interval) keys.Value {
-	span := iv.Hi.Sub(iv.Lo) // key count − 1
-	if span.Hi == 0 {
-		if span.Lo == ^uint64(0) {
-			return iv.Lo.AddUint64(rng.Uint64())
-		}
-		return iv.Lo.AddUint64(rng.Uint64() % (span.Lo + 1))
-	}
-	if span.Hi == ^uint64(0) {
-		// The interval is essentially the whole 128-bit domain.
-		return keys.FromParts(rng.Uint64(), rng.Uint64())
-	}
-	// Wide interval: pick the high limb in range, reject the rare overshoot.
-	for {
-		v := keys.FromParts(rng.Uint64()%(span.Hi+1), rng.Uint64())
-		if !span.Less(v) {
-			return iv.Lo.Add(v)
-		}
-	}
-}
-
-func sampleBounds(s []sample) (uMin, uMax float64) {
-	uMin, uMax = s[0].u, s[0].u
-	for _, x := range s[1:] {
-		if x.u < uMin {
-			uMin = x.u
-		}
-		if x.u > uMax {
-			uMax = x.u
-		}
-	}
-	return uMin, uMax
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return pts
 }

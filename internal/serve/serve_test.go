@@ -22,9 +22,6 @@ import (
 func quickConfig(bucketized bool) core.Config {
 	mc := rqrmi.DefaultConfig()
 	mc.StageWidths = []int{1, 2, 8}
-	mc.Samples = 512
-	mc.Epochs = 20
-	mc.MaxRounds = 2
 	cfg := core.Config{Model: mc}
 	if bucketized {
 		cfg.BucketSize = 8

@@ -13,9 +13,6 @@ import (
 func quickModel() rqrmi.Config {
 	cfg := rqrmi.DefaultConfig()
 	cfg.StageWidths = []int{1, 2, 8}
-	cfg.Samples = 512
-	cfg.Epochs = 20
-	cfg.MaxRounds = 2
 	return cfg
 }
 

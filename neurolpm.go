@@ -49,11 +49,11 @@ type RuleSet = lpm.RuleSet
 type Engine = core.Engine
 
 // Config configures an engine build: bucket size (0 = SRAM-only design) and
-// RQRMI training parameters.
+// the RQRMI model's shape.
 type Config = core.Config
 
-// ModelConfig configures RQRMI training (stage widths, sampling, SGD, the
-// straggler/error-bound tradeoffs of §6.5).
+// ModelConfig is the shape of the RQRMI model: stage widths, and how many
+// cores train it. Training itself is a deterministic fit with no knobs.
 type ModelConfig = rqrmi.Config
 
 // Matcher is the minimal query interface every engine and baseline
@@ -95,7 +95,7 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // Array (the paper's §6 design).
 func SRAMOnlyConfig() Config { return core.SRAMOnlyConfig() }
 
-// DefaultModelConfig returns the 1/4/64 RQRMI training configuration.
+// DefaultModelConfig returns the paper's 1/4/64 RQRMI model configuration.
 func DefaultModelConfig() ModelConfig { return rqrmi.DefaultConfig() }
 
 // NewUpdatable wraps a built engine with a delta buffer of the given

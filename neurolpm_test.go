@@ -9,8 +9,6 @@ import (
 func quickConfig() Config {
 	cfg := SRAMOnlyConfig()
 	cfg.Model.StageWidths = []int{1, 2, 8}
-	cfg.Model.Samples = 512
-	cfg.Model.Epochs = 20
 	return cfg
 }
 
