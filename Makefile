@@ -17,13 +17,18 @@ vet:
 # width (DESIGN.md §9, §15, §16): no shard worker pool, per-worker cache plane,
 # in-daemon tier rebalancer or daemon inference switch. Training is one
 # deterministic fit (DESIGN.md §5): no SGD knobs, sampler, straggler rounds,
-# their counters or their lpmtrain flags. Each alternative carries a
+# their counters or their lpmtrain flags. A spilled bucket is one pointer to a
+# heap record (DESIGN.md §10, §11): no slot allocator, and no refusal for a
+# spent one or for a commit in flight. Each alternative carries a
 # one-character class so these lines do not find themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier|neurolpm_tier_(resident[_]buckets|fast[_]bytes)' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 	@! grep -rnE 'Learning[R]ate|Max[R]ounds|draw[S]amples|train[P]arams|neurolpm_train_(loss[_]nano|retrain[_]rounds|stragglers)|(-|")(epoch[s]|sample[s]|target[e]rr)\b' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'spill[C]hunk|chunk[O]f|max[S]lots|spill[N]Bits|spill[A]rea|refused(Spill[E]xhausted|Commit[I]nFlight)|neurolpm_insert_buffered_(spill[_]exhausted|commit[_]in_flight)' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 

@@ -100,7 +100,7 @@ func Build(rs *lpm.RuleSet) (*Engine, error) {
 	}
 	// Pass 2: rules with len 17..24 populate level-24 chunks; chunk entries
 	// start as the pushed-down level-16 action.
-	chunkOf16 := func(idx16 uint32) int {
+	chunk24 := func(idx16 uint32) int {
 		if e.c16[idx16] != noChunk {
 			return int(e.c16[idx16])
 		}
@@ -134,7 +134,7 @@ func Build(rs *lpm.RuleSet) (*Engine, error) {
 		}
 		addr := uint32(r.Prefix.Uint64())
 		idx16 := addr >> 16
-		c := chunkOf16(idx16)
+		c := chunk24(idx16)
 		if c < 0 {
 			return nil, fmt.Errorf("sail: level-24 chunk space exhausted")
 		}
@@ -145,8 +145,8 @@ func Build(rs *lpm.RuleSet) (*Engine, error) {
 		}
 	}
 	// Pass 3: rules with len 25..32 populate level-32 chunks.
-	chunkOf24 := func(idx16 uint32, off24 uint32) (int, error) {
-		c16 := chunkOf16(idx16)
+	chunk32 := func(idx16 uint32, off24 uint32) (int, error) {
+		c16 := chunk24(idx16)
 		if c16 < 0 {
 			return -1, fmt.Errorf("sail: level-24 chunk space exhausted")
 		}
@@ -175,7 +175,7 @@ func Build(rs *lpm.RuleSet) (*Engine, error) {
 			return nil, err
 		}
 		addr := uint32(r.Prefix.Uint64())
-		c, err := chunkOf24(addr>>16, (addr>>8)&0xFF)
+		c, err := chunk32(addr>>16, (addr>>8)&0xFF)
 		if err != nil {
 			return nil, err
 		}

@@ -510,7 +510,7 @@ func (e *Engine) count(n, matched, spilled uint64) {
 
 // tail completes one key from b, the index its secondary search found:
 // bucketized engines fetch exactly one bucket and scan its record — the spill
-// record, when word 0 redirects there; the answer comes out of the same
+// record, when word 0 says the bucket has one; the answer comes out of the same
 // record; then the sampled observations and the flight commit. It books no
 // counters (see count).
 func (e *Engine) tail(k keys.Value, tr *Trace, b int, mem cachesim.Mem, sp *telemetry.Span, inf plane.Inference, n uint64, fr *telemetry.FlightRecord) {
@@ -545,14 +545,14 @@ func (e *Engine) tail(k keys.Value, tr *Trace, b int, mem cachesim.Mem, sp *tele
 			switch {
 			case tr.ColdRead:
 				j = tr.RangeIndex - b*e.dir.K
-			case v.m != nil:
-				j, cmp = v.m.search(k)
+			case v.spilled:
+				j, cmp = v.search(k)
 			default:
 				j, cmp = e.dir.Search(b, k)
 				j -= b * e.dir.K
 			}
 			tr.Action, tr.Matched = v.resolve(j)
-			tr.Spilled = v.m != nil
+			tr.Spilled = v.spilled
 		}
 		end()
 		fr.Stamp(plane.StageFetch)

@@ -96,7 +96,7 @@ func (e *Engine) coverOf(prefix keys.Value, length int) int32 {
 
 // wbucket is the writer's handle on one bucket's current ranges: the range
 // array and the dense record Build laid out, or — once the bucket has spilled
-// — the spill record and the tables that travel with it. SRAM-only engines
+// — the spill record and the owner table behind it. SRAM-only engines
 // are the K = 1 case, every range its own bucket.
 type wbucket struct {
 	view
@@ -113,15 +113,15 @@ func (e *Engine) bucketW(b int) wbucket {
 func (e *Engine) bucketOf(k keys.Value) int { return e.ra.Find(k) / e.rec.k }
 
 func (w wbucket) low(j int) keys.Value {
-	if w.m != nil {
-		return w.m.lows[j]
+	if w.spilled && j > 0 {
+		return w.l.bound(w.rec, j)
 	}
 	return w.e.ra.Entries[w.base+j].Low
 }
 
 func (w wbucket) owner(j int) int32 {
-	if w.m != nil {
-		return atomic.LoadInt32(&w.m.owners[j])
+	if w.spilled {
+		return int32(atomic.LoadUint64(&w.rec[w.l.stride+j]))
 	}
 	return w.e.ra.RuleOf(w.base + j)
 }
@@ -137,8 +137,8 @@ func (w wbucket) find(k keys.Value) (j int) {
 // reown hands range j to rule r (or to nobody): owner table first, then the
 // record, as Delete has always published.
 func (w wbucket) reown(j int, r int32) {
-	if w.m != nil {
-		atomic.StoreInt32(&w.m.owners[j], r)
+	if w.spilled {
+		atomic.StoreUint64(&w.rec[w.l.stride+j], uint64(uint32(r)))
 	} else {
 		w.e.ra.SetRule(w.base+j, r)
 	}
@@ -186,14 +186,11 @@ type NotAbsorbed string
 const (
 	// The engine has no record an insert could grow: SRAM-only, tiered (the
 	// slow tier keeps its own copy of the bounds), or K too large for word 0
-	// to carry a redirect.
+	// to spare the spill bit.
 	refusedEngineKind NotAbsorbed = "engine_kind"
-	// A bucket the rule would add a boundary to has no room below 2K.
+	// A bucket the rule would add a boundary to would pass maxSpillRanges (or
+	// fault.SiteAbsorb said so).
 	refusedBucketFull NotAbsorbed = "bucket_full"
-	// No spill slot is left to name (or fault.SiteAbsorb said so).
-	refusedSpillExhausted NotAbsorbed = "spill_exhausted"
-	// A commit of this Updatable is rebuilding the engine (Updatable.Insert).
-	refusedCommitInFlight NotAbsorbed = "commit_in_flight"
 )
 
 func (n NotAbsorbed) Error() string { return "core: insert not absorbed: " + string(n) }
@@ -206,8 +203,8 @@ func (n NotAbsorbed) Error() string { return "core: insert not absorbed: " + str
 //
 // Re-owning is what Delete does, in place. A bucket that gains a boundary is
 // rebuilt — old ranges, the split ones inheriting their parent's owner and
-// answer, then the re-own — in a fresh spill slot and published by one store
-// to word 0 (record.go); a lookup sees the bucket before the insert or after
+// answer, then the re-own — as a fresh spill record and published by one store
+// of its pointer (record.go); a lookup sees the bucket before the insert or after
 // it, never half of it. A rule spanning several buckets is published bucket
 // by bucket, like a Delete's re-own: the guarantee is per key.
 //
@@ -225,44 +222,34 @@ func (e *Engine) Insert(r lpm.Rule) error {
 		return refusedEngineKind
 	}
 	if hook := e.cfg.Fault; hook != nil && hook(fault.SiteAbsorb) != nil {
-		return refusedSpillExhausted
+		return refusedBucketFull
 	}
 
-	// The boundaries the rule needs and its edge buckets do not have yet. A
-	// rule deleted from this engine left both of its own behind, so a flap
-	// re-owns and nothing else.
+	// The boundaries the rule needs and its edge buckets do not have yet: low
+	// in the first, and high+1 — which either opens the next bucket or lies in
+	// high's range — in the last. A rule deleted from this engine left both
+	// of its own behind, so a flap re-owns and nothing else.
 	low, high := r.Low(e.width), r.High(e.width)
 	first, last := e.bucketOf(low), e.bucketOf(high)
-	type cut struct {
-		b  int
-		at keys.Value
-	}
-	var cuts []cut
-	if w := e.bucketW(first); w.low(w.find(low)) != low {
-		cuts = append(cuts, cut{first, low})
-	}
+	wf, wl := e.bucketW(first), e.bucketW(last)
+	cutLow := wf.low(wf.find(low)) != low
+	next, cutNext := high, false
 	if high != keys.MaxValue(e.width) {
-		// high+1 either opens the next bucket or lies in high's range.
-		if w, next := e.bucketW(last), high.Inc(); e.bucketOf(next) == last && w.low(w.find(next)) != next {
-			cuts = append(cuts, cut{last, next})
+		next = high.Inc()
+		cutNext = e.bucketOf(next) == last && wl.low(wl.find(next)) != next
+	}
+	// gain is the bounds bucket b has to gain: a fresh spill record a bucket.
+	gain := func(b int) (n int) {
+		if cutLow && b == first {
+			n++
 		}
-	}
-	gain := map[int]int{} // bounds each edge bucket has to gain: a fresh spill slot a bucket
-	for _, c := range cuts {
-		gain[c.b]++
-	}
-	for b, n := range gain {
-		if e.bucketW(b).n+n > 2*e.rec.k {
-			return refusedBucketFull
+		if cutNext && b == last {
+			n++
 		}
+		return n
 	}
-	sp := e.rec.spill.Load()
-	if sp != nil && sp.used+len(gain) > maxSlots {
-		return refusedSpillExhausted
-	}
-	if sp == nil && len(gain) > 0 {
-		sp = &spillArea{layout: newLayout(2*e.rec.k, e.rec.limbs)}
-		e.rec.spill.Store(sp)
+	if wf.n+gain(first) > maxSpillRanges || wl.n+gain(last) > maxSpillRanges {
+		return refusedBucketFull
 	}
 
 	if idx == lpm.NoMatch {
@@ -286,7 +273,7 @@ func (e *Engine) Insert(r lpm.Rule) error {
 	}
 	for b := first; b <= last; b++ {
 		w := e.bucketW(b)
-		if gain[b] == 0 {
+		if gain(b) == 0 {
 			for j := 0; j < w.n; j++ {
 				if takes(w.low(j), w.owner(j)) {
 					w.reown(j, int32(idx))
@@ -294,11 +281,16 @@ func (e *Engine) Insert(r lpm.Rule) error {
 			}
 			continue
 		}
-		// Copy to spare and flip: bucket b with the cuts made and the rule in.
-		// A part of a split range inherits the range's owner and answer.
-		n := w.n + gain[b]
-		m := &spillMeta{lows: make([]keys.Value, n), owners: make([]int32, n)}
-		red, rec := sp.alloc(m)
+		// Copy and flip: bucket b with the cuts made and the rule in. A part of
+		// a split range inherits the range's owner and answer.
+		jLow, jNext := -1, -1 // the ranges the cuts split
+		if cutLow && b == first {
+			jLow = w.find(low)
+		}
+		if cutNext && b == last {
+			jNext = w.find(next)
+		}
+		s := newSpillRecord(w.n+gain(b), e.rec.limbs)
 		i := 0
 		for j := 0; j < w.n; j++ {
 			part := func(lo keys.Value) {
@@ -307,18 +299,19 @@ func (e *Engine) Insert(r lpm.Rule) error {
 				if takes(lo, o) {
 					o, a, ok = int32(idx), r.Action, true
 				}
-				m.lows[i], m.owners[i] = lo, o
-				sp.put(rec, i, lo, a, ok)
+				s.w[s.stride+i] = uint64(uint32(o))
+				s.put(s.w, i, lo, a, ok)
 				i++
 			}
 			part(w.low(j))
-			for _, c := range cuts {
-				if c.b == b && w.find(c.at) == j {
-					part(c.at)
-				}
+			if j == jLow {
+				part(low)
+			}
+			if j == jNext {
+				part(next)
 			}
 		}
-		e.rec.respill(b, red)
+		e.rec.respill(b, s)
 	}
 	e.epoch.Bump()
 	return nil

@@ -3,40 +3,49 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 )
 
 // TestInsertPublicationOrder is TestDeletePublicationOrder's sibling for the
-// whole in-place update cycle. A writer walks 1200 sites, each a bucket of its
-// own, and at every site cycles four adjacent /28 rules insert → modify →
-// delete five times each: a rule's first insert adds a bound or two and
-// publishes a spill record, its other four find them in place and re-own —
-// under a covering rule for the sites of the lower half of the domain, from
-// nothing (matched clear → set) in the upper.
+// whole in-place update cycle. A writer walks 1200 sites, each inside the last
+// range of a bucket of its own, and at every site cycles eight adjacent /29
+// rules insert → modify → delete five times each: a rule's first insert adds a
+// bound (the site's first rule, two) and publishes a spill record one or two
+// ranges larger than the one it supersedes — eight records of eight capacities
+// a site, which the readers of that bucket cross, each ending in a range that
+// begins at the rule's far edge — its other four find the bounds in place and
+// re-own — under a covering rule for the sites of the lower half of the
+// domain, from nothing (matched clear → set) in the upper.
 //
 // Readers stamp every read with the operations completed before it began and
 // started before it ended, and each answer — for keys inside the rule, at
 // both of its edges and adjacent to it — must be the oracle's after some
 // number of operations in that interval. Three kinds read: single-key through
 // the Updatable, batch through the engine, and one that runs nothing but the
-// record's answer routine on the site's bucket. A spill
-// record published before it is filled shows as a miss under a covered site;
-// a matched bit set before its action shows as the previous cycle's action.
-// Both windows are a few stores wide — a reader lands in one when the writer
-// is interrupted there, or by a coincidence of two cores — which is why the
-// walk is 24 000 cycles long and not 400: each of the two mutations has to
-// fail this test on its own in a run, not in one run out of two. On the
+// record's answer routine on the site's bucket. A spill bit set before the
+// bucket's pointer is stored is a nil record; a pointer stored before the
+// record's last word — the action of its last range — shows as action 0 on the
+// key past the rule's far edge; a matched bit set before its action shows as
+// the previous cycle's action. The windows are a few stores wide — a reader
+// lands in one when the writer is interrupted there, or by a coincidence of two
+// cores — which is why the walk is 48 000 cycles (9 600 records) long and not
+// 400: each mutation has to fail this test on its own in a run, not in one run
+// out of two. On the
 // SRAM-only engine a short walk runs the same cycle through the delta buffer,
 // which only the first kind of reader sees.
 func TestInsertPublicationOrder(t *testing.T) {
 	const (
-		sites, blocks, rounds = 1200, 4, 5
-		siteLen               = 28
+		sites, blocks, rounds = 1200, 8, 5
+		siteLen               = 29
+		blockKeys             = 1 << (32 - siteLen)
 		perBlock              = 3 * rounds // operations
 		perSite               = blocks * perBlock
 	)
@@ -53,11 +62,11 @@ func TestInsertPublicationOrder(t *testing.T) {
 		}
 		u := NewUpdatable(e, 0)
 
-		// A site is a /26 absent from the rule-set, inside one bucket, no two
-		// in the same; its four /28 quarters are the rules cycled there.
+		// A site is a /26 no rule begins or ends in, no two in a bucket; its
+		// eight /29 parts are the rules cycled there.
 		type probe struct {
 			key     keys.Value
-			block   int    // the quarter whose rule answers it while installed, or -1
+			block   int    // the part whose rule answers it while installed, or -1
 			baseAct uint64 // the answer while that rule is absent
 			baseOK  bool
 		}
@@ -73,19 +82,21 @@ func TestInsertPublicationOrder(t *testing.T) {
 			if len(prefixes)%2 == 1 {
 				p.Lo |= 1 << 31 // every other site in the half `wide` does not cover
 			}
-			region := lpm.Rule{Prefix: p, Len: siteLen - 2}
+			region := lpm.Rule{Prefix: p, Len: siteLen - 3}
 			low, high := region.Low(32), region.High(32)
 			b := e.bucketOf(low)
-			if taken[b] || e.bucketOf(high) != b || low.IsZero() || high == keys.MaxValue(32) {
+			if taken[b] || high == keys.MaxValue(32) || e.bucketOf(high.Inc()) != b {
+				continue
+			}
+			// The site lies strictly inside the bucket's last range: the bucket has
+			// none of its bounds, and every record published there ends in a range
+			// that begins at one of them — the last words a writer fills.
+			if w := e.bucketW(b); !w.low(w.n - 1).Less(low) {
 				continue
 			}
 			var ps [blocks][]probe
 			for c := range ps {
-				r := lpm.Rule{Prefix: p.AddUint64(uint64(16 * c)), Len: siteLen}
-				if rs.Find(r.Prefix, siteLen) != lpm.NoMatch {
-					ps[0] = nil
-					break
-				}
+				r := lpm.Rule{Prefix: p.AddUint64(uint64(blockKeys * c)), Len: siteLen}
 				low, high := r.Low(32), r.High(32)
 				for _, k := range []keys.Value{low.Dec(), low, low.AddUint64(5), high, high.Inc()} {
 					pr := probe{key: k, block: -1}
@@ -94,13 +105,10 @@ func TestInsertPublicationOrder(t *testing.T) {
 						pr.baseAct, pr.baseOK = rs.Rules[o].Action, true
 					}
 					if region.Matches(32, k) && (o == lpm.NoMatch || rs.Rules[o].Len < siteLen) {
-						pr.block = int(k.Sub(p).Lo) / 16
+						pr.block = int(k.Sub(p).Lo) / blockKeys
 					}
 					ps[c] = append(ps[c], pr)
 				}
-			}
-			if ps[0] == nil {
-				continue
 			}
 			taken[b] = true
 			prefixes, buckets, probes = append(prefixes, p), append(buckets, b), append(probes, ps)
@@ -155,7 +163,7 @@ func TestInsertPublicationOrder(t *testing.T) {
 				case record:
 					// The same key eight times a stamp: the stamps are the
 					// writer's cache lines and cost more than the answers.
-					p, b := ps[1+pass%3], buckets[i]
+					p, b := ps[1+pass%4], buckets[i]
 					ps, out = recPass[:0], out[:0]
 					for range cap(recPass) {
 						_, _, a, ok, _ := e.rec.answer(b, p.key)
@@ -210,8 +218,9 @@ func TestInsertPublicationOrder(t *testing.T) {
 			}
 		}
 		for i, site := range prefixes {
+			built := e.bucketW(buckets[i]).n
 			for c := 0; c < blocks; c++ {
-				p := site.AddUint64(uint64(16 * c))
+				p := site.AddUint64(uint64(blockKeys * c))
 				for round := 0; round < rounds; round++ {
 					op(i, c, func() error { return u.Insert(lpm.Rule{Prefix: p, Len: siteLen, Action: action(i, c, round, false)}) })
 					if absorbs && (u.PendingInserts() != 0 || u.Engine().SpilledBuckets() != i+1) {
@@ -220,6 +229,9 @@ func TestInsertPublicationOrder(t *testing.T) {
 					}
 					op(i, c, func() error { return u.ModifyAction(p, siteLen, action(i, c, round, true)) })
 					op(i, c, func() error { return u.Delete(p, siteLen) })
+				}
+				if n := e.bucketW(buckets[i]).n; absorbs && n != built+c+2 {
+					t.Fatalf("site %d: %d ranges after rule %d, want %d: every rule's first insert publishes a larger record", i, n, c, built+c+2)
 				}
 			}
 		}
@@ -233,9 +245,9 @@ func TestInsertPublicationOrder(t *testing.T) {
 
 // TestInsertDuringCommitIsNotLost races inserts against Commit on a bare
 // Updatable. An insert the live engine absorbs while a commit is rebuilding
-// from that engine's rules would vanish at the swap, so Insert must see the
-// commit in flight — under the lock it loads the engine under — and buffer;
-// every acknowledged insert is answered after every swap.
+// from that engine's rules would vanish at the swap, so Insert must wait for
+// the swap — it loads the engine under the lock the commit holds — and land on
+// the new engine; every acknowledged insert is answered after every swap.
 func TestInsertDuringCommitIsNotLost(t *testing.T) {
 	rs := randomRuleSet(t, 32, 100, 19)
 	e, err := Build(rs, quickBucketed())
@@ -310,6 +322,160 @@ func TestInsertDuringCommitIsNotLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := u.Engine().Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteDuringCommitIsNotResurrected starts a writer at the one point of a
+// commit where the rebuilt engine already holds the old rules and is not yet
+// live (fault.SiteSwap), gives it a bounded time to land on the engine being
+// replaced, and lets the swap go ahead. An update acknowledged before the swap
+// and undone by it is a lost update; the writer has to wait for the commit and
+// land on the engine it installs, and the oracle holds after both.
+func TestDeleteDuringCommitIsNotResurrected(t *testing.T) {
+	rs := randomRuleSet(t, 32, 200, 23)
+	trie := lpm.NewTrie(rs)
+	victim := slices.IndexFunc(rs.Rules, func(r lpm.Rule) bool { return trie.Lookup(r.Prefix) == rs.Find(r.Prefix, r.Len) })
+	if victim < 0 {
+		t.Fatal("no rule answers its own prefix")
+	}
+	r := rs.Rules[victim]
+	for _, tc := range []struct {
+		name  string
+		write func(u *Updatable) error
+		after func() []lpm.Rule
+	}{
+		{"delete", func(u *Updatable) error { return u.Delete(r.Prefix, r.Len) },
+			func() []lpm.Rule { return slices.Delete(slices.Clone(rs.Rules), victim, victim+1) }},
+		{"modify", func(u *Updatable) error { return u.ModifyAction(r.Prefix, r.Len, 1<<41) },
+			func() []lpm.Rule {
+				out := slices.Clone(rs.Rules)
+				out[victim].Action = 1 << 41
+				return out
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var u *Updatable
+			wrote := make(chan error, 1)
+			cfg := quickBucketed()
+			cfg.Fault = func(site fault.Site) error {
+				if site == fault.SiteSwap {
+					go func() { wrote <- tc.write(u) }()
+					select {
+					case err := <-wrote: // landed beside the rebuild
+						wrote <- err
+					case <-time.After(50 * time.Millisecond): // waiting for the commit
+					}
+				}
+				return nil
+			}
+			e, err := Build(rs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u = NewUpdatable(e, 0)
+			if err := u.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-wrote:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the writer never returned")
+			}
+			want, err := lpm.NewRuleSet(32, tc.after())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wa, wok := lpm.NewTrieMatcher(want).Lookup(r.Prefix)
+			if a, ok := u.Lookup(r.Prefix); ok != wok || a != wa {
+				t.Fatalf("%s of %v acknowledged during a commit: key answers (%d,%v) after it, the oracle says (%d,%v)", tc.name, r, a, ok, wa, wok)
+			}
+			if err := u.Engine().Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestInsertWithoutNewBoundaryAllocatesNothing pins the in-place half of
+// Insert: a rule deleted from this engine left its bounds behind, so putting it
+// back re-owns ranges and builds no record, no map and no slice.
+func TestInsertWithoutNewBoundaryAllocatesNothing(t *testing.T) {
+	rs, wide := wideRuleSet(t, 32, 2000, 29)
+	e, err := Build(rs, quickBucketed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaps := []lpm.Rule{wide, rs.Rules[len(rs.Rules)/2], {Prefix: keys.FromUint64(0x0a0b0c00), Len: 24, Action: 9}}
+	if err := e.Insert(flaps[2]); err != nil { // absorbed: its later flaps find an absorbed rule's bounds
+		t.Fatal(err)
+	}
+	for _, r := range flaps {
+		if n := testing.AllocsPerRun(50, func() {
+			if e.Delete(r.Prefix, r.Len) != nil || e.Insert(r) != nil {
+				t.Fatalf("flap of %v failed", r)
+			}
+		}); n != 0 {
+			t.Errorf("delete + re-insert of %v: %v allocations, want 0", r, n)
+		}
+	}
+	if err := e.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSupersededSpillRecordsAreCollected respills 2 000 buckets ten times each
+// with a finalizer on every record published. The nine a bucket has left behind
+// are garbage the moment no reader is on them: all of them are collected, and
+// none of the current ones.
+func TestSupersededSpillRecordsAreCollected(t *testing.T) {
+	const buckets, respills = 2000, 10
+	rs, _ := wideRuleSet(t, 32, 20000, 31)
+	e, err := Build(rs, quickBucketed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var published, collected atomic.Int64
+	for b, done := 0, 0; done < buckets; b++ {
+		if b*e.rec.k >= e.rec.nr {
+			t.Fatalf("only %d buckets have a range with room for %d rules", done, respills)
+		}
+		w := e.bucketW(b)
+		j := 0
+		for j+1 < w.n && w.low(j+1).Sub(w.low(j)).Lo <= 2*respills {
+			j++
+		}
+		if j+1 == w.n {
+			continue
+		}
+		for i, site := 1, w.low(j); i <= respills; i++ {
+			if err := e.Insert(lpm.Rule{Prefix: site.AddUint64(uint64(2 * i)), Len: 32, Action: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+			s := e.rec.spillOf(b)
+			if s.k != w.n+2*i {
+				t.Fatalf("bucket %d insert %d: no fresh record of %d ranges", b, i, w.n+2*i)
+			}
+			published.Add(1)
+			runtime.SetFinalizer(s, func(*spillRecord) { collected.Add(1) })
+		}
+		done++
+	}
+	want := published.Load() - buckets
+	for wait := 0; collected.Load() < want && wait < 200; wait++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := collected.Load(); got != want {
+		t.Fatalf("%d of %d published records collected, want the %d superseded ones", got, published.Load(), want)
+	}
+	if e.SpilledBuckets() != buckets {
+		t.Fatalf("%d spilled buckets, want %d", e.SpilledBuckets(), buckets)
+	}
+	if err := e.Verify(); err != nil { // keeps e, and with it the current records, alive
 		t.Fatal(err)
 	}
 }

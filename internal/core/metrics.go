@@ -34,7 +34,7 @@ var (
 	// after the fetch, until the next commit folds it back. Booked apart from
 	// neurolpm_bucket_fetches_total so the §7 gauge below stays exact.
 	metSpillFetches = telemetry.Default.Counter("neurolpm_bucket_spill_fetches_total",
-		"Lookups that followed a spilled bucket's redirect: one more dependent line than paper §7's single access")
+		"Lookups that followed a spilled bucket's pointer to its heap record: dependent lines past paper §7's single access")
 	// The two paths of an insertion (DESIGN.md §11): absorbed into the live
 	// engine, or buffered in front of it until a commit — with the refusal
 	// reason as a series of its own.
@@ -44,13 +44,9 @@ var (
 		"Insertions that took the delta buffer and wait for a commit")
 	metBufferedWhy = map[NotAbsorbed]*telemetry.Counter{
 		refusedEngineKind: telemetry.Default.Counter("neurolpm_insert_buffered_engine_kind_total",
-			"Buffered insertions: the engine cannot absorb (SRAM-only, tiered, or K > 32)"),
+			"Buffered insertions: the engine cannot absorb (SRAM-only, tiered, or K = 64)"),
 		refusedBucketFull: telemetry.Default.Counter("neurolpm_insert_buffered_bucket_full_total",
-			"Buffered insertions: an edge bucket would exceed twice its built capacity"),
-		refusedSpillExhausted: telemetry.Default.Counter("neurolpm_insert_buffered_spill_exhausted_total",
-			"Buffered insertions: no spill slot left (or fault site absorb)"),
-		refusedCommitInFlight: telemetry.Default.Counter("neurolpm_insert_buffered_commit_in_flight_total",
-			"Buffered insertions: a commit was rebuilding the engine"),
+			"Buffered insertions: an edge bucket would exceed 64 ranges (or fault site absorb)"),
 	}
 )
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"unsafe"
 
@@ -38,105 +37,58 @@ func newLayout(k, limbs int) layout {
 // case: one matched and one action word per range.
 //
 // The dense records are what Build laid out and never gain a range. A bucket
-// an absorbed insert adds a boundary to is rebuilt in a slot of the spill
-// area — the same layout at capacity 2K — and published by one store to the
-// dense record's word 0, whose high half is the redirect: (slot+1) above
-// spillNBits bits of (ranges−1), 0 while the bucket is not spilled. From then
-// on the dense record is frozen, and so is a spill slot once a later insert
-// has superseded it: a reader that loaded an old word 0 finishes on a record
-// nobody writes any more. Bounds are immutable wherever they live; matched
-// and action words of a bucket's current record are what Insert, Delete and
-// ModifyAction rewrite, accessed atomically.
+// an absorbed insert adds a boundary to is rebuilt as a spillRecord — a heap
+// object of exactly the ranges it holds — and published by one store of its
+// pointer to the bucket's entry of the spill table; the first time, that
+// store is followed by setting the spill bit of the dense record's word 0, so
+// a reader that sees the bit finds the pointer. From then on the dense record
+// is frozen, and so is a spill record once a later insert has superseded it:
+// a reader that loaded the old pointer finishes on a record nobody writes any
+// more, and the collector takes it when the last such reader has left.
+// Bounds are immutable wherever they live; matched and action words of a
+// bucket's current record are what Insert, Delete and ModifyAction rewrite,
+// accessed atomically.
 type records struct {
 	layout
-	w       []uint64
-	nr      int                       // ranges covered
-	spill   atomic.Pointer[spillArea] // nil until the first absorbed boundary
-	spilled atomic.Int64              // buckets answering from a spill record
+	w  []uint64
+	nr int // ranges covered
+	// spill[b] is bucket b's current spill record; the table is nil until the
+	// first absorbed boundary.
+	spill   atomic.Pointer[[]atomic.Pointer[spillRecord]]
+	spilled atomic.Int64 // buckets answering from a spill record
 }
 
 const (
-	spillShift = 32 // word 0's high half is the redirect
-	spillNBits = 6  // its low bits: ranges in the spill record − 1
-	// maxSpillK is the largest K with a spare high half in word 0; above it
-	// those bits are matched bits and the bucket cannot spill.
-	maxSpillK = 32
-	// Chunk c of the spill area holds spillBase<<c slots, so spillChunks
-	// chunks cover every slot a redirect can name and none is ever moved.
-	spillBase   = 16
-	maxSlots    = 1<<(32-spillNBits) - 1
-	spillChunks = 23 // spillBase·(2^spillChunks − 1) ≥ maxSlots
+	// spillBit of a dense record's word 0 says the bucket answers from its
+	// spill record. Range j's matched bit is bit j, so the bit is free up to
+	// maxSpillK ranges a bucket; above, it is range 63's and the bucket cannot
+	// spill.
+	spillBit  = 63
+	maxSpillK = spillBit
+	// maxSpillRanges is what a spill record may grow to: the ranges one
+	// matched word covers, and the longest scan a dense record (K = 64) costs.
+	maxSpillRanges = 64
 )
 
-// spillArea is the append-only store of spill records. Slots are handed out
-// in order and never reused for the life of the engine.
-type spillArea struct {
-	layout // capacity 2K
-	chunks [spillChunks]atomic.Pointer[spillChunk]
-	used   int // slots handed out (writers only)
+// spillRecord is a spilled bucket in one allocation: a record at the capacity
+// of exactly its ranges, then one word a range for what the range array is to
+// a dense record — the owner table (a rule index, or ranges.NoRule; atomic)
+// that owned, Delete, ModifyAction and Insert walk and rewrite. Its bounds are
+// the record's own, immutable; range 0's is the bucket's directory bound and
+// stays in the range array.
+type spillRecord struct {
+	layout
+	w []uint64 // stride record words, k owner words
 }
 
-type spillChunk struct {
-	w []uint64 // the chunk's records, 64-byte aligned
-	// meta[i] is slot i's writer-side tables; stored before the redirect that
-	// names the slot.
-	meta []*spillMeta
+func newSpillRecord(n, limbs int) *spillRecord {
+	s := &spillRecord{layout: newLayout(n, limbs)}
+	s.w = make([]uint64, s.stride+n)
+	return s
 }
 
-// spillMeta is what the range array is to a dense record: the spill record's
-// bounds as keys and its owner table. The reference arm scans lows; owned,
-// Delete, ModifyAction and Insert walk and rewrite owners.
-type spillMeta struct {
-	lows   []keys.Value // lows[0] is the bucket's directory bound; immutable
-	owners []int32      // rule owning each range, or ranges.NoRule; atomic
-}
-
-// search is bucket.Directory.Search over a spill record's own bounds.
-func (m *spillMeta) search(k keys.Value) (j, comparisons int) {
-	for i := 1; i < len(m.lows); i++ {
-		comparisons++
-		if k.Less(m.lows[i]) {
-			break
-		}
-		j = i
-	}
-	return j, comparisons
-}
-
-// chunk returns the index of the chunk holding slot and the slot's index in it.
-func chunkOf(slot int) (ci, off int) {
-	ci = bits.Len(uint(slot/spillBase+1)) - 1
-	return ci, slot - spillBase*(1<<ci-1)
-}
-
-// open follows a redirect to the spill record it names.
-func (s *spillArea) open(red uint64) view {
-	ci, off := chunkOf(int(red>>spillNBits) - 1)
-	c := s.chunks[ci].Load()
-	return view{
-		l:   &s.layout,
-		rec: c.w[off*s.stride : (off+1)*s.stride],
-		n:   int(red&(1<<spillNBits-1)) + 1,
-		m:   c.meta[off],
-	}
-}
-
-// alloc hands out the next slot to a record whose tables are m and returns
-// its redirect and its zeroed words; the caller fills the words, then
-// publishes the redirect.
-func (s *spillArea) alloc(m *spillMeta) (red uint64, rec []uint64) {
-	slot := s.used
-	s.used++
-	ci, off := chunkOf(slot)
-	c := s.chunks[ci].Load()
-	if c == nil {
-		slots := spillBase << ci
-		c = &spillChunk{w: alignedWords(slots * s.stride), meta: make([]*spillMeta, slots)}
-		s.chunks[ci].Store(c)
-	}
-	c.meta[off] = m
-	return uint64(slot+1)<<spillNBits | uint64(len(m.lows)-1), c.w[off*s.stride : (off+1)*s.stride]
-}
+// spillOf returns bucket b's spill record, for a caller that saw b's spill bit.
+func (r *records) spillOf(b int) *spillRecord { return (*r.spill.Load())[b].Load() }
 
 // alignedWords returns n zeroed words whose first byte is 64-byte aligned.
 func alignedWords(n int) []uint64 {
@@ -157,6 +109,16 @@ func newRecords(ra *ranges.Array, k int) *records {
 	return r
 }
 
+// bound returns the lower bound put wrote for range j ≥ 1.
+func (l *layout) bound(rec []uint64, j int) (low keys.Value) {
+	o := l.hdr + (j-1)*l.limbs
+	low.Lo = rec[o+l.limbs-1]
+	if l.limbs == 2 {
+		low.Hi = rec[o]
+	}
+	return low
+}
+
 // put writes range j of an unpublished record.
 func (l *layout) put(rec []uint64, j int, low keys.Value, action uint64, ok bool) {
 	if j > 0 {
@@ -172,33 +134,45 @@ func (l *layout) put(rec []uint64, j int, low keys.Value, action uint64, ok bool
 	}
 }
 
-// view is a bucket's current record — the dense one, or the spill record word
-// 0 named when it was opened — for those who do not go through answer: the
+// view is a bucket's current record — the dense one, or the spill record it
+// pointed to when it was opened — for those who do not go through answer: the
 // writers, and the arms that bring a scan of their own (reference, slow tier).
 type view struct {
-	l   *layout
-	rec []uint64
-	n   int        // ranges in the record
-	m   *spillMeta // non-nil for a spill record
+	l       *layout
+	rec     []uint64
+	n       int  // ranges in the record
+	spilled bool // a spill record: owner words follow the record's
+}
+
+// search is bucket.Directory.Search over a spill record's own bounds.
+func (v view) search(k keys.Value) (j, comparisons int) {
+	for i := 1; i < v.n; i++ {
+		comparisons++
+		if k.Less(v.l.bound(v.rec, i)) {
+			break
+		}
+		j = i
+	}
+	return j, comparisons
 }
 
 // answer resolves key within bucket b, scan and answer in one routine — every
 // lookup's tail. It loads word 0 first: the line the scan is about to read,
-// and the word that holds the matched bits; follows the redirect on a branch
+// and the word that holds the matched bits; follows the spill bit on a branch
 // that is all but never taken; then runs the same in-order hardware scan as
 // bucket.Directory.Search (identical position and comparison count) over the
 // record's own bounds, and answers from the record it scanned.
 //
 // Writers store a range's action before they set its matched bit and store
-// action words whole, and a record a redirect has superseded is never written
+// action words whole, and a record a later one has superseded is never written
 // again, so matched-then-action returns an answer the trie oracle gave at
 // some instant inside the read (DESIGN.md §11).
 func (r *records) answer(b int, key keys.Value) (j, comparisons int, action uint64, ok, spilled bool) {
 	l, rec, n := &r.layout, r.w[b*r.stride:(b+1)*r.stride], min(r.k, r.nr-b*r.k)
 	w0 := atomic.LoadUint64(&rec[0])
-	if w0>>spillShift != 0 && r.k <= maxSpillK {
-		v := r.spill.Load().open(w0 >> spillShift)
-		l, rec, n, spilled = v.l, v.rec, v.n, true
+	if w0>>spillBit != 0 && r.k <= maxSpillK {
+		s := r.spillOf(b)
+		l, rec, n, spilled = &s.layout, s.w, s.k, true
 		w0 = atomic.LoadUint64(&rec[0])
 	}
 	bounds := rec[l.hdr-l.limbs:] // bounds[i·limbs] is range i's bound
@@ -232,13 +206,14 @@ func (r *records) answer(b int, key keys.Value) (j, comparisons int, action uint
 	return j, comparisons, atomic.LoadUint64(&rec[l.act+j]), true, spilled
 }
 
-// open loads bucket b's word 0 and follows its redirect, if any. A bucket
+// open loads bucket b's word 0 and follows its spill bit, if set. A bucket
 // that spills after the load leaves this reader on the dense record, which
 // the flip froze in a state that was current inside the read.
 func (r *records) open(b int) view {
 	rec := r.w[b*r.stride : (b+1)*r.stride]
-	if red := atomic.LoadUint64(&rec[0]) >> spillShift; red != 0 && r.k <= maxSpillK {
-		return r.spill.Load().open(red)
+	if atomic.LoadUint64(&rec[0])>>spillBit != 0 && r.k <= maxSpillK {
+		s := r.spillOf(b)
+		return view{l: &s.layout, rec: s.w, n: s.k, spilled: true}
 	}
 	return view{l: &r.layout, rec: rec, n: min(r.k, r.nr-b*r.k)}
 }
@@ -273,13 +248,19 @@ func (v view) setOwner(j int, action uint64, ok bool) {
 	atomic.OrUint64(&v.rec[j>>6], bit)
 }
 
-// respill publishes bucket b's rebuilt record: one store of word 0's redirect,
-// the dense matched bits beneath it left as the flip froze them.
-func (r *records) respill(b int, red uint64) {
-	w0 := &r.w[b*r.stride]
-	old := atomic.LoadUint64(w0)
-	if old>>spillShift == 0 {
+// respill publishes bucket b's rebuilt record, filled: one store of its
+// pointer, and for a bucket's first the spill bit after it, the dense matched
+// bits beneath left as the flip froze them.
+func (r *records) respill(b int, s *spillRecord) {
+	t := r.spill.Load()
+	if t == nil {
+		table := make([]atomic.Pointer[spillRecord], (r.nr+r.k-1)/r.k)
+		t = &table
+		r.spill.Store(t)
+	}
+	(*t)[b].Store(s)
+	if w0 := &r.w[b*r.stride]; atomic.LoadUint64(w0)>>spillBit == 0 {
+		atomic.OrUint64(w0, 1<<spillBit)
 		r.spilled.Add(1)
 	}
-	atomic.StoreUint64(w0, old&(1<<spillShift-1)|red<<spillShift)
 }

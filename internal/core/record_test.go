@@ -51,11 +51,12 @@ func wideRuleSet(t testing.TB, width, n int, seed int64, extra ...lpm.Rule) (rs 
 // at both ends of the range. The insert steps are the cases an absorbed
 // insert has: a fresh rule, a deleted rule re-inserted, a fresh rule whose
 // bounds already exist, rules spanning many buckets with and without new
-// bounds, and one bucket hit until it has no room; engines that cannot absorb
-// (SRAM-only, K > 32) must refuse and stay as they were.
+// bounds, and one bucket hit until it holds maxSpillRanges and refuses the
+// next; engines that cannot absorb (SRAM-only, K = 64) must refuse and stay as
+// they were.
 func TestRecordConsistency(t *testing.T) {
 	for _, width := range []int{32, 64, 128} {
-		for _, k := range []int{0, 2, 8, 64} { // 0 = SRAM-only
+		for _, k := range []int{0, 2, 8, 48, 64} { // 0 = SRAM-only
 			t.Run(fmt.Sprintf("width%d/k%d", width, k), func(t *testing.T) {
 				// nestA ⊃ nestB leave the upper half of nestA a range of its
 				// own: a fresh rule there finds both of its bounds in place.
@@ -117,8 +118,11 @@ func TestRecordConsistency(t *testing.T) {
 					buckets := (e.rec.nr + e.rec.k - 1) / e.rec.k
 					for b := 0; b < buckets; b++ {
 						w := e.bucketW(b)
-						if (w.m != nil) != (absorbs && w.n > min(e.rec.k, e.rec.nr-w.base)) {
-							t.Fatalf("step %v bucket %d: %d ranges, spilled %v", step, b, w.n, w.m != nil)
+						if w.spilled != (absorbs && w.n > min(e.rec.k, e.rec.nr-w.base)) {
+							t.Fatalf("step %v bucket %d: %d ranges, spilled %v", step, b, w.n, w.spilled)
+						}
+						if w.spilled && (w.l.k != w.n || len(w.rec) != w.l.stride+w.n || w.n > maxSpillRanges) {
+							t.Fatalf("step %v bucket %d: %d ranges in a record of capacity %d, %d words", step, b, w.n, w.l.k, len(w.rec))
 						}
 						for j := 0; j < w.n; j++ {
 							low, high := w.low(j), keys.MaxValue(width)
@@ -143,7 +147,7 @@ func TestRecordConsistency(t *testing.T) {
 								(o != lpm.NoMatch && (*e.rule(int(own)) != set.Rules[o] || !e.isLive(int(own)))) {
 								t.Fatalf("step %v bucket %d range %d: owner table says rule %d, trie %d", step, b, j, own, o)
 							}
-							if w.m == nil { // the path benchmark/trace.go replays
+							if !w.spilled { // the path benchmark/trace.go replays
 								if got, ok := e.ra.Action(w.base + j); ok != want.Matched || (ok && got != want.Action) {
 									t.Fatalf("step %v range %d: Array.Action (%d,%v), trie %+v", step, w.base+j, got, ok, want)
 								}
@@ -253,8 +257,10 @@ func TestRecordConsistency(t *testing.T) {
 				// A fresh /2 over a quarter of the domain: new bounds at both
 				// ends, every bucket between re-owned in place.
 				insert("quarter", lpm.Rule{Prefix: keys.FromUint64(1).Shl(uint(width - 2)), Len: 2, Action: 84})
-				// One bucket, one single-key rule after another, until it has
-				// no room for two more bounds.
+				// One bucket, one single-key rule after another — two bounds
+				// each, the one that finds the bucket a range short of full put
+				// against its predecessor to add one — until the bucket holds
+				// maxSpillRanges, every one of them checked, and refuses.
 				var site keys.Value
 				for b, span := 0, (keys.Value{}); b*e.rec.k < e.rec.nr; b++ {
 					w := e.bucketW(b)
@@ -265,12 +271,16 @@ func TestRecordConsistency(t *testing.T) {
 					}
 				}
 				var refused NotAbsorbed
+				held := func() int { return e.bucketW(e.bucketOf(site)).n }
 				for i := 1; i <= 70 && refused == ""; i++ {
-					r := lpm.Rule{Prefix: site.Add(keys.FromUint64(uint64(2 * i))), Len: width, Action: uint64(1000 + i)}
-					refused = insert(fmt.Sprint("fill ", i), r)
+					at := site.Add(keys.FromUint64(uint64(2 * i)))
+					if held() == maxSpillRanges-1 {
+						at = at.Dec()
+					}
+					refused = insert(fmt.Sprint("fill ", i), lpm.Rule{Prefix: at, Len: width, Action: uint64(1000 + i)})
 				}
-				if absorbs && refused != refusedBucketFull {
-					t.Fatalf("filling one bucket ended with %q, want %q", refused, refusedBucketFull)
+				if absorbs && (refused != refusedBucketFull || held() != maxSpillRanges) {
+					t.Fatalf("filling one bucket ended with %q at %d ranges, want %q at %d", refused, held(), refusedBucketFull, maxSpillRanges)
 				}
 				if err := e.Verify(); err != nil {
 					t.Fatal(err)

@@ -32,20 +32,22 @@ var ErrDeltaFull = errors.New("core: delta buffer full")
 //     concurrent-versions scheme of the paper's atomicity discussion.
 //
 // Lookups are wait-free with respect to Commit (they read an atomic engine
-// pointer), and while the delta buffer is empty they never touch the mutex;
-// updates serialize among themselves, commits only at their two ends.
+// pointer), and while the delta buffer is empty they never touch a mutex.
+// Writers — Insert, Delete, ModifyAction and Commit — are serial: an update
+// that arrives while a commit rebuilds waits for its swap and lands on the new
+// engine, so no swap can undo one.
 type Updatable struct {
 	engine atomic.Pointer[Engine]
 
-	// mu guards delta's maps, commits, commit's final section and every
-	// in-place update of the live engine.
+	// wmu is the writer lock, held for the whole of every update and every
+	// commit, rebuild included.
+	wmu sync.Mutex
+	// mu pairs the engine with delta's maps for overlay readers: a writer
+	// holds it across every in-place update, every change to the maps and a
+	// commit's swap-and-drain — not across the rebuild.
 	mu       sync.Mutex
 	capacity int
 	delta    *deltaBuffer
-	// commits counts Commit calls between their snapshot and their swap.
-	// While it is not zero Insert does not absorb: a rule absorbed into the
-	// engine being replaced would be lost at the swap.
-	commits int
 }
 
 // DefaultDeltaCapacity mirrors the 10K-entry TCAM the paper cites as the
@@ -118,10 +120,12 @@ func (nullMem) Read(uint64, int) {}
 // commit. It fails when the rule already exists, or when it needs the buffer
 // and the buffer is full — the caller should Commit.
 func (u *Updatable) Insert(r lpm.Rule) error {
+	u.wmu.Lock()
+	defer u.wmu.Unlock()
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	// The engine is loaded under the lock: a Commit's final section may have
-	// replaced the one loaded before it.
+	// The engine is loaded under the lock: a Commit may have replaced the one
+	// loaded before it.
 	e := u.engine.Load()
 	if err := r.Validate(e.Width()); err != nil {
 		return err
@@ -129,18 +133,14 @@ func (u *Updatable) Insert(r lpm.Rule) error {
 	if u.delta.has(r.Prefix, r.Len) {
 		return fmt.Errorf("core: rule %s/%d already pending", r.Prefix, r.Len)
 	}
-	why := refusedCommitInFlight
-	if u.commits == 0 {
-		err := e.Insert(r) // bumps the epoch on success
-		if err == nil {
-			metAbsorbed.Inc()
-			return nil
-		}
-		if !errors.As(err, &why) {
-			return err
-		}
-	} else if idx := e.findRule(r.Prefix, r.Len); idx != lpm.NoMatch && e.isLive(idx) {
-		return fmt.Errorf("core: rule %s/%d already installed", r.Prefix, r.Len)
+	err := e.Insert(r) // bumps the epoch on success
+	if err == nil {
+		metAbsorbed.Inc()
+		return nil
+	}
+	var why NotAbsorbed
+	if !errors.As(err, &why) {
+		return err
 	}
 	if hook := e.cfg.Fault; hook != nil {
 		if err := hook(fault.SiteDeltaFull); err != nil {
@@ -162,6 +162,8 @@ func (u *Updatable) Insert(r lpm.Rule) error {
 // ModifyAction and Delete reach a buffered rule in the buffer and any other
 // in the live engine, without retraining either way.
 func (u *Updatable) ModifyAction(prefix keys.Value, length int, action uint64) error {
+	u.wmu.Lock()
+	defer u.wmu.Unlock()
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	e := u.engine.Load()
@@ -175,6 +177,8 @@ func (u *Updatable) ModifyAction(prefix keys.Value, length int, action uint64) e
 // Delete removes a rule from the delta buffer or, failing that, from the
 // live engine (no retraining either way).
 func (u *Updatable) Delete(prefix keys.Value, length int) error {
+	u.wmu.Lock()
+	defer u.wmu.Unlock()
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	e := u.engine.Load()
@@ -192,30 +196,22 @@ func (u *Updatable) Delete(prefix keys.Value, length int) error {
 // versions coexist; free SRAM doubles as cache in hardware, so the transient
 // costs bandwidth, not downtime).
 func (u *Updatable) Commit() error {
-	u.mu.Lock()
+	u.wmu.Lock()
+	defer u.wmu.Unlock()
+	// No writer runs beside this one, so the snapshot needs no mu. A failure
+	// at any point before the swap leaves the delta buffer untouched: the
+	// pending rules stay visible through the overlay and a later commit
+	// applies them exactly once.
 	pending := u.delta.rules()
-	old := u.engine.Load()
-	u.commits++
-	u.mu.Unlock()
-
-	// Retrain off the lock: lookups and even further inserts (buffered, not
-	// absorbed, while commits says so) may proceed. A failure at any point
-	// before the swap leaves the delta buffer untouched, so the pending rules
-	// stay visible through the overlay and a later commit applies them
-	// exactly once.
-	next, err := u.retrain(old, pending)
-
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.commits--
+	next, err := u.retrain(u.engine.Load(), pending)
 	if err != nil {
 		return err
 	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
 	// Engine before drain: a lock-free reader that finds the buffer empty
 	// must find the committed rules in the engine it loads next.
 	u.engine.Store(next)
-	// Remove exactly the committed rules from the buffer; rules inserted
-	// during retraining stay pending for the next commit.
 	for _, r := range pending {
 		u.delta.remove(r.Prefix, r.Len)
 	}
@@ -228,7 +224,7 @@ func (u *Updatable) Commit() error {
 	return nil
 }
 
-// retrain is Commit's unlocked middle: the rebuild between the two fault
+// retrain is Commit's middle, off mu: the rebuild between the two fault
 // sites.
 func (u *Updatable) retrain(old *Engine, pending []lpm.Rule) (*Engine, error) {
 	hook := old.cfg.Fault

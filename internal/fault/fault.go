@@ -42,9 +42,9 @@ const (
 	// models buffer exhaustion (the caller sees core.ErrDeltaFull).
 	SiteDeltaFull Site = "delta_full"
 	// SiteAbsorb fires on every insertion an engine could absorb in place
-	// (core.Engine.Insert); an error models an exhausted spill area: the
-	// engine refuses, nothing is stored, and the rule takes the delta
-	// buffer. It is how a test about the buffer, commit or backoff
+	// (core.Engine.Insert); an error models a bucket with no room: the
+	// engine refuses (bucket_full), nothing is stored, and the rule takes
+	// the delta buffer. It is how a test about the buffer, commit or backoff
 	// machinery reaches it on an engine that would otherwise absorb.
 	SiteAbsorb Site = "absorb"
 )

@@ -58,20 +58,20 @@ func FuzzStackVsOracle(f *testing.F) {
 	}
 	f.Add(oneShard, uint64(7), uint8(1))
 	f.Add(oneShard, uint64(7), uint8(3))
-	// Both paths of an insert, one shard. One base rule (the first half is
-	// fourteen copies of it) leaves a single bucket of three ranges: six /32s
-	// are absorbed, two bounds each, the seventh and eighth find the bucket
-	// full and take the buffer; the commit folds all eight into dense records
-	// and the ninth is absorbed again; then a delete and a modify.
+	// One bucket grown past twice its built capacity, one shard. One base rule
+	// (the first half is fourteen copies of it) leaves a single bucket of three
+	// ranges: eight /32s are absorbed, two bounds and one fresh spill record
+	// each — 19 ranges, where 2K = 16 used to be the end — with three deletes
+	// (which re-own in the current record and leave their bounds) and the
+	// matrix lookups between them; the commit folds it all into dense records.
 	overflow := bytes.Repeat([]byte{10, 0, 0, 0, 7, 1}, 14)
 	for i := byte(1); i <= 8; i++ {
 		overflow = append(overflow, 0, 10, i, 0, i, 31, i)
+		if i%3 == 0 || i == 8 {
+			overflow = append(overflow, 1, i/3, 0, 0, 0, 0, 0)
+		}
 	}
-	overflow = append(overflow,
-		4, 0, 0, 0, 0, 0, 0,
-		0, 10, 9, 0, 9, 31, 9,
-		1, 3, 0, 0, 0, 0, 0,
-		2, 5, 77, 0, 0, 0, 0)
+	overflow = append(overflow, 4, 0, 0, 0, 0, 0, 0)
 	f.Add(overflow, uint64(9), uint8(1))
 	// An insert while a commit is pending: a /24 the engine is made to refuse
 	// waits in the buffer, its commit fails, and a /32 inside it and a /16

@@ -29,13 +29,13 @@ import (
 type ShardedUpdatable struct {
 	router
 	shards []*core.Updatable
-	// wmu serializes writers (Insert/Delete/ModifyAction/Commit) per shard,
-	// including across a commit's retrain. core.Updatable alone lets inserts
-	// land during a retrain, but a Delete of a rule already snapshotted by an
-	// in-flight Commit would be resurrected by the engine swap (lost update);
-	// holding the shard's writer lock for the whole commit closes that race.
-	// Readers never take these locks. Multi-shard operations (replicated
-	// rules) lock their span in ascending order, so writers cannot deadlock.
+	// wmu is the span lock of replicated rules: Insert, Delete and
+	// ModifyAction hold the lock of every shard they cover, taken in ascending
+	// order, so two updates of overlapping spans apply in one order on every
+	// shard and a rolled-back insert is never seen half applied by another
+	// writer. Commit does not take it: it changes no rule, and each
+	// core.Updatable already makes an update wait for its own commit's swap.
+	// Readers never take these locks.
 	wmu []sync.Mutex
 
 	threshold atomic.Int64  // auto-commit when a shard's pending ≥ threshold
@@ -254,10 +254,9 @@ func (u *ShardedUpdatable) PendingInserts() int {
 // atomically. Lookups proceed against the old engine for the duration.
 // Success and failure both feed the shard's health state: a failure
 // schedules a backed-off background retry, a success clears any pending
-// failure (the LastCommitErr contract).
+// failure (the LastCommitErr contract). It takes no lock of its own: the
+// shard's core.Updatable serializes it with that shard's updates.
 func (u *ShardedUpdatable) Commit(i int) error {
-	u.wmu[i].Lock()
-	defer u.wmu[i].Unlock()
 	st := &u.states[i]
 	st.mu.Lock()
 	if st.consecFails > 0 {
