@@ -9,6 +9,7 @@ import (
 	"neurolpm/internal/lcache"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/plane"
+	"neurolpm/internal/workload"
 )
 
 // cachedStack is the production cached configuration: compiled inference
@@ -316,5 +317,52 @@ func BenchmarkBatchCacheOff(b *testing.B) {
 	for i := 0; i < b.N; i += 256 {
 		lo := (i * 256) % (len(ks) - 256)
 		out = e.LookupBatchStack(cachedStack, ks[lo:lo+256], out, cachesim.Null{}, nil, epoch)
+	}
+}
+
+// BenchmarkBatchRipe870K is the batch kernel at the repository benchmark's
+// scale and on its inputs (benchmark/inputs.go: 870 K ripe rules seed 1, the
+// Zipf+locality trace on seed+1, the uniform one on seed+2): LookupBatch(256)
+// with every answer held against the trie oracle's inside the loop, so a
+// kernel that got faster by getting an answer wrong fails here.
+func BenchmarkBatchRipe870K(b *testing.B) {
+	const seed, nKeys, block = 1, 1 << 20, 256
+	rs, err := workload.Generate(workload.RIPE(), 870000, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := Build(rs, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	oracle := lpm.NewTrieMatcher(rs)
+	zipf, err := workload.GenerateTrace(rs, workload.DefaultTrace(nKeys, seed+1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		trace []keys.Value
+	}{{"zipf", zipf}, {"uniform", workload.UniformTrace(32, nKeys, seed+2)}} {
+		want := make([]BatchResult, len(tc.trace))
+		for i, k := range tc.trace {
+			want[i].Action, want[i].Matched = oracle.Lookup(k)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			var out []BatchResult
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, pos := 0, 0; i < b.N; i, pos = i+block, pos+block {
+				if pos+block > len(tc.trace) {
+					pos = 0
+				}
+				out = e.LookupBatch(tc.trace[pos:pos+block], out)
+				for j, r := range out {
+					if r != want[pos+j] {
+						b.Fatalf("key %v: engine %+v, oracle %+v", tc.trace[pos+j], r, want[pos+j])
+					}
+				}
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"neurolpm/internal/keys"
+	"neurolpm/internal/rqrmi"
 )
 
 // TestSampleEveryPowerOfTwo pins the sampling-mask precondition: the hot
@@ -34,7 +35,7 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(6))
 			// Ragged batch lengths exercise the block tail paths.
-			for _, n := range []int{0, 1, 7, batchBlock, batchBlock + 1, 3*batchBlock + 5, 1000} {
+			for _, n := range []int{0, 1, 7, rqrmi.Block, rqrmi.Block + 1, 3*rqrmi.Block + 5, 1000} {
 				ks := make([]keys.Value, n)
 				for i := range ks {
 					ks[i] = randomKey(rng, 32)

@@ -463,15 +463,33 @@ func (e *Engine) finish(k keys.Value, tr *Trace, mem cachesim.Mem, sp *telemetry
 	b, tr.SRAMProbes = e.search(inf, k, tr.Prediction)
 	end()
 	fr.Stamp(plane.StageSearch)
-	e.tail(k, tr, b, mem, sp, inf, n, fr)
-	var matched, spilled uint64
-	if tr.Matched {
-		matched = 1
+	if e.dir != nil {
+		end = sp.Stage("bucket-fetch")
+		tr.BucketRead = true
+		tr.DRAMBytes = e.dir.BucketBytes()
 	}
-	if tr.Spilled {
-		spilled = 1
+	var j, cmp int
+	j, cmp, tr.Action, tr.Matched, tr.Spilled, tr.ColdRead = e.fetch(k, b, mem, inf)
+	tr.RangeIndex = b*e.rec.k + j
+	if e.dir != nil {
+		end()
+		fr.Stamp(plane.StageFetch)
 	}
-	e.count(1, matched, spilled)
+	if n&(sampleEvery-1) == 0 {
+		e.observe(b, tr.SRAMProbes, tr.Prediction.Err, cmp)
+	}
+	if fr != nil {
+		e.commit(fr, tr.SRAMProbes, tr.Prediction.Err, tr.Action, tr.Matched)
+	}
+	e.count(1, b2u(tr.Matched), b2u(tr.Spilled))
+}
+
+// b2u is b as a count of one.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // search is the bounded secondary search over the RQ Array in inf's
@@ -508,82 +526,78 @@ func (e *Engine) count(n, matched, spilled uint64) {
 	}
 }
 
-// tail completes one key from b, the index its secondary search found:
-// bucketized engines fetch exactly one bucket and scan its record — the spill
-// record, when word 0 says the bucket has one; the answer comes out of the same
-// record; then the sampled observations and the flight commit. It books no
-// counters (see count).
-func (e *Engine) tail(k keys.Value, tr *Trace, b int, mem cachesim.Mem, sp *telemetry.Span, inf plane.Inference, n uint64, fr *telemetry.FlightRecord) {
-	var cmp int
+// The tail of a lookup, from b, the index its secondary search found, is three
+// steps — fetch, observe, commit — that finish runs for one key and
+// finishBatch for each key of a block; none books a counter (see count).
+//
+// fetch is the first: bucketized engines fetch exactly one bucket and scan its
+// record — the spill record, when word 0 says the bucket has one — and the
+// answer comes out of the same record. j is the key's position in the record
+// (0 in the SRAM-only design, whose records hold one range).
+func (e *Engine) fetch(k keys.Value, b int, mem cachesim.Mem, inf plane.Inference) (j, cmp int, action uint64, matched, spilled, cold bool) {
 	if e.dir == nil {
-		tr.RangeIndex = b
-		tr.Action, tr.Matched = e.rec.open(b).resolve(0)
-	} else {
-		end := sp.Stage("bucket-fetch")
-		addr, size := e.dir.DRAMAddr(b)
-		mem.Read(addr, size)
-		tr.BucketRead = true
-		tr.DRAMBytes = size
-		// Tiered engines route the fetch through the placement map first: a
-		// cold bucket scans its slow-tier copy (same bounds, same answer —
-		// only the charged latency and the tier counters differ). The
-		// reference arm keeps the paper's scan over the range array — over
-		// the spill record's own bounds table for a spilled bucket — which
-		// Verify holds the record scan against.
-		if t := e.tiers; t != nil {
-			kk := k.Lo
-			if k.Hi != 0 {
-				kk = ^uint64(0) // out-of-domain key: above every ≤ 64-bit bound
-			}
-			tr.RangeIndex, cmp, tr.ColdRead = t.Fetch(b, kk)
-		}
-		var j int
-		if inf != plane.Reference && !tr.ColdRead {
-			j, cmp, tr.Action, tr.Matched, tr.Spilled = e.rec.answer(b, k)
-		} else {
-			v := e.rec.open(b)
-			switch {
-			case tr.ColdRead:
-				j = tr.RangeIndex - b*e.dir.K
-			case v.spilled:
-				j, cmp = v.search(k)
-			default:
-				j, cmp = e.dir.Search(b, k)
-				j -= b * e.dir.K
-			}
-			tr.Action, tr.Matched = v.resolve(j)
-			tr.Spilled = v.spilled
-		}
-		end()
-		fr.Stamp(plane.StageFetch)
-		tr.RangeIndex = b*e.dir.K + j
+		action, matched = e.rec.open(b).resolve(0)
+		return 0, 0, action, matched, false, false
 	}
-	// The per-query distributions are sampled 1:sampleEvery; an uncontended
-	// atomic RMW costs ~5ns on the reference machine, so observing three
-	// histograms on every query would alone blow the ≤2% overhead budget.
-	// Counters stay exact — only distribution shape is sampled. The drift
-	// meter and hotness sketch ride the same sampled branch, so their
-	// marginal hot-path cost is a fraction of a nanosecond per lookup.
-	if n&(sampleEvery-1) == 0 {
-		metProbes.ObserveInt(tr.SRAMProbes)
-		metInferErr.ObserveInt(tr.Prediction.Err)
-		if tr.BucketRead {
-			metBucketCmp.ObserveInt(cmp)
+	mem.Read(e.dir.DRAMAddr(b))
+	// Tiered engines route the fetch through the placement map first: a
+	// cold bucket scans its slow-tier copy (same bounds, same answer —
+	// only the charged latency and the tier counters differ). The
+	// reference arm keeps the paper's scan over the range array — over
+	// the spill record's own bounds table for a spilled bucket — which
+	// Verify holds the record scan against.
+	if t := e.tiers; t != nil {
+		kk := k.Lo
+		if k.Hi != 0 {
+			kk = ^uint64(0) // out-of-domain key: above every ≤ 64-bit bound
 		}
-		if e.drift != nil {
-			e.drift.Observe(tr.SRAMProbes)
-			e.hot.Touch(uint32(b))
-		}
+		j, cmp, cold = t.Fetch(b, kk)
 	}
-	if fr != nil {
-		fr.Probes = int32(tr.SRAMProbes)
-		fr.ErrBound = int32(tr.Prediction.Err)
-		fr.Shard = e.shardID
-		fr.Action = tr.Action
-		fr.Matched = tr.Matched
-		fr.BucketRead = tr.BucketRead
-		telemetry.Flight.Commit(fr)
+	if inf != plane.Reference && !cold {
+		j, cmp, action, matched, spilled = e.rec.answer(b, k)
+		return j, cmp, action, matched, spilled, false
 	}
+	v := e.rec.open(b)
+	switch {
+	case cold:
+		j -= b * e.dir.K
+	case v.spilled:
+		j, cmp = v.search(k)
+	default:
+		j, cmp = e.dir.Search(b, k)
+		j -= b * e.dir.K
+	}
+	action, matched = v.resolve(j)
+	return j, cmp, action, matched, v.spilled, cold
+}
+
+// observe feeds the per-query distributions. Callers sample it 1:sampleEvery
+// on the key's lookup-counter tick: an uncontended atomic RMW costs ~5ns on the
+// reference machine, so observing three histograms on every query would alone
+// blow the ≤2% overhead budget. Counters stay exact — only distribution shape
+// is sampled. The drift meter and hotness sketch ride the same sampled branch,
+// so their marginal hot-path cost is a fraction of a nanosecond per lookup.
+func (e *Engine) observe(b, probes, errBound, cmp int) {
+	metProbes.ObserveInt(probes)
+	metInferErr.ObserveInt(errBound)
+	if e.dir != nil {
+		metBucketCmp.ObserveInt(cmp)
+	}
+	if e.drift != nil {
+		e.drift.Observe(probes)
+		e.hot.Touch(uint32(b))
+	}
+}
+
+// commit closes a flight-sampled key's record.
+func (e *Engine) commit(fr *telemetry.FlightRecord, probes, errBound int, action uint64, matched bool) {
+	fr.Probes = int32(probes)
+	fr.ErrBound = int32(errBound)
+	fr.Shard = e.shardID
+	fr.Action = action
+	fr.Matched = matched
+	fr.BucketRead = e.dir != nil
+	telemetry.Flight.Commit(fr)
 }
 
 // LookupReference answers k through the reference-inference arm of the stack
@@ -629,83 +643,72 @@ type BatchResult struct {
 	Matched bool
 }
 
-// batchBlock sizes LookupBatch's inference blocks; it matches the compiled
-// plane's software-pipelining width.
-const batchBlock = 16
-
-// LookupBatch resolves ks positionally: out[i] answers ks[i]. Inference runs
-// through Compiled.PredictBatch in blocks of batchBlock keys, so per-stage
-// coefficient loads overlap across keys instead of serializing per lookup;
-// the searches and bucket fetches then complete each key with the same
-// instrumented tail as Lookup. out is reused when it has capacity, so a
-// caller looping over batches performs zero allocations. Batch answers obey
-// the same oracle-equivalence contract as Lookup (LookupBatch is the batch
-// stack executor's compiled-uncached configuration; see internal/planetest).
+// LookupBatch resolves ks positionally: out[i] answers ks[i]. The batch runs in
+// blocks of rqrmi.Block keys, every step of the pipeline across the block
+// before the next (finishBatch), so the loads of its keys overlap instead of
+// serializing per lookup. out is reused when it has capacity, so a caller
+// looping over batches performs zero allocations. Batch answers obey the same
+// oracle-equivalence contract as Lookup (LookupBatch is the batch stack
+// executor's compiled-uncached configuration; see internal/planetest).
 func (e *Engine) LookupBatch(ks []keys.Value, out []BatchResult) []BatchResult {
 	return e.LookupBatchStack(plane.StackConfig{}, ks, out, cachesim.Null{}, nil, 0)
 }
 
-// finishBatch runs the pipelined batch tail for the compiled or quantized
-// plane (the reference plane loops the single-key path instead), delivering
-// ks[i]'s answer through emit(i, result): uncached stacks emit positionally,
-// cached stacks scatter to the miss positions and fill the result cache.
+// finishBatch answers ks on the compiled or quantized plane (the reference
+// plane loops the single-key path instead): out[i] answers ks[i].
 //
-// Each block of batchBlock keys is staged — blocked inference, every key's
-// secondary search, a touch of every key's record, every key's tail — so the
-// block's record misses are outstanding together, and its counters are booked
-// once. A flight-sampled key runs search and tail back to back in the search
-// pass, so its record times that key alone.
-func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.Mem, emit func(i int, r BatchResult)) {
+// Each block of rqrmi.Block keys is staged the way the paper's engine is
+// (§6.2) — blocked inference, the block's secondary searches in lockstep, a
+// touch of every key's record, then every key's tail — so at each step the
+// block's misses are outstanding together, and its counters are booked once.
+// Inference was pipelined across the block, so a flight-sampled key's record
+// times search onward: the key is searched again by itself, after the block's
+// search, then its tail.
+func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.Mem, out []BatchResult) {
 	var (
-		preds [batchBlock]rqrmi.Prediction
-		trs   [batchBlock]Trace
-		bkt   [batchBlock]int
+		preds  [rqrmi.Block]rqrmi.Prediction
+		bkt    [rqrmi.Block]int
+		probes [rqrmi.Block]int
 	)
-	const sampled = -1 // bkt[i]: key i was completed in the first stage
-	for start := 0; start < len(ks); start += batchBlock {
-		n := min(len(ks)-start, batchBlock)
-		blk := ks[start : start+n]
+	for start := 0; start < len(ks); start += rqrmi.Block {
+		n := min(len(ks)-start, rqrmi.Block)
+		blk, res := ks[start:start+n], out[start:start+n]
 		if inf == plane.Quantized {
 			e.quant.PredictBatch(blk, preds[:n])
+			e.quant.SearchBlock(blk, preds[:n], bkt[:n], probes[:n])
 		} else {
 			e.comp.PredictBatch(blk, preds[:n])
-		}
-		tick := metLookups.Add(uint64(n)) - uint64(n) // key i's tick is tick+i+1
-		for i, k := range blk {
-			tr := &trs[i]
-			*tr = Trace{Prediction: preds[i]}
-			if nq := tick + uint64(i) + 1; telemetry.Flight.HitN(nq) {
-				var fr telemetry.FlightRecord
-				fr.Begin(k.Hi, k.Lo)
-				// Inference was pipelined across the block, so a batch
-				// record times only the per-key tail (search onward).
-				fr.Batch = true
-				bkt[i], tr.SRAMProbes = e.search(inf, k, tr.Prediction)
-				fr.Stamp(plane.StageSearch)
-				e.tail(k, tr, bkt[i], mem, nil, inf, nq, &fr)
-				bkt[i] = sampled
-				continue
-			}
-			bkt[i], tr.SRAMProbes = e.search(inf, k, tr.Prediction)
+			e.comp.SearchBlock(blk, preds[:n], bkt[:n], probes[:n])
 		}
 		for _, b := range bkt[:n] {
-			if b != sampled {
-				e.rec.touch(b)
-			}
+			e.rec.touch(b)
 		}
+		tick := metLookups.Add(uint64(n)) - uint64(n) // key i's tick is tick+i+1
 		var matched, spilled uint64
 		for i, k := range blk {
-			tr := &trs[i]
-			if bkt[i] != sampled {
-				e.tail(k, tr, bkt[i], mem, nil, inf, tick+uint64(i)+1, nil)
+			nq := tick + uint64(i) + 1
+			var fr *telemetry.FlightRecord
+			if telemetry.Flight.HitN(nq) {
+				var rec telemetry.FlightRecord // stack-allocated; Commit copies it out
+				fr = &rec
+				fr.Begin(k.Hi, k.Lo)
+				fr.Batch = true
+				bkt[i], probes[i] = e.search(inf, k, preds[i])
+				fr.Stamp(plane.StageSearch)
 			}
-			if tr.Matched {
-				matched++
+			_, cmp, action, ok, spill, _ := e.fetch(k, bkt[i], mem, inf)
+			if e.dir != nil {
+				fr.Stamp(plane.StageFetch)
 			}
-			if tr.Spilled {
-				spilled++
+			if nq&(sampleEvery-1) == 0 {
+				e.observe(bkt[i], probes[i], preds[i].Err, cmp)
 			}
-			emit(start+i, BatchResult{Action: tr.Action, Matched: tr.Matched})
+			if fr != nil {
+				e.commit(fr, probes[i], preds[i].Err, action, ok)
+			}
+			res[i] = BatchResult{Action: action, Matched: ok}
+			matched += b2u(ok)
+			spilled += b2u(spill)
 		}
 		e.count(uint64(n), matched, spilled)
 	}
@@ -879,39 +882,11 @@ func (e *Engine) verifyKey(oracle *lpm.TrieMatcher, k keys.Value) error {
 	return nil
 }
 
-// verifyCompiled sweeps every boundary of the learned index — and the keys
-// adjacent to it — asserting the compiled plane reproduces the reference
-// float32 LUT arithmetic bit for bit: equal predictions (index, error bound,
-// submodel), equal search results, and equal probe counts, for both Predict
-// and the batched PredictBatch. This is the full-range-boundary half of the
-// bit-identity contract; FuzzCompiledVsModel covers arbitrary keys.
-func (e *Engine) verifyCompiled(ix rqrmi.Index) error {
+// sweepBoundaries hands check every boundary of the learned index and the keys
+// adjacent to it, a block of at most rqrmi.Block keys at a time.
+func (e *Engine) sweepBoundaries(ix rqrmi.Index, check func(ks []keys.Value) error) error {
 	dom := keys.NewDomain(e.width)
-	buf := make([]keys.Value, 0, 3*batchBlock)
-	preds := make([]rqrmi.Prediction, 3*batchBlock)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		e.comp.PredictBatch(buf, preds[:len(buf)])
-		for i, k := range buf {
-			pm := e.model.Predict(k)
-			if pc := e.comp.Predict(k); pc != pm {
-				return fmt.Errorf("core: compiled Predict(%v) = %+v, reference %+v", k, pc, pm)
-			}
-			if preds[i] != pm {
-				return fmt.Errorf("core: compiled PredictBatch(%v) = %+v, reference %+v", k, preds[i], pm)
-			}
-			im, probesM := e.model.Search(ix, k, pm)
-			ic, probesC := e.comp.Search(k, pm)
-			if im != ic || probesM != probesC {
-				return fmt.Errorf("core: compiled Search(%v) = (%d,%d), reference (%d,%d)",
-					k, ic, probesC, im, probesM)
-			}
-		}
-		buf = buf[:0]
-		return nil
-	}
+	buf := make([]keys.Value, 0, rqrmi.Block)
 	for i := 0; i < ix.Len(); i++ {
 		b := ix.Low(i)
 		buf = append(buf, b)
@@ -921,31 +896,68 @@ func (e *Engine) verifyCompiled(ix rqrmi.Index) error {
 		if b.Less(dom.Max()) {
 			buf = append(buf, b.Inc())
 		}
-		if len(buf)+3 > cap(buf) {
-			if err := flush(); err != nil {
+		if len(buf)+3 > cap(buf) || i == ix.Len()-1 {
+			if err := check(buf); err != nil {
 				return err
 			}
+			buf = buf[:0]
 		}
 	}
-	return flush()
+	return nil
+}
+
+// verifyCompiled sweeps every boundary of the learned index — and the keys
+// adjacent to it — asserting the compiled plane reproduces the reference
+// float32 LUT arithmetic bit for bit: equal predictions (index, error bound,
+// submodel), equal search results, and equal probe counts, for Predict and
+// Search and for their block forms, PredictBatch and SearchBlock. This is the
+// full-range-boundary half of the bit-identity contract; FuzzCompiledVsModel
+// covers arbitrary keys.
+func (e *Engine) verifyCompiled(ix rqrmi.Index) error {
+	var (
+		preds       [rqrmi.Block]rqrmi.Prediction
+		idx, probes [rqrmi.Block]int
+	)
+	return e.sweepBoundaries(ix, func(ks []keys.Value) error {
+		e.comp.PredictBatch(ks, preds[:])
+		e.comp.SearchBlock(ks, preds[:], idx[:], probes[:])
+		for i, k := range ks {
+			pm := e.model.Predict(k)
+			if pc := e.comp.Predict(k); pc != pm {
+				return fmt.Errorf("core: compiled Predict(%v) = %+v, reference %+v", k, pc, pm)
+			}
+			if preds[i] != pm {
+				return fmt.Errorf("core: compiled PredictBatch(%v) = %+v, reference %+v", k, preds[i], pm)
+			}
+			im, probesM := e.model.Search(ix, k, pm)
+			if ic, probesC := e.comp.Search(k, pm); im != ic || probesM != probesC {
+				return fmt.Errorf("core: compiled Search(%v) = (%d,%d), reference (%d,%d)",
+					k, ic, probesC, im, probesM)
+			}
+			if idx[i] != im || probes[i] != probesM {
+				return fmt.Errorf("core: compiled SearchBlock(%v) = (%d,%d), reference (%d,%d)",
+					k, idx[i], probes[i], im, probesM)
+			}
+		}
+		return nil
+	})
 }
 
 // verifyQuantized sweeps the same boundary±1 key set as verifyCompiled, but
 // the quantized contract is bound-inclusion, not bit-identity: the integer
 // prediction may differ from the float one, yet its own stored error bound
 // must cover the true index (so the bounded search is exact), the search must
-// land on that index, and the pipelined batch arm must match the single-key
-// arm bit for bit.
+// land on that index, and the block arms must match the single-key arms bit
+// for bit.
 func (e *Engine) verifyQuantized(ix rqrmi.Index) error {
-	dom := keys.NewDomain(e.width)
-	buf := make([]keys.Value, 0, 3*batchBlock)
-	preds := make([]rqrmi.Prediction, 3*batchBlock)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		e.quant.PredictBatch(buf, preds[:len(buf)])
-		for i, k := range buf {
+	var (
+		preds       [rqrmi.Block]rqrmi.Prediction
+		idx, probes [rqrmi.Block]int
+	)
+	return e.sweepBoundaries(ix, func(ks []keys.Value) error {
+		e.quant.PredictBatch(ks, preds[:])
+		e.quant.SearchBlock(ks, preds[:], idx[:], probes[:])
+		for i, k := range ks {
 			pq := e.quant.Predict(k)
 			if preds[i] != pq {
 				return fmt.Errorf("core: quantized PredictBatch(%v) = %+v, single %+v", k, preds[i], pq)
@@ -955,27 +967,15 @@ func (e *Engine) verifyQuantized(ix rqrmi.Index) error {
 				return fmt.Errorf("core: quantized bound violated at %v: index %d err %d truth %d",
 					k, pq.Index, pq.Err, truth)
 			}
-			if iq, _ := e.quant.Search(k, pq); iq != truth {
+			iq, probesQ := e.quant.Search(k, pq)
+			if iq != truth {
 				return fmt.Errorf("core: quantized Search(%v) = %d, truth %d", k, iq, truth)
 			}
-		}
-		buf = buf[:0]
-		return nil
-	}
-	for i := 0; i < ix.Len(); i++ {
-		b := ix.Low(i)
-		buf = append(buf, b)
-		if !b.IsZero() {
-			buf = append(buf, b.Dec())
-		}
-		if b.Less(dom.Max()) {
-			buf = append(buf, b.Inc())
-		}
-		if len(buf)+3 > cap(buf) {
-			if err := flush(); err != nil {
-				return err
+			if idx[i] != iq || probes[i] != probesQ {
+				return fmt.Errorf("core: quantized SearchBlock(%v) = (%d,%d), single (%d,%d)",
+					k, idx[i], probes[i], iq, probesQ)
 			}
 		}
-	}
-	return flush()
+		return nil
+	})
 }

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"neurolpm/internal/cachesim"
 	"neurolpm/internal/keys"
+	"neurolpm/internal/rqrmi"
 	"neurolpm/internal/telemetry"
 )
 
@@ -51,18 +53,43 @@ func TestFlightRecordsFlowFromLookup(t *testing.T) {
 		t.Fatalf("stage sum %d > total %d", sum, rec.TotalNs)
 	}
 
-	// Batched lookups sample too, tagged as batch records.
+	// Batched lookups sample too, tagged as batch records. At stride 4 every
+	// block of the batch has four sampled keys among twelve that are not: a
+	// sampled key is searched again by itself after the block's lockstep
+	// search, and its record must say what the single-key path says of it.
+	telemetry.Flight.SetSampleEvery(4)
 	before = telemetry.Flight.Recorded()
 	ks := make([]keys.Value, 64)
+	at := map[keys.Value]int{}
 	for i := range ks {
 		ks[i] = randomKey(rng, 32)
+		at[ks[i]] = i
 	}
 	e.LookupBatch(ks, nil)
-	if telemetry.Flight.Recorded() != before+64 {
-		t.Fatalf("batch recorded %d, want 64", telemetry.Flight.Recorded()-before)
+	if got := telemetry.Flight.Recorded() - before; got != 16 {
+		t.Fatalf("batch recorded %d, want 16 (64 keys at stride 4)", got)
 	}
-	if rec := telemetry.Flight.Recent(1)[0]; !rec.Batch {
-		t.Fatal("batch lookup committed a record without the Batch tag")
+	recs := telemetry.Flight.Recent(16)
+	telemetry.Flight.SetSampleEvery(0)
+	perBlock := map[int]int{}
+	for _, rec := range recs {
+		k := keys.FromParts(rec.KeyHi, rec.KeyLo)
+		i, ok := at[k]
+		if !ok || !rec.Batch {
+			t.Fatalf("record %+v: not a Batch record of this batch's keys", rec)
+		}
+		perBlock[i/rqrmi.Block]++
+		tr := e.LookupMem(k, cachesim.Null{})
+		if int(rec.Probes) != tr.SRAMProbes || int(rec.ErrBound) != tr.Prediction.Err ||
+			rec.Action != tr.Action || rec.Matched != tr.Matched {
+			t.Fatalf("batch record of %v (probes %d, bound %d, action %d, matched %v) disagrees with its single-key trace %+v",
+				k, rec.Probes, rec.ErrBound, rec.Action, rec.Matched, tr)
+		}
+	}
+	for b := 0; b < len(ks)/rqrmi.Block; b++ {
+		if perBlock[b] < 2 {
+			t.Fatalf("block %d has %d sampled keys, want at least 2", b, perBlock[b])
+		}
 	}
 }
 

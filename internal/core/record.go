@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 
@@ -159,9 +160,12 @@ func (v view) search(k keys.Value) (j, comparisons int) {
 // answer resolves key within bucket b, scan and answer in one routine — every
 // lookup's tail. It loads word 0 first: the line the scan is about to read,
 // and the word that holds the matched bits; follows the spill bit on a branch
-// that is all but never taken; then runs the same in-order hardware scan as
-// bucket.Directory.Search (identical position and comparison count) over the
-// record's own bounds, and answers from the record it scanned.
+// that is all but never taken; then takes what the in-order hardware scan of
+// bucket.Directory.Search arrives at without that scan's exit branch, which
+// falls somewhere else in every bucket: the bounds are sorted, so the scan's
+// position j is the number of bounds ≤ key — one borrow each, bits.Sub64 — and
+// its comparison count is j+1, the bound that stopped it included, or n−1 when
+// none did. It answers from the record it scanned.
 //
 // Writers store a range's action before they set its matched bit and store
 // action words whole, and a record a later one has superseded is never written
@@ -181,29 +185,25 @@ func (r *records) answer(b int, key keys.Value) (j, comparisons int, action uint
 		if key.Hi != 0 {
 			kk = ^uint64(0) // out-of-domain key: above every ≤ 64-bit bound
 		}
-		for i := 1; i < n; i++ {
-			comparisons++
-			if kk < bounds[i] {
-				break
-			}
-			j = i
+		for _, bound := range bounds[1:n] {
+			_, below := bits.Sub64(kk, bound, 0)
+			j += 1 - int(below)
 		}
 	} else {
 		for i := 1; i < n; i++ {
-			comparisons++
-			if key.Less(keys.Value{Hi: bounds[2*i], Lo: bounds[2*i+1]}) {
-				break
-			}
-			j = i
+			_, below := bits.Sub64(key.Lo, bounds[2*i+1], 0)
+			_, below = bits.Sub64(key.Hi, bounds[2*i], below)
+			j += 1 - int(below)
 		}
 	}
+	comparisons = min(j+1, n-1)
 	if j >= 64 {
 		w0 = atomic.LoadUint64(&rec[j>>6])
 	}
-	if w0>>(uint(j)&63)&1 == 0 {
-		return j, comparisons, 0, false, spilled
-	}
-	return j, comparisons, atomic.LoadUint64(&rec[l.act+j]), true, spilled
+	// Matched, then action — loaded whether or not the bit is set, so that a
+	// miss costs what a hit does — and the action kept only under the bit.
+	bit := w0 >> (uint(j) & 63) & 1
+	return j, comparisons, atomic.LoadUint64(&rec[l.act+j]) & -bit, bit != 0, spilled
 }
 
 // open loads bucket b's word 0 and follows its spill bit, if set. A bucket

@@ -152,6 +152,24 @@ func TestRecordConsistency(t *testing.T) {
 									t.Fatalf("step %v range %d: Array.Action (%d,%v), trie %+v", step, w.base+j, got, ok, want)
 								}
 							}
+							// answer's count of bounds is the in-order scan's
+							// position and comparison count, on the boundary, a
+							// key past it and the last key before the next.
+							for _, key := range []keys.Value{low, low.Inc(), high} {
+								if k == 0 || key.Less(low) || high.Less(key) {
+									continue
+								}
+								gotJ, gotCmp, _, _, _ := e.rec.answer(b, key)
+								wantJ, wantCmp := w.search(key)
+								if !w.spilled {
+									wantJ, wantCmp = e.dir.Search(b, key)
+									wantJ -= w.base
+								}
+								if wantJ != j || gotJ != wantJ || gotCmp != wantCmp {
+									t.Fatalf("step %v bucket %d range %d key %v: answer scans to (%d,%d), the in-order scan to (%d,%d)",
+										step, b, j, key, gotJ, gotCmp, wantJ, wantCmp)
+								}
+							}
 							for _, key := range []keys.Value{low, high} { // scan + resolve, both ends of the range
 								for arm, lookup := range arms {
 									if !allArms && arm > 0 {

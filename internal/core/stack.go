@@ -110,22 +110,22 @@ func (e *Engine) LookupBatchStack(st plane.StackConfig, ks []keys.Value, out []B
 		out = make([]BatchResult, len(ks))
 	}
 	out = out[:len(ks)]
-	e.runBatch(st.Inference, ks, mem, func(i int, r BatchResult) { out[i] = r })
+	e.runBatch(st.Inference, ks, mem, out)
 	return out
 }
 
 // runBatch is the inference plane of the batch stack — compiled or quantized
 // pipelined blocks, or per-key reference arithmetic — driving the shared
-// instrumented tail and delivering ks[i]'s answer through emit(i, result).
-func (e *Engine) runBatch(inf plane.Inference, ks []keys.Value, mem cachesim.Mem, emit func(i int, r BatchResult)) {
+// instrumented tail: out[i] answers ks[i].
+func (e *Engine) runBatch(inf plane.Inference, ks []keys.Value, mem cachesim.Mem, out []BatchResult) {
 	if inf == plane.Reference {
 		for i, k := range ks {
 			tr := e.lookupReference(k, mem, nil)
-			emit(i, BatchResult{Action: tr.Action, Matched: tr.Matched})
+			out[i] = BatchResult{Action: tr.Action, Matched: tr.Matched}
 		}
 		return
 	}
-	e.finishBatch(inf, ks, mem, emit)
+	e.finishBatch(inf, ks, mem, out)
 }
 
 // missScratch carries one batch's miss gather buffers; pooled so concurrent
@@ -133,6 +133,7 @@ func (e *Engine) runBatch(inf plane.Inference, ks []keys.Value, mem cachesim.Mem
 type missScratch struct {
 	idx  []int32
 	keys []keys.Value
+	res  []BatchResult // the misses' answers, by position in keys
 }
 
 var missScratchPool = sync.Pool{New: func() any { return new(missScratch) }}
@@ -159,16 +160,17 @@ func (e *Engine) lookupBatchCachedStack(inf plane.Inference, ks []keys.Value, ou
 	if len(miss) > 0 {
 		if cap(sc.keys) < len(miss) {
 			sc.keys = make([]keys.Value, len(miss))
+			sc.res = make([]BatchResult, len(miss))
 		}
-		mk := sc.keys[:len(miss)]
+		mk, mr := sc.keys[:len(miss)], sc.res[:len(miss)]
 		for j, i := range miss {
 			mk[j] = ks[i]
 		}
-		e.runBatch(inf, mk, mem, func(j int, r BatchResult) {
+		e.runBatch(inf, mk, mem, mr)
+		for j, r := range mr {
 			out[miss[j]] = r
 			c.Put(mk[j], epoch, r.Action, r.Matched)
-		})
-		sc.keys = mk
+		}
 	}
 	sc.idx = miss
 	missScratchPool.Put(sc)

@@ -15,8 +15,16 @@ package keys
 //	SearchLows64  — a flat []uint64 (compiled plane, width ≤ 64, where the
 //	                high limb of every bound is zero).
 //
+// The two flat variants take no data-dependent branch inside a probe: whether
+// k is below the probed bound is the borrow of k − bound (bits.Sub64, chained
+// over both limbs for SearchLows), and that borrow, spread to a mask, selects
+// the next lo and hi. A probe's outcome is a coin flip, which a predictor
+// loses half the time; the mask costs the same every time.
+//
 // TestSearchVariantsAgree asserts the three return identical (idx, probes)
 // on random inputs, so the specializations cannot diverge silently.
+
+import "math/bits"
 
 // BoundedSearch returns the greatest i in [lo, hi] with low(i) ≤ k, assuming
 // such an i exists (callers clamp [lo, hi] so low(lo) ≤ k), plus the number
@@ -40,12 +48,12 @@ func SearchLows(lows []Value, k Value, lo, hi int) (idx, probes int) {
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		probes++
-		m := lows[mid]
-		if k.Hi < m.Hi || (k.Hi == m.Hi && k.Lo < m.Lo) {
-			hi = mid - 1
-		} else {
-			lo = mid
-		}
+		b := lows[mid]
+		_, below := bits.Sub64(k.Lo, b.Lo, 0)
+		_, below = bits.Sub64(k.Hi, b.Hi, below)
+		m := -int(below) // all ones: k is below the bound
+		hi ^= (hi ^ (mid - 1)) & m
+		lo ^= (lo ^ mid) &^ m
 	}
 	return lo, probes
 }
@@ -56,11 +64,10 @@ func SearchLows64(lows []uint64, k uint64, lo, hi int) (idx, probes int) {
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		probes++
-		if k < lows[mid] {
-			hi = mid - 1
-		} else {
-			lo = mid
-		}
+		_, below := bits.Sub64(k, lows[mid], 0)
+		m := -int(below) // all ones: k is below the bound
+		hi ^= (hi ^ (mid - 1)) & m
+		lo ^= (lo ^ mid) &^ m
 	}
 	return lo, probes
 }

@@ -1,8 +1,13 @@
-package keys
+package keys_test
 
 import (
 	"math/rand"
 	"testing"
+
+	// An external test package, dot-importing the one under test: the block
+	// arm drives rqrmi's SearchBlock, and rqrmi imports keys.
+	. "neurolpm/internal/keys"
+	"neurolpm/internal/rqrmi"
 )
 
 // linearFloor is the oracle: greatest i in [lo, hi] with lows[i] ≤ k,
@@ -38,9 +43,17 @@ func sortedValues(rng *rand.Rand, n int, wide bool) []Value {
 	return out
 }
 
+// flatIndex is a sorted bounds slice as the learned index rqrmi compiles.
+type flatIndex []Value
+
+func (f flatIndex) Len() int        { return len(f) }
+func (f flatIndex) Low(i int) Value { return f[i] }
+
 // TestSearchVariantsAgree pins the three specializations of the canonical
 // bounded-search loop to each other and to a linear-scan oracle: identical
-// indices and identical probe counts on every input.
+// indices and identical probe counts on every input. The block arm holds the
+// lockstep form of the loop (rqrmi's SearchBlock, over the same bounds on the
+// one- or two-limb plane) to the same pair, on windows of its own choosing.
 func TestSearchVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, wide := range []bool{false, true} {
@@ -82,6 +95,72 @@ func TestSearchVariantsAgree(t *testing.T) {
 				if uIdx != gotIdx || uProbes != gotProbes {
 					t.Fatalf("SearchLows64 diverged: (%d,%d) vs (%d,%d)", uIdx, uProbes, gotIdx, gotProbes)
 				}
+			}
+		}
+		blockSearchAgrees(t, rng, lows, wide)
+	}
+}
+
+// blockSearchAgrees drives SearchBlock with blocks of 1, 15 and 16 keys whose
+// windows are handed to it as predictions: single-entry windows (lo == hi),
+// windows clamped at 0 and at n−1, keys below every bound of their window
+// (the loop's precondition broken: both forms must still walk alike), and,
+// on the one-limb plane, keys with a high limb.
+func blockSearchAgrees(t *testing.T, rng *rand.Rand, lows []Value, wide bool) {
+	width := 64
+	if wide {
+		width = 128
+	}
+	m, _, err := rqrmi.Train(flatIndex(lows), width, rqrmi.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := rqrmi.Compile(m, flatIndex(lows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(lows)
+	var (
+		ks          [rqrmi.Block]Value
+		ps          [rqrmi.Block]rqrmi.Prediction
+		idx, probes [rqrmi.Block]int
+	)
+	for trial := 0; trial < 3000; trial++ {
+		size := []int{1, rqrmi.Block - 1, rqrmi.Block}[trial%3]
+		for i := 0; i < size; i++ {
+			p := rqrmi.Prediction{Index: rng.Intn(n), Err: rng.Intn(40)}
+			switch rng.Intn(6) {
+			case 0:
+				p.Err = 0
+			case 1:
+				p.Index, p.Err = rng.Intn(5), 5+rng.Intn(n) // clamped at 0, maybe at both ends
+			case 2:
+				p.Index, p.Err = n-1-rng.Intn(5), 5+rng.Intn(40) // clamped at n−1
+			}
+			lo, hi := max(p.Index-p.Err, 0), min(p.Index+p.Err, n-1)
+			k := lows[lo+rng.Intn(hi-lo+1)].AddUint64(uint64(rng.Intn(3)))
+			switch rng.Intn(8) {
+			case 0:
+				k = lows[rng.Intn(lo+1)] // at or below the window's first bound
+				if lo > 0 && rng.Intn(2) == 0 {
+					k = lows[lo].Dec()
+				}
+			case 1:
+				k = Value{Hi: 1 + rng.Uint64()>>32, Lo: rng.Uint64()} // a high limb, also on the one-limb plane
+			}
+			ks[i], ps[i] = k, p
+		}
+		c.SearchBlock(ks[:size], ps[:size], idx[:size], probes[:size])
+		for i := 0; i < size; i++ {
+			lo, hi := max(ps[i].Index-ps[i].Err, 0), min(ps[i].Index+ps[i].Err, n-1)
+			wantIdx, wantProbes := SearchLows(lows, ks[i], lo, hi)
+			if idx[i] != wantIdx || probes[i] != wantProbes {
+				t.Fatalf("wide=%v block of %d, key %d (%v in [%d,%d]): SearchBlock (%d,%d), SearchLows (%d,%d)",
+					wide, size, i, ks[i], lo, hi, idx[i], probes[i], wantIdx, wantProbes)
+			}
+			if sIdx, sProbes := c.Search(ks[i], ps[i]); sIdx != wantIdx || sProbes != wantProbes {
+				t.Fatalf("wide=%v Search(%v in [%d,%d]) = (%d,%d), SearchLows (%d,%d)",
+					wide, ks[i], lo, hi, sIdx, sProbes, wantIdx, wantProbes)
 			}
 		}
 	}

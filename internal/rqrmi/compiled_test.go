@@ -90,7 +90,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	m, c := compileFor(t, ix, 32)
 	ks := probeKeys(rng, ix, 32, 1000)
 	// Exercise ragged tails: every batch length from 0 to a few blocks.
-	for n := 0; n <= 3*predictBlock+1 && n <= len(ks); n++ {
+	for n := 0; n <= 3*Block+1 && n <= len(ks); n++ {
 		out := make([]Prediction, n)
 		c.PredictBatch(ks[:n], out)
 		for i := 0; i < n; i++ {
@@ -174,5 +174,66 @@ func TestCompileRejectsMismatch(t *testing.T) {
 	bad := &Model{} // structurally invalid
 	if _, err := Compile(bad, ix); err == nil {
 		t.Fatal("Compile accepted an invalid model")
+	}
+}
+
+// TestEvalSelectsTheReferenceSegment holds eval's branch-free segment select
+// to LUT.Eval's scan on hand-built blocks, at the inputs where an integer
+// compare of float bit patterns could part from the float compare, and checks
+// the knot precondition it rests on is Compile's to enforce.
+func TestEvalSelectsTheReferenceSegment(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	segs := func(n int) (a, b []float32) { // distinct per segment, so a wrong select shows
+		for i := 0; i < n; i++ {
+			a, b = append(a, float32(i+1)), append(b, float32(10*i))
+		}
+		return a, b
+	}
+	ix := uniformIndex(32, 16)
+	compile := func(knots ...float32) (*LUT, *Compiled, error) {
+		a, b := segs(len(knots) + 1)
+		m := &Model{Width: 32, N: ix.Len(), Stages: [][]LUT{{{Knots: knots, A: a, B: b}}}}
+		c, err := Compile(m, ix)
+		return &m.Stages[0][0], c, err
+	}
+	maxU := float32(1)
+	for _, tc := range []struct {
+		name  string
+		knots []float32
+	}{
+		{"all-pad", nil},
+		{"one", []float32{0.5}},
+		{"full", []float32{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}},
+		{"repeated", []float32{0.25, 0.25, 0.25, 0.5, 0.5, 0.75}},
+		{"zero-and-top", []float32{0, 0, math.SmallestNonzeroFloat32, 1, 1}},
+		{"negative-zero", []float32{negZero, 0.5}},
+		{"infinite", []float32{0.5, float32(math.Inf(1))}},
+	} {
+		l, c, err := compile(tc.knots...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		us := []float32{0, math.SmallestNonzeroFloat32, 0.5, maxU, math.Nextafter32(maxU, 0), 4}
+		for _, kn := range tc.knots {
+			if !math.IsInf(float64(kn), 0) {
+				us = append(us, kn, math.Nextafter32(kn, 2), math.Nextafter32(kn, -1))
+			}
+		}
+		for _, u := range us {
+			if u < 0 {
+				continue // never an input: unit() maps keys to [0, 1]
+			}
+			if got, want := c.eval(0, u), l.Eval(u); got != want {
+				t.Fatalf("%s: eval(%v) = %v, LUT.Eval %v", tc.name, u, got, want)
+			}
+		}
+	}
+	if _, c, _ := compile(negZero, 0.5); math.Float32bits(c.bank[offKnots]) != 0 {
+		t.Fatalf("a −0 knot was stored as %#x, want +0", math.Float32bits(c.bank[offKnots]))
+	}
+	for name, kn := range map[string]float32{"negative": -0.25, "NaN": float32(math.NaN())} {
+		if _, _, err := compile(kn); err == nil {
+			t.Fatalf("Compile accepted a %s knot", name)
+		}
 	}
 }

@@ -75,6 +75,38 @@ func getFuzzPlanes(t testing.TB) []fuzzPlane {
 	return fuzzPlanes
 }
 
+// inDomain maps the fuzzer's two words to a key of p's width.
+func (p *fuzzPlane) inDomain(hi, lo uint64) keys.Value {
+	switch {
+	case p.width > 64:
+		return keys.FromParts(hi, lo)
+	case p.width == 64:
+		return keys.FromUint64(lo)
+	}
+	return keys.FromUint64(lo & (1<<uint(p.width) - 1))
+}
+
+// searchBlockMatches holds the lockstep SearchBlock of pl (p's compiled or
+// quantized plane) to its single-key Search over a block grown from the fuzz
+// input — the key, its complement, its halves swapped and its neighbour, so
+// the block's windows differ in width and place — predicted by pl itself.
+func (p *fuzzPlane) searchBlockMatches(t *testing.T, hi, lo uint64, pl interface {
+	PredictBatch([]keys.Value, []Prediction)
+	Search(keys.Value, Prediction) (int, int)
+	SearchBlock([]keys.Value, []Prediction, []int, []int)
+}) {
+	ks := []keys.Value{p.inDomain(hi, lo), p.inDomain(^hi, ^lo), p.inDomain(lo, hi), p.inDomain(hi, lo+1)}
+	var ps [4]Prediction
+	var idx, probes [4]int
+	pl.PredictBatch(ks, ps[:])
+	pl.SearchBlock(ks, ps[:], idx[:], probes[:])
+	for i, k := range ks {
+		if wi, wp := pl.Search(k, ps[i]); idx[i] != wi || probes[i] != wp {
+			t.Fatalf("width %d SearchBlock[%d](%v) = (%d,%d), Search (%d,%d)", p.width, i, k, idx[i], probes[i], wi, wp)
+		}
+	}
+}
+
 // FuzzCompiledVsModel is the compiled plane's bit-identity enforcement
 // (CLAUDE.md): for arbitrary keys, Compiled.Predict/Search/Lookup must equal
 // Model.Predict/Search/Lookup exactly — index, error bound, submodel, and
@@ -88,13 +120,7 @@ func FuzzCompiledVsModel(f *testing.F) {
 	f.Add(uint64(0), uint64(0xdeadbeef))
 	f.Fuzz(func(t *testing.T, hi, lo uint64) {
 		for _, p := range getFuzzPlanes(t) {
-			k := keys.FromParts(hi, lo)
-			if p.width <= 64 {
-				k = keys.FromUint64(lo)
-				if p.width < 64 {
-					k = keys.FromUint64(lo & (1<<uint(p.width) - 1))
-				}
-			}
+			k := p.inDomain(hi, lo)
 			pm := p.m.Predict(k)
 			pc := p.c.Predict(k)
 			if pm != pc {
@@ -111,6 +137,7 @@ func FuzzCompiledVsModel(f *testing.F) {
 			if one[0] != pm {
 				t.Fatalf("width %d PredictBatch(%v) = %+v, want %+v", p.width, k, one[0], pm)
 			}
+			p.searchBlockMatches(t, hi, lo, p.c)
 		}
 	})
 }
@@ -131,13 +158,7 @@ func FuzzQuantizedVsModel(f *testing.F) {
 	f.Add(uint64(0), uint64(0xdeadbeef))
 	f.Fuzz(func(t *testing.T, hi, lo uint64) {
 		for _, p := range getFuzzPlanes(t) {
-			k := keys.FromParts(hi, lo)
-			if p.width <= 64 {
-				k = keys.FromUint64(lo)
-				if p.width < 64 {
-					k = keys.FromUint64(lo & (1<<uint(p.width) - 1))
-				}
-			}
+			k := p.inDomain(hi, lo)
 			truth := Find(p.ix, k)
 			pq := p.q.Predict(k)
 			if d := pq.Index - truth; d > pq.Err || -d > pq.Err {
@@ -159,6 +180,7 @@ func FuzzQuantizedVsModel(f *testing.F) {
 			if one[0] != pq {
 				t.Fatalf("width %d PredictBatch(%v) = %+v, want %+v", p.width, k, one[0], pq)
 			}
+			p.searchBlockMatches(t, hi, lo, p.q)
 		}
 	})
 }

@@ -344,8 +344,8 @@ func (q *Quantized) unit(k keys.Value) int32 {
 // (over int16 knots and u's top 15 bits), then the shift-add MAC. The select
 // is branchless — knots are sorted (quantization rounds monotonically, pads
 // are knotMax), so the first knot ≥ uh equals the count of knots < uh, and
-// eight sign-bit adds replace the float plane's data-dependent branch per
-// knot. All shifts are arithmetic, so alignment floors toward −∞
+// eight sign-bit adds replace a scan's data-dependent exit — the form
+// Compiled.eval has too, on float bit patterns. All shifts are arithmetic, so alignment floors toward −∞
 // consistently and the per-segment map stays monotone — the property the
 // bound analysis relies on.
 func (q *Quantized) eval(st *qStage, id int, u int32) int32 {
@@ -399,19 +399,16 @@ func (q *Quantized) Predict(k keys.Value) Prediction {
 }
 
 // PredictBatch runs inference for each key, writing out[i] = Predict(ks[i]).
-// Same software pipelining as Compiled.PredictBatch: blocks of predictBlock
+// Same software pipelining as Compiled.PredictBatch: blocks of Block
 // keys advance stage-by-stage so the independent coefficient loads overlap.
 // out must have at least len(ks) entries.
 func (q *Quantized) PredictBatch(ks []keys.Value, out []Prediction) {
 	_ = out[:len(ks)]
 	last := len(q.stages) - 1
-	var us [predictBlock]int32
-	var cur [predictBlock]int32
-	for start := 0; start < len(ks); start += predictBlock {
-		n := len(ks) - start
-		if n > predictBlock {
-			n = predictBlock
-		}
+	var us [Block]int32
+	var cur [Block]int32
+	for start := 0; start < len(ks); start += Block {
+		n := min(len(ks)-start, Block)
 		blk := ks[start : start+n]
 		ub, cb := us[:n], cur[:n]
 		for i := range ub {

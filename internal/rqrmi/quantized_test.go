@@ -121,7 +121,7 @@ func TestQuantizedBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, p := range quantPlanes(t, []int{32, 128}) {
 		dom := keys.NewDomain(p.width)
-		for _, n := range []int{1, predictBlock - 1, predictBlock, predictBlock + 1, 3*predictBlock + 5} {
+		for _, n := range []int{1, Block - 1, Block, Block + 1, 3*Block + 5} {
 			ks := make([]keys.Value, n)
 			for i := range ks {
 				ks[i] = keys.FromParts(rng.Uint64(), rng.Uint64()).And(dom.Max())
