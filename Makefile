@@ -5,7 +5,7 @@
 GO ?= go
 
 .PHONY: build vet deleted-names test race race-all race-cores fuzz bench bench-smoke bench-batch \
-	telemetry-overhead bench-module bench-serve-smoke churn smoke slo faults loadtest canary ci
+	telemetry-overhead bench-module bench-serve-smoke churn smoke slo loadtest canary ci
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,10 @@ vet:
 # spent one or for a commit in flight. There is no tier simulation and no
 # result-cache plane (DESIGN.md §12, §16): no tier store or rebalance, no cold
 # read, no cache epoch, no cache switch or probe stage, and none of their
-# series. Each alternative carries a one-character class so these lines do not
+# series. An acknowledged insert is in the engine (DESIGN.md §11): no delta
+# buffer or overlay read, no background committer, health states or stale
+# budget, no backpressure answer, no pending count on the wire, and no E24
+# storm. Each alternative carries a one-character class so these lines do not
 # find themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier' \
@@ -31,10 +34,13 @@ deleted-names:
 	@! grep -rnE 'Learning[R]ate|Max[R]ounds|draw[S]amples|train[P]arams|neurolpm_train_(loss[_]nano|retrain[_]rounds|stragglers)|(-|")(epoch[s]|sample[s]|target[e]rr)\b' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
-	@! grep -rnE 'spill[C]hunk|chunk[O]f|max[S]lots|spill[N]Bits|spill[A]rea|refused(Spill[E]xhausted|Commit[I]nFlight)|neurolpm_insert_buffered_(spill[_]exhausted|commit[_]in_flight)' \
+	@! grep -rnE 'spill[C]hunk|chunk[O]f|max[S]lots|spill[N]Bits|spill[A]rea|refused(Spill[E]xhausted|Commit[I]nFlight)|neurolpm_insert_buffered[_](spill[_]exhausted|commit[_]in_flight)' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 	@! grep -rnE 'internal/[t]ier|Rebalance[T]ier|Tier[S]tore|Cold[R]ead|neurolpm_[t]ier_|neurolpm_[l]cache_|Enable[C]ache|Cache[E]poch|UseResult[C]ache|cache[-]bytes|Stage[P]robe' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'delta[B]uffer|lookup[O]verlay|Pending[I]nserts|pending[_]inserts|StartAuto[C]ommit|commit[L]oop|ErrDelta[F]ull|SiteDelta[F]ull|delta[_]full|Err[B]ackpressure|Update[P]ending|LastCommit[E]rr|Stale[B]udget|stale[-]budget|auto[c]ommit|neurolpm_insert_buffered[_]|neurolpm_shard[_]health|Fault[S]torm' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
@@ -57,8 +63,8 @@ race-cores:
 # Each differential fuzz target on a short budget. FuzzStackVsOracle is the
 # parameterized lookup-plane matrix target (DESIGN.md §14): one harness
 # covering {single, 1/2/4/8 shards} × {compiled, reference, quantized} plus
-# update interleavings and injected commit failures, so it gets four times the
-# others' budget.
+# update interleavings and injected absorb refusals and rebuild failures, so it
+# gets four times the others' budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseRule -fuzztime $(FUZZTIME) ./internal/lpm
@@ -122,11 +128,6 @@ smoke:
 # quantile fidelity, drift and hotness sanity (DESIGN.md §13).
 slo:
 	$(GO) run ./cmd/lpmbench -exp observe
-
-# The E24 retrain-failure storm: lookup latency + correctness while every
-# background commit fails, then exactly-once recovery (DESIGN.md §11).
-faults:
-	$(GO) run ./cmd/lpmbench -exp faults
 
 # The lpmload CI smoke (DESIGN.md §17): a 2s open-loop wire run with a live
 # update stream against an in-process WireServer must send and get an answer to

@@ -192,13 +192,6 @@ var registry = []experiment{
 		}
 		return experiments.ShardedThroughputTable(r), nil
 	}},
-	{"faults", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.FaultStorm(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.FaultsTable(r), nil
-	}},
 	{"observe", func(sc experiments.Scale) (*experiments.Table, error) {
 		r, err := experiments.Observe(sc)
 		if err != nil {

@@ -7,8 +7,8 @@
 // Usage:
 //
 //	lpmserve -rules rules.txt -width 32 [-bucket 8] [-addr :8080]
-//	         [-shards N] [-autocommit 100ms] [-stale-budget 30s] [-drain 10s]
-//	         [-flight-sample N] [-wire-addr :9090] [-verify]
+//	         [-shards N] [-drain 10s] [-flight-sample N] [-wire-addr :9090]
+//	         [-verify]
 //
 // -wire-addr additionally serves the binary wire protocol (DESIGN.md §17)
 // on a second listener: length-prefixed frames over persistent TCP, no JSON
@@ -26,19 +26,18 @@
 // sub-engines (the paper's §6 bank-parallel pipeline); /batch groups a whole
 // key batch by shard and answers it on the request's goroutine. At every shard
 // count, the default of one included, POST /update and wire updates land in
-// the covered shards — absorbed by the live engine, or buffered in its delta
-// buffer for the background committer to fold into a retrained engine —
+// the covered shards — absorbed by the live engine, or, when the engine
+// refuses, retrained into a rebuilt one before the update is acknowledged —
 // without blocking readers.
 //
 // Endpoints:
 //
 //	GET /lookup?key=10.1.2.3     one query (JSON)
 //	GET /batch?keys=a,b,c        many queries, one round-trip (also POST JSON)
-//	POST /update                 one rule update (429 = back off)
+//	POST /update                 one rule update (200 = in the engine)
 //	GET /trace?key=10.1.2.3      one fully-annotated query span (JSON)
 //	GET /metrics                 Prometheus text format
-//	GET /healthz                 engine summary + per-shard health; 503 once a
-//	                             shard has been failing past -stale-budget
+//	GET /healthz                 liveness + engine summary (200 while up)
 //	GET /slo                     windowed tail-latency quantiles + per-shard
 //	                             drift/hotness (lpmtop's poll target)
 //	GET /debug/flightrec         the sampled flight-record ring (?n=)
@@ -81,15 +80,13 @@ type options struct {
 	addr         string
 	verify       bool
 	shards       int
-	autocommit   time.Duration
-	staleBudget  time.Duration
 	drain        time.Duration
 	flightSample uint64
 	wireAddr     string
 }
 
 // registerFlags declares lpmserve's whole command line on fs.
-// TestFlagsAreTheElevenDocumented holds the usage block above and every
+// TestFlagsAreTheNineDocumented holds the usage block above and every
 // `lpmserve -x` spelled in the docs to this set.
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{}
@@ -99,8 +96,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
 	fs.BoolVar(&o.verify, "verify", false, "verify every shard against the trie oracle before serving")
 	fs.IntVar(&o.shards, "shards", 1, "partition the rule-set into this many sub-engines (power of two)")
-	fs.DurationVar(&o.autocommit, "autocommit", 100*time.Millisecond, "background commit interval for dirty shards (0 = never: inserts stay in the delta buffers)")
-	fs.DurationVar(&o.staleBudget, "stale-budget", shard.DefaultStaleBudget, "how long a shard may keep failing commits before /healthz reports it stale (503)")
 	fs.DurationVar(&o.drain, "drain", serve.DefaultDrainTimeout, "how long to let in-flight requests finish on SIGINT/SIGTERM")
 	fs.Uint64Var(&o.flightSample, "flight-sample", telemetry.DefaultSampleEvery, "flight-recorder sampling rate: time 1 in N queries through the stage stack (rounded to a power of two; 0 = off)")
 	fs.StringVar(&o.wireAddr, "wire-addr", "", "also serve the binary wire protocol on this address (DESIGN.md §17; empty = HTTP only)")
@@ -124,7 +119,7 @@ func main() {
 	}
 
 	cfg := core.Config{BucketSize: o.bucket, Model: rqrmi.DefaultConfig()}
-	srv, sh := buildSharded(rs, cfg, o.shards, o.autocommit, o.staleBudget, o.verify)
+	srv := buildSharded(rs, cfg, o.shards, o.verify)
 	telemetry.Flight.SetSampleEvery(o.flightSample)
 	srv.SetInfo("rules", fmt.Sprint(rs.Len()))
 	srv.SetInfo("width", fmt.Sprint(rs.Width))
@@ -150,16 +145,12 @@ func main() {
 	if err := serve.ServeUnits(stop, o.drain, units...); err != nil {
 		fatal("%v", err)
 	}
-	// A shard that never managed to commit its pending updates is an
-	// operator-visible failure, not a silent shutdown.
-	if err := sh.Close(); err != nil {
-		fatal("%v", err)
-	}
 	fmt.Fprintln(os.Stderr, "lpmserve: drained, shutting down")
 }
 
-// buildSharded partitions the rule-set and starts the background committer.
-func buildSharded(rs *lpm.RuleSet, cfg core.Config, nShards int, autocommit, staleBudget time.Duration, verify bool) (*serve.Server, *shard.ShardedUpdatable) {
+// buildSharded partitions the rule-set, trains a shard per part and wraps the
+// result in a server.
+func buildSharded(rs *lpm.RuleSet, cfg core.Config, nShards int, verify bool) *serve.Server {
 	start := time.Now()
 	sh, err := shard.BuildUpdatable(rs, cfg, nShards, 0)
 	if err != nil {
@@ -173,14 +164,8 @@ func buildSharded(rs *lpm.RuleSet, cfg core.Config, nShards int, autocommit, sta
 		}
 		fmt.Fprintln(os.Stderr, "lpmserve: all shards verified against the trie oracle")
 	}
-	sh.SetStaleBudget(staleBudget)
-	if autocommit > 0 {
-		sh.StartAutoCommit(autocommit, 0)
-		fmt.Fprintf(os.Stderr, "lpmserve: background commit every %v (stale budget %v)\n",
-			autocommit, sh.StaleBudget())
-	}
 	fmt.Fprintf(os.Stderr, "lpmserve: serving %d-bit LPM over %d shards\n", rs.Width, nShards)
-	return serve.NewSharded(sh, telemetry.Default), sh
+	return serve.NewSharded(sh, telemetry.Default)
 }
 
 func fatal(format string, args ...any) {

@@ -48,11 +48,11 @@ func citedFlags(text string) []string {
 	return out
 }
 
-// TestFlagsAreTheElevenDocumented: registerFlags is the only list of lpmserve's
+// TestFlagsAreTheNineDocumented: registerFlags is the only list of lpmserve's
 // flags. The usage block of the package comment names exactly that set, and
 // every `lpmserve -x` a doc, the Makefile, CI or the verify skill spells is in
 // it — a deleted flag fails here until the docs stop recommending it.
-func TestFlagsAreTheElevenDocumented(t *testing.T) {
+func TestFlagsAreTheNineDocumented(t *testing.T) {
 	fs := flag.NewFlagSet("lpmserve", flag.ContinueOnError)
 	registerFlags(fs)
 	registered := map[string]bool{}
@@ -61,8 +61,8 @@ func TestFlagsAreTheElevenDocumented(t *testing.T) {
 		registered[f.Name] = true
 		names = append(names, f.Name)
 	})
-	if len(names) != 11 {
-		t.Errorf("lpmserve registers %d flags, want 11: %v", len(names), names)
+	if len(names) != 9 {
+		t.Errorf("lpmserve registers %d flags, want 9: %v", len(names), names)
 	}
 
 	src := readRepoFile(t, "cmd/lpmserve/main.go")

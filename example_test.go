@@ -67,8 +67,9 @@ func ExamplePrefixCover() {
 	// 0xc/8
 }
 
-// ExampleNewUpdatable demonstrates the §6.5 update flow: immediate
-// insertion through the delta buffer, then an atomic retraining commit.
+// ExampleNewUpdatable demonstrates the §6.5 update flow: an insertion in
+// the live engine, visible as Insert returns, then an atomic retraining
+// commit that folds any spilled bucket back into dense storage.
 func ExampleNewUpdatable() {
 	r, _ := neurolpm.IPv4Rule("10.0.0.0/8", 1)
 	rs, _ := neurolpm.NewRuleSet(32, []neurolpm.Rule{r})
@@ -76,13 +77,13 @@ func ExampleNewUpdatable() {
 	if err != nil {
 		panic(err)
 	}
-	u := neurolpm.NewUpdatable(engine, 0)
+	u := neurolpm.NewUpdatable(engine)
 
 	insert, _ := neurolpm.IPv4Rule("10.1.0.0/16", 2)
 	if err := u.Insert(insert); err != nil {
 		panic(err)
 	}
-	// Visible immediately, before any retraining.
+	// In the engine, and visible, as Insert returns.
 	port, _ := u.Lookup(neurolpm.IPv4Key(netip.MustParseAddr("10.1.2.3")))
 	fmt.Println("before commit:", port)
 
@@ -90,10 +91,10 @@ func ExampleNewUpdatable() {
 		panic(err)
 	}
 	port, _ = u.Lookup(neurolpm.IPv4Key(netip.MustParseAddr("10.1.2.3")))
-	fmt.Println("after commit:", port, "pending:", u.PendingInserts())
+	fmt.Println("after commit:", port, "spilled buckets:", u.Engine().SpilledBuckets())
 	// Output:
 	// before commit: 2
-	// after commit: 2 pending: 0
+	// after commit: 2 spilled buckets: 0
 }
 
 // ExampleIPv6Rule shows 128-bit keys: nothing changes but the width.

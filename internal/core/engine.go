@@ -39,9 +39,9 @@ type Config struct {
 	// rqrmi.DefaultConfig.
 	Model rqrmi.Config
 	// Fault, when non-nil, is consulted at the update-path injection
-	// sites (retrain, swap, delta-full — see internal/fault). The query
+	// sites (retrain, swap, absorb — see internal/fault). The query
 	// path never fires it; production builds leave it nil and pay one
-	// nil-check per commit/insert. The hook rides Config so engine
+	// nil-check per rebuild/insert. The hook rides Config so engine
 	// rebuilds (InsertBatch → Build) inherit it automatically.
 	Fault fault.Hook
 }
@@ -65,8 +65,8 @@ type Engine struct {
 	width int
 	rules *lpm.RuleSet
 	// dead is the tombstone bitset (bit i: rules.Rules[i] was deleted). No
-	// read path consults it, but writers may overlap (a background commit's
-	// InsertBatch beside a Delete), so its words are atomic.
+	// read path consults it, but an engine used without an Updatable may see
+	// writers overlap (an InsertBatch beside a Delete), so its words are atomic.
 	dead []atomic.Uint64
 	// absorbed are the rules Insert added to this engine after Build, rule
 	// index rules.Len()+i, found through absorbedAt; lens counts the rules,
@@ -340,8 +340,8 @@ func (e *Engine) LookupSpan(inf plane.Inference, k keys.Value, mem cachesim.Mem)
 }
 
 // lookup is the single-key arm of every caller that wants only the answer —
-// Lookup, LookupQuantized, LookupReference, the stacks and the Updatable's
-// overlay. One tick of the lookup counter serves three masters: the exact
+// Lookup, LookupQuantized, LookupReference, the stacks and the Updatable.
+// One tick of the lookup counter serves three masters: the exact
 // lookups_total count, the 1:sampleEvery distribution sampling and the
 // flight-recorder sampling decision. An unsampled tick runs the bare pipeline
 // — inference, bounded search, the bucket record's answer, the counters — with

@@ -164,35 +164,25 @@ func (e *Engine) owned(idx int, fn func(w wbucket, j int)) {
 	}
 }
 
-// ownerLen returns the prefix length of the longest live rule of this engine
-// matching k, or -1: the delta overlay's tie-break.
-func (e *Engine) ownerLen(k keys.Value) int {
-	w := e.bucketW(e.bucketOf(k))
-	if o := w.owner(w.find(k)); o != ranges.NoRule {
-		return e.rule(int(o)).Len
-	}
-	return -1
-}
-
 // SpilledBuckets returns how many buckets answer from a spill record: 0 on a
 // freshly built engine, and again after the commit that folds them back.
 func (e *Engine) SpilledBuckets() int { return int(e.rec.spilled.Load()) }
 
-// NotAbsorbed is Insert's refusal: nothing was stored, and the rule belongs
-// in the delta buffer until a commit rebuilds the engine around it. The value
-// is the reason, as neurolpm_insert_buffered_*_total spells it.
-type NotAbsorbed string
+// notAbsorbed is Insert's refusal: nothing was stored, and the rule needs a
+// rebuilt engine — Updatable.Insert retrains one around it. The value is the
+// reason.
+type notAbsorbed string
 
 const (
 	// The engine has no record an insert could grow: SRAM-only, or K too
 	// large for word 0 to spare the spill bit.
-	refusedEngineKind NotAbsorbed = "engine_kind"
+	refusedEngineKind notAbsorbed = "engine_kind"
 	// A bucket the rule would add a boundary to would pass maxSpillRanges (or
 	// fault.SiteAbsorb said so).
-	refusedBucketFull NotAbsorbed = "bucket_full"
+	refusedBucketFull notAbsorbed = "bucket_full"
 )
 
-func (n NotAbsorbed) Error() string { return "core: insert not absorbed: " + string(n) }
+func (n notAbsorbed) Error() string { return "core: insert not absorbed: " + string(n) }
 
 // Insert installs r in the published engine without retraining, when what it
 // changes stays inside buckets: the rule adds at most two range boundaries —
@@ -207,8 +197,9 @@ func (n NotAbsorbed) Error() string { return "core: insert not absorbed: " + str
 // it, never half of it. A rule spanning several buckets is published bucket
 // by bucket, like a Delete's re-own: the guarantee is per key.
 //
-// Insert refuses with a NotAbsorbed error before any visible store; any other
-// error (an invalid or already installed rule) is the caller's.
+// Insert refuses before any visible store when the rule needs a rebuilt
+// engine (Updatable.Insert then retrains); any other error (an invalid or
+// already installed rule) is the caller's.
 func (e *Engine) Insert(r lpm.Rule) error {
 	if err := r.Validate(e.width); err != nil {
 		return err

@@ -53,27 +53,27 @@ func freshRule(rs *lpm.RuleSet) lpm.Rule {
 }
 
 // TestMetamorphicInsertThenDeleteIsIdentity: inserting a rule and deleting
-// it again must leave the observable lookup function unchanged — both when
-// the rule is still in the delta buffer and after it was committed into the
-// engine (tombstone path).
+// it again must leave the observable lookup function unchanged — both right
+// after the insert retrained it into the SRAM-only engine and after a commit
+// rebuilt the engine once more (tombstone path either way).
 func TestMetamorphicInsertThenDeleteIsIdentity(t *testing.T) {
 	rs := randomRuleSet(t, sweepWidth, 40, 21)
 	eng, err := Build(rs, quickSRAMOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := NewUpdatable(eng, 0)
+	u := NewUpdatable(eng)
 	before := sweep(sweepWidth, matcherFunc(u.Lookup))
 	r := freshRule(rs)
 
-	// Delta path: insert + delete without a commit in between.
+	// Rebuild path: the refused insert retrains the engine, then delete.
 	if err := u.Insert(r); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Delete(r.Prefix, r.Len); err != nil {
 		t.Fatal(err)
 	}
-	diffSweeps(t, "delta insert+delete", sweep(sweepWidth, matcherFunc(u.Lookup)), before)
+	diffSweeps(t, "rebuilt insert+delete", sweep(sweepWidth, matcherFunc(u.Lookup)), before)
 
 	// Committed path: insert, commit (retrain), then tombstone-delete.
 	if err := u.Insert(r); err != nil {
@@ -97,7 +97,7 @@ func TestMetamorphicModifyActionWithoutRetrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := NewUpdatable(eng, 0)
+	u := NewUpdatable(eng)
 	target := rs.Rules[len(rs.Rules)/2]
 	const newAction = 777777
 
@@ -119,7 +119,7 @@ func TestMetamorphicModifyActionWithoutRetrain(t *testing.T) {
 	diffSweeps(t, "modify-action", sweep(sweepWidth, matcherFunc(u.Lookup)), sweep(sweepWidth, oracle))
 }
 
-// TestMetamorphicCommitEqualsFreshBuild: committing pending insertions must
+// TestMetamorphicCommitEqualsFreshBuild: committing after insertions must
 // yield the same lookup function as building a fresh engine over the merged
 // rule-set (and hence as the oracle).
 func TestMetamorphicCommitEqualsFreshBuild(t *testing.T) {
@@ -128,7 +128,7 @@ func TestMetamorphicCommitEqualsFreshBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := NewUpdatable(eng, 0)
+	u := NewUpdatable(eng)
 	extra := randomRuleSet(t, sweepWidth, 50, 77) // superset pool to draw news from
 	var added []lpm.Rule
 	for _, r := range extra.Rules {
@@ -149,9 +149,6 @@ func TestMetamorphicCommitEqualsFreshBuild(t *testing.T) {
 	}
 	if err := u.Commit(); err != nil {
 		t.Fatal(err)
-	}
-	if got := u.PendingInserts(); got != 0 {
-		t.Fatalf("pending after commit: %d", got)
 	}
 
 	merged, err := lpm.NewRuleSet(sweepWidth, append(append([]lpm.Rule(nil), rs.Rules...), added...))

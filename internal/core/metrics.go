@@ -39,18 +39,11 @@ var (
 	metSpillFetches = telemetry.Default.Counter("neurolpm_bucket_spill_fetches_total",
 		"Lookups that followed a spilled bucket's pointer to its heap record: dependent lines past paper §7's single access")
 	// The two paths of an insertion (DESIGN.md §11): absorbed into the live
-	// engine, or buffered in front of it until a commit — with the refusal
-	// reason as a series of its own.
+	// engine, or retrained into a rebuilt one before the insert returns.
 	metAbsorbed = telemetry.Default.Counter("neurolpm_insert_absorbed_total",
-		"Insertions absorbed by the live engine in place (no retrain, no delta-buffer residency)")
-	metBuffered = telemetry.Default.Counter("neurolpm_insert_buffered_total",
-		"Insertions that took the delta buffer and wait for a commit")
-	metBufferedWhy = map[NotAbsorbed]*telemetry.Counter{
-		refusedEngineKind: telemetry.Default.Counter("neurolpm_insert_buffered_engine_kind_total",
-			"Buffered insertions: the engine cannot absorb (SRAM-only or K = 64)"),
-		refusedBucketFull: telemetry.Default.Counter("neurolpm_insert_buffered_bucket_full_total",
-			"Buffered insertions: an edge bucket would exceed 64 ranges (or fault site absorb)"),
-	}
+		"Insertions absorbed by the live engine in place (no retrain)")
+	metRebuilt = telemetry.Default.Counter("neurolpm_insert_rebuilt_total",
+		"Insertions the engine refused (bucket full, SRAM-only or K = 64), retrained into a rebuilt engine before the insert returned")
 )
 
 func init() {

@@ -196,7 +196,7 @@ func TestRecordConsistency(t *testing.T) {
 
 				// insert installs r, or finds out why not; refused reports
 				// whether the engine declined (and must then be unchanged).
-				insert := func(step any, r lpm.Rule) (refused NotAbsorbed) {
+				insert := func(step any, r lpm.Rule) (refused notAbsorbed) {
 					t.Helper()
 					err := e.Insert(r)
 					if err != nil && !errors.As(err, &refused) {
@@ -288,7 +288,7 @@ func TestRecordConsistency(t *testing.T) {
 						}
 					}
 				}
-				var refused NotAbsorbed
+				var refused notAbsorbed
 				held := func() int { return e.bucketW(e.bucketOf(site)).n }
 				for i := 1; i <= 70 && refused == ""; i++ {
 					at := site.Add(keys.FromUint64(uint64(2 * i)))

@@ -41,8 +41,8 @@ func (e *Engine) LookupBatchStack(st plane.StackConfig, ks []keys.Value, out []B
 	return out
 }
 
-// LookupStack answers one key against the delta overlay + engine through the
-// stack selected by st (the Updatable analogue of Engine.LookupStack).
+// LookupStack answers one key from the live engine through the stack
+// selected by st (the Updatable analogue of Engine.LookupStack).
 func (u *Updatable) LookupStack(st plane.StackConfig, k keys.Value) (action uint64, ok bool) {
-	return u.lookupOverlay(st.Inference, k)
+	return u.engine.Load().lookup(st.Inference, k)
 }

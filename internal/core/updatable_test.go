@@ -17,31 +17,35 @@ func buildUpdatable(t *testing.T, n int, seed int64) (*Updatable, *lpm.RuleSet) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewUpdatable(e, 100), rs
+	return NewUpdatable(e), rs
 }
 
+// TestUpdatableInsertVisibleImmediately: the SRAM-only engine refuses every
+// absorb, so the insert is retrained in — and the engine Insert leaves live
+// answers for it the moment Insert returns.
 func TestUpdatableInsertVisibleImmediately(t *testing.T) {
 	u, rs := buildUpdatable(t, 100, 30)
 	// A very specific rule nested under nothing else: use a full-length
 	// prefix unlikely to collide.
 	r := lpm.Rule{Prefix: keys.FromUint64(0xABCDEF), Len: 24, Action: 777}
 	if rs.Find(r.Prefix, r.Len) != lpm.NoMatch {
-		if err := u.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := u.Lookup(r.Prefix)
-		if !ok || got != 777 {
-			t.Fatalf("pending rule invisible: %d,%v", got, ok)
-		}
-		if u.PendingInserts() != 1 {
-			t.Fatalf("pending = %d", u.PendingInserts())
-		}
+		t.Fatal("probe rule collides with the base rule-set")
+	}
+	before := u.Engine()
+	if err := u.Insert(r); err != nil {
+		t.Fatal(err)
+	}
+	if u.Engine() == before {
+		t.Fatal("a refused insert returned without swapping in a rebuilt engine")
+	}
+	if got, ok := u.Engine().Lookup(r.Prefix); !ok || got != 777 {
+		t.Fatalf("acknowledged rule not in the live engine: %d,%v", got, ok)
 	}
 }
 
-func TestUpdatableLongestWinsAcrossBufferAndEngine(t *testing.T) {
-	// Engine rule /8; delta rule /16 nested inside: delta must win inside,
-	// engine outside.
+func TestUpdatableLongestWinsAfterRebuild(t *testing.T) {
+	// Engine rule /8; rebuilt-in rule /16 nested inside: it must win inside,
+	// the /8 outside.
 	rs, err := lpm.NewRuleSet(24, []lpm.Rule{
 		{Prefix: keys.FromUint64(0xAA0000), Len: 8, Action: 1},
 	})
@@ -52,43 +56,48 @@ func TestUpdatableLongestWinsAcrossBufferAndEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := NewUpdatable(e, 10)
+	u := NewUpdatable(e)
 	if err := u.Insert(lpm.Rule{Prefix: keys.FromUint64(0xAABB00), Len: 16, Action: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := u.Lookup(keys.FromUint64(0xAABB99)); !ok || got != 2 {
-		t.Fatalf("nested delta rule lost: %d,%v", got, ok)
+		t.Fatalf("nested rule lost: %d,%v", got, ok)
 	}
 	if got, ok := u.Lookup(keys.FromUint64(0xAACC00)); !ok || got != 1 {
-		t.Fatalf("engine rule lost: %d,%v", got, ok)
+		t.Fatalf("covering rule lost: %d,%v", got, ok)
 	}
-	// Reverse nesting: delta /8 under engine /16 region must lose there.
+	// A /8 of its own beside them answers its region.
 	if err := u.Insert(lpm.Rule{Prefix: keys.FromUint64(0xBB0000), Len: 8, Action: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := u.Lookup(keys.FromUint64(0xBB1234)); !ok || got != 3 {
-		t.Fatalf("delta-only region: %d,%v", got, ok)
+		t.Fatalf("new region: %d,%v", got, ok)
+	}
+	if got, ok := u.Lookup(keys.FromUint64(0xAABB99)); !ok || got != 2 {
+		t.Fatalf("nested rule lost across a second rebuild: %d,%v", got, ok)
 	}
 }
 
+// TestUpdatableCapacity: an Updatable has no capacity. 150 inserts the engine
+// refuses — past the paper's TCAM sizes scaled to this rule-set — are each
+// retrained in, and every one of them answers afterwards.
 func TestUpdatableCapacity(t *testing.T) {
-	u, _ := buildUpdatable(t, 50, 31)
-	count := 0
-	for i := 0; count < 100; i++ {
-		r := lpm.Rule{Prefix: keys.FromUint64(uint64(i)), Len: 24, Action: 1}
-		err := u.Insert(r)
-		if err == nil {
-			count++
+	u, rs := buildUpdatable(t, 50, 31)
+	var added []lpm.Rule
+	for i := 0; len(added) < 150; i++ {
+		r := lpm.Rule{Prefix: keys.FromUint64(uint64(i) << 8), Len: 24, Action: uint64(1000 + i)}
+		if rs.Find(r.Prefix, r.Len) != lpm.NoMatch {
 			continue
 		}
-		// Either duplicate-with-engine or full; full must only happen at
-		// capacity.
-		if u.PendingInserts() >= 100 {
-			return // expected: buffer full
+		if err := u.Insert(r); err != nil {
+			t.Fatalf("insert %d: %v", len(added), err)
 		}
+		added = append(added, r)
 	}
-	if err := u.Insert(lpm.Rule{Prefix: keys.FromUint64(0xFFFFFF), Len: 24, Action: 1}); err == nil {
-		t.Fatal("insert beyond capacity succeeded")
+	for _, r := range added {
+		if got, ok := u.Lookup(r.Prefix); !ok || got != r.Action {
+			t.Fatalf("rule %v answers (%d,%v)", r, got, ok)
+		}
 	}
 }
 
@@ -103,7 +112,7 @@ func TestUpdatableRejectsDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := u.Insert(fresh); err == nil {
-			t.Fatal("duplicate pending rule accepted")
+			t.Fatal("duplicate of a rebuilt-in rule accepted")
 		}
 	}
 }
@@ -123,9 +132,6 @@ func TestUpdatableCommit(t *testing.T) {
 	}
 	if err := u.Commit(); err != nil {
 		t.Fatal(err)
-	}
-	if u.PendingInserts() != 0 {
-		t.Fatalf("pending after commit = %d", u.PendingInserts())
 	}
 	// Everything still answers correctly: compare against an oracle over
 	// the merged set.
@@ -149,27 +155,35 @@ func TestUpdatableCommit(t *testing.T) {
 	}
 }
 
-func TestUpdatableModifyAndDeletePending(t *testing.T) {
+// TestUpdatableModifyAndDeleteRebuilt: a rule that was retrained in is an
+// ordinary rule of the engine — modify and delete reach it without a rebuild.
+func TestUpdatableModifyAndDeleteRebuilt(t *testing.T) {
 	u, rs := buildUpdatable(t, 50, 35)
 	r := lpm.Rule{Prefix: keys.FromUint64(0x424200), Len: 16, Action: 1}
 	if rs.Find(r.Prefix, r.Len) != lpm.NoMatch {
-		if err := u.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := u.ModifyAction(r.Prefix, r.Len, 2); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := u.Lookup(r.Prefix); got != 2 {
-			t.Fatalf("pending modify lost: %d", got)
-		}
-		if err := u.Delete(r.Prefix, r.Len); err != nil {
-			t.Fatal(err)
-		}
-		if u.PendingInserts() != 0 {
-			t.Fatal("pending delete did not drain")
-		}
+		t.Fatal("probe rule collides with the base rule-set")
 	}
-	// Delete of an installed rule routes to the engine path.
+	want, wantOK := lpm.NewTrieMatcher(rs).Lookup(r.Prefix)
+	if err := u.Insert(r); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := u.Engine()
+	if err := u.ModifyAction(r.Prefix, r.Len, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := u.Lookup(r.Prefix); got != 2 {
+		t.Fatalf("modify of a rebuilt-in rule lost: %d", got)
+	}
+	if err := u.Delete(r.Prefix, r.Len); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := u.Lookup(r.Prefix); ok != wantOK || got != want {
+		t.Fatalf("after delete: (%d,%v), want the base answer (%d,%v)", got, ok, want, wantOK)
+	}
+	if u.Engine() != rebuilt {
+		t.Fatal("modify or delete rebuilt the engine")
+	}
+	// Delete of a built rule takes the same path.
 	installed := rs.Rules[0]
 	if err := u.Delete(installed.Prefix, installed.Len); err != nil {
 		t.Fatal(err)
@@ -210,14 +224,15 @@ func TestUpdatableConcurrentLookupsDuringCommit(t *testing.T) {
 	wg.Wait()
 }
 
-// TestOverlayNeverForgetsCommittedInsert: a rule whose Insert returned before
-// a read began must be in that read's answer, whichever side of a concurrent
-// Commit the read lands on. The writer cycles insert → commit → delete and
-// stamps a generation around the span in which the rule is installed (odd);
-// a reader whose Lookup began and ended inside one odd generation and missed
-// has seen the old engine beside the already-drained buffer. One core cannot
-// produce the interleaving — `make race` runs this at -cpu 1,2,4.
-func TestOverlayNeverForgetsCommittedInsert(t *testing.T) {
+// TestRebuiltInsertIsNeverForgotten: a rule whose Insert returned before a
+// read began must be in that read's answer, whichever side of a concurrent
+// rebuild the read lands on. On the SRAM-only engine every insert is retrained
+// in; the writer cycles insert → commit → delete and stamps a generation
+// around the span in which the rule is installed (odd); a reader whose Lookup
+// began and ended inside one odd generation and missed has loaded an engine
+// the insert's swap had already replaced. One core cannot produce the
+// interleaving — `make race` runs this at -cpu 1,2,4.
+func TestRebuiltInsertIsNeverForgotten(t *testing.T) {
 	const cycles = 400
 	rs := randomRuleSet(t, 16, 24, 77)
 	probe := lpm.Rule{Prefix: keys.FromUint64(0xBEEF), Len: 16, Action: 4242}
@@ -228,7 +243,7 @@ func TestOverlayNeverForgetsCommittedInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := NewUpdatable(e, 100)
+	u := NewUpdatable(e)
 
 	var gen, forgot, reads atomic.Int64
 	done := make(chan struct{})

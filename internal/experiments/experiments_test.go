@@ -508,32 +508,3 @@ func TestEMExpansion(t *testing.T) {
 		t.Fatal("nil table")
 	}
 }
-
-func TestFaults(t *testing.T) {
-	cells, err := FaultStorm(testScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 3 {
-		t.Fatalf("%d phases, want 3", len(cells))
-	}
-	byPhase := map[string]FaultsCell{}
-	for _, c := range cells {
-		byPhase[c.Phase] = c
-		if c.Mismatches != 0 {
-			t.Errorf("%s: %d oracle mismatches — degraded mode served wrong answers", c.Phase, c.Mismatches)
-		}
-		if c.P99ns < c.P50ns {
-			t.Errorf("%s: p99 (%.0f) below p50 (%.0f)", c.Phase, c.P99ns, c.P50ns)
-		}
-	}
-	if byPhase["storm"].Failures == 0 {
-		t.Error("storm phase recorded no commit failures")
-	}
-	if got := byPhase["recovery"].Pending; got != 0 {
-		t.Errorf("recovery left %d rules pending", got)
-	}
-	if FaultsTable(cells) == nil {
-		t.Fatal("nil table")
-	}
-}

@@ -1,12 +1,12 @@
 // Package fault is the deterministic fault-injection plane for the update
-// path (DESIGN.md §11). The paper's §6.5 update story — delta buffer in
-// front of the engine, retrain in the background, atomic swap — is exactly
-// the machinery that fails in production at large-database scale (the CRAM
-// lens observation: rebuilds, not lookups, are the failure surface), so the
-// engine's crash-tolerance must be provable, not asserted. An Injector is a
-// seedable, thread-safe decision source that the committers consult at
-// named sites; production builds leave core.Config.Fault nil and pay one
-// nil-check per commit, nothing on the query path.
+// path (DESIGN.md §11). The paper's §6.5 update story — modify in place, or
+// retrain and swap atomically — has its failure surface in the rebuild (the
+// CRAM lens observation: rebuilds, not lookups, are what fails at
+// large-database scale), so what a failed rebuild leaves behind must be
+// provable, not asserted. An Injector is a seedable, thread-safe decision
+// source that the update path consults at named sites; production builds
+// leave core.Config.Fault nil and pay one nil-check per rebuild or insert,
+// nothing on the query path.
 //
 // Faults are modelled per site as any combination of
 //
@@ -30,22 +30,19 @@ import (
 type Site string
 
 const (
-	// SiteRetrain fires at the start of a commit's retrain; an error
-	// models a failed background rebuild, a latency models a retrain
-	// spike. (core.Updatable.Commit)
+	// SiteRetrain fires at the start of every rebuild — a Commit's, or a
+	// refused Insert's; an error models a failed rebuild, a latency models a
+	// retrain spike. (core.Updatable.Insert and Commit)
 	SiteRetrain Site = "retrain"
 	// SiteSwap fires after a successful retrain, immediately before the
 	// atomic engine swap; a latency models a stalled swap, an error
-	// aborts the commit with the new engine discarded.
+	// aborts the rebuild with the new engine discarded.
 	SiteSwap Site = "swap"
-	// SiteDeltaFull fires on every delta-buffer insertion; an error
-	// models buffer exhaustion (the caller sees core.ErrDeltaFull).
-	SiteDeltaFull Site = "delta_full"
 	// SiteAbsorb fires on every insertion an engine could absorb in place
 	// (core.Engine.Insert); an error models a bucket with no room: the
 	// engine refuses (bucket_full), nothing is stored, and the rule takes
-	// the delta buffer. It is how a test about the buffer, commit or backoff
-	// machinery reaches it on an engine that would otherwise absorb.
+	// the rebuild path. It is how a test about that path reaches it on an
+	// engine that would otherwise absorb.
 	SiteAbsorb Site = "absorb"
 )
 

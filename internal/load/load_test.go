@@ -57,12 +57,6 @@ func buildSmokeFixture(t *testing.T) *smokeFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if err := sh.Close(); err != nil {
-			t.Errorf("close shards: %v", err)
-		}
-	})
-	sh.StartAutoCommit(5*time.Millisecond, 8)
 	srv := serve.NewSharded(sh, telemetry.NewRegistry())
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -19,8 +19,8 @@ import (
 // Poisson schedule, looping until the send window closes. Between passes any
 // site the stream left populated is deleted first, so each pass's inserts
 // apply cleanly. A not-implemented answer (a server without an update plane) ends the
-// loop; backpressure (full delta buffer) counts as an update error and the
-// stream keeps its pace.
+// loop; any other refusal counts as an update error and the stream keeps its
+// pace.
 func (r *runner) updateLoop(stop <-chan struct{}, sent, errs *atomic.Int64) {
 	apply, closeSink := r.dialUpdateSink(errs)
 	if apply == nil {
@@ -119,13 +119,12 @@ func (r *runner) dialUpdateSink(errs *atomic.Int64) (apply func(workload.Update)
 		return nil, func() {}
 	}
 	return func(u workload.Update) error {
-		_, uerr := c.Update(wire.RuleUpdate{
+		return c.Update(wire.RuleUpdate{
 			Op:     uint8(u.Op),
 			Prefix: u.Rule.Prefix,
 			Len:    u.Rule.Len,
 			Action: u.Rule.Action,
 		})
-		return uerr
 	}, func() { c.Close() }
 }
 

@@ -64,7 +64,7 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upd := core.NewUpdatable(eng, 0)
+	upd := core.NewUpdatable(eng)
 	type shardedFixture struct {
 		name string
 		*shard.ShardedUpdatable

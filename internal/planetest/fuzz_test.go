@@ -18,9 +18,9 @@ import (
 
 // FuzzStackVsOracle is THE differential fuzz target for the lookup-plane
 // matrix: for arbitrary rule-sets, shard counts, key streams and update
-// interleavings — {Insert absorbed, Insert buffered, Delete, ModifyAction,
-// failed Commit, successful Commit}, with commit failures and absorb refusals
-// injected through internal/fault — every
+// interleavings — {Insert absorbed, Insert rebuilt, failed rebuild, Delete,
+// ModifyAction, Commit}, with absorb refusals and rebuild failures injected
+// through internal/fault — every
 // (topology, stack) combo in plane.Combos() — {single, 1/2/4/8 shards} ×
 // {compiled, reference, quantized} — must answer exactly what a trie oracle
 // over the logical rule-set answers, after every step (the CLAUDE.md
@@ -47,7 +47,7 @@ func FuzzStackVsOracle(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 31, 9, 128, 0, 0, 0, 0, 5, 3, 1, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0}, uint64(42), uint8(0|3<<1))
 	f.Add([]byte{}, uint64(0), uint8(0|1<<1))
 	// One shard: four base rules (28 bytes with padding), then insert →
-	// failed commit → commit → delete of a committed rule.
+	// failed rebuild → commit → delete of a committed rule.
 	oneShard := []byte{
 		10, 0, 0, 0, 7, 1, 10, 1, 0, 0, 15, 2, 192, 168, 0, 0, 15, 3, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0,
 		0, 172, 16, 0, 0, 11, 9, 3, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0,
@@ -68,19 +68,19 @@ func FuzzStackVsOracle(f *testing.F) {
 	}
 	overflow = append(overflow, 4, 0, 0, 0, 0, 0, 0)
 	f.Add(overflow, uint64(9), uint8(1))
-	// An insert while a commit is pending: a /24 the engine is made to refuse
-	// waits in the buffer, its commit fails, and a /32 inside it and a /16
-	// around it are absorbed by the engine under the overlay; a modify and a
-	// delete reach one of each, then the commit succeeds.
-	pending := append(bytes.Repeat([]byte{10, 0, 0, 0, 7, 1}, 7),
+	// Absorbed inserts around a rebuilt one: a /24 the engine is made to
+	// refuse is retrained in, a /1 whose rebuild fails leaves nothing behind,
+	// and a /32 inside the /24 and a /16 around it are absorbed by the rebuilt
+	// engine; a modify and a delete reach one of each.
+	rebuilt := append(bytes.Repeat([]byte{10, 0, 0, 0, 7, 1}, 7),
 		5, 10, 1, 2, 0, 23, 50,
 		3, 0, 0, 0, 0, 0, 0,
 		0, 10, 1, 2, 3, 31, 51,
 		0, 10, 1, 0, 0, 15, 52,
 		2, 1, 90, 0, 0, 0, 0,
 		1, 2, 0, 0, 0, 0, 0)
-	f.Add(pending, uint64(11), uint8(1))
-	f.Add(pending, uint64(11), uint8(1|1<<1))
+	f.Add(rebuilt, uint64(11), uint8(1))
+	f.Add(rebuilt, uint64(11), uint8(1|1<<1))
 	f.Fuzz(func(t *testing.T, data []byte, keySeed uint64, sel uint8) {
 		const width = 32
 		split := len(data) / 2
@@ -100,7 +100,7 @@ func FuzzStackVsOracle(f *testing.F) {
 			t.Fatalf("Build(%d rules): %v", rs.Len(), err)
 		}
 
-		// Sharded topology: fault-injected commits and absorb refusals.
+		// Sharded topology: fault-injected absorb refusals and rebuild failures.
 		nShards := 1 << (sel >> 1 & 3)
 		in := fault.NewInjector(keySeed | 1)
 		u, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: FuzzModel(), Fault: in.Hook()}, nShards, 0)
@@ -145,34 +145,42 @@ func FuzzStackVsOracle(f *testing.F) {
 		// Update ops on the sharded side; after each op one stack (rotating
 		// through the matrix) re-checks against a fresh oracle.
 		absorbed := telemetry.Default.Counter("neurolpm_insert_absorbed_total", "")
+		rebuilds := telemetry.Default.Counter("neurolpm_insert_rebuilt_total", "")
 		ops := data[split:]
 		for i, n := 0, 0; i+7 <= len(ops) && n < 12; i, n = i+7, n+1 {
 			switch op := ops[i] % 6; op {
-			case 0, 5: // insert a fresh rule: the engine's choice, or refused and buffered
+			case 0, 3, 5: // insert a fresh rule: the engine's choice (0), refused and rebuilt (5), or refused with the rebuild failing (3)
 				rr := DeriveRules(width, ops[i+1:i+7])
 				if len(rr) == 0 || installed[ruleKey{rr[0].Prefix, rr[0].Len}] {
 					continue
 				}
 				r := rr[0]
-				if op == 5 {
+				if op != 0 {
 					in.FailProb(fault.SiteAbsorb, 1)
 				}
-				before := u.PendingInserts() + int(absorbed.Load())
+				if op == 3 {
+					in.FailNext(fault.SiteRetrain, 1)
+				}
+				beforeA, beforeR := absorbed.Load(), rebuilds.Load()
 				err := u.Insert(r)
 				in.Clear(fault.SiteAbsorb)
-				if err != nil {
-					if errors.Is(err, core.ErrDeltaFull) {
-						continue // backpressure is a legal outcome
+				in.Clear(fault.SiteRetrain)
+				if op == 3 {
+					// A failed rebuild installs nothing: the oracle stays as it was.
+					if !errors.Is(err, fault.ErrInjected) {
+						t.Fatalf("insert %v with a failing rebuild: %v", r, err)
 					}
+					break
+				}
+				if err != nil {
 					t.Fatalf("insert %v: %v", r, err)
 				}
-				// Every shard the rule covers took it down exactly one path.
-				covered := u.ShardOf(r.High(width)) - u.ShardOf(r.Low(width)) + 1
-				if got := u.PendingInserts() + int(absorbed.Load()) - before; got != covered {
-					t.Fatalf("insert %v over %d shards: pending + absorbed moved by %d", r, covered, got)
-				}
-				if op == 5 && u.PendingInserts() == 0 {
-					t.Fatalf("insert %v: refused by every engine, yet nothing is pending", r)
+				// Every shard the rule covers took it down exactly one path,
+				// and a refused insert took the rebuild in every one.
+				covered := uint64(u.ShardOf(r.High(width)) - u.ShardOf(r.Low(width)) + 1)
+				gotA, gotR := absorbed.Load()-beforeA, rebuilds.Load()-beforeR
+				if gotA+gotR != covered || (op == 5 && gotR != covered) {
+					t.Fatalf("insert %v over %d shards: %d absorbed, %d rebuilt", r, covered, gotA, gotR)
 				}
 				installed[ruleKey{r.Prefix, r.Len}] = true
 				live = append(live, r)
@@ -197,27 +205,13 @@ func FuzzStackVsOracle(f *testing.F) {
 					t.Fatalf("modify %v: %v", live[j], err)
 				}
 				live[j].Action = a
-			case 3: // failed commit of a dirty shard
-				s := int(ops[i+1]) % u.Shards()
-				if u.Statuses()[s].Pending == 0 {
-					continue
-				}
-				in.FailNext(fault.SiteRetrain, 1)
-				err := u.Commit(s)
-				in.Clear(fault.SiteRetrain)
-				if !errors.Is(err, fault.ErrInjected) {
-					t.Fatalf("injected commit failure lost: %v", err)
-				}
-				if u.LastCommitErr() == nil {
-					t.Fatal("failed commit not observable through LastCommitErr")
-				}
-			case 4: // successful commit: buffered rules land, spill records fold back
+			case 4: // commit: spill records fold back
 				s := int(ops[i+1]) % u.Shards()
 				if err := u.Commit(s); err != nil {
 					t.Fatalf("commit shard %d: %v", s, err)
 				}
-				if st := u.Statuses()[s]; st.Pending != 0 || u.Engine(s).SpilledBuckets() != 0 {
-					t.Fatalf("shard %d after commit: %d pending, %d spilled buckets", s, st.Pending, u.Engine(s).SpilledBuckets())
+				if got := u.Engine(s).SpilledBuckets(); got != 0 {
+					t.Fatalf("shard %d after commit: %d spilled buckets", s, got)
 				}
 			}
 			sc := ShardedCombos()
@@ -247,18 +241,15 @@ func FuzzStackVsOracle(f *testing.F) {
 			}
 		}
 
-		// Recovery: a final successful commit applies everything exactly once
-		// and resolves any lingering failure state; the full sharded matrix
-		// must agree with the oracle afterwards.
-		if err := u.CommitAll(); err != nil {
-			t.Fatalf("final CommitAll: %v", err)
+		// Every update landed in the engines as it was acknowledged: the full
+		// sharded matrix agrees with the oracle, and again once every shard
+		// has re-densified.
+		shardedCheck("after the ops", ShardedCombos())
+		for s := 0; s < u.Shards(); s++ {
+			if err := u.Commit(s); err != nil {
+				t.Fatalf("final commit of shard %d: %v", s, err)
+			}
 		}
-		if got := u.PendingInserts(); got != 0 {
-			t.Fatalf("pending after final commit: %d", got)
-		}
-		shardedCheck("after recovery", ShardedCombos())
-		if err := u.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
+		shardedCheck("after re-densify", ShardedCombos())
 	})
 }

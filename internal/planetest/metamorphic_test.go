@@ -26,9 +26,9 @@ import (
 // None of these properties consults the oracle — they hold for any correct
 // implementation, so a violation localizes a divergence BETWEEN variants
 // even when both happen to agree with the trie on the sampled keys. The
-// retrain-storm phase then holds property 1 on the sharded half while its
-// inserts are stuck in delta buffers, and checks it against the oracle once
-// they commit.
+// retrain-storm phase then forces every insert onto the rebuild path: while
+// the rebuilds fail, the sharded half must still answer the base oracle;
+// once they succeed, it holds property 1 and the merged oracle.
 func TestStackMetamorphic(t *testing.T) {
 	const width = 32
 	rules := RandomRules(width, 600, 71)
@@ -105,59 +105,60 @@ func TestStackMetamorphic(t *testing.T) {
 	}
 
 	t.Run("retrain-storm", func(t *testing.T) {
-		// Every insert is refused by the engine (SiteAbsorb) and every commit
-		// fails (SiteRetrain), so the rules sit in the delta buffers and reads
-		// of their shards take the overlay. The single engine does not see
-		// them, so equality narrows to the sharded half of the matrix.
+		// Every insert is refused by the engine (SiteAbsorb), so each takes
+		// the rebuild path. While every rebuild fails (SiteRetrain) each
+		// insert must fail and leave the sharded half of the matrix answering
+		// exactly what the base rule-set's oracle answers.
 		in.FailProb(fault.SiteAbsorb, 1)
 		in.FailProb(fault.SiteRetrain, 1)
-		var accepted []lpm.Rule
+		var fresh []lpm.Rule
 		for _, r := range RandomRules(width, 24, 99) {
-			if rs.Find(r.Prefix, r.Len) != lpm.NoMatch {
-				continue
+			if rs.Find(r.Prefix, r.Len) == lpm.NoMatch {
+				fresh = append(fresh, r)
 			}
-			if err := u.Insert(r); err != nil {
-				t.Fatalf("insert %v: %v", r, err)
+		}
+		if len(fresh) == 0 {
+			t.Fatal("no fresh rules for the storm")
+		}
+		for _, r := range fresh {
+			if err := u.Insert(r); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("insert %v during the storm: %v", r, err)
 			}
-			accepted = append(accepted, r)
-		}
-		if len(accepted) == 0 || u.PendingInserts() == 0 {
-			t.Fatalf("no pending inserts for the storm: %d accepted, %d pending", len(accepted), u.PendingInserts())
-		}
-		if err := u.CommitAll(); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("storm commit outcome: %v", err)
 		}
 		sharded := ShardedCombos()
-		sref := fx.LookupBatch(sharded[0], ks)
-		for _, cb := range sharded {
-			batch := fx.LookupBatch(cb, ks)
-			for i, k := range ks {
-				if batch[i] != sref[i] {
-					t.Fatalf("storm: %s: batch key %v: %+v, %s got %+v", cb, k, batch[i], sharded[0], sref[i])
-				}
-				if got := fx.Lookup(cb, k); got != sref[i] {
-					t.Fatalf("storm: %s: single key %v: %+v, batch %+v", cb, k, got, sref[i])
-				}
-			}
+		if err := fx.CheckCombos(sharded, lpm.NewTrieMatcher(rs), ks); err != nil {
+			t.Fatalf("storm: a failed insert changed an answer: %v", err)
 		}
 
-		// Recovery: the storm lifts, every shard commits, and the rebuilt
-		// engines must agree with a trie oracle over base + accepted.
+		// Recovery: the rebuilds succeed, every insert is retrained in before
+		// it returns, and the sharded combos agree with each other and with a
+		// trie oracle over base + fresh.
 		in.Clear(fault.SiteRetrain)
+		for _, r := range fresh {
+			if err := u.Insert(r); err != nil {
+				t.Fatalf("insert %v after the storm: %v", r, err)
+			}
+		}
 		in.Clear(fault.SiteAbsorb)
-		if err := u.CommitAll(); err != nil {
-			t.Fatalf("recovery commit: %v", err)
-		}
-		if n := u.PendingInserts(); n != 0 {
-			t.Fatalf("%d inserts still pending after recovery", n)
-		}
-		merged, err := lpm.NewRuleSet(width, append(append([]lpm.Rule(nil), rules...), accepted...))
+		merged, err := lpm.NewRuleSet(width, append(append([]lpm.Rule(nil), rules...), fresh...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := lpm.NewTrieMatcher(merged)
-		if err := fx.CheckCombos(sharded, oracle, Corpus(width, merged.Rules, 256, rng)); err != nil {
-			t.Fatalf("post-recovery: %v", err)
+		mks := Corpus(width, merged.Rules, 256, rng)
+		sref := fx.LookupBatch(sharded[0], mks)
+		for _, cb := range sharded {
+			batch := fx.LookupBatch(cb, mks)
+			for i, k := range mks {
+				if batch[i] != sref[i] {
+					t.Fatalf("recovery: %s: batch key %v: %+v, %s got %+v", cb, k, batch[i], sharded[0], sref[i])
+				}
+				if got := fx.Lookup(cb, k); got != sref[i] {
+					t.Fatalf("recovery: %s: single key %v: %+v, batch %+v", cb, k, got, sref[i])
+				}
+			}
+		}
+		if err := fx.CheckCombos(sharded, lpm.NewTrieMatcher(merged), mks); err != nil {
+			t.Fatalf("recovery: %v", err)
 		}
 	})
 }

@@ -1,21 +1,26 @@
 package planetest
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/fault"
+	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/plane"
 	"neurolpm/internal/shard"
+	"neurolpm/internal/telemetry"
 )
 
 // TestMatrixReadersRaceWriters runs reader goroutines over the whole combo
 // matrix while two writers change both topologies under them: one streams
 // inserts into the sharded side — half refused by the engine (SiteAbsorb), so
-// delta buffers fill and commits rebuild shard engines mid-storm — and one
+// they rebuild shard engines mid-storm, beside commits that re-densify — and one
 // rewrites the actions of base rules on the single engine and the sharded
 // side. There are no value assertions during the storm, since a racing read
 // may legally see either side of an update; under -race every lookup must
@@ -95,7 +100,7 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 			}
 			accepted = append(accepted, r)
 			if len(accepted)%8 == 0 {
-				if err := u.CommitAll(); err != nil {
+				if err := u.Commit(len(accepted) / 8 % u.Shards()); err != nil {
 					t.Errorf("mid-storm commit: %v", err)
 					return
 				}
@@ -107,11 +112,8 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 		return
 	}
 
-	// Quiesce: flush the stragglers and check each topology against the
-	// oracle over its own final rule-set.
-	if err := u.CommitAll(); err != nil {
-		t.Fatalf("final commit: %v", err)
-	}
+	// Quiesce: check each topology against the oracle over its own final
+	// rule-set.
 	merged, err := lpm.NewRuleSet(width, append(append([]lpm.Rule(nil), final...), accepted...))
 	if err != nil {
 		t.Fatal(err)
@@ -126,5 +128,226 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 	}
 	if err := fx.CheckCombos(SingleCombos(), lpm.NewTrieMatcher(base), Corpus(width, final, 128, rng)); err != nil {
 		t.Fatalf("post-storm single matrix: %v", err)
+	}
+}
+
+// TestRebuildPathReadersSeeBeforeOrAfter races readers against a writer whose
+// every insert is refused by the engine (SiteAbsorb), so each one retrains
+// and swaps a whole engine, mixed with modifies and deletes of the same rules.
+// Both topologies take each op — a core.Updatable (single) and a four-shard
+// ShardedUpdatable — and the readers run the single-key and batch arms of
+// every stack. phase is 2j+1 while op j runs and 2j+2 once it has returned on
+// both topologies; a read that saw at most one step of phase is held to the
+// trie oracle: exactly the quiescent rule-set's answer, or either the answer
+// before or the answer after the op that was running.
+func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
+	const width = 32
+	rules := RandomRules(width, 400, 41)
+	rs, err := lpm.NewRuleSet(width, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := fault.NewInjector(41)
+	in.FailProb(fault.SiteAbsorb, 1)
+	cfg := core.Config{BucketSize: 8, Model: QuickModel(), Fault: in.Hook()}
+	eng, err := core.Build(rs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := core.NewUpdatable(eng)
+	sharded, err := shard.BuildUpdatable(rs, cfg, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The op list: each fresh rule is inserted, and some later modified and
+	// then deleted, interleaved with the next rules' inserts.
+	type op struct {
+		kind byte // 'i'nsert, 'm'odify, 'd'elete
+		r    lpm.Rule
+	}
+	var fresh []lpm.Rule
+	for _, r := range RandomRules(width, 24, 43) {
+		if rs.Find(r.Prefix, r.Len) == lpm.NoMatch && len(fresh) < 10 {
+			fresh = append(fresh, r)
+		}
+	}
+	var ops []op
+	for i, r := range fresh {
+		ops = append(ops, op{'i', r})
+		if i > 0 && i%2 == 1 {
+			prev := fresh[i-1]
+			prev.Action += 1000
+			ops = append(ops, op{'m', prev})
+		}
+		if i > 1 && i%3 == 2 {
+			ops = append(ops, op{'d', fresh[i-2]})
+		}
+	}
+
+	// ks holds every rule's boundary keys, each fresh rule's span sampled
+	// inside, and uniform keys; want[s][i] is the oracle's answer for ks[i]
+	// once ops[:s] have run.
+	rng := rand.New(rand.NewSource(47))
+	ks := Corpus(width, append(append([]lpm.Rule(nil), rules...), fresh...), 64, rng)
+	for _, r := range fresh {
+		lo, hi := r.Low(width).Uint64(), r.High(width).Uint64()
+		for j := 0; j < 4; j++ {
+			ks = append(ks, keys.FromUint64(lo+rng.Uint64()%(hi-lo+1)))
+		}
+	}
+	// span[j] indexes the keys inside ops[j]'s rule, the ones op j can move.
+	span := make([][]int, len(ops))
+	for j, o := range ops {
+		for i, k := range ks {
+			if !k.Less(o.r.Low(width)) && !o.r.High(width).Less(k) {
+				span[j] = append(span[j], i)
+			}
+		}
+	}
+	want := make([][]Result, len(ops)+1)
+	state := map[[2]uint64]lpm.Rule{}
+	for _, r := range rules {
+		state[[2]uint64{r.Prefix.Uint64(), uint64(r.Len)}] = r
+	}
+	for s := 0; ; s++ {
+		cur := make([]lpm.Rule, 0, len(state))
+		for _, r := range state {
+			cur = append(cur, r)
+		}
+		set, err := lpm.NewRuleSet(width, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := lpm.NewTrieMatcher(set)
+		want[s] = make([]Result, len(ks))
+		for i, k := range ks {
+			a, ok := oracle.Lookup(k)
+			want[s][i] = Result{a, ok}
+		}
+		if s == len(ops) {
+			break
+		}
+		key := [2]uint64{ops[s].r.Prefix.Uint64(), uint64(ops[s].r.Len)}
+		if ops[s].kind == 'd' {
+			delete(state, key)
+		} else {
+			state[key] = ops[s].r
+		}
+	}
+
+	var phase atomic.Int64
+	// check holds one read, bracketed by phase loads p1 and p2, to the oracle.
+	check := func(arm string, p1, p2 int64, i int, got Result) error {
+		if p2-p1 > 1 {
+			return nil // more than one op overlapped the read
+		}
+		var cands []Result
+		switch {
+		case p1%2 == 1: // op (p1-1)/2 was running when the read began
+			cands = []Result{want[(p1-1)/2][i], want[(p1+1)/2][i]}
+		case p2%2 == 1: // op (p2-1)/2 began during the read
+			cands = []Result{want[(p2-1)/2][i], want[(p2+1)/2][i]}
+		default: // quiescent after ops[:p1/2]
+			cands = []Result{want[p1/2][i]}
+		}
+		for _, c := range cands {
+			if got == c {
+				return nil
+			}
+		}
+		return fmt.Errorf("%s: key %v at phase %d..%d: %+v, oracle %+v", arm, ks[i], p1, p2, got, cands)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(topology string, look func(plane.StackConfig, keys.Value) Result, batch func(plane.StackConfig, []keys.Value) []Result) {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st := plane.Matrix()[n%len(plane.Matrix())]
+			arm := topology + "/" + st.String()
+			// Single-key reads aim at the span of the op running, or of the
+			// next one.
+			for m := 0; m < 64; m++ {
+				p1 := phase.Load()
+				j := min(int(p1/2), len(ops)-1)
+				i := span[j][m%len(span[j])]
+				got := look(st, ks[i])
+				if err := check(arm+"/single", p1, phase.Load(), i, got); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			p1 := phase.Load()
+			res := batch(st, ks)
+			p2 := phase.Load()
+			for i, r := range res {
+				if err := check(arm+"/batch", p1, p2, i, r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}
+	wg.Add(2)
+	go reader("single", func(st plane.StackConfig, k keys.Value) Result {
+		a, ok := single.LookupStack(st, k)
+		return Result{a, ok}
+	}, func(st plane.StackConfig, ks []keys.Value) []Result {
+		out := make([]Result, len(ks))
+		for i, r := range single.Engine().LookupBatchStack(st, ks, nil, cachesim.Null{}) {
+			out[i] = Result{r.Action, r.Matched}
+		}
+		return out
+	})
+	go reader("sharded", func(st plane.StackConfig, k keys.Value) Result {
+		a, ok := sharded.LookupStack(st, k)
+		return Result{a, ok}
+	}, func(st plane.StackConfig, ks []keys.Value) []Result {
+		out := make([]Result, len(ks))
+		for i, r := range sharded.LookupBatchStack(st, ks, nil) {
+			out[i] = Result{r.Action, r.Matched}
+		}
+		return out
+	})
+
+	rebuilt := telemetry.Default.Counter("neurolpm_insert_rebuilt_total", "")
+	before := rebuilt.Load()
+	inserts := 0
+	for j, o := range ops {
+		phase.Store(int64(2*j + 1))
+		var err error
+		switch o.kind {
+		case 'i':
+			inserts++
+			if err = single.Insert(o.r); err == nil {
+				err = sharded.Insert(o.r)
+			}
+		case 'm':
+			if err = single.ModifyAction(o.r.Prefix, o.r.Len, o.r.Action); err == nil {
+				err = sharded.ModifyAction(o.r.Prefix, o.r.Len, o.r.Action)
+			}
+		case 'd':
+			if err = single.Delete(o.r.Prefix, o.r.Len); err == nil {
+				err = sharded.Delete(o.r.Prefix, o.r.Len)
+			}
+		}
+		if err != nil {
+			t.Errorf("op %d %c %v: %v", j, o.kind, o.r, err)
+			break
+		}
+		phase.Store(int64(2*j + 2))
+	}
+	close(done)
+	wg.Wait()
+	// Every insert took the rebuild path: once on the single engine and at
+	// least once on the sharded side.
+	if got := rebuilt.Load() - before; got < uint64(2*inserts) {
+		t.Errorf("%d rebuilds for %d inserts on two topologies", got, inserts)
 	}
 }

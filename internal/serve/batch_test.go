@@ -148,9 +148,6 @@ func TestShardedLookupAndHealthz(t *testing.T) {
 	if got := hz["shards"]; got != float64(sh.Shards()) {
 		t.Errorf("healthz shards = %v, want %d", got, sh.Shards())
 	}
-	if _, ok := hz["pending_inserts"]; !ok {
-		t.Error("healthz missing pending_inserts")
-	}
 
 	// /trace routes to the key's sub-engine and must include a span.
 	var trc traceResponse

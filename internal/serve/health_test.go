@@ -1,6 +1,6 @@
-// Degraded-mode serving tests (DESIGN.md §11): /healthz must track the
-// sharded update plane's health, /update must apply backpressure, and
-// readers must stay correct throughout a failure storm.
+// Update-plane serving tests (DESIGN.md §11): /update's answer means the
+// rule is in the engine, a failed rebuild leaves nothing behind, and /healthz
+// is liveness alone.
 package serve
 
 import (
@@ -8,9 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
@@ -19,28 +19,21 @@ import (
 	"neurolpm/internal/telemetry"
 )
 
-// buildFaultyShardedServer is buildShardedServer with commits routed
-// through a fault injector and a configurable per-shard delta capacity. These
-// tests are about the delta buffer and what a failing commit does to it, so
-// the engines refuse to absorb (fault.SiteAbsorb) and every insert is
-// buffered.
-func buildFaultyShardedServer(t *testing.T, capacity int) (*Server, *lpm.RuleSet, *shard.ShardedUpdatable, *fault.Injector) {
+// buildFaultyShardedServer is buildShardedServer with every insert refused
+// by the engines (fault.SiteAbsorb), so each one takes the rebuild path, and
+// the rebuilds routed through a fault injector.
+func buildFaultyShardedServer(t *testing.T) (*Server, *lpm.RuleSet, *fault.Injector) {
 	t.Helper()
 	rs := buildTestRuleSet(t)
 	in := fault.NewInjector(7)
 	in.FailProb(fault.SiteAbsorb, 1)
 	cfg := quickConfig(true)
 	cfg.Fault = in.Hook()
-	sh, err := shard.BuildUpdatable(rs, cfg, 4, capacity)
+	sh, err := shard.BuildUpdatable(rs, cfg, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if err := sh.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	return NewSharded(sh, telemetry.NewRegistry()), rs, sh, in
+	return NewSharded(sh, telemetry.NewRegistry()), rs, in
 }
 
 // freeKey32 returns a 32-bit key in the given shard (top 2 bits of 4
@@ -65,84 +58,49 @@ func postJSON(t *testing.T, h http.Handler, target, body string) *httptest.Respo
 	return rec
 }
 
-// TestHealthzTracksShardHealth walks /healthz through the acceptance
-// sequence: ok → degraded (200, readers still correct) → stale (503) →
-// ok again after a successful commit, with the queued update applied
-// exactly once.
-func TestHealthzTracksShardHealth(t *testing.T) {
-	srv, rs, sh, in := buildFaultyShardedServer(t, 0)
+// TestFailedRebuildLeavesServerHealthy: an insert the engine refuses is
+// retrained in before /update answers. While the rebuild fails, /update
+// refuses the insert — never with 429, there is no queue to wait on — the
+// rule is nowhere, /lookup keeps the old answer and /healthz stays 200 "ok"
+// with no per-shard state; once the rebuild succeeds, the insert's 200 means
+// the rule is already in the engine.
+func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
+	srv, rs, in := buildFaultyShardedServer(t)
 	h := srv.Handler()
-	sh.SetStaleBudget(50 * time.Millisecond)
 	k := freeKey32(t, rs, 1)
-
-	var hz struct {
-		Status        string        `json:"status"`
-		ShardHealth   []shardHealth `json:"shard_health"`
-		StaleBudgetMs int64         `json:"stale_budget_ms"`
-		Pending       int           `json:"pending_inserts"`
-	}
-	if rec := getJSON(t, h, "/healthz", &hz); rec.Code != http.StatusOK || hz.Status != "ok" {
-		t.Fatalf("initial healthz: %d %q", rec.Code, hz.Status)
-	}
-	if hz.StaleBudgetMs != 50 {
-		t.Fatalf("stale_budget_ms = %d, want 50", hz.StaleBudgetMs)
-	}
+	lookup := "/lookup?key=" + k.String()
+	var before, lr lookupResponse
+	getJSON(t, h, lookup, &before)
 
 	body := `{"op":"insert","prefix":"` + k.String() + `","len":32,"action":777}`
-	if rec := postJSON(t, h, "/update", body); rec.Code != http.StatusOK {
-		t.Fatalf("insert via /update: %d %s", rec.Code, rec.Body)
-	}
 	in.FailProb(fault.SiteRetrain, 1)
-	if err := sh.CommitAll(); err == nil {
-		t.Fatal("injected commit succeeded")
+	rec := postJSON(t, h, "/update", body)
+	if rec.Code == http.StatusOK || rec.Code == http.StatusTooManyRequests {
+		t.Fatalf("insert with a failing rebuild: %d %s", rec.Code, rec.Body)
+	}
+	if getJSON(t, h, lookup, &lr); lr != before {
+		t.Fatalf("lookup after a failed insert = %+v, want the old answer %+v", lr, before)
+	}
+	var hz map[string]any
+	if rec := getJSON(t, h, "/healthz", &hz); rec.Code != http.StatusOK || hz["status"] != "ok" {
+		t.Fatalf("healthz after a failed rebuild: %d %v", rec.Code, hz["status"])
+	}
+	// Liveness and the engine summary, and no update-plane state beside them.
+	var fields []string
+	for f := range hz {
+		fields = append(fields, f)
+	}
+	sort.Strings(fields)
+	if got := strings.Join(fields, " "); got != "dram_bytes ranges shards sram_bytes status width" {
+		t.Errorf("healthz fields %q", got)
 	}
 
-	// Degraded: still 200, per-shard detail carries the failure.
-	if rec := getJSON(t, h, "/healthz", &hz); rec.Code != http.StatusOK || hz.Status != "degraded" {
-		t.Fatalf("degraded healthz: %d %q", rec.Code, hz.Status)
-	}
-	found := false
-	for _, st := range hz.ShardHealth {
-		if st.Health == "degraded" {
-			found = true
-			if st.ConsecutiveFailures == 0 || st.LastError == "" || st.Pending == 0 {
-				t.Fatalf("degraded shard entry incomplete: %+v", st)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no degraded shard in %+v", hz.ShardHealth)
-	}
-	// Readers keep answering — the pending rule is served from the delta.
-	var lr lookupResponse
-	if rec := getJSON(t, h, "/lookup?key="+k.String(), &lr); rec.Code != http.StatusOK {
-		t.Fatalf("lookup while degraded: %d", rec.Code)
-	}
-	if !lr.Matched || lr.Action != 777 {
-		t.Fatalf("lookup while degraded = (%d,%v), want (777,true)", lr.Action, lr.Matched)
-	}
-
-	// Past the budget the endpoint flips to 503 stale.
-	time.Sleep(60 * time.Millisecond)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("stale healthz code = %d, want 503 (%s)", rec.Code, rec.Body)
-	}
-	if !strings.Contains(rec.Body.String(), `"stale"`) {
-		t.Fatalf("stale healthz body missing state: %s", rec.Body)
-	}
-
-	// Recovery: next successful commit restores ok and applies the rule once.
 	in.Clear(fault.SiteRetrain)
-	if err := sh.CommitAll(); err != nil {
-		t.Fatal(err)
+	if rec := postJSON(t, h, "/update", body); rec.Code != http.StatusOK {
+		t.Fatalf("insert once the rebuild succeeds: %d %s", rec.Code, rec.Body)
 	}
-	if rec := getJSON(t, h, "/healthz", &hz); rec.Code != http.StatusOK || hz.Status != "ok" || hz.Pending != 0 {
-		t.Fatalf("recovered healthz: %d %q pending=%d", rec.Code, hz.Status, hz.Pending)
-	}
-	if rec := getJSON(t, h, "/lookup?key="+k.String(), &lr); rec.Code != http.StatusOK || !lr.Matched || lr.Action != 777 {
-		t.Fatalf("lookup after recovery = (%d,%v) code %d", lr.Action, lr.Matched, rec.Code)
+	if getJSON(t, h, lookup, &lr); !lr.Matched || lr.Action != 777 {
+		t.Fatalf("lookup after the acknowledged insert = (%d,%v), want (777,true)", lr.Action, lr.Matched)
 	}
 }
 
@@ -214,9 +172,9 @@ func TestUpdateEndpointRejectsBadInput(t *testing.T) {
 }
 
 // TestUpdateThenLookupOneShard: the degenerate topology has the whole update
-// plane — an insert is visible to /lookup from the delta buffer, stays visible
-// across the commit that retrains it into the engine, and a delete of the
-// committed rule uncovers the old answer.
+// plane — an insert is visible to /lookup from the engine, stays visible
+// across the commit that re-densifies it, and a delete of the committed rule
+// uncovers the old answer.
 func TestUpdateThenLookupOneShard(t *testing.T) {
 	sh := buildOneShard(t, true)
 	h := NewSharded(sh, telemetry.NewRegistry()).Handler()
@@ -230,13 +188,13 @@ func TestUpdateThenLookupOneShard(t *testing.T) {
 		t.Fatalf("/update insert on one shard: %d %s", rec.Code, rec.Body)
 	}
 	if getJSON(t, h, target, &got); !got.Matched || got.Action != 777 {
-		t.Fatalf("lookup after insert = %+v, want action 777 from the delta buffer", got)
+		t.Fatalf("lookup after insert = %+v, want action 777", got)
 	}
 	if err := sh.Commit(0); err != nil {
 		t.Fatal(err)
 	}
-	if sh.PendingInserts() != 0 {
-		t.Fatalf("pending after commit = %d", sh.PendingInserts())
+	if n := sh.Engine(0).SpilledBuckets(); n != 0 {
+		t.Fatalf("spilled buckets after commit = %d", n)
 	}
 	if getJSON(t, h, target, &got); !got.Matched || got.Action != 777 {
 		t.Fatalf("lookup after commit = %+v, want action 777 from the engine", got)
@@ -247,35 +205,6 @@ func TestUpdateThenLookupOneShard(t *testing.T) {
 	}
 	if getJSON(t, h, target, &got); got.Matched != before.Matched || got.Action != before.Action {
 		t.Fatalf("lookup after delete = %+v, want the pre-insert answer %+v", got, before)
-	}
-}
-
-// TestUpdateBackpressure429: a full delta buffer must answer 429 with a
-// Retry-After hint, not 500 — clients are expected to back off and retry
-// after the committer drains the shard.
-func TestUpdateBackpressure429(t *testing.T) {
-	srv, rs, sh, _ := buildFaultyShardedServer(t, 1) // capacity 1 per shard
-	h := srv.Handler()
-	k1, k2 := freeKey32(t, rs, 0), freeKey32(t, rs, 0).Xor(keys.FromUint64(1))
-	if rs.Find(k2, 32) != lpm.NoMatch {
-		t.Skip("second probe key collides with the rule set")
-	}
-	if rec := postJSON(t, h, "/update", `{"op":"insert","prefix":"`+k1.String()+`","len":32,"action":1}`); rec.Code != http.StatusOK {
-		t.Fatalf("first insert: %d %s", rec.Code, rec.Body)
-	}
-	rec := postJSON(t, h, "/update", `{"op":"insert","prefix":"`+k2.String()+`","len":32,"action":2}`)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("overflow insert: %d, want 429 (%s)", rec.Code, rec.Body)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("429 without Retry-After hint")
-	}
-	// Draining the shard unblocks writes.
-	if err := sh.CommitAll(); err != nil {
-		t.Fatal(err)
-	}
-	if rec := postJSON(t, h, "/update", `{"op":"insert","prefix":"`+k2.String()+`","len":32,"action":2}`); rec.Code != http.StatusOK {
-		t.Fatalf("insert after drain: %d %s", rec.Code, rec.Body)
 	}
 }
 

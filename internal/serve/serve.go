@@ -9,7 +9,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -32,7 +31,7 @@ import (
 // Server serves a ShardedUpdatable — one shard is the degenerate case, not a
 // separate mode — whose per-shard balance and rebuild telemetry ride the same
 // /metrics surface. Lookups run concurrently with each other and with updates
-// (commits swap engine snapshots atomically).
+// (a rebuild swaps the shard's engine snapshot atomically).
 type Server struct {
 	sh  *shard.ShardedUpdatable
 	reg *telemetry.Registry
@@ -50,9 +49,9 @@ type Server struct {
 var served plane.StackConfig
 
 // NewSharded wraps a sharded updatable engine: /lookup and /batch route
-// through the shard fan-out (and see pending delta-buffer rules), /update
-// feeds the delta buffers, /trace spans the key's sub-engine, /healthz
-// aggregates across shards. reg is the registry /metrics renders; pass
+// through the shard fan-out, /update lands in the covered shards' live
+// engines, /trace spans the key's sub-engine, /healthz aggregates across
+// shards. reg is the registry /metrics renders; pass
 // telemetry.Default to expose the engine's always-on instrumentation.
 func NewSharded(sh *shard.ShardedUpdatable, reg *telemetry.Registry) *Server {
 	s := &Server{sh: sh, reg: reg, plain: &cachesim.Uncached{}}
@@ -212,8 +211,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Span the key's sub-engine directly; the delta-buffer overlay is not
-	// part of the traced hardware path.
+	// Span the key's sub-engine directly: the shard's live engine is the whole
+	// answer.
 	tr, sp := s.sh.Engine(s.sh.ShardOf(k)).LookupSpan(served.Inference, k, s.plain)
 	writeJSON(w, traceResponse{
 		Lookup: traceLookup{
@@ -316,31 +315,14 @@ var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 
 // batchStack resolves ks through the served lookup-plane stack into dst
 // (reused when it has the capacity), positionally: the batch is grouped by
-// shard, answered on the calling goroutine, and sees pending delta-buffer
-// rules. It is the one batch entry point shared by the HTTP /batch handler and
+// shard and answered on the calling goroutine. It is the one batch entry point shared by the HTTP /batch handler and
 // the wire server's readers (DESIGN.md §17), and is safe for concurrent use.
 func (s *Server) batchStack(ks []keys.Value, dst []shard.Result) []shard.Result {
 	return s.sh.LookupBatchStack(served, ks, dst)
 }
 
-// shardHealth is the per-shard entry in the /healthz response.
-type shardHealth struct {
-	Shard               int    `json:"shard"`
-	Health              string `json:"health"`
-	Pending             int    `json:"pending"`
-	ConsecutiveFailures int    `json:"consecutive_failures"`
-	StaleForMs          int64  `json:"stale_for_ms"`
-	Commits             uint64 `json:"commits"`
-	Failures            uint64 `json:"failures"`
-	LastError           string `json:"last_error,omitempty"`
-}
-
-// handleHealthz reports liveness and carries the update plane's per-shard
-// state (DESIGN.md §11): the aggregate status is the
-// worst shard's health, and the endpoint answers 503 only once some
-// shard's staleness exceeds the configured budget — a merely degraded
-// engine still serves correct answers from the last good engines plus the
-// delta overlay, so load balancers should keep it in rotation.
+// handleHealthz reports liveness — 200 whenever the server is up — with an
+// engine summary summed over shards.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	sramBytes, dramBytes, ranges := 0, 0, 0
 	for i := 0; i < s.sh.Shards(); i++ {
@@ -349,43 +331,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		dramBytes += e.DRAMFootprint()
 		ranges += e.Ranges().Len()
 	}
-	worst := shard.Healthy
-	states := make([]shardHealth, 0, s.sh.Shards())
-	for _, st := range s.sh.Statuses() {
-		if st.Health > worst {
-			worst = st.Health
-		}
-		h := shardHealth{
-			Shard:               st.Shard,
-			Health:              st.Health.String(),
-			Pending:             st.Pending,
-			ConsecutiveFailures: st.ConsecutiveFailures,
-			StaleForMs:          st.StaleFor.Milliseconds(),
-			Commits:             st.Commits,
-			Failures:            st.Failures,
-		}
-		if st.LastErr != nil {
-			h.LastError = st.LastErr.Error()
-		}
-		states = append(states, h)
-	}
-	status, code := "ok", http.StatusOK
-	switch worst {
-	case shard.Degraded:
-		status = "degraded"
-	case shard.Stale:
-		status, code = "stale", http.StatusServiceUnavailable
-	}
-	writeJSONStatus(w, code, map[string]any{
-		"status":          status,
-		"width":           s.sh.Width(),
-		"shards":          s.sh.Shards(),
-		"shard_health":    states,
-		"stale_budget_ms": s.sh.StaleBudget().Milliseconds(),
-		"ranges":          ranges,
-		"sram_bytes":      sramBytes,
-		"dram_bytes":      dramBytes,
-		"pending_inserts": s.sh.PendingInserts(),
+	writeJSON(w, map[string]any{
+		"status":     "ok",
+		"width":      s.sh.Width(),
+		"shards":     s.sh.Shards(),
+		"ranges":     ranges,
+		"sram_bytes": sramBytes,
+		"dram_bytes": dramBytes,
 	})
 }
 
@@ -398,11 +350,9 @@ type updateRequest struct {
 	Action uint64 `json:"action"`
 }
 
-// handleUpdate applies one rule-table update through the delta-buffer path
-// (§6.5): inserts and deletes are visible to queries immediately, the
-// retrain happens in the background committer. Backpressure is explicit —
-// a full delta buffer answers 429 so clients slow down instead of the
-// committer falling further behind.
+// handleUpdate applies one rule-table update (§6.5): its 200 means the update
+// is in the live engine — an insert the engine cannot absorb is retrained in
+// before the answer is written.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
@@ -436,19 +386,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		if errors.Is(err, core.ErrDeltaFull) {
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, err)
-			return
-		}
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, map[string]any{
-		"op":              req.Op,
-		"ok":              true,
-		"pending_inserts": s.sh.PendingInserts(),
-	})
+	writeJSON(w, map[string]any{"op": req.Op, "ok": true})
 }
 
 // jsonEnc pairs a staging buffer with a json.Encoder writing into it, pooled

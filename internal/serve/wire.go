@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/shard"
@@ -320,14 +319,10 @@ func (c *wireConn) handleUpdate(f wire.Frame) {
 		err = s.sh.ModifyAction(u.Prefix, u.Len, u.Action)
 	}
 	if err != nil {
-		code := wire.ErrBadRequest
-		if errors.Is(err, core.ErrDeltaFull) {
-			code = wire.ErrBackpressure
-		}
-		c.sendErr(f.ID, code, err.Error())
+		c.sendErr(f.ID, wire.ErrBadRequest, err.Error())
 		return
 	}
 	c.ws.cUpdates.Inc()
-	c.wbuf = wire.AppendUpdateResult(c.wbuf[:0], f.ID, uint32(s.sh.PendingInserts()))
+	c.wbuf = wire.AppendUpdateResult(c.wbuf[:0], f.ID)
 	c.bw.Write(c.wbuf)
 }

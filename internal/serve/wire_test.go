@@ -96,16 +96,16 @@ func TestWireServerMatchesOracle(t *testing.T) {
 		}
 	}
 
-	// Updates flow through the delta buffer and are immediately visible.
+	// An acknowledged update is in the engine, so the next lookup sees it.
 	probe := keys.FromUint64(0x7f000001)
-	if _, err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: probe, Len: 32, Action: 4242}); err != nil {
+	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: probe, Len: 32, Action: 4242}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	res, err := c.Lookup(probe)
 	if err != nil || !res.Matched || res.Action != 4242 {
 		t.Fatalf("lookup after insert = (%d,%v,%v), want (4242,true,nil)", res.Action, res.Matched, err)
 	}
-	if _, err := c.Update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: probe, Len: 32}); err != nil {
+	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: probe, Len: 32}); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	action, ok := oracle.Lookup(probe)
@@ -291,10 +291,9 @@ func TestWireSingleEngineMode(t *testing.T) {
 	if res.Matched != ok || (ok && res.Action != action) {
 		t.Fatalf("wire (%d,%v) disagrees with engine (%d,%v)", res.Action, res.Matched, action, ok)
 	}
-	// The engine absorbs the /32: acknowledged means committed, nothing pends.
-	pending, err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 4242})
-	if err != nil || pending != 0 {
-		t.Fatalf("update on one shard = (%d pending, %v), want (0, nil)", pending, err)
+	// Acknowledged means in the engine.
+	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 4242}); err != nil {
+		t.Fatalf("update on one shard: %v", err)
 	}
 	if res, err = c.Lookup(k); err != nil || !res.Matched || res.Action != 4242 {
 		t.Fatalf("lookup after insert = (%+v, %v), want action 4242", res, err)
@@ -622,11 +621,10 @@ func TestUnitsDrainTogether(t *testing.T) {
 
 // TestWireStressCoalescerVsCommits is the -race stress test: N client
 // connections hammer single lookups through their readers while a probe rule
-// flaps through the delta buffer and background commits run. Every answer
-// must equal the base oracle or the probe action — nothing else, ever.
+// flaps in and out of the engine and commits re-densify its shard. Every
+// answer must equal the base oracle or the probe action — nothing else, ever.
 func TestWireStressCoalescerVsCommits(t *testing.T) {
 	srv, rs, sh := buildShardedServer(t)
-	sh.StartAutoCommit(2*time.Millisecond, 1)
 	addr, _, _ := startWire(t, srv, true)
 	oracle := lpm.NewTrieMatcher(rs)
 
@@ -659,6 +657,9 @@ func TestWireStressCoalescerVsCommits(t *testing.T) {
 				cu.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: probe, Len: 32, Action: probeAct})
 			} else {
 				cu.Update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: probe, Len: 32})
+			}
+			if i%8 == 3 {
+				sh.Commit(sh.ShardOf(probe))
 			}
 			time.Sleep(200 * time.Microsecond)
 		}

@@ -1,275 +1,95 @@
-// Regression tests for the hardened update plane (DESIGN.md §11): commit
-// failures must be observable, recoverable, and invisible to readers.
+// Failure tests for the update path (DESIGN.md §11): a failed rebuild must
+// leave every shard as it was.
 package shard
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
-	"time"
 
-	"neurolpm/internal/core"
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 )
 
-// buildFaultyUpdatable builds a 4-shard updatable engine whose commits run
-// through a fault injector.
-func buildFaultyUpdatable(t *testing.T, width int, seed int64) (*ShardedUpdatable, *lpm.RuleSet, *fault.Injector) {
-	t.Helper()
-	rs := randomRuleSet(t, width, 60, seed)
-	in := fault.NewInjector(uint64(seed))
-	cfg := quickSRAMOnly()
-	cfg.Fault = in.Hook()
-	u, err := BuildUpdatable(rs, cfg, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return u, rs, in
-}
+// TestReplicatedInsertRollsBack: a rule shorter than the shard prefix is
+// inserted into shards lo…hi in order, each SRAM-only shard retraining it in.
+// When the rebuild of the last shard fails — at the retrain, and separately at
+// the swap — Insert returns the injected error and shards lo…hi−1, which had
+// already taken the rule, no longer answer it: every key of the rule's span
+// answers what it did before the call, and the last shard's engine is the one
+// it had.
+func TestReplicatedInsertRollsBack(t *testing.T) {
+	const width = 16
+	for _, site := range []fault.Site{fault.SiteRetrain, fault.SiteSwap} {
+		t.Run(string(site), func(t *testing.T) {
+			rs := randomRuleSet(t, width, 60, 57)
+			var armed atomic.Bool
+			var fires, failAt atomic.Int64
+			cfg := quickSRAMOnly()
+			cfg.Fault = func(s fault.Site) error {
+				if s == site && armed.Load() && fires.Add(1) == failAt.Load() {
+					return fault.ErrInjected
+				}
+				return nil
+			}
+			u, err := BuildUpdatable(rs, cfg, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r lpm.Rule
+			for _, c := range []lpm.Rule{{Len: 0}, {Len: 1}, {Prefix: keys.FromUint64(1 << (width - 1)), Len: 1}} {
+				if rs.Find(c.Prefix, c.Len) == lpm.NoMatch {
+					r = lpm.Rule{Prefix: c.Prefix, Len: c.Len, Action: 1 << 30}
+					break
+				}
+			}
+			if r.Action == 0 {
+				t.Fatal("every rule shorter than the shard prefix is taken")
+			}
+			lo, hi := u.coveredShards(r.Prefix, r.Len)
+			if hi <= lo {
+				t.Fatalf("rule %v covers shards %d…%d, want several", r, lo, hi)
+			}
+			span := make([]keys.Value, 0, 256)
+			for k := r.Low(width); len(span) < cap(span); k = k.AddUint64(1 << (width - r.Len - 8)) {
+				span = append(span, k)
+			}
+			before := make([]Result, len(span))
+			for i, k := range span {
+				before[i].Action, before[i].Matched = u.Lookup(k)
+			}
+			last := u.Engine(hi)
 
-// freeRuleInShard returns a full-width rule absent from rs that routes to
-// the given shard (top shardBits bits).
-func freeRuleInShard(t *testing.T, rs *lpm.RuleSet, width, shardBits, shard int, action uint64) lpm.Rule {
-	t.Helper()
-	base := uint64(shard) << (width - shardBits)
-	for p := uint64(0); p < 1<<(width-shardBits); p++ {
-		prefix := keys.FromUint64(base | (p*2654435761)%(1<<(width-shardBits)))
-		if rs.Find(prefix, width) == lpm.NoMatch {
-			return lpm.Rule{Prefix: prefix, Len: width, Action: action}
-		}
-	}
-	t.Fatalf("no free rule in shard %d", shard)
-	return lpm.Rule{}
-}
-
-// TestLastCommitErrObservableAndCleared is the satellite-1 regression: a
-// background-path commit failure must be observable through LastCommitErr
-// and ShardStatus, and the next successful commit of the same shard must
-// clear it with the queued rule applied exactly once.
-func TestLastCommitErrObservableAndCleared(t *testing.T) {
-	u, rs, in := buildFaultyUpdatable(t, 16, 51)
-	r := freeRuleInShard(t, rs, 16, 2, 1, 9100)
-	if err := u.Insert(r); err != nil {
-		t.Fatal(err)
-	}
-
-	in.FailNext(fault.SiteRetrain, 1)
-	if err := u.Commit(u.ShardOf(r.Prefix)); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("commit under injected failure: %v", err)
-	}
-	if err := u.LastCommitErr(); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("LastCommitErr after failure = %v, want the injected error", err)
-	}
-	st := u.ShardStatus(u.ShardOf(r.Prefix))
-	if st.Health != Degraded || st.ConsecutiveFailures != 1 || st.LastErr == nil {
-		t.Fatalf("shard status after failure = %+v, want degraded/1 failure", st)
-	}
-	// The pending rule is still served through the delta overlay.
-	if got, ok := u.Lookup(r.Prefix); !ok || got != r.Action {
-		t.Fatalf("pending rule lost during failure: (%d,%v)", got, ok)
-	}
-
-	// Retry (injector exhausted) clears the error and applies the rule once.
-	if err := u.Commit(u.ShardOf(r.Prefix)); err != nil {
-		t.Fatalf("retry commit: %v", err)
-	}
-	if err := u.LastCommitErr(); err != nil {
-		t.Fatalf("LastCommitErr not cleared by successful commit: %v", err)
-	}
-	st = u.ShardStatus(u.ShardOf(r.Prefix))
-	if st.Health != Healthy || st.Pending != 0 || st.Commits != 1 || st.Failures != 1 {
-		t.Fatalf("shard status after recovery = %+v", st)
-	}
-	if got, ok := u.Engine(u.ShardOf(r.Prefix)).Lookup(r.Prefix); !ok || got != r.Action {
-		t.Fatalf("rule missing from recovered engine: (%d,%v)", got, ok)
-	}
-	if err := u.Close(); err != nil {
-		t.Fatalf("close after recovery: %v", err)
-	}
-}
-
-// TestCloseFailsLoudlyOnPendingError: Close must not silently discard a
-// shard whose pending rules never reached a trained engine.
-func TestCloseFailsLoudlyOnPendingError(t *testing.T) {
-	u, rs, in := buildFaultyUpdatable(t, 16, 52)
-	r := freeRuleInShard(t, rs, 16, 2, 2, 9200)
-	if err := u.Insert(r); err != nil {
-		t.Fatal(err)
-	}
-	in.FailProb(fault.SiteRetrain, 1)
-	if err := u.CommitAll(); err == nil {
-		t.Fatal("CommitAll under permanent injected failure succeeded")
-	}
-	err := u.Close()
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("Close with unresolved failure = %v, want loud error", err)
-	}
-	// Idempotent: a second Close reports the same condition, no panic.
-	if err := u.Close(); err == nil {
-		t.Fatal("second Close swallowed the pending failure")
-	}
-}
-
-// TestKickDuringInFlightCommitNotStranded is the satellite-2 regression:
-// with the timer effectively disabled (1h interval), a kick raced with an
-// in-flight commit must still get the second dirty shard committed — the
-// single-buffered kick channel re-arms while the committer is busy.
-func TestKickDuringInFlightCommitNotStranded(t *testing.T) {
-	rs := randomRuleSet(t, 16, 60, 53)
-	started := make(chan struct{}, 8)
-	release := make(chan struct{})
-	cfg := quickSRAMOnly()
-	cfg.Fault = func(s fault.Site) error {
-		if s != fault.SiteRetrain {
-			return nil
-		}
-		select {
-		case <-release: // gate already open: pass through
-			return nil
-		default:
-		}
-		started <- struct{}{}
-		<-release
-		return nil
-	}
-	u, err := BuildUpdatable(rs, cfg, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := u.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-	u.StartAutoCommit(time.Hour, 1) // only kicks can trigger a pass
-
-	a := freeRuleInShard(t, rs, 16, 2, 0, 9301)
-	if err := u.Insert(a); err != nil { // kick #1: committer starts, blocks in retrain
-		t.Fatal(err)
-	}
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("committer never reached the gated retrain")
-	}
-	b := freeRuleInShard(t, rs, 16, 2, 3, 9302)
-	if err := u.Insert(b); err != nil { // kick #2 lands while a commit is in flight
-		t.Fatal(err)
-	}
-	close(release)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for u.PendingInserts() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := u.PendingInserts(); got != 0 {
-		t.Fatalf("%d rules stranded after kick raced an in-flight commit", got)
-	}
-	for _, r := range []lpm.Rule{a, b} {
-		if got, ok := u.Engine(u.ShardOf(r.Prefix)).Lookup(r.Prefix); !ok || got != r.Action {
-			t.Fatalf("rule %v not committed: (%d,%v)", r, got, ok)
-		}
-	}
-}
-
-// TestHealthTransitionsWithStaleBudget walks a shard through
-// healthy → degraded → stale → healthy against a tiny staleness budget.
-func TestHealthTransitionsWithStaleBudget(t *testing.T) {
-	u, rs, in := buildFaultyUpdatable(t, 16, 54)
-	u.SetStaleBudget(50 * time.Millisecond)
-	shard := 1
-	r := freeRuleInShard(t, rs, 16, 2, shard, 9400)
-
-	if st := u.ShardStatus(shard); st.Health != Healthy {
-		t.Fatalf("initial health = %v", st.Health)
-	}
-	if err := u.Insert(r); err != nil {
-		t.Fatal(err)
-	}
-	in.FailProb(fault.SiteRetrain, 1)
-	if err := u.Commit(shard); err == nil {
-		t.Fatal("injected commit succeeded")
-	}
-	if st := u.ShardStatus(shard); st.Health != Degraded {
-		t.Fatalf("health right after failure = %v, want degraded", st.Health)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if st := u.ShardStatus(shard); st.Health != Stale {
-		t.Fatalf("health past the budget = %v, want stale", st.Health)
-	}
-	// Readers still see the pending rule while the shard is stale.
-	if got, ok := u.Lookup(r.Prefix); !ok || got != r.Action {
-		t.Fatalf("stale shard dropped the pending rule: (%d,%v)", got, ok)
-	}
-	in.Clear(fault.SiteRetrain)
-	if err := u.Commit(shard); err != nil {
-		t.Fatal(err)
-	}
-	if st := u.ShardStatus(shard); st.Health != Healthy || st.StaleFor != 0 {
-		t.Fatalf("health after recovery = %+v, want healthy", st)
-	}
-	if err := u.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBackgroundRetryRecovers: the background committer must ride out a
-// burst of injected failures on its backoff schedule and converge with
-// every queued update applied exactly once.
-func TestBackgroundRetryRecovers(t *testing.T) {
-	u, rs, in := buildFaultyUpdatable(t, 16, 55)
-	u.SetCommitBackoff(core.Backoff{Base: 2 * time.Millisecond, Cap: 10 * time.Millisecond})
-	in.FailNext(fault.SiteRetrain, 3)
-	u.StartAutoCommit(time.Hour, 1) // kicks + backoff retries only
-
-	r := freeRuleInShard(t, rs, 16, 2, 2, 9500)
-	if err := u.Insert(r); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for u.PendingInserts() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := u.PendingInserts(); got != 0 {
-		t.Fatalf("background retry never converged: pending = %d, lastErr = %v", got, u.LastCommitErr())
-	}
-	if err := u.LastCommitErr(); err != nil {
-		t.Fatalf("LastCommitErr after convergence: %v", err)
-	}
-	st := u.ShardStatus(u.ShardOf(r.Prefix))
-	if st.Failures != 3 || st.Commits != 1 {
-		t.Fatalf("retry accounting = %+v, want 3 failures then 1 commit", st)
-	}
-	if got, ok := u.Engine(u.ShardOf(r.Prefix)).Lookup(r.Prefix); !ok || got != r.Action {
-		t.Fatalf("rule not applied exactly once: (%d,%v)", got, ok)
-	}
-	if err := u.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWithdrawnPendingClearsFailure: deleting the only pending rule of a
-// failing shard resolves its degraded state on the next committer pass —
-// nothing is left to be stale about.
-func TestWithdrawnPendingClearsFailure(t *testing.T) {
-	u, rs, in := buildFaultyUpdatable(t, 16, 56)
-	r := freeRuleInShard(t, rs, 16, 2, 0, 9600)
-	if err := u.Insert(r); err != nil {
-		t.Fatal(err)
-	}
-	in.FailProb(fault.SiteRetrain, 1)
-	if err := u.Commit(0); err == nil {
-		t.Fatal("injected commit succeeded")
-	}
-	if err := u.Delete(r.Prefix, r.Len); err != nil {
-		t.Fatal(err)
-	}
-	u.commitPass() // what the background loop would do
-	if st := u.ShardStatus(0); st.Health != Healthy {
-		t.Fatalf("withdrawing pending rules left shard %v", st.Health)
-	}
-	if err := u.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+			armed.Store(true)
+			failAt.Store(int64(hi - lo + 1))
+			if err := u.Insert(r); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("insert with shard %d's %s failing: err = %v", hi, site, err)
+			}
+			armed.Store(false)
+			if u.Engine(hi) != last {
+				t.Fatalf("shard %d installed an engine its failed rebuild built", hi)
+			}
+			for i, k := range span {
+				if a, ok := u.Lookup(k); a != before[i].Action || ok != before[i].Matched {
+					t.Fatalf("key %v (shard %d) answers (%d,%v) after the rolled-back insert, (%d,%v) before",
+						k, u.ShardOf(k), a, ok, before[i].Action, before[i].Matched)
+				}
+			}
+			if err := u.Insert(r); err != nil {
+				t.Fatalf("insert once the fault is disarmed: %v", err)
+			}
+			merged, err := lpm.NewRuleSet(width, append(append([]lpm.Rule(nil), rs.Rules...), r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := lpm.NewTrieMatcher(merged)
+			for _, k := range span {
+				want, wantOK := oracle.Lookup(k)
+				if a, ok := u.Lookup(k); a != want || ok != wantOK {
+					t.Fatalf("key %v answers (%d,%v) once the rule is in, the oracle says (%d,%v)", k, a, ok, want, wantOK)
+				}
+			}
+		})
 	}
 }

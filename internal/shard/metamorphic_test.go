@@ -76,15 +76,15 @@ func buildSweepUpdatable(t *testing.T, seed int64) (*ShardedUpdatable, *lpm.Rule
 }
 
 // TestShardedInsertThenDeleteIsIdentity covers both a long rule (one shard)
-// and a /1 rule (replicated into two of the four shards), on the delta path
-// and the committed path.
+// and a /1 rule (replicated into two of the four shards), right after the
+// SRAM-only shards retrained them in and after a commit rebuilt them again.
 func TestShardedInsertThenDeleteIsIdentity(t *testing.T) {
 	u, rs := buildSweepUpdatable(t, 31)
 	before := sweepFn(sweepWidth, u.Lookup)
 	long := freeRule(t, rs, 6, 5001)
 	short := freeRule(t, rs, 1, 5002)
 
-	// Delta path.
+	// Rebuild path.
 	for _, r := range []lpm.Rule{long, short} {
 		if err := u.Insert(r); err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestShardedInsertThenDeleteIsIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	diffSweeps(t, "delta insert+delete", sweepFn(sweepWidth, u.Lookup), before)
+	diffSweeps(t, "rebuilt insert+delete", sweepFn(sweepWidth, u.Lookup), before)
 
 	// Committed path: the replicated short rule exercises per-shard
 	// tombstones in two shards at once.
@@ -104,9 +104,7 @@ func TestShardedInsertThenDeleteIsIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := u.CommitAll(); err != nil {
-		t.Fatal(err)
-	}
+	commitAll(t, u)
 	for _, r := range []lpm.Rule{long, short} {
 		if err := u.Delete(r.Prefix, r.Len); err != nil {
 			t.Fatal(err)
@@ -165,12 +163,7 @@ func TestShardedCommitEqualsFreshBuild(t *testing.T) {
 		}
 		merged = append(merged, r)
 	}
-	if err := u.CommitAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := u.PendingInserts(); got != 0 {
-		t.Fatalf("pending after CommitAll: %d", got)
-	}
+	commitAll(t, u)
 	mergedSet, err := lpm.NewRuleSet(sweepWidth, merged)
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +182,9 @@ func TestShardedCommitEqualsFreshBuild(t *testing.T) {
 	}
 }
 
-// TestShardedUpdatableBatchSeesDelta: a pending (uncommitted) insertion is
-// visible through LookupBatch, shard-consistently.
-func TestShardedUpdatableBatchSeesDelta(t *testing.T) {
+// TestShardedUpdatableBatchSeesRebuiltInsert: an insertion the SRAM-only
+// shard retrained in is visible through LookupBatch once Insert returns.
+func TestShardedUpdatableBatchSeesRebuiltInsert(t *testing.T) {
 	u, rs := buildSweepUpdatable(t, 34)
 	r := freeRule(t, rs, 10, 4242)
 	if err := u.Insert(r); err != nil {
@@ -199,6 +192,6 @@ func TestShardedUpdatableBatchSeesDelta(t *testing.T) {
 	}
 	res := u.LookupBatch([]keys.Value{r.Prefix})
 	if !res[0].Matched || res[0].Action != 4242 {
-		t.Fatalf("pending rule invisible to LookupBatch: %+v", res[0])
+		t.Fatalf("rebuilt-in rule invisible to LookupBatch: %+v", res[0])
 	}
 }

@@ -12,11 +12,9 @@ var (
 	metBatchSize = telemetry.Default.Histogram("neurolpm_shard_batch_size",
 		"Keys per LookupBatch call")
 	metRebuildMs = telemetry.Default.Histogram("neurolpm_shard_rebuild_ms",
-		"Per-shard background rebuild (retrain + swap) duration in milliseconds (§6.5)")
+		"Per-shard commit (retrain + swap) duration in milliseconds (§6.5)")
 	metCommits = telemetry.Default.Counter("neurolpm_shard_commits_total",
-		"Per-shard commits (background auto-commit and explicit)")
+		"Per-shard commits: explicit re-densify of one shard")
 	metCommitErrs = telemetry.Default.Counter("neurolpm_shard_commit_errors_total",
 		"Per-shard commits that failed (rule-set invalid or training error)")
-	metCommitRetries = telemetry.Default.Counter("neurolpm_shard_commit_retries_total",
-		"Commit attempts made while the shard already had an unresolved failure")
 )

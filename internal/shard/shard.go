@@ -17,7 +17,7 @@
 //
 // ShardedUpdatable is the one sharded type and the one serving topology: a
 // single shard (no routing bits, the global model) is its degenerate
-// case, and a caller that never inserts simply never starts the committer.
+// case.
 //
 // Correctness is preserved by replication: a rule shorter than the shard
 // prefix is installed in every shard it covers (exactly like a route
@@ -283,8 +283,8 @@ func (r *router) registerGauges(rangesOf func(i int) int) {
 // registerObserverGauges publishes the per-shard observability-plane gauges
 // (DESIGN.md §13): model drift, the compiled probe ceiling, bucket-hotness
 // skew and spilled buckets. engineAt reads the shard's *current* live engine,
-// so an updatable shard's post-commit engine — with its fresh bound and
-// sketch — is what a scrape sees, without any re-registration on commit.
+// so an updatable shard's rebuilt engine — with its fresh bound and sketch —
+// is what a scrape sees, without any re-registration on a swap.
 func (r *router) registerObserverGauges(engineAt func(i int) *core.Engine) {
 	drift := telemetry.Default.GaugeVec("neurolpm_model_drift",
 		"Observed p99 secondary-search probes over the last minute divided by the compiled probe ceiling (→1 = bound headroom consumed; retrain signal)", "shard")

@@ -16,9 +16,45 @@ import (
 	"neurolpm/internal/telemetry"
 )
 
+// startCommitter commits the shards of u round-robin, one every interval, on
+// a goroutine of its own until the returned stop is called; stop reports the
+// first commit that failed.
+func startCommitter(u *ShardedUpdatable, interval time.Duration) (stop func() error) {
+	done := make(chan struct{})
+	failed := make(chan error, 1)
+	go func() {
+		defer close(failed)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			case <-time.After(interval):
+			}
+			if err := u.Commit(i % u.Shards()); err != nil {
+				failed <- err
+				return
+			}
+		}
+	}()
+	return func() error {
+		close(done)
+		return <-failed
+	}
+}
+
+// commitAll commits every shard of u.
+func commitAll(t *testing.T, u *ShardedUpdatable) {
+	t.Helper()
+	for i := 0; i < u.Shards(); i++ {
+		if err := u.Commit(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestConcurrentReadersWithBackgroundCommit is the torn-snapshot stress
 // test: readers stream LookupBatch while a writer inserts and deletes a
-// probe rule and the background committer rebuilds dirty shards. Invariants
+// probe rule and a committer goroutine rebuilds shards under them. Invariants
 // checked on every read (run under -race in CI's race-and-fuzz job):
 //
 //   - the probe key always resolves to its base action or the probe-rule
@@ -34,8 +70,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer u.Close()
-	u.StartAutoCommit(2*time.Millisecond, 4)
+	stopCommits := startCommitter(u, 2*time.Millisecond)
 
 	// The probe: a /16 rule the writer repeatedly inserts and deletes. Its
 	// key either matches the probe action (rule present) or whatever the
@@ -46,7 +81,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	// Steady keys: resolved once up front; their shards never see writes?
 	// No — the probe's shard sees commits, so steady keys prove cross-shard
 	// isolation only when they live in other shards. Keep both kinds and
-	// assert all of them are commit-invariant (deltas only carry the probe).
+	// assert all of them are commit-invariant (updates only carry the probe).
 	steady := randomKeys(width, 256, 43)
 	for i, k := range steady {
 		if k == probe.Prefix { // keep steady keys commit-invariant
@@ -105,8 +140,8 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 		}(int64(r))
 	}
 
-	// Writer: insert probe → (maybe committed in background) → delete →
-	// commit cycles. Every intermediate state keeps the probe key's answer
+	// Writer: insert probe → (maybe committed under it) → delete cycles.
+	// Every intermediate state keeps the probe key's answer
 	// in {base, probe}.
 	deadline := time.Now().Add(1500 * time.Millisecond)
 	cycles := 0
@@ -125,11 +160,11 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
+	if err := stopCommits(); err != nil {
+		t.Fatalf("commit failed: %v", err)
+	}
 	if got := torn.Load(); got != 0 {
 		t.Fatalf("%d torn reads over %d writer cycles", got, cycles)
-	}
-	if err := u.LastCommitErr(); err != nil {
-		t.Fatalf("background commit failed: %v", err)
 	}
 	checkGauge(true)
 	if cycles < 10 {
@@ -138,7 +173,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 }
 
 // TestConcurrentCachedReadersWithUpdates races readers against the same
-// insert/delete/background-commit cycle with the two read shapes a result
+// insert/delete/commit cycle with the two read shapes a result
 // cache would short-circuit: batches in which every key appears twice, and a
 // single-key Lookup of the probe. Both occurrences of a key in one batch, and
 // the single-key answer, must each be the probe action or the base answer —
@@ -150,8 +185,7 @@ func TestConcurrentCachedReadersWithUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer u.Close()
-	u.StartAutoCommit(2*time.Millisecond, 4)
+	stopCommits := startCommitter(u, 2*time.Millisecond)
 
 	probe := freeProbeRule(t, rs, width)
 	baseAction, baseOK := lpm.NewTrieMatcher(rs).Lookup(probe.Prefix)
@@ -221,11 +255,11 @@ func TestConcurrentCachedReadersWithUpdates(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+	if err := stopCommits(); err != nil {
+		t.Fatalf("commit failed: %v", err)
+	}
 	if got := torn.Load(); got != 0 {
 		t.Fatalf("%d stale/torn reads over %d writer cycles", got, cycles)
-	}
-	if err := u.LastCommitErr(); err != nil {
-		t.Fatalf("background commit failed: %v", err)
 	}
 	if cycles < 10 {
 		t.Fatalf("writer made only %d cycles; stress run too short", cycles)
@@ -246,9 +280,9 @@ func freeProbeRule(t *testing.T, rs *lpm.RuleSet, width int) lpm.Rule {
 	return lpm.Rule{}
 }
 
-// TestLookupBatchSurvivesClose pins Close's contract — it stops the
-// committer, and lookups stay valid — against batches in flight on other
-// goroutines: four readers loop LookupBatch across a Close and keep going
+// TestLookupBatchSurvivesClose pins Close's contract — it returns nil, and
+// lookups stay valid — against batches in flight on other goroutines: four
+// readers loop LookupBatch across a Close and keep going
 // after it, and every answer must equal the trie oracle's. A batch is
 // answered on its caller's goroutine, so there is nothing for Close to take
 // away from a reader mid-call.
@@ -262,7 +296,6 @@ func TestLookupBatchSurvivesClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u.StartAutoCommit(time.Millisecond, 0)
 		var (
 			closed  atomic.Bool
 			wg      sync.WaitGroup
@@ -309,8 +342,9 @@ func TestLookupBatchSurvivesClose(t *testing.T) {
 	}
 }
 
-// TestShardedUpdatableSequentialStorm interleaves lookups with inserts,
-// deletes, modifies, failed and successful commits, checking every answer
+// TestShardedUpdatableSequentialStorm interleaves lookups with inserts —
+// absorbed, or refused (fault.SiteAbsorb) and retrained in — deletes,
+// modifies, failed and successful commits, checking every answer
 // against a lockstep trie oracle — the sequential half of the "0 oracle
 // mismatches under updates" acceptance bar (the concurrent half is
 // TestConcurrentReadersWithBackgroundCommit; the adversarial half is
@@ -377,10 +411,12 @@ func TestShardedUpdatableSequentialStorm(t *testing.T) {
 			if dup {
 				continue
 			}
-			if err := u.Insert(r); err != nil {
-				if errors.Is(err, core.ErrDeltaFull) {
-					continue
-				}
+			if rng.Intn(2) == 0 {
+				in.FailProb(fault.SiteAbsorb, 1)
+			}
+			err := u.Insert(r)
+			in.Clear(fault.SiteAbsorb)
+			if err != nil {
 				t.Fatalf("insert: %v", err)
 			}
 			live = append(live, r)
@@ -399,9 +435,6 @@ func TestShardedUpdatableSequentialStorm(t *testing.T) {
 			live[j].Action = a
 		case 8: // failed commit
 			s := rng.Intn(u.Shards())
-			if u.shards[s].PendingInserts() == 0 {
-				continue
-			}
 			in.FailNext(fault.SiteRetrain, 1)
 			err := u.Commit(s)
 			in.Clear(fault.SiteRetrain)
@@ -410,18 +443,13 @@ func TestShardedUpdatableSequentialStorm(t *testing.T) {
 			}
 		case 9: // successful commit
 			s := rng.Intn(u.Shards())
-			if u.shards[s].PendingInserts() == 0 {
-				continue
-			}
 			if err := u.Commit(s); err != nil {
 				t.Fatalf("commit: %v", err)
 			}
 		}
 		check(fmt.Sprintf("step %d", step))
 	}
-	if err := u.CommitAll(); err != nil {
-		t.Fatal(err)
-	}
+	commitAll(t, u)
 	check("after final commit")
 	if err := u.Close(); err != nil {
 		t.Fatal(err)

@@ -161,17 +161,18 @@ func (c *Client) Batch(ks []keys.Value) ([]Result, error) {
 	return out, nil
 }
 
-// Update applies one rule update, returning the server's pending-rule count.
-func (c *Client) Update(u RuleUpdate) (pending uint32, err error) {
+// Update applies one rule update; nil means the server acknowledged it, and
+// an acknowledged update is in the engine.
+func (c *Client) Update(u RuleUpdate) error {
 	id := c.ID()
 	f, err := c.roundTrip(id, func(b []byte) []byte { return AppendUpdate(b, id, u) })
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if f.Op != OpUpdateResult {
-		return 0, fmt.Errorf("wire: update answered with %s", f.Op)
+		return fmt.Errorf("wire: update answered with %s", f.Op)
 	}
-	return f.UpdatePending()
+	return nil
 }
 
 // Ping round-trips an empty frame (liveness / drain probe).

@@ -56,7 +56,7 @@ const (
 
 	OpResult       Op = 0x81 // payload: action u64, flags u8 (bit0 = matched)
 	OpBatchResult  Op = 0x82 // payload: count u32, then count × 9-byte results
-	OpUpdateResult Op = 0x83 // payload: pending u32
+	OpUpdateResult Op = 0x83 // payload: empty (the update is in the engine)
 	OpPong         Op = 0x84 // payload: empty
 	OpError        Op = 0xFF // payload: code u8, UTF-8 message
 )
@@ -97,8 +97,8 @@ const (
 const (
 	ErrMalformed      uint8 = 1 // frame failed structural validation
 	ErrBadRequest     uint8 = 2 // well-formed frame, unservable request
-	ErrBackpressure   uint8 = 3 // delta buffer full; retry after a beat
 	ErrNotImplemented uint8 = 4 // op unsupported in this server mode
+	// Code 3 stays unassigned: older clients read it as "retry later".
 )
 
 // Result is one lookup answer as carried on the wire.
@@ -193,11 +193,10 @@ func AppendBatchResults(b []byte, id uint64, res []Result) []byte {
 	return b
 }
 
-// AppendUpdateResult appends an update-accepted response carrying the
-// server's pending (uncommitted) rule count.
-func AppendUpdateResult(b []byte, id uint64, pending uint32) []byte {
-	b = appendHeader(b, OpUpdateResult, id, 4)
-	return binary.LittleEndian.AppendUint32(b, pending)
+// AppendUpdateResult appends an update acknowledgement: an empty frame, sent
+// once the update is in the engine.
+func AppendUpdateResult(b []byte, id uint64) []byte {
+	return appendHeader(b, OpUpdateResult, id, 0)
 }
 
 // AppendPong appends a pong frame.
@@ -344,14 +343,6 @@ func (f Frame) Update() (RuleUpdate, error) {
 		return RuleUpdate{}, fmt.Errorf("wire: update prefix length %d exceeds 128", u.Len)
 	}
 	return u, nil
-}
-
-// UpdatePending decodes an OpUpdateResult payload.
-func (f Frame) UpdatePending() (uint32, error) {
-	if len(f.Payload) != 4 {
-		return 0, fmt.Errorf("wire: update-result payload %d bytes, want 4", len(f.Payload))
-	}
-	return binary.LittleEndian.Uint32(f.Payload), nil
 }
 
 // Err decodes an OpError payload into a Go error.

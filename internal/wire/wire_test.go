@@ -133,10 +133,13 @@ func TestPingPongAndError(t *testing.T) {
 	if f := readOne(t, AppendPong(nil, 1)); f.Op != OpPong {
 		t.Fatalf("pong frame %+v", f)
 	}
-	f := readOne(t, AppendError(nil, 5, ErrBackpressure, "delta buffer full"))
+	if f := readOne(t, AppendUpdateResult(nil, 2)); f.Op != OpUpdateResult || f.ID != 2 || len(f.Payload) != 0 {
+		t.Fatalf("update-result frame %+v", f)
+	}
+	f := readOne(t, AppendError(nil, 5, ErrBadRequest, "rebuild failed"))
 	err := f.Err()
 	re, ok := err.(*RemoteError)
-	if !ok || re.Code != ErrBackpressure || re.Msg != "delta buffer full" {
+	if !ok || re.Code != ErrBadRequest || re.Msg != "rebuild failed" {
 		t.Fatalf("error %v", err)
 	}
 }

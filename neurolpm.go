@@ -60,8 +60,10 @@ type ModelConfig = rqrmi.Config
 // implements.
 type Matcher = lpm.Matcher
 
-// Updatable wraps an Engine with a delta buffer for immediate insertions
-// and atomic commit-by-retraining (§6.5). Create with NewUpdatable.
+// Updatable wraps an Engine with the §6.5 update path: an insertion is
+// absorbed in place, or — when the engine refuses it — retrained into a
+// rebuilt engine swapped in before Insert returns, so an acknowledged insert
+// is always in the engine. Create with NewUpdatable.
 type Updatable = core.Updatable
 
 // Chain evaluates several LPM tables sequentially — the policy-based
@@ -98,11 +100,8 @@ func SRAMOnlyConfig() Config { return core.SRAMOnlyConfig() }
 // DefaultModelConfig returns the paper's 1/4/64 RQRMI model configuration.
 func DefaultModelConfig() ModelConfig { return rqrmi.DefaultConfig() }
 
-// NewUpdatable wraps a built engine with a delta buffer of the given
-// capacity (≤ 0 selects the paper's 10K TCAM-equivalent default).
-func NewUpdatable(e *Engine, capacity int) *Updatable {
-	return core.NewUpdatable(e, capacity)
-}
+// NewUpdatable wraps a built engine with the update path.
+func NewUpdatable(e *Engine) *Updatable { return core.NewUpdatable(e) }
 
 // NewChain builds a multi-table lookup chain.
 func NewChain(stages ...ChainStage) (*Chain, error) {
