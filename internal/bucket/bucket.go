@@ -11,19 +11,6 @@ import (
 
 	"neurolpm/internal/keys"
 	"neurolpm/internal/ranges"
-	"neurolpm/internal/telemetry"
-)
-
-// Every simulated DRAM fetch is booked through CountFetches — core calls it
-// once per lookup, or once per block from the batch tail, before it counts
-// the lookups themselves. core divides this counter by
-// its bucketized-lookup counter to expose the §7 "exactly one dependent
-// DRAM access per query" invariant as a live gauge.
-var (
-	metFetches = telemetry.Default.Counter("neurolpm_bucket_fetches_total",
-		"DRAM bucket fetches issued (paper §7)")
-	metFetchBytes = telemetry.Default.Counter("neurolpm_bucket_fetch_bytes_total",
-		"Bytes of bucket data fetched from DRAM (paper §7.1 layout)")
 )
 
 // Directory is the SRAM-resident compression of a range array.
@@ -110,10 +97,4 @@ func (d *Directory) DRAMAddr(b int) (addr uint64, size int) {
 	eb := uint64(d.array.BytesPerEntry())
 	stride := uint64(d.K) * eb
 	return uint64(b)*stride + eb, d.BucketBytes()
-}
-
-// CountFetches books n bucket fetches and their bytes.
-func (d *Directory) CountFetches(n uint64) {
-	metFetches.Add(n)
-	metFetchBytes.Add(n * uint64(d.BucketBytes()))
 }

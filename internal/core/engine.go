@@ -308,7 +308,8 @@ type Trace struct {
 // mem (a cache or traffic counter). For the SRAM-only design no accesses are
 // issued. The returned trace carries the per-query statistics.
 func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) Trace {
-	return e.trace(plane.Compiled, k, mem, nil, metLookups.Inc())
+	st := tally.Stripe()
+	return e.trace(plane.Compiled, k, mem, nil, st, drawn(plane.Compiled, st))
 }
 
 // LookupSpan executes the query on the inf-selected inference plane while
@@ -321,7 +322,8 @@ func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) Trace {
 // identifies the arithmetic that produced the prediction.
 func (e *Engine) LookupSpan(inf plane.Inference, k keys.Value, mem cachesim.Mem) (Trace, *telemetry.Span) {
 	sp := telemetry.StartSpan("lookup")
-	tr := e.trace(inf, k, mem, sp, metLookups.Inc())
+	st := tally.Stripe()
+	tr := e.trace(inf, k, mem, sp, st, drawn(inf, st))
 	sp.Set("key", k.String())
 	sp.Set("predicted_index", tr.Prediction.Index)
 	sp.Set("error_bound", tr.Prediction.Err)
@@ -340,23 +342,51 @@ func (e *Engine) LookupSpan(inf plane.Inference, k keys.Value, mem cachesim.Mem)
 }
 
 // lookup is the single-key arm of every caller that wants only the answer —
-// Lookup, LookupQuantized, LookupReference, the stacks and the Updatable.
-// One tick of the lookup counter serves three masters: the exact
-// lookups_total count, the 1:sampleEvery distribution sampling and the
-// flight-recorder sampling decision. An unsampled tick runs the bare pipeline
-// — inference, bounded search, the bucket record's answer, the counters — with
-// no Trace, no span and no memory model; a sampled tick and the reference
-// plane take trace, which runs the same steps and records them.
+// Lookup, LookupQuantized, LookupReference, the stacks and the Updatable: the
+// bare pipeline — inference, bounded search, the bucket record's answer, one
+// lane add — with no Trace, no span and no memory model. The lane add's
+// return is the key's lane tick, on which the distributions sample it
+// 1:sampleEvery. The flight recorder must decide before the key is booked:
+// after inference the key peeks its stripe's tick (plain loads of its lanes)
+// and the recorder draws on that. A drawn record must time the whole
+// pipeline, so that key takes trace, inference again included; so does the
+// reference plane.
 func (e *Engine) lookup(inf plane.Inference, k keys.Value) (action uint64, ok bool) {
-	n := metLookups.Inc()
-	if inf == plane.Reference || n&(sampleEvery-1) == 0 || telemetry.Flight.HitN(n) {
-		tr := e.trace(inf, k, cachesim.Null{}, nil, n)
+	if inf == plane.Reference {
+		tr := e.trace(inf, k, cachesim.Null{}, nil, tally.Stripe(), false)
 		return tr.Action, tr.Matched
 	}
-	b, _ := e.search(inf, k, e.predict(inf, k))
-	_, _, action, ok, spilled := e.rec.answer(b, k)
-	e.count(1, b2u(ok), b2u(spilled))
+	p := e.predict(inf, k)
+	st := tally.Stripe()
+	if telemetry.Flight.Draws(st, st.Tick()) {
+		tr := e.trace(inf, k, cachesim.Null{}, nil, st, true)
+		return tr.Action, tr.Matched
+	}
+	b, probes := e.search(inf, k, p)
+	_, cmp, action, ok, spilled := e.rec.answer(b, k)
+	if spilled {
+		metSpillFetches.Inc()
+	}
+	if e.book(st, 1, ok)&(sampleEvery-1) == 0 {
+		e.observe(b, probes, p.Err, cmp)
+	}
 	return action, ok
+}
+
+// drawn reports whether the flight recorder draws the next key booked on st,
+// a key of plane inf: the reference plane is never drawn, so the recorder's
+// records describe the production planes.
+func drawn(inf plane.Inference, st *telemetry.TallyStripe) bool {
+	return inf != plane.Reference && telemetry.Flight.Draws(st, st.Tick())
+}
+
+// book is every lookup's booking, one key or a block's keys of one outcome:
+// n lookups on st, one add on the lane the engine kind and matched select. It
+// returns the lane tick of the last of the n. A key that followed a spill
+// record books metSpillFetches apart, at the call site: kept out of book, the
+// rare add leaves book small enough to inline.
+func (e *Engine) book(st *telemetry.TallyStripe, n uint64, matched bool) uint64 {
+	return st.Add(int(b2u(matched))+laneBucket*int(b2u(e.dir != nil)), n)
 }
 
 // inferenceStage labels each plane's inference span stage, so /trace output
@@ -368,16 +398,14 @@ var inferenceStage = [plane.NumInference]string{
 }
 
 // trace is the instrumented single-key arm behind LookupMem, LookupSpan, the
-// reference plane and lookup's sampled ticks: inference on inf's plane, then
+// reference plane and lookup's drawn keys: inference on inf's plane, then
 // finish, for (on bucketized engines) exactly one DRAM bucket fetch through
-// mem. n is the query's lookup-counter tick. Stage timings are recorded only
-// when sp is non-nil or the tick drew a flight-recorder sample; the reference
-// plane is for differential tests and never feeds the flight recorder, whose
-// records describe the production planes.
-func (e *Engine) trace(inf plane.Inference, k keys.Value, mem cachesim.Mem, sp *telemetry.Span, n uint64) Trace {
+// mem, booked on stripe st. Stage timings are recorded only when sp is non-nil
+// or the flight recorder drew the key (flight).
+func (e *Engine) trace(inf plane.Inference, k keys.Value, mem cachesim.Mem, sp *telemetry.Span, st *telemetry.TallyStripe, flight bool) Trace {
 	var tr Trace
 	var fr *telemetry.FlightRecord
-	if inf != plane.Reference && telemetry.Flight.HitN(n) {
+	if flight {
 		var rec telemetry.FlightRecord // stack-allocated; Commit copies it out
 		fr = &rec
 		fr.Begin(k.Hi, k.Lo)
@@ -386,7 +414,7 @@ func (e *Engine) trace(inf plane.Inference, k keys.Value, mem cachesim.Mem, sp *
 	tr.Prediction = e.predict(inf, k)
 	end()
 	fr.Stamp(plane.StageInference)
-	e.finish(k, &tr, mem, sp, inf, n, fr)
+	e.finish(k, &tr, mem, sp, inf, st, fr)
 	return tr
 }
 
@@ -402,14 +430,14 @@ func (e *Engine) predict(inf plane.Inference, k keys.Value) rqrmi.Prediction {
 }
 
 // finish runs the post-inference pipeline for one traced key — secondary
-// search, tail, counters — the same search, record answer and count as
-// lookup's bare pipeline. inf selects the bounded-search arithmetic matching
+// search and tail — the same search and record answer as lookup's bare
+// pipeline. inf selects the bounded-search arithmetic matching
 // the caller's prediction: the search must consume the same plane's error
 // bound it was predicted under (quantized bounds cover quantized predictions,
 // not float ones), after which all three arms land on the identical true index
-// — per Verify. tr.Prediction must already be populated; n is the caller's
-// lookup-counter tick and fr the in-flight sample, nil for most queries.
-func (e *Engine) finish(k keys.Value, tr *Trace, mem cachesim.Mem, sp *telemetry.Span, inf plane.Inference, n uint64, fr *telemetry.FlightRecord) {
+// — per Verify. tr.Prediction must already be populated; the key books on st
+// and fr is the in-flight sample, nil for most queries.
+func (e *Engine) finish(k keys.Value, tr *Trace, mem cachesim.Mem, sp *telemetry.Span, inf plane.Inference, st *telemetry.TallyStripe, fr *telemetry.FlightRecord) {
 	end := sp.Stage("secondary-search")
 	var b int
 	b, tr.SRAMProbes = e.search(inf, k, tr.Prediction)
@@ -427,13 +455,15 @@ func (e *Engine) finish(k keys.Value, tr *Trace, mem cachesim.Mem, sp *telemetry
 		end()
 		fr.Stamp(plane.StageFetch)
 	}
-	if n&(sampleEvery-1) == 0 {
-		e.observe(b, tr.SRAMProbes, tr.Prediction.Err, cmp)
-	}
 	if fr != nil {
 		e.commit(fr, tr.SRAMProbes, tr.Prediction.Err, tr.Action, tr.Matched)
 	}
-	e.count(1, b2u(tr.Matched), b2u(tr.Spilled))
+	if tr.Spilled {
+		metSpillFetches.Inc()
+	}
+	if e.book(st, 1, tr.Matched)&(sampleEvery-1) == 0 {
+		e.observe(b, tr.SRAMProbes, tr.Prediction.Err, cmp)
+	}
 }
 
 // b2u is b as a count of one.
@@ -460,27 +490,9 @@ func (e *Engine) search(inf plane.Inference, k keys.Value, p rqrmi.Prediction) (
 	return e.comp.Search(k, p)
 }
 
-// count books n finished lookups, one key from finish or a block from
-// finishBatch. Fetches go before the bucketized lookups they served, so a
-// reader that loads bucketized first never sees it ahead. The dependent line
-// a spilled bucket costs past its fetch is booked apart, so the §7 pair stays
-// exact.
-func (e *Engine) count(n, matched, spilled uint64) {
-	if e.dir != nil {
-		e.dir.CountFetches(n)
-		metBucketized.Add(n)
-	}
-	if matched != 0 {
-		metMatched.Add(matched)
-	}
-	if spilled != 0 {
-		metSpillFetches.Add(spilled)
-	}
-}
-
 // The tail of a lookup, from b, the index its secondary search found, is three
 // steps — fetch, observe, commit — that finish runs for one key and
-// finishBatch for each key of a block; none books a counter (see count).
+// finishBatch for each key of a block; none books a counter (see book).
 //
 // fetch is the first: bucketized engines fetch exactly one bucket and scan its
 // record — the spill record, when word 0 says the bucket has one — and the
@@ -509,12 +521,9 @@ func (e *Engine) fetch(k keys.Value, b int, mem cachesim.Mem, inf plane.Inferenc
 	return j, cmp, action, matched, v.spilled
 }
 
-// observe feeds the per-query distributions. Callers sample it 1:sampleEvery
-// on the key's lookup-counter tick: an uncontended atomic RMW costs ~5ns on the
-// reference machine, so observing three histograms on every query would alone
-// blow the ≤2% overhead budget. Counters stay exact — only distribution shape
-// is sampled. The drift meter and hotness sketch ride the same sampled branch,
-// so their marginal hot-path cost is a fraction of a nanosecond per lookup.
+// observe feeds the per-query distributions, the drift meter and the hotness
+// sketch, 1:sampleEvery on the key's lane tick: its atomic adds on every
+// query would cost more than the lookup's one exact count.
 func (e *Engine) observe(b, probes, errBound, cmp int) {
 	metProbes.ObserveInt(probes)
 	metInferErr.ObserveInt(errBound)
@@ -582,16 +591,20 @@ func (e *Engine) LookupBatch(ks []keys.Value, out []BatchResult) []BatchResult {
 // Each block of rqrmi.Block keys is staged the way the paper's engine is
 // (§6.2) — blocked inference, the block's secondary searches in lockstep, a
 // touch of every key's record, then every key's tail — so at each step the
-// block's misses are outstanding together, and its counters are booked once.
-// Inference was pipelined across the block, so a flight-sampled key's record
-// times search onward: the key is searched again by itself, after the block's
-// search, then its tail.
+// block's misses are outstanding together, and it is booked as two lane adds,
+// matched and missed. A lane add that passes a sample tick observes the
+// block's first key of its outcome; the flight recorder draws key i on tick
+// t+i of one peek. Inference was pipelined across the block, so a drawn key's
+// record times search onward: the key is searched again by itself, after the
+// block's search, then its tail.
 func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.Mem, out []BatchResult) {
 	var (
 		preds  [rqrmi.Block]rqrmi.Prediction
 		bkt    [rqrmi.Block]int
 		probes [rqrmi.Block]int
+		cmps   [rqrmi.Block]int
 	)
+	st := tally.Stripe()
 	for start := 0; start < len(ks); start += rqrmi.Block {
 		n := min(len(ks)-start, rqrmi.Block)
 		blk, res := ks[start:start+n], out[start:start+n]
@@ -605,12 +618,12 @@ func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.
 		for _, b := range bkt[:n] {
 			e.rec.touch(b)
 		}
-		tick := metLookups.Add(uint64(n)) - uint64(n) // key i's tick is tick+i+1
+		t := st.Tick()
+		due := telemetry.Flight.Due(st, t+uint64(n)-1)
 		var matched, spilled uint64
 		for i, k := range blk {
-			nq := tick + uint64(i) + 1
 			var fr *telemetry.FlightRecord
-			if telemetry.Flight.HitN(nq) {
+			if due && telemetry.Flight.Draws(st, t+uint64(i)) {
 				var rec telemetry.FlightRecord // stack-allocated; Commit copies it out
 				fr = &rec
 				fr.Begin(k.Hi, k.Lo)
@@ -619,11 +632,9 @@ func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.
 				fr.Stamp(plane.StageSearch)
 			}
 			_, cmp, action, ok, spill := e.fetch(k, bkt[i], mem, inf)
+			cmps[i] = cmp
 			if e.dir != nil {
 				fr.Stamp(plane.StageFetch)
-			}
-			if nq&(sampleEvery-1) == 0 {
-				e.observe(bkt[i], probes[i], preds[i].Err, cmp)
 			}
 			if fr != nil {
 				e.commit(fr, probes[i], preds[i].Err, action, ok)
@@ -632,7 +643,22 @@ func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.
 			matched += b2u(ok)
 			spilled += b2u(spill)
 		}
-		e.count(uint64(n), matched, spilled)
+		if spilled != 0 {
+			metSpillFetches.Add(spilled)
+		}
+		// A block is shorter than the sampling stride: a lane add of c keys
+		// passes at most one sample tick, and does when its tick is below c.
+		for j, c := range [2]uint64{matched, uint64(n) - matched} {
+			ok := j == 0
+			if c == 0 || e.book(st, c, ok)&(sampleEvery-1) >= c {
+				continue
+			}
+			i := 0
+			for res[i].Matched != ok {
+				i++
+			}
+			e.observe(bkt[i], probes[i], preds[i].Err, cmps[i])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"neurolpm/internal/cachesim"
 	"neurolpm/internal/keys"
@@ -14,17 +15,21 @@ import (
 
 // series is a reading of every series a lookup books.
 type series struct {
-	lookups, matched, fetches, bucketized uint64
-	probes, errs, cmps                    uint64 // 1:64 sampled histograms
-	flight                                uint64 // flight records committed
+	lookups, matched, fetches, bucketized, spills uint64
+	probes, errs, cmps                            uint64 // 1:64 sampled histograms
+	flight                                        uint64 // flight records committed
 }
 
+// readSeries reads the counters as a scrape does, the derived ones summed
+// from the tally's lanes.
 func readSeries() series {
+	snap := telemetry.Default.Snapshot()
 	return series{
-		lookups:    metLookups.Load(),
-		matched:    metMatched.Load(),
-		fetches:    telemetry.Default.Counter("neurolpm_bucket_fetches_total", "").Load(),
-		bucketized: metBucketized.Load(),
+		lookups:    uint64(snap["neurolpm_lookups_total"]),
+		matched:    uint64(snap["neurolpm_lookups_matched_total"]),
+		fetches:    uint64(snap["neurolpm_bucket_fetches_total"]),
+		bucketized: uint64(snap["neurolpm_bucketized_lookups_total"]),
+		spills:     uint64(snap["neurolpm_bucket_spill_fetches_total"]),
 		probes:     metProbes.Count(),
 		errs:       metInferErr.Count(),
 		cmps:       metBucketCmp.Count(),
@@ -32,39 +37,57 @@ func readSeries() series {
 	}
 }
 
-// checkBooked holds what n single-key lookups on a bucketized engine, matched
-// of them matching by the oracle, run from g goroutines at flight stride
-// stride, booked between before and after: every counter exactly, and every
-// sampled series at its stride. A sampled series rides the lookup counter's
-// per-shard tick, so n/stride is exact for goroutines that each run a multiple
-// of stride lookups on one shard; a goroutine whose stack moved mid-run
-// spreads its ticks over two shards, and the count may land one off per
-// goroutine. The newest records must be single-key ones with stage stamps.
-func checkBooked(t *testing.T, before, after series, n, matched, g, stride uint64) {
+// booked is what a run of lookups should have booked: n lookups, matched of
+// them matching by the oracle, on a bucketized engine or an SRAM-only one,
+// from g goroutines at flight stride stride, batch lookups among them or not.
+type booked struct {
+	n, matched, g, stride uint64
+	bucketized, batched   bool
+}
+
+// checkBooked holds what w's lookups booked between before and after: every
+// counter exactly, and every sampled series at its stride. A distribution is
+// observed where a lane add reaches a multiple of sampleEvery — the add's
+// return, so a lane's ticks run in sequence whoever books it — and the flight
+// recorder claims each stride tick of a stripe once, however many goroutines
+// peek it. So a series misses n/stride only by where the run's ends fall in
+// each tick sequence it used, less than one a sequence: two lanes a stripe
+// for the distributions, one for the recorder. For g goroutines on the four
+// stripes of a box of up to 4 CPUs that is within g (g ≥ 8); for a lone
+// goroutine whose n is a multiple of the stride, within one. The newest
+// records must carry stage stamps, an inference stamp on every single-key
+// one: trace times a drawn key's whole pipeline.
+func checkBooked(t *testing.T, before, after series, w booked) {
 	t.Helper()
-	if d := after.lookups - before.lookups; d != n {
-		t.Errorf("lookups_total delta = %d, want %d", d, n)
+	if d := after.lookups - before.lookups; d != w.n {
+		t.Errorf("lookups_total delta = %d, want %d", d, w.n)
 	}
-	if d := after.matched - before.matched; d != matched {
-		t.Errorf("lookups_matched_total delta = %d, want the oracle's %d", d, matched)
+	if d := after.matched - before.matched; d != w.matched {
+		t.Errorf("lookups_matched_total delta = %d, want the oracle's %d", d, w.matched)
 	}
-	if fd, bd := after.fetches-before.fetches, after.bucketized-before.bucketized; fd != n || bd != n {
-		t.Errorf("fetches delta %d, bucketized delta %d, want both %d (§7: exactly one per query)", fd, bd, n)
+	fetched := w.n
+	if !w.bucketized {
+		fetched = 0
+	}
+	if fd, bd := after.fetches-before.fetches, after.bucketized-before.bucketized; fd != fetched || bd != fetched {
+		t.Errorf("fetches delta %d, bucketized delta %d, want both %d (§7: exactly one per bucketized query)", fd, bd, fetched)
 	}
 	near := func(name string, d, want uint64) {
-		if d+g < want || d > want+g {
-			t.Errorf("%s gained %d samples, want %d (± %d)", name, d, want, g)
+		if d+w.g < want || d > want+w.g {
+			t.Errorf("%s gained %d samples, want %d (± %d)", name, d, want, w.g)
 		}
 	}
-	near("neurolpm_sram_probes", after.probes-before.probes, n/sampleEvery)
-	near("neurolpm_inference_err", after.errs-before.errs, n/sampleEvery)
-	near("neurolpm_bucket_search_comparisons", after.cmps-before.cmps, n/sampleEvery)
+	near("neurolpm_sram_probes", after.probes-before.probes, w.n/sampleEvery)
+	near("neurolpm_inference_err", after.errs-before.errs, w.n/sampleEvery)
+	near("neurolpm_bucket_search_comparisons", after.cmps-before.cmps, fetched/sampleEvery)
 	recorded := after.flight - before.flight
-	near("flight ring", recorded, n/stride)
+	near("flight ring", recorded, w.n/w.stride)
 	for _, rec := range telemetry.Flight.Recent(int(min(recorded, uint64(telemetry.Flight.RingSize())))) {
 		stamped := rec.StageNs[plane.StageInference] + rec.StageNs[plane.StageSearch] + rec.StageNs[plane.StageFetch]
-		if rec.Batch || !rec.BucketRead || stamped <= 0 || stamped > rec.TotalNs {
-			t.Fatalf("flight record %+v: want a single-key bucket read with stage stamps", rec)
+		if (rec.Batch && !w.batched) || rec.BucketRead != w.bucketized || stamped <= 0 || stamped > rec.TotalNs ||
+			(!rec.Batch && rec.StageNs[plane.StageInference] <= 0) {
+			t.Fatalf("flight record %+v: want a bucket read %v with stage stamps (batch records allowed: %v)",
+				rec, w.bucketized, w.batched)
 		}
 	}
 }
@@ -86,23 +109,28 @@ func missingRuleSet(t *testing.T, n int, seed int64) *lpm.RuleSet {
 	return rs
 }
 
-// TestBucketFetchInvariant drives a bucketized engine and asserts the §7
-// invariant as the telemetry layer reports it — exactly one DRAM bucket fetch
-// per bucketized lookup, so the live gauge reads exactly 1.0 — and that the
-// lookups, most of which take the bare pipeline, book every other series as
-// the traced ones do (checkBooked).
+// countingMem is a cachesim.Mem that counts the DRAM reads issued through it.
+type countingMem struct{ reads uint64 }
+
+func (m *countingMem) Read(uint64, int) { m.reads++ }
+
+// setStride sets the flight recorder's stride for the rest of t.
+func setStride(t *testing.T, stride uint64) {
+	prev := telemetry.Flight.SampleEvery()
+	t.Cleanup(func() { telemetry.Flight.SetSampleEvery(prev) })
+	telemetry.Flight.SetSampleEvery(stride)
+}
+
+// TestBucketFetchInvariant holds §7 where the engine issues its reads: through
+// LookupMem, a bucketized engine reads DRAM exactly once a key and an
+// SRAM-only one never. Both arms — Lookup, whose keys mostly take the bare
+// pipeline, and LookupMem, which always traces — book every series exactly
+// (checkBooked), the fetch count equal to the bucketized count.
 func TestBucketFetchInvariant(t *testing.T) {
 	rs := missingRuleSet(t, 400, 7)
-	e, err := Build(rs, quickBucketed())
-	if err != nil {
-		t.Fatal(err)
-	}
 	oracle := lpm.NewTrieMatcher(rs)
 	const n, stride = 128 * 50, 128
-	prev := telemetry.Flight.SampleEvery()
-	defer telemetry.Flight.SetSampleEvery(prev)
-	telemetry.Flight.SetSampleEvery(stride)
-
+	setStride(t, stride)
 	rng := rand.New(rand.NewSource(11))
 	ks := make([]keys.Value, n)
 	var matched uint64
@@ -112,36 +140,107 @@ func TestBucketFetchInvariant(t *testing.T) {
 			matched++
 		}
 	}
-	before := readSeries()
-	for _, k := range ks {
-		e.Lookup(k)
-	}
-	checkBooked(t, before, readSeries(), n, matched, 1, stride)
+	for _, bucketized := range []bool{true, false} {
+		cfg := quickSRAMOnly()
+		if bucketized {
+			cfg = quickBucketed()
+		}
+		e, err := Build(rs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := booked{n: n, matched: matched, g: 1, stride: stride, bucketized: bucketized}
 
-	// The live gauge must read exactly 1.0 — every bucketized lookup this
-	// process ever served did exactly one fetch.
-	snap := telemetry.Default.Snapshot()
-	if g := snap["neurolpm_bucket_fetches_per_query"]; g != 1.0 {
-		t.Fatalf("neurolpm_bucket_fetches_per_query = %v, want exactly 1.0", g)
+		before := readSeries()
+		for _, k := range ks {
+			e.Lookup(k)
+		}
+		checkBooked(t, before, readSeries(), w)
+
+		mem := &countingMem{}
+		before = readSeries()
+		for _, k := range ks {
+			e.LookupMem(k, mem)
+		}
+		checkBooked(t, before, readSeries(), w)
+		if want := n * b2u(bucketized); mem.reads != want {
+			t.Errorf("bucketized %v: %d DRAM reads for %d lookups, want %d", bucketized, mem.reads, n, want)
+		}
 	}
 }
 
-// TestSRAMOnlyNoFetches checks the complementary invariant: the SRAM-only
-// design never touches the bucket path.
+// TestSRAMOnlyNoFetches checks the complementary invariant on the batch
+// stacks: an SRAM-only engine never touches the bucket path, on any inference
+// plane — no DRAM read, no fetch booked — while every key is still booked.
 func TestSRAMOnlyNoFetches(t *testing.T) {
 	rs := randomRuleSet(t, 32, 300, 9)
 	e, err := Build(rs, quickSRAMOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetches := telemetry.Default.Counter("neurolpm_bucket_fetches_total", "")
-	f0 := fetches.Load()
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		e.Lookup(randomKey(rng, 32))
+	ks := make([]keys.Value, 2000)
+	for i := range ks {
+		ks[i] = randomKey(rng, 32)
 	}
-	if d := fetches.Load() - f0; d != 0 {
-		t.Fatalf("SRAM-only engine issued %d bucket fetches", d)
+	for _, inf := range []plane.Inference{plane.Compiled, plane.Reference, plane.Quantized} {
+		mem := &countingMem{}
+		before := readSeries()
+		e.LookupBatchStack(plane.StackConfig{Inference: inf}, ks, nil, mem)
+		after := readSeries()
+		if d := after.lookups - before.lookups; mem.reads != 0 || after.fetches != before.fetches || d != uint64(len(ks)) {
+			t.Fatalf("plane %v: SRAM-only batch issued %d DRAM reads and booked %d fetches, %d lookups of %d",
+				inf, mem.reads, after.fetches-before.fetches, d, len(ks))
+		}
+	}
+}
+
+// TestSpilledBucketBooksOneSpillFetch: a key whose bucket answers from a spill
+// record books neurolpm_bucket_spill_fetches_total once a lookup, on the bare
+// arm and on the traced arm, and a key of an unspilled bucket never does.
+func TestSpilledBucketBooksOneSpillFetch(t *testing.T) {
+	rs := randomRuleSet(t, 32, 400, 17)
+	e, err := Build(rs, quickBucketed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(19))
+	var spilled, plain keys.Value
+	for spilled.IsZero() || plain.IsZero() {
+		k := randomKey(rng, 32)
+		switch tr := e.LookupMem(k, cachesim.Null{}); {
+		case tr.Spilled:
+		case spilled.IsZero() && e.Insert(lpm.Rule{Prefix: k, Len: 32, Action: 5}) == nil:
+			if e.LookupMem(k, cachesim.Null{}).Spilled {
+				spilled = k
+			}
+		case plain.IsZero():
+			plain = k
+		}
+	}
+	if e.LookupMem(plain, cachesim.Null{}).Spilled {
+		t.Fatal("the unspilled key's bucket spilled")
+	}
+	const n = 1000
+	for _, arm := range []struct {
+		name string
+		look func(keys.Value)
+	}{
+		{"bare", func(k keys.Value) { e.Lookup(k) }},
+		{"traced", func(k keys.Value) { e.LookupMem(k, cachesim.Null{}) }},
+	} {
+		for _, c := range []struct {
+			k    keys.Value
+			want uint64
+		}{{spilled, n}, {plain, 0}} {
+			before := readSeries()
+			for i := 0; i < n; i++ {
+				arm.look(c.k)
+			}
+			if d := readSeries().spills - before.spills; d != c.want {
+				t.Errorf("%s arm, key %v: spill fetches delta %d over %d lookups, want %d", arm.name, c.k, d, n, c.want)
+			}
+		}
 	}
 }
 
@@ -183,20 +282,32 @@ func TestLookupPathsAgree(t *testing.T) {
 }
 
 // TestConcurrentLookups exercises the instrumented hot path from many
-// goroutines (run under -race in CI): the engine is read-only at query time
-// and the telemetry layer is lock-free, so parallel lookups must be safe and
-// must not lose counter updates — checkBooked, for 16 goroutines.
+// goroutines (run under -race -cpu 1,2,4 in CI): the engine is read-only at
+// query time and the telemetry layer is lock-free, so parallel lookups must be
+// safe and must not lose a count — checkBooked, for 16 goroutines.
 func TestConcurrentLookups(t *testing.T) {
+	testConcurrentLookups(t, 16, 2048, func(int) bool { return false })
+}
+
+// TestConcurrentMixedLookups: both booking sites share the stripes — half of
+// 8 goroutines look their keys up one at a time and half in LookupBatch
+// calls — and every count stays exact, every sampled series within g.
+func TestConcurrentMixedLookups(t *testing.T) {
+	testConcurrentLookups(t, 8, 4096, func(w int) bool { return w%2 == 1 })
+}
+
+// testConcurrentLookups runs per random keys from each of workers goroutines
+// on one bucketized engine, goroutine w in LookupBatch calls of 256 keys if
+// batched(w), and holds what they booked to checkBooked.
+func testConcurrentLookups(t *testing.T, workers, per int, batched func(w int) bool) {
 	rs := missingRuleSet(t, 400, 13)
 	e, err := Build(rs, quickBucketed())
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := lpm.NewTrieMatcher(rs)
-	const workers, per, stride = 16, 2048, 128
-	prev := telemetry.Flight.SampleEvery()
-	defer telemetry.Flight.SetSampleEvery(prev)
-	telemetry.Flight.SetSampleEvery(stride)
+	const stride, batch = 128, 256
+	setStride(t, stride)
 
 	ks := make([][]keys.Value, workers)
 	var matched uint64
@@ -214,22 +325,31 @@ func TestConcurrentLookups(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := range ks {
 		wg.Add(1)
-		go func(ks []keys.Value) {
+		go func(ks []keys.Value, batched bool) {
 			defer wg.Done()
-			for _, k := range ks {
-				e.Lookup(k)
+			if !batched {
+				for _, k := range ks {
+					e.Lookup(k)
+				}
+				return
 			}
-		}(ks[w])
+			var out []BatchResult
+			for i := 0; i < len(ks); i += batch {
+				out = e.LookupBatch(ks[i:i+batch], out)
+			}
+		}(ks[w], batched(w))
 	}
 	wg.Wait()
-	checkBooked(t, before, readSeries(), workers*per, matched, workers, stride)
+	checkBooked(t, before, readSeries(), booked{n: uint64(workers * per), matched: matched, g: uint64(workers),
+		stride: stride, bucketized: true, batched: batched(1)})
 }
 
 // lookupBaseline is Lookup's bare pipeline with the counters taken out — the
 // compiled plane's inference, bounded search and record answer, and nothing
-// else — so Instrumented − Baseline is what the always-on telemetry costs a
-// key: the lookup tick, the fetch and bucketized counters, the matched
-// counter, and the 1:64 sampled tail amortized over the keys that skip it.
+// else — so Lookup less lookupBaseline is what the always-on telemetry costs
+// a key: the stripe tick's peek and the flight recorder's check, the one lane
+// add, and the sampled tail amortized over the keys that skip it
+// (benchOverhead).
 func (e *Engine) lookupBaseline(k keys.Value) (uint64, bool) {
 	b, _ := e.comp.Search(k, e.comp.Predict(k))
 	_, _, action, ok, _ := e.rec.answer(b, k)
@@ -251,40 +371,40 @@ func benchEngine(b *testing.B, cfg Config) (*Engine, []keys.Value) {
 	return e, keysArr
 }
 
-// The instrumented/baseline benchmark pair (make telemetry-overhead): the
-// same keys through Lookup and through its pipeline without a counter.
-func BenchmarkLookupInstrumented(b *testing.B) {
-	e, ks := benchEngine(b, quickBucketed())
+// benchOverhead is what the always-on counters cost a key (make
+// telemetry-overhead): Lookup against lookupBaseline on one engine and one key
+// set, in alternating chunks of keys, the arm that goes first alternating too,
+// so a change of machine speed or heap layout lands on both arms alike. It
+// reports each arm's ns a key and overhead-ns/key, their difference.
+func benchOverhead(b *testing.B, cfg Config) {
+	e, ks := benchEngine(b, cfg)
+	const chunk = 1 << 11
+	var spent [2]time.Duration // Lookup, lookupBaseline
+	n := 0
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Lookup(ks[i&(1<<14-1)])
+	for ; n < b.N; n += chunk {
+		blk := ks[n&(len(ks)-1):][:chunk]
+		for a := range 2 {
+			arm := (a + n/chunk) & 1
+			t0 := time.Now()
+			if arm == 0 {
+				for _, k := range blk {
+					e.Lookup(k)
+				}
+			} else {
+				for _, k := range blk {
+					e.lookupBaseline(k)
+				}
+			}
+			spent[arm] += time.Since(t0)
+		}
 	}
+	perKey := func(d time.Duration) float64 { return float64(d) / float64(n) }
+	b.ReportMetric(perKey(spent[0]), "instrumented-ns/key")
+	b.ReportMetric(perKey(spent[1]), "baseline-ns/key")
+	b.ReportMetric(perKey(spent[0]-spent[1]), "overhead-ns/key")
 }
 
-func BenchmarkLookupBaseline(b *testing.B) {
-	e, ks := benchEngine(b, quickBucketed())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.lookupBaseline(ks[i&(1<<14-1)])
-	}
-}
-
-func BenchmarkLookupInstrumentedSRAMOnly(b *testing.B) {
-	e, ks := benchEngine(b, quickSRAMOnly())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Lookup(ks[i&(1<<14-1)])
-	}
-}
-
-func BenchmarkLookupBaselineSRAMOnly(b *testing.B) {
-	e, ks := benchEngine(b, quickSRAMOnly())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.lookupBaseline(ks[i&(1<<14-1)])
-	}
-}
+func BenchmarkLookupOverhead(b *testing.B)         { benchOverhead(b, quickBucketed()) }
+func BenchmarkLookupOverheadSRAMOnly(b *testing.B) { benchOverhead(b, quickSRAMOnly()) }

@@ -32,7 +32,7 @@ func (e *Engine) LookupBatchStack(st plane.StackConfig, ks []keys.Value, out []B
 	out = out[:len(ks)]
 	if st.Inference == plane.Reference {
 		for i, k := range ks {
-			tr := e.trace(plane.Reference, k, mem, nil, metLookups.Inc())
+			tr := e.trace(plane.Reference, k, mem, nil, tally.Stripe(), false)
 			out[i] = BatchResult{Action: tr.Action, Matched: tr.Matched}
 		}
 		return out

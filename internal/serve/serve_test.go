@@ -176,15 +176,15 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("/trace stages = %v, want %v", stages, want)
 	}
 
-	// /metrics is a Prometheus scrape carrying the engine counters and the
-	// §7 invariant gauge.
+	// /metrics is a Prometheus scrape carrying the engine counters, the
+	// derived ones among them.
 	code, body = get("/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
 	for _, want := range []string{
 		"# TYPE neurolpm_lookups_total counter",
-		"neurolpm_bucket_fetches_per_query",
+		"# TYPE neurolpm_bucket_fetches_total counter",
 		"neurolpm_serve_dram_accesses_total",
 		"go_goroutines",
 	} {
@@ -213,8 +213,7 @@ func TestConcurrentLookupsAndScrapes(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	lookups := telemetry.Default.Counter("neurolpm_lookups_total", "")
-	l0 := lookups.Load()
+	l0 := core.LookupCounts().Lookups
 
 	const workers, per = 8, 60
 	var wg sync.WaitGroup
@@ -265,7 +264,7 @@ func TestConcurrentLookupsAndScrapes(t *testing.T) {
 	}
 
 	// Every HTTP lookup and the 20 traces hit the engine exactly once.
-	if d := lookups.Load() - l0; d < workers*per+20 {
+	if d := core.LookupCounts().Lookups - l0; d < workers*per+20 {
 		t.Fatalf("lookup counter delta = %d, want >= %d", d, workers*per+20)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"time"
 
+	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/telemetry"
 )
@@ -80,7 +81,7 @@ func sloCore(r *http.Request) (sloResponse, error) {
 	resp := sloResponse{
 		SampleEvery:  telemetry.Flight.SampleEvery(),
 		Recorded:     telemetry.Flight.Recorded(),
-		LookupsTotal: telemetry.Default.Counter("neurolpm_lookups_total", "").Load(),
+		LookupsTotal: core.LookupCounts().Lookups,
 	}
 	for _, w := range sloWindows {
 		resp.Windows = append(resp.Windows, windowRow(w.label, w.d))

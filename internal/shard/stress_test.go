@@ -13,7 +13,6 @@ import (
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/telemetry"
 )
 
 // startCommitter commits the shards of u round-robin, one every interval, on
@@ -61,8 +60,9 @@ func commitAll(t *testing.T, u *ShardedUpdatable) {
 //     action — any other value would be a torn snapshot;
 //   - keys in never-written shard slices always resolve to their initial
 //     action — a commit of one shard must not disturb another;
-//   - the §7 one-fetch-per-query gauge holds: DRAM bucket fetches stay
-//     exactly one per bucketized lookup throughout the run.
+//   - every key a reader looks up is booked exactly once, as a bucketized
+//     lookup and so as one bucket fetch (§7): never ahead of the keys
+//     issued, and equal to them once the readers have returned.
 func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	const width = 16
 	rs := randomRuleSet(t, width, 200, 41)
@@ -94,18 +94,13 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 		steadyWant[i].Action, steadyWant[i].Matched = oracle.Lookup(k)
 	}
 
-	fetches := telemetry.Default.Counter("neurolpm_bucket_fetches_total", "")
-	bucketized := telemetry.Default.Counter("neurolpm_bucketized_lookups_total", "")
-	fetches0, bucketized0 := fetches.Load(), bucketized.Load()
-	// A lookup (or a batch block) books its fetches before its bucketized
-	// lookups, so a snapshot that loads bucketized first can only see fetches
-	// at or ahead of it, however many readers are in flight; once they have
-	// all returned the two are equal. Anything else is a broken §7 invariant.
-	checkGauge := func(quiescent bool) {
-		db := bucketized.Load() - bucketized0
-		df := fetches.Load() - fetches0
-		if df < db || (quiescent && df != db) {
-			t.Errorf("§7 invariant broken: %d fetches for %d bucketized lookups (quiescent %v)", df, db, quiescent)
+	var issued atomic.Uint64 // keys the readers have handed to LookupBatch
+	c0 := core.LookupCounts()
+	checkBooked := func(quiescent bool) {
+		c := core.LookupCounts()
+		d, db := c.Lookups-c0.Lookups, c.Bucketized-c0.Bucketized
+		if n := issued.Load(); d != db || d > n || (quiescent && d != n) {
+			t.Errorf("%d lookups booked, %d of them bucketized, for %d keys issued (quiescent %v)", d, db, n, quiescent)
 		}
 	}
 
@@ -121,6 +116,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 			batch = append(batch, probe.Prefix)
 			batch = append(batch, steady...)
 			for n := 0; !stop.Load(); n++ {
+				issued.Add(uint64(len(batch)))
 				res := u.LookupBatch(batch)
 				got := res[0]
 				probeSeen := got.Matched && got.Action == probe.Action
@@ -134,7 +130,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 					}
 				}
 				if n%64 == 0 {
-					checkGauge(false)
+					checkBooked(false)
 				}
 			}
 		}(int64(r))
@@ -166,7 +162,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	if got := torn.Load(); got != 0 {
 		t.Fatalf("%d torn reads over %d writer cycles", got, cycles)
 	}
-	checkGauge(true)
+	checkBooked(true)
 	if cycles < 10 {
 		t.Fatalf("writer made only %d cycles; stress run too short", cycles)
 	}

@@ -76,8 +76,8 @@ func (fr *FlightRecord) Stamp(stage int) {
 	fr.lastNs = d
 }
 
-// maskOff is the disabled sentinel: ticks start at 1, so n&maskOff == 0
-// never fires.
+// maskOff is the disabled sentinel: every tick ORs to the same value under
+// it, so no tick is ever on the stride.
 const maskOff = ^uint64(0)
 
 // Recorder is a flight-recorder instance: sampling mask, record ring,
@@ -86,6 +86,7 @@ const maskOff = ^uint64(0)
 type Recorder struct {
 	mask  atomic.Uint64 // sampleEvery−1, or maskOff when disabled
 	every atomic.Uint64
+	gen   atomic.Uint64 // bumped by every SetSampleEvery (TallyStripe.Claim)
 
 	ringMu sync.Mutex
 	ring   []FlightRecord
@@ -136,6 +137,7 @@ func NewRecorder(ringSize, slowN int) *Recorder {
 // SetSampleEvery sets the sampling stride: 1 in n queries (n rounded up to a
 // power of two). n == 0 disables sampling entirely.
 func (r *Recorder) SetSampleEvery(n uint64) {
+	r.gen.Add(1)
 	if n == 0 {
 		r.every.Store(0)
 		r.mask.Store(maskOff)
@@ -152,10 +154,17 @@ func (r *Recorder) SetSampleEvery(n uint64) {
 // SampleEvery returns the current stride (0 when disabled).
 func (r *Recorder) SampleEvery() uint64 { return r.every.Load() }
 
-// HitN reports whether the query holding tick n is sampled. Callers reuse a
-// tick they already pay for (the lookup counter's per-shard value), so the
-// untimed path costs one atomic load and a mask.
-func (r *Recorder) HitN(n uint64) bool { return n&r.mask.Load() == 0 }
+// Draws reports whether the event at tick t of stripe s is sampled, claiming
+// its stride tick (TallyStripe.Claim) so no other event on s takes it. Callers
+// peek a tick they already keep (TallyStripe.Tick), so an unsampled event
+// costs the peek, three loads and a compare.
+func (r *Recorder) Draws(s *TallyStripe, t uint64) bool {
+	return s.Claim(r.mask.Load(), r.gen.Load(), t)
+}
+
+// Due reports whether an event on stripe s up to tick t may be sampled, with
+// no write: a block of events that is not due skips Draws for each of them.
+func (r *Recorder) Due(s *TallyStripe, t uint64) bool { return s.Due(r.mask.Load(), t) }
 
 // Commit finalizes fr (stamping TotalNs), feeds the windowed latency
 // histogram, and copies the record into the ring and — when slow enough —

@@ -93,22 +93,39 @@ func TestRecorderSampling(t *testing.T) {
 	if r.SampleEvery() != 128 {
 		t.Fatalf("stride %d, want 128 (rounded)", r.SampleEvery())
 	}
-	if r.HitN(64) || !r.HitN(128) || !r.HitN(256) {
-		t.Fatal("HitN mask wrong for stride 128")
+	// Each stride tick is drawn once, by the first event at or past it; a
+	// stale peek behind the last draw never draws.
+	s := &NewTally().stripes[0]
+	for _, c := range []struct {
+		t    uint64
+		want bool
+	}{{64, false}, {127, false}, {128, true}, {128, false}, {200, false}, {300, true}, {290, false}, {384, true}} {
+		if got := r.Draws(s, c.t); got != c.want {
+			t.Fatalf("stride 128: Draws(tick %d) = %v, want %v", c.t, got, c.want)
+		}
+	}
+	if r.Due(s, 400) || !r.Due(s, 512) {
+		t.Fatal("Due disagrees with the stride ticks past the last draw")
+	}
+	// A stride set anew does not reach back past the tick in hand: 512 went
+	// unclaimed under the old setting.
+	r.SetSampleEvery(128)
+	if r.Draws(s, 600) || !r.Draws(s, 640) {
+		t.Fatal("a new stride's first draw reached back past its tick, or missed its stride tick")
 	}
 	r.SetSampleEvery(0)
 	if r.SampleEvery() != 0 {
 		t.Fatal("disabled stride should read 0")
 	}
-	// Ticks start at 1, so n == 0 never occurs in practice.
+	s = &NewTally().stripes[0]
 	for n := uint64(1); n < 1<<12; n++ {
-		if r.HitN(n) {
+		if r.Draws(s, n) {
 			t.Fatalf("disabled recorder sampled tick %d", n)
 		}
 	}
 	r.SetSampleEvery(1)
-	if !r.HitN(7) || !r.HitN(8) {
-		t.Fatal("stride 1 must sample every tick")
+	if !r.Draws(s, 7) || r.Draws(s, 7) || !r.Draws(s, 8) {
+		t.Fatal("stride 1 must sample every tick once")
 	}
 }
 

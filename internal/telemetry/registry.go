@@ -42,6 +42,7 @@ type entry struct {
 	help   string
 	kind   metricKind
 	ctr    *Counter
+	count  func() uint64 // kindCounter: ctr.Load, or derived at scrape (CounterFunc) with ctr nil
 	hist   *Histogram
 	fn     func() float64
 	vec    *GaugeVec
@@ -50,8 +51,7 @@ type entry struct {
 
 // Registry is a named collection of metrics. Metric constructors are
 // get-or-create, so independent packages can share a metric by name without
-// import cycles (e.g. the §7 invariant gauge divides a bucket-package
-// counter by a core-package counter).
+// import cycles.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
@@ -67,20 +67,31 @@ func NewRegistry() *Registry {
 var Default = NewRegistry()
 
 // Counter returns the counter registered under name, creating it if needed.
-// It panics if name is registered as a different kind — that is a
-// programming error, not a runtime condition.
+// It panics if name is registered as a different kind or derived (CounterFunc)
+// — that is a programming error, not a runtime condition.
 func (r *Registry) Counter(name, help string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[name]; ok {
-		if e.kind != kindCounter {
-			panic("telemetry: " + name + " already registered with a different kind")
+		if e.ctr == nil {
+			panic("telemetry: " + name + " already registered with a different kind or derived")
 		}
 		return e.ctr
 	}
 	c := NewCounter()
-	r.add(&entry{name: name, help: help, kind: kindCounter, ctr: c})
+	r.add(&entry{name: name, help: help, kind: kindCounter, ctr: c, count: c.Load})
 	return c
+}
+
+// CounterFunc registers a counter derived at scrape time: fn must be
+// monotonic, like any counter. It panics if name is already registered.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.entries[name]; ok {
+		panic("telemetry: " + name + " already registered")
+	}
+	r.add(&entry{name: name, help: help, kind: kindCounter, count: fn})
 }
 
 // Histogram returns the histogram registered under name, creating it if
@@ -222,13 +233,13 @@ func (r *Registry) AttachCounter(name, help string, c *Counter) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[name]; ok {
-		if e.kind != kindCounter {
-			panic("telemetry: " + name + " already registered with a different kind")
+		if e.ctr == nil {
+			panic("telemetry: " + name + " already registered with a different kind or derived")
 		}
-		e.ctr = c
+		e.ctr, e.count = c, c.Load
 		return
 	}
-	r.add(&entry{name: name, help: help, kind: kindCounter, ctr: c})
+	r.add(&entry{name: name, help: help, kind: kindCounter, ctr: c, count: c.Load})
 }
 
 // add inserts an entry; callers hold r.mu.
@@ -256,7 +267,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for _, e := range r.snapshotEntries() {
 		switch e.kind {
 		case kindCounter:
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", e.name, e.help, e.name, e.name, e.ctr.Load())
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", e.name, e.help, e.name, e.name, e.count())
 		case kindGauge:
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", e.name, e.help, e.name, e.name, e.fn())
 		case kindGaugeVec:
@@ -300,7 +311,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 	for _, e := range r.snapshotEntries() {
 		switch e.kind {
 		case kindCounter:
-			out[e.name] = float64(e.ctr.Load())
+			out[e.name] = float64(e.count())
 		case kindGauge:
 			out[e.name] = e.fn()
 		case kindGaugeVec:

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -119,6 +120,104 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	r.Histogram("x_total", "help")
 }
 
+// TestCounterFunc: a derived counter scrapes as a counter of its function's
+// value, and nothing can register a second metric under its name — Counter,
+// AttachCounter and CounterFunc on it all panic, so no get-or-create reader
+// can ever shadow what it derives.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	tl := NewTally()
+	r.CounterFunc("matched_total", "lanes 1 and 3", func() uint64 { l := tl.Load(); return l[1] + l[3] })
+	st := tl.Stripe()
+	st.Add(0, 7)
+	st.Add(1, 2)
+	st.Add(3, 5)
+	if got := r.Snapshot()["matched_total"]; got != 7 {
+		t.Fatalf("snapshot = %v, want 7", got)
+	}
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if out := b.String(); !strings.Contains(out, "# TYPE matched_total counter\nmatched_total 7\n") {
+		t.Fatalf("scrape lacks the derived counter:\n%s", out)
+	}
+	for name, register := range map[string]func(){
+		"Counter":       func() { r.Counter("matched_total", "") },
+		"AttachCounter": func() { r.AttachCounter("matched_total", "", NewCounter()) },
+		"CounterFunc":   func() { r.CounterFunc("matched_total", "", func() uint64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a derived counter's name did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+}
+
+// TestTallyTicks: a lane's add returns the lane's new total on its stripe, so
+// the bookers of one lane — any number of goroutines sharing the stripe —
+// get its ticks 1, 2, 3, … each exactly once; and a stride tick goes to
+// exactly one of the goroutines that claim it.
+func TestTallyTicks(t *testing.T) {
+	st := &NewTally().stripes[0]
+	const writers, per = 8, 2000
+	var mu sync.Mutex
+	seen := make(map[[2]uint64]bool)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(lane int) {
+			defer wg.Done()
+			ticks := make([]uint64, 0, per)
+			for i := 0; i < per; i++ {
+				ticks = append(ticks, st.Add(lane, 1))
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, n := range ticks {
+				if seen[[2]uint64{uint64(lane), n}] {
+					t.Errorf("lane %d tick %d drawn twice", lane, n)
+				}
+				seen[[2]uint64{uint64(lane), n}] = true
+			}
+		}(w % 2)
+	}
+	wg.Wait()
+	for lane := range uint64(2) {
+		for n := uint64(1); n <= writers/2*per; n++ {
+			if !seen[[2]uint64{lane, n}] {
+				t.Fatalf("lane %d tick %d never drawn", lane, n)
+			}
+		}
+	}
+	if got := st.Tick(); got != writers*per+1 {
+		t.Fatalf("tick after %d events = %d, want %d", writers*per, got, writers*per+1)
+	}
+
+	const m = 7 // a stride of 8
+	for tick := uint64(8); tick <= 64; tick += 8 {
+		var claims atomic.Int64
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if st.Claim(m, 0, tick-1) {
+					t.Errorf("tick %d claimed before stride tick %d", tick-1, tick)
+				}
+				if st.Claim(m, 0, tick) {
+					claims.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if claims.Load() != 1 {
+			t.Fatalf("stride tick %d claimed %d times, want once", tick, claims.Load())
+		}
+	}
+}
+
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("demo_total", "a demo counter").Add(7)
@@ -195,6 +294,7 @@ func TestConcurrentHammer(t *testing.T) {
 	)
 	c := NewCounter()
 	h := NewHistogram()
+	tl := NewTally()
 	stop := make(chan struct{})
 	var readerWG sync.WaitGroup
 	readerWG.Add(1)
@@ -212,6 +312,7 @@ func TestConcurrentHammer(t *testing.T) {
 				return
 			}
 			_ = c.Load()
+			_ = tl.Load()
 		}
 	}()
 
@@ -223,6 +324,7 @@ func TestConcurrentHammer(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
 				h.Observe(uint64(w*perWriter+i) % 4096)
+				tl.Stripe().Add(w%Lanes, 1)
 			}
 		}(w)
 	}
@@ -235,6 +337,11 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if got := h.Snapshot().Total; got != writers*perWriter {
 		t.Fatalf("histogram count = %d, want %d (lost updates)", got, writers*perWriter)
+	}
+	for l, got := range tl.Load() {
+		if want := uint64(writers / Lanes * perWriter); got != want {
+			t.Fatalf("tally lane %d = %d, want %d (lost updates)", l, got, want)
+		}
 	}
 }
 
