@@ -14,7 +14,7 @@ vet:
 	$(GO) vet ./...
 
 # What was deleted stays deleted, in code and docs. The serving path has one
-# width (DESIGN.md §9, §15, §16): no shard worker pool, per-worker cache plane,
+# width (DESIGN.md §9, §10, §16): no shard worker pool, per-worker cache plane,
 # in-daemon tier rebalancer or daemon inference switch. Training is one
 # deterministic fit (DESIGN.md §5): no SGD knobs, sampler, straggler rounds,
 # their counters or their lpmtrain flags. A spilled bucket is one pointer to a
@@ -26,9 +26,11 @@ vet:
 # buffer or overlay read, no background committer, health states or stale
 # budget, no backpressure answer, no pending count on the wire, and no E24
 # storm. A bucket fetch is a bucketized lookup (DESIGN.md §8): no fetch booking
-# of its own, no fetch-bytes series and no fetches-per-query gauge. Each
-# alternative carries a one-character class so these lines do not find
-# themselves.
+# of its own, no fetch-bytes series and no fetches-per-query gauge. There is
+# one deployed arithmetic (DESIGN.md §10, §14): no plane package, stack
+# configuration or stack executor, no quantized lookup arm, no quantized or
+# reference inference stage, and no inference-bank series. Each alternative
+# carries a one-character class so these lines do not find themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
@@ -45,6 +47,9 @@ deleted-names:
 	@! grep -rnE 'Count[F]etches|neurolpm_bucket_fetch[_]bytes_total|neurolpm_bucket_fetches[_]per_query' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'internal/[p]lane\b|Stack[C]onfig|Lookup[S]tack|LookupBatch[S]tack|Lookup[Q]uantized|(quantized|reference)[-]inference|neurolpm_inference_bank[_]bytes' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 	@! grep -rnE 'delta[B]uffer|lookup[O]verlay|Pending[I]nserts|pending[_]inserts|StartAuto[C]ommit|commit[L]oop|ErrDelta[F]ull|SiteDelta[F]ull|delta[_]full|Err[B]ackpressure|Update[P]ending|LastCommit[E]rr|Stale[B]udget|stale[-]budget|auto[c]ommit|neurolpm_insert_buffered[_]|neurolpm_shard[_]health|Fault[S]torm' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
@@ -52,8 +57,9 @@ deleted-names:
 test:
 	$(GO) test ./...
 
-# The packages whose correctness depends on how goroutines interleave, and the
-# core counts they are raced at: GOMAXPROCS=1 hides torn reads that two cores
+# The packages whose correctness depends on how goroutines interleave — the
+# engine, the shards, the serving layer and planetest's two-topology harness —
+# and the core counts they are raced at: GOMAXPROCS=1 hides torn reads that two cores
 # show on every run (ROADMAP item 1), so one -cpu value is not a check.
 CONCURRENT = ./internal/core ./internal/shard ./internal/serve ./internal/planetest
 
@@ -66,10 +72,10 @@ race-cores:
 	$(GO) test -race -cpu 1,2,4 $(CONCURRENT)
 
 # Each differential fuzz target on a short budget. FuzzStackVsOracle is the
-# parameterized lookup-plane matrix target (DESIGN.md §14): one harness
-# covering {single, 1/2/4/8 shards} × {compiled, reference, quantized} plus
-# update interleavings and injected absorb refusals and rebuild failures, so it
-# gets four times the others' budget.
+# parameterized lookup target (DESIGN.md §14): one harness covering both
+# topologies, a single engine and 1/2/4/8 shards, plus update interleavings
+# and injected absorb refusals and rebuild failures, so it gets four times the
+# others' budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseRule -fuzztime $(FUZZTIME) ./internal/lpm
@@ -90,7 +96,7 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# The batch stack on a 20 K-rule engine and the two lookup kernels at the
+# The batch path on a 20 K-rule engine and the two lookup kernels at the
 # repository benchmark's scale — LookupBatch(256) and single-key Lookup over
 # 870 K ripe rules, Zipf and uniform traces, every answer held against the
 # trie oracle inside the loop, so each fails on a wrong answer (DESIGN.md

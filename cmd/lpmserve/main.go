@@ -16,11 +16,9 @@
 // lookups one read delivered batched into one batch-plane call. Drive it
 // with cmd/lpmload; one SIGINT/SIGTERM drains both listeners.
 //
-// Every query endpoint answers through the compiled float32 inference plane
-// — the arithmetic BENCHMARK.json measures. The reference and quantized
-// planes (DESIGN.md §15) are reached from the library (Engine.LookupStack
-// with a plane.StackConfig) and the planetest matrix; the daemon has no
-// switch for them.
+// Every query endpoint answers through the compiled float32 inference plane,
+// the one arithmetic the engine runs and BENCHMARK.json measures (DESIGN.md
+// §10).
 //
 // -shards N partitions the rule-set by top key bits into N independent
 // sub-engines (the paper's §6 bank-parallel pipeline); /batch groups a whole

@@ -2,11 +2,12 @@ package core
 
 import (
 	"math/rand"
-	"neurolpm/internal/ranges"
 	"testing"
 
 	"neurolpm/internal/keys"
+	"neurolpm/internal/ranges"
 	"neurolpm/internal/rqrmi"
+	"neurolpm/internal/telemetry"
 )
 
 // TestSampleEveryPowerOfTwo pins the sampling-mask precondition: the hot
@@ -63,6 +64,8 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 	}
 }
 
+// TestLookupReferenceMatchesLookup holds Lookup to the reference pipeline —
+// the model's own arithmetic end to end — on random keys.
 func TestLookupReferenceMatchesLookup(t *testing.T) {
 	for name, cfg := range compiledConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -75,7 +78,7 @@ func TestLookupReferenceMatchesLookup(t *testing.T) {
 			for i := 0; i < 20000; i++ {
 				k := randomKey(rng, 32)
 				a, ok := e.Lookup(k)
-				ra, rok := e.LookupReference(k)
+				ra, rok := e.reference(k)
 				if a != ra || ok != rok {
 					t.Fatalf("key %v: compiled (%d,%v), reference (%d,%v)", k, a, ok, ra, rok)
 				}
@@ -142,5 +145,24 @@ func TestVerifyCatchesCompiledDivergence(t *testing.T) {
 	}
 	if err := e.Verify(); err != nil {
 		t.Fatalf("restored engine must verify: %v", err)
+	}
+}
+
+// TestDriftBoundIsTheCompiledPlanes pins the drift meter's ceiling to the
+// bound of the arithmetic every lookup runs: the compiled plane's. The rule
+// set is one whose int16 re-encoding carries a bound past the next power of
+// two (2 against 1), so a ceiling taken over both planes reads one probe
+// higher and drift reads low.
+func TestDriftBoundIsTheCompiledPlanes(t *testing.T) {
+	e, err := Build(randomRuleSet(t, 32, 1000, 3), quickBucketed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, q := e.Compiled().MaxErr(), e.Quantized().MaxErr()
+	if telemetry.ProbeBound(q) <= telemetry.ProbeBound(c) {
+		t.Fatalf("compiled bound %d, quantized %d: the rule set no longer tells the two ceilings apart", c, q)
+	}
+	if got, want := e.DriftMeter().Bound(), telemetry.ProbeBound(c); got != want {
+		t.Fatalf("drift ceiling %d probes, want the compiled plane's %d (max err %d; quantized %d)", got, want, c, q)
 	}
 }

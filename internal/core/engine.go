@@ -23,7 +23,6 @@ import (
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/ranges"
 	"neurolpm/internal/rqrmi"
 	"neurolpm/internal/telemetry"
@@ -91,15 +90,11 @@ type Engine struct {
 	hot     *telemetry.HotSketch
 
 	// The compiled query plane (DESIGN.md §10): comp mirrors model + index
-	// in flat devirtualized storage and serves every hot lookup; the model
-	// remains the reference arithmetic (LookupReference, Verify). quant is
-	// the int32 fixed-point re-encoding of the same model (DESIGN.md §15),
-	// carrying its own error bounds recomputed in the integer arithmetic —
-	// selected per lookup by plane.StackConfig.Inference. Both are immutable
-	// after build: updates re-own ranges, rewrite actions or split a range
-	// inside its bucket, but never move a directory boundary.
-	comp  *rqrmi.Compiled
-	quant *rqrmi.Quantized
+	// in flat devirtualized storage and serves every lookup; the model remains
+	// the reference arithmetic that Verify holds it to (reference). comp is
+	// immutable after build: updates re-own ranges, rewrite actions or split a
+	// range inside its bucket, but never move a directory boundary.
+	comp *rqrmi.Compiled
 }
 
 // Build runs the offline preparation stage on the rule-set.
@@ -148,35 +143,24 @@ func Build(rs *lpm.RuleSet, cfg Config) (*Engine, error) {
 }
 
 // attachObservers creates the engine's drift meter and hotness sketch from
-// the query planes (probe ceiling) and learned-index geometry (bucket count;
-// for SRAM-only engines the "buckets" are the ranges themselves). The drift
-// bound is the max of the compiled and quantized ceilings, so the meter never
-// flags a healthy quantized lookup whose (slightly looser) integer bound
-// admits more probes than the float plane's.
+// the compiled plane's probe ceiling — the bound of the arithmetic every
+// lookup runs — and the learned-index geometry (bucket count; for SRAM-only
+// engines the "buckets" are the ranges themselves).
 func (e *Engine) attachObservers(ix rqrmi.Index) {
 	e.drift = telemetry.NewDriftMeter()
-	bound := e.comp.MaxErr()
-	if qb := e.quant.MaxErr(); qb > bound {
-		bound = qb
-	}
-	e.drift.SetBound(bound)
+	e.drift.SetBound(e.comp.MaxErr())
 	e.hot = telemetry.NewHotSketch(ix.Len())
 }
 
 // compilePlane flattens the trained model and index into the compiled query
-// plane and its fixed-point re-encoding, and lays the range array out as the
-// records every lookup answers from.
+// plane, and lays the range array out as the records every lookup answers
+// from.
 func (e *Engine) compilePlane(ix rqrmi.Index) error {
 	c, err := rqrmi.Compile(e.model, ix)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	e.comp = c
-	q, err := c.Quantize(e.model, ix)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	e.quant = q
 	k := 1 // SRAM-only: every range is its own record
 	if e.dir != nil {
 		k = e.dir.K
@@ -245,8 +229,25 @@ func (e *Engine) Model() *rqrmi.Model { return e.model }
 // Compiled exposes the flat query plane serving the hot lookup path.
 func (e *Engine) Compiled() *rqrmi.Compiled { return e.comp }
 
-// Quantized exposes the int32 fixed-point query plane (DESIGN.md §15).
-func (e *Engine) Quantized() *rqrmi.Quantized { return e.quant }
+// Quantized compiles the int16 fixed-point re-encoding of the engine's model
+// (DESIGN.md §10), an analysis artifact like Model.Predict: no lookup runs on
+// it. Each call compiles it afresh, about 7 ms at 870 K rules.
+func (e *Engine) Quantized() *rqrmi.Quantized {
+	q, err := e.comp.Quantize(e.model, e.index())
+	if err != nil {
+		panic(err) // the engine's own model and index always fit its plane
+	}
+	return q
+}
+
+// index is the learned index the model was trained over: the bucket
+// directory, or the range array of an SRAM-only engine.
+func (e *Engine) index() rqrmi.Index {
+	if e.dir != nil {
+		return e.dir
+	}
+	return e.ra
+}
 
 // TrainStats returns statistics from the build's training phase.
 func (e *Engine) TrainStats() *rqrmi.Stats { return e.stats }
@@ -275,15 +276,34 @@ func (e *Engine) Bucketized() bool { return e.dir != nil }
 // ok is false when no live rule matches.
 //
 // Equivalence contract: every Lookup* entry point — single-key or batch, Mem
-// or not, on any inference plane, directly or through the sharded router —
-// must return exactly what the trie oracle returns for every key, including
-// misses. Lookup is the stack executor's compiled configuration (LookupStack
-// with the zero plane.StackConfig); the contract
-// across the full configuration matrix is enforced by the parameterized
-// harness in internal/planetest (FuzzStackVsOracle,
-// TestLookupEntryPointsEquivalent).
+// or not, directly or through the sharded router — must return exactly what
+// the trie oracle returns for every key, including misses. The contract is
+// enforced over both topologies by the parameterized harness in
+// internal/planetest (FuzzStackVsOracle, TestLookupEntryPointsEquivalent).
+//
+// Lookup is the bare pipeline — inference, bounded search, the bucket
+// record's answer, one lane add — with no Trace, no span and no memory model.
+// The lane add's return is the key's lane tick, on which the distributions
+// sample it 1:sampleEvery. The flight recorder must decide before the key is
+// booked: after inference the key peeks its stripe's tick (plain loads of its
+// lanes) and the recorder draws on that. A drawn record must time the whole
+// pipeline, so that key takes trace, inference again included.
 func (e *Engine) Lookup(k keys.Value) (action uint64, ok bool) {
-	return e.lookup(plane.Compiled, k)
+	p := e.comp.Predict(k)
+	st := tally.Stripe()
+	if telemetry.Flight.Draws(st, st.Tick()) {
+		tr := e.trace(k, cachesim.Null{}, nil, st, true)
+		return tr.Action, tr.Matched
+	}
+	b, probes := e.comp.Search(k, p)
+	_, cmp, action, ok, spilled := e.rec.answer(b, k)
+	if spilled {
+		metSpillFetches.Inc()
+	}
+	if e.book(st, 1, ok)&(sampleEvery-1) == 0 {
+		e.observe(b, probes, p.Err, cmp)
+	}
+	return action, ok
 }
 
 // Trace describes one query's path through the engine, in the units the
@@ -309,21 +329,18 @@ type Trace struct {
 // issued. The returned trace carries the per-query statistics.
 func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) Trace {
 	st := tally.Stripe()
-	return e.trace(plane.Compiled, k, mem, nil, st, drawn(plane.Compiled, st))
+	return e.trace(k, mem, nil, st, telemetry.Flight.Draws(st, st.Tick()))
 }
 
-// LookupSpan executes the query on the inf-selected inference plane while
-// recording a fully-annotated span: per-stage timings (inference → secondary
-// search → bucket fetch), the inference error bound, probe counts and DRAM
-// traffic. It is the /trace endpoint's implementation; the span costs clock
-// reads and allocation, so the plain Lookup paths pass a nil span instead. The
-// span's first stage is labeled after the arm that ran ("inference",
-// "reference-inference" or "quantized-inference"), so /trace output
-// identifies the arithmetic that produced the prediction.
-func (e *Engine) LookupSpan(inf plane.Inference, k keys.Value, mem cachesim.Mem) (Trace, *telemetry.Span) {
+// LookupSpan executes the query while recording a fully-annotated span:
+// per-stage timings (inference → secondary search → bucket fetch), the
+// inference error bound, probe counts and DRAM traffic. It is the /trace
+// endpoint's implementation; the span costs clock reads and allocation, so
+// the plain Lookup paths pass a nil span instead.
+func (e *Engine) LookupSpan(k keys.Value, mem cachesim.Mem) (Trace, *telemetry.Span) {
 	sp := telemetry.StartSpan("lookup")
 	st := tally.Stripe()
-	tr := e.trace(inf, k, mem, sp, st, drawn(inf, st))
+	tr := e.trace(k, mem, sp, st, telemetry.Flight.Draws(st, st.Tick()))
 	sp.Set("key", k.String())
 	sp.Set("predicted_index", tr.Prediction.Index)
 	sp.Set("error_bound", tr.Prediction.Err)
@@ -341,45 +358,6 @@ func (e *Engine) LookupSpan(inf plane.Inference, k keys.Value, mem cachesim.Mem)
 	return tr, sp
 }
 
-// lookup is the single-key arm of every caller that wants only the answer —
-// Lookup, LookupQuantized, LookupReference, the stacks and the Updatable: the
-// bare pipeline — inference, bounded search, the bucket record's answer, one
-// lane add — with no Trace, no span and no memory model. The lane add's
-// return is the key's lane tick, on which the distributions sample it
-// 1:sampleEvery. The flight recorder must decide before the key is booked:
-// after inference the key peeks its stripe's tick (plain loads of its lanes)
-// and the recorder draws on that. A drawn record must time the whole
-// pipeline, so that key takes trace, inference again included; so does the
-// reference plane.
-func (e *Engine) lookup(inf plane.Inference, k keys.Value) (action uint64, ok bool) {
-	if inf == plane.Reference {
-		tr := e.trace(inf, k, cachesim.Null{}, nil, tally.Stripe(), false)
-		return tr.Action, tr.Matched
-	}
-	p := e.predict(inf, k)
-	st := tally.Stripe()
-	if telemetry.Flight.Draws(st, st.Tick()) {
-		tr := e.trace(inf, k, cachesim.Null{}, nil, st, true)
-		return tr.Action, tr.Matched
-	}
-	b, probes := e.search(inf, k, p)
-	_, cmp, action, ok, spilled := e.rec.answer(b, k)
-	if spilled {
-		metSpillFetches.Inc()
-	}
-	if e.book(st, 1, ok)&(sampleEvery-1) == 0 {
-		e.observe(b, probes, p.Err, cmp)
-	}
-	return action, ok
-}
-
-// drawn reports whether the flight recorder draws the next key booked on st,
-// a key of plane inf: the reference plane is never drawn, so the recorder's
-// records describe the production planes.
-func drawn(inf plane.Inference, st *telemetry.TallyStripe) bool {
-	return inf != plane.Reference && telemetry.Flight.Draws(st, st.Tick())
-}
-
 // book is every lookup's booking, one key or a block's keys of one outcome:
 // n lookups on st, one add on the lane the engine kind and matched select. It
 // returns the lane tick of the last of the n. A key that followed a spill
@@ -389,20 +367,12 @@ func (e *Engine) book(st *telemetry.TallyStripe, n uint64, matched bool) uint64 
 	return st.Add(int(b2u(matched))+laneBucket*int(b2u(e.dir != nil)), n)
 }
 
-// inferenceStage labels each plane's inference span stage, so /trace output
-// names the arithmetic that produced the prediction.
-var inferenceStage = [plane.NumInference]string{
-	plane.Compiled:  "inference",
-	plane.Reference: "reference-inference",
-	plane.Quantized: "quantized-inference",
-}
-
-// trace is the instrumented single-key arm behind LookupMem, LookupSpan, the
-// reference plane and lookup's drawn keys: inference on inf's plane, then
-// finish, for (on bucketized engines) exactly one DRAM bucket fetch through
-// mem, booked on stripe st. Stage timings are recorded only when sp is non-nil
-// or the flight recorder drew the key (flight).
-func (e *Engine) trace(inf plane.Inference, k keys.Value, mem cachesim.Mem, sp *telemetry.Span, st *telemetry.TallyStripe, flight bool) Trace {
+// trace is the instrumented single-key arm behind LookupMem, LookupSpan and
+// Lookup's drawn keys: the same inference, search and record answer as
+// Lookup's bare pipeline, with (on bucketized engines) exactly one DRAM
+// bucket fetch through mem, booked on stripe st. Stage timings are recorded
+// only when sp is non-nil or the flight recorder drew the key (flight).
+func (e *Engine) trace(k keys.Value, mem cachesim.Mem, sp *telemetry.Span, st *telemetry.TallyStripe, flight bool) Trace {
 	var tr Trace
 	var fr *telemetry.FlightRecord
 	if flight {
@@ -410,50 +380,31 @@ func (e *Engine) trace(inf plane.Inference, k keys.Value, mem cachesim.Mem, sp *
 		fr = &rec
 		fr.Begin(k.Hi, k.Lo)
 	}
-	end := sp.Stage(inferenceStage[inf])
-	tr.Prediction = e.predict(inf, k)
+	end := sp.Stage("inference")
+	tr.Prediction = e.comp.Predict(k)
 	end()
-	fr.Stamp(plane.StageInference)
-	e.finish(k, &tr, mem, sp, inf, st, fr)
-	return tr
-}
-
-// predict is inference for k in inf's arithmetic.
-func (e *Engine) predict(inf plane.Inference, k keys.Value) rqrmi.Prediction {
-	switch inf {
-	case plane.Reference:
-		return e.model.Predict(k)
-	case plane.Quantized:
-		return e.quant.Predict(k)
-	}
-	return e.comp.Predict(k)
-}
-
-// finish runs the post-inference pipeline for one traced key — secondary
-// search and tail — the same search and record answer as lookup's bare
-// pipeline. inf selects the bounded-search arithmetic matching
-// the caller's prediction: the search must consume the same plane's error
-// bound it was predicted under (quantized bounds cover quantized predictions,
-// not float ones), after which all three arms land on the identical true index
-// — per Verify. tr.Prediction must already be populated; the key books on st
-// and fr is the in-flight sample, nil for most queries.
-func (e *Engine) finish(k keys.Value, tr *Trace, mem cachesim.Mem, sp *telemetry.Span, inf plane.Inference, st *telemetry.TallyStripe, fr *telemetry.FlightRecord) {
-	end := sp.Stage("secondary-search")
+	fr.Stamp(telemetry.StageInference)
+	end = sp.Stage("secondary-search")
 	var b int
-	b, tr.SRAMProbes = e.search(inf, k, tr.Prediction)
+	b, tr.SRAMProbes = e.comp.Search(k, tr.Prediction)
 	end()
-	fr.Stamp(plane.StageSearch)
+	fr.Stamp(telemetry.StageSearch)
 	if e.dir != nil {
 		end = sp.Stage("bucket-fetch")
 		tr.BucketRead = true
 		tr.DRAMBytes = e.dir.BucketBytes()
+		mem.Read(e.dir.DRAMAddr(b))
 	}
+	// Bucketized engines scan the bucket's record — the spill record, when
+	// word 0 says the bucket has one — and answer from the same record; j is
+	// the key's position in it (0 in the SRAM-only design, whose records hold
+	// one range).
 	var j, cmp int
-	j, cmp, tr.Action, tr.Matched, tr.Spilled = e.fetch(k, b, mem, inf)
+	j, cmp, tr.Action, tr.Matched, tr.Spilled = e.rec.answer(b, k)
 	tr.RangeIndex = b*e.rec.k + j
 	if e.dir != nil {
 		end()
-		fr.Stamp(plane.StageFetch)
+		fr.Stamp(telemetry.StageFetch)
 	}
 	if fr != nil {
 		e.commit(fr, tr.SRAMProbes, tr.Prediction.Err, tr.Action, tr.Matched)
@@ -464,6 +415,7 @@ func (e *Engine) finish(k keys.Value, tr *Trace, mem cachesim.Mem, sp *telemetry
 	if e.book(st, 1, tr.Matched)&(sampleEvery-1) == 0 {
 		e.observe(b, tr.SRAMProbes, tr.Prediction.Err, cmp)
 	}
+	return tr
 }
 
 // b2u is b as a count of one.
@@ -474,51 +426,24 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// search is the bounded secondary search over the RQ Array in inf's
-// arithmetic: the bucket (or, SRAM-only, the range) containing k.
-func (e *Engine) search(inf plane.Inference, k keys.Value, p rqrmi.Prediction) (b, probes int) {
-	switch inf {
-	case plane.Reference:
-		var ix rqrmi.Index = e.ra
-		if e.dir != nil {
-			ix = e.dir
-		}
-		return e.model.Search(ix, k, p)
-	case plane.Quantized:
-		return e.quant.Search(k, p)
-	}
-	return e.comp.Search(k, p)
-}
-
-// The tail of a lookup, from b, the index its secondary search found, is three
-// steps — fetch, observe, commit — that finish runs for one key and
-// finishBatch for each key of a block; none books a counter (see book).
-//
-// fetch is the first: bucketized engines fetch exactly one bucket and scan its
-// record — the spill record, when word 0 says the bucket has one — and the
-// answer comes out of the same record. j is the key's position in the record
-// (0 in the SRAM-only design, whose records hold one range).
-func (e *Engine) fetch(k keys.Value, b int, mem cachesim.Mem, inf plane.Inference) (j, cmp int, action uint64, matched, spilled bool) {
-	if e.dir == nil {
-		action, matched = e.rec.open(b).resolve(0)
-		return 0, 0, action, matched, false
-	}
-	mem.Read(e.dir.DRAMAddr(b))
-	if inf != plane.Reference {
-		return e.rec.answer(b, k)
-	}
-	// The reference arm keeps the paper's scan over the range array — over
-	// the spill record's own bounds table for a spilled bucket — which Verify
-	// holds the record scan against.
+// reference answers k in the model's own arithmetic, the paper's pipeline
+// step by step: Model.Predict's LUT walk, Model.Search's bounded search over
+// the Index interface, then the bucket scan — bucket.Directory.Search over
+// the range array, or the spill record's own bounds for a spilled bucket —
+// and the record's answer. It books nothing and serves no caller: Verify and
+// core's tests hold the compiled pipeline to it.
+func (e *Engine) reference(k keys.Value) (action uint64, ok bool) {
+	b, _ := e.model.Search(e.index(), k, e.model.Predict(k))
 	v := e.rec.open(b)
-	if v.spilled {
-		j, cmp = v.search(k)
-	} else {
-		j, cmp = e.dir.Search(b, k)
+	j := 0
+	switch {
+	case v.spilled:
+		j, _ = v.search(k)
+	case e.dir != nil:
+		j, _ = e.dir.Search(b, k)
 		j -= b * e.dir.K
 	}
-	action, matched = v.resolve(j)
-	return j, cmp, action, matched, v.spilled
+	return v.resolve(j)
 }
 
 // observe feeds the per-query distributions, the drift meter and the hotness
@@ -547,27 +472,6 @@ func (e *Engine) commit(fr *telemetry.FlightRecord, probes, errBound int, action
 	telemetry.Flight.Commit(fr)
 }
 
-// LookupReference answers k through the reference-inference arm of the stack
-// executor: Model.Predict's pointer-chasing LUT walk and the Index-interface
-// bounded search, with the same telemetry and DRAM accounting as Lookup. It
-// is LookupStack with the reference configuration, and it obeys the
-// same equivalence contract as Lookup: bit-identical to the compiled plane
-// and to the trie oracle on every key (enforced per-build by Verify and
-// across the matrix by internal/planetest's parameterized harness). Only the
-// cost differs.
-func (e *Engine) LookupReference(k keys.Value) (action uint64, ok bool) {
-	return e.lookup(plane.Reference, k)
-}
-
-// LookupQuantized answers k through the quantized-inference arm of the stack
-// executor: int32 shift-add inference and a bounded search driven by the
-// plane's own integer-arithmetic error bounds. It is LookupStack with the
-// quantized configuration and obeys the same oracle-equivalence
-// contract as Lookup; only the cost differs.
-func (e *Engine) LookupQuantized(k keys.Value) (action uint64, ok bool) {
-	return e.lookup(plane.Quantized, k)
-}
-
 // BatchResult is one LookupBatch answer.
 type BatchResult struct {
 	Action  uint64
@@ -579,14 +483,17 @@ type BatchResult struct {
 // before the next (finishBatch), so the loads of its keys overlap instead of
 // serializing per lookup. out is reused when it has capacity, so a caller
 // looping over batches performs zero allocations. Batch answers obey the same
-// oracle-equivalence contract as Lookup (LookupBatch is the batch stack
-// executor's compiled configuration; see internal/planetest).
+// oracle-equivalence contract as Lookup (see internal/planetest).
 func (e *Engine) LookupBatch(ks []keys.Value, out []BatchResult) []BatchResult {
-	return e.LookupBatchStack(plane.StackConfig{}, ks, out, cachesim.Null{})
+	if cap(out) < len(ks) {
+		out = make([]BatchResult, len(ks))
+	}
+	out = out[:len(ks)]
+	e.finishBatch(ks, out)
+	return out
 }
 
-// finishBatch answers ks on the compiled or quantized plane (the reference
-// plane loops the single-key path instead): out[i] answers ks[i].
+// finishBatch answers ks: out[i] answers ks[i].
 //
 // Each block of rqrmi.Block keys is staged the way the paper's engine is
 // (§6.2) — blocked inference, the block's secondary searches in lockstep, a
@@ -597,7 +504,7 @@ func (e *Engine) LookupBatch(ks []keys.Value, out []BatchResult) []BatchResult {
 // t+i of one peek. Inference was pipelined across the block, so a drawn key's
 // record times search onward: the key is searched again by itself, after the
 // block's search, then its tail.
-func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.Mem, out []BatchResult) {
+func (e *Engine) finishBatch(ks []keys.Value, out []BatchResult) {
 	var (
 		preds  [rqrmi.Block]rqrmi.Prediction
 		bkt    [rqrmi.Block]int
@@ -608,13 +515,8 @@ func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.
 	for start := 0; start < len(ks); start += rqrmi.Block {
 		n := min(len(ks)-start, rqrmi.Block)
 		blk, res := ks[start:start+n], out[start:start+n]
-		if inf == plane.Quantized {
-			e.quant.PredictBatch(blk, preds[:n])
-			e.quant.SearchBlock(blk, preds[:n], bkt[:n], probes[:n])
-		} else {
-			e.comp.PredictBatch(blk, preds[:n])
-			e.comp.SearchBlock(blk, preds[:n], bkt[:n], probes[:n])
-		}
+		e.comp.PredictBatch(blk, preds[:n])
+		e.comp.SearchBlock(blk, preds[:n], bkt[:n], probes[:n])
 		for _, b := range bkt[:n] {
 			e.rec.touch(b)
 		}
@@ -628,13 +530,13 @@ func (e *Engine) finishBatch(inf plane.Inference, ks []keys.Value, mem cachesim.
 				fr = &rec
 				fr.Begin(k.Hi, k.Lo)
 				fr.Batch = true
-				bkt[i], probes[i] = e.search(inf, k, preds[i])
-				fr.Stamp(plane.StageSearch)
+				bkt[i], probes[i] = e.comp.Search(k, preds[i])
+				fr.Stamp(telemetry.StageSearch)
 			}
-			_, cmp, action, ok, spill := e.fetch(k, bkt[i], mem, inf)
+			_, cmp, action, ok, spill := e.rec.answer(bkt[i], k)
 			cmps[i] = cmp
 			if e.dir != nil {
-				fr.Stamp(plane.StageFetch)
+				fr.Stamp(telemetry.StageFetch)
 			}
 			if fr != nil {
 				e.commit(fr, probes[i], preds[i].Err, action, ok)
@@ -763,17 +665,11 @@ func (e *Engine) WorstCaseDRAMAccesses() int {
 // bit-identity with the reference arithmetic. It is expensive; intended for
 // tests and offline validation.
 func (e *Engine) Verify() error {
-	var ix rqrmi.Index = e.ra
-	if e.dir != nil {
-		ix = e.dir
-	}
+	ix := e.index()
 	if ok, witness := e.model.Verify(ix); !ok {
 		return fmt.Errorf("core: model error bound violated at key %v", witness)
 	}
 	if err := e.verifyCompiled(ix); err != nil {
-		return err
-	}
-	if err := e.verifyQuantized(ix); err != nil {
 		return err
 	}
 	liveSet, err := lpm.NewRuleSet(e.width, e.liveRules(0))
@@ -794,7 +690,10 @@ func (e *Engine) Verify() error {
 	return nil
 }
 
-// verifyKey holds every inference arm's answer for k against the oracle's.
+// verifyKey holds Lookup's answer for k against the oracle's, and against the
+// reference pipeline's: the compiled and reference paths must resolve
+// identically end to end (search, bucket scan, action), not just against the
+// oracle.
 func (e *Engine) verifyKey(oracle *lpm.TrieMatcher, k keys.Value) error {
 	got, gotOK := e.Lookup(k)
 	want, wantOK := oracle.Lookup(k)
@@ -802,19 +701,9 @@ func (e *Engine) verifyKey(oracle *lpm.TrieMatcher, k keys.Value) error {
 		return fmt.Errorf("core: mismatch at %v: engine (%d,%v) oracle (%d,%v)",
 			k, got, gotOK, want, wantOK)
 	}
-	// The compiled and reference paths must resolve identically end to
-	// end (search, bucket scan, action) — not just against the oracle.
-	refGot, refOK := e.LookupReference(k)
-	if refOK != gotOK || refGot != got {
+	if refGot, refOK := e.reference(k); refOK != gotOK || refGot != got {
 		return fmt.Errorf("core: compiled/reference divergence at %v: compiled (%d,%v) reference (%d,%v)",
 			k, got, gotOK, refGot, refOK)
-	}
-	// The quantized arm carries different intermediate predictions but
-	// must land on the same end-to-end answer (bound-inclusion makes the
-	// bounded search exact; verifyQuantized checks the inclusion itself).
-	if qGot, qOK := e.LookupQuantized(k); qOK != gotOK || (gotOK && qGot != got) {
-		return fmt.Errorf("core: compiled/quantized divergence at %v: compiled (%d,%v) quantized (%d,%v)",
-			k, got, gotOK, qGot, qOK)
 	}
 	return nil
 }
@@ -879,43 +768,6 @@ func (e *Engine) verifyCompiled(ix rqrmi.Index) error {
 			if idx[i] != im || probes[i] != probesM {
 				return fmt.Errorf("core: compiled SearchBlock(%v) = (%d,%d), reference (%d,%d)",
 					k, idx[i], probes[i], im, probesM)
-			}
-		}
-		return nil
-	})
-}
-
-// verifyQuantized sweeps the same boundary and cell-edge ±1 key set as
-// verifyCompiled, but the quantized contract is bound-inclusion, not
-// bit-identity: the integer prediction may differ from the float one, yet its
-// own stored error bound must cover the true index (so the bounded search is
-// exact), the search must land on that index, and the block arms must match
-// the single-key arms bit for bit.
-func (e *Engine) verifyQuantized(ix rqrmi.Index) error {
-	var (
-		preds       [rqrmi.Block]rqrmi.Prediction
-		idx, probes [rqrmi.Block]int
-	)
-	return e.sweepBoundaries(ix, func(ks []keys.Value) error {
-		e.quant.PredictBatch(ks, preds[:])
-		e.quant.SearchBlock(ks, preds[:], idx[:], probes[:])
-		for i, k := range ks {
-			pq := e.quant.Predict(k)
-			if preds[i] != pq {
-				return fmt.Errorf("core: quantized PredictBatch(%v) = %+v, single %+v", k, preds[i], pq)
-			}
-			truth := rqrmi.Find(ix, k)
-			if d := pq.Index - truth; d > pq.Err || -d > pq.Err {
-				return fmt.Errorf("core: quantized bound violated at %v: index %d err %d truth %d",
-					k, pq.Index, pq.Err, truth)
-			}
-			iq, probesQ := e.quant.Search(k, pq)
-			if iq != truth {
-				return fmt.Errorf("core: quantized Search(%v) = %d, truth %d", k, iq, truth)
-			}
-			if idx[i] != iq || probes[i] != probesQ {
-				return fmt.Errorf("core: quantized SearchBlock(%v) = (%d,%d), single (%d,%d)",
-					k, idx[i], probes[i], iq, probesQ)
 			}
 		}
 		return nil

@@ -9,7 +9,6 @@ import (
 	"neurolpm/internal/cachesim"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/telemetry"
 )
 
@@ -83,9 +82,9 @@ func checkBooked(t *testing.T, before, after series, w booked) {
 	recorded := after.flight - before.flight
 	near("flight ring", recorded, w.n/w.stride)
 	for _, rec := range telemetry.Flight.Recent(int(min(recorded, uint64(telemetry.Flight.RingSize())))) {
-		stamped := rec.StageNs[plane.StageInference] + rec.StageNs[plane.StageSearch] + rec.StageNs[plane.StageFetch]
+		stamped := rec.StageNs[telemetry.StageInference] + rec.StageNs[telemetry.StageSearch] + rec.StageNs[telemetry.StageFetch]
 		if (rec.Batch && !w.batched) || rec.BucketRead != w.bucketized || stamped <= 0 || stamped > rec.TotalNs ||
-			(!rec.Batch && rec.StageNs[plane.StageInference] <= 0) {
+			(!rec.Batch && rec.StageNs[telemetry.StageInference] <= 0) {
 			t.Fatalf("flight record %+v: want a bucket read %v with stage stamps (batch records allowed: %v)",
 				rec, w.bucketized, w.batched)
 		}
@@ -169,9 +168,10 @@ func TestBucketFetchInvariant(t *testing.T) {
 	}
 }
 
-// TestSRAMOnlyNoFetches checks the complementary invariant on the batch
-// stacks: an SRAM-only engine never touches the bucket path, on any inference
-// plane — no DRAM read, no fetch booked — while every key is still booked.
+// TestSRAMOnlyNoFetches checks the complementary invariant: an SRAM-only
+// engine never touches the bucket path — through LookupMem no DRAM read, and
+// through LookupMem and LookupBatch alike no fetch booked — while every key is
+// still booked.
 func TestSRAMOnlyNoFetches(t *testing.T) {
 	rs := randomRuleSet(t, 32, 300, 9)
 	e, err := Build(rs, quickSRAMOnly())
@@ -183,14 +183,25 @@ func TestSRAMOnlyNoFetches(t *testing.T) {
 	for i := range ks {
 		ks[i] = randomKey(rng, 32)
 	}
-	for _, inf := range []plane.Inference{plane.Compiled, plane.Reference, plane.Quantized} {
-		mem := &countingMem{}
+	mem := &countingMem{}
+	for _, arm := range []struct {
+		name string
+		look func()
+	}{
+		{"LookupMem", func() {
+			for _, k := range ks {
+				e.LookupMem(k, mem)
+			}
+		}},
+		{"LookupBatch", func() { e.LookupBatch(ks, nil) }},
+	} {
 		before := readSeries()
-		e.LookupBatchStack(plane.StackConfig{Inference: inf}, ks, nil, mem)
+		arm.look()
 		after := readSeries()
-		if d := after.lookups - before.lookups; mem.reads != 0 || after.fetches != before.fetches || d != uint64(len(ks)) {
-			t.Fatalf("plane %v: SRAM-only batch issued %d DRAM reads and booked %d fetches, %d lookups of %d",
-				inf, mem.reads, after.fetches-before.fetches, d, len(ks))
+		if d := after.lookups - before.lookups; mem.reads != 0 || after.fetches != before.fetches ||
+			after.bucketized != before.bucketized || d != uint64(len(ks)) {
+			t.Fatalf("%s: SRAM-only engine issued %d DRAM reads and booked %d fetches, %d lookups of %d",
+				arm.name, mem.reads, after.fetches-before.fetches, d, len(ks))
 		}
 	}
 }
@@ -258,7 +269,7 @@ func TestLookupPathsAgree(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			k := randomKey(rng, 32)
 			trMem := e.LookupMem(k, cachesim.Null{})
-			trSpan, sp := e.LookupSpan(plane.Compiled, k, cachesim.Null{})
+			trSpan, sp := e.LookupSpan(k, cachesim.Null{})
 			action, ok := e.Lookup(k)
 			if trMem != trSpan {
 				t.Fatalf("%s: LookupMem %+v != LookupSpan %+v", name, trMem, trSpan)

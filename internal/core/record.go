@@ -137,7 +137,7 @@ func (l *layout) put(rec []uint64, j int, low keys.Value, action uint64, ok bool
 
 // view is a bucket's current record — the dense one, or the spill record it
 // pointed to when it was opened — for those who do not go through answer: the
-// writers, and the reference arm, which brings a scan of its own.
+// writers, and Engine.reference, which brings a scan of its own.
 type view struct {
 	l       *layout
 	rec     []uint64

@@ -97,7 +97,7 @@ func TestRecordConsistency(t *testing.T) {
 				}
 				var batch []keys.Value
 				var wants []BatchResult
-				arms := []func(keys.Value) (uint64, bool){e.Lookup, e.LookupReference, e.LookupQuantized}
+				arms := []func(keys.Value) (uint64, bool){e.Lookup, e.reference}
 				// check holds every view of every range equal; after an
 				// insert (and at build) on every lookup arm, after a delete or
 				// a modify — which move no bound — on Lookup alone.
@@ -312,7 +312,7 @@ func TestRecordConsistency(t *testing.T) {
 					t.Fatalf("rebuilt engine kept %d spilled buckets, %d absorbed rules", e.SpilledBuckets(), len(e.absorbed))
 				}
 				absorbs = false // nothing is spilled any more
-				arms = []func(keys.Value) (uint64, bool){e.Lookup, e.LookupReference, e.LookupQuantized}
+				arms = []func(keys.Value) (uint64, bool){e.Lookup, e.reference}
 				check("rebuilt", true)
 			})
 		}

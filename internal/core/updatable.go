@@ -9,7 +9,6 @@ import (
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 )
 
 // Updatable wraps an Engine with the update path. The paper's §6.5 has two
@@ -47,11 +46,10 @@ func NewUpdatable(e *Engine) *Updatable {
 // Engine returns the current live engine (for stats and verification).
 func (u *Updatable) Engine() *Engine { return u.engine.Load() }
 
-// Lookup answers k from the live engine through the compiled plane. It obeys
-// the same oracle-equivalence contract as Engine.Lookup across every stack
-// configuration (internal/planetest).
+// Lookup answers k from the live engine. It obeys the same
+// oracle-equivalence contract as Engine.Lookup (internal/planetest).
 func (u *Updatable) Lookup(k keys.Value) (uint64, bool) {
-	return u.engine.Load().lookup(plane.Compiled, k)
+	return u.engine.Load().Lookup(k)
 }
 
 // Insert installs a rule: in the live engine when the engine can absorb it,

@@ -7,20 +7,19 @@ import (
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/workload"
 )
 
 // TestLookupEntryPointsEquivalent drives every exported lookup entry point —
-// single-key and batch, core and shard, on every inference plane — over one
+// single-key and batch, core and shard — over one
 // shared workload-calibrated corpus and asserts each
 // answers exactly what the trie oracle answers, misses included. This is the
 // table-driven face of the equivalence contract the fuzz target probes
 // adversarially: adding a lookup entry point means adding a row here, not a
 // new harness.
 //
-// Rows are named "<fixture>.<entry point>[/<stack>]":
+// Rows are named "<fixture>.<entry point>":
 //
 //	Engine            core.Build, the library facade
 //	Updatable         core.NewUpdatable over it, the per-shard writer
@@ -28,10 +27,7 @@ import (
 //	ShardedUpdatable  shard.BuildUpdatable at four shards
 //
 // Each exported entry point of the three types has the row that bears its
-// name. The row named after a constant-config wrapper that was folded into
-// the stack executors (…BatchMem) keeps its name and spells out the executor
-// call the wrapper made, so every argument combination that was pinned stays
-// pinned.
+// name.
 func TestLookupEntryPointsEquivalent(t *testing.T) {
 	profile := workload.RIPE()
 	width := profile.Width
@@ -83,41 +79,20 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 		name string
 		look func(k keys.Value) (uint64, bool)
 	}
-	// stacked adapts a stack executor to a row.
-	stacked := func(look func(plane.StackConfig, keys.Value) (uint64, bool), st plane.StackConfig) func(keys.Value) (uint64, bool) {
-		return func(k keys.Value) (uint64, bool) { return look(st, k) }
-	}
 	singles := []single{
 		{"Engine.Lookup", eng.Lookup},
-		{"Engine.LookupReference", eng.LookupReference},
-		{"Engine.LookupQuantized", eng.LookupQuantized},
 		{"Engine.LookupMem", func(k keys.Value) (uint64, bool) {
-			tr := eng.LookupMem(k, cachesim.Null{})
+			tr := eng.LookupMem(k, &cachesim.Uncached{})
+			return tr.Action, tr.Matched
+		}},
+		{"Engine.LookupSpan", func(k keys.Value) (uint64, bool) {
+			tr, _ := eng.LookupSpan(k, cachesim.Null{})
 			return tr.Action, tr.Matched
 		}},
 		{"Updatable.Lookup", upd.Lookup},
 	}
-	for inf := plane.Inference(0); inf < plane.NumInference; inf++ {
-		inf := inf
-		name := "Engine.LookupSpan"
-		if inf != plane.Compiled {
-			name += "/" + inf.String()
-		}
-		singles = append(singles, single{name, func(k keys.Value) (uint64, bool) {
-			tr, _ := eng.LookupSpan(inf, k, cachesim.Null{})
-			return tr.Action, tr.Matched
-		}})
-	}
 	for _, su := range sharded {
 		singles = append(singles, single{su.name + ".Lookup", su.Lookup})
-	}
-	for _, st := range plane.Matrix() {
-		singles = append(singles,
-			single{"Engine.LookupStack/" + st.String(), stacked(eng.LookupStack, st)},
-			single{"Updatable.LookupStack/" + st.String(), stacked(upd.LookupStack, st)})
-		for _, su := range sharded {
-			singles = append(singles, single{su.name + ".LookupStack/" + st.String(), stacked(su.LookupStack, st)})
-		}
 	}
 	for _, tc := range singles {
 		tc := tc
@@ -136,8 +111,6 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 		name  string
 		batch func(ks []keys.Value) []Result
 	}
-	// engBatch is a row on the engine's batch executor: st selects the stack,
-	// mem receives the bucket fetches.
 	results := func(res []core.BatchResult) []Result { // shard.Result is the same type
 		out := make([]Result, len(res))
 		for i, r := range res {
@@ -145,30 +118,19 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 		}
 		return out
 	}
-	engBatch := func(st plane.StackConfig, mem cachesim.Mem) func([]keys.Value) []Result {
-		return func(ks []keys.Value) []Result {
-			return results(eng.LookupBatchStack(st, ks, nil, mem))
-		}
-	}
+	// Batch rows that take a result slice hand in a stale one with room to
+	// spare, so the reuse path is the one checked.
+	stale := func(n int) []core.BatchResult { return make([]core.BatchResult, n, 2*n) }
 	batches := []batch{
-		{"Engine.LookupBatch", func(ks []keys.Value) []Result { return results(eng.LookupBatch(ks, nil)) }},
-		{"Engine.LookupBatchMem", engBatch(plane.StackConfig{}, &cachesim.Uncached{})},
+		{"Engine.LookupBatch", func(ks []keys.Value) []Result { return results(eng.LookupBatch(ks, stale(len(ks)))) }},
 	}
 	for _, su := range sharded {
 		su := su
-		batches = append(batches, batch{su.name + ".LookupBatch", func(ks []keys.Value) []Result {
-			return results(su.LookupBatch(ks))
-		}})
-	}
-	for _, st := range plane.Matrix() {
-		st := st
-		batches = append(batches, batch{"Engine.LookupBatchStack/" + st.String(), engBatch(st, cachesim.Null{})})
-		for _, su := range sharded {
-			su := su
-			batches = append(batches, batch{su.name + ".LookupBatchStack/" + st.String(), func(ks []keys.Value) []Result {
-				return results(su.LookupBatchStack(st, ks, nil))
+		batches = append(batches,
+			batch{su.name + ".LookupBatch", func(ks []keys.Value) []Result { return results(su.LookupBatch(ks)) }},
+			batch{su.name + ".LookupBatchInto", func(ks []keys.Value) []Result {
+				return results(su.LookupBatchInto(ks, stale(len(ks))))
 			}})
-		}
 	}
 	for _, tc := range batches {
 		tc := tc

@@ -11,20 +11,17 @@ import (
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
 )
 
-// FuzzStackVsOracle is THE differential fuzz target for the lookup-plane
-// matrix: for arbitrary rule-sets, shard counts, key streams and update
-// interleavings — {Insert absorbed, Insert rebuilt, failed rebuild, Delete,
-// ModifyAction, Commit}, with absorb refusals and rebuild failures injected
-// through internal/fault — every
-// (topology, stack) combo in plane.Combos() — {single, 1/2/4/8 shards} ×
-// {compiled, reference, quantized} — must answer exactly what a trie oracle
-// over the logical rule-set answers, after every step (the CLAUDE.md
-// correctness invariant).
+// FuzzStackVsOracle is THE differential fuzz target for the lookup matrix:
+// for arbitrary rule-sets, shard counts, key streams and update interleavings
+// — {Insert absorbed, Insert rebuilt, failed rebuild, Delete, ModifyAction,
+// Commit}, with absorb refusals and rebuild failures injected through
+// internal/fault — both topologies, a single engine and 1/2/4/8 shards, must
+// answer exactly what a trie oracle over the logical rule-set answers, batch
+// and single-key, after every step (the CLAUDE.md correctness invariant).
 //
 // The input splits in half: the first half derives the base rule-set, the
 // second half drives update ops on the sharded side (7 bytes per op, ≤12
@@ -119,31 +116,31 @@ func FuzzStackVsOracle(f *testing.F) {
 			installed[ruleKey{r.Prefix, r.Len}] = true
 		}
 		rng := rand.New(rand.NewSource(int64(keySeed)))
-		shardedCheck := func(stage string, cs []plane.Combo) {
+		shardedCheck := func(stage string) {
 			t.Helper()
 			set, err := lpm.NewRuleSet(width, append([]lpm.Rule(nil), live...))
 			if err != nil {
 				t.Fatalf("%s: model rule-set invalid: %v", stage, err)
 			}
 			ks := Corpus(width, live, 16, rng)
-			if err := fx.CheckCombos(cs, lpm.NewTrieMatcher(set), ks); err != nil {
+			if err := fx.Check(Sharded, lpm.NewTrieMatcher(set), ks); err != nil {
 				t.Fatalf("%s (%d shards): %v", stage, nShards, err)
 			}
 		}
 
-		// Fresh: both topologies serve the base rule-set — the full 6-combo
-		// matrix checks against one oracle.
+		// Fresh: both topologies serve the base rule-set and check against
+		// one oracle.
 		baseOracle := lpm.NewTrieMatcher(rs)
 		freshKeys := Corpus(width, base, 64, rng)
-		if err := fx.CheckCombos(SingleCombos(), baseOracle, freshKeys); err != nil {
+		if err := fx.Check(Single, baseOracle, freshKeys); err != nil {
 			t.Fatalf("fresh: %v", err)
 		}
-		if err := fx.CheckCombos(ShardedCombos(), baseOracle, freshKeys); err != nil {
+		if err := fx.Check(Sharded, baseOracle, freshKeys); err != nil {
 			t.Fatalf("fresh (%d shards): %v", nShards, err)
 		}
 
-		// Update ops on the sharded side; after each op one stack (rotating
-		// through the matrix) re-checks against a fresh oracle.
+		// Update ops on the sharded side; after each op it re-checks against
+		// a fresh oracle.
 		absorbed := telemetry.Default.Counter("neurolpm_insert_absorbed_total", "")
 		rebuilds := telemetry.Default.Counter("neurolpm_insert_rebuilt_total", "")
 		ops := data[split:]
@@ -214,13 +211,11 @@ func FuzzStackVsOracle(f *testing.F) {
 					t.Fatalf("shard %d after commit: %d spilled buckets", s, got)
 				}
 			}
-			sc := ShardedCombos()
-			rotating := sc[n%len(sc) : n%len(sc)+1]
-			shardedCheck(fmt.Sprintf("after op %d", i/7), rotating)
+			shardedCheck(fmt.Sprintf("after op %d", i/7))
 		}
 
 		// Single-engine tombstone delete (the §6.5 no-retrain path): re-check
-		// all three single stacks against an oracle over the survivors.
+		// the single engine against an oracle over the survivors.
 		if len(base) >= 2 {
 			doomed := base[int(keySeed)%len(base)]
 			if err := eng.Delete(doomed.Prefix, doomed.Len); err != nil {
@@ -236,20 +231,20 @@ func FuzzStackVsOracle(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fx.CheckCombos(SingleCombos(), lpm.NewTrieMatcher(restSet), Corpus(width, base, 32, rng)); err != nil {
+			if err := fx.Check(Single, lpm.NewTrieMatcher(restSet), Corpus(width, base, 32, rng)); err != nil {
 				t.Fatalf("post-delete: %v", err)
 			}
 		}
 
-		// Every update landed in the engines as it was acknowledged: the full
-		// sharded matrix agrees with the oracle, and again once every shard
+		// Every update landed in the engines as it was acknowledged: the
+		// sharded topology agrees with the oracle, and again once every shard
 		// has re-densified.
-		shardedCheck("after the ops", ShardedCombos())
+		shardedCheck("after the ops")
 		for s := 0; s < u.Shards(); s++ {
 			if err := u.Commit(s); err != nil {
 				t.Fatalf("final commit of shard %d: %v", s, err)
 			}
 		}
-		shardedCheck("after re-densify", ShardedCombos())
+		shardedCheck("after re-densify")
 	})
 }

@@ -9,15 +9,13 @@ import (
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/shard"
 )
 
-// TestStackMetamorphic checks oracle-free invariants of the lookup-plane
-// matrix: with both topologies serving the same rule-set,
+// TestStackMetamorphic checks oracle-free invariants of the lookup matrix:
+// with both topologies serving the same rule-set,
 //
-//  1. all six (topology, stack) combos answer every key identically —
-//     reference ≡ compiled ≡ quantized, single ≡ sharded;
+//  1. both topologies answer every key identically, single ≡ sharded;
 //  2. the batch entry point equals the single-key entry point, pointwise;
 //  3. batch answers are invariant under permutation of the key slice;
 //  4. duplicating every key yields pairwise-identical answers;
@@ -28,7 +26,7 @@ import (
 // even when both happen to agree with the trie on the sampled keys. The
 // retrain-storm phase then forces every insert onto the rebuild path: while
 // the rebuilds fail, the sharded half must still answer the base oracle;
-// once they succeed, it holds property 1 and the merged oracle.
+// once they succeed, it holds property 2 and the merged oracle.
 func TestStackMetamorphic(t *testing.T) {
 	const width = 32
 	rules := RandomRules(width, 600, 71)
@@ -50,56 +48,56 @@ func TestStackMetamorphic(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(73))
 	ks := Corpus(width, rules, 256, rng)
-	combos := plane.Combos()
+	tps := Topologies()
 
-	// Properties 1+2: every combo, batch and single-key, equals combo[0]'s
-	// batch answers.
-	ref := fx.LookupBatch(combos[0], ks)
-	for _, cb := range combos {
-		batch := fx.LookupBatch(cb, ks)
+	// Properties 1+2: both topologies, batch and single-key, equal the single
+	// engine's batch answers.
+	ref := fx.LookupBatch(Single, ks)
+	for _, tp := range tps {
+		batch := fx.LookupBatch(tp, ks)
 		for i, k := range ks {
 			if batch[i] != ref[i] {
-				t.Fatalf("%s: batch key %v: %+v, %s got %+v", cb, k, batch[i], combos[0], ref[i])
+				t.Fatalf("%s: batch key %v: %+v, %s got %+v", tp, k, batch[i], Single, ref[i])
 			}
-			if got := fx.Lookup(cb, k); got != ref[i] {
-				t.Fatalf("%s: single key %v: %+v, batch %+v", cb, k, got, ref[i])
+			if got := fx.Lookup(tp, k); got != ref[i] {
+				t.Fatalf("%s: single key %v: %+v, batch %+v", tp, k, got, ref[i])
 			}
 		}
 	}
 
-	for _, cb := range combos {
+	for _, tp := range tps {
 		// Property 3: permutation invariance.
 		perm := rng.Perm(len(ks))
 		pks := make([]keys.Value, len(ks))
 		for i, j := range perm {
 			pks[i] = ks[j]
 		}
-		pres := fx.LookupBatch(cb, pks)
+		pres := fx.LookupBatch(tp, pks)
 		for i, j := range perm {
 			if pres[i] != ref[j] {
-				t.Fatalf("%s: permuted batch key %v: %+v, in-order %+v", cb, pks[i], pres[i], ref[j])
+				t.Fatalf("%s: permuted batch key %v: %+v, in-order %+v", tp, pks[i], pres[i], ref[j])
 			}
 		}
 
 		// Property 4: duplication — both occurrences answer alike.
 		doubled := append(append(make([]keys.Value, 0, 2*len(ks)), ks...), ks...)
-		dres := fx.LookupBatch(cb, doubled)
+		dres := fx.LookupBatch(tp, doubled)
 		for i := range ks {
 			if dres[i] != dres[i+len(ks)] {
 				t.Fatalf("%s: key %v answers diverge within one batch: %+v then %+v",
-					cb, ks[i], dres[i], dres[i+len(ks)])
+					tp, ks[i], dres[i], dres[i+len(ks)])
 			}
 			if dres[i] != ref[i] {
-				t.Fatalf("%s: doubled batch key %v: %+v, plain batch %+v", cb, ks[i], dres[i], ref[i])
+				t.Fatalf("%s: doubled batch key %v: %+v, plain batch %+v", tp, ks[i], dres[i], ref[i])
 			}
 		}
 
 		// Property 5: repeat — the second run of the identical batch answers
 		// alike.
-		again := fx.LookupBatch(cb, ks)
+		again := fx.LookupBatch(tp, ks)
 		for i := range ks {
 			if again[i] != ref[i] {
-				t.Fatalf("%s: repeat batch key %v: %+v, first run %+v", cb, ks[i], again[i], ref[i])
+				t.Fatalf("%s: repeat batch key %v: %+v, first run %+v", tp, ks[i], again[i], ref[i])
 			}
 		}
 	}
@@ -107,8 +105,8 @@ func TestStackMetamorphic(t *testing.T) {
 	t.Run("retrain-storm", func(t *testing.T) {
 		// Every insert is refused by the engine (SiteAbsorb), so each takes
 		// the rebuild path. While every rebuild fails (SiteRetrain) each
-		// insert must fail and leave the sharded half of the matrix answering
-		// exactly what the base rule-set's oracle answers.
+		// insert must fail and leave the sharded topology answering exactly
+		// what the base rule-set's oracle answers.
 		in.FailProb(fault.SiteAbsorb, 1)
 		in.FailProb(fault.SiteRetrain, 1)
 		var fresh []lpm.Rule
@@ -125,14 +123,13 @@ func TestStackMetamorphic(t *testing.T) {
 				t.Fatalf("insert %v during the storm: %v", r, err)
 			}
 		}
-		sharded := ShardedCombos()
-		if err := fx.CheckCombos(sharded, lpm.NewTrieMatcher(rs), ks); err != nil {
+		if err := fx.Check(Sharded, lpm.NewTrieMatcher(rs), ks); err != nil {
 			t.Fatalf("storm: a failed insert changed an answer: %v", err)
 		}
 
 		// Recovery: the rebuilds succeed, every insert is retrained in before
-		// it returns, and the sharded combos agree with each other and with a
-		// trie oracle over base + fresh.
+		// it returns, and the sharded batch and single-key answers agree with
+		// each other and with a trie oracle over base + fresh.
 		in.Clear(fault.SiteRetrain)
 		for _, r := range fresh {
 			if err := u.Insert(r); err != nil {
@@ -145,19 +142,13 @@ func TestStackMetamorphic(t *testing.T) {
 			t.Fatal(err)
 		}
 		mks := Corpus(width, merged.Rules, 256, rng)
-		sref := fx.LookupBatch(sharded[0], mks)
-		for _, cb := range sharded {
-			batch := fx.LookupBatch(cb, mks)
-			for i, k := range mks {
-				if batch[i] != sref[i] {
-					t.Fatalf("recovery: %s: batch key %v: %+v, %s got %+v", cb, k, batch[i], sharded[0], sref[i])
-				}
-				if got := fx.Lookup(cb, k); got != sref[i] {
-					t.Fatalf("recovery: %s: single key %v: %+v, batch %+v", cb, k, got, sref[i])
-				}
+		sref := fx.LookupBatch(Sharded, mks)
+		for i, k := range mks {
+			if got := fx.Lookup(Sharded, k); got != sref[i] {
+				t.Fatalf("recovery: single key %v: %+v, batch %+v", k, got, sref[i])
 			}
 		}
-		if err := fx.CheckCombos(sharded, lpm.NewTrieMatcher(merged), mks); err != nil {
+		if err := fx.Check(Sharded, lpm.NewTrieMatcher(merged), mks); err != nil {
 			t.Fatalf("recovery: %v", err)
 		}
 	})

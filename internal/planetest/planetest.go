@@ -1,28 +1,27 @@
 // Package planetest hosts the parameterized differential-test matrix for the
-// composable lookup-plane stack (DESIGN.md §14).
+// lookup pipeline (DESIGN.md §14).
 //
-// Every exported lookup entry point in internal/core and internal/shard is
-// one stack executor selected by plane.StackConfig, or a thin wrapper over it; the
-// correctness contract — every variant answers exactly what the trie oracle
-// answers, for every key including misses — is therefore a property of the
-// (topology, stack) matrix, not of individual methods. This package checks
-// that property once, parameterized over plane.Combos():
+// Every exported lookup entry point in internal/core and internal/shard runs
+// one pipeline — compiled inference, bounded search, the bucket record's
+// answer — on one of two topologies: a single engine, or the sharded router
+// over engines. The correctness contract — every entry point answers exactly
+// what the trie oracle answers, for every key including misses — is
+// therefore a property of the topology, checked once over Topologies():
 //
 //   - FuzzStackVsOracle — the single differential fuzz target. It drives
 //     arbitrary rule-sets, shard counts from one up, key streams and update
-//     interleavings — with commit failures injected through
-//     internal/fault — and checks every stack configuration against the
-//     oracle after every step.
-//   - TestStackMetamorphic — oracle-free cross-variant properties: all six
-//     combos ({single,sharded} × {compiled,reference,quantized}) agree with
-//     each other, batches equal single-key answers, and batch answers are
-//     invariant under permutation, duplication and repeat.
+//     interleavings — with absorb refusals and rebuild failures injected
+//     through internal/fault — and checks both topologies against the oracle
+//     after every step.
+//   - TestStackMetamorphic — oracle-free cross-variant properties: both
+//     topologies agree with each other, batches equal single-key answers, and
+//     batch answers are invariant under permutation, duplication and repeat.
 //   - TestLookupEntryPointsEquivalent — every exported lookup entry point on
 //     a shared workload-calibrated corpus (hits and misses) versus the trie
 //     oracle.
-//   - TestQuantizedZeroAllocs and TestShardedBatchZeroAllocs — pin the
-//     quantized stacks and the sharded batch (which at one shard is the
-//     engine's compiled batch) at zero steady-state allocations.
+//   - TestEngineZeroAllocs and TestShardedBatchZeroAllocs — pin the engine's
+//     single-key and batch lookups and the sharded batch into a caller's dst
+//     at zero steady-state allocations.
 //
 // The package lives outside internal/core and internal/shard so the matrix
 // can exercise both topologies without an import cycle.
@@ -32,11 +31,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/rqrmi"
 	"neurolpm/internal/shard"
 )
@@ -126,30 +123,34 @@ type Result struct {
 	Matched bool
 }
 
-// SingleCombos returns the plane.Single half of the matrix (3 stacks).
-func SingleCombos() []plane.Combo { return topologyCombos(plane.Single) }
+// Topology says whether a lookup runs on one engine or fans out across the
+// sharded router.
+type Topology uint8
 
-// ShardedCombos returns the plane.Sharded half of the matrix (3 stacks).
-func ShardedCombos() []plane.Combo { return topologyCombos(plane.Sharded) }
+const (
+	Single Topology = iota
+	Sharded
+)
 
-func topologyCombos(tp plane.Topology) []plane.Combo {
-	var out []plane.Combo
-	for _, cb := range plane.Combos() {
-		if cb.Topology == tp {
-			out = append(out, cb)
-		}
+// String returns the stable spelling used in test names.
+func (t Topology) String() string {
+	if t == Sharded {
+		return "sharded"
 	}
-	return out
+	return "single"
 }
 
+// Topologies enumerates the matrix: one engine, then the sharded router.
+func Topologies() []Topology { return []Topology{Single, Sharded} }
+
 // Fixture pairs one single-topology engine with one sharded updatable so a
-// test can route any plane.Combo to the matching entry point. The two sides
-// are independent: the fuzz harness mutates them separately and checks each
+// test can route a Topology to the matching entry point. The two sides are
+// independent: the fuzz harness mutates them separately and checks each
 // against its own oracle.
 type Fixture struct {
 	Width int
-	Eng   *core.Engine            // plane.Single topology
-	Upd   *shard.ShardedUpdatable // plane.Sharded topology
+	Eng   *core.Engine            // Single topology
+	Upd   *shard.ShardedUpdatable // Sharded topology
 }
 
 // NewFixture wires the two topologies.
@@ -157,52 +158,48 @@ func NewFixture(width int, eng *core.Engine, upd *shard.ShardedUpdatable) *Fixtu
 	return &Fixture{Width: width, Eng: eng, Upd: upd}
 }
 
-// Lookup answers one key through the combo's single-key entry point.
-func (f *Fixture) Lookup(cb plane.Combo, k keys.Value) Result {
-	if cb.Topology == plane.Sharded {
-		a, ok := f.Upd.LookupStack(cb.Stack, k)
+// Lookup answers one key through the topology's single-key entry point.
+func (f *Fixture) Lookup(tp Topology, k keys.Value) Result {
+	if tp == Sharded {
+		a, ok := f.Upd.Lookup(k)
 		return Result{a, ok}
 	}
-	a, ok := f.Eng.LookupStack(cb.Stack, k)
+	a, ok := f.Eng.Lookup(k)
 	return Result{a, ok}
 }
 
-// LookupBatch answers a key slice through the combo's batch entry point.
-func (f *Fixture) LookupBatch(cb plane.Combo, ks []keys.Value) []Result {
-	out := make([]Result, len(ks))
-	if cb.Topology == plane.Sharded {
-		for i, r := range f.Upd.LookupBatchStack(cb.Stack, ks, nil) {
-			out[i] = Result{r.Action, r.Matched}
-		}
-		return out
+// LookupBatch answers a key slice through the topology's batch entry point.
+func (f *Fixture) LookupBatch(tp Topology, ks []keys.Value) []Result {
+	res := f.Upd.LookupBatch // shard.Result is core.BatchResult
+	if tp == Single {
+		res = func(ks []keys.Value) []core.BatchResult { return f.Eng.LookupBatch(ks, nil) }
 	}
-	for i, r := range f.Eng.LookupBatchStack(cb.Stack, ks, nil, cachesim.Null{}) {
+	out := make([]Result, len(ks))
+	for i, r := range res(ks) {
 		out[i] = Result{r.Action, r.Matched}
 	}
 	return out
 }
 
-// CheckCombos verifies every combo answers ks exactly like oracle, through
-// both the batch and the single-key entry points. The batch carries every
-// key twice, so a key's answer is checked in two block positions. Returns the
+// Check verifies the topology answers ks exactly like oracle, through both
+// the batch and the single-key entry points. The batch carries every key
+// twice, so a key's answer is checked in two block positions. Returns the
 // first mismatch as an error.
-func (f *Fixture) CheckCombos(cs []plane.Combo, oracle *lpm.TrieMatcher, ks []keys.Value) error {
+func (f *Fixture) Check(tp Topology, oracle *lpm.TrieMatcher, ks []keys.Value) error {
 	doubled := append(append(make([]keys.Value, 0, 2*len(ks)), ks...), ks...)
-	for _, cb := range cs {
-		res := f.LookupBatch(cb, doubled)
-		for i, k := range doubled {
-			want, wantOK := oracle.Lookup(k)
-			if res[i].Matched != wantOK || (wantOK && res[i].Action != want) {
-				return fmt.Errorf("%s: batch[%d] key %v: (%d,%v), oracle (%d,%v)",
-					cb, i, k, res[i].Action, res[i].Matched, want, wantOK)
-			}
+	res := f.LookupBatch(tp, doubled)
+	for i, k := range doubled {
+		want, wantOK := oracle.Lookup(k)
+		if res[i].Matched != wantOK || (wantOK && res[i].Action != want) {
+			return fmt.Errorf("%s: batch[%d] key %v: (%d,%v), oracle (%d,%v)",
+				tp, i, k, res[i].Action, res[i].Matched, want, wantOK)
 		}
-		for _, k := range ks {
-			want, wantOK := oracle.Lookup(k)
-			if got := f.Lookup(cb, k); got.Matched != wantOK || (wantOK && got.Action != want) {
-				return fmt.Errorf("%s: key %v: (%d,%v), oracle (%d,%v)",
-					cb, k, got.Action, got.Matched, want, wantOK)
-			}
+	}
+	for _, k := range ks {
+		want, wantOK := oracle.Lookup(k)
+		if got := f.Lookup(tp, k); got.Matched != wantOK || (wantOK && got.Action != want) {
+			return fmt.Errorf("%s: key %v: (%d,%v), oracle (%d,%v)",
+				tp, k, got.Action, got.Matched, want, wantOK)
 		}
 	}
 	return nil

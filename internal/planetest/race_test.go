@@ -7,18 +7,16 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
 )
 
-// TestMatrixReadersRaceWriters runs reader goroutines over the whole combo
-// matrix while two writers change both topologies under them: one streams
+// TestMatrixReadersRaceWriters runs reader goroutines over both topologies
+// while two writers change both topologies under them: one streams
 // inserts into the sharded side — half refused by the engine (SiteAbsorb), so
 // they rebuild shard engines mid-storm, beside commits that re-densify — and one
 // rewrites the actions of base rules on the single engine and the sharded
@@ -47,7 +45,7 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 	fx := NewFixture(width, eng, u)
 
 	const rounds = 200
-	combos := plane.Combos()
+	tps := Topologies()
 	var wg sync.WaitGroup
 
 	for w := 0; w < 4; w++ {
@@ -57,9 +55,9 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			ks := Corpus(width, rules, 32, rng)
 			for i := 0; i < rounds; i++ {
-				cb := combos[i%len(combos)]
-				fx.LookupBatch(cb, ks)
-				fx.Lookup(cb, ks[i%len(ks)])
+				tp := tps[i%len(tps)]
+				fx.LookupBatch(tp, ks)
+				fx.Lookup(tp, ks[i%len(ks)])
 			}
 		}(int64(w) + 7)
 	}
@@ -123,11 +121,11 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(101))
-	if err := fx.CheckCombos(ShardedCombos(), lpm.NewTrieMatcher(merged), Corpus(width, merged.Rules, 128, rng)); err != nil {
-		t.Fatalf("post-storm sharded matrix: %v", err)
+	if err := fx.Check(Sharded, lpm.NewTrieMatcher(merged), Corpus(width, merged.Rules, 128, rng)); err != nil {
+		t.Fatalf("post-storm: %v", err)
 	}
-	if err := fx.CheckCombos(SingleCombos(), lpm.NewTrieMatcher(base), Corpus(width, final, 128, rng)); err != nil {
-		t.Fatalf("post-storm single matrix: %v", err)
+	if err := fx.Check(Single, lpm.NewTrieMatcher(base), Corpus(width, final, 128, rng)); err != nil {
+		t.Fatalf("post-storm: %v", err)
 	}
 }
 
@@ -136,7 +134,7 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 // and swaps a whole engine, mixed with modifies and deletes of the same rules.
 // Both topologies take each op — a core.Updatable (single) and a four-shard
 // ShardedUpdatable — and the readers run the single-key and batch arms of
-// every stack. phase is 2j+1 while op j runs and 2j+2 once it has returned on
+// each. phase is 2j+1 while op j runs and 2j+2 once it has returned on
 // both topologies; a read that saw at most one step of phase is held to the
 // trie oracle: exactly the quiescent rule-set's answer, or either the answer
 // before or the answer after the op that was running.
@@ -261,30 +259,28 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	reader := func(topology string, look func(plane.StackConfig, keys.Value) Result, batch func(plane.StackConfig, []keys.Value) []Result) {
+	reader := func(arm string, look func(keys.Value) Result, batch func([]keys.Value) []Result) {
 		defer wg.Done()
-		for n := 0; ; n++ {
+		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			st := plane.Matrix()[n%len(plane.Matrix())]
-			arm := topology + "/" + st.String()
 			// Single-key reads aim at the span of the op running, or of the
 			// next one.
 			for m := 0; m < 64; m++ {
 				p1 := phase.Load()
 				j := min(int(p1/2), len(ops)-1)
 				i := span[j][m%len(span[j])]
-				got := look(st, ks[i])
+				got := look(ks[i])
 				if err := check(arm+"/single", p1, phase.Load(), i, got); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 			p1 := phase.Load()
-			res := batch(st, ks)
+			res := batch(ks)
 			p2 := phase.Load()
 			for i, r := range res {
 				if err := check(arm+"/batch", p1, p2, i, r); err != nil {
@@ -295,22 +291,22 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 		}
 	}
 	wg.Add(2)
-	go reader("single", func(st plane.StackConfig, k keys.Value) Result {
-		a, ok := single.LookupStack(st, k)
+	go reader("single", func(k keys.Value) Result {
+		a, ok := single.Lookup(k)
 		return Result{a, ok}
-	}, func(st plane.StackConfig, ks []keys.Value) []Result {
+	}, func(ks []keys.Value) []Result {
 		out := make([]Result, len(ks))
-		for i, r := range single.Engine().LookupBatchStack(st, ks, nil, cachesim.Null{}) {
+		for i, r := range single.Engine().LookupBatch(ks, nil) {
 			out[i] = Result{r.Action, r.Matched}
 		}
 		return out
 	})
-	go reader("sharded", func(st plane.StackConfig, k keys.Value) Result {
-		a, ok := sharded.LookupStack(st, k)
+	go reader("sharded", func(k keys.Value) Result {
+		a, ok := sharded.Lookup(k)
 		return Result{a, ok}
-	}, func(st plane.StackConfig, ks []keys.Value) []Result {
+	}, func(ks []keys.Value) []Result {
 		out := make([]Result, len(ks))
-		for i, r := range sharded.LookupBatchStack(st, ks, nil) {
+		for i, r := range sharded.LookupBatch(ks) {
 			out[i] = Result{r.Action, r.Matched}
 		}
 		return out

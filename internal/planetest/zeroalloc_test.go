@@ -3,19 +3,16 @@ package planetest
 import (
 	"testing"
 
-	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/shard"
 )
 
-// TestQuantizedZeroAllocs pins the quantized inference arm at zero
-// steady-state allocations through both stack shapes it serves: the
-// single-key arm and the pipelined batch arm. The fixed-point plane must not
-// cost heap traffic the float plane doesn't.
-func TestQuantizedZeroAllocs(t *testing.T) {
+// TestEngineZeroAllocs pins the engine's two lookup shapes at zero
+// steady-state allocations: the bare single-key Lookup and LookupBatch into a
+// caller's out.
+func TestEngineZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; strict zero-alloc pin runs in the non-race suite")
 	}
@@ -29,7 +26,6 @@ func TestQuantizedZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := plane.StackConfig{Inference: plane.Quantized}
 
 	ks := make([]keys.Value, 256)
 	for i := range ks {
@@ -39,26 +35,26 @@ func TestQuantizedZeroAllocs(t *testing.T) {
 
 	single := func() {
 		for _, k := range ks[:64] {
-			eng.LookupStack(st, k)
+			eng.Lookup(k)
 		}
 	}
 	single()
 	if avg := testing.AllocsPerRun(50, single); avg > 0 {
-		t.Errorf("quantized single-key lookup allocates %.2f/64 keys, want 0", avg)
+		t.Errorf("single-key Lookup allocates %.2f/64 keys, want 0", avg)
 	}
 
 	batch := func() {
-		out = eng.LookupBatchStack(st, ks, out[:0], cachesim.Null{})
+		out = eng.LookupBatch(ks, out[:0])
 	}
 	batch()
 	if avg := testing.AllocsPerRun(50, batch); avg > 0 {
-		t.Errorf("quantized batch allocates %.2f/op, want 0", avg)
+		t.Errorf("LookupBatch into a caller's out allocates %.2f/op, want 0", avg)
 	}
 }
 
 // TestShardedBatchZeroAllocs pins the sharded batch at zero
 // steady-state allocations when the caller supplies dst — the call the wire
-// readers and /batch make (serve.batchStack): at one shard the keys and dst go
+// readers and /batch make (serve.batch, LookupBatchInto): at one shard the keys and dst go
 // straight to the engine, at four the gather/scatter scratch rides one
 // sync.Pool and every group is answered on the calling goroutine.
 func TestShardedBatchZeroAllocs(t *testing.T) {
@@ -81,7 +77,7 @@ func TestShardedBatchZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := make([]shard.Result, len(ks))
-		batch := func() { dst = sh.LookupBatchStack(plane.StackConfig{}, ks, dst) }
+		batch := func() { dst = sh.LookupBatchInto(ks, dst) }
 		batch()
 		if avg := testing.AllocsPerRun(50, batch); avg > 0 {
 			t.Errorf("%d shards: batch into a caller's dst allocates %.2f/op, want 0", n, avg)

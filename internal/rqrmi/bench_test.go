@@ -104,32 +104,15 @@ func BenchmarkPredictQuantized(b *testing.B) {
 	}
 }
 
-func BenchmarkPredictBatchQuantized(b *testing.B) {
-	_, _, q, _, ks := benchModel(b, 4000)
-	out := make([]Prediction, len(ks))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(ks) {
-		q.PredictBatch(ks, out)
-	}
-}
-
 func BenchmarkSearchQuantized(b *testing.B) {
 	_, _, q, _, ks := benchModel(b, 4000)
 	preds := make([]Prediction, len(ks))
-	q.PredictBatch(ks, preds)
+	for i, k := range ks {
+		preds[i] = q.Predict(k)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Search(ks[i&4095], preds[i&4095])
-	}
-}
-
-func BenchmarkLookupQuantized(b *testing.B) {
-	_, _, q, _, ks := benchModel(b, 4000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Lookup(ks[i&4095])
 	}
 }

@@ -1,8 +1,11 @@
 package rqrmi
 
-// The quantized query plane: an int32 fixed-point re-encoding of the
-// compiled plane's interleaved coefficient bank, evaluated with integer
-// shift-add alignment and no float operations on the hot path.
+// The quantized plane: an int16/int32 fixed-point re-encoding of the compiled
+// plane's interleaved coefficient bank, evaluated with integer shift-add
+// alignment and no float operations. It is an analysis artifact, like
+// Model.Predict: no engine lookup runs on it. Its inference is slower than the
+// compiled plane's and its error bounds are looser (DESIGN.md §10), so the
+// compiled float32 plane is the one arithmetic the engine deploys.
 //
 // TableNet-style quantized inference (PAPERS.md) replaces FP multipliers
 // with table lookups plus shift-add accumulation. The software analogue
@@ -15,7 +18,7 @@ package rqrmi
 //	[17..25] B mantissas, 15-bit, per-stage shared exponent expB
 //	[26..31] unused (pads the block to a power of two)
 //
-// Number formats (DESIGN.md §15):
+// Number formats (DESIGN.md §10):
 //
 //   - input u: Q0.30 — the top 30 bits of the key, so the input granularity
 //     (2^(width−30) keys) is finer than float32's 24-bit mantissa for every
@@ -39,7 +42,8 @@ package rqrmi
 // bound-inclusion rather than bit-identity with the float planes. The
 // bounded secondary search then lands on exactly the true index, so
 // everything downstream (bucket fetch, action resolve) is unchanged.
-// FuzzQuantizedVsModel and core.Engine.Verify enforce this mechanically.
+// FuzzQuantizedVsModel and TestQuantizedBoundInclusion enforce this
+// mechanically.
 
 import (
 	"fmt"
@@ -70,8 +74,8 @@ const (
 	accBits = 28
 )
 
-// Quantized is the fixed-point query plane. It is immutable after
-// CompileQuantized and safe for concurrent use.
+// Quantized is the fixed-point plane. It is immutable after CompileQuantized
+// and safe for concurrent use.
 type Quantized struct {
 	width int
 	n     int // entries in the learned index
@@ -189,7 +193,7 @@ func compileQuantized(m *Model, ix Index, lows flatLows) *Quantized {
 		expA, expB := coeffExp(maxA), coeffExp(maxB)
 
 		// fy: as many output fraction bits as keep both MAC terms within
-		// ±2^accBits — see the overflow audit in DESIGN.md §15.
+		// ±2^accBits — see the overflow audit in DESIGN.md §10.
 		fy := accBits - expA
 		if expB > expA {
 			fy = accBits - expB
@@ -307,8 +311,7 @@ func (q *Quantized) BankBytes() int {
 
 // MaxErr returns the largest final-stage error bound of the quantized
 // arithmetic — generally close to, but not equal to, the float planes'
-// bound. The engine's drift meters and probe ceiling take the max over
-// both planes so either hot path stays covered.
+// bound (53 against 28 on the benchmark's 870 K-rule ripe build).
 func (q *Quantized) MaxErr() int {
 	st := &q.stages[len(q.stages)-1]
 	maxE := 0
@@ -408,25 +411,10 @@ func (q *Quantized) Predict(k keys.Value) Prediction {
 	return Prediction{Index: clampStage(st, q.eval(st, id, u), q.n), Err: int(q.errs[id]), Submodel: t}
 }
 
-// PredictBatch runs inference for each key, writing out[i] = Predict(ks[i]),
-// as Compiled.PredictBatch does. out must have at least len(ks) entries.
-func (q *Quantized) PredictBatch(ks []keys.Value, out []Prediction) {
-	_ = out[:len(ks)]
-	for i, k := range ks {
-		out[i] = q.Predict(k)
-	}
-}
-
 // Search runs the bounded secondary search over the flat bounds copy —
 // identical to Compiled.Search, but bounded by the quantized plane's own
 // error bound carried in p. Because that bound covers the quantized
 // prediction for every key, the search lands on exactly the true index.
 func (q *Quantized) Search(k keys.Value, p Prediction) (idx, probes int) {
 	return q.searchWithin(k, p)
-}
-
-// Lookup is inference plus bounded search: the true index of the entry
-// containing k and the probe count.
-func (q *Quantized) Lookup(k keys.Value) (idx, probes int) {
-	return q.Search(k, q.Predict(k))
 }

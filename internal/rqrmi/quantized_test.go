@@ -48,8 +48,8 @@ func checkQuantizedKey(t *testing.T, p fuzzPlane, k keys.Value) {
 		t.Fatalf("width %d key %v: quantized index %d err %d does not cover truth %d",
 			p.width, k, pq.Index, pq.Err, truth)
 	}
-	if idx, _ := p.q.Lookup(k); idx != truth {
-		t.Fatalf("width %d key %v: quantized Lookup %d, want %d", p.width, k, idx, truth)
+	if idx, _ := p.q.Search(k, pq); idx != truth {
+		t.Fatalf("width %d key %v: quantized Search %d, want %d", p.width, k, idx, truth)
 	}
 }
 
@@ -115,31 +115,9 @@ func TestQuantizedExhaustiveTinyDomain(t *testing.T) {
 	}
 }
 
-// TestQuantizedBatchMatchesSingle pins the software-pipelined batch arm to
-// the single-key arm bit-for-bit, across block-size boundaries.
-func TestQuantizedBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, p := range quantPlanes(t, []int{32, 128}) {
-		dom := keys.NewDomain(p.width)
-		for _, n := range []int{1, Block - 1, Block, Block + 1, 3*Block + 5} {
-			ks := make([]keys.Value, n)
-			for i := range ks {
-				ks[i] = keys.FromParts(rng.Uint64(), rng.Uint64()).And(dom.Max())
-			}
-			out := make([]Prediction, n)
-			p.q.PredictBatch(ks, out)
-			for i, k := range ks {
-				if want := p.q.Predict(k); out[i] != want {
-					t.Fatalf("width %d batch[%d] (n=%d) = %+v, want %+v", p.width, i, n, out[i], want)
-				}
-			}
-		}
-	}
-}
-
 // TestQuantizedBankShrink pins the tentpole's storage claim: the int16
 // coefficient bank must be at most 0.6× the float32 bank (0.52× measured at
-// engine scale on the ripe set, DESIGN.md §15).
+// engine scale on the ripe set, DESIGN.md §10).
 func TestQuantizedBankShrink(t *testing.T) {
 	for _, p := range quantPlanes(t, []int{32}) {
 		qb, cb := p.q.BankBytes(), p.c.BankBytes()

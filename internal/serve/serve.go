@@ -20,10 +20,8 @@ import (
 	"sync"
 
 	"neurolpm/internal/cachesim"
-	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
 )
@@ -43,11 +41,6 @@ type Server struct {
 	info map[string]string // the neurolpm_build_info labels (shards, rules, ...)
 }
 
-// served is the lookup-plane stack every endpoint serves (DESIGN.md §14): the
-// zero StackConfig, compiled inference — the arithmetic the benchmark
-// measures. /trace reports it.
-var served plane.StackConfig
-
 // NewSharded wraps a sharded updatable engine: /lookup and /batch route
 // through the shard fan-out, /update lands in the covered shards' live
 // engines, /trace spans the key's sub-engine, /healthz aggregates across
@@ -59,30 +52,12 @@ func NewSharded(sh *shard.ShardedUpdatable, reg *telemetry.Registry) *Server {
 	s.plain.Register(reg, "neurolpm_serve_dram")
 	telemetry.PublishExpvar()
 	telemetry.StartRotor()
-	s.SetInfo("stack", served.String())
 	s.SetInfo("shards", strconv.Itoa(sh.Shards()))
-	bank := reg.GaugeVec("neurolpm_inference_bank_bytes",
-		"Coefficient-bank bytes of each inference plane, summed over shards (float32 compiled vs int16 quantized)", "plane")
-	bank.Set("compiled", func() float64 {
-		return s.sumShards(func(e *core.Engine) int { return e.Compiled().BankBytes() })
-	})
-	bank.Set("quantized", func() float64 {
-		return s.sumShards(func(e *core.Engine) int { return e.Quantized().BankBytes() })
-	})
 	return s
 }
 
-// sumShards totals one per-engine size over every shard's live engine.
-func (s *Server) sumShards(size func(*core.Engine) int) float64 {
-	total := 0
-	for i := 0; i < s.sh.Shards(); i++ {
-		total += size(s.sh.Engine(i))
-	}
-	return float64(total)
-}
-
 // SetInfo adds (or replaces) one neurolpm_build_info label and republishes
-// the metric. NewSharded seeds stack/shards; cmd/lpmserve adds its
+// the metric. NewSharded seeds shards; cmd/lpmserve adds its
 // configuration (rules, flight-sample).
 func (s *Server) SetInfo(key, value string) {
 	s.mu.Lock()
@@ -192,16 +167,14 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	action, ok := s.sh.LookupStack(served, k)
+	action, ok := s.sh.Lookup(k)
 	writeJSON(w, lookupResponse{Key: k.String(), Matched: ok, Action: action})
 }
 
 // traceResponse is the /trace JSON shape: the paper-units trace plus the
-// timed span. Stack names the lookup-plane stack the server routes queries
-// through (DESIGN.md §14); the span's stage names are the stack's stages.
+// timed span, whose stage names are the pipeline's stages.
 type traceResponse struct {
 	Lookup traceLookup     `json:"lookup"`
-	Stack  string          `json:"stack"`
 	Span   *telemetry.Span `json:"span"`
 }
 
@@ -213,7 +186,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	// Span the key's sub-engine directly: the shard's live engine is the whole
 	// answer.
-	tr, sp := s.sh.Engine(s.sh.ShardOf(k)).LookupSpan(served.Inference, k, s.plain)
+	tr, sp := s.sh.Engine(s.sh.ShardOf(k)).LookupSpan(k, s.plain)
 	writeJSON(w, traceResponse{
 		Lookup: traceLookup{
 			lookupResponse: lookupResponse{Key: k.String(), Matched: tr.Matched, Action: tr.Action},
@@ -222,8 +195,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			BucketRead:     tr.BucketRead,
 			DRAMBytes:      tr.DRAMBytes,
 		},
-		Stack: served.String(),
-		Span:  sp,
+		Span: sp,
 	})
 }
 
@@ -293,7 +265,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
-	sc.res = s.batchStack(ks, sc.res[:0])
+	sc.res = s.batch(ks, sc.res[:0])
 	if cap(sc.rows) < len(ks) {
 		sc.rows = make([]batchResult, len(ks))
 	}
@@ -313,12 +285,12 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 
-// batchStack resolves ks through the served lookup-plane stack into dst
-// (reused when it has the capacity), positionally: the batch is grouped by
-// shard and answered on the calling goroutine. It is the one batch entry point shared by the HTTP /batch handler and
-// the wire server's readers (DESIGN.md §17), and is safe for concurrent use.
-func (s *Server) batchStack(ks []keys.Value, dst []shard.Result) []shard.Result {
-	return s.sh.LookupBatchStack(served, ks, dst)
+// batch resolves ks into dst (reused when it has the capacity), positionally:
+// the batch is grouped by shard and answered on the calling goroutine. It is
+// the one batch entry point shared by the HTTP /batch handler and the wire
+// server's readers (DESIGN.md §17), and is safe for concurrent use.
+func (s *Server) batch(ks []keys.Value, dst []shard.Result) []shard.Result {
+	return s.sh.LookupBatchInto(ks, dst)
 }
 
 // handleHealthz reports liveness — 200 whenever the server is up — with an

@@ -37,7 +37,7 @@ const (
 //
 // Every request executes on its connection's reader goroutine (DESIGN.md
 // §17): it decodes each complete frame one read delivered, answers consecutive
-// single-key lookups with one batch-plane call (Server.batchStack) and flushes
+// single-key lookups with one batch-plane call (Server.batch) and flushes
 // once per drained read. A client that pipelines gets batching; a lone request
 // is a batch of one with no hand-off. Connections share nothing but the
 // Server, so a client that stops reading stalls only itself.
@@ -275,7 +275,7 @@ func (c *wireConn) answerLookups() {
 	ws.cDispatches.Inc()
 	ws.cLookups.Add(uint64(len(c.lks)))
 	ws.hBatchSize.ObserveInt(len(c.lks))
-	c.resb = ws.s.batchStack(c.lks, c.resb[:0])
+	c.resb = ws.s.batch(c.lks, c.resb[:0])
 	c.wbuf = c.wbuf[:0]
 	for i, r := range c.resb {
 		c.wbuf = wire.AppendResult(c.wbuf, c.ids[i], r.Action, r.Matched)
@@ -293,7 +293,7 @@ func (c *wireConn) handleBatch(f wire.Frame) {
 		c.sendErr(f.ID, wire.ErrMalformed, err.Error())
 		return
 	}
-	c.resb = c.ws.s.batchStack(c.bks, c.resb[:0])
+	c.resb = c.ws.s.batch(c.bks, c.resb[:0])
 	c.ws.cBatchKeys.Add(uint64(len(c.bks)))
 	c.wresb = c.wresb[:0]
 	for _, r := range c.resb {

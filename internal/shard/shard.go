@@ -25,7 +25,7 @@
 // slice identically to the global engine. The parameterized differential
 // fuzz target planetest.FuzzStackVsOracle and the full-keyspace metamorphic
 // tests enforce the CLAUDE.md invariant — sharded results equal the trie
-// oracle on every key, across every stack configuration (DESIGN.md §14).
+// oracle on every key, batch and single-key (DESIGN.md §14).
 package shard
 
 import (
@@ -200,10 +200,10 @@ func grow[T any](s []T, n int) []T {
 // per-group append growth), answer each shard's group back-to-back so
 // consecutive queries reuse that shard's model and RQ-Array cache lines, then
 // scatter the answers to their request positions in dst (reused when it has
-// the capacity, like the engine's batch stack). lookGroup answers one shard's
+// the capacity, like the engine's LookupBatch). lookGroup answers one shard's
 // whole group — res[i] ← answer for gk[i], the group's keys contiguous — so
 // implementations hoist the sub-engine out of the per-key loop and hand the
-// slice straight to the engine's batch stack. One shard is one group: the
+// slice straight to the engine's LookupBatch. One shard is one group: the
 // caller's keys and dst themselves, nothing gathered or scattered.
 func (r *router) lookupBatch(ks []keys.Value, dst []Result, lookGroup func(shard int, gk []keys.Value, res []Result)) []Result {
 	dst = grow(dst, len(ks))

@@ -5,11 +5,9 @@ import (
 	"sync"
 	"time"
 
-	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
-	"neurolpm/internal/plane"
 )
 
 // ShardedUpdatable is the updatable sharded engine: each shard is a
@@ -65,37 +63,30 @@ func BuildUpdatable(rs *lpm.RuleSet, cfg core.Config, nShards, _ int) (*ShardedU
 // Engine returns shard i's current live engine (read-only use).
 func (u *ShardedUpdatable) Engine(i int) *core.Engine { return u.shards[i].Engine() }
 
-// Lookup answers one key from its shard's live engine. Like every Lookup*
-// variant it must answer exactly what a trie oracle over the installed rules
-// answers (planetest's parameterized harness).
+// Lookup routes k to its shard and answers it from that shard's live engine.
+// Safe for concurrent use, including with updates. Like every Lookup* variant
+// it must answer exactly what a trie oracle over the installed rules answers
+// (planetest's parameterized harness).
 func (u *ShardedUpdatable) Lookup(k keys.Value) (uint64, bool) {
-	return u.LookupStack(plane.StackConfig{}, k)
-}
-
-// LookupStack routes k to its shard and answers it through the stack
-// selected by st. Safe for concurrent use, including with
-// updates.
-func (u *ShardedUpdatable) LookupStack(st plane.StackConfig, k keys.Value) (uint64, bool) {
 	i := u.ShardOf(k)
 	u.loads[i].n.Add(1)
-	return u.shards[i].LookupStack(st, k)
+	return u.shards[i].Lookup(k)
 }
 
 // LookupBatch resolves a batch positionally into a fresh slice:
-// LookupBatchStack on the compiled plane with no dst.
+// LookupBatchInto with no dst.
 func (u *ShardedUpdatable) LookupBatch(ks []keys.Value) []Result {
-	return u.LookupBatchStack(plane.StackConfig{}, ks, nil)
+	return u.LookupBatchInto(ks, nil)
 }
 
-// LookupBatchStack is the updatable sharded batch executor: dst[i] answers
-// ks[i] (dst is reused when it has the capacity; nil allocates), every shard
-// group answered on the calling goroutine through its shard's live engine and
-// the engine-level batch stack for st. Each key's answer is individually
-// consistent: it reflects either the pre- or post-swap engine of its shard,
-// never a mix.
-func (u *ShardedUpdatable) LookupBatchStack(st plane.StackConfig, ks []keys.Value, dst []Result) []Result {
+// LookupBatchInto is the updatable sharded batch: dst[i] answers ks[i] (dst is
+// reused when it has the capacity; nil allocates), every shard group answered
+// on the calling goroutine through its shard's live engine's LookupBatch.
+// Each key's answer is individually consistent: it reflects either the pre-
+// or post-swap engine of its shard, never a mix.
+func (u *ShardedUpdatable) LookupBatchInto(ks []keys.Value, dst []Result) []Result {
 	return u.lookupBatch(ks, dst, func(shard int, gk []keys.Value, res []Result) {
-		u.shards[shard].Engine().LookupBatchStack(st, gk, res[:0], cachesim.Null{})
+		u.shards[shard].Engine().LookupBatch(gk, res[:0])
 	})
 }
 
