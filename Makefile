@@ -29,8 +29,11 @@ vet:
 # of its own, no fetch-bytes series and no fetches-per-query gauge. There is
 # one deployed arithmetic (DESIGN.md §10, §14): no plane package, stack
 # configuration or stack executor, no quantized lookup arm, no quantized or
-# reference inference stage, and no inference-bank series. Each alternative
-# carries a one-character class so these lines do not find themselves.
+# reference inference stage, and no inference-bank series. There is one
+# updatable type (DESIGN.md §11, §14): no updatable in core beside the sharded
+# one, and no second planetest topology to prove them equivalent. Each
+# alternative carries a one-character class so these lines do not find
+# themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
@@ -53,12 +56,15 @@ deleted-names:
 	@! grep -rnE 'delta[B]uffer|lookup[O]verlay|Pending[I]nserts|pending[_]inserts|StartAuto[C]ommit|commit[L]oop|ErrDelta[F]ull|SiteDelta[F]ull|delta[_]full|Err[B]ackpressure|Update[P]ending|LastCommit[E]rr|Stale[B]udget|stale[-]budget|auto[c]ommit|neurolpm_insert_buffered[_]|neurolpm_shard[_]health|Fault[S]torm' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'core\.[U]pdatable|core\.New[U]pdatable|planetest\.(S[i]ngle|S[h]arded)\b|Topolog[i]es\(' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
 test:
 	$(GO) test ./...
 
 # The packages whose correctness depends on how goroutines interleave — the
-# engine, the shards, the serving layer and planetest's two-topology harness —
+# engine, the shards, the serving layer and planetest's shard-count harness —
 # and the core counts they are raced at: GOMAXPROCS=1 hides torn reads that two cores
 # show on every run (ROADMAP item 1), so one -cpu value is not a check.
 CONCURRENT = ./internal/core ./internal/shard ./internal/serve ./internal/planetest
@@ -72,10 +78,10 @@ race-cores:
 	$(GO) test -race -cpu 1,2,4 $(CONCURRENT)
 
 # Each differential fuzz target on a short budget. FuzzStackVsOracle is the
-# parameterized lookup target (DESIGN.md §14): one harness covering both
-# topologies, a single engine and 1/2/4/8 shards, plus update interleavings
-# and injected absorb refusals and rebuild failures, so it gets four times the
-# others' budget.
+# parameterized lookup target (DESIGN.md §14): one harness covering the
+# updatable engine at 1/2/4/8 shards, bucketized or SRAM-only, plus update
+# interleavings and injected absorb refusals and rebuild failures, so it gets
+# four times the others' budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseRule -fuzztime $(FUZZTIME) ./internal/lpm

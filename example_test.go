@@ -73,11 +73,10 @@ func ExamplePrefixCover() {
 func ExampleNewUpdatable() {
 	r, _ := neurolpm.IPv4Rule("10.0.0.0/8", 1)
 	rs, _ := neurolpm.NewRuleSet(32, []neurolpm.Rule{r})
-	engine, err := neurolpm.Build(rs, smallModel())
+	u, err := neurolpm.NewUpdatable(rs, smallModel())
 	if err != nil {
 		panic(err)
 	}
-	u := neurolpm.NewUpdatable(engine)
 
 	insert, _ := neurolpm.IPv4Rule("10.1.0.0/16", 2)
 	if err := u.Insert(insert); err != nil {
@@ -87,11 +86,11 @@ func ExampleNewUpdatable() {
 	port, _ := u.Lookup(neurolpm.IPv4Key(netip.MustParseAddr("10.1.2.3")))
 	fmt.Println("before commit:", port)
 
-	if err := u.Commit(); err != nil { // retrain + atomic swap
+	if err := u.Commit(0); err != nil { // retrain + atomic swap
 		panic(err)
 	}
 	port, _ = u.Lookup(neurolpm.IPv4Key(netip.MustParseAddr("10.1.2.3")))
-	fmt.Println("after commit:", port, "spilled buckets:", u.Engine().SpilledBuckets())
+	fmt.Println("after commit:", port, "spilled buckets:", u.Engine(0).SpilledBuckets())
 	// Output:
 	// before commit: 2
 	// after commit: 2 spilled buckets: 0

@@ -57,14 +57,15 @@ func SRAMOnlyConfig() Config {
 }
 
 // Engine is a built NeuroLPM engine. It is safe for concurrent lookups, also
-// beside one writer; the updates (Insert, Delete, ModifyAction) require
-// external synchronization among themselves (Updatable provides it).
+// beside one writer; the updates (Insert, InsertOrRebuild, Delete,
+// ModifyAction) require external synchronization among themselves: the
+// writer lock of the shard that holds the engine (shard.ShardedUpdatable).
 type Engine struct {
 	cfg   Config
 	width int
 	rules *lpm.RuleSet
 	// dead is the tombstone bitset (bit i: rules.Rules[i] was deleted). No
-	// read path consults it, but an engine used without an Updatable may see
+	// read path consults it, but an engine used without a writer lock may see
 	// writers overlap (an InsertBatch beside a Delete), so its words are atomic.
 	dead []atomic.Uint64
 	// absorbed are the rules Insert added to this engine after Build, rule
@@ -278,7 +279,7 @@ func (e *Engine) Bucketized() bool { return e.dir != nil }
 // Equivalence contract: every Lookup* entry point — single-key or batch, Mem
 // or not, directly or through the sharded router — must return exactly what
 // the trie oracle returns for every key, including misses. The contract is
-// enforced over both topologies by the parameterized harness in
+// enforced at every shard count by the parameterized harness in
 // internal/planetest (FuzzStackVsOracle, TestLookupEntryPointsEquivalent).
 //
 // Lookup is the bare pipeline — inference, bounded search, the bucket

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
@@ -169,7 +171,7 @@ func (e *Engine) owned(idx int, fn func(w wbucket, j int)) {
 func (e *Engine) SpilledBuckets() int { return int(e.rec.spilled.Load()) }
 
 // notAbsorbed is Insert's refusal: nothing was stored, and the rule needs a
-// rebuilt engine — Updatable.Insert retrains one around it. The value is the
+// rebuilt engine — InsertOrRebuild retrains one around it. The value is the
 // reason.
 type notAbsorbed string
 
@@ -198,7 +200,7 @@ func (n notAbsorbed) Error() string { return "core: insert not absorbed: " + str
 // by bucket, like a Delete's re-own: the guarantee is per key.
 //
 // Insert refuses before any visible store when the rule needs a rebuilt
-// engine (Updatable.Insert then retrains); any other error (an invalid or
+// engine (InsertOrRebuild then retrains); any other error (an invalid or
 // already installed rule) is the caller's.
 func (e *Engine) Insert(r lpm.Rule) error {
 	if err := r.Validate(e.width); err != nil {
@@ -304,4 +306,60 @@ func (e *Engine) Insert(r lpm.Rule) error {
 		e.rec.respill(b, s)
 	}
 	return nil
+}
+
+// InsertOrRebuild is the write policy of §6.5 — modify in place, or retrain
+// and swap. It installs r and returns the engine that now holds it: e itself
+// when e absorbs the rule (Insert), else an engine rebuilt over e's live
+// rules plus r, which the caller publishes in e's place before it releases
+// its writer lock. It fails when the rule is invalid or already installed, or
+// when the rebuild fails — and then nothing was installed.
+func (e *Engine) InsertOrRebuild(r lpm.Rule) (*Engine, error) {
+	err := e.Insert(r)
+	var why notAbsorbed
+	if !errors.As(err, &why) {
+		if err != nil {
+			return nil, err
+		}
+		metAbsorbed.Inc()
+		return e, nil
+	}
+	next, err := e.Rebuild(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: rebuild for %s/%d (%s): %w", r.Prefix, r.Len, string(why), err)
+	}
+	metRebuilt.Inc()
+	return next, nil
+}
+
+// Rebuild is the one rebuild path, a refused insert's and a commit's: it
+// returns an engine retrained over e's live rules, absorbed ones included,
+// plus add — between the retrain and swap fault sites, timed, and booked as a
+// failure when it fails. Every spill record folds back into a dense bucket:
+// with nothing added it is a commit's re-densify. e is left as it was, so
+// lookups proceed against it until the caller publishes the result (§6.5:
+// both versions coexist).
+func (e *Engine) Rebuild(add ...lpm.Rule) (next *Engine, err error) {
+	start := time.Now()
+	defer func() {
+		metRebuildMs.ObserveInt(int(time.Since(start).Milliseconds()))
+		if err != nil {
+			metRebuildErrs.Inc()
+		}
+	}()
+	hook := e.cfg.Fault
+	if hook != nil {
+		if err := hook(fault.SiteRetrain); err != nil {
+			return nil, err
+		}
+	}
+	if next, err = e.InsertBatch(add); err != nil {
+		return nil, err
+	}
+	if hook != nil {
+		if err := hook(fault.SiteSwap); err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
 }

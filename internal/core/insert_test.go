@@ -3,13 +3,11 @@ package core
 import (
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 )
@@ -29,7 +27,7 @@ import (
 // started before it ended, and each answer — for keys inside the rule, at
 // both of its edges and adjacent to it — must be the oracle's after some
 // number of operations in that interval. Three kinds read: single-key through
-// the Updatable, batch through the engine, and one that runs nothing but the
+// the live engine's pointer, batch through the engine, and one that runs nothing but the
 // record's answer routine on the site's bucket. A spill bit set before the
 // bucket's pointer is stored is a nil record; a pointer stored before the
 // record's last word — the action of its last range — shows as action 0 on the
@@ -61,7 +59,7 @@ func TestInsertPublicationOrder(t *testing.T) {
 		if !absorbs {
 			walk = 2 // every insert is a rebuild of 20 000 rules
 		}
-		u := NewUpdatable(e)
+		u := newUpdatable(e)
 
 		// A site is a /26 no rule begins or ends in, no two in a bucket; its
 		// eight /29 parts are the rules cycled there.
@@ -241,163 +239,6 @@ func TestInsertPublicationOrder(t *testing.T) {
 		if n := bad.Load(); n != 0 {
 			t.Fatalf("%d illegal answers during %d operations", n, done.Load())
 		}
-	}
-}
-
-// TestInsertDuringCommitIsNotLost races inserts against Commit on a bare
-// Updatable. An insert the live engine absorbs while a commit is rebuilding
-// from that engine's rules would vanish at the swap, so Insert must wait for
-// the swap — it loads the engine under the lock the commit holds — and land on
-// the new engine; every acknowledged insert is answered after every swap.
-func TestInsertDuringCommitIsNotLost(t *testing.T) {
-	rs := randomRuleSet(t, 32, 100, 19)
-	e, err := Build(rs, quickBucketed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := NewUpdatable(e)
-	var (
-		mu    sync.Mutex
-		acked []lpm.Rule
-	)
-	const perCycle = 4 // inserts let in per commit, so the rule-set stays small
-	var budget atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(20))
-		for i := uint64(0); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if budget.Load() <= 0 {
-				runtime.Gosched()
-				continue
-			}
-			r := lpm.Rule{Prefix: keys.FromUint64(rng.Uint64() >> 32), Len: 32, Action: 1<<40 + i}
-			if rs.Find(r.Prefix, 32) != lpm.NoMatch {
-				continue
-			}
-			if err := u.Insert(r); err != nil {
-				continue // a duplicate of an earlier draw
-			}
-			mu.Lock()
-			acked = append(acked, r)
-			mu.Unlock()
-			budget.Add(-1)
-			runtime.Gosched()
-		}
-	}()
-	// 200 commits, and on more than one core as many more as it takes for 200
-	// inserts to have raced them: a commit of this rule-set is well under a
-	// millisecond, so on a loaded box the inserter can miss whole cycles.
-	raced := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(acked)
-	}
-	for cycle := 0; cycle < 200 || (runtime.GOMAXPROCS(0) > 1 && raced() < 200 && cycle < 20000); cycle++ {
-		budget.Store(perCycle)
-		if err := u.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		sofar := acked // its elements are never rewritten
-		mu.Unlock()
-		for _, r := range sofar {
-			if a, ok := u.Lookup(r.Prefix); !ok || a != r.Action {
-				t.Fatalf("cycle %d: acknowledged insert %v answers (%d,%v) after the swap", cycle, r, a, ok)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if runtime.GOMAXPROCS(0) > 1 && len(acked) < 200 {
-		t.Errorf("only %d inserts raced 200 commits", len(acked))
-	}
-	if err := u.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.Engine().Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeleteDuringCommitIsNotResurrected starts a writer at the one point of a
-// commit where the rebuilt engine already holds the old rules and is not yet
-// live (fault.SiteSwap), gives it a bounded time to land on the engine being
-// replaced, and lets the swap go ahead. An update acknowledged before the swap
-// and undone by it is a lost update; the writer has to wait for the commit and
-// land on the engine it installs, and the oracle holds after both.
-func TestDeleteDuringCommitIsNotResurrected(t *testing.T) {
-	rs := randomRuleSet(t, 32, 200, 23)
-	trie := lpm.NewTrie(rs)
-	victim := slices.IndexFunc(rs.Rules, func(r lpm.Rule) bool { return trie.Lookup(r.Prefix) == rs.Find(r.Prefix, r.Len) })
-	if victim < 0 {
-		t.Fatal("no rule answers its own prefix")
-	}
-	r := rs.Rules[victim]
-	for _, tc := range []struct {
-		name  string
-		write func(u *Updatable) error
-		after func() []lpm.Rule
-	}{
-		{"delete", func(u *Updatable) error { return u.Delete(r.Prefix, r.Len) },
-			func() []lpm.Rule { return slices.Delete(slices.Clone(rs.Rules), victim, victim+1) }},
-		{"modify", func(u *Updatable) error { return u.ModifyAction(r.Prefix, r.Len, 1<<41) },
-			func() []lpm.Rule {
-				out := slices.Clone(rs.Rules)
-				out[victim].Action = 1 << 41
-				return out
-			}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var u *Updatable
-			wrote := make(chan error, 1)
-			cfg := quickBucketed()
-			cfg.Fault = func(site fault.Site) error {
-				if site == fault.SiteSwap {
-					go func() { wrote <- tc.write(u) }()
-					select {
-					case err := <-wrote: // landed beside the rebuild
-						wrote <- err
-					case <-time.After(50 * time.Millisecond): // waiting for the commit
-					}
-				}
-				return nil
-			}
-			e, err := Build(rs, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			u = NewUpdatable(e)
-			if err := u.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case err := <-wrote:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("the writer never returned")
-			}
-			want, err := lpm.NewRuleSet(32, tc.after())
-			if err != nil {
-				t.Fatal(err)
-			}
-			wa, wok := lpm.NewTrieMatcher(want).Lookup(r.Prefix)
-			if a, ok := u.Lookup(r.Prefix); ok != wok || a != wa {
-				t.Fatalf("%s of %v acknowledged during a commit: key answers (%d,%v) after it, the oracle says (%d,%v)", tc.name, r, a, ok, wa, wok)
-			}
-			if err := u.Engine().Verify(); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -1,6 +1,9 @@
-// Metamorphic update tests: algebraic identities over the §6.5 update
-// paths, each checked by a full-keyspace sweep on a small domain so that
-// every range boundary and wildcard interaction is exercised, not a sample.
+// Metamorphic update tests: algebraic identities over the §6.5 write policy
+// (InsertOrRebuild, Delete, ModifyAction, Rebuild) on one engine published
+// through the test-local holder, each checked by a full-keyspace sweep on a
+// small domain so that every range boundary and wildcard interaction is
+// exercised, not a sample. shard's TestSharded… twins check the same
+// identities through ShardedUpdatable's writer lock at one shard and at four.
 package core
 
 import (
@@ -13,13 +16,25 @@ import (
 // sweepWidth keeps full-keyspace sweeps cheap: 2^10 keys.
 const sweepWidth = 10
 
-// sweep evaluates m on every key of the width-bit domain.
-func sweep(width int, m lpm.Matcher) []Result {
-	out := make([]Result, 1<<width)
+// sweep evaluates look on every key of the sweepWidth-bit domain.
+func sweep(look func(keys.Value) (uint64, bool)) []Result {
+	out := make([]Result, 1<<sweepWidth)
 	for i := range out {
-		out[i].Action, out[i].Matched = m.Lookup(keys.FromUint64(uint64(i)))
+		out[i].Action, out[i].Matched = look(keys.FromUint64(uint64(i)))
 	}
 	return out
+}
+
+// sweepUpdatable builds an SRAM-only engine over n random sweepWidth-bit
+// rules and publishes it through the test-local holder.
+func sweepUpdatable(t *testing.T, n int, seed int64) (*updatable, *lpm.RuleSet) {
+	t.Helper()
+	rs := randomRuleSet(t, sweepWidth, n, seed)
+	eng, err := Build(rs, quickSRAMOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newUpdatable(eng), rs
 }
 
 // Result mirrors one lookup's outcome for sweep comparison.
@@ -38,10 +53,6 @@ func diffSweeps(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-type matcherFunc func(keys.Value) (uint64, bool)
-
-func (f matcherFunc) Lookup(k keys.Value) (uint64, bool) { return f(k) }
-
 // freshRule returns a rule not present in rs.
 func freshRule(rs *lpm.RuleSet) lpm.Rule {
 	r := lpm.Rule{Prefix: keys.FromUint64(0b1010100000), Len: 7, Action: 9999}
@@ -57,13 +68,8 @@ func freshRule(rs *lpm.RuleSet) lpm.Rule {
 // after the insert retrained it into the SRAM-only engine and after a commit
 // rebuilt the engine once more (tombstone path either way).
 func TestMetamorphicInsertThenDeleteIsIdentity(t *testing.T) {
-	rs := randomRuleSet(t, sweepWidth, 40, 21)
-	eng, err := Build(rs, quickSRAMOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := NewUpdatable(eng)
-	before := sweep(sweepWidth, matcherFunc(u.Lookup))
+	u, rs := sweepUpdatable(t, 40, 21)
+	before := sweep(u.Lookup)
 	r := freshRule(rs)
 
 	// Rebuild path: the refused insert retrains the engine, then delete.
@@ -73,7 +79,7 @@ func TestMetamorphicInsertThenDeleteIsIdentity(t *testing.T) {
 	if err := u.Delete(r.Prefix, r.Len); err != nil {
 		t.Fatal(err)
 	}
-	diffSweeps(t, "rebuilt insert+delete", sweep(sweepWidth, matcherFunc(u.Lookup)), before)
+	diffSweeps(t, "rebuilt insert+delete", sweep(u.Lookup), before)
 
 	// Committed path: insert, commit (retrain), then tombstone-delete.
 	if err := u.Insert(r); err != nil {
@@ -85,19 +91,14 @@ func TestMetamorphicInsertThenDeleteIsIdentity(t *testing.T) {
 	if err := u.Delete(r.Prefix, r.Len); err != nil {
 		t.Fatal(err)
 	}
-	diffSweeps(t, "committed insert+delete", sweep(sweepWidth, matcherFunc(u.Lookup)), before)
+	diffSweeps(t, "committed insert+delete", sweep(u.Lookup), before)
 }
 
 // TestMetamorphicModifyActionWithoutRetrain: ModifyAction must change the
 // lookup function exactly as the oracle over the modified rule-set says,
 // while leaving the engine instance (hence the trained model) untouched.
 func TestMetamorphicModifyActionWithoutRetrain(t *testing.T) {
-	rs := randomRuleSet(t, sweepWidth, 40, 22)
-	eng, err := Build(rs, quickSRAMOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := NewUpdatable(eng)
+	u, rs := sweepUpdatable(t, 40, 22)
 	target := rs.Rules[len(rs.Rules)/2]
 	const newAction = 777777
 
@@ -116,19 +117,14 @@ func TestMetamorphicModifyActionWithoutRetrain(t *testing.T) {
 		}
 	}
 	oracle := lpm.NewTrieMatcher(modified)
-	diffSweeps(t, "modify-action", sweep(sweepWidth, matcherFunc(u.Lookup)), sweep(sweepWidth, oracle))
+	diffSweeps(t, "modify-action", sweep(u.Lookup), sweep(oracle.Lookup))
 }
 
 // TestMetamorphicCommitEqualsFreshBuild: committing after insertions must
 // yield the same lookup function as building a fresh engine over the merged
 // rule-set (and hence as the oracle).
 func TestMetamorphicCommitEqualsFreshBuild(t *testing.T) {
-	rs := randomRuleSet(t, sweepWidth, 30, 23)
-	eng, err := Build(rs, quickSRAMOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := NewUpdatable(eng)
+	u, rs := sweepUpdatable(t, 30, 23)
 	extra := randomRuleSet(t, sweepWidth, 50, 77) // superset pool to draw news from
 	var added []lpm.Rule
 	for _, r := range extra.Rules {
@@ -159,7 +155,7 @@ func TestMetamorphicCommitEqualsFreshBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sweep(sweepWidth, matcherFunc(fresh.Lookup))
-	diffSweeps(t, "commit vs fresh build", sweep(sweepWidth, matcherFunc(u.Lookup)), want)
-	diffSweeps(t, "fresh build vs oracle", want, sweep(sweepWidth, lpm.NewTrieMatcher(merged)))
+	want := sweep(fresh.Lookup)
+	diffSweeps(t, "commit vs fresh build", sweep(u.Lookup), want)
+	diffSweeps(t, "fresh build vs oracle", want, sweep(lpm.NewTrieMatcher(merged).Lookup))
 }

@@ -54,6 +54,12 @@ var (
 		"Insertions absorbed by the live engine in place (no retrain)")
 	metRebuilt = telemetry.Default.Counter("neurolpm_insert_rebuilt_total",
 		"Insertions the engine refused (bucket full, SRAM-only or K = 64), retrained into a rebuilt engine before the insert returned")
+	// The one rebuild path, a refused insert's and a commit's: what it costs
+	// the writer, and how often it fails. Each engine is a shard's.
+	metRebuildMs = telemetry.Default.Histogram("neurolpm_shard_rebuild_ms",
+		"Per-shard rebuild (retrain + swap) duration in milliseconds, on the writer: a refused insert's or a commit's (§6.5)")
+	metRebuildErrs = telemetry.Default.Counter("neurolpm_shard_commit_errors_total",
+		"Per-shard rebuilds that failed, a refused insert's or a commit's (injected fault or training error); nothing was installed")
 )
 
 func init() {

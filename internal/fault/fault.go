@@ -32,7 +32,7 @@ type Site string
 const (
 	// SiteRetrain fires at the start of every rebuild — a Commit's, or a
 	// refused Insert's; an error models a failed rebuild, a latency models a
-	// retrain spike. (core.Updatable.Insert and Commit)
+	// retrain spike. (core.Engine.InsertOrRebuild and Rebuild)
 	SiteRetrain Site = "retrain"
 	// SiteSwap fires after a successful retrain, immediately before the
 	// atomic engine swap; a latency models a stalled swap, an error

@@ -22,12 +22,12 @@ import (
 // Rows are named "<fixture>.<entry point>":
 //
 //	Engine            core.Build, the library facade
-//	Updatable         core.NewUpdatable over it, the per-shard writer
-//	Sharded           shard.BuildUpdatable at one shard, the degenerate topology
+//	Sharded           shard.BuildUpdatable at one shard, the degenerate case
+//	                  (neurolpm.NewUpdatable)
 //	ShardedUpdatable  shard.BuildUpdatable at four shards
 //
-// Each exported entry point of the three types has the row that bears its
-// name.
+// Each exported entry point of the two types has the row that bears its
+// name, at every count of ShardCounts.
 func TestLookupEntryPointsEquivalent(t *testing.T) {
 	profile := workload.RIPE()
 	width := profile.Width
@@ -60,13 +60,12 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upd := core.NewUpdatable(eng)
 	type shardedFixture struct {
 		name string
 		*shard.ShardedUpdatable
 	}
 	sharded := []shardedFixture{{name: "Sharded"}, {name: "ShardedUpdatable"}}
-	for i, n := range []int{1, 4} {
+	for i, n := range ShardCounts {
 		su, err := shard.BuildUpdatable(rs, cfg, n, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +88,6 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 			tr, _ := eng.LookupSpan(k, cachesim.Null{})
 			return tr.Action, tr.Matched
 		}},
-		{"Updatable.Lookup", upd.Lookup},
 	}
 	for _, su := range sharded {
 		singles = append(singles, single{su.name + ".Lookup", su.Lookup})

@@ -15,20 +15,19 @@ import (
 	"neurolpm/internal/telemetry"
 )
 
-// FuzzStackVsOracle is THE differential fuzz target for the lookup matrix:
+// FuzzStackVsOracle is THE differential fuzz target for the lookup pipeline:
 // for arbitrary rule-sets, shard counts, key streams and update interleavings
 // — {Insert absorbed, Insert rebuilt, failed rebuild, Delete, ModifyAction,
 // Commit}, with absorb refusals and rebuild failures injected through
-// internal/fault — both topologies, a single engine and 1/2/4/8 shards, must
-// answer exactly what a trie oracle over the logical rule-set answers, batch
-// and single-key, after every step (the CLAUDE.md correctness invariant).
+// internal/fault — the updatable engine of 1, 2, 4 or 8 shards must answer
+// exactly what a trie oracle over the logical rule-set answers, batch and
+// single-key, after every step (the CLAUDE.md correctness invariant).
 //
 // The input splits in half: the first half derives the base rule-set, the
-// second half drives update ops on the sharded side (7 bytes per op, ≤12
-// ops, op byte mod 6) plus a no-retrain tombstone delete on the single engine.
-// `sel` is two fields: bit 0 bucketizes the single engine, bits 1–2 pick the
-// shard count 1, 2, 4 or 8 — one shard being the degenerate case the serving
-// layer runs by default.
+// second half drives update ops (7 bytes per op, ≤12 ops, op byte mod 6).
+// `sel` is two fields: bit 0 bucketizes the engines (clear: SRAM-only, where
+// every insert is a rebuild), bits 1–2 pick the shard count 1, 2, 4 or 8 —
+// one shard being the degenerate case the serving layer runs by default.
 //
 // It subsumes the retired per-combination targets — FuzzEngineVsOracle,
 // FuzzShardedVsOracle, FuzzShardedUpdateVsOracle and FuzzCachedVsOracle —
@@ -87,24 +86,19 @@ func FuzzStackVsOracle(f *testing.F) {
 			t.Fatalf("derived rule-set invalid: %v", err)
 		}
 
-		// Single topology: bucketization toggled by sel's low bit.
-		cfg := core.Config{Model: FuzzModel()}
+		// Bucketization toggled by sel's low bit; fault-injected absorb
+		// refusals and rebuild failures.
+		nShards := 1 << (sel >> 1 & 3)
+		in := fault.NewInjector(keySeed | 1)
+		cfg := core.Config{Model: FuzzModel(), Fault: in.Hook()}
 		if sel&1 == 1 {
 			cfg.BucketSize = 8
 		}
-		eng, err := core.Build(rs, cfg)
-		if err != nil {
-			t.Fatalf("Build(%d rules): %v", rs.Len(), err)
-		}
-
-		// Sharded topology: fault-injected absorb refusals and rebuild failures.
-		nShards := 1 << (sel >> 1 & 3)
-		in := fault.NewInjector(keySeed | 1)
-		u, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: FuzzModel(), Fault: in.Hook()}, nShards, 0)
+		u, err := shard.BuildUpdatable(rs, cfg, nShards, 0)
 		if err != nil {
 			t.Fatalf("BuildUpdatable(%d shards, %d rules): %v", nShards, rs.Len(), err)
 		}
-		fx := NewFixture(width, eng, u)
+		fx := &Fixture{u}
 
 		type ruleKey struct {
 			p keys.Value
@@ -116,31 +110,22 @@ func FuzzStackVsOracle(f *testing.F) {
 			installed[ruleKey{r.Prefix, r.Len}] = true
 		}
 		rng := rand.New(rand.NewSource(int64(keySeed)))
-		shardedCheck := func(stage string) {
+		// check holds the engine to an oracle over the live rules on their
+		// boundaries and n random keys.
+		check := func(stage string, n int) {
 			t.Helper()
 			set, err := lpm.NewRuleSet(width, append([]lpm.Rule(nil), live...))
 			if err != nil {
 				t.Fatalf("%s: model rule-set invalid: %v", stage, err)
 			}
-			ks := Corpus(width, live, 16, rng)
-			if err := fx.Check(Sharded, lpm.NewTrieMatcher(set), ks); err != nil {
-				t.Fatalf("%s (%d shards): %v", stage, nShards, err)
+			if err := fx.Check(lpm.NewTrieMatcher(set), Corpus(width, live, n, rng)); err != nil {
+				t.Fatalf("%s: %v", stage, err)
 			}
 		}
+		check("fresh", 64)
 
-		// Fresh: both topologies serve the base rule-set and check against
-		// one oracle.
-		baseOracle := lpm.NewTrieMatcher(rs)
-		freshKeys := Corpus(width, base, 64, rng)
-		if err := fx.Check(Single, baseOracle, freshKeys); err != nil {
-			t.Fatalf("fresh: %v", err)
-		}
-		if err := fx.Check(Sharded, baseOracle, freshKeys); err != nil {
-			t.Fatalf("fresh (%d shards): %v", nShards, err)
-		}
-
-		// Update ops on the sharded side; after each op it re-checks against
-		// a fresh oracle.
+		// Update ops; after each op the engine is re-checked against a fresh
+		// oracle.
 		absorbed := telemetry.Default.Counter("neurolpm_insert_absorbed_total", "")
 		rebuilds := telemetry.Default.Counter("neurolpm_insert_rebuilt_total", "")
 		ops := data[split:]
@@ -211,40 +196,18 @@ func FuzzStackVsOracle(f *testing.F) {
 					t.Fatalf("shard %d after commit: %d spilled buckets", s, got)
 				}
 			}
-			shardedCheck(fmt.Sprintf("after op %d", i/7))
-		}
-
-		// Single-engine tombstone delete (the §6.5 no-retrain path): re-check
-		// the single engine against an oracle over the survivors.
-		if len(base) >= 2 {
-			doomed := base[int(keySeed)%len(base)]
-			if err := eng.Delete(doomed.Prefix, doomed.Len); err != nil {
-				t.Fatalf("Delete(%v): %v", doomed, err)
-			}
-			var rest []lpm.Rule
-			for _, r := range base {
-				if r.Prefix != doomed.Prefix || r.Len != doomed.Len {
-					rest = append(rest, r)
-				}
-			}
-			restSet, err := lpm.NewRuleSet(width, rest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fx.Check(Single, lpm.NewTrieMatcher(restSet), Corpus(width, base, 32, rng)); err != nil {
-				t.Fatalf("post-delete: %v", err)
-			}
+			check(fmt.Sprintf("after op %d", i/7), 16)
 		}
 
 		// Every update landed in the engines as it was acknowledged: the
-		// sharded topology agrees with the oracle, and again once every shard
-		// has re-densified.
-		shardedCheck("after the ops")
+		// engine agrees with the oracle, and again once every shard has
+		// re-densified.
+		check("after the ops", 16)
 		for s := 0; s < u.Shards(); s++ {
 			if err := u.Commit(s); err != nil {
 				t.Fatalf("final commit of shard %d: %v", s, err)
 			}
 		}
-		shardedCheck("after re-densify")
+		check("after re-densify", 16)
 	})
 }

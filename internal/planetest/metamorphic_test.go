@@ -12,10 +12,11 @@ import (
 	"neurolpm/internal/shard"
 )
 
-// TestStackMetamorphic checks oracle-free invariants of the lookup matrix:
-// with both topologies serving the same rule-set,
+// TestStackMetamorphic checks oracle-free invariants of the lookup pipeline,
+// with the updatable engine built at every count of ShardCounts over one
+// rule-set:
 //
-//  1. both topologies answer every key identically, single ≡ sharded;
+//  1. every shard count answers every key identically;
 //  2. the batch entry point equals the single-key entry point, pointwise;
 //  3. batch answers are invariant under permutation of the key slice;
 //  4. duplicating every key yields pairwise-identical answers;
@@ -25,8 +26,8 @@ import (
 // implementation, so a violation localizes a divergence BETWEEN variants
 // even when both happen to agree with the trie on the sampled keys. The
 // retrain-storm phase then forces every insert onto the rebuild path: while
-// the rebuilds fail, the sharded half must still answer the base oracle;
-// once they succeed, it holds property 2 and the merged oracle.
+// the rebuilds fail, each engine must still answer the base oracle; once
+// they succeed, it holds property 2 and the merged oracle.
 func TestStackMetamorphic(t *testing.T) {
 	const width = 32
 	rules := RandomRules(width, 600, 71)
@@ -34,70 +35,66 @@ func TestStackMetamorphic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.Build(rs, core.Config{BucketSize: 8, Model: QuickModel()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := fault.NewInjector(71)
-	u, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: QuickModel(), Fault: in.Hook()}, 4, 0)
-	if err != nil {
-		t.Fatal(err)
+	var fxs []*Fixture
+	for _, n := range ShardCounts {
+		u, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: QuickModel(), Fault: in.Hook()}, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fxs = append(fxs, &Fixture{u})
 	}
-	defer u.Close()
-	fx := NewFixture(width, eng, u)
 
 	rng := rand.New(rand.NewSource(73))
 	ks := Corpus(width, rules, 256, rng)
-	tps := Topologies()
 
-	// Properties 1+2: both topologies, batch and single-key, equal the single
-	// engine's batch answers.
-	ref := fx.LookupBatch(Single, ks)
-	for _, tp := range tps {
-		batch := fx.LookupBatch(tp, ks)
+	// Properties 1+2: every shard count, batch and single-key, equals the
+	// first one's batch answers.
+	ref := fxs[0].LookupBatch(ks)
+	for _, fx := range fxs {
+		n := fx.Upd.Shards()
+		batch := fx.LookupBatch(ks)
 		for i, k := range ks {
 			if batch[i] != ref[i] {
-				t.Fatalf("%s: batch key %v: %+v, %s got %+v", tp, k, batch[i], Single, ref[i])
+				t.Fatalf("%d shards: batch key %v: %+v, %d shards got %+v", n, k, batch[i], ShardCounts[0], ref[i])
 			}
-			if got := fx.Lookup(tp, k); got != ref[i] {
-				t.Fatalf("%s: single key %v: %+v, batch %+v", tp, k, got, ref[i])
+			if got := fx.Lookup(k); got != ref[i] {
+				t.Fatalf("%d shards: single key %v: %+v, batch %+v", n, k, got, ref[i])
 			}
 		}
-	}
 
-	for _, tp := range tps {
 		// Property 3: permutation invariance.
 		perm := rng.Perm(len(ks))
 		pks := make([]keys.Value, len(ks))
 		for i, j := range perm {
 			pks[i] = ks[j]
 		}
-		pres := fx.LookupBatch(tp, pks)
+		pres := fx.LookupBatch(pks)
 		for i, j := range perm {
 			if pres[i] != ref[j] {
-				t.Fatalf("%s: permuted batch key %v: %+v, in-order %+v", tp, pks[i], pres[i], ref[j])
+				t.Fatalf("%d shards: permuted batch key %v: %+v, in-order %+v", n, pks[i], pres[i], ref[j])
 			}
 		}
 
 		// Property 4: duplication — both occurrences answer alike.
 		doubled := append(append(make([]keys.Value, 0, 2*len(ks)), ks...), ks...)
-		dres := fx.LookupBatch(tp, doubled)
+		dres := fx.LookupBatch(doubled)
 		for i := range ks {
 			if dres[i] != dres[i+len(ks)] {
-				t.Fatalf("%s: key %v answers diverge within one batch: %+v then %+v",
-					tp, ks[i], dres[i], dres[i+len(ks)])
+				t.Fatalf("%d shards: key %v answers diverge within one batch: %+v then %+v",
+					n, ks[i], dres[i], dres[i+len(ks)])
 			}
 			if dres[i] != ref[i] {
-				t.Fatalf("%s: doubled batch key %v: %+v, plain batch %+v", tp, ks[i], dres[i], ref[i])
+				t.Fatalf("%d shards: doubled batch key %v: %+v, plain batch %+v", n, ks[i], dres[i], ref[i])
 			}
 		}
 
 		// Property 5: repeat — the second run of the identical batch answers
 		// alike.
-		again := fx.LookupBatch(tp, ks)
+		again := fx.LookupBatch(ks)
 		for i := range ks {
 			if again[i] != ref[i] {
-				t.Fatalf("%s: repeat batch key %v: %+v, first run %+v", tp, ks[i], again[i], ref[i])
+				t.Fatalf("%d shards: repeat batch key %v: %+v, first run %+v", n, ks[i], again[i], ref[i])
 			}
 		}
 	}
@@ -105,8 +102,8 @@ func TestStackMetamorphic(t *testing.T) {
 	t.Run("retrain-storm", func(t *testing.T) {
 		// Every insert is refused by the engine (SiteAbsorb), so each takes
 		// the rebuild path. While every rebuild fails (SiteRetrain) each
-		// insert must fail and leave the sharded topology answering exactly
-		// what the base rule-set's oracle answers.
+		// insert must fail and leave the engine answering exactly what the
+		// base rule-set's oracle answers.
 		in.FailProb(fault.SiteAbsorb, 1)
 		in.FailProb(fault.SiteRetrain, 1)
 		var fresh []lpm.Rule
@@ -118,38 +115,42 @@ func TestStackMetamorphic(t *testing.T) {
 		if len(fresh) == 0 {
 			t.Fatal("no fresh rules for the storm")
 		}
-		for _, r := range fresh {
-			if err := u.Insert(r); !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("insert %v during the storm: %v", r, err)
+		for _, fx := range fxs {
+			for _, r := range fresh {
+				if err := fx.Upd.Insert(r); !errors.Is(err, fault.ErrInjected) {
+					t.Fatalf("%d shards: insert %v during the storm: %v", fx.Upd.Shards(), r, err)
+				}
 			}
-		}
-		if err := fx.Check(Sharded, lpm.NewTrieMatcher(rs), ks); err != nil {
-			t.Fatalf("storm: a failed insert changed an answer: %v", err)
+			if err := fx.Check(lpm.NewTrieMatcher(rs), ks); err != nil {
+				t.Fatalf("storm: a failed insert changed an answer: %v", err)
+			}
 		}
 
 		// Recovery: the rebuilds succeed, every insert is retrained in before
-		// it returns, and the sharded batch and single-key answers agree with
-		// each other and with a trie oracle over base + fresh.
+		// it returns, and the batch and single-key answers agree with each
+		// other and with a trie oracle over base + fresh.
 		in.Clear(fault.SiteRetrain)
-		for _, r := range fresh {
-			if err := u.Insert(r); err != nil {
-				t.Fatalf("insert %v after the storm: %v", r, err)
-			}
-		}
-		in.Clear(fault.SiteAbsorb)
 		merged, err := lpm.NewRuleSet(width, append(append([]lpm.Rule(nil), rules...), fresh...))
 		if err != nil {
 			t.Fatal(err)
 		}
 		mks := Corpus(width, merged.Rules, 256, rng)
-		sref := fx.LookupBatch(Sharded, mks)
-		for i, k := range mks {
-			if got := fx.Lookup(Sharded, k); got != sref[i] {
-				t.Fatalf("recovery: single key %v: %+v, batch %+v", k, got, sref[i])
+		for _, fx := range fxs {
+			for _, r := range fresh {
+				if err := fx.Upd.Insert(r); err != nil {
+					t.Fatalf("%d shards: insert %v after the storm: %v", fx.Upd.Shards(), r, err)
+				}
+			}
+			ref := fx.LookupBatch(mks)
+			for i, k := range mks {
+				if got := fx.Lookup(k); got != ref[i] {
+					t.Fatalf("%d shards: recovery: single key %v: %+v, batch %+v", fx.Upd.Shards(), k, got, ref[i])
+				}
+			}
+			if err := fx.Check(lpm.NewTrieMatcher(merged), mks); err != nil {
+				t.Fatalf("recovery: %v", err)
 			}
 		}
-		if err := fx.Check(Sharded, lpm.NewTrieMatcher(merged), mks); err != nil {
-			t.Fatalf("recovery: %v", err)
-		}
+		in.Clear(fault.SiteAbsorb)
 	})
 }

@@ -1,21 +1,22 @@
-// Package planetest hosts the parameterized differential-test matrix for the
+// Package planetest hosts the parameterized differential-test harness for the
 // lookup pipeline (DESIGN.md §14).
 //
 // Every exported lookup entry point in internal/core and internal/shard runs
 // one pipeline — compiled inference, bounded search, the bucket record's
-// answer — on one of two topologies: a single engine, or the sharded router
-// over engines. The correctness contract — every entry point answers exactly
-// what the trie oracle answers, for every key including misses — is
-// therefore a property of the topology, checked once over Topologies():
+// answer — and the one updatable type, shard.ShardedUpdatable, runs it behind
+// a router whose degenerate case is one shard. The correctness contract —
+// every entry point answers exactly what the trie oracle answers, for every
+// key including misses — is therefore checked once, with the shard count as
+// the parameter (ShardCounts):
 //
 //   - FuzzStackVsOracle — the single differential fuzz target. It drives
-//     arbitrary rule-sets, shard counts from one up, key streams and update
-//     interleavings — with absorb refusals and rebuild failures injected
-//     through internal/fault — and checks both topologies against the oracle
-//     after every step.
-//   - TestStackMetamorphic — oracle-free cross-variant properties: both
-//     topologies agree with each other, batches equal single-key answers, and
-//     batch answers are invariant under permutation, duplication and repeat.
+//     arbitrary rule-sets, shard counts 1/2/4/8, both engine kinds, key
+//     streams and update interleavings — with absorb refusals and rebuild
+//     failures injected through internal/fault — and checks the updatable
+//     engine against the oracle after every step.
+//   - TestStackMetamorphic — oracle-free cross-variant properties: every
+//     shard count answers alike, batches equal single-key answers, and batch
+//     answers are invariant under permutation, duplication and repeat.
 //   - TestLookupEntryPointsEquivalent — every exported lookup entry point on
 //     a shared workload-calibrated corpus (hits and misses) versus the trie
 //     oracle.
@@ -23,15 +24,14 @@
 //     single-key and batch lookups and the sharded batch into a caller's dst
 //     at zero steady-state allocations.
 //
-// The package lives outside internal/core and internal/shard so the matrix
-// can exercise both topologies without an import cycle.
+// The package lives outside internal/core and internal/shard so the harness
+// can exercise both without an import cycle.
 package planetest
 
 import (
 	"fmt"
 	"math/rand"
 
-	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/rqrmi"
@@ -117,89 +117,56 @@ func Corpus(width int, rules []lpm.Rule, n int, rng *rand.Rand) []keys.Value {
 	return ks
 }
 
-// Result is the topology-neutral answer shape the matrix compares.
+// Result is the answer shape the harness compares.
 type Result struct {
 	Action  uint64
 	Matched bool
 }
 
-// Topology says whether a lookup runs on one engine or fans out across the
-// sharded router.
-type Topology uint8
+// ShardCounts is the parameter of every test in the package but the fuzz
+// target (which draws 1, 2, 4 or 8): one shard — no routing bits, the
+// degenerate case the daemon serves by default — and four.
+var ShardCounts = []int{1, 4}
 
-const (
-	Single Topology = iota
-	Sharded
-)
+// Fixture is the updatable engine a test drives, seen through the answer
+// shape the harness compares.
+type Fixture struct{ Upd *shard.ShardedUpdatable }
 
-// String returns the stable spelling used in test names.
-func (t Topology) String() string {
-	if t == Sharded {
-		return "sharded"
-	}
-	return "single"
-}
-
-// Topologies enumerates the matrix: one engine, then the sharded router.
-func Topologies() []Topology { return []Topology{Single, Sharded} }
-
-// Fixture pairs one single-topology engine with one sharded updatable so a
-// test can route a Topology to the matching entry point. The two sides are
-// independent: the fuzz harness mutates them separately and checks each
-// against its own oracle.
-type Fixture struct {
-	Width int
-	Eng   *core.Engine            // Single topology
-	Upd   *shard.ShardedUpdatable // Sharded topology
-}
-
-// NewFixture wires the two topologies.
-func NewFixture(width int, eng *core.Engine, upd *shard.ShardedUpdatable) *Fixture {
-	return &Fixture{Width: width, Eng: eng, Upd: upd}
-}
-
-// Lookup answers one key through the topology's single-key entry point.
-func (f *Fixture) Lookup(tp Topology, k keys.Value) Result {
-	if tp == Sharded {
-		a, ok := f.Upd.Lookup(k)
-		return Result{a, ok}
-	}
-	a, ok := f.Eng.Lookup(k)
+// Lookup answers one key through the single-key entry point.
+func (f *Fixture) Lookup(k keys.Value) Result {
+	a, ok := f.Upd.Lookup(k)
 	return Result{a, ok}
 }
 
-// LookupBatch answers a key slice through the topology's batch entry point.
-func (f *Fixture) LookupBatch(tp Topology, ks []keys.Value) []Result {
-	res := f.Upd.LookupBatch // shard.Result is core.BatchResult
-	if tp == Single {
-		res = func(ks []keys.Value) []core.BatchResult { return f.Eng.LookupBatch(ks, nil) }
-	}
+// LookupBatch answers a key slice through the batch entry point.
+func (f *Fixture) LookupBatch(ks []keys.Value) []Result {
 	out := make([]Result, len(ks))
-	for i, r := range res(ks) {
+	for i, r := range f.Upd.LookupBatch(ks) {
 		out[i] = Result{r.Action, r.Matched}
 	}
 	return out
 }
 
-// Check verifies the topology answers ks exactly like oracle, through both
-// the batch and the single-key entry points. The batch carries every key
-// twice, so a key's answer is checked in two block positions. Returns the
-// first mismatch as an error.
-func (f *Fixture) Check(tp Topology, oracle *lpm.TrieMatcher, ks []keys.Value) error {
+// Check verifies the engine answers ks exactly like oracle, through both the
+// batch and the single-key entry points. The batch carries every key twice,
+// so a key's answer is checked in two block positions. Returns the first
+// mismatch as an error.
+func (f *Fixture) Check(oracle *lpm.TrieMatcher, ks []keys.Value) error {
+	n := f.Upd.Shards()
 	doubled := append(append(make([]keys.Value, 0, 2*len(ks)), ks...), ks...)
-	res := f.LookupBatch(tp, doubled)
+	res := f.LookupBatch(doubled)
 	for i, k := range doubled {
 		want, wantOK := oracle.Lookup(k)
 		if res[i].Matched != wantOK || (wantOK && res[i].Action != want) {
-			return fmt.Errorf("%s: batch[%d] key %v: (%d,%v), oracle (%d,%v)",
-				tp, i, k, res[i].Action, res[i].Matched, want, wantOK)
+			return fmt.Errorf("%d shards: batch[%d] key %v: (%d,%v), oracle (%d,%v)",
+				n, i, k, res[i].Action, res[i].Matched, want, wantOK)
 		}
 	}
 	for _, k := range ks {
 		want, wantOK := oracle.Lookup(k)
-		if got := f.Lookup(tp, k); got.Matched != wantOK || (wantOK && got.Action != want) {
-			return fmt.Errorf("%s: key %v: (%d,%v), oracle (%d,%v)",
-				tp, k, got.Action, got.Matched, want, wantOK)
+		if got := f.Lookup(k); got.Matched != wantOK || (wantOK && got.Action != want) {
+			return fmt.Errorf("%d shards: key %v: (%d,%v), oracle (%d,%v)",
+				n, k, got.Action, got.Matched, want, wantOK)
 		}
 	}
 	return nil

@@ -15,15 +15,14 @@ import (
 	"neurolpm/internal/telemetry"
 )
 
-// TestMatrixReadersRaceWriters runs reader goroutines over both topologies
-// while two writers change both topologies under them: one streams
-// inserts into the sharded side — half refused by the engine (SiteAbsorb), so
-// they rebuild shard engines mid-storm, beside commits that re-densify — and one
-// rewrites the actions of base rules on the single engine and the sharded
-// side. There are no value assertions during the storm, since a racing read
-// may legally see either side of an update; under -race every lookup must
-// stay free of data races, and once the writers stop the whole matrix must
-// agree with a trie oracle over the final rule-set.
+// TestMatrixReadersRaceWriters runs reader goroutines over the updatable
+// engine, at every count of ShardCounts, while two writers change it under
+// them: one streams inserts — half refused by the engine (SiteAbsorb), so they
+// rebuild shard engines mid-storm, beside commits that re-densify — and one
+// rewrites the actions of base rules. There are no value assertions during
+// the storm, since a racing read may legally see either side of an update;
+// under -race every lookup must stay free of data races, and once the writers
+// stop the engine must agree with a trie oracle over the final rule-set.
 func TestMatrixReadersRaceWriters(t *testing.T) {
 	const width = 32
 	rules := RandomRules(width, 400, 31)
@@ -31,111 +30,96 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.Build(rs, core.Config{BucketSize: 8, Model: QuickModel()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := fault.NewInjector(31)
-	in.FailProb(fault.SiteAbsorb, 0.5)
-	u, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: QuickModel(), Fault: in.Hook()}, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	fx := NewFixture(width, eng, u)
-
-	const rounds = 200
-	tps := Topologies()
-	var wg sync.WaitGroup
-
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			ks := Corpus(width, rules, 32, rng)
-			for i := 0; i < rounds; i++ {
-				tp := tps[i%len(tps)]
-				fx.LookupBatch(tp, ks)
-				fx.Lookup(tp, ks[i%len(ks)])
+	for _, n := range ShardCounts {
+		t.Run(fmt.Sprintf("%d-shards", n), func(t *testing.T) {
+			in := fault.NewInjector(31)
+			in.FailProb(fault.SiteAbsorb, 0.5)
+			u, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: QuickModel(), Fault: in.Hook()}, n, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(int64(w) + 7)
-	}
+			fx := &Fixture{u}
 
-	// Action rewrites: the single engine and the sharded side each get the
-	// same new action for the first 40 base rules, round after round.
-	final := append([]lpm.Rule(nil), rules...)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for round := 0; round < 5; round++ {
-			for i := range final[:40] {
-				r := &final[i]
-				r.Action = uint64(1<<20 + round*100 + i)
-				if err := eng.ModifyAction(r.Prefix, r.Len, r.Action); err != nil {
-					t.Errorf("engine modify %v: %v", *r, err)
-					return
+			const rounds = 200
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					ks := Corpus(width, rules, 32, rng)
+					for i := 0; i < rounds; i++ {
+						fx.LookupBatch(ks)
+						fx.Lookup(ks[i%len(ks)])
+					}
+				}(int64(w) + 7)
+			}
+
+			// Action rewrites: the first 40 base rules get a new action,
+			// round after round.
+			final := append([]lpm.Rule(nil), rules...)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 5; round++ {
+					for i := range final[:40] {
+						r := &final[i]
+						r.Action = uint64(1<<20 + round*100 + i)
+						if err := u.ModifyAction(r.Prefix, r.Len, r.Action); err != nil {
+							t.Errorf("modify %v: %v", *r, err)
+							return
+						}
+					}
 				}
-				if err := u.ModifyAction(r.Prefix, r.Len, r.Action); err != nil {
-					t.Errorf("sharded modify %v: %v", *r, err)
-					return
-				}
-			}
-		}
-	}()
+			}()
 
-	wg.Add(1)
-	var accepted []lpm.Rule
-	go func() {
-		defer wg.Done()
-		for _, r := range RandomRules(width, 40, 97) {
-			if rs.Find(r.Prefix, r.Len) != lpm.NoMatch {
-				continue
-			}
-			if err := u.Insert(r); err != nil {
-				t.Errorf("insert %v: %v", r, err)
+			wg.Add(1)
+			var accepted []lpm.Rule
+			go func() {
+				defer wg.Done()
+				for _, r := range RandomRules(width, 40, 97) {
+					if rs.Find(r.Prefix, r.Len) != lpm.NoMatch {
+						continue
+					}
+					if err := u.Insert(r); err != nil {
+						t.Errorf("insert %v: %v", r, err)
+						return
+					}
+					accepted = append(accepted, r)
+					if len(accepted)%8 == 0 {
+						if err := u.Commit(len(accepted) / 8 % u.Shards()); err != nil {
+							t.Errorf("mid-storm commit: %v", err)
+							return
+						}
+					}
+				}
+			}()
+			wg.Wait()
+			if t.Failed() {
 				return
 			}
-			accepted = append(accepted, r)
-			if len(accepted)%8 == 0 {
-				if err := u.Commit(len(accepted) / 8 % u.Shards()); err != nil {
-					t.Errorf("mid-storm commit: %v", err)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
 
-	// Quiesce: check each topology against the oracle over its own final
-	// rule-set.
-	merged, err := lpm.NewRuleSet(width, append(append([]lpm.Rule(nil), final...), accepted...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := lpm.NewRuleSet(width, final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(101))
-	if err := fx.Check(Sharded, lpm.NewTrieMatcher(merged), Corpus(width, merged.Rules, 128, rng)); err != nil {
-		t.Fatalf("post-storm: %v", err)
-	}
-	if err := fx.Check(Single, lpm.NewTrieMatcher(base), Corpus(width, final, 128, rng)); err != nil {
-		t.Fatalf("post-storm: %v", err)
+			// Quiesce: check the engine against the oracle over the final
+			// rule-set.
+			merged, err := lpm.NewRuleSet(width, append(append([]lpm.Rule(nil), final...), accepted...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(101))
+			if err := fx.Check(lpm.NewTrieMatcher(merged), Corpus(width, merged.Rules, 128, rng)); err != nil {
+				t.Fatalf("post-storm: %v", err)
+			}
+		})
 	}
 }
 
 // TestRebuildPathReadersSeeBeforeOrAfter races readers against a writer whose
 // every insert is refused by the engine (SiteAbsorb), so each one retrains
 // and swaps a whole engine, mixed with modifies and deletes of the same rules.
-// Both topologies take each op — a core.Updatable (single) and a four-shard
-// ShardedUpdatable — and the readers run the single-key and batch arms of
-// each. phase is 2j+1 while op j runs and 2j+2 once it has returned on
-// both topologies; a read that saw at most one step of phase is held to the
+// The updatable engine at every count of ShardCounts takes each op, and the
+// readers run the single-key and batch arms of each. phase is 2j+1 while op j
+// runs and 2j+2 once it has returned on every engine; a read that saw at most
+// one step of phase is held to the
 // trie oracle: exactly the quiescent rule-set's answer, or either the answer
 // before or the answer after the op that was running.
 func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
@@ -148,14 +132,13 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 	in := fault.NewInjector(41)
 	in.FailProb(fault.SiteAbsorb, 1)
 	cfg := core.Config{BucketSize: 8, Model: QuickModel(), Fault: in.Hook()}
-	eng, err := core.Build(rs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := core.NewUpdatable(eng)
-	sharded, err := shard.BuildUpdatable(rs, cfg, 4, 0)
-	if err != nil {
-		t.Fatal(err)
+	var ups []*shard.ShardedUpdatable
+	for _, n := range ShardCounts {
+		u, err := shard.BuildUpdatable(rs, cfg, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ups = append(ups, u)
 	}
 
 	// The op list: each fresh rule is inserted, and some later modified and
@@ -259,8 +242,9 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	reader := func(arm string, look func(keys.Value) Result, batch func([]keys.Value) []Result) {
+	reader := func(fx *Fixture) {
 		defer wg.Done()
+		arm := fmt.Sprintf("%d shards", fx.Upd.Shards())
 		for {
 			select {
 			case <-done:
@@ -273,14 +257,14 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 				p1 := phase.Load()
 				j := min(int(p1/2), len(ops)-1)
 				i := span[j][m%len(span[j])]
-				got := look(ks[i])
+				got := fx.Lookup(ks[i])
 				if err := check(arm+"/single", p1, phase.Load(), i, got); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 			p1 := phase.Load()
-			res := batch(ks)
+			res := fx.LookupBatch(ks)
 			p2 := phase.Load()
 			for i, r := range res {
 				if err := check(arm+"/batch", p1, p2, i, r); err != nil {
@@ -290,47 +274,31 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 			}
 		}
 	}
-	wg.Add(2)
-	go reader("single", func(k keys.Value) Result {
-		a, ok := single.Lookup(k)
-		return Result{a, ok}
-	}, func(ks []keys.Value) []Result {
-		out := make([]Result, len(ks))
-		for i, r := range single.Engine().LookupBatch(ks, nil) {
-			out[i] = Result{r.Action, r.Matched}
-		}
-		return out
-	})
-	go reader("sharded", func(k keys.Value) Result {
-		a, ok := sharded.Lookup(k)
-		return Result{a, ok}
-	}, func(ks []keys.Value) []Result {
-		out := make([]Result, len(ks))
-		for i, r := range sharded.LookupBatch(ks) {
-			out[i] = Result{r.Action, r.Matched}
-		}
-		return out
-	})
+	for _, u := range ups {
+		wg.Add(1)
+		go reader(&Fixture{u})
+	}
 
 	rebuilt := telemetry.Default.Counter("neurolpm_insert_rebuilt_total", "")
 	before := rebuilt.Load()
 	inserts := 0
 	for j, o := range ops {
 		phase.Store(int64(2*j + 1))
-		var err error
-		switch o.kind {
-		case 'i':
+		if o.kind == 'i' {
 			inserts++
-			if err = single.Insert(o.r); err == nil {
-				err = sharded.Insert(o.r)
+		}
+		var err error
+		for _, u := range ups {
+			switch o.kind {
+			case 'i':
+				err = u.Insert(o.r)
+			case 'm':
+				err = u.ModifyAction(o.r.Prefix, o.r.Len, o.r.Action)
+			case 'd':
+				err = u.Delete(o.r.Prefix, o.r.Len)
 			}
-		case 'm':
-			if err = single.ModifyAction(o.r.Prefix, o.r.Len, o.r.Action); err == nil {
-				err = sharded.ModifyAction(o.r.Prefix, o.r.Len, o.r.Action)
-			}
-		case 'd':
-			if err = single.Delete(o.r.Prefix, o.r.Len); err == nil {
-				err = sharded.Delete(o.r.Prefix, o.r.Len)
+			if err != nil {
+				break
 			}
 		}
 		if err != nil {
@@ -341,9 +309,8 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	// Every insert took the rebuild path: once on the single engine and at
-	// least once on the sharded side.
-	if got := rebuilt.Load() - before; got < uint64(2*inserts) {
-		t.Errorf("%d rebuilds for %d inserts on two topologies", got, inserts)
+	// Every insert took the rebuild path, on every engine at least once.
+	if got := rebuilt.Load() - before; got < uint64(len(ups)*inserts) {
+		t.Errorf("%d rebuilds for %d inserts on %d engines", got, inserts, len(ups))
 	}
 }

@@ -71,7 +71,7 @@ func TestShardedBatchZeroAllocs(t *testing.T) {
 	for i := range ks {
 		ks[i] = rules[(i*7)%len(rules)].Low(width)
 	}
-	for _, n := range []int{1, 4} {
+	for _, n := range ShardCounts {
 		sh, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: QuickModel()}, n, 0)
 		if err != nil {
 			t.Fatal(err)

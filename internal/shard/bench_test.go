@@ -50,23 +50,6 @@ func BenchmarkShardedLookupBatch256(b *testing.B) {
 	}
 }
 
-func BenchmarkShardedLookupBatch256Scalar(b *testing.B) {
-	// Contrast row: the same fan-out but per-key engine lookups inside each
-	// group, isolating what the compiled batch plane adds over routing.
-	_, sh, ks := benchSetup(b, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += 256 {
-		lo := i % (len(ks) - 256)
-		batch := ks[lo : lo+256]
-		sh.lookupBatch(batch, nil, func(shard int, gk []keys.Value, res []Result) {
-			e := sh.Engine(shard)
-			for i, k := range gk {
-				res[i].Action, res[i].Matched = e.Lookup(k)
-			}
-		})
-	}
-}
-
 func BenchmarkSingleEngineLookupBatch256(b *testing.B) {
 	// The compiled batch plane with no sharding at all: one engine, blocks
 	// of 256 keys through Engine.LookupBatch.

@@ -1,7 +1,8 @@
-// Metamorphic update tests for ShardedUpdatable: the §6.5 identities must
-// survive sharding — including for short rules that are replicated into
-// several shards. Each identity is checked by a full-keyspace sweep against
-// the trie oracle on a 2^10 domain.
+// Metamorphic update tests: algebraic identities over the §6.5 update paths,
+// at one shard and at four — where they must survive sharding, short rules
+// replicated into several shards included. Each identity is checked by a
+// full-keyspace sweep on a 2^10 domain, so that every range boundary and
+// wildcard interaction is exercised, not a sample.
 package shard
 
 import (
@@ -49,7 +50,7 @@ func freeRule(t *testing.T, rs *lpm.RuleSet, length int, action uint64) lpm.Rule
 	return lpm.Rule{}
 }
 
-func buildSweepUpdatable(t *testing.T, seed int64) (*ShardedUpdatable, *lpm.RuleSet) {
+func buildSweepUpdatable(t *testing.T, seed int64, n int) (*ShardedUpdatable, *lpm.RuleSet) {
 	t.Helper()
 	// Keep generated rules at /3 and longer so the tests always have free
 	// short prefixes to insert (the replicated-rule cases need a free /1).
@@ -63,7 +64,7 @@ func buildSweepUpdatable(t *testing.T, seed int64) (*ShardedUpdatable, *lpm.Rule
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := BuildUpdatable(rs, quickSRAMOnly(), 4, 0)
+	u, err := BuildUpdatable(rs, quickSRAMOnly(), n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,117 +76,126 @@ func buildSweepUpdatable(t *testing.T, seed int64) (*ShardedUpdatable, *lpm.Rule
 	return u, rs
 }
 
-// TestShardedInsertThenDeleteIsIdentity covers both a long rule (one shard)
-// and a /1 rule (replicated into two of the four shards), right after the
-// SRAM-only shards retrained them in and after a commit rebuilt them again.
+// TestShardedInsertThenDeleteIsIdentity: inserting a rule and deleting it
+// again leaves the lookup function unchanged — right after the SRAM-only
+// shards retrained it in, and after a commit rebuilt them once more
+// (tombstone path either way). It covers a long rule (one shard) and a /1
+// (replicated into two of four shards).
 func TestShardedInsertThenDeleteIsIdentity(t *testing.T) {
-	u, rs := buildSweepUpdatable(t, 31)
-	before := sweepFn(sweepWidth, u.Lookup)
-	long := freeRule(t, rs, 6, 5001)
-	short := freeRule(t, rs, 1, 5002)
+	forShardCounts(t, func(t *testing.T, n int) {
+		u, rs := buildSweepUpdatable(t, 31, n)
+		before := sweepFn(sweepWidth, u.Lookup)
+		long := freeRule(t, rs, 6, 5001)
+		short := freeRule(t, rs, 1, 5002)
 
-	// Rebuild path.
-	for _, r := range []lpm.Rule{long, short} {
-		if err := u.Insert(r); err != nil {
-			t.Fatal(err)
+		// Rebuild path.
+		for _, r := range []lpm.Rule{long, short} {
+			if err := u.Insert(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for _, r := range []lpm.Rule{long, short} {
-		if err := u.Delete(r.Prefix, r.Len); err != nil {
-			t.Fatal(err)
+		for _, r := range []lpm.Rule{long, short} {
+			if err := u.Delete(r.Prefix, r.Len); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	diffSweeps(t, "rebuilt insert+delete", sweepFn(sweepWidth, u.Lookup), before)
+		diffSweeps(t, "rebuilt insert+delete", sweepFn(sweepWidth, u.Lookup), before)
 
-	// Committed path: the replicated short rule exercises per-shard
-	// tombstones in two shards at once.
-	for _, r := range []lpm.Rule{long, short} {
-		if err := u.Insert(r); err != nil {
-			t.Fatal(err)
+		// Committed path: the replicated short rule exercises per-shard
+		// tombstones in two shards at once.
+		for _, r := range []lpm.Rule{long, short} {
+			if err := u.Insert(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	commitAll(t, u)
-	for _, r := range []lpm.Rule{long, short} {
-		if err := u.Delete(r.Prefix, r.Len); err != nil {
-			t.Fatal(err)
+		commitAll(t, u)
+		for _, r := range []lpm.Rule{long, short} {
+			if err := u.Delete(r.Prefix, r.Len); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	diffSweeps(t, "committed insert+delete", sweepFn(sweepWidth, u.Lookup), before)
+		diffSweeps(t, "committed insert+delete", sweepFn(sweepWidth, u.Lookup), before)
+	})
 }
 
-// TestShardedModifyActionWithoutRetrain checks the modification is visible
-// on every key the rule owns — across all replicas — while no shard engine
-// is replaced.
+// TestShardedModifyActionWithoutRetrain: ModifyAction changes the lookup
+// function exactly as the oracle over the modified rule-set says — on every
+// key the rule owns, across all replicas — while no shard engine (hence no
+// trained model) is replaced.
 func TestShardedModifyActionWithoutRetrain(t *testing.T) {
-	u, rs := buildSweepUpdatable(t, 32)
-	target := rs.Rules[len(rs.Rules)/3]
-	const newAction = 888888
+	forShardCounts(t, func(t *testing.T, n int) {
+		u, rs := buildSweepUpdatable(t, 32, n)
+		target := rs.Rules[len(rs.Rules)/3]
+		const newAction = 888888
 
-	enginesBefore := make([]any, u.Shards())
-	for i := range enginesBefore {
-		enginesBefore[i] = u.Engine(i)
-	}
-	if err := u.ModifyAction(target.Prefix, target.Len, newAction); err != nil {
-		t.Fatal(err)
-	}
-	for i := range enginesBefore {
-		if u.Engine(i) != enginesBefore[i] {
-			t.Fatalf("shard %d engine replaced by ModifyAction (retrained)", i)
+		enginesBefore := make([]any, u.Shards())
+		for i := range enginesBefore {
+			enginesBefore[i] = u.Engine(i)
 		}
-	}
+		if err := u.ModifyAction(target.Prefix, target.Len, newAction); err != nil {
+			t.Fatal(err)
+		}
+		for i := range enginesBefore {
+			if u.Engine(i) != enginesBefore[i] {
+				t.Fatalf("shard %d engine replaced by ModifyAction (retrained)", i)
+			}
+		}
 
-	modified := rs.Clone()
-	for i := range modified.Rules {
-		if modified.Rules[i].Prefix == target.Prefix && modified.Rules[i].Len == target.Len {
-			modified.Rules[i].Action = newAction
+		modified := rs.Clone()
+		for i := range modified.Rules {
+			if modified.Rules[i].Prefix == target.Prefix && modified.Rules[i].Len == target.Len {
+				modified.Rules[i].Action = newAction
+			}
 		}
-	}
-	oracle := lpm.NewTrieMatcher(modified)
-	diffSweeps(t, "sharded modify-action", sweepFn(sweepWidth, u.Lookup), sweepFn(sweepWidth, oracle.Lookup))
+		oracle := lpm.NewTrieMatcher(modified)
+		diffSweeps(t, "modify-action", sweepFn(sweepWidth, u.Lookup), sweepFn(sweepWidth, oracle.Lookup))
+	})
 }
 
 // TestShardedCommitEqualsFreshBuild: after inserting rules (including a
-// replicated one) and committing, the sharded engine must equal a fresh
-// sharded Build — and the oracle — over the merged rule-set.
+// replicated one) and committing, the updatable engine must equal a fresh
+// build of the same shard count — and the oracle — over the merged rule-set.
 func TestShardedCommitEqualsFreshBuild(t *testing.T) {
-	u, rs := buildSweepUpdatable(t, 33)
-	// One rule per length: /1 replicates across shards 0–1, /4 and /8 land
-	// in single shards. freeRule scans for prefixes absent from the set.
-	news := []lpm.Rule{
-		freeRule(t, rs, 4, 7001),
-		freeRule(t, rs, 1, 7002),
-		freeRule(t, rs, 8, 7003),
-	}
-	merged := append([]lpm.Rule(nil), rs.Rules...)
-	for _, r := range news {
-		if err := u.Insert(r); err != nil {
+	forShardCounts(t, func(t *testing.T, n int) {
+		u, rs := buildSweepUpdatable(t, 33, n)
+		// One rule per length: /1 replicates across shards 0–1 of four, /4
+		// and /8 land in single shards. freeRule scans for prefixes absent
+		// from the set.
+		news := []lpm.Rule{
+			freeRule(t, rs, 4, 7001),
+			freeRule(t, rs, 1, 7002),
+			freeRule(t, rs, 8, 7003),
+		}
+		merged := append([]lpm.Rule(nil), rs.Rules...)
+		for _, r := range news {
+			if err := u.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+			merged = append(merged, r)
+		}
+		commitAll(t, u)
+		mergedSet, err := lpm.NewRuleSet(sweepWidth, merged)
+		if err != nil {
 			t.Fatal(err)
 		}
-		merged = append(merged, r)
-	}
-	commitAll(t, u)
-	mergedSet, err := lpm.NewRuleSet(sweepWidth, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := BuildUpdatable(mergedSet, quickSRAMOnly(), 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	want := sweepFn(sweepWidth, fresh.Lookup)
-	diffSweeps(t, "sharded commit vs fresh build", sweepFn(sweepWidth, u.Lookup), want)
-	oracle := lpm.NewTrieMatcher(mergedSet)
-	diffSweeps(t, "fresh sharded build vs oracle", want, sweepFn(sweepWidth, oracle.Lookup))
-	if err := u.Verify(); err != nil {
-		t.Fatal(err)
-	}
+		fresh, err := BuildUpdatable(mergedSet, quickSRAMOnly(), n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sweepFn(sweepWidth, fresh.Lookup)
+		diffSweeps(t, "commit vs fresh build", sweepFn(sweepWidth, u.Lookup), want)
+		oracle := lpm.NewTrieMatcher(mergedSet)
+		diffSweeps(t, "fresh build vs oracle", want, sweepFn(sweepWidth, oracle.Lookup))
+		if err := u.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestShardedUpdatableBatchSeesRebuiltInsert: an insertion the SRAM-only
 // shard retrained in is visible through LookupBatch once Insert returns.
 func TestShardedUpdatableBatchSeesRebuiltInsert(t *testing.T) {
-	u, rs := buildSweepUpdatable(t, 34)
+	u, rs := buildSweepUpdatable(t, 34, 4)
 	r := freeRule(t, rs, 10, 4242)
 	if err := u.Insert(r); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,9 @@ package shard
 
 import "neurolpm/internal/telemetry"
 
-// Batch and rebuild telemetry, registered alongside the core engine metrics
-// (DESIGN.md §8 carries the metric → paper-section map).
+// Batch and commit telemetry, registered alongside the core engine metrics;
+// the rebuild's duration and failures are booked by core, on the one rebuild
+// path (DESIGN.md §8 carries the metric → paper-section map).
 var (
 	metBatches = telemetry.Default.Counter("neurolpm_shard_batches_total",
 		"LookupBatch calls served by a sharded engine")
@@ -11,10 +12,6 @@ var (
 		"Keys resolved through LookupBatch")
 	metBatchSize = telemetry.Default.Histogram("neurolpm_shard_batch_size",
 		"Keys per LookupBatch call")
-	metRebuildMs = telemetry.Default.Histogram("neurolpm_shard_rebuild_ms",
-		"Per-shard commit (retrain + swap) duration in milliseconds (§6.5)")
 	metCommits = telemetry.Default.Counter("neurolpm_shard_commits_total",
 		"Per-shard commits: explicit re-densify of one shard")
-	metCommitErrs = telemetry.Default.Counter("neurolpm_shard_commit_errors_total",
-		"Per-shard commits that failed (rule-set invalid or training error)")
 )

@@ -1,23 +1,15 @@
-// Package shard partitions a NeuroLPM rule-set by the top bits of the key
-// into independent sub-engines, mirroring the paper's hardware parallelism:
-// §6's design replicates inference pipelines and spreads the RQ Array over
-// banked SRAM (Fig 6a) so many queries resolve concurrently. In software the
-// same move buys two things:
-//
-//   - throughput: LookupBatch groups a batch of keys by shard and answers
-//     the groups back-to-back on the calling goroutine, so per-call overhead
-//     is amortized and each group walks one shard-local RQ Array that is a
-//     fraction of the global one (better cache residency, smaller error
-//     bounds, fewer secondary-search probes). Parallelism is across callers —
-//     every connection answers on its own goroutine (DESIGN.md §9, §17) —
-//     never inside one batch;
-//   - incremental updates: a rule insertion only retrains the shard it
-//     lands in, never the full model — the §6.5 rebuild cost divided by the
-//     shard count.
-//
-// ShardedUpdatable is the one sharded type and the one serving topology: a
-// single shard (no routing bits, the global model) is its degenerate
-// case.
+// Package shard holds the updatable engine: ShardedUpdatable, the one
+// updatable type and the one serving topology. It partitions a NeuroLPM
+// rule-set by the top bits of the key into independent sub-engines, after the
+// paper's hardware parallelism (§6 replicates inference pipelines and spreads
+// the RQ Array over banked SRAM, Fig 6a); one shard — no routing bits, the
+// global model — is the degenerate case, and the default. LookupBatch groups
+// a batch of keys by shard and answers the groups back-to-back on the calling
+// goroutine; parallelism is across callers — every connection answers on its
+// own goroutine (DESIGN.md §9, §17) — never inside one batch. What more
+// shards buy today is a smaller rebuild: an insertion the engine refuses
+// retrains only the shard it lands in. They no longer buy a faster lookup
+// (DESIGN.md §9 has the numbers).
 //
 // Correctness is preserved by replication: a rule shorter than the shard
 // prefix is installed in every shard it covers (exactly like a route
@@ -56,38 +48,26 @@ type padUint64 struct {
 	_ [56]byte
 }
 
-// router holds the key→shard mapping and the batch fan-out machinery.
-type router struct {
-	width     int
-	shardBits int
-	loads     []padUint64 // per-shard lookups served (balance telemetry)
-}
-
-// plan validates the shard count and returns the router plus the per-shard
-// rule partition.
-func plan(rs *lpm.RuleSet, nShards int) (router, [][]lpm.Rule, error) {
+// plan validates the shard count and returns the routing bits it takes plus
+// the per-shard rule partition.
+func plan(rs *lpm.RuleSet, nShards int) (int, [][]lpm.Rule, error) {
 	if rs == nil {
-		return router{}, nil, fmt.Errorf("shard: nil rule-set")
+		return 0, nil, fmt.Errorf("shard: nil rule-set")
 	}
 	if nShards < 1 || nShards&(nShards-1) != 0 {
-		return router{}, nil, fmt.Errorf("shard: shard count %d is not a power of two ≥ 1", nShards)
+		return 0, nil, fmt.Errorf("shard: shard count %d is not a power of two ≥ 1", nShards)
 	}
 	bits := 0
 	for 1<<bits < nShards {
 		bits++
 	}
 	if bits > MaxShardBits {
-		return router{}, nil, fmt.Errorf("shard: %d shards exceeds the 2^%d limit", nShards, MaxShardBits)
+		return 0, nil, fmt.Errorf("shard: %d shards exceeds the 2^%d limit", nShards, MaxShardBits)
 	}
 	if bits >= rs.Width {
-		return router{}, nil, fmt.Errorf("shard: %d shards needs %d key bits, rule-set width is %d", nShards, bits, rs.Width)
+		return 0, nil, fmt.Errorf("shard: %d shards needs %d key bits, rule-set width is %d", nShards, bits, rs.Width)
 	}
-	r := router{
-		width:     rs.Width,
-		shardBits: bits,
-		loads:     make([]padUint64, nShards),
-	}
-	return r, partition(rs, bits), nil
+	return bits, partition(rs, bits), nil
 }
 
 // partition assigns every rule to the shards it covers. Rules at least
@@ -117,11 +97,13 @@ func shardSpan(width, shardBits int, r lpm.Rule) (lo, hi int) {
 // shardModel shallows the per-shard model: a shard learns only 1/N of the
 // key-space CDF, so the middle refinement stage of a ≥3-stage global config
 // is redundant — keeping the final stage width preserves (and with 1/N of
-// the ranges, improves) per-leaf resolution while inference drops one LUT
-// evaluation per query. This is the §6 bank model's smaller per-bank
-// pipeline, and it is where the software speedup comes from on one core.
-// Error bounds are recomputed per shard by the normal build, so correctness
-// is unaffected.
+// the ranges, improves) per-leaf resolution. This is the §6 bank model's
+// smaller per-bank pipeline. It was where E21's speedup came from, until the
+// routing table made inference one table load at any model depth: the
+// benchmark's traced lib_zipf run (2-vCPU box) reads shard.batch_ns 129 at
+// four shards against core.batch_ns 112 for one engine (DESIGN.md §9). Error
+// bounds are recomputed per shard by the normal build, so correctness is
+// unaffected.
 func shardModel(cfg core.Config, nShards int) core.Config {
 	sw := cfg.Model.StageWidths
 	if nShards < 4 || len(sw) < 3 {
@@ -165,18 +147,18 @@ func buildEngines(width int, cfg core.Config, parts [][]lpm.Rule) ([]*core.Engin
 }
 
 // Shards returns the shard count.
-func (r *router) Shards() int { return 1 << r.shardBits }
+func (u *ShardedUpdatable) Shards() int { return 1 << u.shardBits }
 
 // Width returns the key bit width.
-func (r *router) Width() int { return r.width }
+func (u *ShardedUpdatable) Width() int { return u.width }
 
 // ShardOf returns the shard index serving key k. A key wider than the domain
 // goes to the last shard, where the engine sorts it above every bound.
-func (r *router) ShardOf(k keys.Value) int {
-	return int(min(k.Shr(uint(r.width-r.shardBits)).Uint64(), uint64(r.Shards()-1)))
+func (u *ShardedUpdatable) ShardOf(k keys.Value) int {
+	return int(min(k.Shr(uint(u.width-u.shardBits)).Uint64(), uint64(u.Shards()-1)))
 }
 
-// batchScratch holds one lookupBatch call's grouping buffers: the batch
+// batchScratch holds one LookupBatchInto call's grouping buffers: the batch
 // permuted into shard order (ks, with res its answers in the same order),
 // where each key came from (order), and the per-shard group cursor. Pooling
 // them keeps the hot path allocation-free when the caller supplies dst.
@@ -195,17 +177,17 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// lookupBatch is the fan-out, all of it on the calling goroutine: bucket keys
-// by shard (one pass to count, one to gather them into shard order — no
-// per-group append growth), answer each shard's group back-to-back so
+// LookupBatchInto resolves a batch positionally: dst[i] answers ks[i] (dst is
+// reused when it has the capacity; nil allocates). It is the fan-out, all of
+// it on the calling goroutine: bucket keys by shard (one pass to count, one
+// to gather them into shard order — no per-group append growth), answer each
+// shard's group back-to-back through its live engine's LookupBatch so
 // consecutive queries reuse that shard's model and RQ-Array cache lines, then
-// scatter the answers to their request positions in dst (reused when it has
-// the capacity, like the engine's LookupBatch). lookGroup answers one shard's
-// whole group — res[i] ← answer for gk[i], the group's keys contiguous — so
-// implementations hoist the sub-engine out of the per-key loop and hand the
-// slice straight to the engine's LookupBatch. One shard is one group: the
-// caller's keys and dst themselves, nothing gathered or scattered.
-func (r *router) lookupBatch(ks []keys.Value, dst []Result, lookGroup func(shard int, gk []keys.Value, res []Result)) []Result {
+// scatter the answers to their request positions in dst. One shard is one
+// group: the caller's keys and dst themselves, nothing gathered or scattered.
+// Each key's answer is individually consistent: it reflects either the pre-
+// or post-swap engine of its shard, never a mix.
+func (u *ShardedUpdatable) LookupBatchInto(ks []keys.Value, dst []Result) []Result {
 	dst = grow(dst, len(ks))
 	if len(ks) == 0 {
 		return dst
@@ -213,10 +195,10 @@ func (r *router) lookupBatch(ks []keys.Value, dst []Result, lookGroup func(shard
 	metBatches.Inc()
 	metBatchKeys.Add(uint64(len(ks)))
 	metBatchSize.ObserveInt(len(ks))
-	n := r.Shards()
+	n := u.Shards()
 	if n == 1 {
-		lookGroup(0, ks, dst)
-		r.loads[0].n.Add(uint64(len(ks)))
+		u.Engine(0).LookupBatch(ks, dst[:0])
+		u.loads[0].n.Add(uint64(len(ks)))
 		return dst
 	}
 	sc := scratchPool.Get().(*batchScratch)
@@ -227,7 +209,7 @@ func (r *router) lookupBatch(ks []keys.Value, dst []Result, lookGroup func(shard
 	clear(cursor)
 	shardOf := grow(sc.shardOf, len(ks))
 	for i, k := range ks {
-		s := int32(r.ShardOf(k))
+		s := int32(u.ShardOf(k))
 		shardOf[i] = s
 		cursor[s]++
 	}
@@ -246,8 +228,8 @@ func (r *router) lookupBatch(ks []keys.Value, dst []Result, lookGroup func(shard
 	lo := int32(0)
 	for s, hi := range cursor {
 		if hi > lo {
-			lookGroup(s, gk[lo:hi], res[lo:hi])
-			r.loads[s].n.Add(uint64(hi - lo))
+			u.Engine(s).LookupBatch(gk[lo:hi], res[lo:hi][:0])
+			u.loads[s].n.Add(uint64(hi - lo))
 		}
 		lo = hi
 	}
@@ -259,33 +241,29 @@ func (r *router) lookupBatch(ks []keys.Value, dst []Result, lookGroup func(shard
 	return dst
 }
 
-// registerGauges publishes the balance telemetry for the most recently
-// built sharded engine (the registry's last-writer-wins gauge semantics are
-// exactly the rebuilt-engine refresh case).
-func (r *router) registerGauges(rangesOf func(i int) int) {
+// registerGauges publishes the balance telemetry and the per-shard
+// observability-plane gauges (DESIGN.md §13) — model drift, the compiled probe
+// ceiling, bucket-hotness skew and spilled buckets — for the most recently
+// built engine (the registry's last-writer-wins gauge semantics are exactly
+// the rebuilt-engine refresh case). Each reads its shard's *current* live
+// engine, so a rebuilt engine — with its fresh bound and sketch — is what a
+// scrape sees, without any re-registration on a swap.
+func (u *ShardedUpdatable) registerGauges() {
 	telemetry.Default.Gauge("neurolpm_shards",
 		"Shards in the current sharded engine",
-		func() float64 { return float64(r.Shards()) })
+		func() float64 { return float64(u.Shards()) })
 	telemetry.Default.Gauge("neurolpm_shard_load_imbalance",
 		"Max/mean per-shard lookup load (1 = perfectly balanced; 0 before any lookup)",
-		func() float64 { return imbalance(r.loadCounts()) })
+		func() float64 { return imbalance(u.loadCounts()) })
 	telemetry.Default.Gauge("neurolpm_shard_range_imbalance",
 		"Max/mean per-shard RQ-Array size (static partition balance)",
 		func() float64 {
-			sizes := make([]uint64, r.Shards())
+			sizes := make([]uint64, u.Shards())
 			for i := range sizes {
-				sizes[i] = uint64(rangesOf(i))
+				sizes[i] = uint64(u.Engine(i).Ranges().Len())
 			}
 			return imbalance(sizes)
 		})
-}
-
-// registerObserverGauges publishes the per-shard observability-plane gauges
-// (DESIGN.md §13): model drift, the compiled probe ceiling, bucket-hotness
-// skew and spilled buckets. engineAt reads the shard's *current* live engine,
-// so an updatable shard's rebuilt engine — with its fresh bound and sketch —
-// is what a scrape sees, without any re-registration on a swap.
-func (r *router) registerObserverGauges(engineAt func(i int) *core.Engine) {
 	drift := telemetry.Default.GaugeVec("neurolpm_model_drift",
 		"Observed p99 secondary-search probes over the last minute divided by the compiled probe ceiling (→1 = bound headroom consumed; retrain signal)", "shard")
 	bound := telemetry.Default.GaugeVec("neurolpm_model_probe_bound",
@@ -294,21 +272,20 @@ func (r *router) registerObserverGauges(engineAt func(i int) *core.Engine) {
 		"Fraction of sampled bucket accesses landing in the hottest 10% of buckets (decaying window)", "shard")
 	spilled := telemetry.Default.GaugeVec("neurolpm_spilled_buckets",
 		"Buckets of the shard's live engine answering from a spill record (absorbed inserts since its last commit; 0 right after one)", "shard")
-	for i := 0; i < r.Shards(); i++ {
-		i := i
+	for i := range u.shards {
 		lbl := strconv.Itoa(i)
-		drift.Set(lbl, func() float64 { return engineAt(i).DriftMeter().Drift() })
-		bound.Set(lbl, func() float64 { return float64(engineAt(i).DriftMeter().Bound()) })
-		skew.Set(lbl, func() float64 { return engineAt(i).HotSketch().Skew() })
-		spilled.Set(lbl, func() float64 { return float64(engineAt(i).SpilledBuckets()) })
+		drift.Set(lbl, func() float64 { return u.Engine(i).DriftMeter().Drift() })
+		bound.Set(lbl, func() float64 { return float64(u.Engine(i).DriftMeter().Bound()) })
+		skew.Set(lbl, func() float64 { return u.Engine(i).HotSketch().Skew() })
+		spilled.Set(lbl, func() float64 { return float64(u.Engine(i).SpilledBuckets()) })
 	}
 }
 
 // loadCounts snapshots the per-shard lookup tallies.
-func (r *router) loadCounts() []uint64 {
-	out := make([]uint64, len(r.loads))
-	for i := range r.loads {
-		out[i] = r.loads[i].n.Load()
+func (u *ShardedUpdatable) loadCounts() []uint64 {
+	out := make([]uint64, len(u.loads))
+	for i := range u.loads {
+		out[i] = u.loads[i].n.Load()
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,6 +46,14 @@ func randomRuleSet(t testing.TB, width, n int, seed int64) *lpm.RuleSet {
 		t.Fatal(err)
 	}
 	return rs
+}
+
+// forShardCounts runs f as a subtest at each shard count the updatable's
+// tests cover: one shard, the degenerate case, and four.
+func forShardCounts(t *testing.T, f func(t *testing.T, n int)) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d-shards", n), func(t *testing.T) { f(t, n) })
+	}
 }
 
 func randomKeys(width, n int, seed int64) []keys.Value {

@@ -168,13 +168,12 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	}
 }
 
-// TestConcurrentCachedReadersWithUpdates races readers against the same
-// insert/delete/commit cycle with the two read shapes a result
-// cache would short-circuit: batches in which every key appears twice, and a
-// single-key Lookup of the probe. Both occurrences of a key in one batch, and
-// the single-key answer, must each be the probe action or the base answer —
-// never a stale or torn one.
-func TestConcurrentCachedReadersWithUpdates(t *testing.T) {
+// TestConcurrentRepeatedKeyReadersWithUpdates races readers against the same
+// insert/delete/commit cycle with two more read shapes: batches in which
+// every key appears twice, and a single-key Lookup of the probe. Both
+// occurrences of a key in one batch, and the single-key answer, must each be
+// the probe action or the base answer — never a stale or torn one.
+func TestConcurrentRepeatedKeyReadersWithUpdates(t *testing.T) {
 	const width = 16
 	rs := randomRuleSet(t, width, 200, 41)
 	u, err := BuildUpdatable(rs, quickBucketed(), 4, 0)

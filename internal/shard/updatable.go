@@ -3,43 +3,53 @@ package shard
 import (
 	"fmt"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 )
 
-// ShardedUpdatable is the updatable sharded engine: each shard is a
-// core.Updatable (in-place insert, or a synchronous retrain-and-swap of that
-// shard alone when its engine refuses, §6.5). The payoff over a single
-// Updatable is that an insertion the engine cannot absorb only ever retrains
-// the shard it covers — untouched shards keep their models — and readers
-// never block: they load each shard's engine through its atomic.Pointer, so a
-// rebuild is invisible except for the rule it carries.
+// ShardedUpdatable is the updatable engine, and the only one: one shard — no
+// routing bits, the global model — is its degenerate case. Each shard is a
+// slot holding its live engine and its writer lock. An insertion goes through
+// core's write policy (Engine.InsertOrRebuild, §6.5): absorbed in place by the
+// shard's live engine, or retrained into a rebuilt engine for that shard alone
+// — untouched shards keep their models — and swapped in before Insert
+// returns. Readers never block: they load each shard's engine through its
+// atomic pointer, so a rebuild is invisible except for the rule it carries.
 //
 // Updates (Insert/Delete/ModifyAction/Commit) may be called concurrently
 // with lookups, but serialize among themselves per shard; replicated rules
 // (shorter than the shard prefix) are applied to every covered shard.
 type ShardedUpdatable struct {
-	router
-	shards []*core.Updatable
-	// wmu is the span lock of replicated rules: Insert, Delete and
-	// ModifyAction hold the lock of every shard they cover, taken in ascending
-	// order, so two updates of overlapping spans apply in one order on every
-	// shard and a rolled-back insert is never seen half applied by another
-	// writer. Commit does not take it: it changes no rule, and each
-	// core.Updatable already makes an update wait for its own commit's swap.
-	// Readers never take these locks.
-	wmu []sync.Mutex
+	width     int
+	shardBits int         // routing bits: the top shardBits of a key pick its shard
+	loads     []padUint64 // per-shard lookups served (balance telemetry)
+	shards    []slot
 }
 
-// BuildUpdatable builds a sharded engine wrapped shard-by-shard in
-// core.Updatable. The fourth argument is ignored: it sized the per-shard
-// delta buffer this engine no longer has, and stays only for callers written
-// against that signature.
+// slot is one shard. Its writer lock is held for the whole of every update
+// of the shard, a rebuild included: an update that arrives while a rebuild
+// runs waits for its swap and lands on the new engine, so no swap can undo
+// one. Insert, Delete and ModifyAction hold the lock of every shard they
+// cover, taken in ascending order, so two updates of overlapping spans apply
+// in one order on every shard and a rolled-back insert is never seen half
+// applied by another writer; Commit holds its shard's alone. Readers never
+// take it. The padding keeps each shard's pointer and lock off the cache
+// lines of the others, so a writer on one shard does not disturb readers
+// loading another's engine.
+type slot struct {
+	engine atomic.Pointer[core.Engine]
+	mu     sync.Mutex
+	_      [48]byte
+}
+
+// BuildUpdatable builds an updatable engine of nShards shards. The fourth
+// argument is ignored: it sized the per-shard delta buffer this engine no
+// longer has, and stays only for callers written against that signature.
 func BuildUpdatable(rs *lpm.RuleSet, cfg core.Config, nShards, _ int) (*ShardedUpdatable, error) {
-	r, parts, err := plan(rs, nShards)
+	bits, parts, err := plan(rs, nShards)
 	if err != nil {
 		return nil, err
 	}
@@ -48,20 +58,20 @@ func BuildUpdatable(rs *lpm.RuleSet, cfg core.Config, nShards, _ int) (*ShardedU
 		return nil, err
 	}
 	u := &ShardedUpdatable{
-		router: r,
-		shards: make([]*core.Updatable, len(engines)),
-		wmu:    make([]sync.Mutex, len(engines)),
+		width:     rs.Width,
+		shardBits: bits,
+		loads:     make([]padUint64, len(engines)),
+		shards:    make([]slot, len(engines)),
 	}
 	for i, e := range engines {
-		u.shards[i] = core.NewUpdatable(e)
+		u.shards[i].engine.Store(e)
 	}
-	u.registerGauges(func(i int) int { return u.shards[i].Engine().Ranges().Len() })
-	u.registerObserverGauges(u.Engine)
+	u.registerGauges()
 	return u, nil
 }
 
 // Engine returns shard i's current live engine (read-only use).
-func (u *ShardedUpdatable) Engine(i int) *core.Engine { return u.shards[i].Engine() }
+func (u *ShardedUpdatable) Engine(i int) *core.Engine { return u.shards[i].engine.Load() }
 
 // Lookup routes k to its shard and answers it from that shard's live engine.
 // Safe for concurrent use, including with updates. Like every Lookup* variant
@@ -70,7 +80,7 @@ func (u *ShardedUpdatable) Engine(i int) *core.Engine { return u.shards[i].Engin
 func (u *ShardedUpdatable) Lookup(k keys.Value) (uint64, bool) {
 	i := u.ShardOf(k)
 	u.loads[i].n.Add(1)
-	return u.shards[i].Lookup(k)
+	return u.Engine(i).Lookup(k)
 }
 
 // LookupBatch resolves a batch positionally into a fresh slice:
@@ -79,31 +89,19 @@ func (u *ShardedUpdatable) LookupBatch(ks []keys.Value) []Result {
 	return u.LookupBatchInto(ks, nil)
 }
 
-// LookupBatchInto is the updatable sharded batch: dst[i] answers ks[i] (dst is
-// reused when it has the capacity; nil allocates), every shard group answered
-// on the calling goroutine through its shard's live engine's LookupBatch.
-// Each key's answer is individually consistent: it reflects either the pre-
-// or post-swap engine of its shard, never a mix.
-func (u *ShardedUpdatable) LookupBatchInto(ks []keys.Value, dst []Result) []Result {
-	return u.lookupBatch(ks, dst, func(shard int, gk []keys.Value, res []Result) {
-		u.shards[shard].Engine().LookupBatch(gk, res[:0])
-	})
-}
-
-// coveredShards returns the inclusive shard range for a prefix/length.
-func (u *ShardedUpdatable) coveredShards(prefix keys.Value, length int) (int, int) {
-	return shardSpan(u.width, u.shardBits, lpm.Rule{Prefix: prefix, Len: length})
-}
-
-func (u *ShardedUpdatable) lockSpan(lo, hi int) {
+// lockSpan takes the writer locks of the shards prefix/length covers, in
+// ascending order, and returns that inclusive range.
+func (u *ShardedUpdatable) lockSpan(prefix keys.Value, length int) (lo, hi int) {
+	lo, hi = shardSpan(u.width, u.shardBits, lpm.Rule{Prefix: prefix, Len: length})
 	for s := lo; s <= hi; s++ {
-		u.wmu[s].Lock()
+		u.shards[s].mu.Lock()
 	}
+	return lo, hi
 }
 
 func (u *ShardedUpdatable) unlockSpan(lo, hi int) {
 	for s := lo; s <= hi; s++ {
-		u.wmu[s].Unlock()
+		u.shards[s].mu.Unlock()
 	}
 }
 
@@ -116,16 +114,17 @@ func (u *ShardedUpdatable) Insert(r lpm.Rule) error {
 	if err := r.Validate(u.width); err != nil {
 		return err
 	}
-	lo, hi := u.coveredShards(r.Prefix, r.Len)
-	u.lockSpan(lo, hi)
+	lo, hi := u.lockSpan(r.Prefix, r.Len)
 	defer u.unlockSpan(lo, hi)
 	for s := lo; s <= hi; s++ {
-		if err := u.shards[s].Insert(r); err != nil {
+		next, err := u.Engine(s).InsertOrRebuild(r)
+		if err != nil {
 			for b := lo; b < s; b++ {
-				u.shards[b].Delete(r.Prefix, r.Len)
+				u.Engine(b).Delete(r.Prefix, r.Len)
 			}
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
+		u.shards[s].engine.Store(next)
 	}
 	return nil
 }
@@ -133,12 +132,11 @@ func (u *ShardedUpdatable) Insert(r lpm.Rule) error {
 // Delete removes the rule from every covered shard through the live
 // engine's no-retrain path.
 func (u *ShardedUpdatable) Delete(prefix keys.Value, length int) error {
-	lo, hi := u.coveredShards(prefix, length)
-	u.lockSpan(lo, hi)
+	lo, hi := u.lockSpan(prefix, length)
 	defer u.unlockSpan(lo, hi)
 	var firstErr error
 	for s := lo; s <= hi; s++ {
-		if err := u.shards[s].Delete(prefix, length); err != nil && firstErr == nil {
+		if err := u.Engine(s).Delete(prefix, length); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
@@ -148,31 +146,30 @@ func (u *ShardedUpdatable) Delete(prefix keys.Value, length int) error {
 // ModifyAction rewrites an installed rule's action in every covered shard
 // without retraining (§6.5).
 func (u *ShardedUpdatable) ModifyAction(prefix keys.Value, length int, action uint64) error {
-	lo, hi := u.coveredShards(prefix, length)
-	u.lockSpan(lo, hi)
+	lo, hi := u.lockSpan(prefix, length)
 	defer u.unlockSpan(lo, hi)
 	var firstErr error
 	for s := lo; s <= hi; s++ {
-		if err := u.shards[s].ModifyAction(prefix, length, action); err != nil && firstErr == nil {
+		if err := u.Engine(s).ModifyAction(prefix, length, action); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
 	return firstErr
 }
 
-// Commit re-densifies shard i: it retrains the shard's engine over its live
-// rules and swaps it in atomically, folding its spill records back into dense
-// buckets. Lookups proceed against the old engine for the duration. It takes
-// no lock of its own: the shard's core.Updatable serializes it with that
-// shard's updates.
+// Commit re-densifies shard i under its writer lock: it retrains the shard's
+// engine over its live rules (Engine.Rebuild) and swaps it in atomically,
+// folding its spill records back into dense buckets. Lookups proceed against
+// the old engine for the duration. A failure leaves the shard as it was.
 func (u *ShardedUpdatable) Commit(i int) error {
-	start := time.Now()
-	err := u.shards[i].Commit()
-	metRebuildMs.ObserveInt(int(time.Since(start).Milliseconds()))
+	s := &u.shards[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next, err := s.engine.Load().Rebuild()
 	if err != nil {
-		metCommitErrs.Inc()
 		return fmt.Errorf("shard %d: %w", i, err)
 	}
+	s.engine.Store(next)
 	metCommits.Inc()
 	return nil
 }
@@ -183,8 +180,8 @@ func (u *ShardedUpdatable) Close() error { return nil }
 
 // Verify checks every shard's live engine against the trie oracle.
 func (u *ShardedUpdatable) Verify() error {
-	for i, s := range u.shards {
-		if err := s.Engine().Verify(); err != nil {
+	for i := range u.shards {
+		if err := u.Engine(i).Verify(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

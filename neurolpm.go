@@ -31,6 +31,7 @@ import (
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/rqrmi"
+	"neurolpm/internal/shard"
 )
 
 // Key is an LPM query key of up to 128 bits.
@@ -60,11 +61,12 @@ type ModelConfig = rqrmi.Config
 // implements.
 type Matcher = lpm.Matcher
 
-// Updatable wraps an Engine with the §6.5 update path: an insertion is
-// absorbed in place, or — when the engine refuses it — retrained into a
-// rebuilt engine swapped in before Insert returns, so an acknowledged insert
-// is always in the engine. Create with NewUpdatable.
-type Updatable = core.Updatable
+// Updatable is an engine with the §6.5 update path: an insertion is absorbed
+// in place, or — when the engine refuses it — retrained into a rebuilt engine
+// swapped in before Insert returns, so an acknowledged insert is always in the
+// engine. It is the sharded updatable engine; NewUpdatable builds it at one
+// shard, whose engine is Engine(0) and whose re-densify is Commit(0).
+type Updatable = shard.ShardedUpdatable
 
 // Chain evaluates several LPM tables sequentially — the policy-based
 // routing pattern of App 2 (§3.1). Create with NewChain.
@@ -100,8 +102,11 @@ func SRAMOnlyConfig() Config { return core.SRAMOnlyConfig() }
 // DefaultModelConfig returns the paper's 1/4/64 RQRMI model configuration.
 func DefaultModelConfig() ModelConfig { return rqrmi.DefaultConfig() }
 
-// NewUpdatable wraps a built engine with the update path.
-func NewUpdatable(e *Engine) *Updatable { return core.NewUpdatable(e) }
+// NewUpdatable builds an updatable engine over the rule-set: Build's
+// preparation stage, at one shard.
+func NewUpdatable(rs *RuleSet, cfg Config) (*Updatable, error) {
+	return shard.BuildUpdatable(rs, cfg, 1, 0)
+}
 
 // NewChain builds a multi-table lookup chain.
 func NewChain(stages ...ChainStage) (*Chain, error) {
