@@ -98,9 +98,11 @@ bench:
 # Every package micro-benchmark compiled and run exactly once: catches
 # bit-rotted benchmark code without paying for stable measurements, and runs
 # one oracle-checked LookupBatch(256) block and one oracle-checked Lookup at
-# benchmark scale (bench-batch).
+# benchmark scale (bench-batch), plus lpmserve's two start-up halves on the
+# benchmark's 870 K rules, BenchmarkParseRuleSet and BenchmarkBuildUpdatable,
+# whose allocation counts -benchmem prints.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./...
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./...
 
 # The batch path on a 20 K-rule engine and the two lookup kernels at the
 # repository benchmark's scale — LookupBatch(256) and single-key Lookup over

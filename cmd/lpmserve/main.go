@@ -107,6 +107,7 @@ func main() {
 	if o.rules == "" {
 		fatal("-rules is required")
 	}
+	start := time.Now()
 	text, err := os.ReadFile(o.rules)
 	if err != nil {
 		fatal("%v", err)
@@ -117,7 +118,7 @@ func main() {
 	}
 
 	cfg := core.Config{BucketSize: o.bucket, Model: rqrmi.DefaultConfig()}
-	srv := buildSharded(rs, cfg, o.shards, o.verify)
+	srv := buildSharded(rs, cfg, o.shards, o.verify, time.Since(start))
 	telemetry.Flight.SetSampleEvery(o.flightSample)
 	srv.SetInfo("rules", fmt.Sprint(rs.Len()))
 	srv.SetInfo("width", fmt.Sprint(rs.Width))
@@ -147,15 +148,16 @@ func main() {
 }
 
 // buildSharded partitions the rule-set, trains a shard per part and wraps the
-// result in a server.
-func buildSharded(rs *lpm.RuleSet, cfg core.Config, nShards int, verify bool) *serve.Server {
+// result in a server. loaded is the time the rule file took to read and parse,
+// logged beside the build's.
+func buildSharded(rs *lpm.RuleSet, cfg core.Config, nShards int, verify bool, loaded time.Duration) *serve.Server {
 	start := time.Now()
 	sh, err := shard.BuildUpdatable(rs, cfg, nShards, 0)
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Fprintf(os.Stderr, "lpmserve: trained %d rules across %d shards in %v\n",
-		rs.Len(), nShards, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "lpmserve: read and parsed %d rules in %v, trained them across %d shards in %v\n",
+		rs.Len(), loaded.Round(time.Millisecond), nShards, time.Since(start).Round(time.Millisecond))
 	if verify {
 		if err := sh.Verify(); err != nil {
 			fatal("verification failed: %v", err)

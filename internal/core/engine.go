@@ -609,7 +609,7 @@ func (e *Engine) Delete(prefix keys.Value, length int) error {
 // spill record folds back into a dense one; the receiver is left untouched,
 // so callers can swap engines atomically.
 func (e *Engine) InsertBatch(newRules []lpm.Rule) (*Engine, error) {
-	rs, err := lpm.NewRuleSet(e.width, append(e.liveRules(len(newRules)), newRules...))
+	rs, err := lpm.OwnRuleSet(e.width, append(e.liveRules(len(newRules)), newRules...))
 	if err != nil {
 		return nil, err
 	}
@@ -673,7 +673,7 @@ func (e *Engine) Verify() error {
 	if err := e.verifyCompiled(ix); err != nil {
 		return err
 	}
-	liveSet, err := lpm.NewRuleSet(e.width, e.liveRules(0))
+	liveSet, err := lpm.OwnRuleSet(e.width, e.liveRules(0))
 	if err != nil {
 		return err
 	}

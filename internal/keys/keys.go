@@ -154,11 +154,10 @@ func (v Value) String() string {
 // It panics if width is outside [1,128].
 func MaxValue(width int) Value {
 	checkWidth(width)
-	one := Value{Lo: 1}
-	if width == 128 {
-		return Value{Hi: ^uint64(0), Lo: ^uint64(0)}
+	if width > 64 {
+		return Value{Hi: ^uint64(0) >> (128 - width), Lo: ^uint64(0)}
 	}
-	return one.Shl(uint(width)).Dec()
+	return Value{Lo: ^uint64(0) >> (64 - width)}
 }
 
 func checkWidth(width int) {

@@ -169,6 +169,12 @@ func TestMaxValue(t *testing.T) {
 	if got := MaxValue(1); got != FromUint64(1) {
 		t.Fatalf("MaxValue(1) = %v", got)
 	}
+	// Every width below 128 is 2^width − 1.
+	for w := 1; w < 128; w++ {
+		if got, want := MaxValue(w), FromUint64(1).Shl(uint(w)).Dec(); got != want {
+			t.Fatalf("MaxValue(%d) = %v, want %v", w, got, want)
+		}
+	}
 }
 
 func TestMaxValuePanics(t *testing.T) {

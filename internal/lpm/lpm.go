@@ -58,7 +58,7 @@ func (r Rule) Validate(width int) error {
 	if r.Len < 0 || r.Len > width {
 		return fmt.Errorf("lpm: rule %v: length %d outside [0,%d]", r, r.Len, width)
 	}
-	if !keys.NewDomain(width).Contains(r.Prefix) {
+	if keys.MaxValue(width).Less(r.Prefix) {
 		return fmt.Errorf("lpm: rule %v: prefix exceeds %d bits", r, width)
 	}
 	if r.Len < width {
@@ -76,43 +76,62 @@ type RuleSet struct {
 	Rules []Rule
 }
 
-// NewRuleSet validates the rules and returns a rule-set. Duplicate
-// (prefix,len) pairs are rejected: a rule-set maps each prefix to exactly one
-// action. Duplicates are detected on the sorted copy (equal pairs land
-// adjacent), not with a hash set — at the 10M-rule canary scale the struct-
-// keyed map dominated construction (≈5s of hashing at 6M rules) while the
-// sort is needed anyway.
+// NewRuleSet validates the rules and returns a rule-set over a copy of them.
+// Duplicate (prefix,len) pairs are rejected: a rule-set maps each prefix to
+// exactly one action.
 func NewRuleSet(width int, rules []Rule) (*RuleSet, error) {
-	if width < 1 || width > 128 {
-		return nil, fmt.Errorf("lpm: invalid width %d", width)
+	return OwnRuleSet(width, slices.Clone(rules))
+}
+
+// OwnRuleSet is NewRuleSet without the copy: the rule-set keeps rules as its
+// storage and may reorder it, so the caller hands the slice over. It is for
+// a slice the caller has just built, such as a rebuild's live rules.
+func OwnRuleSet(width int, rules []Rule) (*RuleSet, error) {
+	if err := checkWidth(width); err != nil {
+		return nil, err
 	}
 	for _, r := range rules {
 		if err := r.Validate(width); err != nil {
 			return nil, err
 		}
 	}
-	rs := &RuleSet{Width: width, Rules: append([]Rule(nil), rules...)}
-	rs.sort()
-	for i := 1; i < len(rs.Rules); i++ {
-		a, b := rs.Rules[i-1], rs.Rules[i]
+	return own(width, rules)
+}
+
+func checkWidth(width int) error {
+	if width < 1 || width > 128 {
+		return fmt.Errorf("lpm: invalid width %d", width)
+	}
+	return nil
+}
+
+// own wraps validated rules in a rule-set, sorting them unless they already
+// are, and rejects duplicates. Duplicates are detected on the sorted rules
+// (equal pairs land adjacent), not with a hash set — at the 10M-rule canary
+// scale the struct-keyed map dominated construction (≈5s of hashing at 6M
+// rules) while the sort is needed anyway.
+func own(width int, rules []Rule) (*RuleSet, error) {
+	if !slices.IsSortedFunc(rules, compareRules) {
+		slices.SortFunc(rules, compareRules)
+	}
+	for i := 1; i < len(rules); i++ {
+		a, b := rules[i-1], rules[i]
 		if a.Prefix == b.Prefix && a.Len == b.Len {
 			return nil, fmt.Errorf("lpm: duplicate rule %s/%d", b.Prefix, b.Len)
 		}
 	}
-	return rs, nil
+	return &RuleSet{Width: width, Rules: rules}, nil
 }
 
-// sort orders rules by (Low asc, Len asc) so that a covering (shorter)
-// prefix always precedes the prefixes nested inside it — the order required
-// by the range-conversion sweep. slices.SortFunc, not the reflect-based
-// sort.Slice: at 10M rules the latter costs whole seconds.
-func (s *RuleSet) sort() {
-	slices.SortFunc(s.Rules, func(a, b Rule) int {
-		if c := a.Prefix.Cmp(b.Prefix); c != 0 {
-			return c
-		}
-		return a.Len - b.Len
-	})
+// compareRules orders rules by (Low asc, Len asc) so that a covering
+// (shorter) prefix always precedes the prefixes nested inside it — the order
+// required by the range-conversion sweep. slices.SortFunc, not the
+// reflect-based sort.Slice: at 10M rules the latter costs whole seconds.
+func compareRules(a, b Rule) int {
+	if c := a.Prefix.Cmp(b.Prefix); c != 0 {
+		return c
+	}
+	return a.Len - b.Len
 }
 
 // Len returns the number of rules.
@@ -155,23 +174,37 @@ func (s *RuleSet) LongestMatch(k keys.Value) int {
 // ParseRule parses "prefix/len action" where prefix is a hexadecimal or
 // decimal integer of the domain width, e.g. "0xc0a80000/16 7".
 func ParseRule(width int, line string) (Rule, error) {
+	// The form Format writes, one space between the fields, is cut in place.
+	// A field that parses holds no space and no non-ASCII byte, so success
+	// here is the split strings.Fields makes; on any failure the line is
+	// parsed again that way, which also reports the error.
+	if pfx, act, ok := strings.Cut(line, " "); ok {
+		if r, err := parseFields(width, line, pfx, act); err == nil {
+			return r, nil
+		}
+	}
 	fields := strings.Fields(line)
 	if len(fields) != 2 {
 		return Rule{}, fmt.Errorf("lpm: malformed rule %q (want \"prefix/len action\")", line)
 	}
-	slash := strings.IndexByte(fields[0], '/')
+	return parseFields(width, line, fields[0], fields[1])
+}
+
+// parseFields parses and validates line's two fields, pfx and act.
+func parseFields(width int, line, pfx, act string) (Rule, error) {
+	slash := strings.IndexByte(pfx, '/')
 	if slash < 0 {
-		return Rule{}, fmt.Errorf("lpm: malformed prefix %q (missing /len)", fields[0])
+		return Rule{}, fmt.Errorf("lpm: malformed prefix %q (missing /len)", pfx)
 	}
-	prefix, err := parseValue(fields[0][:slash])
+	prefix, err := parseValue(pfx[:slash])
 	if err != nil {
 		return Rule{}, fmt.Errorf("lpm: bad prefix in %q: %w", line, err)
 	}
-	length, err := strconv.Atoi(fields[0][slash+1:])
+	length, err := strconv.Atoi(pfx[slash+1:])
 	if err != nil {
 		return Rule{}, fmt.Errorf("lpm: bad length in %q: %w", line, err)
 	}
-	action, err := strconv.ParseUint(fields[1], 0, 64)
+	action, err := strconv.ParseUint(act, 0, 64)
 	if err != nil {
 		return Rule{}, fmt.Errorf("lpm: bad action in %q: %w", line, err)
 	}
@@ -183,6 +216,9 @@ func ParseRule(width int, line string) (Rule, error) {
 }
 
 func parseValue(s string) (keys.Value, error) {
+	if v, ok := hex64(s); ok {
+		return keys.FromUint64(v), nil
+	}
 	// Values up to 64 bits parse directly; longer hex strings split limbs.
 	if strings.HasPrefix(s, "0x") && len(s) > 18 {
 		hexDigits := s[2:]
@@ -207,22 +243,51 @@ func parseValue(s string) (keys.Value, error) {
 	return keys.FromUint64(v), nil
 }
 
+// hex64 parses "0x" and one to 16 hex digits, the form Format writes for a
+// value of at most 64 bits, as strconv.ParseUint(s, 0, 64) would. ok is false
+// for any other form, which strconv then parses.
+func hex64(s string) (v uint64, ok bool) {
+	if len(s) < 3 || len(s) > 18 || s[:2] != "0x" {
+		return 0, false
+	}
+	for _, c := range []byte(s[2:]) {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		v = v<<4 | uint64(c)
+	}
+	return v, true
+}
+
 // ParseRuleSet parses one rule per line; blank lines and lines starting with
-// '#' are skipped.
+// '#' are skipped. It walks the text in place: the rules are its only copy,
+// sized from the newline count, and each is validated once, by ParseRule.
 func ParseRuleSet(width int, text string) (*RuleSet, error) {
-	var rules []Rule
-	for lineNo, line := range strings.Split(text, "\n") {
+	if err := checkWidth(width); err != nil {
+		return nil, err
+	}
+	rules := make([]Rule, 0, strings.Count(text, "\n")+1)
+	for lineNo := 1; text != ""; lineNo++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		r, err := ParseRule(width, line)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		rules = append(rules, r)
 	}
-	return NewRuleSet(width, rules)
+	return own(width, rules)
 }
 
 // Format renders the rule-set in the textual form accepted by ParseRuleSet.

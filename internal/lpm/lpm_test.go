@@ -2,6 +2,7 @@ package lpm
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -244,6 +245,50 @@ func TestCloneIndependent(t *testing.T) {
 	c.Rules[0].Action = 99
 	if s.Rules[0].Action == 99 {
 		t.Fatal("Clone shares rule storage")
+	}
+}
+
+func TestNewRuleSetCopiesOwnRuleSetAdopts(t *testing.T) {
+	unsorted := func() []Rule {
+		return []Rule{
+			{Prefix: keys.FromUint64(0b10000), Len: 1, Action: 1},
+			{Prefix: keys.FromUint64(0b00000), Len: 2, Action: 2},
+		}
+	}
+	rules := unsorted()
+	s := mustRuleSet(t, 5, rules)
+	s.Rules[0].Action = 99
+	if !slices.Equal(rules, unsorted()) {
+		t.Fatalf("NewRuleSet reordered or shares the caller's slice: %v", rules)
+	}
+	s, err := OwnRuleSet(5, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &s.Rules[0] != &rules[0] || rules[0].Len != 2 {
+		t.Fatalf("OwnRuleSet did not keep and sort the slice it was handed: %v", rules)
+	}
+	if _, err := OwnRuleSet(5, []Rule{{Prefix: keys.FromUint64(1), Len: 1}}); err == nil {
+		t.Fatal("OwnRuleSet accepted a rule with wildcard bits set")
+	}
+}
+
+// TestParseRuleSetAllocs pins ParseRuleSet to a fixed number of allocations
+// — the rule slice and the rule-set — whatever the line count, so a
+// per-line allocation that comes back fails here.
+func TestParseRuleSetAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var allocs []float64
+	for _, n := range []int{10000, 100000} {
+		text := randomRuleSet(rng, 32, n).Format()
+		allocs = append(allocs, testing.AllocsPerRun(2, func() {
+			if _, err := ParseRuleSet(32, text); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 2 {
+		t.Fatalf("ParseRuleSet allocations at 10 000 and 100 000 rules: %v, want the same count, at most 2", allocs)
 	}
 }
 

@@ -50,7 +50,11 @@ func Convert(s *lpm.RuleSet) (*Array, error) {
 		high keys.Value
 		idx  int32
 	}
+	// Expansion stays under 1.25 on real rule-sets (paper §10.5: ≈ 18 %), so
+	// the sweep appends into a slice of that size and grows it only past
+	// that. One copy at the end leaves Entries at its exact size.
 	a := &Array{Width: s.Width, actions: make([]uint64, len(s.Rules))}
+	a.Entries = make([]Entry, 0, len(s.Rules)+len(s.Rules)/4+1)
 	for i, r := range s.Rules {
 		a.actions[i] = r.Action
 	}
@@ -108,6 +112,7 @@ func Convert(s *lpm.RuleSet) (*Array, error) {
 	if len(a.Entries) == 0 { // empty rule-set: whole domain unmatched
 		a.Entries = append(a.Entries, Entry{Rule: NoRule})
 	}
+	a.Entries = append(make([]Entry, 0, len(a.Entries)), a.Entries...)
 	return a, nil
 }
 

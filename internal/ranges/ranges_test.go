@@ -137,6 +137,9 @@ func TestAdjacentSameRuleMerged(t *testing.T) {
 	}
 }
 
+// TestExpansionBound holds the conversion to at most 2n+1 ranges, held at
+// their exact size: random rule-sets expand past the 1.25 Convert reserves,
+// so the grown case is covered too.
 func TestExpansionBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
@@ -147,6 +150,9 @@ func TestExpansionBound(t *testing.T) {
 		}
 		if a.Len() > 2*s.Len()+1 {
 			t.Fatalf("expansion %d ranges from %d rules exceeds 2n+1", a.Len(), s.Len())
+		}
+		if cap(a.Entries) != a.Len() {
+			t.Fatalf("%d ranges kept in capacity %d", a.Len(), cap(a.Entries))
 		}
 	}
 }

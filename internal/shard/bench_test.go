@@ -5,6 +5,7 @@ import (
 
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
+	"neurolpm/internal/workload"
 )
 
 // Benchmarks decompose batch throughput: engine lookup vs routed lookup vs
@@ -79,5 +80,23 @@ func BenchmarkShardedLookupBatch256Direct(b *testing.B) {
 				i++
 			}
 		}
+	}
+}
+
+// BenchmarkBuildUpdatable is lpmserve's start-up build on the repository
+// benchmark's rules: 870 K ripe rules (seed 3) partitioned into four shards,
+// one engine trained per shard. Run with -benchmem.
+func BenchmarkBuildUpdatable(b *testing.B) {
+	rs, err := workload.Generate(workload.RIPE(), 870000, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh, err := BuildUpdatable(rs, core.DefaultConfig(), 4, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh.Close()
 	}
 }

@@ -72,9 +72,23 @@ func plan(rs *lpm.RuleSet, nShards int) (int, [][]lpm.Rule, error) {
 
 // partition assigns every rule to the shards it covers. Rules at least
 // shardBits long land in exactly one shard; shorter rules are replicated
-// into each of the 2^(shardBits−len) shards under their prefix.
+// into each of the 2^(shardBits−len) shards under their prefix. One pass
+// counts each part, a second fills it, so every part is allocated once at
+// its exact size. Each part is a valid rule-set as it stands: it is a
+// subsequence of a validated, sorted and duplicate-free rule-set, so it is
+// all three, and buildEngines wraps it without copying or checking it again.
 func partition(rs *lpm.RuleSet, shardBits int) [][]lpm.Rule {
-	parts := make([][]lpm.Rule, 1<<shardBits)
+	counts := make([]int, 1<<shardBits)
+	for _, r := range rs.Rules {
+		lo, hi := shardSpan(rs.Width, shardBits, r)
+		for s := lo; s <= hi; s++ {
+			counts[s]++
+		}
+	}
+	parts := make([][]lpm.Rule, len(counts))
+	for s, n := range counts {
+		parts[s] = make([]lpm.Rule, 0, n)
+	}
 	for _, r := range rs.Rules {
 		lo, hi := shardSpan(rs.Width, shardBits, r)
 		for s := lo; s <= hi; s++ {
@@ -126,12 +140,7 @@ func buildEngines(width int, cfg core.Config, parts [][]lpm.Rule) ([]*core.Engin
 		sem <- struct{}{}
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			srs, err := lpm.NewRuleSet(width, parts[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			engines[i], errs[i] = core.Build(srs, cfg)
+			engines[i], errs[i] = core.Build(&lpm.RuleSet{Width: width, Rules: parts[i]}, cfg)
 			if engines[i] != nil {
 				engines[i].SetShardID(i)
 			}

@@ -101,6 +101,26 @@ func TestShardSpanReplication(t *testing.T) {
 	}
 }
 
+// TestPartitionAllocs pins partition to exact-size parts: a count, the part
+// headers and one array per shard, whatever the rule count.
+func TestPartitionAllocs(t *testing.T) {
+	rs := randomRuleSet(t, 32, 20000, 5)
+	for _, bits := range []int{0, 2, 3} {
+		parts := partition(rs, bits)
+		for s, p := range parts {
+			if len(p) != cap(p) {
+				t.Errorf("%d bits: part %d has %d rules in capacity %d", bits, s, len(p), cap(p))
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		if got, max := testing.AllocsPerRun(3, func() { partition(rs, bits) }), float64(len(parts)+2); got > max {
+			t.Errorf("%d bits: partition made %v allocations, want at most %v", bits, got, max)
+		}
+	}
+}
+
 // TestShardedVsOracle is the differential core of the package: every key of
 // a random stream must match the trie oracle, for both engine designs and
 // several shard counts, through Lookup and LookupBatch.

@@ -3,10 +3,12 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"neurolpm/internal/bucket"
+	"neurolpm/internal/lpm"
 	"neurolpm/internal/ranges"
 )
 
@@ -17,11 +19,12 @@ import (
 const raceEnabled = false
 
 // TestScaleCanary10M pins the end-to-end asymptotics of rule-set
-// construction: Generate → NewRuleSet (validate+sort+dedup) → range
-// expansion → bucket directory at 10M rules must finish inside a generous
-// wall-clock budget. Before NewRuleSet dropped its map-keyed duplicate scan
-// for a sort-adjacent one, this path spent whole seconds hashing 16-byte
-// struct keys; an accidental O(n²) anywhere in the chain times out rather
+// construction: Generate → NewRuleSet (validate+sort+dedup) → Format →
+// ParseRuleSet (the rule file lpmserve reads) → range expansion → bucket
+// directory at 10M rules must finish inside a generous wall-clock budget.
+// Before NewRuleSet dropped its map-keyed duplicate scan for a sort-adjacent
+// one, this path spent whole seconds hashing 16-byte struct keys; an
+// accidental O(n²) anywhere in the chain, the file path included, times out rather
 // than silently freezing a paper-scale run (the CLAUDE.md incident).
 func TestScaleCanary10M(t *testing.T) {
 	if testing.Short() {
@@ -39,6 +42,19 @@ func TestScaleCanary10M(t *testing.T) {
 		t.Fatalf("generator fell far short of scale: %d rules of %d requested", rs.Len(), n)
 	}
 	genDone := time.Since(start)
+
+	// The rest of the chain runs on the parsed copy, so the generated set is
+	// garbage by the time the range array is built.
+	text := rs.Format()
+	parsed, err := lpm.ParseRuleSet(rs.Width, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(parsed.Rules, rs.Rules) {
+		t.Fatal("Format → ParseRuleSet changed the rule-set at 10M rules")
+	}
+	rs = parsed
+	parseDone := time.Since(start) - genDone
 
 	ra, err := ranges.Convert(rs)
 	if err != nil {
@@ -61,8 +77,8 @@ func TestScaleCanary10M(t *testing.T) {
 	}
 
 	elapsed := time.Since(start)
-	t.Logf("10M canary: generate %v, total %v (%d rules → %d ranges → %d buckets)",
-		genDone.Round(time.Millisecond), elapsed.Round(time.Millisecond),
+	t.Logf("10M canary: generate %v, format+parse %v, total %v (%d rules → %d ranges → %d buckets)",
+		genDone.Round(time.Millisecond), parseDone.Round(time.Millisecond), elapsed.Round(time.Millisecond),
 		rs.Len(), ra.Len(), dir.Len())
 	if elapsed > budget {
 		t.Fatalf("10M-rule construction took %v, budget %v — superlinear regression?", elapsed, budget)
