@@ -31,7 +31,10 @@ vet:
 # configuration or stack executor, no quantized lookup arm, no quantized or
 # reference inference stage, and no inference-bank series. There is one
 # updatable type (DESIGN.md §11, §14): no updatable in core beside the sharded
-# one, and no second planetest topology to prove them equivalent. Each
+# one, and no second planetest topology to prove them equivalent. There is one
+# data protocol (DESIGN.md §17): lookups and updates travel over the wire, with
+# no HTTP /batch or /update, no lpmload HTTP arm or -proto flag, and no
+# not-implemented wire error for a server without updates. Each
 # alternative carries a one-character class so these lines do not find
 # themselves.
 deleted-names:
@@ -57,6 +60,9 @@ deleted-names:
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 	@! grep -rnE 'core\.[U]pdatable|core\.New[U]pdatable|planetest\.(S[i]ngle|S[h]arded)\b|Topolog[i]es\(' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'Proto[H]TTP|run[H]TTP|http[L]ookup|Parse[P]roto|updates[U]nsupported|ErrNot[I]mplemented|batchScratch[P]ool|update[R]equest|-prot[o] (wire|http)|POST /[u]pdate|curl[^|]*/[b]atch' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
@@ -150,9 +156,10 @@ smoke:
 slo:
 	$(GO) run ./cmd/lpmbench -exp observe
 
-# The lpmload CI smoke (DESIGN.md §17): a 2s open-loop wire run with a live
-# update stream against an in-process WireServer must send and get an answer to
-# every request of its schedule, with zero errors and zero oracle mismatches.
+# The lpmload CI smoke (DESIGN.md §17): the wire is the only data protocol, so
+# this is lpmload's one arm — a 2s open-loop wire run with a live update stream
+# against an in-process WireServer must send and get an answer to every request
+# of its schedule, with zero errors and zero oracle mismatches.
 loadtest:
 	$(GO) test -run TestLoadSmoke -v -count=1 ./internal/load
 

@@ -1,9 +1,9 @@
 // lpmload is the open-loop load driver for a running lpmserve: it replays a
 // calibrated (Zipfian, bursty) or uniform key trace — plus an optional
-// rule-update stream — against the HTTP or binary wire endpoint at a
-// Poisson-scheduled offered rate, and reports offered vs. achieved qps and
-// p50/p99/p999 latency measured from each request's scheduled send time
-// (coordinated-omission-safe; see internal/load).
+// rule-update stream — against its binary wire endpoint, the daemon's one
+// data path, at a Poisson-scheduled offered rate, and reports offered vs.
+// achieved qps and p50/p99/p999 latency measured from each request's
+// scheduled send time (coordinated-omission-safe; see internal/load).
 //
 // The driver needs the same rule-set file the server was started with: it
 // generates the query trace against it and, with -verify (on by default),
@@ -16,7 +16,7 @@
 //
 //	lpmgen -rules 100000 -out rules.txt
 //	lpmserve -rules rules.txt -shards 8 -wire-addr :9090 &
-//	lpmload -addr localhost:9090 -proto wire -rate 200000 -duration 10s \
+//	lpmload -addr localhost:9090 -rate 200000 -duration 10s \
 //	        -rules rules.txt -updates 1000 -update-rate 100
 //
 // Exit status is non-zero when any response disagreed with the oracle.
@@ -41,9 +41,8 @@ func fatal(format string, args ...any) {
 }
 
 func main() {
-	addr := flag.String("addr", "", "server address host:port (required)")
-	proto := flag.String("proto", "wire", "endpoint protocol: wire or http")
-	conns := flag.Int("conns", 8, "persistent connections (HTTP: concurrency cap)")
+	addr := flag.String("addr", "", "server wire address host:port (required)")
+	conns := flag.Int("conns", 8, "persistent connections")
 	rate := flag.Float64("rate", 100000, "offered queries/sec, Poisson arrivals (0 = closed loop, one request in flight per connection)")
 	duration := flag.Duration("duration", 5*time.Second, "send window")
 	rulesPath := flag.String("rules", "", "rule-set file the server was started with (required)")
@@ -63,10 +62,6 @@ func main() {
 	}
 	if *rulesPath == "" {
 		fatal("-rules is required (the same file the server loaded)")
-	}
-	p, err := load.ParseProto(*proto)
-	if err != nil {
-		fatal("%v", err)
 	}
 	text, err := os.ReadFile(*rulesPath)
 	if err != nil {
@@ -96,12 +91,10 @@ func main() {
 
 	cfg := load.Config{
 		Addr:     *addr,
-		Proto:    p,
 		Conns:    *conns,
 		Rate:     *rate,
 		Duration: *duration,
 		Trace:    trace,
-		Width:    rs.Width,
 		Seed:     *seed,
 	}
 	if *updates > 0 {
@@ -132,8 +125,8 @@ func main() {
 	if *rate <= 0 {
 		mode = "closed-loop"
 	}
-	fmt.Printf("lpmload: %s %s against %s — %d conns, %v window, %d trace keys, %d updates\n",
-		mode, p, *addr, *conns, *duration, len(trace), *updates)
+	fmt.Printf("lpmload: %s against %s — %d conns, %v window, %d trace keys, %d updates\n",
+		mode, *addr, *conns, *duration, len(trace), *updates)
 	rep, err := load.Run(cfg)
 	if err != nil {
 		fatal("%v", err)

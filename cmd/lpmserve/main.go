@@ -1,8 +1,9 @@
 // Command lpmserve is the NeuroLPM serving daemon: it builds a sharded
-// updatable engine for a rule-set (one shard by default) and serves lookups
-// and rule updates over HTTP alongside the full observability surface —
-// Prometheus-format /metrics backed by the telemetry registry, expvar at
-// /debug/vars, /debug/pprof, and per-query traces at /trace?key=.
+// updatable engine for a rule-set (one shard by default) and serves its
+// lookups and rule updates over the binary wire protocol, with the
+// observability surface over HTTP — Prometheus-format /metrics backed by the
+// telemetry registry, expvar at /debug/vars, /debug/pprof, and per-query
+// traces at /trace?key=.
 //
 // Usage:
 //
@@ -10,29 +11,25 @@
 //	         [-shards N] [-drain 10s] [-flight-sample N] [-wire-addr :9090]
 //	         [-verify]
 //
-// -wire-addr additionally serves the binary wire protocol (DESIGN.md §17)
-// on a second listener: length-prefixed frames over persistent TCP, no JSON
-// on the hot path, each connection answered on its own goroutine with the
-// lookups one read delivered batched into one batch-plane call. Drive it
-// with cmd/lpmload; one SIGINT/SIGTERM drains both listeners.
+// -wire-addr is where the binary wire protocol (DESIGN.md §17) listens, the
+// daemon's one data path: length-prefixed frames over persistent TCP, no JSON,
+// each connection answered on its own goroutine with the lookups one read
+// delivered batched into one batch-plane call. Drive it with cmd/lpmload; one
+// SIGINT/SIGTERM drains both listeners.
 //
-// Every query endpoint answers through the compiled float32 inference plane,
-// the one arithmetic the engine runs and BENCHMARK.json measures (DESIGN.md
-// §10).
+// Every lookup answers through the compiled float32 inference plane, the one
+// arithmetic the engine runs and BENCHMARK.json measures (DESIGN.md §10).
 //
 // -shards N partitions the rule-set by top key bits into N independent
-// sub-engines (the paper's §6 bank-parallel pipeline); /batch groups a whole
-// key batch by shard and answers it on the request's goroutine. At every shard
-// count, the default of one included, POST /update and wire updates land in
-// the covered shards — absorbed by the live engine, or, when the engine
-// refuses, retrained into a rebuilt one before the update is acknowledged —
-// without blocking readers.
+// sub-engines (the paper's §6 bank-parallel pipeline); a wire batch frame is
+// grouped by shard and answered on its connection's goroutine. At every shard
+// count, the default of one included, wire updates land in the covered shards
+// — absorbed by the live engine, or, when the engine refuses, retrained into a
+// rebuilt one before the update is acknowledged — without blocking readers.
 //
-// Endpoints:
+// Endpoints (-addr, HTTP):
 //
-//	GET /lookup?key=10.1.2.3     one query (JSON)
-//	GET /batch?keys=a,b,c        many queries, one round-trip (also POST JSON)
-//	POST /update                 one rule update (200 = in the engine)
+//	GET /lookup?key=10.1.2.3     one query (JSON), for a human asking
 //	GET /trace?key=10.1.2.3      one fully-annotated query span (JSON)
 //	GET /metrics                 Prometheus text format
 //	GET /healthz                 liveness + engine summary (200 while up)
@@ -49,7 +46,7 @@
 // ring; 0 disables sampling. The default (256) costs under 2% at paper
 // scale (experiment E26).
 //
-// The daemon stops on SIGINT/SIGTERM: the listener closes immediately and
+// The daemon stops on SIGINT/SIGTERM: the listeners close immediately and
 // in-flight requests drain (bounded by -drain) before the process exits.
 package main
 
@@ -96,7 +93,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.shards, "shards", 1, "partition the rule-set into this many sub-engines (power of two)")
 	fs.DurationVar(&o.drain, "drain", serve.DefaultDrainTimeout, "how long to let in-flight requests finish on SIGINT/SIGTERM")
 	fs.Uint64Var(&o.flightSample, "flight-sample", telemetry.DefaultSampleEvery, "flight-recorder sampling rate: time 1 in N queries through the stage stack (rounded to a power of two; 0 = off)")
-	fs.StringVar(&o.wireAddr, "wire-addr", "", "also serve the binary wire protocol on this address (DESIGN.md §17; empty = HTTP only)")
+	fs.StringVar(&o.wireAddr, "wire-addr", ":9090", "binary wire protocol listen address: every lookup and rule update (DESIGN.md §17)")
 	return o
 }
 
@@ -128,20 +125,17 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	units := []serve.Unit{&serve.HTTPUnit{Listener: l, Handler: srv.Handler()}}
-	if o.wireAddr != "" {
-		wl, err := net.Listen("tcp", o.wireAddr)
-		if err != nil {
-			fatal("%v", err)
-		}
-		units = append(units, serve.NewWireServer(srv, wl))
-		srv.SetInfo("wire", "1")
-		fmt.Fprintf(os.Stderr, "lpmserve: wire protocol on %s\n", wl.Addr())
+	wl, err := net.Listen("tcp", o.wireAddr)
+	if err != nil {
+		fatal("%v", err)
 	}
+	fmt.Fprintf(os.Stderr, "lpmserve: wire protocol on %s\n", wl.Addr())
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "lpmserve: listening on %s\n", l.Addr())
-	if err := serve.ServeUnits(stop, o.drain, units...); err != nil {
+	err = serve.ServeUnits(stop, o.drain,
+		&serve.HTTPUnit{Listener: l, Handler: srv.Handler()}, serve.NewWireServer(srv, wl))
+	if err != nil {
 		fatal("%v", err)
 	}
 	fmt.Fprintln(os.Stderr, "lpmserve: drained, shutting down")

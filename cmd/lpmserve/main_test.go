@@ -2,12 +2,21 @@ package main
 
 import (
 	"flag"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"neurolpm/internal/core"
+	"neurolpm/internal/keys"
+	"neurolpm/internal/lpm"
+	"neurolpm/internal/serve"
+	"neurolpm/internal/shard"
+	"neurolpm/internal/telemetry"
 )
 
 // citedDocs are the files that tell a reader how to start `lpmserve`.
@@ -67,7 +76,7 @@ func TestFlagsAreTheNineDocumented(t *testing.T) {
 
 	src := readRepoFile(t, "cmd/lpmserve/main.go")
 	start := strings.Index(src, "// Usage:\n")
-	end := strings.Index(src, "// -wire-addr additionally")
+	end := strings.Index(src, "// -wire-addr is")
 	if start < 0 || end < start {
 		t.Fatal("main.go's package comment has no usage block followed by the -wire-addr paragraph")
 	}
@@ -83,6 +92,60 @@ func TestFlagsAreTheNineDocumented(t *testing.T) {
 			if !registered[name] {
 				t.Errorf("%s spells `lpmserve -%s`, which is not a registered flag", doc, name)
 			}
+		}
+	}
+}
+
+// endpointLine is one line of the package comment's Endpoints block.
+var endpointLine = regexp.MustCompile(`^//\s+GET (/[^\s?]*)`)
+
+// TestEndpointsAreTheMux holds the package comment's Endpoints block to the
+// mux lpmserve serves: every documented path is routed (an answer other than
+// 404), and /batch and /update are not — lookups in bulk and rule updates
+// travel over the wire. A route removed without its doc line, or either of
+// those two put back on HTTP, fails here.
+func TestEndpointsAreTheMux(t *testing.T) {
+	src := readRepoFile(t, "cmd/lpmserve/main.go")
+	start := strings.Index(src, "// Endpoints")
+	if start < 0 {
+		t.Fatal("main.go's package comment has no Endpoints block")
+	}
+	var paths []string
+	for _, line := range strings.Split(src[start:], "\n")[1:] {
+		if line == "//" && len(paths) > 0 {
+			break
+		}
+		if m := endpointLine.FindStringSubmatch(line); m != nil {
+			paths = append(paths, strings.TrimSuffix(m[1], "..."))
+		}
+	}
+	if len(paths) < 5 {
+		t.Fatalf("Endpoints block lists %d paths: %v", len(paths), paths)
+	}
+
+	rs, err := lpm.NewRuleSet(32, []lpm.Rule{{Prefix: keys.FromUint64(0x0a000000), Len: 8, Action: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := shard.BuildUpdatable(rs, core.Config{}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	h := serve.NewSharded(sh, telemetry.NewRegistry()).Handler()
+	status := func(path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	for _, p := range paths {
+		if code := status(p); code == http.StatusNotFound {
+			t.Errorf("documented endpoint %s answers 404", p)
+		}
+	}
+	for _, p := range []string{"/batch", "/update"} {
+		if code := status(p); code != http.StatusNotFound {
+			t.Errorf("%s answers %d, want 404: lookups and updates travel over the wire", p, code)
 		}
 	}
 }

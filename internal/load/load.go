@@ -1,6 +1,7 @@
 // Package load is the open-loop load driver behind cmd/lpmload: it replays
-// a calibrated key trace (plus an optional update stream) against a serving endpoint — HTTP/JSON or the binary wire
-// protocol — at a Poisson-scheduled offered rate, and reports offered vs.
+// a calibrated key trace (plus an optional update stream) against a serving
+// endpoint over the binary wire protocol, the daemon's one data path, at a
+// Poisson-scheduled offered rate, and reports offered vs.
 // achieved qps and latency quantiles measured from each request's *scheduled*
 // send time. Measuring from the schedule (not from the moment the request
 // finally got written) keeps the driver honest under saturation: a server
@@ -22,32 +23,6 @@ import (
 	"neurolpm/internal/workload"
 )
 
-// Proto selects the endpoint flavor.
-type Proto int
-
-const (
-	ProtoWire Proto = iota
-	ProtoHTTP
-)
-
-func (p Proto) String() string {
-	if p == ProtoHTTP {
-		return "http"
-	}
-	return "wire"
-}
-
-// ParseProto accepts the -proto flag spellings.
-func ParseProto(s string) (Proto, error) {
-	switch s {
-	case "wire":
-		return ProtoWire, nil
-	case "http":
-		return ProtoHTTP, nil
-	}
-	return 0, fmt.Errorf("unknown protocol %q (want wire or http)", s)
-}
-
 // Result is one expected answer for verification.
 type Result struct {
 	Action  uint64
@@ -56,10 +31,8 @@ type Result struct {
 
 // Config parameterizes one load run.
 type Config struct {
-	Addr  string
-	Proto Proto
-	// Conns is the number of persistent connections (and, for HTTP, the
-	// concurrency cap). 0 selects 1.
+	Addr string
+	// Conns is the number of persistent connections. 0 selects 1.
 	Conns int
 	// Rate is the offered rate in queries/sec across all connections,
 	// scheduled as Poisson arrivals. 0 = closed loop (one outstanding
@@ -69,8 +42,6 @@ type Config struct {
 	Duration time.Duration
 	// Trace is replayed round-robin (each connection strides through it).
 	Trace []keys.Value
-	// Width is the served key bit width (HTTP key formatting).
-	Width int
 	// Expected, when non-nil, holds the oracle answer for each trace key;
 	// every response is checked and disagreements count as mismatches.
 	// Keys listed in SkipVerify are exempt (update-stream flap sites).
@@ -86,7 +57,6 @@ type Config struct {
 
 // Report is the outcome of one run.
 type Report struct {
-	Proto      string
 	Conns      int
 	Offered    float64 // scheduled qps over the send window
 	Achieved   float64 // completed qps over the full run (send + drain)
@@ -103,8 +73,8 @@ type Report struct {
 }
 
 func (r *Report) String() string {
-	return fmt.Sprintf("%s conns=%d offered=%.0f/s achieved=%.0f/s done=%d errors=%d mismatches=%d updates=%d p50=%v p99=%v p999=%v",
-		r.Proto, r.Conns, r.Offered, r.Achieved, r.Done, r.Errors, r.Mismatches, r.Updates, r.P50, r.P99, r.P999)
+	return fmt.Sprintf("conns=%d offered=%.0f/s achieved=%.0f/s done=%d errors=%d mismatches=%d updates=%d p50=%v p99=%v p999=%v",
+		r.Conns, r.Offered, r.Achieved, r.Done, r.Errors, r.Mismatches, r.Updates, r.P50, r.P99, r.P999)
 }
 
 // job is one scheduled request: the trace index to send and the instant it
@@ -114,7 +84,7 @@ type job struct {
 	sched time.Time
 }
 
-// runner is the shared bookkeeping both protocol drivers report into.
+// runner is the shared bookkeeping the wire driver reports into.
 type runner struct {
 	cfg Config
 
@@ -180,12 +150,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	start := time.Now()
-	var err error
-	if cfg.Proto == ProtoHTTP {
-		err = r.runHTTP(start)
-	} else {
-		err = r.runWire(start)
-	}
+	err := r.runWire(start)
 	elapsed := time.Since(start)
 	close(stopUpdates)
 	updWg.Wait()
@@ -194,7 +159,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	rep := &Report{
-		Proto:      cfg.Proto.String(),
 		Conns:      cfg.Conns,
 		Sent:       r.sent.Load(),
 		Done:       r.done.Load(),
@@ -221,8 +185,8 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // schedule feeds Poisson-timed jobs into out until the send window closes,
-// then closes out. Closed-loop mode (Rate ≤ 0) is handled by the protocol
-// drivers and never calls this.
+// then closes out. Closed-loop mode (Rate ≤ 0) is handled by runWireClosed
+// and never calls this.
 func (r *runner) schedule(out chan<- job, start time.Time) {
 	defer close(out)
 	rng := rand.New(rand.NewSource(r.cfg.Seed))

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -20,11 +18,10 @@ import (
 	"neurolpm/internal/workload"
 )
 
-// smokeFixture is an in-process sharded server with both endpoints up, plus
-// the oracle-verified trace and update stream the driver replays.
+// smokeFixture is an in-process sharded wire server, plus the
+// oracle-verified trace and update stream the driver replays.
 type smokeFixture struct {
 	wireAddr string
-	httpAddr string
 	trace    []keys.Value
 	expected []Result
 	updates  *workload.UpdateStream
@@ -73,9 +70,6 @@ func buildSmokeFixture(t *testing.T) *smokeFixture {
 		}
 	})
 
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
-
 	// Update stream first, so trace verification can exempt its flap sites.
 	stream, err := workload.GenerateUpdates(rs, workload.UpdateConfig{
 		Count: 400, Rate: 300, Sites: 16, ActionBase: 1 << 25, Seed: 9,
@@ -95,7 +89,6 @@ func buildSmokeFixture(t *testing.T) *smokeFixture {
 
 	return &smokeFixture{
 		wireAddr: l.Addr().String(),
-		httpAddr: strings.TrimPrefix(hs.URL, "http://"),
 		trace:    trace,
 		expected: expected,
 		updates:  stream,
@@ -140,12 +133,10 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	rep, err := Run(Config{
 		Addr:       fx.wireAddr,
-		Proto:      ProtoWire,
 		Conns:      4,
 		Rate:       rate,
 		Duration:   2 * time.Second,
 		Trace:      fx.trace,
-		Width:      32,
 		Expected:   fx.expected,
 		SkipVerify: fx.updates.SiteSet(),
 		Updates:    fx.updates.Updates,
@@ -163,65 +154,14 @@ func TestLoadSmoke(t *testing.T) {
 	}
 }
 
-// TestLoadHTTPDriver covers the HTTP arms: a short open-loop run (with the
-// update stream riding POST /update) and a closed-loop run, both verified
-// against the oracle.
-func TestLoadHTTPDriver(t *testing.T) {
-	fx := buildSmokeFixture(t)
-	rate := 500.0
-	if raceEnabled {
-		rate = 100
-	}
-	rep, err := Run(Config{
-		Addr:       fx.httpAddr,
-		Proto:      ProtoHTTP,
-		Conns:      4,
-		Rate:       rate,
-		Duration:   700 * time.Millisecond,
-		Trace:      fx.trace,
-		Width:      32,
-		Expected:   fx.expected,
-		SkipVerify: fx.updates.SiteSet(),
-		Updates:    fx.updates.Updates,
-		Seed:       2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReport(t, rep, rate)
-	if rep.Updates == 0 {
-		t.Fatal("update stream sent nothing")
-	}
-
-	// The first run may have left flap sites populated, so the closed-loop
-	// pass keeps the site exemption.
-	rep, err = Run(Config{
-		Addr:       fx.httpAddr,
-		Proto:      ProtoHTTP,
-		Conns:      2,
-		Duration:   300 * time.Millisecond,
-		Trace:      fx.trace,
-		Width:      32,
-		Expected:   fx.expected,
-		SkipVerify: fx.updates.SiteSet(),
-		Seed:       3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReport(t, rep, 0)
-}
-
 // TestLoadWireClosedLoop covers the synchronous wire arm.
 func TestLoadWireClosedLoop(t *testing.T) {
 	fx := buildSmokeFixture(t)
 	rep, err := Run(Config{
 		Addr:     fx.wireAddr,
-		Proto:    ProtoWire,
 		Conns:    2,
 		Duration: 300 * time.Millisecond,
 		Trace:    fx.trace,
-		Width:    32,
 		Expected: fx.expected,
 		Seed:     4,
 	})

@@ -54,7 +54,7 @@ func TestEngineZeroAllocs(t *testing.T) {
 
 // TestShardedBatchZeroAllocs pins the sharded batch at zero
 // steady-state allocations when the caller supplies dst — the call the wire
-// readers and /batch make (serve.batch, LookupBatchInto): at one shard the keys and dst go
+// readers make (LookupBatchInto): at one shard the keys and dst go
 // straight to the engine, at four the gather/scatter scratch rides one
 // sync.Pool and every group is answered on the calling goroutine.
 func TestShardedBatchZeroAllocs(t *testing.T) {

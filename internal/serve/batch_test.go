@@ -1,15 +1,20 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
+	"time"
 
+	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
+	"neurolpm/internal/wire"
 )
 
 func buildShardedServer(t *testing.T) (*Server, *lpm.RuleSet, *shard.ShardedUpdatable) {
@@ -39,88 +44,159 @@ func getJSON(t *testing.T, h http.Handler, target string, into any) *httptest.Re
 	return rec
 }
 
-func TestBatchEndpointShardedMatchesOracle(t *testing.T) {
-	srv, rs, _ := buildShardedServer(t)
-	h := srv.Handler()
-	oracle := lpm.NewTrieMatcher(rs)
-
-	// Three known keys via GET, comma-separated hex.
-	keyTxt := []string{"0x10203040", "0xffffffff", "0"}
-	var resp batchResponse
-	rec := getJSON(t, h, "/batch?keys="+strings.Join(keyTxt, ","), &resp)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /batch: %d %s", rec.Code, rec.Body)
-	}
-	if resp.Count != len(keyTxt) || len(resp.Results) != len(keyTxt) {
-		t.Fatalf("batch count %d/%d, want %d", resp.Count, len(resp.Results), len(keyTxt))
-	}
-	for i, txt := range keyTxt {
-		k, err := ParseKey(txt, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantOK := oracle.Lookup(k)
-		got := resp.Results[i]
-		if got.Matched != wantOK || (wantOK && got.Action != want) {
-			t.Errorf("key %s: got (%d,%v), oracle (%d,%v)", txt, got.Action, got.Matched, want, wantOK)
-		}
-	}
-
-	// POST JSON body path.
-	body := `{"keys": ["0x10203040", "16.32.48.64"]}`
-	rec = httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(body))
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("POST /batch: %d %s", rec.Code, rec.Body)
-	}
-	var post batchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &post); err != nil {
+// dialWire serves srv on a WireServer for the test's lifetime and returns a
+// client connected to it.
+func dialWire(t *testing.T, srv *Server) *wire.Client {
+	t.Helper()
+	addr, _, _ := startWire(t, srv, true)
+	c, err := wire.Dial(addr, time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if post.Count != 2 {
-		t.Fatalf("POST count %d, want 2", post.Count)
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// wantAnswer checks one wire lookup of k against (action, matched).
+func wantAnswer(t *testing.T, c *wire.Client, k keys.Value, action uint64, matched bool) {
+	t.Helper()
+	res, err := c.Lookup(k)
+	if err != nil {
+		t.Fatalf("lookup %v: %v", k, err)
 	}
-	// "16.32.48.64" is dotted-quad for 0x10203040: both spellings must agree.
-	if post.Results[0] != post.Results[1] {
-		t.Errorf("same key, different answers: %+v vs %+v", post.Results[0], post.Results[1])
+	if res.Matched != matched || (matched && res.Action != action) {
+		t.Fatalf("lookup %v = (%d,%v), want (%d,%v)", k, res.Action, res.Matched, action, matched)
 	}
 }
 
-func TestBatchEndpointSingleEngine(t *testing.T) {
-	srv, eng := buildTestServer(t, false, telemetry.NewRegistry())
-	var resp batchResponse
-	rec := getJSON(t, srv.Handler(), "/batch?keys=0x01020304,0xf0f0f0f0", &resp)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /batch: %d %s", rec.Code, rec.Body)
+// reframe rewrites an encoded request frame: op replaces its opcode and p its
+// payload, and the length prefix is fixed to match.
+func reframe(frame []byte, op wire.Op, p []byte) []byte {
+	const header = 16 // length prefix, magic, version, opcode, id
+	out := append(append([]byte(nil), frame[:header]...), p...)
+	out[7] = byte(op)
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
+	return out
+}
+
+// wantRejected sends one raw request frame carrying id and requires an error
+// frame with code for that id, after which the connection still answers a
+// ping: a bad payload costs its own answer, not the connection.
+func wantRejected(t *testing.T, c *wire.Client, id uint64, frame []byte, code uint8) {
+	t.Helper()
+	if err := c.Send(func(b []byte) []byte { return append(b, frame...) }); err != nil {
+		t.Fatal(err)
 	}
-	for i, res := range resp.Results {
-		k, _ := ParseKey(strings.Split("0x01020304,0xf0f0f0f0", ",")[i], 32)
-		want, wantOK := eng.Lookup(k)
-		if res.Matched != wantOK || res.Action != want {
-			t.Errorf("result %d: got (%d,%v), engine (%d,%v)", i, res.Action, res.Matched, want, wantOK)
+	f, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var re *wire.RemoteError
+	if f.Op != wire.OpError || f.ID != id || !errors.As(f.Err(), &re) || re.Code != code {
+		t.Fatalf("answer is %s id=%d payload %q, want error code %d for id %d", f.Op, f.ID, f.Payload, code, id)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("connection unusable after the rejected frame: %v", err)
+	}
+}
+
+// batchPayload is an OpBatch payload declaring count keys and carrying n zero
+// keys and extra bytes more.
+func batchPayload(count uint32, n, extra int) []byte {
+	p := binary.LittleEndian.AppendUint32(nil, count)
+	return append(p, make([]byte, 16*n+extra)...)
+}
+
+// TestBatchEndpointShardedMatchesOracle: an OpBatch frame at 4 shards is
+// answered positionally, every key as the trie oracle answers it.
+func TestBatchEndpointShardedMatchesOracle(t *testing.T) {
+	srv, rs, _ := buildShardedServer(t)
+	c := dialWire(t, srv)
+	oracle := lpm.NewTrieMatcher(rs)
+
+	rng := rand.New(rand.NewSource(5))
+	ks := []keys.Value{keys.FromUint64(0x10203040), keys.FromUint64(0xffffffff), {}}
+	for len(ks) < 500 {
+		ks = append(ks, keys.FromUint64(rng.Uint64()&(1<<32-1)))
+	}
+	res, err := c.Batch(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(ks) {
+		t.Fatalf("batch of %d keys answered %d", len(ks), len(res))
+	}
+	for i, k := range ks {
+		want, wantOK := oracle.Lookup(k)
+		if res[i].Matched != wantOK || (wantOK && res[i].Action != want) {
+			t.Errorf("key %d (%v): got (%d,%v), oracle (%d,%v)", i, k, res[i].Action, res[i].Matched, want, wantOK)
 		}
 	}
 }
 
+// TestBatchEndpointSingleEngine: the same at one shard, the degenerate
+// topology, on an SRAM-only engine.
+func TestBatchEndpointSingleEngine(t *testing.T) {
+	srv, _ := buildTestServer(t, false, telemetry.NewRegistry())
+	c := dialWire(t, srv)
+	oracle := lpm.NewTrieMatcher(buildTestRuleSet(t))
+	ks := []keys.Value{keys.FromUint64(0x01020304), keys.FromUint64(0xf0f0f0f0), keys.FromUint64(0x0a010203)}
+	res, err := c.Batch(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range ks {
+		want, wantOK := oracle.Lookup(k)
+		if res[i].Matched != wantOK || (wantOK && res[i].Action != want) {
+			t.Errorf("result %d: got (%d,%v), oracle (%d,%v)", i, res[i].Action, res[i].Matched, want, wantOK)
+		}
+	}
+}
+
+// TestBatchEndpointRejectsBadInput: a batch of no keys, one over
+// wire.MaxBatchKeys and one whose key array is cut short are each refused as
+// malformed on a connection that stays usable.
 func TestBatchEndpointRejectsBadInput(t *testing.T) {
 	srv, _, _ := buildShardedServer(t)
-	h := srv.Handler()
-	if rec := getJSON(t, h, "/batch", nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("missing keys: %d, want 400", rec.Code)
+	c := dialWire(t, srv)
+	for _, p := range [][]byte{
+		batchPayload(0, 0, 0),
+		batchPayload(wire.MaxBatchKeys+1, 1, 0),
+		batchPayload(3, 2, 8),
+	} {
+		id := c.ID()
+		wantRejected(t, c, id, reframe(wire.AppendPing(nil, id), wire.OpBatch, p), wire.ErrMalformed)
 	}
-	if rec := getJSON(t, h, "/batch?keys=zz!!", nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("garbage key: %d, want 400", rec.Code)
+}
+
+// TestBatchBadInputTable is the bad-input sweep for lookup requests. Cases
+// named get send single-key lookup frames and cases named post send batch
+// frames; each is refused for its own id — malformed, or a bad request for a
+// response opcode sent as a request — and the connection keeps serving.
+func TestBatchBadInputTable(t *testing.T) {
+	srv, _, _ := buildShardedServer(t)
+	c := dialWire(t, srv)
+	cases := []struct {
+		name    string
+		op      wire.Op
+		payload []byte
+		code    uint8
+	}{
+		{"get no keys", wire.OpLookup, nil, wire.ErrMalformed},
+		{"get bad key", wire.OpLookup, make([]byte, 15), wire.ErrMalformed},
+		{"post malformed", wire.OpBatch, []byte{1, 0}, wire.ErrMalformed},
+		{"post wrong type", wire.OpBatchResult, batchPayload(1, 1, 0), wire.ErrBadRequest},
+		{"post empty list", wire.OpBatch, batchPayload(0, 0, 0), wire.ErrMalformed},
+		{"post null keys", wire.OpBatch, nil, wire.ErrMalformed},
+		{"post trailing data", wire.OpBatch, batchPayload(1, 2, 0), wire.ErrMalformed},
+		{"post truncated keys", wire.OpBatch, batchPayload(3, 2, 8), wire.ErrMalformed},
+		{"post oversized", wire.OpBatch, batchPayload(wire.MaxBatchKeys+1, 0, 0), wire.ErrMalformed},
 	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader("{")))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("truncated JSON: %d, want 400", rec.Code)
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/batch", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("DELETE: %d, want 405", rec.Code)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			id := c.ID()
+			wantRejected(t, c, id, reframe(wire.AppendPing(nil, id), tc.op, tc.payload), tc.code)
+		})
 	}
 }
 

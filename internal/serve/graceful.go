@@ -104,7 +104,7 @@ func ServeUnits(stop <-chan os.Signal, drainTimeout time.Duration, units ...Unit
 
 // Serve runs h on the listener until an error or a value on stop, then
 // drains: http.Server.Shutdown stops accepting, lets in-flight requests
-// (lookups, batch fan-outs, metric scrapes) finish within drainTimeout, and
+// (lookups, traces, metric scrapes) finish within drainTimeout, and
 // closes idle connections. A clean drain returns nil — the daemon's signal
 // handler can distinguish "told to stop" from "fell over". Kept as the
 // single-listener entry point; multi-listener daemons use ServeUnits.

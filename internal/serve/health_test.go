@@ -1,13 +1,11 @@
-// Update-plane serving tests (DESIGN.md §11): /update's answer means the
-// rule is in the engine, a failed rebuild leaves nothing behind, and /healthz
-// is liveness alone.
+// Update-plane serving tests (DESIGN.md §11): a wire update's acknowledgement
+// means the rule is in the engine, a failed rebuild leaves nothing behind, and
+// /healthz is liveness alone.
 package serve
 
 import (
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -17,6 +15,7 @@ import (
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
+	"neurolpm/internal/wire"
 )
 
 // buildFaultyShardedServer is buildShardedServer with every insert refused
@@ -51,37 +50,30 @@ func freeKey32(t *testing.T, rs *lpm.RuleSet, shardIdx int) keys.Value {
 	return keys.Value{}
 }
 
-func postJSON(t *testing.T, h http.Handler, target, body string) *httptest.ResponseRecorder {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, strings.NewReader(body)))
-	return rec
-}
-
 // TestFailedRebuildLeavesServerHealthy: an insert the engine refuses is
-// retrained in before /update answers. While the rebuild fails, /update
-// refuses the insert — never with 429, there is no queue to wait on — the
-// rule is nowhere, /lookup keeps the old answer and /healthz stays 200 "ok"
-// with no per-shard state; once the rebuild succeeds, the insert's 200 means
-// the rule is already in the engine.
+// retrained in before the wire acknowledges it. While the rebuild fails the
+// insert gets an error frame — there is no queue to wait on — the rule is
+// nowhere, lookups keep the old answer and /healthz stays 200 "ok" with no
+// per-shard state; once the rebuild succeeds, the acknowledged insert is
+// already in the engine.
 func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 	srv, rs, in := buildFaultyShardedServer(t)
-	h := srv.Handler()
+	c := dialWire(t, srv)
 	k := freeKey32(t, rs, 1)
-	lookup := "/lookup?key=" + k.String()
-	var before, lr lookupResponse
-	getJSON(t, h, lookup, &before)
+	before, err := c.Lookup(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	body := `{"op":"insert","prefix":"` + k.String() + `","len":32,"action":777}`
+	insert := wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 777}
 	in.FailProb(fault.SiteRetrain, 1)
-	rec := postJSON(t, h, "/update", body)
-	if rec.Code == http.StatusOK || rec.Code == http.StatusTooManyRequests {
-		t.Fatalf("insert with a failing rebuild: %d %s", rec.Code, rec.Body)
+	var re *wire.RemoteError
+	if err := c.Update(insert); !errors.As(err, &re) || re.Code != wire.ErrBadRequest {
+		t.Fatalf("insert with a failing rebuild answered %v, want a bad-request error frame", err)
 	}
-	if getJSON(t, h, lookup, &lr); lr != before {
-		t.Fatalf("lookup after a failed insert = %+v, want the old answer %+v", lr, before)
-	}
+	wantAnswer(t, c, k, before.Action, before.Matched)
 	var hz map[string]any
+	h := srv.Handler()
 	if rec := getJSON(t, h, "/healthz", &hz); rec.Code != http.StatusOK || hz["status"] != "ok" {
 		t.Fatalf("healthz after a failed rebuild: %d %v", rec.Code, hz["status"])
 	}
@@ -96,155 +88,102 @@ func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 	}
 
 	in.Clear(fault.SiteRetrain)
-	if rec := postJSON(t, h, "/update", body); rec.Code != http.StatusOK {
-		t.Fatalf("insert once the rebuild succeeds: %d %s", rec.Code, rec.Body)
+	if err := c.Update(insert); err != nil {
+		t.Fatalf("insert once the rebuild succeeds: %v", err)
 	}
-	if getJSON(t, h, lookup, &lr); !lr.Matched || lr.Action != 777 {
-		t.Fatalf("lookup after the acknowledged insert = (%d,%v), want (777,true)", lr.Action, lr.Matched)
-	}
+	wantAnswer(t, c, k, 777, true)
 }
 
-// TestUpdateEndpointLifecycle drives insert → modify → delete through
-// POST /update and checks each step through /lookup.
+// TestUpdateEndpointLifecycle drives insert → modify → delete through wire
+// update frames and checks each step with a wire lookup.
 func TestUpdateEndpointLifecycle(t *testing.T) {
 	srv, rs, _ := buildShardedServer(t)
-	h := srv.Handler()
+	c := dialWire(t, srv)
 	k := freeKey32(t, rs, 2)
-	key := k.String()
-
-	if rec := postJSON(t, h, "/update", `{"op":"insert","prefix":"`+key+`","len":32,"action":101}`); rec.Code != http.StatusOK {
-		t.Fatalf("insert: %d %s", rec.Code, rec.Body)
-	}
-	var lr lookupResponse
-	if getJSON(t, h, "/lookup?key="+key, &lr); !lr.Matched || lr.Action != 101 {
-		t.Fatalf("after insert: (%d,%v)", lr.Action, lr.Matched)
-	}
-	if rec := postJSON(t, h, "/update", `{"op":"modify","prefix":"`+key+`","len":32,"action":202}`); rec.Code != http.StatusOK {
-		t.Fatalf("modify: %d %s", rec.Code, rec.Body)
-	}
-	if getJSON(t, h, "/lookup?key="+key, &lr); !lr.Matched || lr.Action != 202 {
-		t.Fatalf("after modify: (%d,%v)", lr.Action, lr.Matched)
-	}
-	if rec := postJSON(t, h, "/update", `{"op":"delete","prefix":"`+key+`","len":32}`); rec.Code != http.StatusOK {
-		t.Fatalf("delete: %d %s", rec.Code, rec.Body)
-	}
-	// After deleting the /32 the answer must match the trie oracle again.
 	oracle := lpm.NewTrieMatcher(rs)
 	want, wantOK := oracle.Lookup(k)
-	if getJSON(t, h, "/lookup?key="+key, &lr); lr.Matched != wantOK || (wantOK && lr.Action != want) {
-		t.Fatalf("after delete: (%d,%v), oracle (%d,%v)", lr.Action, lr.Matched, want, wantOK)
+	wantAnswer(t, c, k, want, wantOK)
+
+	steps := []struct {
+		u       wire.RuleUpdate
+		action  uint64
+		matched bool
+	}{
+		{wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 101}, 101, true},
+		{wire.RuleUpdate{Op: wire.UpdateModify, Prefix: k, Len: 32, Action: 202}, 202, true},
+		// After deleting the /32 the answer is the trie oracle's again.
+		{wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: k, Len: 32}, want, wantOK},
+	}
+	for _, st := range steps {
+		if err := c.Update(st.u); err != nil {
+			t.Fatalf("update op %d: %v", st.u.Op, err)
+		}
+		wantAnswer(t, c, k, st.action, st.matched)
 	}
 }
 
 // TestUpdateEndpointRejectsBadInput is the table-driven bad-input sweep for
-// POST /update: every malformed request must produce the right status and
-// a JSON error payload.
+// update frames: a payload that fails decoding is malformed, a well-formed
+// update the engine cannot hold is a bad request, and after every case the
+// connection still answers a ping.
 func TestUpdateEndpointRejectsBadInput(t *testing.T) {
 	srv, _, _ := buildShardedServer(t)
-	h := srv.Handler()
+	c := dialWire(t, srv)
+	// payload is a well-formed update payload with uop, length and prefix.
+	payload := func(uop, length uint8, prefix keys.Value) []byte {
+		f := wire.AppendUpdate(nil, 0, wire.RuleUpdate{Op: uop, Prefix: prefix, Len: int(length), Action: 1})
+		return f[16:]
+	}
+	good := payload(wire.UpdateInsert, 32, keys.FromUint64(1))
 	cases := []struct {
-		name   string
-		method string
-		body   string
-		want   int
+		name    string
+		op      wire.Op
+		payload []byte
+		code    uint8
 	}{
-		{"get method", http.MethodGet, "", http.StatusMethodNotAllowed},
-		{"empty body", http.MethodPost, "", http.StatusBadRequest},
-		{"truncated json", http.MethodPost, `{"op":"insert"`, http.StatusBadRequest},
-		{"trailing data", http.MethodPost, `{"op":"delete","prefix":"0x1","len":32} true`, http.StatusBadRequest},
-		{"unknown field", http.MethodPost, `{"op":"insert","prefix":"0x1","len":32,"bogus":1}`, http.StatusBadRequest},
-		{"unknown op", http.MethodPost, `{"op":"upsert","prefix":"0x1","len":32}`, http.StatusBadRequest},
-		{"bad prefix", http.MethodPost, `{"op":"insert","prefix":"zz!!","len":32,"action":1}`, http.StatusBadRequest},
-		{"bad length", http.MethodPost, `{"op":"insert","prefix":"0x1","len":99,"action":1}`, http.StatusBadRequest},
+		{"get method", wire.OpLookup, good, wire.ErrMalformed},
+		{"empty body", wire.OpUpdate, nil, wire.ErrMalformed},
+		{"truncated payload", wire.OpUpdate, good[:25], wire.ErrMalformed},
+		{"trailing data", wire.OpUpdate, append(good[:26:26], 0), wire.ErrMalformed},
+		{"unknown op", wire.OpUpdate, payload(3, 32, keys.FromUint64(1)), wire.ErrMalformed},
+		{"length over 128", wire.OpUpdate, payload(wire.UpdateInsert, 129, keys.FromUint64(1)), wire.ErrMalformed},
+		{"bad prefix", wire.OpUpdate, payload(wire.UpdateInsert, 32, keys.FromUint64(1<<40)), wire.ErrBadRequest},
+		{"bad length", wire.OpUpdate, payload(wire.UpdateInsert, 99, keys.FromUint64(1)), wire.ErrBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(tc.method, "/update", strings.NewReader(tc.body)))
-			if rec.Code != tc.want {
-				t.Fatalf("code = %d, want %d (%s)", rec.Code, tc.want, rec.Body)
-			}
-			if !strings.Contains(rec.Body.String(), `"error"`) {
-				t.Fatalf("missing JSON error payload: %s", rec.Body)
-			}
+			id := c.ID()
+			wantRejected(t, c, id, reframe(wire.AppendPing(nil, id), tc.op, tc.payload), tc.code)
 		})
 	}
 }
 
 // TestUpdateThenLookupOneShard: the degenerate topology has the whole update
-// plane — an insert is visible to /lookup from the engine, stays visible
+// plane — an insert is visible to a lookup from the engine, stays visible
 // across the commit that re-densifies it, and a delete of the committed rule
 // uncovers the old answer.
 func TestUpdateThenLookupOneShard(t *testing.T) {
 	sh := buildOneShard(t, true)
-	h := NewSharded(sh, telemetry.NewRegistry()).Handler()
+	c := dialWire(t, NewSharded(sh, telemetry.NewRegistry()))
 	k := freeKey32(t, buildTestRuleSet(t), 0)
-	target := "/lookup?key=" + k.String()
-	var before, got lookupResponse
-	getJSON(t, h, target, &before)
+	before, err := c.Lookup(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	body := fmt.Sprintf(`{"op":"insert","prefix":"%s","len":32,"action":777}`, k)
-	if rec := postJSON(t, h, "/update", body); rec.Code != http.StatusOK {
-		t.Fatalf("/update insert on one shard: %d %s", rec.Code, rec.Body)
+	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 777}); err != nil {
+		t.Fatalf("insert on one shard: %v", err)
 	}
-	if getJSON(t, h, target, &got); !got.Matched || got.Action != 777 {
-		t.Fatalf("lookup after insert = %+v, want action 777", got)
-	}
+	wantAnswer(t, c, k, 777, true)
 	if err := sh.Commit(0); err != nil {
 		t.Fatal(err)
 	}
 	if n := sh.Engine(0).SpilledBuckets(); n != 0 {
 		t.Fatalf("spilled buckets after commit = %d", n)
 	}
-	if getJSON(t, h, target, &got); !got.Matched || got.Action != 777 {
-		t.Fatalf("lookup after commit = %+v, want action 777 from the engine", got)
+	wantAnswer(t, c, k, 777, true)
+	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: k, Len: 32}); err != nil {
+		t.Fatalf("delete on one shard: %v", err)
 	}
-	body = fmt.Sprintf(`{"op":"delete","prefix":"%s","len":32}`, k)
-	if rec := postJSON(t, h, "/update", body); rec.Code != http.StatusOK {
-		t.Fatalf("/update delete on one shard: %d %s", rec.Code, rec.Body)
-	}
-	if getJSON(t, h, target, &got); got.Matched != before.Matched || got.Action != before.Action {
-		t.Fatalf("lookup after delete = %+v, want the pre-insert answer %+v", got, before)
-	}
-}
-
-// TestBatchBadInputTable is the table-driven /batch sweep (satellite 3):
-// malformed JSON, empty key lists and oversized batches all get 400 plus a
-// JSON error payload.
-func TestBatchBadInputTable(t *testing.T) {
-	srv, _, _ := buildShardedServer(t)
-	h := srv.Handler()
-	oversized := `{"keys":[` + strings.Repeat(`"1",`, MaxBatchKeys) + `"1"]}`
-	cases := []struct {
-		name   string
-		method string
-		target string
-		body   string
-		want   int
-	}{
-		{"get no keys", http.MethodGet, "/batch", "", http.StatusBadRequest},
-		{"get bad key", http.MethodGet, "/batch?keys=0x1,zz!!", "", http.StatusBadRequest},
-		{"post malformed", http.MethodPost, "/batch", `{"keys": [`, http.StatusBadRequest},
-		{"post wrong type", http.MethodPost, "/batch", `{"keys": "0x1"}`, http.StatusBadRequest},
-		{"post empty list", http.MethodPost, "/batch", `{"keys": []}`, http.StatusBadRequest},
-		{"post null keys", http.MethodPost, "/batch", `{}`, http.StatusBadRequest},
-		{"post trailing data", http.MethodPost, "/batch", `{"keys":["0x1"]} {"keys":["0x2"]}`, http.StatusBadRequest},
-		{"post oversized", http.MethodPost, "/batch", oversized, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			var body io.Reader
-			if tc.body != "" {
-				body = strings.NewReader(tc.body)
-			}
-			h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, body))
-			if rec.Code != tc.want {
-				t.Fatalf("code = %d, want %d (%s)", rec.Code, tc.want, rec.Body)
-			}
-			if !strings.Contains(rec.Body.String(), `"error"`) {
-				t.Fatalf("missing JSON error payload: %s", rec.Body)
-			}
-		})
-	}
+	wantAnswer(t, c, k, before.Action, before.Matched)
 }

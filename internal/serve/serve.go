@@ -1,9 +1,11 @@
-// Package serve is the HTTP surface of a NeuroLPM engine: lookups and rule
-// updates over HTTP, Prometheus-format /metrics backed by the telemetry
-// registry (also published through expvar at /debug/vars), net/http/pprof,
-// and a /trace?key= endpoint returning one fully-annotated query span as JSON.
-// cmd/lpmserve wraps it into a daemon; lpmbench and lpmquery mount the
-// metrics-only subset behind their -metrics flag.
+// Package serve serves a NeuroLPM engine. Lookups and rule updates travel
+// over the binary wire protocol (WireServer, DESIGN.md §17), the one data
+// path. HTTP is the operations surface: Prometheus-format /metrics backed by
+// the telemetry registry (also published through expvar at /debug/vars),
+// net/http/pprof, /healthz, /slo, a /trace?key= endpoint returning one
+// fully-annotated query span as JSON, and a /lookup?key= for a human asking
+// about one key. cmd/lpmserve wraps it into a daemon; lpmbench and lpmquery
+// mount the metrics-only subset behind their -metrics flag.
 package serve
 
 import (
@@ -11,7 +13,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime/metrics"
@@ -21,7 +22,6 @@ import (
 
 	"neurolpm/internal/cachesim"
 	"neurolpm/internal/keys"
-	"neurolpm/internal/lpm"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
 )
@@ -41,10 +41,10 @@ type Server struct {
 	info map[string]string // the neurolpm_build_info labels (shards, rules, ...)
 }
 
-// NewSharded wraps a sharded updatable engine: /lookup and /batch route
-// through the shard fan-out, /update lands in the covered shards' live
-// engines, /trace spans the key's sub-engine, /healthz aggregates across
-// shards. reg is the registry /metrics renders; pass
+// NewSharded wraps a sharded updatable engine: /lookup routes through the
+// shard fan-out, /trace spans the key's sub-engine, /healthz aggregates across
+// shards, and a WireServer on it answers lookups and lands updates in the
+// covered shards' live engines. reg is the registry /metrics renders; pass
 // telemetry.Default to expose the engine's always-on instrumentation.
 func NewSharded(sh *shard.ShardedUpdatable, reg *telemetry.Registry) *Server {
 	s := &Server{sh: sh, reg: reg, plain: &cachesim.Uncached{}}
@@ -73,14 +73,12 @@ func (s *Server) SetInfo(key, value string) {
 	telemetry.SetBuildInfo(cp)
 }
 
-// Handler returns the full mux: /lookup, /batch, /trace, /metrics, /slo,
+// Handler returns the full mux: /lookup, /trace, /metrics, /slo,
 // /healthz, /debug/vars, /debug/flightrec, /debug/slow, /debug/hotness and
 // /debug/pprof/*.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lookup", s.handleLookup)
-	mux.HandleFunc("/batch", s.handleBatch)
-	mux.HandleFunc("/update", s.handleUpdate)
 	mux.HandleFunc("/trace", s.handleTrace)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/slo", s.handleSLO)
@@ -199,100 +197,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// MaxBatchKeys bounds one /batch request; larger workloads should stream
-// several batches (each already amortizes the per-call overhead).
-const MaxBatchKeys = 65536
-
-// batchResponse is the /batch JSON shape. Results are positional.
-type batchResponse struct {
-	Count   int           `json:"count"`
-	Results []batchResult `json:"results"`
-}
-
-type batchResult struct {
-	Key     string `json:"key"`
-	Matched bool   `json:"matched"`
-	Action  uint64 `json:"action"`
-}
-
-// handleBatch resolves many keys in one request: GET /batch?keys=a,b,c or
-// POST /batch with {"keys": ["10.0.0.1", ...]}. The batch is grouped by shard
-// and answered on this request's goroutine; one HTTP round-trip amortizes
-// over the whole batch.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var raw []string
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query().Get("keys")
-		if q == "" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("missing keys parameter"))
-			return
-		}
-		raw = strings.Split(q, ",")
-	case http.MethodPost:
-		var body struct {
-			Keys []string `json:"keys"`
-		}
-		dec := json.NewDecoder(io.LimitReader(r.Body, 8<<20))
-		if err := dec.Decode(&body); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-			return
-		}
-		// Strict decode: a second document (or trailing garbage) after the
-		// request object means the client is confused — reject it rather
-		// than silently serving the first object.
-		if _, err := dec.Token(); err != io.EOF {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("trailing data after JSON body"))
-			return
-		}
-		raw = body.Keys
-	default:
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
-		return
-	}
-	if len(raw) == 0 || len(raw) > MaxBatchKeys {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("batch must carry 1..%d keys, got %d", MaxBatchKeys, len(raw)))
-		return
-	}
-	ks := make([]keys.Value, len(raw))
-	for i, txt := range raw {
-		k, err := ParseKey(strings.TrimSpace(txt), s.sh.Width())
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("key %d: %w", i, err))
-			return
-		}
-		ks[i] = k
-	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
-	sc.res = s.batch(ks, sc.res[:0])
-	if cap(sc.rows) < len(ks) {
-		sc.rows = make([]batchResult, len(ks))
-	}
-	sc.rows = sc.rows[:len(ks)]
-	for i, res := range sc.res {
-		sc.rows[i] = batchResult{Key: ks[i].String(), Matched: res.Matched, Action: res.Action}
-	}
-	writeJSON(w, batchResponse{Count: len(ks), Results: sc.rows})
-}
-
-// batchScratch holds one /batch request's reusable result staging; pooled so
-// steady-state batch serving reuses the same backing arrays.
-type batchScratch struct {
-	res  []shard.Result
-	rows []batchResult
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
-
-// batch resolves ks into dst (reused when it has the capacity), positionally:
-// the batch is grouped by shard and answered on the calling goroutine. It is
-// the one batch entry point shared by the HTTP /batch handler and the wire
-// server's readers (DESIGN.md §17), and is safe for concurrent use.
-func (s *Server) batch(ks []keys.Value, dst []shard.Result) []shard.Result {
-	return s.sh.LookupBatchInto(ks, dst)
-}
-
 // handleHealthz reports liveness — 200 whenever the server is up — with an
 // engine summary summed over shards.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -313,62 +217,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// updateRequest is the POST /update JSON shape. The prefix uses the same
-// spellings ParseKey accepts for lookups, left-aligned to the engine width.
-type updateRequest struct {
-	Op     string `json:"op"` // insert | delete | modify
-	Prefix string `json:"prefix"`
-	Len    int    `json:"len"`
-	Action uint64 `json:"action"`
-}
-
-// handleUpdate applies one rule-table update (§6.5): its 200 means the update
-// is in the live engine — an insert the engine cannot absorb is retrained in
-// before the answer is written.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req updateRequest
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("trailing data after JSON body"))
-		return
-	}
-	prefix, err := ParseKey(req.Prefix, s.sh.Width())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("prefix: %w", err))
-		return
-	}
-	switch req.Op {
-	case "insert":
-		err = s.sh.Insert(lpm.Rule{Prefix: prefix, Len: req.Len, Action: req.Action})
-	case "delete":
-		err = s.sh.Delete(prefix, req.Len)
-	case "modify":
-		err = s.sh.ModifyAction(prefix, req.Len, req.Action)
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown op %q (want insert, delete or modify)", req.Op))
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, map[string]any{"op": req.Op, "ok": true})
-}
-
 // jsonEnc pairs a staging buffer with a json.Encoder writing into it, pooled
-// so the hot endpoints (/lookup, /batch) reuse the encoder state and buffer
-// instead of allocating both per request. Staging also yields an exact
-// Content-Length, which keeps HTTP honest as the baseline the wire plane is
-// compared against.
+// so /lookup reuses the encoder state and buffer instead of allocating both
+// per request. Staging also yields an exact Content-Length.
 type jsonEnc struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -381,10 +232,6 @@ var jsonEncPool = sync.Pool{New: func() any {
 }}
 
 func writeJSON(w http.ResponseWriter, v any) {
-	writeJSONStatus(w, http.StatusOK, v)
-}
-
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	e := jsonEncPool.Get().(*jsonEnc)
 	e.buf.Reset()
 	if err := e.enc.Encode(v); err != nil {
@@ -394,7 +241,6 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(e.buf.Len()))
-	w.WriteHeader(code)
 	w.Write(e.buf.Bytes())
 	jsonEncPool.Put(e)
 }

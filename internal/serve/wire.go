@@ -31,13 +31,14 @@ const (
 )
 
 // WireServer serves the binary protocol (internal/wire) over persistent TCP
-// connections, answering through the same Server the HTTP mux serves. It is
+// connections: the data path for every lookup and rule update of the Server
+// it wraps. It is
 // a serve.Unit: run it under ServeUnits next to the HTTP listener and one
 // SIGINT/SIGTERM drains both.
 //
 // Every request executes on its connection's reader goroutine (DESIGN.md
 // §17): it decodes each complete frame one read delivered, answers consecutive
-// single-key lookups with one batch-plane call (Server.batch) and flushes
+// single-key lookups with one batch-plane call (LookupBatchInto) and flushes
 // once per drained read. A client that pipelines gets batching; a lone request
 // is a batch of one with no hand-off. Connections share nothing but the
 // Server, so a client that stops reading stalls only itself.
@@ -275,7 +276,7 @@ func (c *wireConn) answerLookups() {
 	ws.cDispatches.Inc()
 	ws.cLookups.Add(uint64(len(c.lks)))
 	ws.hBatchSize.ObserveInt(len(c.lks))
-	c.resb = ws.s.batch(c.lks, c.resb[:0])
+	c.resb = ws.s.sh.LookupBatchInto(c.lks, c.resb[:0])
 	c.wbuf = c.wbuf[:0]
 	for i, r := range c.resb {
 		c.wbuf = wire.AppendResult(c.wbuf, c.ids[i], r.Action, r.Matched)
@@ -293,7 +294,7 @@ func (c *wireConn) handleBatch(f wire.Frame) {
 		c.sendErr(f.ID, wire.ErrMalformed, err.Error())
 		return
 	}
-	c.resb = c.ws.s.batch(c.bks, c.resb[:0])
+	c.resb = c.ws.s.sh.LookupBatchInto(c.bks, c.resb[:0])
 	c.ws.cBatchKeys.Add(uint64(len(c.bks)))
 	c.wresb = c.wresb[:0]
 	for _, r := range c.resb {

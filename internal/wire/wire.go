@@ -1,6 +1,6 @@
 // Package wire is the binary serving protocol (DESIGN.md §17): a
-// length-prefixed frame format over persistent TCP connections that replaces
-// HTTP/JSON on the hot path. A frame is a 4-byte little-endian length
+// length-prefixed frame format over persistent TCP connections that carries
+// every lookup and rule update a daemon serves. A frame is a 4-byte little-endian length
 // followed by a fixed 12-byte header (magic, version, opcode, request id)
 // and an opcode-specific payload of fixed-width fields — no text parsing, no
 // reflection, no per-request allocation. Request ids let a server answer out
@@ -36,7 +36,7 @@ const (
 	lenPrefix = 4
 )
 
-// MaxBatchKeys bounds one batch frame, matching the HTTP /batch limit.
+// MaxBatchKeys bounds one batch frame; a larger workload streams several.
 const MaxBatchKeys = 65536
 
 // MaxFrameLen is the largest legal value of the length prefix: a full batch
@@ -95,10 +95,10 @@ const (
 
 // Error codes carried by OpError frames.
 const (
-	ErrMalformed      uint8 = 1 // frame failed structural validation
-	ErrBadRequest     uint8 = 2 // well-formed frame, unservable request
-	ErrNotImplemented uint8 = 4 // op unsupported in this server mode
+	ErrMalformed  uint8 = 1 // frame failed structural validation
+	ErrBadRequest uint8 = 2 // well-formed frame, unservable request
 	// Code 3 stays unassigned: older clients read it as "retry later".
+	// Code 4 stays unassigned: older clients read it as "op unsupported".
 )
 
 // Result is one lookup answer as carried on the wire.
