@@ -34,7 +34,8 @@ vet:
 # one, and no second planetest topology to prove them equivalent. There is one
 # data protocol (DESIGN.md §17): lookups and updates travel over the wire, with
 # no HTTP /batch or /update, no lpmload HTTP arm or -proto flag, and no
-# not-implemented wire error for a server without updates. Each
+# not-implemented wire error for a server without updates. An engine keeps
+# the rule-set it is built from (DESIGN.md §5): no clone of it in core. Each
 # alternative carries a one-character class so these lines do not find
 # themselves.
 deleted-names:
@@ -65,6 +66,7 @@ deleted-names:
 	@! grep -rnE 'Proto[H]TTP|run[H]TTP|http[L]ookup|Parse[P]roto|updates[U]nsupported|ErrNot[I]mplemented|batchScratch[P]ool|update[R]equest|-prot[o] (wire|http)|POST /[u]pdate|curl[^|]*/[b]atch' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'rules: +rs\.Clo[n]e\(\)' --include='*.go' internal/core
 
 test:
 	$(GO) test ./...

@@ -21,7 +21,6 @@ import (
 type Directory struct {
 	K     int // ranges per bucket
 	array *ranges.Array
-	lows  []keys.Value // lows[i] == array.Entries[i*K].Low
 }
 
 // Build groups the range array into buckets of k ranges. k must be at least 2
@@ -31,19 +30,15 @@ func Build(a *ranges.Array, k int) (*Directory, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("bucket: bucket size %d must be >= 2", k)
 	}
-	n := (a.Len() + k - 1) / k
-	d := &Directory{K: k, array: a, lows: make([]keys.Value, n)}
-	for i := 0; i < n; i++ {
-		d.lows[i] = a.Entries[i*k].Low
-	}
-	return d, nil
+	return &Directory{K: k, array: a}, nil
 }
 
 // Len returns the number of buckets (implements rqrmi.Index).
-func (d *Directory) Len() int { return len(d.lows) }
+func (d *Directory) Len() int { return (d.array.Len() + d.K - 1) / d.K }
 
-// Low returns the lower bound of bucket i (implements rqrmi.Index).
-func (d *Directory) Low(i int) keys.Value { return d.lows[i] }
+// Low returns the lower bound of bucket i, its first range's (implements
+// rqrmi.Index). No lookup reads it: the compiled plane keeps its own copy.
+func (d *Directory) Low(i int) keys.Value { return d.array.Entries[i*d.K].Low }
 
 // Array returns the underlying (DRAM-resident) range array.
 func (d *Directory) Array() *ranges.Array { return d.array }

@@ -133,14 +133,14 @@ func TestVerifyCatchesCompiledDivergence(t *testing.T) {
 	}
 	mut := &ranges.Array{Width: e.ra.Width, Entries: append(e.ra.Entries[:0:0], e.ra.Entries...)}
 	mut.Entries[n/2].Low = mut.Entries[n/2].Low.Inc()
-	if err := e.compilePlane(mut); err != nil {
+	if _, err := e.compilePlane(mut); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Verify(); err == nil {
 		t.Fatal("Verify passed with a corrupted compiled plane")
 	}
 	// Restore for hygiene.
-	if err := e.compilePlane(e.ra); err != nil {
+	if _, err := e.compilePlane(e.ra); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Verify(); err != nil {

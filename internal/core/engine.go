@@ -63,6 +63,8 @@ func SRAMOnlyConfig() Config {
 type Engine struct {
 	cfg   Config
 	width int
+	// rules is the rule-set Build was given, kept without a copy and never
+	// written: each rule's action lives in ra (ranges.Array.RuleAction).
 	rules *lpm.RuleSet
 	// dead is the tombstone bitset (bit i: rules.Rules[i] was deleted). No
 	// read path consults it, but an engine used without a writer lock may see
@@ -98,68 +100,63 @@ type Engine struct {
 	comp *rqrmi.Compiled
 }
 
-// Build runs the offline preparation stage on the rule-set.
+// Build runs the offline preparation stage on the rule-set. The engine keeps
+// rs as its rule table, with no copy, and never writes into it: the caller
+// must not modify rs afterwards.
 func Build(rs *lpm.RuleSet, cfg Config) (*Engine, error) {
-	if rs == nil {
-		return nil, fmt.Errorf("core: nil rule-set")
-	}
 	if cfg.Model.StageWidths == nil {
 		cfg.Model = rqrmi.DefaultConfig()
 	}
+	e, ix, err := assemble(rs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if e.model, e.stats, err = rqrmi.Train(ix, rs.Width, cfg.Model); err != nil {
+		return nil, fmt.Errorf("core: training: %w", err)
+	}
+	return e.compilePlane(ix)
+}
+
+// assemble is Build up to training: the range array over rs, kept as it is,
+// and the learned index — the bucket directory, or the range array of an
+// SRAM-only engine.
+func assemble(rs *lpm.RuleSet, cfg Config) (*Engine, rqrmi.Index, error) {
+	if rs == nil {
+		return nil, nil, fmt.Errorf("core: nil rule-set")
+	}
 	if cfg.BucketSize == 1 || cfg.BucketSize < 0 {
-		return nil, fmt.Errorf("core: invalid bucket size %d", cfg.BucketSize)
+		return nil, nil, fmt.Errorf("core: invalid bucket size %d", cfg.BucketSize)
 	}
 	ra, err := ranges.Convert(rs)
 	if err != nil {
-		return nil, fmt.Errorf("core: range conversion: %w", err)
+		return nil, nil, fmt.Errorf("core: range conversion: %w", err)
 	}
 	e := &Engine{
 		cfg:   cfg,
 		width: rs.Width,
-		rules: rs.Clone(),
+		rules: rs,
 		dead:  make([]atomic.Uint64, (rs.Len()+63)/64),
 		lens:  rs.PrefixHistogram(),
 		ra:    ra,
 	}
-	var ix rqrmi.Index = ra
 	if cfg.BucketSize >= 2 {
-		d, err := bucket.Build(ra, cfg.BucketSize)
-		if err != nil {
-			return nil, err
+		if e.dir, err = bucket.Build(ra, cfg.BucketSize); err != nil {
+			return nil, nil, err
 		}
-		e.dir = d
-		ix = d
 	}
-	model, stats, err := rqrmi.Train(ix, rs.Width, cfg.Model)
-	if err != nil {
-		return nil, fmt.Errorf("core: training: %w", err)
-	}
-	e.model = model
-	e.stats = stats
-	if err := e.compilePlane(ix); err != nil {
-		return nil, err
-	}
-	e.attachObservers(ix)
-	return e, nil
-}
-
-// attachObservers creates the engine's drift meter and hotness sketch from
-// the compiled plane's probe ceiling — the bound of the arithmetic every
-// lookup runs — and the learned-index geometry (bucket count; for SRAM-only
-// engines the "buckets" are the ranges themselves).
-func (e *Engine) attachObservers(ix rqrmi.Index) {
-	e.drift = telemetry.NewDriftMeter()
-	e.drift.SetBound(e.comp.MaxErr())
-	e.hot = telemetry.NewHotSketch(ix.Len())
+	return e, e.index(), nil
 }
 
 // compilePlane flattens the trained model and index into the compiled query
-// plane, and lays the range array out as the records every lookup answers
-// from.
-func (e *Engine) compilePlane(ix rqrmi.Index) error {
+// plane and lays the range array out as the records every lookup answers
+// from. It then attaches the drift meter and hotness sketch, from the
+// compiled plane's probe ceiling — the bound of the arithmetic every lookup
+// runs — and the learned-index geometry (bucket count; for SRAM-only engines
+// the "buckets" are the ranges themselves), and returns the finished engine.
+func (e *Engine) compilePlane(ix rqrmi.Index) (*Engine, error) {
 	c, err := rqrmi.Compile(e.model, ix)
 	if err != nil {
-		return fmt.Errorf("core: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	e.comp = c
 	k := 1 // SRAM-only: every range is its own record
@@ -167,7 +164,10 @@ func (e *Engine) compilePlane(ix rqrmi.Index) error {
 		k = e.dir.K
 	}
 	e.rec = newRecords(e.ra, k)
-	return nil
+	e.drift = telemetry.NewDriftMeter()
+	e.drift.SetBound(c.MaxErr())
+	e.hot = telemetry.NewHotSketch(ix.Len())
+	return e, nil
 }
 
 // BuildWithModel assembles an engine around a previously trained and
@@ -175,35 +175,15 @@ func (e *Engine) compilePlane(ix rqrmi.Index) error {
 // control plane trains once and ships the model to the data plane (§6.5).
 // The model must have been trained on exactly the RQ Array this rule-set
 // and bucket size produce; a cheap shape check rejects mismatches and a
-// full analytical verification can be requested.
+// full analytical verification can be requested. rs is kept as Build keeps
+// it: the caller must not modify it afterwards.
 func BuildWithModel(rs *lpm.RuleSet, cfg Config, m *rqrmi.Model, verify bool) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil model")
 	}
-	if cfg.BucketSize == 1 || cfg.BucketSize < 0 {
-		return nil, fmt.Errorf("core: invalid bucket size %d", cfg.BucketSize)
-	}
-	ra, err := ranges.Convert(rs)
+	e, ix, err := assemble(rs, cfg)
 	if err != nil {
 		return nil, err
-	}
-	e := &Engine{
-		cfg:   cfg,
-		width: rs.Width,
-		rules: rs.Clone(),
-		dead:  make([]atomic.Uint64, (rs.Len()+63)/64),
-		lens:  rs.PrefixHistogram(),
-		ra:    ra,
-		model: m,
-	}
-	var ix rqrmi.Index = ra
-	if cfg.BucketSize >= 2 {
-		d, err := bucket.Build(ra, cfg.BucketSize)
-		if err != nil {
-			return nil, err
-		}
-		e.dir = d
-		ix = d
 	}
 	if m.Width != rs.Width || m.N != ix.Len() {
 		return nil, fmt.Errorf("core: model shape (width %d, N %d) does not match RQ Array (width %d, N %d)",
@@ -214,11 +194,8 @@ func BuildWithModel(rs *lpm.RuleSet, cfg Config, m *rqrmi.Model, verify bool) (*
 			return nil, fmt.Errorf("core: model error bound violated at key %v", witness)
 		}
 	}
-	if err := e.compilePlane(ix); err != nil {
-		return nil, err
-	}
-	e.attachObservers(ix)
-	return e, nil
+	e.model = m
+	return e.compilePlane(ix)
 }
 
 // Width returns the key bit width.
@@ -572,7 +549,6 @@ func (e *Engine) ModifyAction(prefix keys.Value, length int, action uint64) erro
 	if idx == lpm.NoMatch || !e.isLive(idx) {
 		return fmt.Errorf("core: rule %s/%d not installed", prefix, length)
 	}
-	e.rule(idx).Action = action
 	e.ra.SetAction(int32(idx), action)
 	e.owned(idx, func(w wbucket, j int) { w.setOwner(j, action, true) })
 	return nil

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"neurolpm/internal/cachesim"
@@ -155,6 +157,103 @@ func TestBuildEmptyRuleSet(t *testing.T) {
 	if _, ok := e.Lookup(keys.FromUint64(123)); ok {
 		t.Fatal("empty rule-set matched something")
 	}
+}
+
+// TestBuildSharesRuleSet: the engine keeps the rule-set it is built from, with
+// no copy, and writes nothing into it — not on a modify, a delete, an absorbed
+// insert, a re-insert of a deleted rule with a new action or a rebuild. The
+// range array's actions read through the one action store, and what a build
+// retains is the engine's own layout: no rule table and no action table.
+func TestBuildSharesRuleSet(t *testing.T) {
+	rs := randomRuleSet(t, 32, 2000, 41)
+	snap := slices.Clone(rs.Rules)
+	e, err := Build(rs, quickBucketed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.rules != rs {
+		t.Fatal("Build copied the rule-set")
+	}
+	mod, del := rs.Rules[len(rs.Rules)/3], rs.Rules[2*len(rs.Rules)/3]
+	if err := e.ModifyAction(mod.Prefix, mod.Len, mod.Action+5000); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Delete(del.Prefix, del.Len); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.DeleteFunc(slices.Clone(snap), func(r lpm.Rule) bool { return r == del })
+	want[slices.Index(want, mod)].Action += 5000
+	wantSet, err := lpm.NewRuleSet(32, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := lpm.NewTrieMatcher(wantSet)
+	ra := e.Ranges()
+	for i := range ra.Entries { // the path benchmark/trace.go replays
+		got, ok := ra.Action(i)
+		w, wok := oracle.Lookup(ra.Entries[i].Low)
+		if ok != wok || (ok && got != w) {
+			t.Fatalf("range %d: Array.Action (%d,%v), oracle (%d,%v)", i, got, ok, w, wok)
+		}
+	}
+
+	fresh := lpm.Rule{Prefix: keys.FromUint64(0x0a0b0c00), Len: 24, Action: 7}
+	if rs.Find(fresh.Prefix, fresh.Len) != lpm.NoMatch {
+		t.Fatal("the fresh rule is in the set")
+	}
+	if err := e.Insert(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.absorbed) != 1 {
+		t.Fatalf("%d absorbed rules after an absorbed insert", len(e.absorbed))
+	}
+	back := del
+	back.Action += 9000
+	if err := e.Insert(back); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	next, err := e.InsertBatch([]lpm.Rule{{Prefix: keys.FromUint64(0x0a0b0d00), Len: 24, Action: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rs.Rules, snap) {
+		t.Fatal("the engine wrote into the rule-set it was built from")
+	}
+
+	if raceEnabled {
+		return // race instrumentation adds its own allocations
+	}
+	const n = 200_000
+	big, err := workload.Generate(workload.RIPE(), n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	eng, err := Build(big, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRule := (liveHeap() - before) / n
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(big)
+	if perRule > 50 {
+		t.Fatalf("Build retains %.1f B a rule beside the rule-set, want at most 50", perRule)
+	}
+	t.Logf("Build retains %.1f B a rule beside the rule-set", perRule)
+}
+
+// liveHeap returns the bytes of live heap after a collection.
+func liveHeap() float64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
 }
 
 func TestLookupTraceSRAMOnly(t *testing.T) {

@@ -23,10 +23,11 @@ type ruleID struct {
 	len    int
 }
 
-// absorbedRule is a rule Insert added after Build. Rule indices are one
-// space: rules.Rules first, then Engine.absorbed in arrival order.
+// absorbedRule is a rule Insert added after Build, its action in the range
+// array's added slot. Rule indices are one space: rules.Rules first, then
+// Engine.absorbed in arrival order.
 type absorbedRule struct {
-	lpm.Rule
+	ruleID
 	dead atomic.Bool
 }
 
@@ -41,11 +42,18 @@ func (e *Engine) findRule(prefix keys.Value, length int) int {
 	return lpm.NoMatch
 }
 
-func (e *Engine) rule(i int) *lpm.Rule {
+// rule returns rule i as it stands, its action read from the one action
+// store (ranges.Array.RuleAction).
+func (e *Engine) rule(i int) lpm.Rule {
+	var r lpm.Rule
 	if n := e.rules.Len(); i >= n {
-		return &e.absorbed[i-n].Rule
+		a := e.absorbed[i-n]
+		r = lpm.Rule{Prefix: a.prefix, Len: a.len}
+	} else {
+		r = e.rules.Rules[i]
 	}
-	return &e.rules.Rules[i]
+	r.Action = e.ra.RuleAction(int32(i))
+	return r
 }
 
 // isLive reports whether rule i is installed.
@@ -74,7 +82,7 @@ func (e *Engine) liveRules(extra int) []lpm.Rule {
 	out := make([]lpm.Rule, 0, e.rules.Len()+len(e.absorbed)+extra)
 	for i, n := 0, e.rules.Len()+len(e.absorbed); i < n; i++ {
 		if e.isLive(i) {
-			out = append(out, *e.rule(i))
+			out = append(out, e.rule(i))
 		}
 	}
 	return out
@@ -148,7 +156,7 @@ func (w wbucket) reown(j int, r int32) {
 		w.setOwner(j, 0, false)
 		return
 	}
-	w.setOwner(j, w.e.rule(int(r)).Action, true)
+	w.setOwner(j, w.e.ra.RuleAction(r), true)
 }
 
 // owned calls fn for every range rule idx owns. All rule bounds are range
@@ -246,7 +254,7 @@ func (e *Engine) Insert(r lpm.Rule) error {
 
 	if idx == lpm.NoMatch {
 		idx = e.rules.Len() + len(e.absorbed)
-		e.absorbed = append(e.absorbed, &absorbedRule{Rule: r})
+		e.absorbed = append(e.absorbed, &absorbedRule{ruleID: ruleID{r.Prefix, r.Len}})
 		if e.absorbedAt == nil {
 			e.absorbedAt = make(map[ruleID]int)
 		}
@@ -254,7 +262,6 @@ func (e *Engine) Insert(r lpm.Rule) error {
 		e.lens[r.Len]++
 		e.ra.AddRule(r.Action)
 	} else {
-		e.rule(idx).Action = r.Action
 		e.ra.SetAction(int32(idx), r.Action)
 		e.setLive(idx, true)
 	}

@@ -144,7 +144,7 @@ func TestRecordConsistency(t *testing.T) {
 								t.Fatalf("step %v bucket %d range %d: record (%d,%v), trie %+v", step, b, j, got, ok, want)
 							}
 							if own := w.owner(j); (own == ranges.NoRule) != (o == lpm.NoMatch) ||
-								(o != lpm.NoMatch && (*e.rule(int(own)) != set.Rules[o] || !e.isLive(int(own)))) {
+								(o != lpm.NoMatch && (e.rule(int(own)) != set.Rules[o] || !e.isLive(int(own)))) {
 								t.Fatalf("step %v bucket %d range %d: owner table says rule %d, trie %d", step, b, j, own, o)
 							}
 							if !w.spilled { // the path benchmark/trace.go replays

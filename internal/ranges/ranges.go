@@ -34,11 +34,14 @@ type Entry struct {
 type Array struct {
 	Width   int
 	Entries []Entry
-	actions []uint64 // actions[i] = action of source rule i
+	rules   []lpm.Rule // the source rule-set's, never written: each action until it changes
+	// set is the per-rule action table: nil until a built rule's action first
+	// changes, which fills it from rules and publishes it.
+	set atomic.Pointer[[]uint64]
 	// added holds the actions of the rules AddRule appended, rule index
-	// len(actions)+i. It grows by publishing a new slice header, so a reader
+	// len(rules)+i. It grows by publishing a new slice header, so a reader
 	// that met a new rule index in the owner table finds its slot in the
-	// table it loads next; the built table is never copied.
+	// table it loads next.
 	added atomic.Pointer[[]uint64]
 }
 
@@ -53,11 +56,8 @@ func Convert(s *lpm.RuleSet) (*Array, error) {
 	// Expansion stays under 1.25 on real rule-sets (paper §10.5: ≈ 18 %), so
 	// the sweep appends into a slice of that size and grows it only past
 	// that. One copy at the end leaves Entries at its exact size.
-	a := &Array{Width: s.Width, actions: make([]uint64, len(s.Rules))}
+	a := &Array{Width: s.Width, rules: s.Rules}
 	a.Entries = make([]Entry, 0, len(s.Rules)+len(s.Rules)/4+1)
-	for i, r := range s.Rules {
-		a.actions[i] = r.Action
-	}
 	// Rules arrive sorted by (low asc, len asc): covering prefixes first.
 	// Prefix ranges form a laminar family, so a stack sweep suffices.
 	stack := make([]openRule, 0, 64)
@@ -148,15 +148,15 @@ func (a *Array) FindWithin(k keys.Value, lo, hi int) (idx, probes int) {
 	return keys.BoundedSearch(k, lo, hi, a.Low)
 }
 
-// Rule ownership (Entry.Rule) and the actions table are the only words a
-// published array mutates — the no-retrain insert, delete and
-// action-modification paths rewrite them while lock-free readers resolve
-// lookups. Both are accessed with atomic word operations so a reader sees
+// Rule ownership (Entry.Rule) and the action tables are the only words a
+// published array mutates — the no-retrain update paths rewrite them while
+// Engine.Verify may read them; no lookup does (core answers from its records).
+// Both are accessed with atomic word operations so a reader sees
 // either the old or the new value, never a torn one. Low values never change
 // after Convert: a boundary an absorbed insert adds lives in its bucket's
 // spill record (internal/core), not here.
 
-// Rule returns the rule index owning range i, or NoRule.
+// RuleOf returns the rule index owning range i, or NoRule.
 func (a *Array) RuleOf(i int) int32 { return atomic.LoadInt32(&a.Entries[i].Rule) }
 
 // SetRule re-owns range i (the tombstone-aware delete path).
@@ -164,25 +164,43 @@ func (a *Array) SetRule(i int, r int32) { atomic.StoreInt32(&a.Entries[i].Rule, 
 
 // Action resolves the action of range i; ok is false for NoRule ranges.
 func (a *Array) Action(i int) (uint64, bool) {
-	r := atomic.LoadInt32(&a.Entries[i].Rule)
+	r := a.RuleOf(i)
 	if r == NoRule {
 		return 0, false
 	}
-	return atomic.LoadUint64(a.action(r)), true
+	return a.RuleAction(r), true
 }
 
-// action returns rule r's slot in the actions tables.
-func (a *Array) action(r int32) *uint64 {
-	if n := int32(len(a.actions)); r >= n {
-		return &(*a.added.Load())[r-n]
+// RuleAction returns rule r's action: its added slot, its word in the
+// per-rule table once one exists, else the source rule's own.
+func (a *Array) RuleAction(r int32) uint64 {
+	if n := int32(len(a.rules)); r >= n {
+		return atomic.LoadUint64(&(*a.added.Load())[r-n])
 	}
-	return &a.actions[r]
+	if t := a.set.Load(); t != nil {
+		return atomic.LoadUint64(&(*t)[r])
+	}
+	return a.rules[r].Action
 }
 
-// SetAction updates the stored action of source rule idx (used by the
-// no-retrain action-modification update path).
+// SetAction updates the stored action of rule idx (used by the no-retrain
+// action-modification update path). Writers are serialized. A built rule set
+// to the action it has already needs no table.
 func (a *Array) SetAction(idx int32, action uint64) {
-	atomic.StoreUint64(a.action(idx), action)
+	n := int32(len(a.rules))
+	switch t := a.set.Load(); {
+	case idx >= n:
+		atomic.StoreUint64(&(*a.added.Load())[idx-n], action)
+	case t != nil:
+		atomic.StoreUint64(&(*t)[idx], action)
+	case a.rules[idx].Action != action:
+		tbl := make([]uint64, n)
+		for i, r := range a.rules {
+			tbl[i] = r.Action
+		}
+		tbl[idx] = action
+		a.set.Store(&tbl)
+	}
 }
 
 // AddRule appends a rule's action and returns its index — the rule an
@@ -195,7 +213,7 @@ func (a *Array) AddRule(action uint64) int32 {
 	}
 	grown := append(old, action) // shares old's words while capacity lasts
 	a.added.Store(&grown)
-	return int32(len(a.actions) + len(old))
+	return int32(len(a.rules) + len(old))
 }
 
 // High returns the inclusive upper bound of range i.

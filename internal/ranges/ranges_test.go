@@ -2,6 +2,7 @@ package ranges
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -310,15 +311,31 @@ func TestFindFirstAndLastKey(t *testing.T) {
 	}
 }
 
+// TestSetAction: until a rule's action is set, the array reads every action
+// from the source rule-set; a set action is the one the array answers, the
+// source is never written, and a rule nobody set still answers its source
+// rule's action.
 func TestSetAction(t *testing.T) {
 	s, a := mustConvert(t, 8, []lpm.Rule{
 		{Prefix: keys.FromUint64(0x80), Len: 1, Action: 1},
+		{Prefix: keys.FromUint64(0x00), Len: 1, Action: 2},
 	})
 	idx := s.Find(keys.FromUint64(0x80), 1)
+	set, other := a.Find(keys.FromUint64(0x90)), a.Find(keys.FromUint64(0x10))
+	s.Rules[1-idx].Action = 3 // no copy: the array reads it where it is
+	if act, ok := a.Action(other); !ok || act != 3 {
+		t.Fatalf("action before SetAction = %d,%v, want the source rule's 3", act, ok)
+	}
+	snap := slices.Clone(s.Rules)
 	a.SetAction(int32(idx), 77)
-	r := a.Find(keys.FromUint64(0x90))
-	if act, _ := a.Action(r); act != 77 {
+	if act, _ := a.Action(set); act != 77 {
 		t.Fatalf("action after SetAction = %d", act)
+	}
+	if !slices.Equal(s.Rules, snap) {
+		t.Fatalf("SetAction wrote into the source rule-set: %v", s.Rules)
+	}
+	if act, ok := a.Action(other); !ok || act != s.Rules[1-idx].Action {
+		t.Fatalf("untouched rule's action = %d,%v, want its source rule's %d", act, ok, s.Rules[1-idx].Action)
 	}
 }
 

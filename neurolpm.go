@@ -86,7 +86,9 @@ func ParseRuleSet(width int, text string) (*RuleSet, error) {
 }
 
 // Build runs the offline preparation stage — LPM→range conversion, optional
-// bucketization, RQRMI training — and returns a query-ready engine.
+// bucketization, RQRMI training — and returns a query-ready engine. The
+// engine keeps rs as its rule table, with no copy, and never writes into it:
+// the caller must not modify rs afterwards.
 func Build(rs *RuleSet, cfg Config) (*Engine, error) {
 	return core.Build(rs, cfg)
 }
