@@ -35,9 +35,11 @@ vet:
 # data protocol (DESIGN.md §17): lookups and updates travel over the wire, with
 # no HTTP /batch or /update, no lpmload HTTP arm or -proto flag, and no
 # not-implemented wire error for a server without updates. An engine keeps
-# the rule-set it is built from (DESIGN.md §5): no clone of it in core. Each
-# alternative carries a one-character class so these lines do not find
-# themselves.
+# the rule-set it is built from (DESIGN.md §5): no clone of it in core. A
+# rule file is streamed into its rules, and the range array is written once at
+# its size (DESIGN.md §5): no command parses a string copy of the file, and
+# Convert makes no shrink copy of its entries. Each alternative carries a
+# one-character class so these lines do not find themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
@@ -67,6 +69,7 @@ deleted-names:
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 	@! grep -rnE 'rules: +rs\.Clo[n]e\(\)' --include='*.go' internal/core
+	@! grep -rnE 'ParseRuleSet\([^)]*str[i]ng\(|append\(make\(\[\]Entr[y]' --include='*.go' cmd internal/ranges
 
 test:
 	$(GO) test ./...

@@ -104,21 +104,8 @@ func main() {
 	if o.rules == "" {
 		fatal("-rules is required")
 	}
-	start := time.Now()
-	text, err := os.ReadFile(o.rules)
-	if err != nil {
-		fatal("%v", err)
-	}
-	rs, err := lpm.ParseRuleSet(o.width, string(text))
-	if err != nil {
-		fatal("%v", err)
-	}
-
-	cfg := core.Config{BucketSize: o.bucket, Model: rqrmi.DefaultConfig()}
-	srv := buildSharded(rs, cfg, o.shards, o.verify, time.Since(start))
+	srv := load(o)
 	telemetry.Flight.SetSampleEvery(o.flightSample)
-	srv.SetInfo("rules", fmt.Sprint(rs.Len()))
-	srv.SetInfo("width", fmt.Sprint(rs.Width))
 	srv.SetInfo("flight_sample", fmt.Sprint(telemetry.Flight.SampleEvery()))
 
 	l, err := net.Listen("tcp", o.addr)
@@ -139,6 +126,22 @@ func main() {
 		fatal("%v", err)
 	}
 	fmt.Fprintln(os.Stderr, "lpmserve: drained, shutting down")
+}
+
+// load reads the rule file and builds the server over it: the whole of
+// lpmserve's start-up that grows with the rule count. The file is streamed
+// into the rules, and the shards share them, so the rule-set is held once.
+func load(o *options) *serve.Server {
+	start := time.Now()
+	rs, err := lpm.ReadRuleFile(o.width, o.rules)
+	if err != nil {
+		fatal("%v", err)
+	}
+	cfg := core.Config{BucketSize: o.bucket, Model: rqrmi.DefaultConfig()}
+	srv := buildSharded(rs, cfg, o.shards, o.verify, time.Since(start))
+	srv.SetInfo("rules", fmt.Sprint(rs.Len()))
+	srv.SetInfo("width", fmt.Sprint(rs.Width))
+	return srv
 }
 
 // buildSharded partitions the rule-set, trains a shard per part and wraps the

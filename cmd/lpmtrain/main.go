@@ -33,11 +33,7 @@ func main() {
 	if *rulesPath == "" {
 		fatal("-rules is required")
 	}
-	text, err := os.ReadFile(*rulesPath)
-	if err != nil {
-		fatal("%v", err)
-	}
-	rs, err := lpm.ParseRuleSet(*width, string(text))
+	rs, err := lpm.ReadRuleFile(*width, *rulesPath)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -91,39 +91,43 @@ func referenceRule(width int, line string) (Rule, error) {
 	return Rule{Prefix: prefix, Len: length, Action: action}, nil
 }
 
+// parseSeeds is FuzzParseRule's seed corpus, which TestReadRuleFileMatchesParse
+// also writes to files. The seeds cover what the in-place field cut must get
+// right: CRLF, tabs, \v and \f, indented comments, no final newline, empty
+// text, 128-bit hex, and U+00A0 and U+0085, which strings.Fields and
+// strings.TrimSpace treat as spaces.
+var parseSeeds = []struct {
+	text  string
+	width uint8 // the width is 1 + width%128
+}{
+	{"0xc0a80000/16 7", 31},
+	{"128/1 3", 7},
+	{"0x20010db8000000000000000000000000/32 9", 127},
+	{"0x20010db8000000000000000000000000/32 9", 31},
+	{"garbage", 31},
+	{"0x10/4 5 6", 7},
+	{"", 31},
+	{"0x80000000/1 1\r\n0x40000000/2 2\r\n", 31},
+	{"0x80000000/1\t1\n\t0x40000000/2 \t2", 31},
+	{"0x80000000/1\v1\f\n\f0x40000000/2\v2", 31},
+	{"  # comment\n\t# another\n0x80000000/1 1\n", 31},
+	{"0x80000000/1 1\n0x40000000/2 2", 31},
+	{"0x80000000/1 1\n", 31},
+	{"0x80000000/1\u00851\n", 31},
+	{" 0x80000000/1 1\u0085\n0x40000000/2\u0085 2", 31},
+	{"0x80000000/1 1\n0x80000000/1 2\n", 31},
+	{"0x40000000/2 2\n0x80000000/1 1\n", 31},
+	{"0x80000000/1 1\n\nbogus\n", 31},
+	{"0x_80/1 1\n0X40/2 2\n0x/1 1", 7},
+	{"0x80000000000000000000000000000000/1 7\n0x8000000000000000/65 0x7\n0x1ffffffffffffffff/128 1", 127},
+	{"0x80/+1 1\n0x40/2 0b10\n0x20/3 0o7", 7},
+}
+
 // FuzzParseRule holds ParseRuleSet to referenceParse on arbitrary text at
 // every width: both accept or both reject, an accepted text gives the same
-// rules, and a rejected one names the same line. The seeds cover what the
-// in-place field cut must get right: CRLF, tabs, \v and \f, indented
-// comments, no final newline, empty text, 128-bit hex, and U+00A0 and U+0085,
-// which strings.Fields and strings.TrimSpace treat as spaces.
+// rules, and a rejected one names the same line. It starts from parseSeeds.
 func FuzzParseRule(f *testing.F) {
-	for _, s := range []struct {
-		text  string
-		width uint8 // the width is 1 + width%128
-	}{
-		{"0xc0a80000/16 7", 31},
-		{"128/1 3", 7},
-		{"0x20010db8000000000000000000000000/32 9", 127},
-		{"0x20010db8000000000000000000000000/32 9", 31},
-		{"garbage", 31},
-		{"0x10/4 5 6", 7},
-		{"", 31},
-		{"0x80000000/1 1\r\n0x40000000/2 2\r\n", 31},
-		{"0x80000000/1\t1\n\t0x40000000/2 \t2", 31},
-		{"0x80000000/1\v1\f\n\f0x40000000/2\v2", 31},
-		{"  # comment\n\t# another\n0x80000000/1 1\n", 31},
-		{"0x80000000/1 1\n0x40000000/2 2", 31},
-		{"0x80000000/1 1\n", 31},
-		{"0x80000000/1\u00851\n", 31},
-		{" 0x80000000/1 1\u0085\n0x40000000/2\u0085 2", 31},
-		{"0x80000000/1 1\n0x80000000/1 2\n", 31},
-		{"0x40000000/2 2\n0x80000000/1 1\n", 31},
-		{"0x80000000/1 1\n\nbogus\n", 31},
-		{"0x_80/1 1\n0X40/2 2\n0x/1 1", 7},
-		{"0x80000000000000000000000000000000/1 7\n0x8000000000000000/65 0x7\n0x1ffffffffffffffff/128 1", 127},
-		{"0x80/+1 1\n0x40/2 0b10\n0x20/3 0o7", 7},
-	} {
+	for _, s := range parseSeeds {
 		f.Add(s.text, s.width)
 	}
 	f.Fuzz(func(t *testing.T, text string, w uint8) {

@@ -5,12 +5,16 @@
 package lpm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"neurolpm/internal/keys"
 )
@@ -273,8 +277,18 @@ func ParseRuleSet(width int, text string) (*RuleSet, error) {
 	if err := checkWidth(width); err != nil {
 		return nil, err
 	}
-	rules := make([]Rule, 0, strings.Count(text, "\n")+1)
-	for lineNo := 1; text != ""; lineNo++ {
+	rules, _, err := parseLines(width, text, 1, make([]Rule, 0, strings.Count(text, "\n")+1))
+	if err != nil {
+		return nil, err
+	}
+	return own(width, rules)
+}
+
+// parseLines appends the rules of text, whose first line is number lineNo,
+// to rules, and returns the number of the line after text's last. A line
+// error names its line.
+func parseLines(width int, text string, lineNo int, rules []Rule) ([]Rule, int, error) {
+	for ; text != ""; lineNo++ {
 		var line string
 		line, text, _ = strings.Cut(text, "\n")
 		line = strings.TrimSpace(line)
@@ -283,9 +297,73 @@ func ParseRuleSet(width int, text string) (*RuleSet, error) {
 		}
 		r, err := ParseRule(width, line)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			return nil, lineNo, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 		rules = append(rules, r)
+	}
+	return rules, lineNo, nil
+}
+
+// readChunk is the size of the buffer ReadRuleFile reads a file through.
+const readChunk = 64 << 10
+
+// ReadRuleFile reads the rule file at path: ParseRuleSet of its contents,
+// with the same rules or the same error, without holding the text. One pass
+// over fixed-size chunks counts the newlines, which size the rule slice; a
+// second parses each chunk's whole lines in place, with ParseRuleSet's
+// per-line routine, and carries a line the chunk cuts into the next read. The
+// rules are the only whole-file allocation; a line longer than the buffer
+// grows it.
+func ReadRuleFile(width int, path string) (*RuleSet, error) {
+	if err := checkWidth(width); err != nil {
+		return nil, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, readChunk)
+	newlines := 0
+	for {
+		n, err := f.Read(buf)
+		newlines += bytes.Count(buf[:n], []byte{'\n'})
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	rules := make([]Rule, 0, newlines+1)
+	lineNo, held := 1, 0 // held: the bytes of a cut line at buf's start
+	for eof := false; !eof; {
+		n, err := f.Read(buf[held:])
+		if err == io.EOF {
+			eof = true
+		} else if err != nil {
+			return nil, err
+		}
+		data := buf[:held+n]
+		end := len(data) // at the end of the file the last line needs no newline
+		if !eof {
+			end = bytes.LastIndexByte(data, '\n') + 1
+			if end == 0 && len(data) == len(buf) {
+				buf = append(buf, make([]byte, len(buf))...)
+				held = len(data)
+				continue
+			}
+		}
+		// The string views buf without a copy; nothing keeps it past this
+		// call, since a rule holds no text and an error quotes a copy.
+		text := unsafe.String(unsafe.SliceData(data), end)
+		if rules, lineNo, err = parseLines(width, text, lineNo, rules); err != nil {
+			return nil, err
+		}
+		held = copy(buf, data[end:])
 	}
 	return own(width, rules)
 }

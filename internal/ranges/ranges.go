@@ -47,73 +47,96 @@ type Array struct {
 
 // Convert transforms the rule-set into a range array. The result satisfies:
 // for every key k, the entry found by Find(k) names the longest-prefix rule
-// of s matching k (or NoRule).
+// of s matching k (or NoRule). The sweep runs twice: once to count the
+// entries, once to write them into an array of exactly that size, so the
+// entries are allocated once and no larger buffer is ever held beside them.
 func Convert(s *lpm.RuleSet) (*Array, error) {
+	var count sweep
+	if err := count.run(s); err != nil {
+		return nil, err
+	}
+	fill := sweep{out: make([]Entry, count.n)}
+	if err := fill.run(s); err != nil {
+		return nil, err
+	}
+	return &Array{Width: s.Width, Entries: fill.out, rules: s.Rules}, nil
+}
+
+// sweep is one pass of the conversion: it counts the entries the rule-set
+// converts to, and writes them into out when out is non-nil.
+type sweep struct {
+	out  []Entry
+	n    int   // entries emitted
+	last int32 // the rule of the last one
+}
+
+// emit adds the range starting at low, owned by rule idx. It merges with the
+// previous entry when the owner is unchanged, so adjacent ranges of the same
+// rule never split the array.
+func (w *sweep) emit(low keys.Value, idx int32) {
+	if w.n > 0 && w.last == idx {
+		return
+	}
+	if w.out != nil {
+		w.out[w.n] = Entry{Low: low, Rule: idx}
+	}
+	w.n++
+	w.last = idx
+}
+
+func (w *sweep) run(s *lpm.RuleSet) error {
 	type openRule struct {
 		high keys.Value
 		idx  int32
 	}
-	// Expansion stays under 1.25 on real rule-sets (paper §10.5: ≈ 18 %), so
-	// the sweep appends into a slice of that size and grows it only past
-	// that. One copy at the end leaves Entries at its exact size.
-	a := &Array{Width: s.Width, rules: s.Rules}
-	a.Entries = make([]Entry, 0, len(s.Rules)+len(s.Rules)/4+1)
+	// wild[l] is the wildcard mask of a rule of length l: its High is its
+	// Prefix with wild[l] set; wild[Width] is zero.
+	var wild [129]keys.Value
+	for l := range s.Width {
+		wild[l] = keys.MaxValue(s.Width - l)
+	}
 	// Rules arrive sorted by (low asc, len asc): covering prefixes first.
 	// Prefix ranges form a laminar family, so a stack sweep suffices.
-	stack := make([]openRule, 0, 64)
-	stack = append(stack, openRule{high: keys.MaxValue(s.Width), idx: NoRule}) // null rule (step 1)
-	cursor := keys.Value{}                                                     // next uncovered key
-	emit := func(low keys.Value, idx int32) {
-		// Merge with the previous entry when the owner is unchanged, so
-		// adjacent ranges of the same rule never split the array.
-		if n := len(a.Entries); n > 0 && a.Entries[n-1].Rule == idx {
-			return
-		}
-		a.Entries = append(a.Entries, Entry{Low: low, Rule: idx})
-	}
-	top := func() openRule { return stack[len(stack)-1] }
-
+	var buf [64]openRule
+	stack := append(buf[:0], openRule{high: keys.MaxValue(s.Width), idx: NoRule}) // null rule (step 1)
+	cursor := keys.Value{}                                                        // next uncovered key
 	for i, r := range s.Rules {
-		low, high := r.Low(s.Width), r.High(s.Width)
+		low, high := r.Prefix, r.Prefix.Or(wild[r.Len])
 		// Close every open rule that ends before this one starts (step 4).
-		for len(stack) > 1 && top().high.Less(low) {
-			t := top()
+		for len(stack) > 1 && stack[len(stack)-1].high.Less(low) {
+			t := stack[len(stack)-1]
 			if cursor.Cmp(t.high) <= 0 {
-				emit(cursor, t.idx)
+				w.emit(cursor, t.idx)
 				cursor = t.high.Inc()
 			}
 			stack = stack[:len(stack)-1]
 		}
+		t := stack[len(stack)-1]
 		// Laminar check: the new rule must nest inside the current top.
-		if t := top(); high.Cmp(t.high) > 0 {
-			return nil, fmt.Errorf("ranges: rule %v is not nested (corrupt rule-set)", s.Rules[i])
+		if high.Cmp(t.high) > 0 {
+			return fmt.Errorf("ranges: rule %v is not nested (corrupt rule-set)", s.Rules[i])
 		}
 		// The gap between cursor and this rule's start belongs to the
 		// currently open rule (step 3).
 		if cursor.Less(low) {
-			emit(cursor, top().idx)
+			w.emit(cursor, t.idx)
 			cursor = low
 		}
 		stack = append(stack, openRule{high: high, idx: int32(i)})
 	}
 	// Close the remaining open rules, deepest first.
 	for len(stack) > 0 {
-		t := top()
+		t := stack[len(stack)-1]
 		if cursor.Cmp(t.high) <= 0 {
-			emit(cursor, t.idx)
+			w.emit(cursor, t.idx)
 			if t.high == keys.MaxValue(s.Width) {
-				stack = stack[:1]
 				break
 			}
 			cursor = t.high.Inc()
 		}
 		stack = stack[:len(stack)-1]
 	}
-	if len(a.Entries) == 0 { // empty rule-set: whole domain unmatched
-		a.Entries = append(a.Entries, Entry{Rule: NoRule})
-	}
-	a.Entries = append(make([]Entry, 0, len(a.Entries)), a.Entries...)
-	return a, nil
+	return nil
 }
 
 // Len returns the number of ranges.

@@ -419,3 +419,24 @@ func BenchmarkFind(b *testing.B) {
 		a.Find(queries[i&1023])
 	}
 }
+
+// TestConvertExactSize pins Convert to writing its entries once, at their
+// exact size: no spare capacity, and two allocations — the array and its
+// entries — whatever the rule count, so neither a sweep buffer larger than
+// the result nor a shrink copy of it comes back.
+func TestConvertExactSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1000, 50000} {
+		s := randomRuleSet(rng, 32, n)
+		a, err := Convert(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Entries) != cap(a.Entries) {
+			t.Errorf("%d rules: %d entries in capacity %d", n, len(a.Entries), cap(a.Entries))
+		}
+		if got := testing.AllocsPerRun(3, func() { Convert(s) }); got != 2 {
+			t.Errorf("%d rules: Convert made %v allocations, want 2", n, got)
+		}
+	}
+}

@@ -87,8 +87,8 @@ func BenchmarkShardedLookupBatch256Direct(b *testing.B) {
 // BenchmarkBuildUpdatable is lpmserve's start-up build on the repository
 // benchmark's rules: 870 K ripe rules (seed 3) partitioned into four shards,
 // one engine trained per shard. Run with -benchmem. It also reports the live
-// heap the built updatable retains, its partition included, as
-// retained_B/rule, measured outside the timer. The /metrics gauges hold the
+// heap the built updatable retains beyond the rule-set, which its shards
+// share rather than copy, as retained_B/rule, measured outside the timer. The /metrics gauges hold the
 // last updatable built until the next replaces it, so a four-shard build of
 // 64 rules first lets go of an earlier run's, and each build lets go of the
 // one before.

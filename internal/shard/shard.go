@@ -23,6 +23,8 @@ package shard
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -72,35 +74,56 @@ func plan(rs *lpm.RuleSet, nShards int) (int, [][]lpm.Rule, error) {
 
 // partition assigns every rule to the shards it covers. Rules at least
 // shardBits long land in exactly one shard; shorter rules are replicated
-// into each of the 2^(shardBits−len) shards under their prefix. One pass
-// counts each part, a second fills it, so every part is allocated once at
-// its exact size. Each part is a valid rule-set as it stands: it is a
-// subsequence of a validated, sorted and duplicate-free rule-set, so it is
-// all three, and buildEngines wraps it without copying or checking it again.
+// into each of the 2^(shardBits−len) shards under their prefix. The rules are
+// sorted by (prefix, len), so the rules whose top shardBits are s — shard s's
+// own — are one run of rs.Rules, and a rule shorter than shardBits has the
+// smallest prefix its run can hold, so it leads the run. A part that receives
+// no replicated rule from an earlier run is its run, resliced with its
+// capacity capped so an append can never reach the next run: at one shard,
+// rs.Rules itself. Only a part that does receive them is allocated, at its
+// exact size, the replicated rules first. Each part is a valid rule-set as it
+// stands: it is a subsequence of a validated, sorted and duplicate-free
+// rule-set, so it is all three, and buildEngines wraps it without copying or
+// checking it again.
 func partition(rs *lpm.RuleSet, shardBits int) [][]lpm.Rule {
-	counts := make([]int, 1<<shardBits)
-	for _, r := range rs.Rules {
-		lo, hi := shardSpan(rs.Width, shardBits, r)
-		for s := lo; s <= hi; s++ {
-			counts[s]++
+	parts := make([][]lpm.Rule, 1<<shardBits)
+	// carried are the earlier runs' short rules, in order, whose span reaches
+	// shard s: at most one of each length below shardBits.
+	carried := make([]lpm.Rule, 0, MaxShardBits)
+	lo := 0
+	for s := range parts {
+		hi := sort.Search(len(rs.Rules), func(i int) bool {
+			return shardOf(rs.Width, shardBits, rs.Rules[i]) > s
+		})
+		run := rs.Rules[lo:hi:hi]
+		carried = slices.DeleteFunc(carried, func(r lpm.Rule) bool {
+			_, last := shardSpan(rs.Width, shardBits, r)
+			return last < s
+		})
+		if len(carried) == 0 {
+			parts[s] = run
+		} else {
+			parts[s] = append(append(make([]lpm.Rule, 0, len(carried)+len(run)), carried...), run...)
 		}
-	}
-	parts := make([][]lpm.Rule, len(counts))
-	for s, n := range counts {
-		parts[s] = make([]lpm.Rule, 0, n)
-	}
-	for _, r := range rs.Rules {
-		lo, hi := shardSpan(rs.Width, shardBits, r)
-		for s := lo; s <= hi; s++ {
-			parts[s] = append(parts[s], r)
+		for _, r := range run {
+			if r.Len >= shardBits {
+				break
+			}
+			carried = append(carried, r)
 		}
+		lo = hi
 	}
 	return parts
 }
 
+// shardOf returns the shard holding rule r's prefix: its top shardBits.
+func shardOf(width, shardBits int, r lpm.Rule) int {
+	return int(r.Prefix.Shr(uint(width - shardBits)).Uint64())
+}
+
 // shardSpan returns the inclusive shard range rule r covers.
 func shardSpan(width, shardBits int, r lpm.Rule) (lo, hi int) {
-	top := int(r.Prefix.Shr(uint(width - shardBits)).Uint64())
+	top := shardOf(width, shardBits, r)
 	if r.Len >= shardBits {
 		return top, top
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"neurolpm/internal/core"
@@ -101,31 +102,152 @@ func TestShardSpanReplication(t *testing.T) {
 	}
 }
 
-// TestPartitionAllocs pins partition to exact-size parts: a count, the part
-// headers and one array per shard, whatever the rule count.
+// TestPartitionAllocs pins partition's allocations: the part headers, and one
+// exact-size array per part that is a copy, whatever the rule count.
 func TestPartitionAllocs(t *testing.T) {
 	rs := randomRuleSet(t, 32, 20000, 5)
 	for _, bits := range []int{0, 2, 3} {
 		parts := partition(rs, bits)
+		copies := 0
 		for s, p := range parts {
 			if len(p) != cap(p) {
 				t.Errorf("%d bits: part %d has %d rules in capacity %d", bits, s, len(p), cap(p))
+			}
+			if _, ok := aliasAt(p, rs.Rules); !ok {
+				copies++
 			}
 		}
 		if raceEnabled {
 			continue
 		}
-		if got, max := testing.AllocsPerRun(3, func() { partition(rs, bits) }), float64(len(parts)+2); got > max {
+		if got, max := testing.AllocsPerRun(3, func() { partition(rs, bits) }), float64(1+copies); got > max {
 			t.Errorf("%d bits: partition made %v allocations, want at most %v", bits, got, max)
 		}
 	}
 }
 
+// aliasAt reports whether part is a run of rules itself, not a copy, and
+// where that run starts. An empty part is one.
+func aliasAt(part, rules []lpm.Rule) (int, bool) {
+	if len(part) == 0 {
+		return 0, true
+	}
+	for i := range rules {
+		if &rules[i] == &part[0] {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// withoutShortRules returns rs less its rules shorter than bits.
+func withoutShortRules(t *testing.T, rs *lpm.RuleSet, bits int) *lpm.RuleSet {
+	t.Helper()
+	long, err := lpm.NewRuleSet(rs.Width, slices.DeleteFunc(slices.Clone(rs.Rules), func(r lpm.Rule) bool { return r.Len < bits }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return long
+}
+
+// withShortRules returns rs plus a /0 rule and the /1 rule of the upper half.
+func withShortRules(t *testing.T, rs *lpm.RuleSet) *lpm.RuleSet {
+	t.Helper()
+	rules := append(slices.Clone(rs.Rules),
+		lpm.Rule{Len: 0, Action: 1000},
+		lpm.Rule{Prefix: keys.FromUint64(1 << (rs.Width - 1)), Len: 1, Action: 1001})
+	short, err := lpm.NewRuleSet(rs.Width, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return short
+}
+
+// TestPartitionSharesRuleSet: shards share the caller's rules. With no rule
+// shorter than the routing bits, every part at 1, 4 and 8 shards is its run
+// of rs.Rules itself, in order and with no spare capacity — at one shard the
+// whole of it. With a /0 and a /1 rule, exactly the parts that receive one of
+// them from an earlier shard's run are copies. And no update through an
+// updatable built at one shard (neurolpm.NewUpdatable) or four writes into
+// the rule-set it was built from.
+func TestPartitionSharesRuleSet(t *testing.T) {
+	base := randomRuleSet(t, 32, 3000, 17)
+	long := withoutShortRules(t, base, 3)
+	for _, bits := range []int{0, 2, 3} {
+		at := 0
+		for s, p := range partition(long, bits) {
+			lo, ok := aliasAt(p, long.Rules)
+			if !ok || len(p) > 0 && lo != at || len(p) != cap(p) {
+				t.Errorf("%d bits: part %d (%d rules, capacity %d) is not rs.Rules[%d:%d:%d]",
+					bits, s, len(p), cap(p), at, at+len(p), at+len(p))
+			}
+			at += len(p)
+		}
+		if at != long.Len() {
+			t.Errorf("%d bits: parts hold %d rules, want %d", bits, at, long.Len())
+		}
+	}
+
+	short := withShortRules(t, long)
+	for _, bits := range []int{2, 3} {
+		for s, p := range partition(short, bits) {
+			receives := false
+			for _, r := range short.Rules {
+				lo, hi := shardSpan(short.Width, bits, r)
+				receives = receives || r.Len < bits && lo < s && s <= hi
+			}
+			if _, ok := aliasAt(p, short.Rules); ok == receives {
+				t.Errorf("%d bits: part %d receives a replicated rule: %v, shares rs.Rules: %v", bits, s, receives, ok)
+			}
+		}
+	}
+
+	forShardCounts(t, func(t *testing.T, n int) {
+		rs := withShortRules(t, withoutShortRules(t, randomRuleSet(t, 32, 400, 19), 3))
+		before := slices.Clone(rs.Rules)
+		u, err := BuildUpdatable(rs, quickBucketed(), n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := rs.Rules[len(rs.Rules)/2]
+		for _, step := range []func() error{
+			func() error { return u.Insert(lpm.Rule{Prefix: keys.FromUint64(0x0a0b0c00), Len: 24, Action: 77}) },
+			func() error { return u.ModifyAction(built.Prefix, built.Len, built.Action+1) },
+			func() error { return u.ModifyAction(keys.Value{}, 0, 5) },
+			func() error { return u.Delete(rs.Rules[1].Prefix, rs.Rules[1].Len) },
+			func() error { return u.Insert(lpm.Rule{Prefix: rs.Rules[1].Prefix, Len: rs.Rules[1].Len, Action: 78}) },
+			func() error {
+				for i := 0; i < u.Shards(); i++ {
+					if err := u.Commit(i); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rs.Rules, before) {
+				t.Fatal("an update wrote into the rule-set the updatable was built from")
+			}
+		}
+	})
+}
+
 // TestShardedVsOracle is the differential core of the package: every key of
 // a random stream must match the trie oracle, for both engine designs and
-// several shard counts, through Lookup and LookupBatch.
+// several shard counts, through Lookup and LookupBatch — on a random set, and
+// on one with a /0 and a /1 rule, which replicate into copied parts.
 func TestShardedVsOracle(t *testing.T) {
-	rs := randomRuleSet(t, 32, 400, 7)
+	base := randomRuleSet(t, 32, 400, 7)
+	for _, rs := range []*lpm.RuleSet{base, withShortRules(t, withoutShortRules(t, base, 2))} {
+		checkShardedVsOracle(t, rs)
+	}
+}
+
+func checkShardedVsOracle(t *testing.T, rs *lpm.RuleSet) {
+	t.Helper()
 	oracle := lpm.NewTrieMatcher(rs)
 	ks := randomKeys(32, 4096, 99)
 	// Include every rule boundary — the adversarial points.

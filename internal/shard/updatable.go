@@ -45,8 +45,11 @@ type slot struct {
 	_      [48]byte
 }
 
-// BuildUpdatable builds an updatable engine of nShards shards. The fourth
-// argument is ignored: it sized the per-shard delta buffer this engine no
+// BuildUpdatable builds an updatable engine of nShards shards. Its engines
+// keep rs's rules as their rule tables, with no copy (only a shard that
+// receives a replicated rule shorter than the routing bits holds its part
+// copied), and never write into them: the caller must not modify rs
+// afterwards. The fourth argument is ignored: it sized the per-shard delta buffer this engine no
 // longer has, and stays only for callers written against that signature.
 func BuildUpdatable(rs *lpm.RuleSet, cfg core.Config, nShards, _ int) (*ShardedUpdatable, error) {
 	bits, parts, err := plan(rs, nShards)

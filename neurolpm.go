@@ -105,7 +105,9 @@ func SRAMOnlyConfig() Config { return core.SRAMOnlyConfig() }
 func DefaultModelConfig() ModelConfig { return rqrmi.DefaultConfig() }
 
 // NewUpdatable builds an updatable engine over the rule-set: Build's
-// preparation stage, at one shard.
+// preparation stage, at one shard. Like Build, it keeps rs as the engine's
+// rule table, with no copy, and no update writes into it: the caller must not
+// modify rs afterwards.
 func NewUpdatable(rs *RuleSet, cfg Config) (*Updatable, error) {
 	return shard.BuildUpdatable(rs, cfg, 1, 0)
 }
