@@ -17,7 +17,7 @@ vet:
 # width (DESIGN.md §9, §10, §16): no shard worker pool, per-worker cache plane,
 # in-daemon tier rebalancer or daemon inference switch. Training is one
 # deterministic fit (DESIGN.md §5): no SGD knobs, sampler, straggler rounds,
-# their counters or their lpmtrain flags. A spilled bucket is one pointer to a
+# their counters or their flags. A spilled bucket is one pointer to a
 # heap record (DESIGN.md §10, §11): no slot allocator, and no refusal for a
 # spent one or for a commit in flight. There is no tier simulation and no
 # result-cache plane (DESIGN.md §12, §16): no tier store or rebalance, no cold
@@ -38,7 +38,10 @@ vet:
 # the rule-set it is built from (DESIGN.md §5): no clone of it in core. A
 # rule file is streamed into its rules, and the range array is written once at
 # its size (DESIGN.md §5): no command parses a string copy of the file, and
-# Convert makes no shrink copy of its entries. Each alternative carries a
+# Convert makes no shrink copy of its entries. The model is trained where it
+# is served (DESIGN.md §1): no offline model file — no model reader, no build
+# around a stored model, no offline train or query command — and no trace
+# file or lpmgen flag that writes one. Each alternative carries a
 # one-character class so these lines do not find themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier' \
@@ -70,6 +73,9 @@ deleted-names:
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 	@! grep -rnE 'rules: +rs\.Clo[n]e\(\)' --include='*.go' internal/core
 	@! grep -rnE 'ParseRuleSet\([^)]*str[i]ng\(|append\(make\(\[\]Entr[y]' --include='*.go' cmd internal/ranges
+	@! grep -rnE 'Read[M]odel|BuildWith[M]odel|\blpm(t[r]ain|q[u]ery)\b|(Read|Write)[T]race|-trace[o]ut|model\.[b]in' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
 test:
 	$(GO) test ./...
@@ -97,7 +103,6 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseRule -fuzztime $(FUZZTIME) ./internal/lpm
 	$(GO) test -run xxx -fuzz FuzzPrefixCoverBounds -fuzztime $(FUZZTIME) ./internal/lpm
-	$(GO) test -run xxx -fuzz FuzzReadModel -fuzztime $(FUZZTIME) ./internal/rqrmi
 	$(GO) test -run xxx -fuzz FuzzCompiledVsModel -fuzztime $(FUZZTIME) ./internal/rqrmi
 	$(GO) test -run xxx -fuzz FuzzQuantizedVsModel -fuzztime $(FUZZTIME) ./internal/rqrmi
 	$(GO) test -run xxx -fuzz FuzzStackVsOracle -fuzztime 40s ./internal/planetest

@@ -1,11 +1,10 @@
-// Command lpmgen generates synthetic rule-sets and query traces from the
-// calibrated workload families (DESIGN.md §2 substitutions for the paper's
-// RIPE / RouteViews / Stanford / Snort inputs).
+// Command lpmgen generates synthetic rule-sets from the calibrated workload
+// families (DESIGN.md §2 substitutions for the paper's RIPE / RouteViews /
+// Stanford / Snort inputs).
 //
 // Usage:
 //
 //	lpmgen -profile ripe -rules 870000 -out rules.txt
-//	lpmgen -profile ripe -rules 10000 -trace 1000000 -traceout trace.txt
 package main
 
 import (
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"neurolpm/internal/workload"
 )
@@ -24,8 +22,6 @@ func main() {
 	nRules := flag.Int("rules", 10000, "number of rules")
 	seed := flag.Int64("seed", 1, "generator seed")
 	out := flag.String("out", "", "rule-set output file (default stdout)")
-	traceN := flag.Int("trace", 0, "also generate a query trace of this length")
-	traceOut := flag.String("traceout", "", "trace output file")
 	flag.Parse()
 
 	p, ok := workload.Profiles()[*profile]
@@ -45,21 +41,6 @@ func main() {
 		fatal("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "lpmgen: %d rules (%d-bit, profile %s)\n", rs.Len(), rs.Width, p.Name)
-
-	if *traceN > 0 {
-		trace, err := workload.GenerateTrace(rs, workload.DefaultTrace(*traceN, *seed+1))
-		if err != nil {
-			fatal("%v", err)
-		}
-		var b strings.Builder
-		if err := workload.WriteTrace(&b, trace); err != nil {
-			fatal("%v", err)
-		}
-		if err := writeText(*traceOut, b.String()); err != nil {
-			fatal("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "lpmgen: %d trace queries\n", len(trace))
-	}
 }
 
 func writeText(path, text string) error {

@@ -100,36 +100,24 @@ type Engine struct {
 	comp *rqrmi.Compiled
 }
 
-// Build runs the offline preparation stage on the rule-set. The engine keeps
-// rs as its rule table, with no copy, and never writes into it: the caller
-// must not modify rs afterwards.
+// Build runs the offline preparation stage on the rule-set: the range array
+// over rs, the learned index — the bucket directory, or the range array of an
+// SRAM-only engine — the model trained over that index, and the compiled
+// plane. The engine keeps rs as its rule table, with no copy, and never
+// writes into it: the caller must not modify rs afterwards.
 func Build(rs *lpm.RuleSet, cfg Config) (*Engine, error) {
 	if cfg.Model.StageWidths == nil {
 		cfg.Model = rqrmi.DefaultConfig()
 	}
-	e, ix, err := assemble(rs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if e.model, e.stats, err = rqrmi.Train(ix, rs.Width, cfg.Model); err != nil {
-		return nil, fmt.Errorf("core: training: %w", err)
-	}
-	return e.compilePlane(ix)
-}
-
-// assemble is Build up to training: the range array over rs, kept as it is,
-// and the learned index — the bucket directory, or the range array of an
-// SRAM-only engine.
-func assemble(rs *lpm.RuleSet, cfg Config) (*Engine, rqrmi.Index, error) {
 	if rs == nil {
-		return nil, nil, fmt.Errorf("core: nil rule-set")
+		return nil, fmt.Errorf("core: nil rule-set")
 	}
 	if cfg.BucketSize == 1 || cfg.BucketSize < 0 {
-		return nil, nil, fmt.Errorf("core: invalid bucket size %d", cfg.BucketSize)
+		return nil, fmt.Errorf("core: invalid bucket size %d", cfg.BucketSize)
 	}
 	ra, err := ranges.Convert(rs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: range conversion: %w", err)
+		return nil, fmt.Errorf("core: range conversion: %w", err)
 	}
 	e := &Engine{
 		cfg:   cfg,
@@ -141,10 +129,14 @@ func assemble(rs *lpm.RuleSet, cfg Config) (*Engine, rqrmi.Index, error) {
 	}
 	if cfg.BucketSize >= 2 {
 		if e.dir, err = bucket.Build(ra, cfg.BucketSize); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return e, e.index(), nil
+	ix := e.index()
+	if e.model, e.stats, err = rqrmi.Train(ix, rs.Width, cfg.Model); err != nil {
+		return nil, fmt.Errorf("core: training: %w", err)
+	}
+	return e.compilePlane(ix)
 }
 
 // compilePlane flattens the trained model and index into the compiled query
@@ -168,34 +160,6 @@ func (e *Engine) compilePlane(ix rqrmi.Index) (*Engine, error) {
 	e.drift.SetBound(c.MaxErr())
 	e.hot = telemetry.NewHotSketch(ix.Len())
 	return e, nil
-}
-
-// BuildWithModel assembles an engine around a previously trained and
-// serialized model, skipping training — the deployment path where the
-// control plane trains once and ships the model to the data plane (§6.5).
-// The model must have been trained on exactly the RQ Array this rule-set
-// and bucket size produce; a cheap shape check rejects mismatches and a
-// full analytical verification can be requested. rs is kept as Build keeps
-// it: the caller must not modify it afterwards.
-func BuildWithModel(rs *lpm.RuleSet, cfg Config, m *rqrmi.Model, verify bool) (*Engine, error) {
-	if m == nil {
-		return nil, fmt.Errorf("core: nil model")
-	}
-	e, ix, err := assemble(rs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if m.Width != rs.Width || m.N != ix.Len() {
-		return nil, fmt.Errorf("core: model shape (width %d, N %d) does not match RQ Array (width %d, N %d)",
-			m.Width, m.N, rs.Width, ix.Len())
-	}
-	if verify {
-		if ok, witness := m.Verify(ix); !ok {
-			return nil, fmt.Errorf("core: model error bound violated at key %v", witness)
-		}
-	}
-	e.model = m
-	return e.compilePlane(ix)
 }
 
 // Width returns the key bit width.

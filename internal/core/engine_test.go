@@ -536,6 +536,32 @@ func TestVerifyAfterUpdates(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesCorruptedBound zeroes the final stage's error bounds of a
+// built engine's model in place: Verify must see the model no longer covers
+// its index, though every lookup still answers from the compiled plane.
+func TestVerifyCatchesCorruptedBound(t *testing.T) {
+	rs := randomRuleSet(t, 20, 300, 44)
+	e, err := Build(rs, quickSRAMOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := e.Model()
+	last := m.Stages[len(m.Stages)-1]
+	sabotaged := false
+	for j := range last {
+		if last[j].Err > 0 {
+			last[j].Err = 0
+			sabotaged = true
+		}
+	}
+	if !sabotaged {
+		t.Fatal("zero-error model: the fixture no longer has a bound to corrupt")
+	}
+	if err := e.Verify(); err == nil {
+		t.Fatal("Verify passed with corrupted error bounds")
+	}
+}
+
 func BenchmarkLookupSRAMOnly(b *testing.B) {
 	rs := randomRuleSet(b, 32, 10000, 27)
 	e, err := Build(rs, quickSRAMOnly())

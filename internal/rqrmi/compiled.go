@@ -191,7 +191,7 @@ func (f *flatLows) SearchBlock(ks []keys.Value, ps []Prediction, idx, probes []i
 }
 
 // Compile flattens a trained model and its learned index into the compiled
-// plane. The model must be structurally valid (Train/ReadModel output) and
+// plane. The model must be structurally valid (as Train returns it) and
 // trained over exactly this index; both are checked because a mismatch would
 // silently void the error bounds.
 func Compile(m *Model, ix Index) (*Compiled, error) {

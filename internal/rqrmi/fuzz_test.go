@@ -1,40 +1,12 @@
 package rqrmi
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"neurolpm/internal/keys"
 )
-
-// FuzzReadModel ensures arbitrary byte streams never panic the
-// deserializer, and that any accepted model validates.
-func FuzzReadModel(f *testing.F) {
-	// Seed with a real serialized model.
-	ix := uniformIndex(16, 64)
-	m, _, err := Train(ix, 16, quickConfig())
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("RQRMI1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadModel(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("accepted model fails validation: %v", err)
-		}
-	})
-}
 
 // fuzzPlane is one trained model plus its compiled and quantized planes,
 // shared across fuzz iterations (training once per process keeps the fuzz

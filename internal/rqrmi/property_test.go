@@ -1,7 +1,6 @@
 package rqrmi
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,37 +60,6 @@ func TestPropertyLookupExact(t *testing.T) {
 		return check(dom.Max())
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertySerializeRoundTrip: serialization is lossless for any trained
-// model — identical predictions everywhere.
-func TestPropertySerializeRoundTrip(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ix := skewedIndex(rng, 20, 150)
-		m, _, err := Train(ix, 20, quickConfig())
-		if err != nil {
-			return false
-		}
-		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := ReadModel(&buf)
-		if err != nil {
-			return false
-		}
-		for q := 0; q < 200; q++ {
-			k := keys.FromUint64(uint64(rng.Intn(1 << 20)))
-			if m.Predict(k) != got.Predict(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
 	}
 }

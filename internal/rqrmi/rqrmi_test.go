@@ -1,9 +1,9 @@
 package rqrmi
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"neurolpm/internal/keys"
@@ -551,67 +551,41 @@ func TestTrainDegenerateInputs(t *testing.T) {
 func TestTrainDeterministic(t *testing.T) {
 	ix := skewedIndex(rand.New(rand.NewSource(24)), 24, 3000)
 	cfg := quickConfig()
-	var first []byte
+	var first []uint32
 	for _, workers := range []int{1, 1, 4} {
 		cfg.Workers = workers
 		m, _, err := Train(ix, 24, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b bytes.Buffer
-		if _, err := m.WriteTo(&b); err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = b.Bytes()
-		} else if !bytes.Equal(first, b.Bytes()) {
-			t.Fatalf("training at %d workers is not byte-identical to the first run", workers)
+		if bits := modelBits(m); first == nil {
+			first = bits
+		} else if !slices.Equal(first, bits) {
+			t.Fatalf("training at %d workers is not bit-identical to the first run", workers)
 		}
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	ix := skewedIndex(rng, 24, 300)
-	m, _, err := Train(ix, 24, quickConfig())
-	if err != nil {
-		t.Fatal(err)
+// modelBits flattens every parameter of m to its exact bits: the header, each
+// stage's width, and per submodel its knot count, error bound and the float32
+// bits of every knot, slope and intercept. Unlike reflect.DeepEqual it tells
+// −0 from +0 and compares a NaN to itself.
+func modelBits(m *Model) []uint32 {
+	bits := []uint32{uint32(m.Width), uint32(m.N), uint32(len(m.Stages))}
+	for _, stage := range m.Stages {
+		bits = append(bits, uint32(len(stage)))
 	}
-	var buf bytes.Buffer
-	n, err := m.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := ReadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Width != m.Width || got.N != m.N {
-		t.Fatalf("header mismatch: %d/%d vs %d/%d", got.Width, got.N, m.Width, m.N)
-	}
-	// Identical predictions on a sample.
-	for q := 0; q < 500; q++ {
-		k := keys.FromUint64(uint64(rng.Intn(1 << 24)))
-		if m.Predict(k) != got.Predict(k) {
-			t.Fatalf("prediction mismatch at %v", k)
+	for _, stage := range m.Stages {
+		for _, l := range stage {
+			bits = append(bits, uint32(len(l.Knots)), uint32(l.Err))
+			for _, vs := range [][]float32{l.Knots, l.A, l.B} {
+				for _, v := range vs {
+					bits = append(bits, math.Float32bits(v))
+				}
+			}
 		}
 	}
-}
-
-func TestReadModelRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("XXXXXX"),
-		append([]byte("RQRMI1"), 0, 0), // truncated
-	}
-	for i, b := range cases {
-		if _, err := ReadModel(bytes.NewReader(b)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
+	return bits
 }
 
 func TestModelValidate(t *testing.T) {

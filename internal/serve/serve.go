@@ -4,8 +4,8 @@
 // the telemetry registry (also published through expvar at /debug/vars),
 // net/http/pprof, /healthz, /slo, a /trace?key= endpoint returning one
 // fully-annotated query span as JSON, and a /lookup?key= for a human asking
-// about one key. cmd/lpmserve wraps it into a daemon; lpmbench and lpmquery
-// mount the metrics-only subset behind their -metrics flag.
+// about one key. cmd/lpmserve wraps it into a daemon; lpmbench mounts the
+// metrics-only subset behind its -metrics flag.
 package serve
 
 import (
