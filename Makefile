@@ -5,7 +5,7 @@
 GO ?= go
 
 .PHONY: build vet deleted-names test race race-all race-cores fuzz bench bench-smoke bench-batch \
-	telemetry-overhead bench-module bench-serve-smoke churn smoke slo loadtest canary ci
+	telemetry-overhead bench-module bench-serve-smoke churn smoke observe loadtest canary ci
 
 build:
 	$(GO) build ./...
@@ -41,8 +41,12 @@ vet:
 # Convert makes no shrink copy of its entries. The model is trained where it
 # is served (DESIGN.md §1): no offline model file — no model reader, no build
 # around a stored model, no offline train or query command — and no trace
-# file or lpmgen flag that writes one. Each alternative carries a
-# one-character class so these lines do not find themselves.
+# file or lpmgen flag that writes one. The server exports cumulative
+# histograms and a window is the difference of two scrapes (DESIGN.md §13): no
+# windowed histogram, background rotor, drift meter or hotness sketch, no /slo
+# or hotness endpoint, and none of their series; only the two tests that pin
+# those routes to 404 name them. Each alternative carries a one-character
+# class so these lines do not find themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
@@ -76,6 +80,9 @@ deleted-names:
 	@! grep -rnE 'Read[M]odel|BuildWith[M]odel|\blpm(t[r]ain|q[u]ery)\b|(Read|Write)[T]race|-trace[o]ut|model\.[b]in' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'Hot[S]ketch|Window[e]d\b|StartR[o]tor|Drift[M]eter|LatencyW[i]ndow|/debug/h[o]tness|"/s[l]o"|neurolpm_model_[d]rift|hotness[_]skew|latency_p(50|99|999)[_]ns' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:|^\./(cmd/lpmserve/main|internal/serve/serve)_test\.go:'
 
 test:
 	$(GO) test ./...
@@ -161,9 +168,9 @@ churn:
 smoke:
 	$(GO) run ./cmd/lpmbench -exp headline
 
-# The flight-recorder & SLO plane experiment (E26): sampling overhead,
-# quantile fidelity, drift and hotness sanity (DESIGN.md §13).
-slo:
+# The flight-recorder experiment (E26): sampling overhead and quantile
+# fidelity (DESIGN.md §13).
+observe:
 	$(GO) run ./cmd/lpmbench -exp observe
 
 # The lpmload CI smoke (DESIGN.md §17): the wire is the only data protocol, so
@@ -178,4 +185,4 @@ canary:
 	$(GO) test -run TestScaleCanary10M -v ./internal/workload
 
 ci: build vet deleted-names race bench-module smoke fuzz \
-	bench-smoke bench-batch slo loadtest bench-serve-smoke canary
+	bench-smoke bench-batch observe loadtest bench-serve-smoke canary

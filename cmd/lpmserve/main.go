@@ -31,13 +31,10 @@
 //
 //	GET /lookup?key=10.1.2.3     one query (JSON), for a human asking
 //	GET /trace?key=10.1.2.3      one fully-annotated query span (JSON)
-//	GET /metrics                 Prometheus text format
+//	GET /metrics                 Prometheus text format (lpmtop's poll target)
 //	GET /healthz                 liveness + engine summary (200 while up)
-//	GET /slo                     windowed tail-latency quantiles + per-shard
-//	                             drift/hotness (lpmtop's poll target)
 //	GET /debug/flightrec         the sampled flight-record ring (?n=)
 //	GET /debug/slow              the worst-N slow-query log (?n=)
-//	GET /debug/hotness           a shard's hottest buckets (?shard=&n=)
 //	GET /debug/vars              expvar (includes the "neurolpm" registry)
 //	GET /debug/pprof/...         CPU/heap/goroutine profiles
 //

@@ -101,9 +101,10 @@ var endpointLine = regexp.MustCompile(`^//\s+GET (/[^\s?]*)`)
 
 // TestEndpointsAreTheMux holds the package comment's Endpoints block to the
 // mux lpmserve serves: every documented path is routed (an answer other than
-// 404), and /batch and /update are not — lookups in bulk and rule updates
-// travel over the wire. A route removed without its doc line, or either of
-// those two put back on HTTP, fails here.
+// 404), and /batch, /update, /slo and /debug/hotness are not — lookups in bulk
+// and rule updates travel over the wire, and a latency window is the
+// difference of two /metrics scrapes. A route removed without its doc line,
+// or one of those four put back, fails here.
 func TestEndpointsAreTheMux(t *testing.T) {
 	src := readRepoFile(t, "cmd/lpmserve/main.go")
 	start := strings.Index(src, "// Endpoints")
@@ -143,9 +144,9 @@ func TestEndpointsAreTheMux(t *testing.T) {
 			t.Errorf("documented endpoint %s answers 404", p)
 		}
 	}
-	for _, p := range []string{"/batch", "/update"} {
+	for _, p := range []string{"/batch", "/update", "/slo", "/debug/hotness"} {
 		if code := status(p); code != http.StatusNotFound {
-			t.Errorf("%s answers %d, want 404: lookups and updates travel over the wire", p, code)
+			t.Errorf("%s answers %d, want 404: lookups and updates travel over the wire, and windows are read from /metrics", p, code)
 		}
 	}
 }

@@ -1,56 +1,193 @@
 // Command lpmtop is a polling terminal dashboard for a running lpmserve: a
-// top(1)-style view of the flight-recorder & SLO plane (DESIGN.md §13). It
-// polls /slo for windowed tail-latency quantiles, per-shard model drift and
-// bucket-hotness skew, and /debug/slow for the worst recorded queries, and
-// repaints once per interval. QPS is derived client-side from consecutive
-// lookups_total readings, so it reflects every lookup, not just the sampled
-// ones.
+// top(1)-style view of the flight recorder (DESIGN.md §13). It scrapes
+// /metrics once per interval and reads every window off two consecutive
+// scrapes, the way Prometheus's rate() does: the server exports cumulative
+// counters and histograms only. QPS is the difference of two
+// neurolpm_lookups_total readings, so it counts every lookup, not just the
+// sampled ones; latency quantiles come from neurolpm_lookup_latency_ns (the
+// flight recorder's sampled queries), over the last interval and since boot.
+// Each shard's row is its live model's probe bound and its spilled buckets,
+// and /debug/slow supplies the worst recorded queries.
 //
 // Usage:
 //
 //	lpmtop [-addr http://localhost:8080] [-interval 1s] [-slow 5] [-once]
 //
-// -once prints a single snapshot without clearing the screen (scripts, CI).
+// -once prints a single view, of one interval, without clearing the screen
+// (scripts, CI).
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+
+	"neurolpm/internal/telemetry"
 )
 
-// sloDoc mirrors the /slo response (internal/serve/slo.go). lpmtop is an
-// HTTP client on purpose — it exercises the same surface operators script
-// against — so the shapes are re-declared here rather than imported.
-type sloDoc struct {
-	SampleEvery  uint64 `json:"sample_every"`
-	Recorded     uint64 `json:"recorded"`
-	LookupsTotal uint64 `json:"lookups_total"`
-	Windows      []struct {
-		Window string  `json:"window"`
-		SpanMs int64   `json:"span_ms"`
-		Count  uint64  `json:"count"`
-		P50Ns  float64 `json:"p50_ns"`
-		P99Ns  float64 `json:"p99_ns"`
-		P999Ns float64 `json:"p999_ns"`
-		MeanNs float64 `json:"mean_ns"`
-		MaxNs  uint64  `json:"max_ns"`
-	} `json:"windows"`
-	Shards []struct {
-		Shard       int     `json:"shard"`
-		Drift       float64 `json:"drift"`
-		ProbeBound  int     `json:"probe_bound"`
-		HotnessSkew float64 `json:"hotness_skew"`
-	} `json:"shards"`
+// options is what the command line configures — one field per flag.
+type options struct {
+	addr     string
+	interval time.Duration
+	slow     int
+	once     bool
 }
 
-// slowDoc mirrors the /debug/slow response.
+func main() {
+	var o options
+	flag.StringVar(&o.addr, "addr", "http://localhost:8080", "lpmserve base URL")
+	flag.DurationVar(&o.interval, "interval", time.Second, "poll interval")
+	flag.IntVar(&o.slow, "slow", 5, "slow-query rows to show (0 = hide)")
+	flag.BoolVar(&o.once, "once", false, "print one view and exit (no screen clearing)")
+	flag.Parse()
+	if err := top(o, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "lpmtop: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// top repaints one view per interval until a poll fails; with o.once it
+// writes the first view and returns.
+func top(o options, out io.Writer) error {
+	c := &http.Client{Timeout: 5 * time.Second}
+	prev, err := poll(c, o.addr)
+	if err != nil {
+		return err
+	}
+	for {
+		time.Sleep(o.interval)
+		cur, err := poll(c, o.addr)
+		if err != nil {
+			return err
+		}
+		var b strings.Builder
+		render(&b, o.addr, prev, cur)
+		if o.slow > 0 {
+			var slow slowDoc
+			if err := getJSON(c, fmt.Sprintf("%s/debug/slow?n=%d", o.addr, o.slow), &slow); err == nil {
+				renderSlow(&b, &slow)
+			}
+		}
+		if o.once {
+			_, err := io.WriteString(out, b.String())
+			return err
+		}
+		// Home + clear-to-end repaint: no flicker, no scrollback spam.
+		io.WriteString(out, "\x1b[H\x1b[2J"+b.String())
+		prev = cur
+	}
+}
+
+// scrape is one reading of /metrics: the series lpmtop shows, each
+// cumulative since the server started.
+type scrape struct {
+	at          time.Time
+	lookups     uint64
+	sampleEvery uint64
+	records     uint64
+	lat         telemetry.Snapshot // neurolpm_lookup_latency_ns
+	shards      map[int]*shardRow
+}
+
+// shardRow is one shard's neurolpm_model_probe_bound and
+// neurolpm_spilled_buckets.
+type shardRow struct{ bound, spilled float64 }
+
+// poll takes one scrape of base's /metrics.
+func poll(c *http.Client, base string) (*scrape, error) {
+	resp, err := c.Get(base + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s/metrics: %s", base, resp.Status)
+	}
+	return parseMetrics(resp.Body, time.Now())
+}
+
+// parseMetrics reads the series lpmtop shows out of a Prometheus text
+// exposition. The exposition lists only the non-empty buckets of a histogram,
+// each with the cumulative count up to its le, so a bucket's own count is
+// its cumulative count less that of the bucket listed before it. Decoding
+// each scrape into per-bucket counts first is what makes the difference of
+// two scrapes exact: a bucket absent from the earlier scrape held the next
+// lower le's cumulative count there, not 0.
+func parseMetrics(r io.Reader, at time.Time) (*scrape, error) {
+	s := &scrape{at: at, shards: map[int]*shardRow{}}
+	var latCum uint64
+	lines := bufio.NewScanner(r)
+	for lines.Scan() {
+		line := lines.Text()
+		sp := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || sp < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("/metrics: %q: %w", line, err)
+		}
+		name, labels, _ := strings.Cut(line[:sp], "{")
+		switch name {
+		case "neurolpm_lookups_total":
+			s.lookups = uint64(v)
+		case "neurolpm_flightrec_sample_every":
+			s.sampleEvery = uint64(v)
+		case "neurolpm_flightrec_records":
+			s.records = uint64(v)
+		case "neurolpm_lookup_latency_ns_sum":
+			s.lat.Sum = uint64(v)
+		case "neurolpm_lookup_latency_ns_bucket":
+			le, err := strconv.ParseUint(label(labels, "le"), 10, 64)
+			if err != nil {
+				continue // le="+Inf" repeats the count
+			}
+			// Bucket b holds the values up to 2^b − 1 (le="0" is bucket 0).
+			s.lat.Counts[bits.Len64(le)] = uint64(v) - latCum
+			s.lat.Total += uint64(v) - latCum
+			latCum = uint64(v)
+		case "neurolpm_model_probe_bound", "neurolpm_spilled_buckets":
+			i, err := strconv.Atoi(label(labels, "shard"))
+			if err != nil {
+				continue
+			}
+			row := s.shards[i]
+			if row == nil {
+				row = &shardRow{}
+				s.shards[i] = row
+			}
+			if name == "neurolpm_model_probe_bound" {
+				row.bound = v
+			} else {
+				row.spilled = v
+			}
+		}
+	}
+	return s, lines.Err()
+}
+
+// label returns the value of key in a rendered label set (`le="255"}`).
+func label(labels, key string) string {
+	_, v, ok := strings.Cut(labels, key+`="`)
+	if !ok {
+		return ""
+	}
+	v, _, _ = strings.Cut(v, `"`)
+	return v
+}
+
+// slowDoc mirrors the /debug/slow response. lpmtop is an HTTP client on
+// purpose — it exercises the surface operators script against — so the
+// shape is re-declared here rather than imported.
 type slowDoc struct {
 	Records []struct {
 		When     string           `json:"when"`
@@ -60,65 +197,6 @@ type slowDoc struct {
 		StagesNs map[string]int64 `json:"stages_ns"`
 		Probes   int32            `json:"probes"`
 	} `json:"records"`
-}
-
-func main() {
-	addr := flag.String("addr", "http://localhost:8080", "lpmserve base URL")
-	interval := flag.Duration("interval", time.Second, "poll interval")
-	slowN := flag.Int("slow", 5, "slow-query rows to show (0 = hide)")
-	once := flag.Bool("once", false, "print one snapshot and exit (no screen clearing)")
-	flag.Parse()
-
-	client := &http.Client{Timeout: 5 * time.Second}
-	var prevLookups uint64
-	var prevAt time.Time
-	for {
-		var b strings.Builder
-		slo, err := fetchSLO(client, *addr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lpmtop: %v\n", err)
-			os.Exit(1)
-		}
-		now := time.Now()
-		qps := -1.0
-		if !prevAt.IsZero() && slo.LookupsTotal >= prevLookups {
-			if dt := now.Sub(prevAt).Seconds(); dt > 0 {
-				qps = float64(slo.LookupsTotal-prevLookups) / dt
-			}
-		}
-		prevLookups, prevAt = slo.LookupsTotal, now
-
-		render(&b, *addr, slo, qps)
-		if *slowN > 0 {
-			if slow, err := fetchSlow(client, *addr, *slowN); err == nil {
-				renderSlow(&b, slow)
-			}
-		}
-
-		if *once {
-			os.Stdout.WriteString(b.String())
-			return
-		}
-		// Home + clear-to-end repaint: no flicker, no scrollback spam.
-		os.Stdout.WriteString("\x1b[H\x1b[2J" + b.String())
-		time.Sleep(*interval)
-	}
-}
-
-func fetchSLO(c *http.Client, base string) (*sloDoc, error) {
-	var doc sloDoc
-	if err := getJSON(c, base+"/slo", &doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
-}
-
-func fetchSlow(c *http.Client, base string, n int) (*slowDoc, error) {
-	var doc slowDoc
-	if err := getJSON(c, fmt.Sprintf("%s/debug/slow?n=%d", base, n), &doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
 }
 
 func getJSON(c *http.Client, url string, out any) error {
@@ -134,37 +212,41 @@ func getJSON(c *http.Client, url string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func render(b *strings.Builder, addr string, slo *sloDoc, qps float64) {
-	fmt.Fprintf(b, "lpmtop — %s — %s\n", addr, time.Now().Format("15:04:05"))
+// render writes the view of the interval from prev to cur.
+func render(b *strings.Builder, addr string, prev, cur *scrape) {
+	dt := cur.at.Sub(prev.at)
+	qps := 0.0
+	if cur.lookups >= prev.lookups && dt > 0 {
+		qps = float64(cur.lookups-prev.lookups) / dt.Seconds()
+	}
+	fmt.Fprintf(b, "lpmtop — %s — %s\n", addr, cur.at.Format("15:04:05"))
 	fmt.Fprintf(b, "lookups %s   qps %s   sampled 1:%d (%s records)\n\n",
-		comma(slo.LookupsTotal), fmtQPS(qps), slo.SampleEvery, comma(slo.Recorded))
+		comma(cur.lookups), fmtQPS(qps), cur.sampleEvery, comma(cur.records))
 
 	fmt.Fprintf(b, "%-6s %9s %8s %10s %10s %10s %10s %10s\n",
 		"WINDOW", "SPAN", "SAMPLES", "P50", "P99", "P999", "MEAN", "MAX")
-	for _, w := range slo.Windows {
-		span := "boot"
-		if w.SpanMs > 0 {
-			span = (time.Duration(w.SpanMs) * time.Millisecond).Round(100 * time.Millisecond).String()
-		}
+	for _, w := range []struct {
+		name, span string
+		s          telemetry.Snapshot
+	}{
+		{"last", dt.Round(10 * time.Millisecond).String(), cur.lat.Sub(prev.lat)},
+		{"boot", "-", cur.lat},
+	} {
 		fmt.Fprintf(b, "%-6s %9s %8s %10s %10s %10s %10s %10s\n",
-			w.Window, span, comma(w.Count),
-			fmtNs(w.P50Ns), fmtNs(w.P99Ns), fmtNs(w.P999Ns),
-			fmtNs(w.MeanNs), fmtNs(float64(w.MaxNs)))
+			w.name, w.span, comma(w.s.Total),
+			fmtNs(w.s.Quantile(0.50)), fmtNs(w.s.Quantile(0.99)), fmtNs(w.s.Quantile(0.999)),
+			fmtNs(w.s.Mean()), fmtNs(float64(w.s.Max())))
 	}
 
-	if len(slo.Shards) > 0 {
-		shards := slo.Shards
-		sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })
-		fmt.Fprintf(b, "\n%-6s %8s %8s %8s  %s\n", "SHARD", "DRIFT", "BOUND", "SKEW", "")
-		for _, sh := range shards {
-			warn := ""
-			if sh.Drift >= 0.75 {
-				// ≥ 75% of the probe bound consumed: the model is drifting
-				// toward its static ceiling — retrain soon (DESIGN.md §13).
-				warn = "  ← drift: consider retrain"
-			}
-			fmt.Fprintf(b, "%-6d %8.2f %8d %8.2f%s\n",
-				sh.Shard, sh.Drift, sh.ProbeBound, sh.HotnessSkew, warn)
+	if len(cur.shards) > 0 {
+		ids := make([]int, 0, len(cur.shards))
+		for i := range cur.shards {
+			ids = append(ids, i)
+		}
+		sort.Ints(ids)
+		fmt.Fprintf(b, "\n%-6s %8s %8s\n", "SHARD", "BOUND", "SPILLED")
+		for _, i := range ids {
+			fmt.Fprintf(b, "%-6d %8.0f %8.0f\n", i, cur.shards[i].bound, cur.shards[i].spilled)
 		}
 	}
 }
@@ -188,7 +270,7 @@ func renderSlow(b *strings.Builder, slow *slowDoc) {
 // stages renders the per-stage nanosecond map compactly, in pipeline order.
 func stages(m map[string]int64) string {
 	var parts []string
-	for _, st := range []string{"inference", "secondary-search", "bucket-fetch"} {
+	for _, st := range telemetry.StageNames {
 		if ns, ok := m[st]; ok {
 			parts = append(parts, fmt.Sprintf("%s=%s", st, fmtNs(float64(ns))))
 		}
@@ -213,8 +295,6 @@ func fmtNs(ns float64) string {
 
 func fmtQPS(qps float64) string {
 	switch {
-	case qps < 0:
-		return "—" // needs two polls
 	case qps < 1e3:
 		return fmt.Sprintf("%.0f", qps)
 	case qps < 1e6:

@@ -7,7 +7,6 @@ import (
 	"neurolpm/internal/keys"
 	"neurolpm/internal/ranges"
 	"neurolpm/internal/rqrmi"
-	"neurolpm/internal/telemetry"
 )
 
 // TestSampleEveryPowerOfTwo pins the sampling-mask precondition: the hot
@@ -145,24 +144,5 @@ func TestVerifyCatchesCompiledDivergence(t *testing.T) {
 	}
 	if err := e.Verify(); err != nil {
 		t.Fatalf("restored engine must verify: %v", err)
-	}
-}
-
-// TestDriftBoundIsTheCompiledPlanes pins the drift meter's ceiling to the
-// bound of the arithmetic every lookup runs: the compiled plane's. The rule
-// set is one whose int16 re-encoding carries a bound past the next power of
-// two (2 against 1), so a ceiling taken over both planes reads one probe
-// higher and drift reads low.
-func TestDriftBoundIsTheCompiledPlanes(t *testing.T) {
-	e, err := Build(randomRuleSet(t, 32, 1000, 3), quickBucketed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, q := e.Compiled().MaxErr(), e.Quantized().MaxErr()
-	if telemetry.ProbeBound(q) <= telemetry.ProbeBound(c) {
-		t.Fatalf("compiled bound %d, quantized %d: the rule set no longer tells the two ceilings apart", c, q)
-	}
-	if got, want := e.DriftMeter().Bound(), telemetry.ProbeBound(c); got != want {
-		t.Fatalf("drift ceiling %d probes, want the compiled plane's %d (max err %d; quantized %d)", got, want, c, q)
 	}
 }

@@ -82,15 +82,8 @@ type Engine struct {
 	model      *rqrmi.Model
 	stats      *rqrmi.Stats
 
-	// Observability-plane attachments (DESIGN.md §13): drift watches the
-	// observed secondary search against the compiled probe ceiling, hot
-	// sketches per-bucket access frequency, shardID tags flight records.
-	// Build creates both — a rebuilt engine gets fresh meters because a new
-	// model means a new bound and new bucket geometry — and only the sampled
-	// 1:sampleEvery branch ever feeds them.
+	// shardID tags flight records (DESIGN.md §13).
 	shardID int32
-	drift   *telemetry.DriftMeter
-	hot     *telemetry.HotSketch
 
 	// The compiled query plane (DESIGN.md §10): comp mirrors model + index
 	// in flat devirtualized storage and serves every lookup; the model remains
@@ -141,10 +134,7 @@ func Build(rs *lpm.RuleSet, cfg Config) (*Engine, error) {
 
 // compilePlane flattens the trained model and index into the compiled query
 // plane and lays the range array out as the records every lookup answers
-// from. It then attaches the drift meter and hotness sketch, from the
-// compiled plane's probe ceiling — the bound of the arithmetic every lookup
-// runs — and the learned-index geometry (bucket count; for SRAM-only engines
-// the "buckets" are the ranges themselves), and returns the finished engine.
+// from, and returns the finished engine.
 func (e *Engine) compilePlane(ix rqrmi.Index) (*Engine, error) {
 	c, err := rqrmi.Compile(e.model, ix)
 	if err != nil {
@@ -156,9 +146,6 @@ func (e *Engine) compilePlane(ix rqrmi.Index) (*Engine, error) {
 		k = e.dir.K
 	}
 	e.rec = newRecords(e.ra, k)
-	e.drift = telemetry.NewDriftMeter()
-	e.drift.SetBound(c.MaxErr())
-	e.hot = telemetry.NewHotSketch(ix.Len())
 	return e, nil
 }
 
@@ -193,13 +180,6 @@ func (e *Engine) index() rqrmi.Index {
 
 // TrainStats returns statistics from the build's training phase.
 func (e *Engine) TrainStats() *rqrmi.Stats { return e.stats }
-
-// DriftMeter exposes the engine's model-drift meter (observed secondary
-// search vs the compiled probe ceiling).
-func (e *Engine) DriftMeter() *telemetry.DriftMeter { return e.drift }
-
-// HotSketch exposes the engine's decaying bucket-hotness sketch.
-func (e *Engine) HotSketch() *telemetry.HotSketch { return e.hot }
 
 // SetShardID tags the engine's flight records with its shard index (the
 // sharded router calls this at build; rebuilds inherit it via InsertBatch).
@@ -243,7 +223,7 @@ func (e *Engine) Lookup(k keys.Value) (action uint64, ok bool) {
 		metSpillFetches.Inc()
 	}
 	if e.book(st, 1, ok)&(sampleEvery-1) == 0 {
-		e.observe(b, probes, p.Err, cmp)
+		e.observe(probes, p.Err, cmp)
 	}
 	return action, ok
 }
@@ -355,7 +335,7 @@ func (e *Engine) trace(k keys.Value, mem cachesim.Mem, sp *telemetry.Span, st *t
 		metSpillFetches.Inc()
 	}
 	if e.book(st, 1, tr.Matched)&(sampleEvery-1) == 0 {
-		e.observe(b, tr.SRAMProbes, tr.Prediction.Err, cmp)
+		e.observe(tr.SRAMProbes, tr.Prediction.Err, cmp)
 	}
 	return tr
 }
@@ -388,18 +368,14 @@ func (e *Engine) reference(k keys.Value) (action uint64, ok bool) {
 	return v.resolve(j)
 }
 
-// observe feeds the per-query distributions, the drift meter and the hotness
-// sketch, 1:sampleEvery on the key's lane tick: its atomic adds on every
-// query would cost more than the lookup's one exact count.
-func (e *Engine) observe(b, probes, errBound, cmp int) {
+// observe feeds the per-query distributions, 1:sampleEvery on the key's lane
+// tick: their atomic adds on every query would cost more than the lookup's
+// one exact count.
+func (e *Engine) observe(probes, errBound, cmp int) {
 	metProbes.ObserveInt(probes)
 	metInferErr.ObserveInt(errBound)
 	if e.dir != nil {
 		metBucketCmp.ObserveInt(cmp)
-	}
-	if e.drift != nil {
-		e.drift.Observe(probes)
-		e.hot.Touch(uint32(b))
 	}
 }
 
@@ -501,7 +477,7 @@ func (e *Engine) finishBatch(ks []keys.Value, out []BatchResult) {
 			for res[i].Matched != ok {
 				i++
 			}
-			e.observe(bkt[i], probes[i], preds[i].Err, cmps[i])
+			e.observe(probes[i], preds[i].Err, cmps[i])
 		}
 	}
 }
@@ -557,8 +533,7 @@ func (e *Engine) InsertBatch(newRules []lpm.Rule) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The rebuilt engine keeps the receiver's shard tag; drift meter and
-	// hotness sketch start fresh from Build, matching the new model.
+	// The rebuilt engine keeps the receiver's shard tag.
 	next.shardID = e.shardID
 	return next, nil
 }

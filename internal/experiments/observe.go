@@ -12,8 +12,7 @@ import (
 )
 
 // ObserveResult is E26, the observability-plane cost/fidelity experiment
-// (DESIGN.md §13). It answers four questions about the flight-recorder &
-// SLO plane:
+// (DESIGN.md §13). It answers two questions about the flight recorder:
 //
 //  1. What does always-on default-stride sampling cost the hot path? (single-key
 //     and batched throughput, flight off vs on — the acceptance bar is <2%.)
@@ -21,9 +20,6 @@ import (
 //     (the recorder's p99 vs a p99 from timing every query directly; log₂
 //     buckets give factor-of-two quantiles, so agreement means the same or
 //     an adjacent bucket.)
-//  3. Is the drift gauge sane on a fresh model? (observed p99 probes must
-//     sit inside the compiled probe bound, i.e. drift ≤ 1.)
-//  4. Does the hotness sketch separate skewed from uniform traffic?
 type ObserveResult struct {
 	OffSingle, OnSingle float64 // Mlookups/s
 	OffBatch, OnBatch   float64
@@ -33,13 +29,6 @@ type ObserveResult struct {
 	RecorderP99Ns float64 // flight recorder's sampled p99
 	DirectP99Ns   float64 // p99 from timing every query into a local histogram
 	P99Agree      bool    // same or adjacent log₂ bucket
-
-	Drift      float64
-	ProbeBound int
-	ProbeP99   float64
-
-	SkewZipf    float64
-	SkewUniform float64
 
 	Samples uint64 // flight records committed during the run
 }
@@ -155,36 +144,6 @@ func Observe(sc Scale) (*ObserveResult, error) {
 	db := log2Bucket(res.RecorderP99Ns) - log2Bucket(res.DirectP99Ns)
 	res.P99Agree = db >= -1 && db <= 1
 
-	// Drift sanity on the fresh model: the sampled queries above fed the
-	// engine's drift meter; a just-trained model must run inside its own
-	// compiled bound.
-	res.Drift = eng.DriftMeter().Drift()
-	res.ProbeBound = eng.DriftMeter().Bound()
-	res.ProbeP99 = eng.DriftMeter().ProbeP99()
-
-	// Hotness separation: the sketch (fed by the same sampled queries) must
-	// report materially higher top-decile mass for Zipfian traffic than for
-	// uniform. Each phase gets a fresh engine so the sketches are isolated.
-	zipf, err := workload.GenerateTrace(rs, workload.TraceConfig{
-		Queries: sc.TraceLen, ZipfS: 1.2, Locality: 0.9, Window: 256, Seed: sc.Seed + 4})
-	if err != nil {
-		return nil, err
-	}
-	uni := workload.UniformTrace(rs.Width, sc.TraceLen, sc.Seed+5)
-	for _, ph := range []struct {
-		trace []keys.Value
-		skew  *float64
-	}{{zipf, &res.SkewZipf}, {uni, &res.SkewUniform}} {
-		e, err := core.Build(rs, sc.engineConfig())
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range ph.trace {
-			e.Lookup(k)
-		}
-		*ph.skew = e.HotSketch().Skew()
-	}
-
 	res.Samples = telemetry.Flight.Recorded() - rec0
 	return res, nil
 }
@@ -198,7 +157,7 @@ func ObserveTable(r *ObserveResult) *Table {
 		return no
 	}
 	return &Table{
-		Title:  "Flight-recorder & SLO plane: sampling overhead, quantile fidelity, drift and hotness sanity (ripe workload)",
+		Title:  "Flight recorder: sampling overhead and quantile fidelity (ripe workload)",
 		Header: []string{"row", "a", "b", "result"},
 		Rows: [][]string{
 			{onOff("single-key Mlookups/s"), f2(r.OffSingle), f2(r.OnSingle),
@@ -207,10 +166,6 @@ func ObserveTable(r *ObserveResult) *Table {
 				fmt.Sprintf("overhead %.1f%%", r.BatchOverheadPct)},
 			{"p99 latency ns (a=all queries, b=recorder)", f1(r.DirectP99Ns), f1(r.RecorderP99Ns),
 				verdict(r.P99Agree, "agree (within one log2 bucket)", "DISAGREE")},
-			{"model drift (a=p99 probes, b=probe bound)", f1(r.ProbeP99), fi(r.ProbeBound),
-				fmt.Sprintf("drift %.2f %s", r.Drift, verdict(r.Drift <= 1, "(inside bound)", "(OVER BOUND)"))},
-			{"hotness skew (a=zipf1.2/loc0.9, b=uniform)", f2(r.SkewZipf), f2(r.SkewUniform),
-				verdict(r.SkewZipf > r.SkewUniform, "separates", "NO SEPARATION")},
 		},
 		Notes: []string{
 			fmt.Sprintf("DESIGN.md §13: 1-in-%d sampled flight records through the real plane stack; off rows still pay the disabled tick-and-mask test", telemetry.DefaultSampleEvery),

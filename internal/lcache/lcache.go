@@ -68,7 +68,7 @@ type Cache struct {
 	entries []entry
 	mask    uint64 // set count − 1
 
-	// Windowed self-monitoring; single-owner, so plain fields.
+	// Self-monitoring over fixed windows; single-owner, so plain fields.
 	winProbes  uint32
 	winHits    uint32
 	bypassLeft int

@@ -267,7 +267,7 @@ func (c *Compiled) BankBytes() int {
 
 // MaxErr returns the largest final-stage error bound — the compiled plane's
 // static worst case, from which the secondary-search probe ceiling derives
-// (telemetry.ProbeBound). Matches Model.MaxErr for the source model.
+// (ProbeBound). Matches Model.MaxErr for the source model.
 func (c *Compiled) MaxErr() int {
 	last := len(c.stageWidth) - 1
 	base := int(c.stageBase[last])
@@ -278,6 +278,21 @@ func (c *Compiled) MaxErr() int {
 		}
 	}
 	return maxE
+}
+
+// ProbeBound converts a maximum prediction error into the worst-case
+// secondary-search probe count: locating the entry inside a ±maxErr slice
+// (2·maxErr+1 candidates) by the canonical bounded binary search costs
+// ⌈log₂(2·maxErr+1)⌉ probes, plus a constant for the boundary checks. This is
+// the same ceiling the engine tests assert (core.TestLookupTrace*: probes ≤
+// 2 + bitsFor(2·maxErr+1)), and what neurolpm_model_probe_bound reports for
+// each shard's live plane.
+func ProbeBound(maxErr int) int {
+	if maxErr < 0 {
+		maxErr = 0
+	}
+	// ceil(log₂(m)) == bits.Len(m−1); m = 2·maxErr+1 ⇒ m−1 = 2·maxErr.
+	return 3 + bits.Len(uint(2*maxErr))
 }
 
 // unit maps k to the model's float32 input coordinate — the same arithmetic

@@ -237,3 +237,19 @@ func TestEvalSelectsTheReferenceSegment(t *testing.T) {
 		}
 	}
 }
+
+func TestProbeBound(t *testing.T) {
+	// Matches the engine-test invariant: 2 + bitsFor(2e+1), where
+	// bitsFor(n) = ceil(log2(n)) + 1.
+	cases := []struct{ err, want int }{
+		{0, 3}, {1, 5}, {2, 6}, {4, 7}, {8, 8}, {100, 11},
+	}
+	for _, c := range cases {
+		if got := ProbeBound(c.err); got != c.want {
+			t.Errorf("ProbeBound(%d) = %d, want %d", c.err, got, c.want)
+		}
+	}
+	if ProbeBound(-5) != ProbeBound(0) {
+		t.Error("negative error must clamp to zero")
+	}
+}

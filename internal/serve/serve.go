@@ -2,9 +2,9 @@
 // over the binary wire protocol (WireServer, DESIGN.md §17), the one data
 // path. HTTP is the operations surface: Prometheus-format /metrics backed by
 // the telemetry registry (also published through expvar at /debug/vars),
-// net/http/pprof, /healthz, /slo, a /trace?key= endpoint returning one
-// fully-annotated query span as JSON, and a /lookup?key= for a human asking
-// about one key. cmd/lpmserve wraps it into a daemon; lpmbench mounts the
+// net/http/pprof, /healthz, the flight recorder's /debug/flightrec and
+// /debug/slow, a /trace?key= endpoint returning one fully-annotated query
+// span as JSON, and a /lookup?key= for a human asking about one key. cmd/lpmserve wraps it into a daemon; lpmbench mounts the
 // metrics-only subset behind its -metrics flag.
 package serve
 
@@ -51,7 +51,6 @@ func NewSharded(sh *shard.ShardedUpdatable, reg *telemetry.Registry) *Server {
 	s.plain.Stats() // initialize the tally before concurrent use
 	s.plain.Register(reg, "neurolpm_serve_dram")
 	telemetry.PublishExpvar()
-	telemetry.StartRotor()
 	s.SetInfo("shards", strconv.Itoa(sh.Shards()))
 	return s
 }
@@ -73,28 +72,23 @@ func (s *Server) SetInfo(key, value string) {
 	telemetry.SetBuildInfo(cp)
 }
 
-// Handler returns the full mux: /lookup, /trace, /metrics, /slo,
-// /healthz, /debug/vars, /debug/flightrec, /debug/slow, /debug/hotness and
-// /debug/pprof/*.
+// Handler returns the full mux: /lookup, /trace, /metrics, /healthz,
+// /debug/vars, /debug/flightrec, /debug/slow and /debug/pprof/*.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lookup", s.handleLookup)
 	mux.HandleFunc("/trace", s.handleTrace)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/slo", s.handleSLO)
-	mux.HandleFunc("/debug/hotness", s.handleHotness)
 	mountMetrics(mux, s.reg)
 	return mux
 }
 
-// MetricsHandler returns the observability-only mux (/metrics, /slo,
-// /debug/vars, /debug/flightrec, /debug/slow, /debug/pprof/*) for tools that
-// serve no queries, like lpmbench -metrics. /slo carries the windows but no
-// per-shard section (no engine is attached).
+// MetricsHandler returns the observability-only mux (/metrics, /debug/vars,
+// /debug/flightrec, /debug/slow, /debug/pprof/*) for tools that serve no
+// queries, like lpmbench -metrics.
 func MetricsHandler(reg *telemetry.Registry) http.Handler {
 	telemetry.PublishExpvar()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/slo", handleSLOBare)
 	mountMetrics(mux, reg)
 	return mux
 }

@@ -281,13 +281,16 @@ func TestMetricsHandlerOnly(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "neurolpm_") {
 		t.Fatalf("metrics-only handler = %d", resp.StatusCode)
 	}
-	// No query surface on the metrics-only mux.
-	resp, err = http.Get(srv.URL + "/lookup?key=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("metrics-only /lookup = %d, want 404", resp.StatusCode)
+	// No query surface on the metrics-only mux, and no server-side window:
+	// /metrics carries the cumulative histograms a window is read from.
+	for _, p := range []string{"/lookup?key=1", "/slo"} {
+		resp, err = http.Get(srv.URL + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("metrics-only %s = %d, want 404", p, resp.StatusCode)
+		}
 	}
 }

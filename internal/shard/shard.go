@@ -32,6 +32,7 @@ import (
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
+	"neurolpm/internal/rqrmi"
 	"neurolpm/internal/telemetry"
 )
 
@@ -273,13 +274,12 @@ func (u *ShardedUpdatable) LookupBatchInto(ks []keys.Value, dst []Result) []Resu
 	return dst
 }
 
-// registerGauges publishes the balance telemetry and the per-shard
-// observability-plane gauges (DESIGN.md §13) — model drift, the compiled probe
-// ceiling, bucket-hotness skew and spilled buckets — for the most recently
+// registerGauges publishes the balance telemetry and the per-shard gauges —
+// the compiled probe ceiling and spilled buckets — for the most recently
 // built engine (the registry's last-writer-wins gauge semantics are exactly
 // the rebuilt-engine refresh case). Each reads its shard's *current* live
-// engine, so a rebuilt engine — with its fresh bound and sketch — is what a
-// scrape sees, without any re-registration on a swap.
+// engine, so a rebuilt engine's bound is what a scrape sees, without any
+// re-registration on a swap.
 func (u *ShardedUpdatable) registerGauges() {
 	telemetry.Default.Gauge("neurolpm_shards",
 		"Shards in the current sharded engine",
@@ -296,19 +296,13 @@ func (u *ShardedUpdatable) registerGauges() {
 			}
 			return imbalance(sizes)
 		})
-	drift := telemetry.Default.GaugeVec("neurolpm_model_drift",
-		"Observed p99 secondary-search probes over the last minute divided by the compiled probe ceiling (→1 = bound headroom consumed; retrain signal)", "shard")
 	bound := telemetry.Default.GaugeVec("neurolpm_model_probe_bound",
 		"Compiled worst-case secondary-search probes for the shard's live model", "shard")
-	skew := telemetry.Default.GaugeVec("neurolpm_bucket_hotness_skew",
-		"Fraction of sampled bucket accesses landing in the hottest 10% of buckets (decaying window)", "shard")
 	spilled := telemetry.Default.GaugeVec("neurolpm_spilled_buckets",
 		"Buckets of the shard's live engine answering from a spill record (absorbed inserts since its last commit; 0 right after one)", "shard")
 	for i := range u.shards {
 		lbl := strconv.Itoa(i)
-		drift.Set(lbl, func() float64 { return u.Engine(i).DriftMeter().Drift() })
-		bound.Set(lbl, func() float64 { return float64(u.Engine(i).DriftMeter().Bound()) })
-		skew.Set(lbl, func() float64 { return u.Engine(i).HotSketch().Skew() })
+		bound.Set(lbl, func() float64 { return float64(rqrmi.ProbeBound(u.Engine(i).Compiled().MaxErr())) })
 		spilled.Set(lbl, func() float64 { return float64(u.Engine(i).SpilledBuckets()) })
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/rqrmi"
+	"neurolpm/internal/telemetry"
 )
 
 func quickModel() rqrmi.Config {
@@ -354,6 +355,58 @@ func TestLoadBalanceTelemetry(t *testing.T) {
 	}
 	if ib := imbalance(counts); ib < 1 {
 		t.Errorf("imbalance %f < 1", ib)
+	}
+}
+
+// TestProbeBoundGaugeIsTheLivePlanes holds neurolpm_model_probe_bound to the
+// bound of the arithmetic every lookup runs, the compiled plane's, on the
+// shard's live engine. The rule set is one whose int16 re-encoding carries a
+// bound past the next power of two (2 against 1), so a gauge taken over the
+// wrong plane reads one probe higher; the inserts and commit then retrain the
+// shard into an engine with a wider bound, which the gauge must follow.
+func TestProbeBoundGaugeIsTheLivePlanes(t *testing.T) {
+	rs := randomRuleSet(t, 32, 1000, 2)
+	u, err := BuildUpdatable(rs, quickBucketed(), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := func() int {
+		v, ok := telemetry.Default.Snapshot()[`neurolpm_model_probe_bound{shard="0"}`]
+		if !ok {
+			t.Fatal(`no neurolpm_model_probe_bound{shard="0"} series`)
+		}
+		return int(v)
+	}
+	e := u.Engine(0)
+	c, q := rqrmi.ProbeBound(e.Compiled().MaxErr()), rqrmi.ProbeBound(e.Quantized().MaxErr())
+	if q == c {
+		t.Fatalf("compiled and quantized bounds are both %d probes: the rule set no longer tells the two planes apart", c)
+	}
+	if got := gauge(); got != c {
+		t.Fatalf("gauge reads %d probes, want the compiled plane's %d (quantized %d)", got, c, q)
+	}
+
+	installed := make(map[lpm.Rule]bool, rs.Len())
+	for _, r := range rs.Rules {
+		installed[lpm.Rule{Prefix: r.Prefix, Len: r.Len}] = true
+	}
+	for _, r := range randomRuleSet(t, 32, 3000, 102).Rules {
+		if !installed[lpm.Rule{Prefix: r.Prefix, Len: r.Len}] {
+			if err := u.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := u.Commit(0); err != nil {
+		t.Fatal(err)
+	}
+	next := u.Engine(0)
+	after := rqrmi.ProbeBound(next.Compiled().MaxErr())
+	if next == e || after == c {
+		t.Fatalf("commit left the bound at %d probes: the fixture no longer retrains into a different bound", c)
+	}
+	if got := gauge(); got != after {
+		t.Fatalf("after commit the gauge reads %d probes, want the live engine's %d (was %d)", got, after, c)
 	}
 }
 

@@ -81,8 +81,10 @@ func (fr *FlightRecord) Stamp(stage int) {
 const maskOff = ^uint64(0)
 
 // Recorder is a flight-recorder instance: sampling mask, record ring,
-// slow-query log, and the windowed latency histogram the /slo endpoint
-// reads. Use the package-level Flight; NewRecorder exists for tests.
+// slow-query log, and the cumulative latency histogram of the sampled
+// queries (neurolpm_lookup_latency_ns on /metrics; a window is the
+// difference of two scrapes). Use the package-level Flight; NewRecorder
+// exists for tests.
 type Recorder struct {
 	mask  atomic.Uint64 // sampleEvery−1, or maskOff when disabled
 	every atomic.Uint64
@@ -97,7 +99,7 @@ type Recorder struct {
 	slow    []FlightRecord // sorted by TotalNs descending
 	slowMin atomic.Int64   // fast-reject floor once the slow log is full
 
-	lat *Windowed
+	lat *Histogram
 }
 
 // DefaultSampleEvery is the always-on sampling stride: 1 in 256 queries.
@@ -126,9 +128,8 @@ func NewRecorder(ringSize, slowN int) *Recorder {
 		ring:  make([]FlightRecord, n),
 		slowN: slowN,
 		slow:  make([]FlightRecord, 0, slowN),
-		lat: NewWindowed(Default.Histogram("neurolpm_lookup_latency_ns",
+		lat: Default.Histogram("neurolpm_lookup_latency_ns",
 			"Sampled end-to-end lookup latency in nanoseconds (flight recorder; 1-in-N)"),
-			time.Second, 2*time.Minute),
 	}
 	r.SetSampleEvery(DefaultSampleEvery)
 	return r
@@ -166,8 +167,7 @@ func (r *Recorder) Draws(s *TallyStripe, t uint64) bool {
 // no write: a block of events that is not due skips Draws for each of them.
 func (r *Recorder) Due(s *TallyStripe, t uint64) bool { return s.Due(r.mask.Load(), t) }
 
-// Commit finalizes fr (stamping TotalNs), feeds the windowed latency
-// histogram, and copies the record into the ring and — when slow enough —
+// Commit finalizes fr (stamping TotalNs), feeds the latency histogram, and copies the record into the ring and — when slow enough —
 // the slow log.
 func (r *Recorder) Commit(fr *FlightRecord) {
 	fr.TotalNs = time.Since(fr.t0).Nanoseconds()
@@ -258,22 +258,6 @@ func (r *Recorder) Recorded() uint64 {
 	return r.pos
 }
 
-// LatencyWindow returns the sampled-latency distribution over at least d
-// (d ≤ 0: since boot). span is the actual covered duration (see
-// Windowed.Window).
-func (r *Recorder) LatencyWindow(d time.Duration) (Snapshot, time.Duration) {
-	return r.lat.Window(d)
-}
-
-// SLO windows rendered by /metrics gauges and the /slo endpoint.
-var sloWindows = []struct {
-	label string
-	d     time.Duration
-}{
-	{"10s", 10 * time.Second},
-	{"60s", 60 * time.Second},
-}
-
 func init() {
 	Default.Gauge("neurolpm_flightrec_sample_every",
 		"Flight-recorder sampling stride (1-in-N; 0 = disabled)",
@@ -281,22 +265,4 @@ func init() {
 	Default.Gauge("neurolpm_flightrec_records",
 		"Flight records committed since boot",
 		func() float64 { return float64(Flight.Recorded()) })
-	for _, q := range []struct {
-		name string
-		p    float64
-	}{
-		{"neurolpm_lookup_latency_p50_ns", 0.50},
-		{"neurolpm_lookup_latency_p99_ns", 0.99},
-		{"neurolpm_lookup_latency_p999_ns", 0.999},
-	} {
-		vec := Default.GaugeVec(q.name,
-			"Sampled lookup latency quantile over a sliding window (flight recorder)", "window")
-		for _, w := range sloWindows {
-			d, p := w.d, q.p
-			vec.Set(w.label, func() float64 {
-				s, _ := Flight.LatencyWindow(d)
-				return s.Quantile(p)
-			})
-		}
-	}
 }

@@ -6,64 +6,6 @@ import (
 	"time"
 )
 
-// fakeClock drives a Windowed/HotSketch deterministically.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func TestWindowedSlidingWindow(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	w := NewWindowedLazy(NewHistogram(), time.Second, time.Minute)
-	w.now = clk.now
-	w.Tick(clk.t) // baseline snapshot at t=0
-
-	// Ten observations per second for 30 seconds.
-	for s := 0; s < 30; s++ {
-		for i := 0; i < 10; i++ {
-			w.Observe(100)
-		}
-		clk.advance(time.Second)
-		w.Tick(clk.t)
-	}
-
-	cum, span := w.Window(0)
-	if cum.Total != 300 || span != 0 {
-		t.Fatalf("cumulative: total=%d span=%v, want 300, 0", cum.Total, span)
-	}
-	s10, span10 := w.Window(10 * time.Second)
-	if s10.Total != 100 {
-		t.Fatalf("10s window total=%d, want 100", s10.Total)
-	}
-	if span10 < 10*time.Second || span10 > 11*time.Second {
-		t.Fatalf("10s window span=%v, want within [10s,11s]", span10)
-	}
-	// A window wider than history falls back to the oldest snapshot.
-	sAll, _ := w.Window(10 * time.Minute)
-	if sAll.Total != 300 {
-		t.Fatalf("over-wide window total=%d, want 300", sAll.Total)
-	}
-}
-
-func TestWindowedLazyRotation(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	w := NewWindowedLazy(NewHistogram(), time.Second, time.Minute)
-	w.now = clk.now
-
-	// No Tick calls at all: Window itself must rotate.
-	w.Observe(1)
-	if s, _ := w.Window(10 * time.Second); s.Total != 0 {
-		// First read establishes the baseline; nothing is older than 10s yet,
-		// so the only available base is the just-taken snapshot.
-		t.Fatalf("fresh window total=%d, want 0", s.Total)
-	}
-	clk.advance(11 * time.Second)
-	w.Observe(2)
-	if s, _ := w.Window(10 * time.Second); s.Total != 1 {
-		t.Fatalf("lazy-rotated window total=%d, want 1 (the post-baseline observation)", s.Total)
-	}
-}
-
 func TestSnapshotSub(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(5)
@@ -201,102 +143,6 @@ func TestFlightRecordStages(t *testing.T) {
 	// Nil receiver is the unsampled path; must not panic.
 	var nilFr *FlightRecord
 	nilFr.Stamp(StageFetch)
-}
-
-func TestProbeBound(t *testing.T) {
-	// Matches the engine-test invariant: 2 + bitsFor(2e+1), where
-	// bitsFor(n) = ceil(log2(n)) + 1.
-	cases := []struct{ err, want int }{
-		{0, 3}, {1, 5}, {2, 6}, {4, 7}, {8, 8}, {100, 11},
-	}
-	for _, c := range cases {
-		if got := ProbeBound(c.err); got != c.want {
-			t.Errorf("ProbeBound(%d) = %d, want %d", c.err, got, c.want)
-		}
-	}
-	if ProbeBound(-5) != ProbeBound(0) {
-		t.Error("negative error must clamp to zero")
-	}
-}
-
-func TestDriftMeterExactTail(t *testing.T) {
-	d := NewDriftMeter()
-	if d.Drift() != 0 {
-		t.Fatal("drift without bound must be 0")
-	}
-	d.SetBound(4) // bound = 7
-	if d.Bound() != 7 {
-		t.Fatalf("bound = %d, want 7", d.Bound())
-	}
-	if d.Drift() != 0 {
-		t.Fatal("drift without traffic must be 0")
-	}
-	// 90 observations of 5 probes, 10 of 7: the exact (nearest-rank) p99 is
-	// 7 probes. The log₂ interpolation this meter avoids would report a
-	// fractional count here; the 2^p encoding must return the integer.
-	for i := 0; i < 90; i++ {
-		d.Observe(5)
-	}
-	for i := 0; i < 10; i++ {
-		d.Observe(7)
-	}
-	if got := d.ProbeP99(); got != 7 {
-		t.Fatalf("ProbeP99 = %v, want exactly 7", got)
-	}
-	// p99 sits exactly at the bound: drift 1, never past it — the
-	// interpolated quantile this replaced overshot small integers and
-	// reported > 1 on in-bound traffic.
-	if got := d.Drift(); got != 1 {
-		t.Fatalf("drift = %v, want exactly 1 (p99 at the bound)", got)
-	}
-}
-
-func TestHotSketchDecayAndSkew(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(5000, 0)}
-	s := NewHotSketch(64)
-	s.now = clk.now
-	s.last = clk.t
-	if s.Aliased() {
-		t.Fatal("64 buckets must not alias")
-	}
-	for i := 0; i < 900; i++ {
-		s.Touch(3)
-	}
-	for i := 0; i < 100; i++ {
-		s.Touch(uint32(10 + i%50))
-	}
-	if got := s.Total(); got != 1000 {
-		t.Fatalf("total = %d, want 1000", got)
-	}
-	top := s.Top(1)
-	if len(top) != 1 || top[0].Slot != 3 || top[0].Count != 900 {
-		t.Fatalf("top = %+v, want slot 3 count 900", top)
-	}
-	if skew := s.Skew(); skew < 0.85 {
-		t.Fatalf("skew = %v, want ≥ 0.85 (slot 3 holds 90%%)", skew)
-	}
-	// Two decay periods halve twice: 900 >> 2 = 225, the per-slot 2s decay
-	// to zero.
-	clk.advance(2 * decayPeriod)
-	if top := s.Top(1); top[0].Count != 225 {
-		t.Fatalf("decayed top count = %d, want 225 (900 >> 2)", top[0].Count)
-	}
-	if got := s.Total(); got != 225 {
-		t.Fatalf("decayed total = %d, want 225", got)
-	}
-}
-
-func TestHotSketchAliasing(t *testing.T) {
-	s := NewHotSketch(maxHotSlots * 4)
-	if !s.Aliased() || s.Slots() != maxHotSlots {
-		t.Fatalf("aliased=%v slots=%d, want true, %d", s.Aliased(), s.Slots(), maxHotSlots)
-	}
-	// Buckets b and b+maxHotSlots share a slot: over-counting, never losing.
-	s.Touch(5)
-	s.Touch(5 + maxHotSlots)
-	if top := s.Top(1); top[0].Slot != 5 || top[0].Count != 2 {
-		t.Fatalf("aliased top = %+v, want slot 5 count 2", top)
-	}
 }
 
 func TestStartSpanAllocs(t *testing.T) {

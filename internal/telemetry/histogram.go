@@ -75,6 +75,24 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
+// Sub returns the bucket-wise difference s − b: the observations between
+// two snapshots of one histogram, which is how a window is read off the
+// cumulative series (b must be the earlier snapshot; buckets are monotonic,
+// so clamping guards only against snapshots from different histograms).
+func (s Snapshot) Sub(b Snapshot) Snapshot {
+	var out Snapshot
+	for i := range s.Counts {
+		if s.Counts[i] > b.Counts[i] {
+			out.Counts[i] = s.Counts[i] - b.Counts[i]
+			out.Total += out.Counts[i]
+		}
+	}
+	if s.Sum > b.Sum {
+		out.Sum = s.Sum - b.Sum
+	}
+	return out
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.Snapshot().Total }
 

@@ -127,7 +127,7 @@ func (r *Registry) Gauge(name, help string, fn func() float64) {
 }
 
 // GaugeVec is a derived-gauge family with one label dimension — the
-// registry's answer to per-shard metrics (spilled buckets, model drift)
+// registry's answer to per-shard metrics (spilled buckets, probe bound)
 // without pulling in a full label model. Each label value holds
 // one scrape-time function; Set is last-writer-wins per value, matching
 // Gauge's rebuilt-engine refresh semantics.
