@@ -45,8 +45,10 @@ vet:
 # histograms and a window is the difference of two scrapes (DESIGN.md §13): no
 # windowed histogram, background rotor, drift meter or hotness sketch, no /slo
 # or hotness endpoint, and none of their series; only the two tests that pin
-# those routes to 404 name them. Each alternative carries a one-character
-# class so these lines do not find themselves.
+# those routes to 404 name them. The range array is stored in the key's own
+# width (DESIGN.md §5): no 24-byte range entry type or entries slice in code.
+# Each alternative carries a one-character class so these lines do not find
+# themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
@@ -83,6 +85,7 @@ deleted-names:
 	@! grep -rnE 'Hot[S]ketch|Window[e]d\b|StartR[o]tor|Drift[M]eter|LatencyW[i]ndow|/debug/h[o]tness|"/s[l]o"|neurolpm_model_[d]rift|hotness[_]skew|latency_p(50|99|999)[_]ns' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:|^\./(cmd/lpmserve/main|internal/serve/serve)_test\.go:'
+	@! grep -rnE 'ranges\.[E]ntry\b|\.[E]ntries\[' --include='*.go' .
 
 test:
 	$(GO) test ./...

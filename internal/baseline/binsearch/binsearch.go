@@ -53,7 +53,7 @@ func (e *Engine) search(k keys.Value, mem cachesim.Mem) (idx, probes int) {
 		mid := (lo + hi + 1) / 2
 		probes++
 		mem.Read(uint64(mid)*uint64(eb), eb)
-		if k.Less(e.arr.Entries[mid].Low) {
+		if k.Less(e.arr.Low(mid)) {
 			hi = mid - 1
 		} else {
 			lo = mid

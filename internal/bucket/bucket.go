@@ -38,7 +38,7 @@ func (d *Directory) Len() int { return (d.array.Len() + d.K - 1) / d.K }
 
 // Low returns the lower bound of bucket i, its first range's (implements
 // rqrmi.Index). No lookup reads it: the compiled plane keeps its own copy.
-func (d *Directory) Low(i int) keys.Value { return d.array.Entries[i*d.K].Low }
+func (d *Directory) Low(i int) keys.Value { return d.array.Low(i * d.K) }
 
 // Array returns the underlying (DRAM-resident) range array.
 func (d *Directory) Array() *ranges.Array { return d.array }
@@ -65,7 +65,7 @@ func (d *Directory) Search(b int, k keys.Value) (idx, comparisons int) {
 	idx = start
 	for i := start + 1; i < end; i++ {
 		comparisons++
-		if k.Less(d.array.Entries[i].Low) {
+		if k.Less(d.array.Low(i)) {
 			break
 		}
 		idx = i

@@ -41,20 +41,27 @@ func buildArray(t testing.TB, width, nRules int, seed int64) *ranges.Array {
 	return a
 }
 
-// paperExample reproduces §7.1: range array [0-3],[4-5],[6-10],[11-15] with
-// buckets of size 2 gives directory [0-5],[6-15]. (The paper writes the
-// first range as [1-3]; our arrays cover the whole domain, so it starts at
-// 0 — the bucket structure is identical.)
+// paperExample reproduces §7.1's structure: four ranges in buckets of size 2
+// give a directory of two. The paper's array is [1-3],[4-5],[6-10],[11-15];
+// ours is converted from rules and covers the whole domain, and [11-15] is no
+// union of prefixes a range can own, so the rules 01**, 1*** and 11** give
+// [0-3],[4-7],[8-11],[12-15] and the directory [0-7],[8-15].
 func paperExample(t *testing.T) (*ranges.Array, *Directory) {
 	t.Helper()
-	a := &ranges.Array{
-		Width: 4,
-		Entries: []ranges.Entry{
-			{Low: keys.FromUint64(0), Rule: 0},
-			{Low: keys.FromUint64(4), Rule: 1},
-			{Low: keys.FromUint64(6), Rule: 2},
-			{Low: keys.FromUint64(11), Rule: 3},
-		},
+	s, err := lpm.NewRuleSet(4, []lpm.Rule{
+		{Prefix: keys.FromUint64(0b0100), Len: 2, Action: 1},
+		{Prefix: keys.FromUint64(0b1000), Len: 1, Action: 2},
+		{Prefix: keys.FromUint64(0b1100), Len: 2, Action: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ranges.Convert(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() != 4 {
+		t.Fatalf("%d ranges, want 4", a.Len())
 	}
 	d, err := Build(a, 2)
 	if err != nil {
@@ -68,14 +75,18 @@ func TestPaperBucketExample(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("directory size = %d", d.Len())
 	}
-	// Input 9 → matching bucket range is the one starting at 6.
+	// Input 9 → matching bucket range is the one starting at 8.
 	b := rqrmi.Find(d, keys.FromUint64(9))
-	if d.Low(b) != keys.FromUint64(6) {
+	if d.Low(b) != keys.FromUint64(8) {
 		t.Fatalf("bucket low = %v", d.Low(b))
 	}
 	idx, _ := d.Search(b, keys.FromUint64(9))
-	if a.Entries[idx].Low != keys.FromUint64(6) {
-		t.Fatalf("found range low %v", a.Entries[idx].Low)
+	if a.Low(idx) != keys.FromUint64(8) {
+		t.Fatalf("found range low %v", a.Low(idx))
+	}
+	// Input 13 lies in the same bucket's second range.
+	if idx, _ := d.Search(b, keys.FromUint64(13)); a.Low(idx) != keys.FromUint64(12) {
+		t.Fatalf("found range low %v", a.Low(idx))
 	}
 }
 
@@ -95,7 +106,7 @@ func TestDirectoryLows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < d.Len(); i++ {
-		if d.Low(i) != a.Entries[i*8].Low {
+		if d.Low(i) != a.Low(i*8) {
 			t.Fatalf("directory low %d mismatch", i)
 		}
 	}

@@ -189,9 +189,9 @@ func TestBuildSharesRuleSet(t *testing.T) {
 	}
 	oracle := lpm.NewTrieMatcher(wantSet)
 	ra := e.Ranges()
-	for i := range ra.Entries { // the path benchmark/trace.go replays
+	for i := range ra.Len() { // the path benchmark/trace.go replays
 		got, ok := ra.Action(i)
-		w, wok := oracle.Lookup(ra.Entries[i].Low)
+		w, wok := oracle.Lookup(ra.Low(i))
 		if ok != wok || (ok && got != w) {
 			t.Fatalf("range %d: Array.Action (%d,%v), oracle (%d,%v)", i, got, ok, w, wok)
 		}
@@ -242,8 +242,8 @@ func TestBuildSharesRuleSet(t *testing.T) {
 	perRule := (liveHeap() - before) / n
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(big)
-	if perRule > 50 {
-		t.Fatalf("Build retains %.1f B a rule beside the rule-set, want at most 50", perRule)
+	if perRule > 32 {
+		t.Fatalf("Build retains %.1f B a rule beside the rule-set, want at most 32", perRule)
 	}
 	t.Logf("Build retains %.1f B a rule beside the rule-set", perRule)
 }
@@ -351,9 +351,9 @@ func TestModifyAction(t *testing.T) {
 	// rule order.
 	idx := e.rules.Find(r.Prefix, r.Len)
 	found := false
-	for i := range e.ra.Entries {
-		if e.ra.Entries[i].Rule == int32(idx) {
-			got, ok := e.Lookup(e.ra.Entries[i].Low)
+	for i := range e.ra.Len() {
+		if e.ra.RuleOf(i) == int32(idx) {
+			got, ok := e.Lookup(e.ra.Low(i))
 			if !ok || got != 424242 {
 				t.Fatalf("after modify: got %d,%v", got, ok)
 			}

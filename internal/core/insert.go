@@ -104,29 +104,35 @@ func (e *Engine) coverOf(prefix keys.Value, length int) int32 {
 	return ranges.NoRule
 }
 
-// wbucket is the writer's handle on one bucket's current ranges: the range
-// array and the dense record Build laid out, or — once the bucket has spilled
-// — the spill record and the owner table behind it. SRAM-only engines
-// are the K = 1 case, every range its own bucket.
+// wbucket is the writer's handle on one bucket's current ranges: the dense
+// record Build laid out and the range array's owner column, or — once the
+// bucket has spilled — the spill record and the owner table behind it.
+// SRAM-only engines are the K = 1 case, every range its own bucket.
 type wbucket struct {
 	view
 	e    *Engine
-	base int // the bucket's first range in the range array
+	b    int // the bucket
+	base int // its first range in the range array
 }
 
 func (e *Engine) bucketW(b int) wbucket {
-	return wbucket{view: e.rec.open(b), e: e, base: b * e.rec.k}
+	return wbucket{view: e.rec.open(b), e: e, b: b, base: b * e.rec.k}
 }
 
-// bucketOf returns the bucket whose span holds k. Spilling never moves a
-// bucket's span, so the built range array still knows.
-func (e *Engine) bucketOf(k keys.Value) int { return e.ra.Find(k) / e.rec.k }
+// bucketOf returns the bucket whose span holds k, found the way a lookup
+// finds it: over the compiled plane's bounds of the learned index — the
+// directory, or the range array of an SRAM-only engine. Spilling never moves
+// a bucket's span, so those bounds still know.
+func (e *Engine) bucketOf(k keys.Value) int { return e.comp.Find(k) }
 
+// low returns range j's lower bound from the bucket's current record, and
+// range 0's — which no record holds — from the compiled plane's copy of the
+// bucket's directory bound.
 func (w wbucket) low(j int) keys.Value {
-	if w.spilled && j > 0 {
+	if j > 0 {
 		return w.l.bound(w.rec, j)
 	}
-	return w.e.ra.Entries[w.base+j].Low
+	return w.e.comp.Low(w.b)
 }
 
 func (w wbucket) owner(j int) int32 {

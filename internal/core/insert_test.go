@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -319,5 +320,51 @@ func TestSupersededSpillRecordsAreCollected(t *testing.T) {
 	}
 	if err := e.Verify(); err != nil { // keeps e, and with it the current records, alive
 		t.Fatal(err)
+	}
+}
+
+// TestWritersFindBucketsLikeLookups holds the writers' bucket search — over
+// the compiled plane's bounds, as a lookup finds its bucket — to the range
+// array's own at both ends of every range and below it, on every engine kind
+// (K = 1 is SRAM-only, each range its own bucket) at one and four bound limbs;
+// and a bucket's bounds as the writer reads them (its record, and its
+// directory bound for range 0) to the range array's on an unspilled engine.
+func TestWritersFindBucketsLikeLookups(t *testing.T) {
+	for _, width := range []int{32, 128} {
+		for _, k := range []int{1, 8, 64} {
+			t.Run(fmt.Sprintf("width%d/k%d", width, k), func(t *testing.T) {
+				rs, _ := wideRuleSet(t, width, 400, 3)
+				cfg := Config{BucketSize: k, Model: quickModel()}
+				if k == 1 {
+					cfg.BucketSize = 0
+				}
+				e, err := Build(rs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ra := e.ra
+				check := func(key keys.Value) {
+					t.Helper()
+					if got, want := e.bucketOf(key), ra.Find(key)/k; got != want {
+						t.Fatalf("bucketOf(%v) = %d, range array says %d", key, got, want)
+					}
+				}
+				for i := range ra.Len() {
+					check(ra.Low(i))
+					check(ra.High(i))
+					if i > 0 {
+						check(ra.Low(i).Dec())
+					}
+				}
+				for b := 0; b*k < ra.Len(); b++ {
+					w := e.bucketW(b)
+					for j := 0; j < w.n; j++ {
+						if got, want := w.low(j), ra.Low(b*k+j); got != want {
+							t.Fatalf("bucket %d range %d: writer reads low %v, range array %v", b, j, got, want)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -75,8 +75,8 @@ const (
 // of exactly its ranges, then one word a range for what the range array is to
 // a dense record — the owner table (a rule index, or ranges.NoRule; atomic)
 // that owned, Delete, ModifyAction and Insert walk and rewrite. Its bounds are
-// the record's own, immutable; range 0's is the bucket's directory bound and
-// stays in the range array.
+// the record's own, immutable; range 0's is the bucket's directory bound,
+// which the compiled plane keeps.
 type spillRecord struct {
 	layout
 	w []uint64 // stride record words, k owner words
@@ -103,9 +103,9 @@ func alignedWords(n int) []uint64 {
 func newRecords(ra *ranges.Array, k int) *records {
 	r := &records{layout: newLayout(k, (ra.Width+63)/64), nr: ra.Len()}
 	r.w = alignedWords((r.nr + k - 1) / k * r.stride)
-	for i := range ra.Entries {
+	for i := range r.nr {
 		a, ok := ra.Action(i)
-		r.put(r.w[i/k*r.stride:], i%k, ra.Entries[i].Low, a, ok)
+		r.put(r.w[i/k*r.stride:], i%k, ra.Low(i), a, ok)
 	}
 	return r
 }

@@ -356,7 +356,7 @@ func deleteUnderReaders(t *testing.T, rs *lpm.RuleSet, cfg Config, cover, doomed
 	}
 	var probes []probe
 	for i := 0; i < e.ra.Len() && len(probes) < 512; i += 7 {
-		if low := e.ra.Entries[i].Low; doomed.Matches(32, low) {
+		if low := e.ra.Low(i); doomed.Matches(32, low) {
 			a, _ := e.ra.Action(i)
 			probes = append(probes, probe{low, int(e.ra.RuleOf(i)) != idx, a})
 		}

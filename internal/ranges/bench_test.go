@@ -10,7 +10,7 @@ import (
 // BenchmarkConvert is the range conversion of every engine build on the
 // repository benchmark's rules: 870 K ripe rules (seed 3), the set
 // BenchmarkParseRuleSet parses. Run with -benchmem: Convert allocates its
-// entries once, at their exact size (TestConvertExactSize holds it).
+// two columns once, at their exact size (TestConvertExactSize holds it).
 func BenchmarkConvert(b *testing.B) {
 	rs, err := workload.Generate(workload.RIPE(), 870000, 3)
 	if err != nil {
@@ -18,12 +18,8 @@ func BenchmarkConvert(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := ranges.Convert(rs)
-		if err != nil {
+		if _, err := ranges.Convert(rs); err != nil {
 			b.Fatal(err)
-		}
-		if len(a.Entries) != cap(a.Entries) {
-			b.Fatalf("%d entries in capacity %d", len(a.Entries), cap(a.Entries))
 		}
 	}
 }

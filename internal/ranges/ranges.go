@@ -7,6 +7,10 @@
 // the input domain, the deepest (longest-prefix) rule that matches it. The
 // output covers the whole domain; gaps between rules are assigned the
 // sentinel NoRule. The expansion is at most 2·|rules| ranges.
+//
+// The array is stored in the key's own width: each range keeps only its
+// lower bound (range i ends where range i+1 begins), as ⌈w/32⌉ 32-bit limbs,
+// and its owning rule as an int32 — 8 bytes a range at width 32, 20 at 128.
 package ranges
 
 import (
@@ -21,20 +25,18 @@ import (
 // NoRule marks a range that no rule covers.
 const NoRule int32 = -1
 
-// Entry is one non-overlapping range. Only the lower bound is stored (the
-// array covers the whole domain, so entry i ends where entry i+1 begins —
-// exactly the paper's 4-bytes-per-range layout for 32-bit rules). Rule is
-// the index of the matching rule in the source rule-set, or NoRule.
-type Entry struct {
-	Low  keys.Value
-	Rule int32
-}
-
-// Array is a sorted range array over a width-bit domain.
+// Array is a sorted range array over a width-bit domain, in two columns of
+// exactly its length: the bounds, the paper's lower-bound-only layout (§5.1)
+// at 32-bit granularity, and the owners.
 type Array struct {
-	Width   int
-	Entries []Entry
-	rules   []lpm.Rule // the source rule-set's, never written: each action until it changes
+	Width int
+	limbs int // ⌈Width/32⌉: the 32-bit words of one bound
+	// bounds holds range i's lower bound in limbs words from i·limbs, most
+	// significant first. Bounds never change after Convert.
+	bounds []uint32
+	// owners holds range i's rule index in the source rule-set, or NoRule.
+	owners []int32
+	rules  []lpm.Rule // the source rule-set's, never written: each action until it changes
 	// set is the per-rule action table: nil until a built rule's action first
 	// changes, which fills it from rules and publishes it.
 	set atomic.Pointer[[]uint64]
@@ -46,39 +48,47 @@ type Array struct {
 }
 
 // Convert transforms the rule-set into a range array. The result satisfies:
-// for every key k, the entry found by Find(k) names the longest-prefix rule
+// for every key k, the range found by Find(k) names the longest-prefix rule
 // of s matching k (or NoRule). The sweep runs twice: once to count the
-// entries, once to write them into an array of exactly that size, so the
-// entries are allocated once and no larger buffer is ever held beside them.
+// ranges, once to write them into columns of exactly that size, so each
+// column is allocated once and no larger buffer is ever held beside it.
 func Convert(s *lpm.RuleSet) (*Array, error) {
 	var count sweep
 	if err := count.run(s); err != nil {
 		return nil, err
 	}
-	fill := sweep{out: make([]Entry, count.n)}
+	a := &Array{Width: s.Width, limbs: (s.Width + 31) / 32, rules: s.Rules}
+	a.bounds, a.owners = make([]uint32, count.n*a.limbs), make([]int32, count.n)
+	fill := sweep{out: a}
 	if err := fill.run(s); err != nil {
 		return nil, err
 	}
-	return &Array{Width: s.Width, Entries: fill.out, rules: s.Rules}, nil
+	return a, nil
 }
 
-// sweep is one pass of the conversion: it counts the entries the rule-set
-// converts to, and writes them into out when out is non-nil.
+// sweep is one pass of the conversion: it counts the ranges the rule-set
+// converts to, and writes them into out's columns when out is non-nil.
 type sweep struct {
-	out  []Entry
-	n    int   // entries emitted
+	out  *Array
+	n    int   // ranges emitted
 	last int32 // the rule of the last one
 }
 
 // emit adds the range starting at low, owned by rule idx. It merges with the
-// previous entry when the owner is unchanged, so adjacent ranges of the same
+// previous range when the owner is unchanged, so adjacent ranges of the same
 // rule never split the array.
 func (w *sweep) emit(low keys.Value, idx int32) {
 	if w.n > 0 && w.last == idx {
 		return
 	}
-	if w.out != nil {
-		w.out[w.n] = Entry{Low: low, Rule: idx}
+	if a := w.out; a != nil {
+		b := a.bounds[w.n*a.limbs : (w.n+1)*a.limbs]
+		for j := len(b) - 1; j >= 0; j-- {
+			b[j] = uint32(low.Lo)
+			low.Lo = low.Lo>>32 | low.Hi<<32
+			low.Hi >>= 32
+		}
+		a.owners[w.n] = idx
 	}
 	w.n++
 	w.last = idx
@@ -140,21 +150,24 @@ func (w *sweep) run(s *lpm.RuleSet) error {
 }
 
 // Len returns the number of ranges.
-func (a *Array) Len() int { return len(a.Entries) }
+func (a *Array) Len() int { return len(a.owners) }
 
-// Low returns the lower bound of range i. Together with Len it lets the
-// array serve directly as the RQ Array an RQRMI model learns.
-func (a *Array) Low(i int) keys.Value { return a.Entries[i].Low }
+// Low returns the lower bound of range i, assembled from its limbs. Together
+// with Len it lets the array serve directly as the RQ Array an RQRMI model
+// learns.
+func (a *Array) Low(i int) (low keys.Value) {
+	for _, w := range a.bounds[i*a.limbs : (i+1)*a.limbs] {
+		low.Hi = low.Hi<<32 | low.Lo>>32
+		low.Lo = low.Lo<<32 | uint64(w)
+	}
+	return low
+}
 
 // Find returns the index of the range containing k: the greatest i with
-// Entries[i].Low ≤ k. This is the reference secondary search over the whole
-// array.
+// Low(i) ≤ k. This is the reference secondary search over the whole array.
 func (a *Array) Find(k keys.Value) int {
-	// sort.Search for first entry with Low > k, then step back.
-	i := sort.Search(len(a.Entries), func(i int) bool {
-		return k.Less(a.Entries[i].Low)
-	})
-	return i - 1
+	// sort.Search for the first range with Low > k, then step back.
+	return sort.Search(a.Len(), func(i int) bool { return k.Less(a.Low(i)) }) - 1
 }
 
 // FindWithin performs the bounded secondary search of the hardware engine:
@@ -165,25 +178,25 @@ func (a *Array) FindWithin(k keys.Value, lo, hi int) (idx, probes int) {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(a.Entries)-1 {
-		hi = len(a.Entries) - 1
+	if hi > a.Len()-1 {
+		hi = a.Len() - 1
 	}
 	return keys.BoundedSearch(k, lo, hi, a.Low)
 }
 
-// Rule ownership (Entry.Rule) and the action tables are the only words a
-// published array mutates — the no-retrain update paths rewrite them while
-// Engine.Verify may read them; no lookup does (core answers from its records).
-// Both are accessed with atomic word operations so a reader sees
-// either the old or the new value, never a torn one. Low values never change
+// Rule ownership (the owners column) and the action tables are the only
+// words a published array mutates — the no-retrain update paths rewrite them
+// while Engine.Verify may read them; no lookup does (core answers from its
+// records). Both are accessed with atomic word operations so a reader sees
+// either the old or the new value, never a torn one. Bounds never change
 // after Convert: a boundary an absorbed insert adds lives in its bucket's
 // spill record (internal/core), not here.
 
 // RuleOf returns the rule index owning range i, or NoRule.
-func (a *Array) RuleOf(i int) int32 { return atomic.LoadInt32(&a.Entries[i].Rule) }
+func (a *Array) RuleOf(i int) int32 { return atomic.LoadInt32(&a.owners[i]) }
 
 // SetRule re-owns range i (the tombstone-aware delete path).
-func (a *Array) SetRule(i int, r int32) { atomic.StoreInt32(&a.Entries[i].Rule, r) }
+func (a *Array) SetRule(i int, r int32) { atomic.StoreInt32(&a.owners[i], r) }
 
 // Action resolves the action of range i; ok is false for NoRule ranges.
 func (a *Array) Action(i int) (uint64, bool) {
@@ -241,14 +254,15 @@ func (a *Array) AddRule(action uint64) int32 {
 
 // High returns the inclusive upper bound of range i.
 func (a *Array) High(i int) keys.Value {
-	if i == len(a.Entries)-1 {
+	if i == a.Len()-1 {
 		return keys.MaxValue(a.Width)
 	}
-	return a.Entries[i+1].Low.Dec()
+	return a.Low(i + 1).Dec()
 }
 
-// BytesPerEntry is the on-chip cost of one range: the 32-/64-/128-bit lower
-// bound (§5.1 stores only lower bounds).
+// BytesPerEntry is the on-chip cost of one range: its lower bound in ⌈w/8⌉
+// bytes (§5.1 stores only lower bounds). It is the paper's SRAM accounting,
+// not the bytes the bounds column holds, which rounds up to 32-bit limbs.
 func (a *Array) BytesPerEntry() int {
 	return (a.Width + 7) / 8
 }

@@ -2,6 +2,7 @@ package ranges
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -35,14 +36,14 @@ func TestPaperConversionExample(t *testing.T) {
 	// [0b10010,0b10011]→r1, [0b10100,max]→none.
 	wantLows := []uint64{0, 0b10000, 0b10010, 0b10100}
 	if a.Len() != len(wantLows) {
-		t.Fatalf("got %d ranges: %+v", a.Len(), a.Entries)
+		t.Fatalf("got %d ranges, want %d", a.Len(), len(wantLows))
 	}
 	for i, w := range wantLows {
-		if a.Entries[i].Low != keys.FromUint64(w) {
-			t.Errorf("range %d low = %v, want %#b", i, a.Entries[i].Low, w)
+		if a.Low(i) != keys.FromUint64(w) {
+			t.Errorf("range %d low = %v, want %#b", i, a.Low(i), w)
 		}
 	}
-	if a.Entries[0].Rule != NoRule || a.Entries[3].Rule != NoRule {
+	if a.RuleOf(0) != NoRule || a.RuleOf(3) != NoRule {
 		t.Error("gap ranges should be NoRule")
 	}
 	if act, _ := a.Action(1); act != 0 {
@@ -55,8 +56,8 @@ func TestPaperConversionExample(t *testing.T) {
 
 func TestEmptyRuleSet(t *testing.T) {
 	_, a := mustConvert(t, 8, nil)
-	if a.Len() != 1 || a.Entries[0].Rule != NoRule {
-		t.Fatalf("empty conversion = %+v", a.Entries)
+	if a.Len() != 1 || a.RuleOf(0) != NoRule {
+		t.Fatalf("empty conversion: %d ranges, range 0 owned by %d", a.Len(), a.RuleOf(0))
 	}
 	if i := a.Find(keys.FromUint64(100)); i != 0 {
 		t.Fatalf("Find = %d", i)
@@ -99,10 +100,10 @@ func TestSiblingRules(t *testing.T) {
 	})
 	// Ranges: [0,3]→0, [4,7]→1, [8,11]→none, [12,15]→2.
 	if a.Len() != 4 {
-		t.Fatalf("got %d ranges: %+v", a.Len(), a.Entries)
+		t.Fatalf("got %d ranges, want 4", a.Len())
 	}
-	if a.Entries[2].Rule != NoRule {
-		t.Errorf("middle gap should be NoRule, got %d", a.Entries[2].Rule)
+	if a.RuleOf(2) != NoRule {
+		t.Errorf("middle gap should be NoRule, got %d", a.RuleOf(2))
 	}
 }
 
@@ -132,8 +133,8 @@ func TestAdjacentSameRuleMerged(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < a.Len(); i++ {
-		if a.Entries[i].Rule == a.Entries[i-1].Rule {
-			t.Fatalf("entries %d and %d share rule %d", i-1, i, a.Entries[i].Rule)
+		if a.RuleOf(i) == a.RuleOf(i-1) {
+			t.Fatalf("ranges %d and %d share rule %d", i-1, i, a.RuleOf(i))
 		}
 	}
 }
@@ -152,8 +153,8 @@ func TestExpansionBound(t *testing.T) {
 		if a.Len() > 2*s.Len()+1 {
 			t.Fatalf("expansion %d ranges from %d rules exceeds 2n+1", a.Len(), s.Len())
 		}
-		if cap(a.Entries) != a.Len() {
-			t.Fatalf("%d ranges kept in capacity %d", a.Len(), cap(a.Entries))
+		if cap(a.owners) != a.Len() || cap(a.bounds) != a.Len()*a.limbs {
+			t.Fatalf("%d ranges kept in capacities %d and %d", a.Len(), cap(a.owners), cap(a.bounds))
 		}
 	}
 }
@@ -247,11 +248,11 @@ func TestOracleEquivalenceAtBoundaries(t *testing.T) {
 			t.Fatalf("key %v: range %d, oracle %d", k, got, want)
 		}
 	}
-	for i, e := range a.Entries {
-		check(e.Low)
+	for i := range a.Len() {
+		check(a.Low(i))
 		check(a.High(i))
-		if !e.Low.IsZero() {
-			check(e.Low.Dec())
+		if i > 0 {
+			check(a.Low(i).Dec())
 		}
 	}
 }
@@ -349,6 +350,14 @@ func TestSizeBytes(t *testing.T) {
 	if a.SizeBytes() != 4*a.Len() {
 		t.Fatalf("SizeBytes = %d", a.SizeBytes())
 	}
+	// The SRAM figure is ⌈w/8⌉ bytes, not the 32-bit limbs the bounds
+	// column rounds a 48-bit bound up to.
+	_, a = mustConvert(t, 48, []lpm.Rule{
+		{Prefix: keys.FromUint64(1 << 47), Len: 1, Action: 1},
+	})
+	if a.BytesPerEntry() != 6 {
+		t.Fatalf("48-bit BytesPerEntry = %d", a.BytesPerEntry())
+	}
 	_, a = mustConvert(t, 128, []lpm.Rule{
 		{Prefix: keys.FromParts(1<<63, 0), Len: 1, Action: 1},
 	})
@@ -377,11 +386,11 @@ func TestConversionCoversDomain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !a.Entries[0].Low.IsZero() {
+		if !a.Low(0).IsZero() {
 			return false
 		}
 		for i := 1; i < a.Len(); i++ {
-			if !a.Entries[i-1].Low.Less(a.Entries[i].Low) {
+			if !a.Low(i - 1).Less(a.Low(i)) {
 				return false
 			}
 		}
@@ -420,10 +429,10 @@ func BenchmarkFind(b *testing.B) {
 	}
 }
 
-// TestConvertExactSize pins Convert to writing its entries once, at their
-// exact size: no spare capacity, and two allocations — the array and its
-// entries — whatever the rule count, so neither a sweep buffer larger than
-// the result nor a shrink copy of it comes back.
+// TestConvertExactSize pins Convert to writing its columns once, at their
+// exact size: no spare capacity, and three allocations — the array, its
+// bounds and its owners — whatever the rule count, so neither a sweep buffer
+// larger than the result nor a shrink copy of it comes back.
 func TestConvertExactSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{0, 1000, 50000} {
@@ -432,11 +441,94 @@ func TestConvertExactSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Entries) != cap(a.Entries) {
-			t.Errorf("%d rules: %d entries in capacity %d", n, len(a.Entries), cap(a.Entries))
+		if len(a.bounds) != cap(a.bounds) || len(a.owners) != cap(a.owners) {
+			t.Errorf("%d rules: bounds %d in capacity %d, owners %d in capacity %d",
+				n, len(a.bounds), cap(a.bounds), len(a.owners), cap(a.owners))
 		}
-		if got := testing.AllocsPerRun(3, func() { Convert(s) }); got != 2 {
-			t.Errorf("%d rules: Convert made %v allocations, want 2", n, got)
+		if got := testing.AllocsPerRun(3, func() { Convert(s) }); got != 3 {
+			t.Errorf("%d rules: Convert made %v allocations, want 3", n, got)
+		}
+	}
+}
+
+// TestArrayBytesPerRange pins the array to the key's own width: at every
+// width its columns hold exactly ⌈w/32⌉ 4-byte bound limbs and one 4-byte
+// owner a range, and at width 32 the live heap Convert leaves is 8 bytes a
+// range — the paper's 4-byte bound (§5.1) and the owning rule.
+func TestArrayBytesPerRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, w := range []int{32, 48, 64, 96, 128} {
+		a, err := Convert(randomRuleSet(rng, w, 500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		limbs := (w + 31) / 32
+		got := 4*cap(a.bounds) + 4*cap(a.owners)
+		if want := 4 * a.Len() * (limbs + 1); got != want {
+			t.Errorf("width %d: columns hold %d bytes for %d ranges, want %d", w, got, a.Len(), want)
+		}
+	}
+
+	if raceEnabled {
+		return // race instrumentation adds its own allocations
+	}
+	s := randomRuleSet(rng, 32, 200_000)
+	before := liveHeap()
+	a, err := Convert(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRange := (liveHeap() - before) / float64(a.Len())
+	runtime.KeepAlive(a)
+	if perRange > 8.5 {
+		t.Fatalf("Convert retains %.2f B a range at width 32, want at most 8.5", perRange)
+	}
+	t.Logf("Convert retains %.2f B a range at width 32 (%d ranges)", perRange, a.Len())
+}
+
+// liveHeap returns the bytes of live heap after a collection.
+func liveHeap() float64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
+}
+
+// TestLimbCountsRoundTrip converts random rule-sets at widths of one to four
+// 32-bit limbs, each limb count at its edges: every bound assembles back to
+// a strictly increasing cover of the domain from zero, both ends of every
+// range answer its owner per the trie oracle, and the key below a range
+// answers another rule, so the merge of equal owners stayed maximal.
+func TestLimbCountsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, w := range []int{8, 32, 33, 48, 64, 65, 96, 128} {
+		for trial := 0; trial < 3; trial++ {
+			s := randomRuleSet(rng, w, 150)
+			a, err := Convert(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := lpm.NewTrie(s)
+			if !a.Low(0).IsZero() {
+				t.Fatalf("width %d: range 0 starts at %v", w, a.Low(0))
+			}
+			for i := range a.Len() {
+				lo, owner := a.Low(i), int(a.RuleOf(i))
+				if i > 0 {
+					if !a.Low(i - 1).Less(lo) {
+						t.Fatalf("width %d: low %d = %v not above low %d = %v", w, i, lo, i-1, a.Low(i-1))
+					}
+					if below := oracle.Lookup(lo.Dec()); below == owner {
+						t.Fatalf("width %d: the key below range %d answers its owner %d", w, i, owner)
+					}
+				}
+				if got := oracle.Lookup(lo); got != owner {
+					t.Fatalf("width %d: low of range %d answers %d, owner %d", w, i, got, owner)
+				}
+				if got := oracle.Lookup(a.High(i)); got != owner {
+					t.Fatalf("width %d: high of range %d answers %d, owner %d", w, i, got, owner)
+				}
+			}
 		}
 	}
 }

@@ -124,6 +124,21 @@ func flattenLows(ix Index, width int) flatLows {
 
 func (f *flatLows) bytes() int { return 8*len(f.lows64) + 16*len(f.lows) }
 
+// Low returns entry i's lower bound.
+func (f *flatLows) Low(i int) keys.Value {
+	if f.lows64 != nil {
+		return keys.FromUint64(f.lows64[i])
+	}
+	return f.lows[i]
+}
+
+// Find returns the entry containing k, the greatest i with Low(i) ≤ k: the
+// bounded search over the whole index, for callers with no prediction.
+func (f *flatLows) Find(k keys.Value) int {
+	i, _ := f.searchWithin(k, Prediction{Err: len(f.lows64) + len(f.lows)})
+	return i
+}
+
 // window is the search window of prediction p: [Index−Err, Index+Err] clamped
 // to the index, as Model.Search clamps it.
 func (f *flatLows) window(p Prediction) (lo, hi int) {

@@ -66,7 +66,7 @@ func GenerateTrace(rs *lpm.RuleSet, cfg TraceConfig) ([]keys.Value, error) {
 			k = window[rng.Intn(len(window))]
 		} else {
 			r := perm[zipf.Uint64()]
-			lo := arr.Entries[r].Low
+			lo := arr.Low(r)
 			hi := arr.High(r)
 			k = randKeyBetween(rng, lo, hi)
 		}
