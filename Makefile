@@ -47,8 +47,11 @@ vet:
 # or hotness endpoint, and none of their series; only the two tests that pin
 # those routes to 404 name them. The range array is stored in the key's own
 # width (DESIGN.md §5): no 24-byte range entry type or entries slice in code.
-# Each alternative carries a one-character class so these lines do not find
-# themselves.
+# A query has one timing record, the flight record (DESIGN.md §8, §13): no span
+# type, span stages or span entry point in code, no series counting /trace's
+# DRAM traffic and no registry-attached counter for it, and no per-shard
+# lookup tally or the balance gauges it fed. Each alternative carries a
+# one-character class so these lines do not find themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
@@ -86,6 +89,7 @@ deleted-names:
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:|^\./(cmd/lpmserve/main|internal/serve/serve)_test\.go:'
 	@! grep -rnE 'ranges\.[E]ntry\b|\.[E]ntries\[' --include='*.go' .
+	@! grep -rnE 'Start[S]pan|Span[S]tage|telemetry\.[S]pan\b|Lookup[S]pan|neurolpm_serve[_]dram|shard_(load|range)[_]imbalance|load[C]ounts|Attach[C]ounter' --include='*.go' .
 
 test:
 	$(GO) test ./...

@@ -39,166 +39,46 @@ type experiment struct {
 // only list of names: the flag's usage text is printed from it, and
 // main_test.go holds every name the docs cite to it.
 var registry = []experiment{
-	{"fig2", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Fig2(sc)
-		if err != nil {
-			return nil, err
-		}
-		return r.Table(), nil
-	}},
+	{"fig2", tab(experiments.Fig2, (*experiments.Fig2Result).Table)},
 	{"fig6a", func(sc experiments.Scale) (*experiments.Table, error) {
 		return experiments.Fig6aTable(experiments.Fig6a(sc.Seed)), nil
 	}},
-	{"fig6b", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Fig6b(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig6bTable(r), nil
-	}},
-	{"fig7", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Fig7(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig7Table(r), nil
-	}},
-	{"fig8", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Fig8(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig8Table(r), nil
-	}},
-	{"fig9", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Fig9(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig9Table(r), nil
-	}},
-	{"fig10", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Fig10(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Fig10Table(r), nil
-	}},
-	{"table1", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Table1(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.Table1Table(r), nil
-	}},
-	{"expansion", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Expansion(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.ExpansionTable(r), nil
-	}},
-	{"worstcase", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.WorstCase(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.WorstCaseTable(r), nil
-	}},
-	{"binsearch", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.VsBinarySearch(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.VsBinarySearchTable(r), nil
-	}},
-	{"bitwidth", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Bitwidth(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.BitwidthTable(r), nil
-	}},
-	{"updates", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Updates(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.UpdatesTable(r), nil
-	}},
-	{"scaling", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Scaling(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.ScalingTable(r), nil
-	}},
-	{"headline", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Headline(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.HeadlineTable(r), nil
-	}},
-	{"modelsize", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.ModelSize(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.ModelSizeTable(r), nil
-	}},
-	{"tss", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.TSSSensitivity(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.TSSSensitivityTable(r), nil
-	}},
-	{"dram", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.DRAMPipeline(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.DRAMPipelineTable(r), nil
-	}},
-	{"replicas", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Replicas(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.ReplicasTable(r), nil
-	}},
-	{"designspace", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.DesignSpace(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.DesignSpaceTable(r), nil
-	}},
+	{"fig6b", tab(experiments.Fig6b, experiments.Fig6bTable)},
+	{"fig7", tab(experiments.Fig7, experiments.Fig7Table)},
+	{"fig8", tab(experiments.Fig8, experiments.Fig8Table)},
+	{"fig9", tab(experiments.Fig9, experiments.Fig9Table)},
+	{"fig10", tab(experiments.Fig10, experiments.Fig10Table)},
+	{"table1", tab(experiments.Table1, experiments.Table1Table)},
+	{"expansion", tab(experiments.Expansion, experiments.ExpansionTable)},
+	{"worstcase", tab(experiments.WorstCase, experiments.WorstCaseTable)},
+	{"binsearch", tab(experiments.VsBinarySearch, experiments.VsBinarySearchTable)},
+	{"bitwidth", tab(experiments.Bitwidth, experiments.BitwidthTable)},
+	{"updates", tab(experiments.Updates, experiments.UpdatesTable)},
+	{"scaling", tab(experiments.Scaling, experiments.ScalingTable)},
+	{"headline", tab(experiments.Headline, experiments.HeadlineTable)},
+	{"modelsize", tab(experiments.ModelSize, experiments.ModelSizeTable)},
+	{"tss", tab(experiments.TSSSensitivity, experiments.TSSSensitivityTable)},
+	{"dram", tab(experiments.DRAMPipeline, experiments.DRAMPipelineTable)},
+	{"replicas", tab(experiments.Replicas, experiments.ReplicasTable)},
+	{"designspace", tab(experiments.DesignSpace, experiments.DesignSpaceTable)},
 	{"worstbw", func(sc experiments.Scale) (*experiments.Table, error) {
 		return experiments.WorstCaseBandwidthTable(experiments.WorstCaseBandwidth()), nil
 	}},
-	{"emexpand", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.EMExpansion(sc)
+	{"emexpand", tab(experiments.EMExpansion, experiments.EMExpansionTable)},
+	{"sharded", tab(experiments.ShardedThroughput, experiments.ShardedThroughputTable)},
+	{"observe", tab(experiments.Observe, experiments.ObserveTable)},
+}
+
+// tab adapts an experiment that returns a result and an error, and the
+// function that renders that result, into an experiment's run.
+func tab[R any](run func(experiments.Scale) (R, error), render func(R) *experiments.Table) func(experiments.Scale) (*experiments.Table, error) {
+	return func(sc experiments.Scale) (*experiments.Table, error) {
+		r, err := run(sc)
 		if err != nil {
 			return nil, err
 		}
-		return experiments.EMExpansionTable(r), nil
-	}},
-	{"sharded", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.ShardedThroughput(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.ShardedThroughputTable(r), nil
-	}},
-	{"observe", func(sc experiments.Scale) (*experiments.Table, error) {
-		r, err := experiments.Observe(sc)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.ObserveTable(r), nil
-	}},
+		return render(r), nil
+	}
 }
 
 func experimentNames() []string {

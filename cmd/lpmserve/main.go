@@ -2,8 +2,8 @@
 // updatable engine for a rule-set (one shard by default) and serves its
 // lookups and rule updates over the binary wire protocol, with the
 // observability surface over HTTP — Prometheus-format /metrics backed by the
-// telemetry registry, expvar at /debug/vars, /debug/pprof, and per-query
-// traces at /trace?key=.
+// telemetry registry, expvar at /debug/vars, /debug/pprof, and one query's
+// trace and flight record at /trace?key=.
 //
 // Usage:
 //
@@ -30,7 +30,7 @@
 // Endpoints (-addr, HTTP):
 //
 //	GET /lookup?key=10.1.2.3     one query (JSON), for a human asking
-//	GET /trace?key=10.1.2.3      one fully-annotated query span (JSON)
+//	GET /trace?key=10.1.2.3      one query's paper units + timed flight record (JSON)
 //	GET /metrics                 Prometheus text format (lpmtop's poll target)
 //	GET /healthz                 liveness + engine summary (200 while up)
 //	GET /debug/flightrec         the sampled flight-record ring (?n=)

@@ -5,11 +5,7 @@
 // per query, and the bandwidth per miss is max(access size, line size).
 package cachesim
 
-import (
-	"fmt"
-
-	"neurolpm/internal/telemetry"
-)
+import "fmt"
 
 // Mem abstracts the off-chip memory path. Algorithms call Read for every
 // access to a DRAM-resident structure.
@@ -18,74 +14,12 @@ type Mem interface {
 	Read(addr uint64, size int)
 }
 
-// Stats is a point-in-time view of traffic counters. It is a plain value;
-// the live accounting behind it is a tally of lock-free telemetry counters
-// shared with the /metrics surface (see tally), not bespoke struct fields.
+// Stats is a point-in-time view of traffic counters.
 type Stats struct {
 	Accesses uint64 // Read calls
 	Lines    uint64 // cache lines touched
 	Misses   uint64 // line misses
 	Bytes    uint64 // DRAM bytes fetched (max(access, line) per miss)
-}
-
-// tally is the single accounting implementation every Mem uses: four
-// telemetry counters. Because the counters are sharded atomics, any Mem
-// built on a tally has thread-safe accounting for free, and Register
-// exposes the same counters through a telemetry registry — there is no
-// second, duplicated set of fields to keep in sync.
-type tally struct {
-	accesses, lines, misses, bytes *telemetry.Counter
-}
-
-func newTally() tally {
-	return tally{
-		accesses: telemetry.NewCounter(),
-		lines:    telemetry.NewCounter(),
-		misses:   telemetry.NewCounter(),
-		bytes:    telemetry.NewCounter(),
-	}
-}
-
-// lazyInit makes the zero value of Uncached usable (callers construct it
-// with &cachesim.Uncached{}).
-func (t *tally) lazyInit() {
-	if t.accesses == nil {
-		*t = newTally()
-	}
-}
-
-// Stats snapshots the counters into the reporting value.
-func (t *tally) Stats() Stats {
-	t.lazyInit()
-	return Stats{
-		Accesses: t.accesses.Load(),
-		Lines:    t.lines.Load(),
-		Misses:   t.misses.Load(),
-		Bytes:    t.bytes.Load(),
-	}
-}
-
-// reset zeroes the counters.
-func (t *tally) reset() {
-	t.lazyInit()
-	t.accesses.Reset()
-	t.lines.Reset()
-	t.misses.Reset()
-	t.bytes.Reset()
-}
-
-// Register exposes the tally's counters through reg under
-// <prefix>_accesses_total, _lines_total, _misses_total and _bytes_total,
-// plus a <prefix>_miss_rate gauge.
-func (t *tally) Register(reg *telemetry.Registry, prefix string) {
-	t.lazyInit()
-	reg.AttachCounter(prefix+"_accesses_total", "DRAM-path Read calls", t.accesses)
-	reg.AttachCounter(prefix+"_lines_total", "Cache lines touched", t.lines)
-	reg.AttachCounter(prefix+"_misses_total", "Cache line misses", t.misses)
-	reg.AttachCounter(prefix+"_bytes_total", "DRAM bytes fetched", t.bytes)
-	reg.Gauge(prefix+"_miss_rate", "Misses per access", func() float64 {
-		return t.Stats().MissRate()
-	})
 }
 
 // MissRate returns misses per access (NaN-free: zero when idle).
@@ -109,16 +43,15 @@ func DefaultConfig(sizeBytes int) Config {
 	return Config{SizeBytes: sizeBytes, LineSize: 32, Ways: 2}
 }
 
-// Cache is a set-associative LRU cache with traffic accounting. The LRU
-// state itself is not thread-safe; accounting is (it lives in the embedded
-// tally's atomic counters).
+// Cache is a set-associative LRU cache with traffic accounting. Neither is
+// safe for concurrent use: each goroutine simulates its own cache.
 type Cache struct {
 	cfg   Config
 	sets  uint64
 	tags  []uint64 // sets × ways; tag+1 (0 = invalid)
 	ages  []uint64 // LRU stamps
 	clock uint64
-	tally
+	stats Stats
 }
 
 // New builds a cache. It returns an error when the geometry is inconsistent.
@@ -138,11 +71,10 @@ func New(cfg Config) (*Cache, error) {
 			cfg.SizeBytes, cfg.Ways, cfg.LineSize)
 	}
 	c := &Cache{
-		cfg:   cfg,
-		sets:  uint64(sets),
-		tags:  make([]uint64, sets*cfg.Ways),
-		ages:  make([]uint64, sets*cfg.Ways),
-		tally: newTally(),
+		cfg:  cfg,
+		sets: uint64(sets),
+		tags: make([]uint64, sets*cfg.Ways),
+		ages: make([]uint64, sets*cfg.Ways),
 	}
 	return c, nil
 }
@@ -156,14 +88,14 @@ func (c *Cache) Read(addr uint64, size int) {
 	if size <= 0 {
 		return
 	}
-	c.accesses.Inc()
+	c.stats.Accesses++
 	line := addr / uint64(c.cfg.LineSize)
 	last := (addr + uint64(size) - 1) / uint64(c.cfg.LineSize)
 	for ; line <= last; line++ {
-		c.lines.Inc()
+		c.stats.Lines++
 		if !c.touch(line) {
-			c.misses.Inc()
-			c.bytes.Add(uint64(c.cfg.LineSize))
+			c.stats.Misses++
+			c.stats.Bytes += uint64(c.cfg.LineSize)
 		}
 	}
 }
@@ -190,8 +122,11 @@ func (c *Cache) touch(line uint64) bool {
 	return false
 }
 
+// Stats returns the traffic counters.
+func (c *Cache) Stats() Stats { return c.stats }
+
 // ResetStats clears counters but keeps cache contents (for warmup phases).
-func (c *Cache) ResetStats() { c.reset() }
+func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates all lines and clears the statistics.
 func (c *Cache) Flush() {
@@ -200,7 +135,7 @@ func (c *Cache) Flush() {
 		c.ages[i] = 0
 	}
 	c.clock = 0
-	c.reset()
+	c.stats = Stats{}
 }
 
 // Config returns the cache geometry.
@@ -208,12 +143,10 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Uncached counts DRAM traffic with no cache in front: every access is a
 // miss that transfers max(access size, minBurst) bytes. It models the
-// paper's cache-less worst-case analyses. Accounting is thread-safe once
-// initialized (first Read or Stats call); initialize before sharing across
-// goroutines by calling Stats() once, as cmd/lpmserve does.
+// paper's cache-less worst-case analyses. It is not safe for concurrent use.
 type Uncached struct {
 	MinBurst int // minimum DRAM transfer granularity; 0 means exact sizes
-	tally
+	stats    Stats
 }
 
 // Read implements Mem.
@@ -221,19 +154,17 @@ func (u *Uncached) Read(addr uint64, size int) {
 	if size <= 0 {
 		return
 	}
-	u.lazyInit()
-	u.accesses.Inc()
-	u.lines.Inc()
-	u.misses.Inc()
-	b := size
-	if b < u.MinBurst {
-		b = u.MinBurst
-	}
-	u.bytes.Add(uint64(b))
+	u.stats.Accesses++
+	u.stats.Lines++
+	u.stats.Misses++
+	u.stats.Bytes += uint64(max(size, u.MinBurst))
 }
 
+// Stats returns the traffic counters.
+func (u *Uncached) Stats() Stats { return u.stats }
+
 // ResetStats clears the counters.
-func (u *Uncached) ResetStats() { u.reset() }
+func (u *Uncached) ResetStats() { u.stats = Stats{} }
 
 // Null discards accesses (for SRAM-only runs where off-chip traffic is
 // impossible by construction).

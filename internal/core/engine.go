@@ -204,17 +204,18 @@ func (e *Engine) Bucketized() bool { return e.dir != nil }
 // internal/planetest (FuzzStackVsOracle, TestLookupEntryPointsEquivalent).
 //
 // Lookup is the bare pipeline — inference, bounded search, the bucket
-// record's answer, one lane add — with no Trace, no span and no memory model.
-// The lane add's return is the key's lane tick, on which the distributions
-// sample it 1:sampleEvery. The flight recorder must decide before the key is
-// booked: after inference the key peeks its stripe's tick (plain loads of its
-// lanes) and the recorder draws on that. A drawn record must time the whole
-// pipeline, so that key takes trace, inference again included.
+// record's answer, one lane add — with no Trace, no flight record and no
+// memory model. The lane add's return is the key's lane tick, on which the
+// distributions sample it 1:sampleEvery. The flight recorder must decide
+// before the key is booked: after inference the key peeks its stripe's tick
+// (plain loads of its lanes) and the recorder draws on that. A drawn record
+// must time the whole pipeline, so that key takes trace, inference again
+// included.
 func (e *Engine) Lookup(k keys.Value) (action uint64, ok bool) {
 	p := e.comp.Predict(k)
 	st := tally.Stripe()
 	if telemetry.Flight.Draws(st, st.Tick()) {
-		tr := e.trace(k, cachesim.Null{}, nil, st, true)
+		tr := e.sampled(k, cachesim.Null{}, st)
 		return tr.Action, tr.Matched
 	}
 	b, probes := e.comp.Search(k, p)
@@ -251,33 +252,37 @@ type Trace struct {
 // issued. The returned trace carries the per-query statistics.
 func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) Trace {
 	st := tally.Stripe()
-	return e.trace(k, mem, nil, st, telemetry.Flight.Draws(st, st.Tick()))
+	if telemetry.Flight.Draws(st, st.Tick()) {
+		return e.sampled(k, mem, st)
+	}
+	return e.trace(k, mem, nil, st)
 }
 
-// LookupSpan executes the query while recording a fully-annotated span:
-// per-stage timings (inference → secondary search → bucket fetch), the
-// inference error bound, probe counts and DRAM traffic. It is the /trace
-// endpoint's implementation; the span costs clock reads and allocation, so
-// the plain Lookup paths pass a nil span instead.
-func (e *Engine) LookupSpan(k keys.Value, mem cachesim.Mem) (Trace, *telemetry.Span) {
-	sp := telemetry.StartSpan("lookup")
+// LookupRecord answers k with its trace and a flight record of it, timed per
+// stage (inference → secondary search → bucket fetch) whatever the recorder's
+// stride: it is the /trace endpoint's implementation. The record enters the
+// recorder's ring and slow log only when the recorder drew the key, as any
+// lookup's would, so an operator's trace neither adds to the 1-in-N sample nor
+// displaces a slow query.
+func (e *Engine) LookupRecord(k keys.Value) (Trace, telemetry.FlightRecord) {
+	var fr telemetry.FlightRecord
 	st := tally.Stripe()
-	tr := e.trace(k, mem, sp, st, telemetry.Flight.Draws(st, st.Tick()))
-	sp.Set("key", k.String())
-	sp.Set("predicted_index", tr.Prediction.Index)
-	sp.Set("error_bound", tr.Prediction.Err)
-	sp.Set("submodel", tr.Prediction.Submodel)
-	sp.Set("sram_probes", tr.SRAMProbes)
-	sp.Set("bucket_read", tr.BucketRead)
-	sp.Set("spill_read", tr.Spilled)
-	sp.Set("dram_bytes", tr.DRAMBytes)
-	sp.Set("range_index", tr.RangeIndex)
-	sp.Set("matched", tr.Matched)
-	if tr.Matched {
-		sp.Set("action", tr.Action)
+	drawn := telemetry.Flight.Draws(st, st.Tick())
+	tr := e.trace(k, cachesim.Null{}, &fr, st)
+	if drawn {
+		telemetry.Flight.Commit(&fr)
+	} else {
+		fr.End()
 	}
-	sp.End()
-	return tr, sp
+	return tr, fr
+}
+
+// sampled traces a key the flight recorder drew and commits its record.
+func (e *Engine) sampled(k keys.Value, mem cachesim.Mem, st *telemetry.TallyStripe) Trace {
+	var fr telemetry.FlightRecord // stack-allocated; Commit copies it out
+	tr := e.trace(k, mem, &fr, st)
+	telemetry.Flight.Commit(&fr)
+	return tr
 }
 
 // book is every lookup's booking, one key or a block's keys of one outcome:
@@ -289,30 +294,23 @@ func (e *Engine) book(st *telemetry.TallyStripe, n uint64, matched bool) uint64 
 	return st.Add(int(b2u(matched))+laneBucket*int(b2u(e.dir != nil)), n)
 }
 
-// trace is the instrumented single-key arm behind LookupMem, LookupSpan and
+// trace is the instrumented single-key arm behind LookupMem, LookupRecord and
 // Lookup's drawn keys: the same inference, search and record answer as
 // Lookup's bare pipeline, with (on bucketized engines) exactly one DRAM
-// bucket fetch through mem, booked on stripe st. Stage timings are recorded
-// only when sp is non-nil or the flight recorder drew the key (flight).
-func (e *Engine) trace(k keys.Value, mem cachesim.Mem, sp *telemetry.Span, st *telemetry.TallyStripe, flight bool) Trace {
+// bucket fetch through mem, booked on stripe st. A non-nil fr is begun,
+// stamped at each stage boundary and filled with the answer; the caller ends
+// or commits it. A nil fr leaves the key untimed.
+func (e *Engine) trace(k keys.Value, mem cachesim.Mem, fr *telemetry.FlightRecord, st *telemetry.TallyStripe) Trace {
 	var tr Trace
-	var fr *telemetry.FlightRecord
-	if flight {
-		var rec telemetry.FlightRecord // stack-allocated; Commit copies it out
-		fr = &rec
+	if fr != nil {
 		fr.Begin(k.Hi, k.Lo)
 	}
-	end := sp.Stage("inference")
 	tr.Prediction = e.comp.Predict(k)
-	end()
 	fr.Stamp(telemetry.StageInference)
-	end = sp.Stage("secondary-search")
 	var b int
 	b, tr.SRAMProbes = e.comp.Search(k, tr.Prediction)
-	end()
 	fr.Stamp(telemetry.StageSearch)
 	if e.dir != nil {
-		end = sp.Stage("bucket-fetch")
 		tr.BucketRead = true
 		tr.DRAMBytes = e.dir.BucketBytes()
 		mem.Read(e.dir.DRAMAddr(b))
@@ -325,11 +323,10 @@ func (e *Engine) trace(k keys.Value, mem cachesim.Mem, sp *telemetry.Span, st *t
 	j, cmp, tr.Action, tr.Matched, tr.Spilled = e.rec.answer(b, k)
 	tr.RangeIndex = b*e.rec.k + j
 	if e.dir != nil {
-		end()
 		fr.Stamp(telemetry.StageFetch)
 	}
 	if fr != nil {
-		e.commit(fr, tr.SRAMProbes, tr.Prediction.Err, tr.Action, tr.Matched)
+		e.fill(fr, tr.SRAMProbes, tr.Prediction.Err, tr.Action, tr.Matched)
 	}
 	if tr.Spilled {
 		metSpillFetches.Inc()
@@ -379,15 +376,14 @@ func (e *Engine) observe(probes, errBound, cmp int) {
 	}
 }
 
-// commit closes a flight-sampled key's record.
-func (e *Engine) commit(fr *telemetry.FlightRecord, probes, errBound int, action uint64, matched bool) {
+// fill writes a timed key's answer into its flight record.
+func (e *Engine) fill(fr *telemetry.FlightRecord, probes, errBound int, action uint64, matched bool) {
 	fr.Probes = int32(probes)
 	fr.ErrBound = int32(errBound)
 	fr.Shard = e.shardID
 	fr.Action = action
 	fr.Matched = matched
 	fr.BucketRead = e.dir != nil
-	telemetry.Flight.Commit(fr)
 }
 
 // BatchResult is one LookupBatch answer.
@@ -457,7 +453,8 @@ func (e *Engine) finishBatch(ks []keys.Value, out []BatchResult) {
 				fr.Stamp(telemetry.StageFetch)
 			}
 			if fr != nil {
-				e.commit(fr, probes[i], preds[i].Err, action, ok)
+				e.fill(fr, probes[i], preds[i].Err, action, ok)
+				telemetry.Flight.Commit(fr)
 			}
 			res[i] = BatchResult{Action: action, Matched: ok}
 			matched += b2u(ok)

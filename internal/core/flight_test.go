@@ -119,3 +119,38 @@ func TestSampledLookupZeroAllocs(t *testing.T) {
 		t.Fatalf("sampled lookup allocates %v objects per call, want 0", allocs)
 	}
 }
+
+// TestLookupRecordCommitsOnlyDrawnKeys: LookupRecord times every key, and its
+// record enters the ring only when the recorder drew the key — never at
+// stride 0, always at stride 1, with the record it returned.
+func TestLookupRecordCommitsOnlyDrawnKeys(t *testing.T) {
+	rs := randomRuleSet(t, 32, 2000, 13)
+	e, err := Build(rs, quickBucketed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := telemetry.Flight.SampleEvery()
+	defer telemetry.Flight.SetSampleEvery(prev)
+	rng := rand.New(rand.NewSource(14))
+
+	telemetry.Flight.SetSampleEvery(0)
+	before := telemetry.Flight.Recorded()
+	for i := 0; i < 100; i++ {
+		if _, fr := e.LookupRecord(randomKey(rng, 32)); fr.TotalNs <= 0 || fr.StageNs[telemetry.StageFetch] <= 0 {
+			t.Fatalf("untimed record at stride 0: %+v", fr)
+		}
+	}
+	if got := telemetry.Flight.Recorded(); got != before {
+		t.Fatalf("stride 0: LookupRecord committed %d records", got-before)
+	}
+
+	telemetry.Flight.SetSampleEvery(1)
+	before = telemetry.Flight.Recorded()
+	_, fr := e.LookupRecord(randomKey(rng, 32))
+	if got := telemetry.Flight.Recorded(); got != before+1 {
+		t.Fatalf("stride 1: LookupRecord committed %d records, want 1", got-before)
+	}
+	if rec := telemetry.Flight.Recent(1)[0]; rec != fr {
+		t.Fatalf("committed record %+v, returned %+v", rec, fr)
+	}
+}

@@ -256,8 +256,9 @@ func TestSpilledBucketBooksOneSpillFetch(t *testing.T) {
 }
 
 // TestLookupPathsAgree pins the satellite requirement that Lookup,
-// LookupMem and LookupSpan share one implementation: identical results and
-// identical per-query statistics for the same key.
+// LookupMem and LookupRecord share one implementation: identical results and
+// identical per-query statistics for the same key, and a record of it timed
+// through the engine's stages.
 func TestLookupPathsAgree(t *testing.T) {
 	rs := randomRuleSet(t, 32, 500, 21)
 	for name, cfg := range map[string]Config{"sram": quickSRAMOnly(), "bucketized": quickBucketed()} {
@@ -269,24 +270,31 @@ func TestLookupPathsAgree(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			k := randomKey(rng, 32)
 			trMem := e.LookupMem(k, cachesim.Null{})
-			trSpan, sp := e.LookupSpan(k, cachesim.Null{})
+			trRec, fr := e.LookupRecord(k)
 			action, ok := e.Lookup(k)
-			if trMem != trSpan {
-				t.Fatalf("%s: LookupMem %+v != LookupSpan %+v", name, trMem, trSpan)
+			if trMem != trRec {
+				t.Fatalf("%s: LookupMem %+v != LookupRecord %+v", name, trMem, trRec)
 			}
 			if ok != trMem.Matched || (ok && action != trMem.Action) {
 				t.Fatalf("%s: Lookup (%d,%v) disagrees with trace (%d,%v)",
 					name, action, ok, trMem.Action, trMem.Matched)
 			}
-			if sp == nil || sp.TotalNs <= 0 {
-				t.Fatalf("%s: span missing timing", name)
+			if fr.TotalNs <= 0 || fr.KeyHi != k.Hi || fr.KeyLo != k.Lo || fr.Action != trMem.Action ||
+				fr.Matched != trMem.Matched || int(fr.Probes) != trMem.SRAMProbes || fr.BucketRead != trMem.BucketRead {
+				t.Fatalf("%s: record %+v disagrees with trace %+v", name, fr, trMem)
+			}
+			stamped := 0
+			for _, ns := range fr.StageNs {
+				if ns > 0 {
+					stamped++
+				}
 			}
 			wantStages := 2
 			if trMem.BucketRead {
 				wantStages = 3
 			}
-			if len(sp.Stages) != wantStages {
-				t.Fatalf("%s: span has %d stages, want %d: %+v", name, len(sp.Stages), wantStages, sp.Stages)
+			if stamped != wantStages {
+				t.Fatalf("%s: record has %d timed stages, want %d: %v", name, stamped, wantStages, fr.StageNs)
 			}
 		}
 	}

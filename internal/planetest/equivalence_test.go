@@ -84,8 +84,8 @@ func TestLookupEntryPointsEquivalent(t *testing.T) {
 			tr := eng.LookupMem(k, &cachesim.Uncached{})
 			return tr.Action, tr.Matched
 		}},
-		{"Engine.LookupSpan", func(k keys.Value) (uint64, bool) {
-			tr, _ := eng.LookupSpan(k, cachesim.Null{})
+		{"Engine.LookupRecord", func(k keys.Value) (uint64, bool) {
+			tr, _ := eng.LookupRecord(k)
 			return tr.Action, tr.Matched
 		}},
 	}

@@ -225,13 +225,13 @@ func TestShardedLookupAndHealthz(t *testing.T) {
 		t.Errorf("healthz shards = %v, want %d", got, sh.Shards())
 	}
 
-	// /trace routes to the key's sub-engine and must include a span.
+	// /trace routes to the key's sub-engine and returns its timed record.
 	var trc traceResponse
 	rec = getJSON(t, h, "/trace?key=0x01020304", &trc)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/trace: %d %s", rec.Code, rec.Body)
 	}
-	if trc.Span == nil {
-		t.Error("/trace returned no span in sharded mode")
+	if want := sh.ShardOf(keys.FromUint64(0x01020304)); trc.Record.TotalNs <= 0 || int(trc.Record.Shard) != want {
+		t.Errorf("/trace record %+v, want a timed record from shard %d", trc.Record, want)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// DefaultDrainTimeout bounds how long Serve waits for in-flight requests
+// DefaultDrainTimeout bounds how long ServeUnits waits for in-flight requests
 // after a shutdown signal before forcing connections closed.
 const DefaultDrainTimeout = 10 * time.Second
 
@@ -100,14 +100,4 @@ func ServeUnits(stop <-chan os.Signal, drainTimeout time.Duration, units ...Unit
 		}
 	}
 	return firstErr
-}
-
-// Serve runs h on the listener until an error or a value on stop, then
-// drains: http.Server.Shutdown stops accepting, lets in-flight requests
-// (lookups, traces, metric scrapes) finish within drainTimeout, and
-// closes idle connections. A clean drain returns nil — the daemon's signal
-// handler can distinguish "told to stop" from "fell over". Kept as the
-// single-listener entry point; multi-listener daemons use ServeUnits.
-func Serve(l net.Listener, h http.Handler, stop <-chan os.Signal, drainTimeout time.Duration) error {
-	return ServeUnits(stop, drainTimeout, &HTTPUnit{Listener: l, Handler: h})
 }

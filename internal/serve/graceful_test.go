@@ -33,7 +33,7 @@ func TestServeDrainsInFlightRequests(t *testing.T) {
 
 	stop := make(chan os.Signal, 1)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- Serve(l, mux, stop, 5*time.Second) }()
+	go func() { serveErr <- ServeUnits(stop, 5*time.Second, &HTTPUnit{Listener: l, Handler: mux}) }()
 
 	reqErr := make(chan error, 1)
 	go func() {
@@ -62,10 +62,10 @@ func TestServeDrainsInFlightRequests(t *testing.T) {
 	select {
 	case err := <-serveErr:
 		if err != nil {
-			t.Fatalf("Serve returned %v, want nil on clean drain", err)
+			t.Fatalf("ServeUnits returned %v, want nil on clean drain", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after shutdown")
+		t.Fatal("ServeUnits did not return after shutdown")
 	}
 	if handled.Load() != 1 {
 		t.Fatalf("handler ran %d times, want 1", handled.Load())
@@ -85,14 +85,14 @@ func TestServeReportsListenerErrors(t *testing.T) {
 	}
 	stop := make(chan os.Signal)
 	errc := make(chan error, 1)
-	go func() { errc <- Serve(l, http.NewServeMux(), stop, time.Second) }()
+	go func() { errc <- ServeUnits(stop, time.Second, &HTTPUnit{Listener: l, Handler: http.NewServeMux()}) }()
 	l.Close()
 	select {
 	case err := <-errc:
 		if err == nil {
-			t.Fatal("Serve returned nil after listener closed underneath it")
+			t.Fatal("ServeUnits returned nil after listener closed underneath it")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not notice the dead listener")
+		t.Fatal("ServeUnits did not notice the dead listener")
 	}
 }

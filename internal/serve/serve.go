@@ -3,53 +3,50 @@
 // path. HTTP is the operations surface: Prometheus-format /metrics backed by
 // the telemetry registry (also published through expvar at /debug/vars),
 // net/http/pprof, /healthz, the flight recorder's /debug/flightrec and
-// /debug/slow, a /trace?key= endpoint returning one fully-annotated query
-// span as JSON, and a /lookup?key= for a human asking about one key. cmd/lpmserve wraps it into a daemon; lpmbench mounts the
+// /debug/slow, a /trace?key= endpoint returning one query's paper-unit trace
+// and its timed flight record as JSON, and a /lookup?key= for a human asking
+// about one key. cmd/lpmserve wraps it into a daemon; lpmbench mounts the
 // metrics-only subset behind its -metrics flag.
 package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/netip"
 	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
 
-	"neurolpm/internal/cachesim"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/shard"
 	"neurolpm/internal/telemetry"
 )
 
 // Server serves a ShardedUpdatable — one shard is the degenerate case, not a
-// separate mode — whose per-shard balance and rebuild telemetry ride the same
-// /metrics surface. Lookups run concurrently with each other and with updates
+// separate mode — whose per-shard and rebuild telemetry ride the same /metrics
+// surface. Lookups run concurrently with each other and with updates
 // (a rebuild swaps the shard's engine snapshot atomically).
 type Server struct {
 	sh  *shard.ShardedUpdatable
 	reg *telemetry.Registry
-
-	// plain tallies the DRAM traffic of /trace's spanned lookups.
-	plain *cachesim.Uncached
 
 	mu   sync.Mutex        // guards info
 	info map[string]string // the neurolpm_build_info labels (shards, rules, ...)
 }
 
 // NewSharded wraps a sharded updatable engine: /lookup routes through the
-// shard fan-out, /trace spans the key's sub-engine, /healthz aggregates across
-// shards, and a WireServer on it answers lookups and lands updates in the
-// covered shards' live engines. reg is the registry /metrics renders; pass
+// shard fan-out, /trace records the key's sub-engine, /healthz aggregates
+// across shards, and a WireServer on it answers lookups and lands updates in
+// the covered shards' live engines. reg is the registry /metrics renders; pass
 // telemetry.Default to expose the engine's always-on instrumentation.
 func NewSharded(sh *shard.ShardedUpdatable, reg *telemetry.Registry) *Server {
-	s := &Server{sh: sh, reg: reg, plain: &cachesim.Uncached{}}
-	s.plain.Stats() // initialize the tally before concurrent use
-	s.plain.Register(reg, "neurolpm_serve_dram")
+	s := &Server{sh: sh, reg: reg}
 	telemetry.PublishExpvar()
 	s.SetInfo("shards", strconv.Itoa(sh.Shards()))
 	return s
@@ -144,13 +141,17 @@ type lookupResponse struct {
 }
 
 // traceLookup is /trace's lookup section: the answer plus the paper-unit
-// fields of the spanned sub-engine query.
+// fields of the traced sub-engine query.
 type traceLookup struct {
 	lookupResponse
-	SRAMProbes int  `json:"sram_probes"`
-	ErrorBound int  `json:"error_bound"`
-	BucketRead bool `json:"bucket_read"`
-	DRAMBytes  int  `json:"dram_bytes"`
+	PredictedIndex int  `json:"predicted_index"`
+	Submodel       int  `json:"submodel"`
+	ErrorBound     int  `json:"error_bound"`
+	SRAMProbes     int  `json:"sram_probes"`
+	RangeIndex     int  `json:"range_index"`
+	BucketRead     bool `json:"bucket_read"`
+	SpillRead      bool `json:"spill_read"`
+	DRAMBytes      int  `json:"dram_bytes"`
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
@@ -164,10 +165,10 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 }
 
 // traceResponse is the /trace JSON shape: the paper-units trace plus the
-// timed span, whose stage names are the pipeline's stages.
+// key's flight record, rendered as /debug/flightrec renders the ring's.
 type traceResponse struct {
-	Lookup traceLookup     `json:"lookup"`
-	Span   *telemetry.Span `json:"span"`
+	Lookup traceLookup `json:"lookup"`
+	Record flightJSON  `json:"record"`
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -176,18 +177,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Span the key's sub-engine directly: the shard's live engine is the whole
-	// answer.
-	tr, sp := s.sh.Engine(s.sh.ShardOf(k)).LookupSpan(k, s.plain)
+	// Trace the key's sub-engine directly: the shard's live engine is the
+	// whole answer.
+	tr, fr := s.sh.Engine(s.sh.ShardOf(k)).LookupRecord(k)
 	writeJSON(w, traceResponse{
 		Lookup: traceLookup{
 			lookupResponse: lookupResponse{Key: k.String(), Matched: tr.Matched, Action: tr.Action},
-			SRAMProbes:     tr.SRAMProbes,
+			PredictedIndex: tr.Prediction.Index,
+			Submodel:       tr.Prediction.Submodel,
 			ErrorBound:     tr.Prediction.Err,
+			SRAMProbes:     tr.SRAMProbes,
+			RangeIndex:     tr.RangeIndex,
 			BucketRead:     tr.BucketRead,
+			SpillRead:      tr.Spilled,
 			DRAMBytes:      tr.DRAMBytes,
 		},
-		Span: sp,
+		Record: renderRecords([]telemetry.FlightRecord{fr})[0],
 	})
 }
 
@@ -245,40 +250,35 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// ParseKey accepts the key formats operators actually paste: dotted IPv4
-// (width 32), colon IPv6 (width 128), 0x-prefixed or bare hex, and decimal.
+// ParseKey accepts the key formats operators actually paste: an IP literal —
+// dotted IPv4 on a 32-bit engine, IPv6 on a 128-bit one — 0x-prefixed or bare
+// hex, and decimal.
 func ParseKey(s string, width int) (keys.Value, error) {
 	if s == "" {
 		return keys.Value{}, fmt.Errorf("missing key parameter")
 	}
-	if width == 32 && strings.Count(s, ".") == 3 {
-		var b [4]uint64
-		parts := strings.Split(s, ".")
-		for i, p := range parts {
-			v, err := strconv.ParseUint(p, 10, 8)
-			if err != nil {
-				return keys.Value{}, fmt.Errorf("bad IPv4 key %q", s)
-			}
-			b[i] = v
+	if strings.ContainsAny(s, ".:") {
+		a, err := netip.ParseAddr(s)
+		switch {
+		case err != nil || a.Zone() != "":
+			return keys.Value{}, fmt.Errorf("bad IP key %q", s)
+		case a.Is4() && width == 32:
+			b := a.As4()
+			return keys.FromUint64(uint64(binary.BigEndian.Uint32(b[:]))), nil
+		case a.Is6() && width == 128:
+			b := a.As16()
+			return keys.FromParts(binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])), nil
 		}
-		return keys.FromUint64(b[0]<<24 | b[1]<<16 | b[2]<<8 | b[3]), nil
+		return keys.Value{}, fmt.Errorf("IP key %q on a %d-bit engine", s, width)
 	}
-	if strings.Contains(s, ":") {
-		if width != 128 {
-			return keys.Value{}, fmt.Errorf("IPv6 key %q on a %d-bit engine", s, width)
-		}
-		return parseHex128(strings.ReplaceAll(expandIPv6(s), ":", ""))
-	}
-	hexDigits := s
 	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		hexDigits = s[2:]
-		return parseHex128(hexDigits)
+		return parseHex128(s[2:])
 	}
 	// Bare digits: decimal first, hex as fallback for a..f.
 	if v, err := strconv.ParseUint(s, 10, 64); err == nil {
 		return keys.FromUint64(v), nil
 	}
-	return parseHex128(hexDigits)
+	return parseHex128(s)
 }
 
 // parseHex128 parses up to 32 hex digits into a 128-bit key.
@@ -302,34 +302,4 @@ func parseHex128(h string) (keys.Value, error) {
 		return keys.Value{}, fmt.Errorf("bad hex key %q", h)
 	}
 	return keys.FromParts(hi, lo), nil
-}
-
-// expandIPv6 rewrites an IPv6 literal into 32 contiguous hex digits.
-func expandIPv6(s string) string {
-	halves := strings.SplitN(s, "::", 2)
-	expand := func(part string) []string {
-		if part == "" {
-			return nil
-		}
-		return strings.Split(part, ":")
-	}
-	head := expand(halves[0])
-	var tail []string
-	if len(halves) == 2 {
-		tail = expand(halves[1])
-	}
-	groups := make([]string, 0, 8)
-	groups = append(groups, head...)
-	for i := len(head) + len(tail); i < 8; i++ {
-		groups = append(groups, "0")
-	}
-	groups = append(groups, tail...)
-	var b strings.Builder
-	for _, g := range groups {
-		for len(g) < 4 {
-			g = "0" + g
-		}
-		b.WriteString(g)
-	}
-	return b.String()
 }

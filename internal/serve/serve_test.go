@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"neurolpm/internal/cachesim"
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
@@ -92,6 +93,12 @@ func TestParseKey(t *testing.T) {
 		{"2001:db8::1", 32, keys.Value{}, false}, // IPv6 on 32-bit engine
 		{"zz", 32, keys.Value{}, false},
 		{"0x" + strings.Repeat("f", 33), 128, keys.Value{}, false},
+		{"10.1.2.3", 128, keys.Value{}, false}, // IPv4 on 128-bit engine
+		{"1:2:3", 128, keys.Value{}, false},    // too few groups, no ::
+		{"1::2::3", 128, keys.Value{}, false},  // two ::
+		{"::1::", 128, keys.Value{}, false},
+		{"01.2.3.4", 32, keys.Value{}, false}, // leading zero
+		{"fe80::1%eth0", 128, keys.Value{}, false},
 	}
 	for _, c := range cases {
 		got, err := ParseKey(c.in, c.width)
@@ -152,7 +159,8 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("/trace?key=zz = %d, want 400", code)
 	}
 
-	// /trace returns the span with the three bucketized stages.
+	// /trace returns the paper-unit trace and the key's record, timed
+	// through the three bucketized stages.
 	code, body = get("/trace?key=10.1.2.3")
 	if code != http.StatusOK {
 		t.Fatalf("/trace = %d %q", code, body)
@@ -161,19 +169,21 @@ func TestEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &tr); err != nil {
 		t.Fatalf("/trace body: %v", err)
 	}
-	if tr.Span == nil || tr.Span.TotalNs <= 0 {
-		t.Fatalf("/trace span missing timing: %q", body)
+	if tr.Record.TotalNs <= 0 || tr.Record.Key != tr.Lookup.Key {
+		t.Fatalf("/trace record missing timing or key: %q", body)
 	}
-	if !tr.Lookup.BucketRead || tr.Lookup.DRAMBytes <= 0 {
-		t.Fatalf("/trace on a bucketized engine reported no DRAM fetch: %+v", tr.Lookup)
+	if !tr.Lookup.BucketRead || tr.Lookup.DRAMBytes <= 0 || !tr.Record.BucketRead {
+		t.Fatalf("/trace on a bucketized engine reported no DRAM fetch: %+v", tr)
 	}
-	var stages []string
-	for _, st := range tr.Span.Stages {
-		stages = append(stages, st.Name)
+	for _, stage := range telemetry.StageNames {
+		if tr.Record.StagesNs[stage] <= 0 {
+			t.Fatalf("/trace record stages = %v, want all of %v", tr.Record.StagesNs, telemetry.StageNames)
+		}
 	}
-	want := []string{"inference", "secondary-search", "bucket-fetch"}
-	if strings.Join(stages, ",") != strings.Join(want, ",") {
-		t.Fatalf("/trace stages = %v, want %v", stages, want)
+	for _, field := range []string{`"predicted_index":`, `"submodel":`, `"range_index":`, `"spill_read":`, `"dram_bytes":`} {
+		if !strings.Contains(body, field) {
+			t.Fatalf("/trace lookup section lacks %s: %q", field, body)
+		}
 	}
 
 	// /metrics is a Prometheus scrape carrying the engine counters, the
@@ -185,7 +195,6 @@ func TestEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE neurolpm_lookups_total counter",
 		"# TYPE neurolpm_bucket_fetches_total counter",
-		"neurolpm_serve_dram_accesses_total",
 		"go_goroutines",
 	} {
 		if !strings.Contains(body, want) {
@@ -291,6 +300,83 @@ func TestMetricsHandlerOnly(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("metrics-only %s = %d, want 404", p, resp.StatusCode)
+		}
+	}
+}
+
+// TestTraceTimesEveryKey: /trace times its key whatever the flight
+// recorder's stride, leaves the recorder's ring alone when the recorder did
+// not draw the key, and reports the paper-unit trace the engine's own
+// LookupMem gives for it.
+func TestTraceTimesEveryKey(t *testing.T) {
+	prev := telemetry.Flight.SampleEvery()
+	telemetry.Flight.SetSampleEvery(0)
+	t.Cleanup(func() { telemetry.Flight.SetSampleEvery(prev) })
+	s, e := buildTestServer(t, true, telemetry.NewRegistry())
+	h := s.Handler()
+
+	before := telemetry.Flight.Recorded()
+	var tr traceResponse
+	if rec := getJSON(t, h, "/trace?key=10.1.2.3", &tr); rec.Code != http.StatusOK {
+		t.Fatalf("/trace = %d %s", rec.Code, rec.Body)
+	}
+	if got := telemetry.Flight.Recorded(); got != before {
+		t.Fatalf("/trace at stride 0 committed %d records", got-before)
+	}
+	if tr.Record.TotalNs <= 0 || len(tr.Record.StagesNs) != telemetry.NumStages {
+		t.Fatalf("/trace at stride 0 returned an untimed record: %+v", tr.Record)
+	}
+	want := e.LookupMem(keys.FromUint64(0x0a010203), cachesim.Null{})
+	got := tr.Lookup
+	if got.Matched != want.Matched || got.Action != want.Action || got.PredictedIndex != want.Prediction.Index ||
+		got.Submodel != want.Prediction.Submodel || got.ErrorBound != want.Prediction.Err ||
+		got.SRAMProbes != want.SRAMProbes || got.RangeIndex != want.RangeIndex ||
+		got.SpillRead != want.Spilled || got.DRAMBytes != want.DRAMBytes {
+		t.Fatalf("/trace lookup %+v, engine trace %+v", got, want)
+	}
+	if tr.Record.Action != want.Action || tr.Record.Matched != want.Matched ||
+		int(tr.Record.Probes) != want.SRAMProbes || int(tr.Record.ErrBound) != want.Prediction.Err {
+		t.Fatalf("/trace record %+v disagrees with the engine trace %+v", tr.Record, want)
+	}
+}
+
+// TestTraceParsesIPv6 serves a 128-bit engine: /trace answers an IPv6 key
+// and refuses a malformed one.
+func TestTraceParsesIPv6(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rules := []lpm.Rule{{Prefix: keys.FromParts(0x20010db800000000, 0), Len: 32, Action: 1}}
+	seen := map[string]bool{}
+	for len(rules) < 100 {
+		length := 33 + rng.Intn(96) // longer than 2001:db8::/32, so none covers it
+		prefix := keys.FromParts(rng.Uint64(), rng.Uint64()).Shr(uint(128 - length)).Shl(uint(128 - length))
+		id := fmt.Sprintf("%v/%d", prefix, length)
+		if seen[id] || prefix.Shr(96) == keys.FromUint64(0x20010db8) {
+			continue
+		}
+		seen[id] = true
+		rules = append(rules, lpm.Rule{Prefix: prefix, Len: length, Action: uint64(len(rules) + 1)})
+	}
+	rs, err := lpm.NewRuleSet(128, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := shard.BuildUpdatable(rs, quickConfig(true), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close() })
+	h := NewSharded(sh, telemetry.NewRegistry()).Handler()
+
+	var tr traceResponse
+	if rec := getJSON(t, h, "/trace?key=2001:db8::1", &tr); rec.Code != http.StatusOK {
+		t.Fatalf("/trace?key=2001:db8::1 = %d %s", rec.Code, rec.Body)
+	}
+	if !tr.Lookup.Matched || tr.Lookup.Action != 1 {
+		t.Fatalf("/trace?key=2001:db8::1 answered %+v, want action 1", tr.Lookup)
+	}
+	for _, bad := range []string{"1:2:3", "1::2::3", "::1::", "10.1.2.3"} {
+		if rec := getJSON(t, h, "/trace?key="+bad, nil); rec.Code != http.StatusBadRequest {
+			t.Fatalf("/trace?key=%s = %d, want 400", bad, rec.Code)
 		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"neurolpm/internal/core"
 	"neurolpm/internal/keys"
@@ -43,13 +42,6 @@ type Result = core.BatchResult
 // MaxShardBits bounds the partition so replication of short rules cannot
 // explode: 2^10 sub-engines is far past any plausible core count.
 const MaxShardBits = 10
-
-// padUint64 is a cache-line-padded counter, one per shard, so concurrent
-// callers tallying different shards never share a coherence granule.
-type padUint64 struct {
-	n atomic.Uint64
-	_ [56]byte
-}
 
 // plan validates the shard count and returns the routing bits it takes plus
 // the per-shard rule partition.
@@ -231,7 +223,6 @@ func (u *ShardedUpdatable) LookupBatchInto(ks []keys.Value, dst []Result) []Resu
 	n := u.Shards()
 	if n == 1 {
 		u.Engine(0).LookupBatch(ks, dst[:0])
-		u.loads[0].n.Add(uint64(len(ks)))
 		return dst
 	}
 	sc := scratchPool.Get().(*batchScratch)
@@ -262,7 +253,6 @@ func (u *ShardedUpdatable) LookupBatchInto(ks []keys.Value, dst []Result) []Resu
 	for s, hi := range cursor {
 		if hi > lo {
 			u.Engine(s).LookupBatch(gk[lo:hi], res[lo:hi][:0])
-			u.loads[s].n.Add(uint64(hi - lo))
 		}
 		lo = hi
 	}
@@ -274,28 +264,12 @@ func (u *ShardedUpdatable) LookupBatchInto(ks []keys.Value, dst []Result) []Resu
 	return dst
 }
 
-// registerGauges publishes the balance telemetry and the per-shard gauges —
-// the compiled probe ceiling and spilled buckets — for the most recently
-// built engine (the registry's last-writer-wins gauge semantics are exactly
-// the rebuilt-engine refresh case). Each reads its shard's *current* live
-// engine, so a rebuilt engine's bound is what a scrape sees, without any
-// re-registration on a swap.
+// registerGauges publishes the per-shard gauges — the compiled probe ceiling
+// and spilled buckets — for the most recently built engine (the registry's
+// last-writer-wins gauge semantics are exactly the rebuilt-engine refresh
+// case). Each reads its shard's *current* live engine, so a rebuilt engine's
+// bound is what a scrape sees, without any re-registration on a swap.
 func (u *ShardedUpdatable) registerGauges() {
-	telemetry.Default.Gauge("neurolpm_shards",
-		"Shards in the current sharded engine",
-		func() float64 { return float64(u.Shards()) })
-	telemetry.Default.Gauge("neurolpm_shard_load_imbalance",
-		"Max/mean per-shard lookup load (1 = perfectly balanced; 0 before any lookup)",
-		func() float64 { return imbalance(u.loadCounts()) })
-	telemetry.Default.Gauge("neurolpm_shard_range_imbalance",
-		"Max/mean per-shard RQ-Array size (static partition balance)",
-		func() float64 {
-			sizes := make([]uint64, u.Shards())
-			for i := range sizes {
-				sizes[i] = uint64(u.Engine(i).Ranges().Len())
-			}
-			return imbalance(sizes)
-		})
 	bound := telemetry.Default.GaugeVec("neurolpm_model_probe_bound",
 		"Compiled worst-case secondary-search probes for the shard's live model", "shard")
 	spilled := telemetry.Default.GaugeVec("neurolpm_spilled_buckets",
@@ -305,29 +279,4 @@ func (u *ShardedUpdatable) registerGauges() {
 		bound.Set(lbl, func() float64 { return float64(rqrmi.ProbeBound(u.Engine(i).Compiled().MaxErr())) })
 		spilled.Set(lbl, func() float64 { return float64(u.Engine(i).SpilledBuckets()) })
 	}
-}
-
-// loadCounts snapshots the per-shard lookup tallies.
-func (u *ShardedUpdatable) loadCounts() []uint64 {
-	out := make([]uint64, len(u.loads))
-	for i := range u.loads {
-		out[i] = u.loads[i].n.Load()
-	}
-	return out
-}
-
-// imbalance is max/mean over the counts; 0 when all counts are zero.
-func imbalance(counts []uint64) float64 {
-	var sum, max uint64
-	for _, c := range counts {
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(counts))
-	return float64(max) / mean
 }

@@ -337,27 +337,6 @@ func TestShardedVerify(t *testing.T) {
 	}
 }
 
-func TestLoadBalanceTelemetry(t *testing.T) {
-	rs := randomRuleSet(t, 32, 100, 13)
-	s, err := BuildUpdatable(rs, quickSRAMOnly(), 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.LookupBatch(randomKeys(32, 1024, 17))
-	counts := s.loadCounts()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total != 1024 {
-		t.Errorf("load counts sum to %d, want 1024", total)
-	}
-	if ib := imbalance(counts); ib < 1 {
-		t.Errorf("imbalance %f < 1", ib)
-	}
-}
-
 // TestProbeBoundGaugeIsTheLivePlanes holds neurolpm_model_probe_bound to the
 // bound of the arithmetic every lookup runs, the compiled plane's, on the
 // shard's live engine. The rule set is one whose int16 re-encoding carries a

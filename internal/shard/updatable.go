@@ -24,8 +24,7 @@ import (
 // (shorter than the shard prefix) are applied to every covered shard.
 type ShardedUpdatable struct {
 	width     int
-	shardBits int         // routing bits: the top shardBits of a key pick its shard
-	loads     []padUint64 // per-shard lookups served (balance telemetry)
+	shardBits int // routing bits: the top shardBits of a key pick its shard
 	shards    []slot
 }
 
@@ -63,7 +62,6 @@ func BuildUpdatable(rs *lpm.RuleSet, cfg core.Config, nShards, _ int) (*ShardedU
 	u := &ShardedUpdatable{
 		width:     rs.Width,
 		shardBits: bits,
-		loads:     make([]padUint64, len(engines)),
 		shards:    make([]slot, len(engines)),
 	}
 	for i, e := range engines {
@@ -81,9 +79,7 @@ func (u *ShardedUpdatable) Engine(i int) *core.Engine { return u.shards[i].engin
 // it must answer exactly what a trie oracle over the installed rules answers
 // (planetest's parameterized harness).
 func (u *ShardedUpdatable) Lookup(k keys.Value) (uint64, bool) {
-	i := u.ShardOf(k)
-	u.loads[i].n.Add(1)
-	return u.Engine(i).Lookup(k)
+	return u.Engine(u.ShardOf(k)).Lookup(k)
 }
 
 // LookupBatch resolves a batch positionally into a fresh slice:

@@ -19,14 +19,6 @@ func (c *Counter) Add(n uint64) { c.t.Stripe().Add(0, n) }
 // consistent-enough snapshot: every completed Add is included.
 func (c *Counter) Load() uint64 { return c.t.Load()[0] }
 
-// Reset zeroes every stripe. Racing writers may survive into the next epoch;
-// Reset is for simulation re-runs and warmup phases, not for hot paths.
-func (c *Counter) Reset() {
-	for i := range c.t.stripes {
-		c.t.stripes[i].lane[0].Store(0)
-	}
-}
-
 // Lanes is the number of outcome lanes in a Tally.
 const Lanes = 4
 

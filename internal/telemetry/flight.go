@@ -76,6 +76,9 @@ func (fr *FlightRecord) Stamp(stage int) {
 	fr.lastNs = d
 }
 
+// End stamps TotalNs, the time since Begin.
+func (fr *FlightRecord) End() { fr.TotalNs = time.Since(fr.t0).Nanoseconds() }
+
 // maskOff is the disabled sentinel: every tick ORs to the same value under
 // it, so no tick is ever on the stride.
 const maskOff = ^uint64(0)
@@ -167,10 +170,10 @@ func (r *Recorder) Draws(s *TallyStripe, t uint64) bool {
 // no write: a block of events that is not due skips Draws for each of them.
 func (r *Recorder) Due(s *TallyStripe, t uint64) bool { return s.Due(r.mask.Load(), t) }
 
-// Commit finalizes fr (stamping TotalNs), feeds the latency histogram, and copies the record into the ring and — when slow enough —
-// the slow log.
+// Commit ends fr (End), feeds the latency histogram, and copies the record
+// into the ring and — when slow enough — the slow log.
 func (r *Recorder) Commit(fr *FlightRecord) {
-	fr.TotalNs = time.Since(fr.t0).Nanoseconds()
+	fr.End()
 	r.lat.Observe(uint64(fr.TotalNs))
 
 	r.ringMu.Lock()

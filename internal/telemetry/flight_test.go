@@ -145,25 +145,6 @@ func TestFlightRecordStages(t *testing.T) {
 	nilFr.Stamp(StageFetch)
 }
 
-func TestStartSpanAllocs(t *testing.T) {
-	// The satellite fix: StartSpan must not allocate the Attrs map eagerly.
-	bare := testing.AllocsPerRun(200, func() {
-		sp := StartSpan("x")
-		sp.End()
-	})
-	withAttr := testing.AllocsPerRun(200, func() {
-		sp := StartSpan("x")
-		sp.Set("k", 1)
-		sp.End()
-	})
-	if bare >= withAttr {
-		t.Fatalf("bare span allocates as much as one with attrs (%v vs %v) — Attrs map is eager again", bare, withAttr)
-	}
-	if bare > 1 {
-		t.Fatalf("bare span allocates %v objects, want ≤ 1 (the span itself)", bare)
-	}
-}
-
 func TestRegistryInfoAndEntries(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("neurolpm_test_total", "a counter")

@@ -227,21 +227,6 @@ func (r *Registry) Entries() []MetricInfo {
 	return out
 }
 
-// AttachCounter registers an existing standalone counter under name (used
-// by cachesim to expose a per-instance cache through the shared registry).
-func (r *Registry) AttachCounter(name, help string, c *Counter) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		if e.ctr == nil {
-			panic("telemetry: " + name + " already registered with a different kind or derived")
-		}
-		e.ctr, e.count = c, c.Load
-		return
-	}
-	r.add(&entry{name: name, help: help, kind: kindCounter, ctr: c, count: c.Load})
-}
-
 // add inserts an entry; callers hold r.mu.
 func (r *Registry) add(e *entry) {
 	r.entries[e.name] = e
