@@ -50,8 +50,11 @@ vet:
 # A query has one timing record, the flight record (DESIGN.md §8, §13): no span
 # type, span stages or span entry point in code, no series counting /trace's
 # DRAM traffic and no registry-attached counter for it, and no per-shard
-# lookup tally or the balance gauges it fed. Each alternative carries a
-# one-character class so these lines do not find themselves.
+# lookup tally or the balance gauges it fed. A record is 32-bit words holding
+# action ids, id 0 for no live owner (DESIGN.md §10, §11): no bit per range
+# for a live owner, no spill bit beside such bits, and no 64-bit record words.
+# Each alternative carries a one-character class so these lines do not find
+# themselves.
 deleted-names:
 	@! grep -rnE 'new[P]ool|per[W]orker|keyScratch[P]ool|StartTier[R]ebalancer|Use[I]nference|Parse[I]nference|(-|")cold[-]tier|tier[-]interval|cold[_]tier' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
@@ -90,6 +93,9 @@ deleted-names:
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:|^\./(cmd/lpmserve/main|internal/serve/serve)_test\.go:'
 	@! grep -rnE 'ranges\.[E]ntry\b|\.[E]ntries\[' --include='*.go' .
 	@! grep -rnE 'Start[S]pan|Span[S]tage|telemetry\.[S]pan\b|Lookup[S]pan|neurolpm_serve[_]dram|shard_(load|range)[_]imbalance|load[C]ounts|Attach[C]ounter' --include='*.go' .
+	@! grep -rnE 'aligned[W]ords|spill[B]it|max[S]pillK|matched[ -]bits?\b' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
 test:
 	$(GO) test ./...

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"neurolpm/internal/keys"
@@ -47,25 +48,59 @@ type ripeTrace struct {
 	want  []BatchResult
 }
 
-// ripe870K builds the engine and traces of the repository benchmark
-// (benchmark/inputs.go: 870 K ripe rules seed 1, the Zipf+locality trace on
-// seed+1, the uniform one on seed+2).
-func ripe870K(b *testing.B) (*Engine, []ripeTrace) {
-	const seed, nKeys = 1, 1 << 20
-	rs, err := workload.Generate(workload.RIPE(), 870000, seed)
+// benchInputs are one profile's rules and key traces, made once a test binary
+// and shared by every engine the benchmarks build over them.
+type benchInputs struct {
+	once sync.Once
+	rs   *lpm.RuleSet
+	tcs  []ripeTrace
+	err  error
+}
+
+// inputs holds the repository benchmark's inputs (benchmark/inputs.go: 870 K
+// ripe rules seed 1, the Zipf+locality trace on seed+1, the uniform one on
+// seed+2) and the same traces over the full-scale Snort (48-bit) and IPv6
+// (128-bit) rule-sets of the evaluation.
+var inputs = map[string]*struct {
+	p workload.Profile
+	n int
+	benchInputs
+}{
+	"ripe":  {p: workload.RIPE(), n: 870000},
+	"snort": {p: workload.Snort(), n: 400000},
+	"ipv6":  {p: workload.IPv6(), n: 200000},
+}
+
+// profileEngine builds an engine of k-range buckets over a profile's inputs.
+func profileEngine(b *testing.B, profile string, k int) (*Engine, []ripeTrace) {
+	in := inputs[profile]
+	in.once.Do(func() { in.rs, in.tcs, in.err = traces(in.p, in.n) })
+	if in.err != nil {
+		b.Fatal(in.err)
+	}
+	cfg := DefaultConfig()
+	cfg.BucketSize = k
+	e, err := Build(in.rs, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := Build(rs, DefaultConfig())
+	return e, in.tcs
+}
+
+// traces generates n rules of profile p and the benchmark's two traces over
+// them, with the trie oracle's answer for every key.
+func traces(p workload.Profile, n int) (*lpm.RuleSet, []ripeTrace, error) {
+	const seed, nKeys = 1, 1 << 20
+	rs, err := workload.Generate(p, n, seed)
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
 	oracle := lpm.NewTrieMatcher(rs)
 	zipf, err := workload.GenerateTrace(rs, workload.DefaultTrace(nKeys, seed+1))
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, err
 	}
-	tcs := []ripeTrace{{name: "zipf", trace: zipf}, {name: "uniform", trace: workload.UniformTrace(32, nKeys, seed+2)}}
+	tcs := []ripeTrace{{name: "zipf", trace: zipf}, {name: "uniform", trace: workload.UniformTrace(p.Width, nKeys, seed+2)}}
 	for i := range tcs {
 		tc := &tcs[i]
 		tc.want = make([]BatchResult, len(tc.trace))
@@ -73,16 +108,37 @@ func ripe870K(b *testing.B) (*Engine, []ripeTrace) {
 			tc.want[j].Action, tc.want[j].Matched = oracle.Lookup(k)
 		}
 	}
-	return e, tcs
+	return rs, tcs, nil
+}
+
+// reportRecords reports the engine's bucket count and the bytes of its
+// records, the two sides of §7's bucket-size knob, and the entries of its
+// action table, the one load a lookup makes past its record.
+func reportRecords(b *testing.B, e *Engine) {
+	b.ReportMetric(float64(e.dir.Len()), "buckets")
+	b.ReportMetric(float64(4*len(e.rec.w))/(1<<20), "records_MiB")
+	b.ReportMetric(float64(len(*e.rec.acts.Load())), "actions")
 }
 
 // BenchmarkBatchRipe870K is the batch kernel at the repository benchmark's
 // scale and on its inputs: LookupBatch(256) with every answer held against
 // the trie oracle's inside the loop, so a kernel that got faster by getting
 // an answer wrong fails here.
-func BenchmarkBatchRipe870K(b *testing.B) {
+func BenchmarkBatchRipe870K(b *testing.B) { benchBatch(b, "ripe", 8) }
+
+// BenchmarkBatchRipe870KBucket16 is BenchmarkBatchRipe870K at K = 16: a
+// record of two lines, and half the buckets.
+func BenchmarkBatchRipe870KBucket16(b *testing.B) { benchBatch(b, "ripe", 16) }
+
+// BenchmarkBatchSnort400K and BenchmarkBatchIPv6200K are
+// BenchmarkBatchRipe870K at widths 48 and 128: records of 92 and 148 bytes,
+// and 65 536 actions at width 48 where ripe and IPv6 have 64.
+func BenchmarkBatchSnort400K(b *testing.B) { benchBatch(b, "snort", 8) }
+func BenchmarkBatchIPv6200K(b *testing.B)  { benchBatch(b, "ipv6", 8) }
+
+func benchBatch(b *testing.B, profile string, k int) {
 	const block = 256
-	e, tcs := ripe870K(b)
+	e, tcs := profileEngine(b, profile, k)
 	for _, tc := range tcs {
 		b.Run(tc.name, func(b *testing.B) {
 			var out []BatchResult
@@ -99,6 +155,7 @@ func BenchmarkBatchRipe870K(b *testing.B) {
 					}
 				}
 			}
+			reportRecords(b, e)
 		})
 	}
 }
@@ -106,8 +163,18 @@ func BenchmarkBatchRipe870K(b *testing.B) {
 // BenchmarkLookupRipe870K is BenchmarkBatchRipe870K for the single-key path —
 // Lookup, the `qps` phase of the benchmark's lib_* workloads — on the same
 // inputs, every answer held against the oracle's inside the loop.
-func BenchmarkLookupRipe870K(b *testing.B) {
-	e, tcs := ripe870K(b)
+func BenchmarkLookupRipe870K(b *testing.B) { benchLookup(b, "ripe", 8) }
+
+// BenchmarkLookupRipe870KBucket16 is BenchmarkLookupRipe870K at K = 16.
+func BenchmarkLookupRipe870KBucket16(b *testing.B) { benchLookup(b, "ripe", 16) }
+
+// BenchmarkLookupSnort400K and BenchmarkLookupIPv6200K are
+// BenchmarkLookupRipe870K at widths 48 and 128.
+func BenchmarkLookupSnort400K(b *testing.B) { benchLookup(b, "snort", 8) }
+func BenchmarkLookupIPv6200K(b *testing.B)  { benchLookup(b, "ipv6", 8) }
+
+func benchLookup(b *testing.B, profile string, k int) {
+	e, tcs := profileEngine(b, profile, k)
 	for _, tc := range tcs {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -121,6 +188,7 @@ func BenchmarkLookupRipe870K(b *testing.B) {
 					b.Fatalf("key %v: engine (%d,%v), oracle %+v", tc.trace[pos], a, ok, w)
 				}
 			}
+			reportRecords(b, e)
 		})
 	}
 }

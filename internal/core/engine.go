@@ -487,7 +487,8 @@ func (e *Engine) ModifyAction(prefix keys.Value, length int, action uint64) erro
 		return fmt.Errorf("core: rule %s/%d not installed", prefix, length)
 	}
 	e.ra.SetAction(int32(idx), action)
-	e.owned(idx, func(w wbucket, j int) { w.setOwner(j, action, true) })
+	id := e.rec.intern(action)
+	e.owned(idx, func(w wbucket, j int) { w.setOwner(j, id) })
 	return nil
 }
 

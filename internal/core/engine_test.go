@@ -163,7 +163,8 @@ func TestBuildEmptyRuleSet(t *testing.T) {
 // no copy, and writes nothing into it — not on a modify, a delete, an absorbed
 // insert, a re-insert of a deleted rule with a new action or a rebuild. The
 // range array's actions read through the one action store, and what a build
-// retains is the engine's own layout: no rule table and no action table.
+// retains is the engine's own layout: no rule table, and an action table of
+// the distinct actions alone.
 func TestBuildSharesRuleSet(t *testing.T) {
 	rs := randomRuleSet(t, 32, 2000, 41)
 	snap := slices.Clone(rs.Rules)
@@ -242,8 +243,8 @@ func TestBuildSharesRuleSet(t *testing.T) {
 	perRule := (liveHeap() - before) / n
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(big)
-	if perRule > 32 {
-		t.Fatalf("Build retains %.1f B a rule beside the rule-set, want at most 32", perRule)
+	if perRule > 22 {
+		t.Fatalf("Build retains %.1f B a rule beside the rule-set, want at most 22", perRule)
 	}
 	t.Logf("Build retains %.1f B a rule beside the rule-set", perRule)
 }

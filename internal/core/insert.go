@@ -137,7 +137,7 @@ func (w wbucket) low(j int) keys.Value {
 
 func (w wbucket) owner(j int) int32 {
 	if w.spilled {
-		return int32(atomic.LoadUint64(&w.rec[w.l.stride+j]))
+		return int32(atomic.LoadUint32(&w.rec[w.l.stride+j]))
 	}
 	return w.e.ra.RuleOf(w.base + j)
 }
@@ -151,18 +151,18 @@ func (w wbucket) find(k keys.Value) (j int) {
 }
 
 // reown hands range j to rule r (or to nobody): owner table first, then the
-// record, as Delete has always published.
+// record's id, as Delete has always published.
 func (w wbucket) reown(j int, r int32) {
 	if w.spilled {
-		atomic.StoreUint64(&w.rec[w.l.stride+j], uint64(uint32(r)))
+		atomic.StoreUint32(&w.rec[w.l.stride+j], uint32(r))
 	} else {
 		w.e.ra.SetRule(w.base+j, r)
 	}
-	if r == ranges.NoRule {
-		w.setOwner(j, 0, false)
-		return
+	var id uint32
+	if r != ranges.NoRule {
+		id = w.e.rec.intern(w.e.ra.RuleAction(r))
 	}
-	w.setOwner(j, w.e.ra.RuleAction(r), true)
+	w.setOwner(j, id)
 }
 
 // owned calls fn for every range rule idx owns. All rule bounds are range
@@ -190,8 +190,8 @@ func (e *Engine) SpilledBuckets() int { return int(e.rec.spilled.Load()) }
 type notAbsorbed string
 
 const (
-	// The engine has no record an insert could grow: SRAM-only, or K too
-	// large for word 0 to spare the spill bit.
+	// The engine has no record an insert could grow: SRAM-only, or K
+	// already at maxSpillRanges.
 	refusedEngineKind notAbsorbed = "engine_kind"
 	// A bucket the rule would add a boundary to would pass maxSpillRanges (or
 	// fault.SiteAbsorb said so).
@@ -224,7 +224,7 @@ func (e *Engine) Insert(r lpm.Rule) error {
 	if idx != lpm.NoMatch && e.isLive(idx) {
 		return fmt.Errorf("core: rule %s/%d already installed", r.Prefix, r.Len)
 	}
-	if e.dir == nil || e.dir.K > maxSpillK {
+	if e.dir == nil || e.dir.K >= maxSpillRanges {
 		return refusedEngineKind
 	}
 	if hook := e.cfg.Fault; hook != nil && hook(fault.SiteAbsorb) != nil {
@@ -272,10 +272,13 @@ func (e *Engine) Insert(r lpm.Rule) error {
 		e.setLive(idx, true)
 	}
 
-	// takes reports whether the rule takes over a range at lo owned by o.
+	// takes reports whether the rule takes over a range at lo owned by o; id
+	// is the one the ranges it takes are given, its entry in the action table
+	// published before any record holds it.
 	takes := func(lo keys.Value, o int32) bool {
 		return !lo.Less(low) && !high.Less(lo) && (o == ranges.NoRule || e.rule(int(o)).Len < r.Len)
 	}
+	id := e.rec.intern(r.Action)
 	for b := first; b <= last; b++ {
 		w := e.bucketW(b)
 		if gain(b) == 0 {
@@ -287,7 +290,7 @@ func (e *Engine) Insert(r lpm.Rule) error {
 			continue
 		}
 		// Copy and flip: bucket b with the cuts made and the rule in. A part of
-		// a split range inherits the range's owner and answer.
+		// a split range inherits the range's owner and action id.
 		jLow, jNext := -1, -1 // the ranges the cuts split
 		if cutLow && b == first {
 			jLow = w.find(low)
@@ -299,13 +302,12 @@ func (e *Engine) Insert(r lpm.Rule) error {
 		i := 0
 		for j := 0; j < w.n; j++ {
 			part := func(lo keys.Value) {
-				o := w.owner(j)
-				a, ok := w.resolve(j)
+				o, oid := w.owner(j), w.id(j)
 				if takes(lo, o) {
-					o, a, ok = int32(idx), r.Action, true
+					o, oid = int32(idx), id
 				}
-				s.w[s.stride+i] = uint64(uint32(o))
-				s.put(s.w, i, lo, a, ok)
+				s.w[s.stride+i] = uint32(o)
+				s.put(s.w, i, lo, oid)
 				i++
 			}
 			part(w.low(j))
@@ -343,6 +345,25 @@ func (e *Engine) InsertOrRebuild(r lpm.Rule) (*Engine, error) {
 	}
 	metRebuilt.Inc()
 	return next, nil
+}
+
+// Compact returns e, or, once e's writers have grown its action table past
+// its limit (twice what Build interned, plus 1 024 entries), an engine
+// rebuilt over e's live rules, whose table holds only their actions. Every
+// write may grow the table by one value — ModifyAction's new action, Insert's,
+// Delete's covering rule's — so a writer that keeps an engine in service
+// calls it after each write and, like InsertOrRebuild's caller, publishes a
+// result other than e in e's place before it releases its writer lock. A
+// failed rebuild leaves e in service, to be retried after the next write.
+func (e *Engine) Compact() *Engine {
+	if !e.rec.overgrown() {
+		return e
+	}
+	next, err := e.Rebuild()
+	if err != nil {
+		return e
+	}
+	return next
 }
 
 // Rebuild is the one rebuild path, a refused insert's and a commit's: it

@@ -29,11 +29,12 @@ import (
 // both of its edges and adjacent to it — must be the oracle's after some
 // number of operations in that interval. Three kinds read: single-key through
 // the live engine's pointer, batch through the engine, and one that runs nothing but the
-// record's answer routine on the site's bucket. A spill bit set before the
+// record's answer routine on the site's bucket. A header set before the
 // bucket's pointer is stored is a nil record; a pointer stored before the
-// record's last word — the action of its last range — shows as action 0 on the
-// key past the rule's far edge; a matched bit set before its action shows as
-// the previous cycle's action. The windows are a few stores wide — a reader
+// record's last word — the action id of its last range — shows as a miss on
+// the key past the rule's far edge; an id stored before its action-table
+// entry is published reads past the table (TestModifyActionPublishesTableFirst
+// holds that order on its own). The windows are a few stores wide — a reader
 // lands in one when the writer is interrupted there, or by a coincidence of two
 // cores — which is why the walk is 48 000 cycles (9 600 records) long and not
 // 400: each mutation has to fail this test on its own in a run, not in one run

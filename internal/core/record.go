@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"unsafe"
@@ -9,67 +10,69 @@ import (
 	"neurolpm/internal/ranges"
 )
 
-// layout is the word layout of one record of capacity k (DESIGN.md §10):
+// layout is the 32-bit word layout of one record of capacity k (DESIGN.md
+// §10):
 //
-//	word j>>6, bit j&63    matched: range j has a live owner
-//	word hdr+(j−1)·limbs   lower bound of range j, j = 1..k−1 (Hi limb first)
-//	word act+j             action of range j's owner
+//	word 0                  the header: non-zero once the bucket answers from a spill record
+//	word 1+(j−1)·limbs      lower bound of range j, j = 1..k−1, most significant limb first
+//	word act+j              the action id of range j's owner, 0 for no live owner
 //
-// with hdr = ⌈k/64⌉ rounded up to a multiple of limbs, act = hdr+(k−1)·limbs,
-// stride = act+k. For k ≤ 64·limbs the matched bits sit exactly in bound slot
-// 0 (the bound §7.1 keeps in SRAM; the scan never reads it) and a record is
-// k·(limbs+1) words: two cache lines at k = 8, width ≤ 64, on a 64-byte
-// aligned base.
+// with limbs = ⌈width/32⌉, act = 1+(k−1)·limbs, stride = act+k. At width ≤ 32
+// and k = 8 a record is 16 words, 64 bytes: one cache line on the array's
+// 64-byte aligned base.
 type layout struct {
-	k, limbs, hdr, act, stride int
+	k, limbs, act, stride int
 }
 
 func newLayout(k, limbs int) layout {
-	hdr := ((k+63)/64 + limbs - 1) / limbs * limbs
-	l := layout{k: k, limbs: limbs, hdr: hdr, act: hdr + (k-1)*limbs}
-	l.stride = l.act + k
-	return l
+	act := 1 + (k-1)*limbs
+	return layout{k: k, limbs: limbs, act: act, stride: act + k}
 }
 
 // records is the engine's answer store: one dense record per bucket holding
 // everything a query needs once the directory search has named the bucket, so
-// the scan and the answer touch that record and nothing else — no range-owner
-// table, no tombstones, no per-rule actions. SRAM-only engines are the K = 1
-// case: one matched and one action word per range.
+// the scan and the answer touch that record and the engine-wide action table
+// and nothing else — no range-owner table, no tombstones, no per-rule actions.
+// SRAM-only engines are the K = 1 case: a header and an id word per range.
+//
+// A record holds action ids, not actions: acts[id] is the action, and id 0 is
+// no live owner. The table grows by publishing a new slice header, and a
+// writer publishes an id's entry before it stores the id anywhere, so a reader
+// that loaded an id finds its entry in the table it loads next. An id never
+// changes its action: a rebuild interns afresh from the live rules.
 //
 // The dense records are what Build laid out and never gain a range. A bucket
 // an absorbed insert adds a boundary to is rebuilt as a spillRecord — a heap
 // object of exactly the ranges it holds — and published by one store of its
 // pointer to the bucket's entry of the spill table; the first time, that
-// store is followed by setting the spill bit of the dense record's word 0, so
-// a reader that sees the bit finds the pointer. From then on the dense record
-// is frozen, and so is a spill record once a later insert has superseded it:
-// a reader that loaded the old pointer finishes on a record nobody writes any
-// more, and the collector takes it when the last such reader has left.
-// Bounds are immutable wherever they live; matched and action words of a
-// bucket's current record are what Insert, Delete and ModifyAction rewrite,
-// accessed atomically.
+// store is followed by setting the dense record's header, so a reader that
+// sees it set finds the pointer. From then on the dense record is frozen, and
+// so is a spill record once a later insert has superseded it: a reader that
+// loaded the old pointer finishes on a record nobody writes any more, and the
+// collector takes it when the last such reader has left. Bounds are immutable
+// wherever they live; the id words of a bucket's current record are what
+// Insert, Delete and ModifyAction rewrite, accessed atomically.
 type records struct {
 	layout
-	w  []uint64
+	w  []uint32
 	nr int // ranges covered
+	// acts is the action table, acts[0] = 0. ids is its inverse, the
+	// writers' alone: an open-addressed hash of ids (0, an empty slot) at most
+	// half full, which Build drops and the first intern after it remakes.
+	// limit is the length past which the table is overgrown.
+	acts  atomic.Pointer[[]uint64]
+	ids   []uint32
+	limit int
 	// spill[b] is bucket b's current spill record; the table is nil until the
 	// first absorbed boundary.
 	spill   atomic.Pointer[[]atomic.Pointer[spillRecord]]
 	spilled atomic.Int64 // buckets answering from a spill record
 }
 
-const (
-	// spillBit of a dense record's word 0 says the bucket answers from its
-	// spill record. Range j's matched bit is bit j, so the bit is free up to
-	// maxSpillK ranges a bucket; above, it is range 63's and the bucket cannot
-	// spill.
-	spillBit  = 63
-	maxSpillK = spillBit
-	// maxSpillRanges is what a spill record may grow to: the ranges one
-	// matched word covers, and the longest scan a dense record (K = 64) costs.
-	maxSpillRanges = 64
-)
+// maxSpillRanges is what a spill record may grow to, and the longest scan a
+// dense record costs (K = 64): an engine whose buckets already hold it has no
+// bucket an insert could grow, and refuses every one.
+const maxSpillRanges = 64
 
 // spillRecord is a spilled bucket in one allocation: a record at the capacity
 // of exactly its ranges, then one word a range for what the range array is to
@@ -79,68 +82,125 @@ const (
 // which the compiled plane keeps.
 type spillRecord struct {
 	layout
-	w []uint64 // stride record words, k owner words
+	w []uint32 // stride record words, k owner words
 }
 
 func newSpillRecord(n, limbs int) *spillRecord {
 	s := &spillRecord{layout: newLayout(n, limbs)}
-	s.w = make([]uint64, s.stride+n)
+	s.w = make([]uint32, s.stride+n)
 	return s
 }
 
-// spillOf returns bucket b's spill record, for a caller that saw b's spill bit.
+// spillOf returns bucket b's spill record, for a caller that saw b's header set.
 func (r *records) spillOf(b int) *spillRecord { return (*r.spill.Load())[b].Load() }
 
-// alignedWords returns n zeroed words whose first byte is 64-byte aligned.
-func alignedWords(n int) []uint64 {
-	buf := make([]uint64, n+7)
-	off := int(-uintptr(unsafe.Pointer(&buf[0]))&63) >> 3
+// lineAligned returns n zeroed words whose first byte is 64-byte aligned.
+func lineAligned(n int) []uint32 {
+	buf := make([]uint32, n+15)
+	off := int(-uintptr(unsafe.Pointer(&buf[0]))&63) >> 2
 	return buf[off : off+n : off+n]
 }
 
 // newRecords lays the range array out as records of k ranges in one linear
-// pass, taking each range's answer from the owner table.
+// pass, interning each range's answer from the owner table.
 func newRecords(ra *ranges.Array, k int) *records {
-	r := &records{layout: newLayout(k, (ra.Width+63)/64), nr: ra.Len()}
-	r.w = alignedWords((r.nr + k - 1) / k * r.stride)
+	r := &records{layout: newLayout(k, (ra.Width+31)/32), nr: ra.Len()}
+	acts := []uint64{0}
+	r.acts.Store(&acts)
+	r.w = lineAligned((r.nr + k - 1) / k * r.stride)
+	// memo spares most ranges intern's probe when the rule-set has few
+	// distinct actions, as routing tables do.
+	var memo [256]uint32
 	for i := range r.nr {
-		a, ok := ra.Action(i)
-		r.put(r.w[i/k*r.stride:], i%k, ra.Low(i), a, ok)
+		var id uint32
+		if a, ok := ra.Action(i); ok {
+			h := uint8(a * 0x9e3779b97f4a7c15 >> 56)
+			if id = memo[h]; id == 0 || (*r.acts.Load())[id] != a {
+				id = r.intern(a)
+				memo[h] = id
+			}
+		}
+		r.put(r.w[i/k*r.stride:], i%k, ra.Low(i), id)
 	}
+	r.ids = nil // an engine nobody writes keeps no inverse
+	r.limit = 2*len(*r.acts.Load()) + tableSlack
 	return r
 }
 
+// tableSlack is how far past twice its built length the action table may
+// grow before it is overgrown.
+const tableSlack = 1024
+
+// overgrown reports whether writers have grown the action table past its
+// limit. An id is never reused — a reader may hold it — so the table only
+// grows, and only a rebuild, which interns afresh from the live rules, sheds
+// the values no rule holds any more (Engine.Compact).
+func (r *records) overgrown() bool { return len(*r.acts.Load()) > r.limit }
+
+// intern returns action a's id, adding it to the table — published before
+// the id is returned — the first time. Writers are serialized.
+func (r *records) intern(a uint64) uint32 {
+	t := *r.acts.Load()
+	// (Re)make the inverse before one more value could fill it past half.
+	if 2*len(t)+2 > len(r.ids) {
+		r.ids = make([]uint32, 1<<bits.Len(uint(4*len(t))))
+		for id := 1; id < len(t); id++ {
+			r.ids[r.slot(t, t[id])] = uint32(id)
+		}
+	}
+	i := r.slot(t, a)
+	if r.ids[i] == 0 {
+		grown := append(t, a) // shares the old words while capacity lasts
+		r.acts.Store(&grown)
+		r.ids[i] = uint32(len(t))
+	}
+	return r.ids[i]
+}
+
+// slot returns the slot of ids that holds a's id, or the empty one it goes in.
+func (r *records) slot(t []uint64, a uint64) int {
+	mask := len(r.ids) - 1
+	for i := int(a*0x9e3779b97f4a7c15>>32) & mask; ; i = (i + 1) & mask {
+		if id := r.ids[i]; id == 0 || t[id] == a {
+			return i
+		}
+	}
+}
+
+// limbsOf returns the words of range j's bound, j ≥ 1.
+func (l *layout) limbsOf(rec []uint32, j int) []uint32 {
+	o := 1 + (j-1)*l.limbs
+	return rec[o : o+l.limbs]
+}
+
 // bound returns the lower bound put wrote for range j ≥ 1.
-func (l *layout) bound(rec []uint64, j int) (low keys.Value) {
-	o := l.hdr + (j-1)*l.limbs
-	low.Lo = rec[o+l.limbs-1]
-	if l.limbs == 2 {
-		low.Hi = rec[o]
+func (l *layout) bound(rec []uint32, j int) (low keys.Value) {
+	for _, w := range l.limbsOf(rec, j) {
+		low.Hi = low.Hi<<32 | low.Lo>>32
+		low.Lo = low.Lo<<32 | uint64(w)
 	}
 	return low
 }
 
 // put writes range j of an unpublished record.
-func (l *layout) put(rec []uint64, j int, low keys.Value, action uint64, ok bool) {
+func (l *layout) put(rec []uint32, j int, low keys.Value, id uint32) {
 	if j > 0 {
-		o := l.hdr + (j-1)*l.limbs
-		rec[o+l.limbs-1] = low.Lo
-		if l.limbs == 2 {
-			rec[o] = low.Hi
+		limbs := l.limbsOf(rec, j)
+		for i := len(limbs) - 1; i >= 0; i-- {
+			limbs[i] = uint32(low.Lo)
+			low.Lo, low.Hi = low.Lo>>32|low.Hi<<32, low.Hi>>32
 		}
 	}
-	if ok {
-		rec[j>>6] |= 1 << (uint(j) & 63)
-		rec[l.act+j] = action
-	}
+	rec[l.act+j] = id
 }
 
 // view is a bucket's current record — the dense one, or the spill record it
 // pointed to when it was opened — for those who do not go through answer: the
 // writers, and Engine.reference, which brings a scan of its own.
 type view struct {
+	r       *records
 	l       *layout
-	rec     []uint64
+	rec     []uint32
 	n       int  // ranges in the record
 	spilled bool // a spill record: owner words follow the record's
 }
@@ -158,99 +218,98 @@ func (v view) search(k keys.Value) (j, comparisons int) {
 }
 
 // answer resolves key within bucket b, scan and answer in one routine — every
-// lookup's tail. It loads word 0 first: the line the scan is about to read,
-// and the word that holds the matched bits; follows the spill bit on a branch
-// that is all but never taken; then takes what the in-order hardware scan of
+// lookup's tail. It loads the header first, on the line the scan is about to
+// read; follows it to the spill record on a branch that is all but never
+// taken; then takes what the in-order hardware scan of
 // bucket.Directory.Search arrives at without that scan's exit branch, which
 // falls somewhere else in every bucket: the bounds are sorted, so the scan's
-// position j is the number of bounds ≤ key — one borrow each, bits.Sub64 — and
-// its comparison count is j+1, the bound that stopped it included, or n−1 when
-// none did. It answers from the record it scanned.
+// position j is the number of bounds ≤ key — one borrow each: bits.Sub32 on
+// one limb, one bits.Sub64 on two, two on three or four, each bound's limbs
+// joined in registers — and its comparison count is j+1, the bound that stopped
+// it included, or n−1 when none did. It answers with range j's id from the
+// record it scanned, looked up in the action table: id 0, no live owner,
+// maps to action 0 and ok false, so a miss costs what a hit does.
 //
-// Writers store a range's action before they set its matched bit and store
-// action words whole, and a record a later one has superseded is never written
-// again, so matched-then-action returns an answer the trie oracle gave at
-// some instant inside the read (DESIGN.md §11).
+// Writers publish an id's table entry before they store the id, store id
+// words whole, and never write a record a later one has superseded, so id
+// then table returns an answer the trie oracle gave at some instant inside
+// the read (DESIGN.md §11).
 func (r *records) answer(b int, key keys.Value) (j, comparisons int, action uint64, ok, spilled bool) {
 	l, rec, n := &r.layout, r.w[b*r.stride:(b+1)*r.stride], min(r.k, r.nr-b*r.k)
-	w0 := atomic.LoadUint64(&rec[0])
-	if w0>>spillBit != 0 && r.k <= maxSpillK {
+	if atomic.LoadUint32(&rec[0]) != 0 {
 		s := r.spillOf(b)
 		l, rec, n, spilled = &s.layout, s.w, s.k, true
-		w0 = atomic.LoadUint64(&rec[0])
 	}
-	bounds := rec[l.hdr-l.limbs:] // bounds[i·limbs] is range i's bound
-	if l.limbs == 1 {
-		kk := key.Lo
-		if key.Hi != 0 {
-			kk = ^uint64(0) // out-of-domain key: above every ≤ 64-bit bound
+	bounds := rec[1 : 1+(n-1)*l.limbs]
+	switch l.limbs {
+	case 1:
+		kk := uint32(key.Lo)
+		if key.Hi != 0 || key.Lo > math.MaxUint32 {
+			kk = math.MaxUint32 // out-of-domain key: above every ≤ 32-bit bound
 		}
-		for _, bound := range bounds[1:n] {
-			_, below := bits.Sub64(kk, bound, 0)
+		for _, bound := range bounds {
+			_, below := bits.Sub32(kk, bound, 0)
 			j += 1 - int(below)
 		}
-	} else {
-		for i := 1; i < n; i++ {
-			_, below := bits.Sub64(key.Lo, bounds[2*i+1], 0)
-			_, below = bits.Sub64(key.Hi, bounds[2*i], below)
+	case 2:
+		kk := key.Lo
+		if key.Hi != 0 {
+			kk = math.MaxUint64 // out-of-domain key: above every ≤ 64-bit bound
+		}
+		for i := 0; i+1 < len(bounds); i += 2 {
+			_, below := bits.Sub64(kk, uint64(bounds[i])<<32|uint64(bounds[i+1]), 0)
+			j += 1 - int(below)
+		}
+	default: // 3 or 4 limbs: the last two are the low half, the rest the high
+		h := l.limbs - 2
+		for i := 0; i+l.limbs <= len(bounds); i += l.limbs {
+			hi := uint64(bounds[i])
+			if h == 2 {
+				hi = hi<<32 | uint64(bounds[i+1])
+			}
+			_, below := bits.Sub64(key.Lo, uint64(bounds[i+h])<<32|uint64(bounds[i+h+1]), 0)
+			_, below = bits.Sub64(key.Hi, hi, below)
 			j += 1 - int(below)
 		}
 	}
 	comparisons = min(j+1, n-1)
-	if j >= 64 {
-		w0 = atomic.LoadUint64(&rec[j>>6])
-	}
-	// Matched, then action — loaded whether or not the bit is set, so that a
-	// miss costs what a hit does — and the action kept only under the bit.
-	bit := w0 >> (uint(j) & 63) & 1
-	return j, comparisons, atomic.LoadUint64(&rec[l.act+j]) & -bit, bit != 0, spilled
+	id := atomic.LoadUint32(&rec[l.act+j])
+	return j, comparisons, (*r.acts.Load())[id], id != 0, spilled
 }
 
-// open loads bucket b's word 0 and follows its spill bit, if set. A bucket
-// that spills after the load leaves this reader on the dense record, which
-// the flip froze in a state that was current inside the read.
+// open loads bucket b's header and follows it, if set. A bucket that spills
+// after the load leaves this reader on the dense record, which the flip
+// froze in a state that was current inside the read.
 func (r *records) open(b int) view {
 	rec := r.w[b*r.stride : (b+1)*r.stride]
-	if atomic.LoadUint64(&rec[0])>>spillBit != 0 && r.k <= maxSpillK {
+	if atomic.LoadUint32(&rec[0]) != 0 {
 		s := r.spillOf(b)
-		return view{l: &s.layout, rec: s.w, n: s.k, spilled: true}
+		return view{r: r, l: &s.layout, rec: s.w, n: s.k, spilled: true}
 	}
-	return view{l: &r.layout, rec: rec, n: min(r.k, r.nr-b*r.k)}
+	return view{r: r, l: &r.layout, rec: rec, n: min(r.k, r.nr-b*r.k)}
 }
 
-// resolve answers range j of the record, matched then action like answer.
+// id loads range j's action id.
+func (v view) id(j int) uint32 { return atomic.LoadUint32(&v.rec[v.l.act+j]) }
+
+// resolve answers range j of the record, id then table like answer.
 func (v view) resolve(j int) (action uint64, ok bool) {
-	if atomic.LoadUint64(&v.rec[j>>6])>>(uint(j)&63)&1 == 0 {
-		return 0, false
-	}
-	return atomic.LoadUint64(&v.rec[v.l.act+j]), true
+	id := v.id(j)
+	return (*v.r.acts.Load())[id], id != 0
 }
 
-// touch pulls record b's first line and its action line toward the cache
-// without consuming them. Atomic loads: writers store these words, and the
-// compiler must not drop the unused reads.
-func (r *records) touch(b int) {
-	rec := r.w[b*r.stride : (b+1)*r.stride]
-	atomic.LoadUint64(&rec[0])
-	atomic.LoadUint64(&rec[r.act])
-}
+// touch pulls record b's line toward the cache without consuming it. An
+// atomic load: writers store the header, and the compiler must not drop the
+// unused read.
+func (r *records) touch(b int) { atomic.LoadUint32(&r.w[b*r.stride]) }
 
-// setOwner publishes range j's new owner action: action first, then the
-// matched bit, so a reader that finds the bit set finds the action behind it.
-// ok false publishes that no live rule covers the range any more.
-func (v view) setOwner(j int, action uint64, ok bool) {
-	bit := uint64(1) << (uint(j) & 63)
-	if !ok {
-		atomic.AndUint64(&v.rec[j>>6], ^bit)
-		return
-	}
-	atomic.StoreUint64(&v.rec[v.l.act+j], action)
-	atomic.OrUint64(&v.rec[j>>6], bit)
-}
+// setOwner publishes range j's new owner: one store of an id the table
+// already holds (intern), or of 0 when no live rule covers the range any more.
+func (v view) setOwner(j int, id uint32) { atomic.StoreUint32(&v.rec[v.l.act+j], id) }
 
 // respill publishes bucket b's rebuilt record, filled: one store of its
-// pointer, and for a bucket's first the spill bit after it, the dense matched
-// bits beneath left as the flip froze them.
+// pointer, and for a bucket's first the header after it, the dense ids
+// beneath left as the flip froze them.
 func (r *records) respill(b int, s *spillRecord) {
 	t := r.spill.Load()
 	if t == nil {
@@ -259,8 +318,8 @@ func (r *records) respill(b int, s *spillRecord) {
 		r.spill.Store(t)
 	}
 	(*t)[b].Store(s)
-	if w0 := &r.w[b*r.stride]; atomic.LoadUint64(w0)>>spillBit == 0 {
-		atomic.OrUint64(w0, 1<<spillBit)
+	if w0 := &r.w[b*r.stride]; atomic.LoadUint32(w0) == 0 {
+		atomic.StoreUint32(w0, 1)
 		r.spilled.Add(1)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
@@ -78,7 +79,7 @@ func TestRecordConsistency(t *testing.T) {
 						break
 					}
 				}
-				absorbs := k >= 2 && k <= maxSpillK
+				absorbs := k >= 2 && k < maxSpillRanges
 				wideIdx := rs.Find(wide.Prefix, wide.Len)
 				if k != 0 {
 					first, last := e.ra.Len(), -1
@@ -405,4 +406,178 @@ func deleteUnderReaders(t *testing.T, rs *lpm.RuleSet, cfg Config, cover, doomed
 		}
 	}
 	return during > 0 || runtime.GOMAXPROCS(0) == 1
+}
+
+// TestRecordBytes pins the served record's bytes: at width ≤ 32 and K = 8 it
+// is 16 words, 64 bytes, on a 64-byte aligned base, so every bucket's record
+// lies in one cache line — a bucketized, unspilled lookup reads one record
+// line (§7) — and at the wider widths it is the header, K−1 bounds of ⌈w/32⌉
+// limbs and K ids.
+func TestRecordBytes(t *testing.T) {
+	for _, tc := range []struct{ width, bytes int }{{32, 64}, {48, 92}, {64, 92}, {128, 148}} {
+		e, err := Build(randomRuleSet(t, tc.width, 2000, 43), quickBucketed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := 4 * e.rec.stride; got != tc.bytes {
+			t.Errorf("width %d, K = 8: a record is %d bytes, want %d", tc.width, got, tc.bytes)
+		}
+		if tc.width > 32 {
+			continue
+		}
+		base := uintptr(unsafe.Pointer(&e.rec.w[0]))
+		if base%64 != 0 {
+			t.Fatalf("record array at %#x, not 64-byte aligned", base)
+		}
+		for b := range e.dir.Len() {
+			first := base + uintptr(4*b*e.rec.stride)
+			if last := first + uintptr(4*e.rec.stride) - 1; first/64 != last/64 {
+				t.Fatalf("bucket %d's record spans lines %#x..%#x", b, first, last)
+			}
+		}
+	}
+}
+
+// TestModifyActionPublishesTableFirst runs readers against a writer that
+// calls ModifyAction on one rule through 2 000 fresh action values, which
+// outgrow the action table's capacity about ten times from the handful of
+// actions the rule-set starts with. Each answer for a key under the rule must
+// be a value the rule held at some instant inside the read. An id stored
+// before its table entry is published sends a reader past the end of the
+// table it loaded. Three kinds read: single-key Lookup, LookupBatch and the
+// record's answer routine alone. A 1-core run can only confirm the answers it
+// happens to interleave.
+func TestModifyActionPublishesTableFirst(t *testing.T) {
+	const fresh = 2000
+	base, _ := wideRuleSet(t, 32, 2000, 23)
+	rules := slices.Clone(base.Rules)
+	for i := range rules {
+		rules[i].Action = uint64(i % 4)
+	}
+	rs, err := lpm.NewRuleSet(32, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Build(rs, quickBucketed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rule that owns the most ranges, and both ends of 32 of them.
+	owned := map[int32]int{}
+	for i := range e.ra.Len() {
+		owned[e.ra.RuleOf(i)]++
+	}
+	idx := int32(0)
+	for r, n := range owned {
+		if r != ranges.NoRule && (n > owned[idx] || n == owned[idx] && r < idx) {
+			idx = r
+		}
+	}
+	var probes []keys.Value
+	var buckets []int
+	for i := 0; i < e.ra.Len() && len(probes) < 64; i++ {
+		if e.ra.RuleOf(i) == idx {
+			probes = append(probes, e.ra.Low(i), e.ra.High(i))
+			buckets = append(buckets, i/e.dir.K, i/e.dir.K)
+		}
+	}
+	r := rs.Rules[idx]
+	values := []uint64{r.Action}
+	for n := range fresh {
+		values = append(values, 1<<62|uint64(n))
+	}
+
+	var started, done atomic.Int64 // ModifyAction calls begun, finished
+	var stop atomic.Bool
+	var reads, bad atomic.Int64
+	var wg sync.WaitGroup
+	reader := func(kind int) {
+		defer wg.Done()
+		out := make([]BatchResult, len(probes))
+		for !stop.Load() {
+			lo := done.Load()
+			switch kind {
+			case 0:
+				for i, k := range probes {
+					out[i].Action, out[i].Matched = e.Lookup(k)
+				}
+			case 1:
+				out = e.LookupBatch(probes, out)
+			case 2:
+				for i, k := range probes {
+					_, _, out[i].Action, out[i].Matched, _ = e.rec.answer(buckets[i], k)
+				}
+			}
+			hi := started.Load()
+			for i, got := range out {
+				if !got.Matched || !slices.Contains(values[lo:hi+1], got.Action) {
+					if bad.Add(1) == 1 {
+						t.Errorf("key %v (reader kind %d) answered %+v with ModifyAction calls %d..%d in flight; the rule held %d..%d",
+							probes[i], kind, got, lo, hi, values[lo], values[hi])
+					}
+				}
+			}
+			reads.Add(1)
+			if runtime.GOMAXPROCS(0) == 1 {
+				runtime.Gosched()
+			}
+		}
+	}
+	for kind := range 3 {
+		wg.Add(1)
+		go reader(kind)
+	}
+	for reads.Load() == 0 { // readers are up before the writer starts
+		runtime.Gosched()
+	}
+	for n := 1; n <= fresh; n++ {
+		started.Store(int64(n))
+		if err := e.ModifyAction(r.Prefix, r.Len, values[n]); err != nil {
+			t.Fatal(err)
+		}
+		done.Store(int64(n))
+		if runtime.GOMAXPROCS(0) == 1 {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d illegal answers during %d action changes", n, fresh)
+	}
+	if got := len(*e.rec.acts.Load()); got > 4+1+fresh {
+		t.Fatalf("action table holds %d entries, want at most %d", got, 4+1+fresh)
+	}
+}
+
+// TestCompactBoundsTheActionTable runs ModifyAction on one rule through three
+// times the action table's limit in fresh values, each a new table entry.
+// Compact after every write keeps the table within its limit by rebuilding,
+// and the engine it leaves answers as the trie oracle does.
+func TestCompactBoundsTheActionTable(t *testing.T) {
+	rs := randomRuleSet(t, 32, 300, 51)
+	e, err := Build(rs, quickBucketed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rs.Rules[len(rs.Rules)/2]
+	fresh, rebuilt := 3*e.rec.limit, 0
+	for n := range fresh {
+		if err := e.ModifyAction(r.Prefix, r.Len, 1<<62|uint64(n)); err != nil {
+			t.Fatal(err)
+		}
+		if next := e.Compact(); next != e {
+			e = next
+			rebuilt++
+		}
+		if got := len(*e.rec.acts.Load()); got > e.rec.limit {
+			t.Fatalf("after %d fresh values the action table holds %d entries, limit %d", n+1, got, e.rec.limit)
+		}
+	}
+	if rebuilt < 2 {
+		t.Fatalf("%d fresh values rebuilt the engine %d times, want at least 2", fresh, rebuilt)
+	}
+	if err := e.Verify(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,11 +1,17 @@
 package serve
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"neurolpm/internal/telemetry"
+	"neurolpm/internal/wire"
 )
 
 // TestMetricNameLint enforces the registry-wide naming contract over every
@@ -56,5 +62,41 @@ func TestMetricNameLint(t *testing.T) {
 		if m.Help == "" {
 			t.Errorf("%s: registered with empty help text", m.Name)
 		}
+	}
+}
+
+// documentedSeries is DESIGN.md §8's statement of the series count.
+var documentedSeries = regexp.MustCompile("That is ([0-9]+) distinct `neurolpm_\\*` series names")
+
+// TestSeriesCountIsTheDocumented holds DESIGN.md §8's series count to a live
+// scrape: a server over one shard on the process registry, as lpmserve runs,
+// answers one wire lookup and one update, and its /metrics must list exactly
+// as many neurolpm_ series as the document says.
+func TestSeriesCountIsTheDocumented(t *testing.T) {
+	rs := buildTestRuleSet(t)
+	srv := NewSharded(buildOneShard(t, true), telemetry.Default)
+	srv.SetInfo("rules", fmt.Sprint(rs.Len()))
+	c := dialWire(t, srv)
+	k := freeKey32(t, rs, 0)
+	if _, err := c.Lookup(k); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 5}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	got := strings.Count("\n"+rec.Body.String(), "\n# TYPE neurolpm_")
+
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := documentedSeries.FindSubmatch(doc)
+	if m == nil {
+		t.Fatalf("DESIGN.md states no series count matching %s", documentedSeries)
+	}
+	if want, _ := strconv.Atoi(string(m[1])); got != want {
+		t.Errorf("/metrics lists %d neurolpm_ series, DESIGN.md §8 says %d", got, want)
 	}
 }

@@ -152,6 +152,39 @@ func TestShardedModifyActionWithoutRetrain(t *testing.T) {
 	})
 }
 
+// TestShardedModifyActionKeepsTheTableBounded: each ModifyAction with a
+// fresh value adds an entry to the action table of every shard the rule is
+// in. Past the table's limit the write retrains the shard (core.Engine.Compact)
+// instead of growing it further, and the lookup function stays the oracle's.
+func TestShardedModifyActionKeepsTheTableBounded(t *testing.T) {
+	u, rs := buildSweepUpdatable(t, 34, 2)
+	target := rs.Rules[len(rs.Rules)/3]
+	s := u.ShardOf(target.Prefix)
+	before := u.Engine(s)
+	const fresh = 2000 // past the limit of a 50-rule shard: 2·(≤ 51) + 1 024
+	var last uint64
+	for n := range fresh {
+		last = 1<<40 | uint64(n)
+		if err := u.ModifyAction(target.Prefix, target.Len, last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if u.Engine(s) == before {
+		t.Fatalf("shard %d kept its engine through %d fresh action values", s, fresh)
+	}
+	if err := u.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	modified := rs.Clone()
+	for i := range modified.Rules {
+		if modified.Rules[i].Prefix == target.Prefix && modified.Rules[i].Len == target.Len {
+			modified.Rules[i].Action = last
+		}
+	}
+	oracle := lpm.NewTrieMatcher(modified)
+	diffSweeps(t, "modify-action", sweepFn(sweepWidth, u.Lookup), sweepFn(sweepWidth, oracle.Lookup))
+}
+
 // TestShardedCommitEqualsFreshBuild: after inserting rules (including a
 // replicated one) and committing, the updatable engine must equal a fresh
 // build of the same shard count — and the oracle — over the merged rule-set.

@@ -21,7 +21,10 @@ import (
 //
 // Updates (Insert/Delete/ModifyAction/Commit) may be called concurrently
 // with lookups, but serialize among themselves per shard; replicated rules
-// (shorter than the shard prefix) are applied to every covered shard.
+// (shorter than the shard prefix) are applied to every covered shard. Each
+// write leaves its shards' engines through core.Engine.Compact, so a stream
+// of fresh action values retrains a shard now and then instead of growing its
+// action table without bound.
 type ShardedUpdatable struct {
 	width     int
 	shardBits int // routing bits: the top shardBits of a key pick its shard
@@ -123,7 +126,7 @@ func (u *ShardedUpdatable) Insert(r lpm.Rule) error {
 			}
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		u.shards[s].engine.Store(next)
+		u.shards[s].engine.Store(next.Compact())
 	}
 	return nil
 }
@@ -135,9 +138,11 @@ func (u *ShardedUpdatable) Delete(prefix keys.Value, length int) error {
 	defer u.unlockSpan(lo, hi)
 	var firstErr error
 	for s := lo; s <= hi; s++ {
-		if err := u.Engine(s).Delete(prefix, length); err != nil && firstErr == nil {
+		e := u.Engine(s)
+		if err := e.Delete(prefix, length); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", s, err)
 		}
+		u.shards[s].engine.Store(e.Compact())
 	}
 	return firstErr
 }
@@ -149,9 +154,11 @@ func (u *ShardedUpdatable) ModifyAction(prefix keys.Value, length int, action ui
 	defer u.unlockSpan(lo, hi)
 	var firstErr error
 	for s := lo; s <= hi; s++ {
-		if err := u.Engine(s).ModifyAction(prefix, length, action); err != nil && firstErr == nil {
+		e := u.Engine(s)
+		if err := e.ModifyAction(prefix, length, action); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", s, err)
 		}
+		u.shards[s].engine.Store(e.Compact())
 	}
 	return firstErr
 }
