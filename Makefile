@@ -53,6 +53,9 @@ vet:
 # lookup tally or the balance gauges it fed. A record is 32-bit words holding
 # action ids, id 0 for no live owner (DESIGN.md §10, §11): no bit per range
 # for a live owner, no spill bit beside such bits, and no 64-bit record words.
+# The learned window is searched in the key's own width (DESIGN.md §10): one
+# column of 32-bit limbs and one kernel over it, with no per-width bounds copy
+# and no per-width search loop beside them.
 # Each alternative carries a one-character class so these lines do not find
 # themselves.
 deleted-names:
@@ -94,6 +97,9 @@ deleted-names:
 	@! grep -rnE 'ranges\.[E]ntry\b|\.[E]ntries\[' --include='*.go' .
 	@! grep -rnE 'Start[S]pan|Span[S]tage|telemetry\.[S]pan\b|Lookup[S]pan|neurolpm_serve[_]dram|shard_(load|range)[_]imbalance|load[C]ounts|Attach[C]ounter' --include='*.go' .
 	@! grep -rnE 'aligned[W]ords|spill[B]it|max[S]pillK|matched[ -]bits?\b' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'Search[L]ows|lows[6]4' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
@@ -144,9 +150,11 @@ bench-smoke:
 # repository benchmark's scale — LookupBatch(256) and single-key Lookup over
 # 870 K ripe rules, Zipf and uniform traces, every answer held against the
 # trie oracle inside the loop, so each fails on a wrong answer (DESIGN.md
-# §10) — a second each.
+# §10) — a second each; and the same two over the Snort (width 48) and IPv6
+# (width 128) rule-sets, so a wrong answer from the 2- or 4-limb search
+# kernel fails here too.
 bench-batch:
-	$(GO) test -run xxx -bench 'Benchmark(Batch(Compiled|Ripe870K)|LookupRipe870K)$$' -benchtime 1s ./internal/core/
+	$(GO) test -run xxx -bench 'Benchmark(Batch(Compiled|Ripe870K)|LookupRipe870K|(Lookup|Batch)(Snort400K|IPv6200K))$$' -benchtime 1s ./internal/core/
 
 # What the always-on counters cost a key, checked: Lookup against the same
 # compiled pipeline with no counter, bucketized and SRAM-only, five runs each;

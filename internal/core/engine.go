@@ -218,13 +218,13 @@ func (e *Engine) Lookup(k keys.Value) (action uint64, ok bool) {
 		tr := e.sampled(k, cachesim.Null{}, st)
 		return tr.Action, tr.Matched
 	}
-	b, probes := e.comp.Search(k, p)
+	b := e.comp.Locate(k, p)
 	_, cmp, action, ok, spilled := e.rec.answer(b, k)
 	if spilled {
 		metSpillFetches.Inc()
 	}
 	if e.book(st, 1, ok)&(sampleEvery-1) == 0 {
-		e.observe(probes, p.Err, cmp)
+		e.observe(p, b, cmp)
 	}
 	return action, ok
 }
@@ -332,7 +332,7 @@ func (e *Engine) trace(k keys.Value, mem cachesim.Mem, fr *telemetry.FlightRecor
 		metSpillFetches.Inc()
 	}
 	if e.book(st, 1, tr.Matched)&(sampleEvery-1) == 0 {
-		e.observe(tr.SRAMProbes, tr.Prediction.Err, cmp)
+		e.observe(tr.Prediction, b, cmp)
 	}
 	return tr
 }
@@ -367,10 +367,11 @@ func (e *Engine) reference(k keys.Value) (action uint64, ok bool) {
 
 // observe feeds the per-query distributions, 1:sampleEvery on the key's lane
 // tick: their atomic adds on every query would cost more than the lookup's
-// one exact count.
-func (e *Engine) observe(probes, errBound, cmp int) {
-	metProbes.ObserveInt(probes)
-	metInferErr.ObserveInt(errBound)
+// one exact count. The key was predicted p and searched to b; its probe count
+// is derived here, the one place a lookup reads it.
+func (e *Engine) observe(p rqrmi.Prediction, b, cmp int) {
+	metProbes.ObserveInt(e.comp.Probes(p, b))
+	metInferErr.ObserveInt(p.Err)
 	if e.dir != nil {
 		metBucketCmp.ObserveInt(cmp)
 	}
@@ -420,17 +421,16 @@ func (e *Engine) LookupBatch(ks []keys.Value, out []BatchResult) []BatchResult {
 // block's search, then its tail.
 func (e *Engine) finishBatch(ks []keys.Value, out []BatchResult) {
 	var (
-		preds  [rqrmi.Block]rqrmi.Prediction
-		bkt    [rqrmi.Block]int
-		probes [rqrmi.Block]int
-		cmps   [rqrmi.Block]int
+		preds [rqrmi.Block]rqrmi.Prediction
+		bkt   [rqrmi.Block]int
+		cmps  [rqrmi.Block]int
 	)
 	st := tally.Stripe()
 	for start := 0; start < len(ks); start += rqrmi.Block {
 		n := min(len(ks)-start, rqrmi.Block)
 		blk, res := ks[start:start+n], out[start:start+n]
 		e.comp.PredictBatch(blk, preds[:n])
-		e.comp.SearchBlock(blk, preds[:n], bkt[:n], probes[:n])
+		e.comp.SearchBlock(blk, preds[:n], bkt[:n])
 		for _, b := range bkt[:n] {
 			e.rec.touch(b)
 		}
@@ -444,7 +444,7 @@ func (e *Engine) finishBatch(ks []keys.Value, out []BatchResult) {
 				fr = &rec
 				fr.Begin(k.Hi, k.Lo)
 				fr.Batch = true
-				bkt[i], probes[i] = e.comp.Search(k, preds[i])
+				bkt[i] = e.comp.Locate(k, preds[i])
 				fr.Stamp(telemetry.StageSearch)
 			}
 			_, cmp, action, ok, spill := e.rec.answer(bkt[i], k)
@@ -453,7 +453,7 @@ func (e *Engine) finishBatch(ks []keys.Value, out []BatchResult) {
 				fr.Stamp(telemetry.StageFetch)
 			}
 			if fr != nil {
-				e.fill(fr, probes[i], preds[i].Err, action, ok)
+				e.fill(fr, e.comp.Probes(preds[i], bkt[i]), preds[i].Err, action, ok)
 				telemetry.Flight.Commit(fr)
 			}
 			res[i] = BatchResult{Action: action, Matched: ok}
@@ -474,7 +474,7 @@ func (e *Engine) finishBatch(ks []keys.Value, out []BatchResult) {
 			for res[i].Matched != ok {
 				i++
 			}
-			e.observe(probes[i], preds[i].Err, cmps[i])
+			e.observe(preds[i], bkt[i], cmps[i])
 		}
 	}
 }
@@ -656,16 +656,17 @@ func (e *Engine) sweepBoundaries(ix rqrmi.Index, check func(ks []keys.Value) err
 // equal predictions (index, error bound, submodel; the table's routing against
 // Model.Predict's stage loop), equal search results, and equal probe counts,
 // for Predict and Search and for their block forms, PredictBatch and
-// SearchBlock. This is the full-range-boundary half of the bit-identity
-// contract; FuzzCompiledVsModel covers arbitrary keys.
+// SearchBlock, whose counts are derived from its answers. This is the
+// full-range-boundary half of the bit-identity contract; FuzzCompiledVsModel
+// covers arbitrary keys.
 func (e *Engine) verifyCompiled(ix rqrmi.Index) error {
 	var (
-		preds       [rqrmi.Block]rqrmi.Prediction
-		idx, probes [rqrmi.Block]int
+		preds [rqrmi.Block]rqrmi.Prediction
+		idx   [rqrmi.Block]int
 	)
 	return e.sweepBoundaries(ix, func(ks []keys.Value) error {
 		e.comp.PredictBatch(ks, preds[:])
-		e.comp.SearchBlock(ks, preds[:], idx[:], probes[:])
+		e.comp.SearchBlock(ks, preds[:], idx[:])
 		for i, k := range ks {
 			pm := e.model.Predict(k)
 			if pc := e.comp.Predict(k); pc != pm {
@@ -679,9 +680,9 @@ func (e *Engine) verifyCompiled(ix rqrmi.Index) error {
 				return fmt.Errorf("core: compiled Search(%v) = (%d,%d), reference (%d,%d)",
 					k, ic, probesC, im, probesM)
 			}
-			if idx[i] != im || probes[i] != probesM {
+			if probes := e.comp.Probes(pm, idx[i]); idx[i] != im || probes != probesM {
 				return fmt.Errorf("core: compiled SearchBlock(%v) = (%d,%d), reference (%d,%d)",
-					k, idx[i], probes[i], im, probesM)
+					k, idx[i], probes, im, probesM)
 			}
 		}
 		return nil

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"unsafe"
 
 	"neurolpm/internal/keys"
 	"neurolpm/internal/ranges"
@@ -94,20 +93,13 @@ func newSpillRecord(n, limbs int) *spillRecord {
 // spillOf returns bucket b's spill record, for a caller that saw b's header set.
 func (r *records) spillOf(b int) *spillRecord { return (*r.spill.Load())[b].Load() }
 
-// lineAligned returns n zeroed words whose first byte is 64-byte aligned.
-func lineAligned(n int) []uint32 {
-	buf := make([]uint32, n+15)
-	off := int(-uintptr(unsafe.Pointer(&buf[0]))&63) >> 2
-	return buf[off : off+n : off+n]
-}
-
 // newRecords lays the range array out as records of k ranges in one linear
 // pass, interning each range's answer from the owner table.
 func newRecords(ra *ranges.Array, k int) *records {
 	r := &records{layout: newLayout(k, (ra.Width+31)/32), nr: ra.Len()}
 	acts := []uint64{0}
 	r.acts.Store(&acts)
-	r.w = lineAligned((r.nr + k - 1) / k * r.stride)
+	r.w = keys.LineAligned((r.nr + k - 1) / k * r.stride)
 	// memo spares most ranges intern's probe when the rule-set has few
 	// distinct actions, as routing tables do.
 	var memo [256]uint32

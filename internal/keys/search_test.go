@@ -1,13 +1,9 @@
-package keys_test
+package keys
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
-
-	// An external test package, dot-importing the one under test: the block
-	// arm drives rqrmi's SearchBlock, and rqrmi imports keys.
-	. "neurolpm/internal/keys"
-	"neurolpm/internal/rqrmi"
 )
 
 // linearFloor is the oracle: greatest i in [lo, hi] with lows[i] ≤ k,
@@ -22,145 +18,146 @@ func linearFloor(lows []Value, k Value, lo, hi int) int {
 	return idx
 }
 
-func sortedValues(rng *rand.Rand, n int, wide bool) []Value {
+// sortedValues returns n distinct sorted width-bit values, 0 first. Above 64
+// bits the high limbs come from a few values, so neighbours often share them.
+func sortedValues(rng *rand.Rand, n, width int) []Value {
 	set := map[Value]bool{{}: true}
 	for len(set) < n {
 		v := Value{Lo: rng.Uint64()}
-		if wide {
-			v.Hi = rng.Uint64() >> 32 // mix of equal and distinct high limbs
+		if width > 64 {
+			v.Hi = uint64(rng.Intn(4)) << (width - 66)
 		}
-		set[v] = true
+		set[v.And(MaxValue(width))] = true
 	}
 	out := make([]Value, 0, n)
 	for v := range set {
 		out = append(out, v)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Less(out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, Value.Cmp)
 	return out
 }
 
-// flatIndex is a sorted bounds slice as the learned index rqrmi compiles.
-type flatIndex []Value
+// limbWidths are the key widths of a bound of 1, 2, 3 and 4 limbs; a column
+// stores three as four.
+var limbWidths = []int{32, 64, 96, 128}
 
-func (f flatIndex) Len() int        { return len(f) }
-func (f flatIndex) Low(i int) Value { return f[i] }
+// probeKey draws a key for a search of [lo, hi] over lows: on or next to a
+// bound of the window, below low(lo) (the loop's precondition broken: the
+// kernels must still answer lo), or with bits above the domain.
+func probeKey(rng *rand.Rand, lows []Value, width, lo, hi int) Value {
+	switch rng.Intn(6) {
+	case 0:
+		return lows[rng.Intn(lo+1)].Sub(FromUint64(uint64(rng.Intn(2)))) // at or below low(lo), wrapping at 0
+	case 1:
+		return Value{Hi: 1 + rng.Uint64()>>1, Lo: rng.Uint64()} // a high limb, above every bound of the narrow columns
+	case 2:
+		return Value{Lo: rng.Uint64(), Hi: rng.Uint64()}.And(MaxValue(width))
+	}
+	return lows[lo+rng.Intn(max(hi-lo, 0)+1)].AddUint64(uint64(rng.Intn(3)))
+}
 
-// TestSearchVariantsAgree pins the three specializations of the canonical
-// bounded-search loop to each other and to a linear-scan oracle: identical
-// indices and identical probe counts on every input. The block arm holds the
-// lockstep form of the loop (rqrmi's SearchBlock, over the same bounds on the
-// one- or two-limb plane) to the same pair, on windows of its own choosing.
+// TestSearchVariantsAgree holds the column kernel to BoundedSearch, index for
+// index, at 1, 2, 3 and 4 limbs a bound, and to a linear scan where the loop's
+// precondition holds: single-entry windows, windows at 0 and at n−1, empty
+// (inverted) ones, keys below the window's first bound and keys with a high
+// limb. The block arm does the same for the lockstep form.
 func TestSearchVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, wide := range []bool{false, true} {
-		lows := sortedValues(rng, 200, wide)
-		lows64 := make([]uint64, len(lows))
-		narrow := !wide
+	for _, width := range limbWidths {
+		lows := sortedValues(rng, 200, width)
+		col := NewColumn(width, len(lows), func(i int) Value { return lows[i] })
+		if limbs := []int{1, 2, 4, 4}[width/32-1]; col.Len() != len(lows) || len(col.Words()) != limbs*len(lows) {
+			t.Fatalf("width %d: column of %d bounds in %d words, want %d limbs a bound", width, col.Len(), len(col.Words()), limbs)
+		}
 		for i, v := range lows {
-			lows64[i] = v.Lo
-		}
-		for trial := 0; trial < 2000; trial++ {
-			var k Value
-			switch trial % 3 {
-			case 0: // exact boundary
-				k = lows[rng.Intn(len(lows))]
-			case 1: // near boundary
-				k = lows[rng.Intn(len(lows))].AddUint64(uint64(rng.Intn(3)))
-			default:
-				k = Value{Lo: rng.Uint64()}
-				if wide {
-					k.Hi = rng.Uint64() >> 32
-				}
-			}
-			lo := rng.Intn(len(lows))
-			hi := lo + rng.Intn(len(lows)-lo)
-			if k.Less(lows[lo]) {
-				continue // precondition: low(lo) ≤ k
-			}
-			wantIdx := linearFloor(lows, k, lo, hi)
-			gotIdx, gotProbes := BoundedSearch(k, lo, hi, func(i int) Value { return lows[i] })
-			if gotIdx != wantIdx {
-				t.Fatalf("BoundedSearch(%v, [%d,%d]) = %d, oracle %d", k, lo, hi, gotIdx, wantIdx)
-			}
-			fIdx, fProbes := SearchLows(lows, k, lo, hi)
-			if fIdx != gotIdx || fProbes != gotProbes {
-				t.Fatalf("SearchLows diverged: (%d,%d) vs (%d,%d)", fIdx, fProbes, gotIdx, gotProbes)
-			}
-			if narrow && k.Hi == 0 {
-				uIdx, uProbes := SearchLows64(lows64, k.Lo, lo, hi)
-				if uIdx != gotIdx || uProbes != gotProbes {
-					t.Fatalf("SearchLows64 diverged: (%d,%d) vs (%d,%d)", uIdx, uProbes, gotIdx, gotProbes)
-				}
+			if col.Low(i) != v {
+				t.Fatalf("width %d: Low(%d) = %v, want %v", width, i, col.Low(i), v)
 			}
 		}
-		blockSearchAgrees(t, rng, lows, wide)
+		for trial := 0; trial < 4000; trial++ {
+			lo, hi := window(rng, len(lows))
+			k := probeKey(rng, lows, width, lo, hi)
+			want, _ := BoundedSearch(k, lo, hi, func(i int) Value { return lows[i] })
+			if lo <= hi && !k.Less(lows[lo]) {
+				if f := linearFloor(lows, k, lo, hi); want != f {
+					t.Fatalf("width %d: BoundedSearch(%v, [%d,%d]) = %d, oracle %d", width, k, lo, hi, want, f)
+				}
+			}
+			if got := col.Search(k, lo, hi); got != want {
+				t.Fatalf("width %d: Search(%v, [%d,%d]) = %d, BoundedSearch %d", width, k, lo, hi, got, want)
+			}
+		}
+		blockSearchAgrees(t, rng, col, lows, width)
 	}
 }
 
-// blockSearchAgrees drives SearchBlock with blocks of 1, 15 and 16 keys whose
-// windows are handed to it as predictions: single-entry windows (lo == hi),
-// windows clamped at 0 and at n−1, keys below every bound of their window
-// (the loop's precondition broken: both forms must still walk alike), and,
-// on the one-limb plane, keys with a high limb.
-func blockSearchAgrees(t *testing.T, rng *rand.Rand, lows []Value, wide bool) {
-	width := 64
-	if wide {
-		width = 128
+// window draws a search window over n bounds: mostly inside, else a single
+// entry, one clamped at 0 or at n−1, the whole column, or an empty one.
+func window(rng *rand.Rand, n int) (lo, hi int) {
+	lo = rng.Intn(n)
+	switch rng.Intn(8) {
+	case 0:
+		return lo, lo
+	case 1:
+		return 0, rng.Intn(n)
+	case 2:
+		return lo, n - 1
+	case 3:
+		return 0, n - 1
+	case 4:
+		return lo, lo - 1 - rng.Intn(3)
 	}
-	m, _, err := rqrmi.Train(flatIndex(lows), width, rqrmi.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := rqrmi.Compile(m, flatIndex(lows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(lows)
+	return lo, min(lo+rng.Intn(58), n-1)
+}
+
+// blockSearchAgrees drives the lockstep kernel with blocks of 1, 15 and 16
+// keys on windows of every kind window draws, each answer held to Search's.
+func blockSearchAgrees(t *testing.T, rng *rand.Rand, col Column, lows []Value, width int) {
 	var (
-		ks          [rqrmi.Block]Value
-		ps          [rqrmi.Block]rqrmi.Prediction
-		idx, probes [rqrmi.Block]int
+		ks     [16]Value
+		lo, hi [16]int
+		want   [16]int
 	)
 	for trial := 0; trial < 3000; trial++ {
-		size := []int{1, rqrmi.Block - 1, rqrmi.Block}[trial%3]
+		size := []int{1, 15, 16}[trial%3]
 		for i := 0; i < size; i++ {
-			p := rqrmi.Prediction{Index: rng.Intn(n), Err: rng.Intn(40)}
-			switch rng.Intn(6) {
-			case 0:
-				p.Err = 0
-			case 1:
-				p.Index, p.Err = rng.Intn(5), 5+rng.Intn(n) // clamped at 0, maybe at both ends
-			case 2:
-				p.Index, p.Err = n-1-rng.Intn(5), 5+rng.Intn(40) // clamped at n−1
-			}
-			lo, hi := max(p.Index-p.Err, 0), min(p.Index+p.Err, n-1)
-			k := lows[lo+rng.Intn(hi-lo+1)].AddUint64(uint64(rng.Intn(3)))
-			switch rng.Intn(8) {
-			case 0:
-				k = lows[rng.Intn(lo+1)] // at or below the window's first bound
-				if lo > 0 && rng.Intn(2) == 0 {
-					k = lows[lo].Dec()
-				}
-			case 1:
-				k = Value{Hi: 1 + rng.Uint64()>>32, Lo: rng.Uint64()} // a high limb, also on the one-limb plane
-			}
-			ks[i], ps[i] = k, p
+			lo[i], hi[i] = window(rng, len(lows))
+			ks[i] = probeKey(rng, lows, width, lo[i], hi[i])
+			want[i] = col.Search(ks[i], lo[i], hi[i])
 		}
-		c.SearchBlock(ks[:size], ps[:size], idx[:size], probes[:size])
+		in := lo
+		col.SearchBlock(ks[:size], lo[:size], hi[:size])
 		for i := 0; i < size; i++ {
-			lo, hi := max(ps[i].Index-ps[i].Err, 0), min(ps[i].Index+ps[i].Err, n-1)
-			wantIdx, wantProbes := SearchLows(lows, ks[i], lo, hi)
-			if idx[i] != wantIdx || probes[i] != wantProbes {
-				t.Fatalf("wide=%v block of %d, key %d (%v in [%d,%d]): SearchBlock (%d,%d), SearchLows (%d,%d)",
-					wide, size, i, ks[i], lo, hi, idx[i], probes[i], wantIdx, wantProbes)
+			if lo[i] != want[i] {
+				t.Fatalf("width %d block of %d, key %d (%v from %d): SearchBlock %d, Search %d",
+					width, size, i, ks[i], in[i], lo[i], want[i])
 			}
-			if sIdx, sProbes := c.Search(ks[i], ps[i]); sIdx != wantIdx || sProbes != wantProbes {
-				t.Fatalf("wide=%v Search(%v in [%d,%d]) = (%d,%d), SearchLows (%d,%d)",
-					wide, ks[i], lo, hi, sIdx, sProbes, wantIdx, wantProbes)
+		}
+	}
+}
+
+// TestDerivedProbesAreTheLoop holds Probes to BoundedSearch's own count on
+// every window 0 ≤ lo ≤ hi < 70 of a strictly increasing column, for a key
+// at every position in [lo−1, hi+1]: below the window (answer lo), on each of
+// its bounds, and above it (answer hi).
+func TestDerivedProbesAreTheLoop(t *testing.T) {
+	const n = 70
+	lows := make([]Value, n+1)
+	for i := range lows {
+		lows[i] = FromUint64(uint64(10 + 10*i))
+	}
+	low := func(i int) Value { return lows[i] }
+	for lo := 0; lo < n; lo++ {
+		for hi := lo; hi < n; hi++ {
+			for at := lo - 1; at <= hi+1; at++ {
+				k := FromUint64(5) // below every bound
+				if at >= 0 {
+					k = lows[at].AddUint64(uint64(at % 3))
+				}
+				idx, probes := BoundedSearch(k, lo, hi, low)
+				if got := Probes(lo, hi, idx); got != probes {
+					t.Fatalf("[%d,%d], key at %d: Probes = %d, the loop counted %d", lo, hi, at, got, probes)
+				}
 			}
 		}
 	}
@@ -170,7 +167,7 @@ func blockSearchAgrees(t *testing.T, rng *rand.Rand, lows []Value, wide bool) {
 // ⌈log2(hi−lo+1)⌉, the bound the paper's secondary-search FSM is sized for.
 func TestBoundedSearchProbeBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	lows := sortedValues(rng, 500, false)
+	lows := sortedValues(rng, 500, 64)
 	for trial := 0; trial < 500; trial++ {
 		lo := rng.Intn(len(lows))
 		hi := lo + rng.Intn(len(lows)-lo)

@@ -23,6 +23,8 @@
 //   - TestEngineZeroAllocs and TestShardedBatchZeroAllocs — pin the engine's
 //     single-key and batch lookups and the sharded batch into a caller's dst
 //     at zero steady-state allocations.
+//   - TestSweepEveryKey — Sweep: every key of a width-20 domain through both
+//     entry points and the compiled search, built and after updates.
 //
 // The package lives outside internal/core and internal/shard so the harness
 // can exercise both without an import cycle.

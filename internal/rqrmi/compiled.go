@@ -20,14 +20,18 @@ package rqrmi
 // no pointer loads, one evaluation touches at most two cache lines (the
 // split SoA layout cost three), and the 8 knot comparisons are eight integer
 // subtractions with no branch among them (§5.2.2's eight comparators). The
-// Index's lower bounds are copied into a flat []uint64 (width ≤ 64, where
-// every bound's high limb is zero) or []keys.Value, so the bounded secondary
-// search runs keys.SearchLows64/SearchLows — or, for a block of keys,
-// SearchBlock's lockstep form of the same loop — with zero interface calls
-// and zero allocations. The internal stages' only output, the final-stage
-// submodel, is a load from a routing table over the key's top bits built
-// from the exact responsibility analysis (route.go); the stage loop runs only
-// for keys whose cell straddles a routing transition.
+// Index's lower bounds are copied into one keys.Column in the key's own width
+// — ⌈w/32⌉ 32-bit limbs a bound on a line-aligned base: 4 bytes a bound at
+// width ≤ 32, as the paper's SRAM holds them — so the bounded secondary
+// search runs the column's kernel — or, for a block of keys, its lockstep
+// form — with zero interface calls, zero allocations and a trip count fixed
+// by the window, never by a loaded bound. No search counts
+// its probes: Search derives the count from the window and the answer
+// (keys.Probes), and Locate, the lookups' form, skips it. The internal
+// stages' only output, the final-stage submodel, is a load from a routing
+// table over the key's top bits built from the exact responsibility analysis
+// (route.go); the stage loop runs only for keys whose cell straddles a
+// routing transition.
 //
 // Bit-identity contract (CLAUDE.md): analyze.go computes error bounds by
 // running LUT.Eval + scaleClamp + unitOf; the compiled plane must reproduce
@@ -45,9 +49,10 @@ package rqrmi
 //     non-negative finite factors), and Compile refuses a model with such a
 //     knot and stores −0 as +0, so the precondition is enforced, not assumed;
 //   - MAC: the same float32 A[s]*u + B[s] on the same coefficients;
-//   - search: keys.SearchLows* share the canonical BoundedSearch loop, so
-//     probe sequences and counts match the reference exactly; SearchBlock
-//     runs that loop for a block of keys a probe at a time and is held to
+//   - search: the column's kernels take BoundedSearch's probes in its order
+//     and end on its answer, and keys.Probes replays its count from that
+//     answer, so indices and counts match the reference exactly; SearchBlock
+//     runs the kernel for a block of keys a probe at a time and is held to
 //     Search wherever Search is held to the reference.
 //
 // FuzzCompiledVsModel and the boundary sweep in core.Engine.Verify enforce
@@ -97,112 +102,67 @@ type Compiled struct {
 	flatLows
 }
 
-// flatLows is an index's lower bounds, devirtualized: exactly one of
-// lows64/lows is non-nil. Range/bucket bounds never change after build
-// (deletions re-own ranges, they do not move boundaries), so the copy cannot
-// go stale — and a Compiled and the Quantized made from it share one.
+// flatLows is an index's lower bounds, devirtualized into one column in the
+// key's own width. Range/bucket bounds never change after build (deletions
+// re-own ranges, they do not move boundaries), so the copy cannot go stale —
+// and a Compiled and the Quantized made from it share one.
 type flatLows struct {
-	lows64 []uint64
-	lows   []keys.Value
+	bounds keys.Column
 }
 
 func flattenLows(ix Index, width int) flatLows {
-	var f flatLows
-	if width <= 64 {
-		f.lows64 = make([]uint64, ix.Len())
-		for i := range f.lows64 {
-			f.lows64[i] = ix.Low(i).Lo
-		}
-	} else {
-		f.lows = make([]keys.Value, ix.Len())
-		for i := range f.lows {
-			f.lows[i] = ix.Low(i)
-		}
-	}
-	return f
+	return flatLows{keys.NewColumn(width, ix.Len(), ix.Low)}
 }
 
-func (f *flatLows) bytes() int { return 8*len(f.lows64) + 16*len(f.lows) }
+func (f *flatLows) bytes() int { return 4 * len(f.bounds.Words()) }
 
 // Low returns entry i's lower bound.
-func (f *flatLows) Low(i int) keys.Value {
-	if f.lows64 != nil {
-		return keys.FromUint64(f.lows64[i])
-	}
-	return f.lows[i]
-}
+func (f *flatLows) Low(i int) keys.Value { return f.bounds.Low(i) }
 
 // Find returns the entry containing k, the greatest i with Low(i) ≤ k: the
 // bounded search over the whole index, for callers with no prediction.
-func (f *flatLows) Find(k keys.Value) int {
-	i, _ := f.searchWithin(k, Prediction{Err: len(f.lows64) + len(f.lows)})
-	return i
-}
+func (f *flatLows) Find(k keys.Value) int { return f.bounds.Search(k, 0, f.bounds.Len()-1) }
 
-// window is the search window of prediction p: [Index−Err, Index+Err] clamped
+// Window is the search window of prediction p: [Index−Err, Index+Err] clamped
 // to the index, as Model.Search clamps it.
-func (f *flatLows) window(p Prediction) (lo, hi int) {
-	return max(p.Index-p.Err, 0), min(p.Index+p.Err, len(f.lows64)+len(f.lows)-1)
+func (f *flatLows) Window(p Prediction) (lo, hi int) {
+	return max(p.Index-p.Err, 0), min(p.Index+p.Err, f.bounds.Len()-1)
 }
 
-// limb is k on the one-limb plane: an out-of-domain key, above every 64-bit
-// bound, saturates so the one-limb compare agrees with the reference 128-bit
-// Less.
-func limb(k keys.Value) uint64 {
-	if k.Hi != 0 {
-		return ^uint64(0)
-	}
-	return k.Lo
+// Locate is the bounded secondary search over the flat bounds: Search's
+// index, without its probe count.
+func (f *flatLows) Locate(k keys.Value, p Prediction) int {
+	lo, hi := f.Window(p)
+	return f.bounds.Search(k, lo, hi)
 }
 
-// searchWithin is the bounded secondary search over the flat bounds,
-// bit-identical to Model.Search on the source index (same clamping, same
-// canonical loop, same probe counts).
-func (f *flatLows) searchWithin(k keys.Value, p Prediction) (idx, probes int) {
-	lo, hi := f.window(p)
-	if f.lows64 != nil {
-		return keys.SearchLows64(f.lows64, limb(k), lo, hi)
-	}
-	return keys.SearchLows(f.lows, k, lo, hi)
+// Probes is the probe count of Search(k, p) for the key Locate(k, p) answered
+// idx, derived from the window and the answer (keys.Probes): exact, because a
+// learned index's bounds strictly increase.
+func (f *flatLows) Probes(p Prediction, idx int) int {
+	lo, hi := f.Window(p)
+	return keys.Probes(lo, hi, idx)
 }
 
-// SearchBlock is Search for a block of at most Block keys, idx[i], probes[i]
-// = Search(ks[i], ps[i]), run the way the paper's pool of search FSMs runs
-// (§6.2): every key advances one probe per round, for as many rounds as the
-// widest window needs, so the block's bound loads are outstanding together
-// instead of one key's chain after another's. A round is the canonical loop's
-// body under keys.SearchLows*'s borrow mask; a key whose window has closed
-// (lo ≥ hi) keeps probing its own lo, which moves nothing, and a probe is
-// counted only while lo < hi, so index and count are Search's exactly. ps
-// must be predictions over this index (0 ≤ Index < Len, Err ≥ 0).
-func (f *flatLows) SearchBlock(ks []keys.Value, ps []Prediction, idx, probes []int) {
+// Search runs the bounded secondary search over the flat bounds copy,
+// bit-identical to Model.Search on the source index: the same clamping, the
+// same answer, and the canonical loop's probe count, derived from the answer.
+func (f *flatLows) Search(k keys.Value, p Prediction) (idx, probes int) {
+	idx = f.Locate(k, p)
+	return idx, f.Probes(p, idx)
+}
+
+// SearchBlock is Locate for a block of at most Block keys, idx[i] =
+// Locate(ks[i], ps[i]), every key's search in lockstep (keys.Column.
+// SearchBlock). ps must be predictions over this index (0 ≤ Index < Len,
+// Err ≥ 0).
+func (f *flatLows) SearchBlock(ks []keys.Value, ps []Prediction, idx []int) {
 	var his [Block]int
-	var kk [Block]uint64
-	hs, ps, idx, probes := his[:len(ks)], ps[:len(ks)], idx[:len(ks)], probes[:len(ks)]
-	widest := 0
-	for i, p := range ps {
-		idx[i], hs[i] = f.window(p)
-		probes[i], kk[i] = 0, limb(ks[i])
-		widest = max(widest, hs[i]-idx[i])
+	hs := his[:len(ks)]
+	for i, p := range ps[:len(ks)] {
+		idx[i], hs[i] = f.Window(p)
 	}
-	for r := bits.Len(uint(widest)); r > 0; r-- {
-		for i, hi := range hs {
-			lo := idx[i]
-			mid := int(uint(lo+hi+1) / 2)       // lo+hi+1 ≥ 0: a closed window's hi is lo−1 at least
-			probes[i] += int(uint(lo-hi) >> 63) // 1 while lo < hi
-			var below uint64
-			if f.lows64 != nil {
-				_, below = bits.Sub64(kk[i], f.lows64[mid], 0)
-			} else {
-				b := f.lows[mid]
-				_, below = bits.Sub64(ks[i].Lo, b.Lo, 0)
-				_, below = bits.Sub64(ks[i].Hi, b.Hi, below)
-			}
-			m := -int(below) // all ones: the key is below the bound
-			hs[i] = hi ^ (hi^(mid-1))&m
-			idx[i] = lo ^ (lo^mid)&^m
-		}
-	}
+	f.bounds.SearchBlock(ks, idx, hs)
 }
 
 // Compile flattens a trained model and its learned index into the compiled
@@ -359,8 +319,9 @@ func (c *Compiled) Predict(k keys.Value) Prediction {
 // Block is the one software-pipelining width of the batch path — of
 // SearchBlock on both planes and of core's batch staging: enough independent
 // keys in flight per step to hide the bounds-array load latency, small enough
-// that the per-block state lives in registers and L1.
-const Block = 16
+// that the per-block state lives in registers and L1. It is the search
+// kernel's own lockstep width.
+const Block = keys.Block
 
 // PredictBatch runs inference for each key, writing out[i] = Predict(ks[i]).
 // A key's inference is a table load and one evaluation, a chain independent
@@ -372,13 +333,6 @@ func (c *Compiled) PredictBatch(ks []keys.Value, out []Prediction) {
 	for i, k := range ks {
 		out[i] = c.Predict(k)
 	}
-}
-
-// Search runs the bounded secondary search over the flat bounds copy,
-// bit-identical to Model.Search on the source index (same clamping, same
-// canonical loop, same probe counts).
-func (c *Compiled) Search(k keys.Value, p Prediction) (idx, probes int) {
-	return c.searchWithin(k, p)
 }
 
 // Lookup is inference plus bounded search: the true index of the entry

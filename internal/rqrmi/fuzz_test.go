@@ -59,24 +59,26 @@ func (p *fuzzPlane) inDomain(hi, lo uint64) keys.Value {
 }
 
 // searchBlockMatches holds the lockstep SearchBlock of pl (p's compiled or
-// quantized plane) to its single-key Search over a block grown from the fuzz
-// input — the key, its complement, its halves swapped and its neighbour, so
-// the block's windows differ in width and place — predicted by pl itself.
+// quantized plane) to its single-key Search, and the probe count derived from
+// each block answer to Search's, over a block grown from the fuzz input — the
+// key, its complement, its halves swapped and its neighbour, so the block's
+// windows differ in width and place — predicted by pl itself.
 func (p *fuzzPlane) searchBlockMatches(t *testing.T, hi, lo uint64, pl interface {
 	Predict(keys.Value) Prediction
 	Search(keys.Value, Prediction) (int, int)
-	SearchBlock([]keys.Value, []Prediction, []int, []int)
+	SearchBlock([]keys.Value, []Prediction, []int)
+	Probes(Prediction, int) int
 }) {
 	ks := []keys.Value{p.inDomain(hi, lo), p.inDomain(^hi, ^lo), p.inDomain(lo, hi), p.inDomain(hi, lo+1)}
 	var ps [4]Prediction
-	var idx, probes [4]int
+	var idx [4]int
 	for i, k := range ks {
 		ps[i] = pl.Predict(k)
 	}
-	pl.SearchBlock(ks, ps[:], idx[:], probes[:])
+	pl.SearchBlock(ks, ps[:], idx[:])
 	for i, k := range ks {
-		if wi, wp := pl.Search(k, ps[i]); idx[i] != wi || probes[i] != wp {
-			t.Fatalf("width %d SearchBlock[%d](%v) = (%d,%d), Search (%d,%d)", p.width, i, k, idx[i], probes[i], wi, wp)
+		if wi, wp := pl.Search(k, ps[i]); idx[i] != wi || pl.Probes(ps[i], idx[i]) != wp {
+			t.Fatalf("width %d SearchBlock[%d](%v) = (%d,%d), Search (%d,%d)", p.width, i, k, idx[i], pl.Probes(ps[i], idx[i]), wi, wp)
 		}
 	}
 }

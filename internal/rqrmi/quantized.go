@@ -81,7 +81,7 @@ type Quantized struct {
 	n     int // entries in the learned index
 
 	// Saturation bound for out-of-domain keys (the quantized analogue of
-	// Compiled.Search's ^uint64(0) clamp): any key above the domain max
+	// the compiled search's saturating key): any key above the domain max
 	// maps to maxU — the domain max's own unit coordinate — so it aliases
 	// a key the bound analysis covered instead of landing on an
 	// unanalyzed input.
@@ -97,8 +97,12 @@ type Quantized struct {
 	bank []int16 // blockStride int16 words per submodel: knots | A | B
 	errs []int32 // error bound per submodel, recomputed in this arithmetic
 
-	table    routes // routing table from this arithmetic's own partition (route.go)
-	flatLows        // the devirtualized bounds, shared with the Compiled it was made from
+	table routes // routing table from this arithmetic's own partition (route.go)
+	// flatLows is the devirtualized bounds, shared with the Compiled it was
+	// made from. Its Search is Compiled.Search bounded by this plane's own
+	// error bound carried in p; because that bound covers the quantized
+	// prediction for every key, the search lands on exactly the true index.
+	flatLows
 }
 
 // qStage is one stage's submodel layout plus its fixed-point parameters,
@@ -409,12 +413,4 @@ func (q *Quantized) Predict(k keys.Value) Prediction {
 	st := &q.stages[len(q.stages)-1]
 	id := int(st.base) + t
 	return Prediction{Index: clampStage(st, q.eval(st, id, u), q.n), Err: int(q.errs[id]), Submodel: t}
-}
-
-// Search runs the bounded secondary search over the flat bounds copy —
-// identical to Compiled.Search, but bounded by the quantized plane's own
-// error bound carried in p. Because that bound covers the quantized
-// prediction for every key, the search lands on exactly the true index.
-func (q *Quantized) Search(k keys.Value, p Prediction) (idx, probes int) {
-	return q.searchWithin(k, p)
 }
