@@ -5,7 +5,7 @@
 GO ?= go
 
 .PHONY: build vet deleted-names test race race-all race-cores fuzz bench bench-smoke bench-batch \
-	telemetry-overhead bench-module bench-serve-smoke churn smoke observe loadtest canary ci
+	telemetry-overhead bench-module bench-serve-smoke churn smoke observe canary ci
 
 build:
 	$(GO) build ./...
@@ -33,8 +33,10 @@ vet:
 # updatable type (DESIGN.md §11, §14): no updatable in core beside the sharded
 # one, and no second planetest topology to prove them equivalent. There is one
 # data protocol (DESIGN.md §17): lookups and updates travel over the wire, with
-# no HTTP /batch or /update, no lpmload HTTP arm or -proto flag, and no
-# not-implemented wire error for a server without updates. An engine keeps
+# no HTTP /batch or /update, no load driver's HTTP arm or -proto flag, and no
+# not-implemented wire error for a server without updates. There is one load
+# driver, the repository benchmark (DESIGN.md §17): no load package or command
+# beside it, and no CI target or smoke test of theirs. An engine keeps
 # the rule-set it is built from (DESIGN.md §5): no clone of it in core. A
 # rule file is streamed into its rules, and the range array is written once at
 # its size (DESIGN.md §5): no command parses a string copy of the file, and
@@ -102,6 +104,9 @@ deleted-names:
 	@! grep -rnE 'Search[L]ows|lows[6]4' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'internal/[l]oad\b|cmd/lpm[l]oad|lpm[l]oad|make [l]oadtest|TestLoad[S]moke' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:|^\./benchmark/README\.md:'
 
 test:
 	$(GO) test ./...
@@ -168,10 +173,12 @@ telemetry-overhead:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-# The repository benchmark's own smoke, non-short: builds cmd/lpmserve from
-# this checkout and drives all six workloads at 20 000 rules (~50 s), so a
-# deleted lpmserve flag or a renamed /metrics series that benchmark/ reads
-# fails here, not in the next benchmark run.
+# The repository benchmark's own smoke, non-short, and the one CI step that
+# drives load: builds cmd/lpmserve from this checkout and drives all six
+# workloads at 20 000 rules (≈ 9 s on a 2-vCPU box), every wire answer held
+# against the trie oracle and every wire_churn update acknowledged, so a wrong
+# or missing answer fails here, and so does a deleted lpmserve flag or a
+# renamed /metrics series that benchmark/ reads.
 bench-serve-smoke:
 	cd benchmark && $(GO) test -run TestSmoke -count=1 .
 
@@ -194,16 +201,9 @@ smoke:
 observe:
 	$(GO) run ./cmd/lpmbench -exp observe
 
-# The lpmload CI smoke (DESIGN.md §17): the wire is the only data protocol, so
-# this is lpmload's one arm — a 2s open-loop wire run with a live update stream
-# against an in-process WireServer must send and get an answer to every request
-# of its schedule, with zero errors and zero oracle mismatches.
-loadtest:
-	$(GO) test -run TestLoadSmoke -v -count=1 ./internal/load
-
 # The 10M-rule scale canary (non-race; wall-clock budgeted).
 canary:
 	$(GO) test -run TestScaleCanary10M -v ./internal/workload
 
 ci: build vet deleted-names race bench-module smoke fuzz \
-	bench-smoke bench-batch observe loadtest bench-serve-smoke canary
+	bench-smoke bench-batch observe bench-serve-smoke canary

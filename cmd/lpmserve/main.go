@@ -14,8 +14,9 @@
 // -wire-addr is where the binary wire protocol (DESIGN.md §17) listens, the
 // daemon's one data path: length-prefixed frames over persistent TCP, no JSON,
 // each connection answered on its own goroutine with the lookups one read
-// delivered batched into one batch-plane call. Drive it with cmd/lpmload; one
-// SIGINT/SIGTERM drains both listeners.
+// delivered batched into one batch-plane call. The repository benchmark drives
+// it (bash benchmark/run.sh --workload wire_open); one SIGINT/SIGTERM drains
+// both listeners.
 //
 // Every lookup answers through the compiled float32 inference plane, the one
 // arithmetic the engine runs and BENCHMARK.json measures (DESIGN.md §10).

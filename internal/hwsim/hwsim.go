@@ -134,15 +134,6 @@ func (r *Result) AvgBankAccesses() float64 {
 	return float64(r.BankAccesses) / float64(r.Queries)
 }
 
-// AvgFSMOccupancy returns the mean fraction of FSMs busy per cycle — the
-// utilization the §6.2.1 FSM-pool sizing targets.
-func (r *Result) AvgFSMOccupancy() float64 {
-	if r.Cycles == 0 || r.Config.FSMs == 0 {
-		return 0
-	}
-	return float64(r.FSMBusyCycles) / (float64(r.Cycles) * float64(r.Config.FSMs))
-}
-
 // LatencyCDF returns latency values at the given quantiles (0..1).
 func (r *Result) LatencyCDF(quantiles []float64) []uint32 {
 	if len(r.Latencies) == 0 {

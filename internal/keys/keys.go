@@ -22,9 +22,6 @@ type Value struct {
 // FromUint64 returns the Value representing v.
 func FromUint64(v uint64) Value { return Value{Lo: v} }
 
-// FromUint32 returns the Value representing v.
-func FromUint32(v uint32) Value { return Value{Lo: uint64(v)} }
-
 // FromParts returns the Value hi·2⁶⁴ + lo.
 func FromParts(hi, lo uint64) Value { return Value{Hi: hi, Lo: lo} }
 

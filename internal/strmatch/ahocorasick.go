@@ -89,10 +89,6 @@ func (a *AhoCorasick) buildFailLinks() {
 	}
 }
 
-// States returns the automaton size (the DFA-size metric CompactDFA-style
-// encodings depend on).
-func (a *AhoCorasick) States() int { return len(a.next) }
-
 // Scan returns every occurrence of every pattern in text, in increasing
 // end-position order.
 func (a *AhoCorasick) Scan(text []byte) []Match {

@@ -48,9 +48,6 @@ func NewDictionary(patterns []string) (*Dictionary, error) {
 // Width returns the LPM key width (8 × longest pattern).
 func (d *Dictionary) Width() int { return d.width }
 
-// Patterns returns the dictionary contents.
-func (d *Dictionary) Patterns() [][]byte { return d.patterns }
-
 // Rules encodes the dictionary as an LPM rule-set: pattern i becomes the
 // rule prefix(pattern bytes, left-aligned)/8·len with action i. Longest
 // prefix match over a text window then finds the longest pattern starting

@@ -12,9 +12,9 @@ import (
 
 // Client is one persistent wire connection. The synchronous methods
 // (Lookup, Batch, Update, Ping) keep one request in flight and are safe for
-// concurrent use; high-rate callers that want pipelining (cmd/lpmload) use
-// Send/Recv directly — ids are caller-assigned and responses are matched by
-// id; the protocol does not promise request order.
+// concurrent use; callers that pipeline use Send/Recv directly — ids are
+// caller-assigned and responses are matched by id; the protocol does not
+// promise request order.
 type Client struct {
 	conn net.Conn
 
@@ -77,23 +77,6 @@ func (c *Client) Send(enc func(b []byte) []byte) error {
 	if _, err := c.bw.Write(c.wbuf); err != nil {
 		return err
 	}
-	return c.bw.Flush()
-}
-
-// SendNoFlush appends one encoded request frame into the connection's
-// buffered writer without flushing — pipelined senders flush once per burst.
-func (c *Client) SendNoFlush(enc func(b []byte) []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = enc(c.wbuf[:0])
-	_, err := c.bw.Write(c.wbuf)
-	return err
-}
-
-// Flush flushes buffered request frames.
-func (c *Client) Flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	return c.bw.Flush()
 }
 

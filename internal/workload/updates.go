@@ -65,25 +65,16 @@ type UpdateConfig struct {
 // Every rule is full-width at a site where the base set has no exact-width
 // rule, so applying any prefix of the stream changes answers only for the
 // site keys themselves: a trie oracle built over the base rule-set stays
-// valid for every other key. Verifiers skip trace keys in SiteSet.
+// valid for every other key; a lookup of a site is checked against the
+// answers before and after its updates.
 type UpdateStream struct {
 	Updates []Update
 	Sites   []keys.Value
 }
 
-// SiteSet returns the flap sites as a membership set.
-func (s *UpdateStream) SiteSet() map[keys.Value]struct{} {
-	m := make(map[keys.Value]struct{}, len(s.Sites))
-	for _, k := range s.Sites {
-		m[k] = struct{}{}
-	}
-	return m
-}
-
-// GenerateUpdates builds a deterministic open-loop churn stream against rs —
-// shared by cmd/lpmload (replayed over the wire or HTTP next to the query
-// trace) and the fault/storm experiments (insert-only, folded into the
-// merged oracle). The same (rs, cfg) always yields the same stream.
+// GenerateUpdates builds a deterministic open-loop churn stream against rs,
+// the one the repository benchmark's wire_churn replays over the wire next
+// to the query trace. The same (rs, cfg) always yields the same stream.
 func GenerateUpdates(rs *lpm.RuleSet, cfg UpdateConfig) (*UpdateStream, error) {
 	if cfg.Count <= 0 {
 		return &UpdateStream{}, nil

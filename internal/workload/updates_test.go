@@ -103,7 +103,4 @@ func TestGenerateUpdatesInsertOnly(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if len(s.SiteSet()) != 128 {
-		t.Fatalf("SiteSet size %d, want 128", len(s.SiteSet()))
-	}
 }
