@@ -58,6 +58,10 @@ vet:
 # The learned window is searched in the key's own width (DESIGN.md §10): one
 # column of 32-bit limbs and one kernel over it, with no per-width bounds copy
 # and no per-width search loop beside them.
+# A lookup is one frame and pipelining is the one batch path (DESIGN.md §17):
+# no wire batch frame — its opcodes, encoders, decoders, key bound, client call
+# or server handler — and no series of its keys, nor of the sharded engine's
+# LookupBatch calls, which the wire's coalesce series already count.
 # Each alternative carries a one-character class so these lines do not find
 # themselves.
 deleted-names:
@@ -107,6 +111,9 @@ deleted-names:
 	@! grep -rnE 'internal/[l]oad\b|cmd/lpm[l]oad|lpm[l]oad|make [l]oadtest|TestLoad[S]moke' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:|^\./benchmark/README\.md:'
+	@! grep -rnE 'Op[B]atch|Append[B]atch|MaxBatch[K]eys|Batch[K]eys|Batch[R]esults|handle[B]atch|\.[B]atch\(|neurolpm_(wire_batch[_]keys|shard_[b]atch)' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
 test:
 	$(GO) test ./...

@@ -22,11 +22,12 @@
 // arithmetic the engine runs and BENCHMARK.json measures (DESIGN.md §10).
 //
 // -shards N partitions the rule-set by top key bits into N independent
-// sub-engines (the paper's §6 bank-parallel pipeline); a wire batch frame is
-// grouped by shard and answered on its connection's goroutine. At every shard
-// count, the default of one included, wire updates land in the covered shards
-// — absorbed by the live engine, or, when the engine refuses, retrained into a
-// rebuilt one before the update is acknowledged — without blocking readers.
+// sub-engines (the paper's §6 bank-parallel pipeline); the lookups one read of
+// a connection delivers are grouped by shard and answered on its goroutine.
+// At every shard count, the default of one included, wire updates land in the
+// covered shards — absorbed by the live engine, or, when the engine refuses,
+// retrained into a rebuilt one before the update is acknowledged — without
+// blocking readers.
 //
 // Endpoints (-addr, HTTP):
 //

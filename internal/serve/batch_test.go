@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -44,15 +47,29 @@ func getJSON(t *testing.T, h http.Handler, target string, into any) *httptest.Re
 	return rec
 }
 
+// replyWait bounds how long a test client waits for its replies: a reply the
+// server never sends fails the test in seconds instead of hanging it until the
+// test binary's timeout.
+const replyWait = 10 * time.Second
+
 // dialWire serves srv on a WireServer for the test's lifetime and returns a
 // client connected to it.
 func dialWire(t *testing.T, srv *Server) *wire.Client {
 	t.Helper()
 	addr, _, _ := startWire(t, srv, true)
-	c, err := wire.Dial(addr, time.Second)
+	return dialWireAt(t, addr)
+}
+
+// dialWireAt returns a client connected to the wire server at addr for the
+// test's lifetime, its reads bounded by replyWait.
+func dialWireAt(t *testing.T, addr string) *wire.Client {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	conn.SetReadDeadline(time.Now().Add(replyWait))
+	c := wire.NewClient(conn)
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -100,82 +117,96 @@ func wantRejected(t *testing.T, c *wire.Client, id uint64, frame []byte, code ui
 	}
 }
 
-// batchPayload is an OpBatch payload declaring count keys and carrying n zero
-// keys and extra bytes more.
-func batchPayload(count uint32, n, extra int) []byte {
+// opRetiredBatch is the opcode of the retired batch frame, unassigned since.
+const opRetiredBatch = wire.Op(0x02)
+
+// batchPayload is a payload of the retired batch frame: a key count, then n
+// zero keys.
+func batchPayload(count uint32, n int) []byte {
 	p := binary.LittleEndian.AppendUint32(nil, count)
-	return append(p, make([]byte, 16*n+extra)...)
+	return append(p, make([]byte, 16*n)...)
 }
 
-// TestBatchEndpointShardedMatchesOracle: an OpBatch frame at 4 shards is
-// answered positionally, every key as the trie oracle answers it.
-func TestBatchEndpointShardedMatchesOracle(t *testing.T) {
-	srv, rs, _ := buildShardedServer(t)
-	c := dialWire(t, srv)
-	oracle := lpm.NewTrieMatcher(rs)
-
-	rng := rand.New(rand.NewSource(5))
+// oracleKeys returns n 32-bit keys from seed, led by three edge keys.
+func oracleKeys(seed int64, n int) []keys.Value {
+	rng := rand.New(rand.NewSource(seed))
 	ks := []keys.Value{keys.FromUint64(0x10203040), keys.FromUint64(0xffffffff), {}}
-	for len(ks) < 500 {
+	for len(ks) < n {
 		ks = append(ks, keys.FromUint64(rng.Uint64()&(1<<32-1)))
 	}
-	res, err := c.Batch(ks)
-	if err != nil {
+	return ks
+}
+
+// wantPipelinedMatchesOracle sends a lookup frame for every key in one write
+// and matches each answer, by its id, against the trie oracle. The server
+// gathers the frames one read delivers into LookupBatchInto calls — the shard
+// fan-out, at more than one shard — so the keys must take fewer calls than
+// there are keys.
+func wantPipelinedMatchesOracle(t *testing.T, srv *Server, c *wire.Client, oracle *lpm.TrieMatcher, ks []keys.Value) {
+	t.Helper()
+	dispatches := srv.reg.Counter("neurolpm_wire_coalesce_dispatches_total", "")
+	before := dispatches.Load()
+	pending := make(map[uint64]keys.Value, len(ks))
+	ids := make([]uint64, len(ks))
+	for i, k := range ks {
+		ids[i] = c.ID()
+		pending[ids[i]] = k
+	}
+	if err := c.Send(func(b []byte) []byte {
+		for i, k := range ks {
+			b = wire.AppendLookup(b, ids[i], k)
+		}
+		return b
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != len(ks) {
-		t.Fatalf("batch of %d keys answered %d", len(ks), len(res))
-	}
-	for i, k := range ks {
+	for range ks {
+		f, err := c.Recv()
+		if err != nil {
+			t.Fatalf("%d of %d answers missing: %v", len(pending), len(ks), err)
+		}
+		k, ok := pending[f.ID]
+		res, err := f.Result()
+		if !ok || f.Op != wire.OpResult || err != nil {
+			t.Fatalf("answer %s id=%d (%v), want a result for an outstanding lookup", f.Op, f.ID, err)
+		}
+		delete(pending, f.ID)
 		want, wantOK := oracle.Lookup(k)
-		if res[i].Matched != wantOK || (wantOK && res[i].Action != want) {
-			t.Errorf("key %d (%v): got (%d,%v), oracle (%d,%v)", i, k, res[i].Action, res[i].Matched, want, wantOK)
+		if res.Matched != wantOK || (wantOK && res.Action != want) {
+			t.Errorf("key %v: got (%d,%v), oracle (%d,%v)", k, res.Action, res.Matched, want, wantOK)
 		}
 	}
+	if n := dispatches.Load() - before; n >= uint64(len(ks)) {
+		t.Errorf("%d pipelined lookups took %d batch-plane calls, want fewer", len(ks), n)
+	}
+}
+
+// TestBatchEndpointShardedMatchesOracle: 500 lookups pipelined in one write to
+// 4 shards are answered through the shard fan-out, every key as the trie
+// oracle answers it.
+func TestBatchEndpointShardedMatchesOracle(t *testing.T) {
+	srv, rs, _ := buildShardedServer(t)
+	wantPipelinedMatchesOracle(t, srv, dialWire(t, srv), lpm.NewTrieMatcher(rs), oracleKeys(5, 500))
 }
 
 // TestBatchEndpointSingleEngine: the same at one shard, the degenerate
 // topology, on an SRAM-only engine.
 func TestBatchEndpointSingleEngine(t *testing.T) {
 	srv, _ := buildTestServer(t, false, telemetry.NewRegistry())
-	c := dialWire(t, srv)
-	oracle := lpm.NewTrieMatcher(buildTestRuleSet(t))
-	ks := []keys.Value{keys.FromUint64(0x01020304), keys.FromUint64(0xf0f0f0f0), keys.FromUint64(0x0a010203)}
-	res, err := c.Batch(ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range ks {
-		want, wantOK := oracle.Lookup(k)
-		if res[i].Matched != wantOK || (wantOK && res[i].Action != want) {
-			t.Errorf("result %d: got (%d,%v), oracle (%d,%v)", i, res[i].Action, res[i].Matched, want, wantOK)
-		}
-	}
-}
-
-// TestBatchEndpointRejectsBadInput: a batch of no keys, one over
-// wire.MaxBatchKeys and one whose key array is cut short are each refused as
-// malformed on a connection that stays usable.
-func TestBatchEndpointRejectsBadInput(t *testing.T) {
-	srv, _, _ := buildShardedServer(t)
-	c := dialWire(t, srv)
-	for _, p := range [][]byte{
-		batchPayload(0, 0, 0),
-		batchPayload(wire.MaxBatchKeys+1, 1, 0),
-		batchPayload(3, 2, 8),
-	} {
-		id := c.ID()
-		wantRejected(t, c, id, reframe(wire.AppendPing(nil, id), wire.OpBatch, p), wire.ErrMalformed)
-	}
+	wantPipelinedMatchesOracle(t, srv, dialWire(t, srv), lpm.NewTrieMatcher(buildTestRuleSet(t)), oracleKeys(5, 500))
 }
 
 // TestBatchBadInputTable is the bad-input sweep for lookup requests. Cases
-// named get send single-key lookup frames and cases named post send batch
-// frames; each is refused for its own id — malformed, or a bad request for a
-// response opcode sent as a request — and the connection keeps serving.
+// named get send single-key lookup frames and the case named post a frame of
+// the retired batch opcode; each is refused for its own id — malformed, or a
+// bad request for an opcode the server does not serve — and the connection
+// keeps serving. A frame as long as a 65 536-key batch is refused from its
+// length prefix alone, and the connection closes: past a length it will not
+// read, the stream cannot be resynchronized.
 func TestBatchBadInputTable(t *testing.T) {
 	srv, _, _ := buildShardedServer(t)
-	c := dialWire(t, srv)
+	addr, _, _ := startWire(t, srv, true)
+	c := dialWireAt(t, addr)
 	cases := []struct {
 		name    string
 		op      wire.Op
@@ -184,13 +215,7 @@ func TestBatchBadInputTable(t *testing.T) {
 	}{
 		{"get no keys", wire.OpLookup, nil, wire.ErrMalformed},
 		{"get bad key", wire.OpLookup, make([]byte, 15), wire.ErrMalformed},
-		{"post malformed", wire.OpBatch, []byte{1, 0}, wire.ErrMalformed},
-		{"post wrong type", wire.OpBatchResult, batchPayload(1, 1, 0), wire.ErrBadRequest},
-		{"post empty list", wire.OpBatch, batchPayload(0, 0, 0), wire.ErrMalformed},
-		{"post null keys", wire.OpBatch, nil, wire.ErrMalformed},
-		{"post trailing data", wire.OpBatch, batchPayload(1, 2, 0), wire.ErrMalformed},
-		{"post truncated keys", wire.OpBatch, batchPayload(3, 2, 8), wire.ErrMalformed},
-		{"post oversized", wire.OpBatch, batchPayload(wire.MaxBatchKeys+1, 0, 0), wire.ErrMalformed},
+		{"post wrong type", opRetiredBatch, batchPayload(1, 1), wire.ErrBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,6 +223,27 @@ func TestBatchBadInputTable(t *testing.T) {
 			wantRejected(t, c, id, reframe(wire.AppendPing(nil, id), tc.op, tc.payload), tc.code)
 		})
 	}
+	t.Run("post oversized", func(t *testing.T) {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// The length prefix declares 65 536 keys; only the count follows it.
+		frame := reframe(wire.AppendPing(nil, 1), opRetiredBatch, batchPayload(65536, 0))
+		binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4+16*65536))
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		f := readFrames(t, conn, br, 1)[0]
+		if f.Op != wire.OpError || len(f.Payload) == 0 || f.Payload[0] != wire.ErrMalformed {
+			t.Fatalf("answer is %s payload %q, want a malformed-frame error", f.Op, f.Payload)
+		}
+		if _, _, err := wire.ReadFrame(br, nil); err != io.EOF {
+			t.Fatalf("after the error frame: %v, want the connection closed", err)
+		}
+	})
 }
 
 func TestShardedLookupAndHealthz(t *testing.T) {

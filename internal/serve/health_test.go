@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"neurolpm/internal/fault"
 	"neurolpm/internal/keys"
@@ -55,10 +56,12 @@ func freeKey32(t *testing.T, rs *lpm.RuleSet, shardIdx int) keys.Value {
 // insert gets an error frame — there is no queue to wait on — the rule is
 // nowhere, lookups keep the old answer and /healthz stays 200 "ok" with no
 // per-shard state; once the rebuild succeeds, the acknowledged insert is
-// already in the engine.
+// already in the engine, for a lookup on another connection too, however long
+// the rebuild took.
 func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 	srv, rs, in := buildFaultyShardedServer(t)
-	c := dialWire(t, srv)
+	addr, _, _ := startWire(t, srv, true)
+	c, other := dialWireAt(t, addr), dialWireAt(t, addr)
 	k := freeKey32(t, rs, 1)
 	before, err := c.Lookup(k)
 	if err != nil {
@@ -88,9 +91,11 @@ func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 	}
 
 	in.Clear(fault.SiteRetrain)
+	in.SetLatency(fault.SiteRetrain, 20*time.Millisecond)
 	if err := c.Update(insert); err != nil {
 		t.Fatalf("insert once the rebuild succeeds: %v", err)
 	}
+	wantAnswer(t, other, k, 777, true)
 	wantAnswer(t, c, k, 777, true)
 }
 

@@ -58,7 +58,6 @@ type WireServer struct {
 	cConns      *telemetry.Counter
 	cFrames     *telemetry.Counter
 	cLookups    *telemetry.Counter
-	cBatchKeys  *telemetry.Counter
 	cUpdates    *telemetry.Counter
 	cErrors     *telemetry.Counter
 	cDispatches *telemetry.Counter
@@ -78,7 +77,6 @@ func NewWireServer(s *Server, l net.Listener) *WireServer {
 	ws.cConns = reg.Counter("neurolpm_wire_conns_total", "Wire connections accepted")
 	ws.cFrames = reg.Counter("neurolpm_wire_frames_total", "Wire request frames decoded")
 	ws.cLookups = reg.Counter("neurolpm_wire_lookups_total", "Wire single-key lookups answered")
-	ws.cBatchKeys = reg.Counter("neurolpm_wire_batch_keys_total", "Keys answered through wire client-side batch frames")
 	ws.cUpdates = reg.Counter("neurolpm_wire_updates_total", "Wire rule updates applied")
 	ws.cErrors = reg.Counter("neurolpm_wire_errors_total", "Wire error frames sent")
 	ws.cDispatches = reg.Counter("neurolpm_wire_coalesce_dispatches_total", "Batch-plane calls answering single-key lookups gathered from one connection's read")
@@ -167,17 +165,16 @@ type wireConn struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer // Write errors are sticky; readLoop acts on them at Flush
 
-	rbuf []byte // frame scratch for wire.ReadFrame
+	rbuf []byte // frame scratch for wire.ReadFrame: one wire.MaxFrameLen buffer
 	wbuf []byte // encode scratch
 
-	// Single-key lookups gathered since the last answerLookups, in request
-	// order: ids[i] asked for lks[i].
-	ids []uint64
-	lks []keys.Value
-
-	bks   []keys.Value // OpBatch's own key scratch: a batch frame must never clobber gathered lookups
-	resb  []shard.Result
-	wresb []wire.Result
+	// Lookups gathered since the last answerLookups, in request order:
+	// ids[i] asked for lks[i], and resb holds their answers. None passes
+	// maxCoalesceBatch entries, so with rbuf they bound what a connection
+	// keeps, whatever its client sends.
+	ids  []uint64
+	lks  []keys.Value
+	resb []shard.Result
 }
 
 func (c *wireConn) sendErr(id uint64, code uint8, msg string) {
@@ -256,8 +253,6 @@ func (c *wireConn) readLoop() {
 		case wire.OpPing:
 			c.wbuf = wire.AppendPong(c.wbuf[:0], f.ID)
 			c.bw.Write(c.wbuf)
-		case wire.OpBatch:
-			c.handleBatch(f)
 		case wire.OpUpdate:
 			c.handleUpdate(f)
 		default:
@@ -283,25 +278,6 @@ func (c *wireConn) answerLookups() {
 	}
 	c.bw.Write(c.wbuf)
 	c.ids, c.lks = c.ids[:0], c.lks[:0]
-}
-
-// handleBatch answers a client-side batch: the client already amortized its
-// round-trip, so the frame is one batch-plane call of its own.
-func (c *wireConn) handleBatch(f wire.Frame) {
-	var err error
-	c.bks, err = f.BatchKeys(c.bks[:0])
-	if err != nil {
-		c.sendErr(f.ID, wire.ErrMalformed, err.Error())
-		return
-	}
-	c.resb = c.ws.s.sh.LookupBatchInto(c.bks, c.resb[:0])
-	c.ws.cBatchKeys.Add(uint64(len(c.bks)))
-	c.wresb = c.wresb[:0]
-	for _, r := range c.resb {
-		c.wresb = append(c.wresb, wire.Result{Action: r.Action, Matched: r.Matched})
-	}
-	c.wbuf = wire.AppendBatchResults(c.wbuf[:0], f.ID, c.wresb)
-	c.bw.Write(c.wbuf)
 }
 
 func (c *wireConn) handleUpdate(f wire.Frame) {

@@ -54,17 +54,13 @@ func startWireOn(t *testing.T, srv *Server, l net.Listener, autoStop bool) (addr
 }
 
 // TestWireServerMatchesOracle drives every opcode over a real TCP connection
-// against the sharded server and checks lookups against the trie oracle.
+// against the sharded server and checks lookups, one at a time and pipelined,
+// against the trie oracle.
 func TestWireServerMatchesOracle(t *testing.T) {
-	srv, rs, sh := buildShardedServer(t)
+	srv, rs, _ := buildShardedServer(t)
 	addr, _, _ := startWire(t, srv, true)
 	oracle := lpm.NewTrieMatcher(rs)
-
-	c, err := wire.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialWireAt(t, addr)
 
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping: %v", err)
@@ -85,16 +81,7 @@ func TestWireServerMatchesOracle(t *testing.T) {
 			t.Fatalf("lookup %v = (%d,%v), oracle (%d,%v)", k, res.Action, res.Matched, action, ok)
 		}
 	}
-	batch, err := c.Batch(ks)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	for i, k := range ks {
-		action, ok := oracle.Lookup(k)
-		if batch[i].Matched != ok || (ok && batch[i].Action != action) {
-			t.Fatalf("batch key %d (%v) = (%d,%v), oracle (%d,%v)", i, k, batch[i].Action, batch[i].Matched, action, ok)
-		}
-	}
+	wantPipelinedMatchesOracle(t, srv, c, oracle, ks)
 
 	// An acknowledged update is in the engine, so the next lookup sees it.
 	probe := keys.FromUint64(0x7f000001)
@@ -113,7 +100,6 @@ func TestWireServerMatchesOracle(t *testing.T) {
 	if err != nil || res.Matched != ok || (ok && res.Action != action) {
 		t.Fatalf("lookup after delete = (%d,%v,%v), oracle (%d,%v)", res.Action, res.Matched, err, action, ok)
 	}
-	_ = sh
 }
 
 // readFrames reads n response frames from br (payloads copied out of the
@@ -277,11 +263,7 @@ func TestWireSingleEngineMode(t *testing.T) {
 	srv, eng := buildTestServer(t, true, telemetry.NewRegistry())
 	addr, _, _ := startWire(t, srv, true)
 
-	c, err := wire.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialWireAt(t, addr)
 	k := freeKey32(t, buildTestRuleSet(t), 0)
 	res, err := c.Lookup(k)
 	if err != nil {
@@ -306,11 +288,7 @@ func TestWireMalformedFramesDoNotKillServer(t *testing.T) {
 	srv, _, _ := buildShardedServer(t)
 	addr, _, _ := startWire(t, srv, true)
 
-	good, err := wire.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer good.Close()
+	good := dialWireAt(t, addr)
 
 	bad, err := net.DialTimeout("tcp", addr, time.Second)
 	if err != nil {
@@ -339,11 +317,7 @@ func TestWireDrainsInFlightFrames(t *testing.T) {
 	addr, stop, errc := startWire(t, srv, false)
 	oracle := lpm.NewTrieMatcher(rs)
 
-	c, err := wire.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialWireAt(t, addr)
 	if err := c.Ping(); err != nil { // the connection is accepted and served
 		t.Fatal(err)
 	}
@@ -455,11 +429,7 @@ func TestWireDrainAnswersFrameAtGraceEdge(t *testing.T) {
 	addr, stop, errc := startWireOn(t, srv, graceEdgeListener{l, draining}, false)
 	oracle := lpm.NewTrieMatcher(rs)
 
-	c, err := wire.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialWireAt(t, addr)
 	if err := c.Ping(); err != nil { // the connection is accepted and served
 		t.Fatal(err)
 	}
@@ -594,11 +564,7 @@ func TestUnitsDrainTogether(t *testing.T) {
 		errc <- ServeUnits(stop, 5*time.Second, &HTTPUnit{Listener: hl, Handler: srv.Handler()}, ws)
 	}()
 
-	c, err := wire.Dial(wl.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialWireAt(t, wl.Addr().String())
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}

@@ -217,9 +217,6 @@ func (u *ShardedUpdatable) LookupBatchInto(ks []keys.Value, dst []Result) []Resu
 	if len(ks) == 0 {
 		return dst
 	}
-	metBatches.Inc()
-	metBatchKeys.Add(uint64(len(ks)))
-	metBatchSize.ObserveInt(len(ks))
 	n := u.Shards()
 	if n == 1 {
 		u.Engine(0).LookupBatch(ks, dst[:0])

@@ -11,7 +11,7 @@ import (
 )
 
 // Client is one persistent wire connection. The synchronous methods
-// (Lookup, Batch, Update, Ping) keep one request in flight and are safe for
+// (Lookup, Update, Ping) keep one request in flight and are safe for
 // concurrent use; callers that pipeline use Send/Recv directly — ids are
 // caller-assigned and responses are matched by id; the protocol does not
 // promise request order.
@@ -25,7 +25,6 @@ type Client struct {
 	rmu  sync.Mutex
 	br   *bufio.Reader
 	rbuf []byte
-	res  []Result // scratch for Batch
 
 	idmu   sync.Mutex
 	nextID uint64
@@ -123,25 +122,6 @@ func (c *Client) Lookup(k keys.Value) (Result, error) {
 		return Result{}, fmt.Errorf("wire: lookup answered with %s", f.Op)
 	}
 	return f.Result()
-}
-
-// Batch answers many keys positionally in one round-trip.
-func (c *Client) Batch(ks []keys.Value) ([]Result, error) {
-	id := c.ID()
-	f, err := c.roundTrip(id, func(b []byte) []byte { return AppendBatch(b, id, ks) })
-	if err != nil {
-		return nil, err
-	}
-	if f.Op != OpBatchResult {
-		return nil, fmt.Errorf("wire: batch answered with %s", f.Op)
-	}
-	c.res, err = f.BatchResults(c.res[:0])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(c.res))
-	copy(out, c.res)
-	return out, nil
 }
 
 // Update applies one rule update; nil means the server acknowledged it, and

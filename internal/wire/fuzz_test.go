@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"neurolpm/internal/keys"
@@ -11,32 +14,43 @@ import (
 // FuzzWireCodec throws arbitrary bytes at the frame reader and every payload
 // decoder. The invariants are: never panic, never read past the declared
 // frame, and any frame that decodes successfully must re-encode to an
-// equivalent frame (round-trip closure). Seeds cover every frame type plus
-// truncations and corruptions of each.
+// equivalent frame (round-trip closure). Seeds cover every frame type, the
+// longest frame and a length one byte past it, the retired batch opcode,
+// and truncations and corruptions of the update and lookup requests.
 func FuzzWireCodec(f *testing.F) {
 	k := keys.FromParts(0x1122334455667788, 0x99aabbccddeeff00)
 	seeds := [][]byte{
 		AppendLookup(nil, 1, k),
-		AppendBatch(nil, 2, []keys.Value{k, keys.FromUint64(7), {}}),
 		AppendUpdate(nil, 3, RuleUpdate{Op: UpdateInsert, Prefix: k, Len: 64, Action: 9}),
 		AppendUpdate(nil, 4, RuleUpdate{Op: UpdateDelete, Prefix: k, Len: 128}),
 		AppendPing(nil, 5),
 		AppendResult(nil, 6, 42, true),
-		AppendBatchResults(nil, 7, []Result{{Action: 1, Matched: true}, {}}),
 		AppendUpdateResult(nil, 8),
 		AppendPong(nil, 9),
 		AppendError(nil, 10, ErrBadRequest, "bad"),
+		AppendError(nil, 12, ErrMalformed, strings.Repeat("é", MaxFrameLen)), // the longest frame
+		binary.LittleEndian.AppendUint32(nil, MaxFrameLen+1),
 		{}, {0xff}, {0, 0, 0, 0},
 	}
-	// Truncations and single-byte corruptions of a representative frame.
-	base := AppendBatch(nil, 11, []keys.Value{k, k})
-	for i := 1; i < len(base); i += 5 {
-		seeds = append(seeds, base[:i])
-	}
-	for i := 0; i < len(base); i += 3 {
-		c := append([]byte(nil), base...)
-		c[i] ^= 0x80
-		seeds = append(seeds, c)
+	// A frame of the retired batch opcode 0x02: one key behind its count.
+	retired := append(AppendLookup(nil, 13, k), 0, 0, 0, 0)
+	retired[7] = 0x02
+	binary.LittleEndian.PutUint32(retired, uint32(len(retired)-lenPrefix))
+	seeds = append(seeds, retired)
+	// Truncations and single-byte corruptions of the update and lookup
+	// requests.
+	for _, base := range [][]byte{
+		AppendUpdate(nil, 11, RuleUpdate{Op: UpdateModify, Prefix: k, Len: 24, Action: 5}),
+		AppendLookup(nil, 14, k),
+	} {
+		for i := 1; i < len(base); i += 5 {
+			seeds = append(seeds, base[:i])
+		}
+		for i := 0; i < len(base); i += 3 {
+			c := append([]byte(nil), base...)
+			c[i] ^= 0x80
+			seeds = append(seeds, c)
+		}
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -66,19 +80,9 @@ func FuzzWireCodec(f *testing.F) {
 					t.Fatalf("lookup round-trip mismatch")
 				}
 			}
-			if ks, err := fr.BatchKeys(nil); err == nil && fr.Op == OpBatch {
-				if enc := AppendBatch(nil, fr.ID, ks); !bytes.Equal(framePayload(enc), fr.Payload) {
-					t.Fatalf("batch round-trip mismatch")
-				}
-			}
 			if res, err := fr.Result(); err == nil && fr.Op == OpResult {
 				if enc := AppendResult(nil, fr.ID, res.Action, res.Matched); !bytes.Equal(framePayload(enc), fr.Payload) {
 					t.Fatalf("result round-trip mismatch")
-				}
-			}
-			if rs, err := fr.BatchResults(nil); err == nil && fr.Op == OpBatchResult {
-				if enc := AppendBatchResults(nil, fr.ID, rs); !bytes.Equal(framePayload(enc), fr.Payload) {
-					t.Fatalf("batch-result round-trip mismatch")
 				}
 			}
 			if u, err := fr.Update(); err == nil && fr.Op == OpUpdate {
@@ -86,7 +90,12 @@ func FuzzWireCodec(f *testing.F) {
 					t.Fatalf("update round-trip mismatch")
 				}
 			}
-			_ = fr.Err() // must not panic on any payload
+			var re *RemoteError
+			if errors.As(fr.Err(), &re) && fr.Op == OpError {
+				if enc := AppendError(nil, fr.ID, re.Code, re.Msg); !bytes.Equal(framePayload(enc), fr.Payload) {
+					t.Fatalf("error round-trip mismatch")
+				}
+			}
 		}
 	})
 }

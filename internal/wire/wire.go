@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unicode/utf8"
 
 	"neurolpm/internal/keys"
 )
@@ -36,29 +37,30 @@ const (
 	lenPrefix = 4
 )
 
-// MaxBatchKeys bounds one batch frame; a larger workload streams several.
-const MaxBatchKeys = 65536
+// maxErrMsg bounds an error frame's message: AppendError cuts a longer one.
+const maxErrMsg = 243
 
-// MaxFrameLen is the largest legal value of the length prefix: a full batch
-// of results (4-byte count + 9 bytes per result would be smaller; keys at 16
-// bytes each dominate) plus the header. Anything larger is rejected before
-// any payload byte is read, so a garbage length cannot force a huge read.
-const MaxFrameLen = headerLen + 4 + 16*MaxBatchKeys
+// MaxFrameLen is the largest legal value of the length prefix: an error frame
+// whose message is maxErrMsg bytes, the longest frame the protocol has (an
+// update request is 38). Anything larger is rejected before any payload byte
+// is read, so a garbage length cannot force a read, and one buffer of this
+// size holds every frame.
+const MaxFrameLen = headerLen + 1 + maxErrMsg
 
 // Op is a frame opcode. Requests have the high bit clear; responses set it.
 type Op uint8
 
 const (
 	OpLookup Op = 0x01 // payload: key (16 bytes)
-	OpBatch  Op = 0x02 // payload: count u32, then count × 16-byte keys
 	OpUpdate Op = 0x03 // payload: uop u8, plen u8, prefix 16 bytes, action u64
 	OpPing   Op = 0x04 // payload: empty
 
 	OpResult       Op = 0x81 // payload: action u64, flags u8 (bit0 = matched)
-	OpBatchResult  Op = 0x82 // payload: count u32, then count × 9-byte results
 	OpUpdateResult Op = 0x83 // payload: empty (the update is in the engine)
 	OpPong         Op = 0x84 // payload: empty
 	OpError        Op = 0xFF // payload: code u8, UTF-8 message
+	// Opcodes 0x02 and 0x82 stay unassigned: they were a batch of keys and
+	// its results, and older clients may still send 0x02. Lookups pipeline.
 )
 
 // String names the opcode for diagnostics.
@@ -66,16 +68,12 @@ func (o Op) String() string {
 	switch o {
 	case OpLookup:
 		return "lookup"
-	case OpBatch:
-		return "batch"
 	case OpUpdate:
 		return "update"
 	case OpPing:
 		return "ping"
 	case OpResult:
 		return "result"
-	case OpBatchResult:
-		return "batch-result"
 	case OpUpdateResult:
 		return "update-result"
 	case OpPong:
@@ -142,20 +140,6 @@ func AppendLookup(b []byte, id uint64, k keys.Value) []byte {
 	return appendKey(b, k)
 }
 
-// AppendBatch appends one batch request frame. len(ks) must be in
-// [1, MaxBatchKeys]; out-of-range batches are the caller's bug and panic.
-func AppendBatch(b []byte, id uint64, ks []keys.Value) []byte {
-	if len(ks) < 1 || len(ks) > MaxBatchKeys {
-		panic(fmt.Sprintf("wire: batch of %d keys outside [1,%d]", len(ks), MaxBatchKeys))
-	}
-	b = appendHeader(b, OpBatch, id, 4+16*len(ks))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ks)))
-	for _, k := range ks {
-		b = appendKey(b, k)
-	}
-	return b
-}
-
 // AppendUpdate appends one rule-update request frame.
 func AppendUpdate(b []byte, id uint64, u RuleUpdate) []byte {
 	b = appendHeader(b, OpUpdate, id, 26)
@@ -178,21 +162,6 @@ func AppendResult(b []byte, id uint64, action uint64, matched bool) []byte {
 	return append(b, f)
 }
 
-// AppendBatchResults appends one batch response frame.
-func AppendBatchResults(b []byte, id uint64, res []Result) []byte {
-	b = appendHeader(b, OpBatchResult, id, 4+9*len(res))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(res)))
-	for _, r := range res {
-		b = binary.LittleEndian.AppendUint64(b, r.Action)
-		var f uint8
-		if r.Matched {
-			f = 1
-		}
-		b = append(b, f)
-	}
-	return b
-}
-
 // AppendUpdateResult appends an update acknowledgement: an empty frame, sent
 // once the update is in the engine.
 func AppendUpdateResult(b []byte, id uint64) []byte {
@@ -202,8 +171,16 @@ func AppendUpdateResult(b []byte, id uint64) []byte {
 // AppendPong appends a pong frame.
 func AppendPong(b []byte, id uint64) []byte { return appendHeader(b, OpPong, id, 0) }
 
-// AppendError appends an error response frame.
+// AppendError appends an error response frame. A message longer than
+// maxErrMsg bytes is cut on a rune boundary, so the frame fits MaxFrameLen.
 func AppendError(b []byte, id uint64, code uint8, msg string) []byte {
+	if len(msg) > maxErrMsg {
+		n := maxErrMsg
+		for n > 0 && !utf8.RuneStart(msg[n]) {
+			n--
+		}
+		msg = msg[:n]
+	}
 	b = appendHeader(b, OpError, id, 1+len(msg))
 	b = append(b, code)
 	return append(b, msg...)
@@ -217,18 +194,20 @@ type Frame struct {
 	Payload []byte
 }
 
-// ReadFrame reads one frame from r into buf (grown as needed) and parses the
-// header. It returns the frame, the (possibly grown) buffer for reuse, and
-// any error. Structural violations — bad magic, unknown version, a length
-// outside [headerLen, MaxFrameLen] — return an error without reading past
-// the declared frame, so one bad client frame cannot desynchronize or
+// ReadFrame reads one frame from r into buf and parses the header. A buf
+// smaller than MaxFrameLen is replaced by one of that size, which holds every
+// legal frame, so a caller that passes back the returned buffer allocates
+// once. It returns the frame, the buffer for reuse, and any error.
+// Structural violations — bad magic, unknown version, a length outside
+// [headerLen, MaxFrameLen] — return an error without reading past the
+// declared frame, so one bad client frame cannot desynchronize or
 // over-allocate the connection. io.EOF is returned untouched on a clean
 // close before any byte of the next frame.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	if cap(buf) < lenPrefix {
-		buf = make([]byte, 4096)
+	if cap(buf) < MaxFrameLen {
+		buf = make([]byte, MaxFrameLen)
 	}
-	buf = buf[:cap(buf)]
+	buf = buf[:MaxFrameLen]
 	if _, err := io.ReadFull(r, buf[:lenPrefix]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("wire: truncated length prefix: %w", err)
@@ -238,9 +217,6 @@ func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	n := binary.LittleEndian.Uint32(buf[:lenPrefix])
 	if n < headerLen || n > MaxFrameLen {
 		return Frame{}, buf, fmt.Errorf("wire: frame length %d outside [%d,%d]", n, headerLen, MaxFrameLen)
-	}
-	if int(n) > len(buf) {
-		buf = make([]byte, int(n))
 	}
 	body := buf[:n]
 	if got, err := io.ReadFull(r, body); err != nil {
@@ -268,24 +244,6 @@ func (f Frame) Key() (keys.Value, error) {
 	return decodeKey(f.Payload), nil
 }
 
-// BatchKeys decodes an OpBatch payload, appending into dst.
-func (f Frame) BatchKeys(dst []keys.Value) ([]keys.Value, error) {
-	if len(f.Payload) < 4 {
-		return dst, fmt.Errorf("wire: batch payload %d bytes, want ≥ 4", len(f.Payload))
-	}
-	n := binary.LittleEndian.Uint32(f.Payload[:4])
-	if n < 1 || n > MaxBatchKeys {
-		return dst, fmt.Errorf("wire: batch count %d outside [1,%d]", n, MaxBatchKeys)
-	}
-	if len(f.Payload) != 4+16*int(n) {
-		return dst, fmt.Errorf("wire: batch payload %d bytes, want %d for %d keys", len(f.Payload), 4+16*int(n), n)
-	}
-	for i := 0; i < int(n); i++ {
-		dst = append(dst, decodeKey(f.Payload[4+16*i:]))
-	}
-	return dst, nil
-}
-
 // Result decodes an OpResult payload.
 func (f Frame) Result() (Result, error) {
 	if len(f.Payload) != 9 {
@@ -298,31 +256,6 @@ func (f Frame) Result() (Result, error) {
 		Action:  binary.LittleEndian.Uint64(f.Payload[0:8]),
 		Matched: f.Payload[8] == 1,
 	}, nil
-}
-
-// BatchResults decodes an OpBatchResult payload, appending into dst.
-func (f Frame) BatchResults(dst []Result) ([]Result, error) {
-	if len(f.Payload) < 4 {
-		return dst, fmt.Errorf("wire: batch-result payload %d bytes, want ≥ 4", len(f.Payload))
-	}
-	n := binary.LittleEndian.Uint32(f.Payload[:4])
-	if n > MaxBatchKeys {
-		return dst, fmt.Errorf("wire: batch-result count %d exceeds %d", n, MaxBatchKeys)
-	}
-	if len(f.Payload) != 4+9*int(n) {
-		return dst, fmt.Errorf("wire: batch-result payload %d bytes, want %d for %d results", len(f.Payload), 4+9*int(n), n)
-	}
-	for i := 0; i < int(n); i++ {
-		p := f.Payload[4+9*i:]
-		if p[8] > 1 {
-			return dst, fmt.Errorf("wire: batch-result %d flags 0x%02x, want 0 or 1", i, p[8])
-		}
-		dst = append(dst, Result{
-			Action:  binary.LittleEndian.Uint64(p[0:8]),
-			Matched: p[8] == 1,
-		})
-	}
-	return dst, nil
 }
 
 // Update decodes an OpUpdate payload.

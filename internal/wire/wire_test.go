@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"neurolpm/internal/keys"
 )
@@ -64,31 +66,7 @@ func TestCanonicalFrameLengths(t *testing.T) {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	ks := []keys.Value{
-		keys.FromUint64(1),
-		keys.FromParts(^uint64(0), ^uint64(0)),
-		{},
-	}
-	f := readOne(t, AppendBatch(nil, 7, ks))
-	if f.Op != OpBatch {
-		t.Fatalf("op %v, want batch", f.Op)
-	}
-	got, err := f.BatchKeys(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ks) {
-		t.Fatalf("%d keys, want %d", len(got), len(ks))
-	}
-	for i := range ks {
-		if got[i] != ks[i] {
-			t.Fatalf("key %d: %v, want %v", i, got[i], ks[i])
-		}
-	}
-}
-
-func TestResultAndBatchResultRoundTrip(t *testing.T) {
+func TestResultRoundTrip(t *testing.T) {
 	f := readOne(t, AppendResult(nil, 9, 12345, true))
 	r, err := f.Result()
 	if err != nil {
@@ -96,21 +74,6 @@ func TestResultAndBatchResultRoundTrip(t *testing.T) {
 	}
 	if r.Action != 12345 || !r.Matched {
 		t.Fatalf("result %+v", r)
-	}
-
-	res := []Result{{Action: 1, Matched: true}, {Action: 0, Matched: false}, {Action: ^uint64(0), Matched: true}}
-	f = readOne(t, AppendBatchResults(nil, 10, res))
-	got, err := f.BatchResults(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(res) {
-		t.Fatalf("%d results, want %d", len(got), len(res))
-	}
-	for i := range res {
-		if got[i] != res[i] {
-			t.Fatalf("result %d: %+v, want %+v", i, got[i], res[i])
-		}
 	}
 }
 
@@ -144,16 +107,20 @@ func TestPingPongAndError(t *testing.T) {
 	}
 }
 
+// TestStreamOfFramesSharesBuffer: ReadFrame allocates its buffer once, at
+// MaxFrameLen, and every later frame — the longest included — reuses it.
 func TestStreamOfFramesSharesBuffer(t *testing.T) {
 	var b []byte
 	b = AppendLookup(b, 1, keys.FromUint64(10))
 	b = AppendPing(b, 2)
-	b = AppendLookup(b, 3, keys.FromUint64(30))
+	b = AppendError(b, 3, ErrBadRequest, strings.Repeat("x", 2*MaxFrameLen))
+	b = AppendLookup(b, 4, keys.FromUint64(30))
 	r := bytes.NewReader(b)
 	var buf []byte
+	var first *byte
 	var err error
 	var f Frame
-	for want := uint64(1); want <= 3; want++ {
+	for want := uint64(1); want <= 4; want++ {
 		f, buf, err = ReadFrame(r, buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", want, err)
@@ -161,9 +128,43 @@ func TestStreamOfFramesSharesBuffer(t *testing.T) {
 		if f.ID != want {
 			t.Fatalf("id %d, want %d", f.ID, want)
 		}
+		if first == nil {
+			first = &buf[:1][0]
+		}
+		if cap(buf) != MaxFrameLen || &buf[:1][0] != first {
+			t.Fatalf("frame %d: buffer of cap %d at a new address, want the first one of cap %d", want, cap(buf), MaxFrameLen)
+		}
 	}
 	if _, _, err = ReadFrame(r, buf); err != io.EOF {
 		t.Fatalf("after stream: %v, want io.EOF", err)
+	}
+}
+
+// TestErrorFrameFitsMaxFrameLen: AppendError cuts a long message on a rune
+// boundary, so the longest error frame is exactly MaxFrameLen and reads back.
+func TestErrorFrameFitsMaxFrameLen(t *testing.T) {
+	for _, msg := range []string{
+		strings.Repeat("a", maxErrMsg),
+		strings.Repeat("a", maxErrMsg+1),
+		strings.Repeat("é", maxErrMsg),   // 2-byte runes: maxErrMsg is odd
+		strings.Repeat("€", maxErrMsg),   // 3-byte runes
+		strings.Repeat("ab😀", maxErrMsg), // 4-byte runes at varying offsets
+	} {
+		b := AppendError(nil, 1, ErrMalformed, msg)
+		if n := binary.LittleEndian.Uint32(b); n > MaxFrameLen || int(n) != len(b)-lenPrefix {
+			t.Fatalf("%d-byte message: length prefix %d for a %d-byte frame, MaxFrameLen %d", len(msg), n, len(b), MaxFrameLen)
+		}
+		var re *RemoteError
+		if !errors.As(readOne(t, b).Err(), &re) {
+			t.Fatalf("%d-byte message: no remote error", len(msg))
+		}
+		want := min(len(msg), maxErrMsg)
+		if !utf8.ValidString(re.Msg) || !strings.HasPrefix(msg, re.Msg) || len(re.Msg) > want || len(re.Msg) <= want-utf8.UTFMax {
+			t.Fatalf("%d-byte message cut to %q", len(msg), re.Msg)
+		}
+		if len(msg) <= maxErrMsg && re.Msg != msg {
+			t.Fatalf("%d-byte message changed to %q", len(msg), re.Msg)
+		}
 	}
 }
 
@@ -194,9 +195,9 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	}
 	// A declared length larger than the bytes on the wire must error, not
 	// block forever or succeed short.
-	b := AppendBatch(nil, 1, make([]keys.Value, 4))
+	b := AppendUpdate(nil, 1, RuleUpdate{Op: UpdateInsert, Prefix: keys.FromUint64(5), Len: 32})
 	if _, _, err := ReadFrame(bytes.NewReader(b[:len(b)-8]), nil); err == nil {
-		t.Error("truncated batch accepted")
+		t.Error("truncated update accepted")
 	}
 }
 
@@ -206,13 +207,6 @@ func TestPayloadDecodersRejectWrongSizes(t *testing.T) {
 	short.Payload = lk.Payload[:8]
 	if _, err := short.Key(); err == nil {
 		t.Error("short lookup payload accepted")
-	}
-	batch := readOne(t, AppendBatch(nil, 1, []keys.Value{{}}))
-	bad := batch
-	bad.Payload = append([]byte(nil), batch.Payload...)
-	binary.LittleEndian.PutUint32(bad.Payload, 2) // count lies about length
-	if _, err := bad.BatchKeys(nil); err == nil {
-		t.Error("batch count/length mismatch accepted")
 	}
 	res := readOne(t, AppendResult(nil, 1, 5, true))
 	badFlags := res
@@ -232,9 +226,9 @@ func TestPayloadDecodersRejectWrongSizes(t *testing.T) {
 
 func TestOpStrings(t *testing.T) {
 	for op, want := range map[Op]string{
-		OpLookup: "lookup", OpBatch: "batch", OpUpdate: "update", OpPing: "ping",
-		OpResult: "result", OpBatchResult: "batch-result", OpUpdateResult: "update-result",
-		OpPong: "pong", OpError: "error", Op(0x55): "op(0x55)",
+		OpLookup: "lookup", OpUpdate: "update", OpPing: "ping",
+		OpResult: "result", OpUpdateResult: "update-result",
+		OpPong: "pong", OpError: "error", Op(0x02): "op(0x02)", Op(0x82): "op(0x82)",
 	} {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%#x).String() = %q, want %q", uint8(op), got, want)
@@ -258,42 +252,31 @@ func (r *replayReader) Read(p []byte) (int, error) {
 }
 
 // TestWireCodecZeroAllocs pins the encode/decode hot path — the loop a
-// WireServer connection and a load-driver sender both run — at zero
-// steady-state allocations (the PR 10 acceptance bar, alongside
-// TestCachedBatchZeroAllocs).
+// WireServer connection and the benchmark's sender both run — at zero
+// steady-state allocations, as planetest.TestShardedBatchZeroAllocs pins the
+// batch plane behind it.
 func TestWireCodecZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; strict zero-alloc pin runs in the non-race suite")
 	}
-	ks := make([]keys.Value, 64)
-	for i := range ks {
-		ks[i] = keys.FromUint64(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-	res := make([]Result, 64)
-	for i := range res {
-		res[i] = Result{Action: uint64(i), Matched: i%2 == 0}
-	}
+	k := keys.FromUint64(0x9e3779b97f4a7c15)
 
-	// Encode: one lookup, one result, one 64-key batch, one batch result.
+	// Encode: one lookup, one result.
 	buf := make([]byte, 0, 8192)
 	encode := func() {
-		buf = AppendLookup(buf[:0], 1, ks[0])
+		buf = AppendLookup(buf[:0], 1, k)
 		buf = AppendResult(buf, 1, 7, true)
-		buf = AppendBatch(buf, 2, ks)
-		buf = AppendBatchResults(buf, 2, res)
 	}
 	encode()
 	if avg := testing.AllocsPerRun(100, encode); avg > 0 {
 		t.Errorf("encode allocates %.2f/op, want 0", avg)
 	}
 
-	// Decode the same stream back with a reused frame buffer and scratch.
+	// Decode the same stream back with a reused frame buffer.
 	src := &replayReader{data: buf}
 	rbuf := make([]byte, 0, 8192)
-	kScratch := make([]keys.Value, 0, 64)
-	rScratch := make([]Result, 0, 64)
 	decode := func() {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 2; i++ {
 			f, nb, err := ReadFrame(src, rbuf)
 			if err != nil {
 				t.Fatal(err)
@@ -306,14 +289,6 @@ func TestWireCodecZeroAllocs(t *testing.T) {
 				}
 			case OpResult:
 				if _, err := f.Result(); err != nil {
-					t.Fatal(err)
-				}
-			case OpBatch:
-				if kScratch, err = f.BatchKeys(kScratch[:0]); err != nil {
-					t.Fatal(err)
-				}
-			case OpBatchResult:
-				if rScratch, err = f.BatchResults(rScratch[:0]); err != nil {
 					t.Fatal(err)
 				}
 			}

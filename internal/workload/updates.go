@@ -48,12 +48,8 @@ type UpdateConfig struct {
 	Rate float64
 	// Sites is the number of distinct flap prefixes the stream cycles
 	// through (insert → modify* → delete → insert …). 0 picks a default of
-	// Count/4 (min 1). Ignored when InsertOnly: every insert needs its own
-	// fresh site.
+	// Count/4 (min 1).
 	Sites int
-	// InsertOnly emits only inserts, each at a distinct fresh site — the
-	// shape the fault-storm experiment folds into its merged oracle.
-	InsertOnly bool
 	// ActionBase is the first action value; site i's rule carries
 	// ActionBase+i (modifies flip the low bit so the change is observable).
 	ActionBase uint64
@@ -80,13 +76,8 @@ func GenerateUpdates(rs *lpm.RuleSet, cfg UpdateConfig) (*UpdateStream, error) {
 		return &UpdateStream{}, nil
 	}
 	nSites := cfg.Sites
-	if cfg.InsertOnly {
-		nSites = cfg.Count
-	} else if nSites <= 0 {
-		nSites = cfg.Count / 4
-		if nSites < 1 {
-			nSites = 1
-		}
+	if nSites <= 0 {
+		nSites = max(cfg.Count/4, 1)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mask := keys.MaxValue(rs.Width)
@@ -122,24 +113,18 @@ func GenerateUpdates(rs *lpm.RuleSet, cfg UpdateConfig) (*UpdateStream, error) {
 			at += time.Duration(rng.ExpFloat64() / cfg.Rate * float64(time.Second))
 		}
 		var u Update
-		if cfg.InsertOnly {
-			u = Update{At: at, Op: UpdateInsert, Rule: lpm.Rule{
-				Prefix: sites[i], Len: rs.Width, Action: cfg.ActionBase + uint64(i),
-			}}
-		} else {
-			site := rng.Intn(nSites)
-			r := lpm.Rule{Prefix: sites[site], Len: rs.Width, Action: cfg.ActionBase + uint64(site)}
-			switch {
-			case !present[site]:
-				u = Update{At: at, Op: UpdateInsert, Rule: r}
-				present[site] = true
-			case rng.Intn(2) == 0:
-				r.Action ^= 1 // observable action change
-				u = Update{At: at, Op: UpdateModify, Rule: r}
-			default:
-				u = Update{At: at, Op: UpdateDelete, Rule: r}
-				present[site] = false
-			}
+		site := rng.Intn(nSites)
+		r := lpm.Rule{Prefix: sites[site], Len: rs.Width, Action: cfg.ActionBase + uint64(site)}
+		switch {
+		case !present[site]:
+			u = Update{At: at, Op: UpdateInsert, Rule: r}
+			present[site] = true
+		case rng.Intn(2) == 0:
+			r.Action ^= 1 // observable action change
+			u = Update{At: at, Op: UpdateModify, Rule: r}
+		default:
+			u = Update{At: at, Op: UpdateDelete, Rule: r}
+			present[site] = false
 		}
 		updates = append(updates, u)
 	}

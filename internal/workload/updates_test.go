@@ -76,31 +76,3 @@ func TestGenerateUpdatesDeterministicAndApplicable(t *testing.T) {
 		t.Fatalf("mean inter-arrival %v for 1000/s, want ≈1ms", mean)
 	}
 }
-
-func TestGenerateUpdatesInsertOnly(t *testing.T) {
-	rs := updatesTestRuleSet(t)
-	s, err := GenerateUpdates(rs, UpdateConfig{Count: 128, InsertOnly: true, ActionBase: 7, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Updates) != 128 || len(s.Sites) != 128 {
-		t.Fatalf("insert-only shape %d/%d, want 128/128", len(s.Updates), len(s.Sites))
-	}
-	seen := map[string]bool{}
-	for i, u := range s.Updates {
-		if u.Op != UpdateInsert {
-			t.Fatalf("update %d op %v, want insert", i, u.Op)
-		}
-		if u.At != 0 {
-			t.Fatalf("update %d paced at %v with Rate 0", i, u.At)
-		}
-		if u.Rule.Action != 7+uint64(i) {
-			t.Fatalf("update %d action %d, want %d", i, u.Rule.Action, 7+i)
-		}
-		id := u.Rule.Prefix.String()
-		if seen[id] {
-			t.Fatalf("update %d reuses a site", i)
-		}
-		seen[id] = true
-	}
-}
