@@ -62,6 +62,11 @@ vet:
 # no wire batch frame — its opcodes, encoders, decoders, key bound, client call
 # or server handler — and no series of its keys, nor of the sharded engine's
 # LookupBatch calls, which the wire's coalesce series already count.
+# The registry has one rendering, /metrics (DESIGN.md §8): no expvar
+# publication or its vars route, no metrics-only mux or lpmbench flag that
+# mounted it, and no cycle-simulator series. The shipped wire package holds
+# the protocol and no client: the benchmark and the tests encode their own
+# frames.
 # Each alternative carries a one-character class so these lines do not find
 # themselves.
 deleted-names:
@@ -114,6 +119,9 @@ deleted-names:
 	@! grep -rnE 'Op[B]atch|Append[B]atch|MaxBatch[K]eys|Batch[K]eys|Batch[R]esults|handle[B]atch|\.[B]atch\(|neurolpm_(wire_batch[_]keys|shard_[b]atch)' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'Publish[E]xpvar|/debug/v[a]rs|Metrics[H]andler|neurolpm_[h]wsim_|wire\.(C[l]ient|D[i]al|NewC[l]ient)\b|lpmbench[^|]* -[m]etrics\b' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:|^\./(cmd/lpmserve/main|internal/serve/serve)_test\.go:'
 
 test:
 	$(GO) test ./...

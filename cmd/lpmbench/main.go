@@ -6,9 +6,7 @@
 //
 // Usage:
 //
-//	lpmbench [-exp name] [-full] [-seed N] [-metrics addr]
-//
-// -metrics serves /metrics and /debug/pprof while the run is in flight.
+//	lpmbench [-exp name] [-full] [-seed N]
 //
 // lpmbench prints tables for a reader. The repository's performance record —
 // the numbers one commit is compared against another on — is BENCHMARK.json
@@ -19,14 +17,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"neurolpm/internal/experiments"
-	"neurolpm/internal/serve"
-	"neurolpm/internal/telemetry"
 )
 
 // experiment is one `-exp` name and the function that regenerates its table.
@@ -101,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "all", "experiment to run: all, or one of "+strings.Join(experimentNames(), " "))
 	full := fs.Bool("full", false, "paper-scale inputs (§10.1); slow")
 	seed := fs.Int64("seed", 1, "workload seed")
-	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address while running")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -121,15 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "lpmbench: unknown experiment %q\n", *exp)
 			return 2
 		}
-	}
-
-	if *metricsAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, serve.MetricsHandler(telemetry.Default)); err != nil {
-				fmt.Fprintf(stderr, "lpmbench: metrics listener: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(stderr, "lpmbench: metrics on http://%s/metrics\n", *metricsAddr)
 	}
 
 	sc, scaleName := experiments.QuickScale(), "quick"

@@ -84,7 +84,7 @@ func TestRunsOneExperiment(t *testing.T) {
 	}
 }
 
-func TestFlagsAreTheFourDocumented(t *testing.T) {
+func TestFlagsAreTheThreeDocumented(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Errorf("-h exit status %d, want 0", code)
@@ -95,7 +95,7 @@ func TestFlagsAreTheFourDocumented(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	if got, want := strings.Join(flags, " "), "-exp -full -metrics -seed"; got != want {
+	if got, want := strings.Join(flags, " "), "-exp -full -seed"; got != want {
 		t.Errorf("lpmbench -h lists %q, want %q", got, want)
 	}
 }

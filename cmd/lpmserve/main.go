@@ -2,8 +2,8 @@
 // updatable engine for a rule-set (one shard by default) and serves its
 // lookups and rule updates over the binary wire protocol, with the
 // observability surface over HTTP — Prometheus-format /metrics backed by the
-// telemetry registry, expvar at /debug/vars, /debug/pprof, and one query's
-// trace and flight record at /trace?key=.
+// telemetry registry, /debug/pprof, and one query's trace and flight record
+// at /trace?key=.
 //
 // Usage:
 //
@@ -37,7 +37,6 @@
 //	GET /healthz                 liveness + engine summary (200 while up)
 //	GET /debug/flightrec         the sampled flight-record ring (?n=)
 //	GET /debug/slow              the worst-N slow-query log (?n=)
-//	GET /debug/vars              expvar (includes the "neurolpm" registry)
 //	GET /debug/pprof/...         CPU/heap/goroutine profiles
 //
 // -flight-sample N routes 1 in N queries (N rounded to a power of two)

@@ -101,10 +101,11 @@ var endpointLine = regexp.MustCompile(`^//\s+GET (/[^\s?]*)`)
 
 // TestEndpointsAreTheMux holds the package comment's Endpoints block to the
 // mux lpmserve serves: every documented path is routed (an answer other than
-// 404), and /batch, /update, /slo and /debug/hotness are not — lookups in bulk
-// and rule updates travel over the wire, and a latency window is the
-// difference of two /metrics scrapes. A route removed without its doc line,
-// or one of those four put back, fails here.
+// 404), and /batch, /update, /slo, /debug/hotness and /debug/vars are not —
+// lookups in bulk and rule updates travel over the wire, a latency window is
+// the difference of two /metrics scrapes, and /metrics is the registry's one
+// rendering. A route removed without its doc line, or one of those five put
+// back, fails here.
 func TestEndpointsAreTheMux(t *testing.T) {
 	src := readRepoFile(t, "cmd/lpmserve/main.go")
 	start := strings.Index(src, "// Endpoints")
@@ -144,9 +145,9 @@ func TestEndpointsAreTheMux(t *testing.T) {
 			t.Errorf("documented endpoint %s answers 404", p)
 		}
 	}
-	for _, p := range []string{"/batch", "/update", "/slo", "/debug/hotness"} {
+	for _, p := range []string{"/batch", "/update", "/slo", "/debug/hotness", "/debug/vars"} {
 		if code := status(p); code != http.StatusNotFound {
-			t.Errorf("%s answers %d, want 404: lookups and updates travel over the wire, and windows are read from /metrics", p, code)
+			t.Errorf("%s answers %d, want 404: lookups and updates travel over the wire, and windows and the registry are read from /metrics", p, code)
 		}
 	}
 }

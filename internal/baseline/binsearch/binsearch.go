@@ -10,22 +10,12 @@ package binsearch
 import (
 	"neurolpm/internal/cachesim"
 	"neurolpm/internal/keys"
-	"neurolpm/internal/lpm"
 	"neurolpm/internal/ranges"
 )
 
 // Engine performs LPM via binary search over a range array.
 type Engine struct {
 	arr *ranges.Array
-}
-
-// Build converts the rule-set into a range array.
-func Build(rs *lpm.RuleSet) (*Engine, error) {
-	arr, err := ranges.Convert(rs)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{arr: arr}, nil
 }
 
 // FromArray wraps an existing range array (so NeuroLPM and the baseline can
@@ -70,6 +60,3 @@ func (e *Engine) Probes() int {
 	}
 	return p
 }
-
-// Array exposes the underlying range array.
-func (e *Engine) Array() *ranges.Array { return e.arr }

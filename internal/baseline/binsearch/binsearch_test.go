@@ -7,6 +7,7 @@ import (
 	"neurolpm/internal/cachesim"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
+	"neurolpm/internal/ranges"
 	"neurolpm/internal/workload"
 )
 
@@ -16,11 +17,11 @@ func build(t testing.TB, n int, seed int64) (*lpm.RuleSet, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Build(rs)
+	arr, err := ranges.Convert(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rs, e
+	return rs, FromArray(arr)
 }
 
 func TestMatchesOracle(t *testing.T) {
@@ -57,14 +58,14 @@ func TestMemSeesEveryProbe(t *testing.T) {
 	if int(u.Stats().Accesses) != probes {
 		t.Fatalf("mem saw %d accesses for %d probes", u.Stats().Accesses, probes)
 	}
-	if u.Stats().Bytes != uint64(probes*e.Array().BytesPerEntry()) {
+	if u.Stats().Bytes != uint64(probes*e.arr.BytesPerEntry()) {
 		t.Fatalf("bytes %d for %d 4-byte probes", u.Stats().Bytes, probes)
 	}
 }
 
 func TestFromArraySharesRanges(t *testing.T) {
 	rs, e := build(t, 500, 6)
-	e2 := FromArray(e.Array())
+	e2 := FromArray(e.arr)
 	rng := rand.New(rand.NewSource(7))
 	_ = rs
 	for q := 0; q < 1000; q++ {

@@ -143,9 +143,6 @@ func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) (uint64, bool) {
 	return best, found
 }
 
-// NodeCount returns the number of trie chunks.
-func (e *Engine) NodeCount() int { return len(e.nodes) }
-
 // DRAMBytes is the off-chip footprint: all chunks except the root.
 func (e *Engine) DRAMBytes() int {
 	if len(e.nodes) <= 1 {

@@ -66,7 +66,7 @@ func TestMatchesOracle128(t *testing.T) {
 }
 
 func TestMatchesOracleAtBoundaries(t *testing.T) {
-	rs, e := buildFromProfile(t, workload.Stanford(), 800, 7)
+	rs, e := buildFromProfile(t, workload.Profiles()["stanford"], 800, 7)
 	oracle := lpm.NewTrieMatcher(rs)
 	for _, r := range rs.Rules {
 		for _, k := range []keys.Value{r.Low(32), r.High(32)} {
@@ -160,8 +160,8 @@ func TestChunkReadsAre64Bytes(t *testing.T) {
 
 func TestDRAMBytesMatchNodeCount(t *testing.T) {
 	_, e := buildFromProfile(t, workload.RIPE(), 1000, 12)
-	if e.DRAMBytes() != (e.NodeCount()-1)*ChunkBytes {
-		t.Fatalf("DRAMBytes %d, nodes %d", e.DRAMBytes(), e.NodeCount())
+	if e.DRAMBytes() != (len(e.nodes)-1)*ChunkBytes {
+		t.Fatalf("DRAMBytes %d, nodes %d", e.DRAMBytes(), len(e.nodes))
 	}
 }
 

@@ -40,11 +40,8 @@ func (d *Directory) Len() int { return (d.array.Len() + d.K - 1) / d.K }
 // rqrmi.Index). No lookup reads it: the compiled plane keeps its own copy.
 func (d *Directory) Low(i int) keys.Value { return d.array.Low(i * d.K) }
 
-// Array returns the underlying (DRAM-resident) range array.
-func (d *Directory) Array() *ranges.Array { return d.array }
-
-// Bounds returns the half-open range-index span [start, end) of bucket b.
-func (d *Directory) Bounds(b int) (start, end int) {
+// bounds returns the half-open range-index span [start, end) of bucket b.
+func (d *Directory) bounds(b int) (start, end int) {
 	start = b * d.K
 	end = start + d.K
 	if end > d.array.Len() {
@@ -59,7 +56,7 @@ func (d *Directory) Bounds(b int) (start, end int) {
 // search performed. This models the hardware Bucket Search module, which
 // scans the fetched bucket.
 func (d *Directory) Search(b int, k keys.Value) (idx, comparisons int) {
-	start, end := d.Bounds(b)
+	start, end := d.bounds(b)
 	// The hardware compares the fetched bounds in order; the entry with the
 	// greatest Low ≤ k wins. A linear scan over ≤ k entries mirrors that.
 	idx = start

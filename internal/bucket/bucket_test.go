@@ -10,6 +10,13 @@ import (
 	"neurolpm/internal/rqrmi"
 )
 
+// bucketOf is the bucket whose range span holds k: the greatest b with
+// d.Low(b) ≤ k.
+func bucketOf(d *Directory, k keys.Value) int {
+	b, _ := keys.BoundedSearch(k, 0, d.Len()-1, d.Low)
+	return b
+}
+
 func buildArray(t testing.TB, width, nRules int, seed int64) *ranges.Array {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -76,7 +83,7 @@ func TestPaperBucketExample(t *testing.T) {
 		t.Fatalf("directory size = %d", d.Len())
 	}
 	// Input 9 → matching bucket range is the one starting at 8.
-	b := rqrmi.Find(d, keys.FromUint64(9))
+	b := bucketOf(d, keys.FromUint64(9))
 	if d.Low(b) != keys.FromUint64(8) {
 		t.Fatalf("bucket low = %v", d.Low(b))
 	}
@@ -122,7 +129,7 @@ func TestBoundsLastBucketPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, end := d.Bounds(d.Len() - 1)
+	start, end := d.bounds(d.Len() - 1)
 	if end != a.Len() {
 		t.Fatalf("last bucket end %d, want %d", end, a.Len())
 	}
@@ -142,7 +149,7 @@ func TestSearchEqualsGlobalFind(t *testing.T) {
 		}
 		for q := uint64(0); q < 1<<16; q += 13 {
 			key := keys.FromUint64(q)
-			b := rqrmi.Find(d, key)
+			b := bucketOf(d, key)
 			idx, comps := d.Search(b, key)
 			if want := a.Find(key); idx != want {
 				t.Fatalf("k=%d key %d: bucket search %d, flat %d", k, q, idx, want)
@@ -211,7 +218,7 @@ func BenchmarkDirectorySearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := qs[i&1023]
-		bkt := rqrmi.Find(d, k)
+		bkt := bucketOf(d, k)
 		d.Search(bkt, k)
 	}
 }

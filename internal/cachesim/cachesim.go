@@ -125,9 +125,6 @@ func (c *Cache) touch(line uint64) bool {
 // Stats returns the traffic counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears counters but keeps cache contents (for warmup phases).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Flush invalidates all lines and clears the statistics.
 func (c *Cache) Flush() {
 	for i := range c.tags {
@@ -162,9 +159,6 @@ func (u *Uncached) Read(addr uint64, size int) {
 
 // Stats returns the traffic counters.
 func (u *Uncached) Stats() Stats { return u.stats }
-
-// ResetStats clears the counters.
-func (u *Uncached) ResetStats() { u.stats = Stats{} }
 
 // Null discards accesses (for SRAM-only runs where off-chip traffic is
 // impossible by construction).

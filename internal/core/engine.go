@@ -191,9 +191,6 @@ func (e *Engine) Ranges() *ranges.Array { return e.ra }
 // Directory returns the bucket directory, or nil for SRAM-only engines.
 func (e *Engine) Directory() *bucket.Directory { return e.dir }
 
-// Bucketized reports whether the engine uses the DRAM design.
-func (e *Engine) Bucketized() bool { return e.dir != nil }
-
 // Lookup returns the action of the longest-prefix rule matching k.
 // ok is false when no live rule matches.
 //

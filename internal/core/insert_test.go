@@ -51,7 +51,7 @@ func TestInsertPublicationOrder(t *testing.T) {
 		perSite               = blocks * perBlock
 	)
 	rs, _ := wideRuleSet(t, 32, 20000, 17)
-	base := lpm.NewTrie(rs)
+	base := lpm.NewTrieMatcher(rs).Trie
 	for _, cfg := range []Config{quickBucketed(), quickSRAMOnly()} {
 		e, err := Build(rs, cfg)
 		if err != nil {
@@ -105,7 +105,7 @@ func TestInsertPublicationOrder(t *testing.T) {
 					if o != lpm.NoMatch {
 						pr.baseAct, pr.baseOK = rs.Rules[o].Action, true
 					}
-					if region.Matches(32, k) && (o == lpm.NoMatch || rs.Rules[o].Len < siteLen) {
+					if covers(region, 32, k) && (o == lpm.NoMatch || rs.Rules[o].Len < siteLen) {
 						pr.block = int(k.Sub(p).Lo) / blockKeys
 					}
 					ps[c] = append(ps[c], pr)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,10 +21,28 @@ type series struct {
 	flight                                        uint64 // flight records committed
 }
 
-// readSeries reads the counters as a scrape does, the derived ones summed
-// from the tally's lanes.
+// scrape renders the default registry as /metrics does and returns each
+// series' value by its name, labels included.
+func scrape() map[string]float64 {
+	var b strings.Builder
+	telemetry.Default.WritePrometheus(&b)
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || line[0] == '#' {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+			out[line[:i]] = v
+		}
+	}
+	return out
+}
+
+// readSeries reads the counters from a scrape, the derived ones summed from
+// the tally's lanes.
 func readSeries() series {
-	snap := telemetry.Default.Snapshot()
+	snap := scrape()
 	return series{
 		lookups:    uint64(snap["neurolpm_lookups_total"]),
 		matched:    uint64(snap["neurolpm_lookups_matched_total"]),

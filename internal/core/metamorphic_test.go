@@ -7,6 +7,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"neurolpm/internal/keys"
@@ -110,7 +111,7 @@ func TestMetamorphicModifyActionWithoutRetrain(t *testing.T) {
 		t.Fatal("ModifyAction replaced the engine (retrained)")
 	}
 
-	modified := rs.Clone()
+	modified := &lpm.RuleSet{Width: rs.Width, Rules: slices.Clone(rs.Rules)}
 	for i := range modified.Rules {
 		if modified.Rules[i].Prefix == target.Prefix && modified.Rules[i].Len == target.Len {
 			modified.Rules[i].Action = newAction

@@ -20,19 +20,6 @@ var tally = telemetry.NewTally()
 
 const laneBucket = 2
 
-// Counts is the engine's lookup counts as the tally's lanes sum them.
-type Counts struct {
-	Lookups    uint64 // every lookup
-	Matched    uint64 // lookups that matched a live rule
-	Bucketized uint64 // lookups served by a bucketized engine: one bucket fetch each (§7)
-}
-
-// LookupCounts reads the counts the lanes derive.
-func LookupCounts() Counts {
-	l := tally.Load()
-	return Counts{Lookups: l[0] + l[1] + l[2] + l[3], Matched: l[1] + l[3], Bucketized: l[2] + l[3]}
-}
-
 var (
 	// metProbes is the §6.2 secondary-search probe distribution.
 	metProbes = telemetry.Default.Histogram("neurolpm_sram_probes",
@@ -65,12 +52,11 @@ var (
 func init() {
 	reg := telemetry.Default.CounterFunc
 	reg("neurolpm_lookups_total", "Engine lookups executed (all query paths)",
-		func() uint64 { return LookupCounts().Lookups })
+		func() uint64 { l := tally.Load(); return l[0] + l[1] + l[2] + l[3] })
 	reg("neurolpm_lookups_matched_total", "Lookups that matched a live rule",
-		func() uint64 { return LookupCounts().Matched })
-	reg("neurolpm_bucketized_lookups_total", "Lookups served by a bucketized (DRAM) engine",
-		func() uint64 { return LookupCounts().Bucketized })
+		func() uint64 { l := tally.Load(); return l[1] + l[3] })
+	bucketized := func() uint64 { l := tally.Load(); return l[2] + l[3] }
+	reg("neurolpm_bucketized_lookups_total", "Lookups served by a bucketized (DRAM) engine", bucketized)
 	// §7: a bucketized lookup is exactly one bucket fetch (Engine.fetch).
-	reg("neurolpm_bucket_fetches_total", "DRAM bucket fetches issued (paper §7: exactly one per bucketized lookup)",
-		func() uint64 { return LookupCounts().Bucketized })
+	reg("neurolpm_bucket_fetches_total", "DRAM bucket fetches issued (paper §7: exactly one per bucketized lookup)", bucketized)
 }

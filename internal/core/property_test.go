@@ -137,9 +137,9 @@ func TestPropertySRAMAccountingConsistent(t *testing.T) {
 			return false
 		}
 		if bs >= 2 {
-			return e.Bucketized() && e.DRAMFootprint() > 0 && u.RQArray < e.Ranges().SizeBytes()
+			return e.dir != nil && e.DRAMFootprint() > 0 && u.RQArray < e.Ranges().SizeBytes()
 		}
-		return !e.Bucketized() && e.DRAMFootprint() == 0 && u.RQArray == e.Ranges().SizeBytes()
+		return e.dir == nil && e.DRAMFootprint() == 0 && u.RQArray == e.Ranges().SizeBytes()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)

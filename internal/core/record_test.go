@@ -114,7 +114,7 @@ func TestRecordConsistency(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					trie := lpm.NewTrie(set)
+					trie := lpm.NewTrieMatcher(set).Trie
 					batch, wants = batch[:0], wants[:0]
 					buckets := (e.rec.nr + e.rec.k - 1) / e.rec.k
 					for b := 0; b < buckets; b++ {
@@ -357,7 +357,7 @@ func deleteUnderReaders(t *testing.T, rs *lpm.RuleSet, cfg Config, cover, doomed
 	}
 	var probes []probe
 	for i := 0; i < e.ra.Len() && len(probes) < 512; i += 7 {
-		if low := e.ra.Low(i); doomed.Matches(32, low) {
+		if low := e.ra.Low(i); covers(doomed, 32, low) {
 			a, _ := e.ra.Action(i)
 			probes = append(probes, probe{low, int(e.ra.RuleOf(i)) != idx, a})
 		}

@@ -7,14 +7,6 @@ import (
 	"neurolpm/internal/bucket"
 	"neurolpm/internal/keys"
 	"neurolpm/internal/rqrmi"
-	"neurolpm/internal/telemetry"
-)
-
-var (
-	metDRAMSimFetches = telemetry.Default.Counter("neurolpm_hwsim_dram_fetches_total",
-		"Bucket fetches issued by the cycle-level DRAM stage")
-	metDRAMSimStalls = telemetry.Default.Counter("neurolpm_hwsim_dram_stall_cycles_total",
-		"Cycles DRAM jobs waited for a free issue slot")
 )
 
 // DRAMConfig models the off-chip stage of the full Figure 3 pipeline: after
@@ -118,7 +110,5 @@ func SimulateDRAM(m *rqrmi.Model, dir *bucket.Directory, trace []keys.Value, cfg
 		}
 		cycle++
 	}
-	metDRAMSimFetches.Add(res.DRAMFetches)
-	metDRAMSimStalls.Add(res.DRAMStallCycles)
 	return res, nil
 }

@@ -15,47 +15,7 @@ import (
 
 	"neurolpm/internal/keys"
 	"neurolpm/internal/rqrmi"
-	"neurolpm/internal/telemetry"
 )
-
-// Simulation tallies are accumulated locally in the Result (the sim loop is
-// single-threaded and its fields are per-run outputs) and published to the
-// shared registry as deltas once per run, so aggregate hardware behaviour —
-// the Fig 6a bank-conflict distribution, FSM occupancy — is scrapeable
-// alongside the engine's query metrics without double accounting in the
-// cycle loop.
-var (
-	metSimRuns = telemetry.Default.Counter("neurolpm_hwsim_runs_total",
-		"Cycle-level simulations executed")
-	metSimQueries = telemetry.Default.Counter("neurolpm_hwsim_queries_total",
-		"Queries simulated at cycle level")
-	metSimCycles = telemetry.Default.Counter("neurolpm_hwsim_cycles_total",
-		"Cycles simulated")
-	metBankAccesses = telemetry.Default.Counter("neurolpm_hwsim_bank_accesses_total",
-		"Granted SRAM bank reads (paper §6.2)")
-	metBankConflicts = telemetry.Default.Counter("neurolpm_hwsim_bank_conflicts_total",
-		"Cycles an FSM was denied by bank arbitration (paper Fig 6a)")
-	metEngineStalls = telemetry.Default.Counter("neurolpm_hwsim_engine_stalls_total",
-		"Cycles an inference engine stalled awaiting an FSM")
-	metFSMBusy = telemetry.Default.Counter("neurolpm_hwsim_fsm_busy_cycles_total",
-		"FSM-cycles spent busy (occupancy numerator, paper §6.2.1)")
-	metSimLatency = telemetry.Default.Histogram("neurolpm_hwsim_latency_cycles",
-		"End-to-end query latency in cycles")
-)
-
-// publish exports one finished run's tallies to the shared registry.
-func (r *Result) publish() {
-	metSimRuns.Inc()
-	metSimQueries.Add(uint64(r.Queries))
-	metSimCycles.Add(r.Cycles)
-	metBankAccesses.Add(r.BankAccesses)
-	metBankConflicts.Add(r.BankConflicts)
-	metEngineStalls.Add(r.EngineStalls)
-	metFSMBusy.Add(r.FSMBusyCycles)
-	for _, l := range r.Latencies {
-		metSimLatency.Observe(uint64(l))
-	}
-}
 
 // Config is a hardware configuration point. The paper explores 1–2 RQRMI
 // engines, 8–32 banks and 8–96 FSMs; banks must be a power of two for cheap
@@ -323,7 +283,6 @@ func Simulate(m *rqrmi.Model, ix rqrmi.Index, trace []keys.Value, cfg Config) (*
 		}
 	}
 	res.Cycles = cycle
-	res.publish()
 	return res, nil
 }
 

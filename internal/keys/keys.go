@@ -66,14 +66,11 @@ func (v Value) Sub(o Value) Value {
 // AddUint64 returns v + x, wrapping on overflow.
 func (v Value) AddUint64(x uint64) Value { return v.Add(Value{Lo: x}) }
 
-// SubUint64 returns v − x, wrapping on underflow.
-func (v Value) SubUint64(x uint64) Value { return v.Sub(Value{Lo: x}) }
-
 // Inc returns v + 1, wrapping on overflow.
 func (v Value) Inc() Value { return v.AddUint64(1) }
 
 // Dec returns v − 1, wrapping on underflow.
-func (v Value) Dec() Value { return v.SubUint64(1) }
+func (v Value) Dec() Value { return v.Sub(Value{Lo: 1}) }
 
 // And returns the bitwise AND of v and o.
 func (v Value) And(o Value) Value { return Value{Hi: v.Hi & o.Hi, Lo: v.Lo & o.Lo} }
@@ -81,8 +78,8 @@ func (v Value) And(o Value) Value { return Value{Hi: v.Hi & o.Hi, Lo: v.Lo & o.L
 // Or returns the bitwise OR of v and o.
 func (v Value) Or(o Value) Value { return Value{Hi: v.Hi | o.Hi, Lo: v.Lo | o.Lo} }
 
-// Xor returns the bitwise XOR of v and o.
-func (v Value) Xor(o Value) Value { return Value{Hi: v.Hi ^ o.Hi, Lo: v.Lo ^ o.Lo} }
+// xor returns the bitwise XOR of v and o.
+func (v Value) xor(o Value) Value { return Value{Hi: v.Hi ^ o.Hi, Lo: v.Lo ^ o.Lo} }
 
 // Not returns the bitwise complement of v.
 func (v Value) Not() Value { return Value{Hi: ^v.Hi, Lo: ^v.Lo} }
@@ -128,7 +125,7 @@ func (v Value) Bit(i int) uint {
 // Mid returns the midpoint ⌊(v+o)/2⌋ without overflowing 128 bits.
 func (v Value) Mid(o Value) Value {
 	// (v & o) + (v ^ o)/2 is the classic overflow-free average.
-	return v.And(o).Add(v.Xor(o).Shr(1))
+	return v.And(o).Add(v.xor(o).Shr(1))
 }
 
 // Float64 returns the nearest float64 to v. Values above 2⁵³ lose precision,

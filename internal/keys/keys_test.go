@@ -57,7 +57,7 @@ func TestAddCarry(t *testing.T) {
 
 func TestSubBorrow(t *testing.T) {
 	a := Value{1, 0}
-	got := a.SubUint64(1)
+	got := a.Dec()
 	if got != (Value{0, ^uint64(0)}) {
 		t.Fatalf("borrow: got %v", got)
 	}
@@ -289,8 +289,8 @@ func TestBitwiseOps(t *testing.T) {
 	if got := a.Or(b); got != (Value{0xFFF0, 0xFF34}) {
 		t.Errorf("Or = %v", got)
 	}
-	if got := a.Xor(b); got != (Value{0xFF00, 0xED34}) {
-		t.Errorf("Xor = %v", got)
+	if got := a.xor(b); got != (Value{0xFF00, 0xED34}) {
+		t.Errorf("xor = %v", got)
 	}
 	if got := a.Not().Not(); got != a {
 		t.Errorf("Not.Not = %v", got)

@@ -2,7 +2,7 @@ package keys
 
 // This file holds the bounded search the whole engine runs on: the greatest i
 // in [lo, hi] with low(i) ≤ k, by the upper-mid binary search below. The
-// reference query path (rqrmi.Find, Model.Search, ranges.FindWithin) runs
+// reference query path (rqrmi's find, Model.Search) runs
 // BoundedSearch through a func(int) Value and counts its probes — the counts
 // the paper's FSM/bank analysis is built on. The compiled query plane runs the
 // same search over a Column, the bounds in the key's own width, and counts

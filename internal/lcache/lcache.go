@@ -13,8 +13,8 @@
 //
 // Adaptive bypass: caching only pays when traffic repeats keys. Each cache
 // monitors its own windowed hit rate; when a window closes below the
-// break-even threshold Bypassed reports true for a fixed number of keys and
-// then lets a trial window probe again.
+// break-even threshold it opens an off period of a fixed number of keys, and
+// then a trial window probes again.
 package lcache
 
 import "neurolpm/internal/keys"
@@ -62,8 +62,7 @@ const (
 )
 
 // Cache is one single-owner result cache: a power-of-two number of
-// Ways-entry sets. The zero value is not usable; create with New. Bypassed
-// also accepts a nil receiver, and reports true for it.
+// Ways-entry sets. The zero value is not usable; create with New.
 type Cache struct {
 	entries []entry
 	mask    uint64 // set count − 1
@@ -100,21 +99,6 @@ func hash(k keys.Value) uint64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return x
-}
-
-// Bypassed reports whether the next n keys should skip the cache entirely
-// (nil cache, or the adaptive-bypass heuristic is in its off period). When
-// bypassing it consumes n keys from the off period, so callers check once
-// per batch, not per key.
-func (c *Cache) Bypassed(n int) bool {
-	if c == nil {
-		return true
-	}
-	if c.bypassLeft <= 0 {
-		return false
-	}
-	c.bypassLeft -= n
-	return true
 }
 
 // Get probes for k at the given epoch (≥ 1). On Hit the cached

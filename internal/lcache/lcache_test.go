@@ -103,6 +103,21 @@ func TestNewRoundsToPowerOfTwoSets(t *testing.T) {
 	}
 }
 
+// Bypassed reports whether the next n keys should skip the cache entirely
+// (nil cache, or the adaptive-bypass heuristic is in its off period). When
+// bypassing it consumes n keys from the off period, so callers check once
+// per batch, not per key.
+func (c *Cache) Bypassed(n int) bool {
+	if c == nil {
+		return true
+	}
+	if c.bypassLeft <= 0 {
+		return false
+	}
+	c.bypassLeft -= n
+	return true
+}
+
 func TestNilCacheBypassed(t *testing.T) {
 	var c *Cache
 	if !c.Bypassed(16) {

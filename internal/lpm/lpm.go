@@ -43,15 +43,6 @@ func (r Rule) High(width int) keys.Value {
 	return r.Prefix.Or(keys.MaxValue(width - r.Len))
 }
 
-// Matches reports whether r matches key k in a width-bit domain.
-func (r Rule) Matches(width int, k keys.Value) bool {
-	if r.Len == 0 {
-		return true
-	}
-	shift := uint(width - r.Len)
-	return k.Shr(shift) == r.Prefix.Shr(shift)
-}
-
 // String renders r as "<hex-prefix>/<len> -> <action>".
 func (r Rule) String() string {
 	return fmt.Sprintf("%s/%d -> %d", r.Prefix, r.Len, r.Action)
@@ -141,11 +132,6 @@ func compareRules(a, b Rule) int {
 // Len returns the number of rules.
 func (s *RuleSet) Len() int { return len(s.Rules) }
 
-// Clone returns a deep copy of the rule-set.
-func (s *RuleSet) Clone() *RuleSet {
-	return &RuleSet{Width: s.Width, Rules: append([]Rule(nil), s.Rules...)}
-}
-
 // Find returns the index of the rule with the given prefix and length, or
 // NoMatch if absent.
 func (s *RuleSet) Find(prefix keys.Value, length int) int {
@@ -162,22 +148,9 @@ func (s *RuleSet) Find(prefix keys.Value, length int) int {
 	return NoMatch
 }
 
-// LongestMatch returns the index (into Rules) of the longest-prefix rule
-// matching k, or NoMatch. This is the O(n) reference oracle.
-func (s *RuleSet) LongestMatch(k keys.Value) int {
-	best := NoMatch
-	bestLen := -1
-	for i, r := range s.Rules {
-		if r.Len > bestLen && r.Matches(s.Width, k) {
-			best, bestLen = i, r.Len
-		}
-	}
-	return best
-}
-
-// ParseRule parses "prefix/len action" where prefix is a hexadecimal or
+// parseRule parses "prefix/len action" where prefix is a hexadecimal or
 // decimal integer of the domain width, e.g. "0xc0a80000/16 7".
-func ParseRule(width int, line string) (Rule, error) {
+func parseRule(width int, line string) (Rule, error) {
 	// The form Format writes, one space between the fields, is cut in place.
 	// A field that parses holds no space and no non-ASCII byte, so success
 	// here is the split strings.Fields makes; on any failure the line is
@@ -272,7 +245,7 @@ func hex64(s string) (v uint64, ok bool) {
 
 // ParseRuleSet parses one rule per line; blank lines and lines starting with
 // '#' are skipped. It walks the text in place: the rules are its only copy,
-// sized from the newline count, and each is validated once, by ParseRule.
+// sized from the newline count, and each is validated once, by parseRule.
 func ParseRuleSet(width int, text string) (*RuleSet, error) {
 	if err := checkWidth(width); err != nil {
 		return nil, err
@@ -295,7 +268,7 @@ func parseLines(width int, text string, lineNo int, rules []Rule) ([]Rule, int, 
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		r, err := ParseRule(width, line)
+		r, err := parseRule(width, line)
 		if err != nil {
 			return nil, lineNo, fmt.Errorf("line %d: %w", lineNo, err)
 		}

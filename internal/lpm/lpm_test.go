@@ -10,6 +10,33 @@ import (
 	"neurolpm/internal/keys"
 )
 
+// Matches reports whether r matches key k in a width-bit domain.
+func (r Rule) Matches(width int, k keys.Value) bool {
+	if r.Len == 0 {
+		return true
+	}
+	shift := uint(width - r.Len)
+	return k.Shr(shift) == r.Prefix.Shr(shift)
+}
+
+// Clone returns a deep copy of the rule-set.
+func (s *RuleSet) Clone() *RuleSet {
+	return &RuleSet{Width: s.Width, Rules: append([]Rule(nil), s.Rules...)}
+}
+
+// LongestMatch returns the index (into Rules) of the longest-prefix rule
+// matching k, or NoMatch. This is the O(n) reference oracle.
+func (s *RuleSet) LongestMatch(k keys.Value) int {
+	best := NoMatch
+	bestLen := -1
+	for i, r := range s.Rules {
+		if r.Len > bestLen && r.Matches(s.Width, k) {
+			best, bestLen = i, r.Len
+		}
+	}
+	return best
+}
+
 func mustRuleSet(t *testing.T, width int, rules []Rule) *RuleSet {
 	t.Helper()
 	s, err := NewRuleSet(width, rules)
@@ -157,7 +184,7 @@ func TestFind(t *testing.T) {
 }
 
 func TestParseRule(t *testing.T) {
-	r, err := ParseRule(32, "0xc0a80000/16 7")
+	r, err := parseRule(32, "0xc0a80000/16 7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +194,7 @@ func TestParseRule(t *testing.T) {
 }
 
 func TestParseRuleDecimal(t *testing.T) {
-	r, err := ParseRule(8, "128/1 3")
+	r, err := parseRule(8, "128/1 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +204,7 @@ func TestParseRuleDecimal(t *testing.T) {
 }
 
 func TestParseRule128(t *testing.T) {
-	r, err := ParseRule(128, "0x20010db8000000000000000000000000/32 9")
+	r, err := parseRule(128, "0x20010db8000000000000000000000000/32 9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +219,8 @@ func TestParseRuleErrors(t *testing.T) {
 		"0x11/4 1", // wildcard bits set in an 8-bit domain
 	}
 	for _, line := range bad {
-		if _, err := ParseRule(8, line); err == nil {
-			t.Errorf("ParseRule(%q) accepted", line)
+		if _, err := parseRule(8, line); err == nil {
+			t.Errorf("parseRule(%q) accepted", line)
 		}
 	}
 }
@@ -324,7 +351,7 @@ func TestTrieMatchesLinearOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, width := range []int{8, 16, 32, 64, 128} {
 		s := randomRuleSet(rng, width, 60)
-		trie := NewTrie(s)
+		trie := newTrie(s)
 		for q := 0; q < 500; q++ {
 			var k keys.Value
 			if width <= 64 {
@@ -343,7 +370,7 @@ func TestTrieMatchesLinearOracle(t *testing.T) {
 
 func TestTrieDefaultRule(t *testing.T) {
 	s := mustRuleSet(t, 8, []Rule{{Len: 0, Action: 42}})
-	trie := NewTrie(s)
+	trie := newTrie(s)
 	if i := trie.Lookup(keys.FromUint64(200)); i != 0 {
 		t.Fatalf("default rule not matched: %d", i)
 	}
@@ -351,7 +378,7 @@ func TestTrieDefaultRule(t *testing.T) {
 
 func TestTrieEmpty(t *testing.T) {
 	s := mustRuleSet(t, 8, nil)
-	trie := NewTrie(s)
+	trie := newTrie(s)
 	if i := trie.Lookup(keys.FromUint64(5)); i != NoMatch {
 		t.Fatalf("empty trie matched %d", i)
 	}
@@ -371,21 +398,21 @@ func TestTrieMatcher(t *testing.T) {
 func TestTrieNodeCountBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s := randomRuleSet(rng, 32, 100)
-	trie := NewTrie(s)
+	trie := newTrie(s)
 	// A unibit trie has at most 1 + sum(len) nodes.
 	max := 1
 	for _, r := range s.Rules {
 		max += r.Len
 	}
-	if trie.NodeCount() > max {
-		t.Fatalf("node count %d exceeds bound %d", trie.NodeCount(), max)
+	if len(trie.nodes) > max {
+		t.Fatalf("node count %d exceeds bound %d", len(trie.nodes), max)
 	}
 }
 
 func BenchmarkTrieLookup(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s := randomRuleSet(rng, 32, 10000)
-	trie := NewTrie(s)
+	trie := newTrie(s)
 	queries := make([]keys.Value, 1024)
 	for i := range queries {
 		queries[i] = keys.FromUint64(uint64(rng.Uint32()))

@@ -4,9 +4,7 @@ import "neurolpm/internal/keys"
 
 // Trie is a binary (unibit) trie over a rule-set: the classic exact LPM
 // structure. It is the fast correctness oracle against which the learned
-// engine and the hardware baselines are verified, and it powers the
-// no-retrain update paths (recomputing the owner of a range after a rule is
-// deleted).
+// engine and the hardware baselines are verified.
 type Trie struct {
 	width int
 	nodes []trieNode
@@ -17,9 +15,9 @@ type trieNode struct {
 	rule  int32    // index into the source rule slice, or NoMatch
 }
 
-// NewTrie builds a trie from the rule-set. Rule indexes reported by Lookup
+// newTrie builds a trie from the rule-set. Rule indexes reported by Lookup
 // refer to s.Rules.
-func NewTrie(s *RuleSet) *Trie {
+func newTrie(s *RuleSet) *Trie {
 	t := &Trie{width: s.Width, nodes: make([]trieNode, 1, 2*len(s.Rules)+1)}
 	t.nodes[0] = trieNode{rule: NoMatch}
 	for i, r := range s.Rules {
@@ -45,18 +43,10 @@ func (t *Trie) insert(r Rule, idx int32) {
 
 // Lookup returns the index of the longest-prefix rule matching k, or NoMatch.
 func (t *Trie) Lookup(k keys.Value) int {
-	return t.LookupWhere(k, nil)
-}
-
-// LookupWhere returns the longest-prefix rule matching k among those the
-// accept predicate admits (nil accepts all). It powers tombstone-aware
-// lookups: deleting a rule and re-querying yields the next-longest live
-// match without rebuilding the trie.
-func (t *Trie) LookupWhere(k keys.Value, accept func(rule int32) bool) int {
 	best := int32(NoMatch)
 	cur := int32(0)
 	for depth := 0; ; depth++ {
-		if r := t.nodes[cur].rule; r != NoMatch && (accept == nil || accept(r)) {
+		if r := t.nodes[cur].rule; r != NoMatch {
 			best = r
 		}
 		if depth >= t.width {
@@ -70,9 +60,6 @@ func (t *Trie) LookupWhere(k keys.Value, accept func(rule int32) bool) int {
 	}
 	return int(best)
 }
-
-// NodeCount returns the number of trie nodes (for space accounting).
-func (t *Trie) NodeCount() int { return len(t.nodes) }
 
 // Matcher is the minimal LPM query interface shared by the oracle, the
 // learned engine, and all baselines. Lookup returns the matched rule's
@@ -89,7 +76,7 @@ type TrieMatcher struct {
 
 // NewTrieMatcher builds the oracle matcher for a rule-set.
 func NewTrieMatcher(s *RuleSet) *TrieMatcher {
-	return &TrieMatcher{Trie: NewTrie(s), Rules: s.Rules}
+	return &TrieMatcher{Trie: newTrie(s), Rules: s.Rules}
 }
 
 // Lookup implements Matcher.

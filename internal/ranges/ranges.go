@@ -170,20 +170,6 @@ func (a *Array) Find(k keys.Value) int {
 	return sort.Search(a.Len(), func(i int) bool { return k.Less(a.Low(i)) }) - 1
 }
 
-// FindWithin performs the bounded secondary search of the hardware engine:
-// it searches only [lo, hi] (clamped), assuming the true answer lies there.
-// It returns the index and the number of array probes the binary search
-// performed (the quantity the paper's FSM/bank analysis is built on).
-func (a *Array) FindWithin(k keys.Value, lo, hi int) (idx, probes int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > a.Len()-1 {
-		hi = a.Len() - 1
-	}
-	return keys.BoundedSearch(k, lo, hi, a.Low)
-}
-
 // Rule ownership (the owners column) and the action tables are the only
 // words a published array mutates — the no-retrain update paths rewrite them
 // while Engine.Verify may read them; no lookup does (core answers from its

@@ -81,7 +81,7 @@ func TestNestedRules(t *testing.T) {
 		{Prefix: keys.FromUint64(0b0000), Len: 2, Action: 2},
 		{Prefix: keys.FromUint64(0b0000), Len: 3, Action: 3},
 	})
-	oracle := lpm.NewTrie(s)
+	oracle := lpm.NewTrieMatcher(s).Trie
 	for k := uint64(0); k < 16; k++ {
 		key := keys.FromUint64(k)
 		i := a.Find(key)
@@ -214,7 +214,7 @@ func TestOracleEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := lpm.NewTrie(s)
+			oracle := lpm.NewTrieMatcher(s).Trie
 			for q := 0; q < 400; q++ {
 				var k keys.Value
 				if width <= 64 {
@@ -241,7 +241,7 @@ func TestOracleEquivalenceAtBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := lpm.NewTrie(s)
+	oracle := lpm.NewTrieMatcher(s).Trie
 	check := func(k keys.Value) {
 		got := int(a.RuleOf(a.Find(k)))
 		if want := oracle.Lookup(k); got != want {
@@ -255,6 +255,20 @@ func TestOracleEquivalenceAtBoundaries(t *testing.T) {
 			check(a.Low(i).Dec())
 		}
 	}
+}
+
+// FindWithin performs the bounded secondary search of the hardware engine:
+// it searches only [lo, hi] (clamped), assuming the true answer lies there.
+// It returns the index and the number of array probes the binary search
+// performed (the quantity the paper's FSM/bank analysis is built on).
+func (a *Array) FindWithin(k keys.Value, lo, hi int) (idx, probes int) {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > a.Len()-1 {
+		hi = a.Len() - 1
+	}
+	return keys.BoundedSearch(k, lo, hi, a.Low)
 }
 
 func TestFindWithinAgreesWithFind(t *testing.T) {
@@ -508,7 +522,7 @@ func TestLimbCountsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := lpm.NewTrie(s)
+			oracle := lpm.NewTrieMatcher(s).Trie
 			if !a.Low(0).IsZero() {
 				t.Fatalf("width %d: range 0 starts at %v", w, a.Low(0))
 			}

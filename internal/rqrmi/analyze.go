@@ -12,7 +12,7 @@ import (
 // knots and range boundaries — no sweep over the input domain is needed.
 //
 // All evaluations below run the same arithmetic as query-time inference —
-// float32 (LUT.Eval + scaleClamp) for the reference/compiled planes,
+// float32 (LUT.eval + scaleClamp) for the reference/compiled planes,
 // int32 fixed-point (Quantized.eval + clampStage) for the quantized plane —
 // so the derived responsibilities and error bounds hold for the deployed
 // engine bit-for-bit. The traversal logic (knot splitting, monotone
@@ -27,7 +27,7 @@ type interval struct {
 // splitAtKnots partitions [iv.Lo, iv.Hi] into sub-intervals that each map
 // into a single linear segment of the LUT. The split points are the largest
 // keys whose unit coordinate does not exceed each knot — exactly the
-// boundary LUT.Eval uses (u > knot advances to the next segment).
+// boundary LUT.eval uses (u > knot advances to the next segment).
 func splitAtKnots(width int, l *LUT, iv interval) []interval {
 	pieces := make([]interval, 0, len(l.Knots)+1)
 	lo := iv.Lo
@@ -110,13 +110,13 @@ func partitionBy(split func(interval) []interval, route func(keys.Value) int, n 
 }
 
 // partition splits the given responsibility intervals of a submodel by the
-// slot its output routes to (slot = scaleClamp(Eval(u), n)) and returns the
+// slot its output routes to (slot = scaleClamp(eval(u), n)) and returns the
 // intervals owned by each of the n next-stage submodels, in the float32
 // reference arithmetic.
 func partition(width int, l *LUT, n int, ivs []interval) [][]interval {
 	return partitionBy(
 		func(iv interval) []interval { return splitAtKnots(width, l, iv) },
-		func(k keys.Value) int { return scaleClamp(l.Eval(unitOf(width, k)), n) },
+		func(k keys.Value) int { return scaleClamp(l.eval(unitOf(width, k)), n) },
 		n, ivs)
 }
 
@@ -176,7 +176,7 @@ func errorBoundBy(split func(interval) []interval, pred func(keys.Value) int, ix
 	}
 	for _, iv := range ivs {
 		for _, piece := range split(iv) {
-			r := Find(ix, piece.Lo)
+			r := find(ix, piece.Lo)
 			start := piece.Lo
 			for {
 				end := piece.Hi
@@ -203,7 +203,7 @@ func errorBound(width int, l *LUT, ix Index, ivs []interval) int32 {
 	n := ix.Len()
 	return errorBoundBy(
 		func(iv interval) []interval { return splitAtKnots(width, l, iv) },
-		func(k keys.Value) int { return scaleClamp(l.Eval(unitOf(width, k)), n) },
+		func(k keys.Value) int { return scaleClamp(l.eval(unitOf(width, k)), n) },
 		ix, ivs)
 }
 
@@ -291,8 +291,8 @@ func (m *Model) Verify(ix Index) (ok bool, witness keys.Value) {
 	for j := range m.Stages[last] {
 		l := &m.Stages[last][j]
 		check := func(k keys.Value) bool {
-			truth := Find(ix, k)
-			p := scaleClamp(l.Eval(unitOf(width, k)), ix.Len())
+			truth := find(ix, k)
+			p := scaleClamp(l.eval(unitOf(width, k)), ix.Len())
 			d := p - truth
 			if d < 0 {
 				d = -d
@@ -301,7 +301,7 @@ func (m *Model) Verify(ix Index) (ok bool, witness keys.Value) {
 		}
 		for _, iv := range stageResp[j] {
 			for _, piece := range splitAtKnots(width, l, iv) {
-				r := Find(ix, piece.Lo)
+				r := find(ix, piece.Lo)
 				start := piece.Lo
 				for {
 					end := piece.Hi

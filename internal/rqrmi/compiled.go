@@ -34,7 +34,7 @@ package rqrmi
 // routing transition.
 //
 // Bit-identity contract (CLAUDE.md): analyze.go computes error bounds by
-// running LUT.Eval + scaleClamp + unitOf; the compiled plane must reproduce
+// running LUT.eval + scaleClamp + unitOf; the compiled plane must reproduce
 // that arithmetic exactly or the bounds silently stop covering the deployed
 // engine. Concretely:
 //
@@ -231,12 +231,12 @@ func (c *Compiled) Len() int { return c.n }
 // the hardware already holds once; software pays it twice for
 // devirtualization. The table is software's alone: the hardware evaluates
 // the internal stages.)
-func (c *Compiled) SizeBytes() int { return c.BankBytes() + c.table.bytes() + c.bytes() }
+func (c *Compiled) SizeBytes() int { return c.bankBytes() + c.table.bytes() + c.bytes() }
 
-// BankBytes is the coefficient-bank footprint alone (float32 banks + the
+// bankBytes is the coefficient-bank footprint alone (float32 banks + the
 // per-submodel error bounds) — the baseline the quantized plane's shrink
 // ratio is stated against (TestQuantizedBankShrink).
-func (c *Compiled) BankBytes() int {
+func (c *Compiled) bankBytes() int {
 	return 4 * (len(c.bank) + len(c.errs))
 }
 
@@ -281,7 +281,7 @@ func (c *Compiled) unit(k keys.Value) float32 {
 // the count of knots strictly below u, taken without a branch: u and every
 // stored knot are non-negative floats (or the +Inf pad), whose bit patterns
 // order as the numbers do, so knot < u is the sign bit of the integer
-// difference of the two patterns — eight subtractions where LUT.Eval has a
+// difference of the two patterns — eight subtractions where LUT.eval has a
 // scan that leaves on a data-dependent branch. Sorted knots make the count
 // the scan's exit position, and the pad never counts (finite u < +Inf).
 func (c *Compiled) eval(id int, u float32) float32 {

@@ -194,7 +194,7 @@ func TestCompileRejectsMismatch(t *testing.T) {
 }
 
 // TestEvalSelectsTheReferenceSegment holds eval's branch-free segment select
-// to LUT.Eval's scan on hand-built blocks, at the inputs where an integer
+// to LUT.eval's scan on hand-built blocks, at the inputs where an integer
 // compare of float bit patterns could part from the float compare, and checks
 // the knot precondition it rests on is Compile's to enforce.
 func TestEvalSelectsTheReferenceSegment(t *testing.T) {
@@ -239,8 +239,8 @@ func TestEvalSelectsTheReferenceSegment(t *testing.T) {
 			if u < 0 {
 				continue // never an input: unit() maps keys to [0, 1]
 			}
-			if got, want := c.eval(0, u), l.Eval(u); got != want {
-				t.Fatalf("%s: eval(%v) = %v, LUT.Eval %v", tc.name, u, got, want)
+			if got, want := c.eval(0, u), l.eval(u); got != want {
+				t.Fatalf("%s: eval(%v) = %v, LUT.eval %v", tc.name, u, got, want)
 			}
 		}
 	}

@@ -151,7 +151,7 @@ func FuzzQuantizedVsModel(f *testing.F) {
 		for _, p := range getFuzzPlanes(t) {
 			in := p.inDomain(hi, lo)
 			for _, k := range []keys.Value{in, keys.FromParts(hi, lo)} {
-				truth := Find(p.ix, k)
+				truth := find(p.ix, k)
 				pq := p.q.Predict(k)
 				if d := pq.Index - truth; d > pq.Err || -d > pq.Err {
 					t.Fatalf("width %d Predict(%v): quantized index %d err %d does not cover truth %d",

@@ -27,9 +27,9 @@ type Index interface {
 	Low(i int) keys.Value
 }
 
-// Find returns the index of the entry containing k: the greatest i with
+// find returns the index of the entry containing k: the greatest i with
 // Low(i) ≤ k. It is the training-time oracle for target indexes.
-func Find(ix Index, k keys.Value) int {
+func find(ix Index, k keys.Value) int {
 	idx, _ := keys.BoundedSearch(k, 0, ix.Len()-1, ix.Low)
 	return idx
 }
@@ -47,18 +47,15 @@ type LUT struct {
 	Err   int32
 }
 
-// Eval computes the piecewise-linear value at u using the same float32
+// eval computes the piecewise-linear value at u using the same float32
 // multiply-accumulate the hardware performs.
-func (l *LUT) Eval(u float32) float32 {
+func (l *LUT) eval(u float32) float32 {
 	s := 0
 	for s < len(l.Knots) && u > l.Knots[s] {
 		s++
 	}
 	return l.A[s]*u + l.B[s]
 }
-
-// Segments returns the number of linear segments.
-func (l *LUT) Segments() int { return len(l.A) }
 
 // SizeBytes is the parameter-buffer footprint of the submodel: one float32
 // per knot plus two per segment, plus the 4-byte error bound.
@@ -116,7 +113,7 @@ func (m *Model) Predict(k keys.Value) Prediction {
 	last := len(m.Stages) - 1
 	for s := 0; ; s++ {
 		lut := &m.Stages[s][cur]
-		y := lut.Eval(u)
+		y := lut.eval(u)
 		if s == last {
 			return Prediction{
 				Index:    scaleClamp(y, m.N),

@@ -42,7 +42,7 @@ func TestPropertyLookupExact(t *testing.T) {
 		dom := keys.NewDomain(width)
 		check := func(k keys.Value) bool {
 			idx, _ := m.Lookup(ix, k)
-			return idx == Find(ix, k)
+			return idx == find(ix, k)
 		}
 		for i := 0; i < ix.Len(); i++ {
 			if !check(ix.Low(i)) {
@@ -87,7 +87,7 @@ func TestPropertyLUTMatchesMLP(t *testing.T) {
 		for q := 0; q < 300; q++ {
 			u := rng.Float64()*1.4 - 0.2 // include out-of-range inputs
 			want := m.forward(u)
-			got := float64(lut.Eval(float32(u)))
+			got := float64(lut.eval(float32(u)))
 			if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
 				return false
 			}
@@ -137,7 +137,7 @@ func TestPropertyEvalMonotonePerSegment(t *testing.T) {
 				if !(lo < u && u <= hi) {
 					continue
 				}
-				v := lut.Eval(u)
+				v := lut.eval(u)
 				if have && (ascending && v < prev || !ascending && v > prev) {
 					return false
 				}

@@ -35,7 +35,7 @@ package rqrmi
 //     (y·n)>>Fy in int64, with the same ≤0 / ≥1 / top-edge clamps.
 //
 // Correctness contract (CLAUDE.md): the float error bounds do NOT transfer —
-// rounding the coefficients moves every prediction. CompileQuantized
+// rounding the coefficients moves every prediction. compileQuantized
 // therefore re-runs the responsibility/error analysis of analyze.go in
 // exactly this integer arithmetic (same eval, same clamp, same unit), so
 // the stored bounds cover the deployed quantized plane for every key:
@@ -74,7 +74,7 @@ const (
 	accBits = 28
 )
 
-// Quantized is the fixed-point plane. It is immutable after CompileQuantized
+// Quantized is the fixed-point plane. It is immutable after compileQuantized
 // and safe for concurrent use.
 type Quantized struct {
 	width int
@@ -120,21 +120,8 @@ type qStage struct {
 	shBR  uint8
 }
 
-// CompileQuantized re-encodes a trained model as the fixed-point plane and
-// recomputes every final-stage error bound in the quantized arithmetic.
-// The model must be structurally valid and trained over exactly this index,
-// as in Compile.
-func CompileQuantized(m *Model, ix Index) (*Quantized, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("rqrmi: compile quantized: %w", err)
-	}
-	if m.N != ix.Len() {
-		return nil, fmt.Errorf("rqrmi: compile quantized: model N=%d does not match index length %d", m.N, ix.Len())
-	}
-	return compileQuantized(m, ix, flattenLows(ix, m.Width)), nil
-}
-
-// Quantize is CompileQuantized for the model and index c was compiled from;
+// Quantize compiles the fixed-point plane for the model and index c was
+// compiled from;
 // the result searches c's flat bounds instead of building a second copy.
 func (c *Compiled) Quantize(m *Model, ix Index) (*Quantized, error) {
 	if err := m.Validate(); err != nil {
@@ -304,12 +291,12 @@ func (q *Quantized) Len() int { return q.n }
 // SizeBytes is the quantized plane's memory footprint: the int16
 // coefficient banks, the per-submodel bounds, the routing table and the flat
 // bounds copy.
-func (q *Quantized) SizeBytes() int { return q.BankBytes() + q.table.bytes() + q.bytes() }
+func (q *Quantized) SizeBytes() int { return q.bankBytes() + q.table.bytes() + q.bytes() }
 
-// BankBytes is the coefficient-bank footprint alone (banks + per-submodel
+// bankBytes is the coefficient-bank footprint alone (banks + per-submodel
 // error bounds) — the quantity TestQuantizedBankShrink holds to at most 0.6×
-// Compiled.BankBytes.
-func (q *Quantized) BankBytes() int {
+// Compiled.bankBytes.
+func (q *Quantized) bankBytes() int {
 	return 2*len(q.bank) + 4*len(q.errs)
 }
 

@@ -1,6 +1,7 @@
 package rqrmi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,20 @@ import (
 // quantPlanes trains one model per width and compiles both planes. The
 // widths exercise every unit() branch: shl (≤30), shr on one limb (≤64),
 // the split Hi/Lo shift (64<width<94), and the Hi-only shift (≥94).
+// CompileQuantized re-encodes a trained model as the fixed-point plane and
+// recomputes every final-stage error bound in the quantized arithmetic.
+// The model must be structurally valid and trained over exactly this index,
+// as in Compile.
+func CompileQuantized(m *Model, ix Index) (*Quantized, error) {
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("rqrmi: compile quantized: %w", err)
+	}
+	if m.N != ix.Len() {
+		return nil, fmt.Errorf("rqrmi: compile quantized: model N=%d does not match index length %d", m.N, ix.Len())
+	}
+	return compileQuantized(m, ix, flattenLows(ix, m.Width)), nil
+}
+
 func quantPlanes(t *testing.T, widths []int) []fuzzPlane {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -42,7 +57,7 @@ func quantPlanes(t *testing.T, widths []int) []fuzzPlane {
 // bounded search therefore returns exactly the true index.
 func checkQuantizedKey(t *testing.T, p fuzzPlane, k keys.Value) {
 	t.Helper()
-	truth := Find(p.ix, k)
+	truth := find(p.ix, k)
 	pq := p.q.Predict(k)
 	if d := pq.Index - truth; d > pq.Err || -d > pq.Err {
 		t.Fatalf("width %d key %v: quantized index %d err %d does not cover truth %d",
@@ -100,7 +115,7 @@ func TestQuantizedExhaustiveTinyDomain(t *testing.T) {
 			k := keys.FromUint64(v)
 			checkQuantizedKey(t, p, k)
 			pq := p.q.Predict(k)
-			d := pq.Index - Find(p.ix, k)
+			d := pq.Index - find(p.ix, k)
 			if d < 0 {
 				d = -d
 			}
@@ -120,16 +135,16 @@ func TestQuantizedExhaustiveTinyDomain(t *testing.T) {
 // engine scale on the ripe set, DESIGN.md §10).
 func TestQuantizedBankShrink(t *testing.T) {
 	for _, p := range quantPlanes(t, []int{32}) {
-		qb, cb := p.q.BankBytes(), p.c.BankBytes()
+		qb, cb := p.q.bankBytes(), p.c.bankBytes()
 		if qb <= 0 || cb <= 0 {
 			t.Fatalf("degenerate bank sizes: quantized %d, compiled %d", qb, cb)
 		}
 		if ratio := float64(qb) / float64(cb); ratio > 0.6 {
 			t.Errorf("quantized bank %dB / compiled bank %dB = %.3f, want ≤ 0.6", qb, cb, ratio)
 		}
-		if p.q.SizeBytes() <= p.q.BankBytes() {
+		if p.q.SizeBytes() <= p.q.bankBytes() {
 			t.Errorf("SizeBytes %d must include the bounds copy beyond the bank %d",
-				p.q.SizeBytes(), p.q.BankBytes())
+				p.q.SizeBytes(), p.q.bankBytes())
 		}
 	}
 }

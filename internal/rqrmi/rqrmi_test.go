@@ -14,6 +14,9 @@ type sliceIndex struct {
 	lows []keys.Value
 }
 
+// Segments returns the number of linear segments.
+func (l *LUT) Segments() int { return len(l.A) }
+
 func (s *sliceIndex) Len() int             { return len(s.lows) }
 func (s *sliceIndex) Low(i int) keys.Value { return s.lows[i] }
 
@@ -99,8 +102,8 @@ func TestFind(t *testing.T) {
 	}}
 	cases := map[uint64]int{0: 0, 5: 0, 10: 1, 19: 1, 20: 2, 1000: 2}
 	for k, want := range cases {
-		if got := Find(ix, keys.FromUint64(k)); got != want {
-			t.Errorf("Find(%d) = %d, want %d", k, got, want)
+		if got := find(ix, keys.FromUint64(k)); got != want {
+			t.Errorf("find(%d) = %d, want %d", k, got, want)
 		}
 	}
 }
@@ -111,13 +114,13 @@ func TestLUTEval(t *testing.T) {
 		A:     []float32{1, 2},
 		B:     []float32{0, -0.5},
 	}
-	if got := l.Eval(0.25); got != 0.25 {
+	if got := l.eval(0.25); got != 0.25 {
 		t.Errorf("Eval(0.25) = %g", got)
 	}
-	if got := l.Eval(0.5); got != 0.5 { // boundary belongs to left segment
+	if got := l.eval(0.5); got != 0.5 { // boundary belongs to left segment
 		t.Errorf("Eval(0.5) = %g", got)
 	}
-	if got := l.Eval(0.75); got != 1.0 {
+	if got := l.eval(0.75); got != 1.0 {
 		t.Errorf("Eval(0.75) = %g", got)
 	}
 }
@@ -169,7 +172,7 @@ func TestCompileMatchesForward(t *testing.T) {
 		for q := 0; q < 200; q++ {
 			u := rng.Float64()
 			want := m.forward(u)
-			got := float64(lut.Eval(float32(u)))
+			got := float64(lut.eval(float32(u)))
 			// float32 coefficient storage bounds the discrepancy.
 			tol := 1e-5 * (1 + math.Abs(want))
 			if math.Abs(got-want) > tol {
@@ -263,7 +266,7 @@ func TestPartitionAgreesWithRouting(t *testing.T) {
 		// Every sampled key must land in the part it routes to.
 		for q := 0; q < 500; q++ {
 			k := keys.FromUint64(rng.Uint64() & (1<<20 - 1))
-			want := scaleClamp(lut.Eval(unitOf(width, k)), n)
+			want := scaleClamp(lut.eval(unitOf(width, k)), n)
 			found := -1
 			for slot, ivs := range parts {
 				for _, iv := range ivs {
@@ -309,8 +312,8 @@ func TestErrorBoundSound(t *testing.T) {
 		worst := 0
 		for k := uint64(0); k < 1<<width; k++ {
 			key := keys.FromUint64(k)
-			p := scaleClamp(lut.Eval(unitOf(width, key)), ix.Len())
-			d := p - Find(ix, key)
+			p := scaleClamp(lut.eval(unitOf(width, key)), ix.Len())
+			d := p - find(ix, key)
 			if d < 0 {
 				d = -d
 			}
@@ -360,7 +363,7 @@ func TestTrainExhaustiveSmallDomain(t *testing.T) {
 	for k := uint64(0); k < 1<<14; k++ {
 		key := keys.FromUint64(k)
 		idx, _ := m.Lookup(ix, key)
-		if want := Find(ix, key); idx != want {
+		if want := find(ix, key); idx != want {
 			t.Fatalf("key %d: lookup %d, want %d", k, idx, want)
 		}
 	}
@@ -392,7 +395,7 @@ func assertLookupsCorrect(t *testing.T, m *Model, ix Index, width, queries int) 
 	dom := keys.NewDomain(width)
 	check := func(k keys.Value) {
 		idx, probes := m.Lookup(ix, k)
-		if want := Find(ix, k); idx != want {
+		if want := find(ix, k); idx != want {
 			t.Fatalf("key %v: lookup %d, want %d", k, idx, want)
 		}
 		if probes > 2+bitsFor(2*m.MaxErr()+1) {
@@ -534,7 +537,7 @@ func TestTrainDegenerateInputs(t *testing.T) {
 	lut := trainSubmodel(ix, 14, ivs, true)
 	for _, iv := range ivs {
 		for k := iv.Lo; !iv.Hi.Less(k); k = k.Inc() {
-			d := scaleClamp(lut.Eval(unitOf(14, k)), ix.Len()) - Find(ix, k)
+			d := scaleClamp(lut.eval(unitOf(14, k)), ix.Len()) - find(ix, k)
 			if d < 0 {
 				d = -d
 			}
@@ -717,6 +720,6 @@ func BenchmarkLUTEval(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lut.Eval(us[i&1023])
+		lut.eval(us[i&1023])
 	}
 }

@@ -145,7 +145,7 @@ func Train(ix Index, width int, cfg Config) (*Model, *Stats, error) {
 func respEntries(ix Index, ivs []interval) int {
 	total := 0
 	for _, iv := range ivs {
-		total += Find(ix, iv.Hi) - Find(ix, iv.Lo) + 1
+		total += find(ix, iv.Hi) - find(ix, iv.Lo) + 1
 	}
 	return total
 }
@@ -185,7 +185,7 @@ func boundaryPoints(ix Index, width int, ivs []interval) []point {
 		pts = append(pts, point{x, y})
 	}
 	for _, iv := range ivs {
-		lo, hi := Find(ix, iv.Lo), Find(ix, iv.Hi)
+		lo, hi := find(ix, iv.Lo), find(ix, iv.Hi)
 		add(iv.Lo, lo)
 		for r := lo + 1; r <= hi; r++ {
 			add(ix.Low(r), r)

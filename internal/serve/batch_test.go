@@ -47,37 +47,10 @@ func getJSON(t *testing.T, h http.Handler, target string, into any) *httptest.Re
 	return rec
 }
 
-// replyWait bounds how long a test client waits for its replies: a reply the
-// server never sends fails the test in seconds instead of hanging it until the
-// test binary's timeout.
-const replyWait = 10 * time.Second
-
-// dialWire serves srv on a WireServer for the test's lifetime and returns a
-// client connected to it.
-func dialWire(t *testing.T, srv *Server) *wire.Client {
-	t.Helper()
-	addr, _, _ := startWire(t, srv, true)
-	return dialWireAt(t, addr)
-}
-
-// dialWireAt returns a client connected to the wire server at addr for the
-// test's lifetime, its reads bounded by replyWait.
-func dialWireAt(t *testing.T, addr string) *wire.Client {
-	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(replyWait))
-	c := wire.NewClient(conn)
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
 // wantAnswer checks one wire lookup of k against (action, matched).
-func wantAnswer(t *testing.T, c *wire.Client, k keys.Value, action uint64, matched bool) {
+func wantAnswer(t *testing.T, c *client, k keys.Value, action uint64, matched bool) {
 	t.Helper()
-	res, err := c.Lookup(k)
+	res, err := c.lookup(k)
 	if err != nil {
 		t.Fatalf("lookup %v: %v", k, err)
 	}
@@ -99,12 +72,12 @@ func reframe(frame []byte, op wire.Op, p []byte) []byte {
 // wantRejected sends one raw request frame carrying id and requires an error
 // frame with code for that id, after which the connection still answers a
 // ping: a bad payload costs its own answer, not the connection.
-func wantRejected(t *testing.T, c *wire.Client, id uint64, frame []byte, code uint8) {
+func wantRejected(t *testing.T, c *client, id uint64, frame []byte, code uint8) {
 	t.Helper()
-	if err := c.Send(func(b []byte) []byte { return append(b, frame...) }); err != nil {
+	if err := c.send(frame); err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.Recv()
+	f, err := c.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +85,7 @@ func wantRejected(t *testing.T, c *wire.Client, id uint64, frame []byte, code ui
 	if f.Op != wire.OpError || f.ID != id || !errors.As(f.Err(), &re) || re.Code != code {
 		t.Fatalf("answer is %s id=%d payload %q, want error code %d for id %d", f.Op, f.ID, f.Payload, code, id)
 	}
-	if err := c.Ping(); err != nil {
+	if err := c.ping(); err != nil {
 		t.Fatalf("connection unusable after the rejected frame: %v", err)
 	}
 }
@@ -142,26 +115,25 @@ func oracleKeys(seed int64, n int) []keys.Value {
 // gathers the frames one read delivers into LookupBatchInto calls — the shard
 // fan-out, at more than one shard — so the keys must take fewer calls than
 // there are keys.
-func wantPipelinedMatchesOracle(t *testing.T, srv *Server, c *wire.Client, oracle *lpm.TrieMatcher, ks []keys.Value) {
+func wantPipelinedMatchesOracle(t *testing.T, srv *Server, c *client, oracle *lpm.TrieMatcher, ks []keys.Value) {
 	t.Helper()
 	dispatches := srv.reg.Counter("neurolpm_wire_coalesce_dispatches_total", "")
 	before := dispatches.Load()
 	pending := make(map[uint64]keys.Value, len(ks))
 	ids := make([]uint64, len(ks))
 	for i, k := range ks {
-		ids[i] = c.ID()
+		ids[i] = c.id()
 		pending[ids[i]] = k
 	}
-	if err := c.Send(func(b []byte) []byte {
-		for i, k := range ks {
-			b = wire.AppendLookup(b, ids[i], k)
-		}
-		return b
-	}); err != nil {
+	var frames []byte
+	for i, k := range ks {
+		frames = wire.AppendLookup(frames, ids[i], k)
+	}
+	if err := c.send(frames); err != nil {
 		t.Fatal(err)
 	}
 	for range ks {
-		f, err := c.Recv()
+		f, err := c.recv()
 		if err != nil {
 			t.Fatalf("%d of %d answers missing: %v", len(pending), len(ks), err)
 		}
@@ -219,8 +191,8 @@ func TestBatchBadInputTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			id := c.ID()
-			wantRejected(t, c, id, reframe(wire.AppendPing(nil, id), tc.op, tc.payload), tc.code)
+			id := c.id()
+			wantRejected(t, c, id, reframe(appendPing(nil, id), tc.op, tc.payload), tc.code)
 		})
 	}
 	t.Run("post oversized", func(t *testing.T) {
@@ -230,7 +202,7 @@ func TestBatchBadInputTable(t *testing.T) {
 		}
 		defer conn.Close()
 		// The length prefix declares 65 536 keys; only the count follows it.
-		frame := reframe(wire.AppendPing(nil, 1), opRetiredBatch, batchPayload(65536, 0))
+		frame := reframe(appendPing(nil, 1), opRetiredBatch, batchPayload(65536, 0))
 		binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4+16*65536))
 		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
@@ -256,7 +228,7 @@ func TestShardedLookupAndHealthz(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/lookup: %d %s", rec.Code, rec.Body)
 	}
-	k, _ := ParseKey("0x01020304", 32)
+	k, _ := parseKey("0x01020304", 32)
 	want, wantOK := oracle.Lookup(k)
 	if lr.Matched != wantOK || (wantOK && lr.Action != want) {
 		t.Errorf("/lookup: got (%d,%v), oracle (%d,%v)", lr.Action, lr.Matched, want, wantOK)

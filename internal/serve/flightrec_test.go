@@ -29,7 +29,6 @@ func drive(t *testing.T, lookup func(keys.Value), n int) {
 
 func TestFlightRecAndSlowEndpoints(t *testing.T) {
 	withFlightSampling(t)
-	telemetry.Flight.ResetSlow()
 	srv, e := buildTestServer(t, true, telemetry.NewRegistry())
 	h := srv.Handler()
 	drive(t, func(k keys.Value) { e.Lookup(k) }, 300)
@@ -72,8 +71,8 @@ func TestFlightRecAndSlowEndpoints(t *testing.T) {
 	if rec := getJSON(t, h, "/debug/slow", &fresp); rec.Code != http.StatusOK {
 		t.Fatalf("/debug/slow = %d", rec.Code)
 	}
-	if fresp.Count == 0 {
-		t.Fatal("slow log empty after 300 sampled lookups")
+	if fresp.Count == 0 || fresp.Count != len(telemetry.Flight.Slow(0)) {
+		t.Fatalf("/debug/slow lists %d records, the slow log holds %d", fresp.Count, len(telemetry.Flight.Slow(0)))
 	}
 	for i := 1; i < len(fresp.Records); i++ {
 		if fresp.Records[i].TotalNs > fresp.Records[i-1].TotalNs {

@@ -63,7 +63,7 @@ func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 	addr, _, _ := startWire(t, srv, true)
 	c, other := dialWireAt(t, addr), dialWireAt(t, addr)
 	k := freeKey32(t, rs, 1)
-	before, err := c.Lookup(k)
+	before, err := c.lookup(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 	insert := wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 777}
 	in.FailProb(fault.SiteRetrain, 1)
 	var re *wire.RemoteError
-	if err := c.Update(insert); !errors.As(err, &re) || re.Code != wire.ErrBadRequest {
+	if err := c.update(insert); !errors.As(err, &re) || re.Code != wire.ErrBadRequest {
 		t.Fatalf("insert with a failing rebuild answered %v, want a bad-request error frame", err)
 	}
 	wantAnswer(t, c, k, before.Action, before.Matched)
@@ -92,7 +92,7 @@ func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 
 	in.Clear(fault.SiteRetrain)
 	in.SetLatency(fault.SiteRetrain, 20*time.Millisecond)
-	if err := c.Update(insert); err != nil {
+	if err := c.update(insert); err != nil {
 		t.Fatalf("insert once the rebuild succeeds: %v", err)
 	}
 	wantAnswer(t, other, k, 777, true)
@@ -120,7 +120,7 @@ func TestUpdateEndpointLifecycle(t *testing.T) {
 		{wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: k, Len: 32}, want, wantOK},
 	}
 	for _, st := range steps {
-		if err := c.Update(st.u); err != nil {
+		if err := c.update(st.u); err != nil {
 			t.Fatalf("update op %d: %v", st.u.Op, err)
 		}
 		wantAnswer(t, c, k, st.action, st.matched)
@@ -157,8 +157,8 @@ func TestUpdateEndpointRejectsBadInput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			id := c.ID()
-			wantRejected(t, c, id, reframe(wire.AppendPing(nil, id), tc.op, tc.payload), tc.code)
+			id := c.id()
+			wantRejected(t, c, id, reframe(appendPing(nil, id), tc.op, tc.payload), tc.code)
 		})
 	}
 }
@@ -171,12 +171,12 @@ func TestUpdateThenLookupOneShard(t *testing.T) {
 	sh := buildOneShard(t, true)
 	c := dialWire(t, NewSharded(sh, telemetry.NewRegistry()))
 	k := freeKey32(t, buildTestRuleSet(t), 0)
-	before, err := c.Lookup(k)
+	before, err := c.lookup(k)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 777}); err != nil {
+	if err := c.update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 777}); err != nil {
 		t.Fatalf("insert on one shard: %v", err)
 	}
 	wantAnswer(t, c, k, 777, true)
@@ -187,7 +187,7 @@ func TestUpdateThenLookupOneShard(t *testing.T) {
 		t.Fatalf("spilled buckets after commit = %d", n)
 	}
 	wantAnswer(t, c, k, 777, true)
-	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: k, Len: 32}); err != nil {
+	if err := c.update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: k, Len: 32}); err != nil {
 		t.Fatalf("delete on one shard: %v", err)
 	}
 	wantAnswer(t, c, k, before.Action, before.Matched)

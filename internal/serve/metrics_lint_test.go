@@ -27,41 +27,57 @@ import (
 //     appends exactly those suffixes, so a scalar metric using one would
 //     collide with (or masquerade as) a histogram series.
 //
-// This is the cheap half of satellite (f): it runs on every `go test` and
-// fails the build the moment a new metric breaks the contract.
+// It reads the # HELP and # TYPE lines of the registry's own scrape, so it
+// runs on every `go test` and fails the moment a new metric breaks the
+// contract.
 func TestMetricNameLint(t *testing.T) {
 	srv, _ := buildTestServer(t, true, telemetry.NewRegistry())
 	srv.SetInfo("lint", "1")
 	_ = srv.Handler()
 	telemetry.SetBuildInfo(nil)
 
+	// Every metric renders a # HELP line and then its # TYPE line.
+	var scrape strings.Builder
+	telemetry.Default.WritePrometheus(&scrape)
 	nameRe := regexp.MustCompile(`^neurolpm_[a-z0-9_]+$`)
-	entries := telemetry.Default.Entries()
-	if len(entries) < 10 {
-		t.Fatalf("only %d metrics registered — the lint is not seeing the real registry", len(entries))
-	}
-	for _, m := range entries {
-		if !nameRe.MatchString(m.Name) {
-			t.Errorf("%s: name does not match %s", m.Name, nameRe)
+	help := map[string]string{}
+	n := 0
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if h, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, text, _ := strings.Cut(h, " ")
+			help[name] = text
+			continue
 		}
-		if strings.Contains(m.Name, "__") {
-			t.Errorf("%s: double underscore", m.Name)
+		typ, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		n++
+		name, kind, _ := strings.Cut(typ, " ")
+		if !nameRe.MatchString(name) {
+			t.Errorf("%s: name does not match %s", name, nameRe)
+		}
+		if strings.Contains(name, "__") {
+			t.Errorf("%s: double underscore", name)
 		}
 		for _, reserved := range []string{"_count", "_sum", "_bucket"} {
-			if strings.HasSuffix(m.Name, reserved) {
-				t.Errorf("%s: reserved histogram suffix %s", m.Name, reserved)
+			if strings.HasSuffix(name, reserved) {
+				t.Errorf("%s: reserved histogram suffix %s", name, reserved)
 			}
 		}
-		isTotal := strings.HasSuffix(m.Name, "_total")
-		if m.Kind == "counter" && !isTotal {
-			t.Errorf("%s: counter must end in _total", m.Name)
+		isTotal := strings.HasSuffix(name, "_total")
+		if kind == "counter" && !isTotal {
+			t.Errorf("%s: counter must end in _total", name)
 		}
-		if m.Kind != "counter" && isTotal {
-			t.Errorf("%s: %s must not end in _total (counters only)", m.Name, m.Kind)
+		if kind != "counter" && isTotal {
+			t.Errorf("%s: %s must not end in _total (counters only)", name, kind)
 		}
-		if m.Help == "" {
-			t.Errorf("%s: registered with empty help text", m.Name)
+		if help[name] == "" {
+			t.Errorf("%s: registered with empty help text", name)
 		}
+	}
+	if n < 10 {
+		t.Fatalf("only %d metrics registered — the lint is not seeing the real registry", n)
 	}
 }
 
@@ -78,10 +94,10 @@ func TestSeriesCountIsTheDocumented(t *testing.T) {
 	srv.SetInfo("rules", fmt.Sprint(rs.Len()))
 	c := dialWire(t, srv)
 	k := freeKey32(t, rs, 0)
-	if _, err := c.Lookup(k); err != nil {
+	if _, err := c.lookup(k); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 5}); err != nil {
+	if err := c.update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 5}); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()

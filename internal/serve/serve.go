@@ -1,19 +1,17 @@
 // Package serve serves a NeuroLPM engine. Lookups and rule updates travel
 // over the binary wire protocol (WireServer, DESIGN.md §17), the one data
 // path. HTTP is the operations surface: Prometheus-format /metrics backed by
-// the telemetry registry (also published through expvar at /debug/vars),
-// net/http/pprof, /healthz, the flight recorder's /debug/flightrec and
-// /debug/slow, a /trace?key= endpoint returning one query's paper-unit trace
-// and its timed flight record as JSON, and a /lookup?key= for a human asking
-// about one key. cmd/lpmserve wraps it into a daemon; lpmbench mounts the
-// metrics-only subset behind its -metrics flag.
+// the telemetry registry, net/http/pprof, /healthz, the flight recorder's
+// /debug/flightrec and /debug/slow, a /trace?key= endpoint returning one
+// query's paper-unit trace and its timed flight record as JSON, and a
+// /lookup?key= for a human asking about one key. cmd/lpmserve wraps it into
+// a daemon.
 package serve
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -47,7 +45,6 @@ type Server struct {
 // telemetry.Default to expose the engine's always-on instrumentation.
 func NewSharded(sh *shard.ShardedUpdatable, reg *telemetry.Registry) *Server {
 	s := &Server{sh: sh, reg: reg}
-	telemetry.PublishExpvar()
 	s.SetInfo("shards", strconv.Itoa(sh.Shards()))
 	return s
 }
@@ -70,40 +67,25 @@ func (s *Server) SetInfo(key, value string) {
 }
 
 // Handler returns the full mux: /lookup, /trace, /metrics, /healthz,
-// /debug/vars, /debug/flightrec, /debug/slow and /debug/pprof/*.
+// /debug/flightrec, /debug/slow and /debug/pprof/*.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lookup", s.handleLookup)
 	mux.HandleFunc("/trace", s.handleTrace)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mountMetrics(mux, s.reg)
-	return mux
-}
-
-// MetricsHandler returns the observability-only mux (/metrics, /debug/vars,
-// /debug/flightrec, /debug/slow, /debug/pprof/*) for tools that serve no
-// queries, like lpmbench -metrics.
-func MetricsHandler(reg *telemetry.Registry) http.Handler {
-	telemetry.PublishExpvar()
-	mux := http.NewServeMux()
-	mountMetrics(mux, reg)
-	return mux
-}
-
-func mountMetrics(mux *http.ServeMux, reg *telemetry.Registry) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		reg.WritePrometheus(w)
+		s.reg.WritePrometheus(w)
 		writeRuntimeMetrics(w)
 	})
 	mux.HandleFunc("/debug/flightrec", handleFlightRec)
 	mux.HandleFunc("/debug/slow", handleSlow)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // runtimeSamples is the one reused runtime/metrics sample slice behind the Go
@@ -155,7 +137,7 @@ type traceLookup struct {
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	k, err := ParseKey(r.URL.Query().Get("key"), s.sh.Width())
+	k, err := parseKey(r.URL.Query().Get("key"), s.sh.Width())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -172,7 +154,7 @@ type traceResponse struct {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	k, err := ParseKey(r.URL.Query().Get("key"), s.sh.Width())
+	k, err := parseKey(r.URL.Query().Get("key"), s.sh.Width())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -250,10 +232,10 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// ParseKey accepts the key formats operators actually paste: an IP literal —
+// parseKey accepts the key formats operators actually paste: an IP literal —
 // dotted IPv4 on a 32-bit engine, IPv6 on a 128-bit one — 0x-prefixed or bare
 // hex, and decimal.
-func ParseKey(s string, width int) (keys.Value, error) {
+func parseKey(s string, width int) (keys.Value, error) {
 	if s == "" {
 		return keys.Value{}, fmt.Errorf("missing key parameter")
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -101,13 +102,13 @@ func TestParseKey(t *testing.T) {
 		{"fe80::1%eth0", 128, keys.Value{}, false},
 	}
 	for _, c := range cases {
-		got, err := ParseKey(c.in, c.width)
+		got, err := parseKey(c.in, c.width)
 		if c.ok != (err == nil) {
-			t.Errorf("ParseKey(%q, %d): err = %v, want ok=%v", c.in, c.width, err, c.ok)
+			t.Errorf("parseKey(%q, %d): err = %v, want ok=%v", c.in, c.width, err, c.ok)
 			continue
 		}
 		if c.ok && got != c.want {
-			t.Errorf("ParseKey(%q, %d) = %v, want %v", c.in, c.width, got, c.want)
+			t.Errorf("parseKey(%q, %d) = %v, want %v", c.in, c.width, got, c.want)
 		}
 	}
 }
@@ -202,9 +203,9 @@ func TestEndpoints(t *testing.T) {
 		}
 	}
 
-	// expvar and pprof surfaces answer.
-	if code, body = get("/debug/vars"); code != http.StatusOK || !strings.Contains(body, `"neurolpm"`) {
-		t.Fatalf("/debug/vars = %d (neurolpm present: %v)", code, strings.Contains(body, `"neurolpm"`))
+	// pprof answers; the registry has one rendering, /metrics, and no expvar.
+	if code, _ = get("/debug/vars"); code != http.StatusNotFound {
+		t.Fatalf("/debug/vars = %d, want 404", code)
 	}
 	if code, _ = get("/debug/pprof/"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ = %d", code)
@@ -222,7 +223,7 @@ func TestConcurrentLookupsAndScrapes(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	l0 := core.LookupCounts().Lookups
+	l0 := scrapeLookups(t, srv.URL)
 
 	const workers, per = 8, 60
 	var wg sync.WaitGroup
@@ -273,35 +274,34 @@ func TestConcurrentLookupsAndScrapes(t *testing.T) {
 	}
 
 	// Every HTTP lookup and the 20 traces hit the engine exactly once.
-	if d := core.LookupCounts().Lookups - l0; d < workers*per+20 {
+	if d := scrapeLookups(t, srv.URL) - l0; d < workers*per+20 {
 		t.Fatalf("lookup counter delta = %d, want >= %d", d, workers*per+20)
 	}
 }
 
-func TestMetricsHandlerOnly(t *testing.T) {
-	srv := httptest.NewServer(MetricsHandler(telemetry.Default))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
+// scrapeLookups reads neurolpm_lookups_total from the /metrics at url.
+func scrapeLookups(t *testing.T, url string) uint64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "neurolpm_") {
-		t.Fatalf("metrics-only handler = %d", resp.StatusCode)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// No query surface on the metrics-only mux, and no server-side window:
-	// /metrics carries the cumulative histograms a window is read from.
-	for _, p := range []string{"/lookup?key=1", "/slo"} {
-		resp, err = http.Get(srv.URL + p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("metrics-only %s = %d, want 404", p, resp.StatusCode)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "neurolpm_lookups_total "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
 		}
 	}
+	t.Fatal("/metrics lists no neurolpm_lookups_total")
+	return 0
 }
 
 // TestTraceTimesEveryKey: /trace times its key whatever the flight

@@ -62,7 +62,7 @@ func TestWireServerMatchesOracle(t *testing.T) {
 	oracle := lpm.NewTrieMatcher(rs)
 	c := dialWireAt(t, addr)
 
-	if err := c.Ping(); err != nil {
+	if err := c.ping(); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 
@@ -72,7 +72,7 @@ func TestWireServerMatchesOracle(t *testing.T) {
 		ks[i] = keys.FromUint64(rng.Uint64() & (1<<32 - 1))
 	}
 	for _, k := range ks[:50] {
-		res, err := c.Lookup(k)
+		res, err := c.lookup(k)
 		if err != nil {
 			t.Fatalf("lookup %v: %v", k, err)
 		}
@@ -85,18 +85,18 @@ func TestWireServerMatchesOracle(t *testing.T) {
 
 	// An acknowledged update is in the engine, so the next lookup sees it.
 	probe := keys.FromUint64(0x7f000001)
-	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: probe, Len: 32, Action: 4242}); err != nil {
+	if err := c.update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: probe, Len: 32, Action: 4242}); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	res, err := c.Lookup(probe)
+	res, err := c.lookup(probe)
 	if err != nil || !res.Matched || res.Action != 4242 {
 		t.Fatalf("lookup after insert = (%d,%v,%v), want (4242,true,nil)", res.Action, res.Matched, err)
 	}
-	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: probe, Len: 32}); err != nil {
+	if err := c.update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: probe, Len: 32}); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	action, ok := oracle.Lookup(probe)
-	res, err = c.Lookup(probe)
+	res, err = c.lookup(probe)
 	if err != nil || res.Matched != ok || (ok && res.Action != action) {
 		t.Fatalf("lookup after delete = (%d,%v,%v), oracle (%d,%v)", res.Action, res.Matched, err, action, ok)
 	}
@@ -187,7 +187,7 @@ func TestWireBatchingRules(t *testing.T) {
 		b = wire.AppendLookup(b, 3, k)
 		b = wire.AppendUpdate(b, 4, wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: k, Len: 32})
 		b = wire.AppendLookup(b, 5, k)
-		b = wire.AppendPing(b, 6)
+		b = appendPing(b, 6)
 		if _, err := conn.Write(b); err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestWireBatchingRules(t *testing.T) {
 		}
 		action, ok = oracle.Lookup(k3)
 		wantResult(t, fs[2], 3, action, ok)
-		if _, err := conn.Write(wire.AppendPing(nil, 4)); err != nil {
+		if _, err := conn.Write(appendPing(nil, 4)); err != nil {
 			t.Fatal(err)
 		}
 		if f := readFrames(t, conn, br, 1)[0]; f.Op != wire.OpPong || f.ID != 4 {
@@ -265,7 +265,7 @@ func TestWireSingleEngineMode(t *testing.T) {
 
 	c := dialWireAt(t, addr)
 	k := freeKey32(t, buildTestRuleSet(t), 0)
-	res, err := c.Lookup(k)
+	res, err := c.lookup(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +274,10 @@ func TestWireSingleEngineMode(t *testing.T) {
 		t.Fatalf("wire (%d,%v) disagrees with engine (%d,%v)", res.Action, res.Matched, action, ok)
 	}
 	// Acknowledged means in the engine.
-	if err := c.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 4242}); err != nil {
+	if err := c.update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 4242}); err != nil {
 		t.Fatalf("update on one shard: %v", err)
 	}
-	if res, err = c.Lookup(k); err != nil || !res.Matched || res.Action != 4242 {
+	if res, err = c.lookup(k); err != nil || !res.Matched || res.Action != 4242 {
 		t.Fatalf("lookup after insert = (%+v, %v), want action 4242", res, err)
 	}
 }
@@ -303,7 +303,7 @@ func TestWireMalformedFramesDoNotKillServer(t *testing.T) {
 	}
 	bad.Close()
 
-	if err := good.Ping(); err != nil {
+	if err := good.ping(); err != nil {
 		t.Fatalf("healthy connection broken by another client's garbage: %v", err)
 	}
 }
@@ -318,18 +318,18 @@ func TestWireDrainsInFlightFrames(t *testing.T) {
 	oracle := lpm.NewTrieMatcher(rs)
 
 	c := dialWireAt(t, addr)
-	if err := c.Ping(); err != nil { // the connection is accepted and served
+	if err := c.ping(); err != nil { // the connection is accepted and served
 		t.Fatal(err)
 	}
 
 	k := keys.FromUint64(0x0a010203)
-	id := c.ID()
-	if err := c.Send(func(b []byte) []byte { return wire.AppendLookup(b, id, k) }); err != nil {
+	id := c.id()
+	if err := c.send(wire.AppendLookup(nil, id, k)); err != nil {
 		t.Fatal(err)
 	}
 	stop <- syscall.SIGTERM
 
-	f, err := c.Recv()
+	f, err := c.recv()
 	if err != nil {
 		t.Fatalf("in-flight wire frame not drained: %v", err)
 	}
@@ -430,7 +430,7 @@ func TestWireDrainAnswersFrameAtGraceEdge(t *testing.T) {
 	oracle := lpm.NewTrieMatcher(rs)
 
 	c := dialWireAt(t, addr)
-	if err := c.Ping(); err != nil { // the connection is accepted and served
+	if err := c.ping(); err != nil { // the connection is accepted and served
 		t.Fatal(err)
 	}
 
@@ -441,11 +441,11 @@ func TestWireDrainAnswersFrameAtGraceEdge(t *testing.T) {
 		t.Fatal("drain never bounded the connection")
 	}
 	k := keys.FromUint64(0x0a010203)
-	id := c.ID()
-	if err := c.Send(func(b []byte) []byte { return wire.AppendLookup(b, id, k) }); err != nil {
+	id := c.id()
+	if err := c.send(wire.AppendLookup(nil, id, k)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.Recv()
+	f, err := c.recv()
 	if err != nil {
 		t.Fatalf("frame read at the edge of the drain grace was not answered: %v", err)
 	}
@@ -510,12 +510,12 @@ func TestWireStalledClientDoesNotStallOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := wire.NewClient(conn)
-	defer c.Close()
+	c := newClient(conn)
+	defer c.conn.Close()
 	for i := 0; i < 100; i++ {
 		k := keys.FromUint64(uint64(i) * 40503)
 		conn.SetDeadline(time.Now().Add(2 * time.Second))
-		res, err := c.Lookup(k)
+		res, err := c.lookup(k)
 		if err != nil {
 			t.Fatalf("healthy client's lookup %d beside a stalled client: %v", i, err)
 		}
@@ -565,7 +565,7 @@ func TestUnitsDrainTogether(t *testing.T) {
 	}()
 
 	c := dialWireAt(t, wl.Addr().String())
-	if err := c.Ping(); err != nil {
+	if err := c.ping(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -608,11 +608,11 @@ func TestWireStressCoalescerVsCommits(t *testing.T) {
 	flapWg.Add(1)
 	go func() {
 		defer flapWg.Done()
-		cu, err := wire.Dial(addr, time.Second)
+		cu, err := dialClient(addr)
 		if err != nil {
 			return
 		}
-		defer cu.Close()
+		defer cu.conn.Close()
 		for i := 0; ; i++ {
 			select {
 			case <-stopFlap:
@@ -620,9 +620,9 @@ func TestWireStressCoalescerVsCommits(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				cu.Update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: probe, Len: 32, Action: probeAct})
+				cu.update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: probe, Len: 32, Action: probeAct})
 			} else {
-				cu.Update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: probe, Len: 32})
+				cu.update(wire.RuleUpdate{Op: wire.UpdateDelete, Prefix: probe, Len: 32})
 			}
 			if i%8 == 3 {
 				sh.Commit(sh.ShardOf(probe))
@@ -637,12 +637,12 @@ func TestWireStressCoalescerVsCommits(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := wire.Dial(addr, time.Second)
+			c, err := dialClient(addr)
 			if err != nil {
 				t.Errorf("conn %d: %v", g, err)
 				return
 			}
-			defer c.Close()
+			defer c.conn.Close()
 			rng := rand.New(rand.NewSource(int64(g) * 31))
 			for i := 0; i < perConn; i++ {
 				var k keys.Value
@@ -654,7 +654,7 @@ func TestWireStressCoalescerVsCommits(t *testing.T) {
 						k = keys.FromUint64(1) // keep the random arm oracle-stable
 					}
 				}
-				res, err := c.Lookup(k)
+				res, err := c.lookup(k)
 				if err != nil {
 					t.Errorf("conn %d lookup %d: %v", g, i, err)
 					return

@@ -6,6 +6,7 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 
 	"neurolpm/internal/keys"
@@ -141,7 +142,7 @@ func TestShardedModifyActionWithoutRetrain(t *testing.T) {
 			}
 		}
 
-		modified := rs.Clone()
+		modified := &lpm.RuleSet{Width: rs.Width, Rules: slices.Clone(rs.Rules)}
 		for i := range modified.Rules {
 			if modified.Rules[i].Prefix == target.Prefix && modified.Rules[i].Len == target.Len {
 				modified.Rules[i].Action = newAction
@@ -175,7 +176,7 @@ func TestShardedModifyActionKeepsTheTableBounded(t *testing.T) {
 	if err := u.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	modified := rs.Clone()
+	modified := &lpm.RuleSet{Width: rs.Width, Rules: slices.Clone(rs.Rules)}
 	for i := range modified.Rules {
 		if modified.Rules[i].Prefix == target.Prefix && modified.Rules[i].Len == target.Len {
 			modified.Rules[i].Action = last

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"neurolpm/internal/core"
@@ -21,6 +23,24 @@ func quickModel() rqrmi.Config {
 
 func quickSRAMOnly() core.Config { return core.Config{Model: quickModel()} }
 func quickBucketed() core.Config { return core.Config{BucketSize: 8, Model: quickModel()} }
+
+// scrape renders the default registry as /metrics does and returns each
+// series' value by its name, labels included.
+func scrape() map[string]float64 {
+	var b strings.Builder
+	telemetry.Default.WritePrometheus(&b)
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || line[0] == '#' {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+			out[line[:i]] = v
+		}
+	}
+	return out
+}
 
 // randomRuleSet mirrors the generator used across the core and serve tests.
 func randomRuleSet(t testing.TB, width, n int, seed int64) *lpm.RuleSet {
@@ -350,7 +370,7 @@ func TestProbeBoundGaugeIsTheLivePlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	gauge := func() int {
-		v, ok := telemetry.Default.Snapshot()[`neurolpm_model_probe_bound{shard="0"}`]
+		v, ok := scrape()[`neurolpm_model_probe_bound{shard="0"}`]
 		if !ok {
 			t.Fatal(`no neurolpm_model_probe_bound{shard="0"} series`)
 		}

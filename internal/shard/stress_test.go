@@ -85,7 +85,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	steady := randomKeys(width, 256, 43)
 	for i, k := range steady {
 		if k == probe.Prefix { // keep steady keys commit-invariant
-			steady[i] = k.Xor(keys.FromUint64(1))
+			steady[i] = keys.Value{Hi: k.Hi, Lo: k.Lo ^ 1}
 		}
 	}
 	oracle := lpm.NewTrieMatcher(rs)
@@ -95,11 +95,15 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	}
 
 	var issued atomic.Uint64 // keys the readers have handed to LookupBatch
-	c0 := core.LookupCounts()
+	// A scrape reads each series at its own moment, so only a quiescent one
+	// can hold the two series equal; the counts are cumulative, so one
+	// lookup booked as SRAM-only mid-run still shows there.
+	c0 := scrape()
 	checkBooked := func(quiescent bool) {
-		c := core.LookupCounts()
-		d, db := c.Lookups-c0.Lookups, c.Bucketized-c0.Bucketized
-		if n := issued.Load(); d != db || d > n || (quiescent && d != n) {
+		c := scrape()
+		d := uint64(c["neurolpm_lookups_total"] - c0["neurolpm_lookups_total"])
+		db := uint64(c["neurolpm_bucketized_lookups_total"] - c0["neurolpm_bucketized_lookups_total"])
+		if n := issued.Load(); d > n || (quiescent && (d != db || d != n)) {
 			t.Errorf("%d lookups booked, %d of them bucketized, for %d keys issued (quiescent %v)", d, db, n, quiescent)
 		}
 	}
@@ -187,7 +191,7 @@ func TestConcurrentRepeatedKeyReadersWithUpdates(t *testing.T) {
 	steady := randomKeys(width, 128, 43)
 	for i, k := range steady {
 		if k == probe.Prefix {
-			steady[i] = k.Xor(keys.FromUint64(1))
+			steady[i] = keys.Value{Hi: k.Hi, Lo: k.Lo ^ 1}
 		}
 	}
 	oracle := lpm.NewTrieMatcher(rs)

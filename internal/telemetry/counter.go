@@ -3,11 +3,11 @@ package telemetry
 import "sync/atomic"
 
 // Counter is a lock-free monotonic counter: a Tally of one lane. The zero
-// value is not usable; create with NewCounter or through a Registry.
+// value is not usable; create with newCounter or through a Registry.
 type Counter struct{ t Tally }
 
-// NewCounter returns a standalone (unregistered) counter.
-func NewCounter() *Counter { return &Counter{*NewTally()} }
+// newCounter returns a standalone (unregistered) counter.
+func newCounter() *Counter { return &Counter{*NewTally()} }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.t.Stripe().Add(0, 1) }
@@ -26,7 +26,7 @@ const Lanes = 4
 // writers on different stripes never share a coherence granule.
 type TallyStripe struct {
 	lane    [Lanes]atomic.Uint64
-	claimed atomic.Uint64 // the last tick Claim took, above its stride's gen byte
+	claimed atomic.Uint64 // the last tick claim took, above its stride's gen byte
 	_       [cacheLine - 8*Lanes - 8]byte
 }
 
@@ -38,19 +38,19 @@ func (s *TallyStripe) Add(lane int, n uint64) uint64 { return s.lane[lane].Add(n
 // Tick is one more than the sum of the stripe's lanes, read with plain loads:
 // the stripe tick of the next event booked, as far as the reader can tell,
 // for a sampler that must decide before the event is booked. Bookers sharing
-// the stripe can read one tick twice or skip one; Claim gives each sampled
+// the stripe can read one tick twice or skip one; claim gives each sampled
 // tick to one of them whatever they read.
 func (s *TallyStripe) Tick() uint64 {
 	return s.lane[0].Load() + s.lane[1].Load() + s.lane[2].Load() + s.lane[3].Load() + 1
 }
 
-// Claim takes tick t for the stripe's one claiming sampler, whose stride has
+// claim takes tick t for the stripe's one claiming sampler, whose stride has
 // mask m, if a tick on that stride lies past the last tick taken and up to t:
 // three loads and a compare, then a compare-and-swap when one does. So each
 // stride tick goes to at most one caller, and only to one whose event follows
 // it. gen names the stride (its low byte is kept with the tick); a tick taken
 // under another stride reaches back no further than t itself.
-func (s *TallyStripe) Claim(m, gen, t uint64) bool {
+func (s *TallyStripe) claim(m, gen, t uint64) bool {
 	last := s.claimed.Load()
 	from := last >> 8
 	if last&0xff != gen&0xff {
@@ -59,7 +59,7 @@ func (s *TallyStripe) Claim(m, gen, t uint64) bool {
 	return from|m != t|m && t > from && s.claimed.CompareAndSwap(last, t<<8|gen&0xff)
 }
 
-// Due is Claim's test without the write, against the last tick taken under
+// Due is claim's test without the write, against the last tick taken under
 // any stride: one load and a compare.
 func (s *TallyStripe) Due(m, t uint64) bool { return (s.claimed.Load()>>8)|m != t|m }
 

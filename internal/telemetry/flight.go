@@ -86,12 +86,12 @@ const maskOff = ^uint64(0)
 // Recorder is a flight-recorder instance: sampling mask, record ring,
 // slow-query log, and the cumulative latency histogram of the sampled
 // queries (neurolpm_lookup_latency_ns on /metrics; a window is the
-// difference of two scrapes). Use the package-level Flight; NewRecorder
+// difference of two scrapes). Use the package-level Flight; newRecorder
 // exists for tests.
 type Recorder struct {
 	mask  atomic.Uint64 // sampleEvery−1, or maskOff when disabled
 	every atomic.Uint64
-	gen   atomic.Uint64 // bumped by every SetSampleEvery (TallyStripe.Claim)
+	gen   atomic.Uint64 // bumped by every SetSampleEvery (TallyStripe.claim)
 
 	ringMu sync.Mutex
 	ring   []FlightRecord
@@ -115,11 +115,11 @@ type Recorder struct {
 const DefaultSampleEvery = 256
 
 // Flight is the process-wide recorder every engine lookup samples into.
-var Flight = NewRecorder(4096, 32)
+var Flight = newRecorder(4096, 32)
 
-// NewRecorder builds a recorder with the given ring size (rounded up to a
+// newRecorder builds a recorder with the given ring size (rounded up to a
 // power of two) and slow-log depth, sampling 1 in DefaultSampleEvery.
-func NewRecorder(ringSize, slowN int) *Recorder {
+func newRecorder(ringSize, slowN int) *Recorder {
 	n := 1
 	for n < ringSize {
 		n <<= 1
@@ -159,11 +159,11 @@ func (r *Recorder) SetSampleEvery(n uint64) {
 func (r *Recorder) SampleEvery() uint64 { return r.every.Load() }
 
 // Draws reports whether the event at tick t of stripe s is sampled, claiming
-// its stride tick (TallyStripe.Claim) so no other event on s takes it. Callers
+// its stride tick (TallyStripe.claim) so no other event on s takes it. Callers
 // peek a tick they already keep (TallyStripe.Tick), so an unsampled event
 // costs the peek, three loads and a compare.
 func (r *Recorder) Draws(s *TallyStripe, t uint64) bool {
-	return s.Claim(r.mask.Load(), r.gen.Load(), t)
+	return s.claim(r.mask.Load(), r.gen.Load(), t)
 }
 
 // Due reports whether an event on stripe s up to tick t may be sampled, with
@@ -242,15 +242,6 @@ func (r *Recorder) Slow(n int) []FlightRecord {
 	return append([]FlightRecord(nil), r.slow[:n]...)
 }
 
-// ResetSlow clears the slow log (operator action after investigating; also
-// used between experiment phases).
-func (r *Recorder) ResetSlow() {
-	r.slowMu.Lock()
-	r.slow = r.slow[:0]
-	r.slowMin.Store(0)
-	r.slowMu.Unlock()
-}
-
 // RingSize returns the ring capacity.
 func (r *Recorder) RingSize() int { return len(r.ring) }
 
@@ -262,10 +253,10 @@ func (r *Recorder) Recorded() uint64 {
 }
 
 func init() {
-	Default.Gauge("neurolpm_flightrec_sample_every",
+	Default.gauge("neurolpm_flightrec_sample_every",
 		"Flight-recorder sampling stride (1-in-N; 0 = disabled)",
 		func() float64 { return float64(Flight.SampleEvery()) })
-	Default.Gauge("neurolpm_flightrec_records",
+	Default.gauge("neurolpm_flightrec_records",
 		"Flight records committed since boot",
 		func() float64 { return float64(Flight.Recorded()) })
 }

@@ -11,7 +11,7 @@ import (
 var procStart = time.Now()
 
 func init() {
-	Default.Gauge("neurolpm_process_start_time_seconds",
+	Default.gauge("neurolpm_process_start_time_seconds",
 		"Unix time the process started, in seconds",
 		func() float64 { return float64(procStart.UnixNano()) / 1e9 })
 }
@@ -25,5 +25,5 @@ func SetBuildInfo(extra map[string]string) {
 	for k, v := range extra {
 		labels[k] = v
 	}
-	Default.Info("neurolpm_build_info", "Build and configuration info (value is always 1)", labels)
+	Default.info("neurolpm_build_info", "Build and configuration info (value is always 1)", labels)
 }

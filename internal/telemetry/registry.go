@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -18,23 +17,6 @@ const (
 	kindGaugeVec
 	kindInfo
 )
-
-// String names the kind for Entries (and the metrics-name lint).
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindHistogram:
-		return "histogram"
-	case kindGauge:
-		return "gauge"
-	case kindGaugeVec:
-		return "gaugevec"
-	case kindInfo:
-		return "info"
-	}
-	return "unknown"
-}
 
 // entry is one named metric.
 type entry struct {
@@ -78,7 +60,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 		}
 		return e.ctr
 	}
-	c := NewCounter()
+	c := newCounter()
 	r.add(&entry{name: name, help: help, kind: kindCounter, ctr: c, count: c.Load})
 	return c
 }
@@ -110,10 +92,10 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return h
 }
 
-// Gauge registers a derived metric evaluated at scrape time. Re-registering
+// gauge registers a derived metric evaluated at scrape time. Re-registering
 // the same name replaces the function (last writer wins), which lets a
 // rebuilt engine refresh its gauges.
-func (r *Registry) Gauge(name, help string, fn func() float64) {
+func (r *Registry) gauge(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[name]; ok {
@@ -130,7 +112,7 @@ func (r *Registry) Gauge(name, help string, fn func() float64) {
 // registry's answer to per-shard metrics (spilled buckets, probe bound)
 // without pulling in a full label model. Each label value holds
 // one scrape-time function; Set is last-writer-wins per value, matching
-// Gauge's rebuilt-engine refresh semantics.
+// gauge's rebuilt-engine refresh semantics.
 type GaugeVec struct {
 	name  string
 	label string
@@ -187,11 +169,11 @@ func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 	return v
 }
 
-// Info registers a constant-labels info metric (value always 1) in the
+// info registers a constant-labels info metric (value always 1) in the
 // Prometheus `*_info` idiom — build/configuration facts carried as labels.
 // Re-registering replaces the label set (last writer wins), mirroring
-// Gauge's refresh semantics.
-func (r *Registry) Info(name, help string, labels map[string]string) {
+// gauge's refresh semantics.
+func (r *Registry) info(name, help string, labels map[string]string) {
 	pairs := make([][2]string, 0, len(labels))
 	for k, v := range labels {
 		pairs = append(pairs, [2]string{k, v})
@@ -207,24 +189,6 @@ func (r *Registry) Info(name, help string, labels map[string]string) {
 		return
 	}
 	r.add(&entry{name: name, help: help, kind: kindInfo, labels: pairs})
-}
-
-// MetricInfo describes one registered metric — the registry's reflection
-// surface, consumed by the metrics-name lint test and documentation tools.
-type MetricInfo struct {
-	Name string
-	Help string
-	Kind string
-}
-
-// Entries lists every registered metric, name-sorted.
-func (r *Registry) Entries() []MetricInfo {
-	es := r.snapshotEntries()
-	out := make([]MetricInfo, 0, len(es))
-	for _, e := range es {
-		out = append(out, MetricInfo{Name: e.name, Help: e.help, Kind: e.kind.String()})
-	}
-	return out
 }
 
 // add inserts an entry; callers hold r.mu.
@@ -286,56 +250,4 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", e.name, s.Sum, e.name, s.Total)
 		}
 	}
-}
-
-// Snapshot returns a flat name→value view: counters and gauges map to one
-// value; histograms expand to _count, _sum, _mean, _p50, _p99 and _max.
-// This is the expvar representation.
-func (r *Registry) Snapshot() map[string]float64 {
-	out := make(map[string]float64)
-	for _, e := range r.snapshotEntries() {
-		switch e.kind {
-		case kindCounter:
-			out[e.name] = float64(e.count())
-		case kindGauge:
-			out[e.name] = e.fn()
-		case kindGaugeVec:
-			vals, readings := e.vec.snapshot()
-			for i, lv := range vals {
-				out[fmt.Sprintf("%s{%s=%q}", e.name, e.vec.label, lv)] = readings[i]
-			}
-		case kindInfo:
-			var lb []byte
-			for i, p := range e.labels {
-				if i > 0 {
-					lb = append(lb, ',')
-				}
-				lb = append(lb, fmt.Sprintf("%s=%q", p[0], p[1])...)
-			}
-			out[fmt.Sprintf("%s{%s}", e.name, lb)] = 1
-		case kindHistogram:
-			s := e.hist.Snapshot()
-			out[e.name+"_count"] = float64(s.Total)
-			out[e.name+"_sum"] = float64(s.Sum)
-			out[e.name+"_mean"] = s.Mean()
-			out[e.name+"_p50"] = s.Quantile(0.50)
-			out[e.name+"_p99"] = s.Quantile(0.99)
-			out[e.name+"_max"] = float64(s.Max())
-		}
-	}
-	return out
-}
-
-// publishOnce guards expvar publication: expvar panics on duplicate names.
-var publishOnce sync.Once
-
-// PublishExpvar exposes the default registry through expvar under the
-// "neurolpm" variable, so /debug/vars carries the same numbers /metrics
-// does. Safe to call any number of times.
-func PublishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("neurolpm", expvar.Func(func() any {
-			return Default.Snapshot()
-		}))
-	})
 }

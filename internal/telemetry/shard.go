@@ -1,11 +1,11 @@
 // Package telemetry is the always-on observability substrate of the
 // NeuroLPM engine: lock-free sharded counters, log₂-bucketed histograms
-// with quantile extraction, a per-query span recorder, and a registry that
-// renders everything as Prometheus text and publishes it through expvar.
+// with quantile extraction, a sampled flight recorder, and a registry that
+// renders everything as Prometheus text.
 //
 // The paper argues from distributions — per-query error bounds (§5.2.1),
-// secondary-search probe counts (§6.2), bank conflicts (Fig 6a), and the
-// one-DRAM-access-per-query bucketization invariant (§7) — so the hot
+// secondary-search probe counts (§6.2) and the one-DRAM-access-per-query
+// bucketization invariant (§7) — so the hot
 // paths are instrumented unconditionally. Every primitive here is designed
 // to keep that instrumentation within noise of the uninstrumented engine:
 // one or two uncontended atomic adds per event, no locks, no allocation.

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"expvar"
 	"math"
 	"strings"
 	"sync"
@@ -11,7 +9,7 @@ import (
 )
 
 func TestCounterBasics(t *testing.T) {
-	c := NewCounter()
+	c := newCounter()
 	if c.Load() != 0 {
 		t.Fatalf("fresh counter = %d, want 0", c.Load())
 	}
@@ -23,7 +21,7 @@ func TestCounterBasics(t *testing.T) {
 }
 
 func TestCounterNoAlloc(t *testing.T) {
-	c := NewCounter()
+	c := newCounter()
 	if allocs := testing.AllocsPerRun(1000, func() { c.Inc() }); allocs != 0 {
 		t.Fatalf("Counter.Inc allocates %.1f objects per op", allocs)
 	}
@@ -127,9 +125,6 @@ func TestCounterFunc(t *testing.T) {
 	st.Add(0, 7)
 	st.Add(1, 2)
 	st.Add(3, 5)
-	if got := r.Snapshot()["matched_total"]; got != 7 {
-		t.Fatalf("snapshot = %v, want 7", got)
-	}
 	var b strings.Builder
 	r.WritePrometheus(&b)
 	if out := b.String(); !strings.Contains(out, "# TYPE matched_total counter\nmatched_total 7\n") {
@@ -197,10 +192,10 @@ func TestTallyTicks(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if st.Claim(m, 0, tick-1) {
+				if st.claim(m, 0, tick-1) {
 					t.Errorf("tick %d claimed before stride tick %d", tick-1, tick)
 				}
-				if st.Claim(m, 0, tick) {
+				if st.claim(m, 0, tick) {
 					claims.Add(1)
 				}
 			}()
@@ -218,7 +213,7 @@ func TestWritePrometheus(t *testing.T) {
 	h := r.Histogram("demo_probes", "a demo histogram")
 	h.Observe(3)
 	h.Observe(5)
-	r.Gauge("demo_ratio", "a demo gauge", func() float64 { return 1.0 })
+	r.gauge("demo_ratio", "a demo gauge", func() float64 { return 1.0 })
 
 	var b strings.Builder
 	r.WritePrometheus(&b)
@@ -238,23 +233,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestPublishExpvar(t *testing.T) {
-	Default.Counter("expvar_demo_total", "demo").Inc()
-	PublishExpvar()
-	PublishExpvar() // second call must not panic
-	v := expvar.Get("neurolpm")
-	if v == nil {
-		t.Fatal("expvar variable not published")
-	}
-	var m map[string]float64
-	if err := json.Unmarshal([]byte(v.String()), &m); err != nil {
-		t.Fatalf("expvar payload is not JSON: %v", err)
-	}
-	if m["expvar_demo_total"] < 1 {
-		t.Fatalf("expvar payload missing counter: %v", m)
-	}
-}
-
 // TestConcurrentHammer drives counters and histograms from 32 goroutines
 // while a reader extracts quantiles — run under -race in CI.
 func TestConcurrentHammer(t *testing.T) {
@@ -262,7 +240,7 @@ func TestConcurrentHammer(t *testing.T) {
 		writers   = 32
 		perWriter = 20000
 	)
-	c := NewCounter()
+	c := newCounter()
 	h := NewHistogram()
 	tl := NewTally()
 	stop := make(chan struct{})
@@ -316,7 +294,7 @@ func TestConcurrentHammer(t *testing.T) {
 }
 
 func BenchmarkCounterInc(b *testing.B) {
-	c := NewCounter()
+	c := newCounter()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Inc()
@@ -349,10 +327,6 @@ func TestGaugeVec(t *testing.T) {
 	want := "pershard{shard=\"0\"} 5\npershard{shard=\"1\"} 11\n"
 	if !strings.Contains(out, want) {
 		t.Fatalf("prometheus output missing sorted labeled series:\n%s", out)
-	}
-	snap := r.Snapshot()
-	if snap[`pershard{shard="0"}`] != 5 || snap[`pershard{shard="1"}`] != 11 {
-		t.Fatalf("snapshot missing labeled series: %v", snap)
 	}
 
 	defer func() {

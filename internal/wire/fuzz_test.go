@@ -23,7 +23,7 @@ func FuzzWireCodec(f *testing.F) {
 		AppendLookup(nil, 1, k),
 		AppendUpdate(nil, 3, RuleUpdate{Op: UpdateInsert, Prefix: k, Len: 64, Action: 9}),
 		AppendUpdate(nil, 4, RuleUpdate{Op: UpdateDelete, Prefix: k, Len: 128}),
-		AppendPing(nil, 5),
+		appendPing(nil, 5),
 		AppendResult(nil, 6, 42, true),
 		AppendUpdateResult(nil, 8),
 		AppendPong(nil, 9),

@@ -148,9 +148,6 @@ func AppendUpdate(b []byte, id uint64, u RuleUpdate) []byte {
 	return binary.LittleEndian.AppendUint64(b, u.Action)
 }
 
-// AppendPing appends a ping frame.
-func AppendPing(b []byte, id uint64) []byte { return appendHeader(b, OpPing, id, 0) }
-
 // AppendResult appends one lookup response frame.
 func AppendResult(b []byte, id uint64, action uint64, matched bool) []byte {
 	b = appendHeader(b, OpResult, id, 9)

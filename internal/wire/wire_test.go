@@ -90,7 +90,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 }
 
 func TestPingPongAndError(t *testing.T) {
-	if f := readOne(t, AppendPing(nil, 1)); f.Op != OpPing || len(f.Payload) != 0 {
+	if f := readOne(t, appendPing(nil, 1)); f.Op != OpPing || len(f.Payload) != 0 {
 		t.Fatalf("ping frame %+v", f)
 	}
 	if f := readOne(t, AppendPong(nil, 1)); f.Op != OpPong {
@@ -112,7 +112,7 @@ func TestPingPongAndError(t *testing.T) {
 func TestStreamOfFramesSharesBuffer(t *testing.T) {
 	var b []byte
 	b = AppendLookup(b, 1, keys.FromUint64(10))
-	b = AppendPing(b, 2)
+	b = appendPing(b, 2)
 	b = AppendError(b, 3, ErrBadRequest, strings.Repeat("x", 2*MaxFrameLen))
 	b = AppendLookup(b, 4, keys.FromUint64(30))
 	r := bytes.NewReader(b)
@@ -176,12 +176,12 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 		"length too small": append(binary.LittleEndian.AppendUint32(nil, headerLen-1),
 			make([]byte, headerLen-1)...),
 		"bad magic": func() []byte {
-			b := AppendPing(nil, 1)
+			b := appendPing(nil, 1)
 			b[4] = 0x00 // corrupt magic low byte
 			return b
 		}(),
 		"bad version": func() []byte {
-			b := AppendPing(nil, 1)
+			b := appendPing(nil, 1)
 			b[6] = 99
 			return b
 		}(),
@@ -306,3 +306,6 @@ func TestRemoteErrorMessage(t *testing.T) {
 		t.Fatalf("error text %q", e.Error())
 	}
 }
+
+// appendPing appends a ping frame, the one request no shipped client sends.
+func appendPing(b []byte, id uint64) []byte { return appendHeader(b, OpPing, id, 0) }

@@ -55,9 +55,9 @@ func RIPE() Profile {
 	}
 }
 
-// RouteViews mirrors the University of Oregon Route Views tables: the same
+// routeViews mirrors the University of Oregon Route Views tables: the same
 // BGP shape as RIPE with slightly more specifics.
-func RouteViews() Profile {
+func routeViews() Profile {
 	return Profile{
 		Name:  "routeviews",
 		Width: 32,
@@ -73,9 +73,9 @@ func RouteViews() Profile {
 	}
 }
 
-// Stanford is calibrated to the Stanford backbone tables: a campus network
+// stanford is calibrated to the Stanford backbone tables: a campus network
 // with heavier short-prefix usage, host routes, and far fewer rules.
-func Stanford() Profile {
+func stanford() Profile {
 	return Profile{
 		Name:  "stanford",
 		Width: 32,
@@ -126,7 +126,7 @@ func IPv6() Profile {
 // Profiles returns the evaluation families keyed by name.
 func Profiles() map[string]Profile {
 	out := map[string]Profile{}
-	for _, p := range []Profile{RIPE(), RouteViews(), Stanford(), Snort(), IPv6()} {
+	for _, p := range []Profile{RIPE(), routeViews(), stanford(), Snort(), IPv6()} {
 		out[p.Name] = p
 	}
 	return out

@@ -137,7 +137,7 @@ func TestExpansionRealistic(t *testing.T) {
 	// §10.5: real rule-sets expand ~18% on average, ≤32% worst case. The
 	// synthetic families must stay in a comparable regime (well under the
 	// 2× theoretical bound).
-	for _, p := range []Profile{RIPE(), RouteViews(), Stanford()} {
+	for _, p := range []Profile{RIPE(), routeViews(), stanford()} {
 		rs, err := Generate(p, 10000, 4)
 		if err != nil {
 			t.Fatal(err)
