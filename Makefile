@@ -67,6 +67,10 @@ vet:
 # mounted it, and no cycle-simulator series. The shipped wire package holds
 # the protocol and no client: the benchmark and the tests encode their own
 # frames.
+# Exported code has a caller by type (the root package's export check): the
+# lcache table keeps no hit window or adaptive bypass, which nothing read; the
+# wire package decodes no error frame into a Go error type, since its readers
+# take the payload's code and message; and experiments keeps no Fig 7 name list.
 # Each alternative carries a one-character class so these lines do not find
 # themselves.
 deleted-names:
@@ -122,6 +126,9 @@ deleted-names:
 	@! grep -rnE 'Publish[E]xpvar|/debug/v[a]rs|Metrics[H]andler|neurolpm_[h]wsim_|wire\.(C[l]ient|D[i]al|NewC[l]ient)\b|lpmbench[^|]* -[m]etrics\b' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:|^\./(cmd/lpmserve/main|internal/serve/serve)_test\.go:'
+	@! grep -rnE '\bRemote[E]rror\b|Bypass[e]d|bypass[L]eft|close[W]indow|Fig7[A]lgorithms' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
 test:
 	$(GO) test ./...

@@ -2,8 +2,11 @@ package neurolpm
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -46,15 +49,16 @@ func TestShippedExportsHaveShippedCallers(t *testing.T) {
 	}
 }
 
-// TestExportCheckFlagsTestOnlyCallers runs the check over a fixture module
-// holding one function only a test calls, one method only an interface
-// names and one function another package calls.
+// TestExportCheckFlagsTestOnlyCallers runs the check over a fixture module:
+// it flags a function only a test calls and methods that only share a name
+// with a called method or a selected field, and passes a method called
+// through an interface or on an atomic.Pointer's Load.
 func TestExportCheckFlagsTestOnlyCallers(t *testing.T) {
 	missing, err := exportsWithoutCallers(filepath.Join("testdata", "exports"), "fixture", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/a.OnlyTested"}
+	want := []string{"internal/a.Histogram.Reset", "internal/a.OnlyTested", "internal/a.Table.Bytes"}
 	if strings.Join(missing, ",") != strings.Join(want, ",") {
 		t.Fatalf("flagged %v, want %v", missing, want)
 	}
@@ -112,143 +116,131 @@ func packageImports(dir string) ([]string, error) {
 	return out, nil
 }
 
-// exportsWithoutCallers parses every non-test Go file under root, module
-// being the import path of root, and returns the exported functions and
-// methods declared in internal/ or cmd/ that no non-test file of another
-// package names, sorted. A function counts as named where another package
-// selects it through its import; a method where another package selects its
-// name on any value, or where any non-test interface declares its name.
-// Matching methods by name alone can miss an unused one that shares a name
-// with a used one; it never flags a used one.
+// exportsWithoutCallers type-checks every non-test Go file under root that
+// the build context matches, module being the import path of root, and
+// returns the exported functions and methods declared in internal/ or cmd/
+// that no non-test file of another package calls, sorted. A function or
+// method is called where go/types resolves an identifier of another package
+// to it; a method also where its receiver type implements an interface that
+// declares it: one declared under root, error, or fmt.Stringer.
 func exportsWithoutCallers(root, module string, exempt map[string]string) ([]string, error) {
-	type decl struct{ dir, key string }
-	var decls []decl
-	funcRefs := map[string]bool{}       // "dir.Name" selected from another package
-	methodRefs := map[string][]string{} // method name -> dirs selecting it
-	ifaceMethods := map[string]bool{}
 	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path -> non-test files
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		switch {
+		case err != nil:
 			return err
-		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
+		case d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || strings.HasSuffix(path, "_test.go"):
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(rel)
-		imported := map[string]string{} // local name -> dir under root
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			target, ok := strings.CutPrefix(p, module+"/")
-			if !ok {
-				continue
-			}
-			name := target[strings.LastIndex(target, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imported[name] = target
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if target, ok := imported[x.Name]; ok {
-						funcRefs[target+"."+n.Sel.Name] = true
-						return true
-					}
-				}
-				methodRefs[n.Sel.Name] = append(methodRefs[n.Sel.Name], dir)
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						ifaceMethods[name.Name] = true
-					}
-				}
-			}
-			return true
-		})
-		if !(strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) || seamPackages[dir] {
-			return nil
-		}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			key := fn.Name.Name
-			if fn.Recv != nil {
-				recv := receiverType(fn.Recv.List[0].Type)
-				if !ast.IsExported(recv) {
-					continue
-				}
-				key = recv + "." + key
-			}
-			decls = append(decls, decl{dir, key})
-		}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		pkgPath := strings.TrimSuffix(module+"/"+filepath.ToSlash(rel), "/.")
+		files[pkgPath] = append(files[pkgPath], f)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var missing []string
-	for _, d := range decls {
-		name := d.dir + "." + d.key
-		if _, ok := exempt[name]; ok {
-			continue
+	std := importer.ForCompiler(fset, "gc", nil)
+	pkgs := map[string]*types.Package{}
+	called := map[*types.Func]bool{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if p, ok := pkgs[path]; ok {
+			return p, nil
 		}
-		if dot := strings.LastIndex(d.key, "."); dot >= 0 {
-			method := d.key[dot+1:]
-			if ifaceMethods[method] || selectedElsewhere(methodRefs[method], d.dir) {
-				continue
+		if _, ok := files[path]; !ok {
+			return std.Import(path)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		p, err := (&types.Config{Importer: imp}).Check(path, fset, files[path], info)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[path] = p
+		for _, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != p {
+				called[fn.Origin()] = true
 			}
-		} else if funcRefs[name] {
+		}
+		return p, nil
+	}
+	for path := range files {
+		if _, err := imp(path); err != nil {
+			return nil, err
+		}
+	}
+	fmtPkg, err := imp("fmt")
+	if err != nil {
+		return nil, err
+	}
+	ifaces := []*types.Interface{
+		types.Universe.Lookup("error").Type().Underlying().(*types.Interface),
+		fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface),
+	}
+	for _, p := range pkgs {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+	implemented := func(m *types.Func, t types.Type) bool {
+		for _, it := range ifaces {
+			if obj, _, _ := types.LookupFieldOrMethod(it, false, nil, m.Name()); obj != nil &&
+				(types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
+				return true
+			}
+		}
+		return false
+	}
+	var missing []string
+	flag := func(key string) {
+		if _, ok := exempt[key]; !ok {
+			missing = append(missing, key)
+		}
+	}
+	for path, p := range pkgs {
+		dir := strings.TrimPrefix(path, module+"/")
+		if !(strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) || seamPackages[dir] {
 			continue
 		}
-		missing = append(missing, name)
+		for _, name := range p.Scope().Names() {
+			switch obj := p.Scope().Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() && !called[obj] {
+					flag(dir + "." + name)
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !obj.Exported() || !ok || obj.IsAlias() {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if m.Exported() && !called[m] && !implemented(m, named) {
+						flag(dir + "." + name + "." + m.Name())
+					}
+				}
+			}
+		}
 	}
 	sort.Strings(missing)
 	return missing, nil
 }
 
-// selectedElsewhere reports whether any of dirs is not own.
-func selectedElsewhere(dirs []string, own string) bool {
-	for _, d := range dirs {
-		if d != own {
-			return true
-		}
-	}
-	return false
-}
+// importerFunc is a types.Importer.
+type importerFunc func(path string) (*types.Package, error)
 
-// receiverType names a method's receiver type, without pointer or type
-// parameters.
-func receiverType(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.Ident:
-			return t.Name
-		default:
-			return ""
-		}
-	}
-}
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

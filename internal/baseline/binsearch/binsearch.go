@@ -51,12 +51,3 @@ func (e *Engine) search(k keys.Value, mem cachesim.Mem) (idx, probes int) {
 	}
 	return lo, probes
 }
-
-// Probes returns the worst-case probe count, ⌈log₂ n⌉.
-func (e *Engine) Probes() int {
-	p := 0
-	for v := 1; v < e.arr.Len(); v <<= 1 {
-		p++
-	}
-	return p
-}

@@ -1,6 +1,7 @@
 package binsearch
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -39,9 +40,8 @@ func TestMatchesOracle(t *testing.T) {
 }
 
 func TestProbeCountLogarithmic(t *testing.T) {
-	rs, e := build(t, 4000, 3)
-	_ = rs
-	bound := e.Probes()
+	_, e := build(t, 4000, 3)
+	bound := bits.Len(uint(e.arr.Len() - 1)) // ⌈log₂ n⌉
 	rng := rand.New(rand.NewSource(4))
 	for q := 0; q < 5000; q++ {
 		_, _, probes := e.LookupMem(keys.FromUint64(uint64(rng.Uint32())), cachesim.Null{})

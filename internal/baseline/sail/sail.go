@@ -257,10 +257,5 @@ func (e *Engine) StaticSRAMBytes() int {
 	return b16 + n16 + c16 + b24
 }
 
-// DRAMBytes is the off-chip footprint of the chunked tables.
-func (e *Engine) DRAMBytes() int {
-	return len(e.n24)*chunkEntries + len(e.c24)*chunkEntries*2 + len(e.n32)*chunkEntries
-}
-
 // WorstCaseDRAMAccesses is SAIL's deterministic bound: two dependent reads.
 func (e *Engine) WorstCaseDRAMAccesses() int { return 2 }

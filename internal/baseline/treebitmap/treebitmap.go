@@ -143,14 +143,6 @@ func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) (uint64, bool) {
 	return best, found
 }
 
-// DRAMBytes is the off-chip footprint: all chunks except the root.
-func (e *Engine) DRAMBytes() int {
-	if len(e.nodes) <= 1 {
-		return 0
-	}
-	return (len(e.nodes) - 1) * ChunkBytes
-}
-
 // StaticSRAMBytes is the root chunk kept on-chip.
 func (e *Engine) StaticSRAMBytes() int { return ChunkBytes }
 

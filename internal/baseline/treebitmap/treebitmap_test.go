@@ -158,10 +158,28 @@ func TestChunkReadsAre64Bytes(t *testing.T) {
 	}
 }
 
+// chunkReads records the address of every read.
+type chunkReads []uint64
+
+func (r *chunkReads) Read(addr uint64, _ int) { *r = append(*r, addr) }
+
+// TestDRAMBytesMatchNodeCount: the off-chip footprint is every chunk but the
+// root's, so every read a lookup issues is one of the len(nodes)−1 non-root
+// chunks.
 func TestDRAMBytesMatchNodeCount(t *testing.T) {
 	_, e := buildFromProfile(t, workload.RIPE(), 1000, 12)
-	if e.DRAMBytes() != (len(e.nodes)-1)*ChunkBytes {
-		t.Fatalf("DRAMBytes %d, nodes %d", e.DRAMBytes(), len(e.nodes))
+	var reads chunkReads
+	rng := rand.New(rand.NewSource(12))
+	for q := 0; q < 1000; q++ {
+		e.LookupMem(keys.FromUint64(uint64(rng.Uint32())), &reads)
+	}
+	if len(reads) == 0 {
+		t.Fatal("no DRAM reads")
+	}
+	for _, a := range reads {
+		if a%ChunkBytes != 0 || a < ChunkBytes || a >= uint64(len(e.nodes))*ChunkBytes {
+			t.Fatalf("read at %d outside the %d non-root chunks", a, len(e.nodes)-1)
+		}
 	}
 }
 

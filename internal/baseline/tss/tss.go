@@ -85,15 +85,6 @@ func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) (action uint64, ok bo
 	return 0, false, probes
 }
 
-// DRAMBytes is the simulated footprint of all tables.
-func (e *Engine) DRAMBytes() int {
-	total := uint64(0)
-	for _, s := range e.slots {
-		total += s * slotBytes
-	}
-	return int(total)
-}
-
 // hash is FNV-1a over the key limbs.
 func hash(k keys.Value) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211

@@ -102,7 +102,11 @@ func TestNoMatch(t *testing.T) {
 
 func TestDRAMBytesPositive(t *testing.T) {
 	_, e := build(t, workload.RIPE(), 1000, 7)
-	if e.DRAMBytes() <= 0 {
+	total := uint64(0)
+	for _, s := range e.slots {
+		total += s * slotBytes
+	}
+	if total == 0 {
 		t.Fatal("no DRAM footprint")
 	}
 }

@@ -2,6 +2,7 @@ package bucket
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"neurolpm/internal/keys"
@@ -151,7 +152,7 @@ func TestSearchEqualsGlobalFind(t *testing.T) {
 			key := keys.FromUint64(q)
 			b := bucketOf(d, key)
 			idx, comps := d.Search(b, key)
-			if want := a.Find(key); idx != want {
+			if want := sort.Search(a.Len(), func(i int) bool { return key.Less(a.Low(i)) }) - 1; idx != want {
 				t.Fatalf("k=%d key %d: bucket search %d, flat %d", k, q, idx, want)
 			}
 			if comps > k-1 {

@@ -125,19 +125,6 @@ func (c *Cache) touch(line uint64) bool {
 // Stats returns the traffic counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Flush invalidates all lines and clears the statistics.
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.ages[i] = 0
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}
-
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Uncached counts DRAM traffic with no cache in front: every access is a
 // miss that transfers max(access size, minBurst) bytes. It models the
 // paper's cache-less worst-case analyses. It is not safe for concurrent use.

@@ -122,19 +122,6 @@ func TestWorkingSetThrashes(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := mustCache(t, DefaultConfig(1024))
-	c.Read(0, 4)
-	c.Flush()
-	if s := c.Stats(); s.Accesses != 0 {
-		t.Fatalf("stats after flush: %+v", s)
-	}
-	c.Read(0, 4)
-	if s := c.Stats(); s.Misses != 1 {
-		t.Fatal("flush did not invalidate lines")
-	}
-}
-
 // ResetStats clears the counters but keeps the cache's contents, for a
 // test's warm-up phase.
 func (c *Cache) ResetStats() { c.stats = Stats{} }

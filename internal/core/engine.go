@@ -149,9 +149,6 @@ func (e *Engine) compilePlane(ix rqrmi.Index) (*Engine, error) {
 	return e, nil
 }
 
-// Width returns the key bit width.
-func (e *Engine) Width() int { return e.width }
-
 // Model exposes the trained RQRMI model (read-only use).
 func (e *Engine) Model() *rqrmi.Model { return e.model }
 

@@ -54,6 +54,18 @@ func covers(r lpm.Rule, width int, k keys.Value) bool {
 	return !k.Less(r.Low(width)) && !r.High(width).Less(k)
 }
 
+// longestMatch is the index of the longest rule of rs that covers k, or
+// lpm.NoMatch: one rule-set search a prefix length, longest first.
+func longestMatch(rs *lpm.RuleSet, k keys.Value) int {
+	for l := rs.Width; l >= 0; l-- {
+		s := uint(rs.Width - l)
+		if i := rs.Find(k.Shr(s).Shl(s), l); i != lpm.NoMatch {
+			return i
+		}
+	}
+	return lpm.NoMatch
+}
+
 func randomKey(rng *rand.Rand, width int) keys.Value {
 	if width <= 64 {
 		return keys.FromUint64(rng.Uint64() & (uint64(1)<<(width-1)<<1 - 1))
@@ -117,7 +129,7 @@ func TestFitReachesPaperTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.TrainStats().MaxErr(); got > 64 {
+	if got := slices.Max(e.TrainStats().SubmodelErrs); got > 64 {
 		t.Fatalf("max error bound %d, paper's target 64", got)
 	}
 	if err := e.Verify(); err != nil {
@@ -207,7 +219,7 @@ func TestBuildSharesRuleSet(t *testing.T) {
 	if rs.Find(fresh.Prefix, fresh.Len) != lpm.NoMatch {
 		t.Fatal("the fresh rule is in the set")
 	}
-	if err := e.Insert(fresh); err != nil {
+	if err := e.insert(fresh); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.absorbed) != 1 {
@@ -215,7 +227,7 @@ func TestBuildSharesRuleSet(t *testing.T) {
 	}
 	back := del
 	back.Action += 9000
-	if err := e.Insert(back); err != nil {
+	if err := e.insert(back); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Verify(); err != nil {

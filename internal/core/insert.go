@@ -142,14 +142,6 @@ func (w wbucket) owner(j int) int32 {
 	return w.e.ra.RuleOf(w.base + j)
 }
 
-// find returns the range of the bucket holding k, which its span must hold.
-func (w wbucket) find(k keys.Value) (j int) {
-	for i := 1; i < w.n && !k.Less(w.low(i)); i++ {
-		j = i
-	}
-	return j
-}
-
 // reown hands range j to rule r (or to nobody): owner table first, then the
 // record's id, as Delete has always published.
 func (w wbucket) reown(j int, r int32) {
@@ -200,7 +192,7 @@ const (
 
 func (n notAbsorbed) Error() string { return "core: insert not absorbed: " + string(n) }
 
-// Insert installs r in the published engine without retraining, when what it
+// insert installs r in the published engine without retraining, when what it
 // changes stays inside buckets: the rule adds at most two range boundaries —
 // its low, and its high + 1 — and re-owns the ranges of its span whose owner
 // is shorter. The directory, the model and every error bound are untouched:
@@ -213,10 +205,10 @@ func (n notAbsorbed) Error() string { return "core: insert not absorbed: " + str
 // it, never half of it. A rule spanning several buckets is published bucket
 // by bucket, like a Delete's re-own: the guarantee is per key.
 //
-// Insert refuses before any visible store when the rule needs a rebuilt
+// insert refuses before any visible store when the rule needs a rebuilt
 // engine (InsertOrRebuild then retrains); any other error (an invalid or
 // already installed rule) is the caller's.
-func (e *Engine) Insert(r lpm.Rule) error {
+func (e *Engine) insert(r lpm.Rule) error {
 	if err := r.Validate(e.width); err != nil {
 		return err
 	}
@@ -238,11 +230,15 @@ func (e *Engine) Insert(r lpm.Rule) error {
 	low, high := r.Low(e.width), r.High(e.width)
 	first, last := e.bucketOf(low), e.bucketOf(high)
 	wf, wl := e.bucketW(first), e.bucketW(last)
-	cutLow := wf.low(wf.find(low)) != low
+	jf, _ := wf.search(low)
+	cutLow := wf.low(jf) != low
 	next, cutNext := high, false
 	if high != keys.MaxValue(e.width) {
 		next = high.Inc()
-		cutNext = e.bucketOf(next) == last && wl.low(wl.find(next)) != next
+		if e.bucketOf(next) == last {
+			jl, _ := wl.search(next)
+			cutNext = wl.low(jl) != next
+		}
 	}
 	// gain is the bounds bucket b has to gain: a fresh spill record a bucket.
 	gain := func(b int) (n int) {
@@ -293,10 +289,10 @@ func (e *Engine) Insert(r lpm.Rule) error {
 		// a split range inherits the range's owner and action id.
 		jLow, jNext := -1, -1 // the ranges the cuts split
 		if cutLow && b == first {
-			jLow = w.find(low)
+			jLow, _ = w.search(low)
 		}
 		if cutNext && b == last {
-			jNext = w.find(next)
+			jNext, _ = w.search(next)
 		}
 		s := newSpillRecord(w.n+gain(b), e.rec.limbs)
 		i := 0
@@ -330,7 +326,7 @@ func (e *Engine) Insert(r lpm.Rule) error {
 // its writer lock. It fails when the rule is invalid or already installed, or
 // when the rebuild fails — and then nothing was installed.
 func (e *Engine) InsertOrRebuild(r lpm.Rule) (*Engine, error) {
-	err := e.Insert(r)
+	err := e.insert(r)
 	var why notAbsorbed
 	if !errors.As(err, &why) {
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,6 @@ func TestInsertPublicationOrder(t *testing.T) {
 		perSite               = blocks * perBlock
 	)
 	rs, _ := wideRuleSet(t, 32, 20000, 17)
-	base := lpm.NewTrieMatcher(rs).Trie
 	for _, cfg := range []Config{quickBucketed(), quickSRAMOnly()} {
 		e, err := Build(rs, cfg)
 		if err != nil {
@@ -101,7 +101,7 @@ func TestInsertPublicationOrder(t *testing.T) {
 				low, high := r.Low(32), r.High(32)
 				for _, k := range []keys.Value{low.Dec(), low, low.AddUint64(5), high, high.Inc()} {
 					pr := probe{key: k, block: -1}
-					o := base.Lookup(k)
+					o := longestMatch(rs, k)
 					if o != lpm.NoMatch {
 						pr.baseAct, pr.baseOK = rs.Rules[o].Action, true
 					}
@@ -254,12 +254,12 @@ func TestInsertWithoutNewBoundaryAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaps := []lpm.Rule{wide, rs.Rules[len(rs.Rules)/2], {Prefix: keys.FromUint64(0x0a0b0c00), Len: 24, Action: 9}}
-	if err := e.Insert(flaps[2]); err != nil { // absorbed: its later flaps find an absorbed rule's bounds
+	if err := e.insert(flaps[2]); err != nil { // absorbed: its later flaps find an absorbed rule's bounds
 		t.Fatal(err)
 	}
 	for _, r := range flaps {
 		if n := testing.AllocsPerRun(50, func() {
-			if e.Delete(r.Prefix, r.Len) != nil || e.Insert(r) != nil {
+			if e.Delete(r.Prefix, r.Len) != nil || e.insert(r) != nil {
 				t.Fatalf("flap of %v failed", r)
 			}
 		}); n != 0 {
@@ -296,7 +296,7 @@ func TestSupersededSpillRecordsAreCollected(t *testing.T) {
 			continue
 		}
 		for i, site := 1, w.low(j); i <= respills; i++ {
-			if err := e.Insert(lpm.Rule{Prefix: site.AddUint64(uint64(2 * i)), Len: 32, Action: uint64(i)}); err != nil {
+			if err := e.insert(lpm.Rule{Prefix: site.AddUint64(uint64(2 * i)), Len: 32, Action: uint64(i)}); err != nil {
 				t.Fatal(err)
 			}
 			s := e.rec.spillOf(b)
@@ -346,7 +346,8 @@ func TestWritersFindBucketsLikeLookups(t *testing.T) {
 				ra := e.ra
 				check := func(key keys.Value) {
 					t.Helper()
-					if got, want := e.bucketOf(key), ra.Find(key)/k; got != want {
+					flat := sort.Search(ra.Len(), func(i int) bool { return key.Less(ra.Low(i)) }) - 1
+					if got, want := e.bucketOf(key), flat/k; got != want {
 						t.Fatalf("bucketOf(%v) = %d, range array says %d", key, got, want)
 					}
 				}

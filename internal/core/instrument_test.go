@@ -49,9 +49,9 @@ func readSeries() series {
 		fetches:    uint64(snap["neurolpm_bucket_fetches_total"]),
 		bucketized: uint64(snap["neurolpm_bucketized_lookups_total"]),
 		spills:     uint64(snap["neurolpm_bucket_spill_fetches_total"]),
-		probes:     metProbes.Count(),
-		errs:       metInferErr.Count(),
-		cmps:       metBucketCmp.Count(),
+		probes:     metProbes.Snapshot().Total,
+		errs:       metInferErr.Snapshot().Total,
+		cmps:       metBucketCmp.Snapshot().Total,
 		flight:     telemetry.Flight.Recorded(),
 	}
 }
@@ -188,6 +188,48 @@ func TestBucketFetchInvariant(t *testing.T) {
 	}
 }
 
+// TestScrapeIsOneCutOfTheTally holds §7 on a live scrape: a scrape renders
+// the four lookup series from one load of the tally, so with lookups running
+// beside it on a bucketized engine, every scrape shows as many bucket
+// fetches and bucketized lookups as lookups, and no more matched lookups.
+func TestScrapeIsOneCutOfTheTally(t *testing.T) {
+	e, err := Build(randomRuleSet(t, 32, 2000, 5), quickBucketed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := readSeries()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for range 256 {
+					e.Lookup(randomKey(rng, 32))
+				}
+			}
+		}()
+	}
+	for range 200 {
+		s := readSeries()
+		n, m := s.lookups-before.lookups, s.matched-before.matched
+		f, b := s.fetches-before.fetches, s.bucketized-before.bucketized
+		if f != n || b != n || m > n {
+			t.Errorf("one scrape: %d lookups, %d bucketized, %d fetches, %d matched", n, b, f, m)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestSRAMOnlyNoFetches checks the complementary invariant: an SRAM-only
 // engine never touches the bucket path — through LookupMem no DRAM read, and
 // through LookupMem and LookupBatch alike no fetch booked — while every key is
@@ -241,7 +283,7 @@ func TestSpilledBucketBooksOneSpillFetch(t *testing.T) {
 		k := randomKey(rng, 32)
 		switch tr := e.LookupMem(k, cachesim.Null{}); {
 		case tr.Spilled:
-		case spilled.IsZero() && e.Insert(lpm.Rule{Prefix: k, Len: 32, Action: 5}) == nil:
+		case spilled.IsZero() && e.insert(lpm.Rule{Prefix: k, Len: 32, Action: 5}) == nil:
 			if e.LookupMem(k, cachesim.Null{}).Spilled {
 				spilled = k
 			}

@@ -49,14 +49,13 @@ var (
 		"Per-shard rebuilds that failed, a refused insert's or a commit's (injected fault or training error); nothing was installed")
 )
 
+// The lookup counts are sums of tally lanes, rendered from one load of the
+// tally a scrape, so they agree within it.
 func init() {
-	reg := telemetry.Default.CounterFunc
-	reg("neurolpm_lookups_total", "Engine lookups executed (all query paths)",
-		func() uint64 { l := tally.Load(); return l[0] + l[1] + l[2] + l[3] })
-	reg("neurolpm_lookups_matched_total", "Lookups that matched a live rule",
-		func() uint64 { l := tally.Load(); return l[1] + l[3] })
-	bucketized := func() uint64 { l := tally.Load(); return l[2] + l[3] }
-	reg("neurolpm_bucketized_lookups_total", "Lookups served by a bucketized (DRAM) engine", bucketized)
+	reg := telemetry.Default.TallyCounter
+	reg("neurolpm_lookups_total", "Engine lookups executed (all query paths)", tally, 0b1111)
+	reg("neurolpm_lookups_matched_total", "Lookups that matched a live rule", tally, 0b1010)
+	reg("neurolpm_bucketized_lookups_total", "Lookups served by a bucketized (DRAM) engine", tally, 0b1100)
 	// §7: a bucketized lookup is exactly one bucket fetch (Engine.fetch).
-	reg("neurolpm_bucket_fetches_total", "DRAM bucket fetches issued (paper §7: exactly one per bucketized lookup)", bucketized)
+	reg("neurolpm_bucket_fetches_total", "DRAM bucket fetches issued (paper §7: exactly one per bucketized lookup)", tally, 0b1100)
 }

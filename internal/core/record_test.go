@@ -114,7 +114,6 @@ func TestRecordConsistency(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					trie := lpm.NewTrieMatcher(set).Trie
 					batch, wants = batch[:0], wants[:0]
 					buckets := (e.rec.nr + e.rec.k - 1) / e.rec.k
 					for b := 0; b < buckets; b++ {
@@ -134,11 +133,11 @@ func TestRecordConsistency(t *testing.T) {
 								high = e.bucketW(b + 1).low(0).Dec()
 							}
 							var want BatchResult
-							o := trie.Lookup(low)
+							o := longestMatch(set, low)
 							if o != lpm.NoMatch {
 								want = BatchResult{Action: set.Rules[o].Action, Matched: true}
 							}
-							if trie.Lookup(high) != o {
+							if longestMatch(set, high) != o {
 								t.Fatalf("step %v bucket %d range %d [%v,%v]: a rule begins or ends inside it", step, b, j, low, high)
 							}
 							if got, ok := w.resolve(j); ok != want.Matched || got != want.Action {
@@ -199,7 +198,7 @@ func TestRecordConsistency(t *testing.T) {
 				// whether the engine declined (and must then be unchanged).
 				insert := func(step any, r lpm.Rule) (refused notAbsorbed) {
 					t.Helper()
-					err := e.Insert(r)
+					err := e.insert(r)
 					if err != nil && !errors.As(err, &refused) {
 						t.Fatalf("step %v: Insert(%v): %v", step, r, err)
 					}
@@ -246,7 +245,7 @@ func TestRecordConsistency(t *testing.T) {
 							insert(step, r)
 						}
 						continue
-					case e.Insert(r) == nil:
+					case e.insert(r) == nil:
 						t.Fatalf("step %d: insert of installed rule %v succeeded", step, r)
 					}
 					if step == 40 || (step != 10 && rng.Intn(2) == 0) {

@@ -26,9 +26,6 @@ type Fig7Cell struct {
 // Fig7SRAMSizesMB are the paper's x-axis points.
 var Fig7SRAMSizesMB = []int{1, 2, 4}
 
-// Fig7Algorithms in presentation order.
-var Fig7Algorithms = []string{"neurolpm", "treebitmap", "sail"}
-
 // Fig7 regenerates Figure 7 (average DRAM bandwidth per query vs SRAM size)
 // using the §10.2 methodology: a 2-way LRU cache with 32-byte lines in
 // front of each algorithm's DRAM-resident structures; static SRAM residents

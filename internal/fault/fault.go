@@ -39,7 +39,7 @@ const (
 	// aborts the rebuild with the new engine discarded.
 	SiteSwap Site = "swap"
 	// SiteAbsorb fires on every insertion an engine could absorb in place
-	// (core.Engine.Insert); an error models a bucket with no room: the
+	// (core's Engine.insert); an error models a bucket with no room: the
 	// engine refuses (bucket_full), nothing is stored, and the rule takes
 	// the rebuild path. It is how a test about that path reaches it on an
 	// engine that would otherwise absorb.

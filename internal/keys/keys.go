@@ -128,11 +128,11 @@ func (v Value) Mid(o Value) Value {
 	return v.And(o).Add(v.xor(o).Shr(1))
 }
 
-// Float64 returns the nearest float64 to v. Values above 2⁵³ lose precision,
+// float returns the nearest float64 to v. Values above 2⁵³ lose precision,
 // which is fine for model-input normalization: the mapping stays monotone
 // non-decreasing, and RQRMI error bounds are computed against the same
 // arithmetic used at query time.
-func (v Value) Float64() float64 {
+func (v Value) float() float64 {
 	return float64(v.Hi)*0x1p64 + float64(v.Lo)
 }
 
@@ -178,9 +178,6 @@ func NewDomain(width int) Domain {
 	}
 }
 
-// Width returns the bit width of the domain.
-func (d Domain) Width() int { return d.width }
-
 // Max returns the largest key in the domain.
 func (d Domain) Max() Value { return d.max }
 
@@ -191,7 +188,7 @@ func (d Domain) Contains(v Value) bool { return v.Cmp(d.max) <= 0 }
 // non-decreasing; distinct keys may collapse to the same float for wide
 // domains, which the RQRMI error-bound analysis absorbs.
 func (d Domain) ToUnit(v Value) float64 {
-	return v.Float64() * d.scale
+	return v.float() * d.scale
 }
 
 // FromUnit maps u ∈ [0,1) back to the nearest key at or below u·2^width.

@@ -147,11 +147,11 @@ func TestMidNoOverflow(t *testing.T) {
 }
 
 func TestFloat64(t *testing.T) {
-	if got := FromUint64(1 << 30).Float64(); got != float64(1<<30) {
+	if got := FromUint64(1 << 30).float(); got != float64(1<<30) {
 		t.Fatalf("Float64 = %g", got)
 	}
 	// 2^64 exactly.
-	if got := (Value{1, 0}).Float64(); got != 0x1p64 {
+	if got := (Value{1, 0}).float(); got != 0x1p64 {
 		t.Fatalf("Float64(2^64) = %g", got)
 	}
 }

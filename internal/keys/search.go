@@ -115,9 +115,6 @@ func LineAligned(n int) []uint32 {
 // Len returns the number of bounds.
 func (c Column) Len() int { return len(c.w) / c.limbs }
 
-// Words returns the column's words, bound after bound.
-func (c Column) Words() []uint32 { return c.w }
-
 // Low returns bound i.
 func (c Column) Low(i int) Value {
 	switch c.limbs {

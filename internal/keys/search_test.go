@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // linearFloor is the oracle: greatest i in [lo, hi] with lows[i] ≤ k,
@@ -66,8 +67,11 @@ func TestSearchVariantsAgree(t *testing.T) {
 	for _, width := range limbWidths {
 		lows := sortedValues(rng, 200, width)
 		col := NewColumn(width, len(lows), func(i int) Value { return lows[i] })
-		if limbs := []int{1, 2, 4, 4}[width/32-1]; col.Len() != len(lows) || len(col.Words()) != limbs*len(lows) {
-			t.Fatalf("width %d: column of %d bounds in %d words, want %d limbs a bound", width, col.Len(), len(col.Words()), limbs)
+		if limbs := []int{1, 2, 4, 4}[width/32-1]; col.Len() != len(lows) || len(col.w) != limbs*len(lows) {
+			t.Fatalf("width %d: column of %d bounds in %d words, want %d limbs a bound", width, col.Len(), len(col.w), limbs)
+		}
+		if uintptr(unsafe.Pointer(&col.w[0]))&63 != 0 {
+			t.Fatalf("width %d: column is not 64-byte aligned", width)
 		}
 		for i, v := range lows {
 			if col.Low(i) != v {

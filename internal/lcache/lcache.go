@@ -10,11 +10,6 @@
 // is given, and Get only hits when the stamp equals the epoch it is given: a
 // caller invalidates every entry at once by moving to a new epoch, with no
 // walk. Negative results (no rule matched) are cached the same way.
-//
-// Adaptive bypass: caching only pays when traffic repeats keys. Each cache
-// monitors its own windowed hit rate; when a window closes below the
-// break-even threshold it opens an off period of a fixed number of keys, and
-// then a trial window probes again.
 package lcache
 
 import "neurolpm/internal/keys"
@@ -51,26 +46,11 @@ const (
 	MinBytes = 32 * setBytes
 )
 
-// Adaptive-bypass tuning: a window of bypassWindow probes closing with a hit
-// rate below 1/bypassDenom (12.5%) bypasses the cache for bypassPeriod keys
-// before the next trial window. Worst-case (zero-hit) duty cycle:
-// 2048/(2048+131072) ≈ 1.5% of keys pay the probe cost.
-const (
-	bypassWindow = 2048
-	bypassDenom  = 8
-	bypassPeriod = 131072
-)
-
 // Cache is one single-owner result cache: a power-of-two number of
 // Ways-entry sets. The zero value is not usable; create with New.
 type Cache struct {
 	entries []entry
 	mask    uint64 // set count − 1
-
-	// Self-monitoring over fixed windows; single-owner, so plain fields.
-	winProbes  uint32
-	winHits    uint32
-	bypassLeft int
 }
 
 // New builds a cache of at most bytes of table (rounded down to a power-of-
@@ -85,9 +65,6 @@ func New(bytes int) *Cache {
 	}
 	return &Cache{entries: make([]entry, sets*Ways), mask: uint64(sets - 1)}
 }
-
-// Bytes returns the table's actual size in bytes.
-func (c *Cache) Bytes() int { return len(c.entries) * entryBytes }
 
 // hash mixes a 128-bit key into a well-distributed 64-bit set selector
 // (splitmix64 finalizer over the folded limbs).
@@ -107,37 +84,18 @@ func hash(k keys.Value) uint64 {
 func (c *Cache) Get(k keys.Value, epoch uint64) (action uint64, matched bool, o Outcome) {
 	base := (hash(k) & c.mask) * Ways
 	set := c.entries[base : base+Ways : base+Ways]
-	c.winProbes++
 	want := epoch << 1
 	for i := range set {
 		e := &set[i]
 		if e.keyLo != k.Lo || e.keyHi != k.Hi || e.meta == 0 {
 			continue
 		}
-		// Right key under a dead epoch still proves locality: count it as a
-		// window hit so a mass invalidation cannot trip the bypass heuristic
-		// while the hot set refills.
-		c.winHits++
-		c.closeWindow()
 		if e.meta&^uint64(1) == want {
 			return e.action, e.meta&1 == 1, Hit
 		}
 		return 0, false, Stale
 	}
-	c.closeWindow()
 	return 0, false, Miss
-}
-
-// closeWindow rolls the self-monitoring window and arms the bypass period
-// when the closing window's hit rate is below 1/bypassDenom.
-func (c *Cache) closeWindow() {
-	if c.winProbes < bypassWindow {
-		return
-	}
-	if bypassDenom*c.winHits < c.winProbes {
-		c.bypassLeft = bypassPeriod
-	}
-	c.winProbes, c.winHits = 0, 0
 }
 
 // Put fills k's entry with the computed result, stamped with epoch (≥ 1).

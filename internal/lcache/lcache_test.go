@@ -97,100 +97,8 @@ func TestNewRoundsToPowerOfTwoSets(t *testing.T) {
 		if sets&(sets-1) != 0 {
 			t.Fatalf("New(%d): %d sets, not a power of two", bytes, sets)
 		}
-		if c.Bytes() > bytes && bytes >= MinBytes {
-			t.Fatalf("New(%d) built %d bytes, exceeding the budget", bytes, c.Bytes())
-		}
-	}
-}
-
-// Bypassed reports whether the next n keys should skip the cache entirely
-// (nil cache, or the adaptive-bypass heuristic is in its off period). When
-// bypassing it consumes n keys from the off period, so callers check once
-// per batch, not per key.
-func (c *Cache) Bypassed(n int) bool {
-	if c == nil {
-		return true
-	}
-	if c.bypassLeft <= 0 {
-		return false
-	}
-	c.bypassLeft -= n
-	return true
-}
-
-func TestNilCacheBypassed(t *testing.T) {
-	var c *Cache
-	if !c.Bypassed(16) {
-		t.Fatal("nil cache must report bypassed")
-	}
-}
-
-func TestAdaptiveBypassOnUniformTraffic(t *testing.T) {
-	c := New(MinBytes)
-	const e = 1
-	// Drive a full window of guaranteed misses (all-distinct keys into a
-	// tiny cache): the window must close below threshold and arm the bypass.
-	for i := 0; i < bypassWindow; i++ {
-		if c.Bypassed(1) {
-			t.Fatalf("bypass armed after only %d probes", i)
-		}
-		k := keys.Value{Lo: uint64(i), Hi: uint64(i) * 1315423911}
-		if _, _, o := c.Get(k, e); o == Hit {
-			continue
-		}
-	}
-	if !c.Bypassed(1) {
-		t.Fatal("bypass not armed after a zero-hit window")
-	}
-	// The off period is consumed in key counts and then probing resumes.
-	if !c.Bypassed(bypassPeriod) {
-		t.Fatal("bypass ended before its period was consumed")
-	}
-	if c.Bypassed(1) {
-		t.Fatal("bypass still armed after its period was consumed")
-	}
-}
-
-func TestHotTrafficNeverArmsBypass(t *testing.T) {
-	c := New(64 << 10)
-	const e = 1
-	hot := make([]keys.Value, 64)
-	for i := range hot {
-		hot[i] = keys.Value{Lo: uint64(i)}
-	}
-	for round := 0; round < 4*bypassWindow/len(hot); round++ {
-		for _, k := range hot {
-			if c.Bypassed(1) {
-				t.Fatal("bypass armed on a pure hot-set trace")
-			}
-			if _, _, o := c.Get(k, e); o != Hit {
-				c.Put(k, e, k.Lo, true)
-			}
-		}
-	}
-}
-
-func TestStaleCountsAsWindowHit(t *testing.T) {
-	c := New(1 << 20)
-	hot := make([]keys.Value, 256)
-	for i := range hot {
-		hot[i] = keys.Value{Lo: uint64(i)}
-	}
-	e := uint64(1)
-	for _, k := range hot {
-		c.Put(k, e, k.Lo, true)
-	}
-	// Alternate epoch bumps with hot-set sweeps: every probe is stale or a
-	// post-refill hit; the bypass must never arm (stale proves locality).
-	for round := 0; round < 40; round++ {
-		e++
-		for _, k := range hot {
-			if c.Bypassed(1) {
-				t.Fatal("bypass armed under mass invalidation of a hot set")
-			}
-			if _, _, o := c.Get(k, e); o != Hit {
-				c.Put(k, e, k.Lo, true)
-			}
+		if size := len(c.entries) * entryBytes; size > bytes && bytes >= MinBytes {
+			t.Fatalf("New(%d) built %d bytes, exceeding the budget", bytes, size)
 		}
 	}
 }

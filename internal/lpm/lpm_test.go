@@ -360,7 +360,7 @@ func TestTrieMatchesLinearOracle(t *testing.T) {
 				k = keys.FromParts(rng.Uint64(), rng.Uint64())
 			}
 			want := s.LongestMatch(k)
-			got := trie.Lookup(k)
+			got := trie.lookup(k)
 			if got != want {
 				t.Fatalf("width %d key %v: trie %d, linear %d", width, k, got, want)
 			}
@@ -371,7 +371,7 @@ func TestTrieMatchesLinearOracle(t *testing.T) {
 func TestTrieDefaultRule(t *testing.T) {
 	s := mustRuleSet(t, 8, []Rule{{Len: 0, Action: 42}})
 	trie := newTrie(s)
-	if i := trie.Lookup(keys.FromUint64(200)); i != 0 {
+	if i := trie.lookup(keys.FromUint64(200)); i != 0 {
 		t.Fatalf("default rule not matched: %d", i)
 	}
 }
@@ -379,7 +379,7 @@ func TestTrieDefaultRule(t *testing.T) {
 func TestTrieEmpty(t *testing.T) {
 	s := mustRuleSet(t, 8, nil)
 	trie := newTrie(s)
-	if i := trie.Lookup(keys.FromUint64(5)); i != NoMatch {
+	if i := trie.lookup(keys.FromUint64(5)); i != NoMatch {
 		t.Fatalf("empty trie matched %d", i)
 	}
 }
@@ -419,6 +419,6 @@ func BenchmarkTrieLookup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trie.Lookup(queries[i&1023])
+		trie.lookup(queries[i&1023])
 	}
 }

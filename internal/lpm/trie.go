@@ -41,8 +41,8 @@ func (t *Trie) insert(r Rule, idx int32) {
 	t.nodes[cur].rule = idx
 }
 
-// Lookup returns the index of the longest-prefix rule matching k, or NoMatch.
-func (t *Trie) Lookup(k keys.Value) int {
+// lookup returns the index of the longest-prefix rule matching k, or NoMatch.
+func (t *Trie) lookup(k keys.Value) int {
 	best := int32(NoMatch)
 	cur := int32(0)
 	for depth := 0; ; depth++ {
@@ -81,7 +81,7 @@ func NewTrieMatcher(s *RuleSet) *TrieMatcher {
 
 // Lookup implements Matcher.
 func (m *TrieMatcher) Lookup(k keys.Value) (uint64, bool) {
-	i := m.Trie.Lookup(k)
+	i := m.Trie.lookup(k)
 	if i == NoMatch {
 		return 0, false
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"neurolpm/internal/core"
@@ -126,8 +128,8 @@ func FuzzStackVsOracle(f *testing.F) {
 
 		// Update ops; after each op the engine is re-checked against a fresh
 		// oracle.
-		absorbed := telemetry.Default.Counter("neurolpm_insert_absorbed_total", "")
-		rebuilds := telemetry.Default.Counter("neurolpm_insert_rebuilt_total", "")
+		absorbed := func() uint64 { return counter(t, "neurolpm_insert_absorbed_total") }
+		rebuilds := func() uint64 { return counter(t, "neurolpm_insert_rebuilt_total") }
 		ops := data[split:]
 		for i, n := 0, 0; i+7 <= len(ops) && n < 12; i, n = i+7, n+1 {
 			switch op := ops[i] % 6; op {
@@ -143,7 +145,7 @@ func FuzzStackVsOracle(f *testing.F) {
 				if op == 3 {
 					in.FailNext(fault.SiteRetrain, 1)
 				}
-				beforeA, beforeR := absorbed.Load(), rebuilds.Load()
+				beforeA, beforeR := absorbed(), rebuilds()
 				err := u.Insert(r)
 				in.Clear(fault.SiteAbsorb)
 				in.Clear(fault.SiteRetrain)
@@ -160,7 +162,7 @@ func FuzzStackVsOracle(f *testing.F) {
 				// Every shard the rule covers took it down exactly one path,
 				// and a refused insert took the rebuild in every one.
 				covered := uint64(u.ShardOf(r.High(width)) - u.ShardOf(r.Low(width)) + 1)
-				gotA, gotR := absorbed.Load()-beforeA, rebuilds.Load()-beforeR
+				gotA, gotR := absorbed()-beforeA, rebuilds()-beforeR
 				if gotA+gotR != covered || (op == 5 && gotR != covered) {
 					t.Fatalf("insert %v over %d shards: %d absorbed, %d rebuilt", r, covered, gotA, gotR)
 				}
@@ -210,4 +212,23 @@ func FuzzStackVsOracle(f *testing.F) {
 		}
 		check("after re-densify", 16)
 	})
+}
+
+// counter renders the default registry as /metrics does and returns the named
+// counter.
+func counter(t testing.TB, name string) uint64 {
+	t.Helper()
+	var b strings.Builder
+	telemetry.Default.WritePrometheus(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics lists no %s", name)
+	return 0
 }

@@ -12,7 +12,6 @@ import (
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 	"neurolpm/internal/shard"
-	"neurolpm/internal/telemetry"
 )
 
 // TestMatrixReadersRaceWriters runs reader goroutines over the updatable
@@ -279,8 +278,8 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 		go reader(&Fixture{u})
 	}
 
-	rebuilt := telemetry.Default.Counter("neurolpm_insert_rebuilt_total", "")
-	before := rebuilt.Load()
+	rebuilt := func() uint64 { return counter(t, "neurolpm_insert_rebuilt_total") }
+	before := rebuilt()
 	inserts := 0
 	for j, o := range ops {
 		phase.Store(int64(2*j + 1))
@@ -310,7 +309,7 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 	close(done)
 	wg.Wait()
 	// Every insert took the rebuild path, on every engine at least once.
-	if got := rebuilt.Load() - before; got < uint64(len(ups)*inserts) {
+	if got := rebuilt() - before; got < uint64(len(ups)*inserts) {
 		t.Errorf("%d rebuilds for %d inserts on %d engines", got, inserts, len(ups))
 	}
 }

@@ -15,7 +15,6 @@ package ranges
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"neurolpm/internal/keys"
@@ -161,13 +160,6 @@ func (a *Array) Low(i int) (low keys.Value) {
 		low.Lo = low.Lo<<32 | uint64(w)
 	}
 	return low
-}
-
-// Find returns the index of the range containing k: the greatest i with
-// Low(i) ≤ k. This is the reference secondary search over the whole array.
-func (a *Array) Find(k keys.Value) int {
-	// sort.Search for the first range with Low > k, then step back.
-	return sort.Search(a.Len(), func(i int) bool { return k.Less(a.Low(i)) }) - 1
 }
 
 // Rule ownership (the owners column) and the action tables are the only

@@ -4,12 +4,34 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"neurolpm/internal/keys"
 	"neurolpm/internal/lpm"
 )
+
+// find returns the index of the range containing k, the greatest i with
+// Low(i) ≤ k, by sort.Search over the whole array: the reference the bounded
+// searches are held to.
+func (a *Array) find(k keys.Value) int {
+	return sort.Search(a.Len(), func(i int) bool { return k.Less(a.Low(i)) }) - 1
+}
+
+// ownerOracle answers a key with the index of the longest rule of s whose
+// range holds it, or lpm.NoMatch, by a scan of every rule.
+type ownerOracle struct{ s *lpm.RuleSet }
+
+func (o ownerOracle) owner(k keys.Value) int {
+	best := lpm.NoMatch
+	for i, r := range o.s.Rules {
+		if !k.Less(r.Low(o.s.Width)) && !r.High(o.s.Width).Less(k) && (best == lpm.NoMatch || r.Len > o.s.Rules[best].Len) {
+			best = i
+		}
+	}
+	return best
+}
 
 func mustConvert(t *testing.T, width int, rules []lpm.Rule) (*lpm.RuleSet, *Array) {
 	t.Helper()
@@ -59,8 +81,8 @@ func TestEmptyRuleSet(t *testing.T) {
 	if a.Len() != 1 || a.RuleOf(0) != NoRule {
 		t.Fatalf("empty conversion: %d ranges, range 0 owned by %d", a.Len(), a.RuleOf(0))
 	}
-	if i := a.Find(keys.FromUint64(100)); i != 0 {
-		t.Fatalf("Find = %d", i)
+	if i := a.find(keys.FromUint64(100)); i != 0 {
+		t.Fatalf("find = %d", i)
 	}
 }
 
@@ -81,11 +103,11 @@ func TestNestedRules(t *testing.T) {
 		{Prefix: keys.FromUint64(0b0000), Len: 2, Action: 2},
 		{Prefix: keys.FromUint64(0b0000), Len: 3, Action: 3},
 	})
-	oracle := lpm.NewTrieMatcher(s).Trie
+	oracle := ownerOracle{s}
 	for k := uint64(0); k < 16; k++ {
 		key := keys.FromUint64(k)
-		i := a.Find(key)
-		want := oracle.Lookup(key)
+		i := a.find(key)
+		want := oracle.owner(key)
 		if int(a.RuleOf(i)) != want {
 			t.Errorf("key %04b: range rule %d, oracle %d", k, a.RuleOf(i), want)
 		}
@@ -214,7 +236,7 @@ func TestOracleEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := lpm.NewTrieMatcher(s).Trie
+			oracle := ownerOracle{s}
 			for q := 0; q < 400; q++ {
 				var k keys.Value
 				if width <= 64 {
@@ -222,8 +244,8 @@ func TestOracleEquivalence(t *testing.T) {
 				} else {
 					k = keys.FromParts(rng.Uint64(), rng.Uint64())
 				}
-				got := int(a.RuleOf(a.Find(k)))
-				want := oracle.Lookup(k)
+				got := int(a.RuleOf(a.find(k)))
+				want := oracle.owner(k)
 				if got != want {
 					t.Fatalf("width %d key %v: range %d, oracle %d", width, k, got, want)
 				}
@@ -241,10 +263,10 @@ func TestOracleEquivalenceAtBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := lpm.NewTrieMatcher(s).Trie
+	oracle := ownerOracle{s}
 	check := func(k keys.Value) {
-		got := int(a.RuleOf(a.Find(k)))
-		if want := oracle.Lookup(k); got != want {
+		got := int(a.RuleOf(a.find(k)))
+		if want := oracle.owner(k); got != want {
 			t.Fatalf("key %v: range %d, oracle %d", k, got, want)
 		}
 	}
@@ -280,7 +302,7 @@ func TestFindWithinAgreesWithFind(t *testing.T) {
 	}
 	for q := 0; q < 2000; q++ {
 		k := keys.FromUint64(uint64(rng.Uint32()))
-		want := a.Find(k)
+		want := a.find(k)
 		// Any window containing the answer must locate it.
 		e := rng.Intn(50)
 		got, probes := a.FindWithin(k, want-e, want+e)
@@ -306,7 +328,7 @@ func TestFindWithinClamps(t *testing.T) {
 		{Prefix: keys.FromUint64(0x80), Len: 1, Action: 1},
 	})
 	idx, _ := a.FindWithin(keys.FromUint64(0xFF), -10, 1000)
-	if idx != a.Find(keys.FromUint64(0xFF)) {
+	if idx != a.find(keys.FromUint64(0xFF)) {
 		t.Fatalf("clamped search = %d", idx)
 	}
 }
@@ -318,11 +340,11 @@ func TestFindFirstAndLastKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i := a.Find(keys.Value{}); i != 0 {
-		t.Fatalf("Find(0) = %d", i)
+	if i := a.find(keys.Value{}); i != 0 {
+		t.Fatalf("find(0) = %d", i)
 	}
-	if i := a.Find(keys.MaxValue(32)); i != a.Len()-1 {
-		t.Fatalf("Find(max) = %d, want %d", i, a.Len()-1)
+	if i := a.find(keys.MaxValue(32)); i != a.Len()-1 {
+		t.Fatalf("find(max) = %d, want %d", i, a.Len()-1)
 	}
 }
 
@@ -336,7 +358,7 @@ func TestSetAction(t *testing.T) {
 		{Prefix: keys.FromUint64(0x00), Len: 1, Action: 2},
 	})
 	idx := s.Find(keys.FromUint64(0x80), 1)
-	set, other := a.Find(keys.FromUint64(0x90)), a.Find(keys.FromUint64(0x10))
+	set, other := a.find(keys.FromUint64(0x90)), a.find(keys.FromUint64(0x10))
 	s.Rules[1-idx].Action = 3 // no copy: the array reads it where it is
 	if act, ok := a.Action(other); !ok || act != 3 {
 		t.Fatalf("action before SetAction = %d,%v, want the source rule's 3", act, ok)
@@ -439,7 +461,7 @@ func BenchmarkFind(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Find(queries[i&1023])
+		a.find(queries[i&1023])
 	}
 }
 
@@ -522,7 +544,7 @@ func TestLimbCountsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := lpm.NewTrieMatcher(s).Trie
+			oracle := ownerOracle{s}
 			if !a.Low(0).IsZero() {
 				t.Fatalf("width %d: range 0 starts at %v", w, a.Low(0))
 			}
@@ -532,14 +554,14 @@ func TestLimbCountsRoundTrip(t *testing.T) {
 					if !a.Low(i - 1).Less(lo) {
 						t.Fatalf("width %d: low %d = %v not above low %d = %v", w, i, lo, i-1, a.Low(i-1))
 					}
-					if below := oracle.Lookup(lo.Dec()); below == owner {
+					if below := oracle.owner(lo.Dec()); below == owner {
 						t.Fatalf("width %d: the key below range %d answers its owner %d", w, i, owner)
 					}
 				}
-				if got := oracle.Lookup(lo); got != owner {
+				if got := oracle.owner(lo); got != owner {
 					t.Fatalf("width %d: low of range %d answers %d, owner %d", w, i, got, owner)
 				}
-				if got := oracle.Lookup(a.High(i)); got != owner {
+				if got := oracle.owner(a.High(i)); got != owner {
 					t.Fatalf("width %d: high of range %d answers %d, owner %d", w, i, got, owner)
 				}
 			}

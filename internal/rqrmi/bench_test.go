@@ -91,7 +91,8 @@ func BenchmarkLookupCompiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Lookup(ks[i&4095])
+		k := ks[i&4095]
+		c.Search(k, c.Predict(k))
 	}
 }
 

@@ -41,7 +41,7 @@ package rqrmi
 //   - unit coordinate: same float64 multiply against the same Ldexp scale
 //     keys.Domain.ToUnit uses, rounded to float32 once (cached, not
 //     recomputed per key — caching changes cost, not value);
-//   - segment select: knots are non-decreasing (Model.Validate), so the
+//   - segment select: knots are non-decreasing (Model.validate), so the
 //     reference scan "first s with u ≤ Knots[s]" equals the count of knots
 //     with u > knot; +Inf padding never counts. The count is taken on the
 //     IEEE bit patterns as integers, which order exactly as the floats do
@@ -114,8 +114,6 @@ func flattenLows(ix Index, width int) flatLows {
 	return flatLows{keys.NewColumn(width, ix.Len(), ix.Low)}
 }
 
-func (f *flatLows) bytes() int { return 4 * len(f.bounds.Words()) }
-
 // Low returns entry i's lower bound.
 func (f *flatLows) Low(i int) keys.Value { return f.bounds.Low(i) }
 
@@ -170,7 +168,7 @@ func (f *flatLows) SearchBlock(ks []keys.Value, ps []Prediction, idx []int) {
 // trained over exactly this index; both are checked because a mismatch would
 // silently void the error bounds.
 func Compile(m *Model, ix Index) (*Compiled, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return nil, fmt.Errorf("rqrmi: compile: %w", err)
 	}
 	if m.N != ix.Len() {
@@ -220,25 +218,8 @@ func Compile(m *Model, ix Index) (*Compiled, error) {
 	return c, nil
 }
 
-// Width returns the key bit width.
-func (c *Compiled) Width() int { return c.width }
-
 // Len returns the learned index length.
 func (c *Compiled) Len() int { return c.n }
-
-// SizeBytes is the compiled plane's memory footprint: the padded coefficient
-// banks, the routing table and the flat bounds copy. (The bounds mirror SRAM
-// the hardware already holds once; software pays it twice for
-// devirtualization. The table is software's alone: the hardware evaluates
-// the internal stages.)
-func (c *Compiled) SizeBytes() int { return c.bankBytes() + c.table.bytes() + c.bytes() }
-
-// bankBytes is the coefficient-bank footprint alone (float32 banks + the
-// per-submodel error bounds) — the baseline the quantized plane's shrink
-// ratio is stated against (TestQuantizedBankShrink).
-func (c *Compiled) bankBytes() int {
-	return 4 * (len(c.bank) + len(c.errs))
-}
 
 // MaxErr returns the largest final-stage error bound — the compiled plane's
 // static worst case, from which the secondary-search probe ceiling derives
@@ -271,7 +252,7 @@ func ProbeBound(maxErr int) int {
 }
 
 // unit maps k to the model's float32 input coordinate — the same arithmetic
-// as unitOf (keys.Value.Float64 × the domain's Ldexp scale, rounded to
+// as unitOf (the key's float64 value × the domain's Ldexp scale, rounded to
 // float32 once) with the Domain construction hoisted out of the query path.
 func (c *Compiled) unit(k keys.Value) float32 {
 	return float32((float64(k.Hi)*0x1p64 + float64(k.Lo)) * c.scale)
@@ -333,11 +314,4 @@ func (c *Compiled) PredictBatch(ks []keys.Value, out []Prediction) {
 	for i, k := range ks {
 		out[i] = c.Predict(k)
 	}
-}
-
-// Lookup is inference plus bounded search: the true index of the entry
-// containing k and the probe count, equal to Model.Lookup on the source
-// index.
-func (c *Compiled) Lookup(k keys.Value) (idx, probes int) {
-	return c.Search(k, c.Predict(k))
 }

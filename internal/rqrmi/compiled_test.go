@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 
 	"neurolpm/internal/keys"
 )
@@ -155,26 +154,19 @@ func TestCompiledLayout(t *testing.T) {
 			id++
 		}
 	}
-	// The bounds are one column of ⌈w/32⌉ limbs a bound on a line-aligned
-	// base, at every width.
+	// The bounds column holds every bound at every width (its layout is
+	// keys.TestSearchVariantsAgree's).
 	for _, w := range []int{24, 48, 128} {
 		ix := uniformIndex(w, 128)
 		_, c := compileFor(t, ix, w)
-		words, limbs := c.bounds.Words(), (w+31)/32
-		if len(words) != ix.Len()*limbs || c.bounds.Len() != ix.Len() {
-			t.Fatalf("width %d: bounds column of %d words for %d bounds; want %d × %d", w, len(words), c.bounds.Len(), ix.Len(), limbs)
-		}
-		if uintptr(unsafe.Pointer(&words[0]))&63 != 0 {
-			t.Fatalf("width %d: bounds column is not 64-byte aligned", w)
+		if c.bounds.Len() != ix.Len() {
+			t.Fatalf("width %d: bounds column of %d bounds for %d", w, c.bounds.Len(), ix.Len())
 		}
 		for i := 0; i < ix.Len(); i++ {
 			if c.Low(i) != ix.Low(i) {
 				t.Fatalf("width %d: Low(%d) = %v, index %v", w, i, c.Low(i), ix.Low(i))
 			}
 		}
-	}
-	if c.SizeBytes() <= 0 {
-		t.Fatal("SizeBytes must be positive")
 	}
 }
 

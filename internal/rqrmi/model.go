@@ -57,9 +57,9 @@ func (l *LUT) eval(u float32) float32 {
 	return l.A[s]*u + l.B[s]
 }
 
-// SizeBytes is the parameter-buffer footprint of the submodel: one float32
+// sizeBytes is the parameter-buffer footprint of the submodel: one float32
 // per knot plus two per segment, plus the 4-byte error bound.
-func (l *LUT) SizeBytes() int {
+func (l *LUT) sizeBytes() int {
 	return 4*len(l.Knots) + 8*len(l.A) + 4
 }
 
@@ -148,9 +148,9 @@ func (m *Model) Search(ix Index, k keys.Value, p Prediction) (idx, probes int) {
 	return keys.BoundedSearch(k, lo, hi, ix.Low)
 }
 
-// Validate checks structural invariants: stage widths, knot ordering, and
+// validate checks structural invariants: stage widths, knot ordering, and
 // segment-count limits (≤ 9 segments for an 8-neuron hidden layer, §5.2.2).
-func (m *Model) Validate() error {
+func (m *Model) validate() error {
 	if len(m.Stages) == 0 {
 		return fmt.Errorf("rqrmi: model has no stages")
 	}
@@ -200,7 +200,7 @@ func (m *Model) SizeBytes() int {
 	total := 0
 	for _, stage := range m.Stages {
 		for j := range stage {
-			total += stage[j].SizeBytes()
+			total += stage[j].sizeBytes()
 		}
 	}
 	return total

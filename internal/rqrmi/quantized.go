@@ -124,7 +124,7 @@ type qStage struct {
 // compiled from;
 // the result searches c's flat bounds instead of building a second copy.
 func (c *Compiled) Quantize(m *Model, ix Index) (*Quantized, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return nil, fmt.Errorf("rqrmi: quantize: %w", err)
 	}
 	if m.N != c.n || m.Width != c.width || ix.Len() != c.n {
@@ -282,37 +282,8 @@ func quantKnot(kn float32) int16 {
 	return int16(r)
 }
 
-// Width returns the key bit width.
-func (q *Quantized) Width() int { return q.width }
-
 // Len returns the learned index length.
 func (q *Quantized) Len() int { return q.n }
-
-// SizeBytes is the quantized plane's memory footprint: the int16
-// coefficient banks, the per-submodel bounds, the routing table and the flat
-// bounds copy.
-func (q *Quantized) SizeBytes() int { return q.bankBytes() + q.table.bytes() + q.bytes() }
-
-// bankBytes is the coefficient-bank footprint alone (banks + per-submodel
-// error bounds) — the quantity TestQuantizedBankShrink holds to at most 0.6×
-// Compiled.bankBytes.
-func (q *Quantized) bankBytes() int {
-	return 2*len(q.bank) + 4*len(q.errs)
-}
-
-// MaxErr returns the largest final-stage error bound of the quantized
-// arithmetic — generally close to, but not equal to, the float planes'
-// bound (53 against 28 on the benchmark's 870 K-rule ripe build).
-func (q *Quantized) MaxErr() int {
-	st := &q.stages[len(q.stages)-1]
-	maxE := 0
-	for i := 0; i < int(st.width); i++ {
-		if e := int(q.errs[int(st.base)+i]); e > maxE {
-			maxE = e
-		}
-	}
-	return maxE
-}
 
 // unit maps k to the Q0.30 input coordinate: the key's top unitBits bits,
 // saturating at the domain max's coordinate for out-of-domain keys — any

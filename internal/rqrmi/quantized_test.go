@@ -3,6 +3,7 @@ package rqrmi
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"neurolpm/internal/keys"
@@ -16,7 +17,7 @@ import (
 // The model must be structurally valid and trained over exactly this index,
 // as in Compile.
 func CompileQuantized(m *Model, ix Index) (*Quantized, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return nil, fmt.Errorf("rqrmi: compile quantized: %w", err)
 	}
 	if m.N != ix.Len() {
@@ -123,9 +124,9 @@ func TestQuantizedExhaustiveTinyDomain(t *testing.T) {
 				worst = d
 			}
 		}
-		if worst != p.q.MaxErr() {
-			t.Errorf("width 8: observed worst error %d, stored MaxErr %d (bound not tight)",
-				worst, p.q.MaxErr())
+		last := &p.q.stages[len(p.q.stages)-1]
+		if stored := int(slices.Max(p.q.errs[last.base : last.base+last.width])); worst != stored {
+			t.Errorf("width 8: observed worst error %d, stored bound %d (bound not tight)", worst, stored)
 		}
 	}
 }
@@ -135,16 +136,14 @@ func TestQuantizedExhaustiveTinyDomain(t *testing.T) {
 // engine scale on the ripe set, DESIGN.md §10).
 func TestQuantizedBankShrink(t *testing.T) {
 	for _, p := range quantPlanes(t, []int{32}) {
-		qb, cb := p.q.bankBytes(), p.c.bankBytes()
+		// Each bank with its per-submodel error bounds: int16 or float32
+		// coefficients, int32 bounds.
+		qb, cb := 2*len(p.q.bank)+4*len(p.q.errs), 4*(len(p.c.bank)+len(p.c.errs))
 		if qb <= 0 || cb <= 0 {
 			t.Fatalf("degenerate bank sizes: quantized %d, compiled %d", qb, cb)
 		}
 		if ratio := float64(qb) / float64(cb); ratio > 0.6 {
 			t.Errorf("quantized bank %dB / compiled bank %dB = %.3f, want ≤ 0.6", qb, cb, ratio)
-		}
-		if p.q.SizeBytes() <= p.q.bankBytes() {
-			t.Errorf("SizeBytes %d must include the bounds copy beyond the bank %d",
-				p.q.SizeBytes(), p.q.bankBytes())
 		}
 	}
 }

@@ -109,8 +109,6 @@ func (r *routes) of(k keys.Value) (t int, ok bool) {
 	return t, t != routeFallback
 }
 
-func (r *routes) bytes() int { return 2 * len(r.cells) }
-
 // RouteEdges returns the first and the last key of every routing-table cell
 // of a width-bit plane, in key order: where one cell's entry meets the next,
 // which is where a table that disagreed with the stage loop would show.

@@ -218,8 +218,8 @@ func TestMLPTrainsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.MaxErr() > 1 {
-		t.Fatalf("bound %d on a linear index", stats.MaxErr())
+	if got := slices.Max(stats.SubmodelErrs); got > 1 {
+		t.Fatalf("bound %d on a linear index", got)
 	}
 }
 
@@ -283,7 +283,8 @@ func TestPartitionAgreesWithRouting(t *testing.T) {
 		total := 0.0
 		for _, ivs := range parts {
 			for _, iv := range ivs {
-				total += iv.Hi.Sub(iv.Lo).Float64() + 1
+				d := iv.Hi.Sub(iv.Lo)
+				total += float64(d.Hi)*0x1p64 + float64(d.Lo) + 1
 			}
 		}
 		if want := math.Ldexp(1, width); total != want {
@@ -600,7 +601,7 @@ func TestModelValidate(t *testing.T) {
 		{N: 10, Stages: [][]LUT{{{A: []float32{1}, B: []float32{1}, Err: -1}}}}, // negative err
 	}
 	for i, m := range bad {
-		if err := m.Validate(); err == nil {
+		if err := m.validate(); err == nil {
 			t.Errorf("model %d accepted", i)
 		}
 	}

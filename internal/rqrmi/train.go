@@ -65,17 +65,6 @@ type Stats struct {
 	SubmodelErrs  []int // final-stage error bounds
 }
 
-// MaxErr returns the largest final-stage error bound.
-func (s *Stats) MaxErr() int {
-	max := 0
-	for _, e := range s.SubmodelErrs {
-		if e > max {
-			max = e
-		}
-	}
-	return max
-}
-
 // Train fits an RQRMI model to the index over a width-bit key domain.
 // Training is stage by stage; submodels within a stage train in parallel.
 func Train(ix Index, width int, cfg Config) (*Model, *Stats, error) {
@@ -134,7 +123,7 @@ func Train(ix Index, width int, cfg Config) (*Model, *Stats, error) {
 	stats.Duration = time.Since(start)
 	metTrainRuns.Inc()
 	metTrainNs.Add(uint64(stats.Duration.Nanoseconds()))
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		return nil, nil, err
 	}
 	return m, stats, nil

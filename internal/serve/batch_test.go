@@ -81,8 +81,8 @@ func wantRejected(t *testing.T, c *client, id uint64, frame []byte, code uint8) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var re *wire.RemoteError
-	if f.Op != wire.OpError || f.ID != id || !errors.As(f.Err(), &re) || re.Code != code {
+	var re *remoteError
+	if f.Op != wire.OpError || f.ID != id || !errors.As(frameError(f), &re) || re.code != code {
 		t.Fatalf("answer is %s id=%d payload %q, want error code %d for id %d", f.Op, f.ID, f.Payload, code, id)
 	}
 	if err := c.ping(); err != nil {
@@ -117,8 +117,8 @@ func oracleKeys(seed int64, n int) []keys.Value {
 // there are keys.
 func wantPipelinedMatchesOracle(t *testing.T, srv *Server, c *client, oracle *lpm.TrieMatcher, ks []keys.Value) {
 	t.Helper()
-	dispatches := srv.reg.Counter("neurolpm_wire_coalesce_dispatches_total", "")
-	before := dispatches.Load()
+	dispatches := func() uint64 { return counter(t, srv.reg, "neurolpm_wire_coalesce_dispatches_total") }
+	before := dispatches()
 	pending := make(map[uint64]keys.Value, len(ks))
 	ids := make([]uint64, len(ks))
 	for i, k := range ks {
@@ -148,7 +148,7 @@ func wantPipelinedMatchesOracle(t *testing.T, srv *Server, c *client, oracle *lp
 			t.Errorf("key %v: got (%d,%v), oracle (%d,%v)", k, res.Action, res.Matched, want, wantOK)
 		}
 	}
-	if n := dispatches.Load() - before; n >= uint64(len(ks)) {
+	if n := dispatches() - before; n >= uint64(len(ks)) {
 		t.Errorf("%d pipelined lookups took %d batch-plane calls, want fewer", len(ks), n)
 	}
 }

@@ -94,7 +94,7 @@ func (c *client) roundTrip(op wire.Op, enc func(b []byte, id uint64) []byte) (wi
 	case f.ID != id:
 		return wire.Frame{}, fmt.Errorf("answer id %d for request %d", f.ID, id)
 	case f.Op == wire.OpError:
-		return wire.Frame{}, f.Err()
+		return wire.Frame{}, frameError(f)
 	case f.Op != op:
 		return wire.Frame{}, fmt.Errorf("answered with %s, want %s", f.Op, op)
 	}
@@ -126,4 +126,20 @@ func (c *client) ping() error {
 // opcode and no payload.
 func appendPing(b []byte, id uint64) []byte {
 	return append(b, reframe(wire.AppendLookup(nil, id, keys.Value{}), wire.OpPing, nil)...)
+}
+
+// remoteError is the error an error frame carries.
+type remoteError struct {
+	code uint8
+	msg  string
+}
+
+func (e *remoteError) Error() string { return fmt.Sprintf("server error %d: %s", e.code, e.msg) }
+
+// frameError decodes an error frame's payload.
+func frameError(f wire.Frame) error {
+	if len(f.Payload) < 1 {
+		return fmt.Errorf("empty error payload")
+	}
+	return &remoteError{code: f.Payload[0], msg: string(f.Payload[1:])}
 }

@@ -70,8 +70,8 @@ func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 
 	insert := wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 777}
 	in.FailProb(fault.SiteRetrain, 1)
-	var re *wire.RemoteError
-	if err := c.update(insert); !errors.As(err, &re) || re.Code != wire.ErrBadRequest {
+	var re *remoteError
+	if err := c.update(insert); !errors.As(err, &re) || re.code != wire.ErrBadRequest {
 		t.Fatalf("insert with a failing rebuild answered %v, want a bad-request error frame", err)
 	}
 	wantAnswer(t, c, k, before.Action, before.Matched)

@@ -291,8 +291,22 @@ func scrapeLookups(t *testing.T, url string) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if v, ok := strings.CutPrefix(line, "neurolpm_lookups_total "); ok {
+	return seriesValue(t, string(body), "neurolpm_lookups_total")
+}
+
+// counter renders reg as /metrics does and returns the named counter.
+func counter(t *testing.T, reg *telemetry.Registry, name string) uint64 {
+	t.Helper()
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	return seriesValue(t, b.String(), name)
+}
+
+// seriesValue returns the named unlabelled series of a /metrics text.
+func seriesValue(t *testing.T, text, name string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
 				t.Fatal(err)
@@ -300,7 +314,7 @@ func scrapeLookups(t *testing.T, url string) uint64 {
 			return n
 		}
 	}
-	t.Fatal("/metrics lists no neurolpm_lookups_total")
+	t.Fatalf("/metrics lists no %s", name)
 	return 0
 }
 

@@ -153,9 +153,6 @@ func (ws *WireServer) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Addr returns the listener address (tests bind :0).
-func (ws *WireServer) Addr() net.Addr { return ws.l.Addr() }
-
 // wireConn is one accepted connection. Its reader goroutine is the only one
 // that touches it after Serve starts it (Shutdown only sets deadlines and
 // closes the socket), so nothing here is locked.

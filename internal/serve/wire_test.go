@@ -205,8 +205,8 @@ func TestWireBatchingRules(t *testing.T) {
 	// One read's lookups share batch-plane calls, at most maxCoalesceBatch each.
 	t.Run("300 lookups batch under the 256 cap", func(t *testing.T) {
 		conn, br := dial(t)
-		dispatches := srv.reg.Counter("neurolpm_wire_coalesce_dispatches_total", "")
-		before := dispatches.Load()
+		dispatches := func() uint64 { return counter(t, srv.reg, "neurolpm_wire_coalesce_dispatches_total") }
+		before := dispatches()
 		ks := make([]keys.Value, 300)
 		var b []byte
 		for i := range ks {
@@ -220,7 +220,7 @@ func TestWireBatchingRules(t *testing.T) {
 			action, ok := oracle.Lookup(ks[i])
 			wantResult(t, f, uint64(i+1), action, ok)
 		}
-		if n := dispatches.Load() - before; n < 2 || n >= 300 {
+		if n := dispatches() - before; n < 2 || n >= 300 {
 			t.Errorf("300 pipelined lookups took %d batch-plane calls, want 2..299", n)
 		}
 	})

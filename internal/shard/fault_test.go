@@ -193,27 +193,26 @@ func TestRebuildIsTimedAndBooked(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		u, rs, in := buildFaulty(t, quickBucketed(), n)
 		rebuildMs := telemetry.Default.Histogram("neurolpm_shard_rebuild_ms", "")
-		failed := telemetry.Default.Counter("neurolpm_shard_commit_errors_total", "")
 		free := freeRules24(t, rs, 2, 4242)
 		in.FailProb(fault.SiteAbsorb, 1)
 
-		timed, errs := rebuildMs.Count(), failed.Load()
+		timed, errs := rebuildMs.Snapshot().Total, scrape()["neurolpm_shard_commit_errors_total"]
 		if err := u.Insert(free[0]); err != nil {
 			t.Fatal(err)
 		}
-		if got := rebuildMs.Count() - timed; got != 1 {
+		if got := rebuildMs.Snapshot().Total - timed; got != 1 {
 			t.Errorf("a refused insert raised the rebuild histogram's count by %d, want 1", got)
 		}
-		if got := failed.Load() - errs; got != 0 {
-			t.Errorf("a rebuild that succeeded raised the error counter by %d", got)
+		if got := scrape()["neurolpm_shard_commit_errors_total"] - errs; got != 0 {
+			t.Errorf("a rebuild that succeeded raised the error counter by %g", got)
 		}
 
 		in.FailNext(fault.SiteRetrain, 1)
 		if err := u.Insert(free[1]); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("refused insert under an injected retrain failure: err = %v", err)
 		}
-		if got := failed.Load() - errs; got != 1 {
-			t.Errorf("a failed rebuild raised the error counter by %d, want 1", got)
+		if got := scrape()["neurolpm_shard_commit_errors_total"] - errs; got != 1 {
+			t.Errorf("a failed rebuild raised the error counter by %g, want 1", got)
 		}
 	})
 }

@@ -377,7 +377,12 @@ func TestProbeBoundGaugeIsTheLivePlanes(t *testing.T) {
 		return int(v)
 	}
 	e := u.Engine(0)
-	c, q := rqrmi.ProbeBound(e.Compiled().MaxErr()), rqrmi.ProbeBound(e.Quantized().MaxErr())
+	// The int16 plane's bound, as its predictions at the learned bounds show.
+	cp, qp, qErr := e.Compiled(), e.Quantized(), 0
+	for i := range cp.Len() {
+		qErr = max(qErr, qp.Predict(cp.Low(i)).Err, qp.Predict(cp.Low(i).Dec()).Err)
+	}
+	c, q := rqrmi.ProbeBound(cp.MaxErr()), rqrmi.ProbeBound(qErr)
 	if q == c {
 		t.Fatalf("compiled and quantized bounds are both %d probes: the rule set no longer tells the two planes apart", c)
 	}

@@ -95,15 +95,15 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	}
 
 	var issued atomic.Uint64 // keys the readers have handed to LookupBatch
-	// A scrape reads each series at its own moment, so only a quiescent one
-	// can hold the two series equal; the counts are cumulative, so one
-	// lookup booked as SRAM-only mid-run still shows there.
+	// A scrape renders the lookup series from one load of the tally, so every
+	// one holds the two series equal; only a quiescent one can hold them to
+	// the keys issued, which a reader counts before its batch books them.
 	c0 := scrape()
 	checkBooked := func(quiescent bool) {
 		c := scrape()
 		d := uint64(c["neurolpm_lookups_total"] - c0["neurolpm_lookups_total"])
 		db := uint64(c["neurolpm_bucketized_lookups_total"] - c0["neurolpm_bucketized_lookups_total"])
-		if n := issued.Load(); d > n || (quiescent && (d != db || d != n)) {
+		if n := issued.Load(); d > n || d != db || (quiescent && d != n) {
 			t.Errorf("%d lookups booked, %d of them bucketized, for %d keys issued (quiescent %v)", d, db, n, quiescent)
 		}
 	}

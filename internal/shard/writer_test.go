@@ -108,8 +108,8 @@ func TestInsertDuringCommitIsNotLost(t *testing.T) {
 // land on the engine it installs, and the oracle holds after both.
 func TestDeleteDuringCommitIsNotResurrected(t *testing.T) {
 	rs := randomRuleSet(t, 32, 200, 23)
-	trie := lpm.NewTrieMatcher(rs).Trie
-	victim := slices.IndexFunc(rs.Rules, func(r lpm.Rule) bool { return trie.Lookup(r.Prefix) == rs.Find(r.Prefix, r.Len) })
+	oracle := lpm.NewTrieMatcher(rs) // actions are unique: an action names its rule
+	victim := slices.IndexFunc(rs.Rules, func(r lpm.Rule) bool { a, ok := oracle.Lookup(r.Prefix); return ok && a == r.Action })
 	if victim < 0 {
 		t.Fatal("no rule answers its own prefix")
 	}

@@ -7,8 +7,6 @@
 // routing-specialized engines.
 package strmatch
 
-import "fmt"
-
 // Match reports pattern p starting at byte offset Pos of the scanned text.
 type Match struct {
 	Pos     int
@@ -89,9 +87,9 @@ func (a *AhoCorasick) buildFailLinks() {
 	}
 }
 
-// Scan returns every occurrence of every pattern in text, in increasing
+// scan returns every occurrence of every pattern in text, in increasing
 // end-position order.
-func (a *AhoCorasick) Scan(text []byte) []Match {
+func (a *AhoCorasick) scan(text []byte) []Match {
 	var out []Match
 	s := int32(0)
 	for i, b := range text {
@@ -119,24 +117,11 @@ func (a *AhoCorasick) LongestAt(text []byte) []int {
 	for i := range best {
 		best[i] = -1
 	}
-	for _, m := range a.Scan(text) {
+	for _, m := range a.scan(text) {
 		cur := best[m.Pos]
 		if cur == -1 || len(a.patterns[m.Pattern]) > len(a.patterns[cur]) {
 			best[m.Pos] = m.Pattern
 		}
 	}
 	return best
-}
-
-// Validate checks internal consistency (for tests).
-func (a *AhoCorasick) Validate() error {
-	if len(a.next) != len(a.fail) || len(a.next) != len(a.out) {
-		return fmt.Errorf("strmatch: inconsistent automaton arrays")
-	}
-	for s, f := range a.fail {
-		if f < 0 || int(f) >= len(a.next) {
-			return fmt.Errorf("strmatch: fail link of state %d out of range", s)
-		}
-	}
-	return nil
 }

@@ -10,10 +10,7 @@ import (
 
 func TestAhoCorasickBasic(t *testing.T) {
 	a := NewAhoCorasick([]string{"he", "she", "his", "hers"})
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got := a.Scan([]byte("ushers"))
+	got := a.scan([]byte("ushers"))
 	// Expected matches: "she"@1, "he"@2, "hers"@2.
 	want := map[Match]bool{
 		{Pos: 1, Pattern: 1}: true,
@@ -32,14 +29,14 @@ func TestAhoCorasickBasic(t *testing.T) {
 
 func TestAhoCorasickNoPatterns(t *testing.T) {
 	a := NewAhoCorasick(nil)
-	if got := a.Scan([]byte("anything")); len(got) != 0 {
+	if got := a.scan([]byte("anything")); len(got) != 0 {
 		t.Fatalf("matches = %+v", got)
 	}
 }
 
 func TestAhoCorasickOverlapping(t *testing.T) {
 	a := NewAhoCorasick([]string{"aa", "aaa"})
-	got := a.Scan([]byte("aaaa"))
+	got := a.scan([]byte("aaaa"))
 	// "aa" at 0,1,2 and "aaa" at 0,1.
 	if len(got) != 5 {
 		t.Fatalf("got %d matches: %+v", len(got), got)
@@ -81,7 +78,7 @@ func TestAhoCorasickAgainstNaive(t *testing.T) {
 			text[i] = alphabet[rng.Intn(len(alphabet))]
 		}
 		a := NewAhoCorasick(patterns)
-		got := a.Scan(text)
+		got := a.scan(text)
 		want := naiveScan(patterns, text)
 		gotSet := map[Match]bool{}
 		for _, m := range got {
@@ -252,6 +249,6 @@ func BenchmarkAhoCorasickScan(b *testing.B) {
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Scan(text)
+		a.scan(text)
 	}
 }

@@ -15,10 +15,6 @@ func (c *Counter) Inc() { c.t.Stripe().Add(0, 1) }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.t.Stripe().Add(0, n) }
 
-// Load returns the counter's current total. Concurrent with writers it is a
-// consistent-enough snapshot: every completed Add is included.
-func (c *Counter) Load() uint64 { return c.t.Load()[0] }
-
 // Lanes is the number of outcome lanes in a Tally.
 const Lanes = 4
 
@@ -59,9 +55,9 @@ func (s *TallyStripe) claim(m, gen, t uint64) bool {
 	return from|m != t|m && t > from && s.claimed.CompareAndSwap(last, t<<8|gen&0xff)
 }
 
-// Due is claim's test without the write, against the last tick taken under
+// due is claim's test without the write, against the last tick taken under
 // any stride: one load and a compare.
-func (s *TallyStripe) Due(m, t uint64) bool { return (s.claimed.Load()>>8)|m != t|m }
+func (s *TallyStripe) due(m, t uint64) bool { return (s.claimed.Load()>>8)|m != t|m }
 
 // Tally is a lock-free counter of exclusive outcome lanes, striped: an event
 // books one lane, and one uncontended add buys every sum of lanes.
@@ -77,9 +73,9 @@ func NewTally() *Tally {
 // Stripe is the calling goroutine's stripe.
 func (t *Tally) Stripe() *TallyStripe { return &t.stripes[shardIndex()] }
 
-// Load returns every lane's total. Concurrent with writers it is a
+// load returns every lane's total. Concurrent with writers it is a
 // consistent-enough snapshot: every completed Add is included.
-func (t *Tally) Load() (lanes [Lanes]uint64) {
+func (t *Tally) load() (lanes [Lanes]uint64) {
 	for i := range t.stripes {
 		for l := range lanes {
 			lanes[l] += t.stripes[i].lane[l].Load()

@@ -168,7 +168,7 @@ func (r *Recorder) Draws(s *TallyStripe, t uint64) bool {
 
 // Due reports whether an event on stripe s up to tick t may be sampled, with
 // no write: a block of events that is not due skips Draws for each of them.
-func (r *Recorder) Due(s *TallyStripe, t uint64) bool { return s.Due(r.mask.Load(), t) }
+func (r *Recorder) Due(s *TallyStripe, t uint64) bool { return s.due(r.mask.Load(), t) }
 
 // Commit ends fr (End), feeds the latency histogram, and copies the record
 // into the ring and — when slow enough — the slow log.

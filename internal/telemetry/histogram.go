@@ -93,20 +93,6 @@ func (s Snapshot) Sub(b Snapshot) Snapshot {
 	return out
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.Snapshot().Total }
-
-// Reset zeroes every shard (see Counter.Reset for the caveats).
-func (h *Histogram) Reset() {
-	for i := range h.shards {
-		sh := &h.shards[i]
-		for b := 0; b < numBuckets; b++ {
-			sh.counts[b].Store(0)
-		}
-		sh.sum.Store(0)
-	}
-}
-
 // bucketBounds returns the inclusive value range of bucket b.
 func bucketBounds(b int) (lo, hi uint64) {
 	if b == 0 {

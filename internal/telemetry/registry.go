@@ -24,7 +24,8 @@ type entry struct {
 	help   string
 	kind   metricKind
 	ctr    *Counter
-	count  func() uint64 // kindCounter: ctr.Load, or derived at scrape (CounterFunc) with ctr nil
+	tally  *Tally // kindCounter: the tally summed at scrape, ctr's own or a TallyCounter's
+	lanes  uint8  // kindCounter: the lanes summed, one bit each
 	hist   *Histogram
 	fn     func() float64
 	vec    *GaugeVec
@@ -49,8 +50,8 @@ func NewRegistry() *Registry {
 var Default = NewRegistry()
 
 // Counter returns the counter registered under name, creating it if needed.
-// It panics if name is registered as a different kind or derived (CounterFunc)
-// — that is a programming error, not a runtime condition.
+// It panics if name is registered as a different kind or derived
+// (TallyCounter) — that is a programming error, not a runtime condition.
 func (r *Registry) Counter(name, help string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -61,19 +62,21 @@ func (r *Registry) Counter(name, help string) *Counter {
 		return e.ctr
 	}
 	c := newCounter()
-	r.add(&entry{name: name, help: help, kind: kindCounter, ctr: c, count: c.Load})
+	r.add(&entry{name: name, help: help, kind: kindCounter, ctr: c, tally: &c.t, lanes: 1})
 	return c
 }
 
-// CounterFunc registers a counter derived at scrape time: fn must be
-// monotonic, like any counter. It panics if name is already registered.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+// TallyCounter registers a counter derived at scrape time: the sum of t's
+// lanes whose bits lanes sets. A scrape loads each tally once, so the
+// counters derived from one tally render one cut of it and agree with each
+// other. It panics if name is already registered.
+func (r *Registry) TallyCounter(name, help string, t *Tally, lanes uint8) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.entries[name]; ok {
 		panic("telemetry: " + name + " already registered")
 	}
-	r.add(&entry{name: name, help: help, kind: kindCounter, count: fn})
+	r.add(&entry{name: name, help: help, kind: kindCounter, tally: t, lanes: lanes})
 }
 
 // Histogram returns the histogram registered under name, creating it if
@@ -212,11 +215,22 @@ func (r *Registry) snapshotEntries() []*entry {
 
 // WritePrometheus renders every metric in the Prometheus text exposition
 // format (counters, gauges, and log₂ histograms with cumulative buckets).
+// Each tally is loaded once a call.
 func (r *Registry) WritePrometheus(w io.Writer) {
+	cuts := map[*Tally][Lanes]uint64{}
 	for _, e := range r.snapshotEntries() {
 		switch e.kind {
 		case kindCounter:
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", e.name, e.help, e.name, e.name, e.count())
+			cut, ok := cuts[e.tally]
+			if !ok {
+				cut = e.tally.load()
+				cuts[e.tally] = cut
+			}
+			var n uint64
+			for l, v := range cut {
+				n += v * uint64(e.lanes>>l&1)
+			}
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", e.name, e.help, e.name, e.name, n)
 		case kindGauge:
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", e.name, e.help, e.name, e.name, e.fn())
 		case kindGaugeVec:

@@ -8,14 +8,17 @@ import (
 	"testing"
 )
 
+// load returns the counter's current total.
+func (c *Counter) load() uint64 { return c.t.load()[0] }
+
 func TestCounterBasics(t *testing.T) {
 	c := newCounter()
-	if c.Load() != 0 {
-		t.Fatalf("fresh counter = %d, want 0", c.Load())
+	if c.load() != 0 {
+		t.Fatalf("fresh counter = %d, want 0", c.load())
 	}
 	c.Inc()
 	c.Add(41)
-	if got := c.Load(); got != 42 {
+	if got := c.load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
 }
@@ -113,14 +116,14 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	r.Histogram("x_total", "help")
 }
 
-// TestCounterFunc: a derived counter scrapes as a counter of its function's
-// value, and nothing can register a second metric under its name — Counter
-// and CounterFunc on it both panic, so no get-or-create reader can ever
+// TestTallyCounter: a derived counter scrapes as the sum of its tally's
+// lanes, and nothing can register a second metric under its name — Counter
+// and TallyCounter on it both panic, so no get-or-create reader can ever
 // shadow what it derives.
-func TestCounterFunc(t *testing.T) {
+func TestTallyCounter(t *testing.T) {
 	r := NewRegistry()
 	tl := NewTally()
-	r.CounterFunc("matched_total", "lanes 1 and 3", func() uint64 { l := tl.Load(); return l[1] + l[3] })
+	r.TallyCounter("matched_total", "lanes 1 and 3", tl, 0b1010)
 	st := tl.Stripe()
 	st.Add(0, 7)
 	st.Add(1, 2)
@@ -131,8 +134,8 @@ func TestCounterFunc(t *testing.T) {
 		t.Fatalf("scrape lacks the derived counter:\n%s", out)
 	}
 	for name, register := range map[string]func(){
-		"Counter":     func() { r.Counter("matched_total", "") },
-		"CounterFunc": func() { r.CounterFunc("matched_total", "", func() uint64 { return 0 }) },
+		"Counter":      func() { r.Counter("matched_total", "") },
+		"TallyCounter": func() { r.TallyCounter("matched_total", "", tl, 1) },
 	} {
 		func() {
 			defer func() {
@@ -259,8 +262,8 @@ func TestConcurrentHammer(t *testing.T) {
 				t.Error("negative quantile")
 				return
 			}
-			_ = c.Load()
-			_ = tl.Load()
+			_ = c.load()
+			_ = tl.load()
 		}
 	}()
 
@@ -280,13 +283,13 @@ func TestConcurrentHammer(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 
-	if got := c.Load(); got != writers*perWriter {
+	if got := c.load(); got != writers*perWriter {
 		t.Fatalf("counter = %d, want %d (lost updates)", got, writers*perWriter)
 	}
 	if got := h.Snapshot().Total; got != writers*perWriter {
 		t.Fatalf("histogram count = %d, want %d (lost updates)", got, writers*perWriter)
 	}
-	for l, got := range tl.Load() {
+	for l, got := range tl.load() {
 		if want := uint64(writers / Lanes * perWriter); got != want {
 			t.Fatalf("tally lane %d = %d, want %d (lost updates)", l, got, want)
 		}

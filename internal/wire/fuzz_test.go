@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -90,9 +89,8 @@ func FuzzWireCodec(f *testing.F) {
 					t.Fatalf("update round-trip mismatch")
 				}
 			}
-			var re *RemoteError
-			if errors.As(fr.Err(), &re) && fr.Op == OpError {
-				if enc := AppendError(nil, fr.ID, re.Code, re.Msg); !bytes.Equal(framePayload(enc), fr.Payload) {
+			if code, msg, ok := remoteError(fr); ok {
+				if enc := AppendError(nil, fr.ID, code, msg); !bytes.Equal(framePayload(enc), fr.Payload) {
 					t.Fatalf("error round-trip mismatch")
 				}
 			}

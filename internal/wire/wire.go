@@ -274,21 +274,3 @@ func (f Frame) Update() (RuleUpdate, error) {
 	}
 	return u, nil
 }
-
-// Err decodes an OpError payload into a Go error.
-func (f Frame) Err() error {
-	if len(f.Payload) < 1 {
-		return fmt.Errorf("wire: empty error payload")
-	}
-	return &RemoteError{Code: f.Payload[0], Msg: string(f.Payload[1:])}
-}
-
-// RemoteError is a server-reported error decoded from an OpError frame.
-type RemoteError struct {
-	Code uint8
-	Msg  string
-}
-
-func (e *RemoteError) Error() string {
-	return fmt.Sprintf("wire: server error %d: %s", e.Code, e.Msg)
-}

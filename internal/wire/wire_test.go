@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -100,10 +99,8 @@ func TestPingPongAndError(t *testing.T) {
 		t.Fatalf("update-result frame %+v", f)
 	}
 	f := readOne(t, AppendError(nil, 5, ErrBadRequest, "rebuild failed"))
-	err := f.Err()
-	re, ok := err.(*RemoteError)
-	if !ok || re.Code != ErrBadRequest || re.Msg != "rebuild failed" {
-		t.Fatalf("error %v", err)
+	if code, msg, ok := remoteError(f); !ok || code != ErrBadRequest || msg != "rebuild failed" {
+		t.Fatalf("error frame %+v", f)
 	}
 }
 
@@ -154,16 +151,16 @@ func TestErrorFrameFitsMaxFrameLen(t *testing.T) {
 		if n := binary.LittleEndian.Uint32(b); n > MaxFrameLen || int(n) != len(b)-lenPrefix {
 			t.Fatalf("%d-byte message: length prefix %d for a %d-byte frame, MaxFrameLen %d", len(msg), n, len(b), MaxFrameLen)
 		}
-		var re *RemoteError
-		if !errors.As(readOne(t, b).Err(), &re) {
-			t.Fatalf("%d-byte message: no remote error", len(msg))
+		_, got, ok := remoteError(readOne(t, b))
+		if !ok {
+			t.Fatalf("%d-byte message: no error frame", len(msg))
 		}
 		want := min(len(msg), maxErrMsg)
-		if !utf8.ValidString(re.Msg) || !strings.HasPrefix(msg, re.Msg) || len(re.Msg) > want || len(re.Msg) <= want-utf8.UTFMax {
-			t.Fatalf("%d-byte message cut to %q", len(msg), re.Msg)
+		if !utf8.ValidString(got) || !strings.HasPrefix(msg, got) || len(got) > want || len(got) <= want-utf8.UTFMax {
+			t.Fatalf("%d-byte message cut to %q", len(msg), got)
 		}
-		if len(msg) <= maxErrMsg && re.Msg != msg {
-			t.Fatalf("%d-byte message changed to %q", len(msg), re.Msg)
+		if len(msg) <= maxErrMsg && got != msg {
+			t.Fatalf("%d-byte message changed to %q", len(msg), got)
 		}
 	}
 }
@@ -300,11 +297,20 @@ func TestWireCodecZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRemoteErrorMessage: an error frame with an empty message still carries
+// its code.
 func TestRemoteErrorMessage(t *testing.T) {
-	e := &RemoteError{Code: ErrBadRequest, Msg: "no"}
-	if !strings.Contains(e.Error(), "2") || !strings.Contains(e.Error(), "no") {
-		t.Fatalf("error text %q", e.Error())
+	if code, msg, ok := remoteError(readOne(t, AppendError(nil, 9, ErrBadRequest, ""))); !ok || code != ErrBadRequest || msg != "" {
+		t.Fatalf("error frame decodes to (%d, %q, %v)", code, msg, ok)
 	}
+}
+
+// remoteError decodes an error frame's code and message.
+func remoteError(f Frame) (code uint8, msg string, ok bool) {
+	if f.Op != OpError || len(f.Payload) < 1 {
+		return 0, "", false
+	}
+	return f.Payload[0], string(f.Payload[1:]), true
 }
 
 // appendPing appends a ping frame, the one request no shipped client sends.

@@ -1,5 +1,5 @@
-// Package a is the export check's fixture: one function only a test calls,
-// one another package calls, and one method only an interface names.
+// Package a is the export check's fixture: functions and methods that
+// another package calls, and ones that only share a name with what it calls.
 package a
 
 // OnlyTested has no caller outside a's tests: the check flags it.
@@ -13,8 +13,31 @@ type Unit interface {
 	Serve() error
 }
 
-// Server implements Unit; nothing selects Serve by name.
+// Server implements Unit; b calls Serve only through a Unit.
 type Server struct{}
 
 // Serve is named by Unit.
 func (Server) Serve() error { return nil }
+
+// Buffer's Reset is called from package b.
+type Buffer struct{}
+
+func (*Buffer) Reset() {}
+
+// Histogram's Reset only shares its name with Buffer's: the check flags it.
+type Histogram struct{}
+
+func (*Histogram) Reset() {}
+
+// Trace has a field package b selects.
+type Trace struct{ Bytes int }
+
+// Table's Bytes only shares its name with Trace's field: the check flags it.
+type Table struct{}
+
+func (Table) Bytes() int { return 0 }
+
+// Engine's Rebuild is called from package b on what an atomic.Pointer loads.
+type Engine struct{}
+
+func (*Engine) Rebuild() {}

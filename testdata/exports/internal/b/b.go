@@ -1,6 +1,20 @@
-// Package b calls a's UsedElsewhere.
+// Package b calls into a: by function, by method, through an interface and
+// through a stdlib generic's result.
 package b
 
-import "fixture/internal/a"
+import (
+	"sync/atomic"
 
-func use() int { return a.UsedElsewhere() }
+	"fixture/internal/a"
+)
+
+var engine atomic.Pointer[a.Engine]
+
+func use() int {
+	var buf a.Buffer
+	buf.Reset()
+	var u a.Unit = a.Server{}
+	_ = u.Serve()
+	engine.Load().Rebuild()
+	return a.UsedElsewhere() + a.Trace{}.Bytes
+}
