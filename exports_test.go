@@ -15,12 +15,12 @@ import (
 	"testing"
 )
 
-// exportExemptions names the exported functions and methods that may lack a
-// shipped caller outside their own package, each with its one-line reason,
-// at most six of them. Keys are "dir.Name" for a function and
-// "dir.Type.Name" for a method, dir being the package's slash-separated
-// directory under the module root. Whole packages that are test seams on
-// purpose are in seamPackages instead.
+// exportExemptions names the exported functions, methods, consts and vars
+// that may lack a shipped caller outside their own package, each with its
+// one-line reason, at most six of them. Keys are "dir.Name" for a function,
+// const or var and "dir.Type.Name" for a method, dir being the package's
+// slash-separated directory under the module root. Whole packages that are
+// test seams on purpose are in seamPackages instead.
 var exportExemptions = map[string]string{
 	"internal/telemetry.NewRegistry": "the test-isolation seam: every package's tests build a private registry with it",
 }
@@ -32,9 +32,9 @@ var seamPackages = map[string]bool{
 	"internal/planetest": true,
 }
 
-// TestShippedExportsHaveShippedCallers holds every exported function and
-// method in internal/ and cmd/ to a caller in a non-test file of another
-// package: code only tests call belongs in the tests, and code only its own
+// TestShippedExportsHaveShippedCallers holds every exported function, method
+// and package-level const and var in internal/ and cmd/ to a use in a
+// non-test file of another package: code only tests call belongs in the tests, and code only its own
 // package calls is unexported.
 func TestShippedExportsHaveShippedCallers(t *testing.T) {
 	if len(exportExemptions) > 6 {
@@ -50,15 +50,16 @@ func TestShippedExportsHaveShippedCallers(t *testing.T) {
 }
 
 // TestExportCheckFlagsTestOnlyCallers runs the check over a fixture module:
-// it flags a function only a test calls and methods that only share a name
-// with a called method or a selected field, and passes a method called
-// through an interface or on an atomic.Pointer's Load.
+// it flags a function only a test calls, methods that only share a name
+// with a called method or a selected field and a const no other package
+// reads, and passes a method called through an interface or on an
+// atomic.Pointer's Load and a var another package reads.
 func TestExportCheckFlagsTestOnlyCallers(t *testing.T) {
 	missing, err := exportsWithoutCallers(filepath.Join("testdata", "exports"), "fixture", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/a.Histogram.Reset", "internal/a.OnlyTested", "internal/a.Table.Bytes"}
+	want := []string{"internal/a.Histogram.Reset", "internal/a.OnlyTested", "internal/a.Table.Bytes", "internal/a.Unread"}
 	if strings.Join(missing, ",") != strings.Join(want, ",") {
 		t.Fatalf("flagged %v, want %v", missing, want)
 	}
@@ -118,10 +119,10 @@ func packageImports(dir string) ([]string, error) {
 
 // exportsWithoutCallers type-checks every non-test Go file under root that
 // the build context matches, module being the import path of root, and
-// returns the exported functions and methods declared in internal/ or cmd/
-// that no non-test file of another package calls, sorted. A function or
-// method is called where go/types resolves an identifier of another package
-// to it; a method also where its receiver type implements an interface that
+// returns the exported functions, methods and package-level consts and vars
+// declared in internal/ or cmd/ that no non-test file of another package
+// uses, sorted. A name is used where go/types resolves an identifier of
+// another package to it; a method also where its receiver type implements an interface that
 // declares it: one declared under root, error, or fmt.Stringer.
 func exportsWithoutCallers(root, module string, exempt map[string]string) ([]string, error) {
 	fset := token.NewFileSet()
@@ -152,7 +153,7 @@ func exportsWithoutCallers(root, module string, exempt map[string]string) ([]str
 	}
 	std := importer.ForCompiler(fset, "gc", nil)
 	pkgs := map[string]*types.Package{}
-	called := map[*types.Func]bool{}
+	called := map[types.Object]bool{}
 	var imp importerFunc
 	imp = func(path string) (*types.Package, error) {
 		if p, ok := pkgs[path]; ok {
@@ -168,8 +169,11 @@ func exportsWithoutCallers(root, module string, exempt map[string]string) ([]str
 		}
 		pkgs[path] = p
 		for _, obj := range info.Uses {
-			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != p {
-				called[fn.Origin()] = true
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
+			if obj.Pkg() != p {
+				called[obj] = true
 			}
 		}
 		return p, nil
@@ -218,7 +222,7 @@ func exportsWithoutCallers(root, module string, exempt map[string]string) ([]str
 		}
 		for _, name := range p.Scope().Names() {
 			switch obj := p.Scope().Lookup(name).(type) {
-			case *types.Func:
+			case *types.Func, *types.Const, *types.Var:
 				if obj.Exported() && !called[obj] {
 					flag(dir + "." + name)
 				}

@@ -21,8 +21,8 @@ import (
 )
 
 const (
-	// Width is the only key width SAIL supports.
-	Width = 32
+	// width is the only key width SAIL supports.
+	width = 32
 
 	noChunk  = 0xFFFF
 	noAction = 0 // action ids are 1-based; 0 means "no rule"
@@ -56,8 +56,8 @@ func (b bitset) get(i uint32) bool { return b[i/64]&(1<<(i%64)) != 0 }
 // It fails when the rule-set is not 32-bit or needs more than 255 distinct
 // actions (SAIL's one-byte action assumption).
 func Build(rs *lpm.RuleSet) (*Engine, error) {
-	if rs.Width != Width {
-		return nil, fmt.Errorf("sail: only %d-bit rule-sets are supported, got %d", Width, rs.Width)
+	if rs.Width != width {
+		return nil, fmt.Errorf("sail: only %d-bit rule-sets are supported, got %d", width, rs.Width)
 	}
 	e := &Engine{
 		b16: newBitset(1 << 16),

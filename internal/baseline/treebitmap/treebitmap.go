@@ -15,13 +15,13 @@ import (
 	"neurolpm/internal/lpm"
 )
 
-// Stride is the bits consumed per trie level (the paper's depth-8 subtree
+// stride is the bits consumed per trie level (the paper's depth-8 subtree
 // chunks).
-const Stride = 8
+const stride = 8
 
-// ChunkBytes is the modeled size of one trie node in memory: the 255-bit
+// chunkBytes is the modeled size of one trie node in memory: the 255-bit
 // internal bitmap + 256-bit external bitmap + child/result pointers ≈ 64B.
-const ChunkBytes = 64
+const chunkBytes = 64
 
 // node is one stride-8 trie node. The internal prefix tree is heap-indexed:
 // slot 1 is the zero-length prefix, slots 2p / 2p+1 extend p with 0 / 1, so
@@ -45,8 +45,8 @@ type Engine struct {
 // is supported; depth grows linearly with width (§6.4's point that trie
 // engines scale poorly in bit-width).
 func Build(rs *lpm.RuleSet) (*Engine, error) {
-	if rs.Width%Stride != 0 {
-		return nil, fmt.Errorf("treebitmap: width %d is not a multiple of the stride %d", rs.Width, Stride)
+	if rs.Width%stride != 0 {
+		return nil, fmt.Errorf("treebitmap: width %d is not a multiple of the stride %d", rs.Width, stride)
 	}
 	e := &Engine{width: rs.Width, root: newNode()}
 	for _, r := range rs.Rules {
@@ -73,7 +73,7 @@ func Build(rs *lpm.RuleSet) (*Engine, error) {
 func (e *Engine) insert(r lpm.Rule) {
 	n := e.root
 	depth := 0
-	for r.Len-depth >= Stride {
+	for r.Len-depth >= stride {
 		b := byteAt(r.Prefix, e.width, depth)
 		c, ok := n.children[b]
 		if !ok {
@@ -81,7 +81,7 @@ func (e *Engine) insert(r lpm.Rule) {
 			n.children[b] = c
 		}
 		n = c
-		depth += Stride
+		depth += stride
 	}
 	// Remaining r.Len−depth bits (0..7) index the internal prefix tree.
 	rem := r.Len - depth
@@ -99,7 +99,7 @@ func newNode() *node {
 
 // byteAt extracts the stride byte starting at bit offset depth from the top.
 func byteAt(v keys.Value, width, depth int) uint8 {
-	return uint8(v.Shr(uint(width-depth-Stride)).Uint64() & 0xFF)
+	return uint8(v.Shr(uint(width-depth-stride)).Uint64() & 0xFF)
 }
 
 // Lookup implements lpm.Matcher.
@@ -116,7 +116,7 @@ func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) (uint64, bool) {
 	found := false
 	for {
 		if n != e.root {
-			mem.Read(uint64(n.id)*ChunkBytes, ChunkBytes)
+			mem.Read(uint64(n.id)*chunkBytes, chunkBytes)
 		}
 		// Longest matching internal prefix: walk the heap path for the next
 		// up-to-7 bits and remember the deepest valid slot.
@@ -124,13 +124,13 @@ func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) (uint64, bool) {
 		if a, ok := n.internal[slot]; ok {
 			best, found = a, true
 		}
-		for i := 0; i < Stride-1 && depth+i < e.width; i++ {
+		for i := 0; i < stride-1 && depth+i < e.width; i++ {
 			slot = slot*2 + uint16(k.Bit(e.width-1-depth-i))
 			if a, ok := n.internal[slot]; ok {
 				best, found = a, true
 			}
 		}
-		if depth+Stride > e.width {
+		if depth+stride > e.width {
 			break
 		}
 		c, ok := n.children[byteAt(k, e.width, depth)]
@@ -138,14 +138,14 @@ func (e *Engine) LookupMem(k keys.Value, mem cachesim.Mem) (uint64, bool) {
 			break
 		}
 		n = c
-		depth += Stride
+		depth += stride
 	}
 	return best, found
 }
 
 // StaticSRAMBytes is the root chunk kept on-chip.
-func (e *Engine) StaticSRAMBytes() int { return ChunkBytes }
+func (e *Engine) StaticSRAMBytes() int { return chunkBytes }
 
 // WorstCaseDRAMAccesses is the trie depth minus the on-chip root — three
 // dependent reads for 32-bit keys (§10.2), growing linearly with bit-width.
-func (e *Engine) WorstCaseDRAMAccesses() int { return e.width/Stride - 1 }
+func (e *Engine) WorstCaseDRAMAccesses() int { return e.width/stride - 1 }

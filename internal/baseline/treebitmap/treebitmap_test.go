@@ -153,8 +153,8 @@ func TestChunkReadsAre64Bytes(t *testing.T) {
 	if n == 0 {
 		t.Skip("no DRAM accesses observed")
 	}
-	if got := u.Stats().Bytes; got != n*ChunkBytes {
-		t.Fatalf("bytes %d for %d chunk reads, want %d", got, n, n*ChunkBytes)
+	if got := u.Stats().Bytes; got != n*chunkBytes {
+		t.Fatalf("bytes %d for %d chunk reads, want %d", got, n, n*chunkBytes)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestDRAMBytesMatchNodeCount(t *testing.T) {
 		t.Fatal("no DRAM reads")
 	}
 	for _, a := range reads {
-		if a%ChunkBytes != 0 || a < ChunkBytes || a >= uint64(len(e.nodes))*ChunkBytes {
+		if a%chunkBytes != 0 || a < chunkBytes || a >= uint64(len(e.nodes))*chunkBytes {
 			t.Fatalf("read at %d outside the %d non-root chunks", a, len(e.nodes)-1)
 		}
 	}

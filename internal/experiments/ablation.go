@@ -219,7 +219,7 @@ type EMRow struct {
 // histogram — building 100M-entry tables is the point being refuted).
 func EMExpansion(sc Scale) ([]EMRow, error) {
 	var rows []EMRow
-	for _, family := range RoutingFamilies {
+	for _, family := range routingFamilies {
 		p := workload.Profiles()[family]
 		rs, err := workload.Generate(p, sc.Rules[family], sc.Seed)
 		if err != nil {

@@ -138,7 +138,7 @@ type BinSearchRow struct {
 // the same array.
 func VsBinarySearch(sc Scale) ([]BinSearchRow, error) {
 	var out []BinSearchRow
-	for _, family := range RoutingFamilies {
+	for _, family := range routingFamilies {
 		rs, err := workload.Generate(workload.Profiles()[family], sc.Rules[family], sc.Seed)
 		if err != nil {
 			return nil, err

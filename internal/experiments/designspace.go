@@ -23,7 +23,7 @@ type DesignSpaceRow struct {
 // (16 banks, 48 FSMs for the FSM pool, 1 engine each).
 func DesignSpace(sc Scale) ([]DesignSpaceRow, error) {
 	var rows []DesignSpaceRow
-	for _, family := range RoutingFamilies {
+	for _, family := range routingFamilies {
 		rs, err := workload.Generate(workload.Profiles()[family], sc.Rules[family], sc.Seed)
 		if err != nil {
 			return nil, err

@@ -113,8 +113,8 @@ func (sc Scale) engineConfig() core.Config {
 	return core.Config{BucketSize: 8, Model: sc.Model}
 }
 
-// RoutingFamilies are the three §10 packet-forwarding rule-set sources.
-var RoutingFamilies = []string{"ripe", "routeviews", "stanford"}
+// routingFamilies are the three §10 packet-forwarding rule-set sources.
+var routingFamilies = []string{"ripe", "routeviews", "stanford"}
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -116,7 +116,7 @@ func TestFig7(t *testing.T) {
 	for _, c := range cells {
 		index[c.Family+"/"+fi(c.SRAMBytes/(1024*1024))+"/"+c.Algorithm] = c
 	}
-	for _, fam := range RoutingFamilies {
+	for _, fam := range routingFamilies {
 		// SAIL cannot run below its ~2.3MB static allocation.
 		if index[fam+"/1/sail"].Ran || index[fam+"/2/sail"].Ran {
 			t.Errorf("%s: SAIL ran under 2.3MB SRAM", fam)
@@ -154,7 +154,7 @@ func TestFig8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(RoutingFamilies)*len(Fig8Configs) {
+	if len(rows) != len(routingFamilies)*len(fig8Configs) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	byKey := map[string]Fig8Row{}
@@ -164,7 +164,7 @@ func TestFig8(t *testing.T) {
 		}
 		byKey[r.Family+r.Config.String()] = r
 	}
-	for _, fam := range RoutingFamilies {
+	for _, fam := range routingFamilies {
 		small := byKey[fam+"1-16:16"]
 		big := byKey[fam+"2-32:96"]
 		if big.Throughput <= small.Throughput {
@@ -201,7 +201,7 @@ func TestFig10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != len(RoutingFamilies)*len(Fig10BucketBytes) {
+	if len(cells) != len(routingFamilies)*len(fig10BucketBytes) {
 		t.Fatalf("%d cells", len(cells))
 	}
 	for _, c := range cells {
@@ -448,7 +448,7 @@ func TestDesignSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(RoutingFamilies) {
+	if len(rows) != len(routingFamilies) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {
@@ -487,7 +487,7 @@ func TestEMExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(RoutingFamilies)*3 {
+	if len(rows) != len(routingFamilies)*3 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	byKey := map[string]EMRow{}
@@ -499,7 +499,7 @@ func TestEMExpansion(t *testing.T) {
 	}
 	// Lower thresholds offload more rules and blow up faster (§3.3's
 	// exponential growth in wildcard bits).
-	for _, fam := range RoutingFamilies {
+	for _, fam := range routingFamilies {
 		if byKey[fam+"24"].EMEntries <= byKey[fam+"32"].EMEntries {
 			t.Errorf("%s: /24 threshold did not dominate /32", fam)
 		}

@@ -16,19 +16,19 @@ type Fig10Cell struct {
 	Ran         bool
 }
 
-// Fig10BucketBytes are the paper's x-axis points (bucket size in bytes; a
+// fig10BucketBytes are the paper's x-axis points (bucket size in bytes; a
 // 4-byte range bound per entry).
-var Fig10BucketBytes = []int{8, 16, 32, 64}
+var fig10BucketBytes = []int{8, 16, 32, 64}
 
-// Fig10SRAM is the fixed budget shared by directory and cache.
-const Fig10SRAM = 2 * 1024 * 1024
+// fig10SRAM is the fixed budget shared by directory and cache.
+const fig10SRAM = 2 * 1024 * 1024
 
 // Fig10 regenerates Figure 10: NeuroLPM cache miss rate for 2MB SRAM under
 // different bucket sizes. As in the paper, the cache line size equals the
 // bucket size in this experiment (only).
 func Fig10(sc Scale) ([]Fig10Cell, error) {
 	var out []Fig10Cell
-	for _, family := range RoutingFamilies {
+	for _, family := range routingFamilies {
 		rs, err := workload.Generate(workload.Profiles()[family], sc.Rules[family], sc.Seed)
 		if err != nil {
 			return nil, err
@@ -37,7 +37,7 @@ func Fig10(sc Scale) ([]Fig10Cell, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, bb := range Fig10BucketBytes {
+		for _, bb := range fig10BucketBytes {
 			cell := Fig10Cell{Family: family, BucketBytes: bb}
 			cfg := sc.engineConfig()
 			cfg.BucketSize = bb / 4
@@ -45,7 +45,7 @@ func Fig10(sc Scale) ([]Fig10Cell, error) {
 			if err != nil {
 				return nil, err
 			}
-			cacheBytes := Fig10SRAM - eng.SRAMUsage().Total
+			cacheBytes := fig10SRAM - eng.SRAMUsage().Total
 			if cacheBytes > 0 {
 				cache, err := cachesim.New(cachesim.Config{
 					SizeBytes: cacheBytes, LineSize: bb, Ways: 2,
@@ -67,7 +67,7 @@ func Fig10(sc Scale) ([]Fig10Cell, error) {
 // Fig10Table renders the grid.
 func Fig10Table(cells []Fig10Cell) *Table {
 	t := &Table{
-		Title:  fmt.Sprintf("Figure 10: NeuroLPM cache miss rate, %dMB SRAM, line size = bucket size", Fig10SRAM/(1024*1024)),
+		Title:  fmt.Sprintf("Figure 10: NeuroLPM cache miss rate, %dMB SRAM, line size = bucket size", fig10SRAM/(1024*1024)),
 		Header: []string{"family", "bucket [B]", "miss rate [%]"},
 		Notes:  []string{"paper: miss rate improves up to 32B buckets, then grows again (lost spatial locality)"},
 	}

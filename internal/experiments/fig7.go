@@ -23,8 +23,8 @@ type Fig7Cell struct {
 	GbpsAt200Mpps float64 // bandwidth at 200M queries/s (≈§7's 200Gbps line rate)
 }
 
-// Fig7SRAMSizesMB are the paper's x-axis points.
-var Fig7SRAMSizesMB = []int{1, 2, 4}
+// fig7SRAMSizesMB are the paper's x-axis points.
+var fig7SRAMSizesMB = []int{1, 2, 4}
 
 // Fig7 regenerates Figure 7 (average DRAM bandwidth per query vs SRAM size)
 // using the §10.2 methodology: a 2-way LRU cache with 32-byte lines in
@@ -32,7 +32,7 @@ var Fig7SRAMSizesMB = []int{1, 2, 4}
 // shrink the effective cache.
 func Fig7(sc Scale) ([]Fig7Cell, error) {
 	var out []Fig7Cell
-	for _, family := range RoutingFamilies {
+	for _, family := range routingFamilies {
 		rs, err := workload.Generate(workload.Profiles()[family], sc.Rules[family], sc.Seed)
 		if err != nil {
 			return nil, err
@@ -55,7 +55,7 @@ func Fig7(sc Scale) ([]Fig7Cell, error) {
 			return nil, err
 		}
 
-		for _, mb := range Fig7SRAMSizesMB {
+		for _, mb := range fig7SRAMSizesMB {
 			sram := mb * 1024 * 1024
 
 			// NeuroLPM: model + bucket directory are static.

@@ -17,11 +17,11 @@ func (p HWConfigPoint) String() string {
 	return fmt.Sprintf("%d-%d:%d", p.Engines, p.Banks, p.FSMs)
 }
 
-// Fig8Configs mirrors the paper's evaluated space: a single RQRMI module
+// fig8Configs mirrors the paper's evaluated space: a single RQRMI module
 // with 16 banks and a doubled design with two modules and 32 banks, with
 // FSMs from 16 to 96 (inferior points — FSMs < banks, 8 banks — omitted as
 // in the paper).
-var Fig8Configs = []HWConfigPoint{
+var fig8Configs = []HWConfigPoint{
 	{1, 16, 16}, {1, 16, 32}, {1, 16, 48}, {1, 16, 64}, {1, 16, 96},
 	{2, 32, 32}, {2, 32, 48}, {2, 32, 64}, {2, 32, 96},
 }
@@ -39,7 +39,7 @@ type Fig8Row struct {
 // configuration space for each routing family.
 func Fig8(sc Scale) ([]Fig8Row, error) {
 	var rows []Fig8Row
-	for _, family := range RoutingFamilies {
+	for _, family := range routingFamilies {
 		rs, err := workload.Generate(workload.Profiles()[family], sc.Rules[family], sc.Seed)
 		if err != nil {
 			return nil, err
@@ -53,7 +53,7 @@ func Fig8(sc Scale) ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, cfgPt := range Fig8Configs {
+		for _, cfgPt := range fig8Configs {
 			cfg := hwsim.Config{
 				Engines: cfgPt.Engines, Banks: cfgPt.Banks, FSMs: cfgPt.FSMs,
 				InferenceLatency: 22,
@@ -89,25 +89,25 @@ func Fig8Table(rows []Fig8Row) *Table {
 	return t
 }
 
-// Fig9Quantiles are the CDF points reported for Figure 9.
-var Fig9Quantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.99, 1.00}
+// fig9Quantiles are the CDF points reported for Figure 9.
+var fig9Quantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.99, 1.00}
 
 // Fig9Row is the latency CDF of one configuration on one family.
 type Fig9Row struct {
 	Family    string
 	Config    HWConfigPoint
-	Latencies []uint32 // at Fig9Quantiles
+	Latencies []uint32 // at fig9Quantiles
 }
 
-// Fig9Configs are the legend entries of Figure 9.
-var Fig9Configs = []HWConfigPoint{
+// fig9Configs are the legend entries of Figure 9.
+var fig9Configs = []HWConfigPoint{
 	{1, 16, 16}, {1, 16, 32}, {1, 16, 48}, {2, 32, 96},
 }
 
 // Fig9 regenerates the end-to-end query latency CDF.
 func Fig9(sc Scale) ([]Fig9Row, error) {
 	var rows []Fig9Row
-	for _, family := range RoutingFamilies {
+	for _, family := range routingFamilies {
 		rs, err := workload.Generate(workload.Profiles()[family], sc.Rules[family], sc.Seed)
 		if err != nil {
 			return nil, err
@@ -120,7 +120,7 @@ func Fig9(sc Scale) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, cfgPt := range Fig9Configs {
+		for _, cfgPt := range fig9Configs {
 			cfg := hwsim.Config{
 				Engines: cfgPt.Engines, Banks: cfgPt.Banks, FSMs: cfgPt.FSMs,
 				InferenceLatency: 22,
@@ -132,7 +132,7 @@ func Fig9(sc Scale) ([]Fig9Row, error) {
 			rows = append(rows, Fig9Row{
 				Family:    family,
 				Config:    cfgPt,
-				Latencies: res.LatencyCDF(Fig9Quantiles),
+				Latencies: res.LatencyCDF(fig9Quantiles),
 			})
 		}
 	}
@@ -142,7 +142,7 @@ func Fig9(sc Scale) ([]Fig9Row, error) {
 // Fig9Table renders the CDF rows.
 func Fig9Table(rows []Fig9Row) *Table {
 	header := []string{"family", "config"}
-	for _, q := range Fig9Quantiles {
+	for _, q := range fig9Quantiles {
 		header = append(header, fmt.Sprintf("p%02.0f [cyc]", q*100))
 	}
 	t := &Table{
@@ -173,7 +173,7 @@ type HeadlineResult struct {
 // leads with (196Mpps at 100MHz; inference 22 cycles).
 func Headline(sc Scale) ([]HeadlineResult, error) {
 	var out []HeadlineResult
-	for _, family := range RoutingFamilies {
+	for _, family := range routingFamilies {
 		rs, err := workload.Generate(workload.Profiles()[family], sc.Rules[family], sc.Seed)
 		if err != nil {
 			return nil, err

@@ -22,13 +22,13 @@ type ShardedCell struct {
 	Mismatches int     // disagreements with the trie oracle (must be 0)
 }
 
-// ShardedBatchSize is the LookupBatch fan-out unit: large enough to
+// shardedBatchSize is the LookupBatch fan-out unit: large enough to
 // amortize the per-batch shard grouping, small enough to stay cache-hot.
-const ShardedBatchSize = 256
+const shardedBatchSize = 256
 
-// ShardedShardCounts are the partition sizes measured against the single
+// shardedShardCounts are the partition sizes measured against the single
 // engine.
-var ShardedShardCounts = []int{4, 8}
+var shardedShardCounts = []int{4, 8}
 
 // shardedMinMeasure bounds each throughput measurement: the trace is
 // replayed until this much wall time has elapsed (at least one full pass),
@@ -75,14 +75,14 @@ func ShardedThroughput(sc Scale) ([]ShardedCell, error) {
 	single.Speedup = 1
 	out := []ShardedCell{single}
 
-	for _, n := range ShardedShardCounts {
+	for _, n := range shardedShardCounts {
 		sh, err := shard.BuildUpdatable(rs, sc.engineConfig(), n, 0)
 		if err != nil {
 			return nil, err
 		}
-		cell := ShardedCell{Mode: "sharded", Shards: n, BatchSize: ShardedBatchSize}
-		for lo := 0; lo < len(trace); lo += ShardedBatchSize {
-			hi := min(lo+ShardedBatchSize, len(trace))
+		cell := ShardedCell{Mode: "sharded", Shards: n, BatchSize: shardedBatchSize}
+		for lo := 0; lo < len(trace); lo += shardedBatchSize {
+			hi := min(lo+shardedBatchSize, len(trace))
 			for i, res := range sh.LookupBatch(trace[lo:hi]) {
 				if res.Action != wantAction[lo+i] || res.Matched != wantMatch[lo+i] {
 					cell.Mismatches++
@@ -90,8 +90,8 @@ func ShardedThroughput(sc Scale) ([]ShardedCell, error) {
 			}
 		}
 		cell.MLookupsPS = measureRate(trace, func(ks []keys.Value) {
-			for lo := 0; lo < len(ks); lo += ShardedBatchSize {
-				sh.LookupBatch(ks[lo:min(lo+ShardedBatchSize, len(ks))])
+			for lo := 0; lo < len(ks); lo += shardedBatchSize {
+				sh.LookupBatch(ks[lo:min(lo+shardedBatchSize, len(ks))])
 			}
 		})
 		cell.Speedup = cell.MLookupsPS / single.MLookupsPS

@@ -20,11 +20,11 @@ type Outcome uint8
 const (
 	// Hit: answered from the cache at the given epoch.
 	Hit Outcome = iota + 1
-	// Miss: key not present; the caller computes the answer and Puts it.
-	Miss
-	// Stale: key present but stamped with another epoch; the caller
+	// miss: key not present; the caller computes the answer and Puts it.
+	miss
+	// stale: key present but stamped with another epoch; the caller
 	// computes the answer and Puts it.
-	Stale
+	stale
 )
 
 // entry is one cached result: 32 bytes, two entries per 64-byte cache line.
@@ -37,33 +37,33 @@ type entry struct {
 }
 
 const (
-	// Ways is the set associativity: 4 × 32-byte entries = two cache lines
+	// ways is the set associativity: 4 × 32-byte entries = two cache lines
 	// per set.
-	Ways       = 4
+	ways       = 4
 	entryBytes = 32
-	setBytes   = Ways * entryBytes
-	// MinBytes is the smallest table New will build (32 sets).
-	MinBytes = 32 * setBytes
+	setBytes   = ways * entryBytes
+	// minBytes is the smallest table New will build (32 sets).
+	minBytes = 32 * setBytes
 )
 
 // Cache is one single-owner result cache: a power-of-two number of
-// Ways-entry sets. The zero value is not usable; create with New.
+// ways-entry sets. The zero value is not usable; create with New.
 type Cache struct {
 	entries []entry
 	mask    uint64 // set count − 1
 }
 
 // New builds a cache of at most bytes of table (rounded down to a power-of-
-// two set count, floored at MinBytes).
+// two set count, floored at minBytes).
 func New(bytes int) *Cache {
-	if bytes < MinBytes {
-		bytes = MinBytes
+	if bytes < minBytes {
+		bytes = minBytes
 	}
 	sets := 1
 	for sets*2*setBytes <= bytes {
 		sets *= 2
 	}
-	return &Cache{entries: make([]entry, sets*Ways), mask: uint64(sets - 1)}
+	return &Cache{entries: make([]entry, sets*ways), mask: uint64(sets - 1)}
 }
 
 // hash mixes a 128-bit key into a well-distributed 64-bit set selector
@@ -79,11 +79,11 @@ func hash(k keys.Value) uint64 {
 }
 
 // Get probes for k at the given epoch (≥ 1). On Hit the cached
-// action/matched pair is returned; on Miss or Stale the caller must compute
+// action/matched pair is returned; on miss or stale the caller must compute
 // the answer and Put it back stamped with the same epoch.
 func (c *Cache) Get(k keys.Value, epoch uint64) (action uint64, matched bool, o Outcome) {
-	base := (hash(k) & c.mask) * Ways
-	set := c.entries[base : base+Ways : base+Ways]
+	base := (hash(k) & c.mask) * ways
+	set := c.entries[base : base+ways : base+ways]
 	want := epoch << 1
 	for i := range set {
 		e := &set[i]
@@ -93,9 +93,9 @@ func (c *Cache) Get(k keys.Value, epoch uint64) (action uint64, matched bool, o 
 		if e.meta&^uint64(1) == want {
 			return e.action, e.meta&1 == 1, Hit
 		}
-		return 0, false, Stale
+		return 0, false, stale
 	}
-	return 0, false, Miss
+	return 0, false, miss
 }
 
 // Put fills k's entry with the computed result, stamped with epoch (≥ 1).
@@ -104,8 +104,8 @@ func (c *Cache) Get(k keys.Value, epoch uint64) (action uint64, matched bool, o 
 // hash-selected way.
 func (c *Cache) Put(k keys.Value, epoch uint64, action uint64, matched bool) {
 	h := hash(k)
-	base := (h & c.mask) * Ways
-	set := c.entries[base : base+Ways : base+Ways]
+	base := (h & c.mask) * ways
+	set := c.entries[base : base+ways : base+ways]
 	cur := epoch << 1
 	idx := -1
 	for i := range set {
@@ -119,7 +119,7 @@ func (c *Cache) Put(k keys.Value, epoch uint64, action uint64, matched bool) {
 		}
 	}
 	if idx < 0 {
-		idx = int(h >> 62) // Ways == 4: top two hash bits pick the victim
+		idx = int(h >> 62) // ways == 4: top two hash bits pick the victim
 	}
 	e := &set[idx]
 	e.keyHi, e.keyLo, e.action = k.Hi, k.Lo, action

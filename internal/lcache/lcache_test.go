@@ -9,9 +9,9 @@ import (
 // TestEpochZeroValueNeverMatchesEmptyEntry: the first live epoch, 1, never
 // matches a never-filled (zero) entry.
 func TestEpochZeroValueNeverMatchesEmptyEntry(t *testing.T) {
-	c := New(MinBytes)
+	c := New(minBytes)
 	k := keys.Value{} // key 0: worst case for zero-initialized entries
-	if _, _, o := c.Get(k, 1); o != Miss {
+	if _, _, o := c.Get(k, 1); o != miss {
 		t.Fatalf("probe of empty cache for key 0 at epoch 1 = %v, want miss", o)
 	}
 }
@@ -32,11 +32,11 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 func TestBumpInvalidatesAndRefillRevives(t *testing.T) {
-	c := New(MinBytes)
+	c := New(minBytes)
 	k := keys.Value{Lo: 5}
 	const e1, e2 = 1, 2
 	c.Put(k, e1, 10, true)
-	if _, _, o := c.Get(k, e2); o != Stale {
+	if _, _, o := c.Get(k, e2); o != stale {
 		t.Fatalf("post-bump probe = %v, want stale", o)
 	}
 	c.Put(k, e2, 11, true)
@@ -45,13 +45,13 @@ func TestBumpInvalidatesAndRefillRevives(t *testing.T) {
 	}
 	// A fill stamped with the dead epoch must be dead on arrival.
 	c.Put(k, e1, 10, true)
-	if _, _, o := c.Get(k, e2); o != Stale {
+	if _, _, o := c.Get(k, e2); o != stale {
 		t.Fatalf("probe after dead-epoch fill = %v, want stale", o)
 	}
 }
 
 func TestPutPrefersExistingSlot(t *testing.T) {
-	c := New(MinBytes)
+	c := New(minBytes)
 	const e = 1
 	k := keys.Value{Lo: 77}
 	c.Put(k, e, 1, true)
@@ -62,12 +62,12 @@ func TestPutPrefersExistingSlot(t *testing.T) {
 }
 
 func TestSetOverflowEvicts(t *testing.T) {
-	c := New(MinBytes)
+	c := New(minBytes)
 	const e = 1
-	// Ways+1 distinct keys mapping to one set: the last Put must evict one.
+	// ways+1 distinct keys mapping to one set: the last Put must evict one.
 	target := hash(keys.Value{Lo: 0}) & c.mask
 	var colliding []keys.Value
-	for lo := uint64(0); len(colliding) < Ways+1; lo++ {
+	for lo := uint64(0); len(colliding) < ways+1; lo++ {
 		k := keys.Value{Lo: lo}
 		if hash(k)&c.mask == target {
 			colliding = append(colliding, k)
@@ -85,19 +85,19 @@ func TestSetOverflowEvicts(t *testing.T) {
 			}
 		}
 	}
-	if hits != Ways {
-		t.Fatalf("after %d fills into one set, %d hits, want exactly %d", Ways+1, hits, Ways)
+	if hits != ways {
+		t.Fatalf("after %d fills into one set, %d hits, want exactly %d", ways+1, hits, ways)
 	}
 }
 
 func TestNewRoundsToPowerOfTwoSets(t *testing.T) {
-	for _, bytes := range []int{0, 1, MinBytes, MinBytes + 1, 48 << 10, 64 << 10, 1 << 20} {
+	for _, bytes := range []int{0, 1, minBytes, minBytes + 1, 48 << 10, 64 << 10, 1 << 20} {
 		c := New(bytes)
-		sets := len(c.entries) / Ways
+		sets := len(c.entries) / ways
 		if sets&(sets-1) != 0 {
 			t.Fatalf("New(%d): %d sets, not a power of two", bytes, sets)
 		}
-		if size := len(c.entries) * entryBytes; size > bytes && bytes >= MinBytes {
+		if size := len(c.entries) * entryBytes; size > bytes && bytes >= minBytes {
 			t.Fatalf("New(%d) built %d bytes, exceeding the budget", bytes, size)
 		}
 	}

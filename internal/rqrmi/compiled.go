@@ -67,11 +67,11 @@ import (
 )
 
 const (
-	// padKnots/padSegs are the per-submodel field sizes: MaxSegments
-	// segments need MaxSegments−1 interior knots (§5.2.2's 8-hidden-ReLU
+	// padKnots/padSegs are the per-submodel field sizes: maxSegments
+	// segments need maxSegments−1 interior knots (§5.2.2's 8-hidden-ReLU
 	// bound).
-	padKnots = MaxSegments - 1
-	padSegs  = MaxSegments
+	padKnots = maxSegments - 1
+	padSegs  = maxSegments
 
 	// Block layout inside the interleaved bank (float32 offsets).
 	offKnots = 0

@@ -169,8 +169,8 @@ func (m *Model) validate() error {
 			if len(l.A) == 0 || len(l.A) != len(l.B) || len(l.Knots) != len(l.A)-1 {
 				return fmt.Errorf("rqrmi: stage %d submodel %d: inconsistent LUT shape", s, j)
 			}
-			if len(l.A) > MaxSegments {
-				return fmt.Errorf("rqrmi: stage %d submodel %d: %d segments exceeds %d", s, j, len(l.A), MaxSegments)
+			if len(l.A) > maxSegments {
+				return fmt.Errorf("rqrmi: stage %d submodel %d: %d segments exceeds %d", s, j, len(l.A), maxSegments)
 			}
 			for i := 1; i < len(l.Knots); i++ {
 				if !(l.Knots[i-1] <= l.Knots[i]) {
@@ -190,9 +190,9 @@ func (m *Model) validate() error {
 	return nil
 }
 
-// MaxSegments is the segment limit per submodel: 8 hidden ReLUs yield at
+// maxSegments is the segment limit per submodel: 8 hidden ReLUs yield at
 // most 9 linear segments.
-const MaxSegments = 9
+const maxSegments = 9
 
 // SizeBytes returns the total parameter footprint of the model — the
 // quantity the paper reports as 8KB for the 1/4/64 configuration.

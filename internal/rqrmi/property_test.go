@@ -81,7 +81,7 @@ func TestPropertyLUTMatchesMLP(t *testing.T) {
 			m.b2 = rng.NormFloat64()
 		}
 		lut := m.compile()
-		if lut.Segments() > MaxSegments {
+		if lut.Segments() > maxSegments {
 			return false
 		}
 		for q := 0; q < 300; q++ {

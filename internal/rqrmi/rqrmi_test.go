@@ -166,7 +166,7 @@ func TestCompileMatchesForward(t *testing.T) {
 			m = fittedMLP(skewedIndex(rng, 24, 300), 24)
 		}
 		lut := m.compile()
-		if lut.Segments() > MaxSegments {
+		if lut.Segments() > maxSegments {
 			t.Fatalf("%d segments", lut.Segments())
 		}
 		for q := 0; q < 200; q++ {
@@ -186,7 +186,7 @@ func TestCompileSegmentCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := newMLP(rng)
 	lut := m.compile()
-	if lut.Segments() < 1 || lut.Segments() > MaxSegments {
+	if lut.Segments() < 1 || lut.Segments() > maxSegments {
 		t.Fatalf("segments = %d", lut.Segments())
 	}
 	if len(lut.Knots) != lut.Segments()-1 {

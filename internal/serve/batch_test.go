@@ -82,7 +82,7 @@ func wantRejected(t *testing.T, c *client, id uint64, frame []byte, code uint8) 
 		t.Fatal(err)
 	}
 	var re *remoteError
-	if f.Op != wire.OpError || f.ID != id || !errors.As(frameError(f), &re) || re.code != code {
+	if f.Op != opError || f.ID != id || !errors.As(frameError(f), &re) || re.code != code {
 		t.Fatalf("answer is %s id=%d payload %q, want error code %d for id %d", f.Op, f.ID, f.Payload, code, id)
 	}
 	if err := c.ping(); err != nil {
@@ -209,7 +209,7 @@ func TestBatchBadInputTable(t *testing.T) {
 		}
 		br := bufio.NewReader(conn)
 		f := readFrames(t, conn, br, 1)[0]
-		if f.Op != wire.OpError || len(f.Payload) == 0 || f.Payload[0] != wire.ErrMalformed {
+		if f.Op != opError || len(f.Payload) == 0 || f.Payload[0] != wire.ErrMalformed {
 			t.Fatalf("answer is %s payload %q, want a malformed-frame error", f.Op, f.Payload)
 		}
 		if _, _, err := wire.ReadFrame(br, nil); err != io.EOF {

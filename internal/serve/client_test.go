@@ -93,7 +93,7 @@ func (c *client) roundTrip(op wire.Op, enc func(b []byte, id uint64) []byte) (wi
 		return wire.Frame{}, err
 	case f.ID != id:
 		return wire.Frame{}, fmt.Errorf("answer id %d for request %d", f.ID, id)
-	case f.Op == wire.OpError:
+	case f.Op == opError:
 		return wire.Frame{}, frameError(f)
 	case f.Op != op:
 		return wire.Frame{}, fmt.Errorf("answered with %s, want %s", f.Op, op)
@@ -118,7 +118,7 @@ func (c *client) update(u wire.RuleUpdate) error {
 
 // ping round-trips an empty frame.
 func (c *client) ping() error {
-	_, err := c.roundTrip(wire.OpPong, appendPing)
+	_, err := c.roundTrip(opPong, appendPing)
 	return err
 }
 
@@ -126,6 +126,18 @@ func (c *client) ping() error {
 // opcode and no payload.
 func appendPing(b []byte, id uint64) []byte {
 	return append(b, reframe(wire.AppendLookup(nil, id, keys.Value{}), wire.OpPing, nil)...)
+}
+
+// The answer opcodes no shipped code names, read off the frames the wire
+// package encodes.
+var (
+	opPong  = opOf(wire.AppendPong(nil, 0))
+	opError = opOf(wire.AppendError(nil, 0, 0, ""))
+)
+
+func opOf(frame []byte) wire.Op {
+	f, _, _ := wire.Parse(frame)
+	return f.Op
 }
 
 // remoteError is the error an error frame carries.

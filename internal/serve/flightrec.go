@@ -82,34 +82,22 @@ type flightResponse struct {
 	Records     []flightJSON `json:"records"`
 }
 
-func handleFlightRec(w http.ResponseWriter, r *http.Request) {
-	n, err := parseN(r, 64, telemetry.Flight.RingSize())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+// flightHandler serves the ?n= records (def by default) that get returns:
+// /debug/flightrec the ring's latest, /debug/slow the slowest.
+func flightHandler(def int, get func(n int) []telemetry.FlightRecord) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n, err := parseN(r, def, telemetry.Flight.RingSize())
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		recs := renderRecords(get(n))
+		writeJSON(w, flightResponse{
+			SampleEvery: telemetry.Flight.SampleEvery(),
+			RingSize:    telemetry.Flight.RingSize(),
+			Recorded:    telemetry.Flight.Recorded(),
+			Count:       len(recs),
+			Records:     recs,
+		})
 	}
-	recs := renderRecords(telemetry.Flight.Recent(n))
-	writeJSON(w, flightResponse{
-		SampleEvery: telemetry.Flight.SampleEvery(),
-		RingSize:    telemetry.Flight.RingSize(),
-		Recorded:    telemetry.Flight.Recorded(),
-		Count:       len(recs),
-		Records:     recs,
-	})
-}
-
-func handleSlow(w http.ResponseWriter, r *http.Request) {
-	n, err := parseN(r, 32, telemetry.Flight.RingSize())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	recs := renderRecords(telemetry.Flight.Slow(n))
-	writeJSON(w, flightResponse{
-		SampleEvery: telemetry.Flight.SampleEvery(),
-		RingSize:    telemetry.Flight.RingSize(),
-		Recorded:    telemetry.Flight.Recorded(),
-		Count:       len(recs),
-		Records:     recs,
-	})
 }

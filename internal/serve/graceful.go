@@ -68,7 +68,6 @@ func ServeUnits(stop <-chan os.Signal, drainTimeout time.Duration, units ...Unit
 	}
 	errc := make(chan error, len(units))
 	for _, u := range units {
-		u := u
 		go func() { errc <- u.Serve() }()
 	}
 	var firstErr error
@@ -84,7 +83,6 @@ func ServeUnits(stop <-chan os.Signal, drainTimeout time.Duration, units ...Unit
 	// wire listener's share of the timeout (and vice versa).
 	shutErrs := make(chan error, len(units))
 	for _, u := range units {
-		u := u
 		go func() { shutErrs <- u.Shutdown(ctx) }()
 	}
 	for range units {

@@ -10,6 +10,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -78,8 +79,8 @@ func (s *Server) Handler() http.Handler {
 		s.reg.WritePrometheus(w)
 		writeRuntimeMetrics(w)
 	})
-	mux.HandleFunc("/debug/flightrec", handleFlightRec)
-	mux.HandleFunc("/debug/slow", handleSlow)
+	mux.HandleFunc("/debug/flightrec", flightHandler(64, telemetry.Flight.Recent))
+	mux.HandleFunc("/debug/slow", flightHandler(32, telemetry.Flight.Slow))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -265,22 +266,10 @@ func parseKey(s string, width int) (keys.Value, error) {
 
 // parseHex128 parses up to 32 hex digits into a 128-bit key.
 func parseHex128(h string) (keys.Value, error) {
-	if h == "" || len(h) > 32 {
-		return keys.Value{}, fmt.Errorf("bad hex key %q", h)
-	}
-	if len(h) <= 16 {
-		lo, err := strconv.ParseUint(h, 16, 64)
-		if err != nil {
-			return keys.Value{}, fmt.Errorf("bad hex key %q", h)
-		}
-		return keys.FromUint64(lo), nil
-	}
-	hi, err := strconv.ParseUint(h[:len(h)-16], 16, 64)
-	if err != nil {
-		return keys.Value{}, fmt.Errorf("bad hex key %q", h)
-	}
-	lo, err := strconv.ParseUint(h[len(h)-16:], 16, 64)
-	if err != nil {
+	split := max(len(h)-16, 0)
+	hi, errHi := strconv.ParseUint(cmp.Or(h[:split], "0"), 16, 64)
+	lo, errLo := strconv.ParseUint(h[split:], 16, 64)
+	if len(h) > 32 || errHi != nil || errLo != nil {
 		return keys.Value{}, fmt.Errorf("bad hex key %q", h)
 	}
 	return keys.FromParts(hi, lo), nil

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"bufio"
+	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -32,16 +32,16 @@ const (
 
 // WireServer serves the binary protocol (internal/wire) over persistent TCP
 // connections: the data path for every lookup and rule update of the Server
-// it wraps. It is
-// a serve.Unit: run it under ServeUnits next to the HTTP listener and one
-// SIGINT/SIGTERM drains both.
+// it wraps. It is a serve.Unit: run it under ServeUnits next to the HTTP
+// listener and one SIGINT/SIGTERM drains both.
 //
 // Every request executes on its connection's reader goroutine (DESIGN.md
-// §17): it decodes each complete frame one read delivered, answers consecutive
-// single-key lookups with one batch-plane call (LookupBatchInto) and flushes
-// once per drained read. A client that pipelines gets batching; a lone request
-// is a batch of one with no hand-off. Connections share nothing but the
-// Server, so a client that stops reading stalls only itself.
+// §17): it parses each whole frame one read delivered where it landed in the
+// read buffer, answers consecutive single-key lookups with one batch-plane
+// call (LookupBatchInto) and flushes once per drained read. A client that
+// pipelines gets batching; a lone request is a batch of one with no hand-off.
+// Connections share nothing but the Server, so a client that stops reading
+// stalls only itself.
 type WireServer struct {
 	s *Server
 	l net.Listener
@@ -57,6 +57,8 @@ type WireServer struct {
 
 	cConns      *telemetry.Counter
 	cFrames     *telemetry.Counter
+	cReads      *telemetry.Counter
+	cFlushes    *telemetry.Counter
 	cLookups    *telemetry.Counter
 	cUpdates    *telemetry.Counter
 	cErrors     *telemetry.Counter
@@ -76,6 +78,8 @@ func NewWireServer(s *Server, l net.Listener) *WireServer {
 	reg := s.reg
 	ws.cConns = reg.Counter("neurolpm_wire_conns_total", "Wire connections accepted")
 	ws.cFrames = reg.Counter("neurolpm_wire_frames_total", "Wire request frames decoded")
+	ws.cReads = reg.Counter("neurolpm_wire_reads_total", "Reads on wire connections that returned bytes")
+	ws.cFlushes = reg.Counter("neurolpm_wire_flushes_total", "Flushes of wire answers that wrote bytes")
 	ws.cLookups = reg.Counter("neurolpm_wire_lookups_total", "Wire single-key lookups answered")
 	ws.cUpdates = reg.Counter("neurolpm_wire_updates_total", "Wire rule updates applied")
 	ws.cErrors = reg.Counter("neurolpm_wire_errors_total", "Wire error frames sent")
@@ -99,7 +103,8 @@ func (ws *WireServer) Serve() error {
 		if tc, ok := conn.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		c := &wireConn{ws: ws, conn: conn, br: bufio.NewReaderSize(conn, 64<<10), bw: bufio.NewWriterSize(conn, 16<<10)}
+		c := &wireConn{ws: ws, conn: conn, bw: bufio.NewWriterSize(conn, 16<<10)}
+		c.br = bufio.NewReaderSize(c, 64<<10)
 		ws.mu.Lock()
 		if ws.draining {
 			ws.mu.Unlock()
@@ -157,104 +162,129 @@ func (ws *WireServer) Shutdown(ctx context.Context) error {
 // that touches it after Serve starts it (Shutdown only sets deadlines and
 // closes the socket), so nothing here is locked.
 type wireConn struct {
-	ws   *WireServer
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer // Write errors are sticky; readLoop acts on them at Flush
+	ws    *WireServer
+	conn  net.Conn
+	br    *bufio.Reader // reads through c.Read; frames are parsed in its buffer
+	bw    *bufio.Writer // Write errors are sticky; readLoop acts on them at Flush
+	reads uint64        // socket reads that returned bytes, not yet booked
 
-	rbuf []byte // frame scratch for wire.ReadFrame: one wire.MaxFrameLen buffer
-	wbuf []byte // encode scratch
-
-	// Lookups gathered since the last answerLookups, in request order:
-	// ids[i] asked for lks[i], and resb holds their answers. None passes
-	// maxCoalesceBatch entries, so with rbuf they bound what a connection
-	// keeps, whatever its client sends.
+	// Lookups gathered since the last answerLookups, in request order: ids[i]
+	// asked for lks[i], resb holds their answers. With the two buffers, these
+	// maxCoalesceBatch entries bound what a connection keeps.
 	ids  []uint64
 	lks  []keys.Value
 	resb []shard.Result
 }
 
+// Read is the socket read under br, counted without an atomic.
+func (c *wireConn) Read(p []byte) (int, error) {
+	n, err := c.conn.Read(p)
+	if n > 0 {
+		c.reads++
+	}
+	return n, err
+}
+
+// flush writes out the answers. One that writes bytes books itself and the
+// reads before it; readLoop books the reads left when it exits.
+func (c *wireConn) flush() error {
+	if c.bw.Buffered() > 0 {
+		c.ws.cFlushes.Inc()
+		c.ws.cReads.Add(c.reads)
+		c.reads = 0
+	}
+	return c.bw.Flush()
+}
+
+// room returns the write buffer's free space to append n bytes of answers
+// into, flushing first if they would not fit, so append never grows a slice.
+func (c *wireConn) room(n int) []byte {
+	if c.bw.Available() < n {
+		c.flush()
+	}
+	return c.bw.AvailableBuffer()
+}
+
 func (c *wireConn) sendErr(id uint64, code uint8, msg string) {
 	c.ws.cErrors.Inc()
-	c.wbuf = wire.AppendError(c.wbuf[:0], id, code, msg)
-	c.bw.Write(c.wbuf)
+	c.bw.Write(wire.AppendError(c.room(4+wire.MaxFrameLen), id, code, msg))
 }
 
-// frameBuffered reports whether the next frame is complete in the read
-// buffer — length prefix and body — so that decoding it cannot block. An
-// out-of-range prefix needs no case of its own: whichever way this answers,
-// wire.ReadFrame rejects it straight after the prefix without reading a body.
-func (c *wireConn) frameBuffered() bool {
-	if c.br.Buffered() < 4 {
-		return false
-	}
-	p, _ := c.br.Peek(4)
-	return uint64(c.br.Buffered()-4) >= uint64(binary.LittleEndian.Uint32(p))
-}
-
-// readLoop decodes and answers request frames until the connection errors or
-// drain kicks it. Protocol violations that survive framing (bad payloads)
-// answer an error frame and keep the connection; framing violations close it.
+// readLoop answers request frames until the connection errors or drain kicks
+// it. Protocol violations that survive framing (bad payloads) answer an error
+// frame and keep the connection; framing violations close it.
 func (c *wireConn) readLoop() {
 	defer func() {
 		c.ws.mu.Lock()
 		delete(c.ws.conns, c)
 		c.ws.mu.Unlock()
 		c.conn.Close()
+		c.ws.cReads.Add(c.reads)
 		c.ws.readerWg.Done()
 	}()
+	var err error // the last read's, acted on once the bytes before it are answered
 	for {
-		// Flush rule: the next ReadFrame may block only when nothing is owed.
+		buf, _ := c.br.Peek(c.br.Buffered()) // payloads alias it until Discard
+		used, frames := 0, 0
+		for {
+			f, n, perr := wire.Parse(buf[used:])
+			if n == 0 {
+				err = cmp.Or(perr, err) // a framing error outranks the read's
+				break
+			}
+			used, frames = used+n, frames+1
+			c.handle(f)
+		}
+		c.br.Discard(used)
+		if frames > 0 {
+			c.ws.cFrames.Add(uint64(frames))
+		}
+		c.answerLookups()
+		if err == io.EOF && used < len(buf) {
+			err = fmt.Errorf("wire: truncated frame: %w", io.ErrUnexpectedEOF)
+		}
+		if err != nil && err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
+			// Not a close or drain's deadline but a framing violation: tell the
+			// client once, then drop it — the stream cannot be resynchronized.
+			c.sendErr(0, wire.ErrMalformed, err.Error())
+		}
+		if c.flush() != nil || err != nil {
+			return // the client is gone, stalled past drain's deadline, or dropped
+		}
+		// Flush rule: block for one more read only now, when nothing is owed.
 		// A partial frame in the buffer counts as nothing buffered — finished
 		// answers are never held behind bytes that have not arrived.
-		if !c.frameBuffered() {
-			c.answerLookups()
-			if c.bw.Flush() != nil {
-				return // the client is gone, or stalled past drain's deadline
-			}
-		}
-		f, buf, err := wire.ReadFrame(c.br, c.rbuf)
-		c.rbuf = buf
+		_, err = c.br.Peek(c.br.Buffered() + 1)
+	}
+}
+
+// handle answers one frame, or gathers it if it is a lookup.
+func (c *wireConn) handle(f wire.Frame) {
+	// Order rule: responses leave in request order, and an update sits
+	// between the lookups around it, so anything but a lookup first answers
+	// the lookups gathered before it.
+	if f.Op != wire.OpLookup {
+		c.answerLookups()
+	}
+	switch f.Op {
+	case wire.OpLookup:
+		k, err := f.Key()
 		if err != nil {
-			// What was gathered before a bad frame is still answered.
 			c.answerLookups()
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
-				// Not a close or drain's deadline but a framing violation: tell
-				// the client once, then drop it — the stream cannot be
-				// resynchronized.
-				c.sendErr(0, wire.ErrMalformed, err.Error())
-			}
-			c.bw.Flush()
+			c.sendErr(f.ID, wire.ErrMalformed, err.Error())
 			return
 		}
-		c.ws.cFrames.Inc()
-		// Order rule: responses leave in request order, and an update sits
-		// between the lookups around it, so anything but a lookup first
-		// answers the lookups gathered before it.
-		if f.Op != wire.OpLookup {
+		c.ids = append(c.ids, f.ID)
+		c.lks = append(c.lks, k)
+		if len(c.lks) == maxCoalesceBatch {
 			c.answerLookups()
 		}
-		switch f.Op {
-		case wire.OpLookup:
-			k, err := f.Key()
-			if err != nil {
-				c.answerLookups()
-				c.sendErr(f.ID, wire.ErrMalformed, err.Error())
-				continue
-			}
-			c.ids = append(c.ids, f.ID)
-			c.lks = append(c.lks, k)
-			if len(c.lks) == maxCoalesceBatch {
-				c.answerLookups()
-			}
-		case wire.OpPing:
-			c.wbuf = wire.AppendPong(c.wbuf[:0], f.ID)
-			c.bw.Write(c.wbuf)
-		case wire.OpUpdate:
-			c.handleUpdate(f)
-		default:
-			c.sendErr(f.ID, wire.ErrBadRequest, fmt.Sprintf("unexpected %s frame", f.Op))
-		}
+	case wire.OpPing:
+		c.bw.Write(wire.AppendPong(c.room(4+wire.MaxFrameLen), f.ID))
+	case wire.OpUpdate:
+		c.handleUpdate(f)
+	default:
+		c.sendErr(f.ID, wire.ErrBadRequest, fmt.Sprintf("unexpected %s frame", f.Op))
 	}
 }
 
@@ -269,11 +299,11 @@ func (c *wireConn) answerLookups() {
 	ws.cLookups.Add(uint64(len(c.lks)))
 	ws.hBatchSize.ObserveInt(len(c.lks))
 	c.resb = ws.s.sh.LookupBatchInto(c.lks, c.resb[:0])
-	c.wbuf = c.wbuf[:0]
+	b := c.room(len(c.resb) * wire.ResultLen)
 	for i, r := range c.resb {
-		c.wbuf = wire.AppendResult(c.wbuf, c.ids[i], r.Action, r.Matched)
+		b = wire.AppendResult(b, c.ids[i], r.Action, r.Matched)
 	}
-	c.bw.Write(c.wbuf)
+	c.bw.Write(b)
 	c.ids, c.lks = c.ids[:0], c.lks[:0]
 }
 
@@ -297,6 +327,5 @@ func (c *wireConn) handleUpdate(f wire.Frame) {
 		return
 	}
 	c.ws.cUpdates.Inc()
-	c.wbuf = wire.AppendUpdateResult(c.wbuf[:0], f.ID)
-	c.bw.Write(c.wbuf)
+	c.bw.Write(wire.AppendUpdateResult(c.room(4+wire.MaxFrameLen), f.ID))
 }

@@ -195,7 +195,7 @@ func TestWireBatchingRules(t *testing.T) {
 		wantResult(t, fs[0], 1, baseAction, baseOK)
 		wantResult(t, fs[2], 3, 4242, true)
 		wantResult(t, fs[4], 5, baseAction, baseOK)
-		for i, op := range map[int]wire.Op{1: wire.OpUpdateResult, 3: wire.OpUpdateResult, 5: wire.OpPong} {
+		for i, op := range map[int]wire.Op{1: wire.OpUpdateResult, 3: wire.OpUpdateResult, 5: opPong} {
 			if fs[i].Op != op || fs[i].ID != uint64(i+1) {
 				t.Errorf("response %d is %s id=%d, want %s id=%d", i+1, fs[i].Op, fs[i].ID, op, i+1)
 			}
@@ -242,7 +242,7 @@ func TestWireBatchingRules(t *testing.T) {
 		fs := readFrames(t, conn, br, 3)
 		action, ok := oracle.Lookup(k1)
 		wantResult(t, fs[0], 1, action, ok)
-		if fs[1].Op != wire.OpError || fs[1].ID != 2 || len(fs[1].Payload) == 0 || fs[1].Payload[0] != wire.ErrMalformed {
+		if fs[1].Op != opError || fs[1].ID != 2 || len(fs[1].Payload) == 0 || fs[1].Payload[0] != wire.ErrMalformed {
 			t.Fatalf("response 2 is %s id=%d payload %q, want a malformed-frame error for id 2", fs[1].Op, fs[1].ID, fs[1].Payload)
 		}
 		action, ok = oracle.Lookup(k3)
@@ -250,7 +250,7 @@ func TestWireBatchingRules(t *testing.T) {
 		if _, err := conn.Write(appendPing(nil, 4)); err != nil {
 			t.Fatal(err)
 		}
-		if f := readFrames(t, conn, br, 1)[0]; f.Op != wire.OpPong || f.ID != 4 {
+		if f := readFrames(t, conn, br, 1)[0]; f.Op != opPong || f.ID != 4 {
 			t.Fatalf("connection unusable after a malformed payload: got %s id=%d", f.Op, f.ID)
 		}
 	})

@@ -39,9 +39,9 @@ import (
 // shard's engine writes its group's answers with no conversion.
 type Result = core.BatchResult
 
-// MaxShardBits bounds the partition so replication of short rules cannot
+// maxShardBits bounds the partition so replication of short rules cannot
 // explode: 2^10 sub-engines is far past any plausible core count.
-const MaxShardBits = 10
+const maxShardBits = 10
 
 // plan validates the shard count and returns the routing bits it takes plus
 // the per-shard rule partition.
@@ -56,8 +56,8 @@ func plan(rs *lpm.RuleSet, nShards int) (int, [][]lpm.Rule, error) {
 	for 1<<bits < nShards {
 		bits++
 	}
-	if bits > MaxShardBits {
-		return 0, nil, fmt.Errorf("shard: %d shards exceeds the 2^%d limit", nShards, MaxShardBits)
+	if bits > maxShardBits {
+		return 0, nil, fmt.Errorf("shard: %d shards exceeds the 2^%d limit", nShards, maxShardBits)
 	}
 	if bits >= rs.Width {
 		return 0, nil, fmt.Errorf("shard: %d shards needs %d key bits, rule-set width is %d", nShards, bits, rs.Width)
@@ -82,7 +82,7 @@ func partition(rs *lpm.RuleSet, shardBits int) [][]lpm.Rule {
 	parts := make([][]lpm.Rule, 1<<shardBits)
 	// carried are the earlier runs' short rules, in order, whose span reaches
 	// shard s: at most one of each length below shardBits.
-	carried := make([]lpm.Rule, 0, MaxShardBits)
+	carried := make([]lpm.Rule, 0, maxShardBits)
 	lo := 0
 	for s := range parts {
 		hi := sort.Search(len(rs.Rules), func(i int) bool {

@@ -90,7 +90,7 @@ func randomKeys(width, n int, seed int64) []keys.Value {
 
 func TestBuildRejectsBadShardCounts(t *testing.T) {
 	rs := randomRuleSet(t, 16, 50, 1)
-	for _, n := range []int{0, -1, 3, 6, 1 << (MaxShardBits + 1)} {
+	for _, n := range []int{0, -1, 3, 6, 1 << (maxShardBits + 1)} {
 		if _, err := BuildUpdatable(rs, quickSRAMOnly(), n, 0); err == nil {
 			t.Errorf("BuildUpdatable accepted shard count %d", n)
 		}

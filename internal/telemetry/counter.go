@@ -15,15 +15,15 @@ func (c *Counter) Inc() { c.t.Stripe().Add(0, 1) }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.t.Stripe().Add(0, n) }
 
-// Lanes is the number of outcome lanes in a Tally.
-const Lanes = 4
+// numLanes is the number of outcome lanes in a Tally.
+const numLanes = 4
 
 // TallyStripe is one stripe of a Tally: its lanes share one cache line, and
 // writers on different stripes never share a coherence granule.
 type TallyStripe struct {
-	lane    [Lanes]atomic.Uint64
+	lane    [numLanes]atomic.Uint64
 	claimed atomic.Uint64 // the last tick claim took, above its stride's gen byte
-	_       [cacheLine - 8*Lanes - 8]byte
+	_       [cacheLine - 8*numLanes - 8]byte
 }
 
 // Add books n events of outcome lane and returns the lane's new total on the
@@ -75,7 +75,7 @@ func (t *Tally) Stripe() *TallyStripe { return &t.stripes[shardIndex()] }
 
 // load returns every lane's total. Concurrent with writers it is a
 // consistent-enough snapshot: every completed Add is included.
-func (t *Tally) load() (lanes [Lanes]uint64) {
+func (t *Tally) load() (lanes [numLanes]uint64) {
 	for i := range t.stripes {
 		for l := range lanes {
 			lanes[l] += t.stripes[i].lane[l].Load()

@@ -217,7 +217,7 @@ func (r *Registry) snapshotEntries() []*entry {
 // format (counters, gauges, and log₂ histograms with cumulative buckets).
 // Each tally is loaded once a call.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	cuts := map[*Tally][Lanes]uint64{}
+	cuts := map[*Tally][numLanes]uint64{}
 	for _, e := range r.snapshotEntries() {
 		switch e.kind {
 		case kindCounter:

@@ -275,7 +275,7 @@ func TestConcurrentHammer(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
 				h.Observe(uint64(w*perWriter+i) % 4096)
-				tl.Stripe().Add(w%Lanes, 1)
+				tl.Stripe().Add(w%numLanes, 1)
 			}
 		}(w)
 	}
@@ -290,7 +290,7 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Fatalf("histogram count = %d, want %d (lost updates)", got, writers*perWriter)
 	}
 	for l, got := range tl.load() {
-		if want := uint64(writers / Lanes * perWriter); got != want {
+		if want := uint64(writers / numLanes * perWriter); got != want {
 			t.Fatalf("tally lane %d = %d, want %d (lost updates)", l, got, want)
 		}
 	}

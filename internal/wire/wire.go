@@ -27,8 +27,8 @@ import (
 // uint16), so a stray HTTP client talking to a wire port fails the magic
 // check on its first frame instead of being misparsed.
 const (
-	Magic   uint16 = 0x4C4E // "NL" in little-endian byte order
-	Version uint8  = 1
+	magic   uint16 = 0x4C4E // "NL" in little-endian byte order
+	version uint8  = 1
 
 	// headerLen is the fixed header after the length prefix:
 	// magic(2) + version(1) + opcode(1) + id(8).
@@ -43,9 +43,11 @@ const maxErrMsg = 243
 // MaxFrameLen is the largest legal value of the length prefix: an error frame
 // whose message is maxErrMsg bytes, the longest frame the protocol has (an
 // update request is 38). Anything larger is rejected before any payload byte
-// is read, so a garbage length cannot force a read, and one buffer of this
-// size holds every frame.
+// is read, so a garbage length cannot force a read.
 const MaxFrameLen = headerLen + 1 + maxErrMsg
+
+// ResultLen is a lookup answer's size on the wire, length prefix included.
+const ResultLen = lenPrefix + headerLen + 9
 
 // Op is a frame opcode. Requests have the high bit clear; responses set it.
 type Op uint8
@@ -57,8 +59,8 @@ const (
 
 	OpResult       Op = 0x81 // payload: action u64, flags u8 (bit0 = matched)
 	OpUpdateResult Op = 0x83 // payload: empty (the update is in the engine)
-	OpPong         Op = 0x84 // payload: empty
-	OpError        Op = 0xFF // payload: code u8, UTF-8 message
+	opPong         Op = 0x84 // payload: empty
+	opError        Op = 0xFF // payload: code u8, UTF-8 message
 	// Opcodes 0x02 and 0x82 stay unassigned: they were a batch of keys and
 	// its results, and older clients may still send 0x02. Lookups pipeline.
 )
@@ -76,9 +78,9 @@ func (o Op) String() string {
 		return "result"
 	case OpUpdateResult:
 		return "update-result"
-	case OpPong:
+	case opPong:
 		return "pong"
-	case OpError:
+	case opError:
 		return "error"
 	}
 	return fmt.Sprintf("op(0x%02x)", uint8(o))
@@ -91,7 +93,7 @@ const (
 	UpdateModify uint8 = 2
 )
 
-// Error codes carried by OpError frames.
+// Error codes carried by error frames.
 const (
 	ErrMalformed  uint8 = 1 // frame failed structural validation
 	ErrBadRequest uint8 = 2 // well-formed frame, unservable request
@@ -117,8 +119,8 @@ type RuleUpdate struct {
 // payload is payloadLen bytes.
 func appendHeader(b []byte, op Op, id uint64, payloadLen int) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(headerLen+payloadLen))
-	b = binary.LittleEndian.AppendUint16(b, Magic)
-	b = append(b, Version, uint8(op))
+	b = binary.LittleEndian.AppendUint16(b, magic)
+	b = append(b, version, uint8(op))
 	return binary.LittleEndian.AppendUint64(b, id)
 }
 
@@ -166,7 +168,7 @@ func AppendUpdateResult(b []byte, id uint64) []byte {
 }
 
 // AppendPong appends a pong frame.
-func AppendPong(b []byte, id uint64) []byte { return appendHeader(b, OpPong, id, 0) }
+func AppendPong(b []byte, id uint64) []byte { return appendHeader(b, opPong, id, 0) }
 
 // AppendError appends an error response frame. A message longer than
 // maxErrMsg bytes is cut on a rune boundary, so the frame fits MaxFrameLen.
@@ -178,59 +180,70 @@ func AppendError(b []byte, id uint64, code uint8, msg string) []byte {
 		}
 		msg = msg[:n]
 	}
-	b = appendHeader(b, OpError, id, 1+len(msg))
+	b = appendHeader(b, opError, id, 1+len(msg))
 	b = append(b, code)
 	return append(b, msg...)
 }
 
-// Frame is one decoded frame. Payload aliases the read buffer and is valid
-// only until the next ReadFrame on the same buffer.
+// Frame is one decoded frame. Payload aliases the bytes it was parsed from:
+// Parse's input, or ReadFrame's buffer until the next ReadFrame on it.
 type Frame struct {
 	Op      Op
 	ID      uint64
 	Payload []byte
 }
 
-// ReadFrame reads one frame from r into buf and parses the header. A buf
-// smaller than MaxFrameLen is replaced by one of that size, which holds every
-// legal frame, so a caller that passes back the returned buffer allocates
-// once. It returns the frame, the buffer for reuse, and any error.
-// Structural violations — bad magic, unknown version, a length outside
-// [headerLen, MaxFrameLen] — return an error without reading past the
-// declared frame, so one bad client frame cannot desynchronize or
-// over-allocate the connection. io.EOF is returned untouched on a clean
-// close before any byte of the next frame.
-func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	if cap(buf) < MaxFrameLen {
-		buf = make([]byte, MaxFrameLen)
+// Parse splits the frame at the start of b and checks its length prefix,
+// magic and version. n is the frame's size on the wire, 0 on an error; n == 0
+// with a nil error means b does not yet hold a whole frame. A length outside
+// [headerLen, MaxFrameLen] is an error as soon as b holds the prefix.
+func Parse(b []byte) (f Frame, n int, err error) {
+	if len(b) < lenPrefix {
+		return f, 0, nil
 	}
-	buf = buf[:MaxFrameLen]
+	l := binary.LittleEndian.Uint32(b)
+	if l < headerLen || l > MaxFrameLen {
+		return f, 0, fmt.Errorf("wire: frame length %d outside [%d,%d]", l, headerLen, MaxFrameLen)
+	}
+	if n = lenPrefix + int(l); len(b) < n {
+		return f, 0, nil
+	}
+	if m := binary.LittleEndian.Uint16(b[4:]); m != magic {
+		return f, 0, fmt.Errorf("wire: bad magic 0x%04x", m)
+	}
+	if b[6] != version {
+		return f, 0, fmt.Errorf("wire: unsupported version %d", b[6])
+	}
+	return Frame{Op: Op(b[7]), ID: binary.LittleEndian.Uint64(b[8:]), Payload: b[lenPrefix+headerLen : n]}, n, nil
+}
+
+// ReadFrame reads one frame from r into buf and checks it with Parse,
+// returning the frame, the buffer for reuse, and any error. A buf smaller
+// than lenPrefix+MaxFrameLen is replaced by one of that size, which holds
+// every legal frame, so a caller that passes back the returned buffer
+// allocates once. A length Parse rejects is an error before any body byte is
+// read. io.EOF is returned untouched on a clean close before any byte of the
+// next frame.
+func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
+	if cap(buf) < lenPrefix+MaxFrameLen {
+		buf = make([]byte, lenPrefix+MaxFrameLen)
+	}
+	buf = buf[:cap(buf)]
 	if _, err := io.ReadFull(r, buf[:lenPrefix]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("wire: truncated length prefix: %w", err)
 		}
 		return Frame{}, buf, err
 	}
-	n := binary.LittleEndian.Uint32(buf[:lenPrefix])
-	if n < headerLen || n > MaxFrameLen {
-		return Frame{}, buf, fmt.Errorf("wire: frame length %d outside [%d,%d]", n, headerLen, MaxFrameLen)
+	if _, _, err := Parse(buf[:lenPrefix]); err != nil {
+		return Frame{}, buf, err
 	}
-	body := buf[:n]
+	body := buf[lenPrefix : lenPrefix+binary.LittleEndian.Uint32(buf)]
 	if got, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, buf, fmt.Errorf("wire: truncated frame (%d of %d bytes): %w", got, n, err)
+		return Frame{}, buf, fmt.Errorf("wire: truncated frame (%d of %d bytes): %w", got, len(body), err)
 	}
-	if m := binary.LittleEndian.Uint16(body[0:2]); m != Magic {
-		return Frame{}, buf, fmt.Errorf("wire: bad magic 0x%04x", m)
-	}
-	if v := body[2]; v != Version {
-		return Frame{}, buf, fmt.Errorf("wire: unsupported version %d", v)
-	}
-	f := Frame{
-		Op:      Op(body[3]),
-		ID:      binary.LittleEndian.Uint64(body[4:12]),
-		Payload: body[headerLen:],
-	}
-	return f, buf, nil
+	f, _, err := Parse(buf[:lenPrefix+len(body)])
+	return f, buf, err
 }
 
 // Key decodes an OpLookup payload.

@@ -38,7 +38,8 @@ func TestLookupRoundTrip(t *testing.T) {
 
 // TestCanonicalFrameLengths holds the two frames of one lookup to the byte
 // counts DESIGN.md §17's format table gives — length prefix + header +
-// payload, for any id, key or answer — so a query costs 57 bytes on the wire.
+// payload, for any id, key or answer, a result being ResultLen — so a query
+// costs 57 bytes on the wire.
 // That is the numerator the benchmark's wire.bytes_per_lookup reports.
 func TestCanonicalFrameLengths(t *testing.T) {
 	wide := keys.FromParts(^uint64(0), ^uint64(0))
@@ -50,7 +51,7 @@ func TestCanonicalFrameLengths(t *testing.T) {
 		{"lookup", AppendLookup(nil, 1, keys.FromUint64(1)), 4 + 12 + 16},
 		{"lookup, 128-bit key, max id", AppendLookup(nil, ^uint64(0), wide), 4 + 12 + 16},
 		{"result", AppendResult(nil, 1, 42, true), 4 + 12 + 9},
-		{"result, no match, max action", AppendResult(nil, ^uint64(0), ^uint64(0), false), 4 + 12 + 9},
+		{"result, no match, max action", AppendResult(nil, ^uint64(0), ^uint64(0), false), ResultLen},
 	}
 	for _, f := range frames {
 		if len(f.frame) != f.want {
@@ -92,7 +93,7 @@ func TestPingPongAndError(t *testing.T) {
 	if f := readOne(t, appendPing(nil, 1)); f.Op != OpPing || len(f.Payload) != 0 {
 		t.Fatalf("ping frame %+v", f)
 	}
-	if f := readOne(t, AppendPong(nil, 1)); f.Op != OpPong {
+	if f := readOne(t, AppendPong(nil, 1)); f.Op != opPong {
 		t.Fatalf("pong frame %+v", f)
 	}
 	if f := readOne(t, AppendUpdateResult(nil, 2)); f.Op != OpUpdateResult || f.ID != 2 || len(f.Payload) != 0 {
@@ -105,7 +106,8 @@ func TestPingPongAndError(t *testing.T) {
 }
 
 // TestStreamOfFramesSharesBuffer: ReadFrame allocates its buffer once, at
-// MaxFrameLen, and every later frame — the longest included — reuses it.
+// the longest frame's size on the wire (lenPrefix+MaxFrameLen), and every
+// later frame — the longest included — reuses it.
 func TestStreamOfFramesSharesBuffer(t *testing.T) {
 	var b []byte
 	b = AppendLookup(b, 1, keys.FromUint64(10))
@@ -128,8 +130,8 @@ func TestStreamOfFramesSharesBuffer(t *testing.T) {
 		if first == nil {
 			first = &buf[:1][0]
 		}
-		if cap(buf) != MaxFrameLen || &buf[:1][0] != first {
-			t.Fatalf("frame %d: buffer of cap %d at a new address, want the first one of cap %d", want, cap(buf), MaxFrameLen)
+		if cap(buf) != lenPrefix+MaxFrameLen || &buf[:1][0] != first {
+			t.Fatalf("frame %d: buffer of cap %d at a new address, want the first one of cap %d", want, cap(buf), lenPrefix+MaxFrameLen)
 		}
 	}
 	if _, _, err = ReadFrame(r, buf); err != io.EOF {
@@ -225,7 +227,7 @@ func TestOpStrings(t *testing.T) {
 	for op, want := range map[Op]string{
 		OpLookup: "lookup", OpUpdate: "update", OpPing: "ping",
 		OpResult: "result", OpUpdateResult: "update-result",
-		OpPong: "pong", OpError: "error", Op(0x02): "op(0x02)", Op(0x82): "op(0x82)",
+		opPong: "pong", opError: "error", Op(0x02): "op(0x02)", Op(0x82): "op(0x82)",
 	} {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%#x).String() = %q, want %q", uint8(op), got, want)
@@ -307,7 +309,7 @@ func TestRemoteErrorMessage(t *testing.T) {
 
 // remoteError decodes an error frame's code and message.
 func remoteError(f Frame) (code uint8, msg string, ok bool) {
-	if f.Op != OpError || len(f.Payload) < 1 {
+	if f.Op != opError || len(f.Payload) < 1 {
 		return 0, "", false
 	}
 	return f.Payload[0], string(f.Payload[1:]), true

@@ -1,5 +1,6 @@
 // Package a is the export check's fixture: functions and methods that
-// another package calls, and ones that only share a name with what it calls.
+// another package calls, and ones that only share a name with what it calls,
+// and a const and a var, one of them read from another package.
 package a
 
 // OnlyTested has no caller outside a's tests: the check flags it.
@@ -41,3 +42,9 @@ func (Table) Bytes() int { return 0 }
 type Engine struct{}
 
 func (*Engine) Rebuild() {}
+
+// Unread is a const no other package reads: the check flags it.
+const Unread = 3
+
+// Limit is a var package b reads.
+var Limit = 4

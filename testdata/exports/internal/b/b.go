@@ -1,5 +1,5 @@
 // Package b calls into a: by function, by method, through an interface and
-// through a stdlib generic's result.
+// through a stdlib generic's result, and reads one of its vars.
 package b
 
 import (
@@ -16,5 +16,5 @@ func use() int {
 	var u a.Unit = a.Server{}
 	_ = u.Serve()
 	engine.Load().Rebuild()
-	return a.UsedElsewhere() + a.Trace{}.Bytes
+	return a.UsedElsewhere() + a.Trace{}.Bytes + a.Limit
 }
