@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -21,6 +24,30 @@ func testScale() Scale {
 		HWTraceLen: 6000,
 		Model:      m,
 		Seed:       1,
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the tables computed")
+
+// checkGolden holds the rendering of a deterministic table at testScale to
+// testdata/<name>.golden byte for byte, so a change meant to move no figure
+// shows that it moved none; -update rewrites the file.
+func checkGolden(t *testing.T, name string, tab *Table) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	got := tab.Render()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s moved (go test -update rewrites it)\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
@@ -50,9 +77,7 @@ func TestFig2(t *testing.T) {
 	if res.StringSpan < 30 {
 		t.Errorf("string lengths span %d, want broad (>30)", res.StringSpan)
 	}
-	if tab := res.Table(); len(tab.Rows) == 0 {
-		t.Error("empty table")
-	}
+	checkGolden(t, "fig2", res.Table())
 }
 
 func TestFig6a(t *testing.T) {
@@ -75,9 +100,7 @@ func TestFig6a(t *testing.T) {
 			}
 		}
 	}
-	if Fig6aTable(pts) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "fig6a", Fig6aTable(pts))
 }
 
 func TestFig6b(t *testing.T) {
@@ -143,9 +166,7 @@ func TestFig7(t *testing.T) {
 				fam, n4.BytesPerQuery, s4.BytesPerQuery)
 		}
 	}
-	if Fig7Table(cells) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "fig7", Fig7Table(cells))
 }
 
 func TestFig8(t *testing.T) {
@@ -171,9 +192,7 @@ func TestFig8(t *testing.T) {
 			t.Errorf("%s: flagship config not faster (%.3f vs %.3f)", fam, big.Throughput, small.Throughput)
 		}
 	}
-	if Fig8Table(rows) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "fig8", Fig8Table(rows))
 }
 
 func TestFig9(t *testing.T) {
@@ -191,9 +210,15 @@ func TestFig9(t *testing.T) {
 			t.Fatalf("%s %s: p10 below inference latency", r.Family, r.Config)
 		}
 	}
-	if Fig9Table(rows) == nil {
-		t.Fatal("nil table")
+	checkGolden(t, "fig9", Fig9Table(rows))
+}
+
+func TestHeadline(t *testing.T) {
+	rows, err := Headline(testScale())
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkGolden(t, "headline", HeadlineTable(rows))
 }
 
 func TestFig10(t *testing.T) {
@@ -213,9 +238,7 @@ func TestFig10(t *testing.T) {
 			t.Errorf("%s/%dB: miss rate %.2f", c.Family, c.BucketBytes, c.MissRatePct)
 		}
 	}
-	if Fig10Table(cells) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "fig10", Fig10Table(cells))
 }
 
 func TestTable1(t *testing.T) {
@@ -240,9 +263,7 @@ func TestTable1(t *testing.T) {
 	if rows[2].BRAMBytes < 2*rows[0].BRAMBytes {
 		t.Errorf("SAIL BRAM %d not ≫ NeuroLPM %d", rows[2].BRAMBytes, rows[0].BRAMBytes)
 	}
-	if Table1Table(rows) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "table1", Table1Table(rows))
 }
 
 func TestExpansion(t *testing.T) {
@@ -258,9 +279,7 @@ func TestExpansion(t *testing.T) {
 			t.Errorf("%s: expansion %.1f%% outside the 2x bound", r.Family, r.ExpansionPct)
 		}
 	}
-	if ExpansionTable(rows) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "expansion", ExpansionTable(rows))
 }
 
 func TestWorstCase(t *testing.T) {
@@ -277,9 +296,7 @@ func TestWorstCase(t *testing.T) {
 			t.Errorf("%s observed %d exceeds bound %d", r.Algorithm, r.Observed, r.Bound)
 		}
 	}
-	if WorstCaseTable(rows) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "worstcase", WorstCaseTable(rows))
 }
 
 func TestVsBinarySearch(t *testing.T) {
@@ -292,9 +309,7 @@ func TestVsBinarySearch(t *testing.T) {
 			t.Errorf("%s: reduction %.2fx; RQRMI should beat full binary search", r.Family, r.Reduction)
 		}
 	}
-	if VsBinarySearchTable(rows) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "binsearch", VsBinarySearchTable(rows))
 }
 
 func TestBitwidth(t *testing.T) {
@@ -315,9 +330,7 @@ func TestBitwidth(t *testing.T) {
 		}
 		prevTrie = r.TrieDRAM
 	}
-	if BitwidthTable(rows) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "bitwidth", BitwidthTable(rows))
 }
 
 func TestUpdates(t *testing.T) {
@@ -391,9 +404,7 @@ func TestTSSSensitivity(t *testing.T) {
 	if byFam["snort"].AvgProbes <= byFam["ripe"].AvgProbes {
 		t.Error("string matching should probe more tables per query")
 	}
-	if TSSSensitivityTable(rows) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "tss", TSSSensitivityTable(rows))
 }
 
 func TestDRAMPipeline(t *testing.T) {
@@ -438,9 +449,7 @@ func TestReplicas(t *testing.T) {
 	if r.SpareBRAMForCache < 0 {
 		t.Error("negative spare BRAM")
 	}
-	if ReplicasTable(r) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "replicas", ReplicasTable(r))
 }
 
 func TestDesignSpace(t *testing.T) {
@@ -477,9 +486,7 @@ func TestWorstCaseBandwidth(t *testing.T) {
 			}
 		}
 	}
-	if WorstCaseBandwidthTable(rows) == nil {
-		t.Fatal("nil table")
-	}
+	checkGolden(t, "worstbw", WorstCaseBandwidthTable(rows))
 }
 
 func TestEMExpansion(t *testing.T) {
