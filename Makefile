@@ -71,6 +71,8 @@ vet:
 # lcache table keeps no hit window or adaptive bypass, which nothing read; the
 # wire package decodes no error frame into a Go error type, since its readers
 # take the payload's code and message; and experiments keeps no Fig 7 name list.
+# The cycle simulator is the FSM pool over banked SRAM (DESIGN.md §4): no
+# DRAM-stage or staged-pipeline simulator, and no exact-match expansion table.
 # Each alternative carries a one-character class so these lines do not find
 # themselves.
 deleted-names:
@@ -127,6 +129,9 @@ deleted-names:
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:|^\./(cmd/lpmserve/main|internal/serve/serve)_test\.go:'
 	@! grep -rnE '\bRemote[E]rror\b|Bypass[e]d|bypass[L]eft|close[W]indow|Fig7[A]lgorithms' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'Simulate[D]RAM|Simulate[P]ipelined|DRAM[P]ipeline|EM[E]xpansion|Design[S]pace' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 

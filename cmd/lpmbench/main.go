@@ -53,13 +53,10 @@ var registry = []experiment{
 	{"headline", tab(experiments.Headline, experiments.HeadlineTable)},
 	{"modelsize", tab(experiments.ModelSize, experiments.ModelSizeTable)},
 	{"tss", tab(experiments.TSSSensitivity, experiments.TSSSensitivityTable)},
-	{"dram", tab(experiments.DRAMPipeline, experiments.DRAMPipelineTable)},
 	{"replicas", tab(experiments.Replicas, experiments.ReplicasTable)},
-	{"designspace", tab(experiments.DesignSpace, experiments.DesignSpaceTable)},
 	{"worstbw", func(sc experiments.Scale) (*experiments.Table, error) {
 		return experiments.WorstCaseBandwidthTable(experiments.WorstCaseBandwidth()), nil
 	}},
-	{"emexpand", tab(experiments.EMExpansion, experiments.EMExpansionTable)},
 	{"sharded", tab(experiments.ShardedThroughput, experiments.ShardedThroughputTable)},
 	{"observe", tab(experiments.Observe, experiments.ObserveTable)},
 }

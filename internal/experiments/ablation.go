@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"neurolpm/internal/baseline/tss"
-	"neurolpm/internal/bucket"
 	"neurolpm/internal/cachesim"
-	"neurolpm/internal/hwsim"
 	"neurolpm/internal/ranges"
 	"neurolpm/internal/rqrmi"
 	"neurolpm/internal/workload"
@@ -130,131 +127,6 @@ func TSSSensitivityTable(rows []TSSRow) *Table {
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{r.Family, fi(r.Width), fi(r.Tables), f2(r.AvgProbes)})
-	}
-	return t
-}
-
-// DRAMPipelineRow is one configuration of the full (bucketized) pipeline
-// cycle model — an extension beyond the paper's SRAM-only RTL.
-type DRAMPipelineRow struct {
-	IssuePerCycle int
-	Throughput    float64
-	AvgLatency    float64
-	MaxQueue      int
-	StallCycles   uint64
-}
-
-// DRAMPipeline measures the cycle-level engine with the Bucket Reader /
-// Bucket Search stage attached, sweeping the DRAM issue bandwidth.
-func DRAMPipeline(sc Scale) ([]DRAMPipelineRow, error) {
-	rs, err := workload.Generate(workload.RIPE(), sc.Rules["ripe"], sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := ranges.Convert(rs)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := bucket.Build(arr, 8)
-	if err != nil {
-		return nil, err
-	}
-	model, _, err := rqrmi.Train(dir, rs.Width, sc.Model)
-	if err != nil {
-		return nil, err
-	}
-	trace, err := workload.GenerateTrace(rs, workload.DefaultTrace(sc.HWTraceLen, sc.Seed+13))
-	if err != nil {
-		return nil, err
-	}
-	var rows []DRAMPipelineRow
-	for _, issue := range []int{1, 2, 4} {
-		dram := hwsim.DefaultDRAMConfig()
-		dram.IssuePerCycle = issue
-		res, err := hwsim.SimulateDRAM(model, dir, trace, hwsim.DefaultConfig(), dram)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, DRAMPipelineRow{
-			IssuePerCycle: issue,
-			Throughput:    float64(res.Queries) / float64(res.Cycles),
-			AvgLatency:    res.AvgLatency(),
-			MaxQueue:      res.MaxQueueDepth,
-			StallCycles:   res.DRAMStallCycles,
-		})
-	}
-	return rows, nil
-}
-
-// DRAMPipelineTable renders the sweep.
-func DRAMPipelineTable(rows []DRAMPipelineRow) *Table {
-	t := &Table{
-		Title:  "extension: full pipeline with DRAM bucket fetch (Fig 3), issue-bandwidth sweep",
-		Header: []string{"DRAM fetches/cycle", "tput [q/cyc]", "avg latency [cyc]", "max queue", "stall cycles"},
-		Notes:  []string{"one bucket fetch per query by construction (§7); bandwidth, not the error bound, sets the DRAM demand"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fi(r.IssuePerCycle), f3(r.Throughput), f1(r.AvgLatency),
-			fi(r.MaxQueue), fmt.Sprintf("%d", r.StallCycles),
-		})
-	}
-	return t
-}
-
-// EMRow quantifies §3.3's hybrid exact-match argument: offloading rules of
-// length ≥ threshold to an exact-match table requires expanding each to
-// full-width entries, and the entry count explodes with the threshold.
-type EMRow struct {
-	Family    string
-	Threshold int     // rules with len ≥ threshold go to the EM table
-	EMRules   int     // rules offloaded
-	EMEntries uint64  // expanded exact-match entries
-	EMBytes   uint64  // at width/8 key bytes + 4B action per entry
-	Expansion float64 // entries per offloaded rule
-}
-
-// EMExpansion computes the exact-match expansion for the routing families
-// at /24, /28 and /32 offload thresholds (fully analytic from the prefix
-// histogram — building 100M-entry tables is the point being refuted).
-func EMExpansion(sc Scale) ([]EMRow, error) {
-	var rows []EMRow
-	for _, family := range routingFamilies {
-		p := workload.Profiles()[family]
-		rs, err := workload.Generate(p, sc.Rules[family], sc.Seed)
-		if err != nil {
-			return nil, err
-		}
-		hist := rs.PrefixHistogram()
-		for _, thr := range []int{24, 28, 32} {
-			row := EMRow{Family: family, Threshold: thr}
-			for l := thr; l <= p.Width; l++ {
-				n := uint64(hist[l])
-				row.EMRules += hist[l]
-				row.EMEntries += n << uint(p.Width-l)
-			}
-			row.EMBytes = row.EMEntries * uint64(p.Width/8+4)
-			if row.EMRules > 0 {
-				row.Expansion = float64(row.EMEntries) / float64(row.EMRules)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// EMExpansionTable renders the blow-up.
-func EMExpansionTable(rows []EMRow) *Table {
-	t := &Table{
-		Title:  "§3.3: hybrid exact-match offload — expansion of rules with len ≥ threshold to EM entries",
-		Header: []string{"family", "threshold", "rules offloaded", "EM entries", "EM size [MB]", "entries/rule"},
-		Notes:  []string{"paper: expansion grows exponentially with wildcard bits, forcing EM tables off-chip (rule 01* → 010, 011)"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Family, fi(r.Threshold), fi(r.EMRules),
-			fu(r.EMEntries), f1(float64(r.EMBytes) / 1e6), f1(r.Expansion),
-		})
 	}
 	return t
 }

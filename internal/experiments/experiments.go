@@ -120,4 +120,3 @@ func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func fi(v int) string     { return fmt.Sprintf("%d", v) }
-func fu(v uint64) string  { return fmt.Sprintf("%d", v) }

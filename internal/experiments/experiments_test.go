@@ -407,31 +407,6 @@ func TestTSSSensitivity(t *testing.T) {
 	checkGolden(t, "tss", TSSSensitivityTable(rows))
 }
 
-func TestDRAMPipeline(t *testing.T) {
-	rows, err := DRAMPipeline(testScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	// More DRAM bandwidth must not hurt throughput or stalls.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Throughput+1e-9 < rows[i-1].Throughput {
-			t.Errorf("issue=%d throughput regressed", rows[i].IssuePerCycle)
-		}
-		if rows[i].StallCycles > rows[i-1].StallCycles {
-			t.Errorf("issue=%d stalls grew", rows[i].IssuePerCycle)
-		}
-	}
-	if rows[0].Throughput > 1.0 {
-		t.Error("1 fetch/cycle cannot exceed 1 query/cycle")
-	}
-	if DRAMPipelineTable(rows) == nil {
-		t.Fatal("nil table")
-	}
-}
-
 func TestReplicas(t *testing.T) {
 	r, err := Replicas(testScale())
 	if err != nil {
@@ -452,27 +427,6 @@ func TestReplicas(t *testing.T) {
 	checkGolden(t, "replicas", ReplicasTable(r))
 }
 
-func TestDesignSpace(t *testing.T) {
-	rows, err := DesignSpace(testScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(routingFamilies) {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.StagedThroughput <= 0 || r.FSMThroughput <= 0 {
-			t.Errorf("%s: zero throughput", r.Family)
-		}
-		if r.FSMStages < 1 {
-			t.Errorf("%s: stage depth %d", r.Family, r.FSMStages)
-		}
-	}
-	if DesignSpaceTable(rows) == nil {
-		t.Fatal("nil table")
-	}
-}
-
 func TestWorstCaseBandwidth(t *testing.T) {
 	rows := WorstCaseBandwidth()
 	if len(rows) != 4 {
@@ -487,31 +441,4 @@ func TestWorstCaseBandwidth(t *testing.T) {
 		}
 	}
 	checkGolden(t, "worstbw", WorstCaseBandwidthTable(rows))
-}
-
-func TestEMExpansion(t *testing.T) {
-	rows, err := EMExpansion(testScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(routingFamilies)*3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	byKey := map[string]EMRow{}
-	for _, r := range rows {
-		byKey[r.Family+fi(r.Threshold)] = r
-		if r.EMEntries < uint64(r.EMRules) {
-			t.Errorf("%s/%d: fewer entries than rules", r.Family, r.Threshold)
-		}
-	}
-	// Lower thresholds offload more rules and blow up faster (§3.3's
-	// exponential growth in wildcard bits).
-	for _, fam := range routingFamilies {
-		if byKey[fam+"24"].EMEntries <= byKey[fam+"32"].EMEntries {
-			t.Errorf("%s: /24 threshold did not dominate /32", fam)
-		}
-	}
-	if EMExpansionTable(rows) == nil {
-		t.Fatal("nil table")
-	}
 }

@@ -59,10 +59,6 @@ type Result struct {
 	EngineStalls  uint64 // cycles an engine was stalled awaiting an FSM
 	FSMBusyCycles uint64 // Σ over cycles of busy FSMs (occupancy numerator)
 	Latencies     []uint32
-
-	// finishedAt[q] is the absolute cycle query q's secondary search
-	// completed — the hand-off point to the DRAM stage (SimulateDRAM).
-	finishedAt []uint64
 }
 
 // Throughput returns average queries per cycle.
@@ -150,10 +146,9 @@ func Simulate(m *rqrmi.Model, ix rqrmi.Index, trace []keys.Value, cfg Config) (*
 		return nil, fmt.Errorf("hwsim: empty trace")
 	}
 	res := &Result{
-		Config:     cfg,
-		Queries:    len(trace),
-		Latencies:  make([]uint32, len(trace)),
-		finishedAt: make([]uint64, len(trace)),
+		Config:    cfg,
+		Queries:   len(trace),
+		Latencies: make([]uint32, len(trace)),
 	}
 	injectedAt := make([]uint64, len(trace))
 
@@ -170,6 +165,11 @@ func Simulate(m *rqrmi.Model, ix rqrmi.Index, trace []keys.Value, cfg Config) (*
 	// Round-robin pointer for which engine stalls when FSMs are scarce.
 	enginePrio := 0
 
+	// Per-cycle scratch, allocated once and emptied each cycle.
+	want := make([][]int, cfg.Banks) // bank -> contending FSM ids
+	idle := make([]int, 0, cfg.FSMs)
+	ready := make([]int, 0, cfg.Engines)
+
 	next := 0 // next trace index to inject
 	done := 0
 	var cycle uint64
@@ -178,7 +178,9 @@ func Simulate(m *rqrmi.Model, ix rqrmi.Index, trace []keys.Value, cfg Config) (*
 		cycle++
 		// 1) Secondary-search FSMs issue bank requests; per-bank round-robin
 		// arbitration grants one per bank.
-		want := make([][]int, cfg.Banks) // bank -> contending FSM ids
+		for b := range want {
+			want[b] = want[b][:0]
+		}
 		for i := range fsms {
 			f := &fsms[i]
 			if !f.busy {
@@ -188,7 +190,6 @@ func Simulate(m *rqrmi.Model, ix rqrmi.Index, trace []keys.Value, cfg Config) (*
 			if f.lo >= f.hi {
 				// Search complete: publish and free this cycle.
 				res.Latencies[f.query] = uint32(cycle - f.injected)
-				res.finishedAt[f.query] = cycle
 				f.busy = false
 				done++
 				continue
@@ -227,26 +228,27 @@ func Simulate(m *rqrmi.Model, ix rqrmi.Index, trace []keys.Value, cfg Config) (*
 
 		// 2) Engine outputs claim idle FSMs (pop-count allocator, §9); when
 		// FSMs are scarce the round-robin policy picks which engine stalls.
-		idle := make([]int, 0, 4)
+		idle = idle[:0]
 		for i := range fsms {
 			if !fsms[i].busy {
 				idle = append(idle, i)
 			}
 		}
-		ready := make([]int, 0, 2)
+		ready = ready[:0]
 		for e := 0; e < cfg.Engines; e++ {
 			ei := (enginePrio + e) % cfg.Engines
 			if engines[ei].out >= 0 {
 				ready = append(ready, ei)
 			}
 		}
+		claimed := 0
 		for _, ei := range ready {
-			if len(idle) == 0 {
+			if claimed == len(idle) {
 				res.EngineStalls++
 				continue
 			}
-			fi := idle[0]
-			idle = idle[1:]
+			fi := idle[claimed]
+			claimed++
 			eng := engines[ei]
 			q := eng.out
 			eng.out = -1

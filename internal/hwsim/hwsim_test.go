@@ -243,6 +243,20 @@ func TestEngineScaling(t *testing.T) {
 	}
 }
 
+// TestSimulateAllocatesPerRunNotPerCycle: the per-cycle scratch is made once
+// a run, so 4 000 queries (≈ 2 000 cycles) take about a hundred allocations.
+func TestSimulateAllocatesPerRunNotPerCycle(t *testing.T) {
+	model, ix, trace := buildModel(t, 2000, 10)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Simulate(model, ix, trace, DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Errorf("Simulate made %.0f allocations, want ≤ 200", allocs)
+	}
+}
+
 func BenchmarkSimulate(b *testing.B) {
 	model, ix, trace := buildModel(b, 2000, 10)
 	cfg := DefaultConfig()
