@@ -73,6 +73,11 @@ vet:
 # take the payload's code and message; and experiments keeps no Fig 7 name list.
 # The cycle simulator is the FSM pool over banked SRAM (DESIGN.md §4): no
 # DRAM-stage or staged-pipeline simulator, and no exact-match expansion table.
+# Every insert lands in place and Compact is the one retrain trigger
+# (DESIGN.md §11): no insert refusal or its two reasons, no insert-or-rebuild
+# or batch-insert entry point, no absorb fault site, none of the two series
+# that split the refused inserts from the rest, and no shard tag an engine
+# carries for its flight records, which take their shard from the key.
 # Each alternative carries a one-character class so these lines do not find
 # themselves.
 deleted-names:
@@ -134,6 +139,9 @@ deleted-names:
 	@! grep -rnE 'Simulate[D]RAM|Simulate[P]ipelined|DRAM[P]ipeline|EM[E]xpansion|Design[S]pace' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'InsertOr[R]ebuild|Insert[B]atch|not[A]bsorbed|refused(Engine[K]ind|Bucket[F]ull)|Site[A]bsorb|SetShard[I]D|neurolpm_insert_(absorbed|rebuilt)[_]total' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 
 test:
 	$(GO) test ./...
@@ -155,8 +163,8 @@ race-cores:
 # Each differential fuzz target on a short budget. FuzzStackVsOracle is the
 # parameterized lookup target (DESIGN.md §14): one harness covering the
 # updatable engine at 1/2/4/8 shards, bucketized or SRAM-only, plus update
-# interleavings and injected absorb refusals and rebuild failures, so it gets
-# four times the others' budget.
+# interleavings and injected forced compactions and rebuild failures, so it
+# gets four times the others' budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseRule -fuzztime $(FUZZTIME) ./internal/lpm

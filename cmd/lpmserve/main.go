@@ -25,9 +25,9 @@
 // sub-engines (the paper's §6 bank-parallel pipeline); the lookups one read of
 // a connection delivers are grouped by shard and answered on its goroutine.
 // At every shard count, the default of one included, wire updates land in the
-// covered shards — absorbed by the live engine, or, when the engine refuses,
-// retrained into a rebuilt one before the update is acknowledged — without
-// blocking readers.
+// covered shards' live engines — and a shard whose engine the update
+// overgrows is retrained and swapped before the update is acknowledged —
+// without blocking readers.
 //
 // Endpoints (-addr, HTTP):
 //

@@ -83,7 +83,7 @@ func main() {
 		}
 	}
 	start = time.Now()
-	engine2, err := engine.InsertBatch(fresh)
+	engine2, err := engine.Rebuild(fresh...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,10 +38,10 @@ type Config struct {
 	// rqrmi.DefaultConfig.
 	Model rqrmi.Config
 	// Fault, when non-nil, is consulted at the update-path injection
-	// sites (retrain, swap, absorb — see internal/fault). The query
+	// sites (retrain, swap, compact — see internal/fault). The query
 	// path never fires it; production builds leave it nil and pay one
-	// nil-check per rebuild/insert. The hook rides Config so engine
-	// rebuilds (InsertBatch → Build) inherit it automatically.
+	// nil-check per rebuild or Compact. The hook rides Config so engine
+	// rebuilds (Rebuild → Build) inherit it automatically.
 	Fault fault.Hook
 }
 
@@ -57,9 +57,9 @@ func SRAMOnlyConfig() Config {
 }
 
 // Engine is a built NeuroLPM engine. It is safe for concurrent lookups, also
-// beside one writer; the updates (Insert, InsertOrRebuild, Delete,
-// ModifyAction) require external synchronization among themselves: the
-// writer lock of the shard that holds the engine (shard.ShardedUpdatable).
+// beside one writer; the updates (Insert, Delete, ModifyAction, Compact,
+// Rebuild) require external synchronization among themselves: the writer
+// lock of the shard that holds the engine (shard.ShardedUpdatable).
 type Engine struct {
 	cfg   Config
 	width int
@@ -68,7 +68,7 @@ type Engine struct {
 	rules *lpm.RuleSet
 	// dead is the tombstone bitset (bit i: rules.Rules[i] was deleted). No
 	// read path consults it, but an engine used without a writer lock may see
-	// writers overlap (an InsertBatch beside a Delete), so its words are atomic.
+	// writers overlap (a Rebuild beside a Delete), so its words are atomic.
 	dead []atomic.Uint64
 	// absorbed are the rules Insert added to this engine after Build, rule
 	// index rules.Len()+i, found through absorbedAt; lens counts the rules,
@@ -81,9 +81,6 @@ type Engine struct {
 	dir        *bucket.Directory // nil in the SRAM-only design
 	model      *rqrmi.Model
 	stats      *rqrmi.Stats
-
-	// shardID tags flight records (DESIGN.md §13).
-	shardID int32
 
 	// The compiled query plane (DESIGN.md §10): comp mirrors model + index
 	// in flat devirtualized storage and serves every lookup; the model remains
@@ -177,10 +174,6 @@ func (e *Engine) index() rqrmi.Index {
 
 // TrainStats returns statistics from the build's training phase.
 func (e *Engine) TrainStats() *rqrmi.Stats { return e.stats }
-
-// SetShardID tags the engine's flight records with its shard index (the
-// sharded router calls this at build; rebuilds inherit it via InsertBatch).
-func (e *Engine) SetShardID(id int) { e.shardID = int32(id) }
 
 // Ranges exposes the underlying range array (read-only use).
 func (e *Engine) Ranges() *ranges.Array { return e.ra }
@@ -375,7 +368,6 @@ func (e *Engine) observe(p rqrmi.Prediction, b, cmp int) {
 func (e *Engine) fill(fr *telemetry.FlightRecord, probes, errBound int, action uint64, matched bool) {
 	fr.Probes = int32(probes)
 	fr.ErrBound = int32(errBound)
-	fr.Shard = e.shardID
 	fr.Action = action
 	fr.Matched = matched
 	fr.BucketRead = e.dir != nil
@@ -509,25 +501,6 @@ func (e *Engine) Delete(prefix keys.Value, length int) error {
 	e.owned(idx, func(w wbucket, j int) { w.reown(j, cover) })
 	e.setLive(idx, false)
 	return nil
-}
-
-// InsertBatch commits a batch of new rules by rebuilding the engine — the
-// path of an insertion Insert could not absorb (§6.5: full retraining).
-// Deleted rules are dropped, absorbed ones carried over, and with them every
-// spill record folds back into a dense one; the receiver is left untouched,
-// so callers can swap engines atomically.
-func (e *Engine) InsertBatch(newRules []lpm.Rule) (*Engine, error) {
-	rs, err := lpm.OwnRuleSet(e.width, append(e.liveRules(len(newRules)), newRules...))
-	if err != nil {
-		return nil, err
-	}
-	next, err := Build(rs, e.cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The rebuilt engine keeps the receiver's shard tag.
-	next.shardID = e.shardID
-	return next, nil
 }
 
 // SRAMUsage itemizes the engine's on-chip memory demand in bytes.

@@ -219,7 +219,7 @@ func TestBuildSharesRuleSet(t *testing.T) {
 	if rs.Find(fresh.Prefix, fresh.Len) != lpm.NoMatch {
 		t.Fatal("the fresh rule is in the set")
 	}
-	if err := e.insert(fresh); err != nil {
+	if err := e.Insert(fresh); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.absorbed) != 1 {
@@ -227,13 +227,13 @@ func TestBuildSharesRuleSet(t *testing.T) {
 	}
 	back := del
 	back.Action += 9000
-	if err := e.insert(back); err != nil {
+	if err := e.Insert(back); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	next, err := e.InsertBatch([]lpm.Rule{{Prefix: keys.FromUint64(0x0a0b0d00), Len: 24, Action: 8}})
+	next, err := e.Rebuild(lpm.Rule{Prefix: keys.FromUint64(0x0a0b0d00), Len: 24, Action: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,9 @@ func TestDeleteMissingRule(t *testing.T) {
 	}
 }
 
-func TestInsertBatch(t *testing.T) {
+// TestRebuildAddsRules: Rebuild retrains over the live rules plus the added
+// ones, and leaves its receiver as it was.
+func TestRebuildAddsRules(t *testing.T) {
 	rs := randomRuleSet(t, 24, 200, 18)
 	e, err := Build(rs, quickSRAMOnly())
 	if err != nil {
@@ -450,7 +452,7 @@ func TestInsertBatch(t *testing.T) {
 			newRules = append(newRules, r)
 		}
 	}
-	e2, err := e.InsertBatch(newRules)
+	e2, err := e.Rebuild(newRules...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +478,7 @@ func TestInsertAfterDelete(t *testing.T) {
 	}
 	// Re-inserting the deleted rule must be allowed: tombstoned rules are
 	// dropped from the rebuild.
-	e2, err := e.InsertBatch([]lpm.Rule{{Prefix: dead.Prefix, Len: dead.Len, Action: 777}})
+	e2, err := e.Rebuild(lpm.Rule{Prefix: dead.Prefix, Len: dead.Len, Action: 777})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -176,27 +175,11 @@ func (e *Engine) owned(idx int, fn func(w wbucket, j int)) {
 // freshly built engine, and again after the commit that folds them back.
 func (e *Engine) SpilledBuckets() int { return int(e.rec.spilled.Load()) }
 
-// notAbsorbed is Insert's refusal: nothing was stored, and the rule needs a
-// rebuilt engine — InsertOrRebuild retrains one around it. The value is the
-// reason.
-type notAbsorbed string
-
-const (
-	// The engine has no record an insert could grow: SRAM-only, or K
-	// already at maxSpillRanges.
-	refusedEngineKind notAbsorbed = "engine_kind"
-	// A bucket the rule would add a boundary to would pass maxSpillRanges (or
-	// fault.SiteAbsorb said so).
-	refusedBucketFull notAbsorbed = "bucket_full"
-)
-
-func (n notAbsorbed) Error() string { return "core: insert not absorbed: " + string(n) }
-
-// insert installs r in the published engine without retraining, when what it
-// changes stays inside buckets: the rule adds at most two range boundaries —
-// its low, and its high + 1 — and re-owns the ranges of its span whose owner
-// is shorter. The directory, the model and every error bound are untouched:
-// the RQRMI indexes buckets, and no bucket's span moves (§7).
+// Insert installs r in the published engine without retraining: the rule
+// adds at most two range boundaries — its low, and its high + 1 — and re-owns
+// the ranges of its span whose owner is shorter. The directory, the model and
+// every error bound are untouched: the RQRMI indexes buckets, and no bucket's
+// span moves (§7).
 //
 // Re-owning is what Delete does, in place. A bucket that gains a boundary is
 // rebuilt — old ranges, the split ones inheriting their parent's owner and
@@ -205,22 +188,18 @@ func (n notAbsorbed) Error() string { return "core: insert not absorbed: " + str
 // it, never half of it. A rule spanning several buckets is published bucket
 // by bucket, like a Delete's re-own: the guarantee is per key.
 //
-// insert refuses before any visible store when the rule needs a rebuilt
-// engine (InsertOrRebuild then retrains); any other error (an invalid or
-// already installed rule) is the caller's.
-func (e *Engine) insert(r lpm.Rule) error {
+// Insert always lands, on every engine kind and into a bucket of any size; a
+// spill record past maxSpillRanges, or any spill of an SRAM-only engine,
+// marks the engine overgrown, and the Compact its writer calls next retrains
+// it (§6.5: modify in place, or retrain and swap). Insert fails only on an
+// invalid or already installed rule, and then stores nothing.
+func (e *Engine) Insert(r lpm.Rule) error {
 	if err := r.Validate(e.width); err != nil {
 		return err
 	}
 	idx := e.findRule(r.Prefix, r.Len)
 	if idx != lpm.NoMatch && e.isLive(idx) {
 		return fmt.Errorf("core: rule %s/%d already installed", r.Prefix, r.Len)
-	}
-	if e.dir == nil || e.dir.K >= maxSpillRanges {
-		return refusedEngineKind
-	}
-	if hook := e.cfg.Fault; hook != nil && hook(fault.SiteAbsorb) != nil {
-		return refusedBucketFull
 	}
 
 	// The boundaries the rule needs and its edge buckets do not have yet: low
@@ -249,9 +228,6 @@ func (e *Engine) insert(r lpm.Rule) error {
 			n++
 		}
 		return n
-	}
-	if wf.n+gain(first) > maxSpillRanges || wl.n+gain(last) > maxSpillRanges {
-		return refusedBucketFull
 	}
 
 	if idx == lpm.NoMatch {
@@ -319,40 +295,20 @@ func (e *Engine) insert(r lpm.Rule) error {
 	return nil
 }
 
-// InsertOrRebuild is the write policy of §6.5 — modify in place, or retrain
-// and swap. It installs r and returns the engine that now holds it: e itself
-// when e absorbs the rule (Insert), else an engine rebuilt over e's live
-// rules plus r, which the caller publishes in e's place before it releases
-// its writer lock. It fails when the rule is invalid or already installed, or
-// when the rebuild fails — and then nothing was installed.
-func (e *Engine) InsertOrRebuild(r lpm.Rule) (*Engine, error) {
-	err := e.insert(r)
-	var why notAbsorbed
-	if !errors.As(err, &why) {
-		if err != nil {
-			return nil, err
-		}
-		metAbsorbed.Inc()
-		return e, nil
-	}
-	next, err := e.Rebuild(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuild for %s/%d (%s): %w", r.Prefix, r.Len, string(why), err)
-	}
-	metRebuilt.Inc()
-	return next, nil
-}
-
-// Compact returns e, or, once e's writers have grown its action table past
-// its limit (twice what Build interned, plus 1 024 entries), an engine
-// rebuilt over e's live rules, whose table holds only their actions. Every
-// write may grow the table by one value — ModifyAction's new action, Insert's,
-// Delete's covering rule's — so a writer that keeps an engine in service
-// calls it after each write and, like InsertOrRebuild's caller, publishes a
-// result other than e in e's place before it releases its writer lock. A
-// failed rebuild leaves e in service, to be retried after the next write.
+// Compact is the one retrain trigger of the write path (§6.5). It returns e,
+// or, once e is overgrown, an engine rebuilt over e's live rules: when a
+// spill record has passed maxSpillRanges, when an SRAM-only engine has
+// spilled at all, or when writers have grown the action table past its limit
+// (twice what Build interned, plus 1 024 entries) — every write may grow it by
+// one value, ModifyAction's new action, Insert's, Delete's covering rule's.
+// The fault site compact forces the rebuild. A writer that keeps an engine in
+// service calls Compact after each write and publishes a result other than e
+// in e's place before it releases its writer lock. A failed rebuild leaves e
+// in service, its writes answered from their spill records, to be retried
+// after the next write.
 func (e *Engine) Compact() *Engine {
-	if !e.rec.overgrown() {
+	hook := e.cfg.Fault
+	if !e.rec.overgrown() && (hook == nil || hook(fault.SiteCompact) == nil) {
 		return e
 	}
 	next, err := e.Rebuild()
@@ -362,13 +318,13 @@ func (e *Engine) Compact() *Engine {
 	return next
 }
 
-// Rebuild is the one rebuild path, a refused insert's and a commit's: it
-// returns an engine retrained over e's live rules, absorbed ones included,
-// plus add — between the retrain and swap fault sites, timed, and booked as a
-// failure when it fails. Every spill record folds back into a dense bucket:
-// with nothing added it is a commit's re-densify. e is left as it was, so
-// lookups proceed against it until the caller publishes the result (§6.5:
-// both versions coexist).
+// Rebuild is the one rebuild path, Compact's and a commit's: it returns an
+// engine retrained over e's live rules, absorbed ones included, plus add —
+// between the retrain and swap fault sites, timed, and booked as a failure
+// when it fails. Every spill record folds back into a dense bucket: with
+// nothing added it is a commit's re-densify. Deleted rules are dropped. e is
+// left as it was, so lookups proceed against it until the caller publishes
+// the result (§6.5: both versions coexist).
 func (e *Engine) Rebuild(add ...lpm.Rule) (next *Engine, err error) {
 	start := time.Now()
 	defer func() {
@@ -383,7 +339,11 @@ func (e *Engine) Rebuild(add ...lpm.Rule) (next *Engine, err error) {
 			return nil, err
 		}
 	}
-	if next, err = e.InsertBatch(add); err != nil {
+	rs, err := lpm.OwnRuleSet(e.width, append(e.liveRules(len(add)), add...))
+	if err != nil {
+		return nil, err
+	}
+	if next, err = Build(rs, e.cfg); err != nil {
 		return nil, err
 	}
 	if hook != nil {

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,10 +41,12 @@ import (
 // lands in one when the writer is interrupted there, or by a coincidence of two
 // cores — which is why the walk is 48 000 cycles (9 600 records) long and not
 // 400: each mutation has to fail this test on its own in a run, not in one run
-// out of two. On the
-// SRAM-only engine, which refuses every absorb, a short walk runs the same
-// cycle with every insert retrained in and swapped, which only the first kind
-// of reader sees.
+// out of two. Every write goes through Compact, as a shard's does; the sites
+// past the first 200 reuse their actions, so the action table stays below
+// its limit and the bucketized engine is never retrained. On the SRAM-only
+// engine, overgrown at its first spill, a short walk runs the same cycle with
+// every insert landed, retrained in and swapped, which only the first kind of
+// reader sees.
 func TestInsertPublicationOrder(t *testing.T) {
 	const (
 		sites, blocks, rounds = 1200, 8, 5
@@ -50,6 +54,7 @@ func TestInsertPublicationOrder(t *testing.T) {
 		blockKeys             = 1 << (32 - siteLen)
 		perBlock              = 3 * rounds // operations
 		perSite               = blocks * perBlock
+		freshSites            = 200 // 16 000 fresh actions: below the action table's limit
 	)
 	rs, _ := wideRuleSet(t, 32, 20000, 17)
 	for _, cfg := range []Config{quickBucketed(), quickSRAMOnly()} {
@@ -119,7 +124,7 @@ func TestInsertPublicationOrder(t *testing.T) {
 		// oracle's answer for a probe of site i once `done` operations have
 		// completed.
 		action := func(i, c, round int, modified bool) uint64 {
-			a := uint64(1)<<40 + uint64((i*blocks+c)*rounds+round)*2
+			a := uint64(1)<<40 + uint64((i%freshSites*blocks+c)*rounds+round)*2
 			if modified {
 				a++
 			}
@@ -244,6 +249,79 @@ func TestInsertPublicationOrder(t *testing.T) {
 	}
 }
 
+// TestCompactRetrainsAsRebuildWithTheRule: the insert that overgrows an
+// engine lands in place, and the engine Compact then returns is the one
+// Rebuild of the pre-insert engine with the rule added builds — the path such
+// an insert took when engines refused it: the same model, LUT by LUT and
+// bound by bound, the same compiled plane, records and action table, the same
+// answers, and Verify passes on it. Single-key rules fill one bucket: an
+// SRAM-only engine is overgrown at its first spill, K = 64 at the first that
+// passes 64 ranges, a full bucket's first, and K = 8 when the bucket does.
+func TestCompactRetrainsAsRebuildWithTheRule(t *testing.T) {
+	for _, k := range []int{0, 8, 64} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			rs, _ := wideRuleSet(t, 32, 300, 61)
+			e, err := Build(rs, Config{BucketSize: k, Model: quickModel()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The widest range of the build: the rules inside it fall in one
+			// bucket, each adding two bounds.
+			var site, span keys.Value
+			for i := 0; i+1 < e.ra.Len(); i++ {
+				if d := e.ra.Low(i + 1).Sub(e.ra.Low(i)); span.Less(d) {
+					site, span = e.ra.Low(i), d
+				}
+			}
+			for i := 1; !e.rec.overgrown(); i++ {
+				if i > 40 {
+					t.Fatal("40 inserts overgrew no engine")
+				}
+				r := lpm.Rule{Prefix: site.AddUint64(uint64(2 * i)), Len: 32, Action: uint64(7000 + i)}
+				want, err := e.Rebuild(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Insert(r); err != nil {
+					t.Fatal(err)
+				}
+				if !e.rec.overgrown() {
+					if e.Compact() != e {
+						t.Fatalf("insert %d: Compact retrained an engine that is not overgrown", i)
+					}
+					continue
+				}
+				got := e.Compact()
+				t.Logf("overgrown at insert %d, %d ranges in the site's bucket", i, e.bucketW(e.bucketOf(site)).n)
+				if got == e {
+					t.Fatalf("insert %d: Compact kept an overgrown engine", i)
+				}
+				if !reflect.DeepEqual(got.model, want.model) || !reflect.DeepEqual(got.comp, want.comp) {
+					t.Fatalf("insert %d: Compact trained another model than Rebuild with the rule", i)
+				}
+				if !slices.Equal(got.rec.w, want.rec.w) || !slices.Equal(*got.rec.acts.Load(), *want.rec.acts.Load()) {
+					t.Fatalf("insert %d: Compact laid out other records than Rebuild with the rule", i)
+				}
+				rng := rand.New(rand.NewSource(int64(i)))
+				var ks []keys.Value
+				for j := 0; j < got.ra.Len(); j++ {
+					ks = append(ks, got.ra.Low(j), keys.FromUint64(uint64(rng.Uint32())))
+				}
+				for _, key := range ks {
+					ga, gok := got.Lookup(key)
+					wa, wok := want.Lookup(key)
+					if ga != wa || gok != wok {
+						t.Fatalf("key %v: Compact's engine answers (%d,%v), Rebuild's (%d,%v)", key, ga, gok, wa, wok)
+					}
+				}
+				if err := got.Verify(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestInsertWithoutNewBoundaryAllocatesNothing pins the in-place half of
 // Insert: a rule deleted from this engine left its bounds behind, so putting it
 // back re-owns ranges and builds no record, no map and no slice.
@@ -254,12 +332,12 @@ func TestInsertWithoutNewBoundaryAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaps := []lpm.Rule{wide, rs.Rules[len(rs.Rules)/2], {Prefix: keys.FromUint64(0x0a0b0c00), Len: 24, Action: 9}}
-	if err := e.insert(flaps[2]); err != nil { // absorbed: its later flaps find an absorbed rule's bounds
+	if err := e.Insert(flaps[2]); err != nil { // absorbed: its later flaps find an absorbed rule's bounds
 		t.Fatal(err)
 	}
 	for _, r := range flaps {
 		if n := testing.AllocsPerRun(50, func() {
-			if e.Delete(r.Prefix, r.Len) != nil || e.insert(r) != nil {
+			if e.Delete(r.Prefix, r.Len) != nil || e.Insert(r) != nil {
 				t.Fatalf("flap of %v failed", r)
 			}
 		}); n != 0 {
@@ -296,7 +374,7 @@ func TestSupersededSpillRecordsAreCollected(t *testing.T) {
 			continue
 		}
 		for i, site := 1, w.low(j); i <= respills; i++ {
-			if err := e.insert(lpm.Rule{Prefix: site.AddUint64(uint64(2 * i)), Len: 32, Action: uint64(i)}); err != nil {
+			if err := e.Insert(lpm.Rule{Prefix: site.AddUint64(uint64(2 * i)), Len: 32, Action: uint64(i)}); err != nil {
 				t.Fatal(err)
 			}
 			s := e.rec.spillOf(b)

@@ -283,7 +283,7 @@ func TestSpilledBucketBooksOneSpillFetch(t *testing.T) {
 		k := randomKey(rng, 32)
 		switch tr := e.LookupMem(k, cachesim.Null{}); {
 		case tr.Spilled:
-		case spilled.IsZero() && e.insert(lpm.Rule{Prefix: k, Len: 32, Action: 5}) == nil:
+		case spilled.IsZero() && e.Insert(lpm.Rule{Prefix: k, Len: 32, Action: 5}) == nil:
 			if e.LookupMem(k, cachesim.Null{}).Spilled {
 				spilled = k
 			}

@@ -1,7 +1,7 @@
 // Metamorphic update tests: algebraic identities over the §6.5 write policy
-// (InsertOrRebuild, Delete, ModifyAction, Rebuild) on one engine published
-// through the test-local holder, each checked by a full-keyspace sweep on a
-// small domain so that every range boundary and wildcard interaction is
+// (Insert, Delete and ModifyAction, each followed by Compact, and Rebuild) on
+// one engine published through the test-local holder, each checked by a
+// full-keyspace sweep on a small domain so that every range boundary and wildcard interaction is
 // exercised, not a sample. shard's TestSharded… twins check the same
 // identities through ShardedUpdatable's writer lock at one shard and at four.
 package core
@@ -73,7 +73,8 @@ func TestMetamorphicInsertThenDeleteIsIdentity(t *testing.T) {
 	before := sweep(u.Lookup)
 	r := freshRule(rs)
 
-	// Rebuild path: the refused insert retrains the engine, then delete.
+	// Rebuild path: the SRAM-only spill overgrows the engine, Compact
+	// retrains it, then delete.
 	if err := u.Insert(r); err != nil {
 		t.Fatal(err)
 	}

@@ -35,18 +35,12 @@ var (
 	// neurolpm_bucket_fetches_total, which counts §7's single access.
 	metSpillFetches = telemetry.Default.Counter("neurolpm_bucket_spill_fetches_total",
 		"Lookups that followed a spilled bucket's pointer to its heap record: dependent lines past paper §7's single access")
-	// The two paths of an insertion (DESIGN.md §11): absorbed into the live
-	// engine, or retrained into a rebuilt one before the insert returns.
-	metAbsorbed = telemetry.Default.Counter("neurolpm_insert_absorbed_total",
-		"Insertions absorbed by the live engine in place (no retrain)")
-	metRebuilt = telemetry.Default.Counter("neurolpm_insert_rebuilt_total",
-		"Insertions the engine refused (bucket full, SRAM-only or K = 64), retrained into a rebuilt engine before the insert returned")
-	// The one rebuild path, a refused insert's and a commit's: what it costs
-	// the writer, and how often it fails. Each engine is a shard's.
+	// The one rebuild path, Compact's and a commit's: what it costs the
+	// writer, and how often it fails. Each engine is a shard's.
 	metRebuildMs = telemetry.Default.Histogram("neurolpm_shard_rebuild_ms",
-		"Per-shard rebuild (retrain + swap) duration in milliseconds, on the writer: a refused insert's or a commit's (§6.5)")
+		"Per-shard rebuild (retrain + swap) duration in milliseconds, on the writer: an overgrown engine's or a commit's (§6.5)")
 	metRebuildErrs = telemetry.Default.Counter("neurolpm_shard_commit_errors_total",
-		"Per-shard rebuilds that failed, a refused insert's or a commit's (injected fault or training error); nothing was installed")
+		"Per-shard rebuilds that failed, an overgrown engine's or a commit's (injected fault or training error); nothing was swapped in")
 )
 
 // The lookup counts are sums of tally lanes, rendered from one load of the

@@ -58,7 +58,8 @@ type records struct {
 	// acts is the action table, acts[0] = 0. ids is its inverse, the
 	// writers' alone: an open-addressed hash of ids (0, an empty slot) at most
 	// half full, which Build drops and the first intern after it remakes.
-	// limit is the length past which the table is overgrown.
+	// limit is the length past which the table is overgrown, 0 once a
+	// bucket is (respill).
 	acts  atomic.Pointer[[]uint64]
 	ids   []uint32
 	limit int
@@ -68,9 +69,9 @@ type records struct {
 	spilled atomic.Int64 // buckets answering from a spill record
 }
 
-// maxSpillRanges is what a spill record may grow to, and the longest scan a
-// dense record costs (K = 64): an engine whose buckets already hold it has no
-// bucket an insert could grow, and refuses every one.
+// maxSpillRanges is what a spill record may grow to before its engine is
+// overgrown, and the longest scan a dense record costs (K = 64): a K = 64
+// engine is overgrown at its first spill.
 const maxSpillRanges = 64
 
 // spillRecord is a spilled bucket in one allocation: a record at the capacity
@@ -124,9 +125,10 @@ func newRecords(ra *ranges.Array, k int) *records {
 const tableSlack = 1024
 
 // overgrown reports whether writers have grown the action table past its
-// limit. An id is never reused — a reader may hold it — so the table only
-// grows, and only a rebuild, which interns afresh from the live rules, sheds
-// the values no rule holds any more (Engine.Compact).
+// limit, or a bucket past what its engine should scan (respill). An id is
+// never reused — a reader may hold it — so the table only grows, and only a
+// rebuild, which interns afresh from the live rules, sheds the values no rule
+// holds any more (Engine.Compact).
 func (r *records) overgrown() bool { return len(*r.acts.Load()) > r.limit }
 
 // intern returns action a's id, adding it to the table — published before
@@ -301,8 +303,14 @@ func (v view) setOwner(j int, id uint32) { atomic.StoreUint32(&v.rec[v.l.act+j],
 
 // respill publishes bucket b's rebuilt record, filled: one store of its
 // pointer, and for a bucket's first the header after it, the dense ids
-// beneath left as the flip froze them.
+// beneath left as the flip froze them. A record past maxSpillRanges, or any
+// spill of an SRAM-only engine (k = 1), whose learned index is its ranges,
+// makes the records overgrown: the limit drops to 0, below the table's
+// length of at least 1.
 func (r *records) respill(b int, s *spillRecord) {
+	if s.k > maxSpillRanges || r.k == 1 {
+		r.limit = 0
+	}
 	t := r.spill.Load()
 	if t == nil {
 		table := make([]atomic.Pointer[spillRecord], (r.nr+r.k-1)/r.k)

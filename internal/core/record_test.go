@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -49,12 +48,14 @@ func wideRuleSet(t testing.TB, width, n int, seed int64, extra ...lpm.Rule) (rs 
 // bucket's own ranges included — equal after each step: the record (what
 // lookups answer from), the owner table (range array, or the spill record's
 // tables), an independent trie over the installed rules, and every lookup arm
-// at both ends of the range. The insert steps are the cases an absorbed
+// at both ends of the range. The insert steps are the cases an in-place
 // insert has: a fresh rule, a deleted rule re-inserted, a fresh rule whose
 // bounds already exist, rules spanning many buckets with and without new
-// bounds, and one bucket hit until it holds maxSpillRanges and refuses the
-// next; engines that cannot absorb (SRAM-only, K = 64) must refuse and stay as
-// they were.
+// bounds, and one bucket hit until it holds maxSpillRanges and then passes it.
+// Every engine kind takes every insert in place, and is overgrown exactly
+// when a bucket has passed maxSpillRanges or, SRAM-only, has spilled at all:
+// K = 64 at its first spill, K = 0 one spill before its fill begins. The
+// Compact that follows folds everything back.
 func TestRecordConsistency(t *testing.T) {
 	for _, width := range []int{32, 64, 128} {
 		for _, k := range []int{0, 2, 8, 48, 64} { // 0 = SRAM-only
@@ -79,7 +80,6 @@ func TestRecordConsistency(t *testing.T) {
 						break
 					}
 				}
-				absorbs := k >= 2 && k < maxSpillRanges
 				wideIdx := rs.Find(wide.Prefix, wide.Len)
 				if k != 0 {
 					first, last := e.ra.Len(), -1
@@ -116,14 +116,18 @@ func TestRecordConsistency(t *testing.T) {
 					}
 					batch, wants = batch[:0], wants[:0]
 					buckets := (e.rec.nr + e.rec.k - 1) / e.rec.k
+					// The action table stays far below its limit here, so
+					// only the buckets make the engine overgrown.
+					past := k == 0 && e.SpilledBuckets() > 0
 					for b := 0; b < buckets; b++ {
 						w := e.bucketW(b)
-						if w.spilled != (absorbs && w.n > min(e.rec.k, e.rec.nr-w.base)) {
+						if w.spilled != (w.n > min(e.rec.k, e.rec.nr-w.base)) {
 							t.Fatalf("step %v bucket %d: %d ranges, spilled %v", step, b, w.n, w.spilled)
 						}
-						if w.spilled && (w.l.k != w.n || len(w.rec) != w.l.stride+w.n || w.n > maxSpillRanges) {
+						if w.spilled && (w.l.k != w.n || len(w.rec) != w.l.stride+w.n) {
 							t.Fatalf("step %v bucket %d: %d ranges in a record of capacity %d, %d words", step, b, w.n, w.l.k, len(w.rec))
 						}
+						past = past || w.n > maxSpillRanges
 						for j := 0; j < w.n; j++ {
 							low, high := w.low(j), keys.MaxValue(width)
 							switch {
@@ -156,7 +160,7 @@ func TestRecordConsistency(t *testing.T) {
 							// position and comparison count, on the boundary, a
 							// key past it and the last key before the next.
 							for _, key := range []keys.Value{low, low.Inc(), high} {
-								if k == 0 || key.Less(low) || high.Less(key) {
+								if (k == 0 && !w.spilled) || key.Less(low) || high.Less(key) {
 									continue
 								}
 								gotJ, gotCmp, _, _, _ := e.rec.answer(b, key)
@@ -183,6 +187,9 @@ func TestRecordConsistency(t *testing.T) {
 							}
 						}
 					}
+					if e.rec.overgrown() != past {
+						t.Fatalf("step %v: overgrown %v, want %v", step, e.rec.overgrown(), past)
+					}
 					if !allArms {
 						return
 					}
@@ -194,26 +201,18 @@ func TestRecordConsistency(t *testing.T) {
 				}
 				check("build", true)
 
-				// insert installs r, or finds out why not; refused reports
-				// whether the engine declined (and must then be unchanged).
-				insert := func(step any, r lpm.Rule) (refused notAbsorbed) {
+				// insert installs r in place and checks every view.
+				insert := func(step any, r lpm.Rule) {
 					t.Helper()
-					err := e.insert(r)
-					if err != nil && !errors.As(err, &refused) {
+					if err := e.Insert(r); err != nil {
 						t.Fatalf("step %v: Insert(%v): %v", step, r, err)
 					}
-					if !absorbs && refused != refusedEngineKind {
-						t.Fatalf("step %v: an engine that cannot absorb answered %q", step, refused)
+					i := slices.IndexFunc(all, func(a lpm.Rule) bool { return a.Prefix == r.Prefix && a.Len == r.Len })
+					if i < 0 {
+						i, all, live = len(all), append(all, r), append(live, false)
 					}
-					if err == nil {
-						i := slices.IndexFunc(all, func(a lpm.Rule) bool { return a.Prefix == r.Prefix && a.Len == r.Len })
-						if i < 0 {
-							i, all, live = len(all), append(all, r), append(live, false)
-						}
-						all[i], live[i] = r, true
-					}
+					all[i], live[i] = r, true
 					check(step, true)
-					return refused
 				}
 
 				rng := rand.New(rand.NewSource(int64(width*100 + k)))
@@ -232,12 +231,13 @@ func TestRecordConsistency(t *testing.T) {
 						}
 						if step == 70 || rng.Intn(2) == 0 { // a flap: its bounds are still there
 							r.Action = rng.Uint64()
-							if refused := insert(step, r); absorbs && refused != "" {
-								t.Fatalf("step %d: re-insert of %v refused (%s); it needs no new bound", step, r, refused)
+							spilled := e.SpilledBuckets()
+							if insert(step, r); e.SpilledBuckets() != spilled {
+								t.Fatalf("step %d: re-insert of %v spilled a bucket; it needs no new bound", step, r)
 							}
 						}
 						continue
-					case step%4 == 3: // a fresh rule anywhere; a full bucket may refuse it
+					case step%4 == 3: // a fresh rule anywhere
 						length := 12 + rng.Intn(width-11)
 						p := keys.FromParts(rng.Uint64(), rng.Uint64()).Shr(uint(128 - width))
 						r = lpm.Rule{Prefix: p.Shr(uint(width - length)).Shl(uint(width - length)), Len: length, Action: rng.Uint64()}
@@ -245,7 +245,7 @@ func TestRecordConsistency(t *testing.T) {
 							insert(step, r)
 						}
 						continue
-					case e.insert(r) == nil:
+					case e.Insert(r) == nil:
 						t.Fatalf("step %d: insert of installed rule %v succeeded", step, r)
 					}
 					if step == 40 || (step != 10 && rng.Intn(2) == 0) {
@@ -269,49 +269,48 @@ func TestRecordConsistency(t *testing.T) {
 				// A fresh rule whose bounds both exist: re-own, no spill.
 				spilled := e.SpilledBuckets()
 				upper := lpm.Rule{Prefix: top.Or(keys.FromUint64(1).Shl(uint(width - 9))), Len: 9, Action: 83}
-				if refused := insert("upper half", upper); absorbs && (refused != "" || e.SpilledBuckets() != spilled) {
-					t.Fatalf("fresh rule on existing bounds: refused %q, spilled buckets %d → %d", refused, spilled, e.SpilledBuckets())
+				if insert("upper half", upper); e.SpilledBuckets() != spilled {
+					t.Fatalf("fresh rule on existing bounds: spilled buckets %d → %d", spilled, e.SpilledBuckets())
 				}
 				// A fresh /2 over a quarter of the domain: new bounds at both
 				// ends, every bucket between re-owned in place.
 				insert("quarter", lpm.Rule{Prefix: keys.FromUint64(1).Shl(uint(width - 2)), Len: 2, Action: 84})
-				// One bucket, one single-key rule after another — two bounds
-				// each, the one that finds the bucket a range short of full put
-				// against its predecessor to add one — until the bucket holds
-				// maxSpillRanges, every one of them checked, and refuses.
+				// One bucket not yet past maxSpillRanges, one single-key rule
+				// after another — two bounds each, the one that finds the
+				// bucket a range short of full put against its predecessor to
+				// add one — until the bucket holds maxSpillRanges, every one
+				// of them checked, and then past it.
 				var site keys.Value
 				for b, span := 0, (keys.Value{}); b*e.rec.k < e.rec.nr; b++ {
 					w := e.bucketW(b)
-					for j := 0; j+1 < w.n; j++ {
+					for j := 0; j+1 < w.n && w.n <= maxSpillRanges; j++ {
 						if d := w.low(j + 1).Sub(w.low(j)); span.Less(d) {
 							site, span = w.low(j), d
 						}
 					}
 				}
-				var refused notAbsorbed
 				held := func() int { return e.bucketW(e.bucketOf(site)).n }
-				for i := 1; i <= 70 && refused == ""; i++ {
+				prev := held()
+				for i := 1; i <= 70 && held() <= maxSpillRanges; i++ {
 					at := site.Add(keys.FromUint64(uint64(2 * i)))
 					if held() == maxSpillRanges-1 {
 						at = at.Dec()
 					}
-					refused = insert(fmt.Sprint("fill ", i), lpm.Rule{Prefix: at, Len: width, Action: uint64(1000 + i)})
+					prev = held()
+					insert(fmt.Sprint("fill ", i), lpm.Rule{Prefix: at, Len: width, Action: uint64(1000 + i)})
 				}
-				if absorbs && (refused != refusedBucketFull || held() != maxSpillRanges) {
-					t.Fatalf("filling one bucket ended with %q at %d ranges, want %q at %d", refused, held(), refusedBucketFull, maxSpillRanges)
+				if prev != maxSpillRanges || held() <= maxSpillRanges || !e.rec.overgrown() {
+					t.Fatalf("filling one bucket went from %d to %d ranges, overgrown %v; want from %d past it, overgrown",
+						prev, held(), e.rec.overgrown(), maxSpillRanges)
 				}
 				if err := e.Verify(); err != nil {
 					t.Fatal(err)
 				}
-				// The overflow path folds everything back into dense records.
-				next, err := e.InsertBatch(nil)
-				if err != nil {
-					t.Fatal(err)
+				// Compact folds everything back into dense records.
+				if e = e.Compact(); e.SpilledBuckets() != 0 || len(e.absorbed) != 0 || e.rec.overgrown() {
+					t.Fatalf("compacted engine kept %d spilled buckets, %d absorbed rules, overgrown %v",
+						e.SpilledBuckets(), len(e.absorbed), e.rec.overgrown())
 				}
-				if e = next; e.SpilledBuckets() != 0 || len(e.absorbed) != 0 {
-					t.Fatalf("rebuilt engine kept %d spilled buckets, %d absorbed rules", e.SpilledBuckets(), len(e.absorbed))
-				}
-				absorbs = false // nothing is spilled any more
 				arms = []func(keys.Value) (uint64, bool){e.Lookup, e.reference}
 				check("rebuilt", true)
 			})

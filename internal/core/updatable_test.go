@@ -11,9 +11,9 @@ import (
 )
 
 // updatable is the test-local holder of a live engine: an atomic pointer that
-// publishes what the write policy (InsertOrRebuild, Rebuild) returns. It has
-// no writer lock — each test here has one writer; the lock is the shard's
-// (shard.ShardedUpdatable), and shard's tests pin it.
+// publishes what Compact returns after every write, and what Rebuild returns
+// on a commit. It has no writer lock — each test here has one writer; the
+// lock is the shard's (shard.ShardedUpdatable), and shard's tests pin it.
 type updatable struct{ atomic.Pointer[Engine] }
 
 func newUpdatable(e *Engine) *updatable {
@@ -22,19 +22,27 @@ func newUpdatable(e *Engine) *updatable {
 	return u
 }
 
-func (u *updatable) Engine() *Engine                       { return u.Load() }
-func (u *updatable) Lookup(k keys.Value) (uint64, bool)    { return u.Load().Lookup(k) }
-func (u *updatable) Delete(p keys.Value, length int) error { return u.Load().Delete(p, length) }
-func (u *updatable) ModifyAction(p keys.Value, length int, a uint64) error {
-	return u.Load().ModifyAction(p, length, a)
+func (u *updatable) Engine() *Engine                    { return u.Load() }
+func (u *updatable) Lookup(k keys.Value) (uint64, bool) { return u.Load().Lookup(k) }
+
+// write applies op to the live engine and publishes what its Compact returns.
+func (u *updatable) write(op func(e *Engine) error) error {
+	e := u.Load()
+	err := op(e)
+	u.Store(e.Compact())
+	return err
 }
 
 func (u *updatable) Insert(r lpm.Rule) error {
-	next, err := u.Load().InsertOrRebuild(r)
-	if err == nil {
-		u.Store(next)
-	}
-	return err
+	return u.write(func(e *Engine) error { return e.Insert(r) })
+}
+
+func (u *updatable) Delete(p keys.Value, length int) error {
+	return u.write(func(e *Engine) error { return e.Delete(p, length) })
+}
+
+func (u *updatable) ModifyAction(p keys.Value, length int, a uint64) error {
+	return u.write(func(e *Engine) error { return e.ModifyAction(p, length, a) })
 }
 
 func (u *updatable) Commit() error {
@@ -55,9 +63,10 @@ func buildUpdatable(t *testing.T, n int, seed int64) (*updatable, *lpm.RuleSet) 
 	return newUpdatable(e), rs
 }
 
-// TestUpdatableInsertVisibleImmediately: the SRAM-only engine refuses every
-// absorb, so the insert is retrained in — and the engine Insert leaves live
-// answers for it the moment Insert returns.
+// TestUpdatableInsertVisibleImmediately: the SRAM-only engine is overgrown
+// at its first spill, so the insert lands in place and Compact retrains it in
+// — and the engine Insert leaves live answers for it the moment Insert
+// returns.
 func TestUpdatableInsertVisibleImmediately(t *testing.T) {
 	u, rs := buildUpdatable(t, 100, 30)
 	// A very specific rule nested under nothing else: use a full-length
@@ -71,7 +80,7 @@ func TestUpdatableInsertVisibleImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	if u.Engine() == before {
-		t.Fatal("a refused insert returned without swapping in a rebuilt engine")
+		t.Fatal("an SRAM-only spill returned without swapping in a rebuilt engine")
 	}
 	if got, ok := u.Engine().Lookup(r.Prefix); !ok || got != 777 {
 		t.Fatalf("acknowledged rule not in the live engine: %d,%v", got, ok)
@@ -113,9 +122,10 @@ func TestUpdatableLongestWinsAfterRebuild(t *testing.T) {
 	}
 }
 
-// TestUpdatableCapacity: an updatable engine has no capacity. 150 inserts the engine
-// refuses — past the paper's TCAM sizes scaled to this rule-set — are each
-// retrained in, and every one of them answers afterwards.
+// TestUpdatableCapacity: an updatable engine has no capacity. 150 inserts
+// that each overgrow the SRAM-only engine — past the paper's TCAM sizes
+// scaled to this rule-set — are each retrained in, and every one of them
+// answers afterwards.
 func TestUpdatableCapacity(t *testing.T) {
 	u, rs := buildUpdatable(t, 50, 31)
 	var added []lpm.Rule

@@ -310,7 +310,7 @@ func Updates(sc Scale) ([]UpdateRow, error) {
 		}
 	}
 	start = time.Now()
-	if _, err := eng.InsertBatch(fresh); err != nil {
+	if _, err := eng.Rebuild(fresh...); err != nil {
 		return nil, err
 	}
 	rows = append(rows, UpdateRow{

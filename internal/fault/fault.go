@@ -5,8 +5,9 @@
 // large-database scale), so what a failed rebuild leaves behind must be
 // provable, not asserted. An Injector is a seedable, thread-safe decision
 // source that the update path consults at named sites; production builds
-// leave core.Config.Fault nil and pay one nil-check per rebuild or insert,
-// nothing on the query path.
+// leave core.Config.Fault nil and pay one nil-check per rebuild or Compact,
+// nothing on the query path. A failed rebuild fails no write: every insert
+// has landed in place before Compact decides to retrain.
 //
 // Faults are modelled per site as any combination of
 //
@@ -30,20 +31,20 @@ import (
 type Site string
 
 const (
-	// SiteRetrain fires at the start of every rebuild — a Commit's, or a
-	// refused Insert's; an error models a failed rebuild, a latency models a
-	// retrain spike. (core.Engine.InsertOrRebuild and Rebuild)
+	// SiteRetrain fires at the start of every rebuild — a Commit's, or an
+	// overgrown engine's Compact; an error models a failed rebuild, a latency
+	// models a retrain spike. (core.Engine.Rebuild)
 	SiteRetrain Site = "retrain"
 	// SiteSwap fires after a successful retrain, immediately before the
 	// atomic engine swap; a latency models a stalled swap, an error
 	// aborts the rebuild with the new engine discarded.
 	SiteSwap Site = "swap"
-	// SiteAbsorb fires on every insertion an engine could absorb in place
-	// (core's Engine.insert); an error models a bucket with no room: the
-	// engine refuses (bucket_full), nothing is stored, and the rule takes
-	// the rebuild path. It is how a test about that path reaches it on an
-	// engine that would otherwise absorb.
-	SiteAbsorb Site = "absorb"
+	// SiteCompact fires on every Compact of an engine that is not overgrown
+	// (core's Engine.Compact, which a writer calls after each write); Compact
+	// rebuilds when it fires, as it does for an overgrown engine. It is how a
+	// test about the rebuild path reaches it on an engine that would
+	// otherwise keep absorbing.
+	SiteCompact Site = "compact"
 )
 
 // Hook is the decision function the engine consults at each site. A nil

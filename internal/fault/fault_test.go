@@ -29,8 +29,8 @@ func TestSitesAreIndependent(t *testing.T) {
 	if err := in.Fire(SiteSwap); err != nil {
 		t.Fatalf("arming retrain must not fail swap: %v", err)
 	}
-	if err := in.Fire(SiteAbsorb); err != nil {
-		t.Fatalf("arming retrain must not fail absorb: %v", err)
+	if err := in.Fire(SiteCompact); err != nil {
+		t.Fatalf("arming retrain must not fail compact: %v", err)
 	}
 	if err := in.Fire(SiteRetrain); err == nil {
 		t.Fatal("armed retrain fire did not fail")

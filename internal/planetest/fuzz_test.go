@@ -2,7 +2,6 @@ package planetest
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -19,17 +18,18 @@ import (
 
 // FuzzStackVsOracle is THE differential fuzz target for the lookup pipeline:
 // for arbitrary rule-sets, shard counts, key streams and update interleavings
-// — {Insert absorbed, Insert rebuilt, failed rebuild, Delete, ModifyAction,
-// Commit}, with absorb refusals and rebuild failures injected through
-// internal/fault — the updatable engine of 1, 2, 4 or 8 shards must answer
-// exactly what a trie oracle over the logical rule-set answers, batch and
-// single-key, after every step (the CLAUDE.md correctness invariant).
+// — {Insert, Insert retrained in, Insert whose retrain fails, Delete,
+// ModifyAction, Commit}, with forced compactions and rebuild failures injected
+// through internal/fault — the updatable engine of 1, 2, 4 or 8 shards must
+// answer exactly what a trie oracle over the logical rule-set answers, batch
+// and single-key, after every step (the CLAUDE.md correctness invariant).
 //
 // The input splits in half: the first half derives the base rule-set, the
 // second half drives update ops (7 bytes per op, ≤12 ops, op byte mod 6).
 // `sel` is two fields: bit 0 bucketizes the engines (clear: SRAM-only, where
-// every insert is a rebuild), bits 1–2 pick the shard count 1, 2, 4 or 8 —
-// one shard being the degenerate case the serving layer runs by default.
+// every insert that spills is retrained in), bits 1–2 pick the shard count 1,
+// 2, 4 or 8 — one shard being the degenerate case the serving layer runs by
+// default.
 //
 // It subsumes the retired per-combination targets — FuzzEngineVsOracle,
 // FuzzShardedVsOracle, FuzzShardedUpdateVsOracle and FuzzCachedVsOracle —
@@ -66,10 +66,10 @@ func FuzzStackVsOracle(f *testing.F) {
 	}
 	overflow = append(overflow, 4, 0, 0, 0, 0, 0, 0)
 	f.Add(overflow, uint64(9), uint8(1))
-	// Absorbed inserts around a rebuilt one: a /24 the engine is made to
-	// refuse is retrained in, a /1 whose rebuild fails leaves nothing behind,
-	// and a /32 inside the /24 and a /16 around it are absorbed by the rebuilt
-	// engine; a modify and a delete reach one of each.
+	// In-place inserts around rebuilt ones: a /24 whose Compact is forced is
+	// retrained in, a /1 whose forced retrain fails answers from where it
+	// landed, and a /32 inside the /24 and a /16 around it land in the
+	// rebuilt engine; a modify and a delete reach one of each.
 	rebuilt := append(bytes.Repeat([]byte{10, 0, 0, 0, 7, 1}, 7),
 		5, 10, 1, 2, 0, 23, 50,
 		3, 0, 0, 0, 0, 0, 0,
@@ -88,8 +88,8 @@ func FuzzStackVsOracle(f *testing.F) {
 			t.Fatalf("derived rule-set invalid: %v", err)
 		}
 
-		// Bucketization toggled by sel's low bit; fault-injected absorb
-		// refusals and rebuild failures.
+		// Bucketization toggled by sel's low bit; fault-injected forced
+		// compactions and rebuild failures.
 		nShards := 1 << (sel >> 1 & 3)
 		in := fault.NewInjector(keySeed | 1)
 		cfg := core.Config{Model: FuzzModel(), Fault: in.Hook()}
@@ -128,43 +128,41 @@ func FuzzStackVsOracle(f *testing.F) {
 
 		// Update ops; after each op the engine is re-checked against a fresh
 		// oracle.
-		absorbed := func() uint64 { return counter(t, "neurolpm_insert_absorbed_total") }
-		rebuilds := func() uint64 { return counter(t, "neurolpm_insert_rebuilt_total") }
+		rebuilds := func() uint64 { return counter(t, "neurolpm_shard_rebuild_ms_count") }
+		failures := func() uint64 { return counter(t, "neurolpm_shard_commit_errors_total") }
 		ops := data[split:]
 		for i, n := 0, 0; i+7 <= len(ops) && n < 12; i, n = i+7, n+1 {
 			switch op := ops[i] % 6; op {
-			case 0, 3, 5: // insert a fresh rule: the engine's choice (0), refused and rebuilt (5), or refused with the rebuild failing (3)
+			case 0, 3, 5: // insert a fresh rule: Compact's choice (0), forced to retrain (5), or forced with the first retrain failing (3)
 				rr := DeriveRules(width, ops[i+1:i+7])
 				if len(rr) == 0 || installed[ruleKey{rr[0].Prefix, rr[0].Len}] {
 					continue
 				}
 				r := rr[0]
 				if op != 0 {
-					in.FailProb(fault.SiteAbsorb, 1)
+					in.FailProb(fault.SiteCompact, 1)
 				}
 				if op == 3 {
 					in.FailNext(fault.SiteRetrain, 1)
 				}
-				beforeA, beforeR := absorbed(), rebuilds()
+				beforeR, beforeF := rebuilds(), failures()
 				err := u.Insert(r)
-				in.Clear(fault.SiteAbsorb)
+				in.Clear(fault.SiteCompact)
 				in.Clear(fault.SiteRetrain)
-				if op == 3 {
-					// A failed rebuild installs nothing: the oracle stays as it was.
-					if !errors.Is(err, fault.ErrInjected) {
-						t.Fatalf("insert %v with a failing rebuild: %v", r, err)
-					}
-					break
-				}
+				// The insert lands whatever its retrain does: a failed one
+				// leaves the rule answered from where it landed.
 				if err != nil {
 					t.Fatalf("insert %v: %v", r, err)
 				}
-				// Every shard the rule covers took it down exactly one path,
-				// and a refused insert took the rebuild in every one.
+				// A forced Compact retrains every shard the rule covers, the
+				// first of them failing under op 3.
 				covered := uint64(u.ShardOf(r.High(width)) - u.ShardOf(r.Low(width)) + 1)
-				gotA, gotR := absorbed()-beforeA, rebuilds()-beforeR
-				if gotA+gotR != covered || (op == 5 && gotR != covered) {
-					t.Fatalf("insert %v over %d shards: %d absorbed, %d rebuilt", r, covered, gotA, gotR)
+				gotR, gotF, wantF := rebuilds()-beforeR, failures()-beforeF, uint64(0)
+				if op == 3 {
+					wantF = 1
+				}
+				if op != 0 && (gotR != covered || gotF != wantF) {
+					t.Fatalf("insert %v over %d shards (op %d): %d rebuilds, %d failed", r, covered, op, gotR, gotF)
 				}
 				installed[ruleKey{r.Prefix, r.Len}] = true
 				live = append(live, r)

@@ -1,7 +1,6 @@
 package planetest
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -25,9 +24,10 @@ import (
 // None of these properties consults the oracle — they hold for any correct
 // implementation, so a violation localizes a divergence BETWEEN variants
 // even when both happen to agree with the trie on the sampled keys. The
-// retrain-storm phase then forces every insert onto the rebuild path: while
-// the rebuilds fail, each engine must still answer the base oracle; once
-// they succeed, it holds property 2 and the merged oracle.
+// retrain-storm phase then forces a retrain after every write: while the
+// retrains fail, every insert still lands and each engine answers the merged
+// oracle; once they succeed, the next writes fold every spill record back,
+// and each engine holds property 2 and the merged oracle.
 func TestStackMetamorphic(t *testing.T) {
 	const width = 32
 	rules := RandomRules(width, 600, 71)
@@ -100,11 +100,10 @@ func TestStackMetamorphic(t *testing.T) {
 	}
 
 	t.Run("retrain-storm", func(t *testing.T) {
-		// Every insert is refused by the engine (SiteAbsorb), so each takes
-		// the rebuild path. While every rebuild fails (SiteRetrain) each
-		// insert must fail and leave the engine answering exactly what the
-		// base rule-set's oracle answers.
-		in.FailProb(fault.SiteAbsorb, 1)
+		// Every Compact is forced to retrain (SiteCompact), and while every
+		// retrain fails (SiteRetrain) each insert must still succeed and
+		// answer from where it landed.
+		in.FailProb(fault.SiteCompact, 1)
 		in.FailProb(fault.SiteRetrain, 1)
 		var fresh []lpm.Rule
 		for _, r := range RandomRules(width, 24, 99) {
@@ -115,21 +114,6 @@ func TestStackMetamorphic(t *testing.T) {
 		if len(fresh) == 0 {
 			t.Fatal("no fresh rules for the storm")
 		}
-		for _, fx := range fxs {
-			for _, r := range fresh {
-				if err := fx.Upd.Insert(r); !errors.Is(err, fault.ErrInjected) {
-					t.Fatalf("%d shards: insert %v during the storm: %v", fx.Upd.Shards(), r, err)
-				}
-			}
-			if err := fx.Check(lpm.NewTrieMatcher(rs), ks); err != nil {
-				t.Fatalf("storm: a failed insert changed an answer: %v", err)
-			}
-		}
-
-		// Recovery: the rebuilds succeed, every insert is retrained in before
-		// it returns, and the batch and single-key answers agree with each
-		// other and with a trie oracle over base + fresh.
-		in.Clear(fault.SiteRetrain)
 		merged, err := lpm.NewRuleSet(width, append(append([]lpm.Rule(nil), rules...), fresh...))
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +122,28 @@ func TestStackMetamorphic(t *testing.T) {
 		for _, fx := range fxs {
 			for _, r := range fresh {
 				if err := fx.Upd.Insert(r); err != nil {
-					t.Fatalf("%d shards: insert %v after the storm: %v", fx.Upd.Shards(), r, err)
+					t.Fatalf("%d shards: insert %v during the storm: %v", fx.Upd.Shards(), r, err)
+				}
+			}
+			if err := fx.Check(lpm.NewTrieMatcher(merged), mks); err != nil {
+				t.Fatalf("storm: %v", err)
+			}
+		}
+
+		// Recovery: the retrains succeed, so a write to each fresh rule
+		// swaps in a rebuilt engine for every shard the storm touched, and
+		// the batch and single-key answers agree with each other and with a
+		// trie oracle over base + fresh.
+		in.Clear(fault.SiteRetrain)
+		for _, fx := range fxs {
+			for _, r := range fresh {
+				if err := fx.Upd.ModifyAction(r.Prefix, r.Len, r.Action); err != nil {
+					t.Fatalf("%d shards: modify %v after the storm: %v", fx.Upd.Shards(), r, err)
+				}
+			}
+			for s := 0; s < fx.Upd.Shards(); s++ {
+				if got := fx.Upd.Engine(s).SpilledBuckets(); got != 0 {
+					t.Fatalf("%d shards: shard %d keeps %d spilled buckets after recovery", fx.Upd.Shards(), s, got)
 				}
 			}
 			ref := fx.LookupBatch(mks)
@@ -151,6 +156,6 @@ func TestStackMetamorphic(t *testing.T) {
 				t.Fatalf("recovery: %v", err)
 			}
 		}
-		in.Clear(fault.SiteAbsorb)
+		in.Clear(fault.SiteCompact)
 	})
 }

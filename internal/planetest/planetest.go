@@ -11,9 +11,9 @@
 //
 //   - FuzzStackVsOracle — the single differential fuzz target. It drives
 //     arbitrary rule-sets, shard counts 1/2/4/8, both engine kinds, key
-//     streams and update interleavings — with absorb refusals and rebuild
-//     failures injected through internal/fault — and checks the updatable
-//     engine against the oracle after every step.
+//     streams and update interleavings — with forced compactions and
+//     rebuild failures injected through internal/fault — and checks the
+//     updatable engine against the oracle after every step.
 //   - TestStackMetamorphic — oracle-free cross-variant properties: every
 //     shard count answers alike, batches equal single-key answers, and batch
 //     answers are invariant under permutation, duplication and repeat.

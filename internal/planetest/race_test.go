@@ -16,12 +16,13 @@ import (
 
 // TestMatrixReadersRaceWriters runs reader goroutines over the updatable
 // engine, at every count of ShardCounts, while two writers change it under
-// them: one streams inserts — half refused by the engine (SiteAbsorb), so they
-// rebuild shard engines mid-storm, beside commits that re-densify — and one
-// rewrites the actions of base rules. There are no value assertions during
-// the storm, since a racing read may legally see either side of an update;
-// under -race every lookup must stay free of data races, and once the writers
-// stop the engine must agree with a trie oracle over the final rule-set.
+// them: one streams inserts — half of all Compacts forced to retrain
+// (SiteCompact), so writes rebuild shard engines mid-storm, beside commits
+// that re-densify — and one rewrites the actions of base rules. There are no
+// value assertions during the storm, since a racing read may legally see
+// either side of an update; under -race every lookup must stay free of data
+// races, and once the writers stop the engine must agree with a trie oracle
+// over the final rule-set.
 func TestMatrixReadersRaceWriters(t *testing.T) {
 	const width = 32
 	rules := RandomRules(width, 400, 31)
@@ -32,7 +33,7 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 	for _, n := range ShardCounts {
 		t.Run(fmt.Sprintf("%d-shards", n), func(t *testing.T) {
 			in := fault.NewInjector(31)
-			in.FailProb(fault.SiteAbsorb, 0.5)
+			in.FailProb(fault.SiteCompact, 0.5)
 			u, err := shard.BuildUpdatable(rs, core.Config{BucketSize: 8, Model: QuickModel(), Fault: in.Hook()}, n, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -113,8 +114,9 @@ func TestMatrixReadersRaceWriters(t *testing.T) {
 }
 
 // TestRebuildPathReadersSeeBeforeOrAfter races readers against a writer whose
-// every insert is refused by the engine (SiteAbsorb), so each one retrains
-// and swaps a whole engine, mixed with modifies and deletes of the same rules.
+// every write is followed by a forced retrain (SiteCompact), so each one
+// lands in place and then retrains and swaps a whole engine: inserts mixed
+// with modifies and deletes of the same rules.
 // The updatable engine at every count of ShardCounts takes each op, and the
 // readers run the single-key and batch arms of each. phase is 2j+1 while op j
 // runs and 2j+2 once it has returned on every engine; a read that saw at most
@@ -129,7 +131,7 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := fault.NewInjector(41)
-	in.FailProb(fault.SiteAbsorb, 1)
+	in.FailProb(fault.SiteCompact, 1)
 	cfg := core.Config{BucketSize: 8, Model: QuickModel(), Fault: in.Hook()}
 	var ups []*shard.ShardedUpdatable
 	for _, n := range ShardCounts {
@@ -278,14 +280,10 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 		go reader(&Fixture{u})
 	}
 
-	rebuilt := func() uint64 { return counter(t, "neurolpm_insert_rebuilt_total") }
+	rebuilt := func() uint64 { return counter(t, "neurolpm_shard_rebuild_ms_count") }
 	before := rebuilt()
-	inserts := 0
 	for j, o := range ops {
 		phase.Store(int64(2*j + 1))
-		if o.kind == 'i' {
-			inserts++
-		}
 		var err error
 		for _, u := range ups {
 			switch o.kind {
@@ -308,8 +306,8 @@ func TestRebuildPathReadersSeeBeforeOrAfter(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	// Every insert took the rebuild path, on every engine at least once.
-	if got := rebuilt() - before; got < uint64(len(ups)*inserts) {
-		t.Errorf("%d rebuilds for %d inserts on %d engines", got, inserts, len(ups))
+	// Every write took the rebuild path, on every engine at least once.
+	if got := rebuilt() - before; got < uint64(len(ups)*len(ops)) {
+		t.Errorf("%d rebuilds for %d writes on %d engines", got, len(ops), len(ups))
 	}
 }

@@ -31,7 +31,8 @@ type flightJSON struct {
 	Batch      bool             `json:"batch,omitempty"`
 }
 
-func renderRecords(recs []telemetry.FlightRecord) []flightJSON {
+// render renders recs, each with the shard its key routes to.
+func (s *Server) render(recs ...telemetry.FlightRecord) []flightJSON {
 	out := make([]flightJSON, len(recs))
 	for i, rec := range recs {
 		stages := make(map[string]int64, telemetry.NumStages)
@@ -40,10 +41,11 @@ func renderRecords(recs []telemetry.FlightRecord) []flightJSON {
 				stages[telemetry.StageNames[st]] = ns
 			}
 		}
+		k := keys.FromParts(rec.KeyHi, rec.KeyLo)
 		out[i] = flightJSON{
 			When:       time.Unix(0, rec.When).UTC().Format(time.RFC3339Nano),
-			Key:        keys.FromParts(rec.KeyHi, rec.KeyLo).String(),
-			Shard:      rec.Shard,
+			Key:        k.String(),
+			Shard:      int32(s.sh.ShardOf(k)),
 			TotalNs:    rec.TotalNs,
 			StagesNs:   stages,
 			Probes:     rec.Probes,
@@ -84,14 +86,14 @@ type flightResponse struct {
 
 // flightHandler serves the ?n= records (def by default) that get returns:
 // /debug/flightrec the ring's latest, /debug/slow the slowest.
-func flightHandler(def int, get func(n int) []telemetry.FlightRecord) http.HandlerFunc {
+func (s *Server) flightHandler(def int, get func(n int) []telemetry.FlightRecord) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		n, err := parseN(r, def, telemetry.Flight.RingSize())
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		recs := renderRecords(get(n))
+		recs := s.render(get(n)...)
 		writeJSON(w, flightResponse{
 			SampleEvery: telemetry.Flight.SampleEvery(),
 			RingSize:    telemetry.Flight.RingSize(),

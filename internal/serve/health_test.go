@@ -1,10 +1,9 @@
 // Update-plane serving tests (DESIGN.md §11): a wire update's acknowledgement
-// means the rule is in the engine, a failed rebuild leaves nothing behind, and
+// means the rule is in the engine, a failed rebuild fails no update, and
 // /healthz is liveness alone.
 package serve
 
 import (
-	"errors"
 	"net/http"
 	"sort"
 	"strings"
@@ -19,14 +18,14 @@ import (
 	"neurolpm/internal/wire"
 )
 
-// buildFaultyShardedServer is buildShardedServer with every insert refused
-// by the engines (fault.SiteAbsorb), so each one takes the rebuild path, and
-// the rebuilds routed through a fault injector.
+// buildFaultyShardedServer is buildShardedServer with a retrain forced after
+// every write (fault.SiteCompact), and the rebuilds routed through a fault
+// injector.
 func buildFaultyShardedServer(t *testing.T) (*Server, *lpm.RuleSet, *fault.Injector) {
 	t.Helper()
 	rs := buildTestRuleSet(t)
 	in := fault.NewInjector(7)
-	in.FailProb(fault.SiteAbsorb, 1)
+	in.FailProb(fault.SiteCompact, 1)
 	cfg := quickConfig(true)
 	cfg.Fault = in.Hook()
 	sh, err := shard.BuildUpdatable(rs, cfg, 4, 0)
@@ -51,30 +50,29 @@ func freeKey32(t *testing.T, rs *lpm.RuleSet, shardIdx int) keys.Value {
 	return keys.Value{}
 }
 
-// TestFailedRebuildLeavesServerHealthy: an insert the engine refuses is
-// retrained in before the wire acknowledges it. While the rebuild fails the
-// insert gets an error frame — there is no queue to wait on — the rule is
-// nowhere, lookups keep the old answer and /healthz stays 200 "ok" with no
-// per-shard state; once the rebuild succeeds, the acknowledged insert is
-// already in the engine, for a lookup on another connection too, however long
-// the rebuild took.
+// TestFailedRebuildLeavesServerHealthy: every insert lands in place before
+// the wire acknowledges it, and the retrain that follows cannot take that
+// back. While the retrain fails the insert is still acknowledged — there is
+// no queue to wait on — and the rule answers on another connection, and
+// /healthz stays 200 "ok" with no per-shard state; once the retrain
+// succeeds, the next acknowledged update is in the rebuilt engine, for a
+// lookup on another connection too, however long the retrain took.
 func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 	srv, rs, in := buildFaultyShardedServer(t)
 	addr, _, _ := startWire(t, srv, true)
 	c, other := dialWireAt(t, addr), dialWireAt(t, addr)
 	k := freeKey32(t, rs, 1)
-	before, err := c.lookup(k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := srv.sh.ShardOf(k)
+	before := srv.sh.Engine(s)
 
-	insert := wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 777}
 	in.FailProb(fault.SiteRetrain, 1)
-	var re *remoteError
-	if err := c.update(insert); !errors.As(err, &re) || re.code != wire.ErrBadRequest {
-		t.Fatalf("insert with a failing rebuild answered %v, want a bad-request error frame", err)
+	if err := c.update(wire.RuleUpdate{Op: wire.UpdateInsert, Prefix: k, Len: 32, Action: 777}); err != nil {
+		t.Fatalf("insert with a failing retrain: %v", err)
 	}
-	wantAnswer(t, c, k, before.Action, before.Matched)
+	wantAnswer(t, other, k, 777, true)
+	if srv.sh.Engine(s) != before {
+		t.Fatal("a failed retrain swapped the shard's engine")
+	}
 	var hz map[string]any
 	h := srv.Handler()
 	if rec := getJSON(t, h, "/healthz", &hz); rec.Code != http.StatusOK || hz["status"] != "ok" {
@@ -92,11 +90,14 @@ func TestFailedRebuildLeavesServerHealthy(t *testing.T) {
 
 	in.Clear(fault.SiteRetrain)
 	in.SetLatency(fault.SiteRetrain, 20*time.Millisecond)
-	if err := c.update(insert); err != nil {
-		t.Fatalf("insert once the rebuild succeeds: %v", err)
+	if err := c.update(wire.RuleUpdate{Op: wire.UpdateModify, Prefix: k, Len: 32, Action: 778}); err != nil {
+		t.Fatalf("modify once the retrain succeeds: %v", err)
 	}
-	wantAnswer(t, other, k, 777, true)
-	wantAnswer(t, c, k, 777, true)
+	if srv.sh.Engine(s) == before {
+		t.Fatal("the write after the fault swapped in no rebuilt engine")
+	}
+	wantAnswer(t, other, k, 778, true)
+	wantAnswer(t, c, k, 778, true)
 }
 
 // TestUpdateEndpointLifecycle drives insert → modify → delete through wire

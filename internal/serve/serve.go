@@ -79,8 +79,8 @@ func (s *Server) Handler() http.Handler {
 		s.reg.WritePrometheus(w)
 		writeRuntimeMetrics(w)
 	})
-	mux.HandleFunc("/debug/flightrec", flightHandler(64, telemetry.Flight.Recent))
-	mux.HandleFunc("/debug/slow", flightHandler(32, telemetry.Flight.Slow))
+	mux.HandleFunc("/debug/flightrec", s.flightHandler(64, telemetry.Flight.Recent))
+	mux.HandleFunc("/debug/slow", s.flightHandler(32, telemetry.Flight.Slow))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -175,7 +175,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			SpillRead:      tr.Spilled,
 			DRAMBytes:      tr.DRAMBytes,
 		},
-		Record: renderRecords([]telemetry.FlightRecord{fr})[0],
+		Record: s.render(fr)[0],
 	})
 }
 

@@ -4,9 +4,7 @@ package shard
 
 import (
 	"errors"
-	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"neurolpm/internal/core"
@@ -118,126 +116,135 @@ func TestSwapFailureDiscardsNewEngine(t *testing.T) {
 	})
 }
 
-// TestFailedRebuildRollsBack: an insert the engine refuses (fault.SiteAbsorb)
-// whose rebuild then fails — at the retrain, and separately at the swap —
-// returns the injected error and leaves everything as it was: the same engine
-// pointers, the same spilled buckets, and the same answer for every key of a
-// trace that covers the rule. With the injected failure spent, the same
-// insert — still refused — is retrained in.
-func TestFailedRebuildRollsBack(t *testing.T) {
+// TestFailedRebuildKeepsTheInsert: inserts land in place whatever a rebuild
+// does. Single-key rules fill one bucket of one shard until one passes 64
+// ranges and overgrows the shard's engine; its Compact then fails — at the
+// retrain, and separately at the swap. That insert still returns nil and
+// answers, no engine is swapped, and neurolpm_shard_commit_errors_total rises
+// by one. With the fault spent, the next write swaps in a rebuilt engine with
+// no spill record, which answers every rule.
+func TestFailedRebuildKeepsTheInsert(t *testing.T) {
 	for _, site := range []fault.Site{fault.SiteRetrain, fault.SiteSwap} {
 		t.Run(string(site), func(t *testing.T) {
 			forShardCounts(t, func(t *testing.T, n int) {
 				u, rs, in := buildFaulty(t, quickBucketed(), n)
-				free := freeRules24(t, rs, 5, 4242)
-				// Absorbed inserts first, so there are spill records to keep.
-				for _, a := range free[1:] {
-					if err := u.Insert(a); err != nil {
-						t.Fatal(err)
-					}
-				}
-				engines := func() (es []*core.Engine, spilled int) {
+				engines := func() (es []*core.Engine) {
 					for i := 0; i < u.Shards(); i++ {
 						es = append(es, u.Engine(i))
-						spilled += u.Engine(i).SpilledBuckets()
 					}
-					return es, spilled
+					return es
 				}
-				before, spilled := engines()
-				if spilled == 0 {
-					t.Fatal("absorbed inserts left no spill record")
-				}
-				r := free[0]
-				rng := rand.New(rand.NewSource(92))
-				trace := []keys.Value{r.Prefix, r.Prefix.AddUint64(255), r.Prefix.AddUint64(256)}
-				for len(trace) < 2000 {
-					trace = append(trace, keys.FromUint64(uint64(rng.Intn(1<<24))))
-				}
-				want := u.LookupBatch(trace)
-
-				in.FailProb(fault.SiteAbsorb, 1)
+				before := engines()
+				errs := scrape()["neurolpm_shard_commit_errors_total"]
 				in.FailNext(site, 1)
-				if err := u.Insert(r); !errors.Is(err, fault.ErrInjected) {
-					t.Fatalf("refused insert under an injected %s failure: err = %v", site, err)
+				site0 := freeRule24(t, rs, 0).Prefix
+				s := u.ShardOf(site0)
+				var added []lpm.Rule
+				for i := 0; scrape()["neurolpm_shard_commit_errors_total"] == errs; i++ {
+					if i == 200 {
+						t.Fatal("200 single-key inserts overgrew no engine")
+					}
+					r := lpm.Rule{Prefix: site0.AddUint64(uint64(2 * i)), Len: 24, Action: uint64(5000 + i)}
+					if rs.Find(r.Prefix, r.Len) != lpm.NoMatch || u.ShardOf(r.Prefix) != s {
+						continue
+					}
+					if err := u.Insert(r); err != nil {
+						t.Fatalf("insert %d with the %s fault armed: %v", len(added), site, err)
+					}
+					added = append(added, r)
 				}
-				after, spilledAfter := engines()
-				if !slices.Equal(after, before) {
-					t.Fatal("a failed rebuild installed an engine")
+				if got := scrape()["neurolpm_shard_commit_errors_total"] - errs; got != 1 {
+					t.Fatalf("the failed rebuild raised the error counter by %g, want 1", got)
 				}
-				if spilledAfter != spilled {
-					t.Fatalf("spilled buckets %d after a failed rebuild, want %d", spilledAfter, spilled)
+				if !slices.Equal(engines(), before) {
+					t.Fatal("an engine was swapped while its rebuild failed")
 				}
-				for i, k := range trace {
-					if a, ok := u.Lookup(k); a != want[i].Action || ok != want[i].Matched {
-						t.Fatalf("key %v answers (%d,%v) after a failed rebuild, %+v before", k, a, ok, want[i])
+				if u.Engine(s).SpilledBuckets() == 0 {
+					t.Fatal("the inserts left no spill record")
+				}
+				for _, r := range added {
+					if got, ok := u.Lookup(r.Prefix); !ok || got != r.Action {
+						t.Fatalf("rule %v answers (%d,%v) after a failed rebuild", r, got, ok)
 					}
 				}
 
-				if err := u.Insert(r); err != nil { // still refused, now rebuilt
-					t.Fatalf("insert with the %s fault spent: %v", site, err)
+				// The next write's Compact rebuilds the overgrown engine.
+				last := added[len(added)-1]
+				if err := u.ModifyAction(last.Prefix, last.Len, 7777); err != nil {
+					t.Fatal(err)
 				}
-				s := u.ShardOf(r.Prefix)
-				if got, ok := u.Lookup(r.Prefix); u.Engine(s) == before[s] || !ok || got != r.Action {
-					t.Fatalf("rebuilt-in rule answers (%d,%v)", got, ok)
+				if u.Engine(s) == before[s] || u.Engine(s).SpilledBuckets() != 0 {
+					t.Fatalf("the write after the fault kept the engine or %d spilled buckets", u.Engine(s).SpilledBuckets())
+				}
+				if err := u.Verify(); err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range added[:len(added)-1] {
+					if got, ok := u.Lookup(r.Prefix); !ok || got != r.Action {
+						t.Fatalf("rule %d (%v) answers (%d,%v) in the rebuilt engine", i, r, got, ok)
+					}
+				}
+				if got, ok := u.Lookup(last.Prefix); !ok || got != 7777 {
+					t.Fatalf("modified rule answers (%d,%v) in the rebuilt engine", got, ok)
 				}
 			})
 		})
 	}
 }
 
-// TestRebuildIsTimedAndBooked: a refused insert's rebuild runs on the one
-// rebuild path a commit's does, so the daemon — which inserts but never
-// commits — books it: timed on neurolpm_shard_rebuild_ms, and counted on
-// neurolpm_shard_commit_errors_total when it fails.
+// TestRebuildIsTimedAndBooked: a Compact's rebuild runs on the one rebuild
+// path a commit's does, so the daemon — which writes but never commits —
+// books it: timed on neurolpm_shard_rebuild_ms, and counted on
+// neurolpm_shard_commit_errors_total when it fails, while the insert that
+// preceded it succeeds either way.
 func TestRebuildIsTimedAndBooked(t *testing.T) {
 	forShardCounts(t, func(t *testing.T, n int) {
 		u, rs, in := buildFaulty(t, quickBucketed(), n)
 		rebuildMs := telemetry.Default.Histogram("neurolpm_shard_rebuild_ms", "")
 		free := freeRules24(t, rs, 2, 4242)
-		in.FailProb(fault.SiteAbsorb, 1)
 
 		timed, errs := rebuildMs.Snapshot().Total, scrape()["neurolpm_shard_commit_errors_total"]
+		in.FailNext(fault.SiteCompact, 1)
 		if err := u.Insert(free[0]); err != nil {
 			t.Fatal(err)
 		}
 		if got := rebuildMs.Snapshot().Total - timed; got != 1 {
-			t.Errorf("a refused insert raised the rebuild histogram's count by %d, want 1", got)
+			t.Errorf("a forced Compact raised the rebuild histogram's count by %d, want 1", got)
 		}
 		if got := scrape()["neurolpm_shard_commit_errors_total"] - errs; got != 0 {
 			t.Errorf("a rebuild that succeeded raised the error counter by %g", got)
 		}
 
+		in.FailNext(fault.SiteCompact, 1)
 		in.FailNext(fault.SiteRetrain, 1)
-		if err := u.Insert(free[1]); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("refused insert under an injected retrain failure: err = %v", err)
+		if err := u.Insert(free[1]); err != nil {
+			t.Fatalf("insert whose rebuild failed: %v", err)
 		}
 		if got := scrape()["neurolpm_shard_commit_errors_total"] - errs; got != 1 {
 			t.Errorf("a failed rebuild raised the error counter by %g, want 1", got)
 		}
+		if got, ok := u.Lookup(free[1].Prefix); !ok || got != free[1].Action {
+			t.Errorf("insert whose rebuild failed answers (%d,%v)", got, ok)
+		}
 	})
 }
 
-// TestReplicatedInsertRollsBack: a rule shorter than the shard prefix is
-// inserted into shards lo…hi in order, each SRAM-only shard retraining it in.
-// When the rebuild of the last shard fails — at the retrain, and separately at
-// the swap — Insert returns the injected error and shards lo…hi−1, which had
-// already taken the rule, no longer answer it: every key of the rule's span
-// answers what it did before the call, and the last shard's engine is the one
-// it had.
-func TestReplicatedInsertRollsBack(t *testing.T) {
+// TestReplicatedInsertOutlivesFailedRebuilds: a rule shorter than the shard
+// prefix lands in every SRAM-only shard it covers, and every Compact is forced
+// to rebuild (fault site compact). While every rebuild fails — at the
+// retrain, and separately at the swap — Insert returns nil, every key of the
+// rule's span answers what the oracle over the rules plus it says, no engine
+// is swapped, and each covered shard books one failure. With the fault
+// disarmed, the next write to the rule rebuilds every covered shard.
+func TestReplicatedInsertOutlivesFailedRebuilds(t *testing.T) {
 	const width = 16
 	for _, site := range []fault.Site{fault.SiteRetrain, fault.SiteSwap} {
 		t.Run(string(site), func(t *testing.T) {
 			rs := randomRuleSet(t, width, 60, 57)
-			var armed atomic.Bool
-			var fires, failAt atomic.Int64
+			in := fault.NewInjector(1)
+			in.FailProb(fault.SiteCompact, 1)
 			cfg := quickSRAMOnly()
-			cfg.Fault = func(s fault.Site) error {
-				if s == site && armed.Load() && fires.Add(1) == failAt.Load() {
-					return fault.ErrInjected
-				}
-				return nil
-			}
+			cfg.Fault = in.Hook()
 			u, err := BuildUpdatable(rs, cfg, 4, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -260,41 +267,52 @@ func TestReplicatedInsertRollsBack(t *testing.T) {
 			for k := r.Low(width); len(span) < cap(span); k = k.AddUint64(1 << (width - r.Len - 8)) {
 				span = append(span, k)
 			}
-			before := make([]Result, len(span))
-			for i, k := range span {
-				before[i].Action, before[i].Matched = u.Lookup(k)
-			}
-			last := u.Engine(hi)
-
-			armed.Store(true)
-			failAt.Store(int64(hi - lo + 1))
-			if err := u.Insert(r); !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("insert with shard %d's %s failing: err = %v", hi, site, err)
-			}
-			armed.Store(false)
-			if u.Engine(hi) != last {
-				t.Fatalf("shard %d installed an engine its failed rebuild built", hi)
-			}
-			for i, k := range span {
-				if a, ok := u.Lookup(k); a != before[i].Action || ok != before[i].Matched {
-					t.Fatalf("key %v (shard %d) answers (%d,%v) after the rolled-back insert, (%d,%v) before",
-						k, u.ShardOf(k), a, ok, before[i].Action, before[i].Matched)
+			check := func(when string, r lpm.Rule) {
+				t.Helper()
+				set, err := lpm.NewRuleSet(width, append(slices.Clone(rs.Rules), r))
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle := lpm.NewTrieMatcher(set)
+				for _, k := range span {
+					want, wantOK := oracle.Lookup(k)
+					if a, ok := u.Lookup(k); a != want || ok != wantOK {
+						t.Fatalf("%s: key %v (shard %d) answers (%d,%v), the oracle says (%d,%v)",
+							when, k, u.ShardOf(k), a, ok, want, wantOK)
+					}
 				}
 			}
-			if err := u.Insert(r); err != nil {
-				t.Fatalf("insert once the fault is disarmed: %v", err)
+			var before []*core.Engine
+			for s := lo; s <= hi; s++ {
+				before = append(before, u.Engine(s))
 			}
-			merged, err := lpm.NewRuleSet(width, append(append([]lpm.Rule(nil), rs.Rules...), r))
-			if err != nil {
+
+			errs := scrape()["neurolpm_shard_commit_errors_total"]
+			in.FailProb(site, 1)
+			if err := u.Insert(r); err != nil {
+				t.Fatalf("insert with every %s failing: %v", site, err)
+			}
+			in.Clear(site)
+			if got, want := scrape()["neurolpm_shard_commit_errors_total"]-errs, float64(hi-lo+1); got != want {
+				t.Fatalf("failed rebuilds raised the error counter by %g, want %g", got, want)
+			}
+			for s := lo; s <= hi; s++ {
+				if u.Engine(s) != before[s-lo] {
+					t.Fatalf("shard %d swapped in an engine its failed rebuild built", s)
+				}
+			}
+			check("after the failed rebuilds", r)
+
+			r.Action++
+			if err := u.ModifyAction(r.Prefix, r.Len, r.Action); err != nil {
 				t.Fatal(err)
 			}
-			oracle := lpm.NewTrieMatcher(merged)
-			for _, k := range span {
-				want, wantOK := oracle.Lookup(k)
-				if a, ok := u.Lookup(k); a != want || ok != wantOK {
-					t.Fatalf("key %v answers (%d,%v) once the rule is in, the oracle says (%d,%v)", k, a, ok, want, wantOK)
+			for s := lo; s <= hi; s++ {
+				if e := u.Engine(s); e == before[s-lo] || e.SpilledBuckets() != 0 {
+					t.Fatalf("shard %d: the write after the fault kept the engine or %d spilled buckets", s, e.SpilledBuckets())
 				}
 			}
+			check("once rebuilt", r)
 		})
 	}
 }

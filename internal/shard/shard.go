@@ -7,8 +7,8 @@
 // a batch of keys by shard and answers the groups back-to-back on the calling
 // goroutine; parallelism is across callers — every connection answers on its
 // own goroutine (DESIGN.md §9, §17) — never inside one batch. What more
-// shards buy today is a smaller rebuild: an insertion the engine refuses
-// retrains only the shard it lands in. They no longer buy a faster lookup
+// shards buy today is a smaller rebuild: an insertion that overgrows its
+// engine retrains only the shard it lands in. They no longer buy a faster lookup
 // (DESIGN.md §9 has the numbers).
 //
 // Correctness is preserved by replication: a rule shorter than the shard
@@ -157,9 +157,6 @@ func buildEngines(width int, cfg core.Config, parts [][]lpm.Rule) ([]*core.Engin
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
 			engines[i], errs[i] = core.Build(&lpm.RuleSet{Width: width, Rules: parts[i]}, cfg)
-			if engines[i] != nil {
-				engines[i].SetShardID(i)
-			}
 		}(i)
 	}
 	wg.Wait()

@@ -342,7 +342,8 @@ func TestLookupBatchSurvivesClose(t *testing.T) {
 }
 
 // TestShardedUpdatableSequentialStorm interleaves lookups with inserts —
-// absorbed, or refused (fault.SiteAbsorb) and retrained in — deletes,
+// landed in place, half of them then retrained in by a Compact the fault
+// site compact forces — deletes,
 // modifies, failed and successful commits, checking every answer
 // against a lockstep trie oracle — the sequential half of the "0 oracle
 // mismatches under updates" acceptance bar (the concurrent half is
@@ -411,10 +412,10 @@ func TestShardedUpdatableSequentialStorm(t *testing.T) {
 				continue
 			}
 			if rng.Intn(2) == 0 {
-				in.FailProb(fault.SiteAbsorb, 1)
+				in.FailProb(fault.SiteCompact, 1)
 			}
 			err := u.Insert(r)
-			in.Clear(fault.SiteAbsorb)
+			in.Clear(fault.SiteCompact)
 			if err != nil {
 				t.Fatalf("insert: %v", err)
 			}

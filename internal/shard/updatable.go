@@ -12,19 +12,21 @@ import (
 
 // ShardedUpdatable is the updatable engine, and the only one: one shard — no
 // routing bits, the global model — is its degenerate case. Each shard is a
-// slot holding its live engine and its writer lock. An insertion goes through
-// core's write policy (Engine.InsertOrRebuild, §6.5): absorbed in place by the
-// shard's live engine, or retrained into a rebuilt engine for that shard alone
-// — untouched shards keep their models — and swapped in before Insert
-// returns. Readers never block: they load each shard's engine through its
-// atomic pointer, so a rebuild is invisible except for the rule it carries.
+// slot holding its live engine and its writer lock. Every write lands in
+// place in the live engine of each shard it covers, and the shard's writer
+// then publishes what core.Engine.Compact returns: the same engine, or — once
+// it is overgrown (a bucket past 64 ranges, an SRAM-only engine's first
+// spill, or an action table past its limit) — one retrained for that shard
+// alone, untouched shards keeping their models (§6.5: modify in place, or
+// retrain and swap). Readers never block: they load each shard's engine
+// through its atomic pointer, so a rebuild is invisible except for what it
+// sheds.
 //
 // Updates (Insert/Delete/ModifyAction/Commit) may be called concurrently
 // with lookups, but serialize among themselves per shard; replicated rules
-// (shorter than the shard prefix) are applied to every covered shard. Each
-// write leaves its shards' engines through core.Engine.Compact, so a stream
-// of fresh action values retrains a shard now and then instead of growing its
-// action table without bound.
+// (shorter than the shard prefix) are applied to every covered shard. A
+// failed retrain fails no write: the rule already answers from the engine it
+// landed in, and the next write's Compact retries.
 type ShardedUpdatable struct {
 	width     int
 	shardBits int // routing bits: the top shardBits of a key pick its shard
@@ -36,8 +38,7 @@ type ShardedUpdatable struct {
 // runs waits for its swap and lands on the new engine, so no swap can undo
 // one. Insert, Delete and ModifyAction hold the lock of every shard they
 // cover, taken in ascending order, so two updates of overlapping spans apply
-// in one order on every shard and a rolled-back insert is never seen half
-// applied by another writer; Commit holds its shard's alone. Readers never
+// in one order on every shard; Commit holds its shard's alone. Readers never
 // take it. The padding keeps each shard's pointer and lock off the cache
 // lines of the others, so a writer on one shard does not disturb readers
 // loading another's engine.
@@ -91,76 +92,44 @@ func (u *ShardedUpdatable) LookupBatch(ks []keys.Value) []Result {
 	return u.LookupBatchInto(ks, nil)
 }
 
-// lockSpan takes the writer locks of the shards prefix/length covers, in
-// ascending order, and returns that inclusive range.
-func (u *ShardedUpdatable) lockSpan(prefix keys.Value, length int) (lo, hi int) {
-	lo, hi = shardSpan(u.width, u.shardBits, lpm.Rule{Prefix: prefix, Len: length})
+// write applies op to the live engine of every shard prefix/length covers,
+// under their writer locks taken in ascending order, and publishes what each
+// engine's Compact returns. It returns op's first error.
+func (u *ShardedUpdatable) write(prefix keys.Value, length int, op func(e *core.Engine) error) error {
+	lo, hi := shardSpan(u.width, u.shardBits, lpm.Rule{Prefix: prefix, Len: length})
 	for s := lo; s <= hi; s++ {
 		u.shards[s].mu.Lock()
+		defer u.shards[s].mu.Unlock()
 	}
-	return lo, hi
-}
-
-func (u *ShardedUpdatable) unlockSpan(lo, hi int) {
-	for s := lo; s <= hi; s++ {
-		u.shards[s].mu.Unlock()
-	}
-}
-
-// Insert installs r in every shard it covers — absorbed by the shard's live
-// engine, or retrained into a rebuilt one before Insert returns; queries see
-// it once Insert returns either way. On a partial failure (a shard's rebuild
-// failed) the insertion is rolled back from the shards that already accepted
-// it, so a failed Insert leaves no shard with the rule.
-func (u *ShardedUpdatable) Insert(r lpm.Rule) error {
-	if err := r.Validate(u.width); err != nil {
-		return err
-	}
-	lo, hi := u.lockSpan(r.Prefix, r.Len)
-	defer u.unlockSpan(lo, hi)
-	for s := lo; s <= hi; s++ {
-		next, err := u.Engine(s).InsertOrRebuild(r)
-		if err != nil {
-			for b := lo; b < s; b++ {
-				u.Engine(b).Delete(r.Prefix, r.Len)
-			}
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-		u.shards[s].engine.Store(next.Compact())
-	}
-	return nil
-}
-
-// Delete removes the rule from every covered shard through the live
-// engine's no-retrain path.
-func (u *ShardedUpdatable) Delete(prefix keys.Value, length int) error {
-	lo, hi := u.lockSpan(prefix, length)
-	defer u.unlockSpan(lo, hi)
 	var firstErr error
 	for s := lo; s <= hi; s++ {
 		e := u.Engine(s)
-		if err := e.Delete(prefix, length); err != nil && firstErr == nil {
+		if err := op(e); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", s, err)
 		}
 		u.shards[s].engine.Store(e.Compact())
 	}
 	return firstErr
+}
+
+// Insert installs r in every shard it covers, in place; queries see it once
+// Insert returns.
+func (u *ShardedUpdatable) Insert(r lpm.Rule) error {
+	if err := r.Validate(u.width); err != nil {
+		return err
+	}
+	return u.write(r.Prefix, r.Len, func(e *core.Engine) error { return e.Insert(r) })
+}
+
+// Delete removes the rule from every covered shard without retraining.
+func (u *ShardedUpdatable) Delete(prefix keys.Value, length int) error {
+	return u.write(prefix, length, func(e *core.Engine) error { return e.Delete(prefix, length) })
 }
 
 // ModifyAction rewrites an installed rule's action in every covered shard
 // without retraining (§6.5).
 func (u *ShardedUpdatable) ModifyAction(prefix keys.Value, length int, action uint64) error {
-	lo, hi := u.lockSpan(prefix, length)
-	defer u.unlockSpan(lo, hi)
-	var firstErr error
-	for s := lo; s <= hi; s++ {
-		e := u.Engine(s)
-		if err := e.ModifyAction(prefix, length, action); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard %d: %w", s, err)
-		}
-		u.shards[s].engine.Store(e.Compact())
-	}
-	return firstErr
+	return u.write(prefix, length, func(e *core.Engine) error { return e.ModifyAction(prefix, length, action) })
 }
 
 // Commit re-densifies shard i under its writer lock: it retrains the shard's

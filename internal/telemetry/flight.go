@@ -43,7 +43,6 @@ type FlightRecord struct {
 	StageNs    [NumStages]int64
 	Probes     int32 // secondary-search probes
 	ErrBound   int32 // compiled per-query error bound
-	Shard      int32 // owning shard (0 for a bare engine)
 	Action     uint64
 	Matched    bool
 	BucketRead bool

@@ -223,7 +223,7 @@ func Generate(p Profile, n int, seed int64) (*lpm.RuleSet, error) {
 		}
 		rules = append(rules, lpm.Rule{Prefix: prefix, Len: length, Action: runAction})
 	}
-	return lpm.NewRuleSet(p.Width, rules)
+	return lpm.OwnRuleSet(p.Width, rules) // rules is ours alone: no copy
 }
 
 // lengthSampler draws prefix lengths from a weighted histogram.

@@ -45,8 +45,9 @@ type Rule = lpm.Rule
 type RuleSet = lpm.RuleSet
 
 // Engine is a built NeuroLPM engine. See core.Engine for the full method
-// set: Lookup, LookupMem (with DRAM-traffic accounting), ModifyAction,
-// Delete, InsertBatch, SRAMUsage, Verify.
+// set: Lookup, LookupMem (with DRAM-traffic accounting), Insert,
+// ModifyAction, Delete, Rebuild (retrain over the live rules plus any added),
+// SRAMUsage, Verify.
 type Engine = core.Engine
 
 // Config configures an engine build: bucket size (0 = SRAM-only design) and
@@ -61,11 +62,12 @@ type ModelConfig = rqrmi.Config
 // implements.
 type Matcher = lpm.Matcher
 
-// Updatable is an engine with the §6.5 update path: an insertion is absorbed
-// in place, or — when the engine refuses it — retrained into a rebuilt engine
-// swapped in before Insert returns, so an acknowledged insert is always in the
-// engine. It is the sharded updatable engine; NewUpdatable builds it at one
-// shard, whose engine is Engine(0) and whose re-densify is Commit(0).
+// Updatable is an engine with the §6.5 update path: every write lands in
+// place, so an acknowledged insert is always in the engine, and a shard whose
+// engine it leaves overgrown is retrained and swapped before the write
+// returns (core.Engine.Compact). It is the sharded updatable engine;
+// NewUpdatable builds it at one shard, whose engine is Engine(0) and whose
+// re-densify is Commit(0).
 type Updatable = shard.ShardedUpdatable
 
 // Chain evaluates several LPM tables sequentially — the policy-based
