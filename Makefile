@@ -78,6 +78,12 @@ vet:
 # or batch-insert entry point, no absorb fault site, none of the two series
 # that split the refused inserts from the rest, and no shard tag an engine
 # carries for its flight records, which take their shard from the key.
+# A series says what no other does and moves (DESIGN.md §8): no
+# bucketized-lookup count beside the fetch count that sums the same lanes, no
+# shard-commit count that lpmserve never moves, and no server method that
+# republishes the build info, which lpmserve publishes once. Training times
+# no stage that nothing reads. The updatable under test is shard's
+# (DESIGN.md §14): no test copy of it, or its sweep builder, in core.
 # Each alternative carries a one-character class so these lines do not find
 # themselves.
 deleted-names:
@@ -140,6 +146,9 @@ deleted-names:
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 	@! grep -rnE 'InsertOr[R]ebuild|Insert[B]atch|not[A]bsorbed|refused(Engine[K]ind|Bucket[F]ull)|Site[A]bsorb|SetShard[I]D|neurolpm_insert_(absorbed|rebuilt)[_]total' \
+		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
+		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
+	@! grep -rnE 'neurolpm_bucketized[_]lookups_total|neurolpm_shard_commits[_]total|Set[I]nfo\(|Stage[D]uration|new[U]pdatable\b|sweep[U]pdatable' \
 		--include='*.go' --include='*.md' --include='Makefile' --include='*.yml' . \
 		| grep -vE '^\./(ROADMAP|CHANGES|ISSUE)\.md:'
 

@@ -102,9 +102,10 @@ func main() {
 	if o.rules == "" {
 		fatal("-rules is required")
 	}
-	srv := load(o)
+	srv, info := load(o)
 	telemetry.Flight.SetSampleEvery(o.flightSample)
-	srv.SetInfo("flight_sample", fmt.Sprint(telemetry.Flight.SampleEvery()))
+	info["flight_sample"] = fmt.Sprint(telemetry.Flight.SampleEvery())
+	telemetry.SetBuildInfo(info)
 
 	l, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -128,8 +129,9 @@ func main() {
 
 // load reads the rule file and builds the server over it: the whole of
 // lpmserve's start-up that grows with the rule count. The file is streamed
-// into the rules, and the shards share them, so the rule-set is held once.
-func load(o *options) *serve.Server {
+// into the rules, and the shards share them, so the rule-set is held once. It
+// returns the neurolpm_build_info labels the build settles.
+func load(o *options) (*serve.Server, map[string]string) {
 	start := time.Now()
 	rs, err := lpm.ReadRuleFile(o.width, o.rules)
 	if err != nil {
@@ -137,9 +139,11 @@ func load(o *options) *serve.Server {
 	}
 	cfg := core.Config{BucketSize: o.bucket, Model: rqrmi.DefaultConfig()}
 	srv := buildSharded(rs, cfg, o.shards, o.verify, time.Since(start))
-	srv.SetInfo("rules", fmt.Sprint(rs.Len()))
-	srv.SetInfo("width", fmt.Sprint(rs.Width))
-	return srv
+	return srv, map[string]string{
+		"shards": fmt.Sprint(o.shards),
+		"rules":  fmt.Sprint(rs.Len()),
+		"width":  fmt.Sprint(rs.Width),
+	}
 }
 
 // buildSharded partitions the rule-set, trains a shard per part and wraps the

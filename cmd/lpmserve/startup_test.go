@@ -37,7 +37,7 @@ func TestStartupAllocatesNoWholeSetCopy(t *testing.T) {
 		return m
 	}
 	before := memStats()
-	srv := load(&options{rules: path, width: 32, bucket: 8, shards: 4})
+	srv, _ := load(&options{rules: path, width: 32, bucket: 8, shards: 4})
 	allocated := memStats().TotalAlloc - before.TotalAlloc
 	retained := memStats().HeapAlloc - before.HeapAlloc
 	runtime.KeepAlive(srv)

@@ -66,7 +66,10 @@ func TestInsertPublicationOrder(t *testing.T) {
 		if !absorbs {
 			walk = 2 // every insert is a rebuild of 20 000 rules
 		}
-		u := newUpdatable(e)
+		// The live engine, held as a shard holds it: op publishes what
+		// Compact returns after every write.
+		var live atomic.Pointer[Engine]
+		live.Store(e)
 
 		// A site is a /26 no rule begins or ends in, no two in a bucket; its
 		// eight /29 parts are the rules cycled there.
@@ -157,7 +160,7 @@ func TestInsertPublicationOrder(t *testing.T) {
 				case single:
 					out = out[:0]
 					for _, p := range ps {
-						a, ok := u.Lookup(p.key)
+						a, ok := live.Load().Lookup(p.key)
 						out = append(out, BatchResult{Action: a, Matched: ok})
 					}
 				case batch:
@@ -205,17 +208,20 @@ func TestInsertPublicationOrder(t *testing.T) {
 		for reads.Load() == 0 { // readers are up before the writer starts
 			runtime.Gosched()
 		}
-		op := func(i, c int, f func() error) {
+		op := func(i, c int, f func(cur *Engine) error) {
 			t.Helper()
 			started.Add(1)
-			if err := f(); err != nil {
+			cur := live.Load()
+			err := f(cur)
+			live.Store(cur.Compact())
+			if err != nil {
 				t.Fatal(err)
 			}
 			n := done.Add(1)
 			// A read that starts after the operation returned sees it.
 			for _, p := range probes[i][c] {
 				wa, wok := want(i, p, n)
-				if a, ok := u.Lookup(p.key); ok != wok || (ok && a != wa) {
+				if a, ok := live.Load().Lookup(p.key); ok != wok || (ok && a != wa) {
 					t.Fatalf("site %d rule %d key %v after operation %d: (%d,%v), want (%d,%v)", i, c, p.key, n, a, ok, wa, wok)
 				}
 			}
@@ -228,13 +234,15 @@ func TestInsertPublicationOrder(t *testing.T) {
 			for c := 0; c < blocks; c++ {
 				p := site.AddUint64(uint64(blockKeys * c))
 				for round := 0; round < rounds; round++ {
-					op(i, c, func() error { return u.Insert(lpm.Rule{Prefix: p, Len: siteLen, Action: action(i, c, round, false)}) })
-					if absorbs && (u.Engine() != e || e.SpilledBuckets() != i+1) {
+					r := lpm.Rule{Prefix: p, Len: siteLen, Action: action(i, c, round, false)}
+					op(i, c, func(cur *Engine) error { return cur.Insert(r) })
+					if absorbs && (live.Load() != e || e.SpilledBuckets() != i+1) {
 						t.Fatalf("site %d rule %d round %d: engine rebuilt or %d spilled buckets; want the insert absorbed, one bucket a site",
 							i, c, round, e.SpilledBuckets())
 					}
-					op(i, c, func() error { return u.ModifyAction(p, siteLen, action(i, c, round, true)) })
-					op(i, c, func() error { return u.Delete(p, siteLen) })
+					a := action(i, c, round, true)
+					op(i, c, func(cur *Engine) error { return cur.ModifyAction(p, siteLen, a) })
+					op(i, c, func(cur *Engine) error { return cur.Delete(p, siteLen) })
 				}
 				if n := e.bucketW(buckets[i]).n; absorbs && n != built+c+2 {
 					t.Fatalf("site %d: %d ranges after rule %d, want %d: every rule's first insert publishes a larger record", i, n, c, built+c+2)

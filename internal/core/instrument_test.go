@@ -16,9 +16,9 @@ import (
 
 // series is a reading of every series a lookup books.
 type series struct {
-	lookups, matched, fetches, bucketized, spills uint64
-	probes, errs, cmps                            uint64 // 1:64 sampled histograms
-	flight                                        uint64 // flight records committed
+	lookups, matched, fetches, spills uint64
+	probes, errs, cmps                uint64 // 1:64 sampled histograms
+	flight                            uint64 // flight records committed
 }
 
 // scrape renders the default registry as /metrics does and returns each
@@ -44,15 +44,14 @@ func scrape() map[string]float64 {
 func readSeries() series {
 	snap := scrape()
 	return series{
-		lookups:    uint64(snap["neurolpm_lookups_total"]),
-		matched:    uint64(snap["neurolpm_lookups_matched_total"]),
-		fetches:    uint64(snap["neurolpm_bucket_fetches_total"]),
-		bucketized: uint64(snap["neurolpm_bucketized_lookups_total"]),
-		spills:     uint64(snap["neurolpm_bucket_spill_fetches_total"]),
-		probes:     metProbes.Snapshot().Total,
-		errs:       metInferErr.Snapshot().Total,
-		cmps:       metBucketCmp.Snapshot().Total,
-		flight:     telemetry.Flight.Recorded(),
+		lookups: uint64(snap["neurolpm_lookups_total"]),
+		matched: uint64(snap["neurolpm_lookups_matched_total"]),
+		fetches: uint64(snap["neurolpm_bucket_fetches_total"]),
+		spills:  uint64(snap["neurolpm_bucket_spill_fetches_total"]),
+		probes:  metProbes.Snapshot().Total,
+		errs:    metInferErr.Snapshot().Total,
+		cmps:    metBucketCmp.Snapshot().Total,
+		flight:  telemetry.Flight.Recorded(),
 	}
 }
 
@@ -88,8 +87,8 @@ func checkBooked(t *testing.T, before, after series, w booked) {
 	if !w.bucketized {
 		fetched = 0
 	}
-	if fd, bd := after.fetches-before.fetches, after.bucketized-before.bucketized; fd != fetched || bd != fetched {
-		t.Errorf("fetches delta %d, bucketized delta %d, want both %d (§7: exactly one per bucketized query)", fd, bd, fetched)
+	if d := after.fetches - before.fetches; d != fetched {
+		t.Errorf("fetches delta %d, want %d (§7: exactly one per bucketized query)", d, fetched)
 	}
 	near := func(name string, d, want uint64) {
 		if d+w.g < want || d > want+w.g {
@@ -144,7 +143,7 @@ func setStride(t *testing.T, stride uint64) {
 // LookupMem, a bucketized engine reads DRAM exactly once a key and an
 // SRAM-only one never. Both arms — Lookup, whose keys mostly take the bare
 // pipeline, and LookupMem, which always traces — book every series exactly
-// (checkBooked), the fetch count equal to the bucketized count.
+// (checkBooked), a fetch for every key of the bucketized engine.
 func TestBucketFetchInvariant(t *testing.T) {
 	rs := missingRuleSet(t, 400, 7)
 	oracle := lpm.NewTrieMatcher(rs)
@@ -189,9 +188,9 @@ func TestBucketFetchInvariant(t *testing.T) {
 }
 
 // TestScrapeIsOneCutOfTheTally holds §7 on a live scrape: a scrape renders
-// the four lookup series from one load of the tally, so with lookups running
+// the three lookup series from one load of the tally, so with lookups running
 // beside it on a bucketized engine, every scrape shows as many bucket
-// fetches and bucketized lookups as lookups, and no more matched lookups.
+// fetches as lookups, and no more matched lookups.
 func TestScrapeIsOneCutOfTheTally(t *testing.T) {
 	e, err := Build(randomRuleSet(t, 32, 2000, 5), quickBucketed())
 	if err != nil {
@@ -220,9 +219,8 @@ func TestScrapeIsOneCutOfTheTally(t *testing.T) {
 	for range 200 {
 		s := readSeries()
 		n, m := s.lookups-before.lookups, s.matched-before.matched
-		f, b := s.fetches-before.fetches, s.bucketized-before.bucketized
-		if f != n || b != n || m > n {
-			t.Errorf("one scrape: %d lookups, %d bucketized, %d fetches, %d matched", n, b, f, m)
+		if f := s.fetches - before.fetches; f != n || m > n {
+			t.Errorf("one scrape: %d lookups, %d fetches, %d matched", n, f, m)
 			break
 		}
 	}
@@ -260,8 +258,7 @@ func TestSRAMOnlyNoFetches(t *testing.T) {
 		before := readSeries()
 		arm.look()
 		after := readSeries()
-		if d := after.lookups - before.lookups; mem.reads != 0 || after.fetches != before.fetches ||
-			after.bucketized != before.bucketized || d != uint64(len(ks)) {
+		if d := after.lookups - before.lookups; mem.reads != 0 || after.fetches != before.fetches || d != uint64(len(ks)) {
 			t.Fatalf("%s: SRAM-only engine issued %d DRAM reads and booked %d fetches, %d lookups of %d",
 				arm.name, mem.reads, after.fetches-before.fetches, d, len(ks))
 		}

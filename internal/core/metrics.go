@@ -49,7 +49,6 @@ func init() {
 	reg := telemetry.Default.TallyCounter
 	reg("neurolpm_lookups_total", "Engine lookups executed (all query paths)", tally, 0b1111)
 	reg("neurolpm_lookups_matched_total", "Lookups that matched a live rule", tally, 0b1010)
-	reg("neurolpm_bucketized_lookups_total", "Lookups served by a bucketized (DRAM) engine", tally, 0b1100)
 	// §7: a bucketized lookup is exactly one bucket fetch (Engine.fetch).
 	reg("neurolpm_bucket_fetches_total", "DRAM bucket fetches issued (paper §7: exactly one per bucketized lookup)", tally, 0b1100)
 }

@@ -93,22 +93,15 @@ func WorstCase(sc Scale) ([]WorstCaseRow, error) {
 	for _, k := range trace {
 		u := &cachesim.Uncached{}
 		nlpm.LookupMem(k, u)
-		rows[0].Observed = maxI(rows[0].Observed, int(u.Stats().Accesses))
+		rows[0].Observed = max(rows[0].Observed, int(u.Stats().Accesses))
 		u = &cachesim.Uncached{}
 		sl.LookupMem(k, u)
-		rows[1].Observed = maxI(rows[1].Observed, int(u.Stats().Accesses))
+		rows[1].Observed = max(rows[1].Observed, int(u.Stats().Accesses))
 		u = &cachesim.Uncached{}
 		tbm.LookupMem(k, u)
-		rows[2].Observed = maxI(rows[2].Observed, int(u.Stats().Accesses))
+		rows[2].Observed = max(rows[2].Observed, int(u.Stats().Accesses))
 	}
 	return rows, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WorstCaseTable renders the bounds.
@@ -329,7 +322,7 @@ func UpdatesTable(rows []UpdateRow) *Table {
 		Notes:  []string{"paper: insertion-by-retraining runs in ~100ms on 8 x86 cores for an 870K rule-set"},
 	}
 	for _, r := range rows {
-		per := float64(r.Duration.Microseconds()) / float64(maxI(r.Count, 1))
+		per := float64(r.Duration.Microseconds()) / float64(max(r.Count, 1))
 		t.Rows = append(t.Rows, []string{
 			r.Kind, fi(r.Count), fi(int(r.Duration.Milliseconds())), f1(per),
 		})

@@ -24,7 +24,9 @@
 //     single-key and batch lookups and the sharded batch into a caller's dst
 //     at zero steady-state allocations.
 //   - TestSweepEveryKey — Sweep: every key of a width-20 domain through both
-//     entry points and the compiled search, built and after updates.
+//     entry points and the compiled search, at every count of ShardCounts:
+//     built, after updates, after a replicated insert is deleted again, and
+//     after every shard is committed.
 //
 // The package lives outside internal/core and internal/shard so the harness
 // can exercise both without an import cycle.

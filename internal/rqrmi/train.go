@@ -60,9 +60,8 @@ func (c *Config) validate() error {
 
 // Stats reports what training did.
 type Stats struct {
-	Duration      time.Duration
-	StageDuration []time.Duration
-	SubmodelErrs  []int // final-stage error bounds
+	Duration     time.Duration
+	SubmodelErrs []int // final-stage error bounds
 }
 
 // Train fits an RQRMI model to the index over a width-bit key domain.
@@ -80,13 +79,12 @@ func Train(ix Index, width int, cfg Config) (*Model, *Stats, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	m := &Model{Width: width, N: ix.Len(), Stages: make([][]LUT, len(cfg.StageWidths))}
-	stats := &Stats{StageDuration: make([]time.Duration, len(cfg.StageWidths))}
+	stats := &Stats{}
 
 	// Responsibilities of the submodels in the stage being trained.
 	resp := domainResp(width)
 
 	for s, stageWidth := range cfg.StageWidths {
-		stageStart := time.Now()
 		m.Stages[s] = make([]LUT, stageWidth)
 		final := s == len(cfg.StageWidths)-1
 
@@ -118,7 +116,6 @@ func Train(ix Index, width int, cfg Config) (*Model, *Stats, error) {
 				metTrainRespSize.ObserveInt(respEntries(ix, resp[j]))
 			}
 		}
-		stats.StageDuration[s] = time.Since(stageStart)
 	}
 	stats.Duration = time.Since(start)
 	metTrainRuns.Inc()

@@ -32,7 +32,7 @@ import (
 // contract.
 func TestMetricNameLint(t *testing.T) {
 	srv, _ := buildTestServer(t, true, telemetry.NewRegistry())
-	srv.SetInfo("lint", "1")
+	telemetry.SetBuildInfo(map[string]string{"lint": "1"})
 	_ = srv.Handler()
 	telemetry.SetBuildInfo(nil)
 
@@ -91,7 +91,7 @@ var documentedSeries = regexp.MustCompile("That is ([0-9]+) distinct `neurolpm_\
 func TestSeriesCountIsTheDocumented(t *testing.T) {
 	rs := buildTestRuleSet(t)
 	srv := NewSharded(buildOneShard(t, true), telemetry.Default)
-	srv.SetInfo("rules", fmt.Sprint(rs.Len()))
+	telemetry.SetBuildInfo(map[string]string{"rules": fmt.Sprint(rs.Len())})
 	c := dialWire(t, srv)
 	k := freeKey32(t, rs, 0)
 	if _, err := c.lookup(k); err != nil {

@@ -34,9 +34,6 @@ import (
 type Server struct {
 	sh  *shard.ShardedUpdatable
 	reg *telemetry.Registry
-
-	mu   sync.Mutex        // guards info
-	info map[string]string // the neurolpm_build_info labels (shards, rules, ...)
 }
 
 // NewSharded wraps a sharded updatable engine: /lookup routes through the
@@ -45,26 +42,7 @@ type Server struct {
 // the covered shards' live engines. reg is the registry /metrics renders; pass
 // telemetry.Default to expose the engine's always-on instrumentation.
 func NewSharded(sh *shard.ShardedUpdatable, reg *telemetry.Registry) *Server {
-	s := &Server{sh: sh, reg: reg}
-	s.SetInfo("shards", strconv.Itoa(sh.Shards()))
-	return s
-}
-
-// SetInfo adds (or replaces) one neurolpm_build_info label and republishes
-// the metric. NewSharded seeds shards; cmd/lpmserve adds its
-// configuration (rules, flight-sample).
-func (s *Server) SetInfo(key, value string) {
-	s.mu.Lock()
-	if s.info == nil {
-		s.info = make(map[string]string)
-	}
-	s.info[key] = value
-	cp := make(map[string]string, len(s.info))
-	for k, v := range s.info {
-		cp[k] = v
-	}
-	s.mu.Unlock()
-	telemetry.SetBuildInfo(cp)
+	return &Server{sh: sh, reg: reg}
 }
 
 // Handler returns the full mux: /lookup, /trace, /metrics, /healthz,

@@ -60,9 +60,9 @@ func commitAll(t *testing.T, u *ShardedUpdatable) {
 //     action — any other value would be a torn snapshot;
 //   - keys in never-written shard slices always resolve to their initial
 //     action — a commit of one shard must not disturb another;
-//   - every key a reader looks up is booked exactly once, as a bucketized
-//     lookup and so as one bucket fetch (§7): never ahead of the keys
-//     issued, and equal to them once the readers have returned.
+//   - every key a reader looks up is booked exactly once, as a lookup and
+//     as one bucket fetch (§7): never ahead of the keys issued, and equal to
+//     them once the readers have returned.
 func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	const width = 16
 	rs := randomRuleSet(t, width, 200, 41)
@@ -89,7 +89,7 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 		}
 	}
 	oracle := lpm.NewTrieMatcher(rs)
-	steadyWant := make([]sweepResult, len(steady))
+	steadyWant := make([]Result, len(steady))
 	for i, k := range steady {
 		steadyWant[i].Action, steadyWant[i].Matched = oracle.Lookup(k)
 	}
@@ -102,9 +102,9 @@ func TestConcurrentReadersWithBackgroundCommit(t *testing.T) {
 	checkBooked := func(quiescent bool) {
 		c := scrape()
 		d := uint64(c["neurolpm_lookups_total"] - c0["neurolpm_lookups_total"])
-		db := uint64(c["neurolpm_bucketized_lookups_total"] - c0["neurolpm_bucketized_lookups_total"])
-		if n := issued.Load(); d > n || d != db || (quiescent && d != n) {
-			t.Errorf("%d lookups booked, %d of them bucketized, for %d keys issued (quiescent %v)", d, db, n, quiescent)
+		df := uint64(c["neurolpm_bucket_fetches_total"] - c0["neurolpm_bucket_fetches_total"])
+		if n := issued.Load(); d > n || d != df || (quiescent && d != n) {
+			t.Errorf("%d lookups booked, %d bucket fetches, for %d keys issued (quiescent %v)", d, df, n, quiescent)
 		}
 	}
 

@@ -145,7 +145,6 @@ func (u *ShardedUpdatable) Commit(i int) error {
 		return fmt.Errorf("shard %d: %w", i, err)
 	}
 	s.engine.Store(next)
-	metCommits.Inc()
 	return nil
 }
 

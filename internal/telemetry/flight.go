@@ -105,12 +105,13 @@ type Recorder struct {
 }
 
 // DefaultSampleEvery is the always-on sampling stride: 1 in 256 queries.
-// It is a power-of-two multiple of the engine's distribution-sampling
-// stride (core.sampleEvery = 64), so every flight-sampled query is also a
-// distribution-sampled one and both ride the same lookup tick. 256 keeps
-// the amortized record cost (~250ns of clock reads and ring writes per
-// sample) inside the noise floor of a ~150ns lookup — E26 measures the
-// overhead; 64 was measurable at 5–7%.
+// A flight draw takes a tick of the lookup's tally stripe (Recorder.Draws,
+// through TallyStripe.claim); the engine's distributions sample 1 in 64 on
+// another tick, the lane tick core's Engine.book returns, so a flight-sampled
+// query need not be a distribution-sampled one. 256 keeps the amortized
+// record cost (~250ns of clock reads and ring writes per sample) inside the
+// noise floor of a ~150ns lookup — E26 measures the overhead; 64 was
+// measurable at 5–7%.
 const DefaultSampleEvery = 256
 
 // Flight is the process-wide recorder every engine lookup samples into.
